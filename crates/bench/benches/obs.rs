@@ -346,6 +346,34 @@ fn wire_throughput(c: &mut Criterion) {
             })
         });
     }
+
+    // Tensor-sized payloads: one SPush of 262 144 f32 (1 MiB of values) in
+    // 64 keys, the shape a comm-bound training iteration moves per server.
+    // The 64-f32 frames above cannot see a per-element cost in the codec;
+    // at this size it is the whole measurement.
+    const BULK_KEYS: u64 = 64;
+    const BULK_VALS_PER_KEY: usize = 4096;
+    let chunk = vec![0.125f32; BULK_VALS_PER_KEY];
+    let entries: Vec<(u64, &[f32])> = (0..BULK_KEYS).map(|k| (k, &chunk[..])).collect();
+    let bulk = Message::SPush {
+        worker: 1,
+        progress: 7,
+        kv: KvPairs::from_slices(&entries),
+    };
+    let mut encoded = BytesMut::new();
+    fluentps_transport::codec::encode_into(&bulk, &mut encoded);
+    g.throughput(Throughput::Bytes(encoded.len() as u64));
+    g.bench_function("bulk_encode_1mib", |b| {
+        let mut buf = BytesMut::new();
+        b.iter(|| {
+            buf.clear();
+            fluentps_transport::codec::encode_into(&bulk, &mut buf);
+            buf.len()
+        })
+    });
+    g.bench_function("bulk_decode_1mib", |b| {
+        b.iter(|| fluentps_transport::codec::decode_slice(&encoded).unwrap())
+    });
     g.finish();
 }
 

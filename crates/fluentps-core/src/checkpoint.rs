@@ -57,21 +57,13 @@ impl ShardCheckpoint {
         keys: &[u64],
         applied: &[Option<u64>],
     ) -> Self {
-        let mut params = KvPairs::default();
-        for &key in keys {
-            if let Some(vals) = shard.read_param(key) {
-                params.keys.push(key);
-                params.lens.push(vals.len() as u32);
-                params.vals.extend_from_slice(vals);
-            }
-        }
         ShardCheckpoint {
             v_train: shard.v_train(),
             applied: applied
                 .iter()
                 .map(|w| w.map(|p| p + 1).unwrap_or(0))
                 .collect(),
-            params,
+            params: shard.snapshot(keys),
         }
     }
 
@@ -86,24 +78,15 @@ impl ShardCheckpoint {
 
     /// Serialize to bytes (reuses the wire codec for the payload).
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.params.payload_bytes() + 32);
+        let header = 1 + 8 + 4 + 8 * self.applied.len();
+        let mut buf = BytesMut::with_capacity(header + codec::pull_response_wire_len(&self.params));
         buf.put_u8(CHECKPOINT_VERSION);
         buf.put_u64_le(self.v_train);
         buf.put_u32_le(self.applied.len() as u32);
-        for &w in &self.applied {
-            buf.put_u64_le(w);
-        }
-        // Wrap the params in a PullResponse so the existing codec carries
+        buf.put_u64_slice_le(&self.applied);
+        // The params travel as a PullResponse so the existing codec carries
         // them; progress/server fields are unused here.
-        codec::encode_into(
-            &Message::PullResponse {
-                server: 0,
-                progress: 0,
-                version: self.v_train,
-                kv: self.params.clone(),
-            },
-            &mut buf,
-        );
+        codec::encode_pull_response_into(0, 0, self.v_train, &self.params, &mut buf);
         buf.freeze()
     }
 
@@ -130,7 +113,7 @@ impl ShardCheckpoint {
                 available: bytes.remaining(),
             });
         }
-        let applied = (0..n).map(|_| bytes.get_u64_le()).collect();
+        let applied = bytes.get_u64_vec_le(n);
         match codec::decode(bytes)? {
             Message::PullResponse { kv, .. } => Ok(ShardCheckpoint {
                 v_train,
@@ -257,6 +240,25 @@ mod tests {
             ShardCheckpoint::from_bytes(Bytes::from(v)),
             Err(DecodeError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn to_bytes_is_byte_identical_to_the_scalar_loop_encoder() {
+        // Fixture produced by commit bc03ef5 (per-element puts, cloned
+        // params): the blob format must not move with the slab codec, or a
+        // replacement could not restore a checkpoint its predecessor stored.
+        const GOLDEN: &str = concat!(
+            "0203000000000000000200000003000000000000000000000000000000010400",
+            "0000000000000000000000030000000000000002000000000000000000000001",
+            "0000000000000002000000040000000200000006000000000040400000404000",
+            "004040000040400000c0400000c040"
+        );
+        let (shard, keys) = trained_shard();
+        let cp = ShardCheckpoint::capture_with_applied(&shard, &keys, &[Some(2), None]);
+        let bytes = cp.to_bytes();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        assert_eq!(ShardCheckpoint::from_bytes(bytes), Ok(cp));
     }
 
     #[test]

@@ -75,6 +75,15 @@ pub trait SyncPolicy: Send {
     /// retune its staleness threshold at runtime).
     fn after_push(&mut self, _st: &SyncState) {}
 
+    /// Whether [`SyncPolicy::pull_permitted`] consumes the shard-measured
+    /// gradient significance of the worker's latest push when a pull carries
+    /// no explicit hint. Measuring it costs two reductions over every pushed
+    /// gradient and the parameters under it, so the shard skips them unless
+    /// the policy says it reads the result.
+    fn wants_significance(&self) -> bool {
+        false
+    }
+
     /// Short human-readable name (for reports and stats).
     fn name(&self) -> &'static str;
 }
@@ -263,6 +272,16 @@ impl SyncPolicy for ModelRuntime {
                 std::cmp::Ordering::Equal => self.s_live,
             };
         }
+    }
+
+    fn wants_significance(&self) -> bool {
+        matches!(
+            self.model,
+            SyncModel::PsspDynamic {
+                alpha: Alpha::Significance { .. },
+                ..
+            }
+        )
     }
 
     fn name(&self) -> &'static str {

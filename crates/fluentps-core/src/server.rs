@@ -110,6 +110,9 @@ pub struct ServerShard {
     stats: ShardStats,
     /// Gradient significance `SF(g, w) = |g|/|w|` of each worker's latest
     /// push, consumed by dynamic PSSP when the pull carries no explicit hint.
+    /// Measured only when the policy
+    /// [`wants_significance`](SyncPolicy::wants_significance); `None`
+    /// otherwise.
     last_significance: Vec<Option<f64>>,
     /// Trace event sink; `Tracer::disabled()` (the default) costs one branch
     /// per would-be event, keeping the state machine free of clocks.
@@ -345,7 +348,9 @@ impl ServerShard {
                 ),
             );
         } else {
-            self.last_significance[worker as usize] = Some(self.push_significance(kv));
+            if self.policy.wants_significance() {
+                self.last_significance[worker as usize] = Some(self.push_significance(kv));
+            }
             self.apply_gradients(kv);
             self.tracer.record(
                 EventKind::PushApplied,
@@ -429,7 +434,9 @@ impl ServerShard {
         }
     }
 
-    /// Latest gradient significance observed for `worker`.
+    /// Latest gradient significance observed for `worker` — `None` before
+    /// its first applied push, and always under a policy that does not read
+    /// it.
     pub fn significance_of(&self, worker: u32) -> Option<f64> {
         self.last_significance[worker as usize]
     }
@@ -471,15 +478,29 @@ impl ServerShard {
     }
 
     fn gather(&self, keys: &[u64]) -> KvPairs {
-        let mut kv = KvPairs::default();
-        for &key in keys {
-            if let Some(vals) = self.store.get(&key) {
-                kv.keys.push(key);
-                kv.lens.push(vals.len() as u32);
-                kv.vals.extend_from_slice(vals);
-            } else {
-                debug_assert!(false, "pull for unknown key {key:#x}");
-            }
+        let kv = self.snapshot(keys);
+        debug_assert_eq!(kv.len(), keys.len(), "pull for an unknown key");
+        kv
+    }
+
+    /// Copy the stored values of `keys` into one batch, skipping keys this
+    /// shard does not hold. The batch is sized exactly before the first
+    /// copy: growing a tensor-sized `vals` by doubling re-copies it several
+    /// times and leaves up to 2x slack behind.
+    pub(crate) fn snapshot(&self, keys: &[u64]) -> KvPairs {
+        let held = || {
+            keys.iter()
+                .filter_map(|&key| Some((key, self.store.get(&key)?)))
+        };
+        let mut kv = KvPairs {
+            keys: Vec::with_capacity(keys.len()),
+            lens: Vec::with_capacity(keys.len()),
+            vals: Vec::with_capacity(held().map(|(_, vals)| vals.len()).sum()),
+        };
+        for (key, vals) in held() {
+            kv.keys.push(key);
+            kv.lens.push(vals.len() as u32);
+            kv.vals.extend_from_slice(vals);
         }
         kv
     }
@@ -637,6 +658,62 @@ mod tests {
         assert_eq!(s.stats().pssp_passes, 1);
         // draw 0.1 ≤ c → blocked.
         assert_eq!(s.on_pull(0, 3, &[0], 0.1, None), PullOutcome::Deferred);
+    }
+
+    #[test]
+    fn significance_is_measured_only_for_the_policy_that_reads_it() {
+        use crate::pssp::Alpha;
+        let unread = [
+            SyncModel::Bsp,
+            SyncModel::Ssp { s: 2 },
+            SyncModel::PsspConst { s: 1, c: 0.3 },
+            SyncModel::PsspDynamic {
+                s: 1,
+                alpha: Alpha::Constant(0.5),
+            },
+        ];
+        for model in unread {
+            let mut s = shard(2, model, DprPolicy::LazyExecution);
+            s.on_push(0, 0, &push1([3.0, 4.0]));
+            s.on_push(0, 1, &push1([3.0, 4.0]));
+            assert_eq!(s.significance_of(0), None, "{model:?}");
+        }
+
+        let mut s = shard(
+            2,
+            SyncModel::PsspDynamic {
+                s: 1,
+                alpha: Alpha::Significance {
+                    floor: 0.0,
+                    cap: 1.0,
+                },
+            },
+            DprPolicy::LazyExecution,
+        );
+        assert_eq!(s.significance_of(0), None, "no push yet");
+        // Against all-zero parameters SF is defined as 0; the second push
+        // sees w = (3, 4)/2 and measures |g|/|w| = 5 / 2.5.
+        s.on_push(0, 0, &push1([3.0, 4.0]));
+        assert_eq!(s.significance_of(0), Some(0.0));
+        s.on_push(0, 1, &push1([3.0, 4.0]));
+        assert_eq!(s.significance_of(0), Some(2.0));
+        assert_eq!(s.significance_of(1), None, "worker 1 never pushed");
+    }
+
+    #[test]
+    fn full_shard_reply_is_allocated_exactly() {
+        let mut s = shard(1, SyncModel::Asp, DprPolicy::LazyExecution);
+        s.init_param(1, vec![1.0; 4096]);
+        s.init_param(2, vec![2.0; 37]);
+        match s.on_pull(0, 0, &[0, 1, 2], 0.5, None) {
+            PullOutcome::Respond { kv, .. } => {
+                assert_eq!(kv.lens, vec![2, 4096, 37]);
+                assert_eq!(kv.vals.capacity(), kv.vals.len());
+                assert_eq!(kv.keys.capacity(), kv.keys.len());
+                assert_eq!(kv.lens.capacity(), kv.lens.len());
+            }
+            PullOutcome::Deferred => panic!("ASP must not defer"),
+        }
     }
 
     #[test]

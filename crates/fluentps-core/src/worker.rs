@@ -64,7 +64,24 @@ impl Router {
     /// Scatter per-parameter values into one [`KvPairs`] per server. Entries
     /// for servers owning nothing are empty.
     pub fn scatter(&self, values: &HashMap<u64, Vec<f32>>) -> Vec<KvPairs> {
-        let mut out = vec![KvPairs::default(); self.map.num_servers() as usize];
+        // Count first, then fill: each per-server batch is allocated once at
+        // its exact size instead of growing a tensor-sized `vals` by doubling.
+        let mut sizes = vec![(0usize, 0usize); self.map.num_servers() as usize];
+        for p in self.map.placements() {
+            if values.contains_key(&p.orig_key) {
+                let (keys, vals) = &mut sizes[p.server as usize];
+                *keys += 1;
+                *vals += p.len;
+            }
+        }
+        let mut out: Vec<KvPairs> = sizes
+            .into_iter()
+            .map(|(keys, vals)| KvPairs {
+                keys: Vec::with_capacity(keys),
+                lens: Vec::with_capacity(keys),
+                vals: Vec::with_capacity(vals),
+            })
+            .collect();
         // Walk placements in deterministic order so wire batches are stable.
         for p in self.map.placements() {
             let Some(vals) = values.get(&p.orig_key) else {
@@ -91,9 +108,13 @@ impl Router {
                 debug_assert!(false, "response for unknown key {new_key:#x}");
                 continue;
             };
-            let entry = params
-                .entry(p.orig_key)
-                .or_insert_with(|| vec![0.0; p.offset + p.len]);
+            // A parameter seen for the first time is allocated once at its
+            // full length (slices come in offset order, so the last one ends
+            // it); later slices of it then land inside that allocation.
+            let entry = params.entry(p.orig_key).or_insert_with(|| {
+                let full = self.map.slices_of(p.orig_key).last();
+                Vec::with_capacity(full.map_or(0, |q| q.offset + q.len))
+            });
             if entry.len() < p.offset + p.len {
                 entry.resize(p.offset + p.len, 0.0);
             }
@@ -732,6 +753,28 @@ mod tests {
         }
         assert_eq!(fresh[&0].len(), 10);
         assert_eq!(fresh[&2][6], 206.0);
+    }
+
+    #[test]
+    fn scatter_and_gather_allocate_exactly() {
+        let r = router(4, 3);
+        let vals = values();
+        let shards = r.scatter(&vals);
+        for kv in &shards {
+            assert_eq!(kv.vals.capacity(), kv.vals.len());
+            assert_eq!(kv.keys.capacity(), kv.keys.len());
+            assert_eq!(kv.lens.capacity(), kv.lens.len());
+        }
+        // Gathering into an empty map allocates each parameter once, at
+        // its full length, whichever of its slices arrives first.
+        let mut fresh = HashMap::new();
+        for kv in shards.iter().rev() {
+            r.gather_into(&mut fresh, kv);
+        }
+        assert_eq!(fresh, vals);
+        for (key, param) in &fresh {
+            assert_eq!(param.capacity(), param.len(), "param {key}");
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! Layout: one version byte, one tag byte, then little-endian fields. Vectors
 //! are a `u32` count followed by elements. `f32` travels as its IEEE-754 bit
-//! pattern. The codec is fully self-contained (no serde) because the offline
+//! pattern. Every numeric vector is written and read as one *slab* through
+//! the `fluentps-util::buf` slab operations — one bounds check and one pass
+//! per vector, not per element — because a tensor-sized `SPush` is a million
+//! elements. The codec is fully self-contained (no serde) because the offline
 //! dependency set has no serialization *format* crate; this also keeps frames
 //! compact and decode costs predictable, which matters because gradients for
 //! large layers dominate traffic.
@@ -57,6 +60,10 @@ mod node_tag {
 /// (`request_id` u64, `attempt` u32, `parent_span` u32).
 const EVENT_WIRE_LEN: usize = 8 + 8 + 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 4;
 
+/// Encoded size of one [`WirePlacement`] record: two u64 keys, then server,
+/// offset and length as u32.
+const PLACEMENT_WIRE_LEN: usize = 8 + 8 + 4 + 4 + 4;
+
 /// Encode a message into a fresh byte buffer, sized exactly via
 /// [`encoded_len`] so encoding never reallocates mid-write (the old
 /// `payload_bytes() + 16` estimate under-counted KV-heavy messages and
@@ -109,13 +116,7 @@ pub fn encode_into(msg: &Message, buf: &mut BytesMut) {
             progress,
             kv,
             version,
-        } => {
-            buf.put_u8(tag::PULL_RESPONSE);
-            buf.put_u32_le(*server);
-            buf.put_u64_le(*progress);
-            buf.put_u64_le(*version);
-            put_kv(buf, kv);
-        }
+        } => put_pull_response(buf, *server, *progress, *version, kv),
         Message::Register { node } => {
             buf.put_u8(tag::REGISTER);
             put_node(buf, *node);
@@ -149,11 +150,13 @@ pub fn encode_into(msg: &Message, buf: &mut BytesMut) {
             buf.put_u8(tag::ROUTE_UPDATE);
             buf.put_u32_le(placements.len() as u32);
             for p in placements {
-                buf.put_u64_le(p.orig_key);
-                buf.put_u64_le(p.new_key);
-                buf.put_u32_le(p.server);
-                buf.put_u32_le(p.offset);
-                buf.put_u32_le(p.len);
+                let mut rec = [0u8; PLACEMENT_WIRE_LEN];
+                rec[0..8].copy_from_slice(&p.orig_key.to_le_bytes());
+                rec[8..16].copy_from_slice(&p.new_key.to_le_bytes());
+                rec[16..20].copy_from_slice(&p.server.to_le_bytes());
+                rec[20..24].copy_from_slice(&p.offset.to_le_bytes());
+                rec[24..28].copy_from_slice(&p.len.to_le_bytes());
+                buf.put_slice(&rec);
             }
         }
         Message::TraceBatch {
@@ -265,6 +268,29 @@ pub fn encode_into(msg: &Message, buf: &mut BytesMut) {
     }
 }
 
+/// Encode a `PullResponse` from borrowed parts, appending to `buf` — the
+/// bytes of [`encode_into`] on the owned message. For a caller that holds the
+/// batch by reference (checkpoint serialization) and would otherwise clone a
+/// whole shard just to build the message.
+pub fn encode_pull_response_into(
+    server: u32,
+    progress: u64,
+    version: u64,
+    kv: &KvPairs,
+    buf: &mut BytesMut,
+) {
+    buf.put_u8(WIRE_VERSION);
+    put_pull_response(buf, server, progress, version, kv);
+}
+
+fn put_pull_response(buf: &mut BytesMut, server: u32, progress: u64, version: u64, kv: &KvPairs) {
+    buf.put_u8(tag::PULL_RESPONSE);
+    buf.put_u32_le(server);
+    buf.put_u64_le(progress);
+    buf.put_u64_le(version);
+    put_kv(buf, kv);
+}
+
 /// Exact size in bytes of `encode(msg)` — what this message costs on the
 /// wire before framing. Byte accounting (`ShardStats::bytes_in/out`, the
 /// tracer's `WireSend`/`WireRecv` events) uses this instead of
@@ -283,7 +309,7 @@ pub fn encoded_len(msg: &Message) -> usize {
             Message::Barrier { .. } => 4 + 8,
             Message::Shutdown => 0,
             Message::Install { kv } => kv_encoded_len(kv),
-            Message::RouteUpdate { placements } => 4 + 28 * placements.len(),
+            Message::RouteUpdate { placements } => 4 + PLACEMENT_WIRE_LEN * placements.len(),
             Message::TraceBatch { events, .. } => {
                 5 + 8 + 8 + 8 + 8 + 4 + EVENT_WIRE_LEN * events.len()
             }
@@ -480,17 +506,18 @@ pub fn decode_from<B: Buf>(buf: &mut B) -> Result<Message, DecodeError> {
         tag::INSTALL => Message::Install { kv: get_kv(buf)? },
         tag::ROUTE_UPDATE => {
             let count = get_u32(buf)? as u64;
-            let n = check_len(buf, count, 28)?;
-            let mut placements = Vec::with_capacity(n);
-            for _ in 0..n {
-                placements.push(WirePlacement {
-                    orig_key: buf.get_u64_le(),
-                    new_key: buf.get_u64_le(),
-                    server: buf.get_u32_le(),
-                    offset: buf.get_u32_le(),
-                    len: buf.get_u32_le(),
-                });
-            }
+            let n = check_len(buf, count, PLACEMENT_WIRE_LEN)?;
+            let placements = buf.chunk()[..n * PLACEMENT_WIRE_LEN]
+                .chunks_exact(PLACEMENT_WIRE_LEN)
+                .map(|rec| WirePlacement {
+                    orig_key: u64::from_le_bytes(rec[0..8].try_into().unwrap()),
+                    new_key: u64::from_le_bytes(rec[8..16].try_into().unwrap()),
+                    server: u32::from_le_bytes(rec[16..20].try_into().unwrap()),
+                    offset: u32::from_le_bytes(rec[20..24].try_into().unwrap()),
+                    len: u32::from_le_bytes(rec[24..28].try_into().unwrap()),
+                })
+                .collect();
+            buf.advance(n * PLACEMENT_WIRE_LEN);
             Message::RouteUpdate { placements }
         }
         tag::VOTE_REQUEST => Message::VoteRequest {
@@ -677,23 +704,17 @@ fn get_kv<B: Buf>(buf: &mut B) -> Result<KvPairs, DecodeError> {
 
 fn put_u64_vec(buf: &mut BytesMut, v: &[u64]) {
     buf.put_u32_le(v.len() as u32);
-    for x in v {
-        buf.put_u64_le(*x);
-    }
+    buf.put_u64_slice_le(v);
 }
 
 fn put_u32_vec(buf: &mut BytesMut, v: &[u32]) {
     buf.put_u32_le(v.len() as u32);
-    for x in v {
-        buf.put_u32_le(*x);
-    }
+    buf.put_u32_slice_le(v);
 }
 
 fn put_f32_vec(buf: &mut BytesMut, v: &[f32]) {
     buf.put_u32_le(v.len() as u32);
-    for x in v {
-        buf.put_u32_le(x.to_bits());
-    }
+    buf.put_f32_slice_le(v);
 }
 
 fn check_len<B: Buf>(buf: &B, count: u64, elem_size: usize) -> Result<usize, DecodeError> {
@@ -714,19 +735,19 @@ fn check_len<B: Buf>(buf: &B, count: u64, elem_size: usize) -> Result<usize, Dec
 fn get_u64_vec<B: Buf>(buf: &mut B) -> Result<Vec<u64>, DecodeError> {
     let count = get_u32(buf)? as u64;
     let n = check_len(buf, count, 8)?;
-    Ok((0..n).map(|_| buf.get_u64_le()).collect())
+    Ok(buf.get_u64_vec_le(n))
 }
 
 fn get_u32_vec<B: Buf>(buf: &mut B) -> Result<Vec<u32>, DecodeError> {
     let count = get_u32(buf)? as u64;
     let n = check_len(buf, count, 4)?;
-    Ok((0..n).map(|_| buf.get_u32_le()).collect())
+    Ok(buf.get_u32_vec_le(n))
 }
 
 fn get_f32_vec<B: Buf>(buf: &mut B) -> Result<Vec<f32>, DecodeError> {
     let count = get_u32(buf)? as u64;
     let n = check_len(buf, count, 4)?;
-    Ok((0..n).map(|_| f32::from_bits(buf.get_u32_le())).collect())
+    Ok(buf.get_f32_vec_le(n))
 }
 
 fn get_u8<B: Buf>(buf: &mut B) -> Result<u8, DecodeError> {

@@ -148,17 +148,30 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Read one framed message from `r`, blocking until complete.
-    pub fn read_from<R: Read>(&mut self, r: &mut R) -> Result<(NodeId, Message), TransportError> {
+    /// Read one frame body (everything after the length word) into the
+    /// scratch buffer, blocking until complete. The length check and the
+    /// [`MAX_FRAME`] guard of both public read paths live here. The buffer
+    /// only ever grows: a small frame after a large one reads into a prefix
+    /// instead of shrinking and later re-zeroing a tensor-sized tail.
+    fn read_body<R: Read>(&mut self, r: &mut R) -> Result<&[u8], TransportError> {
         let mut len_buf = [0u8; 4];
         r.read_exact(&mut len_buf)?;
         let len = u32::from_le_bytes(len_buf);
         if len > MAX_FRAME {
             return Err(DecodeError::LengthOverflow(len as u64).into());
         }
-        self.body.resize(len as usize, 0);
-        r.read_exact(&mut self.body)?;
-        decode_frame_slice(&self.body)
+        let len = len as usize;
+        if self.body.len() < len {
+            self.body.resize(len, 0);
+        }
+        let body = &mut self.body[..len];
+        r.read_exact(body)?;
+        Ok(body)
+    }
+
+    /// Read one framed message from `r`, blocking until complete.
+    pub fn read_from<R: Read>(&mut self, r: &mut R) -> Result<(NodeId, Message), TransportError> {
+        decode_frame_slice(self.read_body(r)?)
     }
 
     /// [`FrameReader::read_from`] with the *decode* step under a
@@ -170,16 +183,9 @@ impl FrameReader {
         r: &mut R,
         prof: &Profiler,
     ) -> Result<(NodeId, Message), TransportError> {
-        let mut len_buf = [0u8; 4];
-        r.read_exact(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf);
-        if len > MAX_FRAME {
-            return Err(DecodeError::LengthOverflow(len as u64).into());
-        }
-        self.body.resize(len as usize, 0);
-        r.read_exact(&mut self.body)?;
+        let body = self.read_body(r)?;
         let _span = prof.enter("wire/decode");
-        decode_frame_slice(&self.body)
+        decode_frame_slice(body)
     }
 }
 

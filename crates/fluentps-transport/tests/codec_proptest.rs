@@ -2,8 +2,10 @@
 //! and must never panic on arbitrary byte soup.
 
 use fluentps_obs::{EventKind, TraceEvent, KINDS};
-use fluentps_transport::codec::{corrupt_at, decode, encode};
+use fluentps_transport::codec::{corrupt_at, decode, decode_slice, encode};
+use fluentps_transport::error::DecodeError;
 use fluentps_transport::msg::{CausalCtx, KvPairs, Message, NodeId};
+use fluentps_util::alloc::thread_counters;
 use fluentps_util::buf::Bytes;
 use fluentps_util::proptest::prelude::*;
 
@@ -163,6 +165,47 @@ proptest! {
     }
 
     #[test]
+    fn f32_bit_patterns_roundtrip_exactly(
+        key in any::<u64>(),
+        bits in prop::collection::vec(any::<u32>(), 0..64),
+    ) {
+        // Arbitrary patterns plus the classes a float-typed path could
+        // disturb: NaNs with payloads (quiet and signalling), -0.0,
+        // subnormals, both infinities.
+        let mut bits = bits;
+        bits.extend([0x7FC0_1234, 0x7F80_0001, 0xFFFF_FFFF, 0x8000_0000, 1, 0x807F_FFFF]);
+        bits.extend([0x7F80_0000, 0xFF80_0000]);
+        let vals: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let msg = Message::PullResponse {
+            server: 1,
+            progress: 2,
+            version: 3,
+            kv: KvPairs::single(key, vals),
+        };
+        match decode(encode(&msg)).expect("well-formed message must decode") {
+            Message::PullResponse { kv, .. } => {
+                let back: Vec<u32> = kv.vals.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(back, bits);
+            }
+            other => prop_assert!(false, "wrong variant {:?}", other),
+        }
+    }
+
+    #[test]
+    fn truncation_inside_a_slab_is_truncated_never_a_panic(kv in arb_kv()) {
+        let bytes = encode(&Message::SPush { worker: 1, progress: 2, kv });
+        // Everything past the fixed SPush header (version, tag, worker,
+        // progress) is count words and slabs.
+        for cut in 14..bytes.len() {
+            let err = decode_slice(&bytes[..cut]).expect_err("truncated frame decoded");
+            prop_assert!(
+                matches!(err, DecodeError::Truncated { .. }),
+                "cut at {} of {}: {:?}", cut, bytes.len(), err
+            );
+        }
+    }
+
+    #[test]
     fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = decode(Bytes::from(bytes));
     }
@@ -228,5 +271,40 @@ fn bitify(msg: &Message) -> Message {
             kv: fix(kv),
         },
         other => other.clone(),
+    }
+}
+
+/// A count word is checked against the bytes that actually follow it before
+/// anything is allocated for it: a 30-byte frame that promises 2^28 values
+/// must cost a few bytes of error, not a gigabyte of `Vec`.
+#[test]
+fn hostile_count_is_rejected_before_allocating() {
+    let honest = encode(&Message::SPush {
+        worker: 0,
+        progress: 0,
+        kv: KvPairs::single(7, vec![1.0; 4]),
+    });
+    // Layout: header 14, keys count 4 + 8, lens count 4 + 4, vals count at 34.
+    let vals_count_at = 14 + 4 + 8 + 4 + 4;
+    for (count_at, elem) in [(14, 8), (14 + 4 + 8, 4), (vals_count_at, 4)] {
+        for claimed in [5u32, 1 << 20, 1 << 28, u32::MAX] {
+            let mut frame = honest.to_vec();
+            frame[count_at..count_at + 4].copy_from_slice(&claimed.to_le_bytes());
+            let (_, before) = thread_counters();
+            let err = decode_slice(&frame).expect_err("inflated count decoded");
+            let (_, after) = thread_counters();
+            assert!(
+                matches!(
+                    err,
+                    DecodeError::Truncated { .. } | DecodeError::LengthOverflow(_)
+                ),
+                "count {claimed} at {count_at}: {err:?}"
+            );
+            assert!(
+                after - before < 1024,
+                "count {claimed} x {elem} B at {count_at} allocated {} bytes",
+                after - before
+            );
+        }
     }
 }

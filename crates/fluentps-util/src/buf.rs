@@ -5,6 +5,13 @@
 //! supports zero-copy slicing and cursor-style reads via [`Buf`]. This is
 //! the whole surface the wire codec, framing layer and checkpoint format
 //! need — nothing more.
+//!
+//! Every primitive here is `#[inline]`: the workspace builds without LTO, so
+//! a non-generic method of this crate is otherwise an out-of-line call from
+//! the codec, once per integer. Numeric vectors go through the *slab*
+//! operations ([`BufMut::put_f32_slice_le`], [`Buf::get_f32_vec_le`] and
+//! their `u32`/`u64` siblings): one length check and one pass over the
+//! whole vector, little-endian on any host via `to_le_bytes`/`from_le_bytes`.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -21,6 +28,7 @@ pub trait Buf {
     fn chunk(&self) -> &[u8];
 
     /// Read one byte.
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let v = self.chunk()[0];
         self.advance(1);
@@ -28,6 +36,7 @@ pub trait Buf {
     }
 
     /// Read a little-endian `u16`.
+    #[inline]
     fn get_u16_le(&mut self) -> u16 {
         let v = u16::from_le_bytes(self.chunk()[..2].try_into().unwrap());
         self.advance(2);
@@ -35,6 +44,7 @@ pub trait Buf {
     }
 
     /// Read a little-endian `u32`.
+    #[inline]
     fn get_u32_le(&mut self) -> u32 {
         let v = u32::from_le_bytes(self.chunk()[..4].try_into().unwrap());
         self.advance(4);
@@ -42,9 +52,49 @@ pub trait Buf {
     }
 
     /// Read a little-endian `u64`.
+    #[inline]
     fn get_u64_le(&mut self) -> u64 {
         let v = u64::from_le_bytes(self.chunk()[..8].try_into().unwrap());
         self.advance(8);
+        v
+    }
+
+    /// Read `n` little-endian `u32`s as one slab. Like the scalar getters
+    /// this panics if fewer than `4 * n` bytes remain — the caller checks
+    /// [`Buf::remaining`] *before* the read, so the output is never sized
+    /// from an unchecked count.
+    #[inline]
+    fn get_u32_vec_le(&mut self, n: usize) -> Vec<u32> {
+        let v = self.chunk()[..4 * n]
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        self.advance(4 * n);
+        v
+    }
+
+    /// Read `n` little-endian `u64`s as one slab (see
+    /// [`Buf::get_u32_vec_le`]).
+    #[inline]
+    fn get_u64_vec_le(&mut self, n: usize) -> Vec<u64> {
+        let v = self.chunk()[..8 * n]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        self.advance(8 * n);
+        v
+    }
+
+    /// Read `n` `f32`s, each the little-endian IEEE-754 bit pattern, as one
+    /// slab (see [`Buf::get_u32_vec_le`]). Bit-exact: NaN payloads, signed
+    /// zeros and subnormals survive.
+    #[inline]
+    fn get_f32_vec_le(&mut self, n: usize) -> Vec<f32> {
+        let v = self.chunk()[..4 * n]
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        self.advance(4 * n);
         v
     }
 }
@@ -53,15 +103,18 @@ pub trait Buf {
 /// without first copying it into an owned [`Bytes`]. Advancing shrinks the
 /// slice from the front.
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance past end of buffer");
         *self = &self[n..];
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
@@ -73,53 +126,75 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Append one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Append a little-endian `u16`.
+    #[inline]
     fn put_u16_le(&mut self, v: u16) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u32`.
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u64`.
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
+
+    /// Append every `u32` of `src` little-endian, as one slab: the bytes
+    /// are exactly those of calling [`BufMut::put_u32_le`] per element.
+    fn put_u32_slice_le(&mut self, src: &[u32]);
+
+    /// Append every `u64` of `src` little-endian, as one slab.
+    fn put_u64_slice_le(&mut self, src: &[u64]);
+
+    /// Append every `f32` of `src` as its little-endian IEEE-754 bit
+    /// pattern, as one slab.
+    fn put_f32_slice_le(&mut self, src: &[f32]);
 }
 
 /// An immutable, reference-counted byte buffer. Clones and
 /// [`slices`](Bytes::slice) share the underlying allocation.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    // `Arc<Vec<u8>>`, not `Arc<[u8]>`: converting a `Vec` into the latter
+    // copies every byte into a fresh allocation, which would make
+    // `BytesMut::freeze` a second pass over a tensor-sized buffer.
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
     /// An empty buffer.
+    #[inline]
     pub fn new() -> Self {
         Bytes::default()
     }
 
     /// Number of readable bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// Whether no bytes remain.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
 
     /// A sub-view sharing the same allocation. Panics if the range is out
     /// of bounds.
+    #[inline]
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(
             range.start <= range.end && range.end <= self.len(),
@@ -134,36 +209,42 @@ impl Bytes {
     }
 
     /// Copy the readable bytes into a fresh `Vec`.
+    #[inline]
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
     }
 
     /// The readable bytes as a slice.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance past end of buffer");
         self.start += n;
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl From<Vec<u8>> for Bytes {
+    #[inline]
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: v.into(),
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -171,6 +252,7 @@ impl From<Vec<u8>> for Bytes {
 }
 
 impl From<&[u8]> for Bytes {
+    #[inline]
     fn from(v: &[u8]) -> Bytes {
         v.to_vec().into()
     }
@@ -178,18 +260,21 @@ impl From<&[u8]> for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl PartialEq for Bytes {
+    #[inline]
     fn eq(&self, other: &Bytes) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -211,11 +296,13 @@ pub struct BytesMut {
 
 impl BytesMut {
     /// An empty buffer.
+    #[inline]
     pub fn new() -> Self {
         BytesMut::default()
     }
 
     /// An empty buffer with reserved capacity.
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
             data: Vec::with_capacity(cap),
@@ -223,21 +310,25 @@ impl BytesMut {
     }
 
     /// Number of written bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
     /// Whether nothing has been written.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
     /// Writable capacity before the next append reallocates.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.data.capacity()
     }
 
     /// Ensure room for `additional` more bytes without reallocating later.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.data.reserve(additional);
     }
@@ -246,11 +337,13 @@ impl BytesMut {
     /// for per-connection scratch buffers: encode a batch, write it to the
     /// stream, `clear()`, repeat. Capacity converges on the largest batch
     /// seen and no further allocation happens on the hot path.
+    #[inline]
     pub fn clear(&mut self) {
         self.data.clear();
     }
 
     /// Shorten to `len` written bytes (no-op if already shorter).
+    #[inline]
     pub fn truncate(&mut self, len: usize) {
         self.data.truncate(len);
     }
@@ -259,6 +352,7 @@ impl BytesMut {
     /// buffer owns the old allocation; `self` starts from scratch. Use
     /// [`BytesMut::clear`] instead when the *allocation* should stay with
     /// the writer.
+    #[inline]
     pub fn split(&mut self) -> BytesMut {
         BytesMut {
             data: std::mem::take(&mut self.data),
@@ -269,41 +363,78 @@ impl BytesMut {
     /// `u32` — how the framer patches a length word after encoding the
     /// payload behind it, instead of building the frame in a second buffer.
     /// Panics if `at + 4` exceeds the written length.
+    #[inline]
     pub fn set_u32_le_at(&mut self, at: usize, v: u32) {
         self.data[at..at + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Append raw bytes.
+    #[inline]
     pub fn extend_from_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
 
     /// Convert into an immutable [`Bytes`] (no copy).
+    #[inline]
     pub fn freeze(self) -> Bytes {
         self.data.into()
+    }
+
+    /// Append `n` zero bytes and return them for the caller to fill — the
+    /// slab writers' one length adjustment per vector.
+    #[inline]
+    fn grow(&mut self, n: usize) -> &mut [u8] {
+        let start = self.data.len();
+        self.data.resize(start + n, 0);
+        &mut self.data[start..]
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
+    }
+
+    #[inline]
+    fn put_u32_slice_le(&mut self, src: &[u32]) {
+        for (dst, v) in self.grow(4 * src.len()).chunks_exact_mut(4).zip(src) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    #[inline]
+    fn put_u64_slice_le(&mut self, src: &[u64]) {
+        for (dst, v) in self.grow(8 * src.len()).chunks_exact_mut(8).zip(src) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    #[inline]
+    fn put_f32_slice_le(&mut self, src: &[f32]) {
+        for (dst, v) in self.grow(4 * src.len()).chunks_exact_mut(4).zip(src) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
     }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data
     }
 }
 
 impl DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.data
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         &self.data
     }
@@ -409,6 +540,47 @@ mod tests {
         assert_eq!(cur.get_u32_le(), 77);
         assert_eq!(cur.get_u64_le(), u64::MAX);
         assert_eq!(cur.remaining(), 0);
+    }
+
+    #[test]
+    fn slab_puts_write_exactly_the_scalar_bytes() {
+        let u32s = [0u32, 1, 0x0102_0304, u32::MAX];
+        let u64s = [0u64, 0x0102_0304_0506_0708, u64::MAX];
+        // NaN with a payload, -0.0, smallest subnormal, inf.
+        let f32s = [0x7FC0_1234u32, 0x8000_0000, 1, 0x7F80_0000].map(f32::from_bits);
+
+        let mut scalar = BytesMut::new();
+        u32s.iter().for_each(|&v| scalar.put_u32_le(v));
+        u64s.iter().for_each(|&v| scalar.put_u64_le(v));
+        f32s.iter().for_each(|v| scalar.put_u32_le(v.to_bits()));
+
+        let mut slab = BytesMut::new();
+        slab.put_u8(0xAA); // slabs append; they never overwrite
+        slab.put_u32_slice_le(&u32s);
+        slab.put_u64_slice_le(&u64s);
+        slab.put_f32_slice_le(&f32s);
+        slab.put_f32_slice_le(&[]);
+        assert_eq!(slab[0], 0xAA);
+        assert_eq!(&slab[1..], scalar.as_ref());
+        assert_eq!(&slab[1..5], &[0, 0, 0, 0]);
+        assert_eq!(&slab[9..13], &[4, 3, 2, 1], "little-endian on the wire");
+
+        let mut cur: &[u8] = &slab[1..];
+        assert_eq!(cur.get_u32_vec_le(u32s.len()), u32s);
+        assert_eq!(cur.get_u64_vec_le(u64s.len()), u64s);
+        let back = cur.get_f32_vec_le(f32s.len());
+        assert_eq!(cur.remaining(), 0);
+        assert_eq!(back.capacity(), back.len(), "slab reads allocate exactly");
+        for (a, b) in back.iter().zip(&f32s) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn slab_read_past_the_end_panics_before_allocating() {
+        let mut cur: &[u8] = &[0u8; 7];
+        let _ = cur.get_u32_vec_le(usize::MAX / 8);
     }
 
     #[test]

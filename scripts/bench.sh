@@ -9,7 +9,8 @@
 # record, metrics registry ops, Chrome-trace export, the
 # trace-analytics engine in events/second over a mixed-kind trace, the
 # streaming analyzer's per-event windowed ingest in events/second, the
-# zero-copy wire path in frames and pull round trips per second, the
+# zero-copy wire path in frames and pull round trips per second and in
+# bytes per second for one tensor-sized (1 MiB) push each way, the
 # threaded engine with tracing off vs on, and the TCP engine with cluster
 # trace streaming off vs on) and writes OUTPUT (default BENCH_obs.json): a
 # JSON document with mean/p50/p99 nanoseconds and throughput per benchmark.

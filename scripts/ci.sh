@@ -9,6 +9,11 @@ cargo fmt --check
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
 cargo test -q --offline --workspace
 
+# The performance ledger (benchmark/) is a package of its own, outside the
+# workspace: build and test it here so a drift in the public API of core,
+# transport or ml breaks tier-1 instead of the next benchmark run.
+cargo test --offline --release --manifest-path benchmark/Cargo.toml
+
 # Golden-file check: the Chrome-trace exporter must emit byte-stable, valid
 # JSON for the fixture run (tests/golden/chrome_trace_fixture.json). Run
 # explicitly so a missing or stale golden file fails CI even if test
