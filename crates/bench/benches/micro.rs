@@ -149,18 +149,6 @@ fn event_queue(c: &mut Criterion) {
     });
 }
 
-/// f16 quantization throughput.
-fn quantization(c: &mut Criterion) {
-    use fluentps_transport::quant::QuantizedKv;
-    let mut g = c.benchmark_group("quant");
-    let kv = KvPairs::single(0, (0..16_384).map(|i| (i as f32 * 0.01).sin()).collect());
-    g.throughput(Throughput::Bytes((16_384 * 4) as u64));
-    g.bench_function("compress_16k", |b| b.iter(|| QuantizedKv::compress(&kv)));
-    let q = QuantizedKv::compress(&kv);
-    g.bench_function("decompress_16k", |b| b.iter(|| q.decompress()));
-    g.finish();
-}
-
 /// Significance-filter offer throughput.
 fn significance_filter(c: &mut Criterion) {
     use fluentps_core::filter::SignificanceFilter;
@@ -212,7 +200,6 @@ criterion_group!(
     dpr_buffer,
     gemm,
     event_queue,
-    quantization,
     significance_filter,
     parallel_gradients
 );

@@ -14,6 +14,7 @@ use fluentps_util::{criterion_group, criterion_main};
 use fluentps_core::condition::SyncModel;
 use fluentps_core::engine::{Cluster, EngineConfig};
 use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
+use fluentps_core::launch::Observability;
 use fluentps_obs::{
     analyze, export, EventKind, MetricsRegistry, ProfCollector, Profiler, RecordArgs,
     TraceCollector, Tracer,
@@ -141,10 +142,11 @@ fn run_threaded_cluster(collector: Option<&TraceCollector>) -> u64 {
         model: SyncModel::Ssp { s: 1 },
         ..EngineConfig::default()
     };
-    let (cluster, mut workers) = match collector {
-        Some(col) => Cluster::launch_with_collector(cfg, map, &init, col),
-        None => Cluster::launch(cfg, map, &init),
+    let obs = Observability {
+        collector: collector.cloned(),
+        ..Observability::default()
     };
+    let (cluster, mut workers) = Cluster::launch_observed(cfg, map, &init, obs).unwrap();
     let mut grads = HashMap::new();
     grads.insert(0u64, vec![1e-3f32; 256]);
     grads.insert(1u64, vec![1e-3f32; 128]);
@@ -206,10 +208,12 @@ fn run_tcp_cluster(collect: Option<std::net::SocketAddr>) -> u64 {
         model: SyncModel::Ssp { s: 1 },
         ..EngineConfig::default()
     };
-    let (cluster, mut workers) = match collect {
-        Some(addr) => TcpCluster::launch_collected(cfg, map, &init, addr, 1 << 12).unwrap(),
-        None => TcpCluster::launch(cfg, map, &init).unwrap(),
+    let obs = Observability {
+        stream_to: collect,
+        ring_capacity: 1 << 12,
+        ..Observability::default()
     };
+    let (cluster, mut workers) = TcpCluster::launch_observed(cfg, map, &init, obs).unwrap();
     let mut grads = HashMap::new();
     grads.insert(0u64, vec![1e-3f32; 256]);
     grads.insert(1u64, vec![1e-3f32; 128]);

@@ -11,6 +11,7 @@ use crate::condition::SyncModel;
 use crate::dpr::DprPolicy;
 use crate::engine::{Cluster, EngineConfig, InprocWorker};
 use crate::eps::{DefaultSlicer, EpsSlicer, ParamSpec, SliceMap, Slicer};
+use crate::launch::Observability;
 use crate::server::GradScale;
 
 /// Which placement strategy the builder uses.
@@ -57,6 +58,7 @@ pub struct FluentPs {
     grad_scale: GradScale,
     slicer: SlicerChoice,
     seed: u64,
+    obs: Observability,
 }
 
 impl Default for FluentPs {
@@ -70,6 +72,7 @@ impl Default for FluentPs {
             grad_scale: GradScale::DivideByN,
             slicer: SlicerChoice::Eps { max_chunk: 4096 },
             seed: 0,
+            obs: Observability::default(),
         }
     }
 }
@@ -129,6 +132,12 @@ impl FluentPs {
         self
     }
 
+    /// What the cluster reports, and where (default: nothing).
+    pub fn observe(mut self, obs: Observability) -> Self {
+        self.obs = obs;
+        self
+    }
+
     /// Compute the placement this builder would use for `init`.
     pub fn plan(&self, init: &HashMap<u64, Vec<f32>>) -> SliceMap {
         let mut specs: Vec<ParamSpec> = init
@@ -148,30 +157,10 @@ impl FluentPs {
     }
 
     /// Launch the in-process cluster; returns the cluster handle (shutdown,
-    /// statistics) and one client per worker.
+    /// statistics) and one client per worker. Panics when the
+    /// [`Observability::http`] address set through [`FluentPs::observe`]
+    /// cannot be bound.
     pub fn launch(self, init: &HashMap<u64, Vec<f32>>) -> (Cluster, Vec<InprocWorker>) {
-        let map = self.plan(init);
-        let cfg = EngineConfig {
-            num_workers: self.num_workers,
-            num_servers: self.num_servers,
-            model: self.model,
-            policy: self.policy,
-            grad_scale: self.grad_scale,
-            seed: self.seed,
-        };
-        match self.per_server_models {
-            Some(models) => Cluster::launch_heterogeneous(cfg, models, map, init),
-            None => Cluster::launch(cfg, map, init),
-        }
-    }
-
-    /// [`FluentPs::launch`] with a [`TraceCollector`] attached: shards and
-    /// worker clients record trace events into `collector`.
-    pub fn launch_with_collector(
-        self,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: &fluentps_obs::TraceCollector,
-    ) -> (Cluster, Vec<InprocWorker>) {
         let map = self.plan(init);
         let cfg = EngineConfig {
             num_workers: self.num_workers,
@@ -184,7 +173,8 @@ impl FluentPs {
         let models = self
             .per_server_models
             .unwrap_or_else(|| vec![cfg.model; cfg.num_servers as usize]);
-        Cluster::launch_heterogeneous_with_collector(cfg, models, map, init, collector)
+        Cluster::launch_models(cfg, &models, map, init, self.obs)
+            .expect("bind introspection endpoint")
     }
 }
 

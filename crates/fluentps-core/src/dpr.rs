@@ -150,6 +150,24 @@ impl DprBuffer {
         out
     }
 
+    /// Replace the key set of `worker`'s DPR parked at `progress` — the
+    /// worker re-issued the same pull under a new routing. The DPR keeps
+    /// its place, its deferral time and its causal context. Returns false
+    /// when no such DPR is parked.
+    pub fn retarget(&mut self, worker: u32, progress: u64, keys: &[u64]) -> bool {
+        let parked = self
+            .entries
+            .get_mut(&progress)
+            .and_then(|v| v.iter_mut().find(|d| d.worker == worker));
+        match parked {
+            Some(dpr) => {
+                dpr.keys = keys.to_vec();
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Drain every remaining DPR regardless of condition (used at shutdown
     /// so no worker is left blocked forever).
     pub fn drain_all(&mut self) -> Vec<DeferredPull> {
@@ -287,6 +305,18 @@ mod tests {
         assert_eq!(buf.drain_all().len(), 2);
         assert!(buf.is_empty());
         assert_eq!(buf.total_deferred(), 2);
+    }
+
+    #[test]
+    fn retarget_swaps_the_keys_of_one_parked_pull_in_place() {
+        let mut buf = DprBuffer::new();
+        buf.defer(DprPolicy::LazyExecution, pull(0, 2));
+        buf.defer(DprPolicy::LazyExecution, pull(1, 2));
+        assert!(buf.retarget(1, 2, &[0, 7]));
+        assert!(!buf.retarget(1, 3, &[9]), "nothing parked at progress 3");
+        assert_eq!((buf.len(), buf.total_deferred()), (2, 2));
+        let keys: Vec<_> = buf.iter().map(|d| (d.worker, d.keys.clone())).collect();
+        assert_eq!(keys, [(0, vec![0]), (1, vec![0, 7])]);
     }
 
     #[test]

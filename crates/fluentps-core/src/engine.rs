@@ -12,18 +12,14 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 
-use fluentps_obs::{
-    http, EventKind, HealthEngine, HealthTap, IntrospectionServer, MetricsRegistry, ProfCollector,
-    Profiler, RecordArgs, StreamConfig, TraceCollector, TraceSource, Tracer, NO_ID,
-};
-use fluentps_util::rng::StdRng;
-
 use fluentps_transport::inproc::{Endpoint, Fabric, InprocPostman};
-use fluentps_transport::{frame, CausalCtx, Mailbox, Message, NodeId, Postman};
+use fluentps_transport::{Message, NodeId, Postman};
 
 use crate::dpr::DprPolicy;
 use crate::eps::SliceMap;
-use crate::server::{stamp_ctx, GradScale, PullOutcome, ServerShard, ShardConfig};
+use crate::launch::{self, Observability, Session};
+use crate::serve;
+use crate::server::GradScale;
 use crate::stats::ShardStats;
 use crate::worker::{Router, WorkerClient};
 use crate::SyncModel;
@@ -36,7 +32,7 @@ pub struct EngineConfig {
     /// Number of servers (`M`).
     pub num_servers: u32,
     /// Synchronization model applied on every shard. (Per-shard models are
-    /// possible through [`Cluster::launch_heterogeneous`].)
+    /// possible through [`crate::api::FluentPs::per_server_models`].)
     pub model: SyncModel,
     /// DPR execution policy.
     pub policy: DprPolicy,
@@ -64,14 +60,7 @@ impl Default for EngineConfig {
 pub struct Cluster {
     fabric: Fabric,
     servers: Vec<JoinHandle<ShardStats>>,
-    num_servers: u32,
-    // Live health engine + the tap feeding it from the run's collector,
-    // when launched introspected; the tap drains and the engine is
-    // finalized at shutdown.
-    health: Option<(HealthEngine, HealthTap)>,
-    // Span-profile collector, when launched introspected: server loops and
-    // worker clients profile into it, and `/profile` serves its snapshots.
-    prof: Option<ProfCollector>,
+    session: Session,
 }
 
 /// The worker client type served by the in-process engine.
@@ -86,145 +75,57 @@ impl Cluster {
         map: SliceMap,
         init: &HashMap<u64, Vec<f32>>,
     ) -> (Cluster, Vec<InprocWorker>) {
+        Self::launch_observed(cfg, map, init, Observability::default())
+            .expect("default observability binds no socket")
+    }
+
+    /// [`Cluster::launch`], observed as `obs` says. Fails only when
+    /// [`Observability::http`] cannot be bound.
+    pub fn launch_observed(
+        cfg: EngineConfig,
+        map: SliceMap,
+        init: &HashMap<u64, Vec<f32>>,
+        obs: Observability,
+    ) -> std::io::Result<(Cluster, Vec<InprocWorker>)> {
         let models = vec![cfg.model; cfg.num_servers as usize];
-        Self::launch_heterogeneous(cfg, models, map, init)
+        Self::launch_models(cfg, &models, map, init, obs)
     }
 
-    /// [`Cluster::launch`] with a [`TraceCollector`]: every server shard and
-    /// worker client records trace events (wall clock) into `collector`.
-    pub fn launch_with_collector(
+    /// Launch with a synchronization model per server — the paper's headline
+    /// flexibility: "each parameter server can choose the adaptive
+    /// synchronization model to update its parameter shard".
+    pub(crate) fn launch_models(
         cfg: EngineConfig,
+        models: &[SyncModel],
         map: SliceMap,
         init: &HashMap<u64, Vec<f32>>,
-        collector: &TraceCollector,
-    ) -> (Cluster, Vec<InprocWorker>) {
-        let models = vec![cfg.model; cfg.num_servers as usize];
-        Self::launch_inner(cfg, models, map, init, Some(collector), None)
-    }
-
-    /// [`Cluster::launch_with_collector`] plus a live introspection
-    /// endpoint: `registry` is served at `addr` as Prometheus text on
-    /// `/metrics`, next to `/healthz` and `/trace` (the collector's live
-    /// JSONL tail). Cluster-shape gauges are published into `registry` at
-    /// launch. Bind loopback (`127.0.0.1:0`) unless the endpoint is
-    /// deliberately exposed. The endpoint outlives the cluster until the
-    /// returned [`IntrospectionServer`] is stopped or dropped.
-    ///
-    /// A streaming [`HealthEngine`] with the default alert rules is fed
-    /// from `collector` for the lifetime of the run, so the endpoint also
-    /// serves `/slo` and `/alerts`; [`Cluster::health_engine`] exposes the
-    /// same engine in-process. The engine is finalized (last window closed,
-    /// state frozen) by [`Cluster::shutdown`].
-    pub fn launch_introspected(
-        cfg: EngineConfig,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: &TraceCollector,
-        registry: &MetricsRegistry,
-        addr: SocketAddr,
-    ) -> std::io::Result<(Cluster, Vec<InprocWorker>, IntrospectionServer)> {
-        let models = vec![cfg.model; cfg.num_servers as usize];
-        let prof = ProfCollector::wall();
-        let (mut cluster, workers) =
-            Self::launch_inner(cfg, models, map, init, Some(collector), Some(&prof));
-        publish_cluster_gauges(registry, "threaded", cfg.num_workers, cfg.num_servers);
-        let engine = HealthEngine::with_default_rules(StreamConfig::default());
-        let tap = engine.attach_to(collector, std::time::Duration::from_millis(20));
-        let server = http::serve_profiled(
-            addr,
-            registry.clone(),
-            Some(TraceSource::Local(collector.clone())),
-            None,
-            Some(engine.clone()),
-            Some(prof.clone()),
-        )?;
-        cluster.health = Some((engine, tap));
-        cluster.prof = Some(prof);
-        Ok((cluster, workers, server))
-    }
-
-    /// The span-profile collector attached by
-    /// [`Cluster::launch_introspected`] (`None` for the other launch paths).
-    /// Snapshot it any time — including mid-run — for folded-stack or
-    /// speedscope exports of where server and worker threads spend time.
-    pub fn prof_collector(&self) -> Option<&ProfCollector> {
-        self.prof.as_ref()
-    }
-
-    /// The live [`HealthEngine`] attached by [`Cluster::launch_introspected`]
-    /// (`None` for the other launch paths).
-    pub fn health_engine(&self) -> Option<&HealthEngine> {
-        self.health.as_ref().map(|(engine, _)| engine)
-    }
-
-    /// Like [`Cluster::launch`] but with a per-server synchronization model —
-    /// the paper's headline flexibility: "each parameter server can choose
-    /// the adaptive synchronization model to update its parameter shard".
-    pub fn launch_heterogeneous(
-        cfg: EngineConfig,
-        models: Vec<SyncModel>,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-    ) -> (Cluster, Vec<InprocWorker>) {
-        Self::launch_inner(cfg, models, map, init, None, None)
-    }
-
-    /// [`Cluster::launch_heterogeneous`] with a [`TraceCollector`] attached,
-    /// so per-shard models and tracing compose.
-    pub fn launch_heterogeneous_with_collector(
-        cfg: EngineConfig,
-        models: Vec<SyncModel>,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: &TraceCollector,
-    ) -> (Cluster, Vec<InprocWorker>) {
-        Self::launch_inner(cfg, models, map, init, Some(collector), None)
-    }
-
-    fn launch_inner(
-        cfg: EngineConfig,
-        models: Vec<SyncModel>,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: Option<&TraceCollector>,
-        prof: Option<&ProfCollector>,
-    ) -> (Cluster, Vec<InprocWorker>) {
+        obs: Observability,
+    ) -> std::io::Result<(Cluster, Vec<InprocWorker>)> {
         assert_eq!(map.num_servers(), cfg.num_servers, "map/server mismatch");
         assert_eq!(models.len(), cfg.num_servers as usize);
+        let mut session = Session::start(obs, "threaded", &cfg, None)?;
         let fabric = Fabric::new();
 
         // Register workers first so servers can respond from the start.
-        let mut worker_endpoints = Vec::with_capacity(cfg.num_workers as usize);
-        for n in 0..cfg.num_workers {
-            worker_endpoints.push(fabric.register(NodeId::Worker(n)));
-        }
+        let worker_endpoints: Vec<Endpoint> = (0..cfg.num_workers)
+            .map(|n| fabric.register(NodeId::Worker(n)))
+            .collect();
 
         let mut servers = Vec::with_capacity(cfg.num_servers as usize);
         for m in 0..cfg.num_servers {
             let endpoint = fabric.register(NodeId::Server(m));
-            let mut shard = ServerShard::new(ShardConfig {
-                server_id: m,
-                num_workers: cfg.num_workers,
-                model: models[m as usize],
-                policy: cfg.policy,
-                grad_scale: cfg.grad_scale,
-            });
-            for p in map.placements().iter().filter(|p| p.server == m) {
-                let vals = init
-                    .get(&p.orig_key)
-                    .map(|v| v[p.offset..p.offset + p.len].to_vec())
-                    .unwrap_or_else(|| vec![0.0; p.len]);
-                shard.init_param(p.new_key, vals);
-            }
-            let tracer = collector.map(|c| c.tracer()).unwrap_or_default();
-            // The shard and its server loop run on one thread; a clone
-            // shares the same ring.
-            shard.set_tracer(tracer.clone());
-            let rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(m as u64 + 1));
-            let profiler = prof.map(|p| p.profiler()).unwrap_or_default();
+            let (tracer, _) = session.obs.node(NodeId::Server(m));
+            let (server, _) = launch::shard_server(
+                &cfg,
+                models[m as usize],
+                m,
+                (&map, init),
+                tracer,
+                session.obs.span_profiler(),
+            );
             let handle = std::thread::Builder::new()
                 .name(format!("fluentps-server-{m}"))
-                .spawn(move || server_loop(shard, endpoint, rng, tracer, profiler))
+                .spawn(move || serve::run(server, &endpoint, &endpoint.postman()))
                 .expect("spawn server thread");
             servers.push(handle);
         }
@@ -236,198 +137,63 @@ impl Cluster {
             .map(|(n, ep)| {
                 let postman = ep.postman();
                 let mut w = WorkerClient::new(n as u32, postman, ep, router.clone());
-                if let Some(c) = collector {
-                    w.set_tracer(c.tracer());
-                }
-                if let Some(p) = prof {
-                    w.set_profiler(p.profiler());
-                }
+                w.set_tracer(session.worker(n as u32));
+                w.set_profiler(session.obs.span_profiler());
                 w
             })
             .collect();
 
-        (
+        Ok((
             Cluster {
                 fabric,
                 servers,
-                num_servers: cfg.num_servers,
-                health: None,
-                prof: None,
+                session,
             },
             workers,
-        )
+        ))
+    }
+
+    /// The fabric every node of this cluster is registered on — the
+    /// in-process counterpart of [`crate::tcp_engine::TcpCluster::addresses`],
+    /// for joining the cluster from outside the launch.
+    pub fn fabric(&self) -> &Fabric {
+        &self.fabric
+    }
+
+    /// Where [`Observability::http`] is being served (resolves port 0).
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.session.http_addr()
     }
 
     /// Send shutdown to every server, join their threads and return their
-    /// per-shard statistics (index = server id).
+    /// per-shard statistics (index = server id). Finalizes the health
+    /// engine and stops the HTTP endpoint of an observed launch.
     pub fn shutdown(self) -> Vec<ShardStats> {
-        // A synthetic scheduler identity delivers the shutdown.
-        let ctl = self.fabric.register(NodeId::Scheduler);
-        for m in 0..self.num_servers {
-            // Ignore failures: the server may already be gone.
-            let _ = ctl.postman().send(NodeId::Server(m), Message::Shutdown);
-        }
-        let stats: Vec<ShardStats> = self
-            .servers
-            .into_iter()
-            .map(|h| h.join().expect("server thread panicked"))
-            .collect();
-        // Drain the last recorded events into the health engine, then close
-        // its final window so `/slo` reflects the completed run.
-        if let Some((engine, tap)) = self.health {
-            tap.stop();
-            engine.finish();
-        }
-        stats
+        let Cluster {
+            fabric,
+            servers,
+            session,
+        } = self;
+        session.shutdown(|| {
+            // A synthetic scheduler identity delivers the shutdown.
+            let ctl = fabric.register(NodeId::Scheduler);
+            for m in 0..servers.len() as u32 {
+                // Ignore failures: the server may already be gone.
+                let _ = ctl.postman().send(NodeId::Server(m), Message::Shutdown);
+            }
+            servers
+                .into_iter()
+                .map(|h| h.join().expect("server thread panicked"))
+                .collect()
+        })
     }
-}
-
-/// Static cluster-shape gauges every introspected engine publishes, so a
-/// bare `/metrics` scrape identifies what is running before any traffic.
-pub(crate) fn publish_cluster_gauges(
-    registry: &MetricsRegistry,
-    engine: &str,
-    workers: u32,
-    servers: u32,
-) {
-    let scope = registry.scope().with("engine", engine);
-    scope.set_gauge("cluster_workers", workers as f64);
-    scope.set_gauge("cluster_servers", servers as f64);
-    scope.set_gauge("cluster_up", 1.0);
-}
-
-fn server_loop(
-    mut shard: ServerShard,
-    endpoint: Endpoint,
-    mut rng: StdRng,
-    tracer: Tracer,
-    profiler: Profiler,
-) -> ShardStats {
-    let postman = endpoint.postman();
-    let server_id = shard.config().server_id;
-    // All outgoing messages funnel through here so WireSend events carry the
-    // exact framed size the TCP transport would put on the wire. Replies to
-    // context-carrying requests are wrapped back in the request's envelope,
-    // so the worker-side `WireRecv` closes the request's wire edge.
-    let send = |worker: u32, msg: Message, ctx: Option<CausalCtx>| {
-        let msg = match ctx {
-            Some(c) => msg.with_ctx(c),
-            None => msg,
-        };
-        tracer.record(
-            EventKind::WireSend,
-            stamp_ctx(
-                RecordArgs::new()
-                    .shard(server_id)
-                    .worker(worker)
-                    .bytes(frame::wire_len(&msg) as u64),
-                ctx,
-            ),
-        );
-        let _ = postman.send(NodeId::Worker(worker), msg);
-    };
-    while let Ok((_, msg)) = endpoint.recv() {
-        let wire_bytes = frame::wire_len(&msg) as u64;
-        let (ctx, msg) = msg.split_ctx();
-        if tracer.is_enabled() {
-            let worker = match &msg {
-                Message::SPush { worker, .. } | Message::SPull { worker, .. } => *worker,
-                _ => NO_ID,
-            };
-            tracer.record(
-                EventKind::WireRecv,
-                stamp_ctx(
-                    RecordArgs::new()
-                        .shard(server_id)
-                        .worker(worker)
-                        .bytes(wire_bytes),
-                    ctx,
-                ),
-            );
-        }
-        match msg {
-            Message::SPush {
-                worker,
-                progress,
-                kv,
-            } => {
-                let released = {
-                    let _span = profiler.enter("server/apply_push");
-                    let released = shard.on_push_ctx(worker, progress, &kv, ctx);
-                    send(
-                        worker,
-                        Message::PushAck {
-                            server: server_id,
-                            progress,
-                        },
-                        ctx,
-                    );
-                    released
-                };
-                if !released.is_empty() {
-                    let _span = profiler.enter("server/release_dprs");
-                    for r in released {
-                        send(
-                            r.worker,
-                            Message::PullResponse {
-                                server: server_id,
-                                progress: r.progress,
-                                kv: r.kv,
-                                version: r.version,
-                            },
-                            r.ctx,
-                        );
-                    }
-                }
-            }
-            Message::SPull {
-                worker,
-                progress,
-                keys,
-            } => {
-                let _span = profiler.enter("server/handle_pull");
-                let draw: f64 = rng.gen();
-                match shard.on_pull_ctx(worker, progress, &keys, draw, None, ctx) {
-                    PullOutcome::Respond { kv, version } => {
-                        send(
-                            worker,
-                            Message::PullResponse {
-                                server: server_id,
-                                progress,
-                                kv,
-                                version,
-                            },
-                            ctx,
-                        );
-                    }
-                    PullOutcome::Deferred => {}
-                }
-            }
-            Message::Shutdown => {
-                for r in shard.drain_shutdown() {
-                    send(
-                        r.worker,
-                        Message::PullResponse {
-                            server: server_id,
-                            progress: r.progress,
-                            kv: r.kv,
-                            version: r.version,
-                        },
-                        r.ctx,
-                    );
-                }
-                break;
-            }
-            _ => {}
-        }
-    }
-    shard.stats().clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
+    use fluentps_obs::{EventKind, TraceCollector};
 
     fn model_params() -> (Vec<ParamSpec>, HashMap<u64, Vec<f32>>) {
         let specs = vec![ParamSpec { key: 0, len: 8 }, ParamSpec { key: 1, len: 4 }];
@@ -483,33 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_models_per_server() {
-        let (specs, init) = model_params();
-        let map = EpsSlicer { max_chunk: 4 }.slice(&specs, 2);
-        let cfg = EngineConfig {
-            num_workers: 1,
-            num_servers: 2,
-            ..EngineConfig::default()
-        };
-        let (cluster, mut workers) = Cluster::launch_heterogeneous(
-            cfg,
-            vec![SyncModel::Asp, SyncModel::Ssp { s: 5 }],
-            map,
-            &init,
-        );
-        let mut w = workers.pop().unwrap();
-        let grads: HashMap<u64, Vec<f32>> =
-            [(0u64, vec![0.5f32; 8]), (1u64, vec![0.5f32; 4])].into();
-        let mut params = HashMap::new();
-        for i in 0..4u64 {
-            w.spush(i, &grads).unwrap();
-            w.spull_wait(i, &mut params).unwrap();
-        }
-        let stats = cluster.shutdown();
-        assert_eq!(stats.iter().map(|s| s.pushes).sum::<u64>(), 8);
-    }
-
-    #[test]
     fn traced_cluster_counts_reconcile_with_stats() {
         let (specs, init) = model_params();
         let map = EpsSlicer { max_chunk: 4 }.slice(&specs, 2);
@@ -520,7 +259,11 @@ mod tests {
             ..EngineConfig::default()
         };
         let collector = TraceCollector::wall(4096);
-        let (cluster, mut workers) = Cluster::launch_with_collector(cfg, map, &init, &collector);
+        let obs = Observability {
+            collector: Some(collector.clone()),
+            ..Observability::default()
+        };
+        let (cluster, mut workers) = Cluster::launch_observed(cfg, map, &init, obs).unwrap();
 
         let mut grads = HashMap::new();
         grads.insert(0u64, vec![1.0f32; 8]);

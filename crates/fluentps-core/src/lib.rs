@@ -28,10 +28,13 @@
 //!   shards are evenly loaded, and rebalance when the server set changes.
 //! * [`server`] — the per-shard state machine of Algorithm 1 (`PullHandler`
 //!   / `PushHandler`). Deliberately free of clocks, threads and sockets so
-//!   the threaded engine, the TCP engine and the discrete-event simulator
-//!   all drive the *same* synchronization logic.
+//!   the live engines and the discrete-event simulator all drive the *same*
+//!   synchronization logic.
+//! * [`serve`] — the one message→replies step every live engine runs
+//!   around a shard, and the plain `recv → handle → send` loop.
 //! * [`worker`] — the worker-side client (`sPush`/`sPull`/`wait`).
-//! * [`engine`] — a threaded in-process runtime gluing transports to shards
+//! * [`engine`], [`tcp_engine`], [`recovery`] — the in-process, TCP and
+//!   fault-tolerant TCP runtimes: per-transport shells over [`launch`]
 //!   (overlap synchronization falls out of servers answering independently).
 //! * [`scheduler`] — the minimal scheduler: liveness and key ranges only.
 //!
@@ -76,13 +79,14 @@ pub mod dpr;
 pub mod engine;
 pub mod eps;
 pub mod filter;
-pub mod hist;
 pub mod key;
+pub mod launch;
 pub mod progress;
 pub mod pssp;
 pub mod recovery;
 pub mod regret;
 pub mod scheduler;
+pub mod serve;
 pub mod server;
 pub mod stats;
 pub mod tcp_engine;

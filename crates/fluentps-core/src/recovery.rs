@@ -1,16 +1,18 @@
-//! Fault-tolerant TCP runtime: the [`crate::tcp_engine`] server loop plus
+//! Fault-tolerant TCP runtime: the [`crate::tcp_engine`] cluster plus
 //! everything needed to survive a server death mid-training.
 //!
 //! Three pieces cooperate:
 //!
-//! * A **resilient server loop** that (1) deduplicates replayed pushes by a
-//!   per-worker applied-progress window so client retries never
-//!   double-apply gradients or perturb [`ShardStats`], (2) answers
-//!   duplicate pulls from a per-worker reply cache without re-running the
-//!   synchronization condition, (3) heartbeats a supervisor, (4)
-//!   periodically captures a [`ShardCheckpoint`] into a shared store, and
-//!   (5) can self-terminate at a configured logical time (`V_train`
-//!   threshold) to simulate a crash deterministically.
+//! * A **resilient server** ([`ResilientServer`]): the same Algorithm-1
+//!   step as every other engine ([`crate::serve::ShardServer`]) behind a
+//!   gate that (1) deduplicates replayed pushes by a per-worker
+//!   applied-progress window so client retries never double-apply
+//!   gradients or perturb [`ShardStats`], (2) answers duplicate pulls from
+//!   a per-worker reply cache without re-running the synchronization
+//!   condition, (3) heartbeats a supervisor, (4) periodically captures a
+//!   [`ShardCheckpoint`] into a shared store, and (5) can self-terminate at
+//!   a configured logical time (`V_train` threshold) to simulate a crash
+//!   deterministically.
 //! * A **supervisor** owning a [`LivenessMonitor`]: when a server misses
 //!   its heartbeats it is declared dead and either *replaced* — a fresh
 //!   shard restored from the latest checkpoint, rebound on a new port,
@@ -46,27 +48,26 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fluentps_obs::{
-    ConsensusHealth, EventKind, HealthEngine, HealthTap, HealthView, MetricsRegistry, NodeHealth,
-    RecordArgs, TraceCollector, Tracer, NO_ID,
+    ConsensusHealth, EventKind, HealthView, MetricsRegistry, NodeHealth, RecordArgs,
+    TraceCollector, Tracer,
 };
 use fluentps_util::buf::Bytes;
-use fluentps_util::rng::StdRng;
 use fluentps_util::sync::Mutex;
 
-use fluentps_transport::collect::{StreamerConfig, TraceStreamer};
+use fluentps_transport::collect::TraceStreamer;
 use fluentps_transport::fault::{FaultInjector, FaultPlan, FaultyMailbox, FaultyPostman};
 use fluentps_transport::tcp::{AddressBook, TcpNode, TcpPostman};
 use fluentps_transport::{
-    frame, CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman, TransportError, WirePlacement,
-    NO_LEADER,
+    CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman, TransportError, WirePlacement, NO_LEADER,
 };
 
 use crate::checkpoint::ShardCheckpoint;
 use crate::consensus::{ConsensusConfig, ControlCommand, LogEntry, Replica};
 use crate::engine::EngineConfig;
 use crate::eps::{EpsSlicer, SliceMap};
+use crate::launch::{self, Observability, Session};
 use crate::scheduler::LivenessMonitor;
-use crate::server::{stamp_ctx, PullOutcome, ServerShard, ShardConfig};
+use crate::serve::{wrap, Flow, ShardServer};
 use crate::stats::ShardStats;
 use crate::worker::{RetryPolicy, Router, WorkerClient};
 
@@ -204,17 +205,6 @@ pub struct RecoveryConfig {
     pub retry: RetryPolicy,
     /// Seeded fault schedule applied to all worker/server messaging.
     pub fault_plan: FaultPlan,
-    /// When set, every node — each server loop, each worker client, the
-    /// supervisor — records into its *own* wall-clock [`TraceCollector`]
-    /// and streams its ring to the trace collector service at this
-    /// address (see `fluentps_transport::collect`). Distinct per-node
-    /// epochs are the point: the collection protocol's clock-offset
-    /// handshake aligns them onto one cluster timeline. When a collector
-    /// address is set, any in-process collector passed to
-    /// [`ResilientTcpCluster::launch`] is ignored.
-    pub collector_addr: Option<SocketAddr>,
-    /// Per-node ring capacity (events) when `collector_addr` is set.
-    pub trace_ring_capacity: usize,
     /// Number of supervisor replicas forming the control-plane quorum.
     /// 1 (the default) is solo mode — instant leadership, instant commit,
     /// the exact pre-quorum behavior on the same code path. 3+ survives
@@ -231,19 +221,6 @@ pub struct RecoveryConfig {
     /// Leadership lease: a leader that cannot hear acks from a quorum
     /// within this window steps down instead of acting on stale authority.
     pub leader_lease: Duration,
-    /// When set, supervisor replicas publish the `consensus_term`,
-    /// `consensus_is_leader` and `consensus_commits_total` gauges (with
-    /// HELP lines) into this registry.
-    pub metrics: Option<MetricsRegistry>,
-    /// Streaming health engine to feed with this run's trace events. With
-    /// an in-process collector (`collector_addr` unset, a collector passed
-    /// to [`ResilientTcpCluster::launch`]) the cluster spawns a
-    /// [`HealthTap`] draining that collector into the engine and stops it
-    /// at shutdown. With `collector_addr` set, feeding is the collector
-    /// service's job — attach the same engine there (see
-    /// `fluentps_transport::CollectorService::attach_health`); the cluster
-    /// never double-feeds.
-    pub health_engine: Option<HealthEngine>,
 }
 
 impl Default for RecoveryConfig {
@@ -256,14 +233,10 @@ impl Default for RecoveryConfig {
             spawn_replacement: true,
             retry: RetryPolicy::default(),
             fault_plan: FaultPlan::passthrough(),
-            collector_addr: None,
-            trace_ring_capacity: 1 << 14,
             num_supervisors: 1,
             kill_supervisors: Vec::new(),
             election_timeout: Duration::from_millis(300),
             leader_lease: Duration::from_millis(150),
-            metrics: None,
-            health_engine: None,
         }
     }
 }
@@ -274,8 +247,8 @@ impl RecoveryConfig {
     /// declare healthy servers dead between two heartbeats, and an election
     /// timeout not strictly longer than the leader lease would let a
     /// follower depose a leader that is still inside its lease.
-    /// [`ResilientTcpCluster::launch`] rejects invalid configurations up
-    /// front by panicking with the returned message.
+    /// [`ResilientTcpCluster::launch_observed`] rejects invalid
+    /// configurations up front by panicking with the returned message.
     pub fn validate(&self) -> Result<(), String> {
         if self.liveness_timeout <= self.heartbeat_every {
             return Err(format!(
@@ -298,36 +271,13 @@ impl RecoveryConfig {
     }
 }
 
-/// Per-node tracing setup: either a handle into the shared in-process
-/// collector, or (when streaming) a private collector plus the streamer
-/// shipping its ring to the collection service.
-fn node_tracing(
-    rcfg: &RecoveryConfig,
-    shared: &Tracer,
-    node: NodeId,
-) -> (Tracer, Option<TraceStreamer>) {
-    match rcfg.collector_addr {
-        Some(addr) => {
-            let col = TraceCollector::wall(rcfg.trace_ring_capacity);
-            let tracer = col.tracer();
-            let streamer = TraceStreamer::start(node, &col, addr, StreamerConfig::default());
-            (tracer, Some(streamer))
-        }
-        None => (shared.clone(), None),
-    }
-}
-
 /// Handle to a running fault-tolerant TCP cluster.
 pub struct ResilientTcpCluster {
     supervisors: Vec<JoinHandle<Vec<ShardStats>>>,
-    control: TcpPostman,
-    _control_node: TcpNode,
+    // Owning the node keeps the control postman's connections alive.
+    control: TcpNode,
     injector: FaultInjector,
     health: HealthView,
-    /// Streamers for the worker clients' trace rings; stopped (with a
-    /// final flush) at shutdown, after the caller's worker threads are
-    /// done recording.
-    worker_streamers: Vec<TraceStreamer>,
     /// Streamers for the supervisor replicas' own events (deaths,
     /// restores, remaps, elections); stopped after the replica threads are
     /// joined but *before* any join result is unwrapped, so a panicking
@@ -338,18 +288,15 @@ pub struct ResilientTcpCluster {
     /// every replica crashed) can drain them exactly once.
     shared: SharedState,
     num_servers: u32,
-    num_supervisors: u32,
-    /// Tap feeding [`RecoveryConfig::health_engine`] from the in-process
-    /// collector (only when `collector_addr` is unset); drained at
-    /// shutdown, before the engine is finalized.
-    health_tap: Option<(HealthEngine, HealthTap)>,
+    session: Session,
     /// Where each node listens; shared live with every postman, so a
     /// replacement server becomes reachable the moment it rebinds.
     pub addresses: AddressBook,
 }
 
 impl ResilientTcpCluster {
-    /// Launch servers, a supervisor and fault-wrapped worker clients.
+    /// Launch servers, a supervisor and fault-wrapped worker clients; with
+    /// a `collector`, every node records trace events into it.
     pub fn launch(
         cfg: EngineConfig,
         rcfg: RecoveryConfig,
@@ -357,84 +304,64 @@ impl ResilientTcpCluster {
         init: &HashMap<u64, Vec<f32>>,
         collector: Option<&TraceCollector>,
     ) -> Result<(ResilientTcpCluster, Vec<ResilientWorker>), TransportError> {
+        let obs = Observability {
+            collector: collector.cloned(),
+            ..Observability::default()
+        };
+        Self::launch_observed(cfg, rcfg, map, init, obs)
+    }
+
+    /// [`ResilientTcpCluster::launch`], observed as `obs` says: the
+    /// supervisor replicas publish the `consensus_term`,
+    /// `consensus_is_leader` and `consensus_commits_total` gauges into
+    /// [`Observability::metrics`], and `/healthz` of
+    /// [`Observability::http`] is fed by the liveness monitor.
+    pub fn launch_observed(
+        cfg: EngineConfig,
+        rcfg: RecoveryConfig,
+        map: SliceMap,
+        init: &HashMap<u64, Vec<f32>>,
+        obs: Observability,
+    ) -> Result<(ResilientTcpCluster, Vec<ResilientWorker>), TransportError> {
         assert_eq!(map.num_servers(), cfg.num_servers, "map/server mismatch");
         if let Err(e) = rcfg.validate() {
             panic!("invalid RecoveryConfig: {e}");
         }
-        let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
-        let tracer = collector.map(|c| c.tracer()).unwrap_or_default();
+        let health = HealthView::new();
+        let board = ConsensusBoard::new(rcfg.num_supervisors);
+        // Published before the endpoint is up and before any election:
+        // /healthz honestly reports the control plane as not-yet-established
+        // until the first leader wins.
+        publish_consensus(&board, &health, obs.metrics.as_ref(), rcfg.num_supervisors);
+        let mut session = Session::start(obs, "resilient-tcp", &cfg, Some(health.clone()))?;
         let injector = FaultInjector::new(rcfg.fault_plan.clone());
         let store: CheckpointStore = Arc::new(Mutex::new(HashMap::new()));
-        let health = HealthView::new();
-
-        let book = AddressBook::new();
-        // The supervisor replicas' endpoints first, so server heartbeats
-        // always have an address to dial.
-        let mut supervisor_nodes = Vec::new();
-        for k in 0..rcfg.num_supervisors {
-            let node = TcpNode::bind(NodeId::Supervisor(k), loopback, book.clone())?;
-            book.insert(NodeId::Supervisor(k), node.local_addr());
-            supervisor_nodes.push(node);
-        }
-
-        let mut server_rx = Vec::new();
-        for m in 0..cfg.num_servers {
-            let node = TcpNode::bind(NodeId::Server(m), loopback, book.clone())?;
-            book.insert(NodeId::Server(m), node.local_addr());
-            server_rx.push(node);
-        }
-        let mut worker_nodes = Vec::new();
-        for n in 0..cfg.num_workers {
-            let node = TcpNode::bind(NodeId::Worker(n), loopback, book.clone())?;
-            book.insert(NodeId::Worker(n), node.local_addr());
-            worker_nodes.push(node);
-        }
+        let control = NodeId::Worker(u32::MAX);
+        let nodes = launch::bind_cluster(&cfg, rcfg.num_supervisors, control, &session.obs)?;
+        let book = nodes.book;
 
         let stop = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::with_capacity(cfg.num_servers as usize);
-        for (m, rx) in server_rx.into_iter().enumerate() {
+        for (m, (rx, tx)) in nodes.servers.into_iter().enumerate() {
             let m = m as u32;
-            let mut shard = fresh_shard(&cfg, m);
-            let mut keys: Vec<u64> = Vec::new();
-            for p in map.placements().iter().filter(|p| p.server == m) {
-                let vals = init
-                    .get(&p.orig_key)
-                    .map(|v| v[p.offset..p.offset + p.len].to_vec())
-                    .unwrap_or_else(|| vec![0.0; p.len]);
-                shard.init_param(p.new_key, vals);
-                keys.push(p.new_key);
-            }
-            keys.sort_unstable();
-            let (server_tracer, server_streamer) = node_tracing(&rcfg, &tracer, NodeId::Server(m));
-            shard.set_tracer(server_tracer.clone());
-            let handle = spawn_server_loop(
-                ServerLoop {
-                    shard,
-                    keys,
-                    seen: vec![WorkerWindow::default(); cfg.num_workers as usize],
-                    last_reply: vec![None; cfg.num_workers as usize],
-                    pending_pull: vec![None; cfg.num_workers as usize],
-                    rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(m as u64 + 1)),
-                    tracer: server_tracer,
-                    rcfg: rcfg.clone(),
-                    store: Arc::clone(&store),
-                    stop: Arc::clone(&stop),
-                },
-                rx,
-                TcpNode::bind(
-                    NodeId::Server(cfg.num_servers + 1 + m),
-                    loopback,
-                    book.clone(),
-                )?,
-                &injector,
-                server_streamer,
+            let (tracer, streamer) = session.obs.node(NodeId::Server(m));
+            let profiler = session.obs.span_profiler();
+            let (server, keys) =
+                launch::shard_server(&cfg, cfg.model, m, (&map, init), tracer, profiler);
+            let state = ResilientServer::new(
+                server,
+                keys,
+                vec![None; cfg.num_workers as usize],
+                rcfg.clone(),
+                Arc::clone(&store),
+                Arc::clone(&stop),
             );
-            handles.push((m, handle));
+            handles.push((m, spawn_server(state, rx, tx, &injector, streamer)));
         }
 
         let router = Router::new(map.clone());
-        let mut worker_streamers = Vec::new();
-        let workers: Vec<ResilientWorker> = worker_nodes
+        let workers: Vec<ResilientWorker> = nodes
+            .workers
             .into_iter()
             .enumerate()
             .map(|(n, node)| {
@@ -442,33 +369,16 @@ impl ResilientTcpCluster {
                 let postman = injector.postman(NodeId::Worker(n), node.postman());
                 let mailbox = injector.mailbox(NodeId::Worker(n), node);
                 let mut w = WorkerClient::new(n, postman, mailbox, router.clone());
-                let (worker_tracer, worker_streamer) =
-                    node_tracing(&rcfg, &tracer, NodeId::Worker(n));
-                worker_streamers.extend(worker_streamer);
-                w.set_tracer(worker_tracer);
+                w.set_tracer(session.worker(n));
+                w.set_profiler(session.obs.span_profiler());
                 w.set_retry_policy(rcfg.retry.clone());
                 w
             })
             .collect();
 
-        let control_node = TcpNode::bind(NodeId::Worker(u32::MAX), loopback, book.clone())?;
-        let control = control_node.postman();
-
-        // Feed the health engine from the shared in-process collector. When
-        // streaming to a collector service instead, that service owns the
-        // feed (ClusterCollector::attach_health) — spawning a second tap
-        // here would double-count every event.
-        let health_tap = match (&rcfg.health_engine, collector, rcfg.collector_addr) {
-            (Some(engine), Some(col), None) => {
-                let tap = engine.attach_to(col, Duration::from_millis(10));
-                Some((engine.clone(), tap))
-            }
-            _ => None,
-        };
-
         // Consensus gauges: HELP text once at launch, values published by
         // every live replica from the shared board.
-        if let Some(reg) = &rcfg.metrics {
+        if let Some(reg) = &session.obs.metrics {
             reg.set_help(
                 "consensus_term",
                 "Highest consensus term observed across live supervisor replicas.",
@@ -482,11 +392,6 @@ impl ResilientTcpCluster {
                 "Highest committed control-plane log index across live supervisor replicas.",
             );
         }
-        let board = ConsensusBoard::new(rcfg.num_supervisors);
-        // Published before any election: /healthz honestly reports the
-        // control plane as not-yet-established until the first leader wins.
-        publish_consensus(&board, &health, rcfg.metrics.as_ref(), rcfg.num_supervisors);
-
         let shared: SharedState = Arc::new(Mutex::new(SharedServers {
             handles,
             drained: false,
@@ -494,7 +399,7 @@ impl ResilientTcpCluster {
         }));
         let mut supervisors = Vec::with_capacity(rcfg.num_supervisors as usize);
         let mut supervisor_streamers = Vec::new();
-        for (k, node) in supervisor_nodes.into_iter().enumerate() {
+        for (k, node) in nodes.supervisors.into_iter().enumerate() {
             let k = k as u32;
             // Replica 0 keeps the historical `scheduler` trace identity so
             // merged timelines stay comparable across cluster flavors;
@@ -504,19 +409,19 @@ impl ResilientTcpCluster {
             } else {
                 NodeId::Supervisor(k)
             };
-            let (sup_tracer, sup_streamer) = node_tracing(&rcfg, &tracer, trace_id);
+            let (sup_tracer, sup_streamer) = session.obs.node(trace_id);
             supervisor_streamers.extend(sup_streamer);
             let replica = SupervisorReplica {
                 id: k,
-                cfg: cfg.clone(),
+                cfg,
                 rcfg: rcfg.clone(),
+                obs: session.obs.clone(),
                 book: book.clone(),
                 map: map.clone(),
                 injector: injector.clone(),
                 tracer: sup_tracer,
                 store: Arc::clone(&store),
                 shared: Arc::clone(&shared),
-                loopback,
                 generation: 0,
                 health: health.clone(),
                 board: board.clone(),
@@ -544,16 +449,13 @@ impl ResilientTcpCluster {
         Ok((
             ResilientTcpCluster {
                 supervisors,
-                control,
-                _control_node: control_node,
+                control: nodes.control,
                 injector,
                 health,
-                worker_streamers,
                 supervisor_streamers,
                 shared,
                 num_servers: cfg.num_servers,
-                num_supervisors: rcfg.num_supervisors,
-                health_tap,
+                session,
                 addresses: book,
             },
             workers,
@@ -566,11 +468,15 @@ impl ResilientTcpCluster {
         &self.injector
     }
 
-    /// The readiness view fed by the supervisor's liveness monitor; attach
-    /// it to an introspection endpoint via
-    /// `fluentps_obs::http::serve_with_health`.
+    /// The readiness view fed by the supervisor's liveness monitor — what
+    /// `/healthz` of [`Observability::http`] serves.
     pub fn health(&self) -> HealthView {
         self.health.clone()
+    }
+
+    /// Where [`Observability::http`] is being served (resolves port 0).
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.session.http_addr()
     }
 
     /// Stop the supervisor replicas and every server; returns per-server
@@ -580,70 +486,75 @@ impl ResilientTcpCluster {
     /// Call after the worker threads have finished: the workers' trace
     /// streamers final-flush here, so events recorded later would be lost.
     pub fn shutdown(self) -> Vec<ShardStats> {
-        // Workers are done recording by contract; flush their rings first.
-        for s in self.worker_streamers {
-            s.stop();
-        }
-        for k in 0..self.num_supervisors {
-            let _ = self.control.send(NodeId::Supervisor(k), Message::Shutdown);
-        }
-        // Collect every replica's join *result* before unwrapping any of
-        // them: the supervisor streamers must be latch-stopped even when a
-        // replica thread panicked, or the panic would propagate here first
-        // and leak the streamer threads.
-        let joined: Vec<std::thread::Result<Vec<ShardStats>>> =
-            self.supervisors.into_iter().map(|h| h.join()).collect();
-        for s in self.supervisor_streamers {
-            s.stop();
-        }
-        let mut merged = vec![ShardStats::default(); self.num_servers as usize];
-        // Fallback drain: when every replica crashed (quorum-loss chaos
-        // kills all of them) nobody drained the server threads — do it
-        // here so they exit and their statistics are not lost.
-        let leftovers = {
-            let mut shared = self.shared.lock();
-            if shared.drained {
-                Vec::new()
-            } else {
-                shared.drained = true;
-                shared.stop.store(true, Ordering::Relaxed);
-                std::mem::take(&mut shared.handles)
+        let ResilientTcpCluster {
+            supervisors,
+            control,
+            supervisor_streamers,
+            shared,
+            num_servers,
+            session,
+            ..
+        } = self;
+        session.shutdown(move || {
+            let postman = control.postman();
+            for k in 0..supervisors.len() as u32 {
+                let _ = postman.send(NodeId::Supervisor(k), Message::Shutdown);
             }
-        };
-        if !leftovers.is_empty() {
-            for m in 0..self.num_servers {
-                let _ = self.control.send(NodeId::Server(m), Message::Shutdown);
+            // Collect every replica's join *result* before unwrapping any
+            // of them: the supervisor streamers must be latch-stopped even
+            // when a replica thread panicked, or the panic would propagate
+            // here first and leak the streamer threads.
+            let joined: Vec<std::thread::Result<Vec<ShardStats>>> =
+                supervisors.into_iter().map(|h| h.join()).collect();
+            for s in supervisor_streamers {
+                s.stop();
             }
-            for (m, handle) in leftovers {
-                if let Ok(stats) = handle.join() {
-                    merged[m as usize].merge(&stats);
+            let mut merged = vec![ShardStats::default(); num_servers as usize];
+            // Fallback drain: when every replica crashed (quorum-loss chaos
+            // kills all of them) nobody drained the server threads — do it
+            // here so they exit and their statistics are not lost.
+            for (m, stats) in drain_servers(&shared, &postman, num_servers) {
+                merged[m as usize].merge(&stats);
+            }
+            for res in joined {
+                let stats = res.expect("supervisor replica thread");
+                for (m, s) in stats.iter().enumerate() {
+                    merged[m].merge(s);
                 }
             }
-        }
-        // Drain the final events (including the replicas' recovery
-        // records) into the health engine and freeze it.
-        if let Some((engine, tap)) = self.health_tap {
-            tap.stop();
-            engine.finish();
-        }
-        for res in joined {
-            let stats = res.expect("supervisor replica thread");
-            for (m, s) in stats.iter().enumerate() {
-                merged[m].merge(s);
-            }
-        }
-        merged
+            merged
+        })
     }
 }
 
-fn fresh_shard(cfg: &EngineConfig, m: u32) -> ServerShard {
-    ServerShard::new(ShardConfig {
-        server_id: m,
-        num_workers: cfg.num_workers,
-        model: cfg.model,
-        policy: cfg.policy,
-        grad_scale: cfg.grad_scale,
-    })
+/// Orderly server drain, performed exactly once per cluster: whoever gets
+/// here first — a supervisor replica reaching shutdown, or the cluster
+/// handle when every replica crashed — takes the shared handles; everyone
+/// later finds `drained` set and gets nothing.
+fn drain_servers(
+    shared: &SharedState,
+    postman: &TcpPostman,
+    num_servers: u32,
+) -> Vec<(u32, ShardStats)> {
+    let handles = {
+        let mut shared = shared.lock();
+        if shared.drained {
+            return Vec::new();
+        }
+        shared.drained = true;
+        // Latch first: `Shutdown` below is best-effort, and the join after
+        // it is unconditional — the flag guarantees the servers exit even
+        // when a frame is lost.
+        shared.stop.store(true, Ordering::Relaxed);
+        std::mem::take(&mut shared.handles)
+    };
+    for m in 0..num_servers {
+        let _ = postman.send(NodeId::Server(m), Message::Shutdown);
+    }
+    handles
+        .into_iter()
+        .filter_map(|(m, handle)| Some((m, handle.join().ok()?)))
+        .collect()
 }
 
 /// Per-worker applied-push window: a watermark (everything at or below is
@@ -682,37 +593,369 @@ impl WorkerWindow {
     }
 }
 
-/// State owned by one incarnation of a resilient server loop.
-struct ServerLoop {
-    shard: ServerShard,
+/// What [`ResilientServer::admit`] decided about an incoming message.
+enum Admit {
+    /// New work: run the Algorithm-1 step on it.
+    Handle,
+    /// A duplicate of a request already answered: send this reply to the
+    /// worker again; the shard (and its statistics) never sees the message.
+    Replay(u32, Message),
+    /// Nothing (more) to do: a stale or premature request the worker's
+    /// retry supersedes, or a control message `admit` consumed itself.
+    Ignore,
+}
+
+/// One incarnation of a fault-tolerant server: the shared Algorithm-1 step
+/// ([`ShardServer`]) plus what makes it survive retries, reroutes and its
+/// own death. No socket, thread or wall clock inside — [`run_resilient`]
+/// supplies those — so scripted message sequences test it directly.
+///
+/// Per message: [`admit`](Self::admit) gates it *before* the step,
+/// [`observe`](Self::observe) reads the step's replies *after* it.
+/// [`tick`](Self::tick) does what must happen on schedule whether or not
+/// messages arrive.
+pub(crate) struct ResilientServer {
+    server: ShardServer,
     /// Wire keys this shard owns, sorted (checkpoint capture order).
     keys: Vec<u64>,
     seen: Vec<WorkerWindow>,
-    /// Last pull answered per worker: `(progress, requested keys, full
-    /// response)`. Keys are part of the match because a worker re-pulls
-    /// the *same* progress with a *different* key set after a
-    /// `RouteUpdate`; answering that from the cache would silently omit
+    /// Last `PullResponse` sent per worker, as sent. A duplicate pull is
+    /// answered from here when progress *and* key set match: a worker
+    /// re-pulls the same progress with a different key set after a
+    /// `RouteUpdate`, and the cached response would silently omit the
     /// newly adopted parameters.
-    last_reply: Vec<Option<(u64, Vec<u64>, Message)>>,
-    /// Pull currently parked in the DPR buffer per worker.
-    pending_pull: Vec<Option<u64>>,
-    rng: StdRng,
-    tracer: Tracer,
+    last_reply: Vec<Option<Message>>,
+    /// Pull currently parked in the DPR buffer per worker: `(progress,
+    /// requested keys)`.
+    parked: Vec<Option<(u64, Vec<u64>)>>,
+    /// The supervisor replica this server believes currently leads. Wrong
+    /// guesses are cheap: a live follower answers with a `LeaderRedirect`,
+    /// and a crashed replica fails the send, rotating to the next one.
+    leader: u32,
+    hb_seq: u64,
+    last_hb: Option<Duration>,
+    checkpoint_due: bool,
+    last_cp_v: Option<u64>,
     rcfg: RecoveryConfig,
     store: CheckpointStore,
     /// Out-of-band shutdown latch (see [`SharedServers`]): checked every
-    /// loop wake-up so a lost `Shutdown` frame cannot strand the thread.
+    /// tick so a lost `Shutdown` frame cannot strand the thread.
     stop: Arc<AtomicBool>,
 }
 
-fn spawn_server_loop(
-    state: ServerLoop,
+impl ResilientServer {
+    /// Serve `server`'s shard, which owns `keys` (sorted) and has applied
+    /// every push up to `watermarks[w]` of each worker `w`.
+    pub(crate) fn new(
+        server: ShardServer,
+        keys: Vec<u64>,
+        watermarks: Vec<Option<u64>>,
+        rcfg: RecoveryConfig,
+        store: CheckpointStore,
+        stop: Arc<AtomicBool>,
+    ) -> Self {
+        let workers = watermarks.len();
+        ResilientServer {
+            server,
+            keys,
+            seen: watermarks
+                .into_iter()
+                .map(|watermark| WorkerWindow {
+                    watermark,
+                    ahead: BTreeSet::new(),
+                })
+                .collect(),
+            last_reply: vec![None; workers],
+            parked: vec![None; workers],
+            leader: 0,
+            hb_seq: 0,
+            last_hb: None,
+            checkpoint_due: true, // capture once at startup
+            last_cp_v: None,
+            rcfg,
+            store,
+            stop,
+        }
+    }
+
+    fn id(&self) -> u32 {
+        self.server.shard().config().server_id
+    }
+
+    fn holds(&self, keys: &[u64]) -> bool {
+        keys.iter().all(|k| self.keys.binary_search(k).is_ok())
+    }
+
+    /// What must happen on schedule, `now` being the time since this
+    /// incarnation started: leave when the stop latch is set (answering
+    /// parked pulls first), heartbeat, crash at the kill threshold, capture
+    /// a due checkpoint. Messages to send land on `out`.
+    pub(crate) fn tick(&mut self, now: Duration, out: &mut Vec<(NodeId, Message)>) -> Flow {
+        // The drain path sets the latch before it sends `Shutdown` and
+        // joins, so even a lost frame lets the server exit at its next
+        // heartbeat-interval wake-up.
+        if self.stop.load(Ordering::Relaxed) {
+            self.server.drain(out);
+            return Flow::Stop;
+        }
+        // Heartbeat on schedule, even under load.
+        if self
+            .last_hb
+            .is_none_or(|t| now.saturating_sub(t) >= self.rcfg.heartbeat_every)
+        {
+            self.hb_seq += 1;
+            let hb = Message::Heartbeat {
+                node: NodeId::Server(self.id()),
+                seq: self.hb_seq,
+            };
+            out.push((NodeId::Supervisor(self.leader), hb));
+            self.last_hb = Some(now);
+        }
+        // Deterministic crash at a logical time: no drain, no farewell.
+        // Checked before the checkpoint block so state reached at the kill
+        // threshold dies uncaptured — recovery genuinely replays from an
+        // older snapshot.
+        let v_train = self.server.shard().v_train();
+        if self
+            .rcfg
+            .kill_server
+            .is_some_and(|(m, v)| m == self.id() && v_train >= v)
+        {
+            return Flow::Stop;
+        }
+        // Checkpoint when due and the applied windows are gapless (a gap
+        // means the watermark under-describes the applied set).
+        if self.checkpoint_due && self.seen.iter().all(WorkerWindow::gapless) {
+            let applied: Vec<Option<u64>> = self.seen.iter().map(|w| w.watermark).collect();
+            let cp =
+                ShardCheckpoint::capture_with_applied(self.server.shard(), &self.keys, &applied);
+            let bytes = cp.to_bytes();
+            self.server.tracer.record(
+                EventKind::CheckpointCaptured,
+                RecordArgs::new()
+                    .shard(self.id())
+                    .v_train(cp.v_train)
+                    .bytes(bytes.len() as u64),
+            );
+            self.store.lock().insert(self.id(), bytes);
+            self.last_cp_v = Some(cp.v_train);
+            self.checkpoint_due = false;
+        }
+        Flow::Continue
+    }
+
+    /// A send to `to` failed; a dead leader means the next heartbeat tries
+    /// the next replica.
+    pub(crate) fn unreachable(&mut self, to: NodeId) {
+        if to == NodeId::Supervisor(self.leader) {
+            self.leader = (self.leader + 1) % self.rcfg.num_supervisors;
+        }
+    }
+
+    /// One message through gate, step and bookkeeping; replies land on
+    /// `out`.
+    pub(crate) fn step(&mut self, msg: Message, out: &mut Vec<(NodeId, Message)>) -> Flow {
+        match self.admit(&msg) {
+            Admit::Handle => {
+                let asked = match msg.bare() {
+                    Message::SPull {
+                        worker,
+                        progress,
+                        keys,
+                    } => Some((*worker as usize, *progress, keys.clone())),
+                    _ => None,
+                };
+                let first = out.len();
+                let flow = self.server.handle(msg, out);
+                if let Some((w, progress, keys)) = asked {
+                    if out.len() == first {
+                        // No reply: the pull is now a DPR.
+                        self.parked[w] = Some((progress, keys));
+                    }
+                }
+                self.observe(&out[first..]);
+                flow
+            }
+            // Seen but not stepped: the shard never learns of these.
+            admit => {
+                self.server.record_recv(&msg);
+                if let Admit::Replay(worker, reply) = admit {
+                    self.server.send(out, worker, reply);
+                }
+                Flow::Continue
+            }
+        }
+    }
+
+    /// Gate a message before the step. Control messages addressed to the
+    /// server itself (`Install`, `LeaderRedirect`) are consumed here.
+    fn admit(&mut self, msg: &Message) -> Admit {
+        match msg.bare() {
+            Message::SPush {
+                worker, progress, ..
+            } if self.seen[*worker as usize].is_applied(*progress) => {
+                // Replay of an already-applied push: re-ack only.
+                let ack = Message::PushAck {
+                    server: self.id(),
+                    progress: *progress,
+                };
+                Admit::Replay(*worker, wrap(ack, msg.ctx()))
+            }
+            Message::SPull {
+                worker,
+                progress,
+                keys,
+            } => {
+                let w = *worker as usize;
+                let holds = self.holds(keys);
+                if let Some((p, parked_keys)) = &mut self.parked[w] {
+                    if p == progress {
+                        // Re-issued pull for a round already parked in the
+                        // DPR buffer; the release will answer it. After a
+                        // `RouteUpdate` the re-issue names the keys this
+                        // server adopted too, and the release must carry
+                        // them — or the worker would train the next round
+                        // on stale values for those keys.
+                        if parked_keys != keys && holds {
+                            self.server.shard.retarget_dpr(*worker, *progress, keys);
+                            parked_keys.clone_from(keys);
+                        }
+                        return Admit::Ignore;
+                    }
+                }
+                if let Some(cached) = &self.last_reply[w] {
+                    if let Message::PullResponse {
+                        progress: p, kv, ..
+                    } = cached.bare()
+                    {
+                        if p == progress && kv.keys == *keys {
+                            // Duplicate of an answered pull: re-send the
+                            // cached response verbatim — no condition
+                            // re-evaluation, no rng draw, no statistics
+                            // drift.
+                            return Admit::Replay(*worker, cached.clone());
+                        }
+                        if p > progress {
+                            // Stale retransmit of a round the worker has
+                            // already finished.
+                            return Admit::Ignore;
+                        }
+                    }
+                }
+                if !holds {
+                    // The worker's routing ran ahead of our Install (the
+                    // supervisor's recovery messages race on separate
+                    // streams); its retry will re-issue the pull once the
+                    // parameters have arrived.
+                    return Admit::Ignore;
+                }
+                Admit::Handle
+            }
+            Message::Install { kv } => {
+                // Recovery: adopt parameters verbatim (degraded-mode
+                // hand-off of a dead server's keys).
+                for (key, vals) in kv.iter() {
+                    self.server.shard.init_param(key, vals.to_vec());
+                    if let Err(i) = self.keys.binary_search(&key) {
+                        self.keys.insert(i, key);
+                    }
+                }
+                self.checkpoint_due = true;
+                Admit::Ignore
+            }
+            Message::LeaderRedirect { leader, .. } => {
+                // A follower replica told us who leads. `NO_LEADER` means
+                // an election is in progress — keep the current target
+                // rather than thrash between candidates.
+                if *leader != NO_LEADER && *leader < self.rcfg.num_supervisors {
+                    self.leader = *leader;
+                }
+                Admit::Ignore
+            }
+            _ => Admit::Handle,
+        }
+    }
+
+    /// Read the replies of one step: an ack means its push is applied, a
+    /// pull response is the worker's new cached reply and un-parks its
+    /// pull, and `V_train` may have moved a checkpoint interval.
+    fn observe(&mut self, replies: &[(NodeId, Message)]) {
+        for (to, reply) in replies {
+            let NodeId::Worker(worker) = *to else {
+                continue;
+            };
+            let w = worker as usize;
+            match reply.bare() {
+                Message::PushAck { progress, .. } => self.seen[w].apply(*progress),
+                Message::PullResponse { progress, .. } => {
+                    if self.parked[w].as_ref().is_some_and(|(p, _)| p == progress) {
+                        self.parked[w] = None;
+                    }
+                    self.last_reply[w] = Some(reply.clone());
+                }
+                _ => {}
+            }
+        }
+        let every = self.rcfg.checkpoint_every;
+        if every > 0 && self.server.shard().v_train() >= self.last_cp_v.unwrap_or(0) + every {
+            self.checkpoint_due = true;
+        }
+    }
+}
+
+/// Drive one server incarnation over a transport until it is shut down,
+/// stopped or killed. Differs from [`crate::serve::run`] only by what
+/// resilience needs from a driver: a receive that wakes up on the heartbeat
+/// interval, the [`ResilientServer::tick`] before it, and per-message sends
+/// whose failures reach the server (a heartbeat to a dead leader).
+fn run_resilient<M: Mailbox, P: Postman>(
+    mut server: ResilientServer,
+    rx: &M,
+    postman: &P,
+) -> ShardStats {
+    let start = Instant::now();
+    let wake = server.rcfg.heartbeat_every;
+    let profiler = server.server.profiler.clone();
+    let mut out = Vec::new();
+    let flush = |server: &mut ResilientServer, out: &mut Vec<(NodeId, Message)>| {
+        for (to, msg) in out.drain(..) {
+            if postman.send(to, msg).is_err() {
+                server.unreachable(to);
+            }
+        }
+    };
+    loop {
+        let flow = server.tick(start.elapsed(), &mut out);
+        flush(&mut server, &mut out);
+        if flow == Flow::Stop {
+            break;
+        }
+        match rx.recv_timeout(wake) {
+            Ok(Some((_, msg))) => {
+                let flow = server.step(msg, &mut out);
+                if !out.is_empty() {
+                    let _span = profiler.enter("server/reply");
+                    flush(&mut server, &mut out);
+                }
+                if flow == Flow::Stop {
+                    break;
+                }
+            }
+            Ok(None) => {}
+            Err(_) => break,
+        }
+    }
+    server.server.into_stats()
+}
+
+fn spawn_server(
+    server: ResilientServer,
     rx: TcpNode,
     tx: TcpNode,
     injector: &FaultInjector,
     streamer: Option<TraceStreamer>,
 ) -> JoinHandle<ShardStats> {
-    let m = state.shard.config().server_id;
+    let m = server.id();
     // The tx node's id is an implementation detail; faults match on the
     // *logical* sender, so wrap with `Server(m)`.
     let postman = injector.postman(NodeId::Server(m), tx.postman());
@@ -720,7 +963,9 @@ fn spawn_server_loop(
     std::thread::Builder::new()
         .name(format!("fluentps-rts-server-{m}"))
         .spawn(move || {
-            let stats = resilient_server_loop(state, mailbox, postman, tx);
+            // Dropping the node would mark its postman disconnected.
+            let _tx_keepalive = tx;
+            let stats = run_resilient(server, &mailbox, &postman);
             // Final-flush this server's trace stream from its own thread so a
             // killed server still ships everything it recorded before exiting.
             if let Some(s) = streamer {
@@ -729,268 +974,6 @@ fn spawn_server_loop(
             stats
         })
         .expect("spawn resilient server")
-}
-
-fn resilient_server_loop<M: Mailbox, P: Postman>(
-    mut s: ServerLoop,
-    rx: M,
-    postman: P,
-    _tx_keepalive: TcpNode,
-) -> ShardStats {
-    let server_id = s.shard.config().server_id;
-    let supervisors = s.rcfg.num_supervisors.max(1);
-    // The supervisor replica this server believes currently leads. Wrong
-    // guesses are cheap: a live follower answers with a `LeaderRedirect`,
-    // and a crashed replica fails the send, rotating to the next one.
-    let mut leader: u32 = 0;
-    let mut hb_seq = 0u64;
-    let mut last_hb = Instant::now() - s.rcfg.heartbeat_every;
-    let mut checkpoint_due = true; // capture once at startup
-    let mut last_cp_v = None::<u64>;
-
-    loop {
-        // Out-of-band shutdown: the drain path sets this flag before it
-        // sends `Shutdown` and joins, so even a lost frame lets the loop
-        // exit at the next heartbeat-interval wake-up.
-        if s.stop.load(Ordering::Relaxed) {
-            drain_pending_replies(&mut s, &postman, server_id);
-            break;
-        }
-        // Heartbeat on schedule, even under load.
-        if last_hb.elapsed() >= s.rcfg.heartbeat_every {
-            hb_seq += 1;
-            let hb = Message::Heartbeat {
-                node: NodeId::Server(server_id),
-                seq: hb_seq,
-            };
-            if postman.send(NodeId::Supervisor(leader), hb).is_err() {
-                leader = (leader + 1) % supervisors;
-            }
-            last_hb = Instant::now();
-        }
-        // Deterministic crash at a logical time. Checked before the
-        // checkpoint block so state reached at the kill threshold dies
-        // uncaptured — recovery genuinely replays from an older snapshot.
-        if let Some((kill_m, threshold)) = s.rcfg.kill_server {
-            if kill_m == server_id && s.shard.v_train() >= threshold {
-                return s.shard.stats().clone();
-            }
-        }
-        // Checkpoint when due and the applied windows are gapless (a gap
-        // means the watermark under-describes the applied set).
-        if checkpoint_due && s.seen.iter().all(WorkerWindow::gapless) {
-            let applied: Vec<Option<u64>> = s.seen.iter().map(|w| w.watermark).collect();
-            let cp = ShardCheckpoint::capture_with_applied(&s.shard, &s.keys, &applied);
-            let bytes = cp.to_bytes();
-            s.tracer.record(
-                EventKind::CheckpointCaptured,
-                RecordArgs::new()
-                    .shard(server_id)
-                    .v_train(cp.v_train)
-                    .bytes(bytes.len() as u64),
-            );
-            s.store.lock().insert(server_id, bytes);
-            last_cp_v = Some(cp.v_train);
-            checkpoint_due = false;
-        }
-        let msg = match rx.recv_timeout(s.rcfg.heartbeat_every) {
-            Ok(Some((_, msg))) => msg,
-            Ok(None) => continue,
-            Err(_) => break,
-        };
-        let wire_bytes = frame::wire_len(&msg) as u64;
-        let (ctx, msg) = msg.split_ctx();
-        if s.tracer.is_enabled() {
-            let worker = match &msg {
-                Message::SPush { worker, .. } | Message::SPull { worker, .. } => *worker,
-                _ => NO_ID,
-            };
-            s.tracer.record(
-                EventKind::WireRecv,
-                stamp_ctx(
-                    RecordArgs::new()
-                        .shard(server_id)
-                        .worker(worker)
-                        .bytes(wire_bytes),
-                    ctx,
-                ),
-            );
-        }
-        // Wrap replies back in the request's envelope (when it carried one)
-        // so every hop of the request's round trip shares a waterfall.
-        let wrap = |msg: Message, ctx: Option<CausalCtx>| match ctx {
-            Some(c) => msg.with_ctx(c),
-            None => msg,
-        };
-        match msg {
-            Message::SPush {
-                worker,
-                progress,
-                kv,
-            } => {
-                let w = worker as usize;
-                let ack = wrap(
-                    Message::PushAck {
-                        server: server_id,
-                        progress,
-                    },
-                    ctx,
-                );
-                if s.seen[w].is_applied(progress) {
-                    // Replay of an already-applied push: re-ack only, the
-                    // shard (and its statistics) never sees it.
-                    send_traced(&postman, &s.tracer, server_id, worker, ack);
-                    continue;
-                }
-                let before = s.shard.v_train();
-                let released = s.shard.on_push_ctx(worker, progress, &kv, ctx);
-                s.seen[w].apply(progress);
-                send_traced(&postman, &s.tracer, server_id, worker, ack);
-                for r in released {
-                    let rkeys = r.kv.keys.clone();
-                    let resp = wrap(
-                        Message::PullResponse {
-                            server: server_id,
-                            progress: r.progress,
-                            kv: r.kv,
-                            version: r.version,
-                        },
-                        r.ctx,
-                    );
-                    s.last_reply[r.worker as usize] = Some((r.progress, rkeys, resp.clone()));
-                    s.pending_pull[r.worker as usize] = None;
-                    send_traced(&postman, &s.tracer, server_id, r.worker, resp);
-                }
-                let after = s.shard.v_train();
-                if after > before
-                    && s.rcfg.checkpoint_every > 0
-                    && after >= last_cp_v.unwrap_or(0) + s.rcfg.checkpoint_every
-                {
-                    checkpoint_due = true;
-                }
-            }
-            Message::SPull {
-                worker,
-                progress,
-                keys,
-            } => {
-                let w = worker as usize;
-                if s.pending_pull[w] == Some(progress) {
-                    // Re-issued pull for a round already parked in the DPR
-                    // buffer; the release will answer it.
-                    continue;
-                }
-                if let Some((p, pkeys, resp)) = &s.last_reply[w] {
-                    if *p == progress && *pkeys == keys {
-                        // Duplicate of an answered pull: re-send the cached
-                        // response verbatim — no condition re-evaluation,
-                        // no rng draw, no statistics drift.
-                        let resp = resp.clone();
-                        send_traced(&postman, &s.tracer, server_id, worker, resp);
-                        continue;
-                    }
-                    if *p > progress {
-                        // Stale retransmit of a round the worker has
-                        // already finished.
-                        continue;
-                    }
-                }
-                if keys.iter().any(|k| s.keys.binary_search(k).is_err()) {
-                    // The worker's routing ran ahead of our Install (the
-                    // supervisor's recovery messages race on separate
-                    // streams); its retry will re-issue the pull once the
-                    // parameters have arrived.
-                    continue;
-                }
-                let draw: f64 = s.rng.gen();
-                match s
-                    .shard
-                    .on_pull_ctx(worker, progress, &keys, draw, None, ctx)
-                {
-                    PullOutcome::Respond { kv, version } => {
-                        let resp = wrap(
-                            Message::PullResponse {
-                                server: server_id,
-                                progress,
-                                kv,
-                                version,
-                            },
-                            ctx,
-                        );
-                        s.last_reply[w] = Some((progress, keys, resp.clone()));
-                        send_traced(&postman, &s.tracer, server_id, worker, resp);
-                    }
-                    PullOutcome::Deferred => {
-                        s.pending_pull[w] = Some(progress);
-                    }
-                }
-            }
-            Message::Install { kv } => {
-                // Recovery: adopt parameters verbatim (degraded-mode
-                // hand-off of a dead server's keys).
-                for (key, vals) in kv.iter() {
-                    s.shard.init_param(key, vals.to_vec());
-                    if let Err(i) = s.keys.binary_search(&key) {
-                        s.keys.insert(i, key);
-                    }
-                }
-                checkpoint_due = true;
-            }
-            Message::LeaderRedirect { leader: l, .. } => {
-                // A follower replica told us who leads. `NO_LEADER` means
-                // an election is in progress — keep the current target
-                // rather than thrash between candidates.
-                if l != NO_LEADER && l < supervisors {
-                    leader = l;
-                }
-            }
-            Message::Shutdown => {
-                drain_pending_replies(&mut s, &postman, server_id);
-                break;
-            }
-            _ => {}
-        }
-    }
-    s.shard.stats().clone()
-}
-
-/// Flush every reply parked in the DPR buffer back to its worker, wrapped
-/// in the request's causal envelope when it carried one. Shared by the
-/// `Shutdown` message arm and the out-of-band stop-flag exit.
-fn drain_pending_replies<P: Postman>(s: &mut ServerLoop, postman: &P, server_id: u32) {
-    for r in s.shard.drain_shutdown() {
-        let resp = Message::PullResponse {
-            server: server_id,
-            progress: r.progress,
-            kv: r.kv,
-            version: r.version,
-        };
-        let resp = match r.ctx {
-            Some(c) => resp.with_ctx(c),
-            None => resp,
-        };
-        send_traced(postman, &s.tracer, server_id, r.worker, resp);
-    }
-}
-
-fn send_traced<P: Postman>(
-    postman: &P,
-    tracer: &Tracer,
-    server_id: u32,
-    worker: u32,
-    msg: Message,
-) {
-    tracer.record(
-        EventKind::WireSend,
-        stamp_ctx(
-            RecordArgs::new()
-                .shard(server_id)
-                .worker(worker)
-                .bytes(frame::wire_len(&msg) as u64),
-            msg.ctx(),
-        ),
-    );
-    let _ = postman.send(NodeId::Worker(worker), msg);
 }
 
 /// Ship a batch of consensus messages; unreachable replicas (crashed ones)
@@ -1019,6 +1002,9 @@ struct SupervisorReplica {
     id: u32,
     cfg: EngineConfig,
     rcfg: RecoveryConfig,
+    /// The cluster's observability, for tracing a replacement server and
+    /// publishing the consensus gauges.
+    obs: Observability,
     book: AddressBook,
     /// This replica's mirror of the route table; mutated only when a
     /// committed `Remapped` entry is applied, so all replicas hold
@@ -1028,7 +1014,6 @@ struct SupervisorReplica {
     tracer: Tracer,
     store: CheckpointStore,
     shared: SharedState,
-    loopback: SocketAddr,
     generation: u64,
     health: HealthView,
     board: ConsensusBoard,
@@ -1110,7 +1095,7 @@ impl SupervisorReplica {
                     publish_consensus(
                         &self.board,
                         &self.health,
-                        self.rcfg.metrics.as_ref(),
+                        self.obs.metrics.as_ref(),
                         self.rcfg.num_supervisors,
                     );
                     return Vec::new();
@@ -1126,7 +1111,7 @@ impl SupervisorReplica {
             publish_consensus(
                 &self.board,
                 &self.health,
-                self.rcfg.metrics.as_ref(),
+                self.obs.metrics.as_ref(),
                 self.rcfg.num_supervisors,
             );
             if self.consensus.is_leader() {
@@ -1169,7 +1154,11 @@ impl SupervisorReplica {
                 Err(_) => break,
             }
         }
-        self.drain_servers(&postman)
+        let mut merged = vec![ShardStats::default(); self.cfg.num_servers as usize];
+        for (m, stats) in drain_servers(&self.shared, &postman, self.cfg.num_servers) {
+            merged[m as usize].merge(&stats);
+        }
+        merged
     }
 
     /// This replica just won an election. A follower's liveness view is
@@ -1301,35 +1290,6 @@ impl SupervisorReplica {
         self.health.update(nodes);
     }
 
-    /// Orderly server drain, performed exactly once across all replicas:
-    /// whichever replica first reaches shutdown takes the shared handles;
-    /// later replicas (and the cluster's own fallback) find `drained` set.
-    fn drain_servers(&mut self, postman: &TcpPostman) -> Vec<ShardStats> {
-        let handles = {
-            let mut shared = self.shared.lock();
-            if shared.drained {
-                return Vec::new();
-            }
-            shared.drained = true;
-            // Latch first: `Shutdown` below is best-effort, and the join
-            // after it is unconditional — the flag guarantees the loops
-            // exit even when a frame is lost.
-            shared.stop.store(true, Ordering::Relaxed);
-            std::mem::take(&mut shared.handles)
-        };
-        for m in 0..self.cfg.num_servers {
-            let _ = postman.send(NodeId::Server(m), Message::Shutdown);
-        }
-        let mut merged: Vec<ShardStats> =
-            vec![ShardStats::default(); self.cfg.num_servers as usize];
-        for (m, handle) in handles {
-            if let Ok(stats) = handle.join() {
-                merged[m as usize].merge(&stats);
-            }
-        }
-        merged
-    }
-
     /// Spawn a replacement for dead server `m` from its latest checkpoint.
     /// Returns false when no usable checkpoint exists.
     fn try_replace(&mut self, m: u32) -> bool {
@@ -1339,28 +1299,14 @@ impl SupervisorReplica {
         let Ok(cp) = ShardCheckpoint::from_bytes(bytes.clone()) else {
             return false;
         };
-        let Ok(rx) = TcpNode::bind(NodeId::Server(m), self.loopback, self.book.clone()) else {
-            return false;
-        };
-        let Ok(tx) = TcpNode::bind(
-            NodeId::Server(self.cfg.num_servers + 1 + m),
-            self.loopback,
-            self.book.clone(),
-        ) else {
-            return false;
-        };
         // Publishing the new address is what lets every worker's postman
         // redial the replacement after its old connection errors out.
-        self.book.insert(NodeId::Server(m), rx.local_addr());
+        let Ok((rx, tx)) = launch::bind_server(&self.cfg, m, &self.book, &self.obs) else {
+            return false;
+        };
 
-        let mut shard = fresh_shard(&self.cfg, m);
-        // The replacement gets its own collector+streamer: on the merged
-        // timeline it is a new incarnation of `serverM` (the collector folds
-        // the restarted batch sequence into the same per-node accounting).
-        let (rep_tracer, rep_streamer) = node_tracing(&self.rcfg, &self.tracer, NodeId::Server(m));
-        shard.set_tracer(rep_tracer.clone());
+        let mut shard = launch::new_shard(&self.cfg, self.cfg.model, m);
         cp.restore_into(&mut shard);
-        let keys = cp.params.keys.clone();
         let watermarks = cp.applied_watermarks();
         for (w, mark) in watermarks.iter().enumerate() {
             if let Some(mark) = mark {
@@ -1371,13 +1317,6 @@ impl SupervisorReplica {
                 shard.seed_applied(w as u32, *mark);
             }
         }
-        let seen = watermarks
-            .into_iter()
-            .map(|w| WorkerWindow {
-                watermark: w,
-                ahead: BTreeSet::new(),
-            })
-            .collect();
         // A replacement is a control-plane action like a remap: give it a
         // supervisor request id so the restoration shows up as a retained
         // (recovery-touched) waterfall even though it sends no messages.
@@ -1391,11 +1330,15 @@ impl SupervisorReplica {
                 .request_id(restore_id),
         );
         self.generation += 1;
-        let rng = StdRng::seed_from_u64(
-            self.cfg
-                .seed
-                .wrapping_add(m as u64 + 1)
-                .wrapping_add(self.generation.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        // The replacement gets its own tracing: on the merged timeline it
+        // is a new incarnation of `serverM` (the collector folds the
+        // restarted batch sequence into the same per-node accounting).
+        let (rep_tracer, rep_streamer) = self.obs.node(NodeId::Server(m));
+        let server = ShardServer::new(
+            shard,
+            launch::server_rng(&self.cfg, m, self.generation),
+            rep_tracer,
+            self.obs.span_profiler(),
         );
         // The kill switch simulates *one* crash. A replacement inheriting it
         // would re-die the moment a replayed push brings `V_train` back to
@@ -1404,24 +1347,16 @@ impl SupervisorReplica {
         // ahead of `V_train` (SSP/PSSP).
         let mut rcfg = self.rcfg.clone();
         rcfg.kill_server = None;
-        let handle = spawn_server_loop(
-            ServerLoop {
-                shard,
-                keys,
-                seen,
-                last_reply: vec![None; self.cfg.num_workers as usize],
-                pending_pull: vec![None; self.cfg.num_workers as usize],
-                rng,
-                tracer: rep_tracer,
-                rcfg,
-                store: Arc::clone(&self.store),
-                stop: Arc::clone(&self.shared.lock().stop),
-            },
-            rx,
-            tx,
-            &self.injector,
-            rep_streamer,
+        let stop = Arc::clone(&self.shared.lock().stop);
+        let state = ResilientServer::new(
+            server,
+            cp.params.keys.clone(),
+            watermarks,
+            rcfg,
+            Arc::clone(&self.store),
+            stop,
         );
+        let handle = spawn_server(state, rx, tx, &self.injector, rep_streamer);
         self.shared.lock().handles.push((m, handle));
         true
     }
@@ -1524,6 +1459,7 @@ mod tests {
     use super::*;
     use crate::condition::SyncModel;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
+    use fluentps_obs::Tracer;
 
     fn fast_recovery(kill: Option<(u32, u64)>, replace: bool) -> RecoveryConfig {
         RecoveryConfig {
@@ -1541,8 +1477,6 @@ mod tests {
                 replay_depth: 16,
             },
             fault_plan: FaultPlan::passthrough(),
-            collector_addr: None,
-            trace_ring_capacity: 1 << 10,
             election_timeout: Duration::from_millis(120),
             leader_lease: Duration::from_millis(60),
             ..RecoveryConfig::default()
@@ -1562,6 +1496,207 @@ mod tests {
             ..EngineConfig::default()
         };
         (cfg, map, init)
+    }
+
+    /// A scripted server 0 — no sockets, no threads — whose shard owns
+    /// `keys` (two zeros each), and the checkpoint store it captures into.
+    fn scripted(
+        model: SyncModel,
+        num_workers: u32,
+        keys: &[u64],
+        rcfg: &RecoveryConfig,
+    ) -> (ResilientServer, CheckpointStore) {
+        let cfg = EngineConfig {
+            num_workers,
+            model,
+            seed: 9,
+            ..EngineConfig::default()
+        };
+        let mut shard = launch::new_shard(&cfg, model, 0);
+        for &k in keys {
+            shard.init_param(k, vec![0.0; 2]);
+        }
+        let rng = launch::server_rng(&cfg, 0, 0);
+        let server = ShardServer::new(shard, rng, Tracer::disabled(), Default::default());
+        let store = CheckpointStore::default();
+        let state = ResilientServer::new(
+            server,
+            keys.to_vec(),
+            vec![None; num_workers as usize],
+            rcfg.clone(),
+            Arc::clone(&store),
+            Arc::default(),
+        );
+        (state, store)
+    }
+
+    fn push(worker: u32, progress: u64, keys: &[u64]) -> Message {
+        let ones = [1.0f32; 2];
+        let entries: Vec<(u64, &[f32])> = keys.iter().map(|&k| (k, &ones[..])).collect();
+        Message::SPush {
+            worker,
+            progress,
+            kv: KvPairs::from_slices(&entries),
+        }
+    }
+
+    fn pull(worker: u32, progress: u64, keys: &[u64]) -> Message {
+        Message::SPull {
+            worker,
+            progress,
+            keys: keys.to_vec(),
+        }
+    }
+
+    fn step(s: &mut ResilientServer, msg: Message) -> Vec<(NodeId, Message)> {
+        let mut out = Vec::new();
+        assert_eq!(s.step(msg, &mut out), Flow::Continue);
+        out
+    }
+
+    fn stored(store: &CheckpointStore) -> Option<ShardCheckpoint> {
+        let bytes = store.lock().get(&0).cloned()?;
+        Some(ShardCheckpoint::from_bytes(bytes).expect("valid checkpoint"))
+    }
+
+    fn pulled_keys(reply: &(NodeId, Message)) -> &[u64] {
+        match reply.1.bare() {
+            Message::PullResponse { kv, .. } => &kv.keys,
+            other => panic!("not a pull response: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replayed_push_is_reacked_without_touching_the_shard() {
+        let (mut s, _) = scripted(SyncModel::Bsp, 1, &[1], &RecoveryConfig::default());
+        let ack = (
+            NodeId::Worker(0),
+            Message::PushAck {
+                server: 0,
+                progress: 0,
+            },
+        );
+        assert_eq!(step(&mut s, push(0, 0, &[1])), [ack.clone()]);
+        let (stats, v_train) = (s.server.shard().stats().clone(), s.server.shard().v_train());
+        assert_eq!((stats.pushes, v_train), (1, 1));
+
+        // The retry carries its own context; the re-ack echoes it.
+        let ctx = CausalCtx::new(77).retry(1);
+        let reack = step(&mut s, push(0, 0, &[1]).with_ctx(ctx));
+        assert_eq!(reack, [(ack.0, ack.1.with_ctx(ctx))]);
+        assert_eq!(s.server.shard().stats(), &stats);
+        assert_eq!(s.server.shard().v_train(), v_train);
+        assert_eq!(s.server.shard().read_param(1), Some(&[1.0f32; 2][..]));
+    }
+
+    #[test]
+    fn duplicate_answered_pull_is_served_from_the_cache_without_a_draw() {
+        let rcfg = RecoveryConfig::default();
+        let (mut s, _) = scripted(SyncModel::Asp, 1, &[1, 2], &rcfg);
+        let (mut twin, _) = scripted(SyncModel::Asp, 1, &[1, 2], &rcfg);
+        let first = step(&mut s, pull(0, 0, &[1, 2]));
+        assert_eq!(step(&mut twin, pull(0, 0, &[1, 2])), first);
+        assert_eq!(pulled_keys(&first[0]), [1, 2]);
+
+        assert_eq!(step(&mut s, pull(0, 0, &[1, 2])), first, "verbatim");
+        assert_eq!(s.server.shard().stats().pulls_total, 1);
+        // The duplicate consumed no draw: both streams are where one
+        // evaluated pull left them.
+        assert_eq!(s.server.next_draw(), twin.server.next_draw());
+        // Same progress, different key set: not the cached request.
+        assert_eq!(pulled_keys(&step(&mut s, pull(0, 0, &[2]))[0]), [2]);
+        assert_eq!(s.server.shard().stats().pulls_total, 2);
+    }
+
+    #[test]
+    fn out_of_order_push_blocks_checkpoint_capture_until_the_gap_fills() {
+        let (mut s, store) = scripted(SyncModel::Ssp { s: 3 }, 1, &[1], &RecoveryConfig::default());
+        let mut out = Vec::new();
+        // Push 0 was lost; push 1 lands first. The watermark cannot
+        // describe {1}, so the checkpoint due since startup must wait.
+        step(&mut s, push(0, 1, &[1]));
+        assert!(!s.seen[0].gapless());
+        assert_eq!(s.tick(Duration::ZERO, &mut out), Flow::Continue);
+        assert!(stored(&store).is_none(), "captured across a gap");
+
+        step(&mut s, push(0, 0, &[1]));
+        assert!(s.seen[0].gapless());
+        s.tick(Duration::ZERO, &mut out);
+        let cp = stored(&store).expect("captured once gapless");
+        assert_eq!(cp.applied_watermarks(), [Some(1)]);
+        assert_eq!(cp.v_train, s.server.shard().v_train());
+    }
+
+    #[test]
+    fn pull_naming_a_not_yet_installed_key_is_ignored() {
+        let (mut s, _) = scripted(SyncModel::Asp, 1, &[1], &RecoveryConfig::default());
+        // The worker's RouteUpdate outran this server's Install.
+        assert_eq!(step(&mut s, pull(0, 0, &[1, 2])), []);
+        assert_eq!(s.server.shard().stats().pulls_total, 0);
+
+        let install = Message::Install {
+            kv: KvPairs::single(2, vec![5.0; 2]),
+        };
+        assert_eq!(step(&mut s, install), []);
+        let retry = step(&mut s, pull(0, 0, &[1, 2]));
+        assert_eq!(pulled_keys(&retry[0]), [1, 2]);
+    }
+
+    #[test]
+    fn tick_at_the_kill_threshold_exits_before_capturing() {
+        let rcfg = RecoveryConfig {
+            checkpoint_every: 1,
+            kill_server: Some((0, 1)),
+            ..RecoveryConfig::default()
+        };
+        let (mut s, store) = scripted(SyncModel::Bsp, 1, &[1], &rcfg);
+        let mut out = Vec::new();
+        assert_eq!(s.tick(Duration::ZERO, &mut out), Flow::Continue);
+        assert_eq!(stored(&store).expect("startup capture").v_train, 0);
+        assert!(matches!(
+            out[..],
+            [(NodeId::Supervisor(0), Message::Heartbeat { .. })]
+        ));
+
+        step(&mut s, push(0, 0, &[1]));
+        assert_eq!(s.server.shard().v_train(), 1);
+        assert!(s.checkpoint_due);
+        // The state reached at the threshold dies uncaptured.
+        assert_eq!(s.tick(Duration::from_millis(1), &mut out), Flow::Stop);
+        assert_eq!(stored(&store).expect("still the old one").v_train, 0);
+    }
+
+    #[test]
+    fn reissued_pull_with_adopted_keys_retargets_the_parked_dpr() {
+        // Degraded mode: worker 0's pull for round 0 is parked on this
+        // survivor with keys {1}; the dead server's key 2 is then
+        // installed here and the worker, re-routed, re-issues the round's
+        // pull as {1, 2}.
+        let rcfg = RecoveryConfig::default();
+        let (mut s, _) = scripted(SyncModel::Bsp, 2, &[1], &rcfg);
+        let (mut twin, _) = scripted(SyncModel::Bsp, 2, &[1], &rcfg);
+        for server in [&mut s, &mut twin] {
+            step(server, push(0, 0, &[1]));
+            assert_eq!(step(server, pull(0, 0, &[1])), [], "parked");
+        }
+        let install = Message::Install {
+            kv: KvPairs::single(2, vec![5.0; 2]),
+        };
+        step(&mut s, install);
+        assert_eq!(step(&mut s, pull(0, 0, &[1, 2])), [], "still parked");
+        // No second DPR, no second evaluation, no draw.
+        let stats = s.server.shard().stats();
+        assert_eq!((stats.pulls_total, stats.dprs), (1, 1));
+        assert_eq!(s.server.shard().pending_dprs(), 1);
+        assert_eq!(s.server.next_draw(), twin.server.next_draw());
+
+        // The release answers the key set the worker is now waiting for.
+        let released = step(&mut s, push(1, 0, &[1]));
+        assert_eq!(released.len(), 2, "ack + released pull: {released:?}");
+        assert_eq!(released[1].0, NodeId::Worker(0));
+        assert_eq!(pulled_keys(&released[1]), [1, 2]);
+        // And that answer is what a duplicate of the re-issue gets.
+        assert_eq!(step(&mut s, pull(0, 0, &[1, 2])), [released[1].clone()]);
     }
 
     #[test]
@@ -1632,10 +1767,14 @@ mod tests {
         let (cfg, map, init) = two_server_setup();
         let mut service = CollectorService::bind("127.0.0.1:0".parse().unwrap(), 1 << 12)
             .expect("bind collector");
-        let mut rcfg = fast_recovery(Some((0, 2)), true);
-        rcfg.collector_addr = Some(service.local_addr());
+        let obs = Observability {
+            stream_to: Some(service.local_addr()),
+            ring_capacity: 1 << 10,
+            ..Observability::default()
+        };
+        let rcfg = fast_recovery(Some((0, 2)), true);
         let (cluster, mut workers) =
-            ResilientTcpCluster::launch(cfg, rcfg, map, &init, None).expect("launch");
+            ResilientTcpCluster::launch_observed(cfg, rcfg, map, &init, obs).expect("launch");
         let mut w = workers.remove(0);
         let grads: HashMap<u64, Vec<f32>> =
             [(0u64, vec![1.0f32; 4]), (1u64, vec![1.0f32; 4])].into();

@@ -397,6 +397,13 @@ impl ServerShard {
         released
     }
 
+    /// Point `worker`'s DPR parked at `progress` at a new key set (see
+    /// [`DprBuffer::retarget`]): the eventual release gathers `keys`. No
+    /// condition is evaluated and no statistic moves.
+    pub fn retarget_dpr(&mut self, worker: u32, progress: u64, keys: &[u64]) -> bool {
+        self.buffer.retarget(worker, progress, keys)
+    }
+
     /// Flush every remaining DPR regardless of condition (engine shutdown so
     /// no worker blocks forever; responses carry the latest parameters).
     pub fn drain_shutdown(&mut self) -> Vec<ReleasedPull> {

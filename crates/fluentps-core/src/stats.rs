@@ -6,7 +6,7 @@
 //! quantities; timing lives in the drivers (wall clock for the engines,
 //! virtual clock for the simulator).
 
-use crate::hist::Histogram;
+use fluentps_obs::hist::Histogram;
 
 /// Counters maintained by a [`crate::server::ServerShard`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn merging_shards_equals_recording_into_one_histogram() {
-        use crate::hist::Histogram;
+        use fluentps_obs::hist::Histogram;
         let values: Vec<u64> = (0..50u64).map(|i| i * i % 37).collect();
         let mut combined = Histogram::new();
         let mut total = ShardStats::default();

@@ -1,54 +1,32 @@
-//! TCP runtime: the same server loop as [`crate::engine`], but over real
-//! sockets — a FluentPS cluster as separate OS threads bound to separate
-//! ports, suitable for splitting across processes (each side only needs the
-//! address book).
-//!
-//! The server loop is shared with the in-process engine conceptually: both
-//! drive the identical [`ServerShard`] state machine; only the transport
-//! differs. Workers use the same [`WorkerClient`] with TCP halves.
+//! TCP runtime: the same server loop as [`crate::engine`]
+//! ([`crate::serve::run`]), but over real sockets — a FluentPS cluster as
+//! separate OS threads bound to separate ports, suitable for splitting
+//! across processes (each side only needs the address book). Workers use
+//! the same [`WorkerClient`] with TCP halves.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 
-use fluentps_obs::{
-    http, EventKind, HealthEngine, HealthTap, IntrospectionServer, MetricsRegistry, ProfCollector,
-    Profiler, RecordArgs, StreamConfig, TraceCollector, TraceSource, Tracer, NO_ID,
-};
-use fluentps_util::rng::StdRng;
-
-use fluentps_transport::collect::{StreamerConfig, TraceStreamer};
 use fluentps_transport::tcp::{AddressBook, TcpNode, TcpPostman};
-use fluentps_transport::{frame, CausalCtx, Mailbox, Message, NodeId, Postman, TransportError};
+use fluentps_transport::{Message, NodeId, Postman, TransportError};
 
 use crate::engine::EngineConfig;
 use crate::eps::SliceMap;
-use crate::server::{stamp_ctx, PullOutcome, ServerShard, ShardConfig};
+use crate::launch::{self, Observability, Session};
+use crate::serve;
 use crate::stats::ShardStats;
 use crate::worker::{Router, WorkerClient};
 
 /// The worker client type served by the TCP engine.
 pub type TcpWorker = WorkerClient<TcpPostman, TcpNode>;
 
-/// Handle to a running TCP cluster (all nodes on loopback unless configured
-/// otherwise).
+/// Handle to a running TCP cluster (all nodes on loopback).
 pub struct TcpCluster {
     servers: Vec<JoinHandle<ShardStats>>,
-    control: TcpPostman,
-    // Keeps the control endpoint's connections alive; dropping the node
-    // would mark its postman disconnected.
-    _control_node: TcpNode,
-    num_servers: u32,
-    // Per-worker trace streamers when launched collected; final-flushed at
-    // shutdown (after the worker threads are done recording).
-    worker_streamers: Vec<TraceStreamer>,
-    // Live health engine + its collector tap when launched introspected;
-    // drained and finalized at shutdown.
-    health: Option<(HealthEngine, HealthTap)>,
-    // Span-profile collector when launched introspected: server loops,
-    // worker clients and the nodes' wire encode/decode paths profile into
-    // it, and `/profile` serves its snapshots.
-    prof: Option<ProfCollector>,
+    // Owning the node keeps the control postman's connections alive.
+    control: TcpNode,
+    session: Session,
     /// Where each node listens (exported so external processes could join).
     pub addresses: AddressBook,
 }
@@ -61,184 +39,31 @@ impl TcpCluster {
         map: SliceMap,
         init: &HashMap<u64, Vec<f32>>,
     ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        Self::launch_inner(cfg, map, init, None, None)
+        Self::launch_observed(cfg, map, init, Observability::default())
     }
 
-    /// [`TcpCluster::launch`] with a [`TraceCollector`]: shards, server
-    /// loops and worker clients record trace events (wall clock).
-    pub fn launch_with_collector(
+    /// [`TcpCluster::launch`], observed as `obs` says.
+    pub fn launch_observed(
         cfg: EngineConfig,
         map: SliceMap,
         init: &HashMap<u64, Vec<f32>>,
-        collector: &TraceCollector,
+        obs: Observability,
     ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        Self::launch_inner(cfg, map, init, Some(collector), None)
-    }
-
-    /// Launch with *cluster-wide trace collection*: every server loop and
-    /// worker client gets its own wall-clock [`TraceCollector`] of
-    /// `ring_capacity` events and a [`TraceStreamer`] shipping them to the
-    /// [`fluentps_transport::CollectorService`] at `collector_addr`, where
-    /// they are clock-aligned and merged onto one timeline.
-    pub fn launch_collected(
-        cfg: EngineConfig,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector_addr: SocketAddr,
-        ring_capacity: usize,
-    ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        Self::launch_inner(cfg, map, init, None, Some((collector_addr, ring_capacity)))
-    }
-
-    /// [`TcpCluster::launch_with_collector`] plus a live introspection
-    /// endpoint serving `registry` at `addr` (`/metrics`, `/healthz`,
-    /// `/trace`, `/slo`, `/alerts`). Cluster-shape gauges are published at
-    /// launch; bind loopback (`127.0.0.1:0`) unless the endpoint is
-    /// deliberately exposed.
-    ///
-    /// A streaming [`HealthEngine`] with the default alert rules is fed
-    /// from `collector` for the lifetime of the run and finalized by
-    /// [`TcpCluster::shutdown`]; [`TcpCluster::health_engine`] exposes it
-    /// in-process.
-    pub fn launch_introspected(
-        cfg: EngineConfig,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: &TraceCollector,
-        registry: &MetricsRegistry,
-        addr: SocketAddr,
-    ) -> Result<(TcpCluster, Vec<TcpWorker>, IntrospectionServer), TransportError> {
-        let prof = ProfCollector::wall();
-        let (mut cluster, workers) =
-            Self::launch_profiled(cfg, map, init, Some(collector), None, Some(&prof))?;
-        crate::engine::publish_cluster_gauges(registry, "tcp", cfg.num_workers, cfg.num_servers);
-        let engine = HealthEngine::with_default_rules(StreamConfig::default());
-        let tap = engine.attach_to(collector, std::time::Duration::from_millis(20));
-        let server = http::serve_profiled(
-            addr,
-            registry.clone(),
-            Some(TraceSource::Local(collector.clone())),
-            None,
-            Some(engine.clone()),
-            Some(prof.clone()),
-        )?;
-        cluster.health = Some((engine, tap));
-        cluster.prof = Some(prof);
-        Ok((cluster, workers, server))
-    }
-
-    /// The span-profile collector attached by
-    /// [`TcpCluster::launch_introspected`] (`None` for the other launch
-    /// paths). Snapshot it any time — including mid-run — for folded-stack
-    /// or speedscope exports covering server loop phases, worker client
-    /// phases and frame encode/decode.
-    pub fn prof_collector(&self) -> Option<&ProfCollector> {
-        self.prof.as_ref()
-    }
-
-    /// The live [`HealthEngine`] attached by
-    /// [`TcpCluster::launch_introspected`] (`None` for the other launch
-    /// paths).
-    pub fn health_engine(&self) -> Option<&HealthEngine> {
-        self.health.as_ref().map(|(engine, _)| engine)
-    }
-
-    fn launch_inner(
-        cfg: EngineConfig,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: Option<&TraceCollector>,
-        stream_to: Option<(SocketAddr, usize)>,
-    ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        Self::launch_profiled(cfg, map, init, collector, stream_to, None)
-    }
-
-    fn launch_profiled(
-        cfg: EngineConfig,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        collector: Option<&TraceCollector>,
-        stream_to: Option<(SocketAddr, usize)>,
-        prof: Option<&ProfCollector>,
-    ) -> Result<(TcpCluster, Vec<TcpWorker>), TransportError> {
-        // Per-node tracing when streaming to a cluster collector: each node
-        // gets its own collector (distinct clock epochs make the offset
-        // handshake meaningful) plus a streamer shipping its ring. With a
-        // profile collector attached, the streamer's drains profile too.
-        let node_tracing = |node: NodeId| -> (Tracer, Option<TraceStreamer>) {
-            match stream_to {
-                Some((addr, capacity)) => {
-                    let col = TraceCollector::wall(capacity);
-                    let tracer = col.tracer();
-                    let streamer = TraceStreamer::start_profiled(
-                        node,
-                        &col,
-                        addr,
-                        StreamerConfig::default(),
-                        prof.map(|p| p.profiler()).unwrap_or_default(),
-                    );
-                    (tracer, Some(streamer))
-                }
-                None => (collector.map(|c| c.tracer()).unwrap_or_default(), None),
-            }
-        };
-        let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
-        // Every socket a profiled cluster binds shares the one profile
-        // collector, so frame encode/decode shows up as `wire/*` spans.
-        let bind_node = |node: NodeId, book: AddressBook| -> Result<TcpNode, TransportError> {
-            match prof {
-                Some(p) => {
-                    TcpNode::bind_profiled(node, loopback, book, Tracer::disabled(), p.profiler())
-                }
-                None => TcpNode::bind(node, loopback, book),
-            }
-        };
         assert_eq!(map.num_servers(), cfg.num_servers, "map/server mismatch");
+        let mut session = Session::start(obs, "tcp", &cfg, None)?;
+        let nodes = launch::bind_cluster(&cfg, 0, NodeId::Scheduler, &session.obs)?;
 
-        // Bind every node first so the final address book is complete, then
-        // hand each node the finished book (TcpNode snapshots it at bind, so
-        // bind receive-only nodes first and sender nodes after).
-        let book = AddressBook::new();
-        let mut server_rx = Vec::new();
-        for m in 0..cfg.num_servers {
-            let node = bind_node(NodeId::Server(m), AddressBook::new())?;
-            book.insert(NodeId::Server(m), node.local_addr());
-            server_rx.push(node);
-        }
-        let mut worker_nodes = Vec::new();
-        for n in 0..cfg.num_workers {
-            let node = bind_node(NodeId::Worker(n), book.clone())?;
-            book.insert(NodeId::Worker(n), node.local_addr());
-            worker_nodes.push(node);
-        }
-        // Each server gets a sender identity with the complete book. Sender
-        // ids live above the real server range so they never collide.
         let mut servers = Vec::with_capacity(cfg.num_servers as usize);
-        for (m, rx) in server_rx.into_iter().enumerate() {
+        for (m, (rx, tx)) in nodes.servers.into_iter().enumerate() {
             let m = m as u32;
-            let tx = bind_node(NodeId::Server(cfg.num_servers + 1 + m), book.clone())?;
-            let mut shard = ServerShard::new(ShardConfig {
-                server_id: m,
-                num_workers: cfg.num_workers,
-                model: cfg.model,
-                policy: cfg.policy,
-                grad_scale: cfg.grad_scale,
-            });
-            for p in map.placements().iter().filter(|p| p.server == m) {
-                let vals = init
-                    .get(&p.orig_key)
-                    .map(|v| v[p.offset..p.offset + p.len].to_vec())
-                    .unwrap_or_else(|| vec![0.0; p.len]);
-                shard.init_param(p.new_key, vals);
-            }
-            let (tracer, streamer) = node_tracing(NodeId::Server(m));
-            shard.set_tracer(tracer.clone());
-            let rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(m as u64 + 1));
-            let profiler = prof.map(|p| p.profiler()).unwrap_or_default();
+            let (tracer, streamer) = session.obs.node(NodeId::Server(m));
+            let profiler = session.obs.span_profiler();
+            let (server, _) =
+                launch::shard_server(&cfg, cfg.model, m, (&map, init), tracer, profiler);
             let handle = std::thread::Builder::new()
                 .name(format!("fluentps-tcp-server-{m}"))
                 .spawn(move || {
-                    let stats = tcp_server_loop(shard, rx, tx, rng, tracer, profiler);
+                    let stats = serve::run(server, &rx, &tx.postman());
                     // Final-flush from the server's own thread so everything
                     // it recorded reaches the collector before it exits.
                     if let Some(s) = streamer {
@@ -251,22 +76,15 @@ impl TcpCluster {
         }
 
         let router = Router::new(map);
-        let control_node = bind_node(NodeId::Scheduler, book.clone())?;
-        let control = control_node.postman();
-
-        let mut worker_streamers = Vec::new();
-        let workers = worker_nodes
+        let workers = nodes
+            .workers
             .into_iter()
             .enumerate()
             .map(|(n, node)| {
                 let postman = node.postman();
                 let mut w = WorkerClient::new(n as u32, postman, node, router.clone());
-                let (tracer, streamer) = node_tracing(NodeId::Worker(n as u32));
-                worker_streamers.extend(streamer);
-                w.set_tracer(tracer);
-                if let Some(p) = prof {
-                    w.set_profiler(p.profiler());
-                }
+                w.set_tracer(session.worker(n as u32));
+                w.set_profiler(session.obs.span_profiler());
                 w
             })
             .collect();
@@ -274,188 +92,41 @@ impl TcpCluster {
         Ok((
             TcpCluster {
                 servers,
-                control,
-                _control_node: control_node,
-                num_servers: cfg.num_servers,
-                worker_streamers,
-                health: None,
-                prof: None,
-                addresses: book,
+                control: nodes.control,
+                session,
+                addresses: nodes.book,
             },
             workers,
         ))
     }
 
+    /// Where [`Observability::http`] is being served (resolves port 0).
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.session.http_addr()
+    }
+
     /// Send shutdown to every server and collect their statistics.
     ///
-    /// For collected launches, call after the worker threads have finished:
-    /// the workers' trace streamers final-flush here.
+    /// Call after the worker threads have finished: the workers' trace
+    /// streamers final-flush here.
     pub fn shutdown(self) -> Vec<ShardStats> {
-        for s in self.worker_streamers {
-            s.stop();
-        }
-        for m in 0..self.num_servers {
-            let _ = self.control.send(NodeId::Server(m), Message::Shutdown);
-        }
-        let stats: Vec<ShardStats> = self
-            .servers
-            .into_iter()
-            .map(|h| h.join().expect("tcp server thread"))
-            .collect();
-        // Drain the servers' final events into the health engine, then
-        // close its last window so `/slo` reflects the completed run.
-        if let Some((engine, tap)) = self.health {
-            tap.stop();
-            engine.finish();
-        }
-        stats
+        let TcpCluster {
+            servers,
+            control,
+            session,
+            ..
+        } = self;
+        session.shutdown(|| {
+            let postman = control.postman();
+            for m in 0..servers.len() as u32 {
+                let _ = postman.send(NodeId::Server(m), Message::Shutdown);
+            }
+            servers
+                .into_iter()
+                .map(|h| h.join().expect("tcp server thread"))
+                .collect()
+        })
     }
-}
-
-fn tcp_server_loop(
-    mut shard: ServerShard,
-    rx: TcpNode,
-    tx: TcpNode,
-    mut rng: StdRng,
-    tracer: Tracer,
-    profiler: Profiler,
-) -> ShardStats {
-    let postman = tx.postman();
-    let server_id = shard.config().server_id;
-    // Every reply a handled message produces (a PushAck plus any released
-    // PullResponses, or the shutdown drain) is queued and handed to the
-    // transport as one batch, so the TCP postman coalesces all frames for a
-    // worker into a single write instead of one syscall per reply.
-    let mut replies: Vec<(NodeId, Message)> = Vec::new();
-    let send = |replies: &mut Vec<(NodeId, Message)>,
-                worker: u32,
-                msg: Message,
-                ctx: Option<CausalCtx>| {
-        let msg = match ctx {
-            Some(c) => msg.with_ctx(c),
-            None => msg,
-        };
-        tracer.record(
-            EventKind::WireSend,
-            stamp_ctx(
-                RecordArgs::new()
-                    .shard(server_id)
-                    .worker(worker)
-                    .bytes(frame::wire_len(&msg) as u64),
-                ctx,
-            ),
-        );
-        replies.push((NodeId::Worker(worker), msg));
-    };
-    while let Ok((_, msg)) = rx.recv() {
-        let wire_bytes = frame::wire_len(&msg) as u64;
-        let (ctx, msg) = msg.split_ctx();
-        if tracer.is_enabled() {
-            let worker = match &msg {
-                Message::SPush { worker, .. } | Message::SPull { worker, .. } => *worker,
-                _ => NO_ID,
-            };
-            tracer.record(
-                EventKind::WireRecv,
-                stamp_ctx(
-                    RecordArgs::new()
-                        .shard(server_id)
-                        .worker(worker)
-                        .bytes(wire_bytes),
-                    ctx,
-                ),
-            );
-        }
-        let mut done = false;
-        match msg {
-            Message::SPush {
-                worker,
-                progress,
-                kv,
-            } => {
-                let released = {
-                    let _span = profiler.enter("server/apply_push");
-                    let released = shard.on_push_ctx(worker, progress, &kv, ctx);
-                    send(
-                        &mut replies,
-                        worker,
-                        Message::PushAck {
-                            server: server_id,
-                            progress,
-                        },
-                        ctx,
-                    );
-                    released
-                };
-                if !released.is_empty() {
-                    let _span = profiler.enter("server/release_dprs");
-                    for r in released {
-                        send(
-                            &mut replies,
-                            r.worker,
-                            Message::PullResponse {
-                                server: server_id,
-                                progress: r.progress,
-                                kv: r.kv,
-                                version: r.version,
-                            },
-                            r.ctx,
-                        );
-                    }
-                }
-            }
-            Message::SPull {
-                worker,
-                progress,
-                keys,
-            } => {
-                let _span = profiler.enter("server/handle_pull");
-                let draw: f64 = rng.gen();
-                if let PullOutcome::Respond { kv, version } =
-                    shard.on_pull_ctx(worker, progress, &keys, draw, None, ctx)
-                {
-                    send(
-                        &mut replies,
-                        worker,
-                        Message::PullResponse {
-                            server: server_id,
-                            progress,
-                            kv,
-                            version,
-                        },
-                        ctx,
-                    );
-                }
-            }
-            Message::Shutdown => {
-                for r in shard.drain_shutdown() {
-                    send(
-                        &mut replies,
-                        r.worker,
-                        Message::PullResponse {
-                            server: server_id,
-                            progress: r.progress,
-                            kv: r.kv,
-                            version: r.version,
-                        },
-                        r.ctx,
-                    );
-                }
-                done = true;
-            }
-            _ => {}
-        }
-        if !replies.is_empty() {
-            // The flush is its own phase: frame encoding inside it shows up
-            // as a nested `wire/encode` under `server/reply`.
-            let _span = profiler.enter("server/reply");
-            let _ = postman.send_batch(std::mem::take(&mut replies));
-        }
-        if done {
-            break;
-        }
-    }
-    shard.stats().clone()
 }
 
 #[cfg(test)]
@@ -463,6 +134,7 @@ mod tests {
     use super::*;
     use crate::condition::SyncModel;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
+    use fluentps_obs::{EventKind, TraceCollector};
 
     #[test]
     fn tcp_cluster_runs_bsp_training_round_trips() {
@@ -517,8 +189,12 @@ mod tests {
             ..EngineConfig::default()
         };
         let collector = TraceCollector::wall(1024);
+        let obs = Observability {
+            collector: Some(collector.clone()),
+            ..Observability::default()
+        };
         let (cluster, mut workers) =
-            TcpCluster::launch_with_collector(cfg, map, &init, &collector).expect("launch");
+            TcpCluster::launch_observed(cfg, map, &init, obs).expect("launch");
         let mut w = workers.remove(0);
         let grads: HashMap<u64, Vec<f32>> = [(0u64, vec![1.0f32; 4])].into();
         let mut params = HashMap::new();
@@ -557,9 +233,12 @@ mod tests {
         };
         let mut service = CollectorService::bind("127.0.0.1:0".parse().unwrap(), 1 << 12)
             .expect("bind collector");
-        let (cluster, workers) =
-            TcpCluster::launch_collected(cfg, map, &init, service.local_addr(), 1 << 10)
-                .expect("launch");
+        let obs = Observability {
+            stream_to: Some(service.local_addr()),
+            ring_capacity: 1 << 10,
+            ..Observability::default()
+        };
+        let (cluster, workers) = TcpCluster::launch_observed(cfg, map, &init, obs).expect("launch");
 
         let handles: Vec<_> = workers
             .into_iter()

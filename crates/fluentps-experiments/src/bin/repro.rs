@@ -268,19 +268,20 @@ fn run_collect_cmd(args: &[String]) {
     // take the address over from the chaos run's own endpoint.
     let introspection = cfg.metrics_addr.take().map(|addr| {
         let registry = fluentps_obs::MetricsRegistry::new();
-        let scope = registry.scope().with("engine", "resilient-tcp");
-        scope.set_gauge("cluster_workers", cfg.num_workers as f64);
-        scope.set_gauge("cluster_servers", cfg.num_servers as f64);
-        scope.set_gauge("cluster_up", 1.0);
+        fluentps_core::launch::publish_cluster_gauges(
+            &registry,
+            "resilient-tcp",
+            cfg.num_workers,
+            cfg.num_servers,
+        );
         eprintln!("[repro] serving merged /trace, /slo, /alerts and /metrics on http://{addr}/");
-        fluentps_obs::http::serve_observed(
-            addr,
+        let endpoints = fluentps_obs::http::Endpoints {
             registry,
-            Some(fluentps_obs::TraceSource::Cluster(service.cluster())),
-            None,
-            Some(engine.clone()),
-        )
-        .expect("bind introspection endpoint")
+            trace: Some(fluentps_obs::TraceSource::Cluster(service.cluster())),
+            engine: Some(engine.clone()),
+            ..Default::default()
+        };
+        fluentps_obs::http::serve(addr, endpoints).expect("bind introspection endpoint")
     });
     eprintln!(
         "[repro] collect: {}w x {}s, {} iters, seed {}, faults {}, kill {:?}, collector {}",

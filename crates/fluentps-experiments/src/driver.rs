@@ -588,12 +588,18 @@ impl<'a> Simulation<'a> {
 
         let metrics = fluentps_obs::MetricsRegistry::new();
         let introspection = cfg.metrics_addr.map(|addr| {
-            let scope = metrics.scope().with("engine", "simulated");
-            scope.set_gauge("cluster_workers", cfg.num_workers as f64);
-            scope.set_gauge("cluster_servers", cfg.num_servers as f64);
-            scope.set_gauge("cluster_up", 1.0);
-            fluentps_obs::http::serve(addr, metrics.clone(), collector.clone())
-                .expect("bind introspection endpoint")
+            fluentps_core::launch::publish_cluster_gauges(
+                &metrics,
+                "simulated",
+                cfg.num_workers,
+                cfg.num_servers,
+            );
+            let endpoints = fluentps_obs::http::Endpoints {
+                registry: metrics.clone(),
+                trace: collector.clone().map(fluentps_obs::TraceSource::Local),
+                ..Default::default()
+            };
+            fluentps_obs::http::serve(addr, endpoints).expect("bind introspection endpoint")
         });
 
         Simulation {

@@ -14,6 +14,7 @@ use fluentps_core::condition::SyncModel;
 use fluentps_core::dpr::DprPolicy;
 use fluentps_core::engine::EngineConfig;
 use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
+use fluentps_core::launch::Observability;
 use fluentps_core::recovery::{RecoveryConfig, ResilientTcpCluster};
 use fluentps_core::stats::ShardStats;
 use fluentps_core::worker::RetryPolicy;
@@ -21,10 +22,7 @@ use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
 use fluentps_ml::models::{Mlp, Model, SoftmaxRegression};
 use fluentps_ml::optim::{Optimizer, Sgd};
 use fluentps_ml::schedule::LrSchedule;
-use fluentps_obs::{
-    AlertTransition, HealthEngine, MetricsRegistry, StreamConfig, Trace, TraceCollector,
-    TraceSource,
-};
+use fluentps_obs::{AlertTransition, HealthEngine, StreamConfig, Trace, TraceCollector};
 use fluentps_transport::fault::FaultPlan;
 
 /// Configuration of a live (threaded-engine) training run.
@@ -101,6 +99,14 @@ pub struct LiveResult {
     pub trace: Option<Trace>,
 }
 
+/// The health engine a run creates for its own introspection endpoint.
+fn endpoint_health_engine() -> HealthEngine {
+    HealthEngine::with_default_rules(StreamConfig {
+        window_secs: 0.5,
+        windows: 8,
+    })
+}
+
 /// Run a live training job on the threaded in-process engine.
 pub fn run_live(cfg: &LiveConfig) -> LiveResult {
     let (train, test) = synthetic(cfg.dataset);
@@ -122,45 +128,23 @@ pub fn run_live(cfg: &LiveConfig) -> LiveResult {
         .trace_events
         .or(cfg.metrics_addr.map(|_| 1 << 16))
         .map(TraceCollector::wall);
-    let builder = FluentPs::builder()
+    let obs = Observability {
+        collector: collector.clone(),
+        // With an endpoint up, a health engine tails the run's collector so
+        // `/slo` and `/alerts` are live next to `/metrics`.
+        health: cfg.metrics_addr.map(|_| endpoint_health_engine()),
+        http: cfg.metrics_addr,
+        ..Observability::default()
+    };
+    let (cluster, workers) = FluentPs::builder()
         .workers(cfg.num_workers)
         .servers(cfg.num_servers)
         .model(cfg.model)
         .policy(cfg.policy)
         .slicer(SlicerChoice::Eps { max_chunk: 4096 })
-        .seed(cfg.seed);
-    let (cluster, workers) = match &collector {
-        Some(col) => builder.launch_with_collector(&init, col),
-        None => builder.launch(&init),
-    };
-    // With an endpoint up, a health engine tails the run's collector so
-    // `/slo` and `/alerts` are live next to `/metrics`.
-    let health = match (&collector, cfg.metrics_addr) {
-        (Some(col), Some(_)) => {
-            let engine = HealthEngine::with_default_rules(StreamConfig {
-                window_secs: 0.5,
-                windows: 8,
-            });
-            let tap = engine.attach_to(col, Duration::from_millis(20));
-            Some((engine, tap))
-        }
-        _ => None,
-    };
-    let introspection = cfg.metrics_addr.map(|addr| {
-        let registry = MetricsRegistry::new();
-        let scope = registry.scope().with("engine", "threaded");
-        scope.set_gauge("cluster_workers", cfg.num_workers as f64);
-        scope.set_gauge("cluster_servers", cfg.num_servers as f64);
-        scope.set_gauge("cluster_up", 1.0);
-        fluentps_obs::http::serve_observed(
-            addr,
-            registry,
-            collector.clone().map(TraceSource::Local),
-            None,
-            health.as_ref().map(|(engine, _)| engine.clone()),
-        )
-        .expect("bind introspection endpoint")
-    });
+        .seed(cfg.seed)
+        .observe(obs)
+        .launch(&init);
 
     let start = Instant::now();
     let model_ref: &dyn Model = model.as_ref();
@@ -207,11 +191,6 @@ pub fn run_live(cfg: &LiveConfig) -> LiveResult {
         Some(_) => collector.as_ref().map(|c| c.snapshot()),
         None => None,
     };
-    if let Some((engine, tap)) = health {
-        tap.stop();
-        engine.finish();
-    }
-    drop(introspection);
     LiveResult {
         accuracy: model.accuracy(&results[0], &test),
         wall_seconds,
@@ -400,60 +379,35 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
         } else {
             FaultPlan::passthrough()
         },
-        collector_addr: cfg.collector_addr,
-        trace_ring_capacity: cfg.trace_ring_capacity,
         num_supervisors: cfg.num_supervisors,
         kill_supervisors: cfg.kill_supervisors.clone(),
         election_timeout: Duration::from_millis(200),
         leader_lease: Duration::from_millis(100),
-        metrics: None,
-        health_engine: None,
     };
 
     // Health engine: the caller's, or a fresh one whenever the run serves
     // an introspection endpoint (so `/slo` and `/alerts` always accompany
     // `/metrics`). Fed from a run-local collector unless the nodes stream
     // to a remote collector service — then that service owns the feed.
-    let engine = cfg.health_engine.clone().or_else(|| {
-        cfg.metrics_addr.map(|_| {
-            HealthEngine::with_default_rules(StreamConfig {
-                window_secs: 0.5,
-                windows: 8,
-            })
-        })
-    });
+    let engine = cfg
+        .health_engine
+        .clone()
+        .or_else(|| cfg.metrics_addr.map(|_| endpoint_health_engine()));
     let local_collector = if cfg.collector_addr.is_none() && (engine.is_some() || cfg.keep_trace) {
         Some(TraceCollector::wall(cfg.trace_ring_capacity))
     } else {
         None
     };
-    let mut rcfg = rcfg;
-    rcfg.health_engine = engine.clone();
-    // The registry exists before launch so the supervisor replicas can
-    // publish the consensus gauges into it from the first election on.
-    let consensus_registry = cfg.metrics_addr.map(|_| MetricsRegistry::new());
-    rcfg.metrics = consensus_registry.clone();
-
-    let (cluster, workers) =
-        ResilientTcpCluster::launch(ecfg, rcfg, map, &init, local_collector.as_ref())
-            .expect("launch chaos cluster");
-    let introspection = cfg.metrics_addr.map(|addr| {
-        let registry = consensus_registry
-            .clone()
-            .expect("registry with metrics_addr");
-        let scope = registry.scope().with("engine", "resilient-tcp");
-        scope.set_gauge("cluster_workers", cfg.num_workers as f64);
-        scope.set_gauge("cluster_servers", cfg.num_servers as f64);
-        scope.set_gauge("cluster_up", 1.0);
-        fluentps_obs::http::serve_observed(
-            addr,
-            registry,
-            local_collector.clone().map(TraceSource::Local),
-            Some(cluster.health()),
-            engine.clone(),
-        )
-        .expect("bind introspection endpoint")
-    });
+    let obs = Observability {
+        collector: local_collector.clone(),
+        stream_to: cfg.collector_addr,
+        ring_capacity: cfg.trace_ring_capacity,
+        health: engine.clone(),
+        http: cfg.metrics_addr,
+        ..Observability::default()
+    };
+    let (cluster, workers) = ResilientTcpCluster::launch_observed(ecfg, rcfg, map, &init, obs)
+        .expect("launch chaos cluster");
 
     let start = Instant::now();
     let model_ref = &model;
@@ -505,7 +459,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
     let health = cluster.health();
     let dead_at_end = health.dead_count();
     let stats = cluster.shutdown();
-    drop(introspection);
 
     let mut h = 0u64;
     for (m, s) in stats.iter().enumerate() {

@@ -1,8 +1,8 @@
 //! `repro profile`: a live TCP training run under the cooperative span
 //! profiler, reporting where the time (and the allocations) went.
 //!
-//! The run uses [`fluentps_core::tcp_engine::TcpCluster::launch_introspected`],
-//! so every layer the profiler instruments is exercised for real: server
+//! The run launches a [`fluentps_core::tcp_engine::TcpCluster`] observed
+//! with a profile collector, so every layer the profiler instruments is exercised for real: server
 //! loop phases (`server/apply_push`, `server/handle_pull`, `server/reply`),
 //! worker client phases (`worker/push`, `worker/pull_wait`) nested under the
 //! training step spans this module opens (`worker/step`, `worker/compute`),
@@ -17,12 +17,13 @@ use std::time::Instant;
 use fluentps_core::condition::SyncModel;
 use fluentps_core::engine::EngineConfig;
 use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
+use fluentps_core::launch::Observability;
 use fluentps_core::stats::ShardStats;
 use fluentps_core::tcp_engine::TcpCluster;
 use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
 use fluentps_ml::models::{Model, SoftmaxRegression};
 use fluentps_ml::optim::{Optimizer, Sgd};
-use fluentps_obs::{MetricsRegistry, ProfileReport, TraceCollector};
+use fluentps_obs::{HealthEngine, ProfCollector, ProfileReport, StreamConfig, TraceCollector};
 
 /// Configuration of a profiled live TCP run.
 #[derive(Debug, Clone)]
@@ -105,20 +106,21 @@ pub fn run_profile(cfg: &ProfileConfig) -> ProfileResult {
         seed: cfg.seed,
         ..EngineConfig::default()
     };
-    let collector = TraceCollector::wall(1 << 14);
-    let registry = MetricsRegistry::new();
+    // Keep a handle past shutdown so the snapshot includes the servers'
+    // final spans.
+    let prof = ProfCollector::wall();
     let addr = cfg
         .metrics_addr
         .unwrap_or_else(|| "127.0.0.1:0".parse().expect("loopback"));
-    let (cluster, workers, introspection) =
-        TcpCluster::launch_introspected(ecfg, map, &init, &collector, &registry, addr)
-            .expect("launch profiled TCP cluster");
-    // Keep a handle past shutdown so the snapshot includes the servers'
-    // final spans.
-    let prof = cluster
-        .prof_collector()
-        .expect("introspected launch attaches a profiler")
-        .clone();
+    let obs = Observability {
+        collector: Some(TraceCollector::wall(1 << 14)),
+        profiler: Some(prof.clone()),
+        health: Some(HealthEngine::with_default_rules(StreamConfig::default())),
+        http: Some(addr),
+        ..Observability::default()
+    };
+    let (cluster, workers) =
+        TcpCluster::launch_observed(ecfg, map, &init, obs).expect("launch profiled TCP cluster");
 
     let start = Instant::now();
     let model_ref = &model;
@@ -168,7 +170,6 @@ pub fn run_profile(cfg: &ProfileConfig) -> ProfileResult {
     for s in cluster.shutdown() {
         stats.merge(&s);
     }
-    drop(introspection);
     ProfileResult {
         accuracy: model.accuracy(&results[0], &test),
         wall_seconds,

@@ -5,7 +5,7 @@
 //! Routes:
 //!
 //! * `GET /healthz` — readiness. With a [`HealthView`] attached
-//!   ([`serve_with_health`]) this reports per-node last-heartbeat ages and
+//!   ([`Endpoints::health`]) this reports per-node last-heartbeat ages and
 //!   the dead-node count as fed by the cluster's liveness monitor — `200`
 //!   while every node is alive, `503` once any node is declared dead.
 //!   Without one it degrades to the static `200 ok` liveness probe.
@@ -21,8 +21,7 @@
 //!   event kind (snake-case [`crate::EventKind`] names), `request=ID` to
 //!   events stamped with one causal request id; all apply before the tail
 //!   is taken and compose freely. The trace may be a single process's
-//!   [`TraceCollector`] or — via [`serve_source`] with
-//!   [`TraceSource::Cluster`] — the live merged timeline of a whole
+//!   [`TraceCollector`] or — with [`TraceSource::Cluster`] — the live merged timeline of a whole
 //!   cluster, in which case `/metrics` also exports per-node collection
 //!   counters (events received/dropped, clock offset, HLC bumps,
 //!   incarnations).
@@ -37,13 +36,13 @@
 //!   `/metrics`.
 //! * `GET /slo` and `GET /alerts` — when a
 //!   [`HealthEngine`](crate::stream::HealthEngine) is attached
-//!   ([`serve_observed`]): the streaming health summary as greppable
+//!   ([`Endpoints::engine`]): the streaming health summary as greppable
 //!   `key value` text, and the alert transition history plus current rule
 //!   states as JSONL (`application/x-ndjson`, like `/trace`). The engine's
 //!   gauges are also refreshed into `/metrics` on every scrape.
 //! * `GET /profile?format=folded|speedscope&metric=time|allocs|bytes` —
 //!   when a [`ProfCollector`](crate::prof::ProfCollector) is attached
-//!   ([`serve_profiled`]): a live snapshot of this node's span profile, as
+//!   ([`Endpoints::prof`]): a live snapshot of this node's span profile, as
 //!   flamegraph folded-stack text (the default; `metric` picks self time,
 //!   allocation count or allocated bytes) or as speedscope JSON carrying
 //!   all three metrics as separate profiles.
@@ -118,63 +117,34 @@ impl TraceSource {
     }
 }
 
-/// Serve `/metrics`, `/healthz` and `/trace` on `addr` until the returned
-/// handle is stopped or dropped. Pass `0` as the port to let the OS pick
-/// one — read it back from [`IntrospectionServer::local_addr`].
-pub fn serve(
-    addr: SocketAddr,
-    registry: MetricsRegistry,
-    collector: Option<TraceCollector>,
-) -> std::io::Result<IntrospectionServer> {
-    serve_with_health(addr, registry, collector, None)
+/// What an endpoint serves. Only the registry is always there; each
+/// `None` turns its routes into `404` (or, for `health`, `/healthz` into
+/// the static `200 ok` liveness probe).
+#[derive(Clone, Default)]
+pub struct Endpoints {
+    /// `/metrics`.
+    pub registry: MetricsRegistry,
+    /// `/trace` and `/waterfall`, and the trace part of `/metrics`.
+    pub trace: Option<TraceSource>,
+    /// `/healthz` as a readiness probe fed by a liveness monitor.
+    pub health: Option<HealthView>,
+    /// `/slo` and `/alerts`, and the engine's gauges on `/metrics`.
+    pub engine: Option<HealthEngine>,
+    /// `/profile`.
+    pub prof: Option<ProfCollector>,
 }
 
-/// [`serve`] plus a [`HealthView`]: `/healthz` becomes a readiness probe
-/// reflecting the cluster's liveness monitor instead of a static `ok`.
-pub fn serve_with_health(
-    addr: SocketAddr,
-    registry: MetricsRegistry,
-    collector: Option<TraceCollector>,
-    health: Option<HealthView>,
-) -> std::io::Result<IntrospectionServer> {
-    serve_source(addr, registry, collector.map(TraceSource::Local), health)
-}
-
-/// [`serve_with_health`] over any [`TraceSource`] — attach
-/// [`TraceSource::Cluster`] to serve a collector service's live merged
-/// cluster timeline instead of one process's rings.
-pub fn serve_source(
-    addr: SocketAddr,
-    registry: MetricsRegistry,
-    source: Option<TraceSource>,
-    health: Option<HealthView>,
-) -> std::io::Result<IntrospectionServer> {
-    serve_observed(addr, registry, source, health, None)
-}
-
-/// [`serve_source`] plus a streaming [`HealthEngine`]: `/slo` and
-/// `/alerts` go live, and the engine's gauges refresh into `/metrics` on
-/// every scrape.
-pub fn serve_observed(
-    addr: SocketAddr,
-    registry: MetricsRegistry,
-    source: Option<TraceSource>,
-    health: Option<HealthView>,
-    engine: Option<HealthEngine>,
-) -> std::io::Result<IntrospectionServer> {
-    serve_profiled(addr, registry, source, health, engine, None)
-}
-
-/// [`serve_observed`] plus a [`ProfCollector`]: `/profile` serves live
-/// folded-stack and speedscope snapshots of this node's span profile.
-pub fn serve_profiled(
-    addr: SocketAddr,
-    registry: MetricsRegistry,
-    source: Option<TraceSource>,
-    health: Option<HealthView>,
-    engine: Option<HealthEngine>,
-    prof: Option<ProfCollector>,
-) -> std::io::Result<IntrospectionServer> {
+/// Serve `endpoints` on `addr` until the returned handle is stopped or
+/// dropped. Pass `0` as the port to let the OS pick one — read it back from
+/// [`IntrospectionServer::local_addr`].
+pub fn serve(addr: SocketAddr, endpoints: Endpoints) -> std::io::Result<IntrospectionServer> {
+    let Endpoints {
+        registry,
+        trace: source,
+        health,
+        engine,
+        prof,
+    } = endpoints;
     // Every served registry carries process metadata (uptime epoch and
     // build version) so scrapes can correlate runs.
     registry.register_process_metrics();
@@ -618,6 +588,10 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bind(endpoints: Endpoints) -> IntrospectionServer {
+        serve("127.0.0.1:0".parse().expect("addr"), endpoints).expect("bind")
+    }
     use crate::event::EventKind;
     use crate::tracer::RecordArgs;
 
@@ -649,12 +623,11 @@ mod tests {
             EventKind::PushApplied,
             RecordArgs::new().shard(0).worker(1).progress(3).v_train(2),
         );
-        let server = serve(
-            "127.0.0.1:0".parse().expect("addr"),
-            registry.clone(),
-            Some(collector),
-        )
-        .expect("bind");
+        let server = bind(Endpoints {
+            registry: registry.clone(),
+            trace: Some(TraceSource::Local(collector)),
+            ..Endpoints::default()
+        });
         let addr = server.local_addr();
 
         let (status, body) = get(addr, "/healthz");
@@ -681,13 +654,10 @@ mod tests {
     fn healthz_reflects_the_attached_health_view() {
         use crate::health::NodeHealth;
         let health = HealthView::new();
-        let server = serve_with_health(
-            "127.0.0.1:0".parse().expect("addr"),
-            MetricsRegistry::new(),
-            None,
-            Some(health.clone()),
-        )
-        .expect("bind");
+        let server = bind(Endpoints {
+            health: Some(health.clone()),
+            ..Endpoints::default()
+        });
         let addr = server.local_addr();
 
         // All alive: ready.
@@ -728,12 +698,10 @@ mod tests {
         tracer.record(EventKind::PushApplied, RecordArgs::new().shard(0).worker(1));
         tracer.record(EventKind::PushApplied, RecordArgs::new().shard(0).worker(2));
         tracer.record(EventKind::VTrainAdvanced, RecordArgs::new().shard(3));
-        let server = serve(
-            "127.0.0.1:0".parse().expect("addr"),
-            MetricsRegistry::new(),
-            Some(collector),
-        )
-        .expect("bind");
+        let server = bind(Endpoints {
+            trace: Some(TraceSource::Local(collector)),
+            ..Endpoints::default()
+        });
         let addr = server.local_addr();
 
         let (status, body) = get(addr, "/trace?actor=worker1");
@@ -768,12 +736,10 @@ mod tests {
             EventKind::PullRequested,
             RecordArgs::new().shard(0).worker(2),
         );
-        let server = serve(
-            "127.0.0.1:0".parse().expect("addr"),
-            MetricsRegistry::new(),
-            Some(collector),
-        )
-        .expect("bind");
+        let server = bind(Endpoints {
+            trace: Some(TraceSource::Local(collector)),
+            ..Endpoints::default()
+        });
         let addr = server.local_addr();
 
         let (status, body) = get(addr, "/trace?kind=pull_requested");
@@ -828,12 +794,10 @@ mod tests {
 
     #[test]
     fn trace_route_filters_by_request_and_composes() {
-        let server = serve(
-            "127.0.0.1:0".parse().expect("addr"),
-            MetricsRegistry::new(),
-            Some(stamped_collector()),
-        )
-        .expect("bind");
+        let server = bind(Endpoints {
+            trace: Some(TraceSource::Local(stamped_collector())),
+            ..Endpoints::default()
+        });
         let addr = server.local_addr();
 
         let (status, body) = get(addr, "/trace?request=5");
@@ -865,12 +829,11 @@ mod tests {
     #[test]
     fn waterfall_route_serves_ndjson_with_balance_header() {
         let registry = MetricsRegistry::new();
-        let server = serve(
-            "127.0.0.1:0".parse().expect("addr"),
-            registry.clone(),
-            Some(stamped_collector()),
-        )
-        .expect("bind");
+        let server = bind(Endpoints {
+            registry: registry.clone(),
+            trace: Some(TraceSource::Local(stamped_collector())),
+            ..Endpoints::default()
+        });
         let addr = server.local_addr();
 
         let (status, body) = get(addr, "/waterfall?slowest=3");
@@ -905,12 +868,7 @@ mod tests {
 
     #[test]
     fn waterfall_route_without_collector_is_404() {
-        let server = serve(
-            "127.0.0.1:0".parse().expect("addr"),
-            MetricsRegistry::new(),
-            None,
-        )
-        .expect("bind");
+        let server = bind(Endpoints::default());
         assert_eq!(get(server.local_addr(), "/waterfall").0, 404);
         server.stop();
     }
@@ -928,14 +886,11 @@ mod tests {
             ..Default::default()
         });
         let registry = MetricsRegistry::new();
-        let server = serve_observed(
-            "127.0.0.1:0".parse().expect("addr"),
-            registry.clone(),
-            None,
-            None,
-            Some(engine),
-        )
-        .expect("bind");
+        let server = bind(Endpoints {
+            registry: registry.clone(),
+            engine: Some(engine),
+            ..Endpoints::default()
+        });
         let addr = server.local_addr();
 
         let (status, body) = get(addr, "/slo");
@@ -960,12 +915,7 @@ mod tests {
 
     #[test]
     fn slo_and_alerts_without_engine_are_404() {
-        let server = serve(
-            "127.0.0.1:0".parse().expect("addr"),
-            MetricsRegistry::new(),
-            None,
-        )
-        .expect("bind");
+        let server = bind(Endpoints::default());
         let addr = server.local_addr();
         assert_eq!(get(addr, "/slo").0, 404);
         assert_eq!(get(addr, "/alerts").0, 404);
@@ -984,13 +934,10 @@ mod tests {
         };
         cluster.ingest("worker0", 0.0, 1, 1, 0, &[ev(1.0, 0)]);
         cluster.ingest("worker1", 0.5, 1, 2, 1, &[ev(2.0, 1)]);
-        let server = serve_source(
-            "127.0.0.1:0".parse().expect("addr"),
-            MetricsRegistry::new(),
-            Some(TraceSource::Cluster(Arc::new(Mutex::new(cluster)))),
-            None,
-        )
-        .expect("bind");
+        let server = bind(Endpoints {
+            trace: Some(TraceSource::Cluster(Arc::new(Mutex::new(cluster)))),
+            ..Endpoints::default()
+        });
         let addr = server.local_addr();
 
         let (status, body) = get(addr, "/trace");
@@ -1019,15 +966,10 @@ mod tests {
             let _outer = prof.enter("server/handle");
             let _inner = prof.enter("wire/encode");
         }
-        let server = serve_profiled(
-            "127.0.0.1:0".parse().expect("addr"),
-            MetricsRegistry::new(),
-            None,
-            None,
-            None,
-            Some(col),
-        )
-        .expect("bind");
+        let server = bind(Endpoints {
+            prof: Some(col),
+            ..Endpoints::default()
+        });
         let addr = server.local_addr();
 
         let (status, body) = get(addr, "/profile");
@@ -1062,12 +1004,7 @@ mod tests {
 
     #[test]
     fn profile_route_without_collector_is_404() {
-        let server = serve(
-            "127.0.0.1:0".parse().expect("addr"),
-            MetricsRegistry::new(),
-            None,
-        )
-        .expect("bind");
+        let server = bind(Endpoints::default());
         let (status, _) = get(server.local_addr(), "/profile");
         assert_eq!(status, 404);
         server.stop();
@@ -1075,24 +1012,14 @@ mod tests {
 
     #[test]
     fn trace_route_without_collector_is_404() {
-        let server = serve(
-            "127.0.0.1:0".parse().expect("addr"),
-            MetricsRegistry::new(),
-            None,
-        )
-        .expect("bind");
+        let server = bind(Endpoints::default());
         let (status, _) = get(server.local_addr(), "/trace");
         assert_eq!(status, 404);
     }
 
     #[test]
     fn stop_joins_and_frees_the_port() {
-        let server = serve(
-            "127.0.0.1:0".parse().expect("addr"),
-            MetricsRegistry::new(),
-            None,
-        )
-        .expect("bind");
+        let server = bind(Endpoints::default());
         let addr = server.local_addr();
         server.stop();
         // The listener is gone: a fresh bind to the same port succeeds.

@@ -34,7 +34,6 @@ pub mod fault;
 pub mod frame;
 pub mod inproc;
 pub mod msg;
-pub mod quant;
 pub mod tcp;
 
 pub use collect::{CollectorService, StreamerConfig, StreamerReport, TraceStreamer};

@@ -468,6 +468,15 @@ impl Message {
         }
     }
 
+    /// The message inside a [`Message::Traced`] envelope (or `self` when
+    /// there is none), without consuming it.
+    pub fn bare(&self) -> &Message {
+        match self {
+            Message::Traced { inner, .. } => inner,
+            other => other,
+        }
+    }
+
     /// The causal context of this message, without consuming it.
     pub fn ctx(&self) -> Option<CausalCtx> {
         match self {

@@ -1,175 +1,74 @@
 //! A FluentPS cluster over real TCP sockets on localhost.
 //!
-//! Demonstrates that the per-shard synchronization state machine is
-//! transport-agnostic: this example drives the same `ServerShard` used by
-//! the in-process engine and the simulator, but over `std::net` sockets
-//! with length-prefixed frames. One server, three workers, BSP.
+//! Demonstrates that the server step is transport-agnostic: the same
+//! `ShardServer` loop the in-process engine runs, here over `std::net`
+//! sockets with length-prefixed frames. One server, three workers, BSP.
 //!
 //! Run with: `cargo run --release --example tcp_cluster`
 
 use std::collections::HashMap;
 
 use fluentps::core::condition::SyncModel;
-use fluentps::core::dpr::DprPolicy;
-use fluentps::core::server::{GradScale, PullOutcome, ServerShard, ShardConfig};
-use fluentps::transport::tcp::{AddressBook, TcpNode};
-use fluentps::transport::{Mailbox, Message, NodeId, Postman};
+use fluentps::core::engine::EngineConfig;
+use fluentps::core::eps::{EpsSlicer, ParamSpec, Slicer};
+use fluentps::core::tcp_engine::TcpCluster;
+use fluentps::transport::NodeId;
 
 const NUM_WORKERS: u32 = 3;
 const ITERATIONS: u64 = 20;
 const KEY: u64 = 0;
 
 fn main() {
-    let loopback: std::net::SocketAddr = "127.0.0.1:0".parse().unwrap();
-
-    // Bind everyone on OS-chosen ports, then distribute the address book.
-    let book = AddressBook::new();
-    let server_node = TcpNode::bind(NodeId::Server(0), loopback, book.clone()).unwrap();
-    book.insert(NodeId::Server(0), server_node.local_addr());
-    let mut worker_nodes = Vec::new();
-    for n in 0..NUM_WORKERS {
-        let node = TcpNode::bind(NodeId::Worker(n), loopback, book.clone()).unwrap();
-        book.insert(NodeId::Worker(n), node.local_addr());
-        worker_nodes.push(node);
-    }
-    // The server needs the workers' addresses to respond: rebind its sending
-    // side with the complete book.
-    let server_tx = TcpNode::bind(NodeId::Server(99), loopback, book.clone()).unwrap();
-    println!("server listening on {}", server_node.local_addr());
-
-    // Server thread: the same ServerShard state machine, fed from sockets.
-    let server_thread = std::thread::spawn(move || {
-        let mut shard = ServerShard::new(ShardConfig {
-            server_id: 0,
-            num_workers: NUM_WORKERS,
-            model: SyncModel::Bsp,
-            policy: DprPolicy::LazyExecution,
-            grad_scale: GradScale::DivideByN,
-        });
-        shard.init_param(KEY, vec![0.0; 8]);
-        let postman = server_tx.postman();
-        let mut done_workers = 0;
-        while done_workers < NUM_WORKERS {
-            let (_, msg) = server_node.recv().expect("server recv");
-            match msg {
-                Message::SPush {
-                    worker,
-                    progress,
-                    kv,
-                } => {
-                    for r in shard.on_push(worker, progress, &kv) {
-                        postman
-                            .send(
-                                NodeId::Worker(r.worker),
-                                Message::PullResponse {
-                                    server: 0,
-                                    progress: r.progress,
-                                    kv: r.kv,
-                                    version: r.version,
-                                },
-                            )
-                            .expect("send released response");
-                    }
-                    if progress + 1 == ITERATIONS {
-                        done_workers += 1;
-                    }
-                }
-                Message::SPull {
-                    worker,
-                    progress,
-                    keys,
-                } => match shard.on_pull(worker, progress, &keys, 0.0, None) {
-                    PullOutcome::Respond { kv, version } => {
-                        postman
-                            .send(
-                                NodeId::Worker(worker),
-                                Message::PullResponse {
-                                    server: 0,
-                                    progress,
-                                    kv,
-                                    version,
-                                },
-                            )
-                            .expect("send response");
-                    }
-                    PullOutcome::Deferred => {}
-                },
-                other => panic!("unexpected message {other:?}"),
-            }
-        }
-        println!(
-            "server done: v_train={} pushes={} dprs={}",
-            shard.v_train(),
-            shard.stats().pushes,
-            shard.stats().dprs
-        );
-        shard.read_param(KEY).unwrap().to_vec()
-    });
+    let map = EpsSlicer { max_chunk: 8 }.slice(&[ParamSpec { key: KEY, len: 8 }], 1);
+    let init: HashMap<u64, Vec<f32>> = [(KEY, vec![0.0; 8])].into();
+    let cfg = EngineConfig {
+        num_workers: NUM_WORKERS,
+        num_servers: 1,
+        model: SyncModel::Bsp,
+        ..EngineConfig::default()
+    };
+    // Everyone binds an OS-chosen port; the cluster's address book is what
+    // a worker in another process would need.
+    let (cluster, workers) = TcpCluster::launch(cfg, map, &init).expect("launch");
+    let server_addr = cluster.addresses.get(NodeId::Server(0)).expect("bound");
+    println!("server listening on {server_addr}");
 
     // Worker threads: push a constant "gradient", pull, repeat.
-    let worker_threads: Vec<_> = worker_nodes
+    let worker_threads: Vec<_> = workers
         .into_iter()
-        .map(|node| {
+        .map(|mut client| {
             std::thread::spawn(move || {
-                let postman = node.postman();
-                let me = match node.node() {
-                    NodeId::Worker(n) => n,
-                    _ => unreachable!(),
-                };
+                let me = client.worker_id();
+                let grads: HashMap<u64, Vec<f32>> = [(KEY, vec![(me + 1) as f32; 8])].into();
                 let mut params: HashMap<u64, Vec<f32>> = HashMap::new();
                 for i in 0..ITERATIONS {
-                    let grad = vec![(me + 1) as f32; 8];
-                    postman
-                        .send(
-                            NodeId::Server(0),
-                            Message::SPush {
-                                worker: me,
-                                progress: i,
-                                kv: fluentps::transport::KvPairs::single(KEY, grad),
-                            },
-                        )
-                        .expect("push");
-                    if i + 1 == ITERATIONS {
-                        break; // final iteration: no pull needed
-                    }
-                    postman
-                        .send(
-                            NodeId::Server(0),
-                            Message::SPull {
-                                worker: me,
-                                progress: i,
-                                keys: vec![KEY],
-                            },
-                        )
-                        .expect("pull");
+                    client.spush(i, &grads).expect("push");
                     // Wait for the (possibly lazily executed) response.
-                    loop {
-                        let (_, msg) = node.recv().expect("worker recv");
-                        if let Message::PullResponse { kv, version, .. } = msg {
-                            assert!(version > i, "BSP responses carry fresh params");
-                            for (k, v) in kv.iter() {
-                                params.insert(k, v.to_vec());
-                            }
-                            break;
-                        }
-                    }
+                    let report = client.spull_wait(i, &mut params).expect("pull");
+                    assert!(report.min_version > i, "BSP responses carry fresh params");
                 }
                 params
             })
         })
         .collect();
 
-    for t in worker_threads {
-        t.join().expect("worker");
-    }
-    let final_params = server_thread.join().expect("server");
+    let final_params = worker_threads
+        .into_iter()
+        .map(|t| t.join().expect("worker"))
+        .next_back()
+        .expect("at least one worker");
+    let stats = cluster.shutdown();
+    println!(
+        "server done: v_train={} pushes={} dprs={}",
+        stats[0].v_train_advances, stats[0].pushes, stats[0].dprs
+    );
 
     // Expected value: 20 iterations of mean(1, 2, 3) = 2 per element.
     let expected = ITERATIONS as f32 * (1.0 + 2.0 + 3.0) / NUM_WORKERS as f32;
     println!(
         "final parameter value: {:?} (expected {expected})",
-        &final_params[..2]
+        &final_params[&KEY][..2]
     );
-    assert!((final_params[0] - expected).abs() < 1e-3);
+    assert!((final_params[&KEY][0] - expected).abs() < 1e-3);
     println!("tcp_cluster: OK");
 }

@@ -14,9 +14,11 @@ use std::time::{Duration, Instant};
 use fluentps::core::condition::SyncModel;
 use fluentps::core::engine::{Cluster, EngineConfig};
 use fluentps::core::eps::{EpsSlicer, ParamSpec, Slicer};
+use fluentps::core::launch::Observability;
 use fluentps::core::recovery::{RecoveryConfig, ResilientTcpCluster};
 use fluentps::core::worker::RetryPolicy;
-use fluentps::obs::{MetricsRegistry, TraceCollector};
+use fluentps::obs::http::Endpoints;
+use fluentps::obs::{HealthEngine, MetricsRegistry, ProfCollector, StreamConfig, TraceCollector};
 
 /// Minimal HTTP/1.1 GET over a fresh connection; returns (status line, body).
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
@@ -66,24 +68,23 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
     init.insert(0u64, vec![0.0f32; 512]);
     init.insert(1u64, vec![0.0f32; 128]);
 
-    let collector = TraceCollector::wall(1 << 14);
-    let registry = MetricsRegistry::new();
     let cfg = EngineConfig {
         num_workers,
         num_servers: 1,
         model: SyncModel::Ssp { s: 2 },
         ..EngineConfig::default()
     };
-    let (cluster, workers, server) = Cluster::launch_introspected(
-        cfg,
-        map,
-        &init,
-        &collector,
-        &registry,
-        "127.0.0.1:0".parse().unwrap(),
-    )
-    .expect("bind introspection endpoint");
-    let addr = server.local_addr();
+    let obs = Observability {
+        collector: Some(TraceCollector::wall(1 << 14)),
+        profiler: Some(ProfCollector::wall()),
+        health: Some(HealthEngine::with_default_rules(StreamConfig::default())),
+        metrics: Some(MetricsRegistry::new()),
+        http: Some("127.0.0.1:0".parse().unwrap()),
+        ..Observability::default()
+    };
+    let (cluster, workers) =
+        Cluster::launch_observed(cfg, map, &init, obs).expect("bind introspection endpoint");
+    let addr = cluster.http_addr().expect("endpoint requested");
 
     let handles: Vec<_> = workers
         .into_iter()
@@ -133,7 +134,7 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
     );
     assert!(text.contains("# TYPE trace_events_recorded gauge"));
     assert!(text.contains("introspection_scrapes_total"));
-    // The introspected launch seeds process-level metrics and HELP text.
+    // Every served registry carries process-level metrics and HELP text.
     assert!(
         text.contains("# HELP process_start_seconds "),
         "missing HELP for process_start_seconds in:\n{text}"
@@ -265,8 +266,8 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
     let (status, body) = http_get(addr, "/waterfall?request=123456789");
     assert!(status.contains("404"), "unknown request: {status}\n{body}");
 
-    // The introspected launch wires a streaming health engine: `/slo`
-    // serves windowed SLO text and `/alerts` the transition log.
+    // The launch taps the collector into the health engine: `/slo` serves
+    // windowed SLO text and `/alerts` the transition log.
     let (status, slo) = http_get(addr, "/slo");
     assert!(status.contains("200"), "slo status: {status}");
     assert!(slo.contains("slo events "), "slo body:\n{slo}");
@@ -280,7 +281,7 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
     );
     assert!(alerts.contains("\"state\""), "alerts body:\n{alerts}");
 
-    // The profiled launch also serves span profiles while training runs.
+    // The launch also serves span profiles while training runs.
     // Poll briefly: the scrape races the first worker push.
     let deadline = Instant::now() + Duration::from_secs(5);
     let folded = loop {
@@ -299,7 +300,6 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
     assert!(status.contains("200"), "speedscope status: {status}");
     fluentps::obs::json::validate(scope_json.trim()).expect("speedscope export is valid JSON");
 
-    drop(server);
     let stats = cluster.shutdown();
     assert_eq!(stats.len(), 1);
     assert_eq!(stats[0].pulls_total, num_workers as u64 * iters);
@@ -356,11 +356,12 @@ fn resilient_engine_healthz_reflects_the_liveness_monitor() {
     };
     let (cluster, mut workers) =
         ResilientTcpCluster::launch(cfg, rcfg, map, &init, None).expect("launch");
-    let server = fluentps::obs::http::serve_with_health(
+    let server = fluentps::obs::http::serve(
         "127.0.0.1:0".parse().unwrap(),
-        MetricsRegistry::new(),
-        None,
-        Some(cluster.health()),
+        Endpoints {
+            health: Some(cluster.health()),
+            ..Endpoints::default()
+        },
     )
     .expect("bind introspection endpoint");
     let addr = server.local_addr();
@@ -423,16 +424,21 @@ fn resilient_engine_exports_consensus_gauges_and_healthz_consensus_line() {
         num_supervisors: 3,
         election_timeout: Duration::from_millis(120),
         leader_lease: Duration::from_millis(60),
-        metrics: Some(registry.clone()),
         ..RecoveryConfig::default()
     };
+    let obs = Observability {
+        metrics: Some(registry.clone()),
+        ..Observability::default()
+    };
     let (cluster, mut workers) =
-        ResilientTcpCluster::launch(cfg, rcfg, map, &init, None).expect("launch");
-    let server = fluentps::obs::http::serve_with_health(
+        ResilientTcpCluster::launch_observed(cfg, rcfg, map, &init, obs).expect("launch");
+    let server = fluentps::obs::http::serve(
         "127.0.0.1:0".parse().unwrap(),
-        registry,
-        None,
-        Some(cluster.health()),
+        Endpoints {
+            registry,
+            health: Some(cluster.health()),
+            ..Endpoints::default()
+        },
     )
     .expect("bind introspection endpoint");
     let addr = server.local_addr();
