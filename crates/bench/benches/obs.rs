@@ -383,7 +383,8 @@ fn wire_throughput(c: &mut Criterion) {
 
 /// Analyzer throughput: a realistic mixed event stream (pull/defer/release
 /// chains, pushes, V_train advances, wire pairs, barrier spans) through the
-/// full `analyze::analyze` pass, reported as events/sec.
+/// full `analyze::analyze` pass — an all-run replay of the trace fold plus
+/// the two whole-trace walks — reported as events/sec.
 fn analyze_throughput(c: &mut Criterion) {
     const EVENTS_PER_ITER: u64 = 9;
     const ITERS: u64 = 1024;
@@ -425,8 +426,8 @@ fn analyze_throughput(c: &mut Criterion) {
 
 /// Streaming analyzer: the same mixed event shape as `analyze_throughput`,
 /// pushed one event at a time through `StreamAnalyzer` with small tumbling
-/// windows (so window closes and histogram-ring rotation are on the
-/// measured path), reported as events/sec.
+/// windows (so window closes, histogram-ring rotation and the matchers'
+/// age-out are on the measured path), reported as events/sec.
 fn stream_window(c: &mut Criterion) {
     use fluentps_obs::{StreamAnalyzer, StreamConfig, TraceEvent, NO_ID};
 

@@ -104,7 +104,7 @@ fn parse_chaos_args(
             }
             "--ring" => {
                 i += 1;
-                cfg.trace_ring_capacity = parse_arg(args.get(i), "--ring N");
+                cfg.obs.ring_capacity = parse_arg(args.get(i), "--ring N");
             }
             "--kill" => {
                 i += 1;
@@ -144,7 +144,7 @@ fn parse_chaos_args(
             "--metrics-addr" => {
                 i += 1;
                 let raw = args.get(i).cloned().unwrap_or_else(|| usage());
-                cfg.metrics_addr = Some(raw.parse().unwrap_or_else(|e| {
+                cfg.obs.http = Some(raw.parse().unwrap_or_else(|e| {
                     eprintln!("[repro] bad --metrics-addr {raw:?}: {e}");
                     std::process::exit(2);
                 }));
@@ -248,25 +248,22 @@ fn run_collect_cmd(args: &[String]) {
         // The merged view keeps up to 4 rings' worth per node; the
         // streamers drained the rings live, so this bounds collector
         // memory, not what the nodes could record.
-        cfg.trace_ring_capacity * 4,
+        cfg.obs.ring_capacity * 4,
     )
     .unwrap_or_else(|e| {
         eprintln!("[repro] cannot bind trace collector: {e}");
         std::process::exit(1);
     });
-    cfg.collector_addr = Some(service.local_addr());
+    cfg.obs.stream_to = Some(service.local_addr());
     // The streaming health engine rides the collector's merged, clock-
     // aligned event stream — the one place every node's events converge.
-    let engine = fluentps_obs::HealthEngine::with_default_rules(fluentps_obs::StreamConfig {
-        window_secs: 0.5,
-        windows: 8,
-    });
+    let engine = fluentps_experiments::live::endpoint_health_engine();
     service.attach_health(&engine);
-    cfg.health_engine = Some(engine.clone());
+    cfg.obs.health = Some(engine.clone());
     // In collect mode the introspection endpoint serves the *merged*
     // cluster timeline (and per-node collection counters on /metrics), so
     // take the address over from the chaos run's own endpoint.
-    let introspection = cfg.metrics_addr.take().map(|addr| {
+    let introspection = cfg.obs.http.take().map(|addr| {
         let registry = fluentps_obs::MetricsRegistry::new();
         fluentps_core::launch::publish_cluster_gauges(
             &registry,
@@ -352,11 +349,8 @@ fn run_collect_cmd(args: &[String]) {
 fn run_watch_cmd(args: &[String]) {
     let mut cfg = fluentps_experiments::live::ChaosConfig::default();
     parse_chaos_args(args, &mut cfg, &mut None, false);
-    let engine = fluentps_obs::HealthEngine::with_default_rules(fluentps_obs::StreamConfig {
-        window_secs: 0.5,
-        windows: 8,
-    });
-    cfg.health_engine = Some(engine.clone());
+    let engine = fluentps_experiments::live::endpoint_health_engine();
+    cfg.obs.health = Some(engine.clone());
     eprintln!(
         "[repro] watch: {}w x {}s, {} iters, seed {}, faults {}, kill {:?}",
         cfg.num_workers, cfg.num_servers, cfg.max_iters, cfg.seed, cfg.faults, cfg.kill_server

@@ -99,8 +99,10 @@ pub struct LiveResult {
     pub trace: Option<Trace>,
 }
 
-/// The health engine a run creates for its own introspection endpoint.
-fn endpoint_health_engine() -> HealthEngine {
+/// The health engine a run creates for its own introspection endpoint, and
+/// the one `repro collect|watch` hand in: half-second windows, the last
+/// eight retained, the default alert rules.
+pub fn endpoint_health_engine() -> HealthEngine {
     HealthEngine::with_default_rules(StreamConfig {
         window_secs: 0.5,
         windows: 8,
@@ -224,30 +226,25 @@ pub struct ChaosConfig {
     /// Number of seeded chaos fault rules (drops, reorder-delays,
     /// duplicates) applied to the data path. 0 = none.
     pub faults: usize,
-    /// When `Some(addr)`, serve `/metrics` and the liveness-fed `/healthz`
-    /// readiness view there for the duration of the run.
-    pub metrics_addr: Option<std::net::SocketAddr>,
-    /// When `Some(addr)`, every node (workers, servers, supervisor) streams
-    /// its trace events to the [`fluentps_transport::CollectorService`]
-    /// listening there, so the run yields one merged cluster timeline.
-    pub collector_addr: Option<std::net::SocketAddr>,
-    /// Per-node trace ring capacity used when `collector_addr` is set.
-    pub trace_ring_capacity: usize,
-    /// Streaming health engine observing the run. `None` with
-    /// `metrics_addr` set still creates one internally (so `/slo` and
-    /// `/alerts` always accompany `/metrics`); pass an explicit engine to
-    /// watch the same alerts in-process, e.g. from `repro watch`. With
-    /// `collector_addr` set the engine must be fed by that collector
-    /// service (`CollectorService::attach_health`) — the run itself has no
-    /// merged local timeline to tap.
-    pub health_engine: Option<HealthEngine>,
+    /// What the run reports, and where, passed through to the cluster
+    /// launch. `http` serves `/metrics` and the liveness-fed `/healthz`
+    /// readiness view for the duration of the run; with `http` set and no
+    /// `health`, the run creates an engine itself (so `/slo` and `/alerts`
+    /// always accompany `/metrics`) — pass an explicit one to watch the
+    /// same alerts in-process, e.g. from `repro watch`. With `stream_to`
+    /// set, every node streams its ring of `ring_capacity` events to that
+    /// [`fluentps_transport::CollectorService`], which then owns the health
+    /// feed (`CollectorService::attach_health`): the run itself has no
+    /// merged local timeline to tap. `collector` is filled in by the run
+    /// when an engine or [`ChaosConfig::keep_trace`] needs a local one.
+    pub obs: Observability,
     /// Master seed: drives data, initialization, and the fault schedule.
     pub seed: u64,
     /// Keep the run's local trace and return it in
     /// [`ChaosResult::trace`], so callers (e.g. `repro waterfall`) can
     /// assemble per-request causal waterfalls offline. Forces a local
     /// [`TraceCollector`] even without a health engine; ignored when
-    /// `collector_addr` streams events off-node instead.
+    /// `obs.stream_to` streams events off-node instead.
     pub keep_trace: bool,
 }
 
@@ -262,10 +259,7 @@ impl Default for ChaosConfig {
             num_supervisors: 1,
             kill_supervisors: Vec::new(),
             faults: 0,
-            metrics_addr: None,
-            collector_addr: None,
-            trace_ring_capacity: 1 << 14,
-            health_engine: None,
+            obs: Observability::default(),
             seed: 0,
             keep_trace: false,
         }
@@ -389,23 +383,14 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
     // an introspection endpoint (so `/slo` and `/alerts` always accompany
     // `/metrics`). Fed from a run-local collector unless the nodes stream
     // to a remote collector service — then that service owns the feed.
-    let engine = cfg
-        .health_engine
-        .clone()
-        .or_else(|| cfg.metrics_addr.map(|_| endpoint_health_engine()));
-    let local_collector = if cfg.collector_addr.is_none() && (engine.is_some() || cfg.keep_trace) {
-        Some(TraceCollector::wall(cfg.trace_ring_capacity))
-    } else {
-        None
-    };
-    let obs = Observability {
-        collector: local_collector.clone(),
-        stream_to: cfg.collector_addr,
-        ring_capacity: cfg.trace_ring_capacity,
-        health: engine.clone(),
-        http: cfg.metrics_addr,
-        ..Observability::default()
-    };
+    let mut obs = cfg.obs.clone();
+    obs.health = obs
+        .health
+        .or_else(|| obs.http.map(|_| endpoint_health_engine()));
+    if obs.stream_to.is_none() && (obs.health.is_some() || cfg.keep_trace) {
+        obs.collector = Some(TraceCollector::wall(obs.ring_capacity));
+    }
+    let (engine, local_collector) = (obs.health.clone(), obs.collector.clone());
     let (cluster, workers) = ResilientTcpCluster::launch_observed(ecfg, rcfg, map, &init, obs)
         .expect("launch chaos cluster");
 
@@ -553,7 +538,10 @@ mod tests {
                 num_servers: 2,
                 max_iters: 16,
                 kill_server: Some((0, 4)),
-                health_engine: Some(engine.clone()),
+                obs: Observability {
+                    health: Some(engine.clone()),
+                    ..Observability::default()
+                },
                 seed: 7,
                 ..ChaosConfig::default()
             };

@@ -5,6 +5,11 @@
 //! (empirical `Pr[blocked | gap=k]`, to be checked against the analytical
 //! PSSP curves upstream).
 //!
+//! The per-event work is not done here: [`analyze()`] replays the trace
+//! through the one trace fold, [`crate::stream::StreamAnalyzer`], which
+//! also serves the live `/slo` view, and adds the two derivations that
+//! need the whole snapshot (progress spread, critical path).
+//!
 //! All derivations consume the *buffered* events; per-kind totals that
 //! survive ring overwriting are reported alongside
 //! ([`Analysis::recorded`] vs [`Analysis::analyzed`]) so a truncated trace
@@ -14,11 +19,12 @@
 //! [`crate::export::jsonl`], so analysis works offline on exported files as
 //! well as on a live [`crate::TraceCollector::snapshot`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::event::{EventKind, TraceEvent, KINDS, NO_ID};
 use crate::hist::Histogram;
 use crate::json;
+use crate::stream::{DprPair, StreamAnalyzer, StreamConfig};
 use crate::tracer::Trace;
 
 /// How many sample points the progress-spread timeline carries.
@@ -28,7 +34,7 @@ const SPREAD_POINTS: usize = 8;
 const MAX_PATH_STEPS: usize = 16;
 
 /// Where one worker's time went, from the events that mention it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkerBreakdown {
     /// Worker id.
     pub worker: u32,
@@ -43,7 +49,8 @@ pub struct WorkerBreakdown {
     /// Number of `BarrierWait` spans.
     pub barrier_count: u64,
     /// Seconds of matched `WireSend`→`WireRecv` latency involving this
-    /// worker (both directions; see [`analyze`] for the matching rule).
+    /// worker (both directions; the matching rule is the fold's, see
+    /// [`StreamAnalyzer::ingest`]).
     pub wire_secs: f64,
     /// Total bytes on `WireSend` events naming this worker.
     pub bytes_sent: u64,
@@ -69,7 +76,7 @@ impl WorkerBreakdown {
 }
 
 /// Synchronization health of one shard.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardHealth {
     /// Shard (server) id.
     pub shard: u32,
@@ -196,8 +203,8 @@ pub struct Analysis {
     /// Critical path through the longest pull→defer→release→push chain,
     /// in causal order (earliest cause first, the longest DPR wait last).
     pub critical_path: Vec<PathStep>,
-    /// Ground-truth audit of the FIFO wire matcher against exact causal
-    /// request ids, when the trace carries them (`None` on traces recorded
+    /// Audit of the FIFO wire heuristic against exact causal request ids,
+    /// when the trace carries them (`None` on traces recorded
     /// before context propagation, or with tracing contexts disabled).
     pub wire_check: Option<WireCheck>,
 }
@@ -205,27 +212,27 @@ pub struct Analysis {
 /// Cross-check of the heuristic FIFO `WireSend`→`WireRecv` matcher against
 /// the exact causal ids the transport stamps on wire events.
 ///
-/// The per-worker wire-time attribution in [`WorkerBreakdown`] predates
-/// causal context: it pairs each receive with the *oldest* unmatched send
-/// on the same `(shard, worker)` queue. With request ids on both ends the
-/// pairing can be audited exactly: on a chaos-free run FIFO order *is*
-/// transit order and every pair must agree; under reorder chaos the
-/// mismatch rate quantifies how much wire time the heuristic misattributes.
+/// On a stamped trace the fold pairs each receive with the send of the same
+/// `(request_id, attempt)`; FIFO — the *oldest* unmatched send on the same
+/// `(shard, worker)` queue — is what a ctx-less trace has to fall back on.
+/// This audit counts how often the two disagree, i.e. how much wire time
+/// the heuristic would misattribute on this run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireCheck {
-    /// Receive events FIFO-paired with a send where both carried an id.
+    /// Stamped receive events paired with the send carrying their id.
     pub checked: u64,
-    /// Pairs where the FIFO match and the exact `(request_id, attempt)`
-    /// disagree — the heuristic attributed one request's transit to another.
+    /// Pairs where FIFO would have disagreed with the id: the send was not
+    /// the oldest on its queue, so the heuristic would have attributed one
+    /// request's transit to another.
     pub mismatches: u64,
-    /// Receives with no unmatched send on their queue (the send was lost
+    /// Receives with no send to pair with on their queue (the send was lost
     /// to ring overwrite, or the frame was a fault-injected duplicate).
     pub unmatched_recvs: u64,
 }
 
 impl WireCheck {
-    /// Fraction of audited pairs the FIFO heuristic got wrong (0 when
-    /// nothing was audited).
+    /// Fraction of audited pairs the FIFO heuristic would have got wrong
+    /// (0 when nothing was audited).
     pub fn mismatch_rate(&self) -> f64 {
         if self.checked == 0 {
             0.0
@@ -270,239 +277,29 @@ impl Analysis {
     }
 }
 
-/// Key identifying one logical pull: shards answer at most one pull per
-/// `(shard, worker, progress)` triple, so defer/release pairs and
-/// granted/blocked outcomes all match on it.
-type PullKey = (u32, u32, u64);
-
-/// Run every derivation over `trace` and return the combined [`Analysis`].
+/// Derive the [`Analysis`] of a buffered trace: replay it through the one
+/// trace fold, [`StreamAnalyzer`] in its all-run mode, and read the
+/// figures out. The wire matcher (exact causal ids, FIFO only for ctx-less
+/// traces), the defer→release pairing and the blocked-at-gap matcher are
+/// all defined there.
 ///
-/// Wire time is attributed by FIFO-matching each `WireRecv` to the oldest
-/// unmatched `WireSend` with the same `(shard, worker)` pair; both engines
-/// and the simulator record sends before the matching receive, so the pair
-/// order is the transit order.
+/// Two derivations are computed here instead, because they are functions of
+/// the whole snapshot rather than folds over it: [`progress_spread`] places
+/// its sample points from the trace's *end* timestamp, and
+/// [`critical_path`] walks the buffered events *backwards* from the fold's
+/// longest-residence DPR pair.
 pub fn analyze(trace: &Trace) -> Analysis {
-    let mut analysis = Analysis {
+    let mut fold = StreamAnalyzer::new(StreamConfig::all_run());
+    for ev in &trace.events {
+        fold.ingest(ev);
+    }
+    Analysis {
         recorded: trace.counts,
         dropped: trace.dropped,
-        ..Analysis::default()
-    };
-    if let (Some(first), Some(last)) = (trace.events.first(), trace.events.last()) {
-        analysis.span = (first.ts, last.ts + last.dur.max(0.0));
+        spread: progress_spread(trace),
+        critical_path: critical_path(trace, fold.longest_dpr()),
+        ..fold.analysis()
     }
-    for ev in &trace.events {
-        analysis.analyzed[ev.kind.index()] += 1;
-    }
-    let deferred_keys = collect_deferred_keys(trace);
-    analysis.workers = worker_breakdowns(trace);
-    analysis.shards = shard_healths(trace);
-    analysis.gaps = gap_stats(trace, &deferred_keys);
-    analysis.spread = progress_spread(trace);
-    analysis.critical_path = critical_path(trace);
-    analysis.wire_check = wire_check(trace);
-    analysis
-}
-
-/// Audit the FIFO wire matcher against exact causal ids: replay the exact
-/// matching [`worker_breakdowns`] performs (same event scope, same
-/// per-`(shard, worker)` FIFO queues) while carrying each send's
-/// `(request_id, attempt)` through the queue, and compare it with the id
-/// stamped on the receive that popped it. Returns `None` when no wire
-/// event carries a request id (context propagation off or absent).
-fn wire_check(trace: &Trace) -> Option<WireCheck> {
-    let mut stamped_wire = false;
-    let mut check = WireCheck::default();
-    let mut in_flight: HashMap<(u32, u32), std::collections::VecDeque<(u64, u32)>> = HashMap::new();
-    for ev in &trace.events {
-        if ev.worker == NO_ID {
-            continue;
-        }
-        match ev.kind {
-            EventKind::WireSend => {
-                stamped_wire |= ev.request_id != 0;
-                in_flight
-                    .entry((ev.shard, ev.worker))
-                    .or_default()
-                    .push_back((ev.request_id, ev.attempt));
-            }
-            EventKind::WireRecv => {
-                stamped_wire |= ev.request_id != 0;
-                match in_flight
-                    .get_mut(&(ev.shard, ev.worker))
-                    .and_then(|q| q.pop_front())
-                {
-                    Some((rid, attempt)) => {
-                        if rid != 0 && ev.request_id != 0 {
-                            check.checked += 1;
-                            if (rid, attempt) != (ev.request_id, ev.attempt) {
-                                check.mismatches += 1;
-                            }
-                        }
-                    }
-                    None => check.unmatched_recvs += 1,
-                }
-            }
-            _ => {}
-        }
-    }
-    stamped_wire.then_some(check)
-}
-
-/// Every `(shard, worker, progress)` that was deferred.
-fn collect_deferred_keys(trace: &Trace) -> HashMap<PullKey, u64> {
-    let mut keys: HashMap<PullKey, u64> = HashMap::new();
-    for ev in &trace.events {
-        if ev.kind == EventKind::PullDeferred {
-            *keys.entry((ev.shard, ev.worker, ev.progress)).or_insert(0) += 1;
-        }
-    }
-    keys
-}
-
-fn worker_breakdowns(trace: &Trace) -> Vec<WorkerBreakdown> {
-    let mut workers: BTreeMap<u32, WorkerBreakdown> = BTreeMap::new();
-    // FIFO queues of unmatched WireSend timestamps per (shard, worker).
-    let mut in_flight: HashMap<(u32, u32), std::collections::VecDeque<f64>> = HashMap::new();
-    for ev in &trace.events {
-        if ev.worker == NO_ID {
-            continue;
-        }
-        let w = workers.entry(ev.worker).or_insert(WorkerBreakdown {
-            worker: ev.worker,
-            iterations: 0,
-            first_ts: ev.ts,
-            last_ts: ev.ts,
-            barrier_secs: 0.0,
-            barrier_count: 0,
-            wire_secs: 0.0,
-            bytes_sent: 0,
-            bytes_recvd: 0,
-            pulls: 0,
-            deferred: 0,
-        });
-        w.first_ts = w.first_ts.min(ev.ts);
-        w.last_ts = w.last_ts.max(ev.ts + ev.dur);
-        w.iterations = w.iterations.max(ev.progress + 1);
-        match ev.kind {
-            EventKind::BarrierWait => {
-                w.barrier_secs += ev.dur;
-                w.barrier_count += 1;
-            }
-            EventKind::WireSend => {
-                w.bytes_sent += ev.bytes;
-                in_flight
-                    .entry((ev.shard, ev.worker))
-                    .or_default()
-                    .push_back(ev.ts);
-            }
-            EventKind::WireRecv => {
-                w.bytes_recvd += ev.bytes;
-                if let Some(queue) = in_flight.get_mut(&(ev.shard, ev.worker)) {
-                    if let Some(sent) = queue.pop_front() {
-                        w.wire_secs += (ev.ts - sent).max(0.0);
-                    }
-                }
-            }
-            EventKind::PullRequested => w.pulls += 1,
-            EventKind::PullDeferred => w.deferred += 1,
-            _ => {}
-        }
-    }
-    workers.into_values().collect()
-}
-
-fn shard_healths(trace: &Trace) -> Vec<ShardHealth> {
-    let mut shards: BTreeMap<u32, ShardHealth> = BTreeMap::new();
-    let mut pending: HashMap<PullKey, f64> = HashMap::new();
-    let mut last_advance: HashMap<u32, f64> = HashMap::new();
-    let mut advance_gaps: HashMap<u32, (f64, u64)> = HashMap::new();
-    for ev in &trace.events {
-        if ev.shard == NO_ID {
-            continue;
-        }
-        let sh = shards.entry(ev.shard).or_insert(ShardHealth {
-            shard: ev.shard,
-            dpr_count: 0,
-            dpr_residence_mean: 0.0,
-            dpr_residence_max: 0.0,
-            dpr_residence_us: Histogram::new(),
-            outstanding_dprs: 0,
-            pushes: 0,
-            late_drops: 0,
-            v_train_advances: 0,
-            advance_interval_mean: 0.0,
-            final_v_train: 0,
-        });
-        sh.final_v_train = sh.final_v_train.max(ev.v_train);
-        match ev.kind {
-            EventKind::PullDeferred => {
-                pending.insert((ev.shard, ev.worker, ev.progress), ev.ts);
-            }
-            EventKind::DprReleased => {
-                if let Some(deferred_at) = pending.remove(&(ev.shard, ev.worker, ev.progress)) {
-                    let residence = (ev.ts - deferred_at).max(0.0);
-                    // Running mean: mean += (x - mean) / n.
-                    sh.dpr_count += 1;
-                    sh.dpr_residence_mean +=
-                        (residence - sh.dpr_residence_mean) / sh.dpr_count as f64;
-                    sh.dpr_residence_max = sh.dpr_residence_max.max(residence);
-                    sh.dpr_residence_us.record((residence * 1e6) as u64);
-                }
-            }
-            EventKind::PushApplied => sh.pushes += 1,
-            EventKind::LatePushDropped => sh.late_drops += 1,
-            EventKind::VTrainAdvanced => {
-                sh.v_train_advances += 1;
-                if let Some(prev) = last_advance.insert(ev.shard, ev.ts) {
-                    let (sum, n) = advance_gaps.entry(ev.shard).or_insert((0.0, 0));
-                    *sum += (ev.ts - prev).max(0.0);
-                    *n += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    for ((shard, _, _), _) in pending {
-        if let Some(sh) = shards.get_mut(&shard) {
-            sh.outstanding_dprs += 1;
-        }
-    }
-    for (shard, (sum, n)) in advance_gaps {
-        if let Some(sh) = shards.get_mut(&shard) {
-            if n > 0 {
-                sh.advance_interval_mean = sum / n as f64;
-            }
-        }
-    }
-    shards.into_values().collect()
-}
-
-fn gap_stats(trace: &Trace, deferred_keys: &HashMap<PullKey, u64>) -> Vec<GapStat> {
-    let mut per_gap: BTreeMap<u64, GapStat> = BTreeMap::new();
-    let mut blocked_left: HashMap<PullKey, u64> = deferred_keys.clone();
-    for ev in &trace.events {
-        if ev.kind != EventKind::PullRequested {
-            continue;
-        }
-        let gap = ev.progress.saturating_sub(ev.v_train);
-        let stat = per_gap.entry(gap).or_insert(GapStat {
-            gap,
-            pulls: 0,
-            deferred: 0,
-        });
-        stat.pulls += 1;
-        // A request whose (shard, worker, progress) was deferred counts as
-        // blocked at this gap; consume one deferral so retried progress
-        // values (which cannot happen today, but cost nothing to handle)
-        // stay balanced.
-        if let Some(n) = blocked_left.get_mut(&(ev.shard, ev.worker, ev.progress)) {
-            if *n > 0 {
-                *n -= 1;
-                stat.deferred += 1;
-            }
-        }
-    }
-    per_gap.into_values().collect()
 }
 
 fn progress_spread(trace: &Trace) -> Vec<SpreadPoint> {
@@ -558,46 +355,23 @@ fn progress_spread(trace: &Trace) -> Vec<SpreadPoint> {
     points
 }
 
-/// Walk backwards from the longest-residence DPR: the release was caused by
-/// a push on the same shard, that push came from a worker whose own latest
-/// wait (a released DPR or a barrier) preceded it, and so on.
-fn critical_path(trace: &Trace) -> Vec<PathStep> {
-    // All matched (defer, release) pairs, indexed for the backward walk.
-    let mut pending: HashMap<PullKey, &TraceEvent> = HashMap::new();
-    let mut pairs: Vec<(&TraceEvent, &TraceEvent)> = Vec::new();
-    for ev in &trace.events {
-        match ev.kind {
-            EventKind::PullDeferred => {
-                pending.insert((ev.shard, ev.worker, ev.progress), ev);
-            }
-            EventKind::DprReleased => {
-                if let Some(defer) = pending.remove(&(ev.shard, ev.worker, ev.progress)) {
-                    pairs.push((defer, ev));
-                }
-            }
-            _ => {}
-        }
-    }
-    let longest = pairs
-        .iter()
-        .max_by(|a, b| {
-            let ra = a.1.ts - a.0.ts;
-            let rb = b.1.ts - b.0.ts;
-            ra.partial_cmp(&rb).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .copied();
-    let Some((defer, release)) = longest else {
+/// Walk backwards from `longest`, the longest-residence DPR pair: the
+/// release was caused by a push on the same shard, that push came from a
+/// worker whose own latest wait (a released DPR or a barrier) preceded it,
+/// and so on.
+fn critical_path(trace: &Trace, longest: Option<DprPair>) -> Vec<PathStep> {
+    let Some(longest) = longest else {
         return Vec::new();
     };
     let mut steps = vec![PathStep {
         what: "dpr wait",
-        shard: defer.shard,
-        worker: defer.worker,
-        ts: defer.ts,
-        secs: (release.ts - defer.ts).max(0.0),
+        shard: longest.shard,
+        worker: longest.worker,
+        ts: longest.deferred_at,
+        secs: (longest.released_at - longest.deferred_at).max(0.0),
     }];
-    let mut horizon = release.ts;
-    let mut shard = release.shard;
+    let mut horizon = longest.released_at;
+    let mut shard = longest.shard;
     for _ in 0..MAX_PATH_STEPS {
         // The push that (last) advanced V_train on `shard` before the wait
         // ended — the event that let the release happen.
@@ -617,13 +391,14 @@ fn critical_path(trace: &Trace) -> Vec<PathStep> {
             secs: 0.0,
         });
         // What was the pushing worker itself waiting on before that?
-        let Some(wait) = trace.events.iter().rev().find(|e| {
+        let Some(at) = trace.events.iter().rposition(|e| {
             e.worker == push.worker
                 && e.ts < push.ts
                 && matches!(e.kind, EventKind::DprReleased | EventKind::BarrierWait)
         }) else {
             break;
         };
+        let wait = &trace.events[at];
         match wait.kind {
             EventKind::BarrierWait => {
                 steps.push(PathStep {
@@ -636,13 +411,18 @@ fn critical_path(trace: &Trace) -> Vec<PathStep> {
                 break;
             }
             _ => {
-                // A released DPR: attribute its residence and keep walking
+                // A released DPR: attribute its residence — back to the
+                // defer it answered, the nearest earlier event on its pull
+                // key unless that is another release — and keep walking
                 // through the shard that released it.
-                let residence = pairs
+                let key = (wait.shard, wait.worker, wait.progress);
+                let residence = trace.events[..at]
                     .iter()
-                    .find(|(_, r)| r.seq == wait.seq)
-                    .map(|(d, r)| (r.ts - d.ts).max(0.0))
-                    .unwrap_or(0.0);
+                    .rev()
+                    .filter(|e| (e.shard, e.worker, e.progress) == key)
+                    .find(|e| matches!(e.kind, EventKind::PullDeferred | EventKind::DprReleased))
+                    .filter(|e| e.kind == EventKind::PullDeferred)
+                    .map_or(0.0, |defer| (wait.ts - defer.ts).max(0.0));
                 steps.push(PathStep {
                     what: "dpr wait",
                     shard: wait.shard,
@@ -702,8 +482,8 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
         let key = key.trim().trim_matches('"');
         let value = value.trim();
         match key {
-            "ts" => ev.ts = parse_f64(value)?,
-            "dur" => ev.dur = parse_f64(value)?,
+            "ts" => ev.ts = parse_secs(value)?,
+            "dur" => ev.dur = parse_secs(value)?,
             "kind" => {
                 let name = value.trim_matches('"');
                 ev.kind = EventKind::ALL
@@ -720,7 +500,11 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
             "bytes" => ev.bytes = parse_u64(value)?,
             "seq" => ev.seq = parse_u64(value)?,
             "request_id" => ev.request_id = parse_u64(value)?,
-            "attempt" => ev.attempt = parse_u64(value)? as u32,
+            "attempt" => {
+                ev.attempt = value
+                    .parse()
+                    .map_err(|_| format!("bad attempt {value:?}"))?
+            }
             "parent_span" => ev.parent_span = parse_id(value)?,
             other => return Err(format!("unknown field {other:?}")),
         }
@@ -731,8 +515,13 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
     Ok(ev)
 }
 
-fn parse_f64(s: &str) -> Result<f64, String> {
-    s.parse().map_err(|_| format!("bad number {s:?}"))
+/// Timestamps and durations are finite and non-negative; `1e400` parses
+/// to `inf` and must not reach the window arithmetic.
+fn parse_secs(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
+        _ => Err(format!("bad time {s:?}")),
+    }
 }
 
 fn parse_u64(s: &str) -> Result<u64, String> {
@@ -897,6 +686,25 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_hostile_numbers_with_the_line_number() {
+        let good = "{\"ts\":1.5,\"dur\":0,\"kind\":\"wire_send\",\"attempt\":4294967295}";
+        assert_eq!(
+            parse_jsonl(good).expect("parses").events[0].attempt,
+            u32::MAX
+        );
+        for bad in [
+            "{\"ts\":1e400,\"kind\":\"wire_send\"}",
+            "{\"ts\":-1.0,\"kind\":\"wire_send\"}",
+            "{\"ts\":1.0,\"dur\":1e400,\"kind\":\"barrier_wait\"}",
+            "{\"ts\":1.0,\"dur\":-0.5,\"kind\":\"barrier_wait\"}",
+            "{\"ts\":1.0,\"kind\":\"wire_send\",\"attempt\":4294967296}",
+        ] {
+            let err = parse_jsonl(&format!("{good}\n{bad}")).expect_err(bad);
+            assert!(err.starts_with("line 2: bad "), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn analyzed_counts_match_buffered_events() {
         let col = TraceCollector::wall(4);
         let t = col.tracer();
@@ -949,8 +757,9 @@ mod tests {
         let clock = VirtualClock::new();
         let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 256);
         let t = col.tracer();
-        // Two sends, replies arrive swapped: FIFO pairs each recv with the
-        // wrong send, so both audited pairs mismatch.
+        // Two sends, replies arrive swapped: the first receive's send is
+        // not the oldest queued (FIFO would have mispaired it); once it is
+        // taken out, the second receive's send is.
         clock.set(1.0);
         t.record(EventKind::WireSend, at(0, 0, 0, 0).bytes(58).request_id(7));
         clock.set(1.1);
@@ -959,13 +768,65 @@ mod tests {
         t.record(EventKind::WireRecv, at(0, 0, 1, 0).bytes(58).request_id(8));
         clock.set(1.3);
         t.record(EventKind::WireRecv, at(0, 0, 0, 0).bytes(58).request_id(7));
-        // A duplicate delivery pops an empty queue.
+        // A duplicate delivery finds no send left to pair with.
         clock.set(1.4);
         t.record(EventKind::WireRecv, at(0, 0, 0, 0).bytes(58).request_id(7));
-        let check = analyze(&col.snapshot()).wire_check.expect("ids present");
+        let a = analyze(&col.snapshot());
+        let check = a.wire_check.expect("ids present");
         assert_eq!(check.checked, 2);
-        assert_eq!(check.mismatches, 2);
+        assert_eq!(check.mismatches, 1);
         assert_eq!(check.unmatched_recvs, 1);
-        assert!((check.mismatch_rate() - 1.0).abs() < 1e-9);
+        assert!((check.mismatch_rate() - 0.5).abs() < 1e-9);
+        // Each request is charged its own transit: 0.1s and 0.3s.
+        assert!((a.workers[0].wire_secs - 0.4).abs() < 1e-9);
+    }
+
+    /// One lost stamped send must cost its own latency sample only. FIFO
+    /// pairing charged every later receive on the queue to the previous
+    /// iteration's send — for the rest of the run.
+    #[test]
+    fn a_lost_stamped_send_does_not_shift_later_wire_latencies() {
+        let clock = VirtualClock::new();
+        let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 256);
+        let t = col.tracer();
+        clock.set(0.5);
+        // Sent, never received (dropped on the wire).
+        t.record(EventKind::WireSend, at(0, 0, 0, 0).bytes(58).request_id(99));
+        for i in 0..5u64 {
+            wire_pair(&t, &clock, 1.0 + i as f64, 100 + i);
+        }
+        let a = analyze(&col.snapshot());
+        assert!(
+            (a.workers[0].wire_secs - 0.05).abs() < 1e-9,
+            "five 10ms transits, got {}s",
+            a.workers[0].wire_secs
+        );
+        let check = a.wire_check.expect("ids present");
+        assert_eq!((check.checked, check.unmatched_recvs), (5, 0));
+        assert_eq!(check.mismatches, 5, "FIFO would have mispaired all five");
+    }
+
+    #[test]
+    fn blocked_at_gap_matches_when_defer_precedes_request_in_merge_order() {
+        // A collector merge can interleave a shard's PullDeferred before
+        // the worker's PullRequested for the same key; the pull still
+        // counts as blocked at its gap, and only that pull.
+        let clock = VirtualClock::new();
+        let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 64);
+        let t = col.tracer();
+        clock.set(1.0);
+        t.record(EventKind::PullDeferred, at(0, 1, 4, 1));
+        clock.set(1.1);
+        t.record(EventKind::PullRequested, at(0, 1, 4, 1));
+        clock.set(1.2);
+        t.record(EventKind::PullRequested, at(0, 0, 2, 2));
+        let a = analyze(&col.snapshot());
+        let gaps: Vec<(u64, u64, u64)> = a
+            .gaps
+            .iter()
+            .map(|g| (g.gap, g.pulls, g.deferred))
+            .collect();
+        assert_eq!(gaps, vec![(0, 1, 0), (3, 1, 1)]);
+        assert_eq!(a.shards[0].outstanding_dprs, 1);
     }
 }

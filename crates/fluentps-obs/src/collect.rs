@@ -325,9 +325,7 @@ impl ClusterCollector {
     /// single-process trace has.
     pub fn snapshot(&self) -> Trace {
         let mut tagged: Vec<(&str, TraceEvent)> = Vec::new();
-        let mut dropped = 0;
         for (name, stream) in &self.nodes {
-            dropped += stream.base_dropped + stream.cur_dropped + stream.evicted;
             for ev in &stream.events {
                 tagged.push((name.as_str(), *ev));
             }
@@ -346,11 +344,20 @@ impl ClusterCollector {
                 ev
             })
             .collect();
+        let (counts, dropped) = self.totals();
         Trace {
             events,
-            counts: self.counts,
+            counts,
             dropped,
         }
+    }
+
+    /// Per-kind totals ever ingested and events lost (at the senders or to
+    /// eviction here) — a snapshot's `counts` and `dropped` without the
+    /// merge.
+    pub fn totals(&self) -> ([u64; KINDS], u64) {
+        let lost = |s: &NodeStream| s.base_dropped + s.cur_dropped + s.evicted;
+        (self.counts, self.nodes.values().map(lost).sum())
     }
 
     /// Per-node accounting, ordered by node name.

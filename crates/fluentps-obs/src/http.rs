@@ -62,7 +62,7 @@ use std::time::Duration;
 use fluentps_util::sync::Mutex;
 
 use crate::collect::{ClusterCollector, NodeStats};
-use crate::event::EventKind;
+use crate::event::{EventKind, KINDS};
 use crate::export;
 use crate::health::HealthView;
 use crate::metrics::MetricsRegistry;
@@ -106,6 +106,16 @@ impl TraceSource {
         match self {
             TraceSource::Local(col) => col.snapshot(),
             TraceSource::Cluster(cluster) => cluster.lock().snapshot(),
+        }
+    }
+
+    /// Per-kind recorded totals and the drop count, without snapshotting:
+    /// a scrape must not clone and sort the cluster's buffered events under
+    /// the mutex its ingest path needs.
+    fn totals(&self) -> ([u64; KINDS], u64) {
+        match self {
+            TraceSource::Local(col) => col.totals(),
+            TraceSource::Cluster(cluster) => cluster.lock().totals(),
         }
     }
 
@@ -246,7 +256,7 @@ fn handle_connection(
         "/metrics" => {
             registry.inc("introspection_scrapes_total", 1);
             if let Some(src) = source {
-                refresh_trace_metrics(registry, &src.snapshot());
+                refresh_trace_metrics(registry, src.totals());
                 if let Some(stats) = src.node_stats() {
                     refresh_collect_metrics(registry, &stats);
                 }
@@ -512,14 +522,14 @@ fn refresh_collect_metrics(registry: &MetricsRegistry, stats: &[NodeStats]) {
 
 /// Mirror the collector's per-kind totals and drop count into the registry
 /// so `/metrics` reports trace liveness without touching the hot path.
-fn refresh_trace_metrics(registry: &MetricsRegistry, trace: &Trace) {
-    for kind in crate::event::EventKind::ALL {
+fn refresh_trace_metrics(registry: &MetricsRegistry, (counts, dropped): ([u64; KINDS], u64)) {
+    for kind in EventKind::ALL {
         registry
             .scope()
             .with("kind", kind.name())
-            .set_gauge("trace_events_recorded", trace.count(kind) as f64);
+            .set_gauge("trace_events_recorded", counts[kind.index()] as f64);
     }
-    registry.set_gauge("trace_events_dropped", trace.dropped as f64);
+    registry.set_gauge("trace_events_dropped", dropped as f64);
 }
 
 /// Read until the end of the request head (`\r\n\r\n`) or the size cap.
@@ -954,6 +964,9 @@ mod tests {
         assert!(body.contains("trace_collect_received{node=\"worker0\"} 1"));
         assert!(body.contains("trace_collect_dropped{node=\"worker1\"} 1"));
         assert!(body.contains("trace_collect_offset_seconds{node=\"worker1\"} 0.5"));
+        // The trace totals come from the collector's counters, not a merge.
+        assert!(body.contains("trace_events_recorded{kind=\"push_applied\"} 2"));
+        assert!(body.contains("trace_events_dropped 1"));
         server.stop();
     }
 

@@ -31,14 +31,16 @@
 //! * [`export`] — Chrome trace-event JSON (open in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev)), JSONL, and a human-readable text
 //!   summary. DPR defer→release pairs become duration spans.
-//! * [`analyze`] — the trace-analytics engine: per-worker time breakdowns,
+//! * [`analyze`] — the trace-analytics report: per-worker time breakdowns,
 //!   straggler scoreboard, per-shard sync health (DPR residence, late-push
 //!   drop rate, `V_train` cadence), staleness/block-rate per gap, and
 //!   critical-path extraction; plus a parser for exported JSONL traces.
-//! * [`stream`] — the live counterpart of [`analyze`]: an incremental
-//!   [`StreamAnalyzer`] with tumbling/sliding windows of tail latency,
-//!   staleness and progress rates, and the shareable [`HealthEngine`]
-//!   every layer feeds and reads.
+//!   [`analyze()`] is a replay of a buffered trace through [`stream`].
+//! * [`stream`] — the trace fold: the incremental [`StreamAnalyzer`] that
+//!   owns every event matcher and the all-run figures, with
+//!   tumbling/sliding windows of tail latency, staleness and progress
+//!   rates on top, and the shareable [`HealthEngine`] every layer feeds
+//!   and reads.
 //! * [`alert`] — declarative threshold rules over closed windows plus a
 //!   logical liveness rule, producing typed firing/resolved transitions
 //!   with a deterministic fingerprint.

@@ -1,21 +1,26 @@
-//! Streaming windowed analytics: the live counterpart of [`crate::analyze`].
+//! The trace fold: the one per-event pass every derived figure comes from.
 //!
-//! The batch analyzer consumes a *completed* trace; the adaptive-sync
-//! controller and the alerting watchdog need the same figures while the run
-//! is still in flight. [`StreamAnalyzer`] consumes events one at a time —
-//! fed live by [`crate::ClusterCollector`]'s merge loop, polled off a local
-//! [`TraceCollector`] by a [`HealthTap`], or replayed from JSONL — and
-//! maintains:
+//! [`StreamAnalyzer`] consumes events one at a time — fed live by
+//! [`crate::ClusterCollector`]'s merge loop, polled off a local
+//! [`TraceCollector`] by a [`HealthTap`], or replayed from a buffered
+//! [`crate::Trace`] by [`crate::analyze()`] — and maintains:
 //!
-//! * the exact all-run state the batch analyzer would compute (per-worker
-//!   breakdowns, staleness-gap distribution with blocked/granted split),
-//!   so replaying a trace with one all-run window reproduces
-//!   [`crate::analyze`]'s figures *exactly* (tested below), and
+//! * the all-run figures ([`StreamAnalyzer::analysis`]): per-worker time
+//!   breakdowns, per-shard sync health, the staleness-gap distribution with
+//!   its blocked/granted split and the wire-matcher audit. The three
+//!   matchers that *define* "wire time", "DPR residence" and "blocked at
+//!   gap k" live in [`StreamAnalyzer::ingest`] and nowhere else;
 //! * tumbling windows of tail latency: per-shard wire and DPR-residence
 //!   histograms, barrier-wait spans, staleness at pull, per-worker progress
-//!   rates and straggler spread — kept in [`WindowedHistogram`] rings so a
-//!   long run holds O(windows) state, with sliding views by merging
-//!   retained windows.
+//!   rates and straggler spread — kept in [`WindowedHistogram`] rings with
+//!   sliding views by merging retained windows.
+//!
+//! State is O(workers + shards + gaps) for the all-run figures,
+//! O(`windows`) per histogram ring, plus the matchers' open entries: sends
+//! and pulls not yet paired and DPRs not yet released. Unpaired sends and
+//! pulls are dropped once `windows` windows have closed since they were
+//! last touched, so a long run holds what the last `windows` windows
+//! produced, not one entry per pull.
 //!
 //! ## Window semantics
 //!
@@ -25,7 +30,7 @@
 //! window that is current when it is ingested, so a late (clock-skewed)
 //! event counts in the present rather than corrupting closed history.
 //! `window_secs = ∞` ([`StreamConfig::all_run`]) keeps one never-closing
-//! window: the batch-parity mode.
+//! window, so nothing is ever aged out: the mode [`crate::analyze()`] runs.
 //!
 //! [`HealthEngine`] bundles a [`StreamAnalyzer`] with an
 //! [`AlertEngine`](crate::alert::AlertEngine) behind a shared handle that
@@ -41,7 +46,7 @@ use std::time::Duration;
 use fluentps_util::sync::Mutex;
 
 use crate::alert::{AlertEngine, AlertRule, AlertTransition};
-use crate::analyze::{GapStat, WorkerBreakdown};
+use crate::analyze::{Analysis, GapStat, ShardHealth, WireCheck, WorkerBreakdown};
 use crate::event::{EventKind, TraceEvent, KINDS, NO_ID};
 use crate::hist::Histogram;
 use crate::metrics::MetricsRegistry;
@@ -153,7 +158,7 @@ impl WindowedHistogram {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Tumbling window length in seconds on the trace clock.
-    /// `f64::INFINITY` keeps one all-run window (batch-parity mode).
+    /// `f64::INFINITY` keeps one all-run window.
     pub window_secs: f64,
     /// How many windows each [`WindowedHistogram`] ring retains (≥ 1).
     pub windows: usize,
@@ -169,8 +174,8 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
-    /// One never-closing window covering the whole run: replaying a trace
-    /// in this mode reproduces the batch analyzer's figures exactly.
+    /// One never-closing window covering the whole run: the mode
+    /// [`crate::analyze()`] replays a buffered trace in.
     pub fn all_run() -> StreamConfig {
         StreamConfig {
             window_secs: f64::INFINITY,
@@ -217,16 +222,52 @@ impl WindowStats {
     }
 }
 
-/// FIFO matcher pairing `PullRequested` gaps with `PullDeferred` events
-/// per pull key, in either arrival order. Marks exactly the first
-/// `min(requests, defers)` requests — the same set the batch analyzer's
-/// pre-collected deferral pool consumes.
+/// Key identifying one logical pull: shards answer at most one pull per
+/// `(shard, worker, progress)` triple, so defer/release pairs and
+/// granted/blocked outcomes all match on it.
+type PullKey = (u32, u32, u64);
+
+/// The blocked-at-gap matcher's state for one pull key: pairs
+/// `PullRequested` gaps with `PullDeferred` events FIFO, in either arrival
+/// order (a collector merge can put a shard's deferral before the worker's
+/// request), marking exactly the first `min(requests, defers)` requests.
 #[derive(Debug, Default)]
 struct DeferMatch {
     /// `PullDeferred` events seen before their request.
     unmatched: u64,
     /// Gaps of requests awaiting a deferral, oldest first.
     pending: VecDeque<u64>,
+    /// Window that last touched this entry (see `close_current`).
+    window: u64,
+}
+
+/// A `WireSend` waiting on its `(shard, worker)` queue for the receive.
+#[derive(Debug)]
+struct Sent {
+    ts: f64,
+    request_id: u64,
+    attempt: u32,
+    /// Window the send was ingested in (see `close_current`).
+    window: u64,
+}
+
+/// All-run state of one shard: its [`ShardHealth`] plus what the
+/// `V_train` cadence needs between events.
+#[derive(Debug)]
+struct ShardFold {
+    health: ShardHealth,
+    last_advance: Option<f64>,
+    /// Sum of the gaps between consecutive `VTrainAdvanced` events.
+    advance_secs: f64,
+}
+
+/// A matched `PullDeferred`→`DprReleased` pair.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DprPair {
+    pub(crate) shard: u32,
+    pub(crate) worker: u32,
+    pub(crate) deferred_at: f64,
+    pub(crate) released_at: f64,
 }
 
 /// Incremental analyzer: feed events in timestamp order via
@@ -239,15 +280,22 @@ pub struct StreamAnalyzer {
     /// Index of the currently-open window.
     current: u64,
 
-    // ---- exact all-run state (batch parity) ----
+    // ---- all-run state (what `analysis()` reads out) ----
     analyzed: [u64; KINDS],
     total: u64,
     span: (f64, f64),
     workers: BTreeMap<u32, WorkerBreakdown>,
-    in_flight: HashMap<(u32, u32), VecDeque<f64>>,
+    shards: BTreeMap<u32, ShardFold>,
     gaps: BTreeMap<u64, GapStat>,
-    defers: HashMap<(u32, u32, u64), DeferMatch>,
-    pending_dprs: HashMap<(u32, u32, u64), f64>,
+    wire_check: WireCheck,
+    /// Whether any wire event carried a causal request id.
+    stamped_wire: bool,
+    longest_dpr: Option<DprPair>,
+
+    // ---- open matcher entries ----
+    in_flight: HashMap<(u32, u32), VecDeque<Sent>>,
+    defers: HashMap<PullKey, DeferMatch>,
+    pending_dprs: HashMap<PullKey, f64>,
 
     // ---- windowed state ----
     shard_wire_us: BTreeMap<u32, WindowedHistogram>,
@@ -258,7 +306,7 @@ pub struct StreamAnalyzer {
     win_pulls: u64,
     win_deferred: u64,
     win_max_gap: u64,
-    progress_now: BTreeMap<u32, u64>,
+    /// Each worker's highest progress (`iterations - 1`) at the last close.
     progress_at_close: BTreeMap<u32, u64>,
     rates: BTreeMap<u32, f64>,
     closed: VecDeque<WindowStats>,
@@ -282,8 +330,12 @@ impl StreamAnalyzer {
             total: 0,
             span: (0.0, 0.0),
             workers: BTreeMap::new(),
-            in_flight: HashMap::new(),
+            shards: BTreeMap::new(),
             gaps: BTreeMap::new(),
+            wire_check: WireCheck::default(),
+            stamped_wire: false,
+            longest_dpr: None,
+            in_flight: HashMap::new(),
             defers: HashMap::new(),
             pending_dprs: HashMap::new(),
             shard_wire_us: BTreeMap::new(),
@@ -294,7 +346,6 @@ impl StreamAnalyzer {
             win_pulls: 0,
             win_deferred: 0,
             win_max_gap: 0,
-            progress_now: BTreeMap::new(),
             progress_at_close: BTreeMap::new(),
             rates: BTreeMap::new(),
             closed: VecDeque::new(),
@@ -346,27 +397,13 @@ impl StreamAnalyzer {
         self.span.1 = ev.ts + ev.dur.max(0.0);
         self.win_events += 1;
 
-        if ev.worker != NO_ID {
-            let p = self.progress_now.entry(ev.worker).or_insert(0);
-            *p = (*p).max(ev.progress);
-        }
-
-        // Per-worker breakdown: mirrors `analyze::worker_breakdowns`
-        // field by field so an all-run replay matches it exactly.
-        let mut wire_latency: Option<f64> = None;
+        // Per-worker breakdown, including the one wire matcher.
         if ev.worker != NO_ID {
             let w = self.workers.entry(ev.worker).or_insert(WorkerBreakdown {
                 worker: ev.worker,
-                iterations: 0,
                 first_ts: ev.ts,
                 last_ts: ev.ts,
-                barrier_secs: 0.0,
-                barrier_count: 0,
-                wire_secs: 0.0,
-                bytes_sent: 0,
-                bytes_recvd: 0,
-                pulls: 0,
-                deferred: 0,
+                ..WorkerBreakdown::default()
             });
             w.first_ts = w.first_ts.min(ev.ts);
             w.last_ts = w.last_ts.max(ev.ts + ev.dur);
@@ -378,19 +415,53 @@ impl StreamAnalyzer {
                 }
                 EventKind::WireSend => {
                     w.bytes_sent += ev.bytes;
+                    self.stamped_wire |= ev.request_id != 0;
                     self.in_flight
                         .entry((ev.shard, ev.worker))
                         .or_default()
-                        .push_back(ev.ts);
+                        .push_back(Sent {
+                            ts: ev.ts,
+                            request_id: ev.request_id,
+                            attempt: ev.attempt,
+                            window: cur,
+                        });
                 }
                 EventKind::WireRecv => {
                     w.bytes_recvd += ev.bytes;
-                    if let Some(queue) = self.in_flight.get_mut(&(ev.shard, ev.worker)) {
-                        if let Some(sent) = queue.pop_front() {
-                            let lat = (ev.ts - sent).max(0.0);
+                    self.stamped_wire |= ev.request_id != 0;
+                    // Causal ids are the truth: a stamped receive pairs with
+                    // the queued send of the same `(request_id, attempt)`,
+                    // wherever it sits. FIFO — the oldest unmatched send on
+                    // the `(shard, worker)` queue, sends being recorded
+                    // before their receives — is the heuristic, used only
+                    // for ctx-less events. Sends a stamped receive skips
+                    // stay queued: requests and replies share the queue, so
+                    // a skipped send is as likely still in flight the other
+                    // way as lost; lost ones age out in `close_current`.
+                    let queue = self.in_flight.entry((ev.shard, ev.worker)).or_default();
+                    let at = if ev.request_id == 0 {
+                        (!queue.is_empty()).then_some(0)
+                    } else {
+                        let id = (ev.request_id, ev.attempt);
+                        queue.iter().position(|s| (s.request_id, s.attempt) == id)
+                    };
+                    match at.and_then(|p| queue.remove(p).map(|sent| (p, sent))) {
+                        Some((p, sent)) => {
+                            let lat = (ev.ts - sent.ts).max(0.0);
                             w.wire_secs += lat;
-                            wire_latency = Some(lat);
+                            if ev.request_id != 0 {
+                                self.wire_check.checked += 1;
+                                // FIFO would have popped the front instead.
+                                self.wire_check.mismatches += u64::from(p > 0);
+                            }
+                            if ev.shard != NO_ID {
+                                self.shard_wire_us
+                                    .entry(ev.shard)
+                                    .or_insert_with(|| WindowedHistogram::new(nw))
+                                    .record(cur, (lat * 1e6) as u64);
+                            }
                         }
+                        None => self.wire_check.unmatched_recvs += 1,
                     }
                 }
                 EventKind::PullRequested => w.pulls += 1,
@@ -399,10 +470,65 @@ impl StreamAnalyzer {
             }
         }
 
-        // Staleness-gap distribution with the blocked/granted split. The
-        // batch analyzer pre-collects every deferral, then marks the first
-        // min(requests, defers) requests per pull key; the FIFO matcher
-        // reproduces that set without lookahead.
+        // Per-shard sync health, including the one defer→release pairing:
+        // a `DprReleased` answers the latest unanswered `PullDeferred` of
+        // the same pull key.
+        if ev.shard != NO_ID {
+            let key = (ev.shard, ev.worker, ev.progress);
+            let fold = self.shards.entry(ev.shard).or_insert_with(|| ShardFold {
+                health: ShardHealth {
+                    shard: ev.shard,
+                    ..ShardHealth::default()
+                },
+                last_advance: None,
+                advance_secs: 0.0,
+            });
+            let sh = &mut fold.health;
+            sh.final_v_train = sh.final_v_train.max(ev.v_train);
+            match ev.kind {
+                EventKind::PullDeferred => {
+                    self.pending_dprs.insert(key, ev.ts);
+                }
+                EventKind::DprReleased => {
+                    if let Some(deferred_at) = self.pending_dprs.remove(&key) {
+                        let residence = (ev.ts - deferred_at).max(0.0);
+                        // Running mean: mean += (x - mean) / n.
+                        sh.dpr_count += 1;
+                        sh.dpr_residence_mean +=
+                            (residence - sh.dpr_residence_mean) / sh.dpr_count as f64;
+                        sh.dpr_residence_max = sh.dpr_residence_max.max(residence);
+                        sh.dpr_residence_us.record((residence * 1e6) as u64);
+                        self.shard_dpr_us
+                            .entry(ev.shard)
+                            .or_insert_with(|| WindowedHistogram::new(nw))
+                            .record(cur, (residence * 1e6) as u64);
+                        // Ties go to the later pair.
+                        let longest = self
+                            .longest_dpr
+                            .map_or(f64::NEG_INFINITY, |l| l.released_at - l.deferred_at);
+                        if ev.ts - deferred_at >= longest {
+                            self.longest_dpr = Some(DprPair {
+                                shard: ev.shard,
+                                worker: ev.worker,
+                                deferred_at,
+                                released_at: ev.ts,
+                            });
+                        }
+                    }
+                }
+                EventKind::PushApplied => sh.pushes += 1,
+                EventKind::LatePushDropped => sh.late_drops += 1,
+                EventKind::VTrainAdvanced => {
+                    sh.v_train_advances += 1;
+                    if let Some(prev) = fold.last_advance.replace(ev.ts) {
+                        fold.advance_secs += (ev.ts - prev).max(0.0);
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        // Staleness at pull time and the one blocked-at-gap matcher.
         match ev.kind {
             EventKind::PullRequested => {
                 let gap = ev.progress.saturating_sub(ev.v_train);
@@ -419,6 +545,7 @@ impl StreamAnalyzer {
                     .defers
                     .entry((ev.shard, ev.worker, ev.progress))
                     .or_default();
+                dm.window = cur;
                 if dm.unmatched > 0 {
                     dm.unmatched -= 1;
                     stat.deferred += 1;
@@ -432,6 +559,7 @@ impl StreamAnalyzer {
                     .defers
                     .entry((ev.shard, ev.worker, ev.progress))
                     .or_default();
+                dm.window = cur;
                 if let Some(gap) = dm.pending.pop_front() {
                     if let Some(stat) = self.gaps.get_mut(&gap) {
                         stat.deferred += 1;
@@ -439,35 +567,11 @@ impl StreamAnalyzer {
                 } else {
                     dm.unmatched += 1;
                 }
-                if ev.shard != NO_ID {
-                    self.pending_dprs
-                        .insert((ev.shard, ev.worker, ev.progress), ev.ts);
-                }
-            }
-            EventKind::DprReleased => {
-                if let Some(deferred_at) =
-                    self.pending_dprs
-                        .remove(&(ev.shard, ev.worker, ev.progress))
-                {
-                    let residence = (ev.ts - deferred_at).max(0.0);
-                    self.shard_dpr_us
-                        .entry(ev.shard)
-                        .or_insert_with(|| WindowedHistogram::new(nw))
-                        .record(cur, (residence * 1e6) as u64);
-                }
             }
             EventKind::BarrierWait => {
                 self.barrier_us.record(cur, (ev.dur.max(0.0) * 1e6) as u64);
             }
             _ => {}
-        }
-        if let Some(lat) = wire_latency {
-            if ev.shard != NO_ID {
-                self.shard_wire_us
-                    .entry(ev.shard)
-                    .or_insert_with(|| WindowedHistogram::new(nw))
-                    .record(cur, (lat * 1e6) as u64);
-            }
         }
     }
 
@@ -492,8 +596,9 @@ impl StreamAnalyzer {
         } else {
             epoch
         };
-        for (&w, &p) in &self.progress_now {
-            let prev = self.progress_at_close.get(&w).copied().unwrap_or(0);
+        for (&w, wb) in &self.workers {
+            let p = wb.iterations - 1;
+            let prev = self.progress_at_close.insert(w, p).unwrap_or(0);
             let rate = if self.cfg.window_secs.is_finite() && self.cfg.window_secs > 0.0 {
                 (p.saturating_sub(prev)) as f64 / self.cfg.window_secs
             } else {
@@ -501,7 +606,6 @@ impl StreamAnalyzer {
             };
             self.rates.insert(w, rate);
         }
-        self.progress_at_close = self.progress_now.clone();
         let stats = WindowStats {
             index: idx,
             start_ts,
@@ -519,6 +623,15 @@ impl StreamAnalyzer {
         self.win_pulls = 0;
         self.win_deferred = 0;
         self.win_max_gap = 0;
+        // Age out matcher entries nothing touched within the retained
+        // windows: pulls that were simply granted, sends never answered.
+        let stale = |window: u64| idx - window >= self.cfg.windows as u64;
+        self.defers.retain(|_, dm| !stale(dm.window));
+        for queue in self.in_flight.values_mut() {
+            while queue.front().is_some_and(|s| stale(s.window)) {
+                queue.pop_front();
+            }
+        }
         self.closed.push_back(stats);
         while self.closed.len() > CLOSED_KEPT {
             self.closed.pop_front();
@@ -541,31 +654,38 @@ impl StreamAnalyzer {
         self.dropped = self.dropped.max(dropped);
     }
 
-    /// Per-worker breakdown over everything ingested, sorted by worker id
-    /// — identical to [`crate::analyze`]'s on the same events.
-    pub fn worker_breakdowns(&self) -> Vec<WorkerBreakdown> {
-        self.workers.values().cloned().collect()
+    /// The all-run figures over everything ingested. `recorded`, `dropped`,
+    /// `spread` and `critical_path` are left at their defaults: they need
+    /// the buffered trace itself (see [`crate::analyze()`]).
+    pub fn analysis(&self) -> Analysis {
+        let shard = |fold: &ShardFold| {
+            let mut sh = fold.health.clone();
+            if sh.v_train_advances > 1 {
+                sh.advance_interval_mean = fold.advance_secs / (sh.v_train_advances - 1) as f64;
+            }
+            let open = self.pending_dprs.keys().filter(|k| k.0 == sh.shard);
+            sh.outstanding_dprs = open.count() as u64;
+            sh
+        };
+        Analysis {
+            analyzed: self.analyzed,
+            span: self.span,
+            workers: self.workers.values().cloned().collect(),
+            shards: self.shards.values().map(shard).collect(),
+            gaps: self.gaps.values().copied().collect(),
+            wire_check: self.stamped_wire.then_some(self.wire_check),
+            ..Analysis::default()
+        }
     }
 
-    /// Pull outcomes per staleness gap over everything ingested, sorted by
-    /// gap — identical to [`crate::analyze`]'s on the same events.
-    pub fn gap_stats(&self) -> Vec<GapStat> {
-        self.gaps.values().copied().collect()
-    }
-
-    /// Events of `kind` ingested so far.
-    pub fn count(&self, kind: EventKind) -> u64 {
-        self.analyzed[kind.index()]
+    /// The longest-residence matched DPR pair so far (ties: the latest).
+    pub(crate) fn longest_dpr(&self) -> Option<DprPair> {
+        self.longest_dpr
     }
 
     /// Total events ingested so far.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// First event's timestamp and the last event's span end.
-    pub fn span(&self) -> (f64, f64) {
-        self.span
     }
 
     /// How many windows have closed.
@@ -591,9 +711,8 @@ impl StreamAnalyzer {
 
     /// Fastest-minus-slowest worker progress right now.
     pub fn spread(&self) -> u64 {
-        let min = self.progress_now.values().min().copied().unwrap_or(0);
-        let max = self.progress_now.values().max().copied().unwrap_or(0);
-        max - min
+        let progress = || self.workers.values().map(|w| w.iterations - 1);
+        progress().max().unwrap_or(0) - progress().min().unwrap_or(0)
     }
 
     /// Collector drop fraction (`dropped / emitted`; 0 when unknown).
@@ -805,7 +924,7 @@ impl HealthEngine {
         for (w, rate) in a.progress_rates() {
             out.push_str(&format!("slo worker{w} progress_rate {rate:.3}\n"));
         }
-        for wb in a.worker_breakdowns() {
+        for wb in a.workers.values() {
             out.push_str(&format!(
                 "slo worker{} iterations {}\n",
                 wb.worker, wb.iterations
@@ -925,7 +1044,6 @@ impl Drop for HealthTap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::analyze;
     use crate::clock::{ClockSource, VirtualClock};
     use crate::tracer::{RecordArgs, TraceCollector};
     use std::sync::Arc;
@@ -986,56 +1104,51 @@ mod tests {
     }
 
     #[test]
-    fn all_run_replay_matches_batch_analyzer_exactly() {
+    fn all_run_mode_never_closes_a_window_until_finish() {
         let trace = busy_trace();
-        let batch = analyze(&trace);
         let mut s = StreamAnalyzer::new(StreamConfig::all_run());
         for ev in &trace.events {
-            s.advance_to(ev.ts);
+            assert!(s.advance_to(ev.ts).is_empty());
             s.ingest(ev);
         }
-        assert_eq!(s.worker_breakdowns(), batch.workers, "worker parity");
-        assert_eq!(s.gap_stats(), batch.gaps, "staleness-gap parity");
-        assert_eq!(s.span(), batch.span, "span parity");
-        for kind in EventKind::ALL {
-            assert_eq!(
-                s.count(kind),
-                batch.analyzed[kind.index()],
-                "count parity for {}",
-                kind.name()
-            );
-        }
-        // All-run mode never closes a window until finish().
         assert_eq!(s.windows_closed(), 0);
         let final_window = s.finish();
         assert_eq!(final_window.events, s.total());
         assert_eq!(final_window.pulls, trace.count(EventKind::PullRequested));
     }
 
+    /// The matchers' open entries are bounded by what the retained windows
+    /// produced, not by the length of the run: granted pulls never see a
+    /// `PullDeferred` and lost sends never see a `WireRecv`, and both used
+    /// to stay in `defers` / `in_flight` forever.
     #[test]
-    fn parity_holds_when_defer_precedes_request_in_merge_order() {
-        // A collector merge can interleave a shard's PullDeferred before
-        // the worker's PullRequested for the same key; the batch analyzer
-        // is order-insensitive here and streaming must be too.
-        let clock = VirtualClock::new();
-        let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 64);
-        let t = col.tracer();
-        clock.set(1.0);
-        t.record(EventKind::PullDeferred, at(0, 1, 4, 1));
-        clock.set(1.1);
-        t.record(EventKind::PullRequested, at(0, 1, 4, 1));
-        clock.set(1.2);
-        t.record(EventKind::PullRequested, at(0, 0, 2, 2));
-        let trace = col.snapshot();
-        let batch = analyze(&trace);
-        let mut s = StreamAnalyzer::new(StreamConfig::all_run());
-        for ev in &trace.events {
-            s.advance_to(ev.ts);
-            s.ingest(ev);
+    fn live_matcher_state_stays_bounded_over_a_long_run() {
+        let mut s = StreamAnalyzer::new(StreamConfig {
+            window_secs: 1.0,
+            windows: 4,
+        });
+        let ev = |ts: f64, kind, i: u64| TraceEvent {
+            ts,
+            kind,
+            shard: (i % 2) as u32,
+            worker: (i % 3) as u32,
+            progress: i,
+            v_train: i,
+            request_id: i + 1,
+            ..Default::default()
+        };
+        // 100 pulls per window, every one granted, every send unanswered.
+        for i in 0..100_000u64 {
+            let ts = i as f64 * 0.01;
+            s.advance_to(ts);
+            s.ingest(&ev(ts, EventKind::WireSend, i));
+            s.ingest(&ev(ts, EventKind::PullRequested, i));
         }
-        assert_eq!(s.gap_stats(), batch.gaps);
-        let g3 = s.gap_stats();
-        assert_eq!(g3.iter().map(|g| g.deferred).sum::<u64>(), 1);
+        let in_flight: usize = s.in_flight.values().map(|q| q.len()).sum();
+        assert!(s.defers.len() <= 500, "defers: {}", s.defers.len());
+        assert!(in_flight <= 500, "in_flight: {in_flight}");
+        // The all-run figures still cover the whole run.
+        assert_eq!(s.analysis().gaps[0].pulls, 100_000);
     }
 
     #[test]

@@ -197,6 +197,17 @@ impl TraceCollector {
         }
     }
 
+    /// Per-kind totals ever recorded and events lost to ring overwriting —
+    /// a snapshot's `counts` and `dropped` without copying or sorting a
+    /// single event.
+    pub fn totals(&self) -> ([u64; KINDS], u64) {
+        let (mut counts, mut dropped) = ([0u64; KINDS], 0);
+        for ring in self.shared.rings.lock().iter() {
+            add_totals(&ring.lock(), &mut counts, &mut dropped);
+        }
+        (counts, dropped)
+    }
+
     /// Merge every ring into one trace, ordered by `(ts, seq)`.
     ///
     /// Non-destructive: tracers keep recording afterwards.
@@ -208,10 +219,7 @@ impl TraceCollector {
         for ring in rings.iter() {
             let r = ring.lock();
             events.extend(r.drain_ordered());
-            for (total, n) in counts.iter_mut().zip(r.seen_all()) {
-                *total += n;
-            }
-            dropped += r.overwritten();
+            add_totals(&r, &mut counts, &mut dropped);
         }
         events.sort_by(|a, b| {
             a.ts.partial_cmp(&b.ts)
@@ -224,6 +232,13 @@ impl TraceCollector {
             dropped,
         }
     }
+}
+
+fn add_totals(ring: &RingBuffer, counts: &mut [u64; KINDS], dropped: &mut u64) {
+    for (total, n) in counts.iter_mut().zip(ring.seen_all()) {
+        *total += n;
+    }
+    *dropped += ring.overwritten();
 }
 
 /// Incremental reader over a [`TraceCollector`]'s rings: each

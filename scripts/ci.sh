@@ -43,11 +43,24 @@ if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   exit 1
 fi
 
+# Structural guard: the trace fold exists once (DESIGN.md §9). The wire
+# matcher, the defer→release pairing and the blocked-at-gap matcher live in
+# stream.rs; analyze.rs replays a snapshot through them and must not grow
+# its own again, and the five batch passes it replaced stay deleted.
+if awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } { print FILENAME ":" FNR ": " $0 }' \
+    crates/fluentps-obs/src/analyze.rs \
+  | grep -E 'pop_front|EventKind::(WireRecv|PullRequested)|fn (worker_breakdowns|gap_stats|collect_deferred_keys|shard_healths|wire_check)\('; then
+  echo "ci: analyze.rs matches trace events itself again (see above); the matchers belong to stream.rs" >&2
+  exit 1
+fi
+
 # Golden-file check: the Chrome-trace exporter must emit byte-stable, valid
 # JSON for the fixture run (tests/golden/chrome_trace_fixture.json). Run
 # explicitly so a missing or stale golden file fails CI even if test
-# filtering changes.
+# filtering changes. Likewise the two analyzer goldens, which pin the trace
+# fold to what the batch engine it replaced printed.
 cargo test -q --offline --test observability chrome_trace_export_matches_golden_file
+cargo test -q --offline --test analyze golden_file
 
 # Smoke round-trip through the analytics engine: trace a demo run, analyze
 # the export, and require the report's straggler and staleness sections to

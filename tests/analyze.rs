@@ -179,3 +179,117 @@ fn wire_check_reports_fifo_mismatch_rate_under_reorder_chaos() {
         "mismatch rate out of range: {rate}"
     );
 }
+
+/// Compare `got` with `tests/golden/<name>` (rewrite it under
+/// `FLUENTPS_BLESS=1`). Both analyzer goldens were blessed at the commit
+/// *before* `analyze()` became a replay of the streaming fold, so they pin
+/// the old batch engine's output.
+fn assert_matches_golden(name: &str, got: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var("FLUENTPS_BLESS").is_ok() {
+        std::fs::write(&path, got).expect("bless golden file");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .expect("golden file missing — run with FLUENTPS_BLESS=1 to create it");
+    assert_eq!(
+        got, want,
+        "{name} changed; if intentional, re-bless with FLUENTPS_BLESS=1"
+    );
+}
+
+/// The whole report of the deterministic traced demo run (simulator, SSP
+/// s=2 with stragglers): every section `repro analyze --ssp 2` prints.
+#[test]
+fn demo_analysis_report_matches_golden_file() {
+    let trace = tracerun::demo_run(false).trace.expect("demo run traces");
+    let a = analyze(&trace);
+    let analytical = |k: u64| if k >= 2 { 1.0 } else { 0.0 };
+    let report: String = fluentps::experiments::report::analysis_sections(&a, Some(&analytical))
+        .iter()
+        .map(|t| t.to_markdown() + "\n")
+        .collect();
+    assert_matches_golden("analysis_demo.md", &report);
+}
+
+/// Every field of the [`Analysis`] of a fault-free id-stamped trace: two
+/// workers on two shards, each request and reply stamped with its causal
+/// id and delivered in order, every third pull deferred and released by the
+/// other worker's push — plus one duplicated receive, which arrives on an
+/// empty queue and so is unmatched under FIFO and id pairing alike.
+#[test]
+fn stamped_trace_analysis_matches_golden_file() {
+    use fluentps::obs::{ClockSource, VirtualClock};
+    let clock = VirtualClock::new();
+    let collector = TraceCollector::new(
+        ClockSource::virtual_clock(std::sync::Arc::clone(&clock)),
+        1 << 12,
+    );
+    let t = collector.tracer();
+    let mut now = 1.0;
+    let mut tick = |secs: f64| {
+        now += secs;
+        clock.set(now);
+    };
+    let mut rid = 100u64;
+    for i in 0..6u64 {
+        for w in 0..2u32 {
+            let m = (w + i as u32) % 2;
+            let at = RecordArgs::new().shard(m).worker(w).progress(i);
+            // Push: request out, applied, ack back.
+            rid += 1;
+            tick(0.010);
+            t.record(EventKind::WireSend, at.bytes(203).ctx(rid, 0, 1));
+            tick(0.002);
+            t.record(EventKind::WireRecv, at.bytes(203).ctx(rid, 0, 1));
+            t.record(EventKind::PushApplied, at.v_train(i).bytes(160));
+            if w == 1 {
+                t.record(
+                    EventKind::VTrainAdvanced,
+                    RecordArgs::new().shard(m).v_train(i + 1),
+                );
+            }
+            t.record(EventKind::WireSend, at.bytes(39).ctx(rid, 0, 2));
+            tick(0.001);
+            t.record(EventKind::WireRecv, at.bytes(39).ctx(rid, 0, 2));
+            if i == 3 && w == 0 {
+                // The ack is delivered twice.
+                tick(0.001);
+                t.record(EventKind::WireRecv, at.bytes(39).ctx(rid, 0, 2));
+            }
+            // Pull: request out; worker 0 runs ahead and is deferred on
+            // every third iteration until worker 1's push lands.
+            rid += 1;
+            let gap = if w == 0 { i % 3 } else { 0 };
+            let pull = at.v_train(i - gap.min(i));
+            tick(0.003);
+            t.record(EventKind::WireSend, pull.bytes(59).ctx(rid, 0, 1));
+            tick(0.002);
+            t.record(EventKind::WireRecv, pull.bytes(59).ctx(rid, 0, 1));
+            t.record(EventKind::PullRequested, pull.bytes(59));
+            if w == 0 && i % 3 == 2 {
+                t.record(EventKind::PullDeferred, pull);
+                let blocked = t.now();
+                tick(0.040 + 0.010 * i as f64);
+                t.record(EventKind::DprReleased, at.v_train(i));
+                t.record_span(
+                    EventKind::BarrierWait,
+                    blocked,
+                    at.shard(fluentps::obs::NO_ID),
+                );
+            }
+            t.record(EventKind::WireSend, at.bytes(211).ctx(rid, 0, 2));
+            tick(0.002);
+            t.record(EventKind::WireRecv, at.bytes(211).ctx(rid, 0, 2));
+        }
+    }
+    tick(0.005);
+    t.record(
+        EventKind::LatePushDropped,
+        RecordArgs::new().shard(0).worker(1).progress(0).v_train(6),
+    );
+    let a = analyze(&collector.snapshot());
+    let check = a.wire_check.expect("ids present");
+    assert_eq!((check.mismatches, check.unmatched_recvs), (0, 1));
+    assert_matches_golden("analysis_stamped.txt", &format!("{a:#?}\n"));
+}
