@@ -1403,20 +1403,17 @@ impl SupervisorReplica {
             let _ = postman.send(to, msg);
         };
         for &s in &survivors {
-            let mut kv = KvPairs::default();
-            for p in remapped
+            let adopted: Vec<(u64, Vec<f32>)> = remapped
                 .placements()
                 .iter()
                 .filter(|p| p.server == s && self.map.server_of(p.new_key) == Some(m))
-            {
-                let vals = orphan_params
-                    .get(&p.new_key)
-                    .cloned()
-                    .unwrap_or_else(|| vec![0.0; p.len]);
-                kv.keys.push(p.new_key);
-                kv.lens.push(vals.len() as u32);
-                kv.vals.extend_from_slice(&vals);
-            }
+                .map(|p| {
+                    let vals = orphan_params.get(&p.new_key).cloned();
+                    (p.new_key, vals.unwrap_or_else(|| vec![0.0; p.len]))
+                })
+                .collect();
+            let slices: Vec<(u64, &[f32])> = adopted.iter().map(|(k, v)| (*k, &v[..])).collect();
+            let kv = KvPairs::from_slices(&slices);
             if !kv.is_empty() {
                 send(NodeId::Server(s), Message::Install { kv }.with_ctx(ctx));
             }

@@ -8,10 +8,11 @@
 //! synchronization logic, and properties like the staleness invariant can be
 //! tested exhaustively.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use fluentps_obs::{EventKind, RecordArgs, Tracer};
-use fluentps_transport::{codec, CausalCtx, KvPairs};
+use fluentps_transport::{codec, CausalCtx, KvPairs, ValuesMut};
 
 use crate::condition::{SyncModel, SyncPolicy, SyncState};
 use crate::dpr::{DeferredPull, DprBuffer, DprPolicy};
@@ -104,6 +105,13 @@ pub struct ServerShard {
     cfg: ShardConfig,
     policy: Box<dyn SyncPolicy>,
     store: HashMap<u64, Vec<f32>>,
+    /// The last [`snapshot`](Self::snapshot), for as long as the store has
+    /// not changed since: whoever next asks for the same keys — the other
+    /// pulls of a BSP round, the checkpoint at the same `V_train` — shares
+    /// its payload instead of gathering the shard again. Emptied by every
+    /// write to `store`. (`RefCell`: a snapshot reads the shard; remembering
+    /// it is not a change anyone can observe.)
+    last_snapshot: RefCell<Option<KvPairs>>,
     v_train: u64,
     progress: ProgressTable,
     buffer: DprBuffer,
@@ -134,6 +142,7 @@ impl ServerShard {
             progress: ProgressTable::new(cfg.num_workers),
             policy,
             store: HashMap::new(),
+            last_snapshot: RefCell::new(None),
             v_train: 0,
             buffer: DprBuffer::new(),
             stats: ShardStats::default(),
@@ -150,6 +159,7 @@ impl ServerShard {
 
     /// Install the initial value of a parameter (`w_0`, Algorithm 1 line 1).
     pub fn init_param(&mut self, key: u64, vals: Vec<f32>) {
+        self.last_snapshot.get_mut().take();
         self.store.insert(key, vals);
     }
 
@@ -454,7 +464,7 @@ impl ServerShard {
         let mut g2 = 0.0f64;
         let mut w2 = 0.0f64;
         for (key, grad) in kv.iter() {
-            g2 += grad.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
+            g2 += grad.iter().map(|x| (x as f64) * (x as f64)).sum::<f64>();
             if let Some(param) = self.store.get(&key) {
                 w2 += param.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
             }
@@ -466,7 +476,10 @@ impl ServerShard {
         }
     }
 
+    /// Fold a push into the store — where a gradient's wire bytes are read
+    /// as `f32`, once.
     fn apply_gradients(&mut self, kv: &KvPairs) {
+        self.last_snapshot.get_mut().take();
         let scale = match self.cfg.grad_scale {
             GradScale::DivideByN => 1.0 / self.cfg.num_workers as f32,
             GradScale::Raw => 1.0,
@@ -477,10 +490,7 @@ impl ServerShard {
                 debug_assert!(false, "push for unknown key {key:#x}");
                 continue;
             };
-            debug_assert_eq!(param.len(), grad.len(), "gradient shape mismatch");
-            for (w, g) in param.iter_mut().zip(grad) {
-                *w += g * scale;
-            }
+            grad.add_scaled_to(param, scale);
         }
     }
 
@@ -490,11 +500,15 @@ impl ServerShard {
         kv
     }
 
-    /// Copy the stored values of `keys` into one batch, skipping keys this
-    /// shard does not hold. The batch is sized exactly before the first
-    /// copy: growing a tensor-sized `vals` by doubling re-copies it several
-    /// times and leaves up to 2x slack behind.
+    /// The stored values of `keys` as one batch, skipping keys this shard
+    /// does not hold — where the store's `f32`s become wire bytes, written
+    /// once into one allocation of their exact size. Asking again for the
+    /// same keys before the store changes returns the same payload.
     pub(crate) fn snapshot(&self, keys: &[u64]) -> KvPairs {
+        let mut last = self.last_snapshot.borrow_mut();
+        if let Some(kv) = last.as_ref().filter(|kv| kv.keys == keys) {
+            return kv.clone();
+        }
         let held = || {
             keys.iter()
                 .filter_map(|&key| Some((key, self.store.get(&key)?)))
@@ -502,13 +516,16 @@ impl ServerShard {
         let mut kv = KvPairs {
             keys: Vec::with_capacity(keys.len()),
             lens: Vec::with_capacity(keys.len()),
-            vals: Vec::with_capacity(held().map(|(_, vals)| vals.len()).sum()),
+            ..KvPairs::default()
         };
+        let mut payload = ValuesMut::with_capacity(held().map(|(_, vals)| vals.len()).sum());
         for (key, vals) in held() {
             kv.keys.push(key);
             kv.lens.push(vals.len() as u32);
-            kv.vals.extend_from_slice(vals);
+            payload.extend_from_slice(vals);
         }
+        kv.vals = payload.freeze();
+        *last = Some(kv.clone());
         kv
     }
 }
@@ -712,15 +729,91 @@ mod tests {
         let mut s = shard(1, SyncModel::Asp, DprPolicy::LazyExecution);
         s.init_param(1, vec![1.0; 4096]);
         s.init_param(2, vec![2.0; 37]);
-        match s.on_pull(0, 0, &[0, 1, 2], 0.5, None) {
+        let (_, before) = fluentps_util::alloc::thread_counters();
+        let outcome = s.on_pull(0, 0, &[0, 1, 2], 0.5, None);
+        let (_, after) = fluentps_util::alloc::thread_counters();
+        match outcome {
             PullOutcome::Respond { kv, .. } => {
                 assert_eq!(kv.lens, vec![2, 4096, 37]);
-                assert_eq!(kv.vals.capacity(), kv.vals.len());
+                let payload = kv.vals.as_le_bytes().len() as u64;
+                assert_eq!(payload, 4 * (2 + 4096 + 37));
+                assert!(
+                    after - before < payload + 1024,
+                    "a {payload}-byte reply allocated {}",
+                    after - before
+                );
                 assert_eq!(kv.keys.capacity(), kv.keys.len());
                 assert_eq!(kv.lens.capacity(), kv.lens.len());
             }
             PullOutcome::Deferred => panic!("ASP must not defer"),
         }
+    }
+
+    fn payload_of(outcome: PullOutcome) -> KvPairs {
+        match outcome {
+            PullOutcome::Respond { kv, .. } => kv,
+            PullOutcome::Deferred => panic!("ASP must not defer"),
+        }
+    }
+
+    #[test]
+    fn pulls_share_one_snapshot_until_the_store_changes() {
+        let at = |kv: &KvPairs| kv.vals.as_le_bytes().as_ptr();
+        let mut s = shard(2, SyncModel::Asp, DprPolicy::LazyExecution);
+        s.init_param(1, vec![1.0; 64]);
+        let first = payload_of(s.on_pull(0, 0, &[0, 1], 0.5, None));
+        let second = payload_of(s.on_pull(1, 0, &[0, 1], 0.5, None));
+        assert_eq!(at(&first), at(&second), "no push in between: one gather");
+        // So does whoever else snapshots the same keys (the checkpoint).
+        assert_eq!(at(&s.snapshot(&[0, 1])), at(&first));
+        // A different key set is not the remembered one, and replaces it.
+        let narrow = payload_of(s.on_pull(0, 0, &[1], 0.5, None));
+        assert_eq!(narrow.keys, [1]);
+        assert_eq!(narrow.vals, vec![1.0; 64]);
+        let again = payload_of(s.on_pull(0, 0, &[0, 1], 0.5, None));
+        assert_ne!(at(&again), at(&first));
+        assert_eq!(again, first);
+
+        // A push invalidates it: the next pull sees the new values, and the
+        // snapshot handed out earlier still holds the old ones.
+        s.on_push(0, 0, &push1([2.0, 4.0]));
+        let after = payload_of(s.on_pull(0, 1, &[0, 1], 0.5, None));
+        assert_ne!(at(&after), at(&again));
+        assert_eq!(after.vals.slice(0..2), [1.0, 2.0]);
+        assert_eq!(again.vals.slice(0..2), [0.0, 0.0]);
+        // So does installing a parameter.
+        s.init_param(1, vec![7.0; 64]);
+        assert_eq!(s.snapshot(&[0, 1]).vals.at(2), 7.0);
+        // A dropped late push changes nothing and invalidates nothing.
+        let mut d = shard(
+            2,
+            SyncModel::DropStragglers { n_t: 1 },
+            DprPolicy::LazyExecution,
+        );
+        d.on_push(0, 0, &push1([1.0, 1.0]));
+        let before = d.snapshot(&[0]);
+        d.on_push(1, 0, &push1([9.0, 9.0]));
+        assert_eq!(d.stats().late_pushes_dropped, 1);
+        assert_eq!(at(&d.snapshot(&[0])), at(&before));
+    }
+
+    #[test]
+    fn a_retargeted_dpr_is_not_answered_from_the_stale_snapshot() {
+        let mut s = shard(2, SyncModel::Bsp, DprPolicy::LazyExecution);
+        s.init_param(1, vec![5.0; 3]);
+        s.on_push(0, 0, &push1([2.0, 0.0]));
+        assert_eq!(s.on_pull(0, 0, &[0], 0.5, None), PullOutcome::Deferred);
+        assert!(s.retarget_dpr(0, 0, &[0, 1]));
+        let released = s.on_push(1, 0, &push1([4.0, 0.0]));
+        assert_eq!(released.len(), 1);
+        // The release carries the retargeted key set...
+        assert_eq!(released[0].kv.keys, [0, 1]);
+        assert_eq!(released[0].kv.vals, [3.0, 0.0, 5.0, 5.0, 5.0]);
+        // ...and the other worker's pull, for the original keys only, gets
+        // exactly those — not the wider snapshot the release left behind.
+        let narrow = payload_of(s.on_pull(1, 0, &[0], 0.5, None));
+        assert_eq!(narrow.keys, [0]);
+        assert_eq!(narrow.vals, [3.0, 0.0]);
     }
 
     #[test]

@@ -10,7 +10,8 @@ use std::time::Duration;
 
 use fluentps_obs::{EventKind, Profiler, RecordArgs, Tracer, NO_ID};
 use fluentps_transport::{
-    frame, CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman, TransportError, WirePlacement,
+    frame, CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman, TransportError, ValuesMut,
+    WirePlacement,
 };
 use fluentps_util::rng::StdRng;
 
@@ -62,10 +63,11 @@ impl Router {
     }
 
     /// Scatter per-parameter values into one [`KvPairs`] per server. Entries
-    /// for servers owning nothing are empty.
+    /// for servers owning nothing are empty. This is where a worker's
+    /// `f32`s become wire bytes: each per-server payload is written once,
+    /// into one allocation of its exact size.
     pub fn scatter(&self, values: &HashMap<u64, Vec<f32>>) -> Vec<KvPairs> {
-        // Count first, then fill: each per-server batch is allocated once at
-        // its exact size instead of growing a tensor-sized `vals` by doubling.
+        // Count first, then fill, so nothing tensor-sized grows by doubling.
         let mut sizes = vec![(0usize, 0usize); self.map.num_servers() as usize];
         for p in self.map.placements() {
             if values.contains_key(&p.orig_key) {
@@ -74,12 +76,16 @@ impl Router {
                 *vals += p.len;
             }
         }
+        let mut payloads: Vec<ValuesMut> = sizes
+            .iter()
+            .map(|&(_, vals)| ValuesMut::with_capacity(vals))
+            .collect();
         let mut out: Vec<KvPairs> = sizes
             .into_iter()
-            .map(|(keys, vals)| KvPairs {
+            .map(|(keys, _)| KvPairs {
                 keys: Vec::with_capacity(keys),
                 lens: Vec::with_capacity(keys),
-                vals: Vec::with_capacity(vals),
+                ..KvPairs::default()
             })
             .collect();
         // Walk placements in deterministic order so wire batches are stable.
@@ -95,13 +101,17 @@ impl Router {
             let kv = &mut out[p.server as usize];
             kv.keys.push(p.new_key);
             kv.lens.push(p.len as u32);
-            kv.vals.extend_from_slice(&vals[p.offset..p.offset + p.len]);
+            payloads[p.server as usize].extend_from_slice(&vals[p.offset..p.offset + p.len]);
+        }
+        for (kv, payload) in out.iter_mut().zip(payloads) {
+            kv.vals = payload.freeze();
         }
         out
     }
 
-    /// Merge a server's pull response back into whole parameters. Unknown
-    /// keys are ignored (debug-asserted).
+    /// Merge a server's pull response back into whole parameters — where
+    /// wire bytes become a worker's `f32`s again, in one pass. Unknown keys
+    /// are ignored (debug-asserted).
     pub fn gather_into(&self, params: &mut HashMap<u64, Vec<f32>>, response: &KvPairs) {
         for (new_key, slice) in response.iter() {
             let Some(p) = self.map.placement_of(new_key) else {
@@ -118,7 +128,7 @@ impl Router {
             if entry.len() < p.offset + p.len {
                 entry.resize(p.offset + p.len, 0.0);
             }
-            entry[p.offset..p.offset + p.len].copy_from_slice(slice);
+            slice.copy_to(&mut entry[p.offset..p.offset + p.len]);
         }
     }
 }
@@ -373,24 +383,31 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         progress: u64,
         params: &mut HashMap<u64, Vec<f32>>,
     ) -> Result<PullReport, TransportError> {
-        let all: Vec<u64> = self
-            .router
-            .slice_map()
-            .placements()
-            .iter()
-            .map(|p| p.orig_key)
-            .collect();
-        self.spull_keys_wait(progress, &all, params)
+        self.pull_wait(progress, None, params)
     }
 
     /// `sPull` a *subset* of the original parameter keys (e.g. only the
     /// layers the next computation touches) and wait for the owning
     /// servers' responses. Keys whose slices live on several servers fan
-    /// out accordingly.
+    /// out accordingly; naming a key twice asks for it once.
     pub fn spull_keys_wait(
         &mut self,
         progress: u64,
         orig_keys: &[u64],
+        params: &mut HashMap<u64, Vec<f32>>,
+    ) -> Result<PullReport, TransportError> {
+        let mut wanted = orig_keys.to_vec();
+        wanted.sort_unstable();
+        wanted.dedup();
+        self.pull_wait(progress, Some(&wanted), params)
+    }
+
+    /// One pull round for `orig_keys` (deduplicated), or for every
+    /// parameter when `None`.
+    fn pull_wait(
+        &mut self,
+        progress: u64,
+        orig_keys: Option<&[u64]>,
         params: &mut HashMap<u64, Vec<f32>>,
     ) -> Result<PullReport, TransportError> {
         let _span = self.profiler.enter("worker/pull_wait");
@@ -560,20 +577,27 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         Ok(report)
     }
 
-    /// Group the slices of `orig_keys` by owning server: sorted
-    /// `(server, wire keys)` pairs, keys sorted and deduplicated.
-    fn pull_groups(&self, orig_keys: &[u64]) -> Vec<(u32, Vec<u64>)> {
-        let mut per_server: HashMap<u32, Vec<u64>> = HashMap::new();
+    /// Group the slices of `orig_keys` (deduplicated) by owning server:
+    /// sorted `(server, wire keys)` pairs, keys sorted. `None` asks for
+    /// everything, which is the table the router already holds.
+    fn pull_groups(&self, orig_keys: Option<&[u64]>) -> Vec<(u32, Vec<u64>)> {
+        let Some(orig_keys) = orig_keys else {
+            return self
+                .router
+                .active_servers()
+                .map(|m| (m, self.router.keys_for_server(m).to_vec()))
+                .collect();
+        };
+        let mut per_server = vec![Vec::new(); self.router.num_servers() as usize];
         for &orig in orig_keys {
             for p in self.router.slice_map().slices_of(orig) {
-                per_server.entry(p.server).or_default().push(p.new_key);
+                per_server[p.server as usize].push(p.new_key);
             }
         }
-        let mut groups: Vec<(u32, Vec<u64>)> = per_server.into_iter().collect();
-        groups.sort_unstable_by_key(|(m, _)| *m);
+        let mut groups: Vec<(u32, Vec<u64>)> = (0u32..).zip(per_server).collect();
+        groups.retain(|(_, keys)| !keys.is_empty());
         for (_, keys) in &mut groups {
             keys.sort_unstable();
-            keys.dedup();
         }
         groups
     }
@@ -691,6 +715,8 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
 mod tests {
     use super::*;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
+    use fluentps_transport::Fabric;
+    use fluentps_util::alloc::thread_counters;
 
     fn router(max_chunk: usize, servers: u32) -> Router {
         let params = vec![
@@ -759,9 +785,31 @@ mod tests {
     fn scatter_and_gather_allocate_exactly() {
         let r = router(4, 3);
         let vals = values();
+        // The payloads are the only thing in a scatter that scales with the
+        // values: together they are allocated once, at their exact size.
+        let big = Router::new(EpsSlicer { max_chunk: 4096 }.slice(
+            &[ParamSpec {
+                key: 0,
+                len: 50_000,
+            }],
+            3,
+        ));
+        let tensor = HashMap::from([(0u64, vec![0.5f32; 50_000])]);
+        let (_, before) = thread_counters();
+        let big_shards = big.scatter(&tensor);
+        let (_, after) = thread_counters();
+        let payload: usize = big_shards
+            .iter()
+            .map(|kv| kv.vals.as_le_bytes().len())
+            .sum();
+        assert_eq!(payload, 4 * 50_000);
+        assert!(
+            (after - before) < payload as u64 + 2048,
+            "scatter of {payload} payload bytes allocated {}",
+            after - before
+        );
         let shards = r.scatter(&vals);
         for kv in &shards {
-            assert_eq!(kv.vals.capacity(), kv.vals.len());
             assert_eq!(kv.keys.capacity(), kv.keys.len());
             assert_eq!(kv.lens.capacity(), kv.lens.len());
         }
@@ -787,9 +835,122 @@ mod tests {
         assert_eq!(total, 10 + 7);
     }
 
-    // --- resilience layer -------------------------------------------------
+    /// Run one pull round against servers that answer every `SPull` with
+    /// ones for each requested key; returns the key list each server was
+    /// sent and how many bytes the worker's thread allocated for the round.
+    fn pull_round(r: &Router, subset: Option<&[u64]>) -> (Vec<Vec<u64>>, u64) {
+        let fabric = Fabric::new();
+        let worker_ep = fabric.register(NodeId::Worker(0));
+        let servers: Vec<_> = (0..r.num_servers())
+            .map(|m| {
+                let ep = fabric.register(NodeId::Server(m));
+                let map = r.slice_map().clone();
+                std::thread::spawn(move || {
+                    let mut asked = Vec::new();
+                    loop {
+                        match ep.recv().expect("server recv").1 {
+                            Message::SPull {
+                                worker,
+                                progress,
+                                keys,
+                            } => {
+                                let ones = [1.0; 16];
+                                let entries: Vec<(u64, &[f32])> = keys
+                                    .iter()
+                                    .map(|&k| (k, &ones[..map.placement_of(k).unwrap().len]))
+                                    .collect();
+                                let reply = Message::PullResponse {
+                                    server: m,
+                                    progress,
+                                    version: progress,
+                                    kv: KvPairs::from_slices(&entries),
+                                };
+                                ep.postman().send(NodeId::Worker(worker), reply).unwrap();
+                                asked.push(keys);
+                            }
+                            Message::Shutdown => return asked,
+                            _ => {}
+                        }
+                    }
+                })
+            })
+            .collect();
+        let postman = worker_ep.postman();
+        let mut client = WorkerClient::new(0, postman.clone(), worker_ep, r.clone());
+        let mut out = HashMap::new();
+        let (_, before) = thread_counters();
+        match subset {
+            None => client.spull_wait(0, &mut out),
+            Some(keys) => client.spull_keys_wait(0, keys, &mut out),
+        }
+        .expect("pull");
+        let (_, after) = thread_counters();
+        let mut asked = Vec::new();
+        for (m, server) in (0u32..).zip(servers) {
+            postman.send(NodeId::Server(m), Message::Shutdown).unwrap();
+            let mut pulls = server.join().unwrap();
+            assert!(
+                pulls.len() <= 1,
+                "server {m} was pulled {} times",
+                pulls.len()
+            );
+            asked.push(pulls.pop().unwrap_or_default());
+        }
+        (asked, after - before)
+    }
 
-    use fluentps_transport::Fabric;
+    fn pulled_keys(r: &Router, subset: Option<&[u64]>) -> Vec<Vec<u64>> {
+        pull_round(r, subset).0
+    }
+
+    #[test]
+    fn full_pull_asks_each_server_for_exactly_its_keys() {
+        // Key 0 is sliced into several chunks: each must be named once.
+        let r = router(2, 3);
+        assert!(r.slice_map().slices_of(0).count() > 2);
+        let asked = pulled_keys(&r, None);
+        for m in 0..3 {
+            assert_eq!(asked[m as usize], r.keys_for_server(m), "server {m}");
+        }
+    }
+
+    #[test]
+    fn full_pull_does_not_regroup_a_sliced_parameter_once_per_slice() {
+        // The comm-bound ledger workload's inventory: 16 + 1 + 64 + 1 + 1 + 1
+        // placements on one server. Grouping them per placement pushed
+        // 16² + 64² + 4 keys (35 KB, 128 KB with the doubling) through a
+        // fresh map on every pull; the table the router holds is 84 keys.
+        let lens = [64, 4, 256, 4, 4, 4];
+        let params: Vec<ParamSpec> = (0u64..)
+            .zip(lens)
+            .map(|(key, len)| ParamSpec { key, len })
+            .collect();
+        let r = Router::new(EpsSlicer { max_chunk: 4 }.slice(&params, 1));
+        assert_eq!(r.keys_for_server(0).len(), 84);
+        let (asked, allocated) = pull_round(&r, None);
+        assert_eq!(asked[0], r.keys_for_server(0));
+        assert!(
+            allocated < 16 << 10,
+            "a full pull of 84 keys allocated {allocated} bytes on the worker"
+        );
+    }
+
+    #[test]
+    fn subset_pull_with_repeated_keys_equals_the_deduplicated_pull() {
+        let r = router(2, 3);
+        let once = pulled_keys(&r, Some(&[0, 2]));
+        assert_eq!(pulled_keys(&r, Some(&[2, 0, 2, 0, 0])), once);
+        let named: usize = once.iter().map(Vec::len).sum();
+        let slices = r.slice_map().slices_of(0).count() + r.slice_map().slices_of(2).count();
+        assert_eq!(named, slices, "every slice named exactly once");
+        for keys in &once {
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
+        }
+        // Naming every key is the full pull.
+        assert_eq!(pulled_keys(&r, Some(&[2, 1, 0])), pulled_keys(&r, None));
+    }
+
+    // --- resilience layer -------------------------------------------------
 
     fn fast_policy(max_retries: u32) -> RetryPolicy {
         RetryPolicy {
@@ -804,17 +965,12 @@ mod tests {
 
     /// Echo a pull: one `PullResponse` carrying `1.0` per requested key.
     fn echo_response(server: u32, progress: u64, keys: &[u64]) -> Message {
-        let mut kv = KvPairs::default();
-        for &k in keys {
-            kv.keys.push(k);
-            kv.lens.push(1);
-            kv.vals.push(1.0);
-        }
+        let entries: Vec<(u64, &[f32])> = keys.iter().map(|&k| (k, &[1.0][..])).collect();
         Message::PullResponse {
             server,
             progress,
             version: progress,
-            kv,
+            kv: KvPairs::from_slices(&entries),
         }
     }
 

@@ -281,7 +281,7 @@ fn bsp_engines_answer_the_script_like_the_step() {
     let (progress, kv, ctx) = pulled(&step[1]);
     assert_eq!((progress, ctx), (0, Some(CausalCtx::new(100).span(3))));
     // w = w0 + (0.25 + 0.5) / 2 on every value.
-    assert_eq!(kv.vals[0], 0.5 + 0.375);
+    assert_eq!(kv.vals.at(0), 0.5 + 0.375);
     // Shutdown flushes both far-ahead pulls with the final parameters.
     assert_eq!(o.replies.last().unwrap().len(), 2);
     assert_eq!((o.stats.dprs, o.stats.dprs_released), (4, 4));

@@ -66,12 +66,12 @@ fn run_schedule(
         match op {
             Op::Push(w, i) => {
                 for r in shard.on_push(w, i, &KvPairs::single(0, vec![1.0])) {
-                    responses.push((r.version, r.kv.vals[0]));
+                    responses.push((r.version, r.kv.vals.at(0)));
                 }
             }
             Op::Pull(w, i) => {
                 if let PullOutcome::Respond { kv, version } = shard.on_pull(w, i, &[0], 0.5, None) {
-                    responses.push((version, kv.vals[0]));
+                    responses.push((version, kv.vals.at(0)));
                 }
             }
         }

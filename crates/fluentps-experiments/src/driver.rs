@@ -756,7 +756,7 @@ impl<'a> Simulation<'a> {
                     KvPairs {
                         keys,
                         lens,
-                        vals: Vec::new(),
+                        ..KvPairs::default()
                     }
                 })
                 .collect()

@@ -45,7 +45,7 @@ fn scenario(policy: DprPolicy) -> (Vec<TimelineRow>, Vec<f32>, u64) {
                 "V_train={}; releases W{}'s pull (w={}, version {})",
                 shard.v_train(),
                 r.worker,
-                r.kv.vals[0],
+                r.kv.vals.at(0),
                 r.version
             );
         }
@@ -75,7 +75,7 @@ fn scenario(policy: DprPolicy) -> (Vec<TimelineRow>, Vec<f32>, u64) {
         push(&mut shard, 1, i + 3, &mut timeline); // worker 1 keeps pace
         let released = push(&mut shard, 2, i, &mut timeline);
         for r in released {
-            release_value = r.kv.vals.clone();
+            release_value = r.kv.vals.to_vec();
             release_version = r.version;
         }
         if !release_value.is_empty() {

@@ -2,10 +2,15 @@
 //!
 //! Layout: one version byte, one tag byte, then little-endian fields. Vectors
 //! are a `u32` count followed by elements. `f32` travels as its IEEE-754 bit
-//! pattern. Every numeric vector is written and read as one *slab* through
+//! pattern. Every integer vector is written and read as one *slab* through
 //! the `fluentps-util::buf` slab operations — one bounds check and one pass
-//! per vector, not per element — because a tensor-sized `SPush` is a million
-//! elements. The codec is fully self-contained (no serde) because the offline
+//! per vector, not per element. Values are never converted here at all: a
+//! [`KvPairs`] already holds them in wire form ([`Values`]), so every message
+//! is a small *head* followed by at most one value *payload* that is always
+//! its last field. [`encode_head_into`] writes the head and hands the payload
+//! back for the caller to place (the TCP postman gives it to the kernel
+//! where it lies); [`decode`] slices the payload out of the frame it was
+//! given. The codec is fully self-contained (no serde) because the offline
 //! dependency set has no serialization *format* crate; this also keeps frames
 //! compact and decode costs predictable, which matters because gradients for
 //! large layers dominate traffic.
@@ -15,6 +20,7 @@ use fluentps_util::buf::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::DecodeError;
 use crate::msg::{CausalCtx, KvPairs, Message, NodeId, WireLogEntry, WirePlacement};
+use crate::values::Values;
 
 /// Version byte prepended to every encoded message.
 pub const WIRE_VERSION: u8 = 1;
@@ -84,6 +90,15 @@ pub fn encode(msg: &Message) -> Bytes {
 
 /// Encode a message, appending to `buf`.
 pub fn encode_into(msg: &Message, buf: &mut BytesMut) {
+    let payload = encode_head_into(msg, buf);
+    buf.put_slice(payload);
+}
+
+/// Encode everything of `msg` but its value payload, appending to `buf`, and
+/// return the payload: the bytes that, appended after the head, complete the
+/// encoding (empty for a message that carries no values). A sender that can
+/// gather — a vectored socket write — never copies the payload.
+pub fn encode_head_into<'m>(msg: &'m Message, buf: &mut BytesMut) -> &'m [u8] {
     buf.put_u8(WIRE_VERSION);
     match msg {
         Message::SPush {
@@ -94,7 +109,7 @@ pub fn encode_into(msg: &Message, buf: &mut BytesMut) {
             buf.put_u8(tag::SPUSH);
             buf.put_u32_le(*worker);
             buf.put_u64_le(*progress);
-            put_kv(buf, kv);
+            return put_kv_head(buf, kv);
         }
         Message::SPull {
             worker,
@@ -116,7 +131,7 @@ pub fn encode_into(msg: &Message, buf: &mut BytesMut) {
             progress,
             kv,
             version,
-        } => put_pull_response(buf, *server, *progress, *version, kv),
+        } => return put_pull_response_head(buf, *server, *progress, *version, kv),
         Message::Register { node } => {
             buf.put_u8(tag::REGISTER);
             put_node(buf, *node);
@@ -144,7 +159,7 @@ pub fn encode_into(msg: &Message, buf: &mut BytesMut) {
         }
         Message::Install { kv } => {
             buf.put_u8(tag::INSTALL);
-            put_kv(buf, kv);
+            return put_kv_head(buf, kv);
         }
         Message::RouteUpdate { placements } => {
             buf.put_u8(tag::ROUTE_UPDATE);
@@ -263,9 +278,10 @@ pub fn encode_into(msg: &Message, buf: &mut BytesMut) {
             // The inner message is a complete encoded message (its own
             // version byte included), so a receiver peels the envelope and
             // re-enters the ordinary decode path.
-            encode_into(inner, buf);
+            return encode_head_into(inner, buf);
         }
     }
+    &[]
 }
 
 /// Encode a `PullResponse` from borrowed parts, appending to `buf` — the
@@ -280,15 +296,22 @@ pub fn encode_pull_response_into(
     buf: &mut BytesMut,
 ) {
     buf.put_u8(WIRE_VERSION);
-    put_pull_response(buf, server, progress, version, kv);
+    let payload = put_pull_response_head(buf, server, progress, version, kv);
+    buf.put_slice(payload);
 }
 
-fn put_pull_response(buf: &mut BytesMut, server: u32, progress: u64, version: u64, kv: &KvPairs) {
+fn put_pull_response_head<'m>(
+    buf: &mut BytesMut,
+    server: u32,
+    progress: u64,
+    version: u64,
+    kv: &'m KvPairs,
+) -> &'m [u8] {
     buf.put_u8(tag::PULL_RESPONSE);
     buf.put_u32_le(server);
     buf.put_u64_le(progress);
     buf.put_u64_le(version);
-    put_kv(buf, kv);
+    put_kv_head(buf, kv)
 }
 
 /// Exact size in bytes of `encode(msg)` — what this message costs on the
@@ -403,7 +426,8 @@ pub fn corrupt_at(frame: &Bytes, idx: usize, val: u8) -> Bytes {
 /// Decode one message from `bytes`; the buffer must contain exactly one
 /// encoded message (framing is the transport's job), so leftover bytes are
 /// a [`DecodeError::TrailingBytes`] error — without this check a corrupted
-/// tag byte could silently misparse a long message as a short one.
+/// tag byte could silently misparse a long message as a short one. A value
+/// payload is not copied: the decoded [`KvPairs`] shares `bytes`' allocation.
 pub fn decode(mut bytes: Bytes) -> Result<Message, DecodeError> {
     let msg = decode_from(&mut bytes)?;
     if bytes.remaining() != 0 {
@@ -412,10 +436,9 @@ pub fn decode(mut bytes: Bytes) -> Result<Message, DecodeError> {
     Ok(msg)
 }
 
-/// [`decode`] from a borrowed slice — the zero-copy read path: a reader
-/// that keeps one reusable buffer per connection decodes each frame in
-/// place instead of copying it into an owned [`Bytes`] first. Enforces the
-/// same exactly-one-message contract as [`decode`].
+/// [`decode`] from a borrowed slice, for a caller that does not own the
+/// bytes: a value payload is copied out once, at its exact size. Enforces
+/// the same exactly-one-message contract as [`decode`].
 pub fn decode_slice(bytes: &[u8]) -> Result<Message, DecodeError> {
     let mut cursor = bytes;
     let msg = decode_from(&mut cursor)?;
@@ -684,17 +707,24 @@ fn get_event<B: Buf>(buf: &mut B) -> Result<TraceEvent, DecodeError> {
     })
 }
 
-fn put_kv(buf: &mut BytesMut, kv: &KvPairs) {
+/// Keys, lens and the value count; the values themselves are the returned
+/// payload.
+fn put_kv_head<'m>(buf: &mut BytesMut, kv: &'m KvPairs) -> &'m [u8] {
     put_u64_vec(buf, &kv.keys);
     put_u32_vec(buf, &kv.lens);
-    put_f32_vec(buf, &kv.vals);
+    buf.put_u32_le(kv.vals.len() as u32);
+    kv.vals.as_le_bytes()
 }
 
 fn get_kv<B: Buf>(buf: &mut B) -> Result<KvPairs, DecodeError> {
+    let keys = get_u64_vec(buf)?;
+    let lens = get_u32_vec(buf)?;
+    let count = get_u32(buf)? as u64;
+    let n = check_len(buf, count, 4)?;
     let kv = KvPairs {
-        keys: get_u64_vec(buf)?,
-        lens: get_u32_vec(buf)?,
-        vals: get_f32_vec(buf)?,
+        keys,
+        lens,
+        vals: Values::from_le_bytes(buf.take_bytes(4 * n)),
     };
     if !kv.is_consistent() {
         return Err(DecodeError::InconsistentKv);
@@ -710,11 +740,6 @@ fn put_u64_vec(buf: &mut BytesMut, v: &[u64]) {
 fn put_u32_vec(buf: &mut BytesMut, v: &[u32]) {
     buf.put_u32_le(v.len() as u32);
     buf.put_u32_slice_le(v);
-}
-
-fn put_f32_vec(buf: &mut BytesMut, v: &[f32]) {
-    buf.put_u32_le(v.len() as u32);
-    buf.put_f32_slice_le(v);
 }
 
 fn check_len<B: Buf>(buf: &B, count: u64, elem_size: usize) -> Result<usize, DecodeError> {
@@ -742,12 +767,6 @@ fn get_u32_vec<B: Buf>(buf: &mut B) -> Result<Vec<u32>, DecodeError> {
     let count = get_u32(buf)? as u64;
     let n = check_len(buf, count, 4)?;
     Ok(buf.get_u32_vec_le(n))
-}
-
-fn get_f32_vec<B: Buf>(buf: &mut B) -> Result<Vec<f32>, DecodeError> {
-    let count = get_u32(buf)? as u64;
-    let n = check_len(buf, count, 4)?;
-    Ok(buf.get_f32_vec_le(n))
 }
 
 fn get_u8<B: Buf>(buf: &mut B) -> Result<u8, DecodeError> {

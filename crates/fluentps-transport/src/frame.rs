@@ -3,8 +3,15 @@
 //! Each frame is `[u32 len LE][u8 from_kind][u32 from_idx][payload]` where
 //! `payload` is one codec-encoded message. `len` covers everything after the
 //! length word itself.
+//!
+//! A frame whose message carries values is written as two pieces — the head
+//! (length word, sender, the message's own head) from a small scratch buffer
+//! and the value payload from wherever the message holds it
+//! ([`write_frames`]) — and is read into one buffer of exactly its size that
+//! the decoded message then shares ([`FrameReader`]). Neither direction
+//! copies a value in user space.
 
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use fluentps_obs::Profiler;
 use fluentps_util::buf::{Buf, BufMut, Bytes, BytesMut};
@@ -16,6 +23,12 @@ use crate::msg::{Message, NodeId};
 /// Upper bound on a single frame (256 MiB); larger declared lengths indicate
 /// stream corruption and abort the connection rather than allocating.
 pub const MAX_FRAME: u32 = 256 << 20;
+
+/// How much of a frame's *declared* length a reader reserves before any of
+/// it has arrived (16 MiB — above every frame this system ships). A longer
+/// frame grows its buffer as the bytes actually come in, so a peer cannot
+/// make a reader allocate by declaring a length it never sends.
+pub const MAX_FRAME_RESERVE: usize = 16 << 20;
 
 fn node_to_pair(node: NodeId) -> (u8, u32) {
     match node {
@@ -38,45 +51,44 @@ fn node_from_pair(kind: u8, idx: u32) -> Result<NodeId, DecodeError> {
     }
 }
 
-/// Append one frame for `(from, msg)` to `buf` and return the frame's byte
-/// length. Writes the length word as a placeholder, encodes the sender id
-/// and payload straight behind it, then patches the length in place — one
-/// buffer, no intermediate copy. With an exact reserve up front the append
-/// never reallocates (debug-asserted), so a caller that `clear()`s and
-/// reuses `buf` pays zero allocations per frame at steady state.
-pub fn encode_frame_into(from: NodeId, msg: &Message, buf: &mut BytesMut) -> usize {
-    let frame_len = wire_len(msg);
-    buf.reserve(frame_len);
-    let cap_before = buf.capacity();
+/// Append the head of one frame for `(from, msg)` to `buf` — the length
+/// word, the sender id and the message's own head — and return the value
+/// payload that completes the frame (empty for a message without values;
+/// see [`codec::encode_head_into`]). The length word already counts the
+/// payload.
+pub fn encode_frame_head_into<'m>(from: NodeId, msg: &'m Message, buf: &mut BytesMut) -> &'m [u8] {
     let start = buf.len();
     buf.put_u32_le(0); // length placeholder, patched below
     let (kind, idx) = node_to_pair(from);
     buf.put_u8(kind);
     buf.put_u32_le(idx);
-    codec::encode_into(msg, buf);
-    let body_len = buf.len() - start - 4;
+    let payload = codec::encode_head_into(msg, buf);
+    let body_len = buf.len() - start - 4 + payload.len();
     buf.set_u32_le_at(start, body_len as u32);
+    payload
+}
+
+/// Append one whole frame for `(from, msg)` to `buf` and return the frame's
+/// byte length: the head, then a copy of the payload behind it. With an
+/// exact reserve up front the append never reallocates (debug-asserted), so
+/// a caller that `clear()`s and reuses `buf` pays zero allocations per
+/// frame at steady state.
+pub fn encode_frame_into(from: NodeId, msg: &Message, buf: &mut BytesMut) -> usize {
+    let frame_len = wire_len(msg);
+    buf.reserve(frame_len);
+    let cap_before = buf.capacity();
+    let start = buf.len();
+    let payload = encode_frame_head_into(from, msg, buf);
+    buf.put_slice(payload);
     debug_assert_eq!(buf.len() - start, frame_len, "wire_len out of sync");
     debug_assert_eq!(buf.capacity(), cap_before, "frame encode reallocated");
     frame_len
 }
 
-/// [`encode_frame_into`] under a `wire/encode` profiler span. The span
-/// covers exactly the serialization work (reserve, header, codec encode,
-/// length patch); with a disabled profiler the wrapper costs two branches.
-pub fn encode_frame_into_profiled(
-    from: NodeId,
-    msg: &Message,
-    buf: &mut BytesMut,
-    prof: &Profiler,
-) -> usize {
-    let _span = prof.enter("wire/encode");
-    encode_frame_into(from, msg, buf)
-}
-
 /// Serialize `(from, msg)` into one framed buffer ready to be written to a
 /// stream in a single `write_all`. Allocates per call — hot paths should
-/// use [`encode_frame_into`] with a reused buffer instead.
+/// use [`write_frames`] (or [`encode_frame_into`] with a reused buffer)
+/// instead.
 pub fn encode_frame(from: NodeId, msg: &Message) -> Bytes {
     let mut framed = BytesMut::with_capacity(wire_len(msg));
     encode_frame_into(from, msg, &mut framed);
@@ -90,7 +102,62 @@ pub fn wire_len(msg: &Message) -> usize {
     4 + 5 + codec::encoded_len(msg)
 }
 
-/// Decode one frame body (everything after the length word).
+/// Write the frames of `msgs`, all from `from`, to `w` as one gathered
+/// write: the bytes `w` receives are exactly the concatenation of
+/// [`encode_frame`] of each message. Heads (and whole payload-free frames)
+/// are encoded back to back into `scratch`, each under a `wire/encode`
+/// span; value payloads are handed to `w` from the messages themselves, so
+/// `scratch` stays head-sized however large the tensors are. `scratch` must
+/// come in empty and is left empty.
+pub fn write_frames<'m, W: Write>(
+    w: &mut W,
+    from: NodeId,
+    msgs: impl IntoIterator<Item = &'m Message>,
+    scratch: &mut BytesMut,
+    prof: &Profiler,
+) -> io::Result<()> {
+    debug_assert!(scratch.is_empty(), "scratch holds an unwritten batch");
+    // Where in `scratch` each payload-bearing frame's head ends, with the
+    // payload that follows it there.
+    let mut cuts: Vec<(usize, &[u8])> = Vec::new();
+    for msg in msgs {
+        let _span = prof.enter("wire/encode");
+        let payload = encode_frame_head_into(from, msg, scratch);
+        if !payload.is_empty() {
+            cuts.push((scratch.len(), payload));
+        }
+    }
+    let mut parts = Vec::with_capacity(2 * cuts.len() + 1);
+    let mut start = 0;
+    for (end, payload) in cuts {
+        parts.push(IoSlice::new(&scratch[start..end]));
+        parts.push(IoSlice::new(payload));
+        start = end;
+    }
+    parts.push(IoSlice::new(&scratch[start..]));
+    let result = write_all_vectored(w, &mut parts);
+    scratch.clear();
+    result
+}
+
+/// `write_all` for a gather list: keep calling `write_vectored` until every
+/// slice is written, however few bytes each call accepts.
+fn write_all_vectored<W: Write>(w: &mut W, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    // Drop empty slices up front: a writer may report `Ok(0)` for them.
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Decode one frame body (everything after the length word). The message's
+/// value payload, if any, shares `body`'s allocation.
 pub fn decode_frame_body(mut body: Bytes) -> Result<(NodeId, Message), TransportError> {
     if body.remaining() < 5 {
         return Err(DecodeError::Truncated {
@@ -115,63 +182,42 @@ pub fn write_frame<W: Write>(w: &mut W, from: NodeId, msg: &Message) -> Result<(
     Ok(())
 }
 
-/// Decode one frame body from a borrowed slice (everything after the
-/// length word) without copying it into an owned buffer first.
-pub fn decode_frame_slice(body: &[u8]) -> Result<(NodeId, Message), TransportError> {
-    let mut cursor = body;
-    if cursor.remaining() < 5 {
-        return Err(DecodeError::Truncated {
-            needed: 5,
-            available: cursor.remaining(),
-        }
-        .into());
+/// Read one frame body (everything after the length word), blocking until
+/// complete, into a fresh buffer of exactly its size that nothing zeroes
+/// first. The length check and the [`MAX_FRAME`] guard of every read path
+/// live here. The declared length is believed only up to
+/// [`MAX_FRAME_RESERVE`] before the bytes are there to back it.
+fn read_body<R: Read>(r: &mut R) -> Result<Bytes, TransportError> {
+    let mut len_buf = [0u8; 4];
+    r.read_exact(&mut len_buf)?;
+    let len = u32::from_le_bytes(len_buf);
+    if len > MAX_FRAME {
+        return Err(DecodeError::LengthOverflow(len as u64).into());
     }
-    let kind = cursor.get_u8();
-    let idx = cursor.get_u32_le();
-    let from = node_from_pair(kind, idx)?;
-    let msg = codec::decode_slice(cursor)?;
-    Ok((from, msg))
+    let len = len as usize;
+    let mut body = Vec::with_capacity(len.min(MAX_FRAME_RESERVE));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    Ok(Bytes::from(body))
 }
 
-/// Streaming frame reader that owns one reusable body buffer: each frame is
-/// read into the same allocation and decoded in place, so the per-frame
-/// `vec![0u8; len]` of the old read path disappears. The buffer grows to
-/// the largest frame seen on the connection and stays there.
+/// Streaming frame reader. It holds no buffer between frames: each frame is
+/// read into its own allocation, which the decoded message keeps alive for
+/// as long as it holds the frame's values.
 #[derive(Default)]
-pub struct FrameReader {
-    body: Vec<u8>,
-}
+pub struct FrameReader;
 
 impl FrameReader {
-    /// A reader with an empty scratch buffer.
+    /// A reader.
     pub fn new() -> Self {
-        FrameReader::default()
-    }
-
-    /// Read one frame body (everything after the length word) into the
-    /// scratch buffer, blocking until complete. The length check and the
-    /// [`MAX_FRAME`] guard of both public read paths live here. The buffer
-    /// only ever grows: a small frame after a large one reads into a prefix
-    /// instead of shrinking and later re-zeroing a tensor-sized tail.
-    fn read_body<R: Read>(&mut self, r: &mut R) -> Result<&[u8], TransportError> {
-        let mut len_buf = [0u8; 4];
-        r.read_exact(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf);
-        if len > MAX_FRAME {
-            return Err(DecodeError::LengthOverflow(len as u64).into());
-        }
-        let len = len as usize;
-        if self.body.len() < len {
-            self.body.resize(len, 0);
-        }
-        let body = &mut self.body[..len];
-        r.read_exact(body)?;
-        Ok(body)
+        FrameReader
     }
 
     /// Read one framed message from `r`, blocking until complete.
     pub fn read_from<R: Read>(&mut self, r: &mut R) -> Result<(NodeId, Message), TransportError> {
-        decode_frame_slice(self.read_body(r)?)
+        decode_frame_body(read_body(r)?)
     }
 
     /// [`FrameReader::read_from`] with the *decode* step under a
@@ -183,15 +229,13 @@ impl FrameReader {
         r: &mut R,
         prof: &Profiler,
     ) -> Result<(NodeId, Message), TransportError> {
-        let body = self.read_body(r)?;
+        let body = read_body(r)?;
         let _span = prof.enter("wire/decode");
-        decode_frame_slice(body)
+        decode_frame_body(body)
     }
 }
 
 /// Read one framed message from a stream, blocking until complete.
-/// Allocates a fresh body buffer per call — connection loops should hold a
-/// [`FrameReader`] instead.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<(NodeId, Message), TransportError> {
     FrameReader::new().read_from(r)
 }
@@ -329,8 +373,95 @@ mod tests {
         }
     }
 
+    /// A writer that accepts at most `step` bytes per call and never looks
+    /// past the first non-empty slice — the least a `write_vectored` may do.
+    struct Trickle {
+        got: Vec<u8>,
+        step: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.step);
+            self.got.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
-    fn profiled_wrappers_match_plain_and_record_wire_spans() {
+    fn write_frames_is_concatenated_encode_frame_with_a_head_sized_scratch() {
+        use fluentps_obs::ProfCollector;
+        let msgs = [
+            Message::PushAck {
+                server: 1,
+                progress: 4,
+            },
+            Message::SPush {
+                worker: 2,
+                progress: 5,
+                kv: KvPairs::single(1, vec![0.25; 4096]),
+            },
+            Message::Shutdown,
+            Message::PullResponse {
+                server: 1,
+                progress: 5,
+                version: 6,
+                kv: KvPairs::from_slices(&[(1, &[1.0; 300][..]), (2, &[][..])]),
+            }
+            .with_ctx(crate::msg::CausalCtx::new(9)),
+            Message::Install {
+                kv: KvPairs::default(),
+            },
+        ];
+        let from = NodeId::Server(1);
+        let expect: Vec<u8> = msgs
+            .iter()
+            .flat_map(|m| encode_frame(from, m).to_vec())
+            .collect();
+
+        let col = ProfCollector::wall();
+        let mut scratch = BytesMut::new();
+        let mut whole = Vec::new();
+        write_frames(&mut whole, from, &msgs, &mut scratch, &col.profiler()).unwrap();
+        assert_eq!(whole, expect);
+        assert!(scratch.is_empty());
+        assert!(
+            scratch.capacity() < 1024,
+            "scratch grew to {} for 17 KB of values",
+            scratch.capacity()
+        );
+        assert_eq!(col.snapshot().spans["wire/encode"].count, msgs.len() as u64);
+
+        // However few bytes the writer takes per call, and with no frames
+        // at all.
+        for step in [1, 2, 3, 7, 64, 4096] {
+            let mut w = Trickle {
+                got: Vec::new(),
+                step,
+            };
+            write_frames(&mut w, from, &msgs, &mut scratch, &Profiler::disabled()).unwrap();
+            assert_eq!(w.got, expect, "step {step}");
+        }
+        let mut none = Vec::new();
+        write_frames(&mut none, from, &[], &mut scratch, &Profiler::disabled()).unwrap();
+        assert!(none.is_empty());
+
+        // A writer that takes nothing is an error, not a spin.
+        let mut stuck = Trickle {
+            got: Vec::new(),
+            step: 0,
+        };
+        let err = write_frames(&mut stuck, from, &msgs, &mut scratch, &Profiler::disabled());
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::WriteZero);
+        assert!(scratch.is_empty(), "scratch is cleared on failure too");
+    }
+
+    #[test]
+    fn profiled_read_matches_plain_and_records_the_decode_span() {
         use fluentps_obs::ProfCollector;
         let msg = Message::SPush {
             worker: 2,
@@ -339,27 +470,83 @@ mod tests {
         };
         let col = ProfCollector::wall();
         let prof = col.profiler();
-        let mut plain = BytesMut::new();
-        let mut profiled = BytesMut::new();
-        encode_frame_into(NodeId::Worker(2), &msg, &mut plain);
-        encode_frame_into_profiled(NodeId::Worker(2), &msg, &mut profiled, &prof);
-        assert_eq!(plain.as_ref(), profiled.as_ref());
-
-        let mut cursor = Cursor::new(profiled.as_ref().to_vec());
+        let frame = encode_frame(NodeId::Worker(2), &msg);
         let mut reader = FrameReader::new();
-        let (from, got) = reader.read_from_profiled(&mut cursor, &prof).unwrap();
-        assert_eq!((from, got), (NodeId::Worker(2), msg));
+        let got = reader
+            .read_from_profiled(&mut Cursor::new(frame.to_vec()), &prof)
+            .unwrap();
+        assert_eq!(got, (NodeId::Worker(2), msg));
+        assert_eq!(col.snapshot().spans["wire/decode"].count, 1);
+        // Disabled profiler: same result, nothing recorded.
+        let plain = reader.read_from(&mut Cursor::new(frame.to_vec())).unwrap();
+        let quiet = reader
+            .read_from_profiled(&mut Cursor::new(frame.to_vec()), &Profiler::disabled())
+            .unwrap();
+        assert_eq!(plain, quiet);
+    }
 
-        let report = col.snapshot();
-        assert_eq!(report.spans["wire/encode"].count, 1);
-        assert_eq!(report.spans["wire/decode"].count, 1);
+    #[test]
+    fn a_frame_is_read_into_one_exact_buffer_the_message_shares() {
+        use fluentps_util::alloc::thread_counters;
+        const VALS: usize = 1 << 18; // 1 MiB of values
+        let msg = Message::SPush {
+            worker: 0,
+            progress: 1,
+            kv: KvPairs::single(3, vec![0.5; VALS]),
+        };
+        let stream = encode_frame(NodeId::Worker(0), &msg).to_vec();
+        let (_, before) = thread_counters();
+        let (_, got) = read_frame(&mut Cursor::new(&stream)).unwrap();
+        let (_, after) = thread_counters();
+        let body = (stream.len() - 4) as u64;
+        assert!(
+            (body..body + 4096).contains(&(after - before)),
+            "a {body}-byte frame body allocated {} bytes",
+            after - before
+        );
+        assert_eq!(got, msg);
+    }
 
-        // Disabled profiler: same bytes, nothing recorded.
-        let disabled = Profiler::disabled();
-        let mut buf = BytesMut::new();
-        encode_frame_into_profiled(NodeId::Worker(2), &Message::Shutdown, &mut buf, &disabled);
-        let mut cursor = Cursor::new(buf.as_ref().to_vec());
-        reader.read_from_profiled(&mut cursor, &disabled).unwrap();
+    #[test]
+    fn declared_length_is_not_trusted_for_allocation() {
+        use fluentps_util::alloc::thread_counters;
+        // Nine hostile bytes: the largest legal length, one byte of body.
+        let mut stream = MAX_FRAME.to_le_bytes().to_vec();
+        stream.extend_from_slice(&[0u8; 5]);
+        let (_, before) = thread_counters();
+        let err = read_frame(&mut Cursor::new(&stream)).unwrap_err();
+        let (_, after) = thread_counters();
+        assert!(
+            matches!(&err, TransportError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{err:?}"
+        );
+        // Reserved, not zeroed or otherwise touched: the pages are never
+        // faulted in.
+        assert!(
+            after - before <= (MAX_FRAME_RESERVE + 4096) as u64,
+            "EOF after a {MAX_FRAME}-byte promise allocated {} bytes",
+            after - before
+        );
+        // Above the cap nothing is allocated at all.
+        let stream = (MAX_FRAME + 1).to_le_bytes();
+        let (_, before) = thread_counters();
+        read_frame(&mut Cursor::new(&stream)).unwrap_err();
+        let (_, after) = thread_counters();
+        assert!(after - before < 1024);
+    }
+
+    #[test]
+    fn a_frame_longer_than_the_reserve_still_arrives_whole() {
+        // Not a frame this system sends, but a legal one: the buffer grows
+        // past the reserve as the bytes come in.
+        let vals = MAX_FRAME_RESERVE / 4 + 1000;
+        let msg = Message::Install {
+            kv: KvPairs::single(1, vec![1.0; vals]),
+        };
+        let stream = encode_frame(NodeId::Scheduler, &msg).to_vec();
+        assert!(stream.len() > MAX_FRAME_RESERVE);
+        let (_, got) = read_frame(&mut Cursor::new(&stream)).unwrap();
+        assert_eq!(got, msg);
     }
 
     #[test]

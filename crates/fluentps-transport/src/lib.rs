@@ -7,7 +7,10 @@
 //!   the scheduler (`sPush`/`sPull` requests carry the sender's *progress*,
 //!   which is the load-bearing difference from vanilla PS-Lite: progress is
 //!   reported to the servers, not to a centralized scheduler).
-//! * [`codec`] — a hand-rolled, versioned binary wire codec over [`bytes`].
+//! * [`values`] — parameter values in wire form: little-endian `f32` bytes
+//!   behind a shared buffer, the payload of every `KvPairs`.
+//! * [`codec`] — a hand-rolled, versioned binary wire codec over
+//!   `fluentps_util::buf`.
 //! * [`frame`] — length-prefixed framing for stream transports.
 //! * [`inproc`] — an in-process fabric built on `fluentps_util::sync` channels, used by
 //!   tests, examples and the threaded engine.
@@ -35,6 +38,7 @@ pub mod frame;
 pub mod inproc;
 pub mod msg;
 pub mod tcp;
+pub mod values;
 
 pub use collect::{CollectorService, StreamerConfig, StreamerReport, TraceStreamer};
 pub use error::TransportError;
@@ -43,6 +47,7 @@ pub use inproc::{Endpoint, Fabric};
 pub use msg::{
     CausalCtx, KvPairs, Message, NodeId, WireLogEntry, WirePlacement, NO_LEADER, NO_SPAN,
 };
+pub use values::{Values, ValuesMut};
 
 /// Receiving half of a transport endpoint.
 pub trait Mailbox: Send {

@@ -9,6 +9,8 @@ use std::fmt;
 
 use fluentps_obs::TraceEvent;
 
+use crate::values::{Values, ValuesMut};
+
 /// Identifier of a node in a FluentPS cluster.
 ///
 /// The scheduler only monitors liveness and assigns key ranges (Section
@@ -125,6 +127,9 @@ pub struct WireLogEntry {
 /// A batch of key-value pairs, PS-Lite style: parallel arrays of keys, a
 /// flattened value buffer and a per-key length array.
 ///
+/// The values are held in wire form ([`Values`]): cloning a batch, or taking
+/// one key's slice out of it, shares the payload instead of copying it.
+///
 /// Invariant: `lens.len() == keys.len()` and `lens.iter().sum() == vals.len()`.
 ///
 /// ```
@@ -132,14 +137,22 @@ pub struct WireLogEntry {
 /// let kv = KvPairs::from_slices(&[(7, &[1.0, 2.0][..]), (9, &[3.0][..])]);
 /// assert!(kv.is_consistent());
 /// let items: Vec<_> = kv.iter().collect();
-/// assert_eq!(items[1], (9, &[3.0f32][..]));
+/// assert_eq!(items[0].0, 7);
+/// assert_eq!(items[1].1, [3.0]);
+/// // Values are read into `f32` where the arithmetic happens.
+/// let mut w = [10.0, 10.0];
+/// items[0].1.add_scaled_to(&mut w, 0.5);
+/// assert_eq!(w, [10.5, 11.0]);
+/// // A clone shares the payload bytes.
+/// let copy = kv.clone();
+/// assert_eq!(copy.vals.as_le_bytes().as_ptr(), kv.vals.as_le_bytes().as_ptr());
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct KvPairs {
     /// Parameter keys, strictly the application's (possibly EPS-remapped) keys.
     pub keys: Vec<u64>,
     /// All values, concatenated in `keys` order.
-    pub vals: Vec<f32>,
+    pub vals: Values,
     /// Length of each key's value slice.
     pub lens: Vec<u32>,
 }
@@ -147,13 +160,15 @@ pub struct KvPairs {
 impl KvPairs {
     /// Build a `KvPairs` from per-key slices, computing `lens` automatically.
     pub fn from_slices(entries: &[(u64, &[f32])]) -> Self {
-        let mut kv = KvPairs::default();
-        for (k, v) in entries {
-            kv.keys.push(*k);
-            kv.lens.push(v.len() as u32);
-            kv.vals.extend_from_slice(v);
+        let mut vals = ValuesMut::with_capacity(entries.iter().map(|(_, v)| v.len()).sum());
+        for (_, v) in entries {
+            vals.extend_from_slice(v);
         }
-        kv
+        KvPairs {
+            keys: entries.iter().map(|(k, _)| *k).collect(),
+            lens: entries.iter().map(|(_, v)| v.len() as u32).collect(),
+            vals: vals.freeze(),
+        }
     }
 
     /// A single-key batch.
@@ -161,7 +176,7 @@ impl KvPairs {
         KvPairs {
             keys: vec![key],
             lens: vec![vals.len() as u32],
-            vals,
+            vals: Values::from_f32s(&vals),
         }
     }
 
@@ -181,11 +196,12 @@ impl KvPairs {
         self.keys.is_empty()
     }
 
-    /// Iterate `(key, value-slice)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[f32])> {
+    /// Iterate `(key, value-slice)` pairs; each slice shares the batch's
+    /// payload.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, Values)> + '_ {
         let mut offset = 0usize;
         self.keys.iter().zip(self.lens.iter()).map(move |(&k, &l)| {
-            let s = &self.vals[offset..offset + l as usize];
+            let s = self.vals.slice(offset..offset + l as usize);
             offset += l as usize;
             (k, s)
         })
@@ -496,8 +512,8 @@ mod tests {
         assert!(kv.is_consistent());
         assert_eq!(kv.len(), 2);
         let items: Vec<_> = kv.iter().collect();
-        assert_eq!(items[0], (3, &[1.0f32, 2.0][..]));
-        assert_eq!(items[1], (9, &[4.0f32][..]));
+        assert_eq!(items[0], (3, Values::from_f32s(&[1.0, 2.0])));
+        assert_eq!(items[1], (9, Values::from_f32s(&[4.0])));
     }
 
     #[test]
@@ -511,7 +527,7 @@ mod tests {
     fn kv_inconsistency_detected() {
         let kv = KvPairs {
             keys: vec![1, 2],
-            vals: vec![0.0; 3],
+            vals: Values::from_f32s(&[0.0; 3]),
             lens: vec![1, 1],
         };
         assert!(!kv.is_consistent());

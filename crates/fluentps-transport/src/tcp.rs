@@ -8,7 +8,6 @@
 //! reliable, per-sender FIFO delivery.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -21,7 +20,7 @@ use fluentps_util::sync::Mutex;
 use fluentps_util::sync::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::error::TransportError;
-use crate::frame::{encode_frame_into_profiled, wire_len, FrameReader};
+use crate::frame::{wire_len, write_frames, FrameReader};
 use crate::msg::{Message, NodeId};
 use crate::{Mailbox, Postman};
 
@@ -74,12 +73,13 @@ impl std::fmt::Debug for AddressBook {
 
 type Envelope = (NodeId, Message);
 
-/// One dialed connection: the socket plus a reusable scratch buffer frames
-/// are encoded into before a single `write_all` hands them to the kernel.
-/// The buffer grows to the largest frame/batch written and stays there —
-/// the per-frame `BytesMut` allocation of the old path is gone, and because
-/// the whole frame (or batch of frames) reaches the socket in one write
-/// there is no per-message flush (DESIGN.md § wire path).
+/// One dialed connection: the socket plus a reusable scratch buffer that
+/// frame *heads* (and whole payload-free frames) are encoded into before one
+/// gathered write hands them to the kernel together with the value payloads,
+/// which are written from where the messages hold them. The buffer grows to
+/// the largest run of heads written and stays there — about a kilobyte per
+/// tensor-sized frame — and because a whole batch reaches the socket in one
+/// write there is no per-message flush (DESIGN.md § wire path).
 struct Conn {
     stream: TcpStream,
     buf: BytesMut,
@@ -154,7 +154,6 @@ impl TcpNode {
     ) -> Result<Self, TransportError> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let (inbox_tx, inbox_rx) = unbounded();
         let shared = Arc::new(Shared {
             node,
@@ -200,6 +199,10 @@ impl TcpNode {
         self.shared.closed.store(true, Ordering::SeqCst);
         self.shared.conns.lock().clear();
         if let Some(h) = self.accept_thread.take() {
+            // The accept thread blocks in `accept`; one throwaway dial wakes
+            // it to see `closed`. If the dial fails the listener is already
+            // gone, and so is the thread.
+            let _ = TcpStream::connect(self.local_addr);
             let _ = h.join();
         }
     }
@@ -211,18 +214,15 @@ impl Drop for TcpNode {
     }
 }
 
+/// Accept until shut down: a blocking `accept`, so a new connection gets its
+/// reader thread at once and an idle node never wakes.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.closed.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nodelay(true).ok();
-                spawn_reader(stream, Arc::clone(&shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
+    while let Ok((stream, _peer)) = listener.accept() {
+        if shared.closed.load(Ordering::SeqCst) {
+            break; // the wake-up dial of `shutdown`
         }
+        stream.set_nodelay(true).ok();
+        spawn_reader(stream, Arc::clone(&shared));
     }
 }
 
@@ -233,8 +233,8 @@ fn spawn_reader(stream: TcpStream, shared: Arc<Shared>) {
             let mut reader = std::io::BufReader::new(stream);
             let mut frames = FrameReader::new();
             // Read frames until the peer closes or the stream corrupts.
-            // The frame body buffer is reused across frames and decoded in
-            // place — no per-frame allocation on the receive path.
+            // Each frame lands in a buffer of its own, which the decoded
+            // message shares: a value is not copied again on this side.
             while let Ok((from, msg)) = frames.read_from_profiled(&mut reader, &shared.profiler) {
                 if shared.tracer.is_enabled() {
                     let (shard, worker) = trace_ids(shared.node, from);
@@ -307,33 +307,36 @@ impl TcpPostman {
         Ok(conns.get_mut(&to).expect("just inserted"))
     }
 
-    /// Hand `conn.buf` to the kernel in one write and clear it for reuse.
-    /// On error the connection is dropped so a later send can redial.
-    fn write_out(
+    /// Write the frames of `msgs` to `to` in one gathered write (dialing
+    /// first if needed) and trace each as sent. On error the connection is
+    /// dropped so a later send can redial.
+    fn write_to(
         &self,
         conns: &mut HashMap<NodeId, Conn>,
         to: NodeId,
+        msgs: &[&Message],
     ) -> Result<(), TransportError> {
-        let conn = conns.get_mut(&to).expect("connection present");
-        let result = conn
-            .stream
-            .write_all(conn.buf.as_ref())
-            .map_err(TransportError::from);
-        conn.buf.clear();
-        if result.is_err() {
+        let Conn { stream, buf } = self.ensure_conn(conns, to)?;
+        let from = self.shared.node;
+        let prof = &self.shared.profiler;
+        if let Err(e) = write_frames(stream, from, msgs.iter().copied(), buf, prof) {
             conns.remove(&to);
+            return Err(e.into());
         }
-        result
+        if self.shared.tracer.is_enabled() {
+            for msg in msgs {
+                self.trace_send(to, wire_len(msg) as u64);
+            }
+        }
+        Ok(())
     }
 
     fn trace_send(&self, to: NodeId, bytes: u64) {
-        if self.shared.tracer.is_enabled() {
-            let (shard, worker) = trace_ids(self.shared.node, to);
-            self.shared.tracer.record(
-                EventKind::WireSend,
-                RecordArgs::new().shard(shard).worker(worker).bytes(bytes),
-            );
-        }
+        let (shard, worker) = trace_ids(self.shared.node, to);
+        self.shared.tracer.record(
+            EventKind::WireSend,
+            RecordArgs::new().shard(shard).worker(worker).bytes(bytes),
+        );
     }
 }
 
@@ -342,61 +345,32 @@ impl Postman for TcpPostman {
         if self.shared.closed.load(Ordering::SeqCst) {
             return Err(TransportError::Disconnected);
         }
-        let from = self.shared.node;
-        let mut conns = self.shared.conns.lock();
-        let conn = self.ensure_conn(&mut conns, to)?;
-        let bytes =
-            encode_frame_into_profiled(from, &msg, &mut conn.buf, &self.shared.profiler) as u64;
-        let result = self.write_out(&mut conns, to);
-        if result.is_ok() {
-            self.trace_send(to, bytes);
-        }
-        result
+        self.write_to(&mut self.shared.conns.lock(), to, &[&msg])
     }
 
-    /// Coalesced send: frames for the same destination are encoded
-    /// back-to-back into that connection's scratch buffer and written with
-    /// a *single* `write_all` per destination — one flush per drained
-    /// batch instead of one per message. Per-destination FIFO order is
-    /// preserved; a failure on one destination does not stop the others
-    /// (the first error is returned after every destination is attempted).
+    /// Coalesced send: the frames for one destination go out in a *single*
+    /// gathered write — heads from that connection's scratch buffer, value
+    /// payloads from the messages — one flush per destination instead of
+    /// one per message. Per-destination FIFO order is preserved;
+    /// destinations are written in order of first appearance, and a failure
+    /// on one does not stop the others (the first error is returned after
+    /// every destination is attempted).
     fn send_batch(&self, batch: Vec<(NodeId, Message)>) -> Result<(), TransportError> {
         if self.shared.closed.load(Ordering::SeqCst) {
             return Err(TransportError::Disconnected);
         }
-        let from = self.shared.node;
         let mut conns = self.shared.conns.lock();
-        let mut first_err = None;
-        // Destinations in first-appearance order, with per-message byte
-        // counts kept for tracing after the destination's write succeeds.
-        let mut order: Vec<NodeId> = Vec::new();
-        let mut traced: Vec<(NodeId, u64)> = Vec::with_capacity(batch.len());
+        let mut per_dest: Vec<(NodeId, Vec<&Message>)> = Vec::new();
         for (to, msg) in &batch {
-            match self.ensure_conn(&mut conns, *to) {
-                Ok(conn) => {
-                    if conn.buf.is_empty() {
-                        order.push(*to);
-                    }
-                    let bytes =
-                        encode_frame_into_profiled(from, msg, &mut conn.buf, &self.shared.profiler)
-                            as u64;
-                    traced.push((*to, bytes));
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
+            match per_dest.iter_mut().find(|(dest, _)| dest == to) {
+                Some((_, msgs)) => msgs.push(msg),
+                None => per_dest.push((*to, vec![msg])),
             }
         }
-        for to in order {
-            match self.write_out(&mut conns, to) {
-                Ok(()) => {
-                    for &(t, bytes) in traced.iter().filter(|(t, _)| *t == to) {
-                        self.trace_send(t, bytes);
-                    }
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
+        let mut first_err = None;
+        for (to, msgs) in per_dest {
+            if let Err(e) = self.write_to(&mut conns, to, &msgs) {
+                first_err.get_or_insert(e);
             }
         }
         first_err.map_or(Ok(()), Err)
@@ -523,6 +497,61 @@ mod tests {
             assert_eq!(ev.shard, 2);
             assert_eq!(ev.worker, 7);
         }
+    }
+
+    #[test]
+    fn first_message_on_a_fresh_connection_does_not_wait_for_a_poll() {
+        // The accept thread is blocked in `accept`, not asleep between
+        // polls: a brand-new connection's first frame is delivered in the
+        // time it takes to spawn a reader, not within the next 10 ms. One
+        // connection is accepted first, so the accept thread is certainly
+        // parked again when the measured one arrives.
+        let mut took: Vec<Duration> = (0..20)
+            .map(|_| {
+                let book = AddressBook::new();
+                let server = TcpNode::bind(NodeId::Server(0), loopback(), book.clone()).unwrap();
+                book.insert(NodeId::Server(0), server.local_addr());
+                let first = TcpNode::bind(NodeId::Worker(0), loopback(), book.clone()).unwrap();
+                let second = TcpNode::bind(NodeId::Worker(1), loopback(), book).unwrap();
+                let deliver = |from: &TcpNode| {
+                    let sent = std::time::Instant::now();
+                    from.postman()
+                        .send(NodeId::Server(0), Message::Shutdown)
+                        .unwrap();
+                    server
+                        .recv_timeout(Duration::from_secs(5))
+                        .unwrap()
+                        .expect("message within timeout");
+                    sent.elapsed()
+                };
+                deliver(&first);
+                deliver(&second)
+            })
+            .collect();
+        took.sort_unstable();
+        let median = took[took.len() / 2];
+        assert!(
+            median < Duration::from_millis(3),
+            "median first-message latency {median:?} over fresh connections: {took:?}"
+        );
+    }
+
+    #[test]
+    fn shutdown_of_an_idle_node_returns_promptly_and_stops_accepting() {
+        let mut node = TcpNode::bind(NodeId::Server(0), loopback(), AddressBook::new()).unwrap();
+        let addr = node.local_addr();
+        let begun = std::time::Instant::now();
+        node.shutdown();
+        node.shutdown(); // idempotent
+        assert!(
+            begun.elapsed() < Duration::from_millis(500),
+            "idle shutdown took {:?}",
+            begun.elapsed()
+        );
+        // The accept thread is joined, so the listener is closed.
+        assert!(TcpStream::connect(addr).is_err());
+        let sent = node.postman().send(NodeId::Server(0), Message::Shutdown);
+        assert!(matches!(sent, Err(TransportError::Disconnected)));
     }
 
     #[test]

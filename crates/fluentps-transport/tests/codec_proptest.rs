@@ -159,15 +159,28 @@ proptest! {
     #[test]
     fn roundtrip(msg in arb_message()) {
         let bytes = encode(&msg);
-        let back = decode(bytes).expect("well-formed message must decode");
-        // NaN != NaN under PartialEq for f32, so compare via bit patterns.
-        prop_assert_eq!(format!("{:?}", bitify(&msg)), format!("{:?}", bitify(&back)));
+        let back = decode(bytes.clone()).expect("well-formed message must decode");
+        // Payloads compare bit for bit (a NaN equals itself); the f64s of a
+        // trace event or clock message compare through their `Debug` form.
+        prop_assert_eq!(format!("{:?}", msg), format!("{:?}", back));
+        if let Message::SPush { kv, .. } | Message::PullResponse { kv, .. } = msg.bare() {
+            let (Message::SPush { kv: got, .. } | Message::PullResponse { kv: got, .. }) =
+                back.bare()
+            else {
+                panic!("variant changed");
+            };
+            prop_assert_eq!(got, kv);
+        }
+        // The borrowed-slice path decodes the same message.
+        let copied = decode_slice(&bytes).expect("well-formed message must decode");
+        prop_assert_eq!(format!("{:?}", copied), format!("{:?}", back));
     }
 
     #[test]
     fn f32_bit_patterns_roundtrip_exactly(
-        key in any::<u64>(),
+        keys in prop::collection::vec(any::<u64>(), 1..4),
         bits in prop::collection::vec(any::<u32>(), 0..64),
+        traced in any::<bool>(),
     ) {
         // Arbitrary patterns plus the classes a float-typed path could
         // disturb: NaNs with payloads (quiet and signalling), -0.0,
@@ -176,18 +189,39 @@ proptest! {
         bits.extend([0x7FC0_1234, 0x7F80_0001, 0xFFFF_FFFF, 0x8000_0000, 1, 0x807F_FFFF]);
         bits.extend([0x7F80_0000, 0xFF80_0000]);
         let vals: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-        let msg = Message::PullResponse {
+        // All values under the first key, none under the others: the head
+        // grows with the key count and the envelope, the payload stays put.
+        let mut entries: Vec<(u64, &[f32])> = keys.iter().map(|&k| (k, &[][..])).collect();
+        entries[0].1 = &vals;
+        let mut msg = Message::PullResponse {
             server: 1,
             progress: 2,
             version: 3,
-            kv: KvPairs::single(key, vals),
+            kv: KvPairs::from_slices(&entries),
         };
-        match decode(encode(&msg)).expect("well-formed message must decode") {
-            Message::PullResponse { kv, .. } => {
-                let back: Vec<u32> = kv.vals.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(back, bits);
+        if traced {
+            msg = msg.with_ctx(CausalCtx::new(7).retry(1));
+        }
+        let encoded = encode(&msg);
+        // Nothing on the read side may care where the payload starts: land
+        // it on every address mod 4, through both decode paths.
+        for pad in 0..4 {
+            let mut padded = vec![0xAAu8; pad];
+            padded.extend_from_slice(&encoded);
+            let shared = decode(Bytes::from(padded.clone()).slice(pad..padded.len()));
+            let copied = decode_slice(&padded[pad..]);
+            for back in [shared, copied] {
+                let back = back.expect("well-formed message must decode");
+                let Message::PullResponse { kv, .. } = back.bare() else {
+                    panic!("wrong variant {back:?}");
+                };
+                let got: Vec<u32> = kv.vals.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&got, &bits);
+                let mut out = vec![0.0f32; bits.len()];
+                kv.vals.copy_to(&mut out);
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&got, &bits);
             }
-            other => prop_assert!(false, "wrong variant {:?}", other),
         }
     }
 
@@ -195,14 +229,34 @@ proptest! {
     fn truncation_inside_a_slab_is_truncated_never_a_panic(kv in arb_kv()) {
         let bytes = encode(&Message::SPush { worker: 1, progress: 2, kv });
         // Everything past the fixed SPush header (version, tag, worker,
-        // progress) is count words and slabs.
+        // progress) is count words, slabs and the value payload.
         for cut in 14..bytes.len() {
-            let err = decode_slice(&bytes[..cut]).expect_err("truncated frame decoded");
-            prop_assert!(
-                matches!(err, DecodeError::Truncated { .. }),
-                "cut at {} of {}: {:?}", cut, bytes.len(), err
-            );
+            for err in [decode_slice(&bytes[..cut]), decode(bytes.slice(0..cut))] {
+                let err = err.expect_err("truncated frame decoded");
+                prop_assert!(
+                    matches!(err, DecodeError::Truncated { .. }),
+                    "cut at {} of {}: {:?}", cut, bytes.len(), err
+                );
+            }
         }
+    }
+
+    #[test]
+    fn lens_that_do_not_sum_to_the_value_count_are_inconsistent(
+        kv in arb_kv(),
+        which in any::<u32>(),
+        delta in 1u32..1000,
+    ) {
+        if kv.is_empty() {
+            return Ok(());
+        }
+        let mut frame = encode(&Message::SPush { worker: 1, progress: 2, kv: kv.clone() }).to_vec();
+        // Header 14, keys count 4 + 8n, lens count 4, then the lens.
+        let i = which as usize % kv.len();
+        let at = 14 + 4 + 8 * kv.len() + 4 + 4 * i;
+        frame[at..at + 4].copy_from_slice(&kv.lens[i].wrapping_add(delta).to_le_bytes());
+        prop_assert_eq!(decode_slice(&frame), Err(DecodeError::InconsistentKv));
+        prop_assert_eq!(decode(Bytes::from(frame)), Err(DecodeError::InconsistentKv));
     }
 
     #[test]
@@ -249,31 +303,6 @@ proptest! {
     }
 }
 
-/// Replace every f32 with its bit pattern so NaN payloads compare equal.
-fn bitify(msg: &Message) -> Message {
-    let fix = |kv: &KvPairs| KvPairs {
-        keys: kv.keys.clone(),
-        lens: kv.lens.clone(),
-        vals: kv
-            .vals
-            .iter()
-            .map(|v| f32::from_bits(v.to_bits())) // identity, preserves bits
-            .collect(),
-    };
-    match msg {
-        Message::SPush {
-            worker,
-            progress,
-            kv,
-        } => Message::SPush {
-            worker: *worker,
-            progress: *progress,
-            kv: fix(kv),
-        },
-        other => other.clone(),
-    }
-}
-
 /// A count word is checked against the bytes that actually follow it before
 /// anything is allocated for it: a 30-byte frame that promises 2^28 values
 /// must cost a few bytes of error, not a gigabyte of `Vec`.
@@ -306,5 +335,80 @@ fn hostile_count_is_rejected_before_allocating() {
                 after - before
             );
         }
+    }
+}
+
+/// Zero-copy is asserted, not assumed: decoding a tensor-sized frame from a
+/// `Bytes` allocates nothing payload-sized and the decoded values lie inside
+/// the frame; so does cloning the result. Decoding the same bytes through a
+/// borrowed slice copies the payload out exactly once.
+#[test]
+fn decoding_from_bytes_shares_the_frame_and_from_a_slice_copies_once() {
+    const VALS: usize = 1 << 18; // 1 MiB of values
+    let chunk = vec![0.125f32; VALS / 64];
+    let entries: Vec<(u64, &[f32])> = (0..64).map(|k| (k, &chunk[..])).collect();
+    let kv = KvPairs::from_slices(&entries);
+    let push = Message::SPush {
+        worker: 1,
+        progress: 7,
+        kv: kv.clone(),
+    };
+    let msgs = [
+        push.clone(),
+        Message::PullResponse {
+            server: 0,
+            progress: 7,
+            version: 8,
+            kv,
+        },
+        push.with_ctx(CausalCtx::new(9).retry(2)),
+    ];
+    let payload_of = |msg: &Message| match msg.bare() {
+        Message::SPush { kv, .. } | Message::PullResponse { kv, .. } => kv.clone(),
+        other => panic!("no payload in {other:?}"),
+    };
+    for msg in &msgs {
+        let frame = encode(msg);
+        let within = frame.as_ptr_range();
+
+        let (_, before) = thread_counters();
+        let shared = decode(frame.clone()).expect("decode");
+        let (_, after) = thread_counters();
+        assert!(
+            after - before < 4096,
+            "decode from Bytes allocated {}",
+            after - before
+        );
+        let got = payload_of(&shared);
+        let bytes = got.vals.as_le_bytes().as_ptr_range();
+        assert_eq!(got.vals.len(), VALS);
+        assert!(
+            within.start <= bytes.start && bytes.end <= within.end,
+            "payload {bytes:?} outside its frame {within:?}"
+        );
+        assert_eq!(&shared, msg);
+
+        let (_, before) = thread_counters();
+        let copy = got.clone();
+        let (_, after) = thread_counters();
+        assert!(
+            after - before < 4096,
+            "KvPairs::clone allocated {}",
+            after - before
+        );
+        assert_eq!(copy.vals.as_le_bytes().as_ptr(), bytes.start);
+
+        let (_, before) = thread_counters();
+        let copied = decode_slice(&frame).expect("decode_slice");
+        let (_, after) = thread_counters();
+        let extra = (after - before) as usize;
+        assert!(
+            (4 * VALS..4 * VALS + 4096).contains(&extra),
+            "decode_slice allocated {extra} for a {}-byte payload",
+            4 * VALS
+        );
+        let bytes = payload_of(&copied).vals.as_le_bytes().as_ptr_range();
+        assert!(bytes.end <= within.start || within.end <= bytes.start);
+        assert_eq!(&copied, msg);
     }
 }

@@ -2,11 +2,21 @@
 //! buffer/write must be invisible to the receiver — the decoded message
 //! sequence (order, content, per-link accounting) has to match the
 //! one-frame-per-write path exactly, including when a fault plan severs a
-//! destination mid-batch.
+//! destination mid-batch, and the bytes a gathered write puts on a
+//! connection are exactly the frames' bytes however the writer takes them.
 
+use std::io::{self, Read, Write};
+use std::net::TcpListener;
+
+use fluentps_obs::Profiler;
 use fluentps_transport::fault::{FaultAction, FaultInjector, FaultRule, MsgPattern};
-use fluentps_transport::frame::{encode_frame_into, write_frame, FrameReader};
-use fluentps_transport::{Fabric, FaultPlan, Mailbox, Message, NodeId, Postman};
+use fluentps_transport::frame::{
+    encode_frame, encode_frame_into, write_frame, write_frames, FrameReader,
+};
+use fluentps_transport::tcp::{AddressBook, TcpNode};
+use fluentps_transport::{
+    CausalCtx, Fabric, FaultPlan, KvPairs, Mailbox, Message, NodeId, Postman,
+};
 use fluentps_util::buf::BytesMut;
 use fluentps_util::proptest::prelude::*;
 
@@ -37,7 +47,115 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+fn arb_kv() -> impl Strategy<Value = KvPairs> {
+    prop::collection::vec(
+        (any::<u64>(), prop::collection::vec(any::<f32>(), 0..48)),
+        0..4,
+    )
+    .prop_map(|entries| {
+        let refs: Vec<(u64, &[f32])> = entries.iter().map(|(k, v)| (*k, v.as_slice())).collect();
+        KvPairs::from_slices(&refs)
+    })
+}
+
+/// Payload-free messages and every shape that carries values, bare and in
+/// the causal envelope.
+fn arb_wire_message() -> impl Strategy<Value = Message> {
+    prop_oneof![
+        arb_message(),
+        (0u32..4, 0u64..100, arb_kv()).prop_map(|(worker, progress, kv)| Message::SPush {
+            worker,
+            progress,
+            kv
+        }),
+        (0u32..4, 0u64..100, arb_kv()).prop_map(|(server, progress, kv)| {
+            Message::PullResponse {
+                server,
+                progress,
+                version: progress + 1,
+                kv,
+            }
+        }),
+        (any::<u64>(), 0u32..4, arb_kv()).prop_map(|(id, worker, kv)| {
+            Message::SPush {
+                worker,
+                progress: 3,
+                kv,
+            }
+            .with_ctx(CausalCtx::new(id))
+        }),
+        arb_kv().prop_map(|kv| Message::Install { kv }),
+    ]
+}
+
+/// A writer that takes at most `step` bytes per call, from the first
+/// non-empty slice only — the least `write_vectored` is allowed to do.
+struct Trickle {
+    got: Vec<u8>,
+    step: usize,
+}
+
+impl Write for Trickle {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = buf.len().min(self.step);
+        self.got.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 proptest! {
+    /// A gathered batch is pure concatenation too: what each destination's
+    /// connection carries after a `send_batch` over real sockets is the
+    /// `encode_frame` bytes of its messages, in order — and the same bytes
+    /// come out of a writer that accepts only a few at a time.
+    #[test]
+    fn vectored_batch_puts_exactly_the_frame_bytes_on_each_connection(
+        batch in prop::collection::vec((0u32..3, arb_wire_message()), 0..12),
+        step in 1usize..40,
+    ) {
+        let from = NodeId::Worker(0);
+        let mut expect = vec![Vec::new(); 3];
+        for (m, msg) in &batch {
+            expect[*m as usize].extend_from_slice(&encode_frame(from, msg));
+        }
+
+        let book = AddressBook::new();
+        let listeners: Vec<TcpListener> = (0..3)
+            .map(|m| {
+                let l = TcpListener::bind("127.0.0.1:0").unwrap();
+                book.insert(NodeId::Server(m), l.local_addr().unwrap());
+                l
+            })
+            .collect();
+        let mut node = TcpNode::bind(from, "127.0.0.1:0".parse().unwrap(), book).unwrap();
+        let addressed: Vec<(NodeId, Message)> = batch
+            .iter()
+            .map(|(m, msg)| (NodeId::Server(*m), msg.clone()))
+            .collect();
+        node.postman().send_batch(addressed).unwrap();
+        node.shutdown(); // closes the dialed connections: each stream ends
+        for (listener, expect) in listeners.iter().zip(&expect) {
+            if expect.is_empty() {
+                continue; // never dialed
+            }
+            let mut got = Vec::new();
+            listener.accept().unwrap().0.read_to_end(&mut got).unwrap();
+            prop_assert_eq!(&got, expect);
+        }
+
+        let mut scratch = BytesMut::new();
+        for (m, expect) in expect.iter().enumerate() {
+            let msgs = batch.iter().filter(|(to, _)| *to as usize == m).map(|(_, msg)| msg);
+            let mut w = Trickle { got: Vec::new(), step };
+            write_frames(&mut w, from, msgs, &mut scratch, &Profiler::disabled()).unwrap();
+            prop_assert_eq!(&w.got, expect);
+        }
+    }
+
     /// Coalescing is pure concatenation: N frames encoded back-to-back into
     /// one reused buffer are byte-identical to N individual `write_frame`
     /// calls, and a streaming reader recovers the same (sender, message)

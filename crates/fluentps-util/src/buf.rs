@@ -9,9 +9,12 @@
 //! Every primitive here is `#[inline]`: the workspace builds without LTO, so
 //! a non-generic method of this crate is otherwise an out-of-line call from
 //! the codec, once per integer. Numeric vectors go through the *slab*
-//! operations ([`BufMut::put_f32_slice_le`], [`Buf::get_f32_vec_le`] and
-//! their `u32`/`u64` siblings): one length check and one pass over the
-//! whole vector, little-endian on any host via `to_le_bytes`/`from_le_bytes`.
+//! operations ([`BufMut::put_u64_slice_le`], [`Buf::get_u64_vec_le`] and
+//! their `u32` siblings; [`BufMut::put_f32_slice_le`] for values): one
+//! length check and one pass over the whole vector, little-endian on any
+//! host via `to_le_bytes`/`from_le_bytes`. A byte run that should *stay*
+//! bytes — a value payload — leaves the cursor through [`Buf::take_bytes`],
+//! which shares the allocation when the cursor is a [`Bytes`].
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -85,18 +88,10 @@ pub trait Buf {
         v
     }
 
-    /// Read `n` `f32`s, each the little-endian IEEE-754 bit pattern, as one
-    /// slab (see [`Buf::get_u32_vec_le`]). Bit-exact: NaN payloads, signed
-    /// zeros and subnormals survive.
-    #[inline]
-    fn get_f32_vec_le(&mut self, n: usize) -> Vec<f32> {
-        let v = self.chunk()[..4 * n]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        self.advance(4 * n);
-        v
-    }
+    /// Take the next `n` bytes out as an owned [`Bytes`]: a view sharing
+    /// the allocation when the cursor is itself a [`Bytes`], one exact copy
+    /// when it is a borrowed slice. Panics if fewer than `n` bytes remain.
+    fn take_bytes(&mut self, n: usize) -> Bytes;
 }
 
 /// Borrowed-slice cursor: lets decoders run over a reused read buffer
@@ -117,6 +112,13 @@ impl Buf for &[u8] {
     #[inline]
     fn chunk(&self) -> &[u8] {
         self
+    }
+
+    #[inline]
+    fn take_bytes(&mut self, n: usize) -> Bytes {
+        let (head, rest) = self.split_at(n);
+        *self = rest;
+        Bytes::from(head)
     }
 }
 
@@ -236,6 +238,13 @@ impl Buf for Bytes {
     #[inline]
     fn chunk(&self) -> &[u8] {
         self.as_slice()
+    }
+
+    #[inline]
+    fn take_bytes(&mut self, n: usize) -> Bytes {
+        let head = self.slice(0..n);
+        self.start += n;
+        head
     }
 }
 
@@ -412,9 +421,10 @@ impl BufMut for BytesMut {
 
     #[inline]
     fn put_f32_slice_le(&mut self, src: &[f32]) {
-        for (dst, v) in self.grow(4 * src.len()).chunks_exact_mut(4).zip(src) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
+        // The one tensor-sized slab: appended straight into spare capacity
+        // (the flattened iterator reports its exact length), so a payload is
+        // not zero-filled first and then overwritten.
+        self.data.extend(src.iter().flat_map(|v| v.to_le_bytes()));
     }
 }
 
@@ -568,12 +578,41 @@ mod tests {
         let mut cur: &[u8] = &slab[1..];
         assert_eq!(cur.get_u32_vec_le(u32s.len()), u32s);
         assert_eq!(cur.get_u64_vec_le(u64s.len()), u64s);
-        let back = cur.get_f32_vec_le(f32s.len());
+        // The f32 slab is the elements' bit patterns, little-endian.
+        let bits = cur.get_u32_vec_le(f32s.len());
         assert_eq!(cur.remaining(), 0);
-        assert_eq!(back.capacity(), back.len(), "slab reads allocate exactly");
-        for (a, b) in back.iter().zip(&f32s) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(bits.capacity(), bits.len(), "slab reads allocate exactly");
+        assert_eq!(bits, f32s.map(f32::to_bits));
+    }
+
+    #[test]
+    fn take_bytes_shares_a_bytes_cursor_and_copies_a_slice_cursor() {
+        let data: Vec<u8> = (0u8..16).collect();
+        let range = data.as_ptr_range();
+        let mut owned = Bytes::from(data.clone());
+        assert_eq!(owned.get_u8(), 0);
+        let taken = owned.take_bytes(7);
+        assert_eq!(taken.as_slice(), &data[1..8]);
+        assert_eq!(owned.chunk(), &data[8..]);
+        // Same allocation as the cursor it came from: the taken run ends
+        // where the cursor's unread bytes begin...
+        assert_eq!(taken.as_ptr_range().end, owned.chunk().as_ptr());
+        // ...whereas a borrowed cursor hands out a copy.
+        let mut cur: &[u8] = &data;
+        cur.advance(1);
+        let copied = cur.take_bytes(7);
+        assert_eq!(copied, taken);
+        assert_eq!(cur, &data[8..]);
+        assert!(!range.contains(&copied.as_ptr()));
+        assert_eq!(owned.take_bytes(8).len(), 8);
+        assert!(owned.is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn take_bytes_past_the_end_panics() {
+        let mut cur: &[u8] = &[0u8; 3];
+        let _ = cur.take_bytes(4);
     }
 
     #[test]

@@ -54,6 +54,25 @@ if awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } { print FILENA
   exit 1
 fi
 
+# Structural guard: a value is `f32` at the four places arithmetic happens
+# (scatter, gather, apply, snapshot) and wire bytes everywhere in between
+# (DESIGN.md §13). The wire layers move those bytes and never convert them:
+# no `f32` vector and no `f32` slab operation above the test markers of
+# codec.rs, frame.rs and tcp.rs, and the frame reader keeps no body buffer
+# between frames (each frame's buffer is the decoded message's payload).
+wire_src=crates/fluentps-transport/src
+if awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip || /^[[:space:]]*\/\// { next }
+        { print FILENAME ":" FNR ": " $0 }' \
+    "$wire_src/codec.rs" "$wire_src/frame.rs" "$wire_src/tcp.rs" \
+  | grep -E 'Vec<f32>|get_f32_vec_le|put_f32_slice_le'; then
+  echo "ci: the wire layers convert values again (see above); that belongs to values.rs and its callers" >&2
+  exit 1
+fi
+if ! grep -qE '^pub struct FrameReader;$' "$wire_src/frame.rs"; then
+  echo "ci: FrameReader has fields again; a frame's buffer must travel with its message" >&2
+  exit 1
+fi
+
 # Golden-file check: the Chrome-trace exporter must emit byte-stable, valid
 # JSON for the fixture run (tests/golden/chrome_trace_fixture.json). Run
 # explicitly so a missing or stale golden file fails CI even if test
