@@ -386,6 +386,49 @@ fn wire_throughput(c: &mut Criterion) {
     g.finish();
 }
 
+/// The wire path end to end, sockets included: one worker client against
+/// one served TCP node, one iteration per element — `sPush` staged, then
+/// `[SPush, SPull]` out in one write and `[PushAck, PullResponse]` back in
+/// one, 35 KB of values each way. What it costs beyond `wire/pulls_per_s`
+/// plus the memcpys is thread hand-offs and syscalls, so their count has a
+/// trajectory here. On the reference VM it reads 25–35 µs, or 130–190 µs
+/// for minutes at a time when the hypervisor parks idle vCPUs between
+/// wake-ups (every hand-off-bound bench moves with it, on any commit); the
+/// committed mean is a slow-state reading, so that the gate trips on an
+/// added hop-per-message or a poll loop, not on the box's mood.
+fn tcp_serve_roundtrip(c: &mut Criterion) {
+    use fluentps_core::tcp_engine::TcpCluster;
+
+    const VALS: usize = 8750; // 35 KB of f32
+    let specs = vec![ParamSpec { key: 0, len: VALS }];
+    let init: HashMap<u64, Vec<f32>> = [(0, vec![0.0; VALS])].into();
+    let map = EpsSlicer { max_chunk: 4096 }.slice(&specs, 1);
+    let cfg = EngineConfig {
+        num_workers: 1,
+        num_servers: 1,
+        model: SyncModel::Asp,
+        ..EngineConfig::default()
+    };
+    let (cluster, mut workers) = TcpCluster::launch(cfg, map, &init).unwrap();
+    let mut worker = workers.remove(0);
+    let grads: HashMap<u64, Vec<f32>> = [(0, vec![1e-3; VALS])].into();
+    let mut params = HashMap::new();
+    let mut progress = 0u64;
+
+    let mut g = c.benchmark_group("wire");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("tcp_serve_roundtrip", |b| {
+        b.iter(|| {
+            worker.spush(progress, &grads).unwrap();
+            let report = worker.spull_wait(progress, &mut params).unwrap();
+            progress += 1;
+            report.max_version
+        })
+    });
+    g.finish();
+    cluster.shutdown();
+}
+
 /// Analyzer throughput: a realistic mixed event stream (pull/defer/release
 /// chains, pushes, V_train advances, wire pairs, barrier spans) through the
 /// full `analyze::analyze` pass — an all-run replay of the trace fold plus
@@ -493,6 +536,7 @@ criterion_group!(
     engine_tracing_overhead,
     collect_streaming_overhead,
     wire_throughput,
+    tcp_serve_roundtrip,
     analyze_throughput,
     stream_window
 );

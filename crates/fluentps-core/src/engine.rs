@@ -125,7 +125,7 @@ impl Cluster {
             );
             let handle = std::thread::Builder::new()
                 .name(format!("fluentps-server-{m}"))
-                .spawn(move || serve::run(server, &endpoint, &endpoint.postman()))
+                .spawn(move || serve::run(server, &endpoint, endpoint.postman()))
                 .expect("spawn server thread");
             servers.push(handle);
         }

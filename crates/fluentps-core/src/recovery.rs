@@ -58,7 +58,8 @@ use fluentps_transport::collect::TraceStreamer;
 use fluentps_transport::fault::{FaultInjector, FaultPlan, FaultyMailbox, FaultyPostman};
 use fluentps_transport::tcp::{AddressBook, TcpNode, TcpPostman};
 use fluentps_transport::{
-    CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman, TransportError, WirePlacement, NO_LEADER,
+    per_destination, CausalCtx, Input, KvPairs, Mailbox, Message, NodeId, Postman, Step,
+    TransportError, WirePlacement, NO_LEADER,
 };
 
 use crate::checkpoint::ShardCheckpoint;
@@ -86,8 +87,8 @@ type CheckpointStore = Arc<Mutex<HashMap<u32, Bytes>>>;
 /// `stop` is the out-of-band counterpart of the `Shutdown` *message*: the
 /// drain path sends `Shutdown` with best effort and then joins the server
 /// threads unconditionally, so a lost frame (chaos drop, racing socket
-/// teardown) would hang the join forever. Every server loop already wakes
-/// on a heartbeat-interval timeout and checks this flag, guaranteeing exit
+/// teardown) would hang the join forever. Every server's `tick` runs at
+/// least once a heartbeat interval and checks this flag, guaranteeing exit
 /// even when the message never arrives.
 #[derive(Debug, Default)]
 struct SharedServers {
@@ -608,7 +609,8 @@ enum Admit {
 /// One incarnation of a fault-tolerant server: the shared Algorithm-1 step
 /// ([`ShardServer`]) plus what makes it survive retries, reroutes and its
 /// own death. No socket, thread or wall clock inside — [`run_resilient`]
-/// supplies those — so scripted message sequences test it directly.
+/// and the mailbox it serves from supply those — so scripted message
+/// sequences test it directly.
 ///
 /// Per message: [`admit`](Self::admit) gates it *before* the step,
 /// [`observe`](Self::observe) reads the step's replies *after* it.
@@ -903,49 +905,74 @@ impl ResilientServer {
     }
 }
 
-/// Drive one server incarnation over a transport until it is shut down,
-/// stopped or killed. Differs from [`crate::serve::run`] only by what
-/// resilience needs from a driver: a receive that wakes up on the heartbeat
-/// interval, the [`ResilientServer::tick`] before it, and per-message sends
-/// whose failures reach the server (a heartbeat to a dead leader).
-fn run_resilient<M: Mailbox, P: Postman>(
-    mut server: ResilientServer,
-    rx: &M,
-    postman: &P,
-) -> ShardStats {
-    let start = Instant::now();
-    let wake = server.rcfg.heartbeat_every;
-    let profiler = server.server.profiler.clone();
-    let mut out = Vec::new();
-    let flush = |server: &mut ResilientServer, out: &mut Vec<(NodeId, Message)>| {
-        for (to, msg) in out.drain(..) {
-            if postman.send(to, msg).is_err() {
-                server.unreachable(to);
-            }
+/// One server incarnation as the step its mailbox serves (DESIGN.md §18).
+/// Differs from [`crate::serve::run`]'s only by what resilience needs: the
+/// [`ResilientServer::tick`] after every message and on every quiet
+/// heartbeat interval, and sends whose failures reach the server (a
+/// heartbeat to a dead leader).
+struct Resilient<P> {
+    server: ResilientServer,
+    postman: P,
+    /// When this incarnation started: the zero of `tick`'s clock.
+    start: Instant,
+    out: Vec<(NodeId, Message)>,
+}
+
+impl<P: Postman> Resilient<P> {
+    /// Send what is queued: one batch per destination, in order of first
+    /// appearance, so that a failure names who could not be reached.
+    fn flush(&mut self) {
+        if self.out.is_empty() {
+            return;
         }
-    };
-    loop {
-        let flow = server.tick(start.elapsed(), &mut out);
-        flush(&mut server, &mut out);
-        if flow == Flow::Stop {
-            break;
-        }
-        match rx.recv_timeout(wake) {
-            Ok(Some((_, msg))) => {
-                let flow = server.step(msg, &mut out);
-                if !out.is_empty() {
-                    let _span = profiler.enter("server/reply");
-                    flush(&mut server, &mut out);
-                }
-                if flow == Flow::Stop {
-                    break;
-                }
+        let _span = self.server.server.profiler.enter("server/reply");
+        for (to, msgs) in per_destination(self.out.drain(..)) {
+            let batch = msgs.into_iter().map(|msg| (to, msg)).collect();
+            if self.postman.send_batch(batch).is_err() {
+                self.server.unreachable(to);
             }
-            Ok(None) => {}
-            Err(_) => break,
         }
     }
-    server.server.into_stats()
+}
+
+impl<P: Postman + 'static> Step for Resilient<P> {
+    fn step(&mut self, input: Input) -> Flow {
+        let now = self.start.elapsed();
+        let (flow, flush) = match input {
+            Input::Message(_, msg) => match self.server.step(msg, &mut self.out) {
+                Flow::Continue => (self.server.tick(now, &mut self.out), false),
+                Flow::Stop => (Flow::Stop, true),
+            },
+            Input::Tick => (self.server.tick(now, &mut self.out), true),
+            Input::Dry => (Flow::Continue, true),
+        };
+        if flush || flow == Flow::Stop {
+            self.flush();
+        }
+        flow
+    }
+}
+
+/// Serve one server incarnation from `rx` until it is shut down, stopped or
+/// killed.
+fn run_resilient<M: Mailbox, P: Postman + 'static>(
+    server: ResilientServer,
+    rx: &M,
+    postman: P,
+) -> ShardStats {
+    let wake = server.rcfg.heartbeat_every;
+    let mut step = Resilient {
+        server,
+        postman,
+        start: Instant::now(),
+        out: Vec::new(),
+    };
+    // The first heartbeat and the start-up checkpoint wait for neither a
+    // message nor a quiet interval.
+    if step.step(Input::Tick) == Flow::Continue {
+        step = rx.serve(Some(wake), step);
+    }
+    step.server.server.into_stats()
 }
 
 fn spawn_server(
@@ -965,7 +992,9 @@ fn spawn_server(
         .spawn(move || {
             // Dropping the node would mark its postman disconnected.
             let _tx_keepalive = tx;
-            let stats = run_resilient(server, &mailbox, &postman);
+            // This thread waits and ticks; `rx`'s reader threads run the
+            // step.
+            let stats = run_resilient(server, &mailbox, postman);
             // Final-flush this server's trace stream from its own thread so a
             // killed server still ships everything it recorded before exiting.
             if let Some(s) = streamer {

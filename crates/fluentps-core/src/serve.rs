@@ -1,4 +1,4 @@
-//! The one Algorithm-1 server step, and the plain loop that drives it.
+//! The one Algorithm-1 server step, and the plain driver that serves it.
 //!
 //! [`ShardServer::handle`] maps one incoming message to the replies it
 //! causes. It is the only production code that peels the causal envelope,
@@ -13,28 +13,27 @@
 //! `PullRequested`, `PullDeferred`), with one `WireSend` per reply at the
 //! moment it is queued — the `PushAck` first, released pulls after it.
 //!
-//! [`run`] is the whole server loop of the in-process and TCP engines:
-//! `recv → handle → send_batch`. Whether the batch is coalesced is the
-//! postman's business ([`Postman::send_batch`]): the TCP postman writes all
-//! frames for a worker in one syscall, every other postman sends one message
-//! at a time. The fault-tolerant engine wraps the same step
-//! (`crate::recovery`) instead of copying it.
+//! [`run`] is the whole server of the in-process and TCP engines, as a
+//! [`Step`] handed to [`Mailbox::serve`]: a message is handled and its
+//! replies queued; when the transport reports that nothing further is ready
+//! the queue goes out as one `send_batch`. Which thread runs that — there is
+//! no receive loop here — is the mailbox's business (DESIGN.md §18), and
+//! whether the batch is coalesced is the postman's ([`Postman::send_batch`]):
+//! the TCP postman writes all frames for a worker in one syscall, so a
+//! push's ack and the response to the pull that came with it leave together.
+//! The fault-tolerant engine wraps the same step (`crate::recovery`) instead
+//! of copying it.
 
 use fluentps_obs::{EventKind, Profiler, RecordArgs, Tracer, NO_ID};
-use fluentps_transport::{frame, CausalCtx, Mailbox, Message, NodeId, Postman};
+use fluentps_transport::{frame, CausalCtx, Input, Mailbox, Message, NodeId, Postman, Step};
 use fluentps_util::rng::StdRng;
 
 use crate::server::{stamp_ctx, PullOutcome, ReleasedPull, ServerShard};
 use crate::stats::ShardStats;
 
-/// What the driver does after a step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flow {
-    /// Keep receiving.
-    Continue,
-    /// The server is done; send what is in the outbox and exit.
-    Stop,
-}
+/// What the driver does after a step: keep going, or — the server is done —
+/// send what is in the outbox and stop.
+pub use fluentps_transport::Flow;
 
 /// Wrap `msg` in `ctx`'s envelope when the request carried one, so the
 /// reply joins the request's waterfall.
@@ -197,21 +196,246 @@ impl ShardServer {
     }
 }
 
-/// The server loop of the in-process and TCP engines: receive, step, hand
-/// the step's replies to the transport as one batch. Returns the shard's
-/// statistics once `Shutdown` was handled or the mailbox closed.
-pub fn run<M: Mailbox, P: Postman>(mut server: ShardServer, rx: &M, postman: &P) -> ShardStats {
-    let mut out = Vec::new();
-    while let Ok((_, msg)) = rx.recv() {
-        let flow = server.handle(msg, &mut out);
-        if !out.is_empty() {
+/// [`run`]'s state: the server, where its replies go, and the replies
+/// queued since the last flush.
+struct Plain<P> {
+    server: ShardServer,
+    postman: P,
+    out: Vec<(NodeId, Message)>,
+}
+
+impl<P: Postman> Plain<P> {
+    fn flush(&mut self) {
+        if !self.out.is_empty() {
             // Frame encoding shows up as `wire/encode` under this span.
-            let _span = server.profiler.enter("server/reply");
-            let _ = postman.send_batch(std::mem::take(&mut out));
-        }
-        if flow == Flow::Stop {
-            break;
+            let _span = self.server.profiler.enter("server/reply");
+            let _ = self.postman.send_batch(std::mem::take(&mut self.out));
         }
     }
-    server.into_stats()
+}
+
+impl<P: Postman + 'static> Step for Plain<P> {
+    fn step(&mut self, input: Input) -> Flow {
+        match input {
+            Input::Message(_, msg) => {
+                let flow = self.server.handle(msg, &mut self.out);
+                if flow == Flow::Stop {
+                    self.flush();
+                }
+                flow
+            }
+            Input::Dry | Input::Tick => {
+                self.flush();
+                Flow::Continue
+            }
+        }
+    }
+}
+
+/// The server of the in-process and TCP engines: `rx` feeds the step,
+/// replies leave through `postman` whenever the input runs dry. Returns the
+/// shard's statistics once `Shutdown` was handled or the mailbox closed.
+pub fn run<M: Mailbox, P: Postman + 'static>(
+    server: ShardServer,
+    rx: &M,
+    postman: P,
+) -> ShardStats {
+    let plain = Plain {
+        server,
+        postman,
+        out: Vec::new(),
+    };
+    rx.serve(None, plain).server.into_stats()
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::condition::SyncModel;
+    use crate::engine::EngineConfig;
+    use crate::eps::{EpsSlicer, ParamSpec, Slicer};
+    use crate::launch;
+    use fluentps_transport::{KvPairs, TransportError};
+    use fluentps_util::sync::Mutex;
+    use std::collections::VecDeque;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    /// One entry of a [`Scripted`] mailbox.
+    enum Next {
+        /// Ready now: `try_recv` finds it.
+        Msg(Message),
+        /// Nothing further is ready: what follows arrives only once the
+        /// serving thread blocks.
+        Pause,
+    }
+
+    /// A mailbox that plays a script through the trait's default `serve`,
+    /// and notes how many batches had been sent each time its server was
+    /// about to block.
+    struct Scripted {
+        script: Mutex<VecDeque<Next>>,
+        sent: Recording,
+        sent_when_blocking: Mutex<Vec<usize>>,
+    }
+
+    impl Mailbox for Scripted {
+        fn recv(&self) -> Result<(NodeId, Message), TransportError> {
+            self.sent_when_blocking
+                .lock()
+                .push(self.sent.0.lock().len());
+            let mut script = self.script.lock();
+            if let Some(Next::Pause) = script.front() {
+                script.pop_front();
+            }
+            match script.pop_front() {
+                Some(Next::Msg(msg)) => Ok((NodeId::Scheduler, msg)),
+                _ => Err(TransportError::Disconnected),
+            }
+        }
+
+        fn try_recv(&self) -> Result<Option<(NodeId, Message)>, TransportError> {
+            let mut script = self.script.lock();
+            Ok(match script.front() {
+                Some(Next::Msg(_)) => match script.pop_front() {
+                    Some(Next::Msg(msg)) => Some((NodeId::Scheduler, msg)),
+                    _ => unreachable!("front was a message"),
+                },
+                _ => None,
+            })
+        }
+
+        fn recv_timeout(&self, _: Duration) -> Result<Option<(NodeId, Message)>, TransportError> {
+            self.recv().map(Some)
+        }
+    }
+
+    /// A postman that records every call: the batch it was handed.
+    #[derive(Clone, Default)]
+    pub(crate) struct Recording(pub(crate) Arc<Mutex<Vec<Vec<(NodeId, Message)>>>>);
+
+    impl Postman for Recording {
+        fn send(&self, to: NodeId, msg: Message) -> Result<(), TransportError> {
+            self.send_batch(vec![(to, msg)])
+        }
+
+        fn send_batch(&self, batch: Vec<(NodeId, Message)>) -> Result<(), TransportError> {
+            self.0.lock().push(batch);
+            Ok(())
+        }
+    }
+
+    /// Run a one-key server of `model` over `script`; returns the batches
+    /// it sent, each as `(worker, is_ack)` pairs, and how many of them were
+    /// out each time it was about to block.
+    fn play(
+        model: SyncModel,
+        workers: u32,
+        script: Vec<Next>,
+    ) -> (Vec<Vec<(u32, bool)>>, Vec<usize>) {
+        let cfg = EngineConfig {
+            num_workers: workers,
+            model,
+            ..EngineConfig::default()
+        };
+        let map = EpsSlicer { max_chunk: 8 }.slice(&[ParamSpec { key: 0, len: 2 }], 1);
+        let init = [(0u64, vec![0.0f32; 2])].into();
+        let (server, _) = launch::shard_server(
+            &cfg,
+            model,
+            0,
+            (&map, &init),
+            Tracer::default(),
+            Profiler::default(),
+        );
+        let sent = Recording::default();
+        let rx = Scripted {
+            script: Mutex::new(script.into()),
+            sent: sent.clone(),
+            sent_when_blocking: Mutex::default(),
+        };
+        run(server, &rx, sent.clone());
+        let sent = sent.0.lock();
+        let batches = sent.iter().map(|batch| {
+            let shape = batch.iter().map(|(to, msg)| {
+                let NodeId::Worker(w) = *to else {
+                    panic!("reply to {to:?}")
+                };
+                (w, matches!(msg, Message::PushAck { .. }))
+            });
+            shape.collect()
+        });
+        (batches.collect(), rx.sent_when_blocking.into_inner())
+    }
+
+    /// The one wire key of [`play`]'s server.
+    fn key() -> u64 {
+        let map = EpsSlicer { max_chunk: 8 }.slice(&[ParamSpec { key: 0, len: 2 }], 1);
+        map.placements()[0].new_key
+    }
+
+    fn push(worker: u32, progress: u64) -> Next {
+        Next::Msg(Message::SPush {
+            worker,
+            progress,
+            kv: KvPairs::single(key(), vec![1.0; 2]),
+        })
+    }
+
+    fn pull(worker: u32, progress: u64) -> Next {
+        Next::Msg(Message::SPull {
+            worker,
+            progress,
+            keys: vec![key()],
+        })
+    }
+
+    const ACK: bool = true;
+    const RESPONSE: bool = false;
+
+    #[test]
+    fn a_push_and_the_pull_behind_it_are_answered_in_one_batch() {
+        let script = vec![push(0, 0), pull(0, 0)];
+        let (batches, _) = play(SyncModel::Asp, 1, script);
+        assert_eq!(batches, [[(0, ACK), (0, RESPONSE)]]);
+    }
+
+    #[test]
+    fn a_lone_push_is_acked_before_the_server_blocks() {
+        let script = vec![push(0, 0), Next::Pause, push(0, 1), Next::Pause];
+        let (batches, sent_when_blocking) = play(SyncModel::Asp, 1, script);
+        assert_eq!(batches, [[(0, ACK)], [(0, ACK)]]);
+        // Blocked twice — for the second push, and for what never follows
+        // it — each time with every ack so far already out.
+        assert_eq!(sent_when_blocking, [1, 2]);
+    }
+
+    #[test]
+    fn a_bsp_release_answers_both_workers_in_one_batch_ack_first() {
+        let script = vec![
+            push(0, 0),
+            pull(0, 0), // parked: worker 1 has not pushed round 0
+            Next::Pause,
+            push(1, 0), // completes the round: releases worker 0's pull
+            pull(1, 0),
+        ];
+        let (batches, _) = play(SyncModel::Bsp, 2, script);
+        assert_eq!(
+            batches,
+            [vec![(0, ACK)], vec![(1, ACK), (0, RESPONSE), (1, RESPONSE)]]
+        );
+    }
+
+    #[test]
+    fn shutdown_sends_what_is_queued_and_the_drained_pulls() {
+        let script = vec![
+            push(0, 0),
+            pull(0, 0), // parked
+            Next::Msg(Message::Shutdown),
+            push(0, 1), // never handled
+        ];
+        let (batches, sent_when_blocking) = play(SyncModel::Bsp, 2, script);
+        assert_eq!(batches, [[(0, ACK), (0, RESPONSE)]]);
+        assert_eq!(sent_when_blocking, [], "stopped without blocking");
+    }
 }

@@ -1,4 +1,4 @@
-//! TCP runtime: the same server loop as [`crate::engine`]
+//! TCP runtime: the same server step as [`crate::engine`]
 //! ([`crate::serve::run`]), but over real sockets — a FluentPS cluster as
 //! separate OS threads bound to separate ports, suitable for splitting
 //! across processes (each side only needs the address book). Workers use
@@ -63,7 +63,9 @@ impl TcpCluster {
             let handle = std::thread::Builder::new()
                 .name(format!("fluentps-tcp-server-{m}"))
                 .spawn(move || {
-                    let stats = serve::run(server, &rx, &tx.postman());
+                    // This thread only waits: `rx`'s reader threads run the
+                    // step, one request at a time (DESIGN.md §18).
+                    let stats = serve::run(server, &rx, tx.postman());
                     // Final-flush from the server's own thread so everything
                     // it recorded reaches the collector before it exits.
                     if let Some(s) = streamer {
@@ -174,6 +176,66 @@ mod tests {
         }
         let stats = cluster.shutdown();
         assert_eq!(stats.iter().map(|s| s.pushes).sum::<u64>(), 2 * 3 * 2);
+    }
+
+    #[test]
+    fn four_workers_on_one_served_node_keep_bsp_exact_for_200_rounds() {
+        // Four connections, four reader threads, one shard: every step runs
+        // under the node's lock, so the counts balance and every worker
+        // ends on the same bits.
+        const WORKERS: u32 = 4;
+        const ROUNDS: u64 = 200;
+        let specs = vec![ParamSpec { key: 0, len: 6 }, ParamSpec { key: 1, len: 3 }];
+        let init: HashMap<u64, Vec<f32>> = [(0, vec![0.0; 6]), (1, vec![0.0; 3])].into();
+        let map = EpsSlicer { max_chunk: 4 }.slice(&specs, 1);
+        let cfg = EngineConfig {
+            num_workers: WORKERS,
+            num_servers: 1,
+            model: SyncModel::Bsp,
+            ..EngineConfig::default()
+        };
+        let (cluster, workers) = TcpCluster::launch(cfg, map, &init).expect("launch");
+        let handles: Vec<_> = workers
+            .into_iter()
+            .map(|mut w| {
+                std::thread::spawn(move || {
+                    // Different gradients per worker and round, so a lost,
+                    // doubled or misordered push changes the sum.
+                    let n = w.worker_id() as f32 + 1.0;
+                    let mut params = HashMap::new();
+                    for i in 0..ROUNDS {
+                        let g = n * 0.125 + i as f32 * 0.001;
+                        let grads: HashMap<u64, Vec<f32>> =
+                            [(0, vec![g; 6]), (1, vec![-g; 3])].into();
+                        w.spush(i, &grads).unwrap();
+                        let report = w.spull_wait(i, &mut params).unwrap();
+                        assert_eq!(report.min_version, i + 1, "BSP: exactly this round");
+                    }
+                    params
+                })
+            })
+            .collect();
+        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let bits = |params: &HashMap<u64, Vec<f32>>| {
+            let mut flat: Vec<(u64, Vec<u32>)> = params
+                .iter()
+                .map(|(k, v)| (*k, v.iter().map(|x| x.to_bits()).collect()))
+                .collect();
+            flat.sort();
+            flat
+        };
+        for params in &results[1..] {
+            assert_eq!(bits(params), bits(&results[0]));
+        }
+        assert!(results[0][&0][0] > 0.0 && results[0][&1][0] < 0.0);
+
+        let stats = &cluster.shutdown()[0];
+        let each = u64::from(WORKERS) * ROUNDS;
+        assert_eq!((stats.pushes, stats.pulls_total), (each, each));
+        assert_eq!(stats.pulls_immediate + stats.dprs, stats.pulls_total);
+        assert_eq!(stats.dprs_released, stats.dprs);
+        assert_eq!(stats.v_train_advances, ROUNDS);
+        assert_eq!(stats.late_pushes_dropped, 0);
     }
 
     #[test]

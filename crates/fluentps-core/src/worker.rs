@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use fluentps_obs::{EventKind, Profiler, RecordArgs, Tracer, NO_ID};
 use fluentps_transport::{
-    frame, CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman, TransportError, ValuesMut,
-    WirePlacement,
+    frame, per_destination, CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman, TransportError,
+    ValuesMut, WirePlacement,
 };
 use fluentps_util::rng::StdRng;
 
@@ -224,6 +224,17 @@ pub struct WorkerClient<P, M> {
     retry: Option<RetryState>,
     /// Per-worker causal request counter; see [`WorkerClient::next_request_id`].
     next_request: u64,
+    /// `sPush`es scattered but not yet written, as `(server, message)`: an
+    /// iteration's push travels with its pull, one write per server.
+    staged: Vec<(u32, Message)>,
+}
+
+/// The iteration a request belongs to.
+fn progress_of(msg: &Message) -> u64 {
+    match msg.bare() {
+        Message::SPush { progress, .. } | Message::SPull { progress, .. } => *progress,
+        _ => 0,
+    }
 }
 
 impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
@@ -238,6 +249,7 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
             profiler: Profiler::disabled(),
             retry: None,
             next_request: 0,
+            staged: Vec::new(),
         }
     }
 
@@ -261,14 +273,16 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         }
     }
 
-    /// Attach a tracer: `WireSend` per outgoing message and a `BarrierWait`
-    /// span covering each blocking wait for pull responses.
+    /// Attach a tracer: `WireSend` per outgoing message, at the moment it is
+    /// written, and a `BarrierWait` span covering each blocking wait for
+    /// pull responses.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
     /// Attach a span profiler: `worker/push` covers each `sPush` scatter +
-    /// send, `worker/pull_wait` each blocking pull round, and
+    /// staging, `worker/pull_wait` each blocking pull round (which writes
+    /// the staged pushes along with the pulls), and
     /// `worker/retry` each timeout-triggered backoff + replay + re-issue.
     pub fn set_profiler(&mut self, profiler: Profiler) {
         self.profiler = profiler;
@@ -296,13 +310,17 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         &self.router
     }
 
-    /// `sPush`: send this iteration's gradients to every owning server.
-    /// Returns the number of servers contacted.
+    /// `sPush`: scatter this iteration's gradients over the owning servers
+    /// and stage one `SPush` for each. Nothing is written yet: Algorithm 1 is
+    /// `sPush; wait(sPull)`, so the staged pushes go out with the pulls of
+    /// the next [`WorkerClient::spull_wait`] /
+    /// [`WorkerClient::spull_keys_wait`] — one write per server instead of
+    /// two, and one batch for the server to answer — or, for a push no pull
+    /// follows, on [`WorkerClient::flush`]. Returns the number of servers
+    /// pushed to.
     ///
     /// With a [`RetryPolicy`] attached the scattered shards are also kept in
-    /// the replay buffer, and a transport-level send failure is absorbed
-    /// (traced as `ConnectionLost`) instead of propagated: the buffered
-    /// push is re-delivered when the next pull wait times out and replays.
+    /// the replay buffer and re-delivered when a pull wait times out.
     pub fn spush(
         &mut self,
         progress: u64,
@@ -317,62 +335,58 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
                 retry.replay.pop_front();
             }
         }
-        let mut sent = 0;
-        if self.retry.is_none() {
-            // No per-server failure handling needed, so hand all shards to
-            // the transport as one batch: the TCP postman coalesces every
-            // frame per server into a single write. Per-destination order
-            // (and hence determinism) is unchanged.
-            let mut batch = Vec::with_capacity(shards.len());
-            for (m, kv) in shards.into_iter().enumerate() {
-                if kv.is_empty() {
-                    continue;
-                }
-                let msg = self.wrap(
-                    Message::SPush {
-                        worker: self.worker_id,
-                        progress,
-                        kv,
-                    },
-                    ctx,
-                );
-                self.trace_send(m as u32, progress, &msg);
-                batch.push((NodeId::Server(m as u32), msg));
-            }
-            sent = batch.len() as u32;
-            self.postman.send_batch(batch)?;
-            return Ok(sent);
-        }
-        // Retry path keeps one send per server: a failure must be absorbed
-        // and traced as ConnectionLost for that server alone.
-        for (m, kv) in shards.into_iter().enumerate() {
+        let staged_before = self.staged.len();
+        for (m, kv) in (0u32..).zip(shards) {
             if kv.is_empty() {
                 continue;
             }
-            let msg = self.wrap(
-                Message::SPush {
-                    worker: self.worker_id,
-                    progress,
-                    kv,
-                },
-                ctx,
-            );
-            self.trace_send(m as u32, progress, &msg);
-            match self.postman.send(NodeId::Server(m as u32), msg) {
-                Ok(()) => sent += 1,
-                Err(_) => {
-                    self.tracer.record(
-                        EventKind::ConnectionLost,
-                        RecordArgs::new()
-                            .shard(m as u32)
-                            .worker(self.worker_id)
-                            .progress(progress)
-                            .request_id(ctx.request_id),
-                    );
-                }
+            let push = Message::SPush {
+                worker: self.worker_id,
+                progress,
+                kv,
+            };
+            self.staged.push((m, self.wrap(push, ctx)));
+        }
+        Ok((self.staged.len() - staged_before) as u32)
+    }
+
+    /// Write the staged pushes now, for a push that no pull follows.
+    pub fn flush(&mut self) -> Result<(), TransportError> {
+        self.send_out(Vec::new())
+    }
+
+    /// Write the staged pushes and `pulls`, each `(server, message)`, so
+    /// that a server's pushes and its pull leave in one batch, pushes first.
+    ///
+    /// Without a [`RetryPolicy`] everything goes to the transport as one
+    /// batch (the TCP postman coalesces the frames per server into a single
+    /// write) and a send error propagates. With one, each server gets a
+    /// batch of its own and a failure is absorbed for that server alone,
+    /// traced as `ConnectionLost`: the pull wait's timeout replays and
+    /// re-issues.
+    fn send_out(&mut self, pulls: Vec<(u32, Message)>) -> Result<(), TransportError> {
+        let mut batch = std::mem::take(&mut self.staged);
+        batch.extend(pulls);
+        if batch.is_empty() {
+            return Ok(());
+        }
+        for (m, msg) in &batch {
+            self.trace_send(*m, msg);
+        }
+        let addressed = |(m, msg)| (NodeId::Server(m), msg);
+        if self.retry.is_none() {
+            return self
+                .postman
+                .send_batch(batch.into_iter().map(addressed).collect());
+        }
+        for (m, msgs) in per_destination(batch) {
+            let lost = self.lost(m, msgs.last().expect("a group has a message"));
+            let to_m = msgs.into_iter().map(|msg| addressed((m, msg))).collect();
+            if self.postman.send_batch(to_m).is_err() {
+                self.tracer.record(EventKind::ConnectionLost, lost);
             }
         }
-        Ok(sent)
+        Ok(())
     }
 
     /// `sPull` + `wait`: request all parameters and block until every owning
@@ -422,23 +436,15 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
 
         if self.retry.is_none() {
             // Legacy path: no timeouts, any PullResponse counts, send
-            // errors propagate. All pull requests go out as one batch so
-            // the TCP postman writes one coalesced frame run per server.
-            let mut batch = Vec::with_capacity(groups.len());
-            for (m, keys) in &groups {
-                let msg = self.wrap(
-                    Message::SPull {
-                        worker: self.worker_id,
-                        progress,
-                        keys: keys.clone(),
-                    },
-                    ctx,
-                );
-                self.trace_send(*m, progress, &msg);
-                batch.push((NodeId::Server(*m), msg));
-            }
-            self.postman.send_batch(batch)?;
+            // errors propagate. The pull requests and the pushes staged
+            // before them go out as one batch, so the TCP postman writes
+            // one coalesced frame run per server.
             let expected = groups.len() as u32;
+            let pulls = groups
+                .into_iter()
+                .map(|(m, keys)| (m, self.pull(progress, keys, ctx)))
+                .collect();
+            self.send_out(pulls)?;
             while report.responses < expected {
                 let (_, msg) = self.mailbox.recv()?;
                 match self.trace_recv(msg) {
@@ -464,9 +470,12 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         // duplicates caused by earlier retries are absorbed silently.
         let mut groups = groups;
         let mut awaiting: BTreeSet<u32> = groups.iter().map(|(m, _)| *m).collect();
-        for (m, keys) in &groups {
-            self.try_send_pull(*m, progress, keys.clone(), ctx);
-        }
+        // The key lists are kept for re-issue, so this path clones them.
+        let pulls = groups
+            .iter()
+            .map(|(m, keys)| (*m, self.pull(progress, keys.clone(), ctx)))
+            .collect();
+        self.send_out(pulls)?;
         let mut attempt = 0u32;
         while !awaiting.is_empty() {
             let timeout = self.retry.as_ref().expect("retry on").policy.timeout;
@@ -505,12 +514,8 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
                         report.max_version = 0;
                         report.min_version = u64::MAX;
                         for (m, keys) in &groups {
-                            self.try_send_pull(
-                                *m,
-                                progress,
-                                keys.clone(),
-                                ctx.retry(attempt as u16),
-                            );
+                            let reissue = ctx.retry(attempt as u16);
+                            self.try_send(*m, self.pull(progress, keys.clone(), reissue));
                         }
                     }
                     Message::Shutdown => return Err(TransportError::Disconnected),
@@ -560,12 +565,12 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
                                         },
                                         retry_ctx,
                                     );
-                                    self.try_send(m, *p, msg);
+                                    self.try_send(m, msg);
                                 }
                             }
                         }
                         if let Some((_, keys)) = groups.iter().find(|(s, _)| *s == m) {
-                            self.try_send_pull(m, progress, keys.clone(), retry_ctx);
+                            self.try_send(m, self.pull(progress, keys.clone(), retry_ctx));
                         }
                     }
                 }
@@ -623,11 +628,15 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         }
     }
 
-    fn trace_send(&self, m: u32, progress: u64, msg: &Message) {
+    /// Record `msg` as written to server `m`.
+    fn trace_send(&self, m: u32, msg: &Message) {
+        if !self.tracer.is_enabled() {
+            return;
+        }
         let mut args = RecordArgs::new()
             .shard(m)
             .worker(self.worker_id)
-            .progress(progress)
+            .progress(progress_of(msg))
             .bytes(frame::wire_len(msg) as u64);
         if let Some(c) = msg.ctx() {
             args = args.ctx(c.request_id, c.attempt as u32, c.parent_span);
@@ -685,29 +694,34 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
     /// Send, absorbing transport errors (traced as `ConnectionLost`; the
     /// next retry re-issues after `TcpPostman` has dropped the dead
     /// connection and can redial).
-    fn try_send(&self, m: u32, progress: u64, msg: Message) {
-        self.trace_send(m, progress, &msg);
+    fn try_send(&self, m: u32, msg: Message) {
+        self.trace_send(m, &msg);
+        let lost = self.lost(m, &msg);
         if self.postman.send(NodeId::Server(m), msg).is_err() {
-            self.tracer.record(
-                EventKind::ConnectionLost,
-                RecordArgs::new()
-                    .shard(m)
-                    .worker(self.worker_id)
-                    .progress(progress),
-            );
+            self.tracer.record(EventKind::ConnectionLost, lost);
         }
     }
 
-    fn try_send_pull(&self, m: u32, progress: u64, keys: Vec<u64>, ctx: CausalCtx) {
-        let msg = self.wrap(
-            Message::SPull {
-                worker: self.worker_id,
-                progress,
-                keys,
-            },
-            ctx,
-        );
-        self.try_send(m, progress, msg);
+    /// What a failed write of `msg` to server `m` is recorded with.
+    fn lost(&self, m: u32, msg: &Message) -> RecordArgs {
+        let args = RecordArgs::new()
+            .shard(m)
+            .worker(self.worker_id)
+            .progress(progress_of(msg));
+        match msg.ctx() {
+            Some(ctx) => args.request_id(ctx.request_id),
+            None => args,
+        }
+    }
+
+    /// This round's `SPull` for `keys`, in `ctx`'s envelope when tracing.
+    fn pull(&self, progress: u64, keys: Vec<u64>, ctx: CausalCtx) -> Message {
+        let pull = Message::SPull {
+            worker: self.worker_id,
+            progress,
+            keys,
+        };
+        self.wrap(pull, ctx)
     }
 }
 
@@ -715,6 +729,7 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
 mod tests {
     use super::*;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
+    use crate::serve::tests::Recording;
     use fluentps_transport::Fabric;
     use fluentps_util::alloc::thread_counters;
 
@@ -948,6 +963,190 @@ mod tests {
         }
         // Naming every key is the full pull.
         assert_eq!(pulled_keys(&r, Some(&[2, 1, 0])), pulled_keys(&r, None));
+    }
+
+    // --- what is written, and when --------------------------------------
+
+    /// Every call `sent` recorded, as `(server, "push" | "pull")` pairs.
+    fn calls_of(sent: &Recording) -> Vec<Vec<(u32, &'static str)>> {
+        let shape = |(to, msg): &(NodeId, Message)| {
+            let NodeId::Server(m) = *to else {
+                panic!("sent to {to:?}")
+            };
+            match msg.bare() {
+                Message::SPush { .. } => (m, "push"),
+                Message::SPull { .. } => (m, "pull"),
+                other => panic!("sent {other:?}"),
+            }
+        };
+        let calls = sent.0.lock();
+        calls
+            .iter()
+            .map(|b| b.iter().map(shape).collect())
+            .collect()
+    }
+
+    /// A mailbox holding the replies a test prepared.
+    struct Canned(fluentps_util::sync::Mutex<VecDeque<Message>>);
+
+    impl Mailbox for Canned {
+        fn recv(&self) -> Result<(NodeId, Message), TransportError> {
+            let next = self.0.lock().pop_front();
+            next.map(|msg| (NodeId::Scheduler, msg))
+                .ok_or(TransportError::Disconnected)
+        }
+
+        fn try_recv(&self) -> Result<Option<(NodeId, Message)>, TransportError> {
+            Ok(self.recv().ok())
+        }
+
+        fn recv_timeout(&self, _: Duration) -> Result<Option<(NodeId, Message)>, TransportError> {
+            self.try_recv()
+        }
+    }
+
+    /// Every active server's answer to a full pull of round 0: ones.
+    fn answers(r: &Router) -> Vec<Message> {
+        let mut ones = HashMap::new();
+        for p in r.slice_map().placements() {
+            let param: &mut Vec<f32> = ones.entry(p.orig_key).or_default();
+            param.resize(param.len().max(p.offset + p.len), 1.0);
+        }
+        let shards = r.scatter(&ones);
+        let answer = |m: u32| Message::PullResponse {
+            server: m,
+            progress: 0,
+            version: 1,
+            kv: shards[m as usize].clone(),
+        };
+        r.active_servers().map(answer).collect()
+    }
+
+    /// A client over `r` whose sends are recorded and whose every server
+    /// has already answered round 0's pull.
+    fn recorded_client(r: &Router, retry: bool) -> (WorkerClient<Recording, Canned>, Recording) {
+        let postman = Recording::default();
+        let mailbox = Canned(fluentps_util::sync::Mutex::new(answers(r).into()));
+        let mut client = WorkerClient::new(0, postman.clone(), mailbox, r.clone());
+        if retry {
+            client.set_retry_policy(fast_policy(2));
+        }
+        (client, postman)
+    }
+
+    #[test]
+    fn a_push_is_staged_and_travels_with_its_pull() {
+        use fluentps_obs::TraceCollector;
+        let r = router(4, 2);
+        for retry in [false, true] {
+            let (mut client, sent) = recorded_client(&r, retry);
+            let collector = TraceCollector::wall(64);
+            client.set_tracer(collector.tracer());
+            assert_eq!(client.spush(0, &values()).unwrap(), 2);
+            // Nothing on the wire, and nothing claimed to be.
+            assert_eq!(calls_of(&sent), Vec::<Vec<_>>::new());
+            assert_eq!(collector.snapshot().count(EventKind::WireSend), 0);
+
+            let report = client.spull_wait(0, &mut HashMap::new()).unwrap();
+            assert_eq!(report.responses, 2);
+            assert_eq!(collector.snapshot().count(EventKind::WireSend), 4);
+            let calls = calls_of(&sent);
+            if retry {
+                // One batch per server, so one failure is one server's.
+                let per_server = [
+                    vec![(0, "push"), (0, "pull")],
+                    vec![(1, "push"), (1, "pull")],
+                ];
+                assert_eq!(calls, per_server);
+            } else {
+                // One batch; the transport groups it per destination, and
+                // each server's push is ahead of its pull.
+                assert_eq!(calls.len(), 1);
+                for m in 0..2 {
+                    let to_m: Vec<_> = calls[0].iter().filter(|(to, _)| *to == m).collect();
+                    assert_eq!(to_m, [&(m, "push"), &(m, "pull")]);
+                }
+            }
+            // The next pull has nothing staged to take along.
+            client.mailbox.0.lock().extend(answers(&r));
+            client.spull_wait(0, &mut HashMap::new()).unwrap();
+            let pulls_only = calls_of(&sent).split_off(calls.len()).concat();
+            assert_eq!(pulls_only, [(0, "pull"), (1, "pull")]);
+        }
+    }
+
+    #[test]
+    fn a_pull_of_one_servers_keys_still_delivers_every_staged_push() {
+        // Parameter 1 is one slice: a pull of it asks one server.
+        let r = router(4, 2);
+        let owner = r.slice_map().slices_of(1).next().unwrap().server;
+        assert_eq!(r.slice_map().slices_of(1).count(), 1);
+        let other = 1 - owner;
+        for retry in [false, true] {
+            let (mut client, sent) = recorded_client(&r, retry);
+            client.spush(0, &values()).unwrap();
+            let report = client.spull_keys_wait(0, &[1], &mut HashMap::new());
+            assert_eq!(report.unwrap().responses, 1);
+            let mut sent = calls_of(&sent).concat();
+            sent.sort_unstable();
+            let mut want = [(owner, "push"), (owner, "pull"), (other, "push")];
+            want.sort_unstable();
+            assert_eq!(sent, want, "retry: {retry}");
+        }
+    }
+
+    #[test]
+    fn flush_sends_a_push_that_no_pull_follows() {
+        let r = router(4, 2);
+        for retry in [false, true] {
+            let (mut client, sent) = recorded_client(&r, retry);
+            client.flush().unwrap();
+            assert_eq!(calls_of(&sent).len(), 0, "nothing staged, nothing sent");
+            client.spush(0, &values()).unwrap();
+            client.spush(1, &values()).unwrap();
+            client.flush().unwrap();
+            let mut pushes = calls_of(&sent).concat();
+            pushes.sort_unstable();
+            let both_rounds = [(0, "push"), (0, "push"), (1, "push"), (1, "push")];
+            assert_eq!(pushes, both_rounds);
+            client.flush().unwrap();
+            assert_eq!(calls_of(&sent).concat().len(), 4, "sent once");
+        }
+    }
+
+    #[test]
+    fn full_pull_allocates_its_key_lists_once() {
+        // The worker thread's allocations for one pull round of the
+        // comm-bound ledger inventory (84 placements on one server) and of
+        // one eight times as long, everything else equal: the difference
+        // is what a key costs, and a key is eight bytes — once.
+        let round = |scale: usize| {
+            let lens = [64, 4, 256, 4, 4, 4].map(|len| len * scale);
+            let params: Vec<ParamSpec> = (0u64..)
+                .zip(lens)
+                .map(|(key, len)| ParamSpec { key, len })
+                .collect();
+            let r = Router::new(EpsSlicer { max_chunk: 4 }.slice(&params, 1));
+            assert_eq!(r.keys_for_server(0).len(), 84 * scale);
+            let (mut client, sent) = recorded_client(&r, false);
+            // Gathered into before: this round's gather allocates nothing.
+            let mut params: HashMap<u64, Vec<f32>> = (0u64..)
+                .zip(lens)
+                .map(|(key, len)| (key, vec![0.0; len]))
+                .collect();
+            sent.0.lock().reserve(1);
+            let (_, before) = thread_counters();
+            client.spull_wait(0, &mut params).unwrap();
+            let (_, after) = thread_counters();
+            assert_eq!(calls_of(&sent), [[(0, "pull")]]);
+            after - before
+        };
+        let (short, long) = (round(1), round(8));
+        let per_key = (long - short) as f64 / (84.0 * 7.0);
+        assert!(
+            (8.0..12.0).contains(&per_key),
+            "{per_key} bytes allocated per pulled key ({short} B for 84 keys, {long} B for 672)"
+        );
     }
 
     // --- resilience layer -------------------------------------------------

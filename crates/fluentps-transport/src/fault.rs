@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::msg::{Message, NodeId};
-use crate::{Mailbox, Postman, TransportError};
+use crate::{Flow, Input, Mailbox, Postman, Step, TransportError};
 
 /// Coarse message classes a [`FaultRule`] can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,6 +274,17 @@ impl FaultInjector {
         self.inner.lock().stats
     }
 
+    /// Whether a message from `from` may be received at `at`: not when
+    /// either end is severed (counted as blackholed).
+    fn admits(&self, from: NodeId, at: NodeId) -> bool {
+        let mut inner = self.inner.lock();
+        let severed = inner.severed.contains(&from) || inner.severed.contains(&at);
+        if severed {
+            inner.stats.blackholed += 1;
+        }
+        !severed
+    }
+
     /// Decide the fate of one message and update link state. Returns the
     /// deliveries to perform *now* (the message itself zero, one or two
     /// times, plus any held messages whose countdown expired).
@@ -372,6 +383,19 @@ impl<P: Postman> Postman for FaultyPostman<P> {
         }
         Ok(())
     }
+
+    /// Each message meets the fault plan on its own, in batch order —
+    /// exactly the faults, link ticks and statistics of sending them one by
+    /// one — and what survives goes to the inner postman as one batch, so a
+    /// transport that coalesces still can.
+    fn send_batch(&self, batch: Vec<(NodeId, Message)>) -> Result<(), TransportError> {
+        let route = |(to, msg)| self.injector.route(self.from, to, msg);
+        let survivors: Vec<(NodeId, Message)> = batch.into_iter().flat_map(route).collect();
+        if survivors.is_empty() {
+            return Ok(());
+        }
+        self.postman.send_batch(survivors)
+    }
 }
 
 /// A [`Mailbox`] that discards messages from severed senders.
@@ -383,13 +407,23 @@ pub struct FaultyMailbox<M> {
 
 impl<M: Mailbox> FaultyMailbox<M> {
     fn admit(&self, env: (NodeId, Message)) -> Option<(NodeId, Message)> {
-        let inner = &self.injector.inner;
-        let mut guard = inner.lock();
-        if guard.severed.contains(&env.0) || guard.severed.contains(&self.at) {
-            guard.stats.blackholed += 1;
-            None
-        } else {
-            Some(env)
+        self.injector.admits(env.0, self.at).then_some(env)
+    }
+}
+
+/// The step a [`FaultyMailbox`] hands its inner mailbox: `step`, minus the
+/// messages of severed senders.
+struct Admitting<S> {
+    at: NodeId,
+    injector: FaultInjector,
+    step: S,
+}
+
+impl<S: Step> Step for Admitting<S> {
+    fn step(&mut self, input: Input) -> Flow {
+        match input {
+            Input::Message(from, _) if !self.injector.admits(from, self.at) => Flow::Continue,
+            input => self.step.step(input),
         }
     }
 }
@@ -426,6 +460,17 @@ impl<M: Mailbox> Mailbox for FaultyMailbox<M> {
                 }
             }
         }
+    }
+
+    /// The inner mailbox serves — on whichever threads it does — a step
+    /// that never sees a severed sender's message.
+    fn serve<S: Step>(&self, wake: Option<Duration>, step: S) -> S {
+        let admitting = Admitting {
+            at: self.at,
+            injector: self.injector.clone(),
+            step,
+        };
+        self.mailbox.serve(wake, admitting).step
     }
 }
 

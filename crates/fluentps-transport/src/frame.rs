@@ -11,7 +11,7 @@
 //! the decoded message then shares ([`FrameReader`]). Neither direction
 //! copies a value in user space.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, BufRead, IoSlice, Read, Write};
 
 use fluentps_obs::Profiler;
 use fluentps_util::buf::{Buf, BufMut, Bytes, BytesMut};
@@ -29,6 +29,14 @@ pub const MAX_FRAME: u32 = 256 << 20;
 /// frame grows its buffer as the bytes actually come in, so a peer cannot
 /// make a reader allocate by declaring a length it never sends.
 pub const MAX_FRAME_RESERVE: usize = 16 << 20;
+
+/// Capacity of the buffer a connection's reader keeps in front of its
+/// socket (64 KiB): room for a run of small frames — a worker's push and
+/// pull, their acks — to arrive in one `read`, which is what lets the reader
+/// tell "another frame is already here" from "the input ran dry"
+/// ([`holds_frame`]). A frame larger than this is read straight into its own
+/// buffer, past this one.
+pub const READ_BUFFER: usize = 64 << 10;
 
 fn node_to_pair(node: NodeId) -> (u8, u32) {
     match node {
@@ -203,6 +211,15 @@ fn read_body<R: Read>(r: &mut R) -> Result<Bytes, TransportError> {
     Ok(Bytes::from(body))
 }
 
+/// Whether `buffered` — what a reader holds of its stream but has not
+/// consumed — begins with a complete frame, length word and body, so that
+/// reading it cannot block.
+pub fn holds_frame(buffered: &[u8]) -> bool {
+    buffered
+        .split_first_chunk::<4>()
+        .is_some_and(|(len, body)| body.len() >= u32::from_le_bytes(*len) as usize)
+}
+
 /// Streaming frame reader. It holds no buffer between frames: each frame is
 /// read into its own allocation, which the decoded message keeps alive for
 /// as long as it holds the frame's values.
@@ -232,6 +249,24 @@ impl FrameReader {
         let body = read_body(r)?;
         let _span = prof.enter("wire/decode");
         decode_frame_body(body)
+    }
+
+    /// [`FrameReader::read_from_profiled`] that tells a clean close from a
+    /// broken stream: `Ok(None)` when `r` ended at a frame boundary, an
+    /// error when it ended (or corrupted) anywhere else.
+    pub fn read_next<R: BufRead>(
+        &mut self,
+        r: &mut R,
+        prof: &Profiler,
+    ) -> Result<Option<(NodeId, Message)>, TransportError> {
+        loop {
+            match r.fill_buf() {
+                Ok([]) => return Ok(None),
+                Ok(_) => return self.read_from_profiled(r, prof).map(Some),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
 }
 
@@ -547,6 +582,47 @@ mod tests {
         assert!(stream.len() > MAX_FRAME_RESERVE);
         let (_, got) = read_frame(&mut Cursor::new(&stream)).unwrap();
         assert_eq!(got, msg);
+    }
+
+    #[test]
+    fn holds_frame_wants_the_length_word_and_the_whole_body() {
+        let frame = encode_frame(NodeId::Worker(0), &Message::Shutdown);
+        for cut in 0..frame.len() {
+            assert!(
+                !holds_frame(&frame[..cut]),
+                "{cut} of {} bytes",
+                frame.len()
+            );
+        }
+        assert!(holds_frame(&frame));
+        let mut run = frame.to_vec();
+        run.extend_from_slice(&frame[..3]);
+        assert!(holds_frame(&run), "a partial second frame changes nothing");
+    }
+
+    #[test]
+    fn read_next_tells_a_clean_end_from_a_broken_one() {
+        let prof = Profiler::disabled();
+        let frame = encode_frame(NodeId::Worker(0), &Message::Shutdown);
+        let mut reader = FrameReader::new();
+        // Two frames, then the end: two messages, then `None`, for good.
+        let mut stream = Cursor::new([&frame[..], &frame[..]].concat());
+        for _ in 0..2 {
+            let got = reader.read_next(&mut stream, &prof).unwrap();
+            assert_eq!(got, Some((NodeId::Worker(0), Message::Shutdown)));
+        }
+        assert_eq!(reader.read_next(&mut stream, &prof).unwrap(), None);
+        assert_eq!(reader.read_next(&mut stream, &prof).unwrap(), None);
+        // An end anywhere inside a frame — the length word included — is an
+        // error, not an end.
+        for cut in 1..frame.len() {
+            let mut stream = Cursor::new(&frame[..cut]);
+            let err = reader.read_next(&mut stream, &prof).unwrap_err();
+            assert!(
+                matches!(&err, TransportError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+                "cut at {cut}: {err:?}"
+            );
+        }
     }
 
     #[test]

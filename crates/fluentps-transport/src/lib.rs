@@ -49,6 +49,45 @@ pub use msg::{
 };
 pub use values::{Values, ValuesMut};
 
+use std::any::Any;
+
+/// What a [`Mailbox::serve`] step is called with.
+#[derive(Debug)]
+pub enum Input {
+    /// A message arrived from this node.
+    Message(NodeId, Message),
+    /// Nothing further is ready where the last message came from, and the
+    /// calling thread is about to block: send what is queued.
+    Dry,
+    /// The `wake` interval passed without a message.
+    Tick,
+}
+
+/// What a [`Step`] tells the transport that called it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Keep serving.
+    Continue,
+    /// The node is done: the step is not called again and
+    /// [`Mailbox::serve`] returns it.
+    Stop,
+}
+
+/// What a served node does with its input: the state a server keeps between
+/// messages plus the reaction to each [`Input`]. A closure is a step without
+/// state to hand back. Which thread calls it is the transport's business
+/// (DESIGN.md §18); calls never overlap.
+pub trait Step: Any + Send {
+    /// React to one input.
+    fn step(&mut self, input: Input) -> Flow;
+}
+
+impl<F: FnMut(Input) -> Flow + Send + 'static> Step for F {
+    fn step(&mut self, input: Input) -> Flow {
+        self(input)
+    }
+}
+
 /// Receiving half of a transport endpoint.
 pub trait Mailbox: Send {
     /// Block until a message arrives; returns the sender and the message.
@@ -62,6 +101,62 @@ pub trait Mailbox: Send {
         &self,
         timeout: std::time::Duration,
     ) -> Result<Option<(NodeId, Message)>, TransportError>;
+
+    /// Feed everything this mailbox receives to `step`, one input at a
+    /// time, until the step says [`Flow::Stop`] or the mailbox closes, and
+    /// hand the step back. Per-sender order is kept, messages that arrived
+    /// before the call come first, and [`Input::Dry`] always precedes a
+    /// wait for more. With `wake` set, [`Input::Tick`] is reported whenever
+    /// that long passes without a message.
+    ///
+    /// This body is the receive loop on the calling thread. A transport
+    /// with threads of its own at the sockets ([`tcp::TcpNode`]) runs the
+    /// step on those instead and only waits here.
+    fn serve<S: Step>(&self, wake: Option<std::time::Duration>, mut step: S) -> S
+    where
+        Self: Sized,
+    {
+        loop {
+            let next = match self.try_recv() {
+                Ok(None) => {
+                    if step.step(Input::Dry) == Flow::Stop {
+                        break;
+                    }
+                    match wake {
+                        Some(wake) => self.recv_timeout(wake),
+                        None => self.recv().map(Some),
+                    }
+                }
+                ready => ready,
+            };
+            let input = match next {
+                Ok(Some((from, msg))) => Input::Message(from, msg),
+                Ok(None) => Input::Tick,
+                Err(_) => break,
+            };
+            if step.step(input) == Flow::Stop {
+                break;
+            }
+        }
+        step
+    }
+}
+
+/// Split `batch` by destination: one `(destination, items)` group per
+/// distinct destination, groups in order of first appearance, items in batch
+/// order — the shape in which a batch is written (one write per connection)
+/// or sent so that a failure names its destination.
+pub fn per_destination<K: PartialEq, T>(
+    batch: impl IntoIterator<Item = (K, T)>,
+) -> Vec<(K, Vec<T>)> {
+    let mut groups: Vec<(K, Vec<T>)> = Vec::new();
+    for (to, item) in batch {
+        match groups.iter_mut().find(|(dest, _)| *dest == to) {
+            Some((_, items)) => items.push(item),
+            None => groups.push((to, vec![item])),
+        }
+    }
+    groups
 }
 
 /// Sending half of a transport endpoint. Cloneable so several threads of one
@@ -72,10 +167,10 @@ pub trait Postman: Send {
     fn send(&self, to: NodeId, msg: Message) -> Result<(), TransportError>;
 
     /// Send a batch of messages, preserving per-destination order. The
-    /// default delegates to [`Postman::send`] one message at a time —
-    /// message-level semantics (fault injection, simulation) are unchanged
-    /// — while transports that can coalesce (TCP) override this to write
-    /// all frames for a destination in one syscall with a single flush.
+    /// default delegates to [`Postman::send`] one message at a time, while
+    /// transports that can coalesce (TCP) override this to write all frames
+    /// for a destination in one syscall with a single flush (and the fault
+    /// shim, to keep message-level fault semantics in front of one).
     /// Every message is attempted; the first error (if any) is returned.
     fn send_batch(&self, batch: Vec<(NodeId, Message)>) -> Result<(), TransportError> {
         let mut first_err = None;

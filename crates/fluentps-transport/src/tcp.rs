@@ -3,16 +3,21 @@
 //! Connections are unidirectional: a node dials a peer the first time it
 //! sends to it, and replies flow over a connection the peer dials back (the
 //! address book tells everyone where everyone listens). Every accepted stream
-//! gets a reader thread that decodes frames into the node's inbox. This keeps
-//! the implementation small while preserving the properties the engine needs:
-//! reliable, per-sender FIFO delivery.
+//! gets a reader thread that decodes its frames and hands each to whoever
+//! consumes the node's input: the inbox behind [`Mailbox::recv`], or — while
+//! a [`Mailbox::serve`] call is in progress — that call's step, run by the
+//! reader itself under the node's lock, so a request is answered on the
+//! thread that read it. Either way delivery is reliable and per-sender FIFO:
+//! one thread owns one connection.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fluentps_obs::{EventKind, Profiler, RecordArgs, Tracer, NO_ID};
 use fluentps_util::buf::BytesMut;
@@ -20,9 +25,9 @@ use fluentps_util::sync::Mutex;
 use fluentps_util::sync::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::error::TransportError;
-use crate::frame::{wire_len, write_frames, FrameReader};
+use crate::frame::{holds_frame, wire_len, write_frames, FrameReader, READ_BUFFER};
 use crate::msg::{Message, NodeId};
-use crate::{Mailbox, Postman};
+use crate::{per_destination, Flow, Input, Mailbox, Postman, Step};
 
 /// Mapping from node identity to listening address, distributed out-of-band
 /// (mirrors how PS-Lite nodes learn the scheduler address from environment
@@ -85,14 +90,57 @@ struct Conn {
     buf: BytesMut,
 }
 
+/// Who consumes what the reader threads decode: the node's one lock.
+#[derive(Default)]
+struct Serving {
+    /// The step of the [`Mailbox::serve`] call in progress. While there is
+    /// none, frames queue in the inbox.
+    step: Option<Box<dyn Step>>,
+    /// The step said [`Flow::Stop`]: it is not called again (frames queue in
+    /// the inbox, as on a node nobody serves) and `serve` collects it.
+    stopped: bool,
+    /// Messages the step was called with; `serve` reads idleness off it.
+    handled: u64,
+}
+
 struct Shared {
     node: NodeId,
     book: AddressBook,
     conns: Mutex<HashMap<NodeId, Conn>>,
     inbox_tx: Sender<Envelope>,
+    serving: Mutex<Serving>,
+    /// Signalled when `serving.stopped` is set.
+    stopped: Condvar,
     closed: AtomicBool,
     tracer: Tracer,
     profiler: Profiler,
+}
+
+impl Shared {
+    /// Hand one decoded frame to whoever consumes this node's input; `dry`
+    /// says the connection it came from holds nothing further that is ready.
+    /// A served node's step runs right here, on the reader's thread, and
+    /// writes its replies before the lock is released — which is what keeps
+    /// them in handle order per destination. Sending to the inbox happens
+    /// under the same lock, so a frame cannot slip into the inbox behind a
+    /// `serve` call that has just drained it. False once the node is gone.
+    fn deliver(&self, from: NodeId, msg: Message, dry: bool) -> bool {
+        let serving = &mut *self.serving.lock();
+        let step = match &mut serving.step {
+            Some(step) if !serving.stopped => step,
+            _ => return self.inbox_tx.send((from, msg)).is_ok(),
+        };
+        let mut flow = step.step(Input::Message(from, msg));
+        if dry && flow == Flow::Continue {
+            flow = step.step(Input::Dry);
+        }
+        serving.handled += 1;
+        if flow == Flow::Stop {
+            serving.stopped = true;
+            self.stopped.notify_all();
+        }
+        true
+    }
 }
 
 /// `(shard, worker)` ids for a trace event about traffic between `local`
@@ -160,6 +208,8 @@ impl TcpNode {
             book,
             conns: Mutex::new(HashMap::new()),
             inbox_tx,
+            serving: Mutex::default(),
+            stopped: Condvar::new(),
             closed: AtomicBool::new(false),
             tracer,
             profiler,
@@ -194,7 +244,9 @@ impl TcpNode {
         }
     }
 
-    /// Stop accepting and sending. Reader threads exit when their peers close.
+    /// Stop accepting and sending. A reader thread exits when its peer
+    /// closes or, once the node is dropped, at the next frame it reads —
+    /// closing the socket, so the peer's following write fails.
     pub fn shutdown(&mut self) {
         self.shared.closed.store(true, Ordering::SeqCst);
         self.shared.conns.lock().clear();
@@ -229,13 +281,23 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 fn spawn_reader(stream: TcpStream, shared: Arc<Shared>) {
     std::thread::Builder::new()
         .name(format!("tcp-reader-{}", shared.node))
-        .spawn(move || {
-            let mut reader = std::io::BufReader::new(stream);
-            let mut frames = FrameReader::new();
-            // Read frames until the peer closes or the stream corrupts.
-            // Each frame lands in a buffer of its own, which the decoded
-            // message shares: a value is not copied again on this side.
-            while let Ok((from, msg)) = frames.read_from_profiled(&mut reader, &shared.profiler) {
+        .spawn(move || read_frames(stream, &shared))
+        .expect("spawn reader thread");
+}
+
+/// The life of one accepted connection: read frames until the peer closes,
+/// the stream breaks or the node is gone, then drop the socket — so a peer
+/// still writing finds out and redials. Each frame lands in a buffer of its
+/// own, which the decoded message shares: a value is not copied again on
+/// this side.
+fn read_frames(stream: TcpStream, shared: &Shared) {
+    let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
+    let mut frames = FrameReader::new();
+    let mut peer = None;
+    let broken = loop {
+        match frames.read_next(&mut reader, &shared.profiler) {
+            Ok(Some((from, msg))) => {
+                peer = Some(from);
                 if shared.tracer.is_enabled() {
                     let (shard, worker) = trace_ids(shared.node, from);
                     shared.tracer.record(
@@ -246,12 +308,29 @@ fn spawn_reader(stream: TcpStream, shared: Arc<Shared>) {
                             .bytes(wire_len(&msg) as u64),
                     );
                 }
-                if shared.inbox_tx.send((from, msg)).is_err() {
-                    break;
+                // Nothing further is ready when the buffer does not hold
+                // the whole next frame: the next read would block (or at
+                // least go to the kernel), so the step is told to send
+                // what it has queued. A partial frame holds nothing back.
+                let dry = !holds_frame(reader.buffer());
+                if !shared.deliver(from, msg, dry) {
+                    break false;
                 }
             }
-        })
-        .expect("spawn reader thread");
+            // Closed by the peer at a frame boundary: nothing was lost.
+            Ok(None) => break false,
+            Err(_) => break true,
+        }
+    };
+    // A corrupt frame, an impossible length or an end in the middle of a
+    // frame: every later frame of this connection is lost with it.
+    if broken && shared.tracer.is_enabled() {
+        let (shard, worker) = trace_ids(shared.node, peer.unwrap_or(shared.node));
+        shared.tracer.record(
+            EventKind::ConnectionLost,
+            RecordArgs::new().shard(shard).worker(worker),
+        );
+    }
 }
 
 impl Mailbox for TcpNode {
@@ -275,6 +354,61 @@ impl Mailbox for TcpNode {
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
         }
+    }
+
+    /// Install `step` for the connections' reader threads to run
+    /// ([`Shared::deliver`]) and wait here until it says [`Flow::Stop`].
+    /// This thread runs the step only twice over: first for what the inbox
+    /// already holds — under the lock, so nothing a reader decodes meanwhile
+    /// overtakes it — and, with `wake` set, for [`Input::Tick`] whenever a
+    /// whole interval passed without a message. Frames that arrive after the
+    /// stop queue in the inbox again, unhandled.
+    fn serve<S: Step>(&self, wake: Option<Duration>, step: S) -> S {
+        let shared = &*self.shared;
+        let mut serving = shared.serving.lock();
+        assert!(
+            serving.step.is_none(),
+            "{} is being served already",
+            shared.node
+        );
+        let mut step: Box<dyn Step> = Box::new(step);
+        let mut flow = Flow::Continue;
+        while flow == Flow::Continue {
+            let Ok((from, msg)) = self.inbox_rx.try_recv() else {
+                flow = step.step(Input::Dry);
+                break;
+            };
+            flow = step.step(Input::Message(from, msg));
+        }
+        serving.stopped = flow == Flow::Stop;
+        serving.step = Some(step);
+
+        let mut seen = serving.handled;
+        let mut tick_at = wake.map(|wake| Instant::now() + wake);
+        while !serving.stopped {
+            let Some(at) = tick_at else {
+                serving = shared
+                    .stopped
+                    .wait(serving)
+                    .unwrap_or_else(|e| e.into_inner());
+                continue;
+            };
+            let left = at.saturating_duration_since(Instant::now());
+            if !left.is_zero() {
+                let woken = shared.stopped.wait_timeout(serving, left);
+                serving = woken.unwrap_or_else(|e| e.into_inner()).0;
+                continue;
+            }
+            if serving.handled == seen {
+                let step = serving.step.as_mut().expect("installed above");
+                serving.stopped = step.step(Input::Tick) == Flow::Stop;
+            }
+            seen = serving.handled;
+            tick_at = wake.map(|wake| Instant::now() + wake);
+        }
+        serving.stopped = false;
+        let step: Box<dyn Any> = serving.step.take().expect("installed above");
+        *step.downcast().expect("the step this call installed")
     }
 }
 
@@ -360,15 +494,8 @@ impl Postman for TcpPostman {
             return Err(TransportError::Disconnected);
         }
         let mut conns = self.shared.conns.lock();
-        let mut per_dest: Vec<(NodeId, Vec<&Message>)> = Vec::new();
-        for (to, msg) in &batch {
-            match per_dest.iter_mut().find(|(dest, _)| dest == to) {
-                Some((_, msgs)) => msgs.push(msg),
-                None => per_dest.push((*to, vec![msg])),
-            }
-        }
         let mut first_err = None;
-        for (to, msgs) in per_dest {
+        for (to, msgs) in per_destination(batch.iter().map(|(to, msg)| (*to, msg))) {
             if let Err(e) = self.write_to(&mut conns, to, &msgs) {
                 first_err.get_or_insert(e);
             }
@@ -552,6 +679,132 @@ mod tests {
         assert!(TcpStream::connect(addr).is_err());
         let sent = node.postman().send(NodeId::Server(0), Message::Shutdown);
         assert!(matches!(sent, Err(TransportError::Disconnected)));
+    }
+
+    /// A step that collects heartbeat sequence numbers and stops on
+    /// `Shutdown`.
+    #[derive(Default)]
+    struct Collect(Vec<u64>);
+
+    impl Step for Collect {
+        fn step(&mut self, input: Input) -> Flow {
+            match input {
+                Input::Message(_, Message::Heartbeat { seq, .. }) => self.0.push(seq),
+                Input::Message(_, Message::Shutdown) => return Flow::Stop,
+                _ => {}
+            }
+            Flow::Continue
+        }
+    }
+
+    #[test]
+    fn serve_handles_what_the_inbox_holds_before_anything_read_later() {
+        let book = AddressBook::new();
+        let server = TcpNode::bind(NodeId::Server(0), loopback(), book.clone()).unwrap();
+        book.insert(NodeId::Server(0), server.local_addr());
+        let worker = TcpNode::bind(NodeId::Worker(0), loopback(), book).unwrap();
+        let beat = |seq| Message::Heartbeat {
+            node: NodeId::Worker(0),
+            seq,
+        };
+        // In the inbox for certain: put there the way a reader does.
+        for seq in 0..3 {
+            assert!(server.shared.deliver(NodeId::Worker(0), beat(seq), true));
+        }
+        // Behind them, over the socket and from the same sender — so the
+        // order is owed — two more and the stop.
+        let batch = [beat(3), beat(4), Message::Shutdown];
+        let to_server = batch.into_iter().map(|m| (NodeId::Server(0), m));
+        worker.postman().send_batch(to_server.collect()).unwrap();
+        let Collect(seqs) = server.serve(None, Collect::default());
+        assert_eq!(seqs, [0, 1, 2, 3, 4]);
+        // Served once, servable again; a stop found in the inbox ends the
+        // call before it waits.
+        assert!(server.shared.deliver(NodeId::Worker(0), beat(5), true));
+        assert!(server
+            .shared
+            .deliver(NodeId::Worker(0), Message::Shutdown, true));
+        assert!(server.shared.deliver(NodeId::Worker(0), beat(6), true));
+        let Collect(seqs) = server.serve(Some(Duration::from_secs(60)), Collect::default());
+        assert_eq!(seqs, [5]);
+        assert!(matches!(
+            server.try_recv(),
+            Ok(Some((_, Message::Heartbeat { seq: 6, .. })))
+        ));
+    }
+
+    #[test]
+    fn a_connection_that_dies_says_so_and_a_clean_close_does_not() {
+        use crate::codec::corrupt_at;
+        use crate::frame::encode_frame;
+        use fluentps_obs::TraceCollector;
+        use std::io::Write;
+
+        let collector = TraceCollector::wall(64);
+        let book = AddressBook::new();
+        let (here, peer) = (NodeId::Server(2), NodeId::Worker(7));
+        let server =
+            TcpNode::bind_traced(here, loopback(), book.clone(), collector.tracer()).unwrap();
+        book.insert(here, server.local_addr());
+        let received = || {
+            let got = server.recv_timeout(Duration::from_secs(10)).unwrap();
+            got.expect("frame within the timeout").1
+        };
+        let lost = || {
+            let trace = collector.snapshot();
+            let lost = trace.events.into_iter();
+            lost.filter(|ev| ev.kind == EventKind::ConnectionLost)
+                .map(|ev| (ev.shard, ev.worker))
+                .collect::<Vec<_>>()
+        };
+        let await_lost = |n: usize| {
+            let begun = Instant::now();
+            while lost().len() < n {
+                assert!(begun.elapsed() < Duration::from_secs(10), "{:?}", lost());
+                std::thread::yield_now();
+            }
+        };
+        let frame = encode_frame(peer, &Message::Shutdown);
+
+        // A whole frame, then the end of the stream: nothing was lost.
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(&frame).unwrap();
+        drop(raw);
+        assert_eq!(received(), Message::Shutdown);
+
+        // The stream ends one byte short of its second frame.
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.write_all(&frame).unwrap();
+        raw.write_all(&frame[..frame.len() - 1]).unwrap();
+        drop(raw);
+        assert_eq!(received(), Message::Shutdown);
+        await_lost(1);
+
+        // A corrupted tag on a real node's connection.
+        let worker = TcpNode::bind(peer, loopback(), book).unwrap();
+        worker.postman().send(here, Message::Shutdown).unwrap();
+        assert_eq!(received(), Message::Shutdown);
+        let corrupt = corrupt_at(&frame, 10, 0xEE);
+        let mut conns = worker.shared.conns.lock();
+        let conn = conns.get_mut(&here).expect("dialed by the send above");
+        conn.stream.write_all(&corrupt).unwrap();
+        drop(conns);
+        await_lost(2);
+        // The reader dropped the socket with the event: the peer's writes
+        // start to fail, its postman redials, and what it sends arrives.
+        let begun = Instant::now();
+        let beat = Message::Heartbeat { node: peer, seq: 1 };
+        loop {
+            let _ = worker.postman().send(here, beat.clone());
+            if let Ok(Some((_, got))) = server.recv_timeout(Duration::from_millis(50)) {
+                assert_eq!(got, beat);
+                break;
+            }
+            assert!(begun.elapsed() < Duration::from_secs(10), "never redialed");
+        }
+        // One event per broken connection, naming both ends; none for the
+        // clean close (its reader had the whole test to say otherwise).
+        assert_eq!(lost(), [(2, 7), (2, 7)]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::TcpListener;
+use std::sync::{Arc, Mutex};
 
 use fluentps_obs::Profiler;
 use fluentps_transport::fault::{FaultAction, FaultInjector, FaultRule, MsgPattern};
@@ -14,9 +15,7 @@ use fluentps_transport::frame::{
     encode_frame, encode_frame_into, write_frame, write_frames, FrameReader,
 };
 use fluentps_transport::tcp::{AddressBook, TcpNode};
-use fluentps_transport::{
-    CausalCtx, Fabric, FaultPlan, KvPairs, Mailbox, Message, NodeId, Postman,
-};
+use fluentps_transport::{CausalCtx, FaultPlan, KvPairs, Message, NodeId, Postman, TransportError};
 use fluentps_util::buf::BytesMut;
 use fluentps_util::proptest::prelude::*;
 
@@ -87,6 +86,8 @@ fn arb_wire_message() -> impl Strategy<Value = Message> {
         arb_kv().prop_map(|kv| Message::Install { kv }),
     ]
 }
+
+type Batch = Vec<(NodeId, Message)>;
 
 /// A writer that takes at most `step` bytes per call, from the first
 /// non-empty slice only — the least `write_vectored` is allowed to do.
@@ -185,43 +186,62 @@ proptest! {
     }
 
     /// `send_batch` through a fault injector must see exactly the faults a
-    /// per-message send loop sees: a sever firing mid-batch blackholes the
-    /// tail of the batch identically on both paths, and the delivered
-    /// prefix plus the injector's counters match message for message.
+    /// per-message send loop sees — drops, reorder-delays, duplicates, and a
+    /// sever firing mid-batch that blackholes the tail — and hand the inner
+    /// postman the same deliveries in the same order, as *one* batch: same
+    /// messages per link, same `FaultStats`.
     #[test]
-    fn batched_send_matches_sequential_send_across_sever(
-        n in 1usize..12,
-        sever_at in 0u64..12,
+    fn batched_send_matches_sequential_send_across_faults(
+        n in 1usize..16,
+        rules in prop::collection::vec((0u64..16, 0u32..4, 0u32..2), 0..5),
     ) {
         let plan = FaultPlan {
-            rules: vec![FaultRule {
-                pattern: MsgPattern {
-                    progress: Some(sever_at),
-                    ..MsgPattern::any()
-                },
-                action: FaultAction::Sever,
-                count: 1,
-            }],
-        };
-        let msgs: Vec<(NodeId, Message)> = (0..n as u64)
-            .map(|progress| {
-                (
-                    NodeId::Server(0),
-                    Message::SPull {
-                        worker: 0,
-                        progress,
-                        keys: vec![progress],
+            rules: rules
+                .iter()
+                .map(|&(progress, action, server)| FaultRule {
+                    pattern: MsgPattern {
+                        progress: Some(progress),
+                        to: Some(NodeId::Server(server)),
+                        ..MsgPattern::any()
                     },
-                )
+                    action: match action {
+                        0 => FaultAction::Drop,
+                        1 => FaultAction::Delay(2),
+                        2 => FaultAction::Duplicate,
+                        _ => FaultAction::Sever,
+                    },
+                    count: 1,
+                })
+                .collect(),
+        };
+        // Two links, interleaved, so a batch spans destinations.
+        let msgs: Vec<(NodeId, Message)> = (0..n as u64)
+            .flat_map(|progress| {
+                let pull = move |server| {
+                    let keys = vec![progress];
+                    (NodeId::Server(server), Message::SPull { worker: 0, progress, keys })
+                };
+                [pull(0), pull(1)]
             })
             .collect();
 
-        let drain = |batched: bool| -> (Vec<Message>, u64) {
-            let fabric = Fabric::new();
-            let server = fabric.register(NodeId::Server(0));
+        /// The inner postman: what reached it, call by call.
+        #[derive(Clone, Default)]
+        struct Recording(Arc<Mutex<Vec<Batch>>>);
+        impl Postman for Recording {
+            fn send(&self, to: NodeId, msg: Message) -> Result<(), TransportError> {
+                self.send_batch(vec![(to, msg)])
+            }
+            fn send_batch(&self, batch: Vec<(NodeId, Message)>) -> Result<(), TransportError> {
+                self.0.lock().unwrap().push(batch);
+                Ok(())
+            }
+        }
+
+        let run = |batched: bool| {
+            let inner = Recording::default();
             let injector = FaultInjector::new(plan.clone());
-            let worker = fabric.register(NodeId::Worker(0));
-            let postman = injector.postman(NodeId::Worker(0), worker.postman());
+            let postman = injector.postman(NodeId::Worker(0), inner.clone());
             if batched {
                 postman.send_batch(msgs.clone()).unwrap();
             } else {
@@ -229,19 +249,24 @@ proptest! {
                     postman.send(to, msg).unwrap();
                 }
             }
-            let mut got = Vec::new();
-            while let Ok(Some((_, msg))) = server.try_recv() {
-                got.push(msg);
-            }
-            (got, injector.stats().dropped + injector.stats().blackholed)
+            let calls = inner.0.lock().unwrap().clone();
+            (calls, injector.stats())
         };
 
-        let (seq_msgs, seq_lost) = drain(false);
-        let (batch_msgs, batch_lost) = drain(true);
-        prop_assert_eq!(&batch_msgs, &seq_msgs);
-        prop_assert_eq!(batch_lost, seq_lost);
-        // The delivered prefix + the faulted remainder account for every
-        // message handed to the postman.
-        prop_assert_eq!(batch_msgs.len() as u64 + batch_lost, n as u64);
+        let (seq_calls, seq_stats) = run(false);
+        let (batch_calls, batch_stats) = run(true);
+        prop_assert_eq!(batch_stats, seq_stats);
+        let delivered: Vec<(NodeId, Message)> = seq_calls.into_iter().flatten().collect();
+        if delivered.is_empty() {
+            prop_assert!(batch_calls.is_empty(), "an empty batch reached the inner postman");
+        } else {
+            prop_assert_eq!(batch_calls, vec![delivered.clone()]);
+        }
+        // Every message handed over is accounted for: delivered (once per
+        // copy), lost to a fault, or still held back by a delay.
+        let s = batch_stats;
+        let accounted = delivered.len() as u64 + s.dropped + s.blackholed;
+        let handed = msgs.len() as u64 + s.duplicated;
+        prop_assert!(accounted <= handed && handed - accounted <= s.delayed);
     }
 }

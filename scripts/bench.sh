@@ -10,7 +10,10 @@
 # trace-analytics engine in events/second over a mixed-kind trace, the
 # streaming analyzer's per-event windowed ingest in events/second, the
 # zero-copy wire path in frames and pull round trips per second and in
-# bytes per second for one tensor-sized (1 MiB) push each way, the
+# bytes per second for one tensor-sized (1 MiB) push each way, one whole
+# worker iteration against a served TCP node over loopback sockets
+# (`wire/tcp_serve_roundtrip`: push and pull out in one write, ack and
+# response back in one, 35 KB each way), the
 # threaded engine with tracing off vs on, and the TCP engine with cluster
 # trace streaming off vs on) and writes OUTPUT (default BENCH_obs.json): a
 # JSON document with mean/p50/p99 nanoseconds and throughput per benchmark.

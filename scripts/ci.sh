@@ -61,15 +61,41 @@ fi
 # codec.rs, frame.rs and tcp.rs, and the frame reader keeps no body buffer
 # between frames (each frame's buffer is the decoded message's payload).
 wire_src=crates/fluentps-transport/src
-if awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip || /^[[:space:]]*\/\// { next }
-        { print FILENAME ":" FNR ": " $0 }' \
-    "$wire_src/codec.rs" "$wire_src/frame.rs" "$wire_src/tcp.rs" \
+above_tests() {
+  awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip || /^[[:space:]]*\/\// { next }
+       { print FILENAME ":" FNR ": " $0 }' "$@"
+}
+if above_tests "$wire_src/codec.rs" "$wire_src/frame.rs" "$wire_src/tcp.rs" \
   | grep -E 'Vec<f32>|get_f32_vec_le|put_f32_slice_le'; then
   echo "ci: the wire layers convert values again (see above); that belongs to values.rs and its callers" >&2
   exit 1
 fi
 if ! grep -qE '^pub struct FrameReader;$' "$wire_src/frame.rs"; then
   echo "ci: FrameReader has fields again; a frame's buffer must travel with its message" >&2
+  exit 1
+fi
+
+# Structural guard: one hand-off and one write per direction (DESIGN.md §13,
+# §18). The receive loop is the transport's: above their test markers
+# serve.rs and recovery.rs hand a step to `Mailbox::serve` and never receive
+# themselves (the supervisor replica, a node nobody serves, keeps its one
+# `node.recv_timeout(tick)`); `serve` has exactly two overrides, the TCP
+# node and the fault shim around it; and `spush` only stages — what it
+# scattered is written with the pull.
+if above_tests "$core_src/serve.rs" "$core_src/recovery.rs" \
+  | grep -E '\.recv\(\)|\.recv_timeout\(' | grep -vF 'node.recv_timeout(tick)'; then
+  echo "ci: serve.rs/recovery.rs own a receive loop again (see above); hand Mailbox::serve a step" >&2
+  exit 1
+fi
+overrides="$(above_tests crates/*/src/*.rs | grep -E 'fn serve<' | cut -d: -f1 | sort | tr '\n' ' ' || true)"
+if [ "$overrides" != "$wire_src/fault.rs $wire_src/lib.rs $wire_src/tcp.rs " ]; then
+  echo "ci: Mailbox::serve is defined in lib.rs and overridden in tcp.rs and fault.rs only; found: $overrides" >&2
+  exit 1
+fi
+if above_tests "$core_src/worker.rs" \
+  | awk '/pub fn spush\(/ { inside = 1 } inside { print } inside && /^[^:]*:[0-9]*:     }$/ { exit }' \
+  | grep -F 'postman.send'; then
+  echo "ci: spush writes to the transport again (see above); it stages, the pull (or flush) sends" >&2
   exit 1
 fi
 
