@@ -21,7 +21,7 @@ use crate::launch::{self, Observability, Session};
 use crate::serve;
 use crate::server::GradScale;
 use crate::stats::ShardStats;
-use crate::worker::{Router, WorkerClient};
+use crate::worker::WorkerClient;
 use crate::SyncModel;
 
 /// Configuration of an in-process cluster.
@@ -32,7 +32,7 @@ pub struct EngineConfig {
     /// Number of servers (`M`).
     pub num_servers: u32,
     /// Synchronization model applied on every shard. (Per-shard models are
-    /// possible through [`crate::api::FluentPs::per_server_models`].)
+    /// possible through [`Cluster::launch_models`].)
     pub model: SyncModel,
     /// DPR execution policy.
     pub policy: DprPolicy,
@@ -93,8 +93,10 @@ impl Cluster {
 
     /// Launch with a synchronization model per server — the paper's headline
     /// flexibility: "each parameter server can choose the adaptive
-    /// synchronization model to update its parameter shard".
-    pub(crate) fn launch_models(
+    /// synchronization model to update its parameter shard" (Figure 2 runs
+    /// SSP, PSSP and drop-stragglers side by side). `models[m]` replaces
+    /// `cfg.model` on server `m`.
+    pub fn launch_models(
         cfg: EngineConfig,
         models: &[SyncModel],
         map: SliceMap,
@@ -114,7 +116,7 @@ impl Cluster {
         let mut servers = Vec::with_capacity(cfg.num_servers as usize);
         for m in 0..cfg.num_servers {
             let endpoint = fabric.register(NodeId::Server(m));
-            let (tracer, _) = session.obs.node(NodeId::Server(m));
+            let (tracer, streamer) = session.obs.node(NodeId::Server(m));
             let (server, _) = launch::shard_server(
                 &cfg,
                 models[m as usize],
@@ -123,25 +125,13 @@ impl Cluster {
                 tracer,
                 session.obs.span_profiler(),
             );
-            let handle = std::thread::Builder::new()
-                .name(format!("fluentps-server-{m}"))
-                .spawn(move || serve::run(server, &endpoint, endpoint.postman()))
-                .expect("spawn server thread");
-            servers.push(handle);
+            let serve = move || serve::run(server, &endpoint, endpoint.postman());
+            let name = format!("fluentps-server-{m}");
+            servers.push(launch::spawn_served(name, streamer, serve));
         }
 
-        let router = Router::new(map);
-        let workers = worker_endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(n, ep)| {
-                let postman = ep.postman();
-                let mut w = WorkerClient::new(n as u32, postman, ep, router.clone());
-                w.set_tracer(session.worker(n as u32));
-                w.set_profiler(session.obs.span_profiler());
-                w
-            })
-            .collect();
+        let halves = worker_endpoints.into_iter().map(|ep| (ep.postman(), ep));
+        let workers = session.workers(map, halves);
 
         Ok((
             Cluster {
@@ -246,6 +236,31 @@ mod tests {
         assert_eq!(stats.len(), 2);
         let total_pushes: u64 = stats.iter().map(|s| s.pushes).sum();
         assert_eq!(total_pushes, 2 * 3 * 2); // 2 workers × 3 iters × 2 servers
+    }
+
+    #[test]
+    fn per_server_models_flow_through() {
+        // Server 0 never blocks; server 1 would, past nine iterations of
+        // lead. One worker, so neither does — but each shard runs its own.
+        let (specs, init) = model_params();
+        let map = EpsSlicer { max_chunk: 4 }.slice(&specs, 2);
+        let cfg = EngineConfig {
+            num_servers: 2,
+            ..EngineConfig::default()
+        };
+        let models = [SyncModel::Asp, SyncModel::Ssp { s: 9 }];
+        let (cluster, mut workers) =
+            Cluster::launch_models(cfg, &models, map, &init, Observability::default()).unwrap();
+        let mut w = workers.pop().unwrap();
+        let grads: HashMap<u64, Vec<f32>> = [(0, vec![1.0; 8]), (1, vec![1.0; 4])].into();
+        let mut params = HashMap::new();
+        for i in 0..3 {
+            w.spush(i, &grads).unwrap();
+            assert_eq!(w.spull_wait(i, &mut params).unwrap().responses, 2);
+        }
+        assert_eq!(params[&0], vec![3.0; 8]);
+        let stats = cluster.shutdown();
+        assert_eq!(stats.iter().map(|s| s.pushes).sum::<u64>(), 3 * 2);
     }
 
     #[test]

@@ -9,16 +9,16 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::thread::JoinHandle;
 
 use fluentps_obs::http::{self, Endpoints};
 use fluentps_obs::{
     HealthEngine, HealthTap, HealthView, IntrospectionServer, MetricsRegistry, ProfCollector,
     Profiler, TraceCollector, TraceSource, Tracer,
 };
-use fluentps_transport::collect::{StreamerConfig, TraceStreamer};
+use fluentps_transport::collect::TraceStreamer;
 use fluentps_transport::tcp::{AddressBook, TcpNode};
-use fluentps_transport::{NodeId, TransportError};
+use fluentps_transport::{Mailbox, NodeId, Postman, TransportError};
 use fluentps_util::rng::StdRng;
 
 use crate::condition::SyncModel;
@@ -27,6 +27,7 @@ use crate::eps::SliceMap;
 use crate::serve::ShardServer;
 use crate::server::{ServerShard, ShardConfig};
 use crate::stats::ShardStats;
+use crate::worker::{Router, WorkerClient};
 
 /// What a launched cluster reports, and where. The default observes
 /// nothing: no tracer, no thread, no socket.
@@ -99,13 +100,7 @@ impl Observability {
         match self.stream_to {
             Some(addr) => {
                 let col = TraceCollector::wall(self.ring_capacity);
-                let streamer = TraceStreamer::start_profiled(
-                    node,
-                    &col,
-                    addr,
-                    StreamerConfig::default(),
-                    self.span_profiler(),
-                );
+                let streamer = TraceStreamer::start(node, &col, addr, self.span_profiler());
                 (col.tracer(), Some(streamer))
             }
             None => {
@@ -164,7 +159,7 @@ impl Session {
             .health
             .as_ref()
             .zip(obs.collector.as_ref())
-            .map(|(e, col)| (e.clone(), e.attach_to(col, Duration::from_millis(10))));
+            .map(|(e, col)| (e.clone(), e.attach_to(col)));
         let endpoint = match obs.http {
             Some(addr) => {
                 let endpoints = Endpoints {
@@ -190,11 +185,24 @@ impl Session {
         self.endpoint.as_ref().map(|e| e.local_addr())
     }
 
-    /// Tracing for worker client `n`.
-    pub(crate) fn worker(&mut self, n: u32) -> Tracer {
-        let (tracer, streamer) = self.obs.node(NodeId::Worker(n));
-        self.worker_streamers.extend(streamer);
-        tracer
+    /// The worker clients every engine hands its caller: worker `n` sends
+    /// and receives through the `n`-th of `halves`, routes by `map`, and
+    /// traces and profiles into this session.
+    pub(crate) fn workers<P: Postman, M: Mailbox>(
+        &mut self,
+        map: SliceMap,
+        halves: impl IntoIterator<Item = (P, M)>,
+    ) -> Vec<WorkerClient<P, M>> {
+        let router = Router::new(map);
+        let client = |(n, (postman, mailbox))| {
+            let mut w = WorkerClient::new(n, postman, mailbox, router.clone());
+            let (tracer, streamer) = self.obs.node(NodeId::Worker(n));
+            self.worker_streamers.extend(streamer);
+            w.set_tracer(tracer);
+            w.set_profiler(self.obs.span_profiler());
+            w
+        };
+        (0u32..).zip(halves).map(client).collect()
     }
 
     /// The shutdown sequence of every cluster handle: flush the workers'
@@ -267,38 +275,45 @@ pub(crate) fn server_rng(cfg: &EngineConfig, m: u32, generation: u64) -> StdRng 
     )
 }
 
-/// Bind `node` on an OS-chosen loopback port, dialing through `book`; a
-/// listener is also published there. Every socket of a profiled cluster
-/// shares the one profile collector, so frame encode/decode shows up as
-/// `wire/*` spans.
-fn bind(
+/// Run `serve` — a node being served until it stops — on a thread of its
+/// own, and final-flush the node's trace stream from that same thread, so
+/// everything a server recorded, a killed one included, reaches the
+/// collector before the thread exits.
+pub(crate) fn spawn_served(
+    name: String,
+    streamer: Option<TraceStreamer>,
+    serve: impl FnOnce() -> ShardStats + Send + 'static,
+) -> JoinHandle<ShardStats> {
+    let served = move || {
+        let stats = serve();
+        if let Some(s) = streamer {
+            s.stop();
+        }
+        stats
+    };
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(served)
+        .expect("spawn server thread")
+}
+
+/// Bind `node` on an OS-chosen loopback port and publish the listener in
+/// `book`, through which the node also dials — which is what lets workers
+/// redial a replacement server bound under the id of the one that died. A
+/// server is one node: it answers through the postman of the node it
+/// listens on, so its replies arrive `from` its own id. Every socket of a
+/// profiled cluster shares the one profile collector, so frame
+/// encode/decode shows up as `wire/*` spans.
+pub(crate) fn bind(
     node: NodeId,
     book: &AddressBook,
     obs: &Observability,
-    listener: bool,
 ) -> Result<TcpNode, TransportError> {
     let loopback: SocketAddr = "127.0.0.1:0".parse().expect("loopback");
     let profiler = obs.span_profiler();
     let bound = TcpNode::bind_profiled(node, loopback, book.clone(), Tracer::disabled(), profiler)?;
-    if listener {
-        book.insert(node, bound.local_addr());
-    }
+    book.insert(node, bound.local_addr());
     Ok(bound)
-}
-
-/// Server `m`'s two endpoints: the listener workers dial (published in
-/// `book` — which is what lets them redial a replacement), and the sender
-/// it answers from. Sender ids live above the real server range so they
-/// never collide with a listener.
-pub(crate) fn bind_server(
-    cfg: &EngineConfig,
-    m: u32,
-    book: &AddressBook,
-    obs: &Observability,
-) -> Result<(TcpNode, TcpNode), TransportError> {
-    let rx = bind(NodeId::Server(m), book, obs, true)?;
-    let tx = bind(NodeId::Server(cfg.num_servers + 1 + m), book, obs, false)?;
-    Ok((rx, tx))
 }
 
 /// The endpoints of a TCP cluster, sharing one book (clones of a book
@@ -306,8 +321,7 @@ pub(crate) fn bind_server(
 pub(crate) struct TcpNodes {
     pub(crate) book: AddressBook,
     pub(crate) supervisors: Vec<TcpNode>,
-    /// `(listener, sender)` per server.
-    pub(crate) servers: Vec<(TcpNode, TcpNode)>,
+    pub(crate) servers: Vec<TcpNode>,
     pub(crate) workers: Vec<TcpNode>,
     /// The handle's own sender, identified as `control`.
     pub(crate) control: TcpNode,
@@ -322,18 +336,16 @@ pub(crate) fn bind_cluster(
     obs: &Observability,
 ) -> Result<TcpNodes, TransportError> {
     let book = AddressBook::new();
-    let listeners = |count: u32, id: fn(u32) -> NodeId| {
+    let nodes = |count: u32, id: fn(u32) -> NodeId| {
         (0..count)
-            .map(|i| bind(id(i), &book, obs, true))
+            .map(|i| bind(id(i), &book, obs))
             .collect::<Result<Vec<_>, _>>()
     };
     Ok(TcpNodes {
-        supervisors: listeners(supervisors, NodeId::Supervisor)?,
-        servers: (0..cfg.num_servers)
-            .map(|m| bind_server(cfg, m, &book, obs))
-            .collect::<Result<_, _>>()?,
-        workers: listeners(cfg.num_workers, NodeId::Worker)?,
-        control: bind(control, &book, obs, false)?,
+        supervisors: nodes(supervisors, NodeId::Supervisor)?,
+        servers: nodes(cfg.num_servers, NodeId::Server)?,
+        workers: nodes(cfg.num_workers, NodeId::Worker)?,
+        control: bind(control, &book, obs)?,
         book,
     })
 }

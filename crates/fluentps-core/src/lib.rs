@@ -71,7 +71,6 @@
 
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod checkpoint;
 pub mod condition;
 pub mod consensus;

@@ -70,7 +70,7 @@ use crate::launch::{self, Observability, Session};
 use crate::scheduler::LivenessMonitor;
 use crate::serve::{wrap, Flow, ShardServer};
 use crate::stats::ShardStats;
-use crate::worker::{RetryPolicy, Router, WorkerClient};
+use crate::worker::{RetryPolicy, WorkerClient};
 
 /// Worker client type of the resilient runtime: TCP halves wrapped in the
 /// cluster's fault injector.
@@ -277,7 +277,6 @@ pub struct ResilientTcpCluster {
     supervisors: Vec<JoinHandle<Vec<ShardStats>>>,
     // Owning the node keeps the control postman's connections alive.
     control: TcpNode,
-    injector: FaultInjector,
     health: HealthView,
     /// Streamers for the supervisor replicas' own events (deaths,
     /// restores, remaps, elections); stopped after the replica threads are
@@ -343,8 +342,7 @@ impl ResilientTcpCluster {
 
         let stop = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::with_capacity(cfg.num_servers as usize);
-        for (m, (rx, tx)) in nodes.servers.into_iter().enumerate() {
-            let m = m as u32;
+        for (m, node) in (0u32..).zip(nodes.servers) {
             let (tracer, streamer) = session.obs.node(NodeId::Server(m));
             let profiler = session.obs.span_profiler();
             let (server, keys) =
@@ -357,25 +355,17 @@ impl ResilientTcpCluster {
                 Arc::clone(&store),
                 Arc::clone(&stop),
             );
-            handles.push((m, spawn_server(state, rx, tx, &injector, streamer)));
+            handles.push((m, spawn_server(state, node, &injector, streamer)));
         }
 
-        let router = Router::new(map.clone());
-        let workers: Vec<ResilientWorker> = nodes
-            .workers
-            .into_iter()
-            .enumerate()
-            .map(|(n, node)| {
-                let n = n as u32;
-                let postman = injector.postman(NodeId::Worker(n), node.postman());
-                let mailbox = injector.mailbox(NodeId::Worker(n), node);
-                let mut w = WorkerClient::new(n, postman, mailbox, router.clone());
-                w.set_tracer(session.worker(n));
-                w.set_profiler(session.obs.span_profiler());
-                w.set_retry_policy(rcfg.retry.clone());
-                w
-            })
-            .collect();
+        let halves = (0u32..).zip(nodes.workers).map(|(n, node)| {
+            let postman = injector.postman(NodeId::Worker(n), node.postman());
+            (postman, injector.mailbox(NodeId::Worker(n), node))
+        });
+        let mut workers = session.workers(map.clone(), halves);
+        for w in &mut workers {
+            w.set_retry_policy(rcfg.retry.clone());
+        }
 
         // Consensus gauges: HELP text once at launch, values published by
         // every live replica from the shared board.
@@ -451,7 +441,6 @@ impl ResilientTcpCluster {
             ResilientTcpCluster {
                 supervisors,
                 control: nodes.control,
-                injector,
                 health,
                 supervisor_streamers,
                 shared,
@@ -461,12 +450,6 @@ impl ResilientTcpCluster {
             },
             workers,
         ))
-    }
-
-    /// The cluster's fault injector — tests use it to sever nodes or read
-    /// fault statistics.
-    pub fn injector(&self) -> &FaultInjector {
-        &self.injector
     }
 
     /// The readiness view fed by the supervisor's liveness monitor — what
@@ -977,40 +960,16 @@ fn run_resilient<M: Mailbox, P: Postman + 'static>(
 
 fn spawn_server(
     server: ResilientServer,
-    rx: TcpNode,
-    tx: TcpNode,
+    node: TcpNode,
     injector: &FaultInjector,
     streamer: Option<TraceStreamer>,
 ) -> JoinHandle<ShardStats> {
     let m = server.id();
-    // The tx node's id is an implementation detail; faults match on the
-    // *logical* sender, so wrap with `Server(m)`.
-    let postman = injector.postman(NodeId::Server(m), tx.postman());
-    let mailbox = injector.mailbox(NodeId::Server(m), rx);
-    std::thread::Builder::new()
-        .name(format!("fluentps-rts-server-{m}"))
-        .spawn(move || {
-            // Dropping the node would mark its postman disconnected.
-            let _tx_keepalive = tx;
-            // This thread waits and ticks; `rx`'s reader threads run the
-            // step.
-            let stats = run_resilient(server, &mailbox, postman);
-            // Final-flush this server's trace stream from its own thread so a
-            // killed server still ships everything it recorded before exiting.
-            if let Some(s) = streamer {
-                s.stop();
-            }
-            stats
-        })
-        .expect("spawn resilient server")
-}
-
-/// Ship a batch of consensus messages; unreachable replicas (crashed ones)
-/// simply fail the send and are skipped — the protocol tolerates loss.
-fn send_consensus(postman: &TcpPostman, out: Vec<(NodeId, Message)>) {
-    for (to, msg) in out {
-        let _ = postman.send(to, msg);
-    }
+    let postman = injector.postman(NodeId::Server(m), node.postman());
+    let mailbox = injector.mailbox(NodeId::Server(m), node);
+    // The thread waits and ticks; the node's reader threads run the step.
+    let serve = move || run_resilient(server, &mailbox, postman);
+    launch::spawn_served(format!("fluentps-rts-server-{m}"), streamer, serve)
 }
 
 /// One supervisor replica: drives its consensus [`Replica`], observes
@@ -1077,8 +1036,9 @@ impl SupervisorReplica {
             let now_ms = now.as_millis() as u64;
             // Drive the consensus state machine: elections, leader
             // heartbeats, lease checks.
-            let out = self.consensus.tick(now);
-            send_consensus(&postman, out);
+            // Consensus traffic is best-effort: a crashed replica fails the
+            // send and is skipped — the protocol tolerates loss.
+            let _ = postman.send_batch(self.consensus.tick(now));
             if self.consensus.is_leader() && !self.was_leader {
                 self.on_accession(&mut liveness, now_ms);
             }
@@ -1174,7 +1134,7 @@ impl SupervisorReplica {
                     | Message::AppendEntries { .. }
                     | Message::AppendAck { .. } => {
                         let out = self.consensus.handle(&msg, start.elapsed());
-                        send_consensus(&postman, out);
+                        let _ = postman.send_batch(out);
                     }
                     Message::Shutdown => break,
                     _ => {}
@@ -1330,7 +1290,7 @@ impl SupervisorReplica {
         };
         // Publishing the new address is what lets every worker's postman
         // redial the replacement after its old connection errors out.
-        let Ok((rx, tx)) = launch::bind_server(&self.cfg, m, &self.book, &self.obs) else {
+        let Ok(node) = launch::bind(NodeId::Server(m), &self.book, &self.obs) else {
             return false;
         };
 
@@ -1385,7 +1345,7 @@ impl SupervisorReplica {
             Arc::clone(&self.store),
             stop,
         );
-        let handle = spawn_server(state, rx, tx, &self.injector, rep_streamer);
+        let handle = spawn_server(state, node, &self.injector, rep_streamer);
         self.shared.lock().handles.push((m, handle));
         true
     }
@@ -1481,13 +1441,13 @@ impl SupervisorReplica {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::condition::SyncModel;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
     use fluentps_obs::Tracer;
 
-    fn fast_recovery(kill: Option<(u32, u64)>, replace: bool) -> RecoveryConfig {
+    pub(crate) fn fast_recovery(kill: Option<(u32, u64)>, replace: bool) -> RecoveryConfig {
         RecoveryConfig {
             heartbeat_every: Duration::from_millis(10),
             liveness_timeout: Duration::from_millis(60),
@@ -1509,7 +1469,7 @@ mod tests {
         }
     }
 
-    fn two_server_setup() -> (EngineConfig, SliceMap, HashMap<u64, Vec<f32>>) {
+    pub(crate) fn two_server_setup() -> (EngineConfig, SliceMap, HashMap<u64, Vec<f32>>) {
         let specs = vec![ParamSpec { key: 0, len: 4 }, ParamSpec { key: 1, len: 4 }];
         let mut init = HashMap::new();
         init.insert(0u64, vec![0.0; 4]);

@@ -27,8 +27,6 @@ pub enum GradScale {
     DivideByN,
     /// `w += g` — workers send already-averaged updates.
     Raw,
-    /// `w += factor · g` — custom server-side scaling.
-    Fixed(f32),
 }
 
 /// Configuration of one server shard.
@@ -483,7 +481,6 @@ impl ServerShard {
         let scale = match self.cfg.grad_scale {
             GradScale::DivideByN => 1.0 / self.cfg.num_workers as f32,
             GradScale::Raw => 1.0,
-            GradScale::Fixed(f) => f,
         };
         for (key, grad) in kv.iter() {
             let Some(param) = self.store.get_mut(&key) else {

@@ -16,7 +16,7 @@ use crate::eps::SliceMap;
 use crate::launch::{self, Observability, Session};
 use crate::serve;
 use crate::stats::ShardStats;
-use crate::worker::{Router, WorkerClient};
+use crate::worker::WorkerClient;
 
 /// The worker client type served by the TCP engine.
 pub type TcpWorker = WorkerClient<TcpPostman, TcpNode>;
@@ -54,42 +54,20 @@ impl TcpCluster {
         let nodes = launch::bind_cluster(&cfg, 0, NodeId::Scheduler, &session.obs)?;
 
         let mut servers = Vec::with_capacity(cfg.num_servers as usize);
-        for (m, (rx, tx)) in nodes.servers.into_iter().enumerate() {
-            let m = m as u32;
+        for (m, node) in (0u32..).zip(nodes.servers) {
             let (tracer, streamer) = session.obs.node(NodeId::Server(m));
             let profiler = session.obs.span_profiler();
             let (server, _) =
                 launch::shard_server(&cfg, cfg.model, m, (&map, init), tracer, profiler);
-            let handle = std::thread::Builder::new()
-                .name(format!("fluentps-tcp-server-{m}"))
-                .spawn(move || {
-                    // This thread only waits: `rx`'s reader threads run the
-                    // step, one request at a time (DESIGN.md §18).
-                    let stats = serve::run(server, &rx, tx.postman());
-                    // Final-flush from the server's own thread so everything
-                    // it recorded reaches the collector before it exits.
-                    if let Some(s) = streamer {
-                        s.stop();
-                    }
-                    stats
-                })
-                .expect("spawn tcp server");
-            servers.push(handle);
+            // The thread only waits: the node's reader threads run the
+            // step, one request at a time (DESIGN.md §18).
+            let serve = move || serve::run(server, &node, node.postman());
+            let name = format!("fluentps-tcp-server-{m}");
+            servers.push(launch::spawn_served(name, streamer, serve));
         }
 
-        let router = Router::new(map);
-        let workers = nodes
-            .workers
-            .into_iter()
-            .enumerate()
-            .map(|(n, node)| {
-                let postman = node.postman();
-                let mut w = WorkerClient::new(n as u32, postman, node, router.clone());
-                w.set_tracer(session.worker(n as u32));
-                w.set_profiler(session.obs.span_profiler());
-                w
-            })
-            .collect();
+        let halves = nodes.workers.into_iter().map(|node| (node.postman(), node));
+        let workers = session.workers(map, halves);
 
         Ok((
             TcpCluster {

@@ -355,38 +355,37 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         self.send_out(Vec::new())
     }
 
-    /// Write the staged pushes and `pulls`, each `(server, message)`, so
-    /// that a server's pushes and its pull leave in one batch, pushes first.
+    /// The one way out: write the staged pushes and `msgs`, each `(server,
+    /// message)`, as one batch per server in order of first appearance — a
+    /// server's pushes ahead of its pull, one write on a transport that
+    /// coalesces — so that a failure names the server it belongs to.
     ///
-    /// Without a [`RetryPolicy`] everything goes to the transport as one
-    /// batch (the TCP postman coalesces the frames per server into a single
-    /// write) and a send error propagates. With one, each server gets a
-    /// batch of its own and a failure is absorbed for that server alone,
-    /// traced as `ConnectionLost`: the pull wait's timeout replays and
-    /// re-issues.
-    fn send_out(&mut self, pulls: Vec<(u32, Message)>) -> Result<(), TransportError> {
+    /// Without a [`RetryPolicy`] every server is still attempted and the
+    /// first error is returned. With one, a failure is absorbed for that
+    /// server alone and traced as `ConnectionLost`: the pull wait's timeout
+    /// replays and re-issues, after the transport has dropped the dead
+    /// connection and can redial.
+    fn send_out(&mut self, msgs: Vec<(u32, Message)>) -> Result<(), TransportError> {
         let mut batch = std::mem::take(&mut self.staged);
-        batch.extend(pulls);
-        if batch.is_empty() {
-            return Ok(());
-        }
+        batch.extend(msgs);
         for (m, msg) in &batch {
             self.trace_send(*m, msg);
         }
-        let addressed = |(m, msg)| (NodeId::Server(m), msg);
-        if self.retry.is_none() {
-            return self
-                .postman
-                .send_batch(batch.into_iter().map(addressed).collect());
-        }
+        let mut first_err = None;
         for (m, msgs) in per_destination(batch) {
             let lost = self.lost(m, msgs.last().expect("a group has a message"));
-            let to_m = msgs.into_iter().map(|msg| addressed((m, msg))).collect();
-            if self.postman.send_batch(to_m).is_err() {
-                self.tracer.record(EventKind::ConnectionLost, lost);
+            let to_m = msgs.into_iter().map(|msg| (NodeId::Server(m), msg));
+            match self.postman.send_batch(to_m.collect()) {
+                Ok(()) => {}
+                Err(_) if self.retry.is_some() => {
+                    self.tracer.record(EventKind::ConnectionLost, lost);
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
             }
         }
-        Ok(())
+        first_err.map_or(Ok(()), Err)
     }
 
     /// `sPull` + `wait`: request all parameters and block until every owning
@@ -417,169 +416,147 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
     }
 
     /// One pull round for `orig_keys` (deduplicated), or for every
-    /// parameter when `None`.
+    /// parameter when `None`: the pulls go out with the pushes staged
+    /// before them, then the round waits until every asked server has
+    /// answered it. Only a response echoing *this* round's progress from a
+    /// still-awaited server counts, so a late answer to an earlier round or
+    /// a duplicate caused by a retry is absorbed silently.
+    ///
+    /// A [`RetryPolicy`] changes one thing: the wait is bounded, and each
+    /// expiry replays and re-issues ([`WorkerClient::reissue`]) until the
+    /// budget is spent. Without one the wait blocks, and the timeout arm is
+    /// never reached.
     fn pull_wait(
         &mut self,
         progress: u64,
         orig_keys: Option<&[u64]>,
         params: &mut HashMap<u64, Vec<f32>>,
     ) -> Result<PullReport, TransportError> {
-        let _span = self.profiler.enter("worker/pull_wait");
-        let ctx = CausalCtx::new(self.next_request_id());
-        let groups = self.pull_groups(orig_keys);
-        let mut report = PullReport {
+        const NONE_YET: PullReport = PullReport {
             responses: 0,
             max_version: 0,
             min_version: u64::MAX,
         };
+        let _span = self.profiler.enter("worker/pull_wait");
+        let ctx = CausalCtx::new(self.next_request_id());
+        let timeout = self.retry.as_ref().map(|retry| retry.policy.timeout);
+        let mut report = NONE_YET;
         let wait_start = self.tracer.now();
 
-        if self.retry.is_none() {
-            // Legacy path: no timeouts, any PullResponse counts, send
-            // errors propagate. The pull requests and the pushes staged
-            // before them go out as one batch, so the TCP postman writes
-            // one coalesced frame run per server.
-            let expected = groups.len() as u32;
-            let pulls = groups
-                .into_iter()
-                .map(|(m, keys)| (m, self.pull(progress, keys, ctx)))
-                .collect();
-            self.send_out(pulls)?;
-            while report.responses < expected {
-                let (_, msg) = self.mailbox.recv()?;
-                match self.trace_recv(msg) {
-                    Message::PullResponse { kv, version, .. } => {
-                        self.router.gather_into(params, &kv);
-                        report.responses += 1;
-                        report.max_version = report.max_version.max(version);
-                        report.min_version = report.min_version.min(version);
-                    }
-                    Message::PushAck { .. } => {}
-                    Message::Shutdown => return Err(TransportError::Disconnected),
-                    _ => {}
-                }
-            }
-            if expected > 0 {
-                self.trace_wait(wait_start, progress, report.max_version, ctx, 0);
-            }
-            return Ok(report);
+        // The key lists move into the pulls; the cold paths derive them
+        // again.
+        let mut awaiting = BTreeSet::new();
+        let mut pulls = Vec::new();
+        for (m, keys) in self.pull_groups(orig_keys) {
+            awaiting.insert(m);
+            pulls.push((m, self.pull(progress, keys, ctx)));
         }
-
-        // Resilient path: bounded timeouts; only responses echoing *this*
-        // round's progress from a still-awaited server count, so stale
-        // duplicates caused by earlier retries are absorbed silently.
-        let mut groups = groups;
-        let mut awaiting: BTreeSet<u32> = groups.iter().map(|(m, _)| *m).collect();
-        // The key lists are kept for re-issue, so this path clones them.
-        let pulls = groups
-            .iter()
-            .map(|(m, keys)| (*m, self.pull(progress, keys.clone(), ctx)))
-            .collect();
         self.send_out(pulls)?;
         let mut attempt = 0u32;
         while !awaiting.is_empty() {
-            let timeout = self.retry.as_ref().expect("retry on").policy.timeout;
-            match self.mailbox.recv_timeout(timeout)? {
-                Some((_, msg)) => match self.trace_recv(msg) {
-                    Message::PullResponse {
-                        server,
-                        progress: echo,
-                        kv,
-                        version,
-                    } => {
-                        if echo == progress && awaiting.remove(&server) {
-                            self.router.gather_into(params, &kv);
-                            report.responses += 1;
-                            report.max_version = report.max_version.max(version);
-                            report.min_version = report.min_version.min(version);
-                        }
-                    }
-                    Message::PushAck { .. } => {}
-                    Message::RouteUpdate { placements } => {
-                        // A server died and its keys moved. Rebuild the
-                        // router and restart this round under the new
-                        // routing; servers that already answered re-serve
-                        // from their reply cache and gathering is
-                        // idempotent, so the restart cannot double-apply.
-                        // The attempt counter is NOT reset: the retry
-                        // budget — and the timer the waterfall exposes —
-                        // covers the whole logical pull, so a pull racing
-                        // repeated RouteUpdates still gives up after
-                        // `max_retries` timeouts total instead of earning a
-                        // fresh budget per reroute.
-                        self.apply_route_update(&placements);
-                        groups = self.pull_groups(orig_keys);
-                        awaiting = groups.iter().map(|(m, _)| *m).collect();
-                        report.responses = 0;
-                        report.max_version = 0;
-                        report.min_version = u64::MAX;
-                        for (m, keys) in &groups {
-                            let reissue = ctx.retry(attempt as u16);
-                            self.try_send(*m, self.pull(progress, keys.clone(), reissue));
-                        }
-                    }
-                    Message::Shutdown => return Err(TransportError::Disconnected),
-                    _ => {}
-                },
-                None => {
-                    attempt += 1;
-                    let retry = self.retry.as_mut().expect("retry on");
-                    if attempt > retry.policy.max_retries {
-                        return Err(TransportError::Timeout);
-                    }
-                    // The span covers backoff sleep + replay + re-issue: the
-                    // full wall-clock penalty each retry round costs.
-                    let _span = self.profiler.enter("worker/retry");
-                    let backoff = retry.backoff(attempt);
-                    let replay: Vec<(u64, Vec<KvPairs>)> = retry.replay.iter().cloned().collect();
-                    for &m in &awaiting {
-                        self.tracer.record(
-                            EventKind::RetryScheduled,
-                            RecordArgs::new()
-                                .shard(m)
-                                .worker(self.worker_id)
-                                .progress(progress)
-                                .bytes(backoff.as_millis() as u64)
-                                .request_id(ctx.request_id)
-                                .attempt(attempt),
-                        );
-                    }
-                    std::thread::sleep(backoff);
-                    // Reconnect-and-re-issue: replay recent pushes to each
-                    // unresponsive server (a replacement rebuilt from a
-                    // checkpoint needs them to advance `V_train`; servers
-                    // that already applied them dedup by watermark), then
-                    // re-send the pull. Replayed pushes travel under the
-                    // pull's context at the current attempt, so the
-                    // waterfall shows the replay traffic each retry cost.
-                    let retry_ctx = ctx.retry(attempt as u16);
-                    for &m in &awaiting {
-                        for (p, shards) in &replay {
-                            if let Some(kv) = shards.get(m as usize) {
-                                if !kv.is_empty() {
-                                    let msg = self.wrap(
-                                        Message::SPush {
-                                            worker: self.worker_id,
-                                            progress: *p,
-                                            kv: kv.clone(),
-                                        },
-                                        retry_ctx,
-                                    );
-                                    self.try_send(m, msg);
-                                }
-                            }
-                        }
-                        if let Some((_, keys)) = groups.iter().find(|(s, _)| *s == m) {
-                            self.try_send(m, self.pull(progress, keys.clone(), retry_ctx));
-                        }
-                    }
+            let received = match timeout {
+                Some(timeout) => self.mailbox.recv_timeout(timeout)?,
+                None => Some(self.mailbox.recv()?),
+            };
+            let Some((_, msg)) = received else {
+                attempt += 1;
+                let retry = self.retry.as_mut().expect("a timeout implies a policy");
+                if attempt > retry.policy.max_retries {
+                    return Err(TransportError::Timeout);
                 }
+                // The span covers backoff sleep + replay + re-issue: the
+                // full wall-clock penalty each retry round costs.
+                let _span = self.profiler.enter("worker/retry");
+                let backoff = retry.backoff(attempt);
+                for &m in &awaiting {
+                    self.tracer.record(
+                        EventKind::RetryScheduled,
+                        RecordArgs::new()
+                            .shard(m)
+                            .worker(self.worker_id)
+                            .progress(progress)
+                            .bytes(backoff.as_millis() as u64)
+                            .request_id(ctx.request_id)
+                            .attempt(attempt),
+                    );
+                }
+                std::thread::sleep(backoff);
+                self.reissue(progress, orig_keys, &awaiting, ctx.retry(attempt as u16))?;
+                continue;
+            };
+            match self.trace_recv(msg) {
+                Message::PullResponse {
+                    server,
+                    progress: echo,
+                    kv,
+                    version,
+                } if echo == progress && awaiting.remove(&server) => {
+                    self.router.gather_into(params, &kv);
+                    report.responses += 1;
+                    report.max_version = report.max_version.max(version);
+                    report.min_version = report.min_version.min(version);
+                }
+                Message::RouteUpdate { placements } => {
+                    // A server died and its keys moved. Rebuild the router
+                    // and restart this round under the new routing; servers
+                    // that already answered re-serve from their reply cache
+                    // and gathering is idempotent, so the restart cannot
+                    // double-apply. The attempt counter is NOT reset: the
+                    // retry budget — and the timer the waterfall exposes —
+                    // covers the whole logical pull, so a pull racing
+                    // repeated RouteUpdates still gives up after
+                    // `max_retries` timeouts total instead of earning a
+                    // fresh budget per reroute.
+                    self.apply_route_update(&placements);
+                    awaiting = self.pull_groups(orig_keys).iter().map(|g| g.0).collect();
+                    report = NONE_YET;
+                    self.reissue(progress, orig_keys, &awaiting, ctx.retry(attempt as u16))?;
+                }
+                Message::Shutdown => return Err(TransportError::Disconnected),
+                // `PushAck`s, and responses this round does not await.
+                _ => {}
             }
         }
         if report.responses > 0 {
             self.trace_wait(wait_start, progress, report.max_version, ctx, attempt);
         }
         Ok(report)
+    }
+
+    /// Ask every server in `awaiting` for this round again, under `ctx`: the
+    /// pushes still in the replay buffer first (a replacement rebuilt from a
+    /// checkpoint needs them to advance `V_train`; servers that already
+    /// applied them dedup by watermark), then the pull — one batch per
+    /// server, like the first issue. Replayed pushes travel under the
+    /// pull's context at the current attempt, so the waterfall shows the
+    /// replay traffic each retry cost. Right after a reroute the buffer is
+    /// empty and only the pulls go out.
+    fn reissue(
+        &mut self,
+        progress: u64,
+        orig_keys: Option<&[u64]>,
+        awaiting: &BTreeSet<u32>,
+        ctx: CausalCtx,
+    ) -> Result<(), TransportError> {
+        let replay = self.retry.as_ref().map(|retry| &retry.replay);
+        let mut batch = Vec::new();
+        for (m, keys) in self.pull_groups(orig_keys) {
+            if !awaiting.contains(&m) {
+                continue;
+            }
+            for (p, shards) in replay.into_iter().flatten() {
+                if let Some(kv) = shards.get(m as usize).filter(|kv| !kv.is_empty()) {
+                    let push = Message::SPush {
+                        worker: self.worker_id,
+                        progress: *p,
+                        kv: kv.clone(),
+                    };
+                    batch.push((m, self.wrap(push, ctx)));
+                }
+            }
+            batch.push((m, self.pull(progress, keys, ctx)));
+        }
+        self.send_out(batch)
     }
 
     /// Group the slices of `orig_keys` (deduplicated) by owning server:
@@ -689,17 +666,6 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
                 .request_id(ctx.request_id)
                 .attempt(attempt),
         );
-    }
-
-    /// Send, absorbing transport errors (traced as `ConnectionLost`; the
-    /// next retry re-issues after `TcpPostman` has dropped the dead
-    /// connection and can redial).
-    fn try_send(&self, m: u32, msg: Message) {
-        self.trace_send(m, &msg);
-        let lost = self.lost(m, &msg);
-        if self.postman.send(NodeId::Server(m), msg).is_err() {
-            self.tracer.record(EventKind::ConnectionLost, lost);
-        }
     }
 
     /// What a failed write of `msg` to server `m` is recorded with.
@@ -1005,8 +971,8 @@ mod tests {
         }
     }
 
-    /// Every active server's answer to a full pull of round 0: ones.
-    fn answers(r: &Router) -> Vec<Message> {
+    /// Every active server's answer to a full pull of round `progress`: ones.
+    fn answers(r: &Router, progress: u64) -> Vec<Message> {
         let mut ones = HashMap::new();
         for p in r.slice_map().placements() {
             let param: &mut Vec<f32> = ones.entry(p.orig_key).or_default();
@@ -1015,8 +981,8 @@ mod tests {
         let shards = r.scatter(&ones);
         let answer = |m: u32| Message::PullResponse {
             server: m,
-            progress: 0,
-            version: 1,
+            progress,
+            version: progress + 1,
             kv: shards[m as usize].clone(),
         };
         r.active_servers().map(answer).collect()
@@ -1026,7 +992,7 @@ mod tests {
     /// has already answered round 0's pull.
     fn recorded_client(r: &Router, retry: bool) -> (WorkerClient<Recording, Canned>, Recording) {
         let postman = Recording::default();
-        let mailbox = Canned(fluentps_util::sync::Mutex::new(answers(r).into()));
+        let mailbox = Canned(fluentps_util::sync::Mutex::new(answers(r, 0).into()));
         let mut client = WorkerClient::new(0, postman.clone(), mailbox, r.clone());
         if retry {
             client.set_retry_policy(fast_policy(2));
@@ -1038,7 +1004,7 @@ mod tests {
     fn a_push_is_staged_and_travels_with_its_pull() {
         use fluentps_obs::TraceCollector;
         let r = router(4, 2);
-        for retry in [false, true] {
+        let round = |retry: bool| {
             let (mut client, sent) = recorded_client(&r, retry);
             let collector = TraceCollector::wall(64);
             client.set_tracer(collector.tracer());
@@ -1050,29 +1016,22 @@ mod tests {
             let report = client.spull_wait(0, &mut HashMap::new()).unwrap();
             assert_eq!(report.responses, 2);
             assert_eq!(collector.snapshot().count(EventKind::WireSend), 4);
+            // One batch per server, push ahead of pull: one write each on
+            // TCP, and a failure is one server's.
             let calls = calls_of(&sent);
-            if retry {
-                // One batch per server, so one failure is one server's.
-                let per_server = [
-                    vec![(0, "push"), (0, "pull")],
-                    vec![(1, "push"), (1, "pull")],
-                ];
-                assert_eq!(calls, per_server);
-            } else {
-                // One batch; the transport groups it per destination, and
-                // each server's push is ahead of its pull.
-                assert_eq!(calls.len(), 1);
-                for m in 0..2 {
-                    let to_m: Vec<_> = calls[0].iter().filter(|(to, _)| *to == m).collect();
-                    assert_eq!(to_m, [&(m, "push"), &(m, "pull")]);
-                }
-            }
+            let per_server = [
+                vec![(0, "push"), (0, "pull")],
+                vec![(1, "push"), (1, "pull")],
+            ];
+            assert_eq!(calls, per_server, "retry: {retry}");
             // The next pull has nothing staged to take along.
-            client.mailbox.0.lock().extend(answers(&r));
+            client.mailbox.0.lock().extend(answers(&r, 0));
             client.spull_wait(0, &mut HashMap::new()).unwrap();
-            let pulls_only = calls_of(&sent).split_off(calls.len()).concat();
-            assert_eq!(pulls_only, [(0, "pull"), (1, "pull")]);
-        }
+            let pulls_only = calls_of(&sent).split_off(calls.len());
+            assert_eq!(pulls_only, [[(0, "pull")], [(1, "pull")]]);
+            report
+        };
+        assert_eq!(round(false), round(true));
     }
 
     #[test]
@@ -1120,7 +1079,7 @@ mod tests {
         // comm-bound ledger inventory (84 placements on one server) and of
         // one eight times as long, everything else equal: the difference
         // is what a key costs, and a key is eight bytes — once.
-        let round = |scale: usize| {
+        let round = |scale: usize, retry: bool| {
             let lens = [64, 4, 256, 4, 4, 4].map(|len| len * scale);
             let params: Vec<ParamSpec> = (0u64..)
                 .zip(lens)
@@ -1128,7 +1087,7 @@ mod tests {
                 .collect();
             let r = Router::new(EpsSlicer { max_chunk: 4 }.slice(&params, 1));
             assert_eq!(r.keys_for_server(0).len(), 84 * scale);
-            let (mut client, sent) = recorded_client(&r, false);
+            let (mut client, sent) = recorded_client(&r, retry);
             // Gathered into before: this round's gather allocates nothing.
             let mut params: HashMap<u64, Vec<f32>> = (0u64..)
                 .zip(lens)
@@ -1141,12 +1100,86 @@ mod tests {
             assert_eq!(calls_of(&sent), [[(0, "pull")]]);
             after - before
         };
-        let (short, long) = (round(1), round(8));
-        let per_key = (long - short) as f64 / (84.0 * 7.0);
-        assert!(
-            (8.0..12.0).contains(&per_key),
-            "{per_key} bytes allocated per pulled key ({short} B for 84 keys, {long} B for 672)"
-        );
+        for retry in [false, true] {
+            let (short, long) = (round(1, retry), round(8, retry));
+            let per_key = (long - short) as f64 / (84.0 * 7.0);
+            assert!(
+                (8.0..12.0).contains(&per_key),
+                "retry {retry}: {per_key} bytes allocated per pulled key \
+                 ({short} B for 84 keys, {long} B for 672)"
+            );
+        }
+    }
+
+    // --- on real sockets: who a reply is from ------------------------------
+
+    /// Ask server `m` for its keys of round `progress` behind the client's
+    /// back, so the reply is the next thing its mailbox holds.
+    fn ask<P: Postman, M: Mailbox>(client: &WorkerClient<P, M>, m: u32, progress: u64) {
+        let keys = client.router.keys_for_server(m).to_vec();
+        let pull = client.pull(progress, keys, CausalCtx::new(1));
+        client
+            .postman
+            .send_batch(vec![(NodeId::Server(m), pull)])
+            .unwrap();
+    }
+
+    #[test]
+    fn a_tcp_server_answers_from_its_own_id() {
+        use crate::tcp_engine::TcpCluster;
+        let (mut cfg, map, init) = crate::recovery::tests::two_server_setup();
+        cfg.model = crate::SyncModel::Asp;
+        let (cluster, mut workers) = TcpCluster::launch(cfg, map, &init).expect("launch");
+        // One node per server: as many listeners as servers in the book.
+        for m in 0..4 {
+            let listens = cluster.addresses.get(NodeId::Server(m)).is_some();
+            assert_eq!(listens, m < 2, "server id {m}");
+        }
+        let w = workers.remove(0);
+        for m in 0..2 {
+            ask(&w, m, 0);
+            let (from, reply) = w.mailbox.recv().unwrap();
+            assert_eq!(from, NodeId::Server(m));
+            assert!(matches!(reply, Message::PullResponse { server, .. } if server == m));
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_replacement_answers_from_the_id_it_replaced_and_a_severed_servers_reply_is_dropped() {
+        use crate::recovery::tests::{fast_recovery, two_server_setup};
+        use crate::recovery::ResilientTcpCluster;
+        let (cfg, map, init) = two_server_setup();
+        let rcfg = fast_recovery(Some((0, 2)), true);
+        let (cluster, mut workers) =
+            ResilientTcpCluster::launch(cfg, rcfg, map, &init, None).expect("launch");
+        let mut w = workers.remove(0);
+        // Through the death of server 0 at `V_train` 2 and its replacement.
+        let grads: HashMap<u64, Vec<f32>> = [(0, vec![1.0; 4]), (1, vec![1.0; 4])].into();
+        let mut params = HashMap::new();
+        for i in 0..5 {
+            w.spush(i, &grads).unwrap();
+            w.spull_wait(i, &mut params).unwrap();
+        }
+        assert_eq!(cluster.addresses.get(NodeId::Server(2)), None);
+        // A duplicate of the last pull: both servers — server 0 in its
+        // second incarnation — answer it again, each from its own id.
+        let wait = Duration::from_secs(10);
+        for m in 0..2 {
+            ask(&w, m, 4);
+            let (from, reply) = w.mailbox.recv_timeout(wait).unwrap().expect("a reply");
+            assert_eq!(from, NodeId::Server(m));
+            assert!(matches!(reply.bare(), Message::PullResponse { server, .. } if *server == m));
+        }
+        // Sever server 1 with such an answer in flight (its request passed
+        // the shim before the cut; whether the reply lands before or after
+        // it, it is judged on receipt): the reply names its sender, so the
+        // worker's mailbox discards it.
+        ask(&w, 1, 4);
+        w.postman.injector().kill(NodeId::Server(1));
+        let heard = w.mailbox.recv_timeout(Duration::from_millis(300)).unwrap();
+        assert_eq!(heard, None, "a severed server was heard");
+        cluster.shutdown();
     }
 
     // --- resilience layer -------------------------------------------------
@@ -1233,49 +1266,63 @@ mod tests {
 
     #[test]
     fn stale_progress_echo_is_ignored() {
-        let fabric = Fabric::new();
-        let worker_ep = fabric.register(NodeId::Worker(0));
-        let server_ep = fabric.register(NodeId::Server(0));
         let params = vec![ParamSpec { key: 0, len: 1 }];
         let r = Router::new(EpsSlicer { max_chunk: 16 }.slice(&params, 1));
+        let key = r.keys_for_server(0)[0];
+        let answer = |server, progress, version| Message::PullResponse {
+            server,
+            progress,
+            version,
+            kv: KvPairs::single(key, vec![1.0]),
+        };
+        let round = |retry: bool| {
+            let (mut client, sent) = recorded_client(&r, retry);
+            *client.mailbox.0.lock() = VecDeque::from([
+                answer(0, 2, 99), // a late response to the previous round
+                answer(7, 3, 98), // this round, from a server nobody asked
+                answer(0, 3, 3),  // the real one
+                answer(0, 3, 97), // and its duplicate: server 0 has answered
+            ]);
+            let mut out = HashMap::new();
+            let report = client.spull_wait(3, &mut out).expect("pull");
+            // Exactly one response counted, and it is the matching round's.
+            assert_eq!((report.responses, report.max_version), (1, 3));
+            assert_eq!(report.min_version, 3);
+            assert_eq!(out[&0], vec![1.0]);
+            assert_eq!(client.mailbox.0.lock().len(), 1, "stopped at the real one");
+            assert_eq!(calls_of(&sent), [[(0, "pull")]]);
+            report
+        };
+        assert_eq!(round(false), round(true));
+    }
 
-        let server = std::thread::spawn(move || loop {
-            let (_, msg) = server_ep.recv().expect("server recv");
-            match msg {
-                Message::SPull {
-                    worker,
-                    progress,
-                    keys,
-                } => {
-                    // A late response from a previous round first…
-                    server_ep
-                        .postman()
-                        .send(
-                            NodeId::Worker(worker),
-                            echo_response(0, progress.wrapping_sub(1), &keys),
-                        )
-                        .unwrap();
-                    // …then the real one.
-                    server_ep
-                        .postman()
-                        .send(NodeId::Worker(worker), echo_response(0, progress, &keys))
-                        .unwrap();
-                }
-                Message::Shutdown => return,
-                _ => {}
-            }
-        });
-
-        let postman = worker_ep.postman();
-        let mut client = WorkerClient::new(0, postman.clone(), worker_ep, r);
-        client.set_retry_policy(fast_policy(5));
-        let mut out = HashMap::new();
-        let report = client.spull_wait(3, &mut out).expect("pull");
-        // Exactly one response counted, and it is the matching round's.
-        assert_eq!(report.responses, 1);
-        assert_eq!(report.max_version, 3);
-        postman.send(NodeId::Server(0), Message::Shutdown).unwrap();
-        server.join().unwrap();
+    #[test]
+    fn one_timeout_writes_one_batch_per_awaiting_server() {
+        let r = router(4, 2);
+        let (mut client, sent) = recorded_client(&r, true);
+        client.spush(0, &values()).unwrap();
+        client.spull_wait(0, &mut HashMap::new()).unwrap();
+        // Round 1: server 0 answers, server 1 never does.
+        client.spush(1, &values()).unwrap();
+        client.mailbox.0.lock().push_back(answers(&r, 1).remove(0));
+        let err = client.spull_wait(1, &mut HashMap::new()).unwrap_err();
+        assert!(matches!(err, TransportError::Timeout), "got {err:?}");
+        // Each of the two timeouts the budget allows wrote server 1 its
+        // two buffered pushes and the pull as one batch, and wrote server 0
+        // nothing.
+        let replay = vec![(1, "push"), (1, "push"), (1, "pull")];
+        let want = [
+            vec![(0, "push"), (0, "pull")],
+            vec![(1, "push"), (1, "pull")],
+            vec![(0, "push"), (0, "pull")],
+            vec![(1, "push"), (1, "pull")],
+            replay.clone(),
+            replay,
+        ];
+        assert_eq!(calls_of(&sent), want);
+        let sent = sent.0.lock();
+        let progresses: Vec<u64> = sent[4].iter().map(|(_, msg)| progress_of(msg)).collect();
+        assert_eq!(progresses, [0, 1, 1], "replay oldest first, then the pull");
     }
 
     #[test]
@@ -1297,76 +1344,57 @@ mod tests {
         assert!(matches!(err, TransportError::Timeout), "got {err:?}");
     }
 
+    /// `map` as the `RouteUpdate` announcing it carries it.
+    fn wire_placements(map: &SliceMap) -> Vec<WirePlacement> {
+        let wire = |p: &Placement| WirePlacement {
+            orig_key: p.orig_key,
+            new_key: p.new_key,
+            server: p.server,
+            offset: p.offset as u32,
+            len: p.len as u32,
+        };
+        map.placements().iter().map(wire).collect()
+    }
+
     #[test]
     fn route_update_restarts_the_round_on_the_new_routing() {
-        let fabric = Fabric::new();
-        let worker_ep = fabric.register(NodeId::Worker(0));
-        let s0 = fabric.register(NodeId::Server(0));
-        let _s1 = fabric.register(NodeId::Server(1)); // dead: never reads
-        let ctl = fabric.register(NodeId::Scheduler);
         // Four single-value params over two servers: both own something.
         let params: Vec<ParamSpec> = (0..4).map(|k| ParamSpec { key: k, len: 1 }).collect();
         let map = EpsSlicer { max_chunk: 16 }.slice(&params, 2);
         assert!(map.server_loads().iter().all(|&l| l > 0));
         let r = Router::new(map.clone());
-
-        // Server 0 answers any pull for exactly the requested keys.
-        let server0 = std::thread::spawn(move || loop {
-            let (_, msg) = s0.recv().expect("server0 recv");
-            match msg {
-                Message::SPull {
-                    worker,
-                    progress,
-                    keys,
-                } => {
-                    s0.postman()
-                        .send(NodeId::Worker(worker), echo_response(0, progress, &keys))
-                        .unwrap();
-                }
-                Message::Shutdown => return,
-                _ => {}
-            }
-        });
-
-        // After a beat, announce that server 1 is gone: everything now
-        // lives on server 0.
+        // Server 1 dies: everything now lives on server 0.
         let (remapped, _moved) = EpsSlicer { max_chunk: 16 }.remap_dead(&map, 1);
-        let wire: Vec<WirePlacement> = remapped
-            .placements()
-            .iter()
-            .map(|p| WirePlacement {
-                orig_key: p.orig_key,
-                new_key: p.new_key,
-                server: p.server,
-                offset: p.offset as u32,
-                len: p.len as u32,
-            })
-            .collect();
-        let ctl_postman = ctl.postman();
-        let announcer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            ctl_postman
-                .send(NodeId::Worker(0), Message::RouteUpdate { placements: wire })
-                .unwrap();
-        });
-
-        let postman = worker_ep.postman();
-        let mut client = WorkerClient::new(0, postman.clone(), worker_ep, r);
-        client.set_retry_policy(RetryPolicy {
-            timeout: Duration::from_millis(100),
-            ..fast_policy(10)
-        });
-        let mut out = HashMap::new();
-        let report = client.spull_wait(0, &mut out).expect("pull after remap");
-        // One responder (everything on server 0 now) and all params present.
-        assert_eq!(report.responses, 1);
-        assert_eq!(out.len(), 4);
-        assert!(client.router().keys_for_server(1).is_empty());
-        assert_eq!(client.router().keys_for_server(0).len(), 4);
-
-        postman.send(NodeId::Server(0), Message::Shutdown).unwrap();
-        server0.join().unwrap();
-        announcer.join().unwrap();
+        let rerouted = Router::new(remapped.clone());
+        let round = |retry: bool| {
+            let (mut client, sent) = recorded_client(&r, retry);
+            *client.mailbox.0.lock() = VecDeque::from([
+                // Server 0 answers for what it owned; server 1 never does.
+                echo_response(0, 0, r.keys_for_server(0)),
+                Message::RouteUpdate {
+                    placements: wire_placements(&remapped),
+                },
+                echo_response(0, 0, rerouted.keys_for_server(0)),
+            ]);
+            let mut out = HashMap::new();
+            let report = client.spull_wait(0, &mut out).expect("pull after remap");
+            // One responder (the first answer was dropped with the old
+            // routing) and all params present.
+            assert_eq!(report.responses, 1);
+            assert_eq!(out.len(), 4);
+            assert!(client.router().keys_for_server(1).is_empty());
+            assert_eq!(client.router().keys_for_server(0).len(), 4);
+            // The restart asked the survivor alone, for everything.
+            let calls = calls_of(&sent);
+            assert_eq!(calls, [[(0, "pull")], [(1, "pull")], [(0, "pull")]]);
+            let sent = sent.0.lock();
+            let Message::SPull { keys, .. } = sent[2][0].1.bare() else {
+                unreachable!("shape checked above")
+            };
+            assert_eq!(keys, rerouted.keys_for_server(0));
+            report
+        };
+        assert_eq!(round(false), round(true));
     }
 
     #[test]
@@ -1383,17 +1411,7 @@ mod tests {
         let r = Router::new(map.clone());
 
         let (remapped, _moved) = EpsSlicer { max_chunk: 16 }.remap_dead(&map, 1);
-        let wire: Vec<WirePlacement> = remapped
-            .placements()
-            .iter()
-            .map(|p| WirePlacement {
-                orig_key: p.orig_key,
-                new_key: p.new_key,
-                server: p.server,
-                offset: p.offset as u32,
-                len: p.len as u32,
-            })
-            .collect();
+        let wire = wire_placements(&remapped);
 
         let collector = TraceCollector::wall(1 << 10);
         let postman = worker_ep.postman();

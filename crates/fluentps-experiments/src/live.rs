@@ -1,102 +1,136 @@
-//! Live training: the same experiments, but on the *threaded* engine with
-//! real wall-clock time instead of the discrete-event simulator.
+//! Live training: real threads, real sockets and wall-clock time instead
+//! of the discrete-event simulator.
 //!
 //! The simulator answers "what would happen on a cluster with these compute
 //! and network characteristics"; this module answers "does the actual
 //! concurrent implementation behave" — same models, same synchronization
-//! code, real threads and (optionally) real sockets.
+//! code. `SoftmaxJob` and `train` are the launch-independent half of
+//! every live run here: [`run_chaos`] trains on the fault-tolerant TCP
+//! engine, [`crate::profile::run_profile`] on the plain one.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use fluentps_core::api::{FluentPs, SlicerChoice};
 use fluentps_core::condition::SyncModel;
 use fluentps_core::dpr::DprPolicy;
 use fluentps_core::engine::EngineConfig;
-use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
+use fluentps_core::eps::{EpsSlicer, ParamSpec, SliceMap, Slicer};
 use fluentps_core::launch::Observability;
 use fluentps_core::recovery::{RecoveryConfig, ResilientTcpCluster};
 use fluentps_core::stats::ShardStats;
-use fluentps_core::worker::RetryPolicy;
-use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
-use fluentps_ml::models::{Mlp, Model, SoftmaxRegression};
+use fluentps_core::worker::{PullReport, RetryPolicy, WorkerClient};
+use fluentps_ml::data::{synthetic, BatchSampler, Dataset, SyntheticSpec};
+use fluentps_ml::models::{Model, SoftmaxRegression};
 use fluentps_ml::optim::{Optimizer, Sgd};
-use fluentps_ml::schedule::LrSchedule;
-use fluentps_obs::{AlertTransition, HealthEngine, StreamConfig, Trace, TraceCollector};
+use fluentps_ml::ParamMap;
+use fluentps_obs::{AlertTransition, HealthEngine, Profiler, StreamConfig, TraceCollector};
 use fluentps_transport::fault::FaultPlan;
+use fluentps_transport::{Mailbox, Postman};
 
-/// Configuration of a live (threaded-engine) training run.
-#[derive(Debug, Clone)]
-pub struct LiveConfig {
-    /// Synchronization model.
-    pub model: SyncModel,
-    /// DPR execution policy.
-    pub policy: DprPolicy,
-    /// Workers (threads).
-    pub num_workers: u32,
-    /// Servers (threads).
-    pub num_servers: u32,
-    /// Iterations per worker.
-    pub max_iters: u64,
-    /// Dataset.
-    pub dataset: SyntheticSpec,
-    /// `None` → softmax regression; `Some(hidden)` → MLP.
-    pub hidden: Option<Vec<usize>>,
-    /// Per-worker batch size.
-    pub batch_size: usize,
-    /// Learning-rate schedule.
-    pub lr: LrSchedule,
-    /// When `Some(capacity)`, attach a wall-clock [`TraceCollector`] of
-    /// that ring capacity and return the trace in
-    /// [`LiveResult::trace`].
-    pub trace_events: Option<usize>,
-    /// When `Some(addr)`, serve `/metrics`, `/healthz` and (if tracing)
-    /// `/trace` there while training runs. Bind loopback unless
-    /// deliberately exposing the endpoint.
-    pub metrics_addr: Option<std::net::SocketAddr>,
-    /// Seed.
-    pub seed: u64,
+/// The job every live run here trains: softmax regression on a 16-feature,
+/// 4-class synthetic set, sliced over the servers in chunks small enough
+/// that every server owns slices (a kill target with an empty shard would
+/// never reach its `V_train` threshold).
+pub(crate) struct SoftmaxJob {
+    train: Dataset,
+    test: Dataset,
+    model: SoftmaxRegression,
+    seed: u64,
+    /// Initial parameters (`w_0`).
+    pub(crate) init: ParamMap,
+    /// Placement over the servers.
+    pub(crate) map: SliceMap,
 }
 
-impl Default for LiveConfig {
-    fn default() -> Self {
-        LiveConfig {
-            model: SyncModel::Bsp,
-            policy: DprPolicy::LazyExecution,
-            num_workers: 4,
-            num_servers: 2,
-            max_iters: 200,
-            dataset: SyntheticSpec {
-                dim: 16,
-                classes: 4,
-                n_train: 2000,
-                n_test: 500,
-                margin: 3.0,
-                modes: 1,
-                label_noise: 0.0,
-                seed: 0,
-            },
-            hidden: None,
-            batch_size: 16,
-            lr: LrSchedule::Constant(0.25),
-            trace_events: None,
-            metrics_addr: None,
-            seed: 0,
+impl SoftmaxJob {
+    /// Data, initial parameters and the workers' batch order all derive
+    /// from `seed`.
+    pub(crate) fn new(seed: u64, n_train: usize, n_test: usize, num_servers: u32) -> SoftmaxJob {
+        let dataset = SyntheticSpec {
+            dim: 16,
+            classes: 4,
+            n_train,
+            n_test,
+            margin: 3.0,
+            modes: 1,
+            label_noise: 0.0,
+            seed,
+        };
+        let (train, test) = synthetic(dataset);
+        let model = SoftmaxRegression {
+            dim: dataset.dim,
+            classes: dataset.classes,
+        };
+        let shapes = model.param_shapes();
+        let spec = shapes.iter().map(|s| ParamSpec {
+            key: s.key,
+            len: s.len,
+        });
+        let specs: Vec<ParamSpec> = spec.collect();
+        SoftmaxJob {
+            train,
+            test,
+            seed,
+            init: model.init_params(seed),
+            map: EpsSlicer { max_chunk: 16 }.slice(&specs, num_servers),
+            model,
         }
+    }
+
+    /// Test accuracy of `params`.
+    pub(crate) fn accuracy(&self, params: &ParamMap) -> f32 {
+        self.model.accuracy(params, &self.test)
     }
 }
 
-/// Result of a live run.
-#[derive(Debug, Clone)]
-pub struct LiveResult {
-    /// Final test accuracy (evaluated on worker 0's final parameters).
-    pub accuracy: f32,
-    /// Wall-clock seconds for the whole run.
-    pub wall_seconds: f64,
-    /// Merged shard statistics.
-    pub stats: ShardStats,
-    /// Event trace (when [`LiveConfig::trace_events`] was set).
-    pub trace: Option<Trace>,
+/// Train `job` for `iters` iterations on one thread per worker client,
+/// whichever engine the clients belong to: each worker draws batches of 16
+/// from its partition of the data, and an iteration is gradient →
+/// SGD(0.25, momentum 0.9) deltas → `spush` → `spull_wait`. Every iteration
+/// is a `worker/step` span of `profiler` with the gradient work under
+/// `worker/compute` (the client's own `worker/push` and `worker/pull_wait`
+/// nest beside it, so a folded profile reads compute vs. sync directly),
+/// and `granted(worker, iteration, report)` sees each completed pull.
+/// Returns every worker's final parameters and the wall-clock seconds.
+/// Panics if a push or pull fails.
+pub(crate) fn train<P: Postman, M: Mailbox>(
+    job: &SoftmaxJob,
+    workers: Vec<WorkerClient<P, M>>,
+    iters: u64,
+    profiler: &Profiler,
+    granted: impl Fn(u32, u64, PullReport) + Sync,
+) -> (Vec<ParamMap>, f64) {
+    let num_workers = workers.len() as u32;
+    let start = Instant::now();
+    let worker_loop = |mut client: WorkerClient<P, M>| {
+        let n = client.worker_id();
+        let mut params = job.init.clone();
+        let mut opt = Sgd::new(0.25, 0.9, 0.0);
+        let partition = job.train.partition(n, num_workers);
+        let mut sampler = BatchSampler::new(partition, 16, job.seed.wrapping_add(500 + n as u64));
+        for i in 0..iters {
+            let _step = profiler.enter("worker/step");
+            let deltas = {
+                let _span = profiler.enter("worker/compute");
+                let batch = job.train.batch(&sampler.next_indices());
+                let (_, grads) = job.model.loss_and_grad(&params, &batch);
+                opt.deltas(&params, &grads)
+            };
+            client.spush(i, &deltas).expect("push");
+            granted(n, i, client.spull_wait(i, &mut params).expect("pull"));
+        }
+        params
+    };
+    let results = fluentps_util::sync::scope(|scope| {
+        let handles: Vec<_> = workers
+            .into_iter()
+            .map(|client| scope.spawn(|| worker_loop(client)))
+            .collect();
+        let joined = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread"));
+        joined.collect()
+    });
+    (results, start.elapsed().as_secs_f64())
 }
 
 /// The health engine a run creates for its own introspection endpoint, and
@@ -107,98 +141,6 @@ pub fn endpoint_health_engine() -> HealthEngine {
         window_secs: 0.5,
         windows: 8,
     })
-}
-
-/// Run a live training job on the threaded in-process engine.
-pub fn run_live(cfg: &LiveConfig) -> LiveResult {
-    let (train, test) = synthetic(cfg.dataset);
-    let model: Box<dyn Model> = match &cfg.hidden {
-        None => Box::new(SoftmaxRegression {
-            dim: cfg.dataset.dim,
-            classes: cfg.dataset.classes,
-        }),
-        Some(hidden) => {
-            let mut dims = vec![cfg.dataset.dim];
-            dims.extend_from_slice(hidden);
-            dims.push(cfg.dataset.classes);
-            Box::new(Mlp { dims })
-        }
-    };
-    let init = model.init_params(cfg.seed);
-
-    let collector = cfg
-        .trace_events
-        .or(cfg.metrics_addr.map(|_| 1 << 16))
-        .map(TraceCollector::wall);
-    let obs = Observability {
-        collector: collector.clone(),
-        // With an endpoint up, a health engine tails the run's collector so
-        // `/slo` and `/alerts` are live next to `/metrics`.
-        health: cfg.metrics_addr.map(|_| endpoint_health_engine()),
-        http: cfg.metrics_addr,
-        ..Observability::default()
-    };
-    let (cluster, workers) = FluentPs::builder()
-        .workers(cfg.num_workers)
-        .servers(cfg.num_servers)
-        .model(cfg.model)
-        .policy(cfg.policy)
-        .slicer(SlicerChoice::Eps { max_chunk: 4096 })
-        .seed(cfg.seed)
-        .observe(obs)
-        .launch(&init);
-
-    let start = Instant::now();
-    let model_ref: &dyn Model = model.as_ref();
-    let results: Vec<HashMap<u64, Vec<f32>>> = fluentps_util::sync::scope(|scope| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .map(|mut client| {
-                let train = &train;
-                let init = init.clone();
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    let n = client.worker_id();
-                    let mut params = init;
-                    let mut opt = Sgd::new(cfg.lr.lr(0), 0.9, 0.0);
-                    let mut sampler = BatchSampler::new(
-                        train.partition(n, cfg.num_workers),
-                        cfg.batch_size,
-                        cfg.seed.wrapping_add(500 + n as u64),
-                    );
-                    for i in 0..cfg.max_iters {
-                        let batch = train.batch(&sampler.next_indices());
-                        let (_, grads) = model_ref.loss_and_grad(&params, &batch);
-                        opt.set_lr(cfg.lr.lr(i));
-                        let deltas = opt.deltas(&params, &grads);
-                        client.spush(i, &deltas).expect("push");
-                        client.spull_wait(i, &mut params).expect("pull");
-                    }
-                    params
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread"))
-            .collect()
-    });
-    let wall_seconds = start.elapsed().as_secs_f64();
-
-    let mut stats = ShardStats::default();
-    for s in cluster.shutdown() {
-        stats.merge(&s);
-    }
-    let trace = match cfg.trace_events {
-        Some(_) => collector.as_ref().map(|c| c.snapshot()),
-        None => None,
-    };
-    LiveResult {
-        accuracy: model.accuracy(&results[0], &test),
-        wall_seconds,
-        stats,
-        trace,
-    }
 }
 
 /// Configuration of a chaos run: live TCP training under a seeded fault
@@ -312,34 +254,7 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// to complete its iterations — retries, replay and server replacement are
 /// expected to absorb every injected fault.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
-    let dataset = SyntheticSpec {
-        dim: 16,
-        classes: 4,
-        n_train: 1200,
-        n_test: 300,
-        margin: 3.0,
-        modes: 1,
-        label_noise: 0.0,
-        seed: cfg.seed,
-    };
-    let (train, test) = synthetic(dataset);
-    let model = SoftmaxRegression {
-        dim: dataset.dim,
-        classes: dataset.classes,
-    };
-    let init = model.init_params(cfg.seed);
-    let specs: Vec<ParamSpec> = model
-        .param_shapes()
-        .iter()
-        .map(|s| ParamSpec {
-            key: s.key,
-            len: s.len,
-        })
-        .collect();
-    // Chunk small enough that every server owns slices — a kill target
-    // with an empty shard would never reach its `V_train` threshold.
-    let map = EpsSlicer { max_chunk: 16 }.slice(&specs, cfg.num_servers);
-
+    let job = SoftmaxJob::new(cfg.seed, 1200, 300, cfg.num_servers);
     let ecfg = EngineConfig {
         num_workers: cfg.num_workers,
         num_servers: cfg.num_servers,
@@ -391,55 +306,22 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
         obs.collector = Some(TraceCollector::wall(obs.ring_capacity));
     }
     let (engine, local_collector) = (obs.health.clone(), obs.collector.clone());
-    let (cluster, workers) = ResilientTcpCluster::launch_observed(ecfg, rcfg, map, &init, obs)
+    let map = job.map.clone();
+    let (cluster, workers) = ResilientTcpCluster::launch_observed(ecfg, rcfg, map, &job.init, obs)
         .expect("launch chaos cluster");
 
-    let start = Instant::now();
-    let model_ref = &model;
-    let results: Vec<HashMap<u64, Vec<f32>>> = fluentps_util::sync::scope(|scope| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .map(|mut client| {
-                let train = &train;
-                let init = init.clone();
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    let n = client.worker_id();
-                    let mut params = init;
-                    let mut opt = Sgd::new(0.25, 0.9, 0.0);
-                    let mut sampler = BatchSampler::new(
-                        train.partition(n, cfg.num_workers),
-                        cfg.batch_size(),
-                        cfg.seed.wrapping_add(500 + n as u64),
-                    );
-                    for i in 0..cfg.max_iters {
-                        let batch = train.batch(&sampler.next_indices());
-                        let (_, grads) = model_ref.loss_and_grad(&params, &batch);
-                        let deltas = opt.deltas(&params, &grads);
-                        client.spush(i, &deltas).expect("push under chaos");
-                        let report = client
-                            .spull_wait(i, &mut params)
-                            .expect("pull survives chaos");
-                        // The SSP contract holds through faults and
-                        // recovery: a granted pull is never staler than
-                        // the bound allows.
-                        assert!(
-                            report.min_version as i64 >= i as i64 - cfg.staleness as i64,
-                            "worker {n} iter {i}: granted version {} violates s={}",
-                            report.min_version,
-                            cfg.staleness
-                        );
-                    }
-                    params
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("chaos worker thread"))
-            .collect()
-    });
-    let wall_seconds = start.elapsed().as_secs_f64();
+    // The SSP contract holds through faults and recovery: a granted pull is
+    // never staler than the bound allows.
+    let within_bound = |n: u32, i: u64, report: PullReport| {
+        assert!(
+            report.min_version as i64 >= i as i64 - cfg.staleness as i64,
+            "worker {n} iter {i}: granted version {} violates s={}",
+            report.min_version,
+            cfg.staleness
+        );
+    };
+    let quiet = Profiler::disabled();
+    let (results, wall_seconds) = train(&job, workers, cfg.max_iters, &quiet, within_bound);
 
     let health = cluster.health();
     let dead_at_end = health.dead_count();
@@ -481,7 +363,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
     };
 
     ChaosResult {
-        accuracy: model.accuracy(&results[0], &test),
+        accuracy: job.accuracy(&results[0]),
         wall_seconds,
         stats,
         dead_at_end,
@@ -492,39 +374,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
     }
 }
 
-impl ChaosConfig {
-    fn batch_size(&self) -> usize {
-        16
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn live_bsp_learns() {
-        let r = run_live(&LiveConfig::default());
-        assert!(r.accuracy > 0.8, "live BSP accuracy {}", r.accuracy);
-        assert!(r.wall_seconds > 0.0);
-        assert_eq!(r.stats.pushes, 4 * 200 * 2); // workers × iters × servers
-    }
-
-    #[test]
-    fn live_pssp_learns_with_fewer_waits_than_bsp() {
-        let bsp = run_live(&LiveConfig::default());
-        let pssp = run_live(&LiveConfig {
-            model: SyncModel::PsspConst { s: 2, c: 0.3 },
-            ..LiveConfig::default()
-        });
-        assert!(pssp.accuracy > 0.78, "live PSSP accuracy {}", pssp.accuracy);
-        assert!(
-            pssp.stats.dprs <= bsp.stats.dprs,
-            "PSSP {} DPRs vs BSP {}",
-            pssp.stats.dprs,
-            bsp.stats.dprs
-        );
-    }
 
     #[test]
     fn same_seed_kill_runs_reproduce_the_alert_sequence() {
@@ -567,26 +419,5 @@ mod tests {
             !dead.last().unwrap().firing,
             "checkpoint replacement resolves it"
         );
-    }
-
-    #[test]
-    fn live_mlp_on_multimodal_data() {
-        let r = run_live(&LiveConfig {
-            hidden: Some(vec![32]),
-            max_iters: 300,
-            dataset: SyntheticSpec {
-                dim: 16,
-                classes: 4,
-                n_train: 2500,
-                n_test: 500,
-                margin: 4.0,
-                modes: 2,
-                label_noise: 0.0,
-                seed: 9,
-            },
-            lr: LrSchedule::Constant(0.2),
-            ..LiveConfig::default()
-        });
-        assert!(r.accuracy > 0.8, "live MLP accuracy {}", r.accuracy);
     }
 }

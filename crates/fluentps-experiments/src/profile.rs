@@ -10,20 +10,16 @@
 //! run executes, the same snapshots are live on the introspection endpoint
 //! as `/profile?format=folded|speedscope`.
 
-use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::time::Instant;
 
 use fluentps_core::condition::SyncModel;
 use fluentps_core::engine::EngineConfig;
-use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
 use fluentps_core::launch::Observability;
 use fluentps_core::stats::ShardStats;
 use fluentps_core::tcp_engine::TcpCluster;
-use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
-use fluentps_ml::models::{Model, SoftmaxRegression};
-use fluentps_ml::optim::{Optimizer, Sgd};
 use fluentps_obs::{HealthEngine, ProfCollector, ProfileReport, StreamConfig, TraceCollector};
+
+use crate::live::{train, SoftmaxJob};
 
 /// Configuration of a profiled live TCP run.
 #[derive(Debug, Clone)]
@@ -73,32 +69,7 @@ pub struct ProfileResult {
 /// Run a live TCP training job with the span profiler attached and return
 /// its aggregated profile.
 pub fn run_profile(cfg: &ProfileConfig) -> ProfileResult {
-    let dataset = SyntheticSpec {
-        dim: 16,
-        classes: 4,
-        n_train: 2000,
-        n_test: 500,
-        margin: 3.0,
-        modes: 1,
-        label_noise: 0.0,
-        seed: cfg.seed,
-    };
-    let (train, test) = synthetic(dataset);
-    let model = SoftmaxRegression {
-        dim: dataset.dim,
-        classes: dataset.classes,
-    };
-    let init = model.init_params(cfg.seed);
-    let specs: Vec<ParamSpec> = model
-        .param_shapes()
-        .iter()
-        .map(|s| ParamSpec {
-            key: s.key,
-            len: s.len,
-        })
-        .collect();
-    let map = EpsSlicer { max_chunk: 16 }.slice(&specs, cfg.num_servers);
-
+    let job = SoftmaxJob::new(cfg.seed, 2000, 500, cfg.num_servers);
     let ecfg = EngineConfig {
         num_workers: cfg.num_workers,
         num_servers: cfg.num_servers,
@@ -119,59 +90,18 @@ pub fn run_profile(cfg: &ProfileConfig) -> ProfileResult {
         http: Some(addr),
         ..Observability::default()
     };
-    let (cluster, workers) =
-        TcpCluster::launch_observed(ecfg, map, &init, obs).expect("launch profiled TCP cluster");
+    let (cluster, workers) = TcpCluster::launch_observed(ecfg, job.map.clone(), &job.init, obs)
+        .expect("launch profiled TCP cluster");
 
-    let start = Instant::now();
-    let model_ref = &model;
-    let results: Vec<HashMap<u64, Vec<f32>>> = fluentps_util::sync::scope(|scope| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .map(|mut client| {
-                let train = &train;
-                let init = init.clone();
-                let cfg = cfg.clone();
-                let profiler = prof.profiler();
-                scope.spawn(move || {
-                    let n = client.worker_id();
-                    let mut params = init;
-                    let mut opt = Sgd::new(0.25, 0.9, 0.0);
-                    let mut sampler = BatchSampler::new(
-                        train.partition(n, cfg.num_workers),
-                        16,
-                        cfg.seed.wrapping_add(500 + n as u64),
-                    );
-                    for i in 0..cfg.max_iters {
-                        // One step span per iteration: the client's
-                        // worker/push and worker/pull_wait nest under it, so
-                        // the folded profile reads compute vs sync directly.
-                        let _step = profiler.enter("worker/step");
-                        let deltas = {
-                            let _span = profiler.enter("worker/compute");
-                            let batch = train.batch(&sampler.next_indices());
-                            let (_, grads) = model_ref.loss_and_grad(&params, &batch);
-                            opt.deltas(&params, &grads)
-                        };
-                        client.spush(i, &deltas).expect("push");
-                        client.spull_wait(i, &mut params).expect("pull");
-                    }
-                    params
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("profiled worker thread"))
-            .collect()
-    });
-    let wall_seconds = start.elapsed().as_secs_f64();
+    let profiler = prof.profiler();
+    let (results, wall_seconds) = train(&job, workers, cfg.max_iters, &profiler, |_, _, _| {});
 
     let mut stats = ShardStats::default();
     for s in cluster.shutdown() {
         stats.merge(&s);
     }
     ProfileResult {
-        accuracy: model.accuracy(&results[0], &test),
+        accuracy: job.accuracy(&results[0]),
         wall_seconds,
         stats,
         report: prof.snapshot(),

@@ -983,10 +983,11 @@ impl HealthEngine {
     }
 
     /// Spawn a [`HealthTap`] polling `collector`'s cursor into this engine
-    /// every `poll`. Use for in-process runs with no remote collector;
+    /// every 10 ms. Use for in-process runs with no remote collector;
     /// never combine with [`crate::ClusterCollector::attach_health`] on
     /// the same engine (events would double-count).
-    pub fn attach_to(&self, collector: &TraceCollector, poll: Duration) -> HealthTap {
+    pub fn attach_to(&self, collector: &TraceCollector) -> HealthTap {
+        const POLL: Duration = Duration::from_millis(10);
         let mut cursor = collector.cursor();
         let engine = self.clone();
         let stop = Arc::new(AtomicBool::new(false));
@@ -1003,7 +1004,7 @@ impl HealthEngine {
                 if done {
                     break;
                 }
-                thread::sleep(poll);
+                thread::sleep(POLL);
             })
             .expect("spawn health tap");
         HealthTap {
@@ -1311,7 +1312,7 @@ mod tests {
     fn health_tap_drains_collector_on_stop() {
         let col = TraceCollector::wall(1024);
         let engine = HealthEngine::with_default_rules(StreamConfig::default());
-        let tap = engine.attach_to(&col, Duration::from_millis(5));
+        let tap = engine.attach_to(&col);
         let t = col.tracer();
         for i in 0..50u64 {
             t.record(EventKind::PullRequested, at(0, 0, i, i));

@@ -9,9 +9,9 @@
 //! 1. dials the collector and runs a short [`Message::ClockPing`] /
 //!    [`Message::ClockPong`] handshake to estimate its clock offset
 //!    (minimum-RTT sample wins, see `fluentps_obs::OffsetEstimator`);
-//! 2. polls the node's `TraceCollector` ring buffers on a bounded cadence
+//! 2. polls the node's `TraceCollector` ring buffers every `POLL_EVERY` (20 ms)
 //!    through a `TraceCursor` and ships fresh events as length-prefixed
-//!    [`Message::TraceBatch`] frames, chunked to `max_batch` events;
+//!    [`Message::TraceBatch`] frames, chunked to `MAX_BATCH` (512) events;
 //! 3. never blocks the training hot path: recording stays ring-buffered
 //!    and drop-oldest, and a failed send drops the chunk (counted in the
 //!    next batch header's cumulative `dropped`) instead of stalling.
@@ -44,6 +44,18 @@ const CONNECT_RETRIES: u32 = 20;
 const CONNECT_RETRY_EVERY: Duration = Duration::from_millis(50);
 /// Read timeout for pong waits, so a dead collector cannot wedge shutdown.
 const PONG_TIMEOUT: Duration = Duration::from_secs(2);
+/// Ring-poll (and batch-send) cadence of a streamer.
+const POLL_EVERY: Duration = Duration::from_millis(20);
+/// Maximum events per `TraceBatch` frame; larger polls are chunked.
+const MAX_BATCH: usize = 512;
+/// Byte budget per coalesced write: a drain encodes its chunk frames back to
+/// back into one reused buffer and normally writes them with a single flush,
+/// but hands the buffer to the kernel early whenever it crosses this budget,
+/// so a huge backlog cannot queue unbounded bytes in user space and write
+/// latency stays bounded.
+const MAX_BATCH_BYTES: usize = 256 << 10;
+/// Clock-offset probes at connection time.
+const PINGS: u64 = 4;
 
 /// The central collection endpoint: accepts node connections, answers
 /// clock pings with the collector-clock time, and feeds every trace batch
@@ -63,7 +75,6 @@ impl CollectorService {
     pub fn bind(addr: SocketAddr, capacity_per_node: usize) -> Result<Self, TransportError> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let cluster = Arc::new(Mutex::new(ClusterCollector::new(capacity_per_node)));
         let clock = ClockSource::wall();
         let stop = Arc::new(AtomicBool::new(false));
@@ -73,17 +84,14 @@ impl CollectorService {
         let accept_thread = std::thread::Builder::new()
             .name("trace-collector-accept".into())
             .spawn(move || {
-                while !accept_stop.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            stream.set_nodelay(true).ok();
-                            spawn_ingest(stream, Arc::clone(&accept_cluster), accept_clock.clone());
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
+                // A blocking `accept`: an idle collector never wakes, and
+                // `stop` dials the listener to end the wait.
+                while let Ok((stream, _)) = listener.accept() {
+                    if accept_stop.load(Ordering::SeqCst) {
+                        break; // the wake-up dial of `stop`
                     }
+                    stream.set_nodelay(true).ok();
+                    spawn_ingest(stream, Arc::clone(&accept_cluster), accept_clock.clone());
                 }
             })
             .expect("spawn collector accept thread");
@@ -137,9 +145,10 @@ impl CollectorService {
     /// their peers close, which streamer shutdown guarantees.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Poke the non-blocking accept loop awake.
-        TcpStream::connect(self.local_addr).ok();
         if let Some(h) = self.accept_thread.take() {
+            // The accept thread blocks in `accept`; one throwaway dial wakes
+            // it to see the flag.
+            TcpStream::connect(self.local_addr).ok();
             let _ = h.join();
         }
     }
@@ -161,9 +170,9 @@ fn spawn_ingest(stream: TcpStream, cluster: Arc<Mutex<ClusterCollector>>, clock:
             };
             let mut reader = BufReader::new(stream);
             let mut frames = FrameReader::new();
-            // One reused body buffer per connection: frames are decoded in
-            // place, so the streaming drain costs no per-frame allocation
-            // beyond the decoded events themselves.
+            // Each frame is read into a buffer of its own, which a decoded
+            // message would share for its values; a trace batch carries
+            // none, so the buffer is freed once its events are decoded.
             while let Ok((_, msg)) = frames.read_from(&mut reader) {
                 match msg {
                     Message::ClockPing { seq, t_send, .. } => {
@@ -203,34 +212,6 @@ fn spawn_ingest(stream: TcpStream, cluster: Arc<Mutex<ClusterCollector>>, clock:
         .expect("spawn collector ingest thread");
 }
 
-/// Tuning knobs for a [`TraceStreamer`].
-#[derive(Debug, Clone, Copy)]
-pub struct StreamerConfig {
-    /// Ring-poll (and batch-send) cadence.
-    pub poll_every: Duration,
-    /// Maximum events per `TraceBatch` frame; larger polls are chunked.
-    pub max_batch: usize,
-    /// Byte budget per coalesced write: a drain encodes its chunk frames
-    /// back-to-back into one reused buffer and normally writes them with a
-    /// single flush, but hands the buffer to the kernel early whenever it
-    /// crosses this budget, so a huge backlog cannot queue unbounded bytes
-    /// in user space and write latency stays bounded.
-    pub max_batch_bytes: usize,
-    /// Clock-offset probes at connection time.
-    pub pings: u32,
-}
-
-impl Default for StreamerConfig {
-    fn default() -> Self {
-        StreamerConfig {
-            poll_every: Duration::from_millis(20),
-            max_batch: 512,
-            max_batch_bytes: 256 << 10,
-            pings: 4,
-        }
-    }
-}
-
 /// What a streamer did over its lifetime, returned by
 /// [`TraceStreamer::stop`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -256,25 +237,14 @@ pub struct TraceStreamer {
 impl TraceStreamer {
     /// Start streaming `collector`'s events to `addr`, identifying as
     /// `node`. The streamer owns its cursor: use one streamer per
-    /// `TraceCollector`.
+    /// `TraceCollector`. Each ring drain (poll, chunk, encode, coalesced
+    /// write) runs under a `streamer/drain` span of `profiler` on the
+    /// streamer thread, so a profile shows how much of the run the
+    /// observability plumbing itself cost.
     pub fn start(
         node: NodeId,
         collector: &TraceCollector,
         addr: SocketAddr,
-        cfg: StreamerConfig,
-    ) -> TraceStreamer {
-        Self::start_profiled(node, collector, addr, cfg, Profiler::disabled())
-    }
-
-    /// [`TraceStreamer::start`] with span profiling: each ring drain (poll,
-    /// chunk, encode, coalesced write) runs under a `streamer/drain` span on
-    /// the streamer thread, so a profile shows how much of the run the
-    /// observability plumbing itself cost.
-    pub fn start_profiled(
-        node: NodeId,
-        collector: &TraceCollector,
-        addr: SocketAddr,
-        cfg: StreamerConfig,
         profiler: Profiler,
     ) -> TraceStreamer {
         let stop = Arc::new(StopFlag::new());
@@ -282,7 +252,7 @@ impl TraceStreamer {
         let col = collector.clone();
         let handle = std::thread::Builder::new()
             .name(format!("trace-streamer-{node}"))
-            .spawn(move || stream_loop(node, col, addr, cfg, thread_stop, profiler))
+            .spawn(move || stream_loop(node, col, addr, thread_stop, profiler))
             .expect("spawn trace streamer thread");
         TraceStreamer {
             stop,
@@ -293,7 +263,7 @@ impl TraceStreamer {
     /// Flush everything still buffered, run the shutdown read barrier and
     /// return the streamer's accounting. The stop latch wakes a streamer
     /// parked in its poll wait immediately, so shutdown costs one drain +
-    /// barrier round-trip, not a full `poll_every` sleep.
+    /// barrier round-trip, not a full `POLL_EVERY` sleep.
     pub fn stop(mut self) -> StreamerReport {
         self.stop.stop();
         match self.handle.take() {
@@ -405,7 +375,6 @@ fn stream_loop(
     node: NodeId,
     col: TraceCollector,
     addr: SocketAddr,
-    cfg: StreamerConfig,
     stop: Arc<StopFlag>,
     profiler: Profiler,
 ) -> StreamerReport {
@@ -414,13 +383,13 @@ fn stream_loop(
     let Some(mut conn) = dial(addr, &stop) else {
         // Never connected: park until stop (the latch wakes us at once) so
         // the cursor accounting is still discarded without spinning.
-        while !stop.wait_timeout(cfg.poll_every) {}
+        while !stop.wait_timeout(POLL_EVERY) {}
         return report;
     };
     report.connected = true;
 
     let mut estimator = fluentps_obs::OffsetEstimator::new();
-    for seq in 0..u64::from(cfg.pings.max(1)) {
+    for seq in 0..PINGS {
         if let Some((t_send, t_collector, t_recv)) = ping_once(&mut conn, node, seq, &col) {
             estimator.add_sample(t_send, t_collector, t_recv);
         } else {
@@ -436,13 +405,13 @@ fn stream_loop(
     let mut drain = |conn: &mut StreamerConn, report: &mut StreamerReport, batch_seq: &mut u64| {
         let _span = profiler.enter("streamer/drain");
         let polled = cursor.poll();
-        // Chunk to max_batch; always emit at least one (possibly empty)
+        // Chunk to `MAX_BATCH`; always emit at least one (possibly empty)
         // frame so cumulative accounting reaches the collector even when
         // nothing new was recorded.
         let chunks: Vec<&[fluentps_obs::TraceEvent]> = if polled.events.is_empty() {
             vec![&[][..]]
         } else {
-            polled.events.chunks(cfg.max_batch.max(1)).collect()
+            polled.events.chunks(MAX_BATCH).collect()
         };
         scratch.clear();
         let mut pending_batches = 0u64;
@@ -460,7 +429,7 @@ fn stream_loop(
             encode_frame_into(node, &msg, &mut scratch);
             pending_batches += 1;
             pending_events += chunk.len() as u64;
-            if scratch.len() >= cfg.max_batch_bytes {
+            if scratch.len() >= MAX_BATCH_BYTES {
                 write_coalesced(
                     conn,
                     &mut scratch,
@@ -479,7 +448,7 @@ fn stream_loop(
         );
     };
 
-    while !stop.wait_timeout(cfg.poll_every) {
+    while !stop.wait_timeout(POLL_EVERY) {
         drain(&mut conn, &mut report, &mut batch_seq);
     }
     // Final drain picks up everything recorded up to the stop request.
@@ -509,10 +478,7 @@ mod tests {
             NodeId::Worker(3),
             &col,
             service.local_addr(),
-            StreamerConfig {
-                poll_every: Duration::from_millis(5),
-                ..StreamerConfig::default()
-            },
+            Profiler::disabled(),
         );
         for i in 0..200u64 {
             tracer.record(
@@ -557,10 +523,7 @@ mod tests {
             NodeId::Server(1),
             &col,
             service.local_addr(),
-            StreamerConfig {
-                poll_every: Duration::from_millis(200),
-                ..StreamerConfig::default()
-            },
+            Profiler::disabled(),
         );
         let report = streamer.stop();
         assert!(report.connected);
@@ -583,13 +546,13 @@ mod tests {
             NodeId::Worker(0),
             &col_a,
             service.local_addr(),
-            StreamerConfig::default(),
+            Profiler::disabled(),
         );
         let sb = TraceStreamer::start(
             NodeId::Server(0),
             &col_b,
             service.local_addr(),
-            StreamerConfig::default(),
+            Profiler::disabled(),
         );
         for i in 0..50u64 {
             ta.record(EventKind::WireSend, RecordArgs::new().worker(0).progress(i));
@@ -619,10 +582,7 @@ mod tests {
             NodeId::Worker(0),
             &col,
             service.local_addr(),
-            StreamerConfig {
-                poll_every: Duration::from_millis(5),
-                ..StreamerConfig::default()
-            },
+            Profiler::disabled(),
         );
         for i in 0..40u64 {
             tracer.record(
@@ -647,15 +607,7 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let streamer = TraceStreamer::start(
-            NodeId::Worker(9),
-            &col,
-            addr,
-            StreamerConfig {
-                poll_every: Duration::from_millis(1),
-                ..StreamerConfig::default()
-            },
-        );
+        let streamer = TraceStreamer::start(NodeId::Worker(9), &col, addr, Profiler::disabled());
         std::thread::sleep(Duration::from_millis(30));
         let report = streamer.stop();
         assert!(!report.connected);

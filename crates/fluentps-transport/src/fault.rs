@@ -263,12 +263,6 @@ impl FaultInjector {
         self.inner.lock().severed.insert(node);
     }
 
-    /// Whether `node` has been severed (by [`FaultInjector::kill`] or a
-    /// [`FaultAction::Sever`] rule).
-    pub fn is_severed(&self, node: NodeId) -> bool {
-        self.inner.lock().severed.contains(&node)
-    }
-
     /// Injection counters so far.
     pub fn stats(&self) -> FaultStats {
         self.inner.lock().stats
@@ -679,7 +673,6 @@ mod tests {
             .collect();
         assert_eq!(got, vec![0, 0, 1]);
         assert!(server.try_recv().unwrap().is_none());
-        assert!(injector.is_severed(NodeId::Server(0)));
         assert_eq!(injector.stats().duplicated, 1);
         assert_eq!(injector.stats().blackholed, 1);
     }

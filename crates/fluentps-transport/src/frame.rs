@@ -237,23 +237,12 @@ impl FrameReader {
         decode_frame_body(read_body(r)?)
     }
 
-    /// [`FrameReader::read_from`] with the *decode* step under a
-    /// `wire/decode` profiler span. The blocking socket reads stay outside
-    /// the span deliberately: time spent waiting for bytes is wire latency
-    /// (the tracer's territory), not decode cost.
-    pub fn read_from_profiled<R: Read>(
-        &mut self,
-        r: &mut R,
-        prof: &Profiler,
-    ) -> Result<(NodeId, Message), TransportError> {
-        let body = read_body(r)?;
-        let _span = prof.enter("wire/decode");
-        decode_frame_body(body)
-    }
-
-    /// [`FrameReader::read_from_profiled`] that tells a clean close from a
-    /// broken stream: `Ok(None)` when `r` ended at a frame boundary, an
-    /// error when it ended (or corrupted) anywhere else.
+    /// [`FrameReader::read_from`] that tells a clean close from a broken
+    /// stream: `Ok(None)` when `r` ended at a frame boundary, an error when
+    /// it ended (or corrupted) anywhere else. The *decode* step runs under a
+    /// `wire/decode` profiler span; the blocking socket reads stay outside
+    /// it deliberately: time spent waiting for bytes is wire latency (the
+    /// tracer's territory), not decode cost.
     pub fn read_next<R: BufRead>(
         &mut self,
         r: &mut R,
@@ -262,7 +251,11 @@ impl FrameReader {
         loop {
             match r.fill_buf() {
                 Ok([]) => return Ok(None),
-                Ok(_) => return self.read_from_profiled(r, prof).map(Some),
+                Ok(_) => {
+                    let body = read_body(r)?;
+                    let _span = prof.enter("wire/decode");
+                    return decode_frame_body(body).map(Some);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
@@ -270,16 +263,15 @@ impl FrameReader {
     }
 }
 
-/// Read one framed message from a stream, blocking until complete.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<(NodeId, Message), TransportError> {
-    FrameReader::new().read_from(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::msg::KvPairs;
     use std::io::Cursor;
+
+    fn read_frame<R: Read>(r: &mut R) -> Result<(NodeId, Message), TransportError> {
+        FrameReader::new().read_from(r)
+    }
 
     #[test]
     fn frame_roundtrip_via_stream() {
@@ -383,31 +375,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frame_reader_matches_read_frame() {
-        let mut stream = Vec::new();
-        for seq in 0..10u64 {
-            write_frame(
-                &mut stream,
-                NodeId::Server(1),
-                &Message::Heartbeat {
-                    node: NodeId::Server(1),
-                    seq,
-                },
-            )
-            .unwrap();
-        }
-        let mut a = Cursor::new(stream.clone());
-        let mut b = Cursor::new(stream);
-        let mut reader = FrameReader::new();
-        for _ in 0..10 {
-            assert_eq!(
-                reader.read_from(&mut a).unwrap(),
-                read_frame(&mut b).unwrap()
-            );
-        }
-    }
-
     /// A writer that accepts at most `step` bytes per call and never looks
     /// past the first non-empty slice — the least a `write_vectored` may do.
     struct Trickle {
@@ -508,16 +475,16 @@ mod tests {
         let frame = encode_frame(NodeId::Worker(2), &msg);
         let mut reader = FrameReader::new();
         let got = reader
-            .read_from_profiled(&mut Cursor::new(frame.to_vec()), &prof)
+            .read_next(&mut Cursor::new(frame.to_vec()), &prof)
             .unwrap();
-        assert_eq!(got, (NodeId::Worker(2), msg));
+        assert_eq!(got, Some((NodeId::Worker(2), msg)));
         assert_eq!(col.snapshot().spans["wire/decode"].count, 1);
         // Disabled profiler: same result, nothing recorded.
         let plain = reader.read_from(&mut Cursor::new(frame.to_vec())).unwrap();
         let quiet = reader
-            .read_from_profiled(&mut Cursor::new(frame.to_vec()), &Profiler::disabled())
+            .read_next(&mut Cursor::new(frame.to_vec()), &Profiler::disabled())
             .unwrap();
-        assert_eq!(plain, quiet);
+        assert_eq!(Some(plain), quiet);
     }
 
     #[test]

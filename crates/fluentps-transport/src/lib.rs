@@ -40,7 +40,7 @@ pub mod msg;
 pub mod tcp;
 pub mod values;
 
-pub use collect::{CollectorService, StreamerConfig, StreamerReport, TraceStreamer};
+pub use collect::{CollectorService, StreamerReport, TraceStreamer};
 pub use error::TransportError;
 pub use fault::{FaultInjector, FaultPlan};
 pub use inproc::{Endpoint, Fabric};

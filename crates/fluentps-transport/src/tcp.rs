@@ -59,15 +59,6 @@ impl AddressBook {
     pub fn get(&self, node: NodeId) -> Option<SocketAddr> {
         self.addrs.read().get(&node).copied()
     }
-
-    /// A deep copy whose entries no longer track this book (for building
-    /// deliberately stale views in tests).
-    pub fn detached(&self) -> Self {
-        let addrs = self.addrs.read().clone();
-        AddressBook {
-            addrs: Arc::new(fluentps_util::sync::RwLock::new(addrs)),
-        }
-    }
 }
 
 impl std::fmt::Debug for AddressBook {
@@ -172,27 +163,16 @@ impl TcpNode {
     /// Bind `node`'s listener on `addr` (use port 0 to let the OS choose; the
     /// actual address is available via [`TcpNode::local_addr`]).
     pub fn bind(node: NodeId, addr: SocketAddr, book: AddressBook) -> Result<Self, TransportError> {
-        Self::bind_traced(node, addr, book, Tracer::disabled())
+        Self::bind_profiled(node, addr, book, Tracer::disabled(), Profiler::disabled())
     }
 
-    /// [`TcpNode::bind`] with frame-level tracing: every frame written by
-    /// this node's postmen records a `wire_send` event and every frame
-    /// decoded off an accepted stream records a `wire_recv`, both carrying
-    /// the exact on-the-wire byte count.
-    pub fn bind_traced(
-        node: NodeId,
-        addr: SocketAddr,
-        book: AddressBook,
-        tracer: Tracer,
-    ) -> Result<Self, TransportError> {
-        Self::bind_profiled(node, addr, book, tracer, Profiler::disabled())
-    }
-
-    /// [`TcpNode::bind_traced`] with span profiling: every frame this
-    /// node's postmen encode runs under a `wire/encode` span and every
-    /// frame decoded off an accepted stream under `wire/decode` (the
-    /// blocking socket reads stay outside the spans — waiting is wire
-    /// latency, not decode cost).
+    /// [`TcpNode::bind`] with frame-level tracing and span profiling. Every
+    /// frame written by this node's postmen records a `wire_send` event and
+    /// every frame decoded off an accepted stream a `wire_recv`, both
+    /// carrying the exact on-the-wire byte count; every frame the postmen
+    /// encode runs under a `wire/encode` span and every frame decoded under
+    /// `wire/decode` (the blocking socket reads stay outside the spans —
+    /// waiting is wire latency, not decode cost).
     pub fn bind_profiled(
         node: NodeId,
         addr: SocketAddr,
@@ -589,16 +569,13 @@ mod tests {
 
         let collector = TraceCollector::wall(1024);
         let book = AddressBook::new();
-        let server = TcpNode::bind_traced(
-            NodeId::Server(2),
-            loopback(),
-            book.clone(),
-            collector.tracer(),
-        )
-        .unwrap();
+        let traced = |node, book| {
+            let quiet = Profiler::disabled();
+            TcpNode::bind_profiled(node, loopback(), book, collector.tracer(), quiet).unwrap()
+        };
+        let server = traced(NodeId::Server(2), book.clone());
         book.insert(NodeId::Server(2), server.local_addr());
-        let worker =
-            TcpNode::bind_traced(NodeId::Worker(7), loopback(), book, collector.tracer()).unwrap();
+        let worker = traced(NodeId::Worker(7), book);
 
         let msg = Message::SPull {
             worker: 7,
@@ -743,8 +720,8 @@ mod tests {
         let collector = TraceCollector::wall(64);
         let book = AddressBook::new();
         let (here, peer) = (NodeId::Server(2), NodeId::Worker(7));
-        let server =
-            TcpNode::bind_traced(here, loopback(), book.clone(), collector.tracer()).unwrap();
+        let (tracer, quiet) = (collector.tracer(), Profiler::disabled());
+        let server = TcpNode::bind_profiled(here, loopback(), book.clone(), tracer, quiet).unwrap();
         book.insert(here, server.local_addr());
         let received = || {
             let got = server.recv_timeout(Duration::from_secs(10)).unwrap();

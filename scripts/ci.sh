@@ -36,6 +36,8 @@ done
 deleted='launch_with_collector|launch_collected|launch_introspected|launch_heterogeneous'
 deleted="$deleted|serve_with_health|serve_source|serve_observed|serve_profiled"
 deleted="$deleted|tcp_server_loop|resilient_server_loop"
+deleted="$deleted|pub fn run_live|LiveConfig|bind_server|bind_traced|read_from_profiled"
+deleted="$deleted|StreamerConfig|send_consensus|try_send|FluentPs::builder"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then
@@ -80,8 +82,10 @@ fi
 # serve.rs and recovery.rs hand a step to `Mailbox::serve` and never receive
 # themselves (the supervisor replica, a node nobody serves, keeps its one
 # `node.recv_timeout(tick)`); `serve` has exactly two overrides, the TCP
-# node and the fault shim around it; and `spush` only stages — what it
-# scattered is written with the pull.
+# node and the fault shim around it; everything a worker sends — what
+# `spush` staged, the pulls, a retry's replay — leaves through its one
+# per-server `send_batch`, never singly; and a server is one TCP node, so
+# there is no sender id above the server range to derive.
 if above_tests "$core_src/serve.rs" "$core_src/recovery.rs" \
   | grep -E '\.recv\(\)|\.recv_timeout\(' | grep -vF 'node.recv_timeout(tick)'; then
   echo "ci: serve.rs/recovery.rs own a receive loop again (see above); hand Mailbox::serve a step" >&2
@@ -92,10 +96,12 @@ if [ "$overrides" != "$wire_src/fault.rs $wire_src/lib.rs $wire_src/tcp.rs " ]; 
   echo "ci: Mailbox::serve is defined in lib.rs and overridden in tcp.rs and fault.rs only; found: $overrides" >&2
   exit 1
 fi
-if above_tests "$core_src/worker.rs" \
-  | awk '/pub fn spush\(/ { inside = 1 } inside { print } inside && /^[^:]*:[0-9]*:     }$/ { exit }' \
-  | grep -F 'postman.send'; then
-  echo "ci: spush writes to the transport again (see above); it stages, the pull (or flush) sends" >&2
+if above_tests "$core_src/worker.rs" | grep -F 'postman.send('; then
+  echo "ci: worker.rs sends a message singly again (see above); everything leaves through send_out" >&2
+  exit 1
+fi
+if above_tests "$core_src/launch.rs" | grep -F 'num_servers + 1'; then
+  echo "ci: launch.rs derives a second node id per server again (see above); a server is one TcpNode" >&2
   exit 1
 fi
 

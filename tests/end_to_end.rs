@@ -9,7 +9,7 @@ use fluentps::core::engine::{Cluster, EngineConfig};
 use fluentps::core::eps::{EpsSlicer, ParamSpec, Slicer};
 use fluentps::core::server::GradScale;
 use fluentps::ml::data::{synthetic, BatchSampler, SyntheticSpec};
-use fluentps::ml::models::{Model, SoftmaxRegression};
+use fluentps::ml::models::{Mlp, Model, SoftmaxRegression};
 use fluentps::ml::optim::{Optimizer, Sgd};
 
 fn dataset(seed: u64) -> SyntheticSpec {
@@ -25,15 +25,17 @@ fn dataset(seed: u64) -> SyntheticSpec {
     }
 }
 
-/// Train through the threaded in-process engine under `model`; return final
-/// test accuracy.
-fn train_inproc(model: SyncModel, num_workers: u32, iters: u64) -> f32 {
-    let spec = dataset(41);
+/// Train `ml_model` on `spec`'s data through the threaded in-process engine
+/// (two servers) under `model`; return final test accuracy and the pulls the
+/// servers deferred.
+fn train_inproc_on(
+    ml_model: &dyn Model,
+    spec: SyntheticSpec,
+    model: SyncModel,
+    num_workers: u32,
+    iters: u64,
+) -> (f32, u64) {
     let (train, test) = synthetic(spec);
-    let ml_model = SoftmaxRegression {
-        dim: spec.dim,
-        classes: spec.classes,
-    };
     let init = ml_model.init_params(41);
     let specs: Vec<ParamSpec> = ml_model
         .param_shapes()
@@ -53,32 +55,42 @@ fn train_inproc(model: SyncModel, num_workers: u32, iters: u64) -> f32 {
         seed: 41,
     };
     let (cluster, workers) = Cluster::launch(cfg, map, &init);
-    let handles: Vec<_> = workers
-        .into_iter()
-        .map(|mut client| {
-            let train = train.clone();
-            let init = init.clone();
-            std::thread::spawn(move || {
-                let n = client.worker_id();
-                let mut params = init;
-                let mut opt = Sgd::new(0.3, 0.9, 0.0);
-                let mut sampler =
-                    BatchSampler::new(train.partition(n, num_workers), 16, 100 + n as u64);
-                for i in 0..iters {
-                    let batch = train.batch(&sampler.next_indices());
-                    let (_, grads) = ml_model.loss_and_grad(&params, &batch);
-                    let deltas = opt.deltas(&params, &grads);
-                    client.spush(i, &deltas).unwrap();
-                    client.spull_wait(i, &mut params).unwrap();
-                }
-                params
+    let params: Vec<HashMap<u64, Vec<f32>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .into_iter()
+            .map(|mut client| {
+                let (train, init) = (&train, init.clone());
+                scope.spawn(move || {
+                    let n = client.worker_id();
+                    let mut params = init;
+                    let mut opt = Sgd::new(0.3, 0.9, 0.0);
+                    let mut sampler =
+                        BatchSampler::new(train.partition(n, num_workers), 16, 100 + n as u64);
+                    for i in 0..iters {
+                        let batch = train.batch(&sampler.next_indices());
+                        let (_, grads) = ml_model.loss_and_grad(&params, &batch);
+                        let deltas = opt.deltas(&params, &grads);
+                        client.spush(i, &deltas).unwrap();
+                        client.spull_wait(i, &mut params).unwrap();
+                    }
+                    params
+                })
             })
-        })
-        .collect();
-    let params: Vec<HashMap<u64, Vec<f32>>> =
-        handles.into_iter().map(|h| h.join().unwrap()).collect();
-    cluster.shutdown();
-    ml_model.accuracy(&params[0], &test)
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let dprs = cluster.shutdown().iter().map(|s| s.dprs).sum();
+    (ml_model.accuracy(&params[0], &test), dprs)
+}
+
+/// Softmax regression on the default data: final test accuracy.
+fn train_inproc(model: SyncModel, num_workers: u32, iters: u64) -> f32 {
+    let spec = dataset(41);
+    let ml_model = SoftmaxRegression {
+        dim: spec.dim,
+        classes: spec.classes,
+    };
+    train_inproc_on(&ml_model, spec, model, num_workers, iters).0
 }
 
 #[test]
@@ -97,6 +109,39 @@ fn ssp_engine_trains_to_high_accuracy() {
 fn pssp_engine_trains_to_high_accuracy() {
     let acc = train_inproc(SyncModel::PsspConst { s: 2, c: 0.5 }, 3, 250);
     assert!(acc > 0.8, "PSSP engine accuracy {acc}");
+}
+
+#[test]
+fn pssp_defers_no_more_pulls_than_bsp() {
+    let spec = dataset(41);
+    let ml_model = SoftmaxRegression {
+        dim: spec.dim,
+        classes: spec.classes,
+    };
+    let run = |model| train_inproc_on(&ml_model, spec, model, 4, 200);
+    let (_, bsp_dprs) = run(SyncModel::Bsp);
+    let (accuracy, pssp_dprs) = run(SyncModel::PsspConst { s: 2, c: 0.3 });
+    assert!(accuracy > 0.78, "PSSP(2, 0.3) engine accuracy {accuracy}");
+    assert!(
+        pssp_dprs <= bsp_dprs,
+        "PSSP deferred {pssp_dprs} pulls, BSP {bsp_dprs}"
+    );
+}
+
+#[test]
+fn mlp_trains_on_the_threaded_engine() {
+    let spec = SyntheticSpec {
+        n_train: 2500,
+        n_test: 500,
+        margin: 4.0,
+        modes: 2,
+        ..dataset(9)
+    };
+    let mlp = Mlp {
+        dims: vec![spec.dim, 32, spec.classes],
+    };
+    let (accuracy, _) = train_inproc_on(&mlp, spec, SyncModel::Bsp, 4, 300);
+    assert!(accuracy > 0.8, "MLP engine accuracy {accuracy}");
 }
 
 #[test]
@@ -269,18 +314,19 @@ fn tcp_transport_carries_a_full_training_exchange() {
 
 #[test]
 fn partial_pulls_fetch_only_requested_keys() {
-    use fluentps::core::api::{FluentPs, SlicerChoice};
-
-    let mut init = HashMap::new();
-    init.insert(0u64, vec![0.0f32; 64]);
-    init.insert(1u64, vec![0.0f32; 64]);
-    init.insert(2u64, vec![0.0f32; 8]);
-    let (cluster, mut workers) = FluentPs::builder()
-        .workers(1)
-        .servers(2)
-        .model(SyncModel::Asp)
-        .slicer(SlicerChoice::Eps { max_chunk: 16 })
-        .launch(&init);
+    let lens = [64, 64, 8];
+    let specs: Vec<ParamSpec> = (0u64..)
+        .zip(lens)
+        .map(|(key, len)| ParamSpec { key, len })
+        .collect();
+    let init: HashMap<u64, Vec<f32>> = specs.iter().map(|s| (s.key, vec![0.0; s.len])).collect();
+    let cfg = EngineConfig {
+        num_servers: 2,
+        model: SyncModel::Asp,
+        ..EngineConfig::default()
+    };
+    let map = EpsSlicer { max_chunk: 16 }.slice(&specs, 2);
+    let (cluster, mut workers) = Cluster::launch(cfg, map, &init);
     let mut w = workers.pop().unwrap();
 
     let grads: HashMap<u64, Vec<f32>> = [
