@@ -391,11 +391,14 @@ fn wire_throughput(c: &mut Criterion) {
 /// `[SPush, SPull]` out in one write and `[PushAck, PullResponse]` back in
 /// one, 35 KB of values each way. What it costs beyond `wire/pulls_per_s`
 /// plus the memcpys is thread hand-offs and syscalls, so their count has a
-/// trajectory here. On the reference VM it reads 25–35 µs, or 130–190 µs
-/// for minutes at a time when the hypervisor parks idle vCPUs between
-/// wake-ups (every hand-off-bound bench moves with it, on any commit); the
-/// committed mean is a slow-state reading, so that the gate trips on an
-/// added hop-per-message or a poll loop, not on the box's mood.
+/// trajectory here: two hand-offs per round trip (worker → the server's
+/// reader → worker) since the worker reads its own replies, three before.
+/// On the reference VM it read 25–35 µs with three, or 130–190 µs for
+/// minutes at a time when the hypervisor parks idle vCPUs between wake-ups
+/// (every hand-off-bound bench moves with it, on any commit), and in that
+/// state 75–105 µs with two against 110–140 µs from alternating binaries;
+/// the committed mean is a slow-state reading, so that the gate trips on
+/// an added hop-per-message or a poll loop, not on the box's mood.
 fn tcp_serve_roundtrip(c: &mut Criterion) {
     use fluentps_core::tcp_engine::TcpCluster;
 

@@ -903,7 +903,10 @@ struct Resilient<P> {
 
 impl<P: Postman> Resilient<P> {
     /// Send what is queued: one batch per destination, in order of first
-    /// appearance, so that a failure names who could not be reached.
+    /// appearance, so that a failure names who could not be reached. What
+    /// goes to a worker answers it, over the connection it asked on;
+    /// heartbeats go to a supervisor replica, which does not read the
+    /// connections it dials.
     fn flush(&mut self) {
         if self.out.is_empty() {
             return;
@@ -911,7 +914,11 @@ impl<P: Postman> Resilient<P> {
         let _span = self.server.server.profiler.enter("server/reply");
         for (to, msgs) in per_destination(self.out.drain(..)) {
             let batch = msgs.into_iter().map(|msg| (to, msg)).collect();
-            if self.postman.send_batch(batch).is_err() {
+            let sent = match to {
+                NodeId::Worker(_) => self.postman.reply_batch(batch),
+                _ => self.postman.send_batch(batch),
+            };
+            if sent.is_err() {
                 self.server.unreachable(to);
             }
         }

@@ -209,7 +209,8 @@ impl<P: Postman> Plain<P> {
         if !self.out.is_empty() {
             // Frame encoding shows up as `wire/encode` under this span.
             let _span = self.server.profiler.enter("server/reply");
-            let _ = self.postman.send_batch(std::mem::take(&mut self.out));
+            // Everything a plain server sends answers a worker.
+            let _ = self.postman.reply_batch(std::mem::take(&mut self.out));
         }
     }
 }

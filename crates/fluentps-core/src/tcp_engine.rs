@@ -156,19 +156,20 @@ mod tests {
         assert_eq!(stats.iter().map(|s| s.pushes).sum::<u64>(), 2 * 3 * 2);
     }
 
-    #[test]
-    fn four_workers_on_one_served_node_keep_bsp_exact_for_200_rounds() {
-        // Four connections, four reader threads, one shard: every step runs
-        // under the node's lock, so the counts balance and every worker
-        // ends on the same bits.
-        const WORKERS: u32 = 4;
-        const ROUNDS: u64 = 200;
+    const WORKERS: u32 = 4;
+    const ROUNDS: u64 = 200;
+
+    /// [`ROUNDS`] BSP rounds of [`WORKERS`] workers against `servers` served
+    /// nodes, every step of a node under its one lock: the cluster, the
+    /// clients — still connected — and the parameters each ended on, which
+    /// must be the same bits.
+    fn bsp_rounds(servers: u32) -> (TcpCluster, Vec<TcpWorker>) {
         let specs = vec![ParamSpec { key: 0, len: 6 }, ParamSpec { key: 1, len: 3 }];
         let init: HashMap<u64, Vec<f32>> = [(0, vec![0.0; 6]), (1, vec![0.0; 3])].into();
-        let map = EpsSlicer { max_chunk: 4 }.slice(&specs, 1);
+        let map = EpsSlicer { max_chunk: 4 }.slice(&specs, servers);
         let cfg = EngineConfig {
             num_workers: WORKERS,
-            num_servers: 1,
+            num_servers: servers,
             model: SyncModel::Bsp,
             ..EngineConfig::default()
         };
@@ -189,11 +190,12 @@ mod tests {
                         let report = w.spull_wait(i, &mut params).unwrap();
                         assert_eq!(report.min_version, i + 1, "BSP: exactly this round");
                     }
-                    params
+                    (w, params)
                 })
             })
             .collect();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let (workers, results): (Vec<_>, Vec<_>) =
+            handles.into_iter().map(|h| h.join().unwrap()).unzip();
         let bits = |params: &HashMap<u64, Vec<f32>>| {
             let mut flat: Vec<(u64, Vec<u32>)> = params
                 .iter()
@@ -206,14 +208,55 @@ mod tests {
             assert_eq!(bits(params), bits(&results[0]));
         }
         assert!(results[0][&0][0] > 0.0 && results[0][&1][0] < 0.0);
+        (cluster, workers)
+    }
 
-        let stats = &cluster.shutdown()[0];
+    /// Every push and pull counted once, every deferred pull released.
+    fn assert_conserved(stats: &ShardStats) {
         let each = u64::from(WORKERS) * ROUNDS;
         assert_eq!((stats.pushes, stats.pulls_total), (each, each));
         assert_eq!(stats.pulls_immediate + stats.dprs, stats.pulls_total);
         assert_eq!(stats.dprs_released, stats.dprs);
         assert_eq!(stats.v_train_advances, ROUNDS);
         assert_eq!(stats.late_pushes_dropped, 0);
+    }
+
+    #[test]
+    fn four_workers_on_one_served_node_keep_bsp_exact_for_200_rounds() {
+        // Four connections, four reader threads, one shard.
+        let (cluster, workers) = bsp_rounds(1);
+        drop(workers);
+        assert_conserved(&cluster.shutdown()[0]);
+    }
+
+    /// Established connections whose local end is `port`: the sockets that
+    /// whoever listens there has accepted.
+    #[cfg(target_os = "linux")]
+    fn accepted_on(port: u16) -> usize {
+        let table = std::fs::read_to_string("/proc/net/tcp").expect("the socket table");
+        let accepted = |line: &&str| {
+            let mut columns = line.split_whitespace().skip(1);
+            let (local, state) = (columns.next(), columns.nth(1));
+            local.is_some_and(|l| l.ends_with(&format!(":{port:04X}"))) && state == Some("01")
+        };
+        table.lines().skip(1).filter(accepted).count()
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn four_workers_and_two_servers_share_eight_connections_for_200_rounds() {
+        let (cluster, workers) = bsp_rounds(2);
+        // One connection per worker and server, dialed by the worker and
+        // answered on; nobody dialed a worker back.
+        let port = |node| cluster.addresses.get(node).expect("listed").port();
+        for m in 0..2 {
+            assert_eq!(accepted_on(port(NodeId::Server(m))), WORKERS as usize);
+        }
+        for n in 0..WORKERS {
+            assert_eq!(accepted_on(port(NodeId::Worker(n))), 0, "worker {n}");
+        }
+        drop(workers);
+        cluster.shutdown().iter().for_each(assert_conserved);
     }
 
     #[test]

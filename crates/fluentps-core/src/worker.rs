@@ -420,7 +420,12 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
     /// before them, then the round waits until every asked server has
     /// answered it. Only a response echoing *this* round's progress from a
     /// still-awaited server counts, so a late answer to an earlier round or
-    /// a duplicate caused by a retry is absorbed silently.
+    /// a duplicate caused by a retry is absorbed silently. The round waits
+    /// for the lowest server still awaited ([`Mailbox::recv_from`]; the
+    /// order costs nothing, the round needs them all): on TCP that is this
+    /// thread reading the connection its request went out on, and a message
+    /// from anyone else — a `RouteUpdate`, `Shutdown` — is seen when that
+    /// wait returns.
     ///
     /// A [`RetryPolicy`] changes one thing: the wait is bounded, and each
     /// expiry replays and re-issues ([`WorkerClient::reissue`]) until the
@@ -453,11 +458,8 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         }
         self.send_out(pulls)?;
         let mut attempt = 0u32;
-        while !awaiting.is_empty() {
-            let received = match timeout {
-                Some(timeout) => self.mailbox.recv_timeout(timeout)?,
-                None => Some(self.mailbox.recv()?),
-            };
+        while let Some(&first) = awaiting.first() {
+            let received = self.mailbox.recv_from(NodeId::Server(first), timeout)?;
             let Some((_, msg)) = received else {
                 attempt += 1;
                 let retry = self.retry.as_mut().expect("a timeout implies a policy");
@@ -1111,6 +1113,66 @@ mod tests {
         }
     }
 
+    /// A mailbox that notes whom each `recv_from` waits for and hands out
+    /// the next of the messages a test prepared, whoever that is from.
+    struct Asked {
+        peers: fluentps_util::sync::Mutex<Vec<NodeId>>,
+        script: Canned,
+    }
+
+    impl Mailbox for Asked {
+        fn recv(&self) -> Result<(NodeId, Message), TransportError> {
+            panic!("the round waits for somebody: recv_from")
+        }
+
+        fn try_recv(&self) -> Result<Option<(NodeId, Message)>, TransportError> {
+            Ok(None)
+        }
+
+        fn recv_timeout(&self, _: Duration) -> Result<Option<(NodeId, Message)>, TransportError> {
+            panic!("the round waits for somebody: recv_from")
+        }
+
+        fn recv_from(
+            &self,
+            peer: NodeId,
+            _: Option<Duration>,
+        ) -> Result<Option<(NodeId, Message)>, TransportError> {
+            self.peers.lock().push(peer);
+            self.script.try_recv()
+        }
+    }
+
+    #[test]
+    fn the_round_waits_for_the_lowest_server_it_still_awaits() {
+        let r = router(4, 3);
+        assert_eq!(r.active_servers().collect::<Vec<_>>(), [0, 1, 2]);
+        for retry in [false, true] {
+            let mut answer = answers(&r, 5);
+            let ack = Message::PushAck {
+                server: 0,
+                progress: 5,
+            };
+            // Server 0 is awaited first and its ack is not its answer;
+            // server 2 answers out of turn, which counts and changes nothing
+            // about who is lowest; then 0, and the round moves on to 1.
+            let (one, two, zero) = (answer.remove(1), answer.remove(1), answer.remove(0));
+            let script = VecDeque::from([ack, two, zero, one]);
+            let mailbox = Asked {
+                peers: fluentps_util::sync::Mutex::new(Vec::new()),
+                script: Canned(fluentps_util::sync::Mutex::new(script)),
+            };
+            let mut client = WorkerClient::new(0, Recording::default(), mailbox, r.clone());
+            if retry {
+                client.set_retry_policy(fast_policy(2));
+            }
+            let report = client.spull_wait(5, &mut HashMap::new()).unwrap();
+            assert_eq!(report.responses, 3);
+            let asked = client.mailbox.peers.lock();
+            assert_eq!(*asked, [0, 0, 0, 1].map(NodeId::Server), "retry: {retry}");
+        }
+    }
+
     // --- on real sockets: who a reply is from ------------------------------
 
     /// Ask server `m` for its keys of round `progress` behind the client's
@@ -1138,7 +1200,8 @@ mod tests {
         let w = workers.remove(0);
         for m in 0..2 {
             ask(&w, m, 0);
-            let (from, reply) = w.mailbox.recv().unwrap();
+            let asked = w.mailbox.recv_from(NodeId::Server(m), None);
+            let (from, reply) = asked.unwrap().expect("no timeout");
             assert_eq!(from, NodeId::Server(m));
             assert!(matches!(reply, Message::PullResponse { server, .. } if server == m));
         }
@@ -1167,7 +1230,8 @@ mod tests {
         let wait = Duration::from_secs(10);
         for m in 0..2 {
             ask(&w, m, 4);
-            let (from, reply) = w.mailbox.recv_timeout(wait).unwrap().expect("a reply");
+            let asked = w.mailbox.recv_from(NodeId::Server(m), Some(wait));
+            let (from, reply) = asked.unwrap().expect("a reply");
             assert_eq!(from, NodeId::Server(m));
             assert!(matches!(reply.bare(), Message::PullResponse { server, .. } if *server == m));
         }
@@ -1177,7 +1241,8 @@ mod tests {
         // worker's mailbox discards it.
         ask(&w, 1, 4);
         w.postman.injector().kill(NodeId::Server(1));
-        let heard = w.mailbox.recv_timeout(Duration::from_millis(300)).unwrap();
+        let patience = Some(Duration::from_millis(300));
+        let heard = w.mailbox.recv_from(NodeId::Server(1), patience).unwrap();
         assert_eq!(heard, None, "a severed server was heard");
         cluster.shutdown();
     }

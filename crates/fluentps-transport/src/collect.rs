@@ -2,9 +2,9 @@
 //!
 //! The pure merge/alignment core lives in `fluentps_obs::collect`; this
 //! module is the wire plumbing around it. A [`CollectorService`] owns a
-//! plain `TcpListener` — *not* a [`crate::tcp::TcpNode`], whose connections
-//! are unidirectional and whose inbox would mix clock pongs into training
-//! traffic — and each node runs a [`TraceStreamer`] thread that:
+//! plain `TcpListener` — *not* a [`crate::tcp::TcpNode`], whose inbox would
+//! mix clock pongs into training traffic — and each node runs a
+//! [`TraceStreamer`] thread that:
 //!
 //! 1. dials the collector and runs a short [`Message::ClockPing`] /
 //!    [`Message::ClockPong`] handshake to estimate its clock offset

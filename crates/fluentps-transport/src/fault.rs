@@ -370,6 +370,27 @@ impl<P: Clone> Clone for FaultyPostman<P> {
     }
 }
 
+type Batch = Vec<(NodeId, Message)>;
+
+impl<P> FaultyPostman<P> {
+    /// Each message of `batch` meets the fault plan on its own, in batch
+    /// order — exactly the faults, link ticks and statistics of sending
+    /// them one by one — and what survives goes `through` the inner postman
+    /// as one batch, so a transport that coalesces still can.
+    fn forward(
+        &self,
+        batch: Batch,
+        through: impl FnOnce(&P, Batch) -> Result<(), TransportError>,
+    ) -> Result<(), TransportError> {
+        let route = |(to, msg)| self.injector.route(self.from, to, msg);
+        let survivors: Batch = batch.into_iter().flat_map(route).collect();
+        if survivors.is_empty() {
+            return Ok(());
+        }
+        through(&self.postman, survivors)
+    }
+}
+
 impl<P: Postman> Postman for FaultyPostman<P> {
     fn send(&self, to: NodeId, msg: Message) -> Result<(), TransportError> {
         for (to, msg) in self.injector.route(self.from, to, msg) {
@@ -378,17 +399,12 @@ impl<P: Postman> Postman for FaultyPostman<P> {
         Ok(())
     }
 
-    /// Each message meets the fault plan on its own, in batch order —
-    /// exactly the faults, link ticks and statistics of sending them one by
-    /// one — and what survives goes to the inner postman as one batch, so a
-    /// transport that coalesces still can.
     fn send_batch(&self, batch: Vec<(NodeId, Message)>) -> Result<(), TransportError> {
-        let route = |(to, msg)| self.injector.route(self.from, to, msg);
-        let survivors: Vec<(NodeId, Message)> = batch.into_iter().flat_map(route).collect();
-        if survivors.is_empty() {
-            return Ok(());
-        }
-        self.postman.send_batch(survivors)
+        self.forward(batch, P::send_batch)
+    }
+
+    fn reply_batch(&self, batch: Vec<(NodeId, Message)>) -> Result<(), TransportError> {
+        self.forward(batch, P::reply_batch)
     }
 }
 
@@ -454,6 +470,20 @@ impl<M: Mailbox> Mailbox for FaultyMailbox<M> {
                 }
             }
         }
+    }
+
+    fn recv_from(
+        &self,
+        peer: NodeId,
+        timeout: Option<Duration>,
+    ) -> Result<Option<(NodeId, Message)>, TransportError> {
+        // As in `recv_timeout`: a severed burst re-arms the wait.
+        while let Some(env) = self.mailbox.recv_from(peer, timeout)? {
+            if let Some(env) = self.admit(env) {
+                return Ok(Some(env));
+            }
+        }
+        Ok(None)
     }
 
     /// The inner mailbox serves — on whichever threads it does — a step

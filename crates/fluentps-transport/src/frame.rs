@@ -38,6 +38,15 @@ pub const MAX_FRAME_RESERVE: usize = 16 << 20;
 /// buffer, past this one.
 pub const READ_BUFFER: usize = 64 << 10;
 
+/// How many batches in a row a node writes to a connection it dialed
+/// without reading it, before it first moves whatever the peer has answered
+/// there meanwhile to its inbox (32). Replies nobody waits for are tens of
+/// bytes — the `PushAck`s of a worker that only pushes, or that never pulls
+/// from this server — so 32 unread batches are far from filling a socket
+/// buffer; a worker that pulls reads the connection every round and never
+/// gets here.
+pub const UNREAD_BATCHES: u32 = 32;
+
 fn node_to_pair(node: NodeId) -> (u8, u32) {
     match node {
         NodeId::Scheduler => (0, 0),

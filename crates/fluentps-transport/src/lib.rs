@@ -102,6 +102,29 @@ pub trait Mailbox: Send {
         timeout: std::time::Duration,
     ) -> Result<Option<(NodeId, Message)>, TransportError>;
 
+    /// The next message for this node while the caller waits for `peer` to
+    /// answer; `Ok(None)` when `timeout` passed without one (never without
+    /// a timeout). What is already queued comes first. After that the
+    /// mailbox may wait on `peer`'s connection alone, so a message from
+    /// anyone else is seen when that wait returns: at `peer`'s next frame,
+    /// at the end of its connection, or when `timeout` passes — `None`
+    /// means that nobody had anything, not only that `peer` had not.
+    ///
+    /// This body waits on everything at once. A transport whose peer
+    /// answers on the connection the request went out on
+    /// ([`Postman::reply_batch`]) reads that connection here, on the
+    /// calling thread ([`tcp::TcpNode`]).
+    fn recv_from(
+        &self,
+        _peer: NodeId,
+        timeout: Option<std::time::Duration>,
+    ) -> Result<Option<(NodeId, Message)>, TransportError> {
+        match timeout {
+            Some(timeout) => self.recv_timeout(timeout),
+            None => self.recv().map(Some),
+        }
+    }
+
     /// Feed everything this mailbox receives to `step`, one input at a
     /// time, until the step says [`Flow::Stop`] or the mailbox closes, and
     /// hand the step back. Per-sender order is kept, messages that arrived
@@ -180,5 +203,15 @@ pub trait Postman: Send {
             }
         }
         first_err.map_or(Ok(()), Err)
+    }
+
+    /// [`Postman::send_batch`] for messages that answer their destination:
+    /// a transport that remembers the connection a destination reached this
+    /// node through ([`tcp::TcpPostman`]) writes the replies back over it,
+    /// where the destination reads them itself ([`Mailbox::recv_from`]).
+    /// Only a served node's step answers this way; everything else — and a
+    /// destination that never connected here — keeps `send_batch`'s route.
+    fn reply_batch(&self, batch: Vec<(NodeId, Message)>) -> Result<(), TransportError> {
+        self.send_batch(batch)
     }
 }

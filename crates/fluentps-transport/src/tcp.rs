@@ -1,19 +1,43 @@
 //! TCP transport over `std::net`.
 //!
-//! Connections are unidirectional: a node dials a peer the first time it
-//! sends to it, and replies flow over a connection the peer dials back (the
-//! address book tells everyone where everyone listens). Every accepted stream
-//! gets a reader thread that decodes its frames and hands each to whoever
-//! consumes the node's input: the inbox behind [`Mailbox::recv`], or — while
-//! a [`Mailbox::serve`] call is in progress — that call's step, run by the
-//! reader itself under the node's lock, so a request is answered on the
-//! thread that read it. Either way delivery is reliable and per-sender FIFO:
-//! one thread owns one connection.
+//! A node dials a peer the first time it sends to it, and every accepted
+//! stream gets a reader thread that decodes its frames and hands each to
+//! whoever consumes the node's input: the inbox behind [`Mailbox::recv`], or
+//! — while a [`Mailbox::serve`] call is in progress — that call's step, run
+//! by the reader itself under the node's lock, so a request is answered on
+//! the thread that read it. Delivery is reliable and per-sender FIFO: one
+//! thread reads one connection.
+//!
+//! Which way a connection carries frames depends on how its far end answers:
+//!
+//! * [`Postman::send`] and [`Postman::send_batch`] write to the connection
+//!   this node *dialed* to the destination (the address book tells everyone
+//!   where everyone listens). A peer that answers the same way dials back and
+//!   its answer arrives through this node's listener: two one-way
+//!   connections, a reader thread at the accepting end of each. Heartbeats,
+//!   consensus, recovery control, the collector and every node nobody serves
+//!   talk like this.
+//! * [`Postman::reply_batch`] — how a served node's step answers — writes to
+//!   the connection the destination last *reached this node through*: a
+//!   reader registers its accepted stream's write half under the sender of
+//!   the first frame it decodes. Such a connection carries frames both ways,
+//!   and no thread is parked on its dialing end: the node that dialed reads
+//!   it itself, while it waits for the answer ([`Mailbox::recv_from`]). A
+//!   worker ↔ server round trip is `worker write → server reader (runs the
+//!   step, writes the reply) → worker read` over one socket. A destination
+//!   that never connected here is dialed, as for `send_batch`.
+//!
+//! What the always-draining reader threads gave a dialing node for free, and
+//! what stands in for it now that it reads for itself: a wait that is
+//! bounded bounds the connection's writes too (`ReadHalf::set_bound`), a
+//! connection written to [`UNREAD_BATCHES`] times in a row without being
+//! read is emptied before the next write (`ReadHalf::drain`), and dropping
+//! the node closes both halves (DESIGN.md §18).
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
@@ -25,7 +49,7 @@ use fluentps_util::sync::Mutex;
 use fluentps_util::sync::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::error::TransportError;
-use crate::frame::{holds_frame, wire_len, write_frames, FrameReader, READ_BUFFER};
+use crate::frame::{holds_frame, wire_len, write_frames, FrameReader, READ_BUFFER, UNREAD_BATCHES};
 use crate::msg::{Message, NodeId};
 use crate::{per_destination, Flow, Input, Mailbox, Postman, Step};
 
@@ -69,16 +93,259 @@ impl std::fmt::Debug for AddressBook {
 
 type Envelope = (NodeId, Message);
 
-/// One dialed connection: the socket plus a reusable scratch buffer that
-/// frame *heads* (and whole payload-free frames) are encoded into before one
-/// gathered write hands them to the kernel together with the value payloads,
-/// which are written from where the messages hold them. The buffer grows to
-/// the largest run of heads written and stays there — about a kilobyte per
-/// tensor-sized frame — and because a whole batch reaches the socket in one
-/// write there is no per-message flush (DESIGN.md § wire path).
+/// How long the connections of a node that was shut down stay open, all
+/// told, for the peers it dialed to read what it sent them and close
+/// ([`close_in_order`]). A peer that is a [`TcpNode`] takes a round trip;
+/// only a wedged one takes this.
+const LINGER: Duration = Duration::from_secs(1);
+
+/// The write half of one connection: the socket plus a reusable scratch
+/// buffer that frame *heads* (and whole payload-free frames) are encoded
+/// into before one gathered write hands them to the kernel together with the
+/// value payloads, which are written from where the messages hold them. The
+/// buffer grows to the largest run of heads written and stays there — about
+/// a kilobyte per tensor-sized frame — and because a whole batch reaches the
+/// socket in one write there is no per-message flush (DESIGN.md § wire path).
 struct Conn {
     stream: TcpStream,
     buf: BytesMut,
+    /// Tells this connection from an earlier or later one with the same
+    /// peer, so that whoever finds an old one dead leaves its successor be.
+    id: u64,
+}
+
+impl Conn {
+    /// Write the frames of `msgs` to `to` in one gathered write and trace
+    /// each as sent.
+    fn write(&mut self, shared: &Shared, to: NodeId, msgs: &[&Message]) -> std::io::Result<()> {
+        let (from, frames) = (shared.node, msgs.iter().copied());
+        write_frames(
+            &mut self.stream,
+            from,
+            frames,
+            &mut self.buf,
+            &shared.profiler,
+        )?;
+        for msg in msgs {
+            shared.trace_frame(EventKind::WireSend, to, msg);
+        }
+        Ok(())
+    }
+}
+
+/// How a connection ended under the thread reading it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum End {
+    /// Closed by the peer at a frame boundary: nothing was lost.
+    Clean,
+    /// A corrupt frame, an impossible length, or an end or a timeout in the
+    /// middle of a frame: every later frame of the connection is lost with
+    /// it.
+    Broken,
+}
+
+/// The read half of a connection this node dialed, read by whoever waits for
+/// the peer's answer ([`Mailbox::recv_from`]) instead of by a thread of its
+/// own.
+struct ReadHalf {
+    reader: BufReader<TcpStream>,
+    /// The longest the socket lets a read or a write block, as last set.
+    bound: Option<Duration>,
+}
+
+impl ReadHalf {
+    fn new(stream: TcpStream) -> Self {
+        ReadHalf {
+            reader: BufReader::with_capacity(READ_BUFFER, stream),
+            bound: None,
+        }
+    }
+
+    /// Let neither a read nor a write of this connection block longer than
+    /// `bound`. A node that reads for itself does not read while it writes:
+    /// if its peer is blocked writing to it meanwhile, both wait on each
+    /// other, and the write timeout is what ends that. System calls only
+    /// when the bound changes.
+    fn set_bound(&mut self, bound: Option<Duration>) -> std::io::Result<()> {
+        // The socket takes no zero timeout.
+        let bound = bound.map(|bound| bound.max(Duration::from_micros(1)));
+        if self.bound != bound {
+            let stream = self.reader.get_ref();
+            stream.set_read_timeout(bound)?;
+            stream.set_write_timeout(bound)?;
+            self.bound = bound;
+        }
+        Ok(())
+    }
+
+    /// Whether the buffer holds the beginning of a frame, after waiting for
+    /// one as long as the socket allows: its read timeout, or not at all
+    /// while it is non-blocking.
+    fn fill(&mut self) -> Result<bool, End> {
+        loop {
+            match self.reader.fill_buf() {
+                Ok([]) => return Err(End::Clean),
+                Ok(_) => return Ok(true),
+                Err(e) => match e.kind() {
+                    ErrorKind::Interrupted => {}
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut => return Ok(false),
+                    _ => return Err(End::Broken),
+                },
+            }
+        }
+    }
+
+    /// Decode the frame the buffer holds the beginning of, reading the rest
+    /// of it, and trace it as received.
+    fn frame(&mut self, shared: &Shared) -> Result<Envelope, End> {
+        match FrameReader::new().read_next(&mut self.reader, &shared.profiler) {
+            Ok(Some((from, msg))) => {
+                shared.trace_frame(EventKind::WireRecv, from, &msg);
+                Ok((from, msg))
+            }
+            Ok(None) => Err(End::Clean),
+            Err(_) => Err(End::Broken),
+        }
+    }
+
+    /// The next frame, waiting at most `bound` for it to begin; `Ok(None)`
+    /// when none did.
+    fn next(&mut self, bound: Option<Duration>, shared: &Shared) -> Result<Option<Envelope>, End> {
+        self.set_bound(bound).map_err(|_| End::Broken)?;
+        match self.fill()? {
+            true => self.frame(shared).map(Some),
+            false => Ok(None),
+        }
+    }
+
+    /// Move every frame that has arrived to the inbox, without waiting for
+    /// one to begin. (To the inbox even on a served node: the caller is
+    /// about to write, possibly from inside the step.)
+    fn drain(&mut self, shared: &Shared) -> Result<(), End> {
+        loop {
+            if self.reader.buffer().is_empty() {
+                let nonblocking = |half: &Self, on: bool| {
+                    let set = half.reader.get_ref().set_nonblocking(on);
+                    set.map_err(|_| End::Broken)
+                };
+                nonblocking(self, true)?;
+                let arrived = self.fill();
+                nonblocking(self, false)?;
+                if !arrived? {
+                    return Ok(());
+                }
+            }
+            let frame = self.frame(shared)?;
+            let _ = shared.inbox_tx.send(frame);
+        }
+    }
+}
+
+/// One connection this node dialed.
+struct Dialed {
+    conn: Conn,
+    /// The read half, unless a [`Mailbox::recv_from`] has it out.
+    reader: Option<ReadHalf>,
+    /// Batches written since the connection was last read.
+    unread: u32,
+}
+
+impl Dialed {
+    /// Connect to `addr`: connection `id`, both halves.
+    fn dial(addr: SocketAddr, id: u64) -> std::io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        let reader = Some(ReadHalf::new(stream.try_clone()?));
+        let buf = BytesMut::new();
+        Ok(Dialed {
+            conn: Conn { stream, buf, id },
+            reader,
+            unread: 0,
+        })
+    }
+
+    /// [`Conn::write`], after a look at a connection nobody has read for
+    /// [`UNREAD_BATCHES`] writes: replies nobody waits for (`PushAck`s to a
+    /// worker that only pushes) must not pile up until the peer blocks
+    /// writing them.
+    fn write(
+        &mut self,
+        shared: &Shared,
+        to: NodeId,
+        msgs: &[&Message],
+    ) -> Result<(), TransportError> {
+        if self.unread >= UNREAD_BATCHES {
+            self.look(shared, to)?;
+        }
+        self.unread += 1;
+        Ok(self.conn.write(shared, to, msgs)?)
+    }
+
+    /// Move what `peer` has answered on this connection meanwhile to the
+    /// inbox, without waiting ([`ReadHalf::drain`]); an error when that
+    /// found the connection over. Nothing to do while a
+    /// [`Mailbox::recv_from`] has the read half out: it is being read.
+    fn look(&mut self, shared: &Shared, peer: NodeId) -> Result<(), TransportError> {
+        self.unread = 0;
+        if let Some(Err(end)) = self.reader.as_mut().map(|half| half.drain(shared)) {
+            shared.trace_end(peer, end);
+            return Err(TransportError::Disconnected);
+        }
+        Ok(())
+    }
+}
+
+/// Close connections a node dialed the orderly way round: no more writes
+/// now, and then — on a thread of its own, so that shutting a node down
+/// waits for nobody — read and drop what each peer still answers until it
+/// has read everything, seen the end and closed its side, or [`LINGER`] has
+/// passed. Closing a socket that holds unread replies, or that a reply
+/// reaches later, resets the connection instead, and a reset discards what
+/// the peer has not read yet: the last pushes of a worker that does not wait
+/// for their acks.
+fn close_in_order(dialed: impl IntoIterator<Item = Dialed>, shared: &Arc<Shared>) {
+    let no_more_writes = |mut dialed: Dialed| {
+        let half = dialed.reader.take()?;
+        dialed.conn.stream.shutdown(Shutdown::Write).ok()?;
+        Some(half)
+    };
+    let halves: Vec<ReadHalf> = dialed.into_iter().filter_map(no_more_writes).collect();
+    if halves.is_empty() {
+        return;
+    }
+    let closer = std::thread::Builder::new().name(format!("tcp-closer-{}", shared.node));
+    let shared = Arc::clone(shared);
+    let read_out = move || {
+        let deadline = Instant::now() + LINGER;
+        for mut half in halves {
+            loop {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() || !matches!(half.next(Some(left), &shared), Ok(Some(_))) {
+                    break;
+                }
+            }
+        }
+    };
+    // Not spawned: dropped with the sockets, closed as abruptly as before.
+    let _ = closer.spawn(read_out);
+}
+
+/// Every connection a node writes to, behind its one send lock.
+#[derive(Default)]
+struct Links {
+    /// Connections this node dialed, by peer.
+    dialed: HashMap<NodeId, Dialed>,
+    /// Write halves of accepted connections, by the peer that last reached
+    /// this node through one: where [`Postman::reply_batch`] answers it.
+    routes: HashMap<NodeId, Conn>,
+    last_id: u64,
+}
+
+impl Links {
+    fn next_id(&mut self) -> u64 {
+        self.last_id += 1;
+        self.last_id
+    }
 }
 
 /// Who consumes what the reader threads decode: the node's one lock.
@@ -97,7 +364,7 @@ struct Serving {
 struct Shared {
     node: NodeId,
     book: AddressBook,
-    conns: Mutex<HashMap<NodeId, Conn>>,
+    links: Mutex<Links>,
     inbox_tx: Sender<Envelope>,
     serving: Mutex<Serving>,
     /// Signalled when `serving.stopped` is set.
@@ -132,6 +399,94 @@ impl Shared {
         }
         true
     }
+
+    /// Record a node-level event about the connection with `peer`.
+    fn trace(&self, kind: EventKind, peer: NodeId, bytes: u64) {
+        let (shard, worker) = trace_ids(self.node, peer);
+        let args = RecordArgs::new().shard(shard).worker(worker);
+        self.tracer.record(kind, args.bytes(bytes));
+    }
+
+    /// Record `msg` as written to or read from `peer`, with its exact
+    /// on-the-wire size.
+    fn trace_frame(&self, kind: EventKind, peer: NodeId, msg: &Message) {
+        if self.tracer.is_enabled() {
+            self.trace(kind, peer, wire_len(msg) as u64);
+        }
+    }
+
+    /// Record how the connection with `peer` ended: one `ConnectionLost`
+    /// naming both ends if frames may have been lost with it, nothing for a
+    /// clean close.
+    fn trace_end(&self, peer: NodeId, end: End) {
+        if end == End::Broken {
+            self.trace(EventKind::ConnectionLost, peer, 0);
+        }
+    }
+
+    /// Register `stream`, the accepted connection `peer`'s first frame just
+    /// arrived on, as the way replies to `peer` go from now on — in place of
+    /// an older connection from the same peer. Returns the route's id.
+    fn add_route(&self, peer: NodeId, stream: &TcpStream) -> u64 {
+        let mut links = self.links.lock();
+        let id = links.next_id();
+        // Checked under the lock `shutdown` clears the routes under.
+        if !self.closed.load(Ordering::SeqCst) {
+            if let Ok(stream) = stream.try_clone() {
+                let buf = BytesMut::new();
+                links.routes.insert(peer, Conn { stream, buf, id });
+            }
+        }
+        id
+    }
+
+    /// The connection behind route `id` to `peer` is over. A newer
+    /// connection's route stays.
+    fn remove_route(&self, peer: NodeId, id: u64) {
+        let mut links = self.links.lock();
+        if links.routes.get(&peer).is_some_and(|route| route.id == id) {
+            links.routes.remove(&peer);
+        }
+    }
+
+    /// Take the read half of the connection dialed to `peer` out for one
+    /// wait, with the connection's id. While it is out nothing else reads
+    /// the connection, and no lock is held that a send needs.
+    fn take_reader(&self, peer: NodeId) -> Option<(u64, ReadHalf)> {
+        let mut links = self.links.lock();
+        let dialed = links.dialed.get_mut(&peer)?;
+        Some((dialed.conn.id, dialed.reader.take()?))
+    }
+
+    /// Put the read half of connection `id` to `peer` back, unless a failed
+    /// write dropped the connection meanwhile (`half` then closes with it).
+    fn return_reader(&self, peer: NodeId, id: u64, half: ReadHalf) {
+        let mut links = self.links.lock();
+        if let Some(dialed) = links.dialed.get_mut(&peer).filter(|d| d.conn.id == id) {
+            dialed.reader = Some(half);
+            dialed.unread = 0;
+        }
+    }
+
+    /// Look at every connection this node dialed ([`Dialed::look`]), and
+    /// drop those found over.
+    fn look_around(&self) {
+        let mut links = self.links.lock();
+        links
+            .dialed
+            .retain(|peer, dialed| dialed.look(self, *peer).is_ok());
+    }
+
+    /// Connection `id` to `peer` ended under its reader: drop its write half
+    /// too, so that the next send redials.
+    fn drop_dialed(&self, peer: NodeId, id: u64, end: End) {
+        let mut links = self.links.lock();
+        if links.dialed.get(&peer).is_some_and(|d| d.conn.id == id) {
+            links.dialed.remove(&peer);
+        }
+        drop(links);
+        self.trace_end(peer, end);
+    }
 }
 
 /// `(shard, worker)` ids for a trace event about traffic between `local`
@@ -151,7 +506,7 @@ fn trace_ids(local: NodeId, peer: NodeId) -> (u32, u32) {
     (pick(true), pick(false))
 }
 
-/// A TCP endpoint: listener plus dialed connections.
+/// A TCP endpoint: listener plus the connections it dialed and accepted.
 pub struct TcpNode {
     shared: Arc<Shared>,
     inbox_rx: Receiver<Envelope>,
@@ -168,7 +523,8 @@ impl TcpNode {
 
     /// [`TcpNode::bind`] with frame-level tracing and span profiling. Every
     /// frame written by this node's postmen records a `wire_send` event and
-    /// every frame decoded off an accepted stream a `wire_recv`, both
+    /// every frame it decodes — off an accepted stream or, waiting in
+    /// [`Mailbox::recv_from`], off one it dialed — a `wire_recv`, both
     /// carrying the exact on-the-wire byte count; every frame the postmen
     /// encode runs under a `wire/encode` span and every frame decoded under
     /// `wire/decode` (the blocking socket reads stay outside the spans —
@@ -186,7 +542,7 @@ impl TcpNode {
         let shared = Arc::new(Shared {
             node,
             book,
-            conns: Mutex::new(HashMap::new()),
+            links: Mutex::default(),
             inbox_tx,
             serving: Mutex::default(),
             stopped: Condvar::new(),
@@ -224,12 +580,16 @@ impl TcpNode {
         }
     }
 
-    /// Stop accepting and sending. A reader thread exits when its peer
-    /// closes or, once the node is dropped, at the next frame it reads —
-    /// closing the socket, so the peer's following write fails.
+    /// Stop accepting and sending, and close every connection this node
+    /// dialed, both halves and in order ([`close_in_order`]): the reader at
+    /// the far end reads what was sent, sees a clean close and exits. A
+    /// reader thread of this node exits when its peer closes or, once the
+    /// node is dropped, at the next frame it reads — closing the socket, so
+    /// the peer's following write fails.
     pub fn shutdown(&mut self) {
         self.shared.closed.store(true, Ordering::SeqCst);
-        self.shared.conns.lock().clear();
+        let links = std::mem::take(&mut *self.shared.links.lock());
+        close_in_order(links.dialed.into_values(), &self.shared);
         if let Some(h) = self.accept_thread.take() {
             // The accept thread blocks in `accept`; one throwaway dial wakes
             // it to see `closed`. If the dial fails the listener is already
@@ -269,48 +629,36 @@ fn spawn_reader(stream: TcpStream, shared: Arc<Shared>) {
 /// the stream breaks or the node is gone, then drop the socket — so a peer
 /// still writing finds out and redials. Each frame lands in a buffer of its
 /// own, which the decoded message shares: a value is not copied again on
-/// this side.
+/// this side. From its first frame on the connection is also where replies
+/// to its sender go ([`Shared::add_route`]).
 fn read_frames(stream: TcpStream, shared: &Shared) {
     let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
     let mut frames = FrameReader::new();
-    let mut peer = None;
-    let broken = loop {
+    let mut route = None;
+    let end = loop {
         match frames.read_next(&mut reader, &shared.profiler) {
             Ok(Some((from, msg))) => {
-                peer = Some(from);
-                if shared.tracer.is_enabled() {
-                    let (shard, worker) = trace_ids(shared.node, from);
-                    shared.tracer.record(
-                        EventKind::WireRecv,
-                        RecordArgs::new()
-                            .shard(shard)
-                            .worker(worker)
-                            .bytes(wire_len(&msg) as u64),
-                    );
-                }
+                // Before the frame is handled: its answer takes the route.
+                route.get_or_insert_with(|| (from, shared.add_route(from, reader.get_ref())));
+                shared.trace_frame(EventKind::WireRecv, from, &msg);
                 // Nothing further is ready when the buffer does not hold
                 // the whole next frame: the next read would block (or at
                 // least go to the kernel), so the step is told to send
                 // what it has queued. A partial frame holds nothing back.
                 let dry = !holds_frame(reader.buffer());
                 if !shared.deliver(from, msg, dry) {
-                    break false;
+                    break End::Clean;
                 }
             }
-            // Closed by the peer at a frame boundary: nothing was lost.
-            Ok(None) => break false,
-            Err(_) => break true,
+            Ok(None) => break End::Clean,
+            Err(_) => break End::Broken,
         }
     };
-    // A corrupt frame, an impossible length or an end in the middle of a
-    // frame: every later frame of this connection is lost with it.
-    if broken && shared.tracer.is_enabled() {
-        let (shard, worker) = trace_ids(shared.node, peer.unwrap_or(shared.node));
-        shared.tracer.record(
-            EventKind::ConnectionLost,
-            RecordArgs::new().shard(shard).worker(worker),
-        );
-    }
+    let peer = route.map(|(peer, id)| {
+        shared.remove_route(peer, id);
+        peer
+    });
+    shared.trace_end(peer.unwrap_or(shared.node), end);
 }
 
 impl Mailbox for TcpNode {
@@ -334,6 +682,52 @@ impl Mailbox for TcpNode {
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
         }
+    }
+
+    /// What the inbox holds first; then one frame off the connection this
+    /// node dialed to `peer`, read and decoded right here — a served peer
+    /// answers on it ([`Postman::reply_batch`]). `timeout` bounds the wait
+    /// for a frame to *begin* (and, from then on, every write to `peer`: see
+    /// `ReadHalf::set_bound`). A connection that closes, breaks, or times
+    /// out inside a frame is dropped, both halves, and so is the wait on
+    /// it: the rest of `timeout` is spent on the inbox, which is where a
+    /// peer that has to dial back delivers — as is all of it when there is
+    /// no connection to `peer`. When `timeout` has passed, what other peers
+    /// answered meanwhile, on connections nobody was reading, is moved to
+    /// the inbox and the first of it returned: a caller told `None` has
+    /// heard from nobody.
+    fn recv_from(
+        &self,
+        peer: NodeId,
+        timeout: Option<Duration>,
+    ) -> Result<Option<(NodeId, Message)>, TransportError> {
+        if let Some(queued) = self.try_recv()? {
+            return Ok(Some(queued));
+        }
+        let shared = &*self.shared;
+        let deadline = timeout.map(|timeout| Instant::now() + timeout);
+        let on_inbox = || match deadline {
+            Some(deadline) => self.recv_timeout(deadline.saturating_duration_since(Instant::now())),
+            None => self.recv().map(Some),
+        };
+        let received = match shared.take_reader(peer) {
+            Some((id, mut half)) => match half.next(timeout, shared) {
+                Ok(frame) => {
+                    shared.return_reader(peer, id, half);
+                    frame
+                }
+                Err(end) => {
+                    shared.drop_dialed(peer, id, end);
+                    on_inbox()?
+                }
+            },
+            None => on_inbox()?,
+        };
+        if received.is_some() {
+            return Ok(received);
+        }
+        shared.look_around();
+        self.try_recv()
     }
 
     /// Install `step` for the connections' reader threads to run
@@ -399,58 +793,65 @@ pub struct TcpPostman {
 }
 
 impl TcpPostman {
-    /// Get (or dial) the connection to `to`.
-    fn ensure_conn<'c>(
-        &self,
-        conns: &'c mut HashMap<NodeId, Conn>,
-        to: NodeId,
-    ) -> Result<&'c mut Conn, TransportError> {
-        if let std::collections::hash_map::Entry::Vacant(e) = conns.entry(to) {
-            let addr = self
-                .shared
-                .book
-                .get(to)
-                .ok_or(TransportError::UnknownNode(to))?;
-            let stream = TcpStream::connect(addr)?;
-            stream.set_nodelay(true)?;
-            e.insert(Conn {
-                stream,
-                buf: BytesMut::new(),
-            });
-        }
-        Ok(conns.get_mut(&to).expect("just inserted"))
-    }
-
-    /// Write the frames of `msgs` to `to` in one gathered write (dialing
-    /// first if needed) and trace each as sent. On error the connection is
-    /// dropped so a later send can redial.
+    /// Write the frames of `msgs` over the connection dialed to `to`
+    /// (dialing first if needed). On error the connection is dropped, both
+    /// halves, so a later send can redial.
     fn write_to(
         &self,
-        conns: &mut HashMap<NodeId, Conn>,
+        links: &mut Links,
         to: NodeId,
         msgs: &[&Message],
     ) -> Result<(), TransportError> {
-        let Conn { stream, buf } = self.ensure_conn(conns, to)?;
-        let from = self.shared.node;
-        let prof = &self.shared.profiler;
-        if let Err(e) = write_frames(stream, from, msgs.iter().copied(), buf, prof) {
-            conns.remove(&to);
-            return Err(e.into());
+        let shared = &*self.shared;
+        if !links.dialed.contains_key(&to) {
+            let addr = shared.book.get(to).ok_or(TransportError::UnknownNode(to))?;
+            let dialed = Dialed::dial(addr, links.next_id())?;
+            links.dialed.insert(to, dialed);
         }
-        if self.shared.tracer.is_enabled() {
-            for msg in msgs {
-                self.trace_send(to, wire_len(msg) as u64);
-            }
+        let dialed = links.dialed.get_mut(&to).expect("just inserted");
+        let written = dialed.write(shared, to, msgs);
+        if written.is_err() {
+            links.dialed.remove(&to);
         }
-        Ok(())
+        written
     }
 
-    fn trace_send(&self, to: NodeId, bytes: u64) {
-        let (shard, worker) = trace_ids(self.shared.node, to);
-        self.shared.tracer.record(
-            EventKind::WireSend,
-            RecordArgs::new().shard(shard).worker(worker).bytes(bytes),
-        );
+    /// The frames for one destination go out in a *single* gathered write —
+    /// heads from that connection's scratch buffer, value payloads from the
+    /// messages — one flush per destination instead of one per message.
+    /// Per-destination FIFO order is preserved; destinations are written in
+    /// order of first appearance, and a failure on one does not stop the
+    /// others (the first error is returned after every destination is
+    /// attempted). With `replies` set a destination that reached this node
+    /// over a connection of its own is written over that one; a route whose
+    /// socket died fails its batch and is dropped, so the next reply dials.
+    fn write_batch(
+        &self,
+        batch: &[(NodeId, Message)],
+        replies: bool,
+    ) -> Result<(), TransportError> {
+        let shared = &*self.shared;
+        if shared.closed.load(Ordering::SeqCst) {
+            return Err(TransportError::Disconnected);
+        }
+        let links = &mut *shared.links.lock();
+        let mut first_err = None;
+        for (to, msgs) in per_destination(batch.iter().map(|(to, msg)| (*to, msg))) {
+            let written = match links.routes.get_mut(&to).filter(|_| replies) {
+                Some(route) => {
+                    let written = route.write(shared, to, &msgs);
+                    if written.is_err() {
+                        links.routes.remove(&to);
+                    }
+                    written.map_err(TransportError::from)
+                }
+                None => self.write_to(links, to, &msgs),
+            };
+            if let Err(e) = written {
+                first_err.get_or_insert(e);
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
 }
 
@@ -459,28 +860,19 @@ impl Postman for TcpPostman {
         if self.shared.closed.load(Ordering::SeqCst) {
             return Err(TransportError::Disconnected);
         }
-        self.write_to(&mut self.shared.conns.lock(), to, &[&msg])
+        self.write_to(&mut self.shared.links.lock(), to, &[&msg])
     }
 
-    /// Coalesced send: the frames for one destination go out in a *single*
-    /// gathered write — heads from that connection's scratch buffer, value
-    /// payloads from the messages — one flush per destination instead of
-    /// one per message. Per-destination FIFO order is preserved;
-    /// destinations are written in order of first appearance, and a failure
-    /// on one does not stop the others (the first error is returned after
-    /// every destination is attempted).
+    /// Coalesced send over the connections this node dials
+    /// ([`TcpPostman::write_batch`]).
     fn send_batch(&self, batch: Vec<(NodeId, Message)>) -> Result<(), TransportError> {
-        if self.shared.closed.load(Ordering::SeqCst) {
-            return Err(TransportError::Disconnected);
-        }
-        let mut conns = self.shared.conns.lock();
-        let mut first_err = None;
-        for (to, msgs) in per_destination(batch.iter().map(|(to, msg)| (*to, msg))) {
-            if let Err(e) = self.write_to(&mut conns, to, &msgs) {
-                first_err.get_or_insert(e);
-            }
-        }
-        first_err.map_or(Ok(()), Err)
+        self.write_batch(&batch, false)
+    }
+
+    /// Coalesced send, each destination over the connection it last reached
+    /// this node through; one that never did is dialed.
+    fn reply_batch(&self, batch: Vec<(NodeId, Message)>) -> Result<(), TransportError> {
+        self.write_batch(&batch, true)
     }
 }
 
@@ -488,6 +880,7 @@ impl Postman for TcpPostman {
 mod tests {
     use super::*;
     use crate::msg::KvPairs;
+    use std::io::{Read, Write};
 
     fn loopback() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
@@ -715,7 +1108,6 @@ mod tests {
         use crate::codec::corrupt_at;
         use crate::frame::encode_frame;
         use fluentps_obs::TraceCollector;
-        use std::io::Write;
 
         let collector = TraceCollector::wall(64);
         let book = AddressBook::new();
@@ -762,10 +1154,11 @@ mod tests {
         worker.postman().send(here, Message::Shutdown).unwrap();
         assert_eq!(received(), Message::Shutdown);
         let corrupt = corrupt_at(&frame, 10, 0xEE);
-        let mut conns = worker.shared.conns.lock();
-        let conn = conns.get_mut(&here).expect("dialed by the send above");
+        let mut links = worker.shared.links.lock();
+        let dialed = links.dialed.get_mut(&here);
+        let conn = &mut dialed.expect("dialed by the send above").conn;
         conn.stream.write_all(&corrupt).unwrap();
-        drop(conns);
+        drop(links);
         await_lost(2);
         // The reader dropped the socket with the event: the peer's writes
         // start to fail, its postman redials, and what it sends arrives.
@@ -782,6 +1175,407 @@ mod tests {
         // One event per broken connection, naming both ends; none for the
         // clean close (its reader had the whole test to say otherwise).
         assert_eq!(lost(), [(2, 7), (2, 7)]);
+    }
+
+    // --- replies over the connection the request came in on --------------
+
+    const SERVER: NodeId = NodeId::Server(0);
+    const WORKER: NodeId = NodeId::Worker(0);
+    const LONG: Duration = Duration::from_secs(10);
+
+    /// `SERVER`, whose own book is empty — it answers over a route or not at
+    /// all — and `WORKER`, who can find it; `listed` puts the worker in the
+    /// server's book after all.
+    fn server_and_worker(listed: bool) -> (TcpNode, TcpNode) {
+        let server_book = AddressBook::new();
+        let server = TcpNode::bind(SERVER, loopback(), server_book.clone()).unwrap();
+        let book = AddressBook::new();
+        book.insert(SERVER, server.local_addr());
+        let worker = TcpNode::bind(WORKER, loopback(), book).unwrap();
+        if listed {
+            server_book.insert(WORKER, worker.local_addr());
+        }
+        (server, worker)
+    }
+
+    fn ack(progress: u64) -> Message {
+        Message::PushAck {
+            server: 0,
+            progress,
+        }
+    }
+
+    /// The id of the route to `WORKER`, once `node` has one.
+    fn route_id(node: &TcpNode) -> Option<u64> {
+        let links = node.shared.links.lock();
+        links.routes.get(&WORKER).map(|route| route.id)
+    }
+
+    /// Send `seq` from the worker and receive it at the (un-served) server:
+    /// when this returns, the connection it travelled has a route.
+    fn reach(worker: &TcpNode, server: &TcpNode, seq: u64) {
+        let beat = Message::Heartbeat { node: WORKER, seq };
+        worker.postman().send(SERVER, beat.clone()).unwrap();
+        let got = server.recv_timeout(LONG).unwrap();
+        assert_eq!(got, Some((WORKER, beat)));
+    }
+
+    #[test]
+    fn a_reply_to_a_peer_that_never_connected_dials_the_book() {
+        // The shape of `serve_parity.rs`: someone else asked on the worker's
+        // behalf, so there is no connection of the worker's to answer on.
+        let (server, worker) = server_and_worker(true);
+        let replies = vec![(WORKER, ack(1)), (WORKER, ack(2))];
+        server.postman().reply_batch(replies).unwrap();
+        for progress in [1, 2] {
+            // Through the worker's listener, into its inbox.
+            let got = worker.recv_timeout(LONG).unwrap();
+            assert_eq!(got, Some((SERVER, ack(progress))));
+        }
+        let links = server.shared.links.lock();
+        assert!(links.routes.is_empty());
+        assert!(links.dialed.contains_key(&WORKER));
+        // And one nobody listed cannot be answered at all.
+        drop(links);
+        let (server, _worker) = server_and_worker(false);
+        let unknown = server.postman().reply_batch(vec![(WORKER, ack(1))]);
+        assert!(matches!(unknown, Err(TransportError::UnknownNode(WORKER))));
+    }
+
+    #[test]
+    fn a_redial_replaces_the_route_and_the_old_readers_exit_leaves_the_new_one() {
+        use fluentps_obs::TraceCollector;
+        let collector = TraceCollector::wall(64);
+        let book = AddressBook::new();
+        let (tracer, quiet) = (collector.tracer(), Profiler::disabled());
+        let server =
+            TcpNode::bind_profiled(SERVER, loopback(), AddressBook::new(), tracer, quiet).unwrap();
+        book.insert(SERVER, server.local_addr());
+        let worker = TcpNode::bind(WORKER, loopback(), book).unwrap();
+
+        reach(&worker, &server, 1);
+        let first = route_id(&server).expect("a route from the first frame on");
+        // The worker dials again while its first connection is still open.
+        let old = worker.shared.links.lock().dialed.remove(&SERVER);
+        let mut old = old.expect("dialed by the send above");
+        reach(&worker, &server, 2);
+        let second = route_id(&server).expect("still routed");
+        assert_ne!(first, second, "the newer connection is the route now");
+        // The old connection ends badly — so that its reader says when it
+        // is done — and takes only its own route with it, which is gone.
+        let frame = crate::frame::encode_frame(WORKER, &Message::Shutdown);
+        old.conn
+            .stream
+            .write_all(&frame[..frame.len() - 1])
+            .unwrap();
+        drop(old);
+        let begun = Instant::now();
+        while collector.totals().0[EventKind::ConnectionLost as usize] == 0 {
+            assert!(begun.elapsed() < LONG, "the old reader never ended");
+            std::thread::yield_now();
+        }
+        assert_eq!(route_id(&server), Some(second));
+        // The reply takes the new connection: the server could not dial.
+        server
+            .postman()
+            .reply_batch(vec![(WORKER, ack(3))])
+            .unwrap();
+        let got = worker.recv_from(SERVER, Some(LONG)).unwrap();
+        assert_eq!(got, Some((SERVER, ack(3))));
+        // A clean end of the connection that *is* the route removes it.
+        worker.shared.links.lock().dialed.clear();
+        let begun = Instant::now();
+        while route_id(&server).is_some() {
+            assert!(begun.elapsed() < LONG, "the route outlived its connection");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_dead_route_fails_one_batch_and_the_next_reply_dials() {
+        let (server, worker) = server_and_worker(true);
+        reach(&worker, &server, 1);
+        let postman = server.postman();
+        postman.reply_batch(vec![(WORKER, ack(1))]).unwrap();
+        let got = worker.recv_from(SERVER, Some(LONG)).unwrap();
+        assert_eq!(got, Some((SERVER, ack(1))));
+        // `send_batch` does not take the route: it dials.
+        postman.send_batch(vec![(WORKER, ack(0))]).unwrap();
+        let got = worker.recv_timeout(LONG).unwrap();
+        assert_eq!(got, Some((SERVER, ack(0))));
+        server.shared.links.lock().dialed.clear();
+        // The socket dies under the route (its reader, blocked in a read,
+        // has not noticed): that batch fails and is not sent another way…
+        let links = server.shared.links.lock();
+        let route = links.routes.get(&WORKER).expect("routed");
+        route.stream.shutdown(std::net::Shutdown::Write).unwrap();
+        drop(links);
+        let failed = postman.reply_batch(vec![(WORKER, ack(2))]);
+        assert!(matches!(failed, Err(TransportError::Io(_))), "{failed:?}");
+        assert_eq!(route_id(&server), None, "a dead route is dropped");
+        // …and the next one goes through the book, to the worker's inbox.
+        postman.reply_batch(vec![(WORKER, ack(3))]).unwrap();
+        let got = worker.recv_timeout(LONG).unwrap();
+        assert_eq!(got, Some((SERVER, ack(3))));
+        assert!(server.shared.links.lock().dialed.contains_key(&WORKER));
+    }
+
+    #[test]
+    fn a_timeout_inside_a_frame_loses_the_connection_and_a_timeout_between_frames_does_not() {
+        use fluentps_obs::TraceCollector;
+        // The peer is a bare socket, to write half a frame from.
+        let listener = TcpListener::bind(loopback()).unwrap();
+        let book = AddressBook::new();
+        book.insert(SERVER, listener.local_addr().unwrap());
+        let collector = TraceCollector::wall(64);
+        let (tracer, quiet) = (collector.tracer(), Profiler::disabled());
+        let worker = TcpNode::bind_profiled(WORKER, loopback(), book, tracer, quiet).unwrap();
+        let lost = || collector.totals().0[EventKind::ConnectionLost as usize];
+        let dialed_id = || {
+            let links = worker.shared.links.lock();
+            links.dialed.get(&SERVER).map(|d| d.conn.id)
+        };
+        let patience = Duration::from_millis(30);
+        let short = Some(patience);
+
+        let beat = Message::Heartbeat {
+            node: WORKER,
+            seq: 0,
+        };
+        worker.postman().send(SERVER, beat.clone()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let first = dialed_id().expect("dialed");
+        // Silence is not an error, twice over (the second wait sets no
+        // timeout again): the connection stays.
+        for _ in 0..2 {
+            assert_eq!(worker.recv_from(SERVER, short).unwrap(), None);
+        }
+        assert_eq!((dialed_id(), lost()), (Some(first), 0));
+        // A whole frame, then half of one and nothing more.
+        let frame = crate::frame::encode_frame(SERVER, &ack(1));
+        peer.write_all(&frame).unwrap();
+        peer.write_all(&frame[..frame.len() / 2]).unwrap();
+        let got = worker.recv_from(SERVER, short).unwrap();
+        assert_eq!(got, Some((SERVER, ack(1))));
+        let begun = Instant::now();
+        assert_eq!(worker.recv_from(SERVER, short).unwrap(), None);
+        assert!(begun.elapsed() >= patience, "gave up early");
+        assert_eq!((dialed_id(), lost()), (None, 1), "one event, both halves");
+        // The peer sees the end of it, and the next send a new connection.
+        let mut rest = Vec::new();
+        peer.set_read_timeout(Some(LONG)).unwrap();
+        peer.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest, crate::frame::encode_frame(WORKER, &beat).to_vec());
+        worker.postman().send(SERVER, beat).unwrap();
+        let (_again, _) = listener.accept().unwrap();
+        assert!(dialed_id().is_some_and(|id| id != first));
+        // With no connection to wait on, the wait is on the inbox.
+        worker.shared.links.lock().dialed.clear();
+        assert_eq!(worker.recv_from(SERVER, short).unwrap(), None);
+        assert_eq!(lost(), 1);
+    }
+
+    /// Holds the last push's values and answers a pull with them, over the
+    /// connection the pull came in on.
+    struct Holding(TcpPostman, KvPairs);
+
+    impl Step for Holding {
+        fn step(&mut self, input: Input) -> Flow {
+            match input {
+                Input::Message(_, Message::SPush { kv, .. }) => self.1 = kv,
+                Input::Message(from, Message::SPull { progress, .. }) => {
+                    let response = Message::PullResponse {
+                        server: 0,
+                        progress,
+                        version: progress + 1,
+                        kv: self.1.clone(),
+                    };
+                    self.0.reply_batch(vec![(from, response)]).unwrap();
+                }
+                Input::Message(_, Message::Shutdown) => return Flow::Stop,
+                _ => {}
+            }
+            Flow::Continue
+        }
+    }
+
+    #[test]
+    fn a_tensor_sized_reply_round_trips_bit_exactly_through_recv_from() {
+        use fluentps_util::alloc::thread_counters;
+        let (server, worker) = server_and_worker(false);
+        let holding = Holding(server.postman(), KvPairs::default());
+        let served = std::thread::spawn(move || drop(server.serve(None, holding)));
+        // 1 MiB of values, no two alike, NaN patterns among them.
+        let vals: Vec<f32> = (0..1u32 << 18)
+            .map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9)))
+            .collect();
+        let push = Message::SPush {
+            worker: 0,
+            progress: 1,
+            kv: KvPairs::single(7, vals.clone()),
+        };
+        let pull = Message::SPull {
+            worker: 0,
+            progress: 1,
+            keys: vec![7],
+        };
+        let postman = worker.postman();
+        let batch = [push, pull].map(|msg| (SERVER, msg));
+        postman.send_batch(batch.into()).unwrap();
+        let (_, before) = thread_counters();
+        let got = worker.recv_from(SERVER, Some(LONG)).unwrap();
+        let (_, after) = thread_counters();
+        let Some((SERVER, Message::PullResponse { kv, .. })) = got else {
+            panic!("not the response: {got:?}");
+        };
+        let bits = |vals: &[f32]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&kv.vals.to_vec()), bits(&vals));
+        // Copied out of the kernel by this thread, into the one buffer the
+        // message keeps.
+        let body = 4 * vals.len() as u64;
+        assert!(
+            (body..body + 4096).contains(&(after - before)),
+            "receiving {body} bytes of values allocated {}",
+            after - before
+        );
+        postman.send(SERVER, Message::Shutdown).unwrap();
+        served.join().unwrap();
+    }
+
+    #[test]
+    fn what_the_inbox_holds_comes_before_what_the_connection_holds() {
+        let (server, worker) = server_and_worker(false);
+        reach(&worker, &server, 1);
+        server
+            .postman()
+            .reply_batch(vec![(WORKER, ack(1))])
+            .unwrap();
+        // In the inbox for certain: put there the way a reader does.
+        let third = NodeId::Worker(1);
+        assert!(worker.shared.deliver(third, Message::Shutdown, true));
+        let got = worker.recv_from(SERVER, Some(LONG)).unwrap();
+        assert_eq!(got, Some((third, Message::Shutdown)));
+        let got = worker.recv_from(SERVER, Some(LONG)).unwrap();
+        assert_eq!(got, Some((SERVER, ack(1))));
+    }
+
+    #[test]
+    fn a_wait_that_times_out_on_one_peer_has_heard_what_the_others_answered() {
+        // Two servers reached, the lower one silent: waiting for it must not
+        // leave the other's answer unread, or a retry would go to both.
+        let quiet = TcpNode::bind(SERVER, loopback(), AddressBook::new()).unwrap();
+        let other = NodeId::Server(1);
+        let answering = TcpNode::bind(other, loopback(), AddressBook::new()).unwrap();
+        let book = AddressBook::new();
+        book.insert(SERVER, quiet.local_addr());
+        book.insert(other, answering.local_addr());
+        let worker = TcpNode::bind(WORKER, loopback(), book).unwrap();
+        reach(&worker, &quiet, 1);
+        let beat = Message::Heartbeat {
+            node: WORKER,
+            seq: 1,
+        };
+        worker.postman().send(other, beat).unwrap();
+        assert!(answering.recv_timeout(LONG).unwrap().is_some());
+        let reply = vec![(WORKER, ack(1))];
+        answering.postman().reply_batch(reply).unwrap();
+
+        let patience = Duration::from_millis(30);
+        let begun = Instant::now();
+        let got = worker.recv_from(SERVER, Some(patience)).unwrap();
+        assert_eq!(got, Some((other, ack(1))));
+        assert!(
+            begun.elapsed() >= patience,
+            "the wait was for the quiet one"
+        );
+        assert_eq!(worker.recv_from(SERVER, Some(patience)).unwrap(), None);
+    }
+
+    #[test]
+    fn an_unread_connection_is_emptied_before_it_can_fill() {
+        let (server, worker) = server_and_worker(false);
+        let (postman, replies) = (worker.postman(), server.postman());
+        // Every batch is answered and no answer is waited for.
+        let rounds = 3 * u64::from(UNREAD_BATCHES);
+        for seq in 0..rounds {
+            reach(&worker, &server, seq);
+            replies.reply_batch(vec![(WORKER, ack(seq))]).unwrap();
+        }
+        // What was moved to the inbox is there in order, and the rest still
+        // comes off the connection behind it.
+        let unread = worker.shared.links.lock().dialed[&SERVER].unread;
+        assert!(unread <= UNREAD_BATCHES, "{unread} batches unread");
+        for seq in 0..rounds {
+            let got = worker.recv_from(SERVER, Some(LONG)).unwrap();
+            assert_eq!(got, Some((SERVER, ack(seq))));
+        }
+        // A peer that closed is found out by that look: the write it comes
+        // before would still have succeeded.
+        let listener = TcpListener::bind(loopback()).unwrap();
+        let gone = NodeId::Server(1);
+        worker
+            .shared
+            .book
+            .insert(gone, listener.local_addr().unwrap());
+        postman.send(gone, Message::Shutdown).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let mut frame = crate::frame::encode_frame(WORKER, &Message::Shutdown).to_vec();
+        peer.read_exact(&mut frame).unwrap();
+        drop(peer);
+        let mut links = worker.shared.links.lock();
+        links.dialed.get_mut(&gone).expect("dialed").unread = UNREAD_BATCHES;
+        drop(links);
+        let found_out = postman.send(gone, Message::Shutdown);
+        assert!(matches!(found_out, Err(TransportError::Disconnected)));
+        assert!(!worker.shared.links.lock().dialed.contains_key(&gone));
+    }
+
+    #[test]
+    fn a_node_shut_down_with_a_reply_unread_still_delivers_what_it_sent() {
+        use std::sync::mpsc;
+        const PUSHES: u64 = 64;
+        let (server, mut worker) = server_and_worker(false);
+        let (acked_tx, acked) = mpsc::channel();
+        let (resume_tx, resume) = mpsc::channel::<()>();
+        let (handled_tx, handled) = mpsc::channel();
+        let replies = server.postman();
+        // Acks every push, and after the first is busy — not reading —
+        // until told.
+        let step = move |input| {
+            if let Input::Message(from, Message::SPush { progress, .. }) = input {
+                if progress == 1 {
+                    resume.recv().unwrap();
+                }
+                let _ = replies.reply_batch(vec![(from, ack(progress))]);
+                if progress == 0 {
+                    acked_tx.send(()).unwrap();
+                }
+                handled_tx.send(progress).unwrap();
+            }
+            Flow::Continue
+        };
+        std::thread::spawn(move || drop(server.serve(None, step)));
+        let push = |progress| Message::SPush {
+            worker: 0,
+            progress,
+            kv: KvPairs::single(1, vec![0.5; 4096]),
+        };
+        let postman = worker.postman();
+        postman.send(SERVER, push(0)).unwrap();
+        acked.recv_timeout(LONG).unwrap();
+        // A megabyte the server is too busy to read, most of it still in
+        // this end's send buffer; the ack sits in its receive buffer.
+        for progress in 1..PUSHES {
+            postman.send(SERVER, push(progress)).unwrap();
+        }
+        // Closing the socket now would reset the connection — at once, or
+        // when the next ack finds it closed — and discard what has not been
+        // sent.
+        worker.shutdown();
+        resume_tx.send(()).unwrap();
+        for progress in 0..PUSHES {
+            assert_eq!(handled.recv_timeout(LONG), Ok(progress));
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! the TCP node adds: a request is answered on the thread that read it, and
 //! replies leave when the connection's input runs dry — a partial next frame
 //! holds nothing back, a frame larger than the reader's buffer goes past it.
+//!
+//! Likewise the contract of [`Mailbox::recv_from`], the other end of that
+//! exchange: what the client of a served node sees while it waits for the
+//! answer, on the same three mailboxes, and — over real sockets — that the
+//! answer comes back on the connection the request went out on and is
+//! decoded by the thread that waits for it.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -13,6 +19,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use fluentps_obs::{EventKind, ProfCollector, TraceCollector};
 use fluentps_transport::fault::FaultInjector;
 use fluentps_transport::frame::{encode_frame, READ_BUFFER};
 use fluentps_transport::tcp::{AddressBook, TcpNode};
@@ -285,12 +292,17 @@ fn a_served_tcp_node_runs_the_step_on_the_reader_thread() {
     for faulty in [false, true] {
         let (rx, workers) = tcp_nodes();
         let seen = Arc::new(Mutex::new(None));
+        let (handled_tx, handled) = mpsc::channel();
         let step = {
             let seen = Arc::clone(&seen);
             move |input| match input {
                 Input::Message(_, Message::Shutdown) => {
                     *seen.lock().unwrap() = std::thread::current().name().map(str::to_owned);
                     Flow::Stop
+                }
+                Input::Message(..) => {
+                    handled_tx.send(()).unwrap();
+                    Flow::Continue
                 }
                 _ => Flow::Continue,
             }
@@ -307,10 +319,14 @@ fn a_served_tcp_node_runs_the_step_on_the_reader_thread() {
                     }
                 })
                 .unwrap();
-            workers[0]
-                .postman()
-                .send(SERVER, Message::Shutdown)
-                .unwrap();
+            // A frame read before `serve` was called is handled by the
+            // caller, out of the inbox; once the step has handled one, it
+            // is — or is about to be, under the lock a reader needs —
+            // installed, and the next frame is a reader's.
+            let postman = workers[0].postman();
+            postman.send(SERVER, beat(0, 0)).unwrap();
+            handled.recv_timeout(LONG).expect("the first frame handled");
+            postman.send(SERVER, Message::Shutdown).unwrap();
             served.join().unwrap();
         });
         let name = seen.lock().unwrap().clone().expect("step ran");
@@ -494,4 +510,283 @@ fn a_push_and_its_pull_are_answered_in_one_batch_past_the_read_buffer_too() {
         .write_all(&encode_frame(from, &Message::Shutdown))
         .unwrap();
     served.join().unwrap();
+}
+
+// --- the client's side: `recv_from` ------------------------------------------
+
+const CLIENT: NodeId = NodeId::Worker(0);
+const THIRD: NodeId = NodeId::Worker(1);
+const SHORT: Duration = Duration::from_millis(40);
+
+/// The served node of the `recv_from` tests. A pull is answered with
+/// `reply_batch`, at once when its progress is even; one with odd progress
+/// is held until the next heartbeat from anyone.
+struct Answering<P> {
+    postman: P,
+    held: Vec<(NodeId, Message)>,
+}
+
+impl<P: Postman + 'static> fluentps_transport::Step for Answering<P> {
+    fn step(&mut self, input: Input) -> Flow {
+        match input {
+            Input::Message(
+                _,
+                Message::SPull {
+                    worker,
+                    progress,
+                    keys,
+                },
+            ) => {
+                let vals: Vec<f32> = keys.iter().map(|&k| k as f32 + 0.5).collect();
+                let response = Message::PullResponse {
+                    server: 0,
+                    progress,
+                    version: progress + 1,
+                    kv: KvPairs::single(progress, vals),
+                };
+                self.held.push((NodeId::Worker(worker), response));
+                if progress % 2 == 1 {
+                    return Flow::Continue;
+                }
+            }
+            Input::Message(_, Message::Heartbeat { .. }) => {}
+            Input::Message(_, Message::Shutdown) => return Flow::Stop,
+            _ => return Flow::Continue,
+        }
+        if !self.held.is_empty() {
+            let held = std::mem::take(&mut self.held);
+            self.postman.reply_batch(held).unwrap();
+        }
+        Flow::Continue
+    }
+}
+
+/// One client of an [`Answering`] node and a third party that can reach
+/// both, whatever the transport.
+struct ClientRig<M> {
+    /// `Worker(0)`'s mailbox: the one under test.
+    client: M,
+    /// `Worker(0)`'s postman and `Worker(1)`'s, unfiltered.
+    postman: Box<dyn Postman + Sync>,
+    third: Box<dyn Postman + Sync>,
+    served: std::thread::JoinHandle<()>,
+    /// The injector in front of `client`, when there is one.
+    injector: Option<FaultInjector>,
+    /// TCP: the client node's own trace, which counts the frames its reader
+    /// threads have decoded.
+    decoded: Option<TraceCollector>,
+    _keep: Vec<TcpNode>,
+}
+
+impl<M> ClientRig<M> {
+    /// Have the third party put `msg` in the client's mailbox and return
+    /// once it is queued there for certain. Over TCP "queued" cannot be
+    /// seen from outside, but "decoded" can, and one reader thread handles
+    /// one connection's frames in turn: a marker frame is sent behind `msg`,
+    /// and when that has been decoded `msg` has been delivered.
+    fn queue(&self, msg: Message, marker: u64) {
+        let before = self.decoded.as_ref().map(|c| c.totals().0);
+        let batch = [msg, beat(1, marker)].map(|msg| (CLIENT, msg));
+        self.third.send_batch(batch.into()).unwrap();
+        let (Some(trace), Some(before)) = (&self.decoded, before) else {
+            return; // the fabric queues as it sends
+        };
+        let kind = EventKind::WireRecv as usize;
+        let sent = Instant::now();
+        while trace.totals().0[kind] < before[kind] + 2 {
+            assert!(sent.elapsed() < LONG, "the third party's frames never came");
+            std::thread::yield_now();
+        }
+    }
+}
+
+fn inproc_client_rig() -> ClientRig<fluentps_transport::Endpoint> {
+    let fabric = Fabric::new();
+    let server = fabric.register(SERVER);
+    let client = fabric.register(CLIENT);
+    let answering = Answering {
+        postman: server.postman(),
+        held: Vec::new(),
+    };
+    ClientRig {
+        postman: Box::new(client.postman()),
+        client,
+        third: Box::new(fabric.register(THIRD).postman()),
+        served: std::thread::spawn(move || drop(server.serve(None, answering))),
+        injector: None,
+        decoded: None,
+        _keep: Vec::new(),
+    }
+}
+
+/// The server's book stays empty: it can answer the client only over the
+/// connection the client reached it through.
+fn tcp_client_rig() -> ClientRig<TcpNode> {
+    let loopback = "127.0.0.1:0".parse().unwrap();
+    let server = TcpNode::bind(SERVER, loopback, AddressBook::new()).unwrap();
+    let book = AddressBook::new();
+    book.insert(SERVER, server.local_addr());
+    let decoded = TraceCollector::wall(1 << 10);
+    let (tracer, quiet) = (decoded.tracer(), fluentps_obs::Profiler::disabled());
+    let client = TcpNode::bind_profiled(CLIENT, loopback, book.clone(), tracer, quiet).unwrap();
+    book.insert(CLIENT, client.local_addr());
+    let third = TcpNode::bind(THIRD, loopback, book).unwrap();
+    let answering = Answering {
+        postman: server.postman(),
+        held: Vec::new(),
+    };
+    ClientRig {
+        postman: Box::new(client.postman()),
+        client,
+        third: Box::new(third.postman()),
+        served: std::thread::spawn(move || drop(server.serve(None, answering))),
+        injector: None,
+        decoded: Some(decoded),
+        _keep: vec![third],
+    }
+}
+
+fn faulty_tcp_client_rig() -> ClientRig<fluentps_transport::fault::FaultyMailbox<TcpNode>> {
+    let plain = tcp_client_rig();
+    let injector = FaultInjector::passthrough();
+    ClientRig {
+        client: injector.mailbox(CLIENT, plain.client),
+        postman: plain.postman,
+        third: plain.third,
+        served: plain.served,
+        injector: Some(injector),
+        decoded: plain.decoded,
+        _keep: plain._keep,
+    }
+}
+
+fn response_to(progress: u64) -> impl Fn(&Option<(NodeId, Message)>) -> bool {
+    move |got| {
+        matches!(got, Some((SERVER, Message::PullResponse { progress: p, kv, .. }))
+            if *p == progress && kv.vals == [1.5f32])
+    }
+}
+
+/// Nothing there, queued first, the reply, a third party meanwhile, a
+/// severed sender.
+fn recv_from_contract<M: Mailbox>(rig: ClientRig<M>) {
+    let ask = |progress| rig.postman.send(SERVER, pull(progress)).unwrap();
+    // Nobody has anything to say: before there is a connection to the peer,
+    // and on one the peer is silent on (it holds a pull with odd progress).
+    assert_eq!(rig.client.recv_from(SERVER, Some(SHORT)).unwrap(), None);
+    ask(1);
+    assert_eq!(rig.client.recv_from(SERVER, Some(SHORT)).unwrap(), None);
+
+    // A third party's message arrives while the reply is outstanding, then
+    // the reply is released: what is queued comes first, and the silence
+    // above cost the connection nothing — the reply arrives.
+    rig.queue(beat(1, 7), 8);
+    rig.third.send(SERVER, beat(1, 0)).unwrap();
+    let queued = rig.client.recv_from(SERVER, Some(LONG)).unwrap();
+    assert_eq!(queued, Some((THIRD, beat(1, 7))));
+    assert_eq!(
+        rig.client.recv_timeout(LONG).unwrap(),
+        Some((THIRD, beat(1, 8)))
+    );
+    let reply = rig.client.recv_from(SERVER, Some(LONG)).unwrap();
+    assert!(response_to(1)(&reply), "{reply:?}");
+    // Without a bound, too.
+    ask(2);
+    let reply = rig.client.recv_from(SERVER, None).unwrap();
+    assert!(response_to(2)(&reply), "{reply:?}");
+
+    // A severed peer's reply is judged on receipt, wherever it is read.
+    if let Some(injector) = &rig.injector {
+        injector.kill(SERVER);
+        ask(4);
+        let asked = Instant::now();
+        while injector.stats().blackholed == 0 {
+            assert!(asked.elapsed() < LONG, "the severed reply never arrived");
+            assert_eq!(rig.client.recv_from(SERVER, Some(SHORT)).unwrap(), None);
+        }
+    }
+    rig.postman.send(SERVER, Message::Shutdown).unwrap();
+    rig.served.join().unwrap();
+}
+
+#[test]
+fn inproc_endpoint_keeps_the_recv_from_contract() {
+    recv_from_contract(inproc_client_rig());
+}
+
+#[test]
+fn tcp_node_keeps_the_recv_from_contract() {
+    recv_from_contract(tcp_client_rig());
+}
+
+#[test]
+fn faulty_tcp_mailbox_keeps_the_recv_from_contract() {
+    recv_from_contract(faulty_tcp_client_rig());
+}
+
+type Received = Result<Option<(NodeId, Message)>, TransportError>;
+
+/// Wait for `SERVER`'s reply, say so, then wait on the inbox.
+fn reply_then_inbox<M: Mailbox>(client: M, replied: mpsc::Sender<()>) -> (Received, Received) {
+    let reply = client.recv_from(SERVER, Some(LONG));
+    replied.send(()).unwrap();
+    (reply, client.recv_timeout(LONG))
+}
+
+/// The other hop is gone too, asserted not assumed: the reply of a served
+/// node comes back over the connection the request went out on — its book
+/// is empty, it could not dial — and is decoded by the thread that waits
+/// for it, not by a reader thread of the waiting node.
+#[test]
+fn a_reply_is_decoded_on_the_thread_that_waits_for_it() {
+    const WAITER: &str = "the-recv-from-caller";
+    for faulty in [false, true] {
+        let loopback = "127.0.0.1:0".parse().unwrap();
+        let server_book = AddressBook::new();
+        let server = TcpNode::bind(SERVER, loopback, server_book.clone()).unwrap();
+        let book = AddressBook::new();
+        book.insert(SERVER, server.local_addr());
+        let spans = ProfCollector::wall();
+        let (quiet, prof) = (fluentps_obs::Tracer::disabled(), spans.profiler());
+        let client = TcpNode::bind_profiled(CLIENT, loopback, book.clone(), quiet, prof).unwrap();
+        book.insert(CLIENT, client.local_addr());
+        let third = TcpNode::bind(THIRD, loopback, book).unwrap();
+        let answering = Answering {
+            postman: server.postman(),
+            held: Vec::new(),
+        };
+        let served = std::thread::spawn(move || drop(server.serve(None, answering)));
+
+        client.postman().send(SERVER, pull(0)).unwrap();
+        let waiter = std::thread::Builder::new().name(WAITER.into());
+        let here = spans.profiler();
+        let (replied_tx, replied) = mpsc::channel();
+        let waited = move || {
+            assert_eq!(std::thread::current().name(), Some(WAITER));
+            let _on_this_thread = here.enter(WAITER);
+            if faulty {
+                let client = FaultInjector::passthrough().mailbox(CLIENT, client);
+                reply_then_inbox(client, replied_tx)
+            } else {
+                reply_then_inbox(client, replied_tx)
+            }
+        };
+        let waiter = waiter.spawn(waited).unwrap();
+        // Through the listener, for contrast, once the reply has been read
+        // (what is queued would come first): a reader thread decodes it.
+        replied.recv_timeout(LONG).unwrap();
+        third.postman().send(CLIENT, beat(1, 0)).unwrap();
+        let (reply, other) = waiter.join().unwrap();
+        assert!(response_to(0)(&reply.unwrap()), "faulty mailbox: {faulty}");
+        assert_eq!(other.unwrap(), Some((THIRD, beat(1, 0))));
+        assert_eq!(server_book.get(CLIENT), None);
+
+        let spans = spans.snapshot().spans;
+        let decodes = |path: &str| spans.get(path).map_or(0, |stat| stat.count);
+        assert_eq!(decodes(&format!("{WAITER};wire/decode")), 1, "{spans:?}");
+        assert_eq!(decodes("wire/decode"), 1, "{spans:?}");
+        // The client node went with its waiter.
+        third.postman().send(SERVER, Message::Shutdown).unwrap();
+        served.join().unwrap();
+    }
 }

@@ -105,6 +105,32 @@ if above_tests "$core_src/launch.rs" | grep -F 'num_servers + 1'; then
   exit 1
 fi
 
+# Structural guard: a reply returns on the connection its request came in on,
+# and the worker that waits for it reads it (DESIGN.md §13, §18). The pull
+# round has one receive call, `recv_from` — no `.recv()`/`.recv_timeout(`
+# above worker.rs's test marker; `Mailbox::recv_from` and
+# `Postman::reply_batch` are each defined in lib.rs and overridden in tcp.rs
+# and fault.rs only; and only the two server drivers call `reply_batch` —
+# every other sender keeps `send`/`send_batch` and the connections it
+# dials.
+if above_tests "$core_src/worker.rs" | grep -E '\.recv\(\)|\.recv_timeout\('; then
+  echo "ci: worker.rs waits on the whole mailbox again (see above); the round waits with recv_from" >&2
+  exit 1
+fi
+for method in recv_from reply_batch; do
+  defined="$(above_tests crates/*/src/*.rs | grep -E "fn $method\b" | cut -d: -f1 | sort | tr '\n' ' ' || true)"
+  if [ "$defined" != "$wire_src/fault.rs $wire_src/lib.rs $wire_src/tcp.rs " ]; then
+    echo "ci: $method is defined in lib.rs and overridden in tcp.rs and fault.rs only; found: $defined" >&2
+    exit 1
+  fi
+done
+callers="$(above_tests crates/*/src/*.rs | grep -F 'reply_batch(' | grep -vE 'fn reply_batch\b' \
+  | cut -d: -f1 | sort -u | tr '\n' ' ' || true)"
+if [ "$callers" != "$core_src/recovery.rs $core_src/serve.rs " ]; then
+  echo "ci: reply_batch is what serve.rs and recovery.rs answer workers with; called in: $callers" >&2
+  exit 1
+fi
+
 # Golden-file check: the Chrome-trace exporter must emit byte-stable, valid
 # JSON for the fixture run (tests/golden/chrome_trace_fixture.json). Run
 # explicitly so a missing or stale golden file fails CI even if test

@@ -74,8 +74,9 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
         model: SyncModel::Ssp { s: 2 },
         ..EngineConfig::default()
     };
+    let collector = TraceCollector::wall(1 << 14);
     let obs = Observability {
-        collector: Some(TraceCollector::wall(1 << 14)),
+        collector: Some(collector.clone()),
         profiler: Some(ProfCollector::wall()),
         health: Some(HealthEngine::with_default_rules(StreamConfig::default())),
         metrics: Some(MetricsRegistry::new()),
@@ -145,6 +146,16 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
         "missing build info gauge in:\n{text}"
     );
 
+    // A trace tail needs a trace: the worker threads were only just
+    // spawned, and on a busy machine neither may have recorded anything yet.
+    let spawned = Instant::now();
+    while collector.totals().0.iter().sum::<u64>() == 0 {
+        assert!(
+            spawned.elapsed() < Duration::from_secs(10),
+            "no worker recorded an event"
+        );
+        std::thread::yield_now();
+    }
     let (status, head, tail) = http_get_with_headers(addr, "/trace?last=8");
     assert!(status.contains("200"), "trace status: {status}");
     assert!(
