@@ -429,10 +429,17 @@ impl ResilientTcpCluster {
                 dead_for_good: BTreeSet::new(),
                 was_leader: false,
                 next_request: 0,
+                postman: node.postman(),
+                liveness: LivenessMonitor::new(rcfg.liveness_timeout.as_millis().max(1) as u64),
+                start: Instant::now(),
+                last_noop: Duration::ZERO,
+                crashed: false,
             };
+            // The thread waits and ticks; the node's reader threads run the
+            // replica.
             let handle = std::thread::Builder::new()
                 .name(format!("fluentps-supervisor-{k}"))
-                .spawn(move || replica.run(node))
+                .spawn(move || replica.run(&node))
                 .expect("spawn supervisor replica");
             supervisors.push(handle);
         }
@@ -517,7 +524,7 @@ impl ResilientTcpCluster {
 /// later finds `drained` set and gets nothing.
 fn drain_servers(
     shared: &SharedState,
-    postman: &TcpPostman,
+    postman: &impl Postman,
     num_servers: u32,
 ) -> Vec<(u32, ShardStats)> {
     let handles = {
@@ -993,7 +1000,16 @@ fn spawn_server(
 /// by replaying `Remapped` entries through the same deterministic
 /// [`EpsSlicer::remap_dead`], so whichever replica wins the next election
 /// resumes from identical control-plane state.
-struct SupervisorReplica {
+///
+/// No socket, thread or receive loop inside: the replica is the step its
+/// node is served with ([`SupervisorReplica::run`]), [`tick`](Self::tick)
+/// doing what must happen on schedule and
+/// [`on_message`](Self::on_message) reacting to one message, both told the
+/// time — so scripted sequences test it directly. Everything it sends goes
+/// out through `send`/`send_batch`, over connections it dials: a server and
+/// a peer replica do not read the connections *they* dial, so nothing here
+/// answers with `reply_batch`.
+struct SupervisorReplica<P> {
     id: u32,
     cfg: EngineConfig,
     rcfg: RecoveryConfig,
@@ -1024,137 +1040,160 @@ struct SupervisorReplica {
     /// Counter for this replica's causal request ids; see
     /// [`SupervisorReplica::next_request_id`].
     next_request: u64,
+    postman: P,
+    /// When each server was last heard from; consulted while leading.
+    liveness: LivenessMonitor,
+    /// When this replica started: the zero of the clock `tick` and
+    /// `on_message` are told.
+    start: Instant,
+    /// When this replica, leading, last proposed a no-op.
+    last_noop: Duration,
+    /// Killed by `kill_supervisors`: gone without the drain.
+    crashed: bool,
 }
 
-impl SupervisorReplica {
-    fn run(mut self, node: TcpNode) -> Vec<ShardStats> {
-        let start = Instant::now();
-        let timeout_ms = self.rcfg.liveness_timeout.as_millis() as u64;
-        let mut liveness = LivenessMonitor::new(timeout_ms.max(1));
-        for m in 0..self.cfg.num_servers {
-            liveness.observe(NodeId::Server(m), 0);
+impl<P: Postman + 'static> Step for SupervisorReplica<P> {
+    fn step(&mut self, input: Input) -> Flow {
+        let now = self.start.elapsed();
+        match input {
+            Input::Message(_, msg) => match self.on_message(msg, now) {
+                Flow::Continue => self.tick(now),
+                Flow::Stop => Flow::Stop,
+            },
+            Input::Tick => self.tick(now),
+            // Nothing is queued: every send leaves when it is made.
+            Input::Dry => Flow::Continue,
         }
-        let postman = node.postman();
-        let tick = self.rcfg.heartbeat_every;
-        let mut last_noop = Instant::now();
+    }
+}
 
-        loop {
-            let now = start.elapsed();
-            let now_ms = now.as_millis() as u64;
-            // Drive the consensus state machine: elections, leader
-            // heartbeats, lease checks.
-            // Consensus traffic is best-effort: a crashed replica fails the
-            // send and is skipped — the protocol tolerates loss.
-            let _ = postman.send_batch(self.consensus.tick(now));
-            if self.consensus.is_leader() && !self.was_leader {
-                self.on_accession(&mut liveness, now_ms);
+impl<P: Postman + 'static> SupervisorReplica<P> {
+    /// Serve this replica from `node` until it is shut down or killed;
+    /// shut down, it drains the servers and returns their statistics.
+    fn run(mut self, node: &impl Mailbox) -> Vec<ShardStats> {
+        let wake = self.rcfg.heartbeat_every;
+        // The first consensus tick waits for neither a message nor a quiet
+        // interval.
+        if self.step(Input::Tick) == Flow::Continue {
+            self = node.serve(Some(wake), self);
+        }
+        if self.crashed {
+            return Vec::new();
+        }
+        let mut merged = vec![ShardStats::default(); self.cfg.num_servers as usize];
+        for (m, stats) in drain_servers(&self.shared, &self.postman, self.cfg.num_servers) {
+            merged[m as usize].merge(&stats);
+        }
+        merged
+    }
+
+    /// What must happen on schedule, after every message and on every quiet
+    /// heartbeat interval: drive the consensus state machine, propose while
+    /// leading, apply what committed, crash at the kill threshold, publish.
+    fn tick(&mut self, now: Duration) -> Flow {
+        let now_ms = now.as_millis() as u64;
+        // Elections, leader heartbeats, lease checks. Consensus traffic is
+        // best-effort: a crashed replica fails the send and is skipped — the
+        // protocol tolerates loss.
+        let _ = self.postman.send_batch(self.consensus.tick(now));
+        if self.consensus.is_leader() && !self.was_leader {
+            self.on_accession(now_ms);
+        }
+        self.was_leader = self.consensus.is_leader();
+
+        if self.consensus.is_leader() {
+            // A periodic no-op keeps the applied index advancing like a
+            // clock, which is what gives `kill_supervisors` thresholds
+            // ("die after applying index v") a deterministic meaning
+            // even in runs where no server ever fails.
+            if now.saturating_sub(self.last_noop) >= self.rcfg.heartbeat_every {
+                self.consensus.propose(ControlCommand::Tick, now);
+                self.last_noop = now;
             }
-            self.was_leader = self.consensus.is_leader();
-
-            if self.consensus.is_leader() {
-                // A periodic no-op keeps the applied index advancing like a
-                // clock, which is what gives `kill_supervisors` thresholds
-                // ("die after applying index v") a deterministic meaning
-                // even in runs where no server ever fails.
-                if last_noop.elapsed() >= tick {
-                    self.consensus.propose(ControlCommand::Tick, now);
-                    last_noop = Instant::now();
+            // Death verdicts are proposals, not actions: the effect
+            // waits for the quorum commit.
+            for dead in self.liveness.dead_nodes(now_ms) {
+                let NodeId::Server(m) = dead else { continue };
+                self.liveness.remove(dead);
+                if self.pending_dead.contains(&m) || self.dead_for_good.contains(&m) {
+                    continue;
                 }
-                // Death verdicts are proposals, not actions: the effect
-                // waits for the quorum commit.
-                for dead in liveness.dead_nodes(now_ms) {
-                    let NodeId::Server(m) = dead else { continue };
-                    liveness.remove(dead);
-                    if self.pending_dead.contains(&m) || self.dead_for_good.contains(&m) {
-                        continue;
-                    }
-                    self.tracer.record(
-                        EventKind::NodeDeclaredDead,
-                        RecordArgs::new().shard(m).v_train(now_ms),
-                    );
-                    self.consensus
-                        .propose(ControlCommand::DeclareDead { server: m }, now);
-                }
+                self.tracer.record(
+                    EventKind::NodeDeclaredDead,
+                    RecordArgs::new().shard(m).v_train(now_ms),
+                );
+                self.consensus
+                    .propose(ControlCommand::DeclareDead { server: m }, now);
             }
-            self.apply_committed(now, &postman, &mut liveness);
+        }
+        self.apply_committed(now);
 
-            // Deterministic replica crash: exit without drain or farewell
-            // once the configured applied index is reached.
-            if let Some(&(_, v)) = self
-                .rcfg
-                .kill_supervisors
-                .iter()
-                .find(|&&(k, _)| k == self.id)
-            {
-                if self.applied >= v {
-                    self.board.mark_exited(self.id);
-                    publish_consensus(
-                        &self.board,
-                        &self.health,
-                        self.obs.metrics.as_ref(),
-                        self.rcfg.num_supervisors,
-                    );
-                    return Vec::new();
-                }
-            }
-
+        // Deterministic replica crash: exit without drain or farewell
+        // once the configured applied index is reached.
+        let (id, applied) = (self.id, self.applied);
+        let kills = &self.rcfg.kill_supervisors;
+        self.crashed = kills.iter().any(|&(k, v)| k == id && applied >= v);
+        if self.crashed {
+            self.board.mark_exited(id);
+        } else {
             self.board.update(
-                self.id,
+                id,
                 self.consensus.term(),
                 self.consensus.is_leader(),
                 self.consensus.commit_index(),
             );
-            publish_consensus(
-                &self.board,
-                &self.health,
-                self.obs.metrics.as_ref(),
-                self.rcfg.num_supervisors,
-            );
-            if self.consensus.is_leader() {
-                self.publish_node_health(&liveness, now_ms);
-            }
+        }
+        publish_consensus(
+            &self.board,
+            &self.health,
+            self.obs.metrics.as_ref(),
+            self.rcfg.num_supervisors,
+        );
+        if self.crashed {
+            return Flow::Stop;
+        }
+        if self.consensus.is_leader() {
+            self.publish_node_health(now_ms);
+        }
+        Flow::Continue
+    }
 
-            match node.recv_timeout(tick) {
-                Ok(Some((_, msg))) => match msg {
-                    Message::Heartbeat { node: n, .. } => {
-                        if self.consensus.is_leader() {
-                            let ignore = matches!(n, NodeId::Server(m)
-                                if self.pending_dead.contains(&m)
-                                    || self.dead_for_good.contains(&m));
-                            if !ignore {
-                                liveness.observe(n, start.elapsed().as_millis() as u64);
-                            }
-                        } else if let NodeId::Server(m) = n {
-                            // Redirect the server to whoever we believe
-                            // leads; `NO_LEADER` while an election runs.
-                            let _ = postman.send(
-                                NodeId::Server(m),
-                                Message::LeaderRedirect {
-                                    term: self.consensus.term(),
-                                    leader: self.consensus.leader_hint().unwrap_or(NO_LEADER),
-                                },
-                            );
-                        }
+    /// React to one message: a heartbeat is observed (leading) or answered
+    /// with a redirect (following), consensus traffic goes to the consensus
+    /// state machine, `Shutdown` stops the replica.
+    fn on_message(&mut self, msg: Message, now: Duration) -> Flow {
+        match msg {
+            Message::Heartbeat { node: n, .. } => {
+                if self.consensus.is_leader() {
+                    let ignore = matches!(n, NodeId::Server(m)
+                        if self.pending_dead.contains(&m)
+                            || self.dead_for_good.contains(&m));
+                    if !ignore {
+                        self.liveness.observe(n, now.as_millis() as u64);
                     }
-                    Message::VoteRequest { .. }
-                    | Message::VoteResponse { .. }
-                    | Message::AppendEntries { .. }
-                    | Message::AppendAck { .. } => {
-                        let out = self.consensus.handle(&msg, start.elapsed());
-                        let _ = postman.send_batch(out);
-                    }
-                    Message::Shutdown => break,
-                    _ => {}
-                },
-                Ok(None) => {}
-                Err(_) => break,
+                } else if let NodeId::Server(m) = n {
+                    // Redirect the server to whoever we believe
+                    // leads; `NO_LEADER` while an election runs.
+                    let _ = self.postman.send(
+                        NodeId::Server(m),
+                        Message::LeaderRedirect {
+                            term: self.consensus.term(),
+                            leader: self.consensus.leader_hint().unwrap_or(NO_LEADER),
+                        },
+                    );
+                }
             }
+            Message::VoteRequest { .. }
+            | Message::VoteResponse { .. }
+            | Message::AppendEntries { .. }
+            | Message::AppendAck { .. } => {
+                let out = self.consensus.handle(&msg, now);
+                let _ = self.postman.send_batch(out);
+            }
+            Message::Shutdown => return Flow::Stop,
+            _ => {}
         }
-        let mut merged = vec![ShardStats::default(); self.cfg.num_servers as usize];
-        for (m, stats) in drain_servers(&self.shared, &postman, self.cfg.num_servers) {
-            merged[m as usize].merge(&stats);
-        }
-        merged
+        Flow::Continue
     }
 
     /// This replica just won an election. A follower's liveness view is
@@ -1165,10 +1204,10 @@ impl SupervisorReplica {
     /// heartbeat within the grace period, otherwise the server is
     /// re-declared and resolved by *this* leader. Recovery is thereby
     /// at-least-once across leaders without ever double-spawning.
-    fn on_accession(&mut self, liveness: &mut LivenessMonitor, now_ms: u64) {
+    fn on_accession(&mut self, now_ms: u64) {
         for m in 0..self.cfg.num_servers {
             if !self.dead_for_good.contains(&m) {
-                liveness.observe(NodeId::Server(m), now_ms);
+                self.liveness.observe(NodeId::Server(m), now_ms);
                 self.pending_dead.remove(&m);
             }
         }
@@ -1189,12 +1228,7 @@ impl SupervisorReplica {
     /// machine. Followers track verdicts and mirror the route table; only
     /// the current leader performs effects (spawning, installing,
     /// re-routing) — the single-leader-commit rule makes that safe.
-    fn apply_committed(
-        &mut self,
-        now: Duration,
-        postman: &TcpPostman,
-        liveness: &mut LivenessMonitor,
-    ) {
+    fn apply_committed(&mut self, now: Duration) {
         // Copied out: resolving a verdict proposes follow-up entries,
         // which appends to the log being iterated.
         let entries: Vec<LogEntry> = self.consensus.committed_since(self.applied).to_vec();
@@ -1216,7 +1250,8 @@ impl SupervisorReplica {
                     if self.consensus.is_leader() {
                         if self.try_replace(m) {
                             // Fresh grace period for the replacement.
-                            liveness.observe(NodeId::Server(m), now.as_millis() as u64);
+                            self.liveness
+                                .observe(NodeId::Server(m), now.as_millis() as u64);
                         } else {
                             // Checkpoint vanished or the bind failed —
                             // correct course through the log.
@@ -1232,7 +1267,7 @@ impl SupervisorReplica {
                     if self.dead_for_good.insert(m) {
                         let (remapped, moved) = EpsSlicer::default().remap_dead(&self.map, m);
                         if self.consensus.is_leader() {
-                            self.degrade_effect(m, &remapped, moved, postman);
+                            self.degrade_effect(m, &remapped, moved);
                         }
                         // Every replica mirrors the committed route table,
                         // so a successor leader remaps from identical
@@ -1266,7 +1301,7 @@ impl SupervisorReplica {
         self.consensus.propose(cmd, now);
     }
 
-    fn publish_node_health(&self, liveness: &LivenessMonitor, now: u64) {
+    fn publish_node_health(&self, now: u64) {
         let mut nodes = Vec::with_capacity(self.cfg.num_servers as usize);
         for m in 0..self.cfg.num_servers {
             let id = NodeId::Server(m);
@@ -1274,7 +1309,7 @@ impl SupervisorReplica {
                 if self.dead_for_good.contains(&m) || self.pending_dead.contains(&m) {
                     (now, true)
                 } else {
-                    let last = liveness.last_seen(id);
+                    let last = self.liveness.last_seen(id);
                     (now.saturating_sub(last.unwrap_or(0)), last.is_none())
                 };
             nodes.push(NodeHealth {
@@ -1363,7 +1398,7 @@ impl SupervisorReplica {
     /// exists; otherwise survivors re-initialize them at zero), then every
     /// worker gets the new routing. The route-table mutation itself
     /// happens in [`SupervisorReplica::apply_committed`] on every replica.
-    fn degrade_effect(&mut self, m: u32, remapped: &SliceMap, moved: usize, postman: &TcpPostman) {
+    fn degrade_effect(&mut self, m: u32, remapped: &SliceMap, moved: usize) {
         let survivors: Vec<u32> = (0..self.cfg.num_servers).filter(|&s| s != m).collect();
         if survivors.is_empty() {
             return; // nothing to degrade onto
@@ -1396,7 +1431,7 @@ impl SupervisorReplica {
         // like the final shutdown: a chaos schedule must not be able to
         // blackhole the recovery protocol itself.
         let send = |to: NodeId, msg: Message| {
-            let _ = postman.send(to, msg);
+            let _ = self.postman.send(to, msg);
         };
         for &s in &survivors {
             let adopted: Vec<(u64, Vec<f32>)> = remapped
@@ -1452,6 +1487,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::condition::SyncModel;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
+    use crate::serve::tests::Recording;
     use fluentps_obs::Tracer;
 
     pub(crate) fn fast_recovery(kill: Option<(u32, u64)>, replace: bool) -> RecoveryConfig {
@@ -1521,6 +1557,57 @@ pub(crate) mod tests {
             Arc::default(),
         );
         (state, store)
+    }
+
+    /// A scripted supervisor replica `id` over `two_server_setup`'s cluster —
+    /// no sockets, no threads, wired to nothing but `postman`.
+    fn scripted_replica<P>(id: u32, rcfg: &RecoveryConfig, postman: P) -> SupervisorReplica<P> {
+        let (cfg, map, _) = two_server_setup();
+        SupervisorReplica {
+            id,
+            cfg,
+            rcfg: rcfg.clone(),
+            obs: Observability::default(),
+            book: AddressBook::new(),
+            map,
+            injector: FaultInjector::passthrough(),
+            tracer: Tracer::disabled(),
+            store: CheckpointStore::default(),
+            shared: SharedState::default(),
+            generation: 0,
+            health: HealthView::new(),
+            board: ConsensusBoard::new(rcfg.num_supervisors),
+            consensus: Replica::new(ConsensusConfig {
+                id,
+                replicas: rcfg.num_supervisors,
+                heartbeat_every: rcfg.heartbeat_every,
+                leader_lease: rcfg.leader_lease,
+                election_timeout: rcfg.election_timeout,
+                seed: 9,
+            }),
+            applied: 0,
+            pending_dead: BTreeSet::new(),
+            dead_for_good: BTreeSet::new(),
+            was_leader: false,
+            next_request: 0,
+            postman,
+            liveness: LivenessMonitor::new(rcfg.liveness_timeout.as_millis() as u64),
+            start: Instant::now(),
+            last_noop: Duration::ZERO,
+            crashed: false,
+        }
+    }
+
+    fn beat(server: u32, seq: u64) -> Message {
+        Message::Heartbeat {
+            node: NodeId::Server(server),
+            seq,
+        }
+    }
+
+    /// Everything `sent` recorded, one message at a time.
+    fn sent_singly(sent: &Recording) -> Vec<(NodeId, Message)> {
+        sent.0.lock().iter().flatten().cloned().collect()
     }
 
     fn push(worker: u32, progress: u64, keys: &[u64]) -> Message {
@@ -1693,6 +1780,188 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_follower_redirects_a_servers_heartbeat_to_whom_it_believes_leads() {
+        let mut rcfg = fast_recovery(None, true);
+        rcfg.num_supervisors = 3;
+        let sent = Recording::default();
+        let mut r = scripted_replica(1, &rcfg, sent.clone());
+        let now = Duration::ZERO;
+        assert_eq!(r.tick(now), Flow::Continue);
+        let redirect = |leader| {
+            let redirect = Message::LeaderRedirect { term: 1, leader };
+            (NodeId::Server(0), redirect)
+        };
+        // Nobody has led yet, as far as this replica knows (term 0).
+        assert_eq!(r.on_message(beat(0, 1), now), Flow::Continue);
+        let no_leader = Message::LeaderRedirect {
+            term: 0,
+            leader: NO_LEADER,
+        };
+        assert_eq!(sent_singly(&sent), [(NodeId::Server(0), no_leader)]);
+        // Replica 0's first append of term 1 names it; the hint follows.
+        let append = Message::AppendEntries {
+            term: 1,
+            leader: 0,
+            prev_index: 0,
+            prev_term: 0,
+            commit: 0,
+            entries: Vec::new(),
+        };
+        r.on_message(append, now);
+        r.on_message(beat(0, 2), now);
+        assert_eq!(sent_singly(&sent).last(), Some(&redirect(0)));
+        // A follower observes nothing: no verdict of its own, ever.
+        assert_eq!(r.tick(Duration::from_secs(1)), Flow::Continue);
+        assert!(r.liveness.last_seen(NodeId::Server(0)).is_none());
+    }
+
+    #[test]
+    fn a_solo_leader_declares_a_silent_server_dead_through_the_log() {
+        let rcfg = fast_recovery(None, false);
+        let sent = Recording::default();
+        let mut r = scripted_replica(0, &rcfg, sent.clone());
+        let ms = Duration::from_millis;
+        assert_eq!(r.tick(ms(0)), Flow::Continue);
+        assert!(r.consensus.is_leader(), "solo: leader at once");
+        let declared = |r: &SupervisorReplica<Recording>| {
+            let dead = ControlCommand::DeclareDead { server: 1 };
+            let log = r.consensus.committed_since(0).iter();
+            log.filter(|e| e.cmd == dead).count()
+        };
+        // Server 0 heartbeats, server 1 never does. Within the timeout
+        // both are alive; past it, a later tick proposes the verdict, which
+        // a solo leader commits at once.
+        let timeout = rcfg.liveness_timeout.as_millis() as u64;
+        for (seq, t) in (10..=timeout + 20).step_by(10).enumerate() {
+            assert_eq!(r.on_message(beat(0, seq as u64), ms(t)), Flow::Continue);
+            assert_eq!(r.tick(ms(t)), Flow::Continue);
+            assert_eq!(declared(&r), usize::from(t > timeout), "at {t} ms");
+            assert_eq!(r.health.dead_count(), declared(&r), "at {t} ms");
+        }
+        let (ready, body) = r.health.render();
+        let line = |node: &str| body.lines().find(|line| line.starts_with(node));
+        assert!(!ready, "{body}");
+        assert!(
+            line("node server0 ").is_some_and(|l| l.ends_with(" alive")),
+            "{body}"
+        );
+        assert!(
+            line("node server1 ").is_some_and(|l| l.ends_with(" dead")),
+            "{body}"
+        );
+        // No checkpoint, no replacement: the verdict resolved to a remap,
+        // and the worker was told, after the commit.
+        assert!(r.dead_for_good.contains(&1));
+        let told = sent_singly(&sent);
+        let routed = |(to, msg): &(NodeId, Message)| {
+            *to == NodeId::Worker(0) && matches!(msg.bare(), Message::RouteUpdate { .. })
+        };
+        assert_eq!(told.iter().filter(|m| routed(m)).count(), 1, "{told:?}");
+    }
+
+    #[test]
+    fn a_killed_replica_stops_at_its_index_and_leaves_the_servers_alone() {
+        const AT: u64 = 3;
+        let mut rcfg = fast_recovery(None, true);
+        rcfg.kill_supervisors = vec![(0, AT)];
+        let sent = Recording::default();
+        let mut r = scripted_replica(0, &rcfg, sent.clone());
+        // A leader's applied index advances one no-op per heartbeat
+        // interval of the time it is told.
+        let mut now = Duration::ZERO;
+        while r.tick(now) == Flow::Continue {
+            assert!(r.applied < AT, "outlived index {AT}: {}", r.applied);
+            now += rcfg.heartbeat_every;
+        }
+        assert_eq!(r.applied, AT);
+        assert!(r.board.slots.lock()[0].exited);
+        let leader = r.health.consensus().and_then(|c| c.leader);
+        assert_eq!(leader, None, "the only replica is gone");
+        // Served, it is gone at the first tick — without the drain.
+        let shared = Arc::clone(&r.shared);
+        let node = fluentps_transport::Fabric::new().register(NodeId::Supervisor(0));
+        assert!(r.run(&node).is_empty());
+        assert!(!shared.lock().drained);
+        assert_eq!(sent_singly(&sent), []);
+    }
+
+    #[test]
+    fn shutdown_stops_a_replica_and_drains_the_servers_exactly_once() {
+        let rcfg = fast_recovery(None, true);
+        let control = NodeId::Worker(u32::MAX);
+        let mut r = scripted_replica(0, &rcfg, Recording::default());
+        assert_eq!(r.step(Input::Tick), Flow::Continue);
+        let stop = Input::Message(control, Message::Shutdown);
+        assert_eq!(r.step(stop), Flow::Stop);
+        // Served, with the stop in its mailbox already.
+        let sent = Recording::default();
+        let r = scripted_replica(0, &rcfg, sent.clone());
+        let fabric = fluentps_transport::Fabric::new();
+        let node = fabric.register(NodeId::Supervisor(0));
+        fabric
+            .send(control, NodeId::Supervisor(0), Message::Shutdown)
+            .unwrap();
+        let shared = Arc::clone(&r.shared);
+        assert_eq!(r.run(&node), [ShardStats::default(), ShardStats::default()]);
+        assert!(shared.lock().drained);
+        let stops = [0, 1].map(|m| (NodeId::Server(m), Message::Shutdown));
+        assert_eq!(sent_singly(&sent), stops);
+        // Whoever drains next — the cluster handle does — finds it done.
+        assert_eq!(drain_servers(&shared, &sent, 2), []);
+        assert_eq!(sent_singly(&sent), stops);
+    }
+
+    #[test]
+    fn a_served_replica_handles_its_messages_on_the_reader_threads() {
+        use std::sync::mpsc;
+        /// Sends nothing; notes which thread tried, and what.
+        #[derive(Clone)]
+        struct Noting(mpsc::Sender<(String, Message)>);
+        impl Postman for Noting {
+            fn send(&self, _: NodeId, msg: Message) -> Result<(), TransportError> {
+                let thread = std::thread::current();
+                let name = thread.name().unwrap_or_default().to_owned();
+                self.0
+                    .send((name, msg))
+                    .map_err(|_| TransportError::Disconnected)
+            }
+        }
+        let mut rcfg = fast_recovery(None, true);
+        rcfg.num_supervisors = 3;
+        let (noted_tx, noted) = mpsc::channel();
+        let r = scripted_replica(1, &rcfg, Noting(noted_tx));
+        let book = AddressBook::new();
+        let obs = Observability::default();
+        let node = launch::bind(NodeId::Supervisor(1), &book, &obs).unwrap();
+        let server = launch::bind(NodeId::Server(0), &book, &obs).unwrap();
+        let serving = std::thread::Builder::new()
+            .name("the-serve-caller".into())
+            .spawn(move || r.run(&node))
+            .unwrap();
+        // The thread a heartbeat was answered on. (What the election timer
+        // makes the replica send comes from wherever it ticked.)
+        let answered = |seq| {
+            let to = NodeId::Supervisor(1);
+            server.postman().send(to, beat(0, seq)).unwrap();
+            loop {
+                let (thread, msg) = noted.recv().expect("a redirect");
+                if let Message::LeaderRedirect { .. } = msg {
+                    return thread;
+                }
+            }
+        };
+        // The first may have been read before the replica was installed,
+        // and handled by the serve caller; once that is done, it is.
+        answered(1);
+        assert!(answered(2).starts_with("tcp-reader-supervisor"));
+        let stop = server
+            .postman()
+            .send(NodeId::Supervisor(1), Message::Shutdown);
+        stop.unwrap();
+        assert_eq!(serving.join().unwrap().len(), 2);
+    }
+
+    #[test]
     fn killed_server_is_replaced_and_training_stays_exact() {
         let (cfg, map, init) = two_server_setup();
         let (cluster, mut workers) =
@@ -1766,6 +2035,7 @@ pub(crate) mod tests {
             ..Observability::default()
         };
         let rcfg = fast_recovery(Some((0, 2)), true);
+        let begun = Instant::now();
         let (cluster, mut workers) =
             ResilientTcpCluster::launch_observed(cfg, rcfg, map, &init, obs).expect("launch");
         let mut w = workers.remove(0);
@@ -1778,6 +2048,16 @@ pub(crate) mod tests {
         }
         drop(w); // worker thread done recording before shutdown() flushes
         cluster.shutdown();
+        // The collector answers a ping over the newest connection of the
+        // pinging id. The killed server's streamer ran its barrier under
+        // `Server(0)` before the replacement's first ping under that id:
+        // had the pong gone to the newer connection, the barrier would have
+        // waited out its timeout, 2 s, and this run with it.
+        let took = begun.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "a streamer stalled: {took:?}"
+        );
 
         // Every node appears exactly once, and the killed server's two
         // incarnations fold into one stream.

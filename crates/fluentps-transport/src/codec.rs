@@ -35,10 +35,9 @@ mod tag {
     pub const SPULL: u8 = 2;
     pub const PUSH_ACK: u8 = 3;
     pub const PULL_RESPONSE: u8 = 4;
-    pub const REGISTER: u8 = 5;
-    pub const REGISTER_ACK: u8 = 6;
+    // 5, 6 and 8 stay reserved: they were `Register`, `RegisterAck` and
+    // `Barrier`, and a peer that still sends one must be told "unknown tag".
     pub const HEARTBEAT: u8 = 7;
-    pub const BARRIER: u8 = 8;
     pub const SHUTDOWN: u8 = 9;
     pub const INSTALL: u8 = 10;
     pub const ROUTE_UPDATE: u8 = 11;
@@ -132,26 +131,9 @@ pub fn encode_head_into<'m>(msg: &'m Message, buf: &mut BytesMut) -> &'m [u8] {
             kv,
             version,
         } => return put_pull_response_head(buf, *server, *progress, *version, kv),
-        Message::Register { node } => {
-            buf.put_u8(tag::REGISTER);
-            put_node(buf, *node);
-        }
-        Message::RegisterAck {
-            num_workers,
-            num_servers,
-        } => {
-            buf.put_u8(tag::REGISTER_ACK);
-            buf.put_u32_le(*num_workers);
-            buf.put_u32_le(*num_servers);
-        }
         Message::Heartbeat { node, seq } => {
             buf.put_u8(tag::HEARTBEAT);
             put_node(buf, *node);
-            buf.put_u64_le(*seq);
-        }
-        Message::Barrier { group, seq } => {
-            buf.put_u8(tag::BARRIER);
-            buf.put_u32_le(*group);
             buf.put_u64_le(*seq);
         }
         Message::Shutdown => {
@@ -326,10 +308,7 @@ pub fn encoded_len(msg: &Message) -> usize {
             Message::SPull { keys, .. } => 4 + 8 + 4 + 8 * keys.len(),
             Message::PushAck { .. } => 4 + 8,
             Message::PullResponse { kv, .. } => 4 + 8 + 8 + kv_encoded_len(kv),
-            Message::Register { .. } => 5,
-            Message::RegisterAck { .. } => 4 + 4,
             Message::Heartbeat { .. } => 5 + 8,
-            Message::Barrier { .. } => 4 + 8,
             Message::Shutdown => 0,
             Message::Install { kv } => kv_encoded_len(kv),
             Message::RouteUpdate { placements } => 4 + PLACEMENT_WIRE_LEN * placements.len(),
@@ -479,19 +458,8 @@ pub fn decode_from<B: Buf>(buf: &mut B) -> Result<Message, DecodeError> {
             version: get_u64(buf)?,
             kv: get_kv(buf)?,
         },
-        tag::REGISTER => Message::Register {
-            node: get_node(buf)?,
-        },
-        tag::REGISTER_ACK => Message::RegisterAck {
-            num_workers: get_u32(buf)?,
-            num_servers: get_u32(buf)?,
-        },
         tag::HEARTBEAT => Message::Heartbeat {
             node: get_node(buf)?,
-            seq: get_u64(buf)?,
-        },
-        tag::BARRIER => Message::Barrier {
-            group: get_u32(buf)?,
             seq: get_u64(buf)?,
         },
         tag::SHUTDOWN => Message::Shutdown,
@@ -841,21 +809,9 @@ mod tests {
             version: 13,
             kv: KvPairs::single(4, vec![3.25; 7]),
         });
-        roundtrip(Message::Register {
-            node: NodeId::Worker(12),
-        });
-        roundtrip(Message::Register {
-            node: NodeId::Scheduler,
-        });
-        roundtrip(Message::RegisterAck {
-            num_workers: 64,
-            num_servers: 8,
-        });
-        roundtrip(Message::Heartbeat {
-            node: NodeId::Server(5),
-            seq: 999,
-        });
-        roundtrip(Message::Barrier { group: 1, seq: 2 });
+        for node in [NodeId::Worker(12), NodeId::Scheduler, NodeId::Server(5)] {
+            roundtrip(Message::Heartbeat { node, seq: 999 });
+        }
         roundtrip(Message::Shutdown);
         roundtrip(Message::Install {
             kv: KvPairs::from_slices(&[(2, &[0.5, 1.5][..])]),
@@ -932,8 +888,9 @@ mod tests {
             t_send: 0.125,
             t_collector: 0.375,
         });
-        roundtrip(Message::Register {
+        roundtrip(Message::Heartbeat {
             node: NodeId::Supervisor(2),
+            seq: 1,
         });
         roundtrip(Message::VoteRequest {
             term: 3,
@@ -1101,18 +1058,10 @@ mod tests {
                 version: 13,
                 kv: KvPairs::single(4, vec![3.25; 7]),
             },
-            Message::Register {
-                node: NodeId::Worker(12),
-            },
-            Message::RegisterAck {
-                num_workers: 64,
-                num_servers: 8,
-            },
             Message::Heartbeat {
                 node: NodeId::Server(5),
                 seq: 999,
             },
-            Message::Barrier { group: 1, seq: 2 },
             Message::Shutdown,
             Message::Install {
                 kv: KvPairs::single(8, vec![2.5; 3]),
@@ -1259,8 +1208,12 @@ mod tests {
 
     #[test]
     fn rejects_unknown_tag() {
-        let bytes = Bytes::from(vec![WIRE_VERSION, 0xEE]);
-        assert_eq!(decode(bytes).unwrap_err(), DecodeError::UnknownTag(0xEE));
+        // Never assigned, and the three retired ones (with what used to be a
+        // valid body behind them).
+        for unknown in [0xEE, 5, 6, 8] {
+            let bytes = Bytes::from(vec![WIRE_VERSION, unknown, 0, 0, 0, 0, 0, 0, 0, 0]);
+            assert_eq!(decode(bytes).unwrap_err(), DecodeError::UnknownTag(unknown));
+        }
     }
 
     #[test]

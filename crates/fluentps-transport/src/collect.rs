@@ -1,28 +1,30 @@
 //! Trace collection over TCP: the collector service and per-node streamers.
 //!
 //! The pure merge/alignment core lives in `fluentps_obs::collect`; this
-//! module is the wire plumbing around it. A [`CollectorService`] owns a
-//! plain `TcpListener` — *not* a [`crate::tcp::TcpNode`], whose inbox would
-//! mix clock pongs into training traffic — and each node runs a
-//! [`TraceStreamer`] thread that:
+//! module puts it on the common transport. A [`CollectorService`] is a
+//! *served* [`TcpNode`], [`NodeId::Collector`]: its step runs on the reader
+//! thread of the connection a frame came in on and answers on that
+//! connection ([`Postman::reply_batch`]). Each node runs a [`TraceStreamer`]
+//! thread owning a node *nobody* serves, bound under the streamed node's id,
+//! whose book lists the collector and nothing else. It
 //!
-//! 1. dials the collector and runs a short [`Message::ClockPing`] /
-//!    [`Message::ClockPong`] handshake to estimate its clock offset
-//!    (minimum-RTT sample wins, see `fluentps_obs::OffsetEstimator`);
-//! 2. polls the node's `TraceCollector` ring buffers every `POLL_EVERY` (20 ms)
-//!    through a `TraceCursor` and ships fresh events as length-prefixed
-//!    [`Message::TraceBatch`] frames, chunked to `MAX_BATCH` (512) events;
-//! 3. never blocks the training hot path: recording stays ring-buffered
-//!    and drop-oldest, and a failed send drops the chunk (counted in the
-//!    next batch header's cumulative `dropped`) instead of stalling.
+//! 1. estimates its clock offset from `PINGS` [`Message::ClockPing`] /
+//!    [`Message::ClockPong`] exchanges (minimum-RTT sample wins, see
+//!    `fluentps_obs::OffsetEstimator`), reading each pong itself off the
+//!    connection it pinged on ([`Mailbox::recv_from`]);
+//! 2. polls the node's `TraceCollector` rings every `POLL_EVERY` (20 ms) and
+//!    ships fresh events as [`Message::TraceBatch`] frames of `MAX_BATCH` (512);
+//! 3. never blocks the training hot path: recording stays ring-buffered and
+//!    drop-oldest, and a failed send drops its chunks (counted in the next
+//!    batch header's cumulative `dropped`) instead of stalling — the postman
+//!    drops the connection and dials again at the next send.
 //!
 //! Shutdown is a read barrier: after the final flush the streamer sends one
-//! more ping and waits for its pong. The collector handles each connection
-//! serially, so the pong proves every prior batch was ingested — that is
-//! what makes `received + dropped == emitted` exact at run end.
+//! more ping and waits for its pong. One thread reads one connection, so the
+//! pong proves every prior batch was ingested — that is what makes
+//! `received + dropped == emitted` exact at run end.
 
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -30,42 +32,38 @@ use std::time::Duration;
 
 use fluentps_obs::clock::ClockSource;
 use fluentps_obs::collect::{ClusterCollector, NodeStats};
-use fluentps_obs::{Profiler, Trace, TraceCollector};
-use fluentps_util::buf::BytesMut;
+use fluentps_obs::{OffsetEstimator, Profiler, Trace, TraceCollector, Tracer};
 use fluentps_util::sync::{Mutex, StopFlag};
 
 use crate::error::TransportError;
-use crate::frame::{encode_frame_into, write_frame, FrameReader};
+use crate::frame::wire_len;
 use crate::msg::{Message, NodeId};
+use crate::tcp::{AddressBook, TcpNode, TcpPostman};
+use crate::{Flow, Input, Mailbox, Postman, Step};
 
-/// How long a streamer keeps retrying its initial dial before giving up
-/// (the collector is normally bound before any node starts).
-const CONNECT_RETRIES: u32 = 20;
-const CONNECT_RETRY_EVERY: Duration = Duration::from_millis(50);
-/// Read timeout for pong waits, so a dead collector cannot wedge shutdown.
+/// Bound on a pong wait, so a dead collector cannot wedge shutdown.
 const PONG_TIMEOUT: Duration = Duration::from_secs(2);
 /// Ring-poll (and batch-send) cadence of a streamer.
 const POLL_EVERY: Duration = Duration::from_millis(20);
 /// Maximum events per `TraceBatch` frame; larger polls are chunked.
 const MAX_BATCH: usize = 512;
-/// Byte budget per coalesced write: a drain encodes its chunk frames back to
-/// back into one reused buffer and normally writes them with a single flush,
-/// but hands the buffer to the kernel early whenever it crosses this budget,
-/// so a huge backlog cannot queue unbounded bytes in user space and write
-/// latency stays bounded.
+/// Byte budget per send: a drain's chunk frames normally leave as one batch,
+/// one gathered write, but a batch past this budget is sent at once, so a huge
+/// backlog queues bounded bytes in user space and write latency stays bounded.
 const MAX_BATCH_BYTES: usize = 256 << 10;
-/// Clock-offset probes at connection time.
-const PINGS: u64 = 4;
+/// Clock-offset samples a streamer takes before it stops probing.
+const PINGS: usize = 4;
 
-/// The central collection endpoint: accepts node connections, answers
-/// clock pings with the collector-clock time, and feeds every trace batch
-/// into a shared [`ClusterCollector`].
+/// The central collection endpoint: answers clock pings with its clock's
+/// time and feeds every trace batch into a shared [`ClusterCollector`].
 pub struct CollectorService {
     local_addr: SocketAddr,
     cluster: Arc<Mutex<ClusterCollector>>,
     clock: ClockSource,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    /// Set by `stop` before it sends the one `Shutdown` the step obeys.
+    stopping: Arc<AtomicBool>,
+    postman: TcpPostman,
+    serve_thread: Option<JoinHandle<()>>,
 }
 
 impl CollectorService {
@@ -73,35 +71,74 @@ impl CollectorService {
     /// [`CollectorService::local_addr`]). `capacity_per_node` bounds the
     /// merged buffer per stream, mirroring the sender-side rings.
     pub fn bind(addr: SocketAddr, capacity_per_node: usize) -> Result<Self, TransportError> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let cluster = Arc::new(Mutex::new(ClusterCollector::new(capacity_per_node)));
-        let clock = ClockSource::wall();
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_cluster = Arc::clone(&cluster);
-        let accept_clock = clock.clone();
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("trace-collector-accept".into())
-            .spawn(move || {
-                // A blocking `accept`: an idle collector never wakes, and
-                // `stop` dials the listener to end the wait.
-                while let Ok((stream, _)) = listener.accept() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break; // the wake-up dial of `stop`
-                    }
-                    stream.set_nodelay(true).ok();
-                    spawn_ingest(stream, Arc::clone(&accept_cluster), accept_clock.clone());
+        // The book lists the node itself: `stop` reaches the step through it.
+        let book = AddressBook::new();
+        let node = TcpNode::bind(NodeId::Collector, addr, book.clone())?;
+        book.insert(NodeId::Collector, node.local_addr());
+        let mut service = CollectorService {
+            local_addr: node.local_addr(),
+            cluster: Arc::new(Mutex::new(ClusterCollector::new(capacity_per_node))),
+            clock: ClockSource::wall(),
+            stopping: Arc::default(),
+            postman: node.postman(),
+            serve_thread: None,
+        };
+        let step = service.step();
+        // The thread only waits; the node's reader threads run the step.
+        let serving = std::thread::Builder::new().name("trace-collector".into());
+        let serving = serving.spawn(move || drop(node.serve(None, step)));
+        service.serve_thread = Some(serving.expect("spawn collector thread"));
+        Ok(service)
+    }
+
+    /// What the collector's node is served with.
+    fn step(&self) -> impl Step {
+        let (cluster, clock) = (Arc::clone(&self.cluster), self.clock.clone());
+        let (stopping, postman) = (Arc::clone(&self.stopping), self.postman.clone());
+        // Pongs not sent yet, each to the sender of its ping.
+        let mut pongs = Vec::new();
+        move |input| {
+            match input {
+                Input::Message(from, Message::ClockPing { seq, t_send, .. }) => {
+                    let t_collector = clock.now();
+                    let pong = Message::ClockPong {
+                        seq,
+                        t_send,
+                        t_collector,
+                    };
+                    pongs.push((from, pong));
                 }
-            })
-            .expect("spawn collector accept thread");
-        Ok(CollectorService {
-            local_addr,
-            cluster,
-            clock,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+                Input::Message(
+                    _,
+                    Message::TraceBatch {
+                        node,
+                        offset_secs,
+                        batch_seq,
+                        emitted,
+                        dropped,
+                        events,
+                    },
+                ) => cluster.lock().ingest(
+                    &node.to_string(),
+                    offset_secs,
+                    batch_seq,
+                    emitted,
+                    dropped,
+                    &events,
+                ),
+                Input::Message(_, Message::Shutdown) if stopping.load(Ordering::SeqCst) => {
+                    return Flow::Stop;
+                }
+                // The port is unauthenticated: anybody else's `Shutdown`, and
+                // training traffic, stops collection for nobody.
+                Input::Message(..) => {}
+                Input::Dry | Input::Tick if pongs.is_empty() => {}
+                // Over the connection each ping arrived on; a streamer
+                // whose connection is gone times its wait out.
+                Input::Dry | Input::Tick => drop(postman.reply_batch(std::mem::take(&mut pongs))),
+            }
+            Flow::Continue
+        }
     }
 
     /// The address nodes should stream to.
@@ -141,15 +178,14 @@ impl CollectorService {
         self.cluster.lock().check_balance()
     }
 
-    /// Stop accepting new connections. Live ingest threads finish when
-    /// their peers close, which streamer shutdown guarantees.
+    /// Stop collecting and close the listener. Readers of live connections
+    /// finish when their peers close, which streamer shutdown guarantees.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
-            // The accept thread blocks in `accept`; one throwaway dial wakes
-            // it to see the flag.
-            TcpStream::connect(self.local_addr).ok();
-            let _ = h.join();
+        if let Some(serving) = self.serve_thread.take() {
+            self.stopping.store(true, Ordering::SeqCst);
+            let sent = self.postman.send(NodeId::Collector, Message::Shutdown);
+            // Nothing else wakes the thread: were it lost, a join would hang.
+            let _ = sent.map(|()| serving.join());
         }
     }
 }
@@ -158,58 +194,6 @@ impl Drop for CollectorService {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-fn spawn_ingest(stream: TcpStream, cluster: Arc<Mutex<ClusterCollector>>, clock: ClockSource) {
-    std::thread::Builder::new()
-        .name("trace-collector-ingest".into())
-        .spawn(move || {
-            let mut writer = match stream.try_clone() {
-                Ok(w) => w,
-                Err(_) => return,
-            };
-            let mut reader = BufReader::new(stream);
-            let mut frames = FrameReader::new();
-            // Each frame is read into a buffer of its own, which a decoded
-            // message would share for its values; a trace batch carries
-            // none, so the buffer is freed once its events are decoded.
-            while let Ok((_, msg)) = frames.read_from(&mut reader) {
-                match msg {
-                    Message::ClockPing { seq, t_send, .. } => {
-                        let pong = Message::ClockPong {
-                            seq,
-                            t_send,
-                            t_collector: clock.now(),
-                        };
-                        if write_frame(&mut writer, NodeId::Collector, &pong).is_err() {
-                            break;
-                        }
-                    }
-                    Message::TraceBatch {
-                        node,
-                        offset_secs,
-                        batch_seq,
-                        emitted,
-                        dropped,
-                        events,
-                    } => {
-                        cluster.lock().ingest(
-                            &node.to_string(),
-                            offset_secs,
-                            batch_seq,
-                            emitted,
-                            dropped,
-                            &events,
-                        );
-                    }
-                    Message::Shutdown => break,
-                    // The collector is a passive sink; training traffic on
-                    // this port is a wiring bug, not a protocol state.
-                    _ => {}
-                }
-            }
-        })
-        .expect("spawn collector ingest thread");
 }
 
 /// What a streamer did over its lifetime, returned by
@@ -223,7 +207,7 @@ pub struct StreamerReport {
     /// Events dropped because a send failed (already folded into the
     /// cumulative `dropped` the collector saw in batch headers).
     pub send_drops: u64,
-    /// Whether the initial dial ever succeeded.
+    /// Whether a send to the collector ever succeeded.
     pub connected: bool,
 }
 
@@ -237,10 +221,9 @@ pub struct TraceStreamer {
 impl TraceStreamer {
     /// Start streaming `collector`'s events to `addr`, identifying as
     /// `node`. The streamer owns its cursor: use one streamer per
-    /// `TraceCollector`. Each ring drain (poll, chunk, encode, coalesced
-    /// write) runs under a `streamer/drain` span of `profiler` on the
-    /// streamer thread, so a profile shows how much of the run the
-    /// observability plumbing itself cost.
+    /// `TraceCollector`. Each ring drain (poll, chunk, send) runs under a
+    /// `streamer/drain` span of `profiler` on the streamer thread (frames
+    /// under `wire/encode`), so a profile shows what the plumbing cost.
     pub fn start(
         node: NodeId,
         collector: &TraceCollector,
@@ -248,8 +231,7 @@ impl TraceStreamer {
         profiler: Profiler,
     ) -> TraceStreamer {
         let stop = Arc::new(StopFlag::new());
-        let thread_stop = Arc::clone(&stop);
-        let col = collector.clone();
+        let (col, thread_stop) = (collector.clone(), Arc::clone(&stop));
         let handle = std::thread::Builder::new()
             .name(format!("trace-streamer-{node}"))
             .spawn(move || stream_loop(node, col, addr, thread_stop, profiler))
@@ -265,110 +247,39 @@ impl TraceStreamer {
     /// parked in its poll wait immediately, so shutdown costs one drain +
     /// barrier round-trip, not a full `POLL_EVERY` sleep.
     pub fn stop(mut self) -> StreamerReport {
+        self.join().unwrap_or_default()
+    }
+
+    fn join(&mut self) -> Option<StreamerReport> {
         self.stop.stop();
-        match self.handle.take() {
-            Some(h) => h.join().unwrap_or_default(),
-            None => StreamerReport::default(),
-        }
+        self.handle.take()?.join().ok()
     }
 }
 
 impl Drop for TraceStreamer {
     fn drop(&mut self) {
-        self.stop.stop();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.join();
     }
-}
-
-struct StreamerConn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-    frames: FrameReader,
-}
-
-fn dial(addr: SocketAddr, stop: &StopFlag) -> Option<StreamerConn> {
-    for _ in 0..CONNECT_RETRIES {
-        if let Ok(stream) = TcpStream::connect(addr) {
-            stream.set_nodelay(true).ok();
-            stream.set_read_timeout(Some(PONG_TIMEOUT)).ok();
-            if let Ok(writer) = stream.try_clone() {
-                return Some(StreamerConn {
-                    writer,
-                    reader: BufReader::new(stream),
-                    frames: FrameReader::new(),
-                });
-            }
-        }
-        if stop.wait_timeout(CONNECT_RETRY_EVERY) {
-            return None;
-        }
-    }
-    None
 }
 
 /// One ping/pong exchange; returns `(t_send, t_collector, t_recv)`.
-fn ping_once(
-    conn: &mut StreamerConn,
-    node: NodeId,
-    seq: u64,
-    col: &TraceCollector,
-) -> Option<(f64, f64, f64)> {
-    let t_send = col.now();
-    write_frame(
-        &mut conn.writer,
-        node,
-        &Message::ClockPing { node, seq, t_send },
-    )
-    .ok()?;
+fn ping(tcp: &TcpNode, col: &TraceCollector, seq: u64) -> Option<(f64, f64, f64)> {
+    let (node, t_send) = (tcp.node(), col.now());
+    let ping = Message::ClockPing { node, seq, t_send };
+    tcp.postman().send(NodeId::Collector, ping).ok()?;
     loop {
-        match conn.frames.read_from(&mut conn.reader) {
-            Ok((
-                _,
-                Message::ClockPong {
-                    seq: s,
-                    t_send: echoed,
-                    t_collector,
-                },
-            )) => {
-                let t_recv = col.now();
-                if s == seq {
-                    return Some((echoed, t_collector, t_recv));
-                }
-                // A stale pong from an earlier probe; keep reading.
-            }
-            Ok(_) => {}
-            Err(_) => return None,
+        let answer = tcp.recv_from(NodeId::Collector, Some(PONG_TIMEOUT));
+        let t_recv = col.now();
+        match answer.ok()??.1 {
+            Message::ClockPong {
+                seq: s,
+                t_send,
+                t_collector,
+            } if s == seq => return Some((t_send, t_collector, t_recv)),
+            // A stale pong from a probe given up on; keep reading.
+            _ => {}
         }
     }
-}
-
-/// Hand the coalesced frames accumulated in `scratch` to the kernel in one
-/// `write_all` and settle their accounting: success credits every pending
-/// chunk, failure drops them all (counted in the next header that does get
-/// through). The buffer is cleared but keeps its allocation for reuse.
-fn write_coalesced(
-    conn: &mut StreamerConn,
-    scratch: &mut BytesMut,
-    pending_batches: &mut u64,
-    pending_events: &mut u64,
-    report: &mut StreamerReport,
-) {
-    if scratch.is_empty() {
-        return;
-    }
-    if conn.writer.write_all(scratch.as_ref()).is_ok() {
-        report.batches += *pending_batches;
-        report.events_sent += *pending_events;
-    } else {
-        // Never block or retry on the hot path: the chunks are gone;
-        // account for them in the next header that does get through.
-        report.send_drops += *pending_events;
-    }
-    scratch.clear();
-    *pending_batches = 0;
-    *pending_events = 0;
 }
 
 fn stream_loop(
@@ -379,84 +290,73 @@ fn stream_loop(
     profiler: Profiler,
 ) -> StreamerReport {
     let mut report = StreamerReport::default();
-    let mut cursor = col.cursor();
-    let Some(mut conn) = dial(addr, &stop) else {
-        // Never connected: park until stop (the latch wakes us at once) so
-        // the cursor accounting is still discarded without spinning.
-        while !stop.wait_timeout(POLL_EVERY) {}
+    let book = AddressBook::new();
+    book.insert(NodeId::Collector, addr);
+    // Nobody dials a streamer: its listener stays on loopback.
+    let unlisted = SocketAddr::from((Ipv4Addr::LOCALHOST, 0));
+    let quiet = Tracer::disabled();
+    let Ok(tcp) = TcpNode::bind_profiled(node, unlisted, book, quiet, profiler.clone()) else {
         return report;
     };
-    report.connected = true;
-
-    let mut estimator = fluentps_obs::OffsetEstimator::new();
-    for seq in 0..PINGS {
-        if let Some((t_send, t_collector, t_recv)) = ping_once(&mut conn, node, seq, &col) {
+    let postman = tcp.postman();
+    let mut cursor = col.cursor();
+    let mut estimator = OffsetEstimator::new();
+    let mut batch_seq = 0;
+    let mut drain = || {
+        // Each drain probes for the clock samples still missing, so a
+        // collector out of reach at first is measured once it answers.
+        for seq in estimator.samples()..PINGS {
+            let Some((t_send, t_collector, t_recv)) = ping(&tcp, &col, seq as u64) else {
+                break;
+            };
             estimator.add_sample(t_send, t_collector, t_recv);
-        } else {
-            break;
         }
-    }
-
-    let mut batch_seq = 0u64;
-    // One reused encode buffer for the whole connection: each drain
-    // coalesces all its chunk frames here and writes them with a single
-    // syscall, spilling early only past the byte budget.
-    let mut scratch = BytesMut::new();
-    let mut drain = |conn: &mut StreamerConn, report: &mut StreamerReport, batch_seq: &mut u64| {
         let _span = profiler.enter("streamer/drain");
         let polled = cursor.poll();
-        // Chunk to `MAX_BATCH`; always emit at least one (possibly empty)
-        // frame so cumulative accounting reaches the collector even when
-        // nothing new was recorded.
-        let chunks: Vec<&[fluentps_obs::TraceEvent]> = if polled.events.is_empty() {
-            vec![&[][..]]
-        } else {
-            polled.events.chunks(MAX_BATCH).collect()
-        };
-        scratch.clear();
-        let mut pending_batches = 0u64;
-        let mut pending_events = 0u64;
-        for chunk in chunks {
-            *batch_seq += 1;
+        // At least one (possibly empty) frame, so cumulative accounting
+        // reaches the collector even when nothing new was recorded.
+        let frames = polled.events.len().div_ceil(MAX_BATCH).max(1);
+        let mut batch = Vec::new();
+        let (mut bytes, mut events) = (0, 0);
+        for i in 0..frames {
+            let chunk = polled.events.chunks(MAX_BATCH).nth(i).unwrap_or_default();
+            batch_seq += 1;
             let msg = Message::TraceBatch {
                 node,
                 offset_secs: estimator.offset(),
-                batch_seq: *batch_seq,
+                batch_seq,
                 emitted: polled.emitted,
                 dropped: polled.dropped + report.send_drops,
                 events: chunk.to_vec(),
             };
-            encode_frame_into(node, &msg, &mut scratch);
-            pending_batches += 1;
-            pending_events += chunk.len() as u64;
-            if scratch.len() >= MAX_BATCH_BYTES {
-                write_coalesced(
-                    conn,
-                    &mut scratch,
-                    &mut pending_batches,
-                    &mut pending_events,
-                    report,
-                );
+            bytes += wire_len(&msg);
+            events += chunk.len() as u64;
+            batch.push((NodeId::Collector, msg));
+            if bytes < MAX_BATCH_BYTES && i + 1 < frames {
+                continue;
             }
+            // Success credits every chunk, failure drops them all (counted
+            // in the next header that does get through). Never retried: the
+            // postman dropped the connection and the next send dials again.
+            let batches = batch.len() as u64;
+            if postman.send_batch(std::mem::take(&mut batch)).is_ok() {
+                report.connected = true;
+                report.batches += batches;
+                report.events_sent += events;
+            } else {
+                report.send_drops += events;
+            }
+            (bytes, events) = (0, 0);
         }
-        write_coalesced(
-            conn,
-            &mut scratch,
-            &mut pending_batches,
-            &mut pending_events,
-            report,
-        );
     };
-
     while !stop.wait_timeout(POLL_EVERY) {
-        drain(&mut conn, &mut report, &mut batch_seq);
+        drain();
     }
     // Final drain picks up everything recorded up to the stop request.
-    drain(&mut conn, &mut report, &mut batch_seq);
+    drain();
     // Read barrier: the pong proves the collector processed every batch
-    // written before the ping on this (serially handled) connection.
-    ping_once(&mut conn, node, u64::MAX, &col);
-    write_frame(&mut conn.writer, node, &Message::Shutdown).ok();
+    // written before the ping on this connection, which one thread reads.
+    ping(&tcp, &col, u64::MAX);
     report
 }
 
@@ -464,9 +364,16 @@ fn stream_loop(
 mod tests {
     use super::*;
     use fluentps_obs::{EventKind, RecordArgs};
+    use std::net::TcpListener;
 
     fn loopback() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
+    }
+
+    /// An address nothing listens on (bind-then-drop reserves a dead port).
+    fn dead_port() -> SocketAddr {
+        let l = TcpListener::bind(loopback()).unwrap();
+        l.local_addr().unwrap()
     }
 
     #[test]
@@ -602,15 +509,161 @@ mod tests {
         let col = TraceCollector::wall(64);
         let tracer = col.tracer();
         tracer.record(EventKind::PushApplied, RecordArgs::new());
-        // Nothing listens here (bind-then-drop reserves a dead port).
-        let addr = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
+        let addr = dead_port();
         let streamer = TraceStreamer::start(NodeId::Worker(9), &col, addr, Profiler::disabled());
         std::thread::sleep(Duration::from_millis(30));
         let report = streamer.stop();
         assert!(!report.connected);
         assert_eq!(report.batches, 0);
+    }
+
+    #[test]
+    fn a_collector_bound_late_still_receives_the_tail() {
+        const HEAD: u64 = 50;
+        const TAIL: u64 = 70;
+        let addr = dead_port();
+        let col = TraceCollector::wall(1 << 12);
+        let tracer = col.tracer();
+        let record = |n: u64| {
+            for i in 0..n {
+                tracer.record(EventKind::PushApplied, RecordArgs::new().progress(i));
+            }
+        };
+        let streamer = TraceStreamer::start(NodeId::Worker(4), &col, addr, Profiler::disabled());
+        record(HEAD);
+        // Long enough for many drains to find nobody there.
+        std::thread::sleep(Duration::from_millis(1500));
+        let mut service = CollectorService::bind(addr, 1 << 14).unwrap();
+        record(TAIL);
+        let report = streamer.stop();
+        assert!(report.connected, "{report:?}");
+        assert!(report.send_drops > 0, "{report:?}");
+        assert!(report.events_sent >= TAIL, "{report:?}");
+        let stats = service.node_stats();
+        assert_eq!(stats[0].emitted, HEAD + TAIL);
+        assert_eq!(stats[0].received, report.events_sent);
+        assert_eq!(stats[0].dropped, report.send_drops);
+        service.check_balance().expect("balanced across the outage");
+        service.stop();
+    }
+
+    /// A bare node that can reach `service`.
+    fn stranger(id: NodeId, service: &CollectorService) -> TcpNode {
+        let book = AddressBook::new();
+        book.insert(NodeId::Collector, service.local_addr());
+        TcpNode::bind(id, loopback(), book).unwrap()
+    }
+
+    /// The `seq` of the pong `node` is owed next.
+    fn pong(node: &TcpNode) -> u64 {
+        match node.recv_from(NodeId::Collector, Some(PONG_TIMEOUT)) {
+            Ok(Some((NodeId::Collector, Message::ClockPong { seq, .. }))) => seq,
+            other => panic!("no pong: {other:?}"),
+        }
+    }
+
+    fn ping(node: &TcpNode, seq: u64) {
+        let ping = Message::ClockPing {
+            node: node.node(),
+            seq,
+            t_send: 0.0,
+        };
+        node.postman().send(NodeId::Collector, ping).unwrap();
+    }
+
+    #[test]
+    fn a_strangers_shutdown_and_training_traffic_stop_nothing() {
+        let mut service = CollectorService::bind(loopback(), 1 << 14).unwrap();
+        let hostile = stranger(NodeId::Worker(66), &service);
+        let pull = Message::SPull {
+            worker: 66,
+            progress: 0,
+            keys: vec![1],
+        };
+        for stray in [Message::Shutdown, pull] {
+            hostile.postman().send(NodeId::Collector, stray).unwrap();
+        }
+        // One thread reads the connection: the pong says both were handled.
+        ping(&hostile, 7);
+        assert_eq!(pong(&hostile), 7);
+        // And collection goes on for everybody else.
+        let col = TraceCollector::wall(256);
+        let at = service.local_addr();
+        let streamer = TraceStreamer::start(NodeId::Server(0), &col, at, Profiler::disabled());
+        col.tracer()
+            .record(EventKind::PushApplied, RecordArgs::new());
+        assert_eq!(streamer.stop().events_sent, 1);
+        assert_eq!(service.node_stats()[0].received, 1);
+        service.stop();
+    }
+
+    #[test]
+    fn interleaved_pings_are_each_answered_on_their_own_connection() {
+        let mut service = CollectorService::bind(loopback(), 1 << 14).unwrap();
+        let a = stranger(NodeId::Worker(1), &service);
+        let b = stranger(NodeId::Server(1), &service);
+        ping(&a, 10);
+        ping(&b, 20);
+        ping(&a, 11);
+        ping(&b, 21);
+        assert_eq!([pong(&b), pong(&b)], [20, 21]);
+        assert_eq!([pong(&a), pong(&a)], [10, 11]);
+        service.stop();
+    }
+
+    #[test]
+    fn the_collectors_step_runs_on_the_reader_threads() {
+        use std::sync::mpsc;
+        // What `bind` builds, with a look at who calls the step.
+        let book = AddressBook::new();
+        let node = TcpNode::bind(NodeId::Collector, loopback(), book.clone()).unwrap();
+        book.insert(NodeId::Collector, node.local_addr());
+        let service = CollectorService {
+            local_addr: node.local_addr(),
+            cluster: Arc::new(Mutex::new(ClusterCollector::new(1 << 10))),
+            clock: ClockSource::wall(),
+            stopping: Arc::default(),
+            postman: node.postman(),
+            serve_thread: None,
+        };
+        let mut ingest = service.step();
+        let (named_tx, named) = mpsc::channel();
+        let (installed_tx, installed) = mpsc::channel();
+        let step = move |input: Input| {
+            match &input {
+                Input::Message(..) => {
+                    let thread = std::thread::current();
+                    named_tx.send(thread.name().map(str::to_owned)).unwrap();
+                }
+                // The first `Dry` is the serve caller's, just before the
+                // step is the readers' to run.
+                _ => drop(installed_tx.send(())),
+            }
+            ingest.step(input)
+        };
+        let serving = std::thread::Builder::new()
+            .name("the-serve-caller".into())
+            .spawn(move || drop(node.serve(None, step)))
+            .unwrap();
+        installed.recv().unwrap();
+
+        let col = TraceCollector::wall(256);
+        let at = service.local_addr();
+        let streamer = TraceStreamer::start(NodeId::Worker(0), &col, at, Profiler::disabled());
+        col.tracer()
+            .record(EventKind::PushApplied, RecordArgs::new());
+        assert_eq!(streamer.stop().events_sent, 1);
+        assert_eq!(service.node_stats()[0].received, 1);
+        service.stopping.store(true, Ordering::SeqCst);
+        let stop = service.postman.send(NodeId::Collector, Message::Shutdown);
+        stop.unwrap();
+        serving.join().unwrap();
+
+        let names: Vec<String> = named.try_iter().map(|name| name.unwrap()).collect();
+        // Pings, batches, the barrier and the stop.
+        assert!(names.len() >= PINGS + 3, "{names:?}");
+        for name in &names {
+            assert!(name.starts_with("tcp-reader-collector"), "{names:?}");
+        }
     }
 }

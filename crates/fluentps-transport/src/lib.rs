@@ -19,10 +19,11 @@
 //! * [`fault`] — a deterministic fault-injection shim over any
 //!   [`Mailbox`]/[`Postman`] pair (drop/delay/duplicate/sever), driven by
 //!   seeded, content-matched schedules so chaos runs replay bit-for-bit.
-//! * [`collect`] — cluster-wide trace collection: a [`CollectorService`]
-//!   that merges every node's ring-buffered trace events onto one
-//!   clock-aligned timeline, and the [`TraceStreamer`] each node runs to
-//!   ship its events there (clock-offset handshake + bounded batching +
+//! * [`collect`] — cluster-wide trace collection on that same transport: a
+//!   [`CollectorService`], a served [`tcp::TcpNode`] whose step merges every
+//!   node's ring-buffered trace events onto one clock-aligned timeline, and
+//!   the [`TraceStreamer`] each node runs — a node nobody serves — to ship
+//!   its events there (clock-offset handshake + bounded batching +
 //!   drop-oldest backpressure).
 //!
 //! All transports expose the same [`Mailbox`]/[`Postman`] pair so the engine

@@ -276,30 +276,11 @@ pub enum Message {
         /// use it for staleness diagnostics.
         version: u64,
     },
-    /// Node announces itself to the scheduler (or to a server in tests).
-    Register {
-        /// Who is registering.
-        node: NodeId,
-    },
-    /// Scheduler confirms a registration and communicates cluster geometry.
-    RegisterAck {
-        /// Total number of workers.
-        num_workers: u32,
-        /// Total number of servers.
-        num_servers: u32,
-    },
     /// Liveness heartbeat (scheduler duty, Section III-A).
     Heartbeat {
         /// Sender.
         node: NodeId,
         /// Monotone sequence number.
-        seq: u64,
-    },
-    /// A control barrier used during startup/shutdown of engines.
-    Barrier {
-        /// Barrier group (e.g. all workers = 0, all servers = 1).
-        group: u32,
-        /// Sequence number of the barrier.
         seq: u64,
     },
     /// Orderly shutdown request.
@@ -441,10 +422,7 @@ impl Message {
             Message::SPull { keys, .. } => 16 + keys.len() * 8,
             Message::PushAck { .. } => 12,
             Message::PullResponse { kv, .. } => 24 + kv.payload_bytes(),
-            Message::Register { .. } => 8,
-            Message::RegisterAck { .. } => 8,
             Message::Heartbeat { .. } => 16,
-            Message::Barrier { .. } => 12,
             Message::Shutdown => 1,
             Message::Install { kv } => 4 + kv.payload_bytes(),
             Message::RouteUpdate { placements } => 4 + placements.len() * 28,

@@ -15,8 +15,8 @@
 //!   where everyone listens). A peer that answers the same way dials back and
 //!   its answer arrives through this node's listener: two one-way
 //!   connections, a reader thread at the accepting end of each. Heartbeats,
-//!   consensus, recovery control, the collector and every node nobody serves
-//!   talk like this.
+//!   consensus, recovery control and every node nobody serves talk like
+//!   this.
 //! * [`Postman::reply_batch`] — how a served node's step answers — writes to
 //!   the connection the destination last *reached this node through*: a
 //!   reader registers its accepted stream's write half under the sender of

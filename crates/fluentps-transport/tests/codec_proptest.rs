@@ -99,15 +99,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 kv
             }
         ),
-        arb_node().prop_map(|node| Message::Register { node }),
-        (any::<u32>(), any::<u32>()).prop_map(|(num_workers, num_servers)| {
-            Message::RegisterAck {
-                num_workers,
-                num_servers,
-            }
-        }),
         (arb_node(), any::<u64>()).prop_map(|(node, seq)| Message::Heartbeat { node, seq }),
-        (any::<u32>(), any::<u64>()).prop_map(|(group, seq)| Message::Barrier { group, seq }),
         Just(Message::Shutdown),
         (
             arb_node(),

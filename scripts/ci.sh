@@ -38,6 +38,7 @@ deleted="$deleted|serve_with_health|serve_source|serve_observed|serve_profiled"
 deleted="$deleted|tcp_server_loop|resilient_server_loop"
 deleted="$deleted|pub fn run_live|LiveConfig|bind_server|bind_traced|read_from_profiled"
 deleted="$deleted|StreamerConfig|send_consensus|try_send|FluentPs::builder"
+deleted="$deleted|spawn_ingest|StreamerConn|write_coalesced|CONNECT_RETRIES"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then
@@ -79,16 +80,23 @@ fi
 
 # Structural guard: one hand-off and one write per direction (DESIGN.md §13,
 # §18). The receive loop is the transport's: above their test markers
-# serve.rs and recovery.rs hand a step to `Mailbox::serve` and never receive
-# themselves (the supervisor replica, a node nobody serves, keeps its one
-# `node.recv_timeout(tick)`); `serve` has exactly two overrides, the TCP
-# node and the fault shim around it; everything a worker sends — what
+# serve.rs and recovery.rs — servers and supervisor replicas alike — hand a
+# step to `Mailbox::serve` and never receive themselves; `serve` has exactly
+# two overrides, the TCP node and the fault shim around it; nothing but
+# tcp.rs (and the HTTP endpoint, another protocol) listens on or dials a
+# socket, so there is no second TCP stack; everything a worker sends — what
 # `spush` staged, the pulls, a retry's replay — leaves through its one
 # per-server `send_batch`, never singly; and a server is one TCP node, so
 # there is no sender id above the server range to derive.
 if above_tests "$core_src/serve.rs" "$core_src/recovery.rs" \
-  | grep -E '\.recv\(\)|\.recv_timeout\(' | grep -vF 'node.recv_timeout(tick)'; then
+  | grep -E '\.recv\(\)|\.recv_timeout\('; then
   echo "ci: serve.rs/recovery.rs own a receive loop again (see above); hand Mailbox::serve a step" >&2
+  exit 1
+fi
+sockets="$(above_tests crates/*/src/*.rs crates/*/src/*/*.rs | grep -E 'TcpListener|TcpStream::connect' \
+  | cut -d: -f1 | sort -u | tr '\n' ' ' || true)"
+if [ "$sockets" != "crates/fluentps-obs/src/http.rs $wire_src/tcp.rs " ]; then
+  echo "ci: only tcp.rs and the HTTP endpoint listen on or dial a socket; found: $sockets" >&2
   exit 1
 fi
 overrides="$(above_tests crates/*/src/*.rs | grep -E 'fn serve<' | cut -d: -f1 | sort | tr '\n' ' ' || true)"
@@ -110,9 +118,10 @@ fi
 # round has one receive call, `recv_from` — no `.recv()`/`.recv_timeout(`
 # above worker.rs's test marker; `Mailbox::recv_from` and
 # `Postman::reply_batch` are each defined in lib.rs and overridden in tcp.rs
-# and fault.rs only; and only the two server drivers call `reply_batch` —
-# every other sender keeps `send`/`send_batch` and the connections it
-# dials.
+# and fault.rs only; and only the served nodes whose clients read the
+# connections they dial call `reply_batch` — the two server drivers, whom
+# workers ask, and the trace collector, whom streamers ping — while every
+# other sender keeps `send`/`send_batch` and the connections it dials.
 if above_tests "$core_src/worker.rs" | grep -E '\.recv\(\)|\.recv_timeout\('; then
   echo "ci: worker.rs waits on the whole mailbox again (see above); the round waits with recv_from" >&2
   exit 1
@@ -126,8 +135,8 @@ for method in recv_from reply_batch; do
 done
 callers="$(above_tests crates/*/src/*.rs | grep -F 'reply_batch(' | grep -vE 'fn reply_batch\b' \
   | cut -d: -f1 | sort -u | tr '\n' ' ' || true)"
-if [ "$callers" != "$core_src/recovery.rs $core_src/serve.rs " ]; then
-  echo "ci: reply_batch is what serve.rs and recovery.rs answer workers with; called in: $callers" >&2
+if [ "$callers" != "$core_src/recovery.rs $core_src/serve.rs $wire_src/collect.rs " ]; then
+  echo "ci: reply_batch is what serve.rs and recovery.rs answer workers with and collect.rs a streamer's ping; called in: $callers" >&2
   exit 1
 fi
 
