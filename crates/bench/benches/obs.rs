@@ -5,6 +5,9 @@
 //! enabled-path cost and the end-to-end threaded-engine overhead of running
 //! a cluster with a collector attached vs without one (`scripts/bench.sh`
 //! collects both into `BENCH_obs.json`).
+//!
+//! One entry is not about observability: `ml/loss_and_grad_b128`, a worker's
+//! gradient computation, rides along so the GEMM kernels have a gated number.
 
 use std::collections::HashMap;
 
@@ -528,6 +531,37 @@ fn stream_window(c: &mut Criterion) {
     g.finish();
 }
 
+/// One worker's gradient computation at the shape of the ledger's
+/// `inproc_bsp_compute` workload (an `Mlp` `[64, 256, 128, 10]` on a batch of
+/// 128): the compute phase that the paper's compute/sync split (Fig. 6) is
+/// measured against, and the GEMM kernels' end-to-end cost.
+fn ml_loss_and_grad(c: &mut Criterion) {
+    use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
+    use fluentps_ml::{Mlp, Model};
+
+    let (train, _) = synthetic(SyntheticSpec {
+        dim: 64,
+        classes: 10,
+        n_train: 1024,
+        n_test: 16,
+        margin: 5.0,
+        modes: 1,
+        label_noise: 0.02,
+        seed: 1,
+    });
+    let model = Mlp {
+        dims: vec![64, 256, 128, 10],
+    };
+    let params = model.init_params(1);
+    let batch = train.batch(&BatchSampler::new(0..train.len(), 128, 1).next_indices());
+    let mut g = c.benchmark_group("ml");
+    g.sample_size(20);
+    g.bench_function("loss_and_grad_b128", |b| {
+        b.iter(|| model.loss_and_grad(&params, &batch))
+    });
+    g.finish();
+}
+
 criterion_group!(
     obs,
     tracer_disabled,
@@ -541,6 +575,7 @@ criterion_group!(
     wire_throughput,
     tcp_serve_roundtrip,
     analyze_throughput,
-    stream_window
+    stream_window,
+    ml_loss_and_grad
 );
 criterion_main!(obs);

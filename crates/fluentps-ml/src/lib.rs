@@ -10,7 +10,9 @@
 //!
 //! Contents:
 //!
-//! * [`linalg`] — blocked matrix multiply and vector helpers.
+//! * [`linalg`] — blocked matrix multiplies (rows in groups of four, dot
+//!   products in chains of eight), bit-identical to the naive loops, and
+//!   vector helpers.
 //! * [`init`] — seeded Xavier/He initialisation.
 //! * [`models`] — softmax regression, MLPs, a residual MLP standing in for
 //!   ResNet-56 (deep, skip connections, higher staleness sensitivity) and a

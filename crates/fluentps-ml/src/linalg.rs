@@ -1,30 +1,114 @@
 //! Dense linear algebra on row-major `f32` slices.
 //!
 //! Everything the models need: three GEMM variants (plain, A-transposed,
-//! B-transposed) with loop ordering chosen for cache behaviour, plus small
-//! vector helpers. No unsafe, no SIMD intrinsics — the inner loops are
-//! written so LLVM auto-vectorizes them (iterator over slices, no bounds
-//! checks in the hot loop).
+//! B-transposed), each a blocked form of the naive loop it replaced, plus
+//! small vector helpers.
+//!
+//! **Blocks.** Each kernel runs its naive loop for a group of rows or
+//! outputs at once, so that one load feeds several products:
+//!
+//! * [`matmul`] (`c = a·b`): `GROUP` (four) rows of `c` share each row of
+//!   `b` — one load of a `b` value feeds four products.
+//! * [`matmul_at_b`] (`c = aᵀ·b`): four rows of `a` and `b` fold into one
+//!   pass over each row of `c` — a `c` value is loaded and stored once per
+//!   four products, added to it in a register one after another.
+//! * [`matmul_a_bt`] (`c = a·bᵀ`): `CHAINS` (eight) outputs of a `c` row
+//!   at once, each its own dot-product chain. The naive loop's one chain
+//!   waited for every add to finish before starting the next; eight
+//!   independent chains keep the adder busy.
+//!
+//! Rows or outputs past the last full group run the same code with a group
+//! of one, which is exactly the naive loop.
+//!
+//! **Ordering rule.** Every output element adds its products one at a time,
+//! in ascending inner index, to an accumulator that starts at `+0`, the
+//! order of the naive loops. A group only decides which outputs are worked
+//! on together, never the order of one output's sum, so the results are
+//! bit-identical to the naive loops (`tests/same_bits.rs` keeps them as its
+//! oracle). There is no FMA: `mul_add` rounds once where `a * b + c` rounds
+//! twice, so it would move bits, and Rust never fuses the two on its own.
+//!
+//! **Vectorization.** The innermost loops of [`matmul`] and [`matmul_at_b`]
+//! run along a row of `b` and `c`, so their vector lanes are different
+//! outputs, and LLVM vectorizes them without reassociating anything. A dot
+//! product cannot be vectorized along its own inner index without
+//! reassociating its sum, so [`matmul_a_bt`] vectorizes across its chains
+//! instead: the eight lanes are eight outputs, fed one strided `b` value
+//! each.
+//!
+//! **Zero skip.** The naive [`matmul`] and [`matmul_at_b`] skipped every
+//! product whose `a` value is `±0` (ReLU activations and their gradients are
+//! about half zeros); the grouped loops skip an inner index only when all
+//! four of its `a` values are, and add the zero products of a partly zero
+//! group. That is exact: an accumulator that starts at `+0` is never `-0` (a
+//! rounded sum is `-0` only when both addends are), and adding `±0` to
+//! anything but `-0` leaves it unchanged, so skipping a zero product or
+//! adding it gives the same bits, provided `b` is finite (`0 · ∞` is NaN).
+//! [`matmul_a_bt`] adds every product, as its naive loop did.
+//!
+//! Safe, portable code only: no `unsafe`, no `std::arch` intrinsics, no
+//! target features (`scripts/ci.sh` guards this crate).
 
-/// `c[m×n] = a[m×k] · b[k×n]` (accumulates into zeroed `c`).
-///
-/// The i-k-j loop order streams both `b` and `c` rows sequentially, which
-/// auto-vectorizes and is cache-friendly for the row-major layout.
+/// Rows that [`matmul`] and [`matmul_at_b`] work on in one pass.
+const GROUP: usize = 4;
+/// Outputs of a row that [`matmul_a_bt`] computes as independent chains.
+const CHAINS: usize = 8;
+
+/// Rows `i..i + G` of the row-major matrix `v` with rows of `len`.
+#[inline(always)]
+fn rows<const G: usize>(v: &[f32], i: usize, len: usize) -> [&[f32]; G] {
+    std::array::from_fn(|r| &v[(i + r) * len..][..len])
+}
+
+/// [`rows`], mutably.
+#[inline(always)]
+fn rows_mut<const G: usize>(v: &mut [f32], i: usize, len: usize) -> [&mut [f32]; G] {
+    let mut rest = &mut v[i * len..];
+    std::array::from_fn(|_| {
+        let (row, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        row
+    })
+}
+
+/// Whether every value is `±0`, so its products change no sum (module doc).
+#[inline(always)]
+fn all_zero(v: &[f32]) -> bool {
+    v.iter().fold(0, |bits, x| bits | x.to_bits()) << 1 == 0
+}
+
+/// `c[m×n] = a[m×k] · b[k×n]` (overwrites `c`).
 pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "a shape");
     assert_eq!(b.len(), k * n, "b shape");
     assert_eq!(c.len(), m * n, "c shape");
-    c.fill(0.0);
-    for i in 0..m {
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for kk in 0..k {
-            let a_ik = a[i * k + kk];
-            if a_ik == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                *cv += a_ik * bv;
+    let grouped = m - m % GROUP;
+    for i in (0..grouped).step_by(GROUP) {
+        matmul_rows::<GROUP>(rows(a, i, k), b, rows_mut(c, i, n));
+    }
+    for i in grouped..m {
+        matmul_rows::<1>(rows(a, i, k), b, rows_mut(c, i, n));
+    }
+}
+
+/// [`matmul`] for the `G` rows `a` holds and `c` receives.
+#[inline(always)]
+fn matmul_rows<const G: usize>(a: [&[f32]; G], b: &[f32], mut c: [&mut [f32]; G]) {
+    for c_row in &mut c {
+        c_row.fill(0.0);
+    }
+    let n = c[0].len();
+    for kk in 0..a[0].len() {
+        let a_kk: [f32; G] = std::array::from_fn(|r| a[r][kk]);
+        if all_zero(&a_kk) {
+            continue;
+        }
+        // Every slice exactly `n` long: the loop needs no bounds check.
+        let b_row = &b[kk * n..][..n];
+        let c_rows = c.each_mut().map(|c_row| &mut c_row[..n]);
+        for j in 0..n {
+            for r in 0..G {
+                c_rows[r][j] += a_kk[r] * b_row[j];
             }
         }
     }
@@ -37,17 +121,32 @@ pub fn matmul_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     assert_eq!(b.len(), m * n, "b shape");
     assert_eq!(c.len(), k * n, "c shape");
     c.fill(0.0);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let b_row = &b[i * n..(i + 1) * n];
-        for (kk, &a_ik) in a_row.iter().enumerate() {
-            if a_ik == 0.0 {
-                continue;
+    let grouped = m - m % GROUP;
+    for i in (0..grouped).step_by(GROUP) {
+        matmul_at_b_rows::<GROUP>(rows(a, i, k), rows(b, i, n), c);
+    }
+    for i in grouped..m {
+        matmul_at_b_rows::<1>(rows(a, i, k), rows(b, i, n), c);
+    }
+}
+
+/// Add [`matmul_at_b`]'s products of the `G` rows `a` and `b` hold to `c`.
+#[inline(always)]
+fn matmul_at_b_rows<const G: usize>(a: [&[f32]; G], b: [&[f32]; G], c: &mut [f32]) {
+    let n = b[0].len();
+    let b = b.map(|b_row| &b_row[..n]);
+    for kk in 0..a[0].len() {
+        let a_kk: [f32; G] = std::array::from_fn(|r| a[r][kk]);
+        if all_zero(&a_kk) {
+            continue;
+        }
+        let c_row = &mut c[kk * n..][..n];
+        for j in 0..n {
+            let mut acc = c_row[j];
+            for r in 0..G {
+                acc += a_kk[r] * b[r][j];
             }
-            let c_row = &mut c[kk * n..(kk + 1) * n];
-            for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                *cv += a_ik * bv;
-            }
+            c_row[j] = acc;
         }
     }
 }
@@ -58,17 +157,30 @@ pub fn matmul_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: u
     assert_eq!(a.len(), m * n, "a shape");
     assert_eq!(b.len(), k * n, "b shape");
     assert_eq!(c.len(), m * k, "c shape");
+    let chained = k - k % CHAINS;
     for i in 0..m {
-        let a_row = &a[i * n..(i + 1) * n];
-        for kk in 0..k {
-            let b_row = &b[kk * n..(kk + 1) * n];
-            let mut acc = 0.0f32;
-            for (av, bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            c[i * k + kk] = acc;
+        let a_row = &a[i * n..][..n];
+        let c_row = &mut c[i * k..][..k];
+        for kk in (0..chained).step_by(CHAINS) {
+            c_row[kk..kk + CHAINS].copy_from_slice(&dots::<CHAINS>(a_row, rows(b, kk, n)));
+        }
+        for (kk, c_ik) in c_row.iter_mut().enumerate().skip(chained) {
+            *c_ik = dots::<1>(a_row, rows(b, kk, n))[0];
         }
     }
+}
+
+/// The dot products of `a_row` with each of the `C` rows `b` holds, as `C`
+/// independent chains.
+#[inline(always)]
+fn dots<const C: usize>(a_row: &[f32], b: [&[f32]; C]) -> [f32; C] {
+    let mut acc = [0.0f32; C];
+    for (t, a_t) in a_row.iter().enumerate() {
+        for j in 0..C {
+            acc[j] += a_t * b[j][t];
+        }
+    }
+    acc
 }
 
 /// `y += alpha * x` (axpy).
@@ -94,7 +206,8 @@ pub fn relu_inplace(x: &mut [f32]) {
 }
 
 /// Backprop through ReLU: `dx = dy ⊙ [pre > 0]`, written into `dy` in place
-/// given the pre-activation values.
+/// given the pre-activation values — or the activations [`relu_inplace`]
+/// made of them, which are `> 0` exactly where `pre` is (NaN included).
 pub fn relu_backward_inplace(pre: &[f32], dy: &mut [f32]) {
     debug_assert_eq!(pre.len(), dy.len());
     for (d, &p) in dy.iter_mut().zip(pre) {
@@ -192,6 +305,19 @@ mod tests {
         for (x, y) in c.iter().zip(&expected) {
             assert!((x - y).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn an_empty_inner_dimension_gives_zeros() {
+        let mut c = vec![f32::NAN; 6];
+        matmul(&[], &[], &mut c, 3, 0, 2);
+        assert_eq!(c, [0.0; 6]);
+        let mut c = vec![f32::NAN; 6];
+        matmul_at_b(&[], &[], &mut c, 0, 3, 2);
+        assert_eq!(c, [0.0; 6]);
+        let mut c = vec![f32::NAN; 6];
+        matmul_a_bt(&[], &[], &mut c, 3, 0, 2);
+        assert_eq!(c, [0.0; 6]);
     }
 
     #[test]

@@ -91,37 +91,36 @@ impl Model for Mlp {
         let rows = batch.len();
         let layers = self.layers();
 
-        // Forward, stashing pre-activations and activations.
-        let mut acts: Vec<Vec<f32>> = Vec::with_capacity(layers + 1);
-        let mut pres: Vec<Vec<f32>> = Vec::with_capacity(layers);
-        acts.push(batch.x.clone());
+        // Forward, stashing every layer's output (after the ReLU on hidden
+        // layers); layer `l` reads `batch.x` for `l == 0`, `outs[l - 1]` else.
+        let mut outs: Vec<Vec<f32>> = Vec::with_capacity(layers);
         for l in 0..layers {
             let (din, dout) = (self.dims[l], self.dims[l + 1]);
             let w = &params[&(2 * l as u64)];
             let b = &params[&(2 * l as u64 + 1)];
+            let input = if l == 0 { &batch.x } else { &outs[l - 1] };
             let mut out = vec![0.0f32; rows * dout];
-            matmul(&acts[l], w, &mut out, rows, din, dout);
+            matmul(input, w, &mut out, rows, din, dout);
             for row in out.chunks_mut(dout) {
                 for (v, bias) in row.iter_mut().zip(b) {
                     *v += bias;
                 }
             }
-            pres.push(out.clone());
             if l + 1 < layers {
                 relu_inplace(&mut out);
             }
-            acts.push(out);
+            outs.push(out);
         }
 
         // Loss + gradient w.r.t. logits.
-        let mut delta = acts.pop().expect("logits present");
+        let mut delta = outs.pop().expect("logits present");
         let loss = softmax_xent_backward(&mut delta, &batch.y, self.num_classes());
 
         // Backward.
         let mut grads = ParamMap::new();
         for l in (0..layers).rev() {
             let (din, dout) = (self.dims[l], self.dims[l + 1]);
-            let input = &acts[l];
+            let input = if l == 0 { &batch.x } else { &outs[l - 1] };
             let mut dw = vec![0.0f32; din * dout];
             matmul_at_b(input, &delta, &mut dw, rows, din, dout);
             let mut db = vec![0.0f32; dout];
@@ -136,7 +135,8 @@ impl Model for Mlp {
                 let w = &params[&(2 * l as u64)];
                 let mut dx = vec![0.0f32; rows * din];
                 matmul_a_bt(&delta, w, &mut dx, rows, dout, din);
-                relu_backward_inplace(&pres[l - 1], &mut dx);
+                // `input` is ReLU(pre), which is > 0 exactly where pre is.
+                relu_backward_inplace(input, &mut dx);
                 delta = dx;
             }
         }

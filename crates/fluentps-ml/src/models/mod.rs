@@ -51,7 +51,9 @@ pub trait Model: Send + Sync {
         self.param_shapes().iter().map(|s| s.len).sum()
     }
 
-    /// Top-1 accuracy on a dataset (evaluated in chunks).
+    /// Top-1 accuracy on a dataset (evaluated in chunks). The prediction is
+    /// the largest logit, the last one on a tie; a row with a NaN logit (a
+    /// diverged model) predicts nothing and counts as wrong.
     fn accuracy(&self, params: &ParamMap, ds: &Dataset) -> f32 {
         let classes = self.num_classes();
         let mut correct = 0usize;
@@ -63,13 +65,10 @@ pub trait Model: Send + Sync {
             let logits = self.logits(params, &ds.x[i * ds.dim..end * ds.dim], rows);
             for r in 0..rows {
                 let row = &logits[r * classes..(r + 1) * classes];
-                let pred = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(j, _)| j)
-                    .expect("non-empty row");
-                if pred as u32 == ds.y[i + r] {
+                let pred = row.iter().enumerate().try_fold(0, |best, (j, &v)| {
+                    (!v.is_nan()).then_some(if v >= row[best] { j } else { best })
+                });
+                if pred == Some(ds.y[i + r] as usize) {
                     correct += 1;
                 }
             }
@@ -169,6 +168,81 @@ mod tests {
             let s: f32 = logits[r * 3..(r + 1) * 3].iter().sum();
             assert!(s.abs() < 1e-6, "row {r} grad sum {s}");
         }
+    }
+
+    /// Logits given up front, so a test sees `accuracy`'s argmax alone.
+    struct Given {
+        classes: usize,
+        logits: Vec<f32>,
+    }
+
+    impl Model for Given {
+        fn name(&self) -> &'static str {
+            "given"
+        }
+        fn param_shapes(&self) -> Vec<ParamShape> {
+            Vec::new()
+        }
+        fn init_params(&self, _seed: u64) -> ParamMap {
+            ParamMap::new()
+        }
+        fn loss_and_grad(&self, _params: &ParamMap, _batch: &Batch) -> (f32, ParamMap) {
+            unreachable!("accuracy needs logits only")
+        }
+        fn logits(&self, _params: &ParamMap, _x: &[f32], rows: usize) -> Vec<f32> {
+            assert_eq!(rows * self.classes, self.logits.len());
+            self.logits.clone()
+        }
+        fn num_classes(&self) -> usize {
+            self.classes
+        }
+    }
+
+    #[test]
+    fn accuracy_takes_the_last_largest_logit_and_a_nan_row_as_wrong() {
+        let inf = f32::INFINITY;
+        let model = Given {
+            classes: 3,
+            #[rustfmt::skip]
+            logits: vec![
+                0.1, 0.9, 0.3, // clear maximum: 1
+                0.7, 0.2, 0.7, // tie: the last maximum, 2
+                -0.0, 0.0, -1.0, // -0 == +0, a tie too: 1
+                -inf, inf, inf, // infinities compare like numbers: 2
+                0.5, f32::NAN, 0.4, // no prediction
+            ],
+        };
+        let ds = |y: Vec<u32>| Dataset {
+            x: vec![0.0; y.len()],
+            y,
+            dim: 1,
+            classes: 3,
+        };
+        let params = ParamMap::new();
+        assert_eq!(model.accuracy(&params, &ds(vec![1, 2, 1, 2, 0])), 0.8);
+        assert_eq!(model.accuracy(&params, &ds(vec![1, 2, 1, 2, 1])), 0.8);
+        assert_eq!(model.accuracy(&params, &ds(vec![0, 0, 0, 1, 2])), 0.0);
+    }
+
+    #[test]
+    fn a_diverged_model_scores_no_better_than_chance() {
+        let (_, test) = crate::data::synthetic(crate::data::SyntheticSpec {
+            dim: 8,
+            classes: 4,
+            n_train: 8,
+            n_test: 300,
+            margin: 3.0,
+            modes: 1,
+            label_noise: 0.0,
+            seed: 5,
+        });
+        let model = Mlp {
+            dims: vec![8, 16, 4],
+        };
+        let mut params = model.init_params(5);
+        params.values_mut().for_each(|p| p.fill(f32::NAN));
+        let acc = model.accuracy(&params, &test);
+        assert!(acc <= 1.0 / 4.0, "NaN parameters scored {acc}");
     }
 
     #[test]

@@ -1,0 +1,204 @@
+//! The GEMM kernels produce the bits the naive loops produced.
+//!
+//! `linalg`'s tiled kernels keep every output element's summation order (one
+//! product at a time, ascending inner index, no FMA), so they must agree with
+//! the loops they replaced bit for bit, not within a tolerance. Two checks:
+//! a property test against those loops, copied verbatim as the oracle, on
+//! every tile remainder with zeros, negative zeros and subnormals; and
+//! training fingerprints of the ledger's three `Mlp` shapes, computed before
+//! the kernels were rewritten and pinned here.
+
+use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
+use fluentps_ml::linalg::{matmul, matmul_a_bt, matmul_at_b};
+use fluentps_ml::{Mlp, Model, Optimizer, Sgd};
+use fluentps_util::proptest::prelude::*;
+use fluentps_util::rng::StdRng;
+
+/// The oracle: the naive loops as they were before the tiled kernels.
+mod naive {
+    pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        assert_eq!(a.len(), m * k, "a shape");
+        assert_eq!(b.len(), k * n, "b shape");
+        assert_eq!(c.len(), m * n, "c shape");
+        c.fill(0.0);
+        for i in 0..m {
+            let c_row = &mut c[i * n..(i + 1) * n];
+            for kk in 0..k {
+                let a_ik = a[i * k + kk];
+                if a_ik == 0.0 {
+                    continue;
+                }
+                let b_row = &b[kk * n..(kk + 1) * n];
+                for (cv, bv) in c_row.iter_mut().zip(b_row) {
+                    *cv += a_ik * bv;
+                }
+            }
+        }
+    }
+
+    pub fn matmul_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        assert_eq!(a.len(), m * k, "a shape");
+        assert_eq!(b.len(), m * n, "b shape");
+        assert_eq!(c.len(), k * n, "c shape");
+        c.fill(0.0);
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            let b_row = &b[i * n..(i + 1) * n];
+            for (kk, &a_ik) in a_row.iter().enumerate() {
+                if a_ik == 0.0 {
+                    continue;
+                }
+                let c_row = &mut c[kk * n..(kk + 1) * n];
+                for (cv, bv) in c_row.iter_mut().zip(b_row) {
+                    *cv += a_ik * bv;
+                }
+            }
+        }
+    }
+
+    pub fn matmul_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
+        assert_eq!(a.len(), m * n, "a shape");
+        assert_eq!(b.len(), k * n, "b shape");
+        assert_eq!(c.len(), m * k, "c shape");
+        for i in 0..m {
+            let a_row = &a[i * n..(i + 1) * n];
+            for kk in 0..k {
+                let b_row = &b[kk * n..(kk + 1) * n];
+                let mut acc = 0.0f32;
+                for (av, bv) in a_row.iter().zip(b_row) {
+                    acc += av * bv;
+                }
+                c[i * k + kk] = acc;
+            }
+        }
+    }
+}
+
+/// `len` finite values, about half of them exact zeros (the ReLU sparsity
+/// the zero skip exists for), plus some `-0.0`, some subnormals and a spread
+/// of exponents wide enough for rounding to depend on the summation order.
+fn matrix(rng: &mut StdRng, len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|_| match rng.gen_range(0u32..20) {
+            0..=9 => 0.0,
+            10 => -0.0,
+            11 => {
+                let v = f32::from_bits(rng.gen_range(1u32..0x0080_0000));
+                if rng.gen_bool(0.5) {
+                    -v
+                } else {
+                    v
+                }
+            }
+            _ => rng.gen_range(-1.0f32..1.0) * 2f32.powi(rng.gen_range(-12i32..12)),
+        })
+        .collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+/// Run the kernel and the oracle on the same operands (`a_len`/`b_len`/
+/// `c_len` elements) into `c` buffers holding garbage, and compare bits.
+fn same_bits(
+    fast: Kernel,
+    slow: Kernel,
+    (a_len, b_len, c_len): (usize, usize, usize),
+    dims: (usize, usize, usize),
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let a = matrix(&mut rng, a_len);
+    let b = matrix(&mut rng, b_len);
+    let mut got = vec![f32::NAN; c_len];
+    let mut want = vec![-7.0f32; c_len];
+    fast(&a, &b, &mut got, dims.0, dims.1, dims.2);
+    slow(&a, &b, &mut want, dims.0, dims.1, dims.2);
+    prop_assert_eq!(bits(&got), bits(&want), "dims {:?}", dims);
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn matmul_is_bit_identical_to_the_naive_loop(
+        m in 1usize..=40, k in 1usize..=40, n in 1usize..=40, seed in any::<u64>()
+    ) {
+        same_bits(matmul, naive::matmul, (m * k, k * n, m * n), (m, k, n), seed)?;
+    }
+
+    #[test]
+    fn matmul_at_b_is_bit_identical_to_the_naive_loop(
+        m in 1usize..=40, k in 1usize..=40, n in 1usize..=40, seed in any::<u64>()
+    ) {
+        same_bits(matmul_at_b, naive::matmul_at_b, (m * k, m * n, k * n), (m, k, n), seed)?;
+    }
+
+    #[test]
+    fn matmul_a_bt_is_bit_identical_to_the_naive_loop(
+        m in 1usize..=40, n in 1usize..=40, k in 1usize..=40, seed in any::<u64>()
+    ) {
+        same_bits(matmul_a_bt, naive::matmul_a_bt, (m * n, k * n, m * k), (m, n, k), seed)?;
+    }
+}
+
+/// FNV-1a over every parameter's bits, in key order.
+fn fingerprint(model: &Mlp, params: &fluentps_ml::ParamMap) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for shape in model.param_shapes() {
+        for v in &params[&shape.key] {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+    }
+    h
+}
+
+/// Parameters of an `Mlp` with the given hidden widths after 30 steps of
+/// `Sgd(0.02, 0.9)` on the ledger's synthetic 64-dim, 10-class task.
+fn trained_fingerprint(hidden: &[usize], batch: usize) -> u64 {
+    let (train, _) = synthetic(SyntheticSpec {
+        dim: 64,
+        classes: 10,
+        n_train: 1024,
+        n_test: 16,
+        margin: 5.0,
+        modes: 1,
+        label_noise: 0.02,
+        seed: 25,
+    });
+    let mut dims = vec![64];
+    dims.extend_from_slice(hidden);
+    dims.push(10);
+    let model = Mlp { dims };
+    let mut params = model.init_params(7);
+    let mut opt = Sgd::new(0.02, 0.9, 0.0);
+    let mut sampler = BatchSampler::new(0..train.len(), batch, 11);
+    for _ in 0..30 {
+        let (_, grads) = model.loss_and_grad(&params, &train.batch(&sampler.next_indices()));
+        opt.step(&mut params, &grads);
+    }
+    fingerprint(&model, &params)
+}
+
+// The constants were computed with the naive loops (commit 4f8cdc5), before
+// the kernels were tiled; a kernel change that moves one bit moves them.
+
+#[test]
+fn inproc_bsp_compute_shape_trains_to_the_pinned_bits() {
+    assert_eq!(trained_fingerprint(&[256, 128], 128), 0x67ca_2c55_27d6_6fdb);
+}
+
+#[test]
+fn tcp_bsp_wire_shape_trains_to_the_pinned_bits() {
+    assert_eq!(trained_fingerprint(&[1024, 256], 8), 0xfc9d_9445_f06a_fca5);
+}
+
+#[test]
+fn ssp_shape_trains_to_the_pinned_bits() {
+    assert_eq!(trained_fingerprint(&[128, 64], 32), 0x3ee7_563f_6d29_38b6);
+}

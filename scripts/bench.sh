@@ -14,8 +14,11 @@
 # worker iteration against a served TCP node over loopback sockets
 # (`wire/tcp_serve_roundtrip`: push and pull out in one write, ack and
 # response back in one, 35 KB each way), the
-# threaded engine with tracing off vs on, and the TCP engine with cluster
-# trace streaming off vs on) and writes OUTPUT (default BENCH_obs.json): a
+# threaded engine with tracing off vs on, the TCP engine with cluster
+# trace streaming off vs on, and — the one entry that is not about
+# observability — a worker's gradient computation at the ledger's
+# `inproc_bsp_compute` shape, `ml/loss_and_grad_b128`, which gates the GEMM
+# kernels) and writes OUTPUT (default BENCH_obs.json): a
 # JSON document with mean/p50/p99 nanoseconds and throughput per benchmark.
 # The `engine/threaded_tracing_off` vs `engine/threaded_tracing_on` pair is
 # the end-to-end tracing overhead; `collect/tcp_streaming_off` vs

@@ -78,6 +78,18 @@ if ! grep -qE '^pub struct FrameReader;$' "$wire_src/frame.rs"; then
   exit 1
 fi
 
+# Structural guard: the worker's compute kernels are portable safe Rust whose
+# results are bit-identical to the naive loops they replaced (DESIGN.md
+# §19): above the test markers of fluentps-ml, no `unsafe`, no architecture
+# intrinsics or target features, and no `mul_add` (a fused multiply-add
+# rounds once where the kernels round twice, so it would move bits).
+ml_src=crates/fluentps-ml/src
+if above_tests "$ml_src"/*.rs "$ml_src"/*/*.rs \
+  | grep -E '\bunsafe\b|\b(std|core)::arch\b|target_feature|mul_add'; then
+  echo "ci: fluentps-ml uses unsafe, intrinsics, target features or mul_add (see above); its kernels stay portable and bit-identical" >&2
+  exit 1
+fi
+
 # Structural guard: one hand-off and one write per direction (DESIGN.md §13,
 # §18). The receive loop is the transport's: above their test markers
 # serve.rs and recovery.rs — servers and supervisor replicas alike — hand a
