@@ -6,8 +6,9 @@
 //! a cluster with a collector attached vs without one (`scripts/bench.sh`
 //! collects both into `BENCH_obs.json`).
 //!
-//! One entry is not about observability: `ml/loss_and_grad_b128`, a worker's
-//! gradient computation, rides along so the GEMM kernels have a gated number.
+//! Two entries are not about observability: `ml/loss_and_grad_b128` and
+//! `ml/loss_and_grad_b8`, a worker's gradient computation at two ledger
+//! shapes, ride along so the GEMM kernels have gated numbers.
 
 use std::collections::HashMap;
 
@@ -531,10 +532,12 @@ fn stream_window(c: &mut Criterion) {
     g.finish();
 }
 
-/// One worker's gradient computation at the shape of the ledger's
-/// `inproc_bsp_compute` workload (an `Mlp` `[64, 256, 128, 10]` on a batch of
-/// 128): the compute phase that the paper's compute/sync split (Fig. 6) is
-/// measured against, and the GEMM kernels' end-to-end cost.
+/// One worker's gradient computation at the shapes of two ledger workloads:
+/// `inproc_bsp_compute` (an `Mlp` `[64, 256, 128, 10]` on a batch of 128)
+/// and `tcp_bsp_wire` (`[64, 1024, 256, 10]` on a batch of 8, where the
+/// backward `dY·Wᵀ` reads a 1 MB weight matrix for 8 rows). This is the
+/// compute phase that the paper's compute/sync split (Fig. 6) is measured
+/// against, and the GEMM kernels' end-to-end cost.
 fn ml_loss_and_grad(c: &mut Criterion) {
     use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
     use fluentps_ml::{Mlp, Model};
@@ -549,16 +552,18 @@ fn ml_loss_and_grad(c: &mut Criterion) {
         label_noise: 0.02,
         seed: 1,
     });
-    let model = Mlp {
-        dims: vec![64, 256, 128, 10],
-    };
-    let params = model.init_params(1);
-    let batch = train.batch(&BatchSampler::new(0..train.len(), 128, 1).next_indices());
     let mut g = c.benchmark_group("ml");
     g.sample_size(20);
-    g.bench_function("loss_and_grad_b128", |b| {
-        b.iter(|| model.loss_and_grad(&params, &batch))
-    });
+    for (batch_size, hidden) in [(128, [256, 128]), (8, [1024, 256])] {
+        let model = Mlp {
+            dims: vec![64, hidden[0], hidden[1], 10],
+        };
+        let params = model.init_params(1);
+        let batch = train.batch(&BatchSampler::new(0..train.len(), batch_size, 1).next_indices());
+        g.bench_function(format!("loss_and_grad_b{batch_size}"), |b| {
+            b.iter(|| model.loss_and_grad(&params, &batch))
+        });
+    }
     g.finish();
 }
 

@@ -11,8 +11,8 @@
 //! Contents:
 //!
 //! * [`linalg`] — blocked matrix multiplies (rows in groups of four, dot
-//!   products in chains of eight), bit-identical to the naive loops, and
-//!   vector helpers.
+//!   products in 4 × 8 register blocks over packed panels), bit-identical
+//!   to the naive loops, and vector helpers.
 //! * [`init`] — seeded Xavier/He initialisation.
 //! * [`models`] — softmax regression, MLPs, a residual MLP standing in for
 //!   ResNet-56 (deep, skip connections, higher staleness sensitivity) and a

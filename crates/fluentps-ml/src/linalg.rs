@@ -12,29 +12,36 @@
 //! * [`matmul_at_b`] (`c = aᵀ·b`): four rows of `a` and `b` fold into one
 //!   pass over each row of `c` — a `c` value is loaded and stored once per
 //!   four products, added to it in a register one after another.
-//! * [`matmul_a_bt`] (`c = a·bᵀ`): `CHAINS` (eight) outputs of a `c` row
-//!   at once, each its own dot-product chain. The naive loop's one chain
-//!   waited for every add to finish before starting the next; eight
-//!   independent chains keep the adder busy.
+//! * [`matmul_a_bt`] (`c = a·bᵀ`): a block of four rows × `CHAINS` (eight)
+//!   outputs of `c`, held in registers over the whole inner index. The
+//!   eight rows of `b` that feed those outputs are first packed, transposed,
+//!   into an `n×8` panel (one buffer, reused for every panel), so each inner
+//!   step is one contiguous 8-wide panel line feeding four rows of `a`. The
+//!   naive loop's one dot-product chain waited for every add to finish
+//!   before starting the next; 32 independent chains keep the adder busy.
 //!
-//! Rows or outputs past the last full group run the same code with a group
-//! of one, which is exactly the naive loop.
+//! Rows past the last full group run the same code with a group of one; for
+//! [`matmul_a_bt`], outputs past the last full panel run the naive loop's
+//! one chain.
 //!
 //! **Ordering rule.** Every output element adds its products one at a time,
 //! in ascending inner index, to an accumulator that starts at `+0`, the
 //! order of the naive loops. A group only decides which outputs are worked
 //! on together, never the order of one output's sum, so the results are
 //! bit-identical to the naive loops (`tests/same_bits.rs` keeps them as its
-//! oracle). There is no FMA: `mul_add` rounds once where `a * b + c` rounds
-//! twice, so it would move bits, and Rust never fuses the two on its own.
+//! oracle). The one exception is a NaN's payload: which NaN `x + y` returns
+//! when both are NaN is left open by Rust, and the register allocator
+//! decides it, for the naive loops as much as for these. There is no FMA:
+//! `mul_add` rounds once where `a * b + c` rounds twice, so it would move
+//! bits, and Rust never fuses the two on its own.
 //!
 //! **Vectorization.** The innermost loops of [`matmul`] and [`matmul_at_b`]
 //! run along a row of `b` and `c`, so their vector lanes are different
 //! outputs, and LLVM vectorizes them without reassociating anything. A dot
 //! product cannot be vectorized along its own inner index without
-//! reassociating its sum, so [`matmul_a_bt`] vectorizes across its chains
-//! instead: the eight lanes are eight outputs, fed one strided `b` value
-//! each.
+//! reassociating its sum, so [`matmul_a_bt`] vectorizes across outputs
+//! instead: the eight lanes are eight outputs of one row, fed by one
+//! contiguous panel line, and each lane adds its own products in order.
 //!
 //! **Zero skip.** The naive [`matmul`] and [`matmul_at_b`] skipped every
 //! product whose `a` value is `±0` (ReLU activations and their gradients are
@@ -49,9 +56,9 @@
 //! Safe, portable code only: no `unsafe`, no `std::arch` intrinsics, no
 //! target features (`scripts/ci.sh` guards this crate).
 
-/// Rows that [`matmul`] and [`matmul_at_b`] work on in one pass.
+/// Rows that each kernel works on in one pass.
 const GROUP: usize = 4;
-/// Outputs of a row that [`matmul_a_bt`] computes as independent chains.
+/// Outputs of a row that [`matmul_a_bt`] computes from one packed panel.
 const CHAINS: usize = 8;
 
 /// Rows `i..i + G` of the row-major matrix `v` with rows of `len`.
@@ -157,28 +164,68 @@ pub fn matmul_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: u
     assert_eq!(a.len(), m * n, "a shape");
     assert_eq!(b.len(), k * n, "b shape");
     assert_eq!(c.len(), m * k, "c shape");
-    let chained = k - k % CHAINS;
+    let grouped = m - m % GROUP;
+    let paneled = k - k % CHAINS;
+    let mut panel = vec![0.0f32; n * CHAINS];
+    for kk in (0..paneled).step_by(CHAINS) {
+        pack_panel(rows::<CHAINS>(b, kk, n), &mut panel);
+        for i in (0..grouped).step_by(GROUP) {
+            panel_block::<GROUP>(rows(a, i, n), &panel, rows_mut(c, i, k), kk);
+        }
+        for i in grouped..m {
+            panel_block::<1>(rows(a, i, n), &panel, rows_mut(c, i, k), kk);
+        }
+    }
     for i in 0..m {
         let a_row = &a[i * n..][..n];
-        let c_row = &mut c[i * k..][..k];
-        for kk in (0..chained).step_by(CHAINS) {
-            c_row[kk..kk + CHAINS].copy_from_slice(&dots::<CHAINS>(a_row, rows(b, kk, n)));
-        }
-        for (kk, c_ik) in c_row.iter_mut().enumerate().skip(chained) {
-            *c_ik = dots::<1>(a_row, rows(b, kk, n))[0];
+        for kk in paneled..k {
+            c[i * k + kk] = dot(a_row, &b[kk * n..][..n]);
         }
     }
 }
 
-/// The dot products of `a_row` with each of the `C` rows `b` holds, as `C`
-/// independent chains.
+/// Lay the `CHAINS` rows `b` holds side by side: line `t` of `panel` is
+/// their `t`-th values, so one contiguous load feeds all `CHAINS` outputs.
 #[inline(always)]
-fn dots<const C: usize>(a_row: &[f32], b: [&[f32]; C]) -> [f32; C] {
-    let mut acc = [0.0f32; C];
-    for (t, a_t) in a_row.iter().enumerate() {
-        for j in 0..C {
-            acc[j] += a_t * b[j][t];
+fn pack_panel(b: [&[f32]; CHAINS], panel: &mut [f32]) {
+    let n = panel.len() / CHAINS;
+    let b = b.map(|b_row| &b_row[..n]);
+    for t in 0..n {
+        let line = &mut panel[t * CHAINS..][..CHAINS];
+        for j in 0..CHAINS {
+            line[j] = b[j][t];
         }
+    }
+}
+
+/// [`matmul_a_bt`]'s outputs `kk..kk + CHAINS` of the `G` rows `a` holds and
+/// `c` receives, from the `b` rows packed into `panel`: a `G × CHAINS` block
+/// held in registers over the whole inner index.
+#[inline(always)]
+fn panel_block<const G: usize>(a: [&[f32]; G], panel: &[f32], c: [&mut [f32]; G], kk: usize) {
+    let n = panel.len() / CHAINS;
+    let a = a.map(|a_row| &a_row[..n]);
+    let mut acc = [[0.0f32; CHAINS]; G];
+    for t in 0..n {
+        let line = &panel[t * CHAINS..][..CHAINS];
+        for r in 0..G {
+            let a_rt = a[r][t];
+            for j in 0..CHAINS {
+                acc[r][j] += a_rt * line[j];
+            }
+        }
+    }
+    for (c_row, outputs) in c.into_iter().zip(&acc) {
+        c_row[kk..kk + CHAINS].copy_from_slice(outputs);
+    }
+}
+
+/// The naive loop's one dot-product chain.
+#[inline(always)]
+fn dot(a_row: &[f32], b_row: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for t in 0..a_row.len() {
+        acc += a_row[t] * b_row[t];
     }
     acc
 }
@@ -290,7 +337,7 @@ mod tests {
 
     #[test]
     fn matmul_a_bt_matches_explicit_transpose() {
-        let (m, n, k) = (4, 6, 3);
+        let (m, n, k) = (5, 6, 11);
         let a = seq(m * n);
         let b = seq(k * n);
         let mut c = vec![0.0; m * k];

@@ -4,7 +4,8 @@
 //! product at a time, ascending inner index, no FMA), so they must agree with
 //! the loops they replaced bit for bit, not within a tolerance. Two checks:
 //! a property test against those loops, copied verbatim as the oracle, on
-//! every tile remainder with zeros, negative zeros and subnormals; and
+//! every tile remainder with zeros, negative zeros and subnormals (and, for
+//! `matmul_a_bt`, which skips no product, infinities and NaNs); and
 //! training fingerprints of the ledger's three `Mlp` shapes, computed before
 //! the kernels were rewritten and pinned here.
 
@@ -95,24 +96,56 @@ fn matrix(rng: &mut StdRng, len: usize) -> Vec<f32> {
         .collect()
 }
 
+/// [`matrix`] with about one value in eight replaced by `+∞`, `-∞` or a NaN
+/// of either sign with a random payload, quiet or signalling.
+fn non_finite_matrix(rng: &mut StdRng, len: usize) -> Vec<f32> {
+    let mut v = matrix(rng, len);
+    for x in &mut v {
+        *x = match rng.gen_range(0u32..24) {
+            0 => f32::INFINITY,
+            1 => f32::NEG_INFINITY,
+            2 => {
+                let nan = f32::from_bits(0x7f80_0000 | rng.gen_range(1u32..0x0080_0000));
+                if rng.gen_bool(0.5) {
+                    -nan
+                } else {
+                    nan
+                }
+            }
+            _ => *x,
+        };
+    }
+    v
+}
+
+/// The values' bits, with every NaN as one value. Which NaN `x + y` returns
+/// when both are NaN is left open by Rust, and x86 returns its first
+/// operand, which the register allocator picks: in a release build the
+/// naive loop returns the newer product's payload and the vectorized kernel
+/// the accumulator's. So whether an output is NaN is part of its bits, and
+/// the payload is not.
 fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
+    v.iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
 }
 
 type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
 
 /// Run the kernel and the oracle on the same operands (`a_len`/`b_len`/
-/// `c_len` elements) into `c` buffers holding garbage, and compare bits.
+/// `c_len` elements, `b` drawn by `b_values`) into `c` buffers holding
+/// garbage, and compare bits.
 fn same_bits(
     fast: Kernel,
     slow: Kernel,
     (a_len, b_len, c_len): (usize, usize, usize),
     dims: (usize, usize, usize),
+    b_values: fn(&mut StdRng, usize) -> Vec<f32>,
     seed: u64,
 ) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let a = matrix(&mut rng, a_len);
-    let b = matrix(&mut rng, b_len);
+    let b = b_values(&mut rng, b_len);
     let mut got = vec![f32::NAN; c_len];
     let mut want = vec![-7.0f32; c_len];
     fast(&a, &b, &mut got, dims.0, dims.1, dims.2);
@@ -126,21 +159,39 @@ proptest! {
     fn matmul_is_bit_identical_to_the_naive_loop(
         m in 1usize..=40, k in 1usize..=40, n in 1usize..=40, seed in any::<u64>()
     ) {
-        same_bits(matmul, naive::matmul, (m * k, k * n, m * n), (m, k, n), seed)?;
+        same_bits(matmul, naive::matmul, (m * k, k * n, m * n), (m, k, n), matrix, seed)?;
     }
 
     #[test]
     fn matmul_at_b_is_bit_identical_to_the_naive_loop(
         m in 1usize..=40, k in 1usize..=40, n in 1usize..=40, seed in any::<u64>()
     ) {
-        same_bits(matmul_at_b, naive::matmul_at_b, (m * k, m * n, k * n), (m, k, n), seed)?;
+        let lens = (m * k, m * n, k * n);
+        same_bits(matmul_at_b, naive::matmul_at_b, lens, (m, k, n), matrix, seed)?;
     }
 
     #[test]
     fn matmul_a_bt_is_bit_identical_to_the_naive_loop(
         m in 1usize..=40, n in 1usize..=40, k in 1usize..=40, seed in any::<u64>()
     ) {
-        same_bits(matmul_a_bt, naive::matmul_a_bt, (m * n, k * n, m * k), (m, n, k), seed)?;
+        let lens = (m * n, k * n, m * k);
+        same_bits(matmul_a_bt, naive::matmul_a_bt, lens, (m, n, k), matrix, seed)?;
+    }
+
+    /// `matmul_a_bt` adds every product, so it keeps the naive loop's bits
+    /// even where `b` holds infinities and NaNs (`0 · ∞` included). Besides
+    /// the drawn shape, every case runs one shape per remainder of its
+    /// 4-row × 8-output blocks: fewer outputs than one panel, a partial last
+    /// panel with a partial last row group, full blocks only, and an empty
+    /// inner dimension.
+    #[test]
+    fn matmul_a_bt_is_bit_identical_to_the_naive_loop_on_non_finite_weights(
+        m in 1usize..=13, n in 0usize..=40, k in 1usize..=27, seed in any::<u64>()
+    ) {
+        for (m, n, k) in [(m, n, k), (6, 9, 5), (7, 19, 21), (8, 24, 16), (5, 0, 13)] {
+            let lens = (m * n, k * n, m * k);
+            same_bits(matmul_a_bt, naive::matmul_a_bt, lens, (m, n, k), non_finite_matrix, seed)?;
+        }
     }
 }
 

@@ -22,7 +22,6 @@ pub mod compute;
 pub mod event;
 pub mod net;
 pub mod topology;
-pub mod trace;
 
 pub use compute::{ComputeModel, StragglerSpec, WorkerCompute};
 pub use event::EventQueue;

@@ -15,10 +15,11 @@
 # (`wire/tcp_serve_roundtrip`: push and pull out in one write, ack and
 # response back in one, 35 KB each way), the
 # threaded engine with tracing off vs on, the TCP engine with cluster
-# trace streaming off vs on, and — the one entry that is not about
+# trace streaming off vs on, and — the two entries that are not about
 # observability — a worker's gradient computation at the ledger's
-# `inproc_bsp_compute` shape, `ml/loss_and_grad_b128`, which gates the GEMM
-# kernels) and writes OUTPUT (default BENCH_obs.json): a
+# `inproc_bsp_compute` and `tcp_bsp_wire` shapes, `ml/loss_and_grad_b128`
+# and `ml/loss_and_grad_b8`, which gate the GEMM kernels) and writes
+# OUTPUT (default BENCH_obs.json): a
 # JSON document with mean/p50/p99 nanoseconds and throughput per benchmark.
 # The `engine/threaded_tracing_off` vs `engine/threaded_tracing_on` pair is
 # the end-to-end tracing overhead; `collect/tcp_streaming_off` vs

@@ -39,10 +39,11 @@ deleted="$deleted|tcp_server_loop|resilient_server_loop"
 deleted="$deleted|pub fn run_live|LiveConfig|bind_server|bind_traced|read_from_profiled"
 deleted="$deleted|StreamerConfig|send_consensus|try_send|FluentPs::builder"
 deleted="$deleted|spawn_ingest|StreamerConn|write_coalesced|CONNECT_RETRIES"
+deleted="$deleted|TraceRecorder|TraceKind"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then
-  echo "ci: a deleted launch/serve entry point is back (see above)" >&2
+  echo "ci: a deleted entry point or type is back (see above)" >&2
   exit 1
 fi
 
