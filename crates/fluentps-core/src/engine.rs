@@ -1,5 +1,10 @@
-//! Threaded in-process runtime: one thread per server shard, worker clients
-//! on the caller's threads.
+//! Threaded in-process runtime: worker clients on the caller's threads, one
+//! served `Endpoint` per server shard. A shard's step runs on the thread
+//! that sends to it (`inproc`, DESIGN.md §18): a worker's pushes and pulls
+//! are handled inside its own `spull_wait`, and the pulls they release are
+//! queued straight into the workers' inboxes. Each shard keeps a thread of
+//! its own that only waits in `serve`, and handles what reached the shard
+//! before that call began.
 //!
 //! Overlap synchronization (Section III-D) is not a special code path — it
 //! *falls out* of this architecture: every server answers pulls for its own
@@ -183,7 +188,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
-    use fluentps_obs::{EventKind, TraceCollector};
+    use fluentps_obs::{EventKind, ProfCollector, TraceCollector};
 
     fn model_params() -> (Vec<ParamSpec>, HashMap<u64, Vec<f32>>) {
         let specs = vec![ParamSpec { key: 0, len: 8 }, ParamSpec { key: 1, len: 4 }];
@@ -321,6 +326,61 @@ mod tests {
         assert!(trace.count(EventKind::WireSend) > 0);
         assert!(trace.count(EventKind::WireRecv) > 0);
         assert!(trace.count(EventKind::BarrierWait) > 0);
+    }
+
+    /// A server's spans fold under the worker call whose send ran the step:
+    /// a worker's pushes leave with its pulls, so `server/apply_push` sits
+    /// under `worker/pull_wait`. Only what reached a server before its
+    /// `serve` call started — round 0 at most, since the replies that end
+    /// round 0 come from that call — is handled by the server's thread, at
+    /// the stack's root.
+    #[test]
+    fn profiled_server_spans_fold_under_the_sending_worker() {
+        const ITERS: u64 = 4;
+        let (specs, init) = model_params();
+        let map = EpsSlicer { max_chunk: 4 }.slice(&specs, 2);
+        let cfg = EngineConfig {
+            num_workers: 2,
+            num_servers: 2,
+            model: SyncModel::Bsp,
+            ..EngineConfig::default()
+        };
+        let prof = ProfCollector::wall();
+        let obs = Observability {
+            profiler: Some(prof.clone()),
+            ..Observability::default()
+        };
+        let (cluster, mut workers) = Cluster::launch_observed(cfg, map, &init, obs).unwrap();
+        let grads: HashMap<u64, Vec<f32>> = [(0, vec![1.0; 8]), (1, vec![2.0; 4])].into();
+        let handles: Vec<_> = workers
+            .drain(..)
+            .map(|mut w| {
+                let grads = grads.clone();
+                std::thread::spawn(move || {
+                    let mut params = HashMap::new();
+                    for i in 0..ITERS {
+                        w.spush(i, &grads).unwrap();
+                        w.spull_wait(i, &mut params).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let pushes: u64 = cluster.shutdown().iter().map(|s| s.pushes).sum();
+        let spans = prof.snapshot().spans;
+        let count = |path: &str| spans.get(path).map_or(0, |stat| stat.count);
+        let inline = count("worker/pull_wait;server/apply_push");
+        assert_eq!(inline + count("server/apply_push"), pushes, "{spans:?}");
+        assert!(inline >= (ITERS - 1) * 2 * 2, "{spans:?}");
+        assert!(count("worker/pull_wait;server/reply") > 0, "{spans:?}");
+        let elsewhere = spans.keys().filter(|path| {
+            path.contains("server/")
+                && !path.starts_with("worker/pull_wait;")
+                && !path.starts_with("server/")
+        });
+        assert_eq!(elsewhere.count(), 0, "{spans:?}");
     }
 
     #[test]

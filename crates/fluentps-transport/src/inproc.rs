@@ -1,25 +1,33 @@
 //! In-process transport fabric over `fluentps_util::sync` channels.
 //!
-//! A [`Fabric`] owns one unbounded channel per registered node. Endpoints are
-//! cheap to clone for the sending side. This transport is the workhorse of
+//! A [`Fabric`] owns one inbox per registered node. Endpoints are cheap to
+//! clone for the sending side. This transport is the workhorse of
 //! unit/integration tests and of the threaded engine in `fluentps-core`.
+//!
+//! A node nobody serves receives through its inbox channel. While a
+//! [`Mailbox::serve`] call is in progress a send runs the node's step on the
+//! *sending* thread instead — `step(Message)` for each message, then one
+//! `step(Dry)` — and the thread that called `serve` only waits: for `Stop`,
+//! for a quiet `wake` interval, or for messages a step sent (`crate::served`
+//! has the protocol, shared with the TCP node). A worker's pushes and pulls
+//! are handled inside its own send, and the replies they release are queued
+//! straight into the workers' inboxes: no server thread wakes per message.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use fluentps_util::sync::RwLock;
-use fluentps_util::sync::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use fluentps_util::sync::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
 
 use crate::error::TransportError;
 use crate::msg::{Message, NodeId};
-use crate::{Mailbox, Postman};
-
-type Envelope = (NodeId, Message);
+use crate::served::{Envelope, Served};
+use crate::{per_destination, Mailbox, Postman, Step};
 
 #[derive(Default)]
 struct Registry {
-    inboxes: HashMap<NodeId, Sender<Envelope>>,
+    inboxes: HashMap<NodeId, Arc<Served>>,
 }
 
 /// An in-process cluster fabric. Clone handles freely; all clones address the
@@ -36,14 +44,24 @@ impl Fabric {
     }
 
     /// Register `node` and obtain its endpoint. Registering the same node
-    /// twice replaces the previous inbox (the old endpoint starts reporting
-    /// `Disconnected` once its sender side is dropped).
+    /// twice replaces the previous inbox (the old endpoint reports
+    /// `Disconnected` once it has received what was queued, and a `serve`
+    /// call on it returns).
     pub fn register(&self, node: NodeId) -> Endpoint {
         let (tx, rx) = unbounded();
-        self.registry.write().inboxes.insert(node, tx);
+        let served = Arc::new(Served::new(node, tx));
+        let old = self
+            .registry
+            .write()
+            .inboxes
+            .insert(node, Arc::clone(&served));
+        if let Some(old) = old {
+            old.close();
+        }
         Endpoint {
             node,
             rx,
+            served,
             fabric: self.clone(),
         }
     }
@@ -51,7 +69,9 @@ impl Fabric {
     /// Remove a node from the fabric; subsequent sends to it fail with
     /// [`TransportError::UnknownNode`].
     pub fn deregister(&self, node: NodeId) {
-        self.registry.write().inboxes.remove(&node);
+        if let Some(old) = self.registry.write().inboxes.remove(&node) {
+            old.close();
+        }
     }
 
     /// Nodes currently registered.
@@ -63,13 +83,23 @@ impl Fabric {
 
     /// Send `msg` from `from` to `to`.
     pub fn send(&self, from: NodeId, to: NodeId, msg: Message) -> Result<(), TransportError> {
-        let guard = self.registry.read();
-        let tx = guard
-            .inboxes
-            .get(&to)
-            .ok_or(TransportError::UnknownNode(to))?;
-        tx.send((from, msg))
-            .map_err(|_| TransportError::Disconnected)
+        self.deliver(from, to, std::iter::once(msg))
+    }
+
+    /// Hand `msgs` to `to`'s input — its step, run on this thread, while it
+    /// is served — outside the registry's lock.
+    fn deliver(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        msgs: impl IntoIterator<Item = Message>,
+    ) -> Result<(), TransportError> {
+        let inbox = self.registry.read().inboxes.get(&to).cloned();
+        let inbox = inbox.ok_or(TransportError::UnknownNode(to))?;
+        match inbox.deliver(msgs.into_iter().map(|msg| (from, msg)), true) {
+            true => Ok(()),
+            false => Err(TransportError::Disconnected),
+        }
     }
 
     /// Broadcast a message from `from` to every registered node except the
@@ -89,6 +119,7 @@ impl Fabric {
 pub struct Endpoint {
     node: NodeId,
     rx: Receiver<Envelope>,
+    served: Arc<Served>,
     fabric: Fabric,
 }
 
@@ -127,6 +158,16 @@ impl Mailbox for Endpoint {
             Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
         }
     }
+
+    /// Install `step` for senders to run and wait here until it says
+    /// [`Flow::Stop`](crate::Flow::Stop) or the node is deregistered or
+    /// registered anew. This thread runs the step only for what the inbox
+    /// already holds, for messages a step sent to this node, and — with
+    /// `wake` set — for [`Input::Tick`](crate::Input::Tick) whenever a whole
+    /// interval passed without a message.
+    fn serve<S: Step>(&self, wake: Option<Duration>, step: S) -> S {
+        self.served.install(wake, step, &self.rx)
+    }
 }
 
 /// Sending handle for an in-process endpoint.
@@ -139,6 +180,18 @@ pub struct InprocPostman {
 impl Postman for InprocPostman {
     fn send(&self, to: NodeId, msg: Message) -> Result<(), TransportError> {
         self.fabric.send(self.from, to, msg)
+    }
+
+    /// Each destination's messages in one delivery: a served one runs its
+    /// step over all of them and reports `Dry` once.
+    fn send_batch(&self, batch: Vec<(NodeId, Message)>) -> Result<(), TransportError> {
+        let mut first_err = None;
+        for (to, msgs) in per_destination(batch) {
+            if let Err(e) = self.fabric.deliver(self.from, to, msgs) {
+                first_err.get_or_insert(e);
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
 }
 

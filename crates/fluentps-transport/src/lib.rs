@@ -38,6 +38,7 @@ pub mod fault;
 pub mod frame;
 pub mod inproc;
 pub mod msg;
+mod served;
 pub mod tcp;
 pub mod values;
 
@@ -133,9 +134,18 @@ pub trait Mailbox: Send {
     /// wait for more. With `wake` set, [`Input::Tick`] is reported whenever
     /// that long passes without a message.
     ///
-    /// This body is the receive loop on the calling thread. A transport
-    /// with threads of its own at the sockets ([`tcp::TcpNode`]) runs the
-    /// step on those instead and only waits here.
+    /// Calls never overlap. A `Stop` is final: what arrives afterwards
+    /// queues unhandled, as on a node nobody serves. A `Tick` needs a whole
+    /// interval in which no message was handled, whichever thread handled
+    /// it.
+    ///
+    /// This body is the receive loop on the calling thread. Both provided
+    /// transports override it to run the step where a message arrives: on
+    /// the connection's reader thread ([`tcp::TcpNode`]) or on the sending
+    /// thread ([`inproc::Endpoint`]); the calling thread only waits, and
+    /// runs the step for what the mailbox held when the call began, for
+    /// `Tick`, and for messages a step sent while it could not run the
+    /// target's step itself.
     fn serve<S: Step>(&self, wake: Option<std::time::Duration>, mut step: S) -> S
     where
         Self: Sized,

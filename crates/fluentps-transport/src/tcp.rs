@@ -34,24 +34,24 @@
 //! read is emptied before the next write (`ReadHalf::drain`), and dropping
 //! the node closes both halves (DESIGN.md §18).
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fluentps_obs::{EventKind, Profiler, RecordArgs, Tracer, NO_ID};
 use fluentps_util::buf::BytesMut;
 use fluentps_util::sync::Mutex;
-use fluentps_util::sync::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use fluentps_util::sync::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
 
 use crate::error::TransportError;
 use crate::frame::{holds_frame, wire_len, write_frames, FrameReader, READ_BUFFER, UNREAD_BATCHES};
 use crate::msg::{Message, NodeId};
-use crate::{per_destination, Flow, Input, Mailbox, Postman, Step};
+use crate::served::{Envelope, Served};
+use crate::{per_destination, Mailbox, Postman, Step};
 
 /// Mapping from node identity to listening address, distributed out-of-band
 /// (mirrors how PS-Lite nodes learn the scheduler address from environment
@@ -90,8 +90,6 @@ impl std::fmt::Debug for AddressBook {
         f.debug_map().entries(self.addrs.read().iter()).finish()
     }
 }
-
-type Envelope = (NodeId, Message);
 
 /// How long the connections of a node that was shut down stay open, all
 /// told, for the peers it dialed to read what it sent them and close
@@ -236,7 +234,7 @@ impl ReadHalf {
                 }
             }
             let frame = self.frame(shared)?;
-            let _ = shared.inbox_tx.send(frame);
+            shared.served.park(frame);
         }
     }
 }
@@ -348,27 +346,13 @@ impl Links {
     }
 }
 
-/// Who consumes what the reader threads decode: the node's one lock.
-#[derive(Default)]
-struct Serving {
-    /// The step of the [`Mailbox::serve`] call in progress. While there is
-    /// none, frames queue in the inbox.
-    step: Option<Box<dyn Step>>,
-    /// The step said [`Flow::Stop`]: it is not called again (frames queue in
-    /// the inbox, as on a node nobody serves) and `serve` collects it.
-    stopped: bool,
-    /// Messages the step was called with; `serve` reads idleness off it.
-    handled: u64,
-}
-
 struct Shared {
     node: NodeId,
     book: AddressBook,
     links: Mutex<Links>,
-    inbox_tx: Sender<Envelope>,
-    serving: Mutex<Serving>,
-    /// Signalled when `serving.stopped` is set.
-    stopped: Condvar,
+    /// Who consumes what the reader threads decode: the inbox, or the step
+    /// of the [`Mailbox::serve`] call in progress, run by the reader.
+    served: Served,
     closed: AtomicBool,
     tracer: Tracer,
     profiler: Profiler,
@@ -378,26 +362,11 @@ impl Shared {
     /// Hand one decoded frame to whoever consumes this node's input; `dry`
     /// says the connection it came from holds nothing further that is ready.
     /// A served node's step runs right here, on the reader's thread, and
-    /// writes its replies before the lock is released — which is what keeps
-    /// them in handle order per destination. Sending to the inbox happens
-    /// under the same lock, so a frame cannot slip into the inbox behind a
-    /// `serve` call that has just drained it. False once the node is gone.
+    /// writes its replies before it lets go of the step — which is what
+    /// keeps them in handle order per destination. False once the node is
+    /// gone.
     fn deliver(&self, from: NodeId, msg: Message, dry: bool) -> bool {
-        let serving = &mut *self.serving.lock();
-        let step = match &mut serving.step {
-            Some(step) if !serving.stopped => step,
-            _ => return self.inbox_tx.send((from, msg)).is_ok(),
-        };
-        let mut flow = step.step(Input::Message(from, msg));
-        if dry && flow == Flow::Continue {
-            flow = step.step(Input::Dry);
-        }
-        serving.handled += 1;
-        if flow == Flow::Stop {
-            serving.stopped = true;
-            self.stopped.notify_all();
-        }
-        true
+        self.served.deliver(std::iter::once((from, msg)), dry)
     }
 
     /// Record a node-level event about the connection with `peer`.
@@ -543,9 +512,7 @@ impl TcpNode {
             node,
             book,
             links: Mutex::default(),
-            inbox_tx,
-            serving: Mutex::default(),
-            stopped: Condvar::new(),
+            served: Served::new(node, inbox_tx),
             closed: AtomicBool::new(false),
             tracer,
             profiler,
@@ -731,58 +698,16 @@ impl Mailbox for TcpNode {
     }
 
     /// Install `step` for the connections' reader threads to run
-    /// ([`Shared::deliver`]) and wait here until it says [`Flow::Stop`].
-    /// This thread runs the step only twice over: first for what the inbox
-    /// already holds — under the lock, so nothing a reader decodes meanwhile
-    /// overtakes it — and, with `wake` set, for [`Input::Tick`] whenever a
-    /// whole interval passed without a message. Frames that arrive after the
-    /// stop queue in the inbox again, unhandled.
+    /// ([`Shared::deliver`]) and wait here until it says
+    /// [`Flow::Stop`](crate::Flow::Stop). This thread runs the step only
+    /// twice over: first for what the inbox already holds — under the lock
+    /// readers park frames under, so nothing a reader decodes meanwhile
+    /// overtakes it — and, with `wake` set, for
+    /// [`Input::Tick`](crate::Input::Tick) whenever a whole interval passed
+    /// without a message. Frames that arrive after the stop queue in the
+    /// inbox again, unhandled.
     fn serve<S: Step>(&self, wake: Option<Duration>, step: S) -> S {
-        let shared = &*self.shared;
-        let mut serving = shared.serving.lock();
-        assert!(
-            serving.step.is_none(),
-            "{} is being served already",
-            shared.node
-        );
-        let mut step: Box<dyn Step> = Box::new(step);
-        let mut flow = Flow::Continue;
-        while flow == Flow::Continue {
-            let Ok((from, msg)) = self.inbox_rx.try_recv() else {
-                flow = step.step(Input::Dry);
-                break;
-            };
-            flow = step.step(Input::Message(from, msg));
-        }
-        serving.stopped = flow == Flow::Stop;
-        serving.step = Some(step);
-
-        let mut seen = serving.handled;
-        let mut tick_at = wake.map(|wake| Instant::now() + wake);
-        while !serving.stopped {
-            let Some(at) = tick_at else {
-                serving = shared
-                    .stopped
-                    .wait(serving)
-                    .unwrap_or_else(|e| e.into_inner());
-                continue;
-            };
-            let left = at.saturating_duration_since(Instant::now());
-            if !left.is_zero() {
-                let woken = shared.stopped.wait_timeout(serving, left);
-                serving = woken.unwrap_or_else(|e| e.into_inner()).0;
-                continue;
-            }
-            if serving.handled == seen {
-                let step = serving.step.as_mut().expect("installed above");
-                serving.stopped = step.step(Input::Tick) == Flow::Stop;
-            }
-            seen = serving.handled;
-            tick_at = wake.map(|wake| Instant::now() + wake);
-        }
-        serving.stopped = false;
-        let step: Box<dyn Any> = serving.step.take().expect("installed above");
-        *step.downcast().expect("the step this call installed")
+        self.shared.served.install(wake, step, &self.inbox_rx)
     }
 }
 
@@ -880,6 +805,7 @@ impl Postman for TcpPostman {
 mod tests {
     use super::*;
     use crate::msg::KvPairs;
+    use crate::{Flow, Input};
     use std::io::{Read, Write};
 
     fn loopback() -> SocketAddr {

@@ -1,11 +1,16 @@
 //! The contract of [`Mailbox::serve`], checked against every mailbox that
-//! provides it: the in-process endpoint (the trait's default body: a receive
-//! loop on the calling thread), the TCP node (the step runs on the
-//! connections' reader threads) and the fault shim around a TCP node (the
-//! same, minus severed senders). And, over real sockets, the two promises
-//! the TCP node adds: a request is answered on the thread that read it, and
-//! replies leave when the connection's input runs dry — a partial next frame
-//! holds nothing back, a frame larger than the reader's buffer goes past it.
+//! provides it: the in-process endpoint (the step runs on the sending
+//! thread), the TCP node (the step runs on the connections' reader threads)
+//! and the fault shim around a TCP node (the same, minus severed senders).
+//! Over real sockets, the two promises the TCP node adds: a request is
+//! answered on the thread that read it, and replies leave when the
+//! connection's input runs dry — a partial next frame holds nothing back, a
+//! frame larger than the reader's buffer goes past it. On the fabric, what
+//! running the step on the sender's thread must not break: a request is
+//! answered on the thread that sent it, racing senders never overlap and
+//! keep their order, a step may send to a served node — itself included —
+//! without deadlocking or reordering, a `Stop` handled inline ends the call,
+//! and a node registered anew is the one that answers.
 //!
 //! Likewise the contract of [`Mailbox::recv_from`], the other end of that
 //! exchange: what the client of a served node sees while it waits for the
@@ -15,6 +20,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -26,6 +32,7 @@ use fluentps_transport::tcp::{AddressBook, TcpNode};
 use fluentps_transport::{
     Fabric, Flow, Input, KvPairs, Mailbox, Message, NodeId, Postman, TransportError,
 };
+use fluentps_util::proptest::prelude::*;
 
 const SERVER: NodeId = NodeId::Server(0);
 const SENDERS: u32 = 2;
@@ -335,6 +342,329 @@ fn a_served_tcp_node_runs_the_step_on_the_reader_thread() {
             "step ran on {name:?} (faulty mailbox: {faulty})"
         );
     }
+}
+
+// --- the in-process endpoint: the step runs on the sender's thread ----------
+
+/// The hop is gone on the fabric too, asserted not assumed: once the step is
+/// installed, a send runs it — the message, then `Dry` — on the thread that
+/// sent, and the thread that called `serve` only waits.
+#[test]
+fn an_inproc_request_is_handled_on_the_sending_thread() {
+    const CALLER: &str = "the-serve-caller";
+    const SENDER: &str = "the-sender";
+    let fabric = Fabric::new();
+    let rx = fabric.register(SERVER);
+    let postman = fabric.register(NodeId::Worker(0)).postman();
+    let (ran_tx, ran) = mpsc::channel();
+    let step = move |input: Input| {
+        let kind = match &input {
+            Input::Message(..) => "message",
+            Input::Dry => "dry",
+            Input::Tick => "tick",
+        };
+        let thread = std::thread::current().name().map(str::to_owned);
+        ran_tx.send((kind, thread)).unwrap();
+        match input {
+            Input::Message(_, Message::Shutdown) => Flow::Stop,
+            _ => Flow::Continue,
+        }
+    };
+    std::thread::scope(|scope| {
+        let served = std::thread::Builder::new()
+            .name(CALLER.into())
+            .spawn_scoped(scope, || drop(rx.serve(None, step)))
+            .unwrap();
+        // The `Dry` after draining the empty inbox: the step is installed.
+        let installed = ran.recv_timeout(LONG).unwrap();
+        assert_eq!(installed, ("dry", Some(CALLER.to_owned())));
+        std::thread::Builder::new()
+            .name(SENDER.into())
+            .spawn_scoped(scope, || {
+                postman.send(SERVER, beat(0, 0)).unwrap();
+                postman.send(SERVER, Message::Shutdown).unwrap();
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        served.join().unwrap();
+    });
+    let sender = Some(SENDER.to_owned());
+    let rest: Vec<_> = ran.iter().collect();
+    assert_eq!(
+        rest,
+        [
+            ("message", sender.clone()),
+            ("dry", sender.clone()),
+            ("message", sender)
+        ]
+    );
+}
+
+proptest! {
+    /// Two senders race on one served endpoint, each sending its heartbeats
+    /// singly or in batches: the step is never entered twice at once, each
+    /// delivery is handled whole and followed by exactly one `Dry`, and
+    /// every heartbeat is handled once, in its sender's order.
+    #[test]
+    fn racing_senders_on_a_served_endpoint_never_overlap_and_keep_their_order(
+        first in prop::collection::vec(1usize..4, 0..12),
+        second in prop::collection::vec(1usize..4, 0..12),
+    ) {
+        let fabric = Fabric::new();
+        let rx = fabric.register(SERVER);
+        let overlaps = Arc::new(AtomicUsize::new(0));
+        // `Some((worker, seq))` per heartbeat, `None` per `Dry`.
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let (dry_tx, dry) = mpsc::channel();
+        let step = {
+            let (overlaps, calls) = (Arc::clone(&overlaps), Arc::clone(&calls));
+            let inside = AtomicBool::new(false);
+            move |input: Input| {
+                if inside.swap(true, Ordering::SeqCst) {
+                    overlaps.fetch_add(1, Ordering::SeqCst);
+                }
+                let flow = match input {
+                    Input::Message(NodeId::Worker(w), Message::Heartbeat { seq, .. }) => {
+                        calls.lock().unwrap().push(Some((w, seq)));
+                        Flow::Continue
+                    }
+                    Input::Message(_, Message::Shutdown) => Flow::Stop,
+                    Input::Dry => {
+                        calls.lock().unwrap().push(None);
+                        let _ = dry_tx.send(());
+                        Flow::Continue
+                    }
+                    _ => Flow::Continue,
+                };
+                // Widen the window a second caller would overlap in.
+                std::thread::yield_now();
+                inside.store(false, Ordering::SeqCst);
+                flow
+            }
+        };
+        let plans = [first, second];
+        std::thread::scope(|scope| {
+            let served = scope.spawn(|| drop(rx.serve(None, step)));
+            dry.recv_timeout(LONG).expect("the step is installed");
+            let senders: Vec<_> = (0u32..)
+                .zip(&plans)
+                .map(|(w, plan)| {
+                    let postman = fabric.register(NodeId::Worker(w)).postman();
+                    scope.spawn(move || {
+                        let mut seq = 0;
+                        for &n in plan {
+                            if n == 1 {
+                                postman.send(SERVER, beat(w, seq)).unwrap();
+                            } else {
+                                let beats = (seq..seq + n as u64).map(|s| (SERVER, beat(w, s)));
+                                postman.send_batch(beats.collect()).unwrap();
+                            }
+                            seq += n as u64;
+                        }
+                    })
+                })
+                .collect();
+            for sender in senders {
+                sender.join().unwrap();
+            }
+            fabric.send(NodeId::Scheduler, SERVER, Message::Shutdown).unwrap();
+            served.join().unwrap();
+        });
+
+        prop_assert_eq!(overlaps.load(Ordering::SeqCst), 0);
+        let calls = calls.lock().unwrap();
+        prop_assert_eq!(calls.first(), Some(&None), "the install's Dry comes first");
+        // One delivery per segment between two `Dry`s.
+        let deliveries: Vec<&[Option<(u32, u64)>]> = calls[1..].split(Option::is_none).collect();
+        let (last, deliveries) = deliveries.split_last().unwrap();
+        prop_assert!(last.is_empty(), "a delivery without its Dry: {last:?}");
+        for (w, plan) in (0u32..).zip(&plans) {
+            let mine: Vec<&[Option<(u32, u64)>]> = deliveries
+                .iter()
+                .copied()
+                .filter(|d| matches!(d.first(), Some(Some((from, _))) if *from == w))
+                .collect();
+            let sizes: Vec<usize> = mine.iter().map(|d| d.len()).collect();
+            prop_assert_eq!(&sizes, plan, "worker {}'s deliveries", w);
+            let seqs: Vec<u64> = mine
+                .iter()
+                .flat_map(|d| d.iter())
+                .map(|call| match call {
+                    Some((from, seq)) if *from == w => Ok(*seq),
+                    other => Err(TestCaseError::fail(format!("mixed delivery: {other:?}"))),
+                })
+                .collect::<Result<_, _>>()?;
+            let total = plan.iter().sum::<usize>() as u64;
+            prop_assert_eq!(seqs, (0..total).collect::<Vec<_>>());
+        }
+    }
+}
+
+/// A step that sends to served nodes — its own, and another node that is
+/// sending to it from its own step on another thread at the same moment —
+/// neither deadlocks nor reorders: what a step sends is handled once that
+/// step has returned, per sender in the order it was sent.
+#[test]
+fn a_step_sends_to_served_nodes_itself_included() {
+    const EACH: u64 = 200;
+    let fabric = Fabric::new();
+    let nodes = [NodeId::Server(0), NodeId::Server(1)];
+    let (seen_tx, seen) = mpsc::channel();
+    let mut served = Vec::new();
+    for (me, peer) in [(nodes[0], nodes[1]), (nodes[1], nodes[0])] {
+        let endpoint = fabric.register(me);
+        let postman = endpoint.postman();
+        let seen = seen_tx.clone();
+        // A worker's heartbeat goes on to this node itself and to its peer;
+        // a node's heartbeat is recorded as `(to, from, seq)`.
+        let relay = move |input: Input| match input {
+            Input::Message(NodeId::Worker(_), Message::Heartbeat { seq, .. }) => {
+                let on = Message::Heartbeat { node: me, seq };
+                postman.send(me, on.clone()).unwrap();
+                postman.send(peer, on).unwrap();
+                Flow::Continue
+            }
+            Input::Message(from, Message::Heartbeat { seq, .. }) => {
+                seen.send((me, from, seq)).unwrap();
+                Flow::Continue
+            }
+            Input::Message(_, Message::Shutdown) => Flow::Stop,
+            _ => Flow::Continue,
+        };
+        served.push(std::thread::spawn(move || {
+            drop(endpoint.serve(None, relay))
+        }));
+    }
+    // One worker per node, both at once: each step runs while the other
+    // node's step, on the other worker's thread, sends to it.
+    let workers: Vec<_> = (0u32..)
+        .zip(nodes)
+        .map(|(w, to)| {
+            let postman = fabric.register(NodeId::Worker(w)).postman();
+            std::thread::spawn(move || {
+                for seq in 0..EACH {
+                    postman.send(to, beat(w, seq)).unwrap();
+                }
+            })
+        })
+        .collect();
+    let mut streams: std::collections::BTreeMap<_, Vec<u64>> = Default::default();
+    for _ in 0..4 * EACH {
+        let (to, from, seq) = seen.recv_timeout(LONG).expect("no deadlock");
+        streams.entry((to, from)).or_default().push(seq);
+    }
+    for worker in workers {
+        worker.join().unwrap();
+    }
+    assert_eq!(streams.len(), 4, "self and peer, on both nodes");
+    for (stream, seqs) in &streams {
+        assert_eq!(*seqs, (0..EACH).collect::<Vec<_>>(), "{stream:?}");
+    }
+    for node in nodes {
+        fabric
+            .send(NodeId::Scheduler, node, Message::Shutdown)
+            .unwrap();
+    }
+    for serve in served {
+        serve.join().unwrap();
+    }
+}
+
+/// A `Stop` the step returns on the sending thread ends the `serve` call;
+/// what is sent afterwards queues in the inbox unhandled, and the next
+/// `serve` call handles it first.
+#[test]
+fn a_stop_handled_on_the_sending_thread_ends_the_call() {
+    let fabric = Fabric::new();
+    let rx = fabric.register(SERVER);
+    let postman = fabric.register(NodeId::Worker(0)).postman();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let stopped_on = Arc::new(Mutex::new(None));
+    let (handled_tx, handled) = mpsc::channel();
+    let step = {
+        let mut record = recorder(&log, handled_tx.clone());
+        let stopped_on = Arc::clone(&stopped_on);
+        move |input: Input| {
+            if matches!(input, Input::Message(_, Message::Shutdown)) {
+                *stopped_on.lock().unwrap() = Some(std::thread::current().id());
+            }
+            record(input)
+        }
+    };
+    std::thread::scope(|scope| {
+        let served = scope.spawn(|| drop(rx.serve(None, step)));
+        postman.send(SERVER, beat(0, 0)).unwrap();
+        // Handled, so installed: the next send runs the step here.
+        handled.recv_timeout(LONG).unwrap();
+        postman.send(SERVER, Message::Shutdown).unwrap();
+        for seq in 1..3 {
+            postman.send(SERVER, beat(0, seq)).unwrap();
+        }
+        served.join().unwrap();
+    });
+    assert_eq!(
+        *stopped_on.lock().unwrap(),
+        Some(std::thread::current().id())
+    );
+    assert_eq!(*log.lock().unwrap(), [(0, 0)]);
+
+    std::thread::scope(|scope| {
+        let served = scope.spawn(|| drop(rx.serve(None, recorder(&log, handled_tx))));
+        for _ in 1..3 {
+            handled
+                .recv_timeout(LONG)
+                .expect("the queued beats handled");
+        }
+        postman.send(SERVER, Message::Shutdown).unwrap();
+        served.join().unwrap();
+    });
+    assert_eq!(*log.lock().unwrap(), [(0, 0), (0, 1), (0, 2)]);
+    assert_eq!(rx.try_recv().unwrap(), None);
+}
+
+/// Registering a served node anew hands its id to the new endpoint: the old
+/// `serve` call returns with what it handled, the old endpoint reports
+/// `Disconnected`, and sends reach the new one — queued until it is served,
+/// then run through its step.
+#[test]
+fn a_served_node_registered_anew_routes_to_the_new_endpoint() {
+    let fabric = Fabric::new();
+    let old = fabric.register(SERVER);
+    let postman = fabric.register(NodeId::Worker(0)).postman();
+    let (old_log, new_log) = (
+        Arc::new(Mutex::new(Vec::new())),
+        Arc::new(Mutex::new(Vec::new())),
+    );
+    let (handled_tx, handled) = mpsc::channel();
+    let new_step = recorder(&new_log, handled_tx.clone());
+    // Not scoped: a call that never returned would hang the test at the
+    // scope's end instead of failing it.
+    let (returned_tx, returned) = mpsc::channel();
+    let old_step = recorder(&old_log, handled_tx);
+    std::thread::spawn(move || {
+        drop(old.serve(None, old_step));
+        returned_tx.send(old).unwrap();
+    });
+    postman.send(SERVER, beat(0, 0)).unwrap();
+    handled.recv_timeout(LONG).unwrap();
+    let new = fabric.register(SERVER);
+    let old = returned
+        .recv_timeout(LONG)
+        .expect("the old serve call returns");
+
+    postman.send(SERVER, beat(0, 1)).unwrap();
+    std::thread::scope(|scope| {
+        let served = scope.spawn(|| drop(new.serve(None, new_step)));
+        handled.recv_timeout(LONG).expect("the queued beat handled");
+        postman.send(SERVER, beat(0, 2)).unwrap();
+        handled.recv_timeout(LONG).expect("the next beat handled");
+        postman.send(SERVER, Message::Shutdown).unwrap();
+        served.join().unwrap();
+    });
+    assert_eq!(*old_log.lock().unwrap(), [(0, 0)]);
+    assert_eq!(*new_log.lock().unwrap(), [(0, 1), (0, 2)]);
+    assert!(matches!(old.try_recv(), Err(TransportError::Disconnected)));
 }
 
 /// A server in miniature for the socket tests: remembers the last push's

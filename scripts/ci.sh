@@ -95,7 +95,8 @@ fi
 # §18). The receive loop is the transport's: above their test markers
 # serve.rs and recovery.rs — servers and supervisor replicas alike — hand a
 # step to `Mailbox::serve` and never receive themselves; `serve` has exactly
-# two overrides, the TCP node and the fault shim around it; nothing but
+# three overrides, the in-process endpoint and the TCP node (both over the
+# one serving protocol in served.rs) and the fault shim; nothing but
 # tcp.rs (and the HTTP endpoint, another protocol) listens on or dials a
 # socket, so there is no second TCP stack; everything a worker sends — what
 # `spush` staged, the pulls, a retry's replay — leaves through its one
@@ -113,8 +114,8 @@ if [ "$sockets" != "crates/fluentps-obs/src/http.rs $wire_src/tcp.rs " ]; then
   exit 1
 fi
 overrides="$(above_tests crates/*/src/*.rs | grep -E 'fn serve<' | cut -d: -f1 | sort | tr '\n' ' ' || true)"
-if [ "$overrides" != "$wire_src/fault.rs $wire_src/lib.rs $wire_src/tcp.rs " ]; then
-  echo "ci: Mailbox::serve is defined in lib.rs and overridden in tcp.rs and fault.rs only; found: $overrides" >&2
+if [ "$overrides" != "$wire_src/fault.rs $wire_src/inproc.rs $wire_src/lib.rs $wire_src/tcp.rs " ]; then
+  echo "ci: Mailbox::serve is defined in lib.rs and overridden in inproc.rs, tcp.rs and fault.rs only (the first two over served.rs); found: $overrides" >&2
   exit 1
 fi
 if above_tests "$core_src/worker.rs" | grep -F 'postman.send('; then

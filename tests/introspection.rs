@@ -293,18 +293,24 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
     assert!(alerts.contains("\"state\""), "alerts body:\n{alerts}");
 
     // The launch also serves span profiles while training runs.
-    // Poll briefly: the scrape races the first worker push.
+    // Poll briefly: the scrape races the first worker push. A server's step
+    // runs on the thread that sent to it, so its spans may fold under a
+    // worker's.
+    let has_server_spans = |folded: &str| {
+        let mut frames = folded.lines().flat_map(|l| l.split([';', ' ']));
+        frames.any(|frame| frame.starts_with("server/"))
+    };
     let deadline = Instant::now() + Duration::from_secs(5);
     let folded = loop {
         let (status, folded) = http_get(addr, "/profile?format=folded");
         assert!(status.contains("200"), "profile status: {status}");
-        if folded.lines().any(|l| l.starts_with("server/")) || Instant::now() > deadline {
+        if has_server_spans(&folded) || Instant::now() > deadline {
             break folded;
         }
         std::thread::sleep(Duration::from_millis(10));
     };
     assert!(
-        folded.lines().any(|l| l.starts_with("server/")),
+        has_server_spans(&folded),
         "folded profile has server spans:\n{folded}"
     );
     let (status, scope_json) = http_get(addr, "/profile?format=speedscope");
