@@ -7,7 +7,7 @@ use fluentps_util::{criterion_group, criterion_main};
 use fluentps_core::condition::SyncModel;
 use fluentps_core::dpr::{DeferredPull, DprBuffer, DprPolicy};
 use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
-use fluentps_core::server::{GradScale, ServerShard, ShardConfig};
+use fluentps_core::server::{ServerShard, ShardConfig};
 use fluentps_ml::linalg::{matmul, matmul_a_bt, matmul_at_b};
 use fluentps_simnet::event::EventQueue;
 use fluentps_transport::codec::{decode, encode};
@@ -48,7 +48,6 @@ fn shard_push_pull(c: &mut Criterion) {
                     num_workers: 1,
                     model: SyncModel::Asp,
                     policy: DprPolicy::LazyExecution,
-                    grad_scale: GradScale::DivideByN,
                 });
                 shard.init_param(0, vec![0.0; vals]);
                 let kv = KvPairs::single(0, vec![1e-4; vals]);

@@ -139,7 +139,7 @@ mod tests {
     use super::*;
     use crate::condition::SyncModel;
     use crate::dpr::DprPolicy;
-    use crate::server::{GradScale, PullOutcome, ShardConfig};
+    use crate::server::{PullOutcome, ShardConfig};
 
     fn trained_shard() -> (ServerShard, Vec<u64>) {
         let mut shard = ServerShard::new(ShardConfig {
@@ -147,7 +147,6 @@ mod tests {
             num_workers: 2,
             model: SyncModel::Ssp { s: 1 },
             policy: DprPolicy::LazyExecution,
-            grad_scale: GradScale::DivideByN,
         });
         shard.init_param(0, vec![0.0; 4]);
         shard.init_param(1, vec![0.0; 2]);
@@ -181,7 +180,6 @@ mod tests {
             num_workers: 2,
             model: SyncModel::Ssp { s: 1 },
             policy: DprPolicy::LazyExecution,
-            grad_scale: GradScale::DivideByN,
         });
         cp.restore_into(&mut fresh);
         assert_eq!(fresh.v_train(), 3);

@@ -24,7 +24,6 @@ use crate::dpr::DprPolicy;
 use crate::eps::SliceMap;
 use crate::launch::{self, Observability, Session};
 use crate::serve;
-use crate::server::GradScale;
 use crate::stats::ShardStats;
 use crate::worker::WorkerClient;
 use crate::SyncModel;
@@ -41,8 +40,6 @@ pub struct EngineConfig {
     pub model: SyncModel,
     /// DPR execution policy.
     pub policy: DprPolicy,
-    /// Gradient aggregation rule.
-    pub grad_scale: GradScale,
     /// Seed for the servers' probability draws (PSSP); each server derives
     /// its own stream.
     pub seed: u64,
@@ -55,7 +52,6 @@ impl Default for EngineConfig {
             num_servers: 1,
             model: SyncModel::Bsp,
             policy: DprPolicy::LazyExecution,
-            grad_scale: GradScale::DivideByN,
             seed: 0,
         }
     }

@@ -233,7 +233,6 @@ pub(crate) fn new_shard(cfg: &EngineConfig, model: SyncModel, m: u32) -> ServerS
         num_workers: cfg.num_workers,
         model,
         policy: cfg.policy,
-        grad_scale: cfg.grad_scale,
     })
 }
 

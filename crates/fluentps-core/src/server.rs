@@ -19,16 +19,6 @@ use crate::dpr::{DeferredPull, DprBuffer, DprPolicy};
 use crate::progress::ProgressTable;
 use crate::stats::ShardStats;
 
-/// How pushed gradients are folded into the parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GradScale {
-    /// `w += g / N` — Algorithm 1 line 15; workers send pre-scaled updates
-    /// (e.g. `−lr·∇`) and the server averages across workers.
-    DivideByN,
-    /// `w += g` — workers send already-averaged updates.
-    Raw,
-}
-
 /// Configuration of one server shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardConfig {
@@ -40,8 +30,6 @@ pub struct ShardConfig {
     pub model: SyncModel,
     /// DPR execution policy (Section III-C).
     pub policy: DprPolicy,
-    /// Gradient aggregation rule.
-    pub grad_scale: GradScale,
 }
 
 impl Default for ShardConfig {
@@ -51,7 +39,6 @@ impl Default for ShardConfig {
             num_workers: 1,
             model: SyncModel::Bsp,
             policy: DprPolicy::LazyExecution,
-            grad_scale: GradScale::DivideByN,
         }
     }
 }
@@ -475,13 +462,11 @@ impl ServerShard {
     }
 
     /// Fold a push into the store — where a gradient's wire bytes are read
-    /// as `f32`, once.
+    /// as `f32`, once. `w += g / N` (Algorithm 1 line 15): workers send
+    /// pre-scaled updates (e.g. `−lr·∇`) and the server averages them.
     fn apply_gradients(&mut self, kv: &KvPairs) {
         self.last_snapshot.get_mut().take();
-        let scale = match self.cfg.grad_scale {
-            GradScale::DivideByN => 1.0 / self.cfg.num_workers as f32,
-            GradScale::Raw => 1.0,
-        };
+        let scale = 1.0 / self.cfg.num_workers as f32;
         for (key, grad) in kv.iter() {
             let Some(param) = self.store.get_mut(&key) else {
                 debug_assert!(false, "push for unknown key {key:#x}");
@@ -537,7 +522,6 @@ mod tests {
             num_workers: n,
             model,
             policy,
-            grad_scale: GradScale::DivideByN,
         });
         s.init_param(0, vec![0.0; 2]);
         s
@@ -838,19 +822,6 @@ mod tests {
             s.on_push(w, 0, &push1([4.0, 8.0]));
         }
         assert_eq!(s.read_param(0).unwrap(), &[4.0, 8.0]); // 4·(x/4)
-    }
-
-    #[test]
-    fn raw_scale_applies_gradients_unscaled() {
-        let mut s = ServerShard::new(ShardConfig {
-            num_workers: 4,
-            model: SyncModel::Asp,
-            grad_scale: GradScale::Raw,
-            ..ShardConfig::default()
-        });
-        s.init_param(0, vec![0.0]);
-        s.on_push(0, 0, &KvPairs::single(0, vec![2.5]));
-        assert_eq!(s.read_param(0).unwrap(), &[2.5]);
     }
 
     #[test]

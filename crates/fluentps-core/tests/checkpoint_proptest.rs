@@ -6,7 +6,7 @@
 use fluentps_core::checkpoint::ShardCheckpoint;
 use fluentps_core::condition::SyncModel;
 use fluentps_core::dpr::DprPolicy;
-use fluentps_core::server::{GradScale, ServerShard, ShardConfig};
+use fluentps_core::server::{ServerShard, ShardConfig};
 use fluentps_util::buf::Bytes;
 use fluentps_util::proptest::prelude::*;
 
@@ -16,7 +16,6 @@ fn shard(num_workers: u32) -> ServerShard {
         num_workers,
         model: SyncModel::Ssp { s: 2 },
         policy: DprPolicy::LazyExecution,
-        grad_scale: GradScale::DivideByN,
     })
 }
 

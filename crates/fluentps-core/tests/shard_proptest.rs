@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use fluentps_core::condition::SyncModel;
 use fluentps_core::dpr::DprPolicy;
 use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
-use fluentps_core::server::{GradScale, PullOutcome, ServerShard, ShardConfig};
+use fluentps_core::server::{PullOutcome, ServerShard, ShardConfig};
 use fluentps_transport::KvPairs;
 use fluentps_util::proptest::prelude::*;
 
@@ -57,7 +57,6 @@ fn run_schedule(
         num_workers,
         model,
         policy,
-        grad_scale: GradScale::DivideByN,
     });
     shard.init_param(0, vec![0.0]);
     // Every response we ever see: (version, value-at-response).
@@ -153,7 +152,6 @@ proptest! {
             num_workers,
             model: SyncModel::Ssp { s: 2 },
             policy: DprPolicy::LazyExecution,
-            grad_scale: GradScale::DivideByN,
         });
         shard.init_param(0, vec![0.0]);
         // Workers complete iterations in a skewed order: worker 0 finishes

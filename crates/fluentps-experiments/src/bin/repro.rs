@@ -400,7 +400,7 @@ fn run_watch_cmd(args: &[String]) {
 /// requests as aligned text waterfalls, and the per-stage p50/p99 table;
 /// exits non-zero on a balance or gapless violation.
 fn run_waterfall_cmd(args: &[String]) {
-    use fluentps_obs::waterfall::{self, SamplerConfig};
+    use fluentps_obs::waterfall;
 
     let mut top = 5usize;
     let mut rest: Vec<String> = Vec::new();
@@ -431,7 +431,7 @@ fn run_waterfall_cmd(args: &[String]) {
     // Retain everything: the repro surface is for offline inspection, and
     // an all-retained set is a pure function of the seed (the tail sampler
     // proper is exercised by the live `/waterfall?top=` endpoint).
-    let sampled = waterfall::tail_sample(&set, SamplerConfig::default());
+    let sampled = waterfall::tail_sample(&set, 1.0);
 
     for w in &sampled.retained {
         println!("{}", w.stable_line());

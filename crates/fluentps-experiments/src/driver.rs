@@ -17,7 +17,7 @@ use fluentps_baseline::ssptable::SspTableModel;
 use fluentps_core::condition::SyncModel;
 use fluentps_core::dpr::DprPolicy;
 use fluentps_core::eps::{DefaultSlicer, EpsSlicer, ParamSpec, SliceMap, Slicer};
-use fluentps_core::server::{GradScale, PullOutcome, ServerShard, ShardConfig};
+use fluentps_core::server::{PullOutcome, ServerShard, ShardConfig};
 use fluentps_core::stats::ShardStats;
 use fluentps_core::worker::Router;
 use fluentps_ml::data::{synthetic, BatchSampler, Dataset, SyntheticSpec};
@@ -96,6 +96,15 @@ pub enum ModelKind {
     },
 }
 
+/// SGD momentum of every worker's optimizer.
+const MOMENTUM: f32 = 0.9;
+
+/// Server CPU seconds consumed by each *deferred* pull (DPR buffer scan,
+/// callback registration and the later release pass on the single-threaded
+/// server). This is the per-synchronization overhead that makes the soft
+/// barrier's high DPR frequency expensive.
+const SERVER_DPR_COST: f64 = 8e-3;
+
 /// Full experiment configuration.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
@@ -117,8 +126,6 @@ pub struct DriverConfig {
     pub batch_size: usize,
     /// Learning-rate schedule.
     pub lr: LrSchedule,
-    /// SGD momentum.
-    pub momentum: f32,
     /// Nominal per-iteration compute seconds (at data-parallel degree 1; the
     /// driver divides by N to model the shrinking per-worker batch).
     pub compute_base: f64,
@@ -153,15 +160,6 @@ pub struct DriverConfig {
     /// again. Under BSP/SSP the cluster stalls at the corresponding
     /// `V_train`; under drop-stragglers (`N_t < N`) training completes.
     pub fail_worker: Option<(u32, u64)>,
-    /// Fail-stop injection on a *server*: `(server, v_train)` — the shard
-    /// crashes as soon as its `V_train` reaches the threshold. The
-    /// simulation then mirrors the live recovery protocol's degraded mode:
-    /// the dead shard's slices remap onto the survivors
-    /// ([`EpsSlicer::remap_dead`]), its parameter values carry over,
-    /// in-flight pulls addressed to the dead server are re-issued to the
-    /// adopting survivors, and pushes to it are lost. FluentPS engines
-    /// only (PS-Lite's scheduler recovery is out of scope).
-    pub fail_server: Option<(u32, u64)>,
     /// Optional Gaia-style significance filter on the workers:
     /// `(threshold, max_hold)`. Insignificant updates accumulate locally and
     /// only cross the wire once their aggregate significance crosses the
@@ -169,11 +167,6 @@ pub struct DriverConfig {
     /// empty progress-bearing push every iteration so synchronization is
     /// unaffected; only gradient traffic shrinks.
     pub significance_filter: Option<(f64, u32)>,
-    /// Server CPU seconds consumed by each *deferred* pull (DPR buffer
-    /// scan, callback registration and the later release pass on the
-    /// single-threaded server). This is the per-synchronization overhead
-    /// that makes the soft barrier's high DPR frequency expensive.
-    pub server_dpr_cost: f64,
     /// Multiplier on all wire byte sizes. The synthetic training models are
     /// deliberately small so real gradient math stays cheap; this factor
     /// scales their *network footprint* up to the real network's parameter
@@ -212,7 +205,6 @@ impl Default for DriverConfig {
             dataset: Some(SyntheticSpec::c10_like(1)),
             batch_size: 16,
             lr: LrSchedule::Constant(0.2),
-            momentum: 0.9,
             compute_base: 0.4,
             compute_jitter: 0.2,
             stragglers: StragglerSpec::random_slowdowns(),
@@ -222,9 +214,7 @@ impl Default for DriverConfig {
             initial_params: None,
             per_server_models: None,
             fail_worker: None,
-            fail_server: None,
             significance_filter: None,
-            server_dpr_cost: 8e-3,
             wire_bytes_scale: 1.0,
             eval_every: 0,
             trace_events: None,
@@ -376,11 +366,6 @@ struct Simulation<'a> {
     curve: Curve,
     iterations_done: u64,
     active_server_count: u32,
-    /// Set once [`DriverConfig::fail_server`] fires.
-    dead_server: Option<u32>,
-    /// Survivors that adopted at least one of the dead server's slices —
-    /// the re-issue targets for pulls addressed to the dead server.
-    adopters: Vec<u32>,
     collector: Option<TraceCollector>,
     /// Driver-level tracer for wire send/recv events (shard-internal events
     /// go through each shard's own tracer). Disabled when not tracing.
@@ -467,16 +452,6 @@ impl<'a> Simulation<'a> {
                 "per-server models are a FluentPS feature"
             );
         }
-        if cfg.fail_server.is_some() {
-            assert!(
-                matches!(cfg.engine, EngineKind::FluentPs { .. }),
-                "fail_server is a FluentPS feature"
-            );
-            assert!(
-                cfg.num_servers >= 2,
-                "fail_server needs a survivor to remap onto"
-            );
-        }
         let init_params = match (&cfg.initial_params, &model) {
             (Some(warm), _) => Some(warm.clone()),
             (None, Some(m)) => Some(m.init_params(cfg.seed)),
@@ -494,7 +469,6 @@ impl<'a> Simulation<'a> {
                 num_workers: cfg.num_workers,
                 model: model_for_shard,
                 policy: shard_policy,
-                grad_scale: GradScale::DivideByN,
             });
             for p in map.placements().iter().filter(|p| p.server == m) {
                 let vals = match &init_params {
@@ -521,7 +495,7 @@ impl<'a> Simulation<'a> {
                 WorkerState {
                     iter: 0,
                     params: init_params.clone().unwrap_or_default(),
-                    optimizer: Sgd::new(cfg.lr.lr(0), cfg.momentum, 0.0),
+                    optimizer: Sgd::new(cfg.lr.lr(0), MOMENTUM, 0.0),
                     filter: cfg.significance_filter.map(|(threshold, max_hold)| {
                         fluentps_core::filter::SignificanceFilter::new(threshold, max_hold)
                     }),
@@ -634,8 +608,6 @@ impl<'a> Simulation<'a> {
             curve: Curve::new(),
             iterations_done: 0,
             active_server_count,
-            dead_server: None,
-            adopters: Vec::new(),
             collector,
             tracer,
             introspection,
@@ -870,11 +842,6 @@ impl<'a> Simulation<'a> {
         kv: KvPairs,
         bytes: usize,
     ) {
-        if self.dead_server == Some(server) {
-            // The gradient dies on the wire; future iterations route the
-            // adopted keys to the survivors.
-            return;
-        }
         self.tracer.record(
             EventKind::WireRecv,
             RecordArgs::new()
@@ -911,105 +878,9 @@ impl<'a> Simulation<'a> {
             self.queue
                 .schedule(now + self.cfg.link.latency, Ev::AckArrive { worker, iter });
         }
-        self.maybe_fail_server(now);
-    }
-
-    /// Fire [`DriverConfig::fail_server`] once its shard's `V_train` crosses
-    /// the threshold: remap the dead shard's slices onto survivors, carry
-    /// its parameter values over, and re-issue its parked pulls.
-    fn maybe_fail_server(&mut self, now: f64) {
-        let Some((m, threshold)) = self.cfg.fail_server else {
-            return;
-        };
-        if self.dead_server.is_some() || self.shards[m as usize].v_train() < threshold {
-            return;
-        }
-        self.dead_server = Some(m);
-        self.tracer.record(
-            EventKind::NodeDeclaredDead,
-            RecordArgs::new()
-                .shard(m)
-                .v_train(self.shards[m as usize].v_train()),
-        );
-
-        let old_map = self.router.slice_map().clone();
-        let (new_map, moved) = EpsSlicer::default().remap_dead(&old_map, m);
-        self.tracer.record(
-            EventKind::ShardRemapped,
-            RecordArgs::new().shard(m).bytes(moved as u64),
-        );
-        // The survivors adopt the dead shard's parameter values (the live
-        // engines restore them from a checkpoint; the simulation reads the
-        // shard's final state directly — same recovery point, since the
-        // shard cannot mutate after death).
-        let mut adopters: Vec<u32> = Vec::new();
-        for p in new_map.placements() {
-            if old_map.server_of(p.new_key) != Some(m) {
-                continue;
-            }
-            let vals = self.shards[m as usize]
-                .read_param(p.new_key)
-                .expect("dead shard owned this key")
-                .to_vec();
-            self.shards[p.server as usize].init_param(p.new_key, vals);
-            if !adopters.contains(&p.server) {
-                adopters.push(p.server);
-            }
-        }
-        adopters.sort_unstable();
-        self.adopters = adopters;
-        self.router = Router::new(new_map);
-        self.active_server_count = self.router.active_servers().count() as u32;
-        self.wires = wire_sizes(self.router.slice_map(), self.cfg.wire_bytes_scale);
-
-        // Pulls parked in the dead shard's DPR buffer would never release;
-        // the workers re-issue them to the adopting survivors (the values
-        // the dying drain gathered are discarded — a crash does not flush).
-        let parked = self.shards[m as usize].drain_shutdown();
-        for r in parked {
-            self.reissue_pull(now, r.worker, r.progress);
-        }
-    }
-
-    /// Re-issue a pull that was addressed to the dead server: one pull per
-    /// adopting survivor replaces the single response the worker was
-    /// awaiting from the dead shard.
-    fn reissue_pull(&mut self, now: f64, worker: u32, iter: u64) {
-        let k = self.adopters.len() as u32;
-        if k == 0 {
-            // The dead server owned no keys; nothing was actually awaited.
-            return;
-        }
-        self.workers[worker as usize].pending_responses += k - 1;
-        for s in self.adopters.clone() {
-            let bytes = self.wires.pull_req[s as usize];
-            self.tracer.record(
-                EventKind::RetryScheduled,
-                RecordArgs::new()
-                    .shard(s)
-                    .worker(worker)
-                    .progress(iter)
-                    .bytes(bytes as u64),
-            );
-            let arrive = self.topo.worker_to_server(now, s, bytes);
-            self.queue.schedule(
-                arrive,
-                Ev::PullArrive {
-                    worker,
-                    iter,
-                    server: s,
-                },
-            );
-        }
     }
 
     fn on_pull_arrive(&mut self, now: f64, worker: u32, iter: u64, server: u32) {
-        if self.dead_server == Some(server) {
-            // The request reached a dead listener; the worker re-issues it
-            // to whoever owns the keys now.
-            self.reissue_pull(now, worker, iter);
-            return;
-        }
         self.tracer.record(
             EventKind::WireRecv,
             RecordArgs::new()
@@ -1046,8 +917,7 @@ impl<'a> Simulation<'a> {
             PullOutcome::Deferred => {
                 // The deferral occupies the server's processing queue,
                 // delaying every later request at this server.
-                self.topo
-                    .charge_server(now, server, self.cfg.server_dpr_cost);
+                self.topo.charge_server(now, server, SERVER_DPR_COST);
             }
         }
     }
@@ -1436,78 +1306,6 @@ mod tests {
         for ev in &trace.events {
             assert!(ev.ts >= 0.0 && ev.ts <= traced.total_time);
         }
-    }
-
-    #[test]
-    fn failed_server_remaps_and_training_completes() {
-        let mut cfg = timing_cfg(
-            EngineKind::FluentPs {
-                model: SyncModel::Ssp { s: 2 },
-                policy: DprPolicy::LazyExecution,
-            },
-            4,
-            3,
-            SlicerKind::Eps { max_chunk: 8192 },
-        );
-        cfg.fail_server = Some((1, 10));
-        cfg.trace_events = Some(4096);
-        let r = run(&cfg);
-        // Every worker still finished its full iteration budget even though
-        // server 1 died a third of the way in.
-        assert!(r.total_time > 0.0);
-        let trace = r.trace.expect("trace requested");
-        assert_eq!(trace.count(EventKind::NodeDeclaredDead), 1);
-        assert_eq!(trace.count(EventKind::ShardRemapped), 1);
-        // The survivors carried all iterations: their V_train reached the
-        // budget while the dead shard froze at the kill threshold.
-        let healthy = run(&timing_cfg(
-            EngineKind::FluentPs {
-                model: SyncModel::Ssp { s: 2 },
-                policy: DprPolicy::LazyExecution,
-            },
-            4,
-            3,
-            SlicerKind::Eps { max_chunk: 8192 },
-        ));
-        assert!(r.stats.v_train_advances < healthy.stats.v_train_advances);
-        assert!(r.stats.v_train_advances >= 2 * 30 + 10);
-    }
-
-    #[test]
-    fn failed_server_training_run_still_learns() {
-        let cfg = DriverConfig {
-            engine: EngineKind::FluentPs {
-                model: SyncModel::Ssp { s: 2 },
-                policy: DprPolicy::LazyExecution,
-            },
-            num_workers: 4,
-            num_servers: 2,
-            max_iters: 150,
-            model: ModelKind::Softmax,
-            dataset: Some(SyntheticSpec {
-                dim: 16,
-                classes: 4,
-                n_train: 1200,
-                n_test: 300,
-                margin: 3.0,
-                modes: 1,
-                label_noise: 0.0,
-                seed: 3,
-            }),
-            batch_size: 16,
-            lr: LrSchedule::Constant(0.3),
-            eval_every: 25,
-            fail_server: Some((0, 40)),
-            ..DriverConfig::default()
-        };
-        let r = run(&cfg);
-        // The surviving server adopted server 0's parameters and training
-        // converged regardless of the mid-run death.
-        assert!(
-            r.final_accuracy > 0.8,
-            "degraded training should still learn, got {}",
-            r.final_accuracy
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use fluentps_core::condition::SyncModel;
 use fluentps_core::dpr::DprPolicy;
-use fluentps_core::server::{GradScale, PullOutcome, ServerShard, ShardConfig};
+use fluentps_core::server::{PullOutcome, ServerShard, ShardConfig};
 use fluentps_transport::KvPairs;
 
 use crate::report::Table;
@@ -30,7 +30,6 @@ fn scenario(policy: DprPolicy) -> (Vec<TimelineRow>, Vec<f32>, u64) {
         num_workers: 3,
         model: SyncModel::Ssp { s: 3 },
         policy,
-        grad_scale: GradScale::DivideByN,
     });
     shard.init_param(0, vec![0.0]);
     let mut timeline = Vec::new();

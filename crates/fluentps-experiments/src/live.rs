@@ -261,7 +261,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
         model: SyncModel::Ssp { s: cfg.staleness },
         policy: DprPolicy::LazyExecution,
         seed: cfg.seed,
-        ..EngineConfig::default()
     };
     let rcfg = RecoveryConfig {
         heartbeat_every: Duration::from_millis(10),

@@ -57,16 +57,6 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable flat data view.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Consume into the flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Row `i` as a slice.
     pub fn row(&self, i: usize) -> &[f32] {
         assert!(i < self.rows(), "row {i} out of {}", self.rows());

@@ -392,11 +392,6 @@ impl ClusterCollector {
             Err(bad)
         }
     }
-
-    /// Number of node streams seen so far.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Trace exporters: Chrome trace-event JSON, JSONL, and a text summary.
+//! Trace exporters: Chrome trace-event JSON and JSONL.
 //!
 //! The Chrome exporter emits the [trace-event format] loadable in
 //! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev): one lane per
@@ -137,48 +137,6 @@ pub fn jsonl(trace: &Trace) -> String {
     out
 }
 
-/// A human-readable summary: per-kind totals, wire bytes, time span,
-/// events dropped to ring overflow.
-pub fn text_summary(trace: &Trace) -> String {
-    let mut out = String::new();
-    out.push_str("trace summary\n");
-    let span = match (trace.events.first(), trace.events.last()) {
-        (Some(a), Some(b)) => b.ts + b.dur - a.ts,
-        _ => 0.0,
-    };
-    out.push_str(&format!(
-        "  events: {} recorded, {} buffered, {} dropped, span {:.6}s\n",
-        trace.total(),
-        trace.events.len(),
-        trace.dropped,
-        span
-    ));
-    for kind in EventKind::ALL {
-        let n = trace.count(kind);
-        if n > 0 {
-            out.push_str(&format!("  {:<18} {n}\n", kind.name()));
-        }
-    }
-    let sent: u64 = trace
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::WireSend)
-        .map(|e| e.bytes)
-        .sum();
-    let recvd: u64 = trace
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::WireRecv)
-        .map(|e| e.bytes)
-        .sum();
-    if sent > 0 || recvd > 0 {
-        out.push_str(&format!(
-            "  wire bytes: {sent} sent, {recvd} received (buffered events only)\n"
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,18 +215,9 @@ mod tests {
     }
 
     #[test]
-    fn text_summary_lists_kinds_and_span() {
-        let s = text_summary(&sample_trace());
-        assert!(s.contains("pull_deferred"));
-        assert!(s.contains("6 recorded"));
-        assert!(s.contains("0 dropped"));
-    }
-
-    #[test]
     fn empty_trace_exports_cleanly() {
         let trace = Trace::default();
         json::validate(&chrome_trace(&trace)).unwrap();
         assert_eq!(jsonl(&trace), "");
-        assert!(text_summary(&trace).contains("0 recorded"));
     }
 }

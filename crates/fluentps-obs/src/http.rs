@@ -416,13 +416,7 @@ fn handle_connection(
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(DEFAULT_SLOWEST);
                 let set = waterfall::assemble(&src.snapshot());
-                let sampled = waterfall::tail_sample(
-                    &set,
-                    waterfall::SamplerConfig {
-                        top_fraction: top,
-                        ..waterfall::SamplerConfig::default()
-                    },
-                );
+                let sampled = waterfall::tail_sample(&set, top);
                 // Scrapes pay the exemplar refresh, not the hot path.
                 waterfall::export_metrics(registry, &sampled.retained);
                 let selected: Vec<&crate::waterfall::Waterfall> = match request {

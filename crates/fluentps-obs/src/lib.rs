@@ -93,6 +93,4 @@ pub use stream::{
     HealthEngine, HealthTap, StreamAnalyzer, StreamConfig, WindowStats, WindowedHistogram,
 };
 pub use tracer::{CursorBatch, RecordArgs, Trace, TraceCollector, TraceCursor, Tracer};
-pub use waterfall::{
-    assemble, tail_sample, Sampled, SamplerConfig, Stage, Waterfall, WaterfallSet,
-};
+pub use waterfall::{assemble, tail_sample, Sampled, Stage, Waterfall, WaterfallSet};

@@ -448,26 +448,8 @@ pub fn assemble(trace: &Trace) -> WaterfallSet {
     set
 }
 
-/// Tail-sampling policy: window width (mirroring the stream analyzer's
-/// windows) and the fraction of each window's requests to retain in full.
-#[derive(Debug, Clone, Copy)]
-pub struct SamplerConfig {
-    /// Fraction of each window retained, by total-latency rank (ceil'd, so
-    /// a non-empty window always retains at least one request). `1.0`
-    /// retains everything — the deterministic `repro waterfall` mode.
-    pub top_fraction: f64,
-    /// Window width in seconds over request *start* times.
-    pub window_secs: f64,
-}
-
-impl Default for SamplerConfig {
-    fn default() -> Self {
-        SamplerConfig {
-            top_fraction: 1.0,
-            window_secs: 0.5,
-        }
-    }
-}
+/// The tail sampler's window width in seconds over request *start* times.
+const SAMPLER_WINDOW_SECS: f64 = 0.5;
 
 /// The sampler's output: full waterfalls for the retained set, per-stage
 /// aggregate histograms for everything (so sampled-out requests still
@@ -500,12 +482,13 @@ impl Sampled {
     }
 }
 
-/// Apply tail-based sampling: bucket requests into `window_secs` windows by
-/// start time; within each window keep the top `top_fraction` by total
-/// latency (at least one per non-empty window); always keep
+/// Apply tail-based sampling: bucket requests into 0.5 s windows by start
+/// time; within each window keep the top `top_fraction` by total latency
+/// (ceil'd, so at least one per non-empty window; `1.0` retains everything
+/// — the deterministic `repro waterfall` mode); always keep
 /// recovery-touched requests. Everything else folds into the aggregate
 /// histogram and the `sampled_out` count.
-pub fn tail_sample(set: &WaterfallSet, cfg: SamplerConfig) -> Sampled {
+pub fn tail_sample(set: &WaterfallSet, top_fraction: f64) -> Sampled {
     let mut out = Sampled {
         observed: set.observed(),
         ..Sampled::default()
@@ -518,11 +501,7 @@ pub fn tail_sample(set: &WaterfallSet, cfg: SamplerConfig) -> Sampled {
     let mut windows: BTreeMap<u64, Vec<&Waterfall>> = BTreeMap::new();
     for w in &set.waterfalls {
         out.total_us.record((w.total_secs() * 1e6) as u64);
-        let idx = if cfg.window_secs > 0.0 {
-            ((w.start_ts() - epoch) / cfg.window_secs) as u64
-        } else {
-            0
-        };
+        let idx = ((w.start_ts() - epoch) / SAMPLER_WINDOW_SECS) as u64;
         windows.entry(idx).or_default().push(w);
     }
     for (_, mut members) in windows {
@@ -531,7 +510,7 @@ pub fn tail_sample(set: &WaterfallSet, cfg: SamplerConfig) -> Sampled {
                 .total_cmp(&a.total_secs())
                 .then(a.request_id.cmp(&b.request_id))
         });
-        let keep = ((members.len() as f64 * cfg.top_fraction).ceil() as usize).max(1);
+        let keep = ((members.len() as f64 * top_fraction).ceil() as usize).max(1);
         for (rank, w) in members.into_iter().enumerate() {
             if rank < keep || w.recovery_touched() {
                 out.retained.push((*w).clone());
@@ -804,13 +783,7 @@ mod tests {
         let set = assemble(&trace_of(events));
         assert_eq!(set.observed(), 6);
 
-        let sampled = tail_sample(
-            &set,
-            SamplerConfig {
-                top_fraction: 0.4,
-                window_secs: 60.0,
-            },
-        );
+        let sampled = tail_sample(&set, 0.4);
         sampled
             .balance()
             .expect("retained + sampled_out == observed");
@@ -827,7 +800,7 @@ mod tests {
         assert_eq!(sampled.total_us.count(), 6, "aggregates cover everything");
 
         // Retain-everything is the deterministic repro mode.
-        let all = tail_sample(&set, SamplerConfig::default());
+        let all = tail_sample(&set, 1.0);
         assert_eq!(all.sampled_out, 0);
         assert_eq!(all.retained.len(), 6);
         all.balance().expect("trivially balanced");

@@ -1,9 +1,9 @@
 //! Property tests for causal waterfall assembly: grouping and folding must
 //! not care what order events arrived in the trace buffer, duplicate
 //! deliveries must fold away without changing the stages, and the tail
-//! sampler's drop accounting must balance for every config.
+//! sampler's drop accounting must balance for every retained fraction.
 
-use fluentps_obs::waterfall::{assemble, tail_sample, SamplerConfig, CONTROL_PLANE_BIT};
+use fluentps_obs::waterfall::{assemble, tail_sample, CONTROL_PLANE_BIT};
 use fluentps_obs::{EventKind, Trace, TraceEvent, KINDS, NO_ID};
 use fluentps_util::proptest::prelude::*;
 
@@ -133,17 +133,16 @@ proptest! {
         }
     }
 
-    /// Drop accounting balances for every sampler config: retained +
+    /// Drop accounting balances for every retained fraction: retained +
     /// sampled_out == observed, the latency histogram saw every request,
     /// and recovery-touched requests are never sampled out.
     #[test]
-    fn tail_sampler_balances_for_every_config(
+    fn tail_sampler_balances_for_every_fraction(
         events in arb_events(),
         top_fraction in prop_oneof![Just(1.0f64), 0.0f64..1.0],
-        window_secs in prop_oneof![Just(0.0f64), 1e-3f64..2.0],
     ) {
         let set = assemble(&trace_of(events));
-        let sampled = tail_sample(&set, SamplerConfig { top_fraction, window_secs });
+        let sampled = tail_sample(&set, top_fraction);
         prop_assert!(sampled.balance().is_ok(), "{:?}", sampled.balance());
         prop_assert_eq!(sampled.observed, set.observed());
         prop_assert_eq!(sampled.total_us.count(), set.observed());

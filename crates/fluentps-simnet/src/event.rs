@@ -122,11 +122,6 @@ impl<T> EventQueue<T> {
         Some((e.time, e.payload))
     }
 
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -66,21 +66,6 @@ impl Fabric {
         }
     }
 
-    /// Remove a node from the fabric; subsequent sends to it fail with
-    /// [`TransportError::UnknownNode`].
-    pub fn deregister(&self, node: NodeId) {
-        if let Some(old) = self.registry.write().inboxes.remove(&node) {
-            old.close();
-        }
-    }
-
-    /// Nodes currently registered.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<_> = self.registry.read().inboxes.keys().copied().collect();
-        v.sort();
-        v
-    }
-
     /// Send `msg` from `from` to `to`.
     pub fn send(&self, from: NodeId, to: NodeId, msg: Message) -> Result<(), TransportError> {
         self.deliver(from, to, std::iter::once(msg))
@@ -100,17 +85,6 @@ impl Fabric {
             true => Ok(()),
             false => Err(TransportError::Disconnected),
         }
-    }
-
-    /// Broadcast a message from `from` to every registered node except the
-    /// sender itself. Useful for shutdown fan-out.
-    pub fn broadcast(&self, from: NodeId, msg: &Message) -> Result<(), TransportError> {
-        for node in self.nodes() {
-            if node != from {
-                self.send(from, node, msg.clone())?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -160,11 +134,11 @@ impl Mailbox for Endpoint {
     }
 
     /// Install `step` for senders to run and wait here until it says
-    /// [`Flow::Stop`](crate::Flow::Stop) or the node is deregistered or
-    /// registered anew. This thread runs the step only for what the inbox
-    /// already holds, for messages a step sent to this node, and — with
-    /// `wake` set — for [`Input::Tick`](crate::Input::Tick) whenever a whole
-    /// interval passed without a message.
+    /// [`Flow::Stop`](crate::Flow::Stop) or the node is registered anew.
+    /// This thread runs the step only for what the inbox already holds, for
+    /// messages a step sent to this node, and — with `wake` set — for
+    /// [`Input::Tick`](crate::Input::Tick) whenever a whole interval passed
+    /// without a message.
     fn serve<S: Step>(&self, wake: Option<Duration>, step: S) -> S {
         self.served.install(wake, step, &self.rx)
     }
@@ -287,29 +261,5 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 8 * 50);
-    }
-
-    #[test]
-    fn deregister_makes_node_unknown() {
-        let fabric = Fabric::new();
-        let _a = fabric.register(NodeId::Worker(0));
-        let _b = fabric.register(NodeId::Server(0));
-        fabric.deregister(NodeId::Server(0));
-        let err = fabric.send(NodeId::Worker(0), NodeId::Server(0), Message::Shutdown);
-        assert!(matches!(err, Err(TransportError::UnknownNode(_))));
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone_but_sender() {
-        let fabric = Fabric::new();
-        let s = fabric.register(NodeId::Scheduler);
-        let a = fabric.register(NodeId::Worker(0));
-        let b = fabric.register(NodeId::Worker(1));
-        fabric
-            .broadcast(NodeId::Scheduler, &Message::Shutdown)
-            .unwrap();
-        assert!(a.try_recv().unwrap().is_some());
-        assert!(b.try_recv().unwrap().is_some());
-        assert!(s.try_recv().unwrap().is_none());
     }
 }

@@ -10,7 +10,6 @@ use fluentps::core::condition::SyncModel;
 use fluentps::core::dpr::DprPolicy;
 use fluentps::core::engine::{Cluster, EngineConfig};
 use fluentps::core::eps::{EpsSlicer, ParamSpec, Slicer};
-use fluentps::core::server::GradScale;
 use fluentps::ml::data::{synthetic, BatchSampler, SyntheticSpec};
 use fluentps::ml::models::{Model, SoftmaxRegression};
 use fluentps::ml::optim::{Optimizer, Sgd};
@@ -61,7 +60,6 @@ fn main() {
         num_servers: NUM_SERVERS,
         model: SyncModel::Ssp { s: 2 },
         policy: DprPolicy::LazyExecution,
-        grad_scale: GradScale::DivideByN,
         seed: 7,
     };
     let (cluster, workers) = Cluster::launch(cfg, map, &init);

@@ -40,6 +40,7 @@ deleted="$deleted|pub fn run_live|LiveConfig|bind_server|bind_traced|read_from_p
 deleted="$deleted|StreamerConfig|send_consensus|try_send|FluentPs::builder"
 deleted="$deleted|spawn_ingest|StreamerConn|write_coalesced|CONNECT_RETRIES"
 deleted="$deleted|TraceRecorder|TraceKind"
+deleted="$deleted|GradScale|fail_server|SamplerConfig|text_summary|peek_time"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then
@@ -259,9 +260,10 @@ grep -q '^chaos-alert-fingerprint ' "$smokedir/chaos_health.txt"
 # still finish bit-deterministically — the stats/fingerprint lines of a
 # same-seed re-run must match exactly. Which follower wins may vary with
 # thread timing, so the /healthz check accepts either; the training
-# fingerprint must not.
+# fingerprint must not. (100 000 iterations ≈ 2 s: the election takes about
+# 0.3 s, and a 20 000-iteration run ended before it most of the time.)
 failover_port=$((21000 + RANDOM % 20000))
-./target/release/repro chaos --seed 23 --workers 1 --servers 2 --iters 20000 \
+./target/release/repro chaos --seed 23 --workers 1 --servers 2 --iters 100000 \
   --supervisors 3 --kill-supervisor 0@6 --metrics-addr "127.0.0.1:$failover_port" \
   >"$smokedir/failover_a.txt" 2>/dev/null &
 failover_pid=$!
@@ -276,7 +278,7 @@ for _ in $(seq 1 300); do
 done
 wait "$failover_pid"
 [ -n "$failover_ok" ] || { echo "ci: /healthz never showed a follower taking over leadership" >&2; exit 1; }
-./target/release/repro chaos --seed 23 --workers 1 --servers 2 --iters 20000 \
+./target/release/repro chaos --seed 23 --workers 1 --servers 2 --iters 100000 \
   --supervisors 3 --kill-supervisor 0@6 \
   >"$smokedir/failover_b.txt" 2>/dev/null
 grep -E '^chaos-(stats|dead-at-end|fingerprint)' "$smokedir/failover_a.txt" >"$smokedir/failover_a_core.txt"

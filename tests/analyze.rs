@@ -6,7 +6,7 @@
 use fluentps::core::condition::SyncModel;
 use fluentps::core::dpr::DprPolicy;
 use fluentps::core::pssp;
-use fluentps::core::server::{GradScale, ServerShard, ShardConfig};
+use fluentps::core::server::{ServerShard, ShardConfig};
 use fluentps::experiments::driver::EngineKind;
 use fluentps::experiments::tracerun;
 use fluentps::obs::analyze::analyze;
@@ -71,7 +71,6 @@ proptest! {
             num_workers,
             model: SyncModel::Ssp { s },
             policy: DprPolicy::LazyExecution,
-            grad_scale: GradScale::DivideByN,
         });
         shard.set_tracer(collector.tracer());
         shard.init_param(0, vec![0.0]);

@@ -7,7 +7,6 @@ use fluentps::core::condition::SyncModel;
 use fluentps::core::dpr::DprPolicy;
 use fluentps::core::engine::{Cluster, EngineConfig};
 use fluentps::core::eps::{EpsSlicer, ParamSpec, Slicer};
-use fluentps::core::server::GradScale;
 use fluentps::ml::data::{synthetic, BatchSampler, SyntheticSpec};
 use fluentps::ml::models::{Mlp, Model, SoftmaxRegression};
 use fluentps::ml::optim::{Optimizer, Sgd};
@@ -51,7 +50,6 @@ fn train_inproc_on(
         num_servers: 2,
         model,
         policy: DprPolicy::LazyExecution,
-        grad_scale: GradScale::DivideByN,
         seed: 41,
     };
     let (cluster, workers) = Cluster::launch(cfg, map, &init);
@@ -170,7 +168,6 @@ fn bsp_final_parameters_identical_across_workers() {
         num_servers: 3,
         model: SyncModel::Bsp,
         policy: DprPolicy::LazyExecution,
-        grad_scale: GradScale::DivideByN,
         seed: 43,
     };
     let (cluster, workers) = Cluster::launch(cfg, map, &init);

@@ -2,12 +2,21 @@
 //! fail-stops, how EPS rebalances around a dead server, and whether the
 //! live fault-tolerant TCP engine survives crashes and chaos schedules.
 
+use std::collections::HashMap;
+use std::time::Duration;
+
 use fluentps::core::condition::SyncModel;
 use fluentps::core::dpr::DprPolicy;
-use fluentps::core::eps::{EpsSlicer, ParamSpec};
+use fluentps::core::engine::EngineConfig;
+use fluentps::core::eps::{EpsSlicer, ParamSpec, Slicer};
+use fluentps::core::recovery::{RecoveryConfig, ResilientTcpCluster};
 use fluentps::core::scheduler::Scheduler;
+use fluentps::core::worker::RetryPolicy;
 use fluentps::experiments::driver::{run, DriverConfig, EngineKind, ModelKind};
 use fluentps::experiments::live::{run_chaos, ChaosConfig};
+use fluentps::ml::data::{synthetic, BatchSampler, SyntheticSpec};
+use fluentps::ml::models::{Model, SoftmaxRegression};
+use fluentps::ml::optim::{Optimizer, Sgd};
 use fluentps::simnet::compute::StragglerSpec;
 use fluentps::transport::NodeId;
 
@@ -115,6 +124,94 @@ fn live_tcp_run_survives_a_server_kill_mid_training() {
         "accuracy through the crash: {}",
         r.accuracy
     );
+}
+
+#[test]
+fn live_degraded_mode_still_learns() {
+    // As above, but the supervisor does not replace server 0: the survivor
+    // adopts its slices (restored from the checkpoint), workers reroute to
+    // it, and training converges on one server.
+    let seed = 7;
+    let (train, test) = synthetic(SyntheticSpec {
+        dim: 16,
+        classes: 4,
+        n_train: 1200,
+        n_test: 300,
+        margin: 3.0,
+        modes: 1,
+        label_noise: 0.0,
+        seed,
+    });
+    let model = SoftmaxRegression {
+        dim: 16,
+        classes: 4,
+    };
+    let specs: Vec<ParamSpec> = model
+        .param_shapes()
+        .iter()
+        .map(|s| ParamSpec {
+            key: s.key,
+            len: s.len,
+        })
+        .collect();
+    let map = EpsSlicer { max_chunk: 16 }.slice(&specs, 2);
+    let init = model.init_params(seed);
+    let cfg = EngineConfig {
+        num_workers: 2,
+        num_servers: 2,
+        model: SyncModel::Ssp { s: 2 },
+        policy: DprPolicy::LazyExecution,
+        seed,
+    };
+    // `run_chaos`'s timings.
+    let rcfg = RecoveryConfig {
+        heartbeat_every: Duration::from_millis(10),
+        liveness_timeout: Duration::from_millis(80),
+        checkpoint_every: 1,
+        kill_server: Some((0, 8)),
+        spawn_replacement: false,
+        retry: RetryPolicy {
+            timeout: Duration::from_millis(60),
+            max_retries: 100,
+            backoff_base: Duration::from_millis(2),
+            backoff_cap: Duration::from_millis(50),
+            jitter_seed: seed ^ 0xC4A0,
+            replay_depth: 32,
+        },
+        election_timeout: Duration::from_millis(200),
+        leader_lease: Duration::from_millis(100),
+        ..RecoveryConfig::default()
+    };
+    let (cluster, workers) =
+        ResilientTcpCluster::launch(cfg, rcfg, map, &init, None).expect("launch");
+    let params: Vec<HashMap<u64, Vec<f32>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .into_iter()
+            .map(|mut client| {
+                let (train, model, init) = (&train, &model, init.clone());
+                scope.spawn(move || {
+                    let n = client.worker_id();
+                    let mut params = init;
+                    let mut opt = Sgd::new(0.25, 0.9, 0.0);
+                    let mut sampler =
+                        BatchSampler::new(train.partition(n, 2), 16, seed + 500 + n as u64);
+                    for i in 0..60 {
+                        let batch = train.batch(&sampler.next_indices());
+                        let (_, grads) = model.loss_and_grad(&params, &batch);
+                        client.spush(i, &opt.deltas(&params, &grads)).expect("push");
+                        client.spull_wait(i, &mut params).expect("pull");
+                    }
+                    params
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let dead = cluster.health().dead_count();
+    cluster.shutdown();
+    assert_eq!(dead, 1, "server 0 stays dead: nothing replaces it");
+    let accuracy = model.accuracy(&params[0], &test);
+    assert!(accuracy > 0.7, "accuracy in degraded mode: {accuracy}");
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use fluentps::core::condition::{DspsConfig, SyncModel, SyncPolicy, SyncState};
 use fluentps::core::dpr::DprPolicy;
 use fluentps::core::pssp::Alpha;
-use fluentps::core::server::{GradScale, PullOutcome, ServerShard, ShardConfig};
+use fluentps::core::server::{PullOutcome, ServerShard, ShardConfig};
 use fluentps::transport::KvPairs;
 
 fn shard_with(model: SyncModel, n: u32) -> ServerShard {
@@ -14,7 +14,6 @@ fn shard_with(model: SyncModel, n: u32) -> ServerShard {
         num_workers: n,
         model,
         policy: DprPolicy::LazyExecution,
-        grad_scale: GradScale::DivideByN,
     });
     s.init_param(0, vec![0.0]);
     s
