@@ -194,38 +194,6 @@ fn significance_filter(c: &mut Criterion) {
     });
 }
 
-/// Parallel vs serial gradient computation on one batch.
-fn parallel_gradients(c: &mut Criterion) {
-    use fluentps_ml::data::{synthetic, SyntheticSpec};
-    use fluentps_ml::models::{Mlp, Model};
-    use fluentps_ml::par::parallel_loss_and_grad;
-    let spec = SyntheticSpec {
-        dim: 64,
-        classes: 10,
-        n_train: 512,
-        n_test: 16,
-        margin: 2.0,
-        modes: 1,
-        label_noise: 0.0,
-        seed: 1,
-    };
-    let (train, _) = synthetic(spec);
-    let model = Mlp {
-        dims: vec![64, 128, 10],
-    };
-    let params = model.init_params(1);
-    let batch = train.batch(&(0..256).collect::<Vec<_>>());
-    let mut g = c.benchmark_group("gradients");
-    g.sample_size(20);
-    g.bench_function("serial_256x64", |b| {
-        b.iter(|| model.loss_and_grad(&params, &batch))
-    });
-    g.bench_function("parallel4_256x64", |b| {
-        b.iter(|| parallel_loss_and_grad(&model, &params, &batch, 4))
-    });
-    g.finish();
-}
-
 criterion_group!(
     micro,
     codec_roundtrip,
@@ -234,7 +202,6 @@ criterion_group!(
     dpr_buffer,
     gemm,
     event_queue,
-    significance_filter,
-    parallel_gradients
+    significance_filter
 );
 criterion_main!(micro);

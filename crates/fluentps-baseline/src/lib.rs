@@ -19,4 +19,4 @@ pub mod pslite;
 pub mod ssptable;
 
 pub use pslite::{PsLiteMode, PsLiteScheduler};
-pub use ssptable::{ClientCache, SspTableModel};
+pub use ssptable::SspTableModel;

@@ -2,22 +2,17 @@
 //!
 //! Bösen implements SSP through SSPtable: a shared-memory table API where
 //! each worker *caches* parameter entries locally and the table invalidates
-//! entries whose version is older than `clock − s`. Two properties matter
-//! for the reproduction:
-//!
-//! 1. **Client cache semantics** ([`ClientCache`]): a worker reads its cache
-//!    as long as the cached version is within the staleness bound, touching
-//!    the server only on a miss.
-//! 2. **Consistency-view degradation at scale** ([`SspTableModel`]): keeping
-//!    a consistent staleness view across N workers costs Θ(N) maintenance
-//!    per clock tick; under load the view lags, so the *effective* staleness
-//!    a worker experiences grows with N. This is the mechanism behind the
-//!    accuracy collapse at N ≥ 8 the paper shows in Figures 1 and 7 — and
-//!    the scalability argument for FluentPS's per-server progress tracking.
-//!    The lag coefficient is a model parameter; the default (one iteration
-//!    of effective extra staleness per worker) is calibrated so that N ≤ 4
-//!    behaves close to honest SSP while N ≥ 8 reads badly outdated caches,
-//!    matching the paper's observed accuracy cliff at that scale.
+//! entries whose version is older than `clock − s`. What matters for the
+//! reproduction is how its **consistency view degrades at scale**
+//! ([`SspTableModel`]): keeping a consistent staleness view across N
+//! workers costs Θ(N) maintenance per clock tick; under load the view lags,
+//! so the *effective* staleness a worker experiences grows with N. This is
+//! the mechanism behind the accuracy collapse at N ≥ 8 the paper shows in
+//! Figures 1 and 7 — and the scalability argument for FluentPS's per-server
+//! progress tracking. The lag coefficient is a model parameter; the default
+//! (one iteration of effective extra staleness per worker) is calibrated so
+//! that N ≤ 4 behaves close to honest SSP while N ≥ 8 reads badly outdated
+//! caches, matching the paper's observed accuracy cliff at that scale.
 
 /// Scalability model of the SSPtable consistency view.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,67 +52,6 @@ impl SspTableModel {
     }
 }
 
-/// A Bösen-style per-worker parameter cache with version-based invalidation.
-#[derive(Debug, Clone)]
-pub struct ClientCache {
-    s: u64,
-    /// Cached (version, values) per key.
-    entries: std::collections::HashMap<u64, (u64, Vec<f32>)>,
-    hits: u64,
-    misses: u64,
-}
-
-impl ClientCache {
-    /// Cache with staleness bound `s`.
-    pub fn new(s: u64) -> Self {
-        ClientCache {
-            s,
-            entries: std::collections::HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Read `key` at the worker's current `clock`. `Some(values)` when the
-    /// cached version `v` satisfies `v + s >= clock` (SSPtable's validity
-    /// rule); `None` forces a server fetch.
-    pub fn read(&mut self, key: u64, clock: u64) -> Option<&[f32]> {
-        // Split borrow: decide validity first, then hand out the reference.
-        let valid = match self.entries.get(&key) {
-            Some((version, _)) => version + self.s >= clock,
-            None => false,
-        };
-        if valid {
-            self.hits += 1;
-            self.entries.get(&key).map(|(_, v)| v.as_slice())
-        } else {
-            self.misses += 1;
-            None
-        }
-    }
-
-    /// Install a fresh copy fetched from the server at `version`.
-    pub fn install(&mut self, key: u64, version: u64, values: Vec<f32>) {
-        self.entries.insert(key, (version, values));
-    }
-
-    /// Invalidate entries older than `clock − s` (the table's background
-    /// maintenance pass). Returns how many entries were evicted — this count
-    /// scales with model size and worker count, which is the maintenance
-    /// burden [`SspTableModel`] charges for.
-    pub fn invalidate_outdated(&mut self, clock: u64) -> usize {
-        let bound = clock.saturating_sub(self.s);
-        let before = self.entries.len();
-        self.entries.retain(|_, (version, _)| *version >= bound);
-        before - self.entries.len()
-    }
-
-    /// Cache-hit statistics `(hits, misses)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,44 +77,5 @@ mod tests {
     fn maintenance_cost_is_linear_in_workers() {
         let m = SspTableModel::new(3);
         assert_eq!(m.maintenance_cost(64), 2.0 * m.maintenance_cost(32));
-    }
-
-    #[test]
-    fn cache_serves_within_bound_and_misses_past_it() {
-        let mut c = ClientCache::new(2);
-        c.install(7, 10, vec![1.0, 2.0]);
-        // clock 12: version 10 + s 2 >= 12 → hit.
-        assert_eq!(c.read(7, 12), Some(&[1.0, 2.0][..]));
-        // clock 13: 10 + 2 < 13 → miss.
-        assert_eq!(c.read(7, 13), None);
-        assert_eq!(c.stats(), (1, 1));
-    }
-
-    #[test]
-    fn unknown_keys_always_miss() {
-        let mut c = ClientCache::new(5);
-        assert_eq!(c.read(99, 0), None);
-        assert_eq!(c.stats(), (0, 1));
-    }
-
-    #[test]
-    fn invalidation_evicts_only_outdated() {
-        let mut c = ClientCache::new(1);
-        c.install(0, 5, vec![0.0]);
-        c.install(1, 9, vec![0.0]);
-        c.install(2, 10, vec![0.0]);
-        let evicted = c.invalidate_outdated(10);
-        assert_eq!(evicted, 1); // only version 5 < 10 − 1
-        assert!(c.read(1, 10).is_some());
-        assert!(c.read(0, 10).is_none());
-    }
-
-    #[test]
-    fn reinstall_refreshes_version() {
-        let mut c = ClientCache::new(0);
-        c.install(3, 1, vec![1.0]);
-        assert_eq!(c.read(3, 2), None);
-        c.install(3, 2, vec![2.0]);
-        assert_eq!(c.read(3, 2), Some(&[2.0][..]));
     }
 }

@@ -5,10 +5,10 @@
 //! different in size (a fully-connected layer can be 1000× a bias vector),
 //! range slicing routinely lands most of the *bytes* on one server. EPS
 //! remaps original keys to new keys such that the byte load divides evenly
-//! over all key ranges, chunking oversized parameters across servers, and
-//! rebalances with minimal movement when the server set changes.
+//! over all key ranges, chunking oversized parameters across servers. When
+//! a server dies for good, only its slices move ([`EpsSlicer::remap_dead`]).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::key::{chunk_key, Key};
 
@@ -220,72 +220,31 @@ impl EpsSlicer {
         out
     }
 
-    /// Rebalance an existing map onto a new server count with minimal
-    /// movement: placements on still-alive servers stay put unless their
-    /// server is overloaded; orphaned or surplus chunks move to the least
-    /// loaded server. Returns the new map and the number of values moved.
-    pub fn rebalance(&self, map: &SliceMap, new_num_servers: u32) -> (SliceMap, usize) {
-        assert!(new_num_servers > 0);
-        let mut placements: Vec<Placement> = map.placements().to_vec();
-        let total: usize = placements.iter().map(|p| p.len).sum();
-        let target = (total as f64 / new_num_servers as f64).ceil() as usize + self.max_chunk;
-        let mut loads = vec![0usize; new_num_servers as usize];
-        let mut moved = 0usize;
-
-        // Pass 1: keep placements whose server survives and has room.
-        let mut homeless: Vec<usize> = Vec::new();
-        for (i, p) in placements.iter().enumerate() {
-            if p.server < new_num_servers && loads[p.server as usize] + p.len <= target {
-                loads[p.server as usize] += p.len;
-            } else {
-                homeless.push(i);
-            }
-        }
-        // Pass 2: LPT-place the rest.
-        homeless.sort_by_key(|&i| std::cmp::Reverse(placements[i].len));
-        for i in homeless {
-            let (server, _) = loads
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &l)| l)
-                .expect("at least one server");
-            if placements[i].server != server as u32 {
-                moved += placements[i].len;
-            }
-            placements[i].server = server as u32;
-            loads[server] += placements[i].len;
-        }
-        (
-            SliceMap::from_placements(placements, new_num_servers),
-            moved,
-        )
-    }
-
-    /// Remap only the slices owned by `dead` onto the surviving servers,
-    /// preserving every surviving server's id and placements. This is the
-    /// degraded-mode counterpart of [`EpsSlicer::rebalance`], which
-    /// renumbers servers and therefore cannot be applied to a live cluster
-    /// whose survivors keep their identities. Returns the new map and the
-    /// number of values moved.
+    /// Remap the slices owned by the servers in `dead` onto the others,
+    /// preserving every surviving server's id and placements: the degraded
+    /// mode of a live cluster, whose survivors keep their identities.
+    /// `dead` holds every server that is dead for good, not only the one
+    /// that just died, so a second death never lands on the first. Returns
+    /// the new map and the number of values moved.
     ///
-    /// Panics if `dead` is the only server in the map.
-    pub fn remap_dead(&self, map: &SliceMap, dead: u32) -> (SliceMap, usize) {
+    /// Panics if every server in the map is dead.
+    pub fn remap_dead(&self, map: &SliceMap, dead: &BTreeSet<u32>) -> (SliceMap, usize) {
         let num_servers = map.num_servers();
-        let survivors: Vec<u32> = (0..num_servers).filter(|&m| m != dead).collect();
+        let survivors: Vec<u32> = (0..num_servers).filter(|m| !dead.contains(m)).collect();
         assert!(
             !survivors.is_empty(),
-            "cannot remap: server {dead} was the only one"
+            "cannot remap: no server survives {dead:?}"
         );
         let mut placements: Vec<Placement> = map.placements().to_vec();
         let mut loads = vec![0usize; num_servers as usize];
         for p in &placements {
-            if p.server != dead {
+            if !dead.contains(&p.server) {
                 loads[p.server as usize] += p.len;
             }
         }
         // LPT-place the orphans on the least-loaded survivor.
         let mut orphans: Vec<usize> = (0..placements.len())
-            .filter(|&i| placements[i].server == dead)
+            .filter(|&i| dead.contains(&placements[i].server))
             .collect();
         orphans.sort_by_key(|&i| (std::cmp::Reverse(placements[i].len), placements[i].new_key));
         let mut moved = 0usize;
@@ -390,33 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_after_server_loss_moves_only_orphans() {
-        let slicer = EpsSlicer { max_chunk: 2048 };
-        let map = slicer.slice(&skewed_model(), 8);
-        let before_loads = map.server_loads();
-        let lost_load = before_loads[7];
-        let (new_map, moved) = slicer.rebalance(&map, 7);
-        assert_eq!(new_map.total_values(), map.total_values());
-        assert!(new_map.imbalance() < 1.35, "got {}", new_map.imbalance());
-        // Moved volume should be close to what the dead server held, not a
-        // full reshuffle.
-        assert!(
-            moved <= lost_load + 3 * 2048,
-            "moved {moved} vs lost {lost_load}"
-        );
-    }
-
-    #[test]
-    fn rebalance_onto_more_servers_spreads_load() {
-        let slicer = EpsSlicer { max_chunk: 1024 };
-        let map = slicer.slice(&skewed_model(), 4);
-        let (grown, _moved) = slicer.rebalance(&map, 8);
-        assert_eq!(grown.num_servers(), 8);
-        let loads = grown.server_loads();
-        assert!(loads.iter().all(|&l| l > 0), "all servers used: {loads:?}");
-    }
-
-    #[test]
     fn zero_length_params_still_get_a_placement() {
         let params = vec![ParamSpec { key: 9, len: 0 }];
         let map = EpsSlicer::default().slice(&params, 2);
@@ -437,7 +369,7 @@ mod tests {
         let map = slicer.slice(&skewed_model(), 4);
         let dead = 1u32;
         let dead_load = map.server_loads()[dead as usize];
-        let (remapped, moved) = slicer.remap_dead(&map, dead);
+        let (remapped, moved) = slicer.remap_dead(&map, &BTreeSet::from([dead]));
 
         // Exactly the dead server's values moved; survivors kept their ids
         // and their own placements byte for byte.
@@ -456,10 +388,37 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only one")]
+    fn a_second_death_never_remaps_onto_the_first() {
+        // One 80 000-value layer and nineteen of 4 000 over six servers;
+        // servers 2 and then 4 die for good, as a supervisor applies two
+        // `Remapped` entries.
+        let mut params = vec![ParamSpec {
+            key: 0,
+            len: 80_000,
+        }];
+        params.extend((1..20).map(|key| ParamSpec { key, len: 4_000 }));
+        let slicer = EpsSlicer { max_chunk: 8_192 };
+        let map = slicer.slice(&params, 6);
+        let mut dead = BTreeSet::from([2]);
+        let (after_first, _) = slicer.remap_dead(&map, &dead);
+        dead.insert(4);
+        let four_held = after_first.server_loads()[4];
+        let (after_second, moved) = slicer.remap_dead(&after_first, &dead);
+
+        assert_eq!(moved, four_held, "only server 4's slices move");
+        let loads = after_second.server_loads();
+        assert_eq!((loads[2], loads[4]), (0, 0), "loads {loads:?}");
+        assert_eq!(after_second.total_values(), map.total_values());
+        for p in after_first.placements().iter().filter(|p| p.server != 4) {
+            assert_eq!(after_second.placement_of(p.new_key), Some(p));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no server survives")]
     fn remap_dead_panics_with_no_survivors() {
-        let map = EpsSlicer::default().slice(&skewed_model(), 1);
-        EpsSlicer::default().remap_dead(&map, 0);
+        let map = EpsSlicer::default().slice(&skewed_model(), 2);
+        EpsSlicer::default().remap_dead(&map, &BTreeSet::from([0, 1]));
     }
 
     #[test]

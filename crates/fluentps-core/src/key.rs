@@ -1,9 +1,8 @@
-//! Parameter keys and key ranges.
+//! Parameter keys.
 //!
-//! The scheduler divides the whole key space into per-server key ranges
-//! (Section III-A). EPS additionally remaps application keys to balance the
-//! *byte* load, so a "key" seen by a server may be a chunk of an original
-//! parameter; [`chunk_key`]/[`split_chunk_key`] define that embedding.
+//! EPS (Section III-A) remaps application keys to balance the *byte* load,
+//! so a "key" seen by a server may be a chunk of an original parameter;
+//! [`chunk_key`] defines that embedding.
 
 /// A parameter key as seen on the wire.
 pub type Key = u64;
@@ -23,119 +22,18 @@ pub fn chunk_key(orig: Key, chunk: u32) -> Key {
     (orig << CHUNK_BITS) | chunk as u64
 }
 
-/// Decompose a chunked key into `(original key, chunk index)`.
-#[inline]
-pub fn split_chunk_key(key: Key) -> (Key, u32) {
-    (key >> CHUNK_BITS, (key & ((1 << CHUNK_BITS) - 1)) as u32)
-}
-
-/// A half-open range `[begin, end)` of keys owned by one server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyRange {
-    /// First key in the range.
-    pub begin: Key,
-    /// One past the last key in the range.
-    pub end: Key,
-}
-
-impl KeyRange {
-    /// Construct a range; `begin <= end` is required.
-    pub fn new(begin: Key, end: Key) -> Self {
-        assert!(begin <= end, "invalid key range [{begin}, {end})");
-        KeyRange { begin, end }
-    }
-
-    /// Whether `key` falls inside the range.
-    #[inline]
-    pub fn contains(&self, key: Key) -> bool {
-        key >= self.begin && key < self.end
-    }
-
-    /// Number of keys covered.
-    pub fn len(&self) -> u64 {
-        self.end - self.begin
-    }
-
-    /// True when the range covers no keys.
-    pub fn is_empty(&self) -> bool {
-        self.begin == self.end
-    }
-
-    /// Split the whole range into `n` contiguous sub-ranges whose sizes
-    /// differ by at most one key. This is PS-Lite's default slicing: it
-    /// balances *key counts*, not byte loads, which is exactly the imbalance
-    /// EPS fixes (Section III-A).
-    pub fn split(&self, n: u32) -> Vec<KeyRange> {
-        assert!(n > 0, "cannot split into zero ranges");
-        let total = self.len();
-        let n64 = n as u64;
-        let base = total / n64;
-        let extra = total % n64;
-        let mut out = Vec::with_capacity(n as usize);
-        let mut cursor = self.begin;
-        for i in 0..n64 {
-            let size = base + u64::from(i < extra);
-            out.push(KeyRange::new(cursor, cursor + size));
-            cursor += size;
-        }
-        debug_assert_eq!(cursor, self.end);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn chunk_key_roundtrip() {
+    fn chunk_key_keeps_the_original_above_the_chunk_index() {
         for orig in [0u64, 1, 500, (1 << 40) - 1] {
             for chunk in [0u32, 1, 7, (1 << CHUNK_BITS) - 1] {
                 let k = chunk_key(orig, chunk);
-                assert_eq!(split_chunk_key(k), (orig, chunk));
+                assert_eq!(k >> CHUNK_BITS, orig);
+                assert_eq!(k & ((1 << CHUNK_BITS) - 1), chunk as u64);
             }
         }
-    }
-
-    #[test]
-    fn range_contains_and_len() {
-        let r = KeyRange::new(10, 20);
-        assert!(r.contains(10));
-        assert!(r.contains(19));
-        assert!(!r.contains(20));
-        assert!(!r.contains(9));
-        assert_eq!(r.len(), 10);
-        assert!(!r.is_empty());
-        assert!(KeyRange::new(5, 5).is_empty());
-    }
-
-    #[test]
-    fn split_covers_everything_without_overlap() {
-        let r = KeyRange::new(0, 103);
-        let parts = r.split(8);
-        assert_eq!(parts.len(), 8);
-        let mut cursor = 0;
-        for p in &parts {
-            assert_eq!(p.begin, cursor);
-            cursor = p.end;
-        }
-        assert_eq!(cursor, 103);
-        // Sizes differ by at most one.
-        let sizes: Vec<u64> = parts.iter().map(|p| p.len()).collect();
-        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        assert!(max - min <= 1);
-    }
-
-    #[test]
-    fn split_more_parts_than_keys_yields_empty_tails() {
-        let parts = KeyRange::new(0, 3).split(5);
-        assert_eq!(parts.iter().filter(|p| !p.is_empty()).count(), 3);
-        assert_eq!(parts.iter().map(|p| p.len()).sum::<u64>(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid key range")]
-    fn inverted_range_panics() {
-        let _ = KeyRange::new(5, 4);
     }
 }

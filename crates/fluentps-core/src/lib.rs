@@ -25,7 +25,8 @@
 //! * [`regret`] — the regret-bound math of Theorems 1 and 2, including the
 //!   equivalence `PSSP(s, c) ≡ SSP(s + 1/c − 1)`.
 //! * [`eps`] — Elastic Parameter Slicing: remap parameters onto servers so
-//!   shards are evenly loaded, and rebalance when the server set changes.
+//!   shards are evenly loaded, and move a dead server's slices onto the
+//!   survivors.
 //! * [`server`] — the per-shard state machine of Algorithm 1 (`PullHandler`
 //!   / `PushHandler`). Deliberately free of clocks, threads and sockets so
 //!   the live engines and the discrete-event simulator all drive the *same*
@@ -36,7 +37,7 @@
 //! * [`engine`], [`tcp_engine`], [`recovery`] — the in-process, TCP and
 //!   fault-tolerant TCP runtimes: per-transport shells over [`launch`]
 //!   (overlap synchronization falls out of servers answering independently).
-//! * [`scheduler`] — the minimal scheduler: liveness and key ranges only.
+//! * [`scheduler`] — the minimal scheduler's heartbeat liveness monitor.
 //!
 //! ## Quick start
 //!

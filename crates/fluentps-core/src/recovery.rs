@@ -1265,7 +1265,8 @@ impl<P: Postman + 'static> SupervisorReplica<P> {
                 ControlCommand::Remapped { server: m } => {
                     self.pending_dead.remove(&m);
                     if self.dead_for_good.insert(m) {
-                        let (remapped, moved) = EpsSlicer::default().remap_dead(&self.map, m);
+                        let (remapped, moved) =
+                            EpsSlicer::default().remap_dead(&self.map, &self.dead_for_good);
                         if self.consensus.is_leader() {
                             self.degrade_effect(m, &remapped, moved);
                         }

@@ -1,17 +1,15 @@
-//! The (deliberately minimal) scheduler, Section III-A.
+//! The liveness side of the (deliberately minimal) scheduler, Section III-A.
 //!
 //! In FluentPS the scheduler does **not** mediate synchronization — that is
-//! the whole point of the design. It only (1) monitors node liveness via
-//! heartbeats and (2) owns the key-space division, delegating the actual
-//! placement to a [`Slicer`] and triggering an EPS rebalance when a server
-//! dies or joins.
+//! the whole point of the design. It monitors node liveness via heartbeats
+//! ([`LivenessMonitor`], which the supervisor replicas of
+//! [`crate::recovery`] run) and owns the placement, which is EPS's
+//! ([`crate::eps`]): when a server dies for good the supervisor moves its
+//! slices with [`EpsSlicer::remap_dead`](crate::eps::EpsSlicer::remap_dead).
 
 use std::collections::HashMap;
 
-use fluentps_obs::MetricsRegistry;
 use fluentps_transport::NodeId;
-
-use crate::eps::{EpsSlicer, ParamSpec, SliceMap};
 
 /// Heartbeat-based liveness tracking with a logical-time deadline (drivers
 /// feed whatever clock they have: wall millis or simulated ticks).
@@ -78,104 +76,6 @@ impl LivenessMonitor {
     }
 }
 
-/// Scheduler state: liveness plus the authoritative placement.
-pub struct Scheduler {
-    liveness: LivenessMonitor,
-    slicer: EpsSlicer,
-    params: Vec<ParamSpec>,
-    placement: SliceMap,
-    num_servers: u32,
-    metrics: Option<MetricsRegistry>,
-}
-
-impl Scheduler {
-    /// Create a scheduler managing `num_servers` servers with the given
-    /// parameter inventory; computes the initial EPS placement.
-    pub fn new(
-        params: Vec<ParamSpec>,
-        num_servers: u32,
-        slicer: EpsSlicer,
-        liveness_timeout: u64,
-    ) -> Self {
-        use crate::eps::Slicer as _;
-        let placement = slicer.slice(&params, num_servers);
-        Scheduler {
-            liveness: LivenessMonitor::new(liveness_timeout),
-            slicer,
-            params,
-            placement,
-            num_servers,
-            metrics: None,
-        }
-    }
-
-    /// Publish scheduler activity into `registry`: `scheduler_rebalances` /
-    /// `scheduler_values_moved` counters, `scheduler_heartbeats`, and the
-    /// `live_servers` / `placement_imbalance` gauges.
-    pub fn set_metrics(&mut self, registry: MetricsRegistry) {
-        registry.set_gauge("live_servers", self.num_servers as f64);
-        registry.set_gauge("placement_imbalance", self.placement.imbalance());
-        self.metrics = Some(registry);
-    }
-
-    fn publish_placement(&self, moved: usize) {
-        if let Some(m) = &self.metrics {
-            m.inc("scheduler_rebalances", 1);
-            m.inc("scheduler_values_moved", moved as u64);
-            m.set_gauge("live_servers", self.num_servers as f64);
-            m.set_gauge("placement_imbalance", self.placement.imbalance());
-        }
-    }
-
-    /// Current placement.
-    pub fn placement(&self) -> &SliceMap {
-        &self.placement
-    }
-
-    /// The parameter inventory.
-    pub fn params(&self) -> &[ParamSpec] {
-        &self.params
-    }
-
-    /// Record a heartbeat.
-    pub fn observe(&mut self, node: NodeId, now: u64) {
-        if let Some(m) = &self.metrics {
-            m.inc("scheduler_heartbeats", 1);
-        }
-        self.liveness.observe(node, now);
-    }
-
-    /// Check liveness at `now`; if any *server* died, shrink the server set
-    /// and rebalance with EPS. Returns the dead servers and the number of
-    /// values moved (0 when nothing changed).
-    pub fn check_and_rebalance(&mut self, now: u64) -> (Vec<NodeId>, usize) {
-        let dead = self.liveness.dead_nodes(now);
-        let dead_servers: Vec<NodeId> = dead.into_iter().filter(|n| n.is_server()).collect();
-        if dead_servers.is_empty() {
-            return (dead_servers, 0);
-        }
-        let survivors = self.num_servers - dead_servers.len() as u32;
-        assert!(survivors > 0, "all servers died");
-        let (new_placement, moved) = self.slicer.rebalance(&self.placement, survivors);
-        self.placement = new_placement;
-        self.num_servers = survivors;
-        for n in &dead_servers {
-            self.liveness.remove(*n);
-        }
-        self.publish_placement(moved);
-        (dead_servers, moved)
-    }
-
-    /// Grow the server set to `new_count` and rebalance (elastic scale-out).
-    pub fn scale_to(&mut self, new_count: u32) -> usize {
-        let (new_placement, moved) = self.slicer.rebalance(&self.placement, new_count);
-        self.placement = new_placement;
-        self.num_servers = new_count;
-        self.publish_placement(moved);
-        moved
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,86 +113,5 @@ mod tests {
         m.observe(NodeId::Worker(0), 100);
         m.observe(NodeId::Worker(0), 50); // out-of-order heartbeat
         assert!(m.dead_nodes(104).is_empty());
-    }
-
-    fn test_params() -> Vec<ParamSpec> {
-        (0..8)
-            .map(|k| ParamSpec {
-                key: k,
-                len: if k == 0 { 50_000 } else { 1_000 },
-            })
-            .collect()
-    }
-
-    #[test]
-    fn scheduler_rebalances_on_server_death() {
-        let mut sched = Scheduler::new(test_params(), 4, EpsSlicer { max_chunk: 2048 }, 10);
-        for s in 0..4 {
-            sched.observe(NodeId::Server(s), 0);
-        }
-        // Server 3 stops heartbeating.
-        for s in 0..3 {
-            sched.observe(NodeId::Server(s), 20);
-        }
-        let (dead, moved) = sched.check_and_rebalance(20);
-        assert_eq!(dead, vec![NodeId::Server(3)]);
-        assert!(moved > 0);
-        assert_eq!(sched.placement().num_servers(), 3);
-        assert!(sched.placement().imbalance() < 1.35);
-    }
-
-    #[test]
-    fn no_rebalance_when_everyone_alive() {
-        let mut sched = Scheduler::new(test_params(), 4, EpsSlicer::default(), 10);
-        for s in 0..4 {
-            sched.observe(NodeId::Server(s), 0);
-        }
-        let (dead, moved) = sched.check_and_rebalance(5);
-        assert!(dead.is_empty());
-        assert_eq!(moved, 0);
-        assert_eq!(sched.placement().num_servers(), 4);
-    }
-
-    #[test]
-    fn scale_out_uses_new_servers() {
-        let mut sched = Scheduler::new(test_params(), 2, EpsSlicer { max_chunk: 2048 }, 10);
-        let moved = sched.scale_to(4);
-        assert!(moved > 0);
-        assert_eq!(sched.placement().num_servers(), 4);
-        let loads = sched.placement().server_loads();
-        assert!(loads.iter().all(|&l| l > 0), "{loads:?}");
-    }
-
-    #[test]
-    fn metrics_follow_rebalance_and_scale() {
-        let mut sched = Scheduler::new(test_params(), 4, EpsSlicer { max_chunk: 2048 }, 10);
-        let registry = MetricsRegistry::new();
-        sched.set_metrics(registry.clone());
-        assert_eq!(registry.gauge_value("live_servers"), Some(4.0));
-        for s in 0..4 {
-            sched.observe(NodeId::Server(s), 0);
-        }
-        assert_eq!(registry.counter_value("scheduler_heartbeats"), 4);
-        for s in 0..3 {
-            sched.observe(NodeId::Server(s), 20);
-        }
-        sched.check_and_rebalance(20);
-        assert_eq!(registry.counter_value("scheduler_rebalances"), 1);
-        assert!(registry.counter_value("scheduler_values_moved") > 0);
-        assert_eq!(registry.gauge_value("live_servers"), Some(3.0));
-        sched.scale_to(5);
-        assert_eq!(registry.counter_value("scheduler_rebalances"), 2);
-        assert_eq!(registry.gauge_value("live_servers"), Some(5.0));
-    }
-
-    #[test]
-    fn worker_death_does_not_trigger_rebalance() {
-        let mut sched = Scheduler::new(test_params(), 2, EpsSlicer::default(), 10);
-        sched.observe(NodeId::Worker(0), 0);
-        sched.observe(NodeId::Server(0), 100);
-        sched.observe(NodeId::Server(1), 100);
-        let (dead, moved) = sched.check_and_rebalance(100);
-        assert!(dead.is_empty());
-        assert_eq!(moved, 0);
     }
 }

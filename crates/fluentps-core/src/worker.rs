@@ -1429,7 +1429,7 @@ mod tests {
         assert!(map.server_loads().iter().all(|&l| l > 0));
         let r = Router::new(map.clone());
         // Server 1 dies: everything now lives on server 0.
-        let (remapped, _moved) = EpsSlicer { max_chunk: 16 }.remap_dead(&map, 1);
+        let (remapped, _moved) = EpsSlicer { max_chunk: 16 }.remap_dead(&map, &[1].into());
         let rerouted = Router::new(remapped.clone());
         let round = |retry: bool| {
             let (mut client, sent) = recorded_client(&r, retry);
@@ -1475,7 +1475,7 @@ mod tests {
         let map = EpsSlicer { max_chunk: 16 }.slice(&params, 2);
         let r = Router::new(map.clone());
 
-        let (remapped, _moved) = EpsSlicer { max_chunk: 16 }.remap_dead(&map, 1);
+        let (remapped, _moved) = EpsSlicer { max_chunk: 16 }.remap_dead(&map, &[1].into());
         let wire = wire_placements(&remapped);
 
         let collector = TraceCollector::wall(1 << 10);

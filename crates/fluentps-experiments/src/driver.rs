@@ -105,6 +105,11 @@ const MOMENTUM: f32 = 0.9;
 /// barrier's high DPR frequency expensive.
 const SERVER_DPR_COST: f64 = 8e-3;
 
+/// Fixed part of the per-message processing cost at PS-Lite's centralized
+/// scheduler, seconds ([`DriverConfig::sched_cost_per_worker`] is the part
+/// that grows with N).
+const SCHED_COST_BASE: f64 = 1e-3;
+
 /// Full experiment configuration.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
@@ -135,15 +140,14 @@ pub struct DriverConfig {
     pub stragglers: StragglerSpec,
     /// Network link model.
     pub link: LinkModel,
-    /// Per-message processing cost at PS-Lite's centralized scheduler:
-    /// `cost = sched_cost_base + sched_cost_per_worker · N`. The scheduler
-    /// is single-threaded, so these costs *serialize* — this is the
-    /// "management overhead of the centralized structure" the paper
-    /// offloads onto the servers. Every progress report and every barrier
-    /// release passes through this queue. Ignored for FluentPS/SSPtable.
-    pub sched_cost_base: f64,
-    /// Per-worker component of the scheduler message cost (the barrier scan
-    /// is O(N) per report in PS-Lite's progress tracker).
+    /// Per-worker component of the per-message processing cost at PS-Lite's
+    /// centralized scheduler: `cost = SCHED_COST_BASE +
+    /// sched_cost_per_worker · N` (the barrier scan is O(N) per report in
+    /// PS-Lite's progress tracker). The scheduler is single-threaded, so
+    /// these costs *serialize* — this is the "management overhead of the
+    /// centralized structure" the paper offloads onto the servers. Every
+    /// progress report and every barrier release passes through this queue.
+    /// Ignored for FluentPS/SSPtable.
     pub sched_cost_per_worker: f64,
     /// Warm-start parameters: when set, shards are initialized from these
     /// values instead of the model's seeded initialization — the elasticity
@@ -209,7 +213,6 @@ impl Default for DriverConfig {
             compute_jitter: 0.2,
             stragglers: StragglerSpec::random_slowdowns(),
             link: LinkModel::gbe(),
-            sched_cost_base: 1e-3,
             sched_cost_per_worker: 2.5e-3,
             initial_params: None,
             per_server_models: None,
@@ -586,8 +589,7 @@ impl<'a> Simulation<'a> {
             workers,
             scheduler,
             sched_queue: fluentps_simnet::net::NicQueue::new(),
-            sched_msg_cost: cfg.sched_cost_base
-                + cfg.sched_cost_per_worker * cfg.num_workers as f64,
+            sched_msg_cost: SCHED_COST_BASE + cfg.sched_cost_per_worker * cfg.num_workers as f64,
             ssptable_maint,
             ssptable_refresh,
             topo: ClusterTopology::with_duplex(

@@ -89,7 +89,6 @@ pub fn scheduler_cost_sweep(scale: Scale) -> Vec<Table> {
                 compute_base: 8.0,
                 compute_jitter: 0.15,
                 link: LinkModel::gbe(),
-                sched_cost_base: 1e-3,
                 sched_cost_per_worker: c,
                 eval_every: 0,
                 seed: 83,

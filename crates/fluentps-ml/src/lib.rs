@@ -12,14 +12,13 @@
 //!
 //! * [`linalg`] — blocked matrix multiplies (rows in groups of four, dot
 //!   products in 4 × 8 register blocks over packed panels), bit-identical
-//!   to the naive loops, and vector helpers.
+//!   to the naive loops, and the ReLU/softmax helpers.
 //! * [`init`] — seeded Xavier/He initialisation.
-//! * [`models`] — softmax regression, MLPs, a residual MLP standing in for
-//!   ResNet-56 (deep, skip connections, higher staleness sensitivity) and a
-//!   small convolutional network.
-//! * [`optim`] — SGD with momentum/weight decay and LARS (the paper uses
-//!   LARS for its large-batch training).
-//! * [`schedule`] — learning-rate schedules (constant, step decay, warmup).
+//! * [`models`] — softmax regression, MLPs and a residual MLP standing in
+//!   for ResNet-56 (deep, skip connections, higher staleness sensitivity).
+//! * [`optim`] — SGD with momentum and weight decay, the one optimizer every
+//!   figure and live run trains with (the paper's LARS is not reproduced).
+//! * [`schedule`] — learning-rate schedules (constant, step decay).
 //! * [`data`] — seeded synthetic classification datasets standing in for
 //!   CIFAR-10 ("c10-like": 10 classes) and CIFAR-100 ("c100-like": 100
 //!   classes with lower attainable accuracy).
@@ -37,13 +36,11 @@ pub mod linalg;
 pub mod metrics;
 pub mod models;
 pub mod optim;
-pub mod par;
 pub mod schedule;
-pub mod tensor;
 
 /// Parameters / gradients keyed by parameter-server key.
 pub type ParamMap = std::collections::HashMap<u64, Vec<f32>>;
 
 pub use data::{Batch, Dataset};
 pub use models::{Mlp, Model, ResidualMlp, SoftmaxRegression};
-pub use optim::{Lars, Optimizer, Sgd};
+pub use optim::{Optimizer, Sgd};

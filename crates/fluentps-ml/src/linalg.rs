@@ -2,7 +2,7 @@
 //!
 //! Everything the models need: three GEMM variants (plain, A-transposed,
 //! B-transposed), each a blocked form of the naive loop it replaced, plus
-//! small vector helpers.
+//! the ReLU and softmax helpers.
 //!
 //! **Blocks.** Each kernel runs its naive loop for a group of rows or
 //! outputs at once, so that one load feeds several products:
@@ -230,19 +230,6 @@ fn dot(a_row: &[f32], b_row: &[f32]) -> f32 {
     acc
 }
 
-/// `y += alpha * x` (axpy).
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yv, xv) in y.iter_mut().zip(x) {
-        *yv += alpha * xv;
-    }
-}
-
-/// Euclidean norm.
-pub fn norm2(x: &[f32]) -> f32 {
-    x.iter().map(|&v| v * v).sum::<f32>().sqrt()
-}
-
 /// In-place ReLU; returns nothing, mutates `x`.
 pub fn relu_inplace(x: &mut [f32]) {
     for v in x {
@@ -396,14 +383,5 @@ mod tests {
         let mut dy = vec![5.0, 5.0, 5.0];
         relu_backward_inplace(&pre, &mut dy);
         assert_eq!(dy, vec![0.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn axpy_and_norm() {
-        let x = vec![1.0, 2.0];
-        let mut y = vec![10.0, 20.0];
-        axpy(0.5, &x, &mut y);
-        assert_eq!(y, vec![10.5, 21.0]);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
     }
 }

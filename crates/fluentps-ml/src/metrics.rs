@@ -1,4 +1,4 @@
-//! Training metrics: accuracy curves and loss tracking.
+//! Training metrics: the accuracy curve a run records.
 
 /// A time-stamped accuracy/loss curve, the shape every "accuracy vs time"
 /// figure in the paper plots.
@@ -51,50 +51,6 @@ impl Curve {
             .map(|p| p.accuracy)
             .fold(0.0f32, f32::max)
     }
-
-    /// Earliest time at which accuracy reached `target`, if ever — the
-    /// "time-to-accuracy" speedup metric.
-    pub fn time_to_accuracy(&self, target: f32) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| p.accuracy >= target)
-            .map(|p| p.time)
-    }
-
-    /// Total time span covered.
-    pub fn total_time(&self) -> f64 {
-        self.points.last().map(|p| p.time).unwrap_or(0.0)
-    }
-}
-
-/// Exponential moving average for smoothing noisy training loss.
-#[derive(Debug, Clone, Copy)]
-pub struct Ema {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ema {
-    /// EMA with smoothing factor `alpha` in `(0, 1]` (1 = no smoothing).
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        Ema { alpha, value: None }
-    }
-
-    /// Fold in an observation and return the smoothed value.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => self.alpha * x + (1.0 - self.alpha) * prev,
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current smoothed value.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
 }
 
 #[cfg(test)]
@@ -118,9 +74,6 @@ mod tests {
         c.push(pt(200, 10.0, 0.55));
         assert_eq!(c.final_accuracy(), 0.55);
         assert_eq!(c.best_accuracy(), 0.6);
-        assert_eq!(c.time_to_accuracy(0.5), Some(5.0));
-        assert_eq!(c.time_to_accuracy(0.9), None);
-        assert_eq!(c.total_time(), 10.0);
         assert_eq!(c.points().len(), 3);
     }
 
@@ -128,17 +81,6 @@ mod tests {
     fn empty_curve_defaults() {
         let c = Curve::new();
         assert_eq!(c.final_accuracy(), 0.0);
-        assert_eq!(c.total_time(), 0.0);
-        assert_eq!(c.time_to_accuracy(0.0), None);
-    }
-
-    #[test]
-    fn ema_converges_toward_constant_input() {
-        let mut e = Ema::new(0.5);
-        assert_eq!(e.update(10.0), 10.0);
-        for _ in 0..20 {
-            e.update(0.0);
-        }
-        assert!(e.value().unwrap() < 1e-4);
+        assert_eq!(c.best_accuracy(), 0.0);
     }
 }

@@ -20,13 +20,6 @@ pub struct Mlp {
 }
 
 impl Mlp {
-    /// An AlexNet-ish default for the synthetic 64-dim datasets.
-    pub fn alexnet_like(input: usize, classes: usize) -> Self {
-        Mlp {
-            dims: vec![input, 128, 64, classes],
-        }
-    }
-
     fn layers(&self) -> usize {
         self.dims.len() - 1
     }
@@ -169,7 +162,9 @@ mod tests {
 
     #[test]
     fn param_inventory_is_complete() {
-        let m = Mlp::alexnet_like(64, 10);
+        let m = Mlp {
+            dims: vec![64, 128, 64, 10],
+        };
         let shapes = m.param_shapes();
         assert_eq!(shapes.len(), 6);
         let total: usize = shapes.iter().map(|s| s.len).sum();

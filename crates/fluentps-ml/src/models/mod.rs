@@ -2,12 +2,10 @@
 //! computes real stochastic gradients, so a model plugs directly into a
 //! parameter-server worker.
 
-mod cnn;
 mod mlp;
 mod residual;
 mod softmax;
 
-pub use cnn::TinyCnn;
 pub use mlp::Mlp;
 pub use residual::ResidualMlp;
 pub use softmax::SoftmaxRegression;

@@ -31,18 +31,6 @@ pub struct ResidualMlp {
 }
 
 impl ResidualMlp {
-    /// The deep default used by the ResNet-56 experiments: 8 residual blocks
-    /// (16 weight layers + projection + head ≈ the depth regime where
-    /// staleness visibly hurts, while staying cheap enough for CI).
-    pub fn resnet56_like(input: usize, classes: usize) -> Self {
-        ResidualMlp {
-            input,
-            width: 64,
-            blocks: 8,
-            classes,
-        }
-    }
-
     fn head_w_key(&self) -> u64 {
         2 + 4 * self.blocks as u64
     }
@@ -282,7 +270,12 @@ mod tests {
 
     #[test]
     fn param_inventory_matches_shapes() {
-        let m = ResidualMlp::resnet56_like(64, 10);
+        let m = ResidualMlp {
+            input: 64,
+            width: 64,
+            blocks: 8,
+            classes: 10,
+        };
         let shapes = m.param_shapes();
         assert_eq!(shapes.len(), 2 + 4 * 8 + 2);
         let p = m.init_params(0);

@@ -27,9 +27,6 @@ pub trait Optimizer {
 
     /// Update the learning rate (drivers call this with the schedule value).
     fn set_lr(&mut self, lr: f32);
-
-    /// Current learning rate.
-    fn lr(&self) -> f32;
 }
 
 /// SGD with momentum and decoupled weight decay.
@@ -74,138 +71,6 @@ impl Optimizer for Sgd {
     fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
     }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
-
-/// Layer-wise Adaptive Rate Scaling (You, Gitman & Ginsburg 2017), the
-/// optimizer the paper uses for large-batch training: each layer's update is
-/// rescaled by `trust · ‖w‖ / (‖g‖ + λ‖w‖)`.
-#[derive(Debug, Clone)]
-pub struct Lars {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    /// Trust coefficient `η` (paper default 0.001).
-    pub trust: f32,
-    velocity: ParamMap,
-}
-
-impl Lars {
-    /// LARS with the usual defaults.
-    pub fn new(lr: f32, momentum: f32, weight_decay: f32, trust: f32) -> Self {
-        assert!(lr > 0.0 && trust > 0.0);
-        Lars {
-            lr,
-            momentum,
-            weight_decay,
-            trust,
-            velocity: ParamMap::new(),
-        }
-    }
-
-    fn local_lr(&self, w: &[f32], g: &[f32]) -> f32 {
-        let wn = crate::linalg::norm2(w);
-        let gn = crate::linalg::norm2(g);
-        if wn == 0.0 || gn == 0.0 {
-            return 1.0;
-        }
-        self.trust * wn / (gn + self.weight_decay * wn)
-    }
-}
-
-impl Optimizer for Lars {
-    fn deltas(&mut self, params: &ParamMap, grads: &ParamMap) -> ParamMap {
-        let mut out = ParamMap::new();
-        for (&k, g) in grads {
-            let w = &params[&k];
-            let local = self.local_lr(w, g);
-            let v = self.velocity.entry(k).or_insert_with(|| vec![0.0; g.len()]);
-            let mut delta = vec![0.0f32; g.len()];
-            for i in 0..g.len() {
-                let grad = local * (g[i] + self.weight_decay * w[i]);
-                v[i] = self.momentum * v[i] + grad;
-                delta[i] = -self.lr * v[i];
-            }
-            out.insert(k, delta);
-        }
-        out
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
-
-/// Adam (Kingma & Ba 2014) — the adaptive per-parameter learning-rate
-/// optimizer the paper cites among the staleness-mitigation strategies.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: i32,
-    m: ParamMap,
-    v: ParamMap,
-}
-
-impl Adam {
-    /// Adam with the standard defaults (`β1 = 0.9`, `β2 = 0.999`).
-    pub fn new(lr: f32) -> Self {
-        Self::with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Adam with explicit moment coefficients.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
-        assert!(lr > 0.0 && (0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
-        Adam {
-            lr,
-            beta1,
-            beta2,
-            eps: 1e-8,
-            t: 0,
-            m: ParamMap::new(),
-            v: ParamMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn deltas(&mut self, _params: &ParamMap, grads: &ParamMap) -> ParamMap {
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t);
-        let bc2 = 1.0 - self.beta2.powi(self.t);
-        let mut out = ParamMap::new();
-        for (&k, g) in grads {
-            let m = self.m.entry(k).or_insert_with(|| vec![0.0; g.len()]);
-            let v = self.v.entry(k).or_insert_with(|| vec![0.0; g.len()]);
-            let mut delta = vec![0.0f32; g.len()];
-            for i in 0..g.len() {
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g[i];
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g[i] * g[i];
-                let m_hat = m[i] / bc1;
-                let v_hat = v[i] / bc2;
-                delta[i] = -self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-            out.insert(k, delta);
-        }
-        out
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
 }
 
 #[cfg(test)]
@@ -247,27 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn lars_scales_update_by_weight_to_grad_ratio() {
-        let mut opt = Lars::new(1.0, 0.0, 0.0, 0.001);
-        let mut params = ParamMap::new();
-        params.insert(0, vec![10.0, 0.0]); // ‖w‖ = 10
-        let mut grads = ParamMap::new();
-        grads.insert(0, vec![0.0, 1.0]); // ‖g‖ = 1
-        let deltas = opt.deltas(&params, &grads);
-        // local lr = 0.001 · 10/1 = 0.01; Δ = −1.0 · 0.01 · g.
-        assert!((deltas[&0][1] + 0.01).abs() < 1e-7);
-    }
-
-    #[test]
-    fn lars_is_neutral_on_zero_norms() {
-        let mut opt = Lars::new(0.5, 0.0, 0.0, 0.001);
-        let params = one_param(0.0); // ‖w‖ = 0
-        let grads = one_param(4.0);
-        let deltas = opt.deltas(&params, &grads);
-        assert!((deltas[&0][0] + 2.0).abs() < 1e-6); // plain SGD fallback
-    }
-
-    #[test]
     fn deltas_and_step_agree() {
         let grads = one_param(1.5);
         let mut a = Sgd::new(0.2, 0.5, 0.01);
@@ -280,39 +124,10 @@ mod tests {
     }
 
     #[test]
-    fn adam_first_step_is_lr_sized_regardless_of_gradient_scale() {
-        // Adam's bias correction makes the first step ≈ lr · sign(g).
-        for scale in [1e-4f32, 1.0, 1e4] {
-            let mut opt = Adam::new(0.01);
-            let params = one_param(0.0);
-            let grads = one_param(scale);
-            let d = opt.deltas(&params, &grads);
-            assert!(
-                (d[&0][0] + 0.01).abs() < 1e-4,
-                "scale {scale}: step {}",
-                d[&0][0]
-            );
-        }
-    }
-
-    #[test]
-    fn adam_converges_on_a_quadratic() {
-        // Minimize f(w) = (w − 3)², gradient 2(w − 3).
-        let mut opt = Adam::new(0.1);
-        let mut params = one_param(0.0);
-        for _ in 0..500 {
-            let g = 2.0 * (params[&0][0] - 3.0);
-            let mut grads = ParamMap::new();
-            grads.insert(0, vec![g]);
-            opt.step(&mut params, &grads);
-        }
-        assert!((params[&0][0] - 3.0).abs() < 0.05, "w = {}", params[&0][0]);
-    }
-
-    #[test]
-    fn lr_setter_roundtrip() {
+    fn set_lr_scales_the_next_delta() {
         let mut opt = Sgd::new(0.1, 0.0, 0.0);
         opt.set_lr(0.05);
-        assert_eq!(opt.lr(), 0.05);
+        let deltas = opt.deltas(&one_param(0.0), &one_param(1.0));
+        assert_eq!(deltas[&0][0], -0.05);
     }
 }

@@ -1,5 +1,5 @@
-//! Learning-rate schedules (the paper's experiments use step decay and, for
-//! large batches, LARS with warmup).
+//! Learning-rate schedules: the figures train at a constant rate, and
+//! Figure 8 with step decay.
 
 /// A learning-rate schedule: iteration → learning rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,27 +15,6 @@ pub enum LrSchedule {
         /// Multiplicative factor per period (e.g. 0.1).
         factor: f32,
     },
-    /// Cosine annealing from `base` to `floor` over `total` iterations.
-    Cosine {
-        /// Initial learning rate.
-        base: f32,
-        /// Final learning rate.
-        floor: f32,
-        /// Annealing horizon; the rate stays at `floor` afterwards.
-        total: u64,
-    },
-    /// Linear warmup from `base/steps` to `base` over `steps` iterations,
-    /// then step decay — the standard large-batch recipe.
-    WarmupThenDecay {
-        /// Peak learning rate after warmup.
-        base: f32,
-        /// Warmup length.
-        warmup: u64,
-        /// Decay period after warmup.
-        every: u64,
-        /// Decay factor.
-        factor: f32,
-    },
 }
 
 impl LrSchedule {
@@ -48,27 +27,6 @@ impl LrSchedule {
                 every,
                 factor,
             } => base * factor.powi((iter / every) as i32),
-            LrSchedule::Cosine { base, floor, total } => {
-                if iter >= total {
-                    floor
-                } else {
-                    let progress = iter as f64 / total as f64;
-                    let cos = 0.5 * (1.0 + (std::f64::consts::PI * progress).cos());
-                    floor + (base - floor) * cos as f32
-                }
-            }
-            LrSchedule::WarmupThenDecay {
-                base,
-                warmup,
-                every,
-                factor,
-            } => {
-                if iter < warmup {
-                    base * (iter + 1) as f32 / warmup as f32
-                } else {
-                    base * factor.powi(((iter - warmup) / every) as i32)
-                }
-            }
         }
     }
 }
@@ -95,40 +53,5 @@ mod tests {
         assert_eq!(s.lr(99), 1.0);
         assert!((s.lr(100) - 0.1).abs() < 1e-7);
         assert!((s.lr(250) - 0.01).abs() < 1e-8);
-    }
-
-    #[test]
-    fn cosine_anneals_monotonically_to_floor() {
-        let s = LrSchedule::Cosine {
-            base: 1.0,
-            floor: 0.01,
-            total: 100,
-        };
-        assert_eq!(s.lr(0), 1.0);
-        let mid = s.lr(50);
-        assert!((mid - 0.505).abs() < 1e-3, "midpoint {mid}");
-        for i in 1..100 {
-            assert!(s.lr(i) <= s.lr(i - 1) + 1e-7, "not monotone at {i}");
-        }
-        assert!((s.lr(100) - 0.01).abs() < 1e-6);
-        assert_eq!(s.lr(5000), 0.01);
-    }
-
-    #[test]
-    fn warmup_ramps_then_decays() {
-        let s = LrSchedule::WarmupThenDecay {
-            base: 1.0,
-            warmup: 10,
-            every: 100,
-            factor: 0.5,
-        };
-        assert!((s.lr(0) - 0.1).abs() < 1e-7);
-        assert!((s.lr(4) - 0.5).abs() < 1e-7);
-        assert_eq!(s.lr(10), 1.0);
-        assert!((s.lr(110) - 0.5).abs() < 1e-7);
-        // Monotone during warmup.
-        for i in 1..10 {
-            assert!(s.lr(i) > s.lr(i - 1));
-        }
     }
 }

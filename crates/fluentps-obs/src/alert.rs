@@ -1,25 +1,16 @@
-//! Declarative alerting over streaming window statistics.
+//! Threshold alerting over streaming window statistics.
 //!
 //! An [`AlertRule`] names a window metric (see [`AlertMetric`]), a
 //! threshold, and how many *consecutive* closed windows must breach it
 //! before the rule fires — the classic "p99 over X for 3 windows" shape.
+//! Rules are built in code; [`AlertRule::defaults`] is the set every live
+//! health engine runs.
 //! The [`AlertEngine`] evaluates every rule against each
 //! [`WindowStats`](crate::stream::WindowStats) a
 //! [`StreamAnalyzer`](crate::stream::StreamAnalyzer) closes, plus one
 //! built-in event-driven liveness rule (`dead_nodes`) fed directly from
 //! recovery events, and records typed firing/resolved
 //! [`AlertTransition`]s.
-//!
-//! ## Rule grammar
-//!
-//! Rules parse from one line each:
-//!
-//! ```text
-//! name: metric > threshold [for N]
-//! ```
-//!
-//! e.g. `slow-pulls: p99_wire_us > 50000 for 3`. The `for N` clause
-//! defaults to 1 (fire on the first breaching window).
 //!
 //! ## Determinism contract
 //!
@@ -56,18 +47,7 @@ pub enum AlertMetric {
 }
 
 impl AlertMetric {
-    /// Every metric, for parsing and enumeration.
-    pub const ALL: [AlertMetric; 7] = [
-        AlertMetric::WireP99Us,
-        AlertMetric::DprP99Us,
-        AlertMetric::BarrierP99Us,
-        AlertMetric::BlockRate,
-        AlertMetric::DropRate,
-        AlertMetric::MaxGap,
-        AlertMetric::Spread,
-    ];
-
-    /// Stable name used by the rule grammar and renderers.
+    /// Stable name used by the renderers.
     pub fn name(self) -> &'static str {
         match self {
             AlertMetric::WireP99Us => "p99_wire_us",
@@ -78,11 +58,6 @@ impl AlertMetric {
             AlertMetric::MaxGap => "max_gap",
             AlertMetric::Spread => "spread",
         }
-    }
-
-    /// Parse a metric name from the rule grammar.
-    pub fn parse(name: &str) -> Option<AlertMetric> {
-        AlertMetric::ALL.iter().copied().find(|m| m.name() == name)
     }
 
     /// Extract this metric's value from one closed window.
@@ -123,40 +98,6 @@ impl AlertRule {
         }
     }
 
-    /// Parse `name: metric > threshold [for N]`.
-    pub fn parse(line: &str) -> Result<AlertRule, String> {
-        let (name, rest) = line
-            .split_once(':')
-            .ok_or_else(|| format!("rule {line:?}: expected `name: metric > threshold`"))?;
-        let name = name.trim();
-        if name.is_empty() {
-            return Err(format!("rule {line:?}: empty name"));
-        }
-        let (expr, windows) = match rest.split_once(" for ") {
-            Some((expr, n)) => {
-                let n: u32 = n
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("rule {line:?}: bad window count {:?}", n.trim()))?;
-                if n == 0 {
-                    return Err(format!("rule {line:?}: window count must be >= 1"));
-                }
-                (expr, n)
-            }
-            None => (rest, 1),
-        };
-        let (metric, threshold) = expr
-            .split_once('>')
-            .ok_or_else(|| format!("rule {line:?}: expected `metric > threshold`"))?;
-        let metric = AlertMetric::parse(metric.trim())
-            .ok_or_else(|| format!("rule {line:?}: unknown metric {:?}", metric.trim()))?;
-        let threshold: f64 = threshold
-            .trim()
-            .parse()
-            .map_err(|_| format!("rule {line:?}: bad threshold {:?}", threshold.trim()))?;
-        Ok(AlertRule::new(name, metric, threshold, windows))
-    }
-
     /// The default rule set used by `repro chaos --metrics-addr` and
     /// `repro watch`: tail-latency SLOs on the wire and DPR paths, a
     /// straggler-spread watch, collector-loss and staleness-ceiling guards.
@@ -168,22 +109,6 @@ impl AlertRule {
             AlertRule::new("drop-rate", AlertMetric::DropRate, 0.05, 1),
             AlertRule::new("staleness-ceiling", AlertMetric::MaxGap, 16.0, 2),
         ]
-    }
-}
-
-impl std::fmt::Display for AlertRule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} > {}",
-            self.name,
-            self.metric.name(),
-            self.threshold
-        )?;
-        if self.windows > 1 {
-            write!(f, " for {}", self.windows)?;
-        }
-        Ok(())
     }
 }
 
@@ -393,9 +318,19 @@ impl AlertEngine {
             ));
         }
         for st in &self.rules {
+            let r = &st.rule;
+            let streak = if r.windows > 1 {
+                format!(" for {}", r.windows)
+            } else {
+                String::new()
+            };
             out.push_str(&format!(
-                "{{\"state\":\"{}\",\"firing\":{},\"rule\":\"{}\"}}\n",
-                st.rule.name, st.firing, st.rule
+                "{{\"state\":\"{}\",\"firing\":{},\"rule\":\"{}: {} > {}{streak}\"}}\n",
+                r.name,
+                st.firing,
+                r.name,
+                r.metric.name(),
+                r.threshold
             ));
         }
         out.push_str(&format!(
@@ -440,30 +375,6 @@ mod tests {
             progress,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn parse_round_trips_the_grammar() {
-        let r = AlertRule::parse("slow: p99_wire_us > 50000 for 3").expect("parses");
-        assert_eq!(r.name, "slow");
-        assert_eq!(r.metric, AlertMetric::WireP99Us);
-        assert_eq!(r.threshold, 50000.0);
-        assert_eq!(r.windows, 3);
-        assert_eq!(AlertRule::parse(&r.to_string()).expect("round trip"), r);
-        // `for N` defaults to 1.
-        let r = AlertRule::parse("drops: drop_rate > 0.05").expect("parses");
-        assert_eq!(r.windows, 1);
-        assert_eq!(AlertRule::parse(&r.to_string()).expect("round trip"), r);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(AlertRule::parse("no separator").is_err());
-        assert!(AlertRule::parse(": p99_wire_us > 1").is_err(), "empty name");
-        assert!(AlertRule::parse("x: nope > 1").is_err(), "unknown metric");
-        assert!(AlertRule::parse("x: max_gap > abc").is_err());
-        assert!(AlertRule::parse("x: max_gap > 1 for 0").is_err());
-        assert!(AlertRule::parse("x: max_gap > 1 for many").is_err());
     }
 
     #[test]
@@ -547,6 +458,8 @@ mod tests {
         let jsonl = eng.render_jsonl();
         assert!(jsonl.contains("\"transition\":\"firing\""));
         assert!(jsonl.contains("\"state\":\"dead_nodes\",\"firing\":true"));
+        assert!(jsonl.contains("\"rule\":\"wire-p99: p99_wire_us > 50000 for 3\""));
+        assert!(jsonl.contains("\"rule\":\"drop-rate: drop_rate > 0.05\""));
         for line in jsonl.lines() {
             crate::json::validate(line).expect("valid JSON");
         }

@@ -349,11 +349,6 @@ impl MetricsScope {
     pub fn observe(&self, base: &str, value: u64) {
         self.registry.observe(&self.name(base), value);
     }
-
-    /// Current value of the labeled counter `base`.
-    pub fn counter_value(&self, base: &str) -> u64 {
-        self.registry.counter_value(&self.name(base))
-    }
 }
 
 #[cfg(test)]

@@ -346,16 +346,6 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Sum of `total_secs` over root spans only (paths with no parent) —
-    /// the wall time the profile covers without double-counting nesting.
-    pub fn root_total_secs(&self) -> f64 {
-        self.spans
-            .iter()
-            .filter(|(path, _)| !path.contains(';'))
-            .map(|(_, s)| s.total_secs)
-            .sum()
-    }
-
     /// Folded-stack text, one `path value` line per span path in
     /// lexicographic path order — the format `flamegraph.pl` and most
     /// flamegraph tooling consume directly. `metric` selects the value
@@ -503,7 +493,6 @@ mod tests {
         assert_eq!(inner.self_secs, 2.0);
         assert_eq!(outer.total_secs, 4.0);
         assert_eq!(outer.self_secs, 2.0); // 4.0 total minus the child's 2.0
-        assert_eq!(report.root_total_secs(), 4.0);
     }
 
     #[test]

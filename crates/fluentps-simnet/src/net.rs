@@ -36,11 +36,6 @@ impl LinkModel {
     pub fn serialization_time(&self, bytes: usize) -> f64 {
         bytes as f64 / self.bandwidth
     }
-
-    /// End-to-end time for an uncontended transfer.
-    pub fn transfer_time(&self, bytes: usize) -> f64 {
-        self.latency + self.serialization_time(bytes)
-    }
 }
 
 /// A serializing queue (NIC / link endpoint): at most one transfer drains at
@@ -82,12 +77,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transfer_time_composes_latency_and_bandwidth() {
+    fn serialization_time_is_bytes_over_bandwidth() {
         let l = LinkModel {
             latency: 0.001,
             bandwidth: 1000.0,
         };
-        assert!((l.transfer_time(500) - 0.501).abs() < 1e-12);
         assert_eq!(l.serialization_time(2000), 2.0);
     }
 

@@ -91,13 +91,6 @@ impl ClusterTopology {
         self.server_ingress[m as usize].bytes + self.server_egress[m as usize].bytes
     }
 
-    /// Aggregate communication time over all servers.
-    pub fn total_comm_time(&self) -> f64 {
-        (0..self.server_ingress.len() as u32)
-            .map(|m| self.server_comm_time(m))
-            .sum()
-    }
-
     /// The busiest server's communication time — the critical-path figure
     /// when shards are imbalanced (what EPS reduces).
     pub fn max_server_comm_time(&self) -> f64 {
@@ -197,7 +190,6 @@ mod tests {
         topo.worker_to_server(0.0, 1, 1000);
         assert!((topo.server_comm_time(0) - 1.0).abs() < 1e-12);
         assert!((topo.server_comm_time(1) - 1.0).abs() < 1e-12);
-        assert!((topo.total_comm_time() - 2.0).abs() < 1e-12);
         assert!((topo.max_server_comm_time() - 1.0).abs() < 1e-12);
     }
 }

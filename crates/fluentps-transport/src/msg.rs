@@ -34,18 +34,6 @@ pub enum NodeId {
     Supervisor(u32),
 }
 
-impl NodeId {
-    /// True if this node is a parameter server.
-    pub fn is_server(&self) -> bool {
-        matches!(self, NodeId::Server(_))
-    }
-
-    /// True if this node is a worker.
-    pub fn is_worker(&self) -> bool {
-        matches!(self, NodeId::Worker(_))
-    }
-}
-
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -520,17 +508,9 @@ mod tests {
     }
 
     #[test]
-    fn node_id_kind_predicates() {
-        assert!(NodeId::Server(0).is_server());
-        assert!(!NodeId::Server(0).is_worker());
-        assert!(NodeId::Worker(3).is_worker());
-        assert!(!NodeId::Scheduler.is_server());
-        assert!(!NodeId::Collector.is_server());
-        assert!(!NodeId::Collector.is_worker());
+    fn node_id_displays_its_kind_and_index() {
         assert_eq!(NodeId::Worker(2).to_string(), "worker2");
         assert_eq!(NodeId::Collector.to_string(), "collector");
-        assert!(!NodeId::Supervisor(1).is_server());
-        assert!(!NodeId::Supervisor(1).is_worker());
         assert_eq!(NodeId::Supervisor(1).to_string(), "supervisor1");
     }
 

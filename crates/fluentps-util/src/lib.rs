@@ -8,8 +8,8 @@
 //!   allocator with per-thread allocation/byte counters, installed
 //!   workspace-wide so the profiler can attribute heap traffic to spans.
 //! * [`rng`] — a seedable SplitMix64-seeded PCG32 PRNG (`StdRng`) with
-//!   uniform ranges, Bernoulli draws, Fisher–Yates shuffle, Box–Muller
-//!   normal and inverse-CDF exponential sampling. Replaces `rand`.
+//!   uniform ranges, Bernoulli draws and Box–Muller normal sampling.
+//!   Replaces `rand`.
 //! * [`sync`] — poison-ignoring `Mutex`/`RwLock` wrappers with a
 //!   parking_lot-style API, mpsc channels with `recv_timeout`/`try_recv`,
 //!   and `std::thread::scope`-based scoped spawns. Replaces `crossbeam`

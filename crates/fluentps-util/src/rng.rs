@@ -4,8 +4,7 @@
 //! and stream constants are derived from a `u64` seed via SplitMix64, so any
 //! seed — including 0 — yields a well-mixed stream. The API mirrors the
 //! subset of `rand` the workspace uses (`seed_from_u64`, `gen`, `gen_range`,
-//! `gen_bool`, `shuffle`) plus the distribution samplers the simulators need
-//! (Box–Muller normal, inverse-CDF exponential).
+//! `gen_bool`) plus the Box–Muller normal sampler the simulators need.
 //!
 //! Determinism contract: the sequence produced by a given seed is part of
 //! the repo's reproducibility guarantee. Changing the generator or the
@@ -80,14 +79,6 @@ impl StdRng {
         self.gen::<f64>() < p
     }
 
-    /// In-place Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.uniform_u64(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
-
     /// Standard-normal sample via Box–Muller.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         // u1 in (0, 1]: avoids ln(0).
@@ -95,14 +86,6 @@ impl StdRng {
         let u2 = self.gen::<f64>();
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         mean + std_dev * z
-    }
-
-    /// Exponential sample with rate `lambda` via inverse CDF. Panics if
-    /// `lambda <= 0`.
-    pub fn exponential(&mut self, lambda: f64) -> f64 {
-        assert!(lambda > 0.0, "exponential rate must be positive");
-        let u = 1.0 - self.gen::<f64>(); // (0, 1]
-        -u.ln() / lambda
     }
 
     /// Uniform in `[0, n)` without modulo bias (rejection sampling).
@@ -283,17 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "shuffle left the slice sorted");
-    }
-
-    #[test]
     fn normal_has_right_moments() {
         let mut rng = StdRng::seed_from_u64(17);
         let n = 50_000;
@@ -302,15 +274,5 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
         assert!((var - 4.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn exponential_has_right_mean() {
-        let mut rng = StdRng::seed_from_u64(19);
-        let n = 50_000;
-        let mean = (0..n).map(|_| rng.exponential(2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-        let all_positive = (0..1000).all(|_| rng.exponential(0.1) >= 0.0);
-        assert!(all_positive);
     }
 }

@@ -41,6 +41,11 @@ deleted="$deleted|StreamerConfig|send_consensus|try_send|FluentPs::builder"
 deleted="$deleted|spawn_ingest|StreamerConn|write_coalesced|CONNECT_RETRIES"
 deleted="$deleted|TraceRecorder|TraceKind"
 deleted="$deleted|GradScale|fail_server|SamplerConfig|text_summary|peek_time"
+deleted="$deleted|TinyCnn|parallel_loss_and_grad|KeyRange|check_and_rebalance|scale_to|\.rebalance\("
+deleted="$deleted|WarmupThenDecay|time_to_accuracy|\bEma\b|split_chunk_key|alexnet_like"
+deleted="$deleted|ResidualMlp::resnet56_like|ClientCache|AlertRule::parse|AlertMetric::parse|sched_cost_base"
+# The optimizer and tensor types, not the prose "Project Adam" or the paper's "LARS".
+deleted="$deleted|\bLars\b|\bAdam::|for Adam\b|\bTensor::|struct Tensor\b|fluentps_ml::tensor"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then

@@ -1,8 +1,8 @@
 //! Failure injection: what each synchronization model does when a worker
-//! fail-stops, how EPS rebalances around a dead server, and whether the
+//! fail-stops, how EPS remaps the slices of dead servers, and whether the
 //! live fault-tolerant TCP engine survives crashes and chaos schedules.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
 use fluentps::core::condition::SyncModel;
@@ -10,7 +10,6 @@ use fluentps::core::dpr::DprPolicy;
 use fluentps::core::engine::EngineConfig;
 use fluentps::core::eps::{EpsSlicer, ParamSpec, Slicer};
 use fluentps::core::recovery::{RecoveryConfig, ResilientTcpCluster};
-use fluentps::core::scheduler::Scheduler;
 use fluentps::core::worker::RetryPolicy;
 use fluentps::experiments::driver::{run, DriverConfig, EngineKind, ModelKind};
 use fluentps::experiments::live::{run_chaos, ChaosConfig};
@@ -18,7 +17,6 @@ use fluentps::ml::data::{synthetic, BatchSampler, SyntheticSpec};
 use fluentps::ml::models::{Model, SoftmaxRegression};
 use fluentps::ml::optim::{Optimizer, Sgd};
 use fluentps::simnet::compute::StragglerSpec;
-use fluentps::transport::NodeId;
 
 fn cfg(model: SyncModel, fail: Option<(u32, u64)>) -> DriverConfig {
     DriverConfig {
@@ -248,6 +246,9 @@ fn live_chaos_schedule_is_bit_deterministic() {
 
 #[test]
 fn eps_rebalances_around_cascading_server_failures() {
+    // Servers 2 and then 4 of six die for good; the supervisor remaps each
+    // one's slices in degraded mode as it applies its `Remapped` entry,
+    // passing every server dead so far.
     let params: Vec<ParamSpec> = (0..20)
         .map(|k| ParamSpec {
             key: k,
@@ -255,27 +256,42 @@ fn eps_rebalances_around_cascading_server_failures() {
         })
         .collect();
     let total: usize = params.iter().map(|p| p.len).sum();
-    let mut sched = Scheduler::new(params, 6, EpsSlicer { max_chunk: 8_192 }, 10);
-    for s in 0..6 {
-        sched.observe(NodeId::Server(s), 0);
-    }
-    // Two failures in sequence; after each, the placement must stay complete
-    // and balanced.
-    let mut now = 0;
-    for survivors in [5u32, 4] {
-        now += 20;
-        for s in 0..survivors {
-            sched.observe(NodeId::Server(s), now);
-        }
-        let (dead, moved) = sched.check_and_rebalance(now);
-        assert_eq!(dead.len(), 1, "one failure per round");
+    let slicer = EpsSlicer { max_chunk: 8_192 };
+    let mut map = slicer.slice(&params, 6);
+    let mut dead = BTreeSet::new();
+    for server in [2u32, 4] {
+        dead.insert(server);
+        let (remapped, moved) = slicer.remap_dead(&map, &dead);
+        assert_eq!(moved, map.server_loads()[server as usize]);
         assert!(moved > 0);
-        assert_eq!(sched.placement().num_servers(), survivors);
-        assert_eq!(sched.placement().total_values(), total);
+        assert_eq!(remapped.num_servers(), 6, "server ids are preserved");
+        assert_eq!(remapped.total_values(), total);
+        for p in map.placements().iter().filter(|p| p.server != server) {
+            assert_eq!(
+                remapped.placement_of(p.new_key),
+                Some(p),
+                "a survivor's slice moved"
+            );
+        }
         assert!(
-            sched.placement().imbalance() < 1.4,
-            "imbalance {} after shrinking to {survivors}",
-            sched.placement().imbalance()
+            remapped
+                .placements()
+                .iter()
+                .all(|p| !dead.contains(&p.server)),
+            "a slice is placed on a dead server: {:?}",
+            remapped.server_loads()
         );
+        let survivors: Vec<usize> = (0..6)
+            .filter(|m| !dead.contains(m))
+            .map(|m| remapped.server_loads()[m as usize])
+            .collect();
+        let imbalance =
+            *survivors.iter().max().unwrap() as f64 * survivors.len() as f64 / total as f64;
+        // Measured: 1.044 after the first death, 1.040 after the second.
+        assert!(
+            imbalance < 1.1,
+            "imbalance {imbalance} after losing {dead:?}"
+        );
+        map = remapped;
     }
 }
