@@ -259,17 +259,17 @@ pub fn shard_server(
         keys.push(p.new_key);
     }
     keys.sort_unstable();
-    let server = ShardServer::new(shard, server_rng(cfg, m, 0), tracer, profiler);
+    let server = ShardServer::new(shard, server_rng(cfg.seed, m, 0), tracer, profiler);
     (server, keys)
 }
 
-/// Server `m`'s stream of PSSP probability draws. `generation` counts the
-/// replacements of `m`, so a restored server does not replay its
+/// Server `m`'s stream of PSSP probability draws under `seed`, the one
+/// seeding of every server step — live and simulated. `generation` counts
+/// the replacements of `m`, so a restored server does not replay its
 /// predecessor's draws.
-pub(crate) fn server_rng(cfg: &EngineConfig, m: u32, generation: u64) -> StdRng {
+pub fn server_rng(seed: u64, m: u32, generation: u64) -> StdRng {
     StdRng::seed_from_u64(
-        cfg.seed
-            .wrapping_add(m as u64 + 1)
+        seed.wrapping_add(m as u64 + 1)
             .wrapping_add(generation.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
     )
 }

@@ -1368,7 +1368,7 @@ impl<P: Postman + 'static> SupervisorReplica<P> {
         let (rep_tracer, rep_streamer) = self.obs.node(NodeId::Server(m));
         let server = ShardServer::new(
             shard,
-            launch::server_rng(&self.cfg, m, self.generation),
+            launch::server_rng(self.cfg.seed, m, self.generation),
             rep_tracer,
             self.obs.span_profiler(),
         );
@@ -1546,7 +1546,7 @@ pub(crate) mod tests {
         for &k in keys {
             shard.init_param(k, vec![0.0; 2]);
         }
-        let rng = launch::server_rng(&cfg, 0, 0);
+        let rng = launch::server_rng(cfg.seed, 0, 0);
         let server = ShardServer::new(shard, rng, Tracer::disabled(), Default::default());
         let store = CheckpointStore::default();
         let state = ResilientServer::new(

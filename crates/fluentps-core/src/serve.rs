@@ -6,11 +6,10 @@
 //! replies back up, so every engine — in-process, TCP, fault-tolerant —
 //! answers a message the same way by construction. The step touches no
 //! socket, thread or wall clock: replies land in a caller-owned outbox, which
-//! is what lets property tests drive the live server code. The figure
-//! simulator (`fluentps-experiments`' `driver.rs`) does not: it calls
-//! `ServerShard::on_push`/`on_pull` directly, skipping the envelope and the
-//! wire events; ROADMAP.md's "One Algorithm-1 path for the figures and the
-//! live cluster" is the plan to run it on this step.
+//! is what lets property tests drive the live server code, and what the
+//! figure simulator (`fluentps-experiments`' `driver.rs`) and the Figure 3
+//! scenario step on virtual time: they turn the queued replies into
+//! simulated deliveries, and a pull that queued none into a deferral.
 //!
 //! Event order of one step, as seen by the tracer: `WireRecv`, then the
 //! shard's own events (`PushApplied`, `VTrainAdvanced`, `DprReleased`,

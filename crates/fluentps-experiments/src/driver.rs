@@ -2,22 +2,22 @@
 //! discrete-event fabric.
 //!
 //! One event loop owns everything — worker states (with real models and
-//! optimizers), the M server shards (the *same* `ServerShard` state machine
-//! the live engines use), the network topology, and the scheduler when the
-//! engine under test is PS-Lite. Gradients are computed with the parameter
-//! versions the synchronization model actually delivered, so staleness
-//! affects accuracy through the true mechanism; all timing comes from the
-//! compute/network models, so "who waits on whom" matches the architecture
-//! under test.
-
-use fluentps_util::rng::StdRng;
+//! optimizers), the M servers (each the live engines' Algorithm-1 step,
+//! [`ShardServer::handle`], with the live launch's PSSP draw stream), the
+//! network topology, and the scheduler when the engine under test is
+//! PS-Lite. Gradients are computed with the parameter versions the
+//! synchronization model actually delivered, so staleness affects accuracy
+//! through the true mechanism; all timing comes from the compute/network
+//! models, so "who waits on whom" matches the architecture under test.
 
 use fluentps_baseline::pslite::{PsLiteMode, PsLiteScheduler};
 use fluentps_baseline::ssptable::SspTableModel;
 use fluentps_core::condition::SyncModel;
 use fluentps_core::dpr::DprPolicy;
 use fluentps_core::eps::{DefaultSlicer, EpsSlicer, ParamSpec, SliceMap, Slicer};
-use fluentps_core::server::{PullOutcome, ServerShard, ShardConfig};
+use fluentps_core::launch;
+use fluentps_core::serve::ShardServer;
+use fluentps_core::server::{ServerShard, ShardConfig};
 use fluentps_core::stats::ShardStats;
 use fluentps_core::worker::Router;
 use fluentps_ml::data::{synthetic, BatchSampler, Dataset, SyntheticSpec};
@@ -27,13 +27,13 @@ use fluentps_ml::optim::{Optimizer, Sgd};
 use fluentps_ml::schedule::LrSchedule;
 use fluentps_ml::ParamMap;
 use fluentps_obs::{
-    ClockSource, EventKind, RecordArgs, Trace, TraceCollector, Tracer, VirtualClock,
+    ClockSource, EventKind, Profiler, RecordArgs, Trace, TraceCollector, Tracer, VirtualClock,
 };
 use fluentps_simnet::compute::{ComputeModel, StragglerSpec, WorkerCompute};
 use fluentps_simnet::event::EventQueue;
 use fluentps_simnet::net::LinkModel;
 use fluentps_simnet::topology::{ClusterTopology, Duplex};
-use fluentps_transport::KvPairs;
+use fluentps_transport::{frame, KvPairs, Message, NodeId};
 
 /// Which parameter-server architecture handles synchronization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -261,28 +261,17 @@ enum Ev {
     ComputeDone {
         worker: u32,
     },
-    PushArrive {
-        worker: u32,
-        iter: u64,
+    /// A worker's `SPush`/`SPull` reaches `server`.
+    ToServer {
         server: u32,
-        kv: KvPairs,
+        msg: Message,
+    },
+    /// `server`'s reply reaches `worker`, `bytes` long on the simulated link.
+    ToWorker {
+        worker: u32,
+        server: u32,
+        msg: Message,
         bytes: usize,
-    },
-    PullArrive {
-        worker: u32,
-        iter: u64,
-        server: u32,
-    },
-    ResponseArrive {
-        worker: u32,
-        iter: u64,
-        server: u32,
-        kv: KvPairs,
-        bytes: usize,
-    },
-    AckArrive {
-        worker: u32,
-        iter: u64,
     },
     SchedulerReport {
         worker: u32,
@@ -350,7 +339,7 @@ struct Simulation<'a> {
     train: Option<Dataset>,
     test: Option<Dataset>,
     router: Router,
-    shards: Vec<ServerShard>,
+    servers: Vec<ShardServer>,
     workers: Vec<WorkerState>,
     scheduler: Option<PsLiteScheduler>,
     sched_queue: fluentps_simnet::net::NicQueue,
@@ -365,13 +354,12 @@ struct Simulation<'a> {
     compute: WorkerCompute,
     wires: WireSizes,
     queue: EventQueue<Ev>,
-    rng: StdRng,
     curve: Curve,
     iterations_done: u64,
     active_server_count: u32,
     collector: Option<TraceCollector>,
-    /// Driver-level tracer for wire send/recv events (shard-internal events
-    /// go through each shard's own tracer). Disabled when not tracing.
+    /// The workers' tracer for their wire send/recv events (each server
+    /// traces its own step). Disabled when not tracing.
     tracer: Tracer,
     /// Live endpoint held open for the duration of the run (dropped —
     /// and therefore stopped — when the simulation finishes).
@@ -460,7 +448,23 @@ impl<'a> Simulation<'a> {
             (None, Some(m)) => Some(m.init_params(cfg.seed)),
             (None, None) => None,
         };
-        let mut shards = Vec::with_capacity(cfg.num_servers as usize);
+        // Tracing taps the same virtual clock the event queue advances, so
+        // trace timestamps are simulated seconds, directly comparable with
+        // `total_time`. Every server traces into a ring of its own, and the
+        // workers into one more.
+        let mut queue = EventQueue::new();
+        let collector = cfg.trace_events.map(|capacity| {
+            let clock = VirtualClock::new();
+            queue.attach_clock(std::sync::Arc::clone(&clock));
+            TraceCollector::new(ClockSource::virtual_clock(clock), capacity)
+        });
+        let new_tracer = || {
+            collector
+                .as_ref()
+                .map_or_else(Tracer::disabled, |c| c.tracer())
+        };
+
+        let mut servers = Vec::with_capacity(cfg.num_servers as usize);
         for m in 0..cfg.num_servers {
             let model_for_shard = cfg
                 .per_server_models
@@ -480,8 +484,15 @@ impl<'a> Simulation<'a> {
                 };
                 shard.init_param(p.new_key, vals);
             }
-            shards.push(shard);
+            let rng = launch::server_rng(cfg.seed, m, 0);
+            servers.push(ShardServer::new(
+                shard,
+                rng,
+                new_tracer(),
+                Profiler::default(),
+            ));
         }
+        let tracer = new_tracer();
 
         let router = Router::new(map);
         let active_server_count = router.active_servers().count() as u32;
@@ -545,24 +556,6 @@ impl<'a> Simulation<'a> {
             cfg.seed.wrapping_add(7),
         );
 
-        // Tracing taps the same virtual clock the event queue advances, so
-        // trace timestamps are simulated seconds, directly comparable with
-        // `total_time`.
-        let mut queue = EventQueue::new();
-        let (collector, tracer) = match cfg.trace_events {
-            Some(capacity) => {
-                let clock = VirtualClock::new();
-                queue.attach_clock(std::sync::Arc::clone(&clock));
-                let collector = TraceCollector::new(ClockSource::virtual_clock(clock), capacity);
-                for shard in &mut shards {
-                    shard.set_tracer(collector.tracer());
-                }
-                let tracer = collector.tracer();
-                (Some(collector), tracer)
-            }
-            None => (None, Tracer::disabled()),
-        };
-
         let metrics = fluentps_obs::MetricsRegistry::new();
         let introspection = cfg.metrics_addr.map(|addr| {
             fluentps_core::launch::publish_cluster_gauges(
@@ -585,7 +578,7 @@ impl<'a> Simulation<'a> {
             train,
             test,
             router,
-            shards,
+            servers,
             workers,
             scheduler,
             sched_queue: fluentps_simnet::net::NicQueue::new(),
@@ -606,7 +599,6 @@ impl<'a> Simulation<'a> {
             compute,
             wires,
             queue,
-            rng: StdRng::seed_from_u64(cfg.seed.wrapping_add(99)),
             curve: Curve::new(),
             iterations_done: 0,
             active_server_count,
@@ -625,13 +617,25 @@ impl<'a> Simulation<'a> {
             self.queue.schedule(dur, Ev::ComputeDone { worker: w });
         }
         while let Some((now, ev)) = self.queue.pop() {
+            // An ack no worker waits for travels only to have its receipt
+            // traced: it must not end the run at another time than an
+            // untraced run would.
+            let traced_only = !self.waits_for_acks()
+                && matches!(
+                    ev,
+                    Ev::ToWorker {
+                        msg: Message::PushAck { .. },
+                        ..
+                    }
+                );
             // Training is over once the *global* progress reaches the budget
             // on every shard — under drop-stragglers, nobody waits for the
             // straggler to finish the iterations that were dropped anyway.
-            if self
-                .shards
-                .iter()
-                .all(|sh| sh.v_train() >= self.cfg.max_iters)
+            if !traced_only
+                && self
+                    .servers
+                    .iter()
+                    .all(|s| s.shard().v_train() >= self.cfg.max_iters)
             {
                 for w in self.workers.iter_mut().filter(|w| !w.done) {
                     w.done = true;
@@ -641,26 +645,13 @@ impl<'a> Simulation<'a> {
             }
             match ev {
                 Ev::ComputeDone { worker } => self.on_compute_done(now, worker),
-                Ev::PushArrive {
+                Ev::ToServer { server, msg } => self.on_server_recv(now, server, msg),
+                Ev::ToWorker {
                     worker,
-                    iter,
                     server,
-                    kv,
+                    msg,
                     bytes,
-                } => self.on_push_arrive(now, worker, iter, server, kv, bytes),
-                Ev::PullArrive {
-                    worker,
-                    iter,
-                    server,
-                } => self.on_pull_arrive(now, worker, iter, server),
-                Ev::ResponseArrive {
-                    worker,
-                    iter,
-                    server,
-                    kv,
-                    bytes,
-                } => self.on_response(now, worker, iter, server, kv, bytes),
-                Ev::AckArrive { worker, iter } => self.on_ack(now, worker, iter),
+                } => self.on_worker_recv(now, worker, server, msg, bytes),
                 Ev::SchedulerReport { worker, iter } => self.on_scheduler_report(now, worker, iter),
                 Ev::PullSend { worker, iter } => self.send_pulls(now, worker, iter),
             }
@@ -750,26 +741,15 @@ impl<'a> Simulation<'a> {
             } else {
                 self.wires.push[m]
             };
-            self.tracer.record(
-                EventKind::WireSend,
-                RecordArgs::new()
-                    .shard(m as u32)
-                    .worker(worker)
-                    .progress(iter)
-                    .bytes(bytes as u64),
-            );
-            let mut arrive = self.topo.worker_to_server(now, m as u32, bytes);
-            arrive += self.ssptable_maint;
-            self.queue.schedule(
-                arrive,
-                Ev::PushArrive {
-                    worker,
-                    iter,
-                    server: m as u32,
-                    kv,
-                    bytes,
-                },
-            );
+            let server = m as u32;
+            self.trace_wire(EventKind::WireSend, server, worker, iter, bytes);
+            let arrive = self.topo.worker_to_server(now, server, bytes) + self.ssptable_maint;
+            let msg = Message::SPush {
+                worker,
+                progress: iter,
+                kv,
+            };
+            self.queue.schedule(arrive, Ev::ToServer { server, msg });
         }
 
         match self.cfg.engine {
@@ -812,138 +792,82 @@ impl<'a> Simulation<'a> {
     fn send_pulls(&mut self, now: f64, worker: u32, iter: u64) {
         self.workers[worker as usize].pending_responses = self.active_server_count;
         let active: Vec<u32> = self.router.active_servers().collect();
-        for m in active {
-            self.tracer.record(
-                EventKind::WireSend,
-                RecordArgs::new()
-                    .shard(m)
-                    .worker(worker)
-                    .progress(iter)
-                    .bytes(self.wires.pull_req[m as usize] as u64),
-            );
-            let arrive = self
-                .topo
-                .worker_to_server(now, m, self.wires.pull_req[m as usize]);
-            self.queue.schedule(
-                arrive,
-                Ev::PullArrive {
-                    worker,
-                    iter,
-                    server: m,
-                },
-            );
+        for server in active {
+            let bytes = self.wires.pull_req[server as usize];
+            self.trace_wire(EventKind::WireSend, server, worker, iter, bytes);
+            let arrive = self.topo.worker_to_server(now, server, bytes);
+            let msg = Message::SPull {
+                worker,
+                progress: iter,
+                keys: self.router.keys_for_server(server).to_vec(),
+            };
+            self.queue.schedule(arrive, Ev::ToServer { server, msg });
         }
     }
 
-    fn on_push_arrive(
-        &mut self,
-        now: f64,
-        worker: u32,
-        iter: u64,
-        server: u32,
-        kv: KvPairs,
-        bytes: usize,
-    ) {
-        self.tracer.record(
-            EventKind::WireRecv,
-            RecordArgs::new()
-                .shard(server)
-                .worker(worker)
-                .progress(iter)
-                .bytes(bytes as u64),
-        );
-        let released = self.shards[server as usize].on_push(worker, iter, &kv);
-        for r in released {
-            let resp_bytes = self.wires.response[server as usize];
-            self.tracer.record(
-                EventKind::WireSend,
-                RecordArgs::new()
-                    .shard(server)
-                    .worker(r.worker)
-                    .progress(r.progress)
-                    .bytes(resp_bytes as u64),
-            );
-            let delivery = self.topo.server_to_worker(now, server, resp_bytes);
-            self.queue.schedule(
-                delivery,
-                Ev::ResponseArrive {
-                    worker: r.worker,
-                    iter: r.progress,
-                    server,
-                    kv: r.kv,
-                    bytes: resp_bytes,
-                },
-            );
+    /// Record a worker's side of the wire (each server traces its own step).
+    fn trace_wire(&self, kind: EventKind, server: u32, worker: u32, iter: u64, bytes: usize) {
+        let args = RecordArgs::new()
+            .shard(server)
+            .worker(worker)
+            .progress(iter);
+        self.tracer.record(kind, args.bytes(bytes as u64));
+    }
+
+    /// `server` steps the message that reached it, and its replies go out.
+    fn on_server_recv(&mut self, now: f64, server: u32, msg: Message) {
+        let pull = matches!(msg, Message::SPull { .. });
+        let mut out = Vec::new();
+        self.servers[server as usize].handle(msg, &mut out);
+        if pull && out.is_empty() {
+            // Deferred. The deferral occupies the server's processing
+            // queue, delaying every later request at this server.
+            self.topo.charge_server(now, server, SERVER_DPR_COST);
         }
-        if matches!(self.cfg.engine, EngineKind::PsLite { .. }) {
-            // Tiny ack straight back to the worker.
-            self.queue
-                .schedule(now + self.cfg.link.latency, Ev::AckArrive { worker, iter });
+        for (to, msg) in out {
+            let NodeId::Worker(worker) = to else {
+                unreachable!("a server step answers workers only")
+            };
+            // A response costs its placement's `WireSizes` link time, an
+            // ack one link latency; acks travel only where a worker waits
+            // for them or tracing records their receipt.
+            let (arrive, bytes) = match msg {
+                Message::PullResponse { .. } => {
+                    let bytes = self.wires.response[server as usize];
+                    (self.topo.server_to_worker(now, server, bytes), bytes)
+                }
+                Message::PushAck { .. } if self.waits_for_acks() || self.tracer.is_enabled() => {
+                    (now + self.cfg.link.latency, frame::wire_len(&msg))
+                }
+                _ => continue,
+            };
+            let ev = Ev::ToWorker {
+                worker,
+                server,
+                msg,
+                bytes,
+            };
+            self.queue.schedule(arrive, ev);
         }
     }
 
-    fn on_pull_arrive(&mut self, now: f64, worker: u32, iter: u64, server: u32) {
-        self.tracer.record(
-            EventKind::WireRecv,
-            RecordArgs::new()
-                .shard(server)
-                .worker(worker)
-                .progress(iter)
-                .bytes(self.wires.pull_req[server as usize] as u64),
-        );
-        let keys = self.router.keys_for_server(server).to_vec();
-        let draw: f64 = self.rng.gen();
-        match self.shards[server as usize].on_pull(worker, iter, &keys, draw, None) {
-            PullOutcome::Respond { kv, .. } => {
-                let resp_bytes = self.wires.response[server as usize];
-                self.tracer.record(
-                    EventKind::WireSend,
-                    RecordArgs::new()
-                        .shard(server)
-                        .worker(worker)
-                        .progress(iter)
-                        .bytes(resp_bytes as u64),
-                );
-                let delivery = self.topo.server_to_worker(now, server, resp_bytes);
-                self.queue.schedule(
-                    delivery,
-                    Ev::ResponseArrive {
-                        worker,
-                        iter,
-                        server,
-                        kv,
-                        bytes: resp_bytes,
-                    },
-                );
-            }
-            PullOutcome::Deferred => {
-                // The deferral occupies the server's processing queue,
-                // delaying every later request at this server.
-                self.topo.charge_server(now, server, SERVER_DPR_COST);
-            }
+    fn on_worker_recv(&mut self, now: f64, worker: u32, server: u32, msg: Message, bytes: usize) {
+        let (Message::PullResponse { progress, .. } | Message::PushAck { progress, .. }) = msg
+        else {
+            unreachable!("a worker receives responses and acks only")
+        };
+        self.trace_wire(EventKind::WireRecv, server, worker, progress, bytes);
+        match msg {
+            Message::PullResponse { kv, .. } => self.on_response(now, worker, &kv),
+            _ if self.waits_for_acks() => self.on_ack(now, worker, progress),
+            _ => {}
         }
     }
 
-    fn on_response(
-        &mut self,
-        now: f64,
-        worker: u32,
-        iter: u64,
-        server: u32,
-        kv: KvPairs,
-        bytes: usize,
-    ) {
-        self.tracer.record(
-            EventKind::WireRecv,
-            RecordArgs::new()
-                .shard(server)
-                .worker(worker)
-                .progress(iter)
-                .bytes(bytes as u64),
-        );
+    fn on_response(&mut self, now: f64, worker: u32, kv: &KvPairs) {
         if self.is_training() {
             let w = &mut self.workers[worker as usize];
-            self.router.gather_into(&mut w.params, &kv);
+            self.router.gather_into(&mut w.params, kv);
         }
         let w = &mut self.workers[worker as usize];
         debug_assert!(w.pending_responses > 0, "unexpected response");
@@ -951,6 +875,11 @@ impl<'a> Simulation<'a> {
         if w.pending_responses == 0 {
             self.advance_worker(now, worker);
         }
+    }
+
+    /// PS-Lite's workers report to the scheduler once every server acked.
+    fn waits_for_acks(&self) -> bool {
+        matches!(self.cfg.engine, EngineKind::PsLite { .. })
     }
 
     fn on_ack(&mut self, now: f64, worker: u32, iter: u64) {
@@ -1022,7 +951,8 @@ impl<'a> Simulation<'a> {
     fn server_params(&self) -> ParamMap {
         let mut out = ParamMap::new();
         for p in self.router.slice_map().placements() {
-            let vals = self.shards[p.server as usize]
+            let vals = self.servers[p.server as usize]
+                .shard()
                 .read_param(p.new_key)
                 .expect("placed key exists");
             let entry = out
@@ -1054,15 +984,15 @@ impl<'a> Simulation<'a> {
             .sum::<f64>()
             / n;
         let mut stats = ShardStats::default();
-        for s in &self.shards {
-            stats.merge(s.stats());
+        for s in &self.servers {
+            stats.merge(s.shard().stats());
         }
         let dprs_per_100 = if self.cfg.max_iters == 0 {
             0.0
         } else {
             // DPRs per 100 iterations of training progress, normalized per
             // shard (each global iteration touches every shard).
-            stats.dprs as f64 * 100.0 / (self.cfg.max_iters as f64 * self.shards.len() as f64)
+            stats.dprs as f64 * 100.0 / (self.cfg.max_iters as f64 * self.servers.len() as f64)
         };
         let final_params = if self.is_training() {
             Some(self.server_params())
@@ -1263,6 +1193,58 @@ mod tests {
         let b = run(&cfg);
         assert_eq!(a.total_time, b.total_time);
         assert_eq!(a.stats, b.stats);
+    }
+
+    /// Each simulated server draws its PSSP coins from the stream the live
+    /// launch gives the server of the same id under the same seed.
+    #[test]
+    fn each_server_draws_the_live_launchs_stream() {
+        use fluentps_core::engine::EngineConfig;
+
+        let model = SyncModel::PsspConst { s: 3, c: 0.5 };
+        let draws = |seed: u64| {
+            let mut cfg = timing_cfg(
+                EngineKind::FluentPs {
+                    model,
+                    policy: DprPolicy::LazyExecution,
+                },
+                4,
+                3,
+                SlicerKind::Eps { max_chunk: 8192 },
+            );
+            cfg.seed = seed;
+            let mut sim = Simulation::new(&cfg);
+            let live = EngineConfig {
+                num_workers: cfg.num_workers,
+                num_servers: cfg.num_servers,
+                model,
+                seed,
+                ..EngineConfig::default()
+            };
+            let map = sim.router.slice_map();
+            let mut per_server = Vec::new();
+            for (m, simulated) in (0u32..).zip(&mut sim.servers) {
+                let init = Default::default();
+                let (mut launched, _) = launch::shard_server(
+                    &live,
+                    model,
+                    m,
+                    (map, &init),
+                    Tracer::disabled(),
+                    Profiler::default(),
+                );
+                let stream: Vec<f64> = (0..16).map(|_| simulated.next_draw()).collect();
+                let want: Vec<f64> = (0..16).map(|_| launched.next_draw()).collect();
+                assert_eq!(stream, want, "server {m}, seed {seed}");
+                per_server.push(stream);
+            }
+            per_server
+        };
+        let (a, b) = (draws(5), draws(6));
+        for m in 0..a.len() {
+            assert_ne!(a[m], b[m], "server {m} draws the same under two seeds");
+        }
+        assert_ne!(a[0], a[1], "two servers share a stream");
     }
 
     #[test]

@@ -13,10 +13,14 @@
 # 15 bytes of a name: `tcp-reader-serv`, `tcp-reader-work`, `ledger`;
 # trailing digits are dropped), the threads seen and their voluntary and
 # involuntary switches per worker-iteration — `attempted / 2` of the run's
-# result object: one push and one pull each. A thread's counters are taken
-# as last sampled, so one that exits mid-run loses at most one sampling
-# interval. Reads the ledger's output; writes nothing under benchmark/
-# beyond what building it does.
+# result object: one push and one pull each. The ledger's worker threads
+# are unnamed and so share the process name with its main thread (tid =
+# pid), which only polls for the workers to finish, waking every 2 ms; the
+# main thread is therefore its own row, `<name>/main`, and the `<name>` row
+# is the workers alone. A thread's counters are taken as last sampled, so
+# one that exits mid-run loses at most one sampling interval. Reads the
+# ledger's output; writes nothing under benchmark/ beyond what building it
+# does.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,12 +60,13 @@ if [ -z "$attempted" ] || [ "$attempted" -eq 0 ]; then
   exit 1
 fi
 
-awk -v iters="$((attempted / 2))" -v what="$workload seed=$seed seconds=$seconds" '
+awk -v iters="$((attempted / 2))" -v main="$pid" -v what="$workload seed=$seed seconds=$seconds" '
   { name[$1] = $2; vol[$1] = $3; invol[$1] = $4 }
   END {
     for (tid in name) {
       family = name[tid]
       sub(/[0-9]+$/, "", family)
+      if (tid == main) family = family "/main"
       threads[family]++; v[family] += vol[tid]; i[family] += invol[tid]
       threads["total"]++; v["total"] += vol[tid]; i["total"] += invol[tid]
     }

@@ -14,21 +14,29 @@ cargo test -q --offline --workspace
 # transport or ml breaks tier-1 instead of the next benchmark run.
 cargo test --offline --release --manifest-path benchmark/Cargo.toml
 
-# Structural guard: Algorithm 1's dispatch exists once. Each call into the
-# shard's handlers has exactly one non-test call site in core outside
-# server.rs (all three in serve.rs; the simulator's own event loop lives in
-# the experiments crate), and the entry points this replaced stay deleted.
+# Lines above a file's test marker, comments skipped, each prefixed with
+# `file:line: ` — the production code the structural guards below inspect.
+above_tests() {
+  awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip || /^[[:space:]]*\/\// { next }
+       { print FILENAME ":" FNR ": " $0 }' "$@"
+}
+
+# Structural guard: Algorithm 1's dispatch exists once (DESIGN.md §18).
+# Above the test markers of every crate, the shard's handlers are called in
+# server.rs (their definitions and the context-free wrappers) and serve.rs
+# only, once each there: every engine, the simulator and the figures step a
+# `ShardServer`. The entry points this replaced stay deleted.
 core_src=crates/fluentps-core/src
-for handler in 'on_push_ctx(' 'on_pull_ctx(' 'drain_shutdown('; do
-  sites="$(for f in "$core_src"/*.rs; do
-    [ "$f" = "$core_src/server.rs" ] && continue
-    awk -v pat="$handler" '
-      /^#\[cfg\(test\)\]/ { exit }
-      /^[[:space:]]*\/\// { next }
-      index($0, pat) { print FILENAME ":" FNR ": " $0 }' "$f"
-  done)"
-  if [ "$(printf '%s' "$sites" | grep -c .)" -ne 1 ] || [ "${sites%%:*}" != "$core_src/serve.rs" ]; then
-    echo "ci: expected exactly one call site of $handler in $core_src, in serve.rs; found:" >&2
+for handler in 'on_push(' 'on_pull(' 'on_push_ctx(' 'on_pull_ctx(' 'drain_shutdown('; do
+  sites="$(above_tests crates/*/src/*.rs crates/*/src/*/*.rs | grep -F "$handler" \
+    | grep -v "^$core_src/server.rs:" || true)"
+  case "$handler" in
+    on_push\( | on_pull\() want=0 ;; # serve.rs calls the `_ctx` forms
+    *) want=1 ;;
+  esac
+  if [ "$(printf '%s' "$sites" | grep -c .)" -ne "$want" ] \
+    || { [ "$want" -eq 1 ] && [ "${sites%%:*}" != "$core_src/serve.rs" ]; }; then
+    echo "ci: outside server.rs, $handler belongs in $core_src/serve.rs only ($want site(s)); found:" >&2
     printf '%s\n' "$sites" >&2
     exit 1
   fi
@@ -71,10 +79,6 @@ fi
 # codec.rs, frame.rs and tcp.rs, and the frame reader keeps no body buffer
 # between frames (each frame's buffer is the decoded message's payload).
 wire_src=crates/fluentps-transport/src
-above_tests() {
-  awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip || /^[[:space:]]*\/\// { next }
-       { print FILENAME ":" FNR ": " $0 }' "$@"
-}
 if above_tests "$wire_src/codec.rs" "$wire_src/frame.rs" "$wire_src/tcp.rs" \
   | grep -E 'Vec<f32>|get_f32_vec_le|put_f32_slice_le'; then
   echo "ci: the wire layers convert values again (see above); that belongs to values.rs and its callers" >&2
