@@ -87,9 +87,9 @@ type CheckpointStore = Arc<Mutex<HashMap<u32, Bytes>>>;
 /// `stop` is the out-of-band counterpart of the `Shutdown` *message*: the
 /// drain path sends `Shutdown` with best effort and then joins the server
 /// threads unconditionally, so a lost frame (chaos drop, racing socket
-/// teardown) would hang the join forever. Every server's `tick` runs at
-/// least once a heartbeat interval and checks this flag, guaranteeing exit
-/// even when the message never arrives.
+/// teardown) would hang the join forever. Every server checks this flag on
+/// each heartbeat interval without a message, guaranteeing exit even when
+/// the message never arrives, but never while pushes still come in.
 #[derive(Debug, Default)]
 struct SharedServers {
     handles: Vec<(u32, JoinHandle<ShardStats>)>,
@@ -630,8 +630,8 @@ pub(crate) struct ResilientServer {
     last_cp_v: Option<u64>,
     rcfg: RecoveryConfig,
     store: CheckpointStore,
-    /// Out-of-band shutdown latch (see [`SharedServers`]): checked every
-    /// tick so a lost `Shutdown` frame cannot strand the thread.
+    /// Out-of-band shutdown latch (see [`SharedServers`]): checked on every
+    /// quiet interval so a lost `Shutdown` frame cannot strand the thread.
     stop: Arc<AtomicBool>,
 }
 
@@ -678,18 +678,23 @@ impl ResilientServer {
         keys.iter().all(|k| self.keys.binary_search(k).is_ok())
     }
 
-    /// What must happen on schedule, `now` being the time since this
-    /// incarnation started: leave when the stop latch is set (answering
-    /// parked pulls first), heartbeat, crash at the kill threshold, capture
-    /// a due checkpoint. Messages to send land on `out`.
-    pub(crate) fn tick(&mut self, now: Duration, out: &mut Vec<(NodeId, Message)>) -> Flow {
-        // The drain path sets the latch before it sends `Shutdown` and
-        // joins, so even a lost frame lets the server exit at its next
-        // heartbeat-interval wake-up.
+    /// Leave, answering parked pulls first, if the stop latch is set. Asked
+    /// only on a quiet heartbeat interval, never after a message: the drain
+    /// path sets the latch before it sends `Shutdown` and joins, and a push
+    /// still coming in must be applied, not cut off (DESIGN.md §18). Even a
+    /// lost frame lets the server exit once its input is quiet.
+    fn stop_if_latched(&mut self, out: &mut Vec<(NodeId, Message)>) -> Flow {
         if self.stop.load(Ordering::Relaxed) {
             self.server.drain(out);
             return Flow::Stop;
         }
+        Flow::Continue
+    }
+
+    /// What must happen on schedule, `now` being the time since this
+    /// incarnation started: heartbeat, crash at the kill threshold, capture
+    /// a due checkpoint. Messages to send land on `out`.
+    pub(crate) fn tick(&mut self, now: Duration, out: &mut Vec<(NodeId, Message)>) -> Flow {
         // Heartbeat on schedule, even under load.
         if self
             .last_hb
@@ -940,7 +945,10 @@ impl<P: Postman + 'static> Step for Resilient<P> {
                 Flow::Continue => (self.server.tick(now, &mut self.out), false),
                 Flow::Stop => (Flow::Stop, true),
             },
-            Input::Tick => (self.server.tick(now, &mut self.out), true),
+            Input::Tick => match self.server.stop_if_latched(&mut self.out) {
+                Flow::Continue => (self.server.tick(now, &mut self.out), true),
+                Flow::Stop => (Flow::Stop, true),
+            },
             Input::Dry => (Flow::Continue, true),
         };
         if flush || flow == Flow::Stop {

@@ -12,7 +12,8 @@
 //!
 //! * [`linalg`] — blocked matrix multiplies (rows in groups of four, dot
 //!   products in 4 × 8 register blocks over packed panels), bit-identical
-//!   to the naive loops, and the ReLU/softmax helpers.
+//!   to the naive loops, and the ReLU/softmax helpers (the ReLU passes are
+//!   branch-free selects with the branchy loops' bits).
 //! * [`init`] — seeded Xavier/He initialisation.
 //! * [`models`] — softmax regression, MLPs and a residual MLP standing in
 //!   for ResNet-56 (deep, skip connections, higher staleness sensitivity).

@@ -53,6 +53,20 @@
 //! adding it gives the same bits, provided `b` is finite (`0 · ∞` is NaN).
 //! [`matmul_a_bt`] adds every product, as its naive loop did.
 //!
+//! **Branches.** No elementwise loop takes a data-dependent branch or
+//! stores conditionally per element: half of all activations are negative,
+//! in no pattern a predictor can learn, so `if x < 0 { *v = 0 }` mispredicts
+//! about every other element: on 32 768 random values it took 136 µs where
+//! the select takes 3 µs (2-vCPU Xeon, release build). [`relu_inplace`] and
+//! [`relu_backward_inplace`] write every element as a select,
+//! `if p { 0.0 } else { *v }`, which LLVM turns into a vector compare and
+//! blend. The predicate is the branchy loop's, and a select moves values
+//! without arithmetic, so every output bit is the one the branchy loop
+//! stored — NaN payloads, `±0`, `±∞` and subnormals included
+//! (`tests/same_bits.rs`). The zero skip above does branch on
+//! data, but once per inner index, ahead of a whole row of products, not
+//! once per element.
+//!
 //! Safe, portable code only: no `unsafe`, no `std::arch` intrinsics, no
 //! target features (`scripts/ci.sh` guards this crate).
 
@@ -230,12 +244,11 @@ fn dot(a_row: &[f32], b_row: &[f32]) -> f32 {
     acc
 }
 
-/// In-place ReLU; returns nothing, mutates `x`.
+/// In-place ReLU; returns nothing, mutates `x`. A select, not a
+/// conditional store (module doc, **Branches**).
 pub fn relu_inplace(x: &mut [f32]) {
     for v in x {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
+        *v = if *v < 0.0 { 0.0 } else { *v };
     }
 }
 
@@ -245,9 +258,7 @@ pub fn relu_inplace(x: &mut [f32]) {
 pub fn relu_backward_inplace(pre: &[f32], dy: &mut [f32]) {
     debug_assert_eq!(pre.len(), dy.len());
     for (d, &p) in dy.iter_mut().zip(pre) {
-        if p <= 0.0 {
-            *d = 0.0;
-        }
+        *d = if p <= 0.0 { 0.0 } else { *d };
     }
 }
 

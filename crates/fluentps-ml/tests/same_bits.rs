@@ -1,16 +1,19 @@
-//! The GEMM kernels produce the bits the naive loops produced.
+//! The GEMM kernels and the ReLU passes produce the bits the naive loops
+//! produced.
 //!
 //! `linalg`'s tiled kernels keep every output element's summation order (one
 //! product at a time, ascending inner index, no FMA), so they must agree with
-//! the loops they replaced bit for bit, not within a tolerance. Two checks:
+//! the loops they replaced bit for bit, not within a tolerance; the ReLU
+//! passes are selects on the branchy loops' predicate. Three checks:
 //! a property test against those loops, copied verbatim as the oracle, on
 //! every tile remainder with zeros, negative zeros and subnormals (and, for
-//! `matmul_a_bt`, which skips no product, infinities and NaNs); and
-//! training fingerprints of the ledger's three `Mlp` shapes, computed before
-//! the kernels were rewritten and pinned here.
+//! `matmul_a_bt`, which skips no product, infinities and NaNs); the same for
+//! the ReLU pair, NaN payloads included; and training fingerprints of the
+//! ledger's three `Mlp` shapes, computed before the kernels were rewritten
+//! and pinned here.
 
 use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
-use fluentps_ml::linalg::{matmul, matmul_a_bt, matmul_at_b};
+use fluentps_ml::linalg::{matmul, matmul_a_bt, matmul_at_b, relu_backward_inplace, relu_inplace};
 use fluentps_ml::{Mlp, Model, Optimizer, Sgd};
 use fluentps_util::proptest::prelude::*;
 use fluentps_util::rng::StdRng;
@@ -73,6 +76,27 @@ mod naive {
             }
         }
     }
+
+    /// In-place ReLU; returns nothing, mutates `x`.
+    pub fn relu_inplace(x: &mut [f32]) {
+        for v in x {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+    }
+
+    /// Backprop through ReLU: `dx = dy ⊙ [pre > 0]`, written into `dy` in place
+    /// given the pre-activation values — or the activations [`relu_inplace`]
+    /// made of them, which are `> 0` exactly where `pre` is (NaN included).
+    pub fn relu_backward_inplace(pre: &[f32], dy: &mut [f32]) {
+        debug_assert_eq!(pre.len(), dy.len());
+        for (d, &p) in dy.iter_mut().zip(pre) {
+            if p <= 0.0 {
+                *d = 0.0;
+            }
+        }
+    }
 }
 
 /// `len` finite values, about half of them exact zeros (the ReLU sparsity
@@ -116,6 +140,36 @@ fn non_finite_matrix(rng: &mut StdRng, len: usize) -> Vec<f32> {
         };
     }
     v
+}
+
+/// `len` activations of every class the ReLU predicates tell apart: `±0`,
+/// `±∞`, NaNs of either sign with a random payload (quiet or signalling),
+/// subnormals, and normal values over a wide spread of exponents. Every
+/// class but the signed zeros and infinities takes a random sign, so about
+/// half the values are negative, as pre-activations are.
+fn activations(rng: &mut StdRng, len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            let v = match rng.gen_range(0u32..16) {
+                0 => return 0.0,
+                1 => return -0.0,
+                2 => return f32::INFINITY,
+                3 => return f32::NEG_INFINITY,
+                4 => f32::from_bits(0x7f80_0000 | rng.gen_range(1u32..0x0080_0000)),
+                5 => f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+                _ => rng.gen_range(0.5f32..1.0) * 2f32.powi(rng.gen_range(-126i32..128)),
+            };
+            if rng.gen_bool(0.5) {
+                -v
+            } else {
+                v
+            }
+        })
+        .collect()
+}
+
+fn exact_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// The values' bits, with every NaN as one value. Which NaN `x + y` returns
@@ -191,6 +245,40 @@ proptest! {
         for (m, n, k) in [(m, n, k), (6, 9, 5), (7, 19, 21), (8, 24, 16), (5, 0, 13)] {
             let lens = (m * n, k * n, m * k);
             same_bits(matmul_a_bt, naive::matmul_a_bt, lens, (m, n, k), non_finite_matrix, seed)?;
+        }
+    }
+
+    /// The select stores what the conditional store left, bit for bit: the
+    /// ReLU passes do no arithmetic, so unlike the GEMMs even a NaN's
+    /// payload must survive. Lengths up to 67 reach every remainder of a
+    /// vector loop up to 64 lanes wide.
+    #[test]
+    fn relu_inplace_is_bit_identical_to_the_branchy_loop(len in 0usize..=67, seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = activations(&mut rng, len);
+        let (mut got, mut want) = (x.clone(), x);
+        relu_inplace(&mut got);
+        naive::relu_inplace(&mut want);
+        prop_assert_eq!(exact_bits(&got), exact_bits(&want));
+    }
+
+    /// As above, with `pre` both as raw pre-activations and as the
+    /// activations `relu_inplace` makes of them (what `Mlp` passes), and
+    /// `dy` holding every class of value too.
+    #[test]
+    fn relu_backward_inplace_is_bit_identical_to_the_branchy_loop(
+        len in 0usize..=67, seed in any::<u64>()
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let raw = activations(&mut rng, len);
+        let mut activated = raw.clone();
+        naive::relu_inplace(&mut activated);
+        let dy = activations(&mut rng, len);
+        for pre in [&raw, &activated] {
+            let (mut got, mut want) = (dy.clone(), dy.clone());
+            relu_backward_inplace(pre, &mut got);
+            naive::relu_backward_inplace(pre, &mut want);
+            prop_assert_eq!(exact_bits(&got), exact_bits(&want));
         }
     }
 }

@@ -116,6 +116,11 @@ impl Served {
         cv.wait(state).unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Whether a `serve` call is in progress and its step has not stopped.
+    pub(crate) fn serving(&self) -> bool {
+        self.lock().live
+    }
+
     /// Put `env` in the inbox, under the lock that installs a step — so it
     /// cannot land behind a `serve` call that has just drained the inbox.
     /// False once nobody can receive it.

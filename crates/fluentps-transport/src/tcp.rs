@@ -37,7 +37,7 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -96,6 +96,10 @@ impl std::fmt::Debug for AddressBook {
 /// ([`close_in_order`]). A peer that is a [`TcpNode`] takes a round trip;
 /// only a wedged one takes this.
 const LINGER: Duration = Duration::from_secs(1);
+
+/// How long a `Shutdown` waits for a worker that is still connected to
+/// send nothing more before it is handed on ([`Shared::drain_workers`]).
+const QUIET: Duration = Duration::from_millis(50);
 
 /// The write half of one connection: the socket plus a reusable scratch
 /// buffer that frame *heads* (and whole payload-free frames) are encoded
@@ -346,6 +350,21 @@ impl Links {
     }
 }
 
+/// The accepted connections a worker's pushes may come in on, as a
+/// `Shutdown` waits for them ([`Shared::drain_workers`]): every connection
+/// from its accept until its first frame names a sender that is not a
+/// worker, or until it ends.
+#[derive(Default)]
+struct WorkerInputs {
+    /// Such connections still open.
+    open: AtomicU32,
+    /// Frames read off them and handed on, so far.
+    delivered: AtomicU64,
+    /// Their readers that hold frames read and not yet handed on: a frame
+    /// is being handed on, or more are buffered behind it.
+    busy: AtomicU32,
+}
+
 struct Shared {
     node: NodeId,
     book: AddressBook,
@@ -354,11 +373,38 @@ struct Shared {
     /// of the [`Mailbox::serve`] call in progress, run by the reader.
     served: Served,
     closed: AtomicBool,
+    workers: WorkerInputs,
     tracer: Tracer,
     profiler: Profiler,
 }
 
 impl Shared {
+    /// Hold a `Shutdown` back until what the workers wrote before it has
+    /// been handed on too. Each connection has a reader thread of its own,
+    /// so nothing orders a worker's pushes against a `Shutdown` that came in
+    /// over another connection. Returns once every other connection that is
+    /// or may be a worker's has ended — a worker dropped before the shutdown
+    /// has closed its connections, and a reader ends only after handing on
+    /// the last frame before the close — or once [`QUIET`] passed in which
+    /// none of them handed on a frame or held one (a worker still connected
+    /// but idle), and after [`LINGER`] at the latest, so that a client still
+    /// alive cannot hold a shutdown up. `own` says whether the `Shutdown`
+    /// came in over one of these connections itself.
+    fn drain_workers(&self, own: bool) {
+        let workers = &self.workers;
+        let begun = Instant::now();
+        let (mut seen, mut quiet_since) = (workers.delivered.load(Ordering::SeqCst), begun);
+        while workers.open.load(Ordering::SeqCst) > u32::from(own) && begun.elapsed() < LINGER {
+            let delivered = workers.delivered.load(Ordering::SeqCst);
+            if delivered != seen || workers.busy.load(Ordering::SeqCst) > 0 {
+                (seen, quiet_since) = (delivered, Instant::now());
+            } else if quiet_since.elapsed() >= QUIET {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     /// Hand one decoded frame to whoever consumes this node's input; `dry`
     /// says the connection it came from holds nothing further that is ready.
     /// A served node's step runs right here, on the reader's thread, and
@@ -514,6 +560,7 @@ impl TcpNode {
             links: Mutex::default(),
             served: Served::new(node, inbox_tx),
             closed: AtomicBool::new(false),
+            workers: WorkerInputs::default(),
             tracer,
             profiler,
         });
@@ -581,6 +628,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             break; // the wake-up dial of `shutdown`
         }
         stream.set_nodelay(true).ok();
+        // Counted before its reader runs: a worker may be behind it.
+        shared.workers.open.fetch_add(1, Ordering::SeqCst);
         spawn_reader(stream, Arc::clone(&shared));
     }
 }
@@ -597,23 +646,55 @@ fn spawn_reader(stream: TcpStream, shared: Arc<Shared>) {
 /// still writing finds out and redials. Each frame lands in a buffer of its
 /// own, which the decoded message shares: a value is not copied again on
 /// this side. From its first frame on the connection is also where replies
-/// to its sender go ([`Shared::add_route`]).
+/// to its sender go ([`Shared::add_route`]). A `Shutdown` for a served node
+/// is handed on only once the workers' connections are drained
+/// ([`Shared::drain_workers`]); to an inbox it is a message like any other.
 fn read_frames(stream: TcpStream, shared: &Shared) {
     let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
     let mut frames = FrameReader::new();
     let mut route = None;
+    // Counted among the workers' inputs by `accept_loop` until the first
+    // frame names another sender.
+    let mut worker = true;
+    let workers = &shared.workers;
+    let mut busy = false;
+    let mut set_busy = |now: bool| {
+        if busy != now {
+            busy = now;
+            match now {
+                true => workers.busy.fetch_add(1, Ordering::SeqCst),
+                false => workers.busy.fetch_sub(1, Ordering::SeqCst),
+            };
+        }
+    };
     let end = loop {
         match frames.read_next(&mut reader, &shared.profiler) {
             Ok(Some((from, msg))) => {
                 // Before the frame is handled: its answer takes the route.
-                route.get_or_insert_with(|| (from, shared.add_route(from, reader.get_ref())));
+                route.get_or_insert_with(|| {
+                    worker = matches!(from, NodeId::Worker(_));
+                    if !worker {
+                        workers.open.fetch_sub(1, Ordering::SeqCst);
+                    }
+                    (from, shared.add_route(from, reader.get_ref()))
+                });
                 shared.trace_frame(EventKind::WireRecv, from, &msg);
                 // Nothing further is ready when the buffer does not hold
                 // the whole next frame: the next read would block (or at
                 // least go to the kernel), so the step is told to send
                 // what it has queued. A partial frame holds nothing back.
                 let dry = !holds_frame(reader.buffer());
-                if !shared.deliver(from, msg, dry) {
+                if matches!(msg.bare(), Message::Shutdown) && shared.served.serving() {
+                    shared.drain_workers(worker);
+                }
+                set_busy(worker);
+                let delivered = shared.deliver(from, msg, dry);
+                if worker {
+                    workers.delivered.fetch_add(1, Ordering::SeqCst);
+                    // Idle once the next frame has to come from the kernel.
+                    set_busy(!reader.buffer().is_empty());
+                }
+                if !delivered {
                     break End::Clean;
                 }
             }
@@ -621,6 +702,10 @@ fn read_frames(stream: TcpStream, shared: &Shared) {
             Err(_) => break End::Broken,
         }
     };
+    set_busy(false);
+    if worker {
+        workers.open.fetch_sub(1, Ordering::SeqCst);
+    }
     let peer = route.map(|(peer, id)| {
         shared.remove_route(peer, id);
         peer
@@ -1539,5 +1624,78 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+    }
+
+    /// Counts pushes, slowly, so that a backlog builds up behind it, and
+    /// stops on `Shutdown`.
+    struct SlowCount(u64);
+
+    impl Step for SlowCount {
+        fn step(&mut self, input: Input) -> Flow {
+            match input {
+                Input::Message(_, Message::SPush { .. }) => {
+                    self.0 += 1;
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+                Input::Message(_, Message::Shutdown) => return Flow::Stop,
+                _ => {}
+            }
+            Flow::Continue
+        }
+    }
+
+    /// Serve a [`SlowCount`] on a fresh server node: its book, and the
+    /// thread that returns the count once the node stops.
+    fn slow_server() -> (AddressBook, JoinHandle<u64>) {
+        let book = AddressBook::new();
+        let server = TcpNode::bind(NodeId::Server(0), loopback(), book.clone()).unwrap();
+        book.insert(NodeId::Server(0), server.local_addr());
+        (
+            book,
+            std::thread::spawn(move || server.serve(None, SlowCount(0)).0),
+        )
+    }
+
+    /// `count` pushes in one write.
+    fn pushes(count: u64) -> Vec<(NodeId, Message)> {
+        let push = |progress| Message::SPush {
+            worker: 0,
+            progress,
+            kv: KvPairs::single(1, vec![1.0]),
+        };
+        (0..count).map(|p| (NodeId::Server(0), push(p))).collect()
+    }
+
+    #[test]
+    fn a_shutdown_waits_for_the_pushes_of_a_worker_that_closed() {
+        const PUSHES: u64 = 500;
+        let (book, served) = slow_server();
+        let worker = TcpNode::bind(NodeId::Worker(0), loopback(), book.clone()).unwrap();
+        worker.postman().send_batch(pushes(PUSHES)).unwrap();
+        drop(worker);
+        // Over a connection of its own, which nothing orders against the
+        // worker's: about 50 ms of pushes are still unhandled.
+        let control = TcpNode::bind(NodeId::Scheduler, loopback(), book).unwrap();
+        control
+            .postman()
+            .send(NodeId::Server(0), Message::Shutdown)
+            .unwrap();
+        assert_eq!(served.join().unwrap(), PUSHES);
+    }
+
+    #[test]
+    fn a_shutdown_waits_for_a_connected_worker_only_until_it_is_quiet() {
+        let (book, served) = slow_server();
+        let worker = TcpNode::bind(NodeId::Worker(0), loopback(), book.clone()).unwrap();
+        worker.postman().send_batch(pushes(100)).unwrap();
+        let control = TcpNode::bind(NodeId::Scheduler, loopback(), book).unwrap();
+        let begun = Instant::now();
+        control
+            .postman()
+            .send(NodeId::Server(0), Message::Shutdown)
+            .unwrap();
+        assert!(served.join().unwrap() <= 100);
+        assert!(begun.elapsed() < LINGER, "took {:?}", begun.elapsed());
+        drop(worker);
     }
 }

@@ -1,23 +1,27 @@
 #!/usr/bin/env bash
 # Context-switch census of one ledger workload: who wakes how often per
-# worker-iteration. The hand-off-bound share of an iteration does not show
-# in any span — a thread that is asleep records nothing — but the kernel
-# counts every time one goes to sleep waiting (voluntary) or is pushed off
-# its core (involuntary), per thread.
+# worker-iteration, and how long it runs against how long it waits for a
+# CPU. The hand-off-bound share of an iteration does not show in any span —
+# a thread that is asleep records nothing — but the kernel counts every
+# time one goes to sleep waiting (voluntary) or is pushed off its core
+# (involuntary), and the time it spent on a CPU and runnable in a run queue
+# (/proc/<tid>/schedstat), per thread.
 #
 # Usage: scripts/census.sh WORKLOAD [SEED] [SECONDS]
 #        LEDGER=/path/to/another/ledger scripts/census.sh ...   # e.g. the parent's
 #
-# Runs the ledger binary untraced, samples /proc/<pid>/task/*/status until
-# it exits and prints, in total and per thread-name family (the kernel keeps
-# 15 bytes of a name: `tcp-reader-serv`, `tcp-reader-work`, `ledger`;
-# trailing digits are dropped), the threads seen and their voluntary and
-# involuntary switches per worker-iteration — `attempted / 2` of the run's
-# result object: one push and one pull each. The ledger's worker threads
-# are unnamed and so share the process name with its main thread (tid =
-# pid), which only polls for the workers to finish, waking every 2 ms; the
-# main thread is therefore its own row, `<name>/main`, and the `<name>` row
-# is the workers alone. A thread's counters are taken as last sampled, so
+# Runs the ledger binary untraced, samples /proc/<pid>/task/*/{status,
+# schedstat,stat} until it exits and prints, in total and per thread-name
+# family (the kernel keeps 15 bytes of a name: `tcp-reader-serv`,
+# `tcp-reader-work`, `ledger`; trailing digits are dropped), the threads
+# seen; their voluntary and involuntary switches, µs on a CPU (`run`) and µs
+# runnable but waiting for one (`runq`) per worker-iteration — `attempted /
+# 2` of the run's result object: one push and one pull each; and every CPU a
+# thread of the family was seen on (field 39 of `stat`). The ledger's worker
+# threads are unnamed and so share the process name with its main thread
+# (tid = pid), which only polls for the workers to finish, waking every
+# 2 ms; the main thread is therefore its own row, `<name>/main`, and the
+# `<name>` row is the workers alone. A thread's counters are taken as last sampled, so
 # one that exits mid-run loses at most one sampling interval. Reads the
 # ledger's output; writes nothing under benchmark/ beyond what building it
 # does.
@@ -42,14 +46,19 @@ trap 'rm -f "$samples" "$result"' EXIT
   >"$result" 2>/dev/null &
 pid=$!
 while kill -0 "$pid" 2>/dev/null; do
-  # One line per thread: tid, name, voluntary, involuntary. Threads come
-  # and go between the glob and the read; awk skips what it cannot open.
+  # Lines per thread: `S tid name voluntary involuntary`, `T tid run_ns
+  # runq_ns`, `C tid cpu`. Threads come and go between the glob and the
+  # read; awk skips what it cannot open.
   awk '
-    FNR == 1 { split(FILENAME, path, "/"); tid = path[5] }
-    /^Name:/ { name = $2 }
-    /^voluntary_ctxt_switches:/ { vol = $2 }
-    /^nonvoluntary_ctxt_switches:/ { print tid, name, vol, $2 }
-  ' /proc/"$pid"/task/*/status 2>/dev/null >>"$samples" || true
+    FNR == 1 { split(FILENAME, path, "/"); tid = path[5]; file = path[6] }
+    file == "status" && /^Name:/ { name = $2 }
+    file == "status" && /^voluntary_ctxt_switches:/ { vol = $2 }
+    file == "status" && /^nonvoluntary_ctxt_switches:/ { print "S", tid, name, vol, $2 }
+    file == "schedstat" { print "T", tid, $1, $2 }
+    # The name, in parentheses, may hold spaces: count fields after it.
+    file == "stat" { sub(/.*\) /, ""); print "C", tid, $37 }
+  ' /proc/"$pid"/task/*/status /proc/"$pid"/task/*/schedstat /proc/"$pid"/task/*/stat \
+    2>/dev/null >>"$samples" || true
   sleep 0.2
 done
 wait "$pid" || { echo "census: the ledger run failed" >&2; exit 1; }
@@ -61,25 +70,45 @@ if [ -z "$attempted" ] || [ "$attempted" -eq 0 ]; then
 fi
 
 awk -v iters="$((attempted / 2))" -v main="$pid" -v what="$workload seed=$seed seconds=$seconds" '
-  { name[$1] = $2; vol[$1] = $3; invol[$1] = $4 }
+  $1 == "S" { name[$2] = $3; vol[$2] = $4; invol[$2] = $5 }
+  $1 == "T" { run[$2] = $3; runq[$2] = $4 }
+  $1 == "C" { on[$2, $3] = 1 }
   END {
     for (tid in name) {
       family = name[tid]
       sub(/[0-9]+$/, "", family)
       if (tid == main) family = family "/main"
-      threads[family]++; v[family] += vol[tid]; i[family] += invol[tid]
-      threads["total"]++; v["total"] += vol[tid]; i["total"] += invol[tid]
+      of[tid] = family
+      for (f = 0; f < 2; f++) {
+        key = f ? family : "total"
+        threads[key]++; v[key] += vol[tid]; i[key] += invol[tid]
+        r[key] += run[tid] / 1000; q[key] += runq[tid] / 1000
+      }
+    }
+    for (pair in on) {
+      split(pair, at, SUBSEP)
+      if (!(at[1] in of)) continue
+      ran["total", at[2]] = ran[of[at[1]], at[2]] = 1
+      if (at[2] + 0 > last_cpu) last_cpu = at[2] + 0
+    }
+    for (key in threads) {
+      for (c = 0; c <= last_cpu; c++) {
+        if ((key, c) in ran) cpus[key] = cpus[key] "," c
+      }
     }
     printf "census %s: %d worker-iterations, %d threads seen\n", what, iters, threads["total"]
-    printf "%-18s %8s %16s %18s\n", "family", "threads", "voluntary/iter", "involuntary/iter"
-    row = "%-18s %8d %16.2f %18.2f\n"
-    printf row, "total", threads["total"], v["total"] / iters, i["total"] / iters
+    printf "%-18s %8s %16s %18s %12s %13s  %s\n", "family", "threads", "voluntary/iter",
+      "involuntary/iter", "run_us/iter", "runq_us/iter", "cpus"
+    row = "%-18s %8d %16.2f %18.2f %12.1f %13.1f  %s\n"
+    printf row, "total", threads["total"], v["total"] / iters, i["total"] / iters,
+      r["total"] / iters, q["total"] / iters, substr(cpus["total"], 2)
     fflush()
     # Busiest family first.
     by_voluntary = "sort -k3,3nr"
     for (family in threads) {
       if (family != "total") {
-        printf row, family, threads[family], v[family] / iters, i[family] / iters | by_voluntary
+        printf row, family, threads[family], v[family] / iters, i[family] / iters,
+          r[family] / iters, q[family] / iters, substr(cpus[family], 2) | by_voluntary
       }
     }
     close(by_voluntary)

@@ -14,6 +14,10 @@ cargo test -q --offline --workspace
 # transport or ml breaks tier-1 instead of the next benchmark run.
 cargo test --offline --release --manifest-path benchmark/Cargo.toml
 
+# The same-bits promise of fluentps-ml's kernels (DESIGN.md §19) is about
+# the vectorized loops, and those exist only in a release build.
+cargo test -q --offline --release -p fluentps-ml --test same_bits
+
 # Lines above a file's test marker, comments skipped, each prefixed with
 # `file:line: ` — the production code the structural guards below inspect.
 above_tests() {
