@@ -38,9 +38,10 @@ use crate::stats::ShardStats;
 /// send what is in the outbox and stop.
 pub use fluentps_transport::Flow;
 
-/// Wrap `msg` in `ctx`'s envelope when the request carried one, so the
-/// reply joins the request's waterfall.
-pub(crate) fn wrap(msg: Message, ctx: Option<CausalCtx>) -> Message {
+/// Wrap `msg` in `ctx`'s envelope when there is one: a reply when its
+/// request carried one, so the reply joins the request's waterfall; a
+/// worker's request when it is traced.
+pub fn wrap(msg: Message, ctx: Option<CausalCtx>) -> Message {
     match ctx {
         Some(c) => msg.with_ctx(c),
         None => msg,

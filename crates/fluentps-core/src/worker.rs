@@ -4,6 +4,15 @@
 //! value vector. The [`Router`] (built from an EPS [`SliceMap`]) scatters a
 //! gradient across the per-server wire keys for `sPush`, and gathers the
 //! per-server `PullResponse`s back into whole parameters after `sPull`.
+//!
+//! `wait(sPull)` is a step, [`WorkerRound`]: the pulls a round writes, and
+//! what a received message or an expired wait does to it, with no receive,
+//! sleep or clock inside. Two drivers run it: [`WorkerClient`]'s blocking
+//! pull wait over a mailbox (timeouts, backoff, the push replay buffer) and
+//! the figure simulator (`fluentps-experiments`' `driver.rs`) on virtual
+//! time. Both number their requests with [`request_id`] and trace their
+//! side of the wire with [`wire_args`], so every wire event of a traced run
+//! carries the id the analyzer pairs it by.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::time::Duration;
@@ -16,6 +25,7 @@ use fluentps_transport::{
 use fluentps_util::rng::StdRng;
 
 use crate::eps::{Placement, SliceMap};
+use crate::serve::wrap;
 
 /// Key routing derived from a [`SliceMap`].
 #[derive(Debug, Clone)]
@@ -131,6 +141,45 @@ impl Router {
             slice.copy_to(&mut entry[p.offset..p.offset + p.len]);
         }
     }
+
+    /// Group the slices of `orig_keys` (deduplicated) by owning server:
+    /// sorted `(server, wire keys)` pairs, keys sorted. `None` asks for
+    /// everything, which is the table the router already holds.
+    fn pull_groups(&self, orig_keys: Option<&[u64]>) -> Vec<(u32, Vec<u64>)> {
+        let Some(orig_keys) = orig_keys else {
+            return self
+                .active_servers()
+                .map(|m| (m, self.keys_for_server(m).to_vec()))
+                .collect();
+        };
+        let mut per_server = vec![Vec::new(); self.num_servers() as usize];
+        for &orig in orig_keys {
+            for p in self.map.slices_of(orig) {
+                per_server[p.server as usize].push(p.new_key);
+            }
+        }
+        let mut groups: Vec<(u32, Vec<u64>)> = (0u32..).zip(per_server).collect();
+        groups.retain(|(_, keys)| !keys.is_empty());
+        for (_, keys) in &mut groups {
+            keys.sort_unstable();
+        }
+        groups
+    }
+
+    /// The routing a `RouteUpdate`'s placement table announces.
+    fn from_wire(placements: &[WirePlacement], num_servers: u32) -> Router {
+        let placements: Vec<Placement> = placements
+            .iter()
+            .map(|p| Placement {
+                orig_key: p.orig_key,
+                new_key: p.new_key,
+                server: p.server,
+                offset: p.offset as usize,
+                len: p.len as usize,
+            })
+            .collect();
+        Router::new(SliceMap::from_raw(placements, num_servers))
+    }
 }
 
 /// Client-side resilience policy: per-pull timeouts and bounded retries
@@ -176,13 +225,16 @@ impl Default for RetryPolicy {
     }
 }
 
+/// The push replay buffer: the most recent iterations' pushes, oldest
+/// first, each as one `KvPairs` per server.
+type Replay = VecDeque<(u64, Vec<KvPairs>)>;
+
 /// Live retry state: the policy, the jitter rng and the push replay buffer
-/// (most recent `replay_depth` iterations, each as one `KvPairs` per
-/// server).
+/// (most recent `replay_depth` iterations).
 struct RetryState {
     policy: RetryPolicy,
     rng: StdRng,
-    replay: VecDeque<(u64, Vec<KvPairs>)>,
+    replay: Replay,
 }
 
 impl RetryState {
@@ -212,6 +264,205 @@ pub struct PullReport {
     pub min_version: u64,
 }
 
+/// The report of a round nobody has answered yet.
+const NONE_YET: PullReport = PullReport {
+    responses: 0,
+    max_version: 0,
+    min_version: u64::MAX,
+};
+
+/// Causal request id number `n` of worker `worker`: the worker id plus one
+/// (so `0` stays the "no context" sentinel) packed above a 40-bit
+/// per-worker counter. Ids are unique across workers and — the counter
+/// advances once per logical `sPush`/`sPull` round — identical across
+/// same-seed runs, which is what makes retained waterfall sets
+/// reproducible. Live and simulated workers number their requests alike.
+pub fn request_id(worker: u32, n: u64) -> u64 {
+    ((worker as u64 + 1) << 40) | n
+}
+
+/// What worker `worker` traces `msg`, written to or read from server
+/// `server`, with: the ids, the iteration and the causal context it
+/// travels in. The bytes are the caller's (framed or simulated).
+pub fn wire_args(server: u32, worker: u32, msg: &Message) -> RecordArgs {
+    let args = RecordArgs::new()
+        .shard(server)
+        .worker(worker)
+        .progress(progress_of(msg));
+    match msg.ctx() {
+        Some(c) => args.ctx(c.request_id, c.attempt as u32, c.parent_span),
+        None => args,
+    }
+}
+
+/// The iteration a request or reply belongs to.
+fn progress_of(msg: &Message) -> u64 {
+    match msg.bare() {
+        Message::SPush { progress, .. }
+        | Message::SPull { progress, .. }
+        | Message::PullResponse { progress, .. }
+        | Message::PushAck { progress, .. } => *progress,
+        _ => 0,
+    }
+}
+
+/// One `sPull` + `wait` round of Algorithm 1 as a step (DESIGN.md §18): the
+/// pulls it writes, and what a received message or an expired wait does to
+/// it. It owns the servers still awaited, the [`PullReport`], the retry
+/// count and the round's causal context, and never receives, sleeps or
+/// reads a clock: [`WorkerClient`]'s pull wait drives it over a mailbox,
+/// the figure simulator on virtual time.
+///
+/// Only a response echoing *this* round's progress from a still-awaited
+/// server counts, so a late answer to an earlier round or a duplicate
+/// caused by a retry is absorbed silently.
+#[derive(Debug)]
+pub struct WorkerRound {
+    worker: u32,
+    progress: u64,
+    /// The original keys asked for, deduplicated; `None` asks for every
+    /// parameter.
+    keys: Option<Vec<u64>>,
+    /// The round's context, when its requests travel in an envelope.
+    ctx: Option<CausalCtx>,
+    awaiting: BTreeSet<u32>,
+    report: PullReport,
+    attempt: u32,
+}
+
+/// What a received message did to a [`WorkerRound`].
+#[derive(Debug)]
+pub enum Heard {
+    /// An awaited server's answer, now counted; its values are the
+    /// caller's to gather.
+    Answer(KvPairs),
+    /// A `RouteUpdate`: the router was rebuilt and the round restarted on
+    /// it, so write these pulls. Servers that already answered re-serve
+    /// from their reply cache and gathering is idempotent, so the restart
+    /// cannot double-apply. The retry count is NOT reset: the budget — and
+    /// the timer the waterfall exposes — covers the whole logical pull, so
+    /// a pull racing repeated `RouteUpdate`s still gives up after
+    /// `max_retries` timeouts in total.
+    Restart(Vec<(u32, Message)>),
+    /// Nothing the round awaits: a `PushAck`, a late or duplicate answer.
+    Nothing,
+}
+
+impl WorkerRound {
+    /// Open worker `worker`'s round `progress` for `keys` (deduplicated;
+    /// `None` for every parameter): the round, and its pulls as `(server,
+    /// message)`, one per owning server in server order. With `ctx` the
+    /// requests travel in its envelope.
+    pub fn start(
+        worker: u32,
+        progress: u64,
+        keys: Option<Vec<u64>>,
+        ctx: Option<CausalCtx>,
+        router: &Router,
+    ) -> (WorkerRound, Vec<(u32, Message)>) {
+        let mut round = WorkerRound {
+            worker,
+            progress,
+            keys,
+            ctx,
+            awaiting: BTreeSet::new(),
+            report: NONE_YET,
+            attempt: 0,
+        };
+        let pulls = round.ask(router, &Replay::new(), true);
+        (round, pulls)
+    }
+
+    /// Step one message received while the round waits. `Shutdown` ends
+    /// the round with [`TransportError::Disconnected`].
+    pub fn on_message(
+        &mut self,
+        msg: Message,
+        router: &mut Router,
+    ) -> Result<Heard, TransportError> {
+        match msg.split_ctx().1 {
+            Message::PullResponse {
+                server,
+                progress,
+                kv,
+                version,
+            } if progress == self.progress && self.awaiting.remove(&server) => {
+                self.report.responses += 1;
+                self.report.max_version = self.report.max_version.max(version);
+                self.report.min_version = self.report.min_version.min(version);
+                Ok(Heard::Answer(kv))
+            }
+            Message::RouteUpdate { placements } => {
+                *router = Router::from_wire(&placements, router.num_servers());
+                Ok(Heard::Restart(self.ask(router, &Replay::new(), true)))
+            }
+            Message::Shutdown => Err(TransportError::Disconnected),
+            _ => Ok(Heard::Nothing),
+        }
+    }
+
+    /// The wait for an answer expired: count a retry and ask every server
+    /// still awaited again, the pushes still in `replay` first — or give up
+    /// with [`TransportError::Timeout`] once `max_retries` are spent.
+    fn on_timeout(
+        &mut self,
+        max_retries: u32,
+        router: &Router,
+        replay: &Replay,
+    ) -> Result<Vec<(u32, Message)>, TransportError> {
+        self.attempt += 1;
+        if self.attempt > max_retries {
+            return Err(TransportError::Timeout);
+        }
+        Ok(self.ask(router, replay, false))
+    }
+
+    /// Servers still awaited, lowest first.
+    pub fn awaiting(&self) -> &BTreeSet<u32> {
+        &self.awaiting
+    }
+
+    /// Ask the servers for this round under the current attempt: with
+    /// `restart` every owner under `router` (the round then awaits them
+    /// afresh), otherwise those still awaited. Each gets one batch, the
+    /// pushes in `replay` ahead of the pull — a replacement rebuilt from a
+    /// checkpoint needs them to advance `V_train`, and servers that already
+    /// applied them dedup by watermark. Replayed pushes travel under the
+    /// pull's context at the current attempt, so the waterfall shows the
+    /// replay traffic each retry cost.
+    fn ask(&mut self, router: &Router, replay: &Replay, restart: bool) -> Vec<(u32, Message)> {
+        let groups = router.pull_groups(self.keys.as_deref());
+        if restart {
+            self.awaiting = groups.iter().map(|g| g.0).collect();
+            self.report = NONE_YET;
+        }
+        let ctx = self.ctx.map(|c| c.retry(self.attempt as u16));
+        let mut out = Vec::new();
+        for (m, keys) in groups {
+            if !self.awaiting.contains(&m) {
+                continue;
+            }
+            for (p, shards) in replay {
+                if let Some(kv) = shards.get(m as usize).filter(|kv| !kv.is_empty()) {
+                    let push = Message::SPush {
+                        worker: self.worker,
+                        progress: *p,
+                        kv: kv.clone(),
+                    };
+                    out.push((m, wrap(push, ctx)));
+                }
+            }
+            let pull = Message::SPull {
+                worker: self.worker,
+                progress: self.progress,
+                keys,
+            };
+            out.push((m, wrap(pull, ctx)));
+        }
+        out
+    }
+}
+
 /// The worker client of Algorithm 1: `sPush(key, g, i)` then
 /// `wait(sPull(key, &w, i))`.
 pub struct WorkerClient<P, M> {
@@ -222,19 +473,11 @@ pub struct WorkerClient<P, M> {
     tracer: Tracer,
     profiler: Profiler,
     retry: Option<RetryState>,
-    /// Per-worker causal request counter; see [`WorkerClient::next_request_id`].
+    /// Per-worker causal request counter; see [`request_id`].
     next_request: u64,
     /// `sPush`es scattered but not yet written, as `(server, message)`: an
     /// iteration's push travels with its pull, one write per server.
     staged: Vec<(u32, Message)>,
-}
-
-/// The iteration a request belongs to.
-fn progress_of(msg: &Message) -> u64 {
-    match msg.bare() {
-        Message::SPush { progress, .. } | Message::SPull { progress, .. } => *progress,
-        _ => 0,
-    }
 }
 
 impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
@@ -253,24 +496,11 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         }
     }
 
-    /// Allocate the next causal request id: the worker id plus one (so `0`
-    /// stays the "no context" sentinel) packed above a 40-bit per-worker
-    /// counter. Ids are unique across workers and — the counter advances
-    /// once per logical `sPush`/`sPull` round — identical across same-seed
-    /// runs, which is what makes retained waterfall sets reproducible.
-    fn next_request_id(&mut self) -> u64 {
+    /// The next causal context: one [`request_id`] per logical
+    /// `sPush`/`sPull` round.
+    fn next_ctx(&mut self) -> CausalCtx {
         self.next_request += 1;
-        ((self.worker_id as u64 + 1) << 40) | self.next_request
-    }
-
-    /// Wrap `msg` in a [`Message::Traced`] envelope when tracing is on; an
-    /// untraced client sends the exact pre-context wire bytes.
-    fn wrap(&self, msg: Message, ctx: CausalCtx) -> Message {
-        if self.tracer.is_enabled() {
-            msg.with_ctx(ctx)
-        } else {
-            msg
-        }
+        CausalCtx::new(request_id(self.worker_id, self.next_request))
     }
 
     /// Attach a tracer: `WireSend` per outgoing message, at the moment it is
@@ -327,7 +557,8 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         grads: &HashMap<u64, Vec<f32>>,
     ) -> Result<u32, TransportError> {
         let _span = self.profiler.enter("worker/push");
-        let ctx = CausalCtx::new(self.next_request_id());
+        // Untraced, the exact pre-context wire bytes.
+        let ctx = self.tracer.is_enabled().then_some(self.next_ctx());
         let shards = self.router.scatter(grads);
         if let Some(retry) = &mut self.retry {
             retry.replay.push_back((progress, shards.clone()));
@@ -345,7 +576,7 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
                 progress,
                 kv,
             };
-            self.staged.push((m, self.wrap(push, ctx)));
+            self.staged.push((m, wrap(push, ctx)));
         }
         Ok((self.staged.len() - staged_before) as u32)
     }
@@ -412,65 +643,47 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         let mut wanted = orig_keys.to_vec();
         wanted.sort_unstable();
         wanted.dedup();
-        self.pull_wait(progress, Some(&wanted), params)
+        self.pull_wait(progress, Some(wanted), params)
     }
 
-    /// One pull round for `orig_keys` (deduplicated), or for every
-    /// parameter when `None`: the pulls go out with the pushes staged
-    /// before them, then the round waits until every asked server has
-    /// answered it. Only a response echoing *this* round's progress from a
-    /// still-awaited server counts, so a late answer to an earlier round or
-    /// a duplicate caused by a retry is absorbed silently. The round waits
-    /// for the lowest server still awaited ([`Mailbox::recv_from`]; the
-    /// order costs nothing, the round needs them all): on TCP that is this
-    /// thread reading the connection its request went out on, and a message
-    /// from anyone else — a `RouteUpdate`, `Shutdown` — is seen when that
-    /// wait returns.
+    /// The blocking driver of one [`WorkerRound`] for `keys`: its pulls go
+    /// out with the pushes staged before them, then this thread feeds it
+    /// what arrives until every asked server has answered. It waits for the
+    /// lowest server still awaited ([`Mailbox::recv_from`]; the order costs
+    /// nothing, the round needs them all): on TCP that is this thread
+    /// reading the connection its request went out on, and a message from
+    /// anyone else — a `RouteUpdate`, `Shutdown` — is seen when that wait
+    /// returns.
     ///
     /// A [`RetryPolicy`] changes one thing: the wait is bounded, and each
-    /// expiry replays and re-issues ([`WorkerClient::reissue`]) until the
+    /// expiry backs off, then writes what the round asks again, until the
     /// budget is spent. Without one the wait blocks, and the timeout arm is
     /// never reached.
     fn pull_wait(
         &mut self,
         progress: u64,
-        orig_keys: Option<&[u64]>,
+        keys: Option<Vec<u64>>,
         params: &mut HashMap<u64, Vec<f32>>,
     ) -> Result<PullReport, TransportError> {
-        const NONE_YET: PullReport = PullReport {
-            responses: 0,
-            max_version: 0,
-            min_version: u64::MAX,
-        };
         let _span = self.profiler.enter("worker/pull_wait");
-        let ctx = CausalCtx::new(self.next_request_id());
+        let ctx = self.next_ctx();
         let timeout = self.retry.as_ref().map(|retry| retry.policy.timeout);
-        let mut report = NONE_YET;
         let wait_start = self.tracer.now();
-
-        // The key lists move into the pulls; the cold paths derive them
-        // again.
-        let mut awaiting = BTreeSet::new();
-        let mut pulls = Vec::new();
-        for (m, keys) in self.pull_groups(orig_keys) {
-            awaiting.insert(m);
-            pulls.push((m, self.pull(progress, keys, ctx)));
-        }
+        let traced = self.tracer.is_enabled().then_some(ctx);
+        let (mut round, pulls) =
+            WorkerRound::start(self.worker_id, progress, keys, traced, &self.router);
         self.send_out(pulls)?;
-        let mut attempt = 0u32;
-        while let Some(&first) = awaiting.first() {
+        while let Some(&first) = round.awaiting().first() {
             let received = self.mailbox.recv_from(NodeId::Server(first), timeout)?;
             let Some((_, msg)) = received else {
-                attempt += 1;
                 let retry = self.retry.as_mut().expect("a timeout implies a policy");
-                if attempt > retry.policy.max_retries {
-                    return Err(TransportError::Timeout);
-                }
+                let again =
+                    round.on_timeout(retry.policy.max_retries, &self.router, &retry.replay)?;
                 // The span covers backoff sleep + replay + re-issue: the
                 // full wall-clock penalty each retry round costs.
                 let _span = self.profiler.enter("worker/retry");
-                let backoff = retry.backoff(attempt);
-                for &m in &awaiting {
+                let backoff = retry.backoff(round.attempt);
+                for &m in round.awaiting() {
                     self.tracer.record(
                         EventKind::RetryScheduled,
                         RecordArgs::new()
@@ -479,195 +692,63 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
                             .progress(progress)
                             .bytes(backoff.as_millis() as u64)
                             .request_id(ctx.request_id)
-                            .attempt(attempt),
+                            .attempt(round.attempt),
                     );
                 }
                 std::thread::sleep(backoff);
-                self.reissue(progress, orig_keys, &awaiting, ctx.retry(attempt as u16))?;
+                self.send_out(again)?;
                 continue;
             };
-            match self.trace_recv(msg) {
-                Message::PullResponse {
-                    server,
-                    progress: echo,
-                    kv,
-                    version,
-                } if echo == progress && awaiting.remove(&server) => {
-                    self.router.gather_into(params, &kv);
-                    report.responses += 1;
-                    report.max_version = report.max_version.max(version);
-                    report.min_version = report.min_version.min(version);
+            match round.on_message(self.trace_recv(msg), &mut self.router)? {
+                Heard::Answer(kv) => self.router.gather_into(params, &kv),
+                Heard::Restart(pulls) => {
+                    // The replay buffer's per-server layout described the
+                    // old routing, and survivors already hold those pushes.
+                    if let Some(retry) = &mut self.retry {
+                        retry.replay.clear();
+                    }
+                    self.send_out(pulls)?;
                 }
-                Message::RouteUpdate { placements } => {
-                    // A server died and its keys moved. Rebuild the router
-                    // and restart this round under the new routing; servers
-                    // that already answered re-serve from their reply cache
-                    // and gathering is idempotent, so the restart cannot
-                    // double-apply. The attempt counter is NOT reset: the
-                    // retry budget — and the timer the waterfall exposes —
-                    // covers the whole logical pull, so a pull racing
-                    // repeated RouteUpdates still gives up after
-                    // `max_retries` timeouts total instead of earning a
-                    // fresh budget per reroute.
-                    self.apply_route_update(&placements);
-                    awaiting = self.pull_groups(orig_keys).iter().map(|g| g.0).collect();
-                    report = NONE_YET;
-                    self.reissue(progress, orig_keys, &awaiting, ctx.retry(attempt as u16))?;
-                }
-                Message::Shutdown => return Err(TransportError::Disconnected),
-                // `PushAck`s, and responses this round does not await.
-                _ => {}
+                Heard::Nothing => {}
             }
         }
+        let report = round.report;
         if report.responses > 0 {
-            self.trace_wait(wait_start, progress, report.max_version, ctx, attempt);
+            self.tracer.record_span(
+                EventKind::BarrierWait,
+                wait_start,
+                RecordArgs::new()
+                    .worker(self.worker_id)
+                    .progress(progress)
+                    .v_train(report.max_version)
+                    .request_id(ctx.request_id)
+                    .attempt(round.attempt),
+            );
         }
         Ok(report)
     }
 
-    /// Ask every server in `awaiting` for this round again, under `ctx`: the
-    /// pushes still in the replay buffer first (a replacement rebuilt from a
-    /// checkpoint needs them to advance `V_train`; servers that already
-    /// applied them dedup by watermark), then the pull — one batch per
-    /// server, like the first issue. Replayed pushes travel under the
-    /// pull's context at the current attempt, so the waterfall shows the
-    /// replay traffic each retry cost. Right after a reroute the buffer is
-    /// empty and only the pulls go out.
-    fn reissue(
-        &mut self,
-        progress: u64,
-        orig_keys: Option<&[u64]>,
-        awaiting: &BTreeSet<u32>,
-        ctx: CausalCtx,
-    ) -> Result<(), TransportError> {
-        let replay = self.retry.as_ref().map(|retry| &retry.replay);
-        let mut batch = Vec::new();
-        for (m, keys) in self.pull_groups(orig_keys) {
-            if !awaiting.contains(&m) {
-                continue;
-            }
-            for (p, shards) in replay.into_iter().flatten() {
-                if let Some(kv) = shards.get(m as usize).filter(|kv| !kv.is_empty()) {
-                    let push = Message::SPush {
-                        worker: self.worker_id,
-                        progress: *p,
-                        kv: kv.clone(),
-                    };
-                    batch.push((m, self.wrap(push, ctx)));
-                }
-            }
-            batch.push((m, self.pull(progress, keys, ctx)));
-        }
-        self.send_out(batch)
-    }
-
-    /// Group the slices of `orig_keys` (deduplicated) by owning server:
-    /// sorted `(server, wire keys)` pairs, keys sorted. `None` asks for
-    /// everything, which is the table the router already holds.
-    fn pull_groups(&self, orig_keys: Option<&[u64]>) -> Vec<(u32, Vec<u64>)> {
-        let Some(orig_keys) = orig_keys else {
-            return self
-                .router
-                .active_servers()
-                .map(|m| (m, self.router.keys_for_server(m).to_vec()))
-                .collect();
-        };
-        let mut per_server = vec![Vec::new(); self.router.num_servers() as usize];
-        for &orig in orig_keys {
-            for p in self.router.slice_map().slices_of(orig) {
-                per_server[p.server as usize].push(p.new_key);
-            }
-        }
-        let mut groups: Vec<(u32, Vec<u64>)> = (0u32..).zip(per_server).collect();
-        groups.retain(|(_, keys)| !keys.is_empty());
-        for (_, keys) in &mut groups {
-            keys.sort_unstable();
-        }
-        groups
-    }
-
-    /// Rebuild the router from a `RouteUpdate`'s placement table and drop
-    /// the push replay buffer: its per-server layout described the old
-    /// routing and survivors already hold those pushes.
-    fn apply_route_update(&mut self, placements: &[WirePlacement]) {
-        let num_servers = self.router.num_servers();
-        let placements: Vec<Placement> = placements
-            .iter()
-            .map(|p| Placement {
-                orig_key: p.orig_key,
-                new_key: p.new_key,
-                server: p.server,
-                offset: p.offset as usize,
-                len: p.len as usize,
-            })
-            .collect();
-        self.router = Router::new(SliceMap::from_raw(placements, num_servers));
-        if let Some(retry) = &mut self.retry {
-            retry.replay.clear();
-        }
-    }
-
     /// Record `msg` as written to server `m`.
     fn trace_send(&self, m: u32, msg: &Message) {
-        if !self.tracer.is_enabled() {
-            return;
+        if self.tracer.is_enabled() {
+            let args = wire_args(m, self.worker_id, msg).bytes(frame::wire_len(msg) as u64);
+            self.tracer.record(EventKind::WireSend, args);
         }
-        let mut args = RecordArgs::new()
-            .shard(m)
-            .worker(self.worker_id)
-            .progress(progress_of(msg))
-            .bytes(frame::wire_len(msg) as u64);
-        if let Some(c) = msg.ctx() {
-            args = args.ctx(c.request_id, c.attempt as u32, c.parent_span);
-        }
-        self.tracer.record(EventKind::WireSend, args);
     }
 
     /// Record a worker-side `WireRecv` for a context-carrying reply and peel
     /// its envelope. Context-free messages pass through untouched, so this
     /// adds no events to an untraced or pre-context run.
     fn trace_recv(&self, msg: Message) -> Message {
-        let bytes = frame::wire_len(&msg) as u64;
-        let (ctx, inner) = msg.split_ctx();
-        if let Some(c) = ctx {
-            let (shard, progress) = match &inner {
-                Message::PullResponse {
-                    server, progress, ..
-                }
-                | Message::PushAck { server, progress } => (*server, *progress),
-                _ => (NO_ID, 0),
+        if msg.ctx().is_some() {
+            let server = match msg.bare() {
+                Message::PullResponse { server, .. } | Message::PushAck { server, .. } => *server,
+                _ => NO_ID,
             };
-            self.tracer.record(
-                EventKind::WireRecv,
-                RecordArgs::new()
-                    .shard(shard)
-                    .worker(self.worker_id)
-                    .progress(progress)
-                    .bytes(bytes)
-                    .ctx(c.request_id, c.attempt as u32, c.parent_span),
-            );
+            let args = wire_args(server, self.worker_id, &msg).bytes(frame::wire_len(&msg) as u64);
+            self.tracer.record(EventKind::WireRecv, args);
         }
-        inner
-    }
-
-    fn trace_wait(
-        &self,
-        wait_start: f64,
-        progress: u64,
-        max_version: u64,
-        ctx: CausalCtx,
-        attempt: u32,
-    ) {
-        self.tracer.record_span(
-            EventKind::BarrierWait,
-            wait_start,
-            RecordArgs::new()
-                .worker(self.worker_id)
-                .progress(progress)
-                .v_train(max_version)
-                .request_id(ctx.request_id)
-                .attempt(attempt),
-        );
+        msg.split_ctx().1
     }
 
     /// What a failed write of `msg` to server `m` is recorded with.
@@ -680,16 +761,6 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
             Some(ctx) => args.request_id(ctx.request_id),
             None => args,
         }
-    }
-
-    /// This round's `SPull` for `keys`, in `ctx`'s envelope when tracing.
-    fn pull(&self, progress: u64, keys: Vec<u64>, ctx: CausalCtx) -> Message {
-        let pull = Message::SPull {
-            worker: self.worker_id,
-            progress,
-            keys,
-        };
-        self.wrap(pull, ctx)
     }
 }
 
@@ -1178,8 +1249,11 @@ mod tests {
     /// Ask server `m` for its keys of round `progress` behind the client's
     /// back, so the reply is the next thing its mailbox holds.
     fn ask<P: Postman, M: Mailbox>(client: &WorkerClient<P, M>, m: u32, progress: u64) {
-        let keys = client.router.keys_for_server(m).to_vec();
-        let pull = client.pull(progress, keys, CausalCtx::new(1));
+        let pull = Message::SPull {
+            worker: client.worker_id,
+            progress,
+            keys: client.router.keys_for_server(m).to_vec(),
+        };
         client
             .postman
             .send_batch(vec![(NodeId::Server(m), pull)])
@@ -1247,7 +1321,164 @@ mod tests {
         cluster.shutdown();
     }
 
-    // --- resilience layer -------------------------------------------------
+    // --- the round, scripted: no mailbox, no thread, no sleep --------------
+
+    /// `(server, "push" | "pull")` of each message the round wants written,
+    /// checking each is in the envelope of request `id` at `attempt`.
+    fn asked(out: &[(u32, Message)], id: u64, attempt: u16) -> Vec<(u32, &'static str)> {
+        let shape = |(m, msg): &(u32, Message)| {
+            assert_eq!(
+                msg.ctx(),
+                Some(CausalCtx::new(id).retry(attempt)),
+                "{msg:?}"
+            );
+            match msg.bare() {
+                Message::SPush { .. } => (*m, "push"),
+                Message::SPull { .. } => (*m, "pull"),
+                other => panic!("asked for {other:?}"),
+            }
+        };
+        out.iter().map(shape).collect()
+    }
+
+    #[test]
+    fn a_timeout_replays_the_buffered_pushes_to_the_silent_server_then_reissues_its_pull() {
+        let r = router(4, 2);
+        let mut routing = r.clone();
+        let shards = r.scatter(&values());
+        let replay: Replay = [(0, shards.clone()), (1, shards)].into();
+        let (mut round, pulls) = WorkerRound::start(0, 1, None, Some(CausalCtx::new(9)), &r);
+        assert_eq!(asked(&pulls, 9, 0), [(0, "pull"), (1, "pull")]);
+        let mut answer = answers(&r, 1);
+        let heard = round.on_message(answer.remove(0), &mut routing).unwrap();
+        assert!(matches!(heard, Heard::Answer(_)));
+        // Server 1 is silent: it alone is asked again, its two buffered
+        // pushes oldest first and then the pull, all at attempt 1.
+        let again = round.on_timeout(2, &r, &replay).unwrap();
+        assert_eq!(asked(&again, 9, 1), [(1, "push"), (1, "push"), (1, "pull")]);
+        let progresses: Vec<u64> = again.iter().map(|(_, msg)| progress_of(msg)).collect();
+        assert_eq!(progresses, [0, 1, 1]);
+        let heard = round.on_message(answer.remove(0), &mut routing).unwrap();
+        assert!(matches!(heard, Heard::Answer(_)));
+        assert!(round.awaiting().is_empty());
+        assert_eq!(round.report.responses, 2);
+    }
+
+    #[test]
+    fn only_this_rounds_answer_from_an_awaited_server_counts() {
+        let params = vec![ParamSpec { key: 0, len: 1 }];
+        let r = Router::new(EpsSlicer { max_chunk: 16 }.slice(&params, 1));
+        let mut routing = r.clone();
+        let key = r.keys_for_server(0)[0];
+        let answer = |server, progress, version| Message::PullResponse {
+            server,
+            progress,
+            version,
+            kv: KvPairs::single(key, vec![1.0]),
+        };
+        let (mut round, _) = WorkerRound::start(0, 3, None, None, &r);
+        for ignored in [
+            answer(0, 2, 99), // a late response to the previous round
+            answer(7, 3, 98), // this round, from a server nobody asked
+            Message::PushAck {
+                server: 0,
+                progress: 3,
+            },
+        ] {
+            let heard = round.on_message(ignored, &mut routing).unwrap();
+            assert!(matches!(heard, Heard::Nothing), "{heard:?}");
+        }
+        let Heard::Answer(kv) = round.on_message(answer(0, 3, 3), &mut routing).unwrap() else {
+            panic!("the real answer was not counted")
+        };
+        assert_eq!(kv, KvPairs::single(key, vec![1.0]));
+        // Its duplicate: server 0 has answered.
+        let heard = round.on_message(answer(0, 3, 97), &mut routing).unwrap();
+        assert!(matches!(heard, Heard::Nothing));
+        let report = PullReport {
+            responses: 1,
+            max_version: 3,
+            min_version: 3,
+        };
+        assert_eq!(round.report, report);
+        let shutdown = round.on_message(Message::Shutdown, &mut routing);
+        assert!(matches!(shutdown, Err(TransportError::Disconnected)));
+    }
+
+    #[test]
+    fn a_reroute_restarts_the_round_without_resetting_the_retry_budget() {
+        // Four single-value params over two servers; server 1 dies and
+        // everything moves to server 0.
+        let params: Vec<ParamSpec> = (0..4).map(|k| ParamSpec { key: k, len: 1 }).collect();
+        let map = EpsSlicer { max_chunk: 16 }.slice(&params, 2);
+        assert!(map.server_loads().iter().all(|&l| l > 0));
+        let (remapped, _moved) = EpsSlicer { max_chunk: 16 }.remap_dead(&map, &[1].into());
+        let mut routing = Router::new(map);
+        let none = Replay::new();
+        let (mut round, _) = WorkerRound::start(0, 0, None, Some(CausalCtx::new(5)), &routing);
+        assert_eq!(
+            asked(&round.on_timeout(3, &routing, &none).unwrap(), 5, 1).len(),
+            2
+        );
+        let update = Message::RouteUpdate {
+            placements: wire_placements(&remapped),
+        };
+        let Heard::Restart(pulls) = round.on_message(update, &mut routing).unwrap() else {
+            panic!("a RouteUpdate restarts the round")
+        };
+        // The survivor alone is asked, for everything, still at attempt 1.
+        assert_eq!(asked(&pulls, 5, 1), [(0, "pull")]);
+        assert_eq!(routing.keys_for_server(0).len(), 4);
+        let Message::SPull { keys, .. } = pulls[0].1.bare() else {
+            unreachable!("shape checked above")
+        };
+        assert_eq!(keys, Router::new(remapped).keys_for_server(0));
+        // Two of the three retries are left, not a fresh three.
+        for attempt in [2, 3] {
+            let again = round.on_timeout(3, &routing, &none).unwrap();
+            assert_eq!(asked(&again, 5, attempt), [(0, "pull")]);
+        }
+        let spent = round.on_timeout(3, &routing, &none);
+        assert!(matches!(spent, Err(TransportError::Timeout)), "{spent:?}");
+    }
+
+    #[test]
+    fn exhausted_retries_surface_a_timeout_within_the_policys_bound() {
+        let params = vec![ParamSpec { key: 0, len: 1 }];
+        let r = Router::new(EpsSlicer { max_chunk: 16 }.slice(&params, 1));
+        let policy = fast_policy(3);
+        let mut retry = RetryState {
+            rng: StdRng::seed_from_u64(policy.jitter_seed),
+            policy,
+            replay: Replay::new(),
+        };
+        let (mut round, _) = WorkerRound::start(0, 0, None, None, &r);
+        // A fake clock, advanced by what the blocking driver would wait: a
+        // silent `timeout` per expiry, then the backoff before the reissue.
+        let mut clock = Duration::ZERO;
+        let err = loop {
+            clock += retry.policy.timeout;
+            match round.on_timeout(retry.policy.max_retries, &r, &retry.replay) {
+                Ok(again) => {
+                    assert_eq!(again.len(), 1, "the pull alone, nothing to replay");
+                    clock += retry.backoff(round.attempt);
+                }
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, TransportError::Timeout), "got {err:?}");
+        assert_eq!(round.awaiting().len(), 1);
+        assert_eq!(round.report.responses, 0);
+        // Four silent waits, and three backoffs of 1, 2 and 4 ms (capped at
+        // 4), each plus its seeded jitter, which stays below the 1 ms base.
+        let waits = Duration::from_millis(4 * 30 + 1 + 2 + 4);
+        assert!(
+            (waits..waits + Duration::from_millis(3)).contains(&clock),
+            "{clock:?}"
+        );
+    }
+
+    // --- the client's driver ------------------------------------------------
 
     fn fast_policy(max_retries: u32) -> RetryPolicy {
         RetryPolicy {
@@ -1270,97 +1501,6 @@ mod tests {
             kv: KvPairs::from_slices(&entries),
         }
     }
-
-    #[test]
-    fn timeout_replays_pushes_and_reissues_pull() {
-        let fabric = Fabric::new();
-        let worker_ep = fabric.register(NodeId::Worker(0));
-        let server_ep = fabric.register(NodeId::Server(0));
-        let params = vec![ParamSpec { key: 0, len: 1 }];
-        let r = Router::new(EpsSlicer { max_chunk: 16 }.slice(&params, 1));
-
-        // Server: swallow the first pull; answer from the second onward.
-        // Count pushes to show the replay actually re-delivered them.
-        let server = std::thread::spawn(move || {
-            let mut pulls = 0u32;
-            let mut pushes = 0u32;
-            loop {
-                let (_, msg) = server_ep.recv().expect("server recv");
-                match msg {
-                    Message::SPush { .. } => pushes += 1,
-                    Message::SPull {
-                        worker,
-                        progress,
-                        keys,
-                    } => {
-                        pulls += 1;
-                        if pulls >= 2 {
-                            server_ep
-                                .postman()
-                                .send(NodeId::Worker(worker), echo_response(0, progress, &keys))
-                                .expect("respond");
-                        }
-                    }
-                    Message::Shutdown => return (pulls, pushes),
-                    _ => {}
-                }
-            }
-        });
-
-        let postman = worker_ep.postman();
-        let mut client = WorkerClient::new(0, postman.clone(), worker_ep, r);
-        client.set_retry_policy(fast_policy(5));
-        let mut grads = HashMap::new();
-        grads.insert(0u64, vec![0.5f32]);
-        client.spush(0, &grads).expect("push");
-        let mut out = HashMap::new();
-        let report = client
-            .spull_wait(0, &mut out)
-            .expect("pull succeeds via retry");
-        assert_eq!(report.responses, 1);
-        assert_eq!(out[&0], vec![1.0]);
-
-        postman.send(NodeId::Server(0), Message::Shutdown).unwrap();
-        let (pulls, pushes) = server.join().unwrap();
-        assert!(pulls >= 2, "retry re-issued the pull (saw {pulls})");
-        assert!(
-            pushes >= 2,
-            "retry replayed the buffered push (saw {pushes})"
-        );
-    }
-
-    #[test]
-    fn stale_progress_echo_is_ignored() {
-        let params = vec![ParamSpec { key: 0, len: 1 }];
-        let r = Router::new(EpsSlicer { max_chunk: 16 }.slice(&params, 1));
-        let key = r.keys_for_server(0)[0];
-        let answer = |server, progress, version| Message::PullResponse {
-            server,
-            progress,
-            version,
-            kv: KvPairs::single(key, vec![1.0]),
-        };
-        let round = |retry: bool| {
-            let (mut client, sent) = recorded_client(&r, retry);
-            *client.mailbox.0.lock() = VecDeque::from([
-                answer(0, 2, 99), // a late response to the previous round
-                answer(7, 3, 98), // this round, from a server nobody asked
-                answer(0, 3, 3),  // the real one
-                answer(0, 3, 97), // and its duplicate: server 0 has answered
-            ]);
-            let mut out = HashMap::new();
-            let report = client.spull_wait(3, &mut out).expect("pull");
-            // Exactly one response counted, and it is the matching round's.
-            assert_eq!((report.responses, report.max_version), (1, 3));
-            assert_eq!(report.min_version, 3);
-            assert_eq!(out[&0], vec![1.0]);
-            assert_eq!(client.mailbox.0.lock().len(), 1, "stopped at the real one");
-            assert_eq!(calls_of(&sent), [[(0, "pull")]]);
-            report
-        };
-        assert_eq!(round(false), round(true));
-    }
-
     #[test]
     fn one_timeout_writes_one_batch_per_awaiting_server() {
         let r = router(4, 2);
@@ -1388,25 +1528,6 @@ mod tests {
         let sent = sent.0.lock();
         let progresses: Vec<u64> = sent[4].iter().map(|(_, msg)| progress_of(msg)).collect();
         assert_eq!(progresses, [0, 1, 1], "replay oldest first, then the pull");
-    }
-
-    #[test]
-    fn exhausted_retries_surface_a_timeout() {
-        let fabric = Fabric::new();
-        let worker_ep = fabric.register(NodeId::Worker(0));
-        let _server_ep = fabric.register(NodeId::Server(0)); // never reads
-        let params = vec![ParamSpec { key: 0, len: 1 }];
-        let r = Router::new(EpsSlicer { max_chunk: 16 }.slice(&params, 1));
-        let postman = worker_ep.postman();
-        let mut client = WorkerClient::new(0, postman, worker_ep, r);
-        client.set_retry_policy(RetryPolicy {
-            timeout: Duration::from_millis(5),
-            max_retries: 2,
-            ..fast_policy(2)
-        });
-        let mut out = HashMap::new();
-        let err = client.spull_wait(0, &mut out).unwrap_err();
-        assert!(matches!(err, TransportError::Timeout), "got {err:?}");
     }
 
     /// `map` as the `RouteUpdate` announcing it carries it.
@@ -1460,73 +1581,5 @@ mod tests {
             report
         };
         assert_eq!(round(false), round(true));
-    }
-
-    #[test]
-    fn route_update_does_not_reset_the_retry_budget() {
-        use fluentps_obs::TraceCollector;
-
-        let fabric = Fabric::new();
-        let worker_ep = fabric.register(NodeId::Worker(0));
-        let _s0 = fabric.register(NodeId::Server(0)); // alive but never answers
-        let _s1 = fabric.register(NodeId::Server(1)); // dead: remapped away
-        let ctl = fabric.register(NodeId::Scheduler);
-        let params: Vec<ParamSpec> = (0..4).map(|k| ParamSpec { key: k, len: 1 }).collect();
-        let map = EpsSlicer { max_chunk: 16 }.slice(&params, 2);
-        let r = Router::new(map.clone());
-
-        let (remapped, _moved) = EpsSlicer { max_chunk: 16 }.remap_dead(&map, &[1].into());
-        let wire = wire_placements(&remapped);
-
-        let collector = TraceCollector::wall(1 << 10);
-        let postman = worker_ep.postman();
-        let mut client = WorkerClient::new(0, postman, worker_ep, r);
-        client.set_tracer(collector.tracer());
-        client.set_retry_policy(RetryPolicy {
-            timeout: Duration::from_millis(20),
-            max_retries: 3,
-            ..fast_policy(3)
-        });
-
-        // Fire the RouteUpdate only once the first retry is observably
-        // scheduled, so at least one attempt pre-dates the reroute.
-        let ctl_postman = ctl.postman();
-        let watch = collector.clone();
-        let announcer = std::thread::spawn(move || {
-            while watch.snapshot().count(EventKind::RetryScheduled) == 0 {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            ctl_postman
-                .send(NodeId::Worker(0), Message::RouteUpdate { placements: wire })
-                .unwrap();
-        });
-
-        let mut out = HashMap::new();
-        let err = client.spull_wait(0, &mut out).unwrap_err();
-        assert!(matches!(err, TransportError::Timeout), "got {err:?}");
-        announcer.join().unwrap();
-
-        // The budget is cumulative across the reroute: the attempt ordinals
-        // stamped on shard 0's RetryScheduled events increase strictly and
-        // end at exactly `max_retries`. Before the fix the reroute reset
-        // the counter, re-emitting attempt 1 and granting the round a whole
-        // fresh budget (unbounded total wait under repeated reroutes).
-        let trace = collector.snapshot();
-        let attempts: Vec<u32> = trace
-            .events
-            .iter()
-            .filter(|ev| ev.kind == EventKind::RetryScheduled && ev.shard == 0)
-            .map(|ev| ev.attempt)
-            .collect();
-        assert!(!attempts.is_empty());
-        assert!(
-            attempts.windows(2).all(|w| w[0] < w[1]),
-            "attempt counter reset across RouteUpdate: {attempts:?}"
-        );
-        assert_eq!(
-            *attempts.last().unwrap(),
-            3,
-            "full budget spent: {attempts:?}"
-        );
     }
 }

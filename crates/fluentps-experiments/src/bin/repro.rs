@@ -767,7 +767,7 @@ fn run_analyze(args: &[String]) {
         .unwrap_or_else(|| "none".to_string());
     eprintln!(
         "[repro] analyzed {} events ({} dropped) over {:.3}s: straggler {straggler}, \
-         max granted staleness {}, critical path {:.6}s",
+         max granted staleness {}, critical path {:.6}s, {} wire receives unmatched",
         trace.events.len(),
         a.dropped,
         a.span.1 - a.span.0,
@@ -775,6 +775,7 @@ fn run_analyze(args: &[String]) {
             .map(|s| s.to_string())
             .unwrap_or_else(|| "—".to_string()),
         a.critical_path_secs(),
+        a.unmatched_recvs,
     );
 }
 

@@ -5,10 +5,17 @@
 //! optimizers), the M servers (each the live engines' Algorithm-1 step,
 //! [`ShardServer::handle`], with the live launch's PSSP draw stream), the
 //! network topology, and the scheduler when the engine under test is
-//! PS-Lite. Gradients are computed with the parameter versions the
-//! synchronization model actually delivered, so staleness affects accuracy
-//! through the true mechanism; all timing comes from the compute/network
-//! models, so "who waits on whom" matches the architecture under test.
+//! PS-Lite. Each worker's `wait(sPull)` is the live worker's step too, a
+//! [`WorkerRound`]: its pulls go on the simulated links and every reply is
+//! stepped through it. Traced, requests carry the live workers' causal ids
+//! ([`request_id`]), so every wire event pairs exactly. What stays here
+//! (DESIGN.md §18): the pushes, whose payloads are virtual in timing runs
+//! and which the significance filter may leave empty, and PS-Lite's wait
+//! for acks and the scheduler's release. Gradients are computed with the
+//! parameter versions the synchronization model actually delivered, so
+//! staleness affects accuracy through the true mechanism; all timing comes
+//! from the compute/network models, so "who waits on whom" matches the
+//! architecture under test.
 
 use fluentps_baseline::pslite::{PsLiteMode, PsLiteScheduler};
 use fluentps_baseline::ssptable::SspTableModel;
@@ -16,24 +23,22 @@ use fluentps_core::condition::SyncModel;
 use fluentps_core::dpr::DprPolicy;
 use fluentps_core::eps::{DefaultSlicer, EpsSlicer, ParamSpec, SliceMap, Slicer};
 use fluentps_core::launch;
-use fluentps_core::serve::ShardServer;
+use fluentps_core::serve::{wrap, ShardServer};
 use fluentps_core::server::{ServerShard, ShardConfig};
 use fluentps_core::stats::ShardStats;
-use fluentps_core::worker::Router;
+use fluentps_core::worker::{request_id, wire_args, Heard, Router, WorkerRound};
 use fluentps_ml::data::{synthetic, BatchSampler, Dataset, SyntheticSpec};
 use fluentps_ml::metrics::{Curve, CurvePoint};
 use fluentps_ml::models::{Mlp, Model, ResidualMlp, SoftmaxRegression};
 use fluentps_ml::optim::{Optimizer, Sgd};
 use fluentps_ml::schedule::LrSchedule;
 use fluentps_ml::ParamMap;
-use fluentps_obs::{
-    ClockSource, EventKind, Profiler, RecordArgs, Trace, TraceCollector, Tracer, VirtualClock,
-};
+use fluentps_obs::{ClockSource, EventKind, Profiler, Trace, TraceCollector, Tracer, VirtualClock};
 use fluentps_simnet::compute::{ComputeModel, StragglerSpec, WorkerCompute};
 use fluentps_simnet::event::EventQueue;
 use fluentps_simnet::net::LinkModel;
 use fluentps_simnet::topology::{ClusterTopology, Duplex};
-use fluentps_transport::{frame, KvPairs, Message, NodeId};
+use fluentps_transport::{codec, frame, CausalCtx, KvPairs, Message, NodeId};
 
 /// Which parameter-server architecture handles synchronization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -289,7 +294,10 @@ struct WorkerState {
     optimizer: Sgd,
     filter: Option<fluentps_core::filter::SignificanceFilter>,
     sampler: Option<BatchSampler>,
-    pending_responses: u32,
+    /// The pull round under way, the live worker's step.
+    round: Option<WorkerRound>,
+    /// Causal requests numbered so far (see [`request_id`]).
+    requests: u64,
     pending_acks: u32,
     compute_total: f64,
     finish_time: f64,
@@ -305,7 +313,6 @@ struct WireSizes {
 }
 
 fn wire_sizes(map: &SliceMap, scale: f64) -> WireSizes {
-    use fluentps_transport::codec;
     let m = map.num_servers() as usize;
     let mut keys = vec![0usize; m];
     let mut vals = vec![0usize; m];
@@ -514,7 +521,8 @@ impl<'a> Simulation<'a> {
                         fluentps_core::filter::SignificanceFilter::new(threshold, max_hold)
                     }),
                     sampler,
-                    pending_responses: 0,
+                    round: None,
+                    requests: 0,
                     pending_acks: 0,
                     compute_total: 0.0,
                     finish_time: 0.0,
@@ -621,13 +629,7 @@ impl<'a> Simulation<'a> {
             // traced: it must not end the run at another time than an
             // untraced run would.
             let traced_only = !self.waits_for_acks()
-                && matches!(
-                    ev,
-                    Ev::ToWorker {
-                        msg: Message::PushAck { .. },
-                        ..
-                    }
-                );
+                && matches!(&ev, Ev::ToWorker { msg, .. } if matches!(msg.bare(), Message::PushAck { .. }));
             // Training is over once the *global* progress reaches the budget
             // on every shard — under drop-stragglers, nobody waits for the
             // straggler to finish the iterations that were dropped anyway.
@@ -653,7 +655,7 @@ impl<'a> Simulation<'a> {
                     bytes,
                 } => self.on_worker_recv(now, worker, server, msg, bytes),
                 Ev::SchedulerReport { worker, iter } => self.on_scheduler_report(now, worker, iter),
-                Ev::PullSend { worker, iter } => self.send_pulls(now, worker, iter),
+                Ev::PullSend { worker, iter } => self.start_round(now, worker, iter),
             }
         }
         self.finish()
@@ -729,26 +731,27 @@ impl<'a> Simulation<'a> {
 
         let filtering = self.workers[worker as usize].filter.is_some();
         let active: Vec<u32> = self.router.active_servers().collect();
-        for (m, kv) in shard_payloads.into_iter().enumerate() {
+        let ctx = self.next_ctx(worker);
+        for (server, kv) in (0u32..).zip(shard_payloads) {
             // Inactive servers own no keys; active servers always get a push
             // (possibly empty under the significance filter) so progress
             // tracking and the push condition see every iteration.
-            if kv.is_empty() && !(filtering && active.contains(&(m as u32))) {
+            if kv.is_empty() && !(filtering && active.contains(&server)) {
                 continue;
             }
             let bytes = if filtering {
-                16 + (kv.payload_bytes() as f64 * self.cfg.wire_bytes_scale) as usize
+                (codec::spush_wire_len(&kv) as f64 * self.cfg.wire_bytes_scale) as usize
             } else {
-                self.wires.push[m]
+                self.wires.push[server as usize]
             };
-            let server = m as u32;
-            self.trace_wire(EventKind::WireSend, server, worker, iter, bytes);
-            let arrive = self.topo.worker_to_server(now, server, bytes) + self.ssptable_maint;
-            let msg = Message::SPush {
+            let push = Message::SPush {
                 worker,
                 progress: iter,
                 kv,
             };
+            let msg = wrap(push, ctx);
+            self.trace_wire(EventKind::WireSend, server, worker, &msg, bytes);
+            let arrive = self.topo.worker_to_server(now, server, bytes) + self.ssptable_maint;
             self.queue.schedule(arrive, Ev::ToServer { server, msg });
         }
 
@@ -762,12 +765,12 @@ impl<'a> Simulation<'a> {
                 // otherwise compute the next iteration on stale parameters.
                 let r = self.ssptable_refresh.expect("ssptable refresh");
                 if (iter + worker as u64) % r == r - 1 {
-                    self.send_pulls(now, worker, iter);
+                    self.start_round(now, worker, iter);
                 } else {
                     self.advance_worker(now, worker);
                 }
             }
-            _ => self.send_pulls(now, worker, iter),
+            _ => self.start_round(now, worker, iter),
         }
 
         self.iterations_done += 1;
@@ -789,39 +792,46 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    fn send_pulls(&mut self, now: f64, worker: u32, iter: u64) {
-        self.workers[worker as usize].pending_responses = self.active_server_count;
-        let active: Vec<u32> = self.router.active_servers().collect();
-        for server in active {
+    /// Open `worker`'s pull round of `iter`: the live [`WorkerRound`]'s
+    /// pulls, each on its server's link.
+    fn start_round(&mut self, now: f64, worker: u32, iter: u64) {
+        let ctx = self.next_ctx(worker);
+        let (round, pulls) = WorkerRound::start(worker, iter, None, ctx, &self.router);
+        self.workers[worker as usize].round = Some(round);
+        for (server, msg) in pulls {
             let bytes = self.wires.pull_req[server as usize];
-            self.trace_wire(EventKind::WireSend, server, worker, iter, bytes);
+            self.trace_wire(EventKind::WireSend, server, worker, &msg, bytes);
             let arrive = self.topo.worker_to_server(now, server, bytes);
-            let msg = Message::SPull {
-                worker,
-                progress: iter,
-                keys: self.router.keys_for_server(server).to_vec(),
-            };
             self.queue.schedule(arrive, Ev::ToServer { server, msg });
         }
     }
 
-    /// Record a worker's side of the wire (each server traces its own step).
-    fn trace_wire(&self, kind: EventKind, server: u32, worker: u32, iter: u64, bytes: usize) {
-        let args = RecordArgs::new()
-            .shard(server)
-            .worker(worker)
-            .progress(iter);
-        self.tracer.record(kind, args.bytes(bytes as u64));
+    /// The context `worker`'s next request travels in, numbered as a live
+    /// worker numbers it; `None` when the run is not traced.
+    fn next_ctx(&mut self, worker: u32) -> Option<CausalCtx> {
+        let w = &mut self.workers[worker as usize];
+        self.tracer.is_enabled().then(|| {
+            w.requests += 1;
+            CausalCtx::new(request_id(worker, w.requests))
+        })
+    }
+
+    /// Record a worker's side of the wire as a live worker does, with the
+    /// simulated byte count (each server traces its own step).
+    fn trace_wire(&self, kind: EventKind, server: u32, worker: u32, msg: &Message, bytes: usize) {
+        let args = wire_args(server, worker, msg).bytes(bytes as u64);
+        self.tracer.record(kind, args);
     }
 
     /// `server` steps the message that reached it, and its replies go out.
     fn on_server_recv(&mut self, now: f64, server: u32, msg: Message) {
-        let pull = matches!(msg, Message::SPull { .. });
+        let step = &mut self.servers[server as usize];
+        let dprs = step.shard().stats().dprs;
         let mut out = Vec::new();
-        self.servers[server as usize].handle(msg, &mut out);
-        if pull && out.is_empty() {
-            // Deferred. The deferral occupies the server's processing
-            // queue, delaying every later request at this server.
+        step.handle(msg, &mut out);
+        if step.shard().stats().dprs > dprs {
+            // The step deferred a pull. The deferral occupies the server's
+            // processing queue, delaying every later request at this server.
             self.topo.charge_server(now, server, SERVER_DPR_COST);
         }
         for (to, msg) in out {
@@ -831,7 +841,7 @@ impl<'a> Simulation<'a> {
             // A response costs its placement's `WireSizes` link time, an
             // ack one link latency; acks travel only where a worker waits
             // for them or tracing records their receipt.
-            let (arrive, bytes) = match msg {
+            let (arrive, bytes) = match msg.bare() {
                 Message::PullResponse { .. } => {
                     let bytes = self.wires.response[server as usize];
                     (self.topo.server_to_worker(now, server, bytes), bytes)
@@ -851,28 +861,27 @@ impl<'a> Simulation<'a> {
         }
     }
 
+    /// A reply reaches `worker`: an ack counts towards PS-Lite's report,
+    /// anything else is stepped by the worker's round, which advances the
+    /// worker once every server answered.
     fn on_worker_recv(&mut self, now: f64, worker: u32, server: u32, msg: Message, bytes: usize) {
-        let (Message::PullResponse { progress, .. } | Message::PushAck { progress, .. }) = msg
-        else {
-            unreachable!("a worker receives responses and acks only")
-        };
-        self.trace_wire(EventKind::WireRecv, server, worker, progress, bytes);
-        match msg {
-            Message::PullResponse { kv, .. } => self.on_response(now, worker, &kv),
-            _ if self.waits_for_acks() => self.on_ack(now, worker, progress),
-            _ => {}
+        self.trace_wire(EventKind::WireRecv, server, worker, &msg, bytes);
+        if let Message::PushAck { progress, .. } = msg.bare() {
+            if self.waits_for_acks() {
+                self.on_ack(now, worker, *progress);
+            }
+            return;
         }
-    }
-
-    fn on_response(&mut self, now: f64, worker: u32, kv: &KvPairs) {
-        if self.is_training() {
-            let w = &mut self.workers[worker as usize];
-            self.router.gather_into(&mut w.params, kv);
-        }
+        let training = self.is_training();
         let w = &mut self.workers[worker as usize];
-        debug_assert!(w.pending_responses > 0, "unexpected response");
-        w.pending_responses -= 1;
-        if w.pending_responses == 0 {
+        let round = w.round.as_mut().expect("a response answers a round");
+        if let Ok(Heard::Answer(kv)) = round.on_message(msg, &mut self.router) {
+            if training {
+                self.router.gather_into(&mut w.params, &kv);
+            }
+        }
+        if round.awaiting().is_empty() {
+            w.round = None;
             self.advance_worker(now, worker);
         }
     }
@@ -1290,6 +1299,64 @@ mod tests {
         for ev in &trace.events {
             assert!(ev.ts >= 0.0 && ev.ts <= traced.total_time);
         }
+    }
+
+    /// The simulated workers stamp every request as live ones do, so the
+    /// trace pairs exactly: every worker's wire event carries a request id
+    /// and every receive finds the send of its id.
+    #[test]
+    fn a_traced_run_stamps_every_wire_event_and_pairs_every_receive() {
+        let engines = [
+            EngineKind::FluentPs {
+                model: SyncModel::Ssp { s: 1 },
+                policy: DprPolicy::LazyExecution,
+            },
+            EngineKind::PsLite {
+                mode: PsLiteMode::Bsp,
+            },
+            EngineKind::SspTable { s: 2 },
+        ];
+        for engine in engines {
+            let mut cfg = timing_cfg(engine, 4, 2, SlicerKind::Eps { max_chunk: 8192 });
+            cfg.stragglers = StragglerSpec::random_slowdowns();
+            cfg.trace_events = Some(1 << 14);
+            let trace = run(&cfg).trace.expect("trace requested");
+            let wire = |e: &&fluentps_obs::TraceEvent| {
+                matches!(e.kind, EventKind::WireSend | EventKind::WireRecv)
+            };
+            let mut events = trace.events.iter().filter(wire).peekable();
+            assert!(events.peek().is_some(), "{engine:?}");
+            for e in events {
+                assert_ne!(e.request_id, 0, "{engine:?}: {e:?}");
+            }
+            let a = fluentps_obs::analyze(&trace);
+            assert_eq!(a.unmatched_recvs, 0, "{engine:?}");
+            assert!(a.workers.iter().all(|w| w.wire_secs > 0.0), "{engine:?}");
+        }
+    }
+
+    /// A filter that holds nothing back changes nothing: each push is
+    /// charged its codec size at paper scale, filtered or not.
+    #[test]
+    fn a_significance_filter_that_passes_everything_is_the_unfiltered_run() {
+        let cfg = DriverConfig {
+            num_workers: 8,
+            num_servers: 2,
+            max_iters: 60,
+            model: ModelKind::Mlp { hidden: vec![64] },
+            wire_bytes_scale: 65.0,
+            seed: 87,
+            ..DriverConfig::default()
+        };
+        let plain = run(&cfg);
+        let filtered = run(&DriverConfig {
+            significance_filter: Some((0.0, 4)),
+            ..cfg
+        });
+        assert_eq!(filtered.total_time, plain.total_time);
+        assert_eq!(filtered.comm_time_mean, plain.comm_time_mean);
+        assert_eq!(filtered.stats, plain.stats);
+        assert_eq!(filtered.final_accuracy, plain.final_accuracy);
     }
 
     #[test]

@@ -404,24 +404,6 @@ pub fn analysis_sections(a: &Analysis, analytical: Option<&dyn Fn(u64) -> f64>) 
     }
     tables.push(t);
 
-    // Only on traces that carry causal request ids: how often the FIFO
-    // wire matcher (which attributed the "wire" column above) agreed with
-    // the exact ids. Non-zero mismatch means reorder chaos misattributed
-    // some transit time between requests.
-    if let Some(c) = &a.wire_check {
-        let mut t = Table::new(
-            "wire matcher audit (FIFO vs causal ids)",
-            &["checked", "mismatches", "mismatch rate", "unmatched recvs"],
-        );
-        t.row(vec![
-            c.checked.to_string(),
-            c.mismatches.to_string(),
-            format!("{:.2}%", c.mismatch_rate() * 100.0),
-            c.unmatched_recvs.to_string(),
-        ]);
-        tables.push(t);
-    }
-
     tables
 }
 

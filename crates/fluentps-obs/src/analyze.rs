@@ -203,43 +203,10 @@ pub struct Analysis {
     /// Critical path through the longest pull→defer→release→push chain,
     /// in causal order (earliest cause first, the longest DPR wait last).
     pub critical_path: Vec<PathStep>,
-    /// Audit of the FIFO wire heuristic against exact causal request ids,
-    /// when the trace carries them (`None` on traces recorded
-    /// before context propagation, or with tracing contexts disabled).
-    pub wire_check: Option<WireCheck>,
-}
-
-/// Cross-check of the heuristic FIFO `WireSend`→`WireRecv` matcher against
-/// the exact causal ids the transport stamps on wire events.
-///
-/// On a stamped trace the fold pairs each receive with the send of the same
-/// `(request_id, attempt)`; FIFO — the *oldest* unmatched send on the same
-/// `(shard, worker)` queue — is what a ctx-less trace has to fall back on.
-/// This audit counts how often the two disagree, i.e. how much wire time
-/// the heuristic would misattribute on this run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireCheck {
-    /// Stamped receive events paired with the send carrying their id.
-    pub checked: u64,
-    /// Pairs where FIFO would have disagreed with the id: the send was not
-    /// the oldest on its queue, so the heuristic would have attributed one
-    /// request's transit to another.
-    pub mismatches: u64,
-    /// Receives with no send to pair with on their queue (the send was lost
-    /// to ring overwrite, or the frame was a fault-injected duplicate).
+    /// `WireRecv` events no `WireSend` of the same `(request_id, attempt)`
+    /// paired with — unstamped, their send lost to ring overwrite, or a
+    /// fault-injected duplicate — and so left out of the wire time.
     pub unmatched_recvs: u64,
-}
-
-impl WireCheck {
-    /// Fraction of audited pairs the FIFO heuristic would have got wrong
-    /// (0 when nothing was audited).
-    pub fn mismatch_rate(&self) -> f64 {
-        if self.checked == 0 {
-            0.0
-        } else {
-            self.mismatches as f64 / self.checked as f64
-        }
-    }
 }
 
 impl Analysis {
@@ -279,9 +246,9 @@ impl Analysis {
 
 /// Derive the [`Analysis`] of a buffered trace: replay it through the one
 /// trace fold, [`StreamAnalyzer`] in its all-run mode, and read the
-/// figures out. The wire matcher (exact causal ids, FIFO only for ctx-less
-/// traces), the defer→release pairing and the blocked-at-gap matcher are
-/// all defined there.
+/// figures out. The wire matcher (exact causal ids, nothing else), the
+/// defer→release pairing and the blocked-at-gap matcher are all defined
+/// there.
 ///
 /// Two derivations are computed here instead, because they are functions of
 /// the whole snapshot rather than folds over it: [`progress_spread`] places
@@ -560,9 +527,9 @@ mod tests {
         let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 256);
         let t = col.tracer();
         clock.set(1.0);
-        t.record(EventKind::WireSend, at(0, 1, 2, 0).bytes(58));
+        t.record(EventKind::WireSend, at(0, 1, 2, 0).bytes(58).request_id(1));
         clock.set(1.1);
-        t.record(EventKind::WireRecv, at(0, 1, 2, 0).bytes(58));
+        t.record(EventKind::WireRecv, at(0, 1, 2, 0).bytes(58).request_id(1));
         t.record(EventKind::PullRequested, at(0, 1, 2, 0).bytes(58));
         t.record(EventKind::PullDeferred, at(0, 1, 2, 0));
         clock.set(1.5);
@@ -733,33 +700,26 @@ mod tests {
     }
 
     #[test]
-    fn wire_check_is_absent_without_causal_context() {
-        assert_eq!(analyze(&sample()).wire_check, None);
-    }
-
-    #[test]
-    fn wire_check_confirms_fifo_on_ordered_streams() {
+    fn an_unstamped_receive_is_unmatched_never_guessed() {
         let clock = VirtualClock::new();
         let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 256);
         let t = col.tracer();
-        for i in 0..5u64 {
-            wire_pair(&t, &clock, 1.0 + i as f64, 100 + i);
-        }
-        let check = analyze(&col.snapshot()).wire_check.expect("ids present");
-        assert_eq!(check.checked, 5);
-        assert_eq!(check.mismatches, 0);
-        assert_eq!(check.unmatched_recvs, 0);
-        assert_eq!(check.mismatch_rate(), 0.0);
+        clock.set(1.0);
+        t.record(EventKind::WireSend, at(0, 0, 0, 0).bytes(58));
+        clock.set(1.1);
+        t.record(EventKind::WireRecv, at(0, 0, 0, 0).bytes(58));
+        let a = analyze(&col.snapshot());
+        assert_eq!(a.unmatched_recvs, 1);
+        assert_eq!(a.workers[0].wire_secs, 0.0);
     }
 
     #[test]
-    fn wire_check_counts_reorder_mismatches_without_panicking() {
+    fn reordered_replies_pair_by_id_and_a_duplicate_is_unmatched() {
         let clock = VirtualClock::new();
         let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 256);
         let t = col.tracer();
-        // Two sends, replies arrive swapped: the first receive's send is
-        // not the oldest queued (FIFO would have mispaired it); once it is
-        // taken out, the second receive's send is.
+        // Two sends, replies arrive swapped: each pairs with its own send,
+        // not the oldest on the queue.
         clock.set(1.0);
         t.record(EventKind::WireSend, at(0, 0, 0, 0).bytes(58).request_id(7));
         clock.set(1.1);
@@ -772,11 +732,7 @@ mod tests {
         clock.set(1.4);
         t.record(EventKind::WireRecv, at(0, 0, 0, 0).bytes(58).request_id(7));
         let a = analyze(&col.snapshot());
-        let check = a.wire_check.expect("ids present");
-        assert_eq!(check.checked, 2);
-        assert_eq!(check.mismatches, 1);
-        assert_eq!(check.unmatched_recvs, 1);
-        assert!((check.mismatch_rate() - 0.5).abs() < 1e-9);
+        assert_eq!(a.unmatched_recvs, 1);
         // Each request is charged its own transit: 0.1s and 0.3s.
         assert!((a.workers[0].wire_secs - 0.4).abs() < 1e-9);
     }
@@ -801,9 +757,7 @@ mod tests {
             "five 10ms transits, got {}s",
             a.workers[0].wire_secs
         );
-        let check = a.wire_check.expect("ids present");
-        assert_eq!((check.checked, check.unmatched_recvs), (5, 0));
-        assert_eq!(check.mismatches, 5, "FIFO would have mispaired all five");
+        assert_eq!(a.unmatched_recvs, 0);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub mod tracer;
 pub mod waterfall;
 
 pub use alert::{AlertEngine, AlertMetric, AlertRule, AlertTransition};
-pub use analyze::{analyze, Analysis, WireCheck};
+pub use analyze::{analyze, Analysis};
 pub use clock::{ClockSource, VirtualClock};
 pub use collect::{ClusterCollector, Hlc, NodeStats, OffsetEstimator};
 pub use event::{EventKind, TraceEvent, KINDS, NO_ID};

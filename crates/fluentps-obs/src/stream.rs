@@ -7,9 +7,9 @@
 //!
 //! * the all-run figures ([`StreamAnalyzer::analysis`]): per-worker time
 //!   breakdowns, per-shard sync health, the staleness-gap distribution with
-//!   its blocked/granted split and the wire-matcher audit. The three
-//!   matchers that *define* "wire time", "DPR residence" and "blocked at
-//!   gap k" live in [`StreamAnalyzer::ingest`] and nowhere else;
+//!   its blocked/granted split and the wire receives no send matched. The
+//!   three matchers that *define* "wire time", "DPR residence" and "blocked
+//!   at gap k" live in [`StreamAnalyzer::ingest`] and nowhere else;
 //! * tumbling windows of tail latency: per-shard wire and DPR-residence
 //!   histograms, barrier-wait spans, staleness at pull, per-worker progress
 //!   rates and straggler spread — kept in [`WindowedHistogram`] rings with
@@ -46,7 +46,7 @@ use std::time::Duration;
 use fluentps_util::sync::Mutex;
 
 use crate::alert::{AlertEngine, AlertRule, AlertTransition};
-use crate::analyze::{Analysis, GapStat, ShardHealth, WireCheck, WorkerBreakdown};
+use crate::analyze::{Analysis, GapStat, ShardHealth, WorkerBreakdown};
 use crate::event::{EventKind, TraceEvent, KINDS, NO_ID};
 use crate::hist::Histogram;
 use crate::metrics::MetricsRegistry;
@@ -241,7 +241,8 @@ struct DeferMatch {
     window: u64,
 }
 
-/// A `WireSend` waiting on its `(shard, worker)` queue for the receive.
+/// A stamped `WireSend` waiting on its `(shard, worker)` queue for the
+/// receive of the same `(request_id, attempt)`.
 #[derive(Debug)]
 struct Sent {
     ts: f64,
@@ -287,9 +288,8 @@ pub struct StreamAnalyzer {
     workers: BTreeMap<u32, WorkerBreakdown>,
     shards: BTreeMap<u32, ShardFold>,
     gaps: BTreeMap<u64, GapStat>,
-    wire_check: WireCheck,
-    /// Whether any wire event carried a causal request id.
-    stamped_wire: bool,
+    /// `WireRecv`s with no queued send of their own `(request_id, attempt)`.
+    unmatched_recvs: u64,
     longest_dpr: Option<DprPair>,
 
     // ---- open matcher entries ----
@@ -332,8 +332,7 @@ impl StreamAnalyzer {
             workers: BTreeMap::new(),
             shards: BTreeMap::new(),
             gaps: BTreeMap::new(),
-            wire_check: WireCheck::default(),
-            stamped_wire: false,
+            unmatched_recvs: 0,
             longest_dpr: None,
             in_flight: HashMap::new(),
             defers: HashMap::new(),
@@ -415,45 +414,39 @@ impl StreamAnalyzer {
                 }
                 EventKind::WireSend => {
                     w.bytes_sent += ev.bytes;
-                    self.stamped_wire |= ev.request_id != 0;
-                    self.in_flight
-                        .entry((ev.shard, ev.worker))
-                        .or_default()
-                        .push_back(Sent {
-                            ts: ev.ts,
-                            request_id: ev.request_id,
-                            attempt: ev.attempt,
-                            window: cur,
-                        });
+                    // Only a stamped send can be paired: queue nothing a
+                    // receive would have to guess at.
+                    if ev.request_id != 0 {
+                        self.in_flight
+                            .entry((ev.shard, ev.worker))
+                            .or_default()
+                            .push_back(Sent {
+                                ts: ev.ts,
+                                request_id: ev.request_id,
+                                attempt: ev.attempt,
+                                window: cur,
+                            });
+                    }
                 }
                 EventKind::WireRecv => {
                     w.bytes_recvd += ev.bytes;
-                    self.stamped_wire |= ev.request_id != 0;
-                    // Causal ids are the truth: a stamped receive pairs with
-                    // the queued send of the same `(request_id, attempt)`,
-                    // wherever it sits. FIFO — the oldest unmatched send on
-                    // the `(shard, worker)` queue, sends being recorded
-                    // before their receives — is the heuristic, used only
-                    // for ctx-less events. Sends a stamped receive skips
-                    // stay queued: requests and replies share the queue, so
-                    // a skipped send is as likely still in flight the other
-                    // way as lost; lost ones age out in `close_current`.
+                    // Exact pairing only: a receive takes the queued send of
+                    // its own `(request_id, attempt)`, wherever it sits, so
+                    // one lost or duplicated frame costs its own sample and
+                    // nothing else. A receive with no such send — unstamped,
+                    // its send lost to ring overwrite, a fault-injected
+                    // duplicate — is counted, never guessed. Sends a receive
+                    // skips stay queued: requests and replies share the
+                    // queue, so a skipped send is as likely still in flight
+                    // the other way as lost; lost ones age out in
+                    // `close_current`.
                     let queue = self.in_flight.entry((ev.shard, ev.worker)).or_default();
-                    let at = if ev.request_id == 0 {
-                        (!queue.is_empty()).then_some(0)
-                    } else {
-                        let id = (ev.request_id, ev.attempt);
-                        queue.iter().position(|s| (s.request_id, s.attempt) == id)
-                    };
-                    match at.and_then(|p| queue.remove(p).map(|sent| (p, sent))) {
-                        Some((p, sent)) => {
+                    let id = (ev.request_id, ev.attempt);
+                    let at = queue.iter().position(|s| (s.request_id, s.attempt) == id);
+                    match at.and_then(|p| queue.remove(p)) {
+                        Some(sent) => {
                             let lat = (ev.ts - sent.ts).max(0.0);
                             w.wire_secs += lat;
-                            if ev.request_id != 0 {
-                                self.wire_check.checked += 1;
-                                // FIFO would have popped the front instead.
-                                self.wire_check.mismatches += u64::from(p > 0);
-                            }
                             if ev.shard != NO_ID {
                                 self.shard_wire_us
                                     .entry(ev.shard)
@@ -461,7 +454,7 @@ impl StreamAnalyzer {
                                     .record(cur, (lat * 1e6) as u64);
                             }
                         }
-                        None => self.wire_check.unmatched_recvs += 1,
+                        None => self.unmatched_recvs += 1,
                     }
                 }
                 EventKind::PullRequested => w.pulls += 1,
@@ -673,7 +666,7 @@ impl StreamAnalyzer {
             workers: self.workers.values().cloned().collect(),
             shards: self.shards.values().map(shard).collect(),
             gaps: self.gaps.values().copied().collect(),
-            wire_check: self.stamped_wire.then_some(self.wire_check),
+            unmatched_recvs: self.unmatched_recvs,
             ..Analysis::default()
         }
     }

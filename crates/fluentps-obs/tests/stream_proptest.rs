@@ -76,6 +76,6 @@ proptest! {
         prop_assert_eq!(a.gaps, w.gaps);
         prop_assert_eq!(a.analyzed, w.analyzed);
         prop_assert_eq!(a.span, w.span);
-        prop_assert_eq!(a.wire_check, w.wire_check);
+        prop_assert_eq!(a.unmatched_recvs, w.unmatched_recvs);
     }
 }

@@ -194,12 +194,6 @@ impl KvPairs {
             (k, s)
         })
     }
-
-    /// Total wire size of the value payload in bytes (used by the simulator's
-    /// bandwidth model and by communication accounting).
-    pub fn payload_bytes(&self) -> usize {
-        self.keys.len() * 8 + self.lens.len() * 4 + self.vals.len() * 4
-    }
 }
 
 /// One entry of a placement table carried on the wire by
@@ -402,32 +396,6 @@ pub enum Message {
 }
 
 impl Message {
-    /// Approximate wire payload size in bytes; used for communication-time
-    /// accounting in the simulator and statistics.
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            Message::SPush { kv, .. } => 16 + kv.payload_bytes(),
-            Message::SPull { keys, .. } => 16 + keys.len() * 8,
-            Message::PushAck { .. } => 12,
-            Message::PullResponse { kv, .. } => 24 + kv.payload_bytes(),
-            Message::Heartbeat { .. } => 16,
-            Message::Shutdown => 1,
-            Message::Install { kv } => 4 + kv.payload_bytes(),
-            Message::RouteUpdate { placements } => 4 + placements.len() * 28,
-            Message::TraceBatch { events, .. } => 41 + events.len() * 73,
-            Message::ClockPing { .. } => 21,
-            Message::ClockPong { .. } => 24,
-            Message::VoteRequest { .. } => 28,
-            Message::VoteResponse { .. } => 13,
-            Message::AppendEntries { entries, .. } => {
-                36 + entries.iter().map(|e| 20 + e.cmd.len()).sum::<usize>()
-            }
-            Message::AppendAck { .. } => 21,
-            Message::LeaderRedirect { .. } => 12,
-            Message::Traced { inner, .. } => CausalCtx::WIRE_LEN + inner.payload_bytes(),
-        }
-    }
-
     /// Wrap `self` in a [`Message::Traced`] envelope carrying `ctx`.
     /// Wrapping an already-`Traced` message replaces its context instead of
     /// nesting (the codec rejects nested envelopes).
@@ -486,7 +454,7 @@ mod tests {
     fn kv_single_is_consistent() {
         let kv = KvPairs::single(7, vec![0.5; 10]);
         assert!(kv.is_consistent());
-        assert_eq!(kv.payload_bytes(), 8 + 4 + 40);
+        assert_eq!(kv.vals.len(), 10);
     }
 
     #[test]
@@ -515,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_envelope_wraps_peels_and_accounts() {
+    fn traced_envelope_wraps_and_peels() {
         let bare = Message::PushAck {
             server: 1,
             progress: 4,
@@ -523,10 +491,6 @@ mod tests {
         let ctx = CausalCtx::new(99).retry(2).span(7);
         let wrapped = bare.clone().with_ctx(ctx);
         assert_eq!(wrapped.ctx(), Some(ctx));
-        assert_eq!(
-            wrapped.payload_bytes(),
-            CausalCtx::WIRE_LEN + bare.payload_bytes()
-        );
         // Re-wrapping replaces the context rather than nesting.
         let ctx2 = CausalCtx::new(100);
         let rewrapped = wrapped.with_ctx(ctx2);
@@ -538,20 +502,5 @@ mod tests {
         assert_eq!(none, None);
         assert_eq!(same, bare);
         assert_eq!(bare.ctx(), None);
-    }
-
-    #[test]
-    fn message_payload_bytes_track_kv_size() {
-        let small = Message::SPush {
-            worker: 0,
-            progress: 0,
-            kv: KvPairs::single(0, vec![0.0; 4]),
-        };
-        let big = Message::SPush {
-            worker: 0,
-            progress: 0,
-            kv: KvPairs::single(0, vec![0.0; 400]),
-        };
-        assert!(big.payload_bytes() > small.payload_bytes());
     }
 }

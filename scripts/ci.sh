@@ -58,6 +58,7 @@ deleted="$deleted|WarmupThenDecay|time_to_accuracy|\bEma\b|split_chunk_key|alexn
 deleted="$deleted|ResidualMlp::resnet56_like|ClientCache|AlertRule::parse|AlertMetric::parse|sched_cost_base"
 # The optimizer and tensor types, not the prose "Project Adam" or the paper's "LARS".
 deleted="$deleted|\bLars\b|\bAdam::|for Adam\b|\bTensor::|struct Tensor\b|fluentps_ml::tensor"
+deleted="$deleted|WireCheck|stamped_wire|send_pulls|pending_responses"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then
@@ -73,6 +74,22 @@ if awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } { print FILENA
     crates/fluentps-obs/src/analyze.rs \
   | grep -E 'pop_front|EventKind::(WireRecv|PullRequested)|fn (worker_breakdowns|gap_stats|collect_deferred_keys|shard_healths|wire_check)\('; then
   echo "ci: analyze.rs matches trace events itself again (see above); the matchers belong to stream.rs" >&2
+  exit 1
+fi
+
+# Structural guard: one worker round, and exact wire matching (DESIGN.md §9,
+# §18). The simulator's workers run the live `WorkerRound`, so above its
+# test marker driver.rs builds no pull of its own; and the fold queues only
+# stamped sends, so a receive whose request_id is 0 is never paired (there
+# is no FIFO fallback to guess with).
+if above_tests crates/fluentps-experiments/src/driver.rs | grep -F 'Message::SPull'; then
+  echo "ci: driver.rs builds its own pulls again (see above); the simulator's workers run WorkerRound" >&2
+  exit 1
+fi
+stream_src=crates/fluentps-obs/src/stream.rs
+if above_tests "$stream_src" | grep -E 'request_id == 0|then_some\(0\)' \
+  || [ "$(above_tests "$stream_src" | grep -cF 'if ev.request_id != 0 {')" -ne 1 ]; then
+  echo "ci: stream.rs pairs a receive whose request_id is 0 again; wire matching is by causal id only" >&2
   exit 1
 fi
 
