@@ -1675,7 +1675,7 @@ pub(crate) mod tests {
         assert_eq!(reack, [(ack.0, ack.1.with_ctx(ctx))]);
         assert_eq!(s.server.shard().stats(), &stats);
         assert_eq!(s.server.shard().v_train(), v_train);
-        assert_eq!(s.server.shard().read_param(1), Some(&[1.0f32; 2][..]));
+        assert_eq!(s.server.shard().read_param(1).unwrap(), [1.0f32; 2]);
     }
 
     #[test]

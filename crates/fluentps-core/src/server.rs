@@ -7,12 +7,22 @@
 //! the TCP engine and the discrete-event simulator all drive identical
 //! synchronization logic, and properties like the staleness invariant can be
 //! tested exhaustively.
+//!
+//! The shard's parameters live in wire form: one little-endian
+//! [`Values`] slab holding every key's values end to end, in the order
+//! [`ServerShard::init_param`] installed them. That slab *is* the payload of
+//! a reply for the shard's whole key list — a pull or checkpoint for those
+//! keys in store order is answered with a reference-counted clone of it, no
+//! copy and no allocation — and a push is folded into it in place,
+//! copy-on-write ([`Values::add_scaled_in`]): while a reply still holds the
+//! slab the fold writes into a fresh copy, so a reply already handed out
+//! never changes. Any other key set is gathered into a payload of its own.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use fluentps_obs::{EventKind, RecordArgs, Tracer};
-use fluentps_transport::{codec, CausalCtx, KvPairs, ValuesMut};
+use fluentps_transport::{codec, CausalCtx, KvPairs, Values, ValuesMut};
 
 use crate::condition::{SyncModel, SyncPolicy, SyncState};
 use crate::dpr::{DeferredPull, DprBuffer, DprPolicy};
@@ -89,14 +99,15 @@ pub(crate) fn stamp_ctx(args: RecordArgs, ctx: Option<CausalCtx>) -> RecordArgs 
 pub struct ServerShard {
     cfg: ShardConfig,
     policy: Box<dyn SyncPolicy>,
-    store: HashMap<u64, Vec<f32>>,
-    /// The last [`snapshot`](Self::snapshot), for as long as the store has
-    /// not changed since: whoever next asks for the same keys — the other
-    /// pulls of a BSP round, the checkpoint at the same `V_train` — shares
-    /// its payload instead of gathering the shard again. Emptied by every
-    /// write to `store`. (`RefCell`: a snapshot reads the shard; remembering
-    /// it is not a change anyone can observe.)
-    last_snapshot: RefCell<Option<KvPairs>>,
+    /// Every parameter's values end to end in wire form, in `keys` order:
+    /// the payload of a whole-shard reply (see the module docs).
+    slab: Values,
+    /// The keys in slab order (the key list a whole-shard reply carries)
+    /// and each one's value count.
+    keys: Vec<u64>,
+    lens: Vec<u32>,
+    /// Where each key's values lie in `slab`, counted in `f32`s.
+    index: HashMap<u64, Range<usize>>,
     v_train: u64,
     progress: ProgressTable,
     buffer: DprBuffer,
@@ -126,8 +137,10 @@ impl ServerShard {
         ServerShard {
             progress: ProgressTable::new(cfg.num_workers),
             policy,
-            store: HashMap::new(),
-            last_snapshot: RefCell::new(None),
+            slab: Values::default(),
+            keys: Vec::new(),
+            lens: Vec::new(),
+            index: HashMap::new(),
             v_train: 0,
             buffer: DprBuffer::new(),
             stats: ShardStats::default(),
@@ -143,9 +156,36 @@ impl ServerShard {
     }
 
     /// Install the initial value of a parameter (`w_0`, Algorithm 1 line 1).
+    /// A new key is appended to the slab, in place unless a reply still
+    /// holds it; a held one keeps its place and takes the new values, which
+    /// rebuilds the slab. Either way a reply handed out earlier keeps the
+    /// values it was given.
     pub fn init_param(&mut self, key: u64, vals: Vec<f32>) {
-        self.last_snapshot.get_mut().take();
-        self.store.insert(key, vals);
+        if !self.index.contains_key(&key) {
+            let start = self.slab.len();
+            let mut slab = std::mem::take(&mut self.slab).into_mut();
+            slab.extend_from_slice(&vals);
+            self.slab = slab.freeze();
+            self.keys.push(key);
+            self.lens.push(vals.len() as u32);
+            self.index.insert(key, start..start + vals.len());
+            return;
+        }
+        let old_len = self.index[&key].len();
+        let mut slab = ValuesMut::with_capacity(self.slab.len() - old_len + vals.len());
+        let mut at = 0;
+        for (k, len) in self.keys.iter().zip(&mut self.lens) {
+            let range = self.index.get_mut(k).expect("every key is indexed");
+            if *k == key {
+                slab.extend_from_slice(&vals);
+                *len = vals.len() as u32;
+            } else {
+                slab.extend_from_values(&self.slab.slice(range.clone()));
+            }
+            *range = at..at + *len as usize;
+            at = range.end;
+        }
+        self.slab = slab.freeze();
     }
 
     /// Jump `V_train` forward without gradient traffic — checkpoint restore
@@ -197,9 +237,10 @@ impl ServerShard {
         self.buffer.len()
     }
 
-    /// Read a parameter (test/diagnostic access).
-    pub fn read_param(&self, key: u64) -> Option<&[f32]> {
-        self.store.get(&key).map(|v| v.as_slice())
+    /// Read a parameter (test/diagnostic access): a view of the slab, so
+    /// the next push copies it rather than change what this returned.
+    pub fn read_param(&self, key: u64) -> Option<Values> {
+        self.index.get(&key).map(|r| self.slab.slice(r.clone()))
     }
 
     /// Snapshot of the synchronization state exposed to conditions.
@@ -450,8 +491,8 @@ impl ServerShard {
         let mut w2 = 0.0f64;
         for (key, grad) in kv.iter() {
             g2 += grad.iter().map(|x| (x as f64) * (x as f64)).sum::<f64>();
-            if let Some(param) = self.store.get(&key) {
-                w2 += param.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
+            if let Some(param) = self.read_param(key) {
+                w2 += param.iter().map(|x| (x as f64) * (x as f64)).sum::<f64>();
             }
         }
         if w2 == 0.0 {
@@ -461,18 +502,18 @@ impl ServerShard {
         }
     }
 
-    /// Fold a push into the store — where a gradient's wire bytes are read
-    /// as `f32`, once. `w += g / N` (Algorithm 1 line 15): workers send
-    /// pre-scaled updates (e.g. `−lr·∇`) and the server averages them.
+    /// Fold a push into the slab, in place unless a reply still holds it —
+    /// where a gradient's wire bytes are read as `f32`, once. `w += g / N`
+    /// (Algorithm 1 line 15): workers send pre-scaled updates (e.g.
+    /// `−lr·∇`) and the server averages them.
     fn apply_gradients(&mut self, kv: &KvPairs) {
-        self.last_snapshot.get_mut().take();
         let scale = 1.0 / self.cfg.num_workers as f32;
         for (key, grad) in kv.iter() {
-            let Some(param) = self.store.get_mut(&key) else {
+            let Some(range) = self.index.get(&key) else {
                 debug_assert!(false, "push for unknown key {key:#x}");
                 continue;
             };
-            grad.add_scaled_to(param, scale);
+            self.slab.add_scaled_in(range.clone(), &grad, scale);
         }
     }
 
@@ -483,31 +524,33 @@ impl ServerShard {
     }
 
     /// The stored values of `keys` as one batch, skipping keys this shard
-    /// does not hold — where the store's `f32`s become wire bytes, written
-    /// once into one allocation of their exact size. Asking again for the
-    /// same keys before the store changes returns the same payload.
+    /// does not hold. The shard's whole key list in store order is the slab
+    /// itself, shared; any other key set is gathered, byte for byte, into
+    /// one allocation of its exact size.
     pub(crate) fn snapshot(&self, keys: &[u64]) -> KvPairs {
-        let mut last = self.last_snapshot.borrow_mut();
-        if let Some(kv) = last.as_ref().filter(|kv| kv.keys == keys) {
-            return kv.clone();
+        if keys == self.keys {
+            return KvPairs {
+                keys: self.keys.clone(),
+                lens: self.lens.clone(),
+                vals: self.slab.clone(),
+            };
         }
         let held = || {
             keys.iter()
-                .filter_map(|&key| Some((key, self.store.get(&key)?)))
+                .filter_map(|&key| Some((key, self.index.get(&key)?)))
         };
         let mut kv = KvPairs {
             keys: Vec::with_capacity(keys.len()),
             lens: Vec::with_capacity(keys.len()),
             ..KvPairs::default()
         };
-        let mut payload = ValuesMut::with_capacity(held().map(|(_, vals)| vals.len()).sum());
-        for (key, vals) in held() {
+        let mut payload = ValuesMut::with_capacity(held().map(|(_, r)| r.len()).sum());
+        for (key, range) in held() {
             kv.keys.push(key);
-            kv.lens.push(vals.len() as u32);
-            payload.extend_from_slice(vals);
+            kv.lens.push(range.len() as u32);
+            payload.extend_from_values(&self.slab.slice(range.clone()));
         }
         kv.vals = payload.freeze();
-        *last = Some(kv.clone());
         kv
     }
 }
@@ -644,7 +687,7 @@ mod tests {
         // The straggler's late push for iteration 0 is rejected.
         s.on_push(2, 0, &push1([300.0, 0.0]));
         assert_eq!(s.stats().late_pushes_dropped, 1);
-        assert_eq!(s.read_param(0).unwrap(), &[2.0, 0.0]); // (3+3)/3
+        assert_eq!(s.read_param(0).unwrap(), [2.0, 0.0]); // (3+3)/3
     }
 
     #[test]
@@ -705,31 +748,6 @@ mod tests {
         assert_eq!(s.significance_of(1), None, "worker 1 never pushed");
     }
 
-    #[test]
-    fn full_shard_reply_is_allocated_exactly() {
-        let mut s = shard(1, SyncModel::Asp, DprPolicy::LazyExecution);
-        s.init_param(1, vec![1.0; 4096]);
-        s.init_param(2, vec![2.0; 37]);
-        let (_, before) = fluentps_util::alloc::thread_counters();
-        let outcome = s.on_pull(0, 0, &[0, 1, 2], 0.5, None);
-        let (_, after) = fluentps_util::alloc::thread_counters();
-        match outcome {
-            PullOutcome::Respond { kv, .. } => {
-                assert_eq!(kv.lens, vec![2, 4096, 37]);
-                let payload = kv.vals.as_le_bytes().len() as u64;
-                assert_eq!(payload, 4 * (2 + 4096 + 37));
-                assert!(
-                    after - before < payload + 1024,
-                    "a {payload}-byte reply allocated {}",
-                    after - before
-                );
-                assert_eq!(kv.keys.capacity(), kv.keys.len());
-                assert_eq!(kv.lens.capacity(), kv.lens.len());
-            }
-            PullOutcome::Deferred => panic!("ASP must not defer"),
-        }
-    }
-
     fn payload_of(outcome: PullOutcome) -> KvPairs {
         match outcome {
             PullOutcome::Respond { kv, .. } => kv,
@@ -737,26 +755,130 @@ mod tests {
         }
     }
 
+    fn at(kv: &KvPairs) -> *const u8 {
+        kv.vals.as_le_bytes().as_ptr()
+    }
+
+    #[test]
+    fn a_full_pull_allocates_no_payload() {
+        let mut s = shard(1, SyncModel::Asp, DprPolicy::LazyExecution);
+        s.init_param(1, vec![1.0; 4096]);
+        s.init_param(2, vec![2.0; 37]);
+        let (_, before) = fluentps_util::alloc::thread_counters();
+        let kv = payload_of(s.on_pull(0, 0, &[0, 1, 2], 0.5, None));
+        let (_, after) = fluentps_util::alloc::thread_counters();
+        assert_eq!(kv.lens, vec![2, 4096, 37]);
+        assert_eq!(kv.vals.len(), 2 + 4096 + 37);
+        assert!(
+            after - before < 1024,
+            "a whole-shard reply allocated {} bytes",
+            after - before
+        );
+        assert_eq!(
+            at(&kv),
+            s.slab.as_le_bytes().as_ptr(),
+            "the payload is the store"
+        );
+        assert_eq!(kv.keys.capacity(), kv.keys.len());
+        assert_eq!(kv.lens.capacity(), kv.lens.len());
+    }
+
+    #[test]
+    fn installing_a_shard_copies_each_value_a_bounded_number_of_times() {
+        // Appending a key reopens the slab rather than rebuilding it, so a
+        // shard's set-up allocates in proportion to its size, not to its
+        // size times its key count.
+        let mut s = shard(1, SyncModel::Asp, DprPolicy::LazyExecution);
+        let (_, before) = fluentps_util::alloc::thread_counters();
+        for key in 1..=64 {
+            s.init_param(key, vec![key as f32; 1024]);
+        }
+        let (_, after) = fluentps_util::alloc::thread_counters();
+        let size = 4 * 64 * 1024;
+        assert!(
+            after - before < 4 * size,
+            "installing {size} bytes allocated {}",
+            after - before
+        );
+        assert_eq!(s.read_param(64).unwrap(), vec![64.0; 1024]);
+        assert_eq!(s.read_param(0).unwrap(), [0.0; 2]);
+    }
+
+    #[test]
+    fn the_pulls_of_a_bsp_round_share_the_store() {
+        let mut s = shard(2, SyncModel::Bsp, DprPolicy::LazyExecution);
+        s.init_param(1, vec![1.0; 64]);
+        s.on_push(0, 0, &push1([2.0, 0.0]));
+        assert_eq!(s.on_pull(0, 0, &[0, 1], 0.5, None), PullOutcome::Deferred);
+        let released = s.on_push(1, 0, &push1([4.0, 0.0]));
+        let second = payload_of(s.on_pull(1, 0, &[0, 1], 0.5, None));
+        assert_eq!(at(&released[0].kv), s.slab.as_le_bytes().as_ptr());
+        assert_eq!(at(&second), at(&released[0].kv), "one store, two replies");
+        assert_eq!(second.vals.slice(0..3), [3.0, 0.0, 1.0]);
+        // So does the checkpoint at the same `V_train`.
+        assert_eq!(at(&s.snapshot(&[0, 1])), at(&second));
+    }
+
+    #[test]
+    fn an_unshared_store_is_updated_in_place() {
+        let mut s = shard(2, SyncModel::Asp, DprPolicy::LazyExecution);
+        s.init_param(1, vec![1.0; 64]);
+        drop(payload_of(s.on_pull(0, 0, &[0, 1], 0.5, None)));
+        let store = s.slab.as_le_bytes().as_ptr();
+        s.on_push(0, 0, &push1([2.0, 4.0]));
+        assert_eq!(
+            s.slab.as_le_bytes().as_ptr(),
+            store,
+            "no reply held it: no copy"
+        );
+        assert_eq!(s.read_param(0).unwrap(), [1.0, 2.0]);
+    }
+
+    #[test]
+    fn a_reply_held_across_the_next_push_keeps_its_values() {
+        let mut s = shard(2, SyncModel::Asp, DprPolicy::LazyExecution);
+        s.init_param(1, vec![1.0; 64]);
+        let held = payload_of(s.on_pull(0, 0, &[0, 1], 0.5, None));
+        let view = s.read_param(1).unwrap();
+        s.on_push(
+            0,
+            0,
+            &KvPairs::from_slices(&[(0, &[2.0, 4.0]), (1, &[2.0; 64])]),
+        );
+        assert_ne!(
+            s.slab.as_le_bytes().as_ptr(),
+            at(&held),
+            "held: the push copied"
+        );
+        assert_eq!(held.vals.slice(0..3), [0.0, 0.0, 1.0]);
+        assert_eq!(view, vec![1.0; 64]);
+        let after = payload_of(s.on_pull(0, 1, &[0, 1], 0.5, None));
+        assert_eq!(after.vals.slice(0..3), [1.0, 2.0, 2.0]);
+        assert_eq!(at(&after), s.slab.as_le_bytes().as_ptr());
+    }
+
     #[test]
     fn pulls_share_one_snapshot_until_the_store_changes() {
-        let at = |kv: &KvPairs| kv.vals.as_le_bytes().as_ptr();
         let mut s = shard(2, SyncModel::Asp, DprPolicy::LazyExecution);
         s.init_param(1, vec![1.0; 64]);
         let first = payload_of(s.on_pull(0, 0, &[0, 1], 0.5, None));
         let second = payload_of(s.on_pull(1, 0, &[0, 1], 0.5, None));
-        assert_eq!(at(&first), at(&second), "no push in between: one gather");
+        assert_eq!(at(&first), at(&second), "no push in between: one store");
         // So does whoever else snapshots the same keys (the checkpoint).
         assert_eq!(at(&s.snapshot(&[0, 1])), at(&first));
-        // A different key set is not the remembered one, and replaces it.
+        // A different key set is gathered into a payload of its own...
         let narrow = payload_of(s.on_pull(0, 0, &[1], 0.5, None));
         assert_eq!(narrow.keys, [1]);
         assert_eq!(narrow.vals, vec![1.0; 64]);
+        assert_ne!(at(&narrow), at(&first));
+        // ...and the whole key list, asked again, is still the store itself:
+        // there is no remembered snapshot for the narrow pull to replace.
         let again = payload_of(s.on_pull(0, 0, &[0, 1], 0.5, None));
-        assert_ne!(at(&again), at(&first));
+        assert_eq!(at(&again), at(&first));
         assert_eq!(again, first);
 
-        // A push invalidates it: the next pull sees the new values, and the
-        // snapshot handed out earlier still holds the old ones.
+        // A push changes it: the next pull sees the new values, and the
+        // payload handed out earlier still holds the old ones.
         s.on_push(0, 0, &push1([2.0, 4.0]));
         let after = payload_of(s.on_pull(0, 1, &[0, 1], 0.5, None));
         assert_ne!(at(&after), at(&again));
@@ -765,7 +887,7 @@ mod tests {
         // So does installing a parameter.
         s.init_param(1, vec![7.0; 64]);
         assert_eq!(s.snapshot(&[0, 1]).vals.at(2), 7.0);
-        // A dropped late push changes nothing and invalidates nothing.
+        // A dropped late push changes nothing.
         let mut d = shard(
             2,
             SyncModel::DropStragglers { n_t: 1 },
@@ -776,6 +898,41 @@ mod tests {
         d.on_push(1, 0, &push1([9.0, 9.0]));
         assert_eq!(d.stats().late_pushes_dropped, 1);
         assert_eq!(at(&d.snapshot(&[0])), at(&before));
+    }
+
+    #[test]
+    fn subset_pulls_and_late_installs_get_the_right_values() {
+        let mut s = shard(2, SyncModel::Asp, DprPolicy::LazyExecution);
+        s.init_param(1, vec![1.0; 64]);
+        s.on_push(0, 0, &push1([2.0, 4.0]));
+        // Out of store order is a subset too, answered in the order asked.
+        let swapped = payload_of(s.on_pull(0, 0, &[1, 0], 0.5, None));
+        assert_eq!(swapped.lens, [64, 2]);
+        assert_eq!(swapped.vals.slice(63..66), [1.0, 1.0, 2.0]);
+        let full = payload_of(s.on_pull(0, 0, &[0, 1], 0.5, None));
+        // Installing a key after pulls began (the degraded-mode hand-off)
+        // appends it; the old key list, the new one and the new key alone
+        // all answer right, and the reply handed out before is untouched.
+        s.init_param(5, vec![5.0; 3]);
+        let old_keys = s.snapshot(&[0, 1]);
+        assert_eq!(
+            old_keys,
+            KvPairs::from_slices(&[(0, &[1.0, 2.0]), (1, &[1.0; 64])])
+        );
+        let all = s.snapshot(&[0, 1, 5]);
+        assert_eq!(at(&all), s.slab.as_le_bytes().as_ptr());
+        assert_eq!(all.vals.slice(66..69), [5.0; 3]);
+        assert_eq!(s.snapshot(&[5]).vals, [5.0; 3]);
+        assert_eq!(full.vals.len(), 66);
+        s.on_push(1, 0, &KvPairs::from_slices(&[(5, &[2.0; 3])]));
+        assert_eq!(s.read_param(5).unwrap(), [6.0; 3]);
+        assert_eq!(s.read_param(1).unwrap(), vec![1.0; 64]);
+        // A reinstall with another length moves the keys behind it.
+        s.init_param(0, vec![3.0]);
+        assert_eq!(s.snapshot(&[0, 1, 5]).lens, [1, 64, 3]);
+        assert_eq!(s.read_param(5).unwrap(), [6.0; 3]);
+        assert_eq!(s.read_param(0).unwrap(), [3.0]);
+        assert_eq!(full.vals.slice(0..3), [1.0, 2.0, 1.0]);
     }
 
     #[test]
@@ -821,7 +978,7 @@ mod tests {
         for w in 0..4 {
             s.on_push(w, 0, &push1([4.0, 8.0]));
         }
-        assert_eq!(s.read_param(0).unwrap(), &[4.0, 8.0]); // 4·(x/4)
+        assert_eq!(s.read_param(0).unwrap(), [4.0, 8.0]); // 4·(x/4)
     }
 
     #[test]

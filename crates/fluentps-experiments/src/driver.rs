@@ -970,7 +970,7 @@ impl<'a> Simulation<'a> {
             if entry.len() < p.offset + p.len {
                 entry.resize(p.offset + p.len, 0.0);
             }
-            entry[p.offset..p.offset + p.len].copy_from_slice(vals);
+            vals.copy_to(&mut entry[p.offset..p.offset + p.len]);
         }
         out
     }

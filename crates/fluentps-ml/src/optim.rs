@@ -52,17 +52,29 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
+    /// One pass per key, each delta written as it is collected: iterating
+    /// rather than indexing is what lets the loop vectorize. The operations
+    /// and their order, `v = μ·v + (g + λ·w)` then `δ = −lr·v`, are the ones
+    /// `tests/same_bits.rs` pins: reassociating them moves bits.
     fn deltas(&mut self, params: &ParamMap, grads: &ParamMap) -> ParamMap {
+        let (lr, momentum, weight_decay) = (self.lr, self.momentum, self.weight_decay);
         let mut out = ParamMap::new();
         for (&k, g) in grads {
             let w = &params[&k];
             let v = self.velocity.entry(k).or_insert_with(|| vec![0.0; g.len()]);
-            let mut delta = vec![0.0f32; g.len()];
-            for i in 0..g.len() {
-                let grad = g[i] + self.weight_decay * w[i];
-                v[i] = self.momentum * v[i] + grad;
-                delta[i] = -self.lr * v[i];
-            }
+            assert!(
+                w.len() >= g.len() && v.len() >= g.len(),
+                "gradient of key {k} longer than its parameter or velocity"
+            );
+            let delta = v
+                .iter_mut()
+                .zip(g)
+                .zip(w)
+                .map(|((v, &g), &w)| {
+                    *v = momentum * *v + (g + weight_decay * w);
+                    -lr * *v
+                })
+                .collect();
             out.insert(k, delta);
         }
         out

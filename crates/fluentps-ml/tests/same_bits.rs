@@ -1,5 +1,5 @@
-//! The GEMM kernels and the ReLU passes produce the bits the naive loops
-//! produced.
+//! The GEMM kernels, the ReLU passes and the optimizer produce the bits the
+//! naive loops produced.
 //!
 //! `linalg`'s tiled kernels keep every output element's summation order (one
 //! product at a time, ascending inner index, no FMA), so they must agree with
@@ -8,9 +8,9 @@
 //! a property test against those loops, copied verbatim as the oracle, on
 //! every tile remainder with zeros, negative zeros and subnormals (and, for
 //! `matmul_a_bt`, which skips no product, infinities and NaNs); the same for
-//! the ReLU pair, NaN payloads included; and training fingerprints of the
-//! ledger's three `Mlp` shapes, computed before the kernels were rewritten
-//! and pinned here.
+//! the ReLU pair, NaN payloads included, and for `Sgd::deltas` against its
+//! indexed loop; and training fingerprints of the ledger's three `Mlp`
+//! shapes, computed before the kernels were rewritten and pinned here.
 
 use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
 use fluentps_ml::linalg::{matmul, matmul_a_bt, matmul_at_b, relu_backward_inplace, relu_inplace};
@@ -84,6 +84,23 @@ mod naive {
                 *v = 0.0;
             }
         }
+    }
+
+    /// `Sgd::deltas` for one key, the indexed loop over a zero-filled
+    /// buffer (the optimizer's fields passed in).
+    pub fn sgd_deltas(
+        (lr, momentum, weight_decay): (f32, f32, f32),
+        v: &mut [f32],
+        g: &[f32],
+        w: &[f32],
+    ) -> Vec<f32> {
+        let mut delta = vec![0.0f32; g.len()];
+        for i in 0..g.len() {
+            let grad = g[i] + weight_decay * w[i];
+            v[i] = momentum * v[i] + grad;
+            delta[i] = -lr * v[i];
+        }
+        delta
     }
 
     /// Backprop through ReLU: `dx = dy ⊙ [pre > 0]`, written into `dy` in place
@@ -279,6 +296,39 @@ proptest! {
             relu_backward_inplace(pre, &mut got);
             naive::relu_backward_inplace(pre, &mut want);
             prop_assert_eq!(exact_bits(&got), exact_bits(&want));
+        }
+    }
+}
+
+proptest! {
+    /// `Sgd::deltas` keeps the indexed loop's operations and their order,
+    /// so its deltas and velocities have the loop's bits: three steps on
+    /// two keys, with and without momentum and weight decay, the gradients
+    /// and weights holding every class of value (NaNs compared as NaNs, as
+    /// for the GEMMs), and lengths up to 67 for every vector remainder.
+    #[test]
+    fn sgd_deltas_are_bit_identical_to_the_indexed_loop(len in 0usize..=67, seed in any::<u64>()) {
+        for (momentum, weight_decay) in [(0.0, 0.0), (0.0, 0.01), (0.9, 0.0), (0.9, 0.01)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let hp = (0.05, momentum, weight_decay);
+            let mut opt = Sgd::new(hp.0, hp.1, hp.2);
+            let keys = [(3u64, len), (8, 67 - len)];
+            let draw = |rng: &mut StdRng| -> fluentps_ml::ParamMap {
+                keys.iter().map(|&(k, n)| (k, activations(rng, n))).collect()
+            };
+            let params = draw(&mut rng);
+            let mut velocity: Vec<Vec<f32>> = keys.iter().map(|&(_, n)| vec![0.0; n]).collect();
+            for step in 0..3 {
+                let grads = draw(&mut rng);
+                let got = opt.deltas(&params, &grads);
+                for (&(k, _), v) in keys.iter().zip(&mut velocity) {
+                    let want = naive::sgd_deltas(hp, v, &grads[&k], &params[&k]);
+                    prop_assert_eq!(
+                        bits(&got[&k]), bits(&want),
+                        "key {} step {} μ {} λ {}", k, step, momentum, weight_decay
+                    );
+                }
+            }
         }
     }
 }

@@ -128,9 +128,9 @@ pub struct WireLogEntry {
 /// assert_eq!(items[0].0, 7);
 /// assert_eq!(items[1].1, [3.0]);
 /// // Values are read into `f32` where the arithmetic happens.
-/// let mut w = [10.0, 10.0];
-/// items[0].1.add_scaled_to(&mut w, 0.5);
-/// assert_eq!(w, [10.5, 11.0]);
+/// let mut w = [0.0; 2];
+/// items[0].1.copy_to(&mut w);
+/// assert_eq!(w, [1.0, 2.0]);
 /// // A clone shares the payload bytes.
 /// let copy = kv.clone();
 /// assert_eq!(copy.vals.as_le_bytes().as_ptr(), kv.vals.as_le_bytes().as_ptr());

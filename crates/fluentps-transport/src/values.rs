@@ -1,7 +1,7 @@
 //! Parameter values in wire form.
 //!
 //! A value has two representations in this system: `f32` where arithmetic
-//! happens (a worker's parameter map, a shard's store) and little-endian
+//! happens (a worker's parameter map and optimizer) and little-endian
 //! bytes everywhere in between. [`Values`] is the second one: the IEEE-754
 //! bit patterns of a run of `f32`s, little-endian, behind a shared
 //! [`Bytes`]. The bytes are exactly what the codec puts on the wire, so
@@ -9,9 +9,15 @@
 //! is slicing them out of the frame they arrived in; cloning is a
 //! reference-count bump. The numbers are converted once on the way in
 //! ([`ValuesMut::extend_from_slice`]) and read once on the way out
-//! ([`Values::copy_to`], [`Values::add_scaled_to`]) — safe code over
-//! `chunks_exact(4)` and `to_le_bytes`/`from_le_bytes`, a block copy on a
-//! little-endian host and a byte swap on a big-endian one.
+//! ([`Values::copy_to`]) — safe code over `chunks_exact(4)` and
+//! `to_le_bytes`/`from_le_bytes`, a block copy on a little-endian host and a
+//! byte swap on a big-endian one.
+//!
+//! A server shard keeps its parameters in this form too: one `Values` slab
+//! that is also the payload of every reply for the whole shard. A gradient
+//! is folded into it in place ([`Values::add_scaled_in`], the one
+//! arithmetic done on wire bytes), copy-on-write, so a reply already handed
+//! out never changes under its reader.
 
 use std::fmt;
 use std::ops::Range;
@@ -93,6 +99,16 @@ impl Values {
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
     }
 
+    /// Reopen for appending ([`ValuesMut::extend_from_slice`]): the same
+    /// allocation, no copy, when no clone or slice of `self` is alive;
+    /// otherwise a copy.
+    #[inline]
+    pub fn into_mut(self) -> ValuesMut {
+        ValuesMut {
+            le: self.le.into_mut(),
+        }
+    }
+
     /// The values as a fresh `Vec`.
     #[inline]
     pub fn to_vec(&self) -> Vec<f32> {
@@ -108,13 +124,21 @@ impl Values {
         }
     }
 
-    /// `dst[i] += self[i] * scale` in one pass — a gradient folded into the
-    /// parameters it belongs to. Panics if the lengths differ.
+    /// `self[range][i] += grad[i] * scale` in one pass over the bytes — a
+    /// gradient folded into the parameters it belongs to, each value read
+    /// as `f32`, added and written back little-endian. Copy-on-write
+    /// ([`Bytes::make_mut`]): in place when no clone or slice of `self` is
+    /// alive, otherwise into a fresh copy, so whoever holds one keeps the
+    /// values it was given. Panics if the lengths differ or the range is
+    /// out of bounds.
     #[inline]
-    pub fn add_scaled_to(&self, dst: &mut [f32], scale: f32) {
-        assert_eq!(dst.len(), self.len(), "add_scaled_to length mismatch");
-        for (d, v) in dst.iter_mut().zip(self.iter()) {
-            *d += v * scale;
+    pub fn add_scaled_in(&mut self, range: Range<usize>, grad: &Values, scale: f32) {
+        assert_eq!(range.len(), grad.len(), "add_scaled length mismatch");
+        let dst = &mut self.le.make_mut()[4 * range.start..4 * range.end];
+        for (d, g) in dst.chunks_exact_mut(4).zip(grad.le.chunks_exact(4)) {
+            let w = f32::from_le_bytes(d[..].try_into().unwrap());
+            let g = f32::from_le_bytes(g.try_into().unwrap());
+            d.copy_from_slice(&(w + g * scale).to_le_bytes());
         }
     }
 }
@@ -164,6 +188,12 @@ impl ValuesMut {
     #[inline]
     pub fn extend_from_slice(&mut self, src: &[f32]) {
         self.le.put_f32_slice_le(src);
+    }
+
+    /// Append values already in wire form: a byte copy, no conversion.
+    #[inline]
+    pub fn extend_from_values(&mut self, src: &Values) {
+        self.le.extend_from_slice(src.as_le_bytes());
     }
 
     /// Finish: the appended values, immutable and shareable (no copy).
@@ -231,9 +261,66 @@ mod tests {
     #[test]
     fn add_scaled_folds_a_gradient_in() {
         let grad = Values::from_f32s(&[2.0, -4.0, 0.5]);
-        let mut w = vec![1.0, 1.0, 1.0];
-        grad.add_scaled_to(&mut w, 0.5);
-        assert_eq!(w, [2.0, -1.0, 1.25]);
+        let mut w = Values::from_f32s(&[9.0, 1.0, 1.0, 1.0, 9.0]);
+        let at = w.as_le_bytes().as_ptr();
+        w.add_scaled_in(1..4, &grad, 0.5);
+        assert_eq!(w, [9.0, 2.0, -1.0, 1.25, 9.0]);
+        assert_eq!(
+            w.as_le_bytes().as_ptr(),
+            at,
+            "nothing else held it: in place"
+        );
+    }
+
+    #[test]
+    fn add_scaled_computes_what_f32_arithmetic_does_and_never_moves_a_held_copy() {
+        let (w0, g) = (
+            awkward(),
+            awkward().iter().rev().copied().collect::<Vec<_>>(),
+        );
+        let mut w = Values::from_f32s(&w0);
+        let held = w.slice(0..w0.len());
+        w.add_scaled_in(0..w0.len(), &Values::from_f32s(&g), 0.25);
+        let want: Vec<u32> = w0
+            .iter()
+            .zip(&g)
+            .map(|(w, g)| (w + g * 0.25).to_bits())
+            .collect();
+        assert_eq!(w.iter().map(f32::to_bits).collect::<Vec<_>>(), want);
+        assert_eq!(
+            held,
+            Values::from_f32s(&w0),
+            "the held view keeps the old values"
+        );
+        assert_ne!(held.as_le_bytes().as_ptr(), w.as_le_bytes().as_ptr());
+    }
+
+    #[test]
+    fn into_mut_appends_in_place_to_an_unshared_run() {
+        let vals = Values::from_f32s(&[1.0, 2.0]);
+        let at = vals.as_le_bytes().as_ptr();
+        let mut w = vals.into_mut();
+        w.extend_from_slice(&[]);
+        assert_eq!(w.le.as_ptr(), at);
+        w.extend_from_slice(&[3.0]);
+        let vals = w.freeze();
+        assert_eq!(vals, [1.0, 2.0, 3.0]);
+        let held = vals.clone();
+        let mut w = vals.into_mut();
+        w.extend_from_slice(&[4.0]);
+        assert_eq!(w.freeze(), [1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(held, [1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn extend_from_values_copies_the_wire_bytes() {
+        let src = Values::from_f32s(&awkward());
+        let mut w = ValuesMut::with_capacity(src.len() + 1);
+        w.extend_from_slice(&[1.0]);
+        w.extend_from_values(&src.slice(1..src.len()));
+        let vals = w.freeze();
+        assert_eq!(vals.as_le_bytes()[4..], src.as_le_bytes()[4..]);
+        assert_eq!(vals.at(0), 1.0);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! length check and one pass over the whole vector, little-endian on any
 //! host via `to_le_bytes`/`from_le_bytes`. A byte run that should *stay*
 //! bytes — a value payload — leaves the cursor through [`Buf::take_bytes`],
-//! which shares the allocation when the cursor is a [`Bytes`].
+//! which shares the allocation when the cursor is a [`Bytes`]. A [`Bytes`]
+//! is written only through [`Bytes::make_mut`] or reopened for appending by
+//! [`Bytes::into_mut`], each of which copies first whenever another handle
+//! could see the write.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -220,6 +223,34 @@ impl Bytes {
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
+    }
+
+    /// The readable bytes, writable, copy-on-write: in place when this is
+    /// the allocation's only handle and views all of it, otherwise after
+    /// moving the viewed bytes into a fresh allocation of their own — so a
+    /// clone or slice handed out earlier never sees the write.
+    #[inline]
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        if self.start != 0 || self.end != self.data.len() {
+            *self = Bytes::from(self.as_slice());
+        }
+        Arc::make_mut(&mut self.data).as_mut_slice()
+    }
+
+    /// The readable bytes as a growable buffer: the allocation itself, no
+    /// copy, when this is its only handle and the view starts at its
+    /// beginning; otherwise a copy of the viewed bytes.
+    #[inline]
+    pub fn into_mut(self) -> BytesMut {
+        let data = match Arc::try_unwrap(self.data) {
+            Ok(mut data) if self.start == 0 => {
+                data.truncate(self.end);
+                data
+            }
+            Ok(data) => data[self.start..self.end].to_vec(),
+            Err(shared) => shared[self.start..self.end].to_vec(),
+        };
+        BytesMut { data }
     }
 }
 
@@ -620,6 +651,50 @@ mod tests {
     fn slab_read_past_the_end_panics_before_allocating() {
         let mut cur: &[u8] = &[0u8; 7];
         let _ = cur.get_u32_vec_le(usize::MAX / 8);
+    }
+
+    #[test]
+    fn make_mut_writes_in_place_only_when_nothing_else_sees_the_bytes() {
+        let mut only = Bytes::from(vec![1u8, 2, 3]);
+        let at = only.as_ptr();
+        only.make_mut()[0] = 9;
+        assert_eq!(only.as_ptr(), at, "sole whole view: in place");
+        assert_eq!(only.as_slice(), &[9, 2, 3]);
+
+        let held = only.clone();
+        only.make_mut()[1] = 8;
+        assert_ne!(only.as_ptr(), at, "shared: copied first");
+        assert_eq!(held.as_slice(), &[9, 2, 3], "the clone never changes");
+        assert_eq!(only.as_slice(), &[9, 8, 3]);
+        let copied = only.as_ptr();
+        only.make_mut()[2] = 7;
+        assert_eq!(only.as_ptr(), copied, "the copy is this handle's own");
+
+        let mut part = held.slice(1..3);
+        part.make_mut()[0] = 0;
+        assert_eq!(part.as_slice(), &[0, 3]);
+        assert_eq!(held.as_slice(), &[9, 2, 3], "a slice writes into a copy");
+    }
+
+    #[test]
+    fn into_mut_takes_the_allocation_back_only_from_its_sole_handle() {
+        let only = Bytes::from(vec![1u8, 2, 3]);
+        let at = only.as_ptr();
+        let mut grown = only.into_mut();
+        assert_eq!(grown.as_ptr(), at, "sole handle: the same allocation");
+        grown.put_u8(4);
+        let frozen = grown.freeze();
+        assert_eq!(frozen.as_slice(), &[1, 2, 3, 4]);
+
+        let held = frozen.clone();
+        let copy = frozen.into_mut();
+        assert_ne!(copy.as_ptr(), held.as_ptr(), "shared: a copy");
+        assert_eq!(copy.as_ref(), held.as_slice());
+        assert_eq!(held.slice(1..3).into_mut().as_ref(), &[2, 3]);
+        assert_eq!(
+            Bytes::from(vec![5u8, 6, 7]).slice(0..2).into_mut().as_ref(),
+            &[5, 6]
+        );
     }
 
     #[test]

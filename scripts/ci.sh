@@ -15,8 +15,11 @@ cargo test -q --offline --workspace
 cargo test --offline --release --manifest-path benchmark/Cargo.toml
 
 # The same-bits promise of fluentps-ml's kernels (DESIGN.md §19) is about
-# the vectorized loops, and those exist only in a release build.
+# the vectorized loops, and those exist only in a release build. So is the
+# shard's in-place little-endian add into the slab its replies share
+# (DESIGN.md §13): its unit tests run in release too.
 cargo test -q --offline --release -p fluentps-ml --test same_bits
+cargo test -q --offline --release -p fluentps-core --lib server::
 
 # Lines above a file's test marker, comments skipped, each prefixed with
 # `file:line: ` — the production code the structural guards below inspect.
@@ -59,6 +62,7 @@ deleted="$deleted|ResidualMlp::resnet56_like|ClientCache|AlertRule::parse|AlertM
 # The optimizer and tensor types, not the prose "Project Adam" or the paper's "LARS".
 deleted="$deleted|\bLars\b|\bAdam::|for Adam\b|\bTensor::|struct Tensor\b|fluentps_ml::tensor"
 deleted="$deleted|WireCheck|stamped_wire|send_pulls|pending_responses"
+deleted="$deleted|last_snapshot"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then
@@ -93,9 +97,10 @@ if above_tests "$stream_src" | grep -E 'request_id == 0|then_some\(0\)' \
   exit 1
 fi
 
-# Structural guard: a value is `f32` at the four places arithmetic happens
-# (scatter, gather, apply, snapshot) and wire bytes everywhere in between
-# (DESIGN.md §13). The wire layers move those bytes and never convert them:
+# Structural guard: a value is `f32` where arithmetic happens (the worker's
+# scatter and gather, the shard's apply) and wire bytes everywhere in
+# between, the shard's store included (DESIGN.md §13). The wire layers move
+# those bytes and never convert them:
 # no `f32` vector and no `f32` slab operation above the test markers of
 # codec.rs, frame.rs and tcp.rs, and the frame reader keeps no body buffer
 # between frames (each frame's buffer is the decoded message's payload).
