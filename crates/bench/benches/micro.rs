@@ -1,5 +1,7 @@
 //! Microbenchmarks of the substrate hot paths: wire codec, server state
-//! machine, EPS slicing, DPR buffer, GEMM and the event queue.
+//! machine, EPS slicing, DPR buffer and the event queue. The GEMM kernels
+//! are timed on the ledger's shapes by `obs.rs`'s gated
+//! `ml/loss_and_grad_b128|b8` and the ledger's `ml.loss_and_grad_us`.
 
 use fluentps_util::bench::{BenchmarkId, Criterion, Throughput};
 use fluentps_util::{criterion_group, criterion_main};
@@ -8,7 +10,6 @@ use fluentps_core::condition::SyncModel;
 use fluentps_core::dpr::{DeferredPull, DprBuffer, DprPolicy};
 use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
 use fluentps_core::server::{ServerShard, ShardConfig};
-use fluentps_ml::linalg::{matmul, matmul_a_bt, matmul_at_b};
 use fluentps_simnet::event::EventQueue;
 use fluentps_transport::codec::{decode, encode};
 use fluentps_transport::{KvPairs, Message};
@@ -116,56 +117,6 @@ fn dpr_buffer(c: &mut Criterion) {
     });
 }
 
-/// The three GEMM kernels on the ledger's layer shapes (`benchmark/`: an
-/// `Mlp` `[64, 256, 128, 10]` at batch 128, `[64, 1024, 256, 10]` at batch 8
-/// and `[64, 128, 64, 10]` at batch 32): each layer's forward product, weight
-/// gradient and — above the first layer — input gradient. Past the first
-/// layer the input is a ReLU activation and below the top the output
-/// gradient is ReLU-masked, so about half of those values are exact zeros,
-/// as in training (the kernels skip zero work).
-fn gemm(c: &mut Criterion) {
-    use fluentps_util::rng::StdRng;
-
-    let mut rng = StdRng::seed_from_u64(25);
-    let mut values = |len: usize, relu: bool| -> Vec<f32> {
-        (0..len)
-            .map(|_| rng.gen_range(-1.0f32..1.0))
-            .map(|v| if relu { v.max(0.0) } else { v })
-            .collect()
-    };
-    let mut g = c.benchmark_group("gemm");
-    g.sample_size(20);
-    for (batch, dims) in [
-        (128usize, [64usize, 256, 128, 10]),
-        (8, [64, 1024, 256, 10]),
-        (32, [64, 128, 64, 10]),
-    ] {
-        for l in 0..dims.len() - 1 {
-            let (din, dout) = (dims[l], dims[l + 1]);
-            let x = values(batch * din, l > 0);
-            let w = values(din * dout, false);
-            let dy = values(batch * dout, l + 2 < dims.len());
-            let shape = format!("b{batch}_{din}x{dout}");
-            g.throughput(Throughput::Elements((batch * din * dout) as u64));
-            g.bench_function(BenchmarkId::new("matmul", &shape), |b| {
-                let mut y = vec![0.0f32; batch * dout];
-                b.iter(|| matmul(&x, &w, &mut y, batch, din, dout))
-            });
-            g.bench_function(BenchmarkId::new("matmul_at_b", &shape), |b| {
-                let mut dw = vec![0.0f32; din * dout];
-                b.iter(|| matmul_at_b(&x, &dy, &mut dw, batch, din, dout))
-            });
-            if l > 0 {
-                g.bench_function(BenchmarkId::new("matmul_a_bt", &shape), |b| {
-                    let mut dx = vec![0.0f32; batch * din];
-                    b.iter(|| matmul_a_bt(&dy, &w, &mut dx, batch, dout, din))
-                });
-            }
-        }
-    }
-    g.finish();
-}
-
 /// Event queue schedule/pop churn.
 fn event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_churn_1k", |b| {
@@ -200,7 +151,6 @@ criterion_group!(
     shard_push_pull,
     eps_slicing,
     dpr_buffer,
-    gemm,
     event_queue,
     significance_filter
 );

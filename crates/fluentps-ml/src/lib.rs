@@ -10,10 +10,11 @@
 //!
 //! Contents:
 //!
-//! * [`linalg`] — blocked matrix multiplies (rows in groups of four, dot
-//!   products in 4 × 8 register blocks over packed panels), bit-identical
-//!   to the naive loops, and the ReLU/softmax helpers (the ReLU passes are
-//!   branch-free selects with the branchy loops' bits).
+//! * [`linalg`] — one sparse matrix-multiply kernel for all three products
+//!   (each output block of 32 walks the nonzero inner indices of its row or
+//!   column of the activation operand), bit-identical to the naive loops,
+//!   and the ReLU/softmax helpers (the ReLU passes are branch-free selects
+//!   with the branchy loops' bits).
 //! * [`init`] — seeded Xavier/He initialisation.
 //! * [`models`] — softmax regression, MLPs and a residual MLP standing in
 //!   for ResNet-56 (deep, skip connections, higher staleness sensitivity).

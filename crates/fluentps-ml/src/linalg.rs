@@ -1,57 +1,62 @@
 //! Dense linear algebra on row-major `f32` slices.
 //!
 //! Everything the models need: three GEMM variants (plain, A-transposed,
-//! B-transposed), each a blocked form of the naive loop it replaced, plus
-//! the ReLU and softmax helpers.
+//! B-transposed), all run by one sparse kernel, plus the ReLU and softmax
+//! helpers.
 //!
-//! **Blocks.** Each kernel runs its naive loop for a group of rows or
-//! outputs at once, so that one load feeds several products:
+//! **One kernel.** Each product has an activation operand `a` and a weight
+//! or gradient operand `b`. The kernel first compacts each *list* of `a` —
+//! a row or a column, whichever runs along the inner index — into its
+//! `(index, value)` pairs without the `±0` values, with no branch per
+//! element: every pair is written and the write position advances by
+//! `value != 0`. Then, for each block of [`BLOCK`] (32) outputs of a row of
+//! `c`, it walks that row's list, adds `value × line[index]` into 32
+//! accumulators held in registers, and stores the block once at the end. A
+//! *line* is 32 contiguous values of `b` that feed the block's 32 outputs.
+//! The three products differ only in where the lists and lines come from:
 //!
-//! * [`matmul`] (`c = a·b`): `GROUP` (four) rows of `c` share each row of
-//!   `b` — one load of a `b` value feeds four products.
-//! * [`matmul_at_b`] (`c = aᵀ·b`): four rows of `a` and `b` fold into one
-//!   pass over each row of `c` — a `c` value is loaded and stored once per
-//!   four products, added to it in a register one after another.
-//! * [`matmul_a_bt`] (`c = a·bᵀ`): a block of four rows × `CHAINS` (eight)
-//!   outputs of `c`, held in registers over the whole inner index. The
-//!   eight rows of `b` that feed those outputs are first packed, transposed,
-//!   into an `n×8` panel (one buffer, reused for every panel), so each inner
-//!   step is one contiguous 8-wide panel line feeding four rows of `a`. The
-//!   naive loop's one dot-product chain waited for every add to finish
-//!   before starting the next; 32 independent chains keep the adder busy.
+//! * [`matmul`] (`c = a·b`): lists over the rows of `a`; the lines are rows
+//!   of `b`.
+//! * [`matmul_at_b`] (`c = aᵀ·b`): lists over the columns of `a`, built in
+//!   one pass along its rows; the lines are rows of `b`, each block's
+//!   copied into one reused panel. Every `c` value is written once, so `c`
+//!   is not zeroed first.
+//! * [`matmul_a_bt`] (`c = a·bᵀ`): lists over the rows of `a`; each block's
+//!   32 rows of `b` are packed, transposed, into an `n × 32` panel (one
+//!   buffer, reused for every block), whose line `t` holds their `t`-th
+//!   values.
 //!
-//! Rows past the last full group run the same code with a group of one; for
-//! [`matmul_a_bt`], outputs past the last full panel run the naive loop's
-//! one chain.
+//! Outputs past the last full block run the same walk, narrower: the
+//! remainder splits into blocks of 16, 8, 4, 2 and 1. About half of every
+//! hidden-layer operand is an exact ReLU zero, and the lists leave out each
+//! one on its own.
 //!
 //! **Ordering rule.** Every output element adds its products one at a time,
-//! in ascending inner index, to an accumulator that starts at `+0`, the
-//! order of the naive loops. A group only decides which outputs are worked
-//! on together, never the order of one output's sum, so the results are
-//! bit-identical to the naive loops (`tests/same_bits.rs` keeps them as its
-//! oracle). The one exception is a NaN's payload: which NaN `x + y` returns
-//! when both are NaN is left open by Rust, and the register allocator
-//! decides it, for the naive loops as much as for these. There is no FMA:
-//! `mul_add` rounds once where `a * b + c` rounds twice, so it would move
-//! bits, and Rust never fuses the two on its own.
-//!
-//! **Vectorization.** The innermost loops of [`matmul`] and [`matmul_at_b`]
-//! run along a row of `b` and `c`, so their vector lanes are different
-//! outputs, and LLVM vectorizes them without reassociating anything. A dot
-//! product cannot be vectorized along its own inner index without
-//! reassociating its sum, so [`matmul_a_bt`] vectorizes across outputs
-//! instead: the eight lanes are eight outputs of one row, fed by one
-//! contiguous panel line, and each lane adds its own products in order.
+//! in ascending inner index (list order), to an accumulator that starts at
+//! `+0`, the order of the naive loops, so the results are bit-identical to
+//! them (`tests/same_bits.rs` keeps them as its oracle). The one exception
+//! is a NaN's payload: which NaN `x + y` returns when both are NaN is left
+//! open by Rust, and the register allocator decides it, for the naive loops
+//! as much as for this kernel. There is no FMA: `mul_add` rounds once where
+//! `a * b + c` rounds twice, so it would move bits, and Rust never fuses the
+//! two on its own.
 //!
 //! **Zero skip.** The naive [`matmul`] and [`matmul_at_b`] skipped every
-//! product whose `a` value is `±0` (ReLU activations and their gradients are
-//! about half zeros); the grouped loops skip an inner index only when all
-//! four of its `a` values are, and add the zero products of a partly zero
-//! group. That is exact: an accumulator that starts at `+0` is never `-0` (a
-//! rounded sum is `-0` only when both addends are), and adding `±0` to
-//! anything but `-0` leaves it unchanged, so skipping a zero product or
-//! adding it gives the same bits, provided `b` is finite (`0 · ∞` is NaN).
-//! [`matmul_a_bt`] adds every product, as its naive loop did.
+//! product whose `a` value is `±0`, and their lists skip exactly those, so
+//! they agree with the naive loops for every `b`, `±∞` and NaN included.
+//! The naive [`matmul_a_bt`] added every product. Skipping one of those is
+//! exact when the product is `±0`: an accumulator that starts at `+0` is
+//! never `-0` (a rounded sum is `-0` only when both addends are), and adding
+//! `±0` to anything but `-0` leaves it unchanged. But `0 · ∞` and `0 · NaN`
+//! are NaN, so [`matmul_a_bt`] walks lists without the `±0` values only for
+//! a block whose rows of `b` are all finite, which packing checks; any other
+//! block walks lists that keep every index (built once, when the first such
+//! block turns up), and the NaN appears where the naive loop put it.
+//!
+//! **Vectorization.** A dot product cannot be vectorized along its own
+//! inner index without reassociating its sum, so the walk vectorizes across
+//! outputs instead: the 32 lanes are 32 outputs, fed by one contiguous line,
+//! and each lane adds its own products in order.
 //!
 //! **Branches.** No elementwise loop takes a data-dependent branch or
 //! stores conditionally per element: half of all activations are negative,
@@ -63,39 +68,114 @@
 //! blend. The predicate is the branchy loop's, and a select moves values
 //! without arithmetic, so every output bit is the one the branchy loop
 //! stored — NaN payloads, `±0`, `±∞` and subnormals included
-//! (`tests/same_bits.rs`). The zero skip above does branch on
-//! data, but once per inner index, ahead of a whole row of products, not
-//! once per element.
+//! (`tests/same_bits.rs`). The list compaction is branch-free the same way;
+//! the walk branches once per list entry, ahead of a whole line of
+//! products.
 //!
 //! Safe, portable code only: no `unsafe`, no `std::arch` intrinsics, no
 //! target features (`scripts/ci.sh` guards this crate).
 
-/// Rows that each kernel works on in one pass.
-const GROUP: usize = 4;
-/// Outputs of a row that [`matmul_a_bt`] computes from one packed panel.
-const CHAINS: usize = 8;
+use std::ops::Range;
 
-/// Rows `i..i + G` of the row-major matrix `v` with rows of `len`.
-#[inline(always)]
-fn rows<const G: usize>(v: &[f32], i: usize, len: usize) -> [&[f32]; G] {
-    std::array::from_fn(|r| &v[(i + r) * len..][..len])
+/// Outputs that one walk keeps in registers.
+const BLOCK: usize = 32;
+
+/// One `(index, value)` list per row or column of an operand, each in
+/// ascending index order: list `r` is `entries[spans[r]]`.
+struct Lists {
+    entries: Vec<(u32, f32)>,
+    spans: Vec<Range<usize>>,
 }
 
-/// [`rows`], mutably.
-#[inline(always)]
-fn rows_mut<const G: usize>(v: &mut [f32], i: usize, len: usize) -> [&mut [f32]; G] {
-    let mut rest = &mut v[i * len..];
-    std::array::from_fn(|_| {
-        let (row, tail) = std::mem::take(&mut rest).split_at_mut(len);
-        rest = tail;
-        row
+impl Lists {
+    /// A list per row of the `rows × len` matrix `a`, without its `±0`
+    /// values when `skip_zeros`.
+    fn by_row(a: &[f32], rows: usize, len: usize, skip_zeros: bool) -> Lists {
+        let mut entries = vec![(0, 0.0); a.len()];
+        let mut spans = Vec::with_capacity(rows);
+        let mut end = 0;
+        for i in 0..rows {
+            let start = end;
+            let row = &a[i * len..][..len];
+            for t in 0..len {
+                entries[end] = (t as u32, row[t]);
+                end += (row[t] != 0.0 || !skip_zeros) as usize;
+            }
+            spans.push(start..end);
+        }
+        Lists { entries, spans }
+    }
+
+    /// A list per column of the `rows × len` matrix `a`, without its `±0`
+    /// values, from one pass along its rows: column `t` fills
+    /// `entries[t * cap..]`. The spare slot per column keeps the `len`
+    /// write positions from lying a power of two apart, where they would
+    /// all fall into a few cache sets and evict each other (`rows` is a
+    /// power of two at every batch size the ledger runs): it halves the
+    /// pass at 128 × 256.
+    fn by_column(a: &[f32], rows: usize, len: usize) -> Lists {
+        let cap = rows + 1;
+        let mut entries = vec![(0, 0.0); cap * len];
+        let mut ends: Vec<usize> = (0..len).map(|t| t * cap).collect();
+        for i in 0..rows {
+            let row = &a[i * len..][..len];
+            for t in 0..len {
+                entries[ends[t]] = (i as u32, row[t]);
+                ends[t] += (row[t] != 0.0) as usize;
+            }
+        }
+        let spans = ends.iter().zip(0..).map(|(&end, t)| t * cap..end).collect();
+        Lists { entries, spans }
+    }
+}
+
+/// `0..width` in blocks: [`BLOCK`] wide, then the remainder in descending
+/// powers of two.
+fn blocks(width: usize) -> impl Iterator<Item = Range<usize>> {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let w = BLOCK.min(1 << (width - start).checked_ilog2()?);
+        start += w;
+        Some(start - w..start)
     })
 }
 
-/// Whether every value is `±0`, so its products change no sum (module doc).
+/// Outputs `block` of every row of `c` (`width` outputs each): row `r`
+/// gets list `r`'s walk over `lines`, line `t` starting at `t * stride`.
+fn walk_block(
+    lists: &Lists,
+    lines: &[f32],
+    stride: usize,
+    c: &mut [f32],
+    width: usize,
+    block: &Range<usize>,
+) {
+    for (r, span) in lists.spans.iter().enumerate() {
+        let list = &lists.entries[span.clone()];
+        let out = &mut c[r * width..][block.clone()];
+        match out.len() {
+            BLOCK => walk::<BLOCK>(list, lines, stride, out),
+            16 => walk::<16>(list, lines, stride, out),
+            8 => walk::<8>(list, lines, stride, out),
+            4 => walk::<4>(list, lines, stride, out),
+            2 => walk::<2>(list, lines, stride, out),
+            _ => walk::<1>(list, lines, stride, out),
+        }
+    }
+}
+
+/// `out[j] = Σ value × lines[index * stride + j]` over `list`, one product
+/// at a time in list order, from `+0`, in `W` registers.
 #[inline(always)]
-fn all_zero(v: &[f32]) -> bool {
-    v.iter().fold(0, |bits, x| bits | x.to_bits()) << 1 == 0
+fn walk<const W: usize>(list: &[(u32, f32)], lines: &[f32], stride: usize, out: &mut [f32]) {
+    let mut acc = [0.0f32; W];
+    for &(t, v) in list {
+        let line = &lines[t as usize * stride..][..W];
+        for j in 0..W {
+            acc[j] += v * line[j];
+        }
+    }
+    out.copy_from_slice(&acc);
 }
 
 /// `c[m×n] = a[m×k] · b[k×n]` (overwrites `c`).
@@ -103,35 +183,11 @@ pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize)
     assert_eq!(a.len(), m * k, "a shape");
     assert_eq!(b.len(), k * n, "b shape");
     assert_eq!(c.len(), m * n, "c shape");
-    let grouped = m - m % GROUP;
-    for i in (0..grouped).step_by(GROUP) {
-        matmul_rows::<GROUP>(rows(a, i, k), b, rows_mut(c, i, n));
-    }
-    for i in grouped..m {
-        matmul_rows::<1>(rows(a, i, k), b, rows_mut(c, i, n));
-    }
-}
-
-/// [`matmul`] for the `G` rows `a` holds and `c` receives.
-#[inline(always)]
-fn matmul_rows<const G: usize>(a: [&[f32]; G], b: &[f32], mut c: [&mut [f32]; G]) {
-    for c_row in &mut c {
-        c_row.fill(0.0);
-    }
-    let n = c[0].len();
-    for kk in 0..a[0].len() {
-        let a_kk: [f32; G] = std::array::from_fn(|r| a[r][kk]);
-        if all_zero(&a_kk) {
-            continue;
-        }
-        // Every slice exactly `n` long: the loop needs no bounds check.
-        let b_row = &b[kk * n..][..n];
-        let c_rows = c.each_mut().map(|c_row| &mut c_row[..n]);
-        for j in 0..n {
-            for r in 0..G {
-                c_rows[r][j] += a_kk[r] * b_row[j];
-            }
-        }
+    let lists = Lists::by_row(a, m, k, true);
+    for block in blocks(n) {
+        // Empty when `k == 0`, where no list has an entry.
+        let lines = b.get(block.start..).unwrap_or_default();
+        walk_block(&lists, lines, n, c, n, &block);
     }
 }
 
@@ -141,34 +197,18 @@ pub fn matmul_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     assert_eq!(a.len(), m * k, "a shape");
     assert_eq!(b.len(), m * n, "b shape");
     assert_eq!(c.len(), k * n, "c shape");
-    c.fill(0.0);
-    let grouped = m - m % GROUP;
-    for i in (0..grouped).step_by(GROUP) {
-        matmul_at_b_rows::<GROUP>(rows(a, i, k), rows(b, i, n), c);
-    }
-    for i in grouped..m {
-        matmul_at_b_rows::<1>(rows(a, i, k), rows(b, i, n), c);
-    }
-}
-
-/// Add [`matmul_at_b`]'s products of the `G` rows `a` and `b` hold to `c`.
-#[inline(always)]
-fn matmul_at_b_rows<const G: usize>(a: [&[f32]; G], b: [&[f32]; G], c: &mut [f32]) {
-    let n = b[0].len();
-    let b = b.map(|b_row| &b_row[..n]);
-    for kk in 0..a[0].len() {
-        let a_kk: [f32; G] = std::array::from_fn(|r| a[r][kk]);
-        if all_zero(&a_kk) {
-            continue;
+    let lists = Lists::by_column(a, m, k);
+    // Each block's lines are copied into a panel, 32 values apart instead
+    // of `n`: every one of the `k` lists walks them, and `n` values apart
+    // (a power of two in most layers) they crowd into a few cache sets.
+    let mut panel = vec![0.0f32; m * BLOCK.min(n)];
+    for block in blocks(n) {
+        let w = block.len();
+        let panel = &mut panel[..m * w];
+        for (line, row) in panel.chunks_exact_mut(w).zip(b.chunks_exact(n)) {
+            line.copy_from_slice(&row[block.clone()]);
         }
-        let c_row = &mut c[kk * n..][..n];
-        for j in 0..n {
-            let mut acc = c_row[j];
-            for r in 0..G {
-                acc += a_kk[r] * b[r][j];
-            }
-            c_row[j] = acc;
-        }
+        walk_block(&lists, panel, w, c, n, &block);
     }
 }
 
@@ -178,70 +218,27 @@ pub fn matmul_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: u
     assert_eq!(a.len(), m * n, "a shape");
     assert_eq!(b.len(), k * n, "b shape");
     assert_eq!(c.len(), m * k, "c shape");
-    let grouped = m - m % GROUP;
-    let paneled = k - k % CHAINS;
-    let mut panel = vec![0.0f32; n * CHAINS];
-    for kk in (0..paneled).step_by(CHAINS) {
-        pack_panel(rows::<CHAINS>(b, kk, n), &mut panel);
-        for i in (0..grouped).step_by(GROUP) {
-            panel_block::<GROUP>(rows(a, i, n), &panel, rows_mut(c, i, k), kk);
-        }
-        for i in grouped..m {
-            panel_block::<1>(rows(a, i, n), &panel, rows_mut(c, i, k), kk);
-        }
-    }
-    for i in 0..m {
-        let a_row = &a[i * n..][..n];
-        for kk in paneled..k {
-            c[i * k + kk] = dot(a_row, &b[kk * n..][..n]);
-        }
-    }
-}
-
-/// Lay the `CHAINS` rows `b` holds side by side: line `t` of `panel` is
-/// their `t`-th values, so one contiguous load feeds all `CHAINS` outputs.
-#[inline(always)]
-fn pack_panel(b: [&[f32]; CHAINS], panel: &mut [f32]) {
-    let n = panel.len() / CHAINS;
-    let b = b.map(|b_row| &b_row[..n]);
-    for t in 0..n {
-        let line = &mut panel[t * CHAINS..][..CHAINS];
-        for j in 0..CHAINS {
-            line[j] = b[j][t];
-        }
-    }
-}
-
-/// [`matmul_a_bt`]'s outputs `kk..kk + CHAINS` of the `G` rows `a` holds and
-/// `c` receives, from the `b` rows packed into `panel`: a `G × CHAINS` block
-/// held in registers over the whole inner index.
-#[inline(always)]
-fn panel_block<const G: usize>(a: [&[f32]; G], panel: &[f32], c: [&mut [f32]; G], kk: usize) {
-    let n = panel.len() / CHAINS;
-    let a = a.map(|a_row| &a_row[..n]);
-    let mut acc = [[0.0f32; CHAINS]; G];
-    for t in 0..n {
-        let line = &panel[t * CHAINS..][..CHAINS];
-        for r in 0..G {
-            let a_rt = a[r][t];
-            for j in 0..CHAINS {
-                acc[r][j] += a_rt * line[j];
+    let skip_zeros = Lists::by_row(a, m, n, true);
+    let mut every_index = None;
+    let mut panel = vec![0.0f32; n * BLOCK.min(k)];
+    for block in blocks(k) {
+        // Line `t` of the panel is the `t`-th values of the block's rows.
+        let w = block.len();
+        let panel = &mut panel[..n * w];
+        let mut finite = true;
+        for (j, kk) in block.clone().enumerate() {
+            let row = &b[kk * n..][..n];
+            for (line, &v) in panel.chunks_exact_mut(w).zip(row) {
+                line[j] = v;
             }
+            finite &= row.iter().fold(true, |f, x| f & x.is_finite());
         }
+        let lists = match finite {
+            true => &skip_zeros,
+            false => every_index.get_or_insert_with(|| Lists::by_row(a, m, n, false)),
+        };
+        walk_block(lists, panel, w, c, k, &block);
     }
-    for (c_row, outputs) in c.into_iter().zip(&acc) {
-        c_row[kk..kk + CHAINS].copy_from_slice(outputs);
-    }
-}
-
-/// The naive loop's one dot-product chain.
-#[inline(always)]
-fn dot(a_row: &[f32], b_row: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for t in 0..a_row.len() {
-        acc += a_row[t] * b_row[t];
-    }
-    acc
 }
 
 /// In-place ReLU; returns nothing, mutates `x`. A select, not a

@@ -1,16 +1,16 @@
 //! The GEMM kernels, the ReLU passes and the optimizer produce the bits the
 //! naive loops produced.
 //!
-//! `linalg`'s tiled kernels keep every output element's summation order (one
-//! product at a time, ascending inner index, no FMA), so they must agree with
-//! the loops they replaced bit for bit, not within a tolerance; the ReLU
+//! `linalg`'s list kernel keeps every output element's summation order (one
+//! product at a time, ascending inner index, no FMA), so it must agree with
+//! the loops it replaced bit for bit, not within a tolerance; the ReLU
 //! passes are selects on the branchy loops' predicate. Three checks:
 //! a property test against those loops, copied verbatim as the oracle, on
-//! every tile remainder with zeros, negative zeros and subnormals (and, for
-//! `matmul_a_bt`, which skips no product, infinities and NaNs); the same for
-//! the ReLU pair, NaN payloads included, and for `Sgd::deltas` against its
-//! indexed loop; and training fingerprints of the ledger's three `Mlp`
-//! shapes, computed before the kernels were rewritten and pinned here.
+//! every block remainder with zeros, negative zeros and subnormals, empty
+//! and full lists, and infinities and NaNs in `b`; the same for the ReLU
+//! pair, NaN payloads included, and for `Sgd::deltas` against its indexed
+//! loop; and training fingerprints of the ledger's three `Mlp` shapes,
+//! computed before the kernels were rewritten and pinned here.
 
 use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
 use fluentps_ml::linalg::{matmul, matmul_a_bt, matmul_at_b, relu_backward_inplace, relu_inplace};
@@ -159,6 +159,23 @@ fn non_finite_matrix(rng: &mut StdRng, len: usize) -> Vec<f32> {
     v
 }
 
+/// [`matrix`] with every value of its first row and first column `±0`
+/// (an empty list, whichever way a kernel lists `a`) and no zero elsewhere
+/// in its last row and last column (a full one).
+fn extremes(rng: &mut StdRng, rows: usize, cols: usize) -> Vec<f32> {
+    let mut a = matrix(rng, rows * cols);
+    for (i, row) in a.chunks_mut(cols.max(1)).enumerate() {
+        for (j, v) in row.iter_mut().enumerate() {
+            if i == 0 || j == 0 {
+                *v = if (i + j) % 2 == 0 { 0.0 } else { -0.0 };
+            } else if (i + 1 == rows || j + 1 == cols) && *v == 0.0 {
+                *v = rng.gen_range(-1.0f32..1.0) + 2.0;
+            }
+        }
+    }
+    a
+}
+
 /// `len` activations of every class the ReLU predicates tell apart: `±0`,
 /// `±∞`, NaNs of either sign with a random payload (quiet or signalling),
 /// subnormals, and normal values over a wide spread of exponents. Every
@@ -203,20 +220,33 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
 
-/// Run the kernel and the oracle on the same operands (`a_len`/`b_len`/
-/// `c_len` elements, `b` drawn by `b_values`) into `c` buffers holding
-/// garbage, and compare bits.
+/// Draws an operand's values, given its rows and columns.
+type Draw = fn(&mut StdRng, usize, usize) -> Vec<f32>;
+
+/// [`matrix`] as a [`Draw`].
+fn sparse(rng: &mut StdRng, rows: usize, cols: usize) -> Vec<f32> {
+    matrix(rng, rows * cols)
+}
+
+/// [`non_finite_matrix`] as a [`Draw`].
+fn non_finite(rng: &mut StdRng, rows: usize, cols: usize) -> Vec<f32> {
+    non_finite_matrix(rng, rows * cols)
+}
+
+/// Run the kernel and the oracle on the same operands (each drawn with its
+/// shape) into `c` buffers of `c_len` values holding garbage, and compare
+/// bits.
 fn same_bits(
-    fast: Kernel,
-    slow: Kernel,
-    (a_len, b_len, c_len): (usize, usize, usize),
+    (fast, slow): (Kernel, Kernel),
+    (a_values, a_shape): (Draw, (usize, usize)),
+    (b_values, b_shape): (Draw, (usize, usize)),
+    c_len: usize,
     dims: (usize, usize, usize),
-    b_values: fn(&mut StdRng, usize) -> Vec<f32>,
     seed: u64,
 ) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let a = matrix(&mut rng, a_len);
-    let b = b_values(&mut rng, b_len);
+    let a = a_values(&mut rng, a_shape.0, a_shape.1);
+    let b = b_values(&mut rng, b_shape.0, b_shape.1);
     let mut got = vec![f32::NAN; c_len];
     let mut want = vec![-7.0f32; c_len];
     fast(&a, &b, &mut got, dims.0, dims.1, dims.2);
@@ -225,43 +255,111 @@ fn same_bits(
     Ok(())
 }
 
+/// [`same_bits`] for `matmul` (`m×k · k×n`).
+fn matmul_case(
+    (m, k, n): (usize, usize, usize),
+    a: Draw,
+    b: Draw,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let kernels = (matmul as Kernel, naive::matmul as Kernel);
+    same_bits(kernels, (a, (m, k)), (b, (k, n)), m * n, (m, k, n), seed)
+}
+
+/// [`same_bits`] for `matmul_at_b` (`(m×k)ᵀ · m×n`).
+fn at_b_case(
+    (m, k, n): (usize, usize, usize),
+    a: Draw,
+    b: Draw,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let kernels = (matmul_at_b as Kernel, naive::matmul_at_b as Kernel);
+    same_bits(kernels, (a, (m, k)), (b, (m, n)), k * n, (m, k, n), seed)
+}
+
+/// [`same_bits`] for `matmul_a_bt` (`m×n · (k×n)ᵀ`).
+fn a_bt_case(
+    (m, n, k): (usize, usize, usize),
+    a: Draw,
+    b: Draw,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let kernels = (matmul_a_bt as Kernel, naive::matmul_a_bt as Kernel);
+    same_bits(kernels, (a, (m, n)), (b, (k, n)), m * k, (m, n, k), seed)
+}
+
 proptest! {
     #[test]
     fn matmul_is_bit_identical_to_the_naive_loop(
         m in 1usize..=40, k in 1usize..=40, n in 1usize..=40, seed in any::<u64>()
     ) {
-        same_bits(matmul, naive::matmul, (m * k, k * n, m * n), (m, k, n), matrix, seed)?;
+        matmul_case((m, k, n), sparse, sparse, seed)?;
     }
 
     #[test]
     fn matmul_at_b_is_bit_identical_to_the_naive_loop(
         m in 1usize..=40, k in 1usize..=40, n in 1usize..=40, seed in any::<u64>()
     ) {
-        let lens = (m * k, m * n, k * n);
-        same_bits(matmul_at_b, naive::matmul_at_b, lens, (m, k, n), matrix, seed)?;
+        at_b_case((m, k, n), sparse, sparse, seed)?;
     }
 
     #[test]
     fn matmul_a_bt_is_bit_identical_to_the_naive_loop(
         m in 1usize..=40, n in 1usize..=40, k in 1usize..=40, seed in any::<u64>()
     ) {
-        let lens = (m * n, k * n, m * k);
-        same_bits(matmul_a_bt, naive::matmul_a_bt, lens, (m, n, k), matrix, seed)?;
+        a_bt_case((m, n, k), sparse, sparse, seed)?;
     }
 
-    /// `matmul_a_bt` adds every product, so it keeps the naive loop's bits
-    /// even where `b` holds infinities and NaNs (`0 · ∞` included). Besides
-    /// the drawn shape, every case runs one shape per remainder of its
-    /// 4-row × 8-output blocks: fewer outputs than one panel, a partial last
-    /// panel with a partial last row group, full blocks only, and an empty
-    /// inner dimension.
+    /// `matmul` skips exactly the products its naive loop skipped, those of
+    /// a `±0` in `a`, so it keeps the loop's bits even where `b` holds
+    /// infinities and NaNs: `0 · ∞` is skipped on both sides, `x · ∞` added
+    /// on both.
+    #[test]
+    fn matmul_is_bit_identical_to_the_naive_loop_on_non_finite_b(
+        m in 1usize..=40, k in 1usize..=40, n in 1usize..=40, seed in any::<u64>()
+    ) {
+        matmul_case((m, k, n), sparse, non_finite, seed)?;
+    }
+
+    /// As above, for `matmul_at_b`.
+    #[test]
+    fn matmul_at_b_is_bit_identical_to_the_naive_loop_on_non_finite_b(
+        m in 1usize..=40, k in 1usize..=40, n in 1usize..=40, seed in any::<u64>()
+    ) {
+        at_b_case((m, k, n), sparse, non_finite, seed)?;
+    }
+
+    /// `matmul_a_bt`'s naive loop adds every product, `0 · ∞` included, so
+    /// the kernel skips a `±0` only for a block whose `b` rows are all
+    /// finite, and keeps the loop's bits where `b` holds infinities and
+    /// NaNs. Besides the drawn shape, every case runs one shape per
+    /// remainder of its 32-output blocks: fewer outputs than one block,
+    /// exactly one, two blocks and the narrower ones after them (70 = 32 +
+    /// 32 + 4 + 2), and an empty inner dimension.
     #[test]
     fn matmul_a_bt_is_bit_identical_to_the_naive_loop_on_non_finite_weights(
         m in 1usize..=13, n in 0usize..=40, k in 1usize..=27, seed in any::<u64>()
     ) {
-        for (m, n, k) in [(m, n, k), (6, 9, 5), (7, 19, 21), (8, 24, 16), (5, 0, 13)] {
-            let lens = (m * n, k * n, m * k);
-            same_bits(matmul_a_bt, naive::matmul_a_bt, lens, (m, n, k), non_finite_matrix, seed)?;
+        for dims in [(m, n, k), (6, 9, 5), (7, 19, 21), (8, 24, 32), (7, 19, 70), (5, 0, 13)] {
+            a_bt_case(dims, sparse, non_finite, seed)?;
+        }
+    }
+
+    /// Shapes that drawn dimensions up to 40 never reach, run through all
+    /// three products, with `b` finite and not: `rows × width` outputs
+    /// summed over `inner`, for widths of 10 (the classifier layer), exactly
+    /// one block (32), one past it (33) and two blocks with the narrower
+    /// ones after them (69 = 32 + 32 + 4 + 1); an empty inner dimension;
+    /// and `a` with an empty list and a full one in each direction.
+    #[test]
+    fn every_block_remainder_is_bit_identical_to_the_naive_loops(seed in any::<u64>()) {
+        let shapes = [(5, 7, 10), (3, 17, 32), (6, 9, 33), (4, 11, 69), (3, 0, 33)];
+        for (rows, inner, width) in shapes {
+            for (a, b) in [(sparse as Draw, sparse as Draw), (extremes, sparse), (extremes, non_finite)] {
+                matmul_case((rows, inner, width), a, b, seed)?;
+                at_b_case((inner, rows, width), a, b, seed)?;
+                a_bt_case((rows, inner, width), a, b, seed)?;
+            }
         }
     }
 

@@ -63,6 +63,8 @@ deleted="$deleted|ResidualMlp::resnet56_like|ClientCache|AlertRule::parse|AlertM
 deleted="$deleted|\bLars\b|\bAdam::|for Adam\b|\bTensor::|struct Tensor\b|fluentps_ml::tensor"
 deleted="$deleted|WireCheck|stamped_wire|send_pulls|pending_responses"
 deleted="$deleted|last_snapshot"
+# The grouped GEMM kernels the one list kernel replaced (DESIGN.md §19).
+deleted="$deleted|matmul_rows|matmul_at_b_rows|panel_block|all_zero"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then
