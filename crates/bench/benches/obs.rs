@@ -150,7 +150,8 @@ fn run_threaded_cluster(collector: Option<&TraceCollector>) -> u64 {
         collector: collector.cloned(),
         ..Observability::default()
     };
-    let (cluster, mut workers) = Cluster::launch_observed(cfg, map, &init, obs).unwrap();
+    let (cluster, mut workers) =
+        Cluster::launch_observed(cfg, &cfg.models(), map, &init, obs).unwrap();
     let mut grads = HashMap::new();
     grads.insert(0u64, vec![1e-3f32; 256]);
     grads.insert(1u64, vec![1e-3f32; 128]);
@@ -217,7 +218,8 @@ fn run_tcp_cluster(collect: Option<std::net::SocketAddr>) -> u64 {
         ring_capacity: 1 << 12,
         ..Observability::default()
     };
-    let (cluster, mut workers) = TcpCluster::launch_observed(cfg, map, &init, obs).unwrap();
+    let (cluster, mut workers) =
+        TcpCluster::launch_observed(cfg, &cfg.models(), map, &init, obs).unwrap();
     let mut grads = HashMap::new();
     grads.insert(0u64, vec![1e-3f32; 256]);
     grads.insert(1u64, vec![1e-3f32; 128]);

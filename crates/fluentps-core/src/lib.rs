@@ -34,9 +34,12 @@
 //! * [`serve`] — the one message→replies step every live engine runs
 //!   around a shard, and the plain `recv → handle → send` loop.
 //! * [`worker`] — the worker-side client (`sPush`/`sPull`/`wait`).
-//! * [`engine`], [`tcp_engine`], [`recovery`] — the in-process, TCP and
-//!   fault-tolerant TCP runtimes: per-transport shells over [`launch`]
-//!   (overlap synchronization falls out of servers answering independently).
+//! * [`launch`] — the one cluster, `Cluster<F>` over any
+//!   `fluentps_transport::Network`, and the bring-up every launch shares;
+//!   [`engine`] and [`tcp_engine`] name it over the in-process fabric and
+//!   loopback TCP, and [`recovery`] layers the fault-tolerant runtime on
+//!   the same bring-up (overlap synchronization falls out of servers
+//!   answering independently).
 //! * [`scheduler`] — the minimal scheduler's heartbeat liveness monitor.
 //!
 //! ## Quick start

@@ -55,10 +55,12 @@ use fluentps_util::buf::Bytes;
 use fluentps_util::sync::Mutex;
 
 use fluentps_transport::collect::TraceStreamer;
-use fluentps_transport::fault::{FaultInjector, FaultPlan, FaultyMailbox, FaultyPostman};
+use fluentps_transport::fault::{
+    FaultInjector, FaultPlan, FaultyMailbox, FaultyNetwork, FaultyPostman,
+};
 use fluentps_transport::tcp::{AddressBook, TcpNode, TcpPostman};
 use fluentps_transport::{
-    per_destination, CausalCtx, Input, KvPairs, Mailbox, Message, NodeId, Postman, Step,
+    per_destination, CausalCtx, Input, KvPairs, Mailbox, Message, Network, NodeId, Postman, Step,
     TransportError, WirePlacement, NO_LEADER,
 };
 
@@ -66,7 +68,7 @@ use crate::checkpoint::ShardCheckpoint;
 use crate::consensus::{ConsensusConfig, ControlCommand, LogEntry, Replica};
 use crate::engine::EngineConfig;
 use crate::eps::{EpsSlicer, SliceMap};
-use crate::launch::{self, Observability, Session};
+use crate::launch::{self, Observability, Plan, Session};
 use crate::scheduler::LivenessMonitor;
 use crate::serve::{wrap, Flow, ShardServer};
 use crate::stats::ShardStats;
@@ -74,7 +76,10 @@ use crate::worker::{RetryPolicy, WorkerClient};
 
 /// Worker client type of the resilient runtime: TCP halves wrapped in the
 /// cluster's fault injector.
-pub type ResilientWorker = WorkerClient<FaultyPostman<TcpPostman>, FaultyMailbox<TcpNode>>;
+pub type ResilientWorker = WorkerClient<ResilientPostman, ResilientMailbox>;
+
+type ResilientPostman = FaultyPostman<TcpPostman>;
+type ResilientMailbox = FaultyMailbox<TcpNode>;
 
 /// Latest checkpoint per server id, shared between server loops (writers)
 /// and the supervisor (reader at recovery time).
@@ -275,8 +280,8 @@ impl RecoveryConfig {
 /// Handle to a running fault-tolerant TCP cluster.
 pub struct ResilientTcpCluster {
     supervisors: Vec<JoinHandle<Vec<ShardStats>>>,
-    // Owning the node keeps the control postman's connections alive.
-    control: TcpNode,
+    /// Owning the node keeps the control postman's connections alive.
+    control: (TcpPostman, TcpNode),
     health: HealthView,
     /// Streamers for the supervisor replicas' own events (deaths,
     /// restores, remaps, elections); stopped after the replica threads are
@@ -323,7 +328,6 @@ impl ResilientTcpCluster {
         init: &HashMap<u64, Vec<f32>>,
         obs: Observability,
     ) -> Result<(ResilientTcpCluster, Vec<ResilientWorker>), TransportError> {
-        assert_eq!(map.num_servers(), cfg.num_servers, "map/server mismatch");
         if let Err(e) = rcfg.validate() {
             panic!("invalid RecoveryConfig: {e}");
         }
@@ -333,36 +337,35 @@ impl ResilientTcpCluster {
         // /healthz honestly reports the control plane as not-yet-established
         // until the first leader wins.
         publish_consensus(&board, &health, obs.metrics.as_ref(), rcfg.num_supervisors);
-        let mut session = Session::start(obs, "resilient-tcp", &cfg, Some(health.clone()))?;
         let injector = FaultInjector::new(rcfg.fault_plan.clone());
         let store: CheckpointStore = Arc::new(Mutex::new(HashMap::new()));
-        let control = NodeId::Worker(u32::MAX);
-        let nodes = launch::bind_cluster(&cfg, rcfg.num_supervisors, control, &session.obs)?;
-        let book = nodes.book;
+        // The control plane stays outside the fault shim: the supervisors
+        // and the handle's control node are bound on the bare book, before
+        // any server runs, so a server's first heartbeat finds its leader.
+        let book = AddressBook::new();
+        let profiler = obs.span_profiler();
+        let supervisor_nodes = (0..rcfg.num_supervisors)
+            .map(|k| book.bind(NodeId::Supervisor(k), &profiler))
+            .collect::<Result<Vec<_>, _>>()?;
+        let control = book.bind(NodeId::Worker(u32::MAX), &profiler)?;
+        let fabric = injector.network(book.clone());
+        let mut session = Session::start(obs, "resilient-tcp", &cfg, Some(health.clone()))?;
 
         let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::with_capacity(cfg.num_servers as usize);
-        for (m, node) in (0u32..).zip(nodes.servers) {
-            let (tracer, streamer) = session.obs.node(NodeId::Server(m));
-            let profiler = session.obs.span_profiler();
-            let (server, keys) =
-                launch::shard_server(&cfg, cfg.model, m, (&map, init), tracer, profiler);
-            let state = ResilientServer::new(
-                server,
-                keys,
-                vec![None; cfg.num_workers as usize],
-                rcfg.clone(),
-                Arc::clone(&store),
-                Arc::clone(&stop),
-            );
-            handles.push((m, spawn_server(state, node, &injector, streamer)));
-        }
-
-        let halves = (0u32..).zip(nodes.workers).map(|(n, node)| {
-            let postman = injector.postman(NodeId::Worker(n), node.postman());
-            (postman, injector.mailbox(NodeId::Worker(n), node))
-        });
-        let mut workers = session.workers(map.clone(), halves);
+        let plan = Plan {
+            cfg,
+            models: &cfg.models(),
+            map: map.clone(),
+            init,
+        };
+        let drive = |server, keys, postman, mailbox| {
+            let watermarks = vec![None; cfg.num_workers as usize];
+            let (store, stop) = (Arc::clone(&store), Arc::clone(&stop));
+            let state = ResilientServer::new(server, keys, watermarks, rcfg.clone(), store, stop);
+            move || run_resilient(state, &mailbox, postman)
+        };
+        let (servers, mut workers) = plan.bring_up(&fabric, &mut session, "rts", drive)?;
+        let handles = (0u32..).zip(servers).collect();
         for w in &mut workers {
             w.set_retry_policy(rcfg.retry.clone());
         }
@@ -390,8 +393,7 @@ impl ResilientTcpCluster {
         }));
         let mut supervisors = Vec::with_capacity(rcfg.num_supervisors as usize);
         let mut supervisor_streamers = Vec::new();
-        for (k, node) in nodes.supervisors.into_iter().enumerate() {
-            let k = k as u32;
+        for (k, (postman, node)) in (0u32..).zip(supervisor_nodes) {
             // Replica 0 keeps the historical `scheduler` trace identity so
             // merged timelines stay comparable across cluster flavors;
             // extra replicas stream under their own supervisor id.
@@ -407,9 +409,8 @@ impl ResilientTcpCluster {
                 cfg,
                 rcfg: rcfg.clone(),
                 obs: session.obs.clone(),
-                book: book.clone(),
+                fabric: fabric.clone(),
                 map: map.clone(),
-                injector: injector.clone(),
                 tracer: sup_tracer,
                 store: Arc::clone(&store),
                 shared: Arc::clone(&shared),
@@ -429,7 +430,7 @@ impl ResilientTcpCluster {
                 dead_for_good: BTreeSet::new(),
                 was_leader: false,
                 next_request: 0,
-                postman: node.postman(),
+                postman,
                 liveness: LivenessMonitor::new(rcfg.liveness_timeout.as_millis().max(1) as u64),
                 start: Instant::now(),
                 last_noop: Duration::ZERO,
@@ -447,7 +448,7 @@ impl ResilientTcpCluster {
         Ok((
             ResilientTcpCluster {
                 supervisors,
-                control: nodes.control,
+                control,
                 health,
                 supervisor_streamers,
                 shared,
@@ -479,7 +480,7 @@ impl ResilientTcpCluster {
     pub fn shutdown(self) -> Vec<ShardStats> {
         let ResilientTcpCluster {
             supervisors,
-            control,
+            control: (postman, _node),
             supervisor_streamers,
             shared,
             num_servers,
@@ -487,7 +488,6 @@ impl ResilientTcpCluster {
             ..
         } = self;
         session.shutdown(move || {
-            let postman = control.postman();
             for k in 0..supervisors.len() as u32 {
                 let _ = postman.send(NodeId::Supervisor(k), Message::Shutdown);
             }
@@ -980,15 +980,13 @@ fn run_resilient<M: Mailbox, P: Postman + 'static>(
     step.server.server.into_stats()
 }
 
-fn spawn_server(
+/// Serve a replacement incarnation on a thread like its predecessor's.
+fn spawn_replacement(
     server: ResilientServer,
-    node: TcpNode,
-    injector: &FaultInjector,
+    (postman, mailbox): (ResilientPostman, ResilientMailbox),
     streamer: Option<TraceStreamer>,
 ) -> JoinHandle<ShardStats> {
     let m = server.id();
-    let postman = injector.postman(NodeId::Server(m), node.postman());
-    let mailbox = injector.mailbox(NodeId::Server(m), node);
     // The thread waits and ticks; the node's reader threads run the step.
     let serve = move || run_resilient(server, &mailbox, postman);
     launch::spawn_served(format!("fluentps-rts-server-{m}"), streamer, serve)
@@ -1024,12 +1022,12 @@ struct SupervisorReplica<P> {
     /// The cluster's observability, for tracing a replacement server and
     /// publishing the consensus gauges.
     obs: Observability,
-    book: AddressBook,
+    /// The data plane's fabric: what a replacement server is bound on.
+    fabric: FaultyNetwork<AddressBook>,
     /// This replica's mirror of the route table; mutated only when a
     /// committed `Remapped` entry is applied, so all replicas hold
     /// identical maps at equal applied indices.
     map: SliceMap,
-    injector: FaultInjector,
     tracer: Tracer,
     store: CheckpointStore,
     shared: SharedState,
@@ -1341,7 +1339,10 @@ impl<P: Postman + 'static> SupervisorReplica<P> {
         };
         // Publishing the new address is what lets every worker's postman
         // redial the replacement after its old connection errors out.
-        let Ok(node) = launch::bind(NodeId::Server(m), &self.book, &self.obs) else {
+        let Ok(halves) = self
+            .fabric
+            .bind(NodeId::Server(m), &self.obs.span_profiler())
+        else {
             return false;
         };
 
@@ -1396,7 +1397,7 @@ impl<P: Postman + 'static> SupervisorReplica<P> {
             Arc::clone(&self.store),
             stop,
         );
-        let handle = spawn_server(state, node, &self.injector, rep_streamer);
+        let handle = spawn_replacement(state, halves, rep_streamer);
         self.shared.lock().handles.push((m, handle));
         true
     }
@@ -1577,9 +1578,8 @@ pub(crate) mod tests {
             cfg,
             rcfg: rcfg.clone(),
             obs: Observability::default(),
-            book: AddressBook::new(),
+            fabric: FaultInjector::passthrough().network(AddressBook::new()),
             map,
-            injector: FaultInjector::passthrough(),
             tracer: Tracer::disabled(),
             store: CheckpointStore::default(),
             shared: SharedState::default(),
@@ -1940,9 +1940,9 @@ pub(crate) mod tests {
         let (noted_tx, noted) = mpsc::channel();
         let r = scripted_replica(1, &rcfg, Noting(noted_tx));
         let book = AddressBook::new();
-        let obs = Observability::default();
-        let node = launch::bind(NodeId::Supervisor(1), &book, &obs).unwrap();
-        let server = launch::bind(NodeId::Server(0), &book, &obs).unwrap();
+        let quiet = fluentps_obs::Profiler::disabled();
+        let (_, node) = book.bind(NodeId::Supervisor(1), &quiet).unwrap();
+        let (server, _keep) = book.bind(NodeId::Server(0), &quiet).unwrap();
         let serving = std::thread::Builder::new()
             .name("the-serve-caller".into())
             .spawn(move || r.run(&node))
@@ -1951,7 +1951,7 @@ pub(crate) mod tests {
         // makes the replica send comes from wherever it ticked.)
         let answered = |seq| {
             let to = NodeId::Supervisor(1);
-            server.postman().send(to, beat(0, seq)).unwrap();
+            server.send(to, beat(0, seq)).unwrap();
             loop {
                 let (thread, msg) = noted.recv().expect("a redirect");
                 if let Message::LeaderRedirect { .. } = msg {
@@ -1963,9 +1963,7 @@ pub(crate) mod tests {
         // and handled by the serve caller; once that is done, it is.
         answered(1);
         assert!(answered(2).starts_with("tcp-reader-supervisor"));
-        let stop = server
-            .postman()
-            .send(NodeId::Supervisor(1), Message::Shutdown);
+        let stop = server.send(NodeId::Supervisor(1), Message::Shutdown);
         stop.unwrap();
         assert_eq!(serving.join().unwrap().len(), 2);
     }

@@ -1268,7 +1268,7 @@ mod tests {
         let (cluster, mut workers) = TcpCluster::launch(cfg, map, &init).expect("launch");
         // One node per server: as many listeners as servers in the book.
         for m in 0..4 {
-            let listens = cluster.addresses.get(NodeId::Server(m)).is_some();
+            let listens = cluster.fabric().get(NodeId::Server(m)).is_some();
             assert_eq!(listens, m < 2, "server id {m}");
         }
         let w = workers.remove(0);

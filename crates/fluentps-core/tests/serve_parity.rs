@@ -184,7 +184,7 @@ fn run_live(direct: &Outcome, leg: Leg, map: &SliceMap, collector: &TraceCollect
 }
 
 fn inproc_leg(cfg: EngineConfig, map: SliceMap, init: &Init, obs: Observability) -> Leg {
-    let (cluster, _) = Cluster::launch_observed(cfg, map, init, obs).unwrap();
+    let (cluster, _) = Cluster::launch_observed(cfg, &cfg.models(), map, init, obs).unwrap();
     // Registering a worker again replaces the launched client's inbox.
     let inboxes = (0..WORKERS)
         .map(|w| Box::new(cluster.fabric().register(NodeId::Worker(w))) as Box<dyn Mailbox>)
@@ -233,8 +233,9 @@ fn assert_parity(model: SyncModel) -> Outcome {
             "in-process" => inproc_leg(cfg, map.clone(), &init, obs),
             "tcp" => {
                 let (cluster, _) =
-                    TcpCluster::launch_observed(cfg, map.clone(), &init, obs).unwrap();
-                tcp_leg(&cluster.addresses.clone(), Box::new(|| cluster.shutdown()))
+                    TcpCluster::launch_observed(cfg, &cfg.models(), map.clone(), &init, obs)
+                        .unwrap();
+                tcp_leg(&cluster.fabric().clone(), Box::new(|| cluster.shutdown()))
             }
             _ => {
                 let rcfg = RecoveryConfig::default();

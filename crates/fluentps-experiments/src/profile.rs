@@ -90,8 +90,9 @@ pub fn run_profile(cfg: &ProfileConfig) -> ProfileResult {
         http: Some(addr),
         ..Observability::default()
     };
-    let (cluster, workers) = TcpCluster::launch_observed(ecfg, job.map.clone(), &job.init, obs)
-        .expect("launch profiled TCP cluster");
+    let (cluster, workers) =
+        TcpCluster::launch_observed(ecfg, &ecfg.models(), job.map.clone(), &job.init, obs)
+            .expect("launch profiled TCP cluster");
 
     let profiler = prof.profiler();
     let (results, wall_seconds) = train(&job, workers, cfg.max_iters, &profiler, |_, _, _| {});

@@ -27,7 +27,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::msg::{Message, NodeId};
-use crate::{Flow, Input, Mailbox, Postman, Step, TransportError};
+use crate::{Flow, Input, Mailbox, Network, Postman, Step, TransportError};
+use fluentps_obs::Profiler;
 
 /// Coarse message classes a [`FaultRule`] can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,6 +257,16 @@ impl FaultInjector {
         }
     }
 
+    /// Put `inner` behind this injector: both halves of every node bound on
+    /// the returned network are wrapped, as [`FaultInjector::postman`] and
+    /// [`FaultInjector::mailbox`] wrap them.
+    pub fn network<N: Network>(&self, inner: N) -> FaultyNetwork<N> {
+        FaultyNetwork {
+            inner,
+            injector: self.clone(),
+        }
+    }
+
     /// Blackhole `node` immediately: every message to or from it is
     /// silently discarded from now on. This is the "kill" primitive — the
     /// node's thread keeps running but the cluster can no longer hear it.
@@ -343,6 +354,33 @@ impl FaultInjector {
             }
         }
         out
+    }
+}
+
+/// A [`Network`] whose nodes all sit behind one [`FaultInjector`]
+/// ([`FaultInjector::network`]).
+#[derive(Clone)]
+pub struct FaultyNetwork<N> {
+    inner: N,
+    injector: FaultInjector,
+}
+
+impl<N: Network> Network for FaultyNetwork<N> {
+    const NAME: &'static str = N::NAME;
+    type Postman = FaultyPostman<N::Postman>;
+    type Mailbox = FaultyMailbox<N::Mailbox>;
+
+    fn bind(
+        &self,
+        node: NodeId,
+        profiler: &Profiler,
+    ) -> Result<(Self::Postman, Self::Mailbox), TransportError> {
+        let (postman, mailbox) = self.inner.bind(node, profiler)?;
+        let injector = &self.injector;
+        Ok((
+            injector.postman(node, postman),
+            injector.mailbox(node, mailbox),
+        ))
     }
 }
 

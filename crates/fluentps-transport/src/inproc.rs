@@ -17,13 +17,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use fluentps_obs::Profiler;
 use fluentps_util::sync::RwLock;
 use fluentps_util::sync::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
 
 use crate::error::TransportError;
 use crate::msg::{Message, NodeId};
 use crate::served::{Envelope, Served};
-use crate::{per_destination, Mailbox, Postman, Step};
+use crate::{per_destination, Mailbox, Network, Postman, Step};
 
 #[derive(Default)]
 struct Registry {
@@ -85,6 +86,23 @@ impl Fabric {
             true => Ok(()),
             false => Err(TransportError::Disconnected),
         }
+    }
+}
+
+/// Binding is [`Fabric::register`]: it never fails, and nothing is encoded
+/// to profile.
+impl Network for Fabric {
+    const NAME: &'static str = "threaded";
+    type Postman = InprocPostman;
+    type Mailbox = Endpoint;
+
+    fn bind(
+        &self,
+        node: NodeId,
+        _: &Profiler,
+    ) -> Result<(InprocPostman, Endpoint), TransportError> {
+        let endpoint = self.register(node);
+        Ok((endpoint.postman(), endpoint))
     }
 }
 

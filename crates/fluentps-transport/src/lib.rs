@@ -27,7 +27,10 @@
 //!   drop-oldest backpressure).
 //!
 //! All transports expose the same [`Mailbox`]/[`Postman`] pair so the engine
-//! code in `fluentps-core` is transport-agnostic.
+//! code in `fluentps-core` is transport-agnostic, and each is a [`Network`]
+//! that binds a node to its pair — the in-process [`Fabric`], loopback TCP
+//! (an [`tcp::AddressBook`]) and either behind the fault shim
+//! ([`fault::FaultyNetwork`]) — so one cluster launch runs over any of them.
 
 #![warn(missing_docs)]
 
@@ -52,6 +55,8 @@ pub use msg::{
 pub use values::{Values, ValuesMut};
 
 use std::any::Any;
+
+use fluentps_obs::Profiler;
 
 /// What a [`Mailbox::serve`] step is called with.
 #[derive(Debug)]
@@ -174,6 +179,29 @@ pub trait Mailbox: Send {
         }
         step
     }
+}
+
+/// How the nodes of a cluster reach each other: binding a node gives it its
+/// sending and receiving halves, and from then on what any node bound on
+/// the same network sends to it arrives in that mailbox. Binding an id again
+/// replaces the node that had it, which is how a replacement server takes
+/// over from a dead one.
+pub trait Network {
+    /// What clusters over this network are called: the `engine` label of
+    /// their gauges and the stem of their server threads' names.
+    const NAME: &'static str;
+    /// The sending half of a node bound here.
+    type Postman: Postman + 'static;
+    /// The receiving half of a node bound here.
+    type Mailbox: Mailbox + 'static;
+
+    /// Bind `node`. A network that encodes frames profiles that into
+    /// `profiler` (`wire/encode`, `wire/decode`).
+    fn bind(
+        &self,
+        node: NodeId,
+        profiler: &Profiler,
+    ) -> Result<(Self::Postman, Self::Mailbox), TransportError>;
 }
 
 /// Split `batch` by destination: one `(destination, items)` group per

@@ -36,7 +36,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -51,7 +51,7 @@ use crate::error::TransportError;
 use crate::frame::{holds_frame, wire_len, write_frames, FrameReader, READ_BUFFER, UNREAD_BATCHES};
 use crate::msg::{Message, NodeId};
 use crate::served::{Envelope, Served};
-use crate::{per_destination, Mailbox, Postman, Step};
+use crate::{per_destination, Mailbox, Network, Postman, Step};
 
 /// Mapping from node identity to listening address, distributed out-of-band
 /// (mirrors how PS-Lite nodes learn the scheduler address from environment
@@ -82,6 +82,33 @@ impl AddressBook {
     /// Look up a node's listening address.
     pub fn get(&self, node: NodeId) -> Option<SocketAddr> {
         self.addrs.read().get(&node).copied()
+    }
+}
+
+/// Loopback TCP: binding a node listens on an OS-chosen loopback port and
+/// publishes it in this book, through which the node also dials. A node
+/// bound again under the same id is the one its peers redial once their
+/// connection to the old one breaks.
+impl Network for AddressBook {
+    const NAME: &'static str = "tcp";
+    type Postman = TcpPostman;
+    type Mailbox = TcpNode;
+
+    fn bind(
+        &self,
+        node: NodeId,
+        profiler: &Profiler,
+    ) -> Result<(TcpPostman, TcpNode), TransportError> {
+        let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, 0));
+        let bound = TcpNode::bind_profiled(
+            node,
+            loopback,
+            self.clone(),
+            Tracer::disabled(),
+            profiler.clone(),
+        )?;
+        self.insert(node, bound.local_addr());
+        Ok((bound.postman(), bound))
     }
 }
 

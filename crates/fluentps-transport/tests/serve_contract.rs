@@ -25,12 +25,13 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fluentps_obs::{EventKind, ProfCollector, TraceCollector};
-use fluentps_transport::fault::FaultInjector;
+use fluentps_obs::{ProfCollector, Profiler};
+use fluentps_transport::fault::{FaultInjector, FaultyMailbox};
 use fluentps_transport::frame::{encode_frame, READ_BUFFER};
 use fluentps_transport::tcp::{AddressBook, TcpNode};
 use fluentps_transport::{
-    Fabric, Flow, Input, KvPairs, Mailbox, Message, NodeId, Postman, TransportError,
+    Endpoint, Fabric, Flow, Input, KvPairs, Mailbox, Message, Network, NodeId, Postman,
+    TransportError,
 };
 use fluentps_util::proptest::prelude::*;
 
@@ -46,54 +47,51 @@ struct Rig<M> {
     senders: Vec<Box<dyn Postman + Sync>>,
     /// The injector in front of `rx`, when there is one.
     injector: Option<FaultInjector>,
-    /// Whatever must outlive the test (nodes owning the senders' sockets).
-    _keep: Vec<TcpNode>,
+    /// The senders' own mailboxes, which must outlive the test (over TCP
+    /// they own the senders' sockets).
+    _keep: Vec<Box<dyn Mailbox>>,
 }
 
-fn inproc_rig() -> Rig<fluentps_transport::Endpoint> {
-    let fabric = Fabric::new();
-    let rx = fabric.register(SERVER);
-    let senders = (0..SENDERS)
-        .map(|w| Box::new(fabric.register(NodeId::Worker(w)).postman()) as Box<dyn Postman + Sync>)
-        .collect();
+/// `SERVER` bound on `net`, and [`SENDERS`] workers bound on `senders` — the
+/// same network, or the one `net` wraps — to reach it.
+fn rig<N: Network, S: Network>(net: &N, senders: &S) -> Rig<N::Mailbox>
+where
+    S::Postman: Sync,
+{
+    let quiet = Profiler::disabled();
+    let (_, rx) = net.bind(SERVER, &quiet).unwrap();
+    let (senders, keep) = (0..SENDERS)
+        .map(|w| {
+            let (postman, mailbox) = senders.bind(NodeId::Worker(w), &quiet).unwrap();
+            (
+                Box::new(postman) as Box<dyn Postman + Sync>,
+                Box::new(mailbox) as Box<dyn Mailbox>,
+            )
+        })
+        .unzip();
     Rig {
         rx,
         senders,
         injector: None,
-        _keep: Vec::new(),
+        _keep: keep,
     }
 }
 
-fn tcp_nodes() -> (TcpNode, Vec<TcpNode>) {
-    let book = AddressBook::new();
-    let bind = |node| TcpNode::bind(node, "127.0.0.1:0".parse().unwrap(), book.clone()).unwrap();
-    let rx = bind(SERVER);
-    book.insert(SERVER, rx.local_addr());
-    let workers = (0..SENDERS).map(|w| bind(NodeId::Worker(w))).collect();
-    (rx, workers)
+fn inproc_rig() -> Rig<Endpoint> {
+    let fabric = Fabric::new();
+    rig(&fabric, &fabric)
 }
 
 fn tcp_rig() -> Rig<TcpNode> {
-    let (rx, workers) = tcp_nodes();
-    Rig {
-        rx,
-        senders: workers
-            .iter()
-            .map(|n| Box::new(n.postman()) as Box<dyn Postman + Sync>)
-            .collect(),
-        injector: None,
-        _keep: workers,
-    }
+    let book = AddressBook::new();
+    rig(&book, &book)
 }
 
-fn faulty_tcp_rig() -> Rig<fluentps_transport::fault::FaultyMailbox<TcpNode>> {
-    let plain = tcp_rig();
-    let injector = FaultInjector::passthrough();
+fn faulty_tcp_rig() -> Rig<FaultyMailbox<TcpNode>> {
+    let (book, injector) = (AddressBook::new(), FaultInjector::passthrough());
     Rig {
-        rx: injector.mailbox(SERVER, plain.rx),
-        senders: plain.senders,
-        injector: Some(injector),
-        _keep: plain._keep,
+        injector: Some(injector.clone()),
+        ..rig(&injector.network(book.clone()), &book)
     }
 }
 
@@ -297,7 +295,9 @@ fn faulty_tcp_mailbox_keeps_the_timer_contract() {
 #[test]
 fn a_served_tcp_node_runs_the_step_on_the_reader_thread() {
     for faulty in [false, true] {
-        let (rx, workers) = tcp_nodes();
+        let Rig {
+            rx, senders, _keep, ..
+        } = tcp_rig();
         let seen = Arc::new(Mutex::new(None));
         let (handled_tx, handled) = mpsc::channel();
         let step = {
@@ -330,7 +330,7 @@ fn a_served_tcp_node_runs_the_step_on_the_reader_thread() {
             // caller, out of the inbox; once the step has handled one, it
             // is — or is about to be, under the lock a reader needs —
             // installed, and the next frame is a reader's.
-            let postman = workers[0].postman();
+            let postman = &senders[0];
             postman.send(SERVER, beat(0, 0)).unwrap();
             handled.recv_timeout(LONG).expect("the first frame handled");
             postman.send(SERVER, Message::Shutdown).unwrap();
@@ -896,16 +896,16 @@ impl<P: Postman + 'static> fluentps_transport::Step for Answering<P> {
 struct ClientRig<M> {
     /// `Worker(0)`'s mailbox: the one under test.
     client: M,
-    /// `Worker(0)`'s postman and `Worker(1)`'s, unfiltered.
+    /// `Worker(0)`'s postman and `Worker(1)`'s, the latter unfiltered.
     postman: Box<dyn Postman + Sync>,
     third: Box<dyn Postman + Sync>,
     served: std::thread::JoinHandle<()>,
     /// The injector in front of `client`, when there is one.
     injector: Option<FaultInjector>,
-    /// TCP: the client node's own trace, which counts the frames its reader
-    /// threads have decoded.
-    decoded: Option<TraceCollector>,
-    _keep: Vec<TcpNode>,
+    /// TCP: the client node's own profile, which counts the frames its
+    /// reader threads have decoded.
+    decoded: Option<ProfCollector>,
+    _keep: Box<dyn Mailbox>,
 }
 
 impl<M> ClientRig<M> {
@@ -915,78 +915,84 @@ impl<M> ClientRig<M> {
     /// one connection's frames in turn: a marker frame is sent behind `msg`,
     /// and when that has been decoded `msg` has been delivered.
     fn queue(&self, msg: Message, marker: u64) {
-        let before = self.decoded.as_ref().map(|c| c.totals().0);
+        let decoded = || {
+            let profile = self.decoded.as_ref()?.snapshot();
+            Some(
+                profile
+                    .spans
+                    .get("wire/decode")
+                    .map_or(0, |stat| stat.count),
+            )
+        };
+        let before = decoded();
         let batch = [msg, beat(1, marker)].map(|msg| (CLIENT, msg));
         self.third.send_batch(batch.into()).unwrap();
-        let (Some(trace), Some(before)) = (&self.decoded, before) else {
+        let Some(before) = before else {
             return; // the fabric queues as it sends
         };
-        let kind = EventKind::WireRecv as usize;
         let sent = Instant::now();
-        while trace.totals().0[kind] < before[kind] + 2 {
+        while decoded() < Some(before + 2) {
             assert!(sent.elapsed() < LONG, "the third party's frames never came");
             std::thread::yield_now();
         }
     }
 }
 
-fn inproc_client_rig() -> ClientRig<fluentps_transport::Endpoint> {
+/// `SERVER`, an [`Answering`] node, bound on `server`; the client on `net`,
+/// profiled into `decoded`; the third party on `third`.
+fn client_rig<S: Network, N: Network, T: Network>(
+    server: &S,
+    net: &N,
+    third: &T,
+    decoded: Option<ProfCollector>,
+) -> ClientRig<N::Mailbox>
+where
+    N::Postman: Sync,
+    T::Postman: Sync,
+{
+    let quiet = Profiler::disabled();
+    let (postman, served) = server.bind(SERVER, &quiet).unwrap();
+    let answering = Answering {
+        postman,
+        held: Vec::new(),
+    };
+    let profiler = decoded.as_ref().map(|c| c.profiler()).unwrap_or_default();
+    let (client_postman, client) = net.bind(CLIENT, &profiler).unwrap();
+    let (third, keep) = third.bind(THIRD, &quiet).unwrap();
+    ClientRig {
+        client,
+        postman: Box::new(client_postman),
+        third: Box::new(third),
+        served: std::thread::spawn(move || drop(served.serve(None, answering))),
+        injector: None,
+        decoded,
+        _keep: Box::new(keep),
+    }
+}
+
+fn inproc_client_rig() -> ClientRig<Endpoint> {
     let fabric = Fabric::new();
-    let server = fabric.register(SERVER);
-    let client = fabric.register(CLIENT);
-    let answering = Answering {
-        postman: server.postman(),
-        held: Vec::new(),
-    };
-    ClientRig {
-        postman: Box::new(client.postman()),
-        client,
-        third: Box::new(fabric.register(THIRD).postman()),
-        served: std::thread::spawn(move || drop(server.serve(None, answering))),
-        injector: None,
-        decoded: None,
-        _keep: Vec::new(),
-    }
+    client_rig(&fabric, &fabric, &fabric, None)
 }
 
-/// The server's book stays empty: it can answer the client only over the
-/// connection the client reached it through.
+/// The server's book stays empty of the client: it can answer the client
+/// only over the connection the client reached it through.
 fn tcp_client_rig() -> ClientRig<TcpNode> {
-    let loopback = "127.0.0.1:0".parse().unwrap();
-    let server = TcpNode::bind(SERVER, loopback, AddressBook::new()).unwrap();
-    let book = AddressBook::new();
-    book.insert(SERVER, server.local_addr());
-    let decoded = TraceCollector::wall(1 << 10);
-    let (tracer, quiet) = (decoded.tracer(), fluentps_obs::Profiler::disabled());
-    let client = TcpNode::bind_profiled(CLIENT, loopback, book.clone(), tracer, quiet).unwrap();
-    book.insert(CLIENT, client.local_addr());
-    let third = TcpNode::bind(THIRD, loopback, book).unwrap();
-    let answering = Answering {
-        postman: server.postman(),
-        held: Vec::new(),
-    };
-    ClientRig {
-        postman: Box::new(client.postman()),
-        client,
-        third: Box::new(third.postman()),
-        served: std::thread::spawn(move || drop(server.serve(None, answering))),
-        injector: None,
-        decoded: Some(decoded),
-        _keep: vec![third],
-    }
+    let (server_book, book) = (AddressBook::new(), AddressBook::new());
+    let rig = client_rig(&server_book, &book, &book, Some(ProfCollector::wall()));
+    book.insert(SERVER, server_book.get(SERVER).expect("bound"));
+    rig
 }
 
-fn faulty_tcp_client_rig() -> ClientRig<fluentps_transport::fault::FaultyMailbox<TcpNode>> {
-    let plain = tcp_client_rig();
+fn faulty_tcp_client_rig() -> ClientRig<FaultyMailbox<TcpNode>> {
+    let (server_book, book) = (AddressBook::new(), AddressBook::new());
     let injector = FaultInjector::passthrough();
+    let net = injector.network(book.clone());
+    let rig = client_rig(&server_book, &net, &book, Some(ProfCollector::wall()));
+    book.insert(SERVER, server_book.get(SERVER).expect("bound"));
     ClientRig {
-        client: injector.mailbox(CLIENT, plain.client),
-        postman: plain.postman,
-        third: plain.third,
-        served: plain.served,
         injector: Some(injector),
-        decoded: plain.decoded,
-        _keep: plain._keep,
+        ..rig
     }
 }
 
@@ -1025,17 +1031,18 @@ fn recv_from_contract<M: Mailbox>(rig: ClientRig<M>) {
     let reply = rig.client.recv_from(SERVER, None).unwrap();
     assert!(response_to(2)(&reply), "{reply:?}");
 
-    // A severed peer's reply is judged on receipt, wherever it is read.
+    // A severed peer's reply is judged on receipt, wherever it is read. (The
+    // client's own postman is filtered too: the third party asks for it.)
     if let Some(injector) = &rig.injector {
         injector.kill(SERVER);
-        ask(4);
+        rig.third.send(SERVER, pull(4)).unwrap();
         let asked = Instant::now();
         while injector.stats().blackholed == 0 {
             assert!(asked.elapsed() < LONG, "the severed reply never arrived");
             assert_eq!(rig.client.recv_from(SERVER, Some(SHORT)).unwrap(), None);
         }
     }
-    rig.postman.send(SERVER, Message::Shutdown).unwrap();
+    rig.third.send(SERVER, Message::Shutdown).unwrap();
     rig.served.join().unwrap();
 }
 

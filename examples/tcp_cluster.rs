@@ -30,7 +30,7 @@ fn main() {
     // Everyone binds an OS-chosen port; the cluster's address book is what
     // a worker in another process would need.
     let (cluster, workers) = TcpCluster::launch(cfg, map, &init).expect("launch");
-    let server_addr = cluster.addresses.get(NodeId::Server(0)).expect("bound");
+    let server_addr = cluster.fabric().get(NodeId::Server(0)).expect("bound");
     println!("server listening on {server_addr}");
 
     // Worker threads: push a constant "gradient", pull, repeat.

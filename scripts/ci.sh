@@ -63,12 +63,29 @@ deleted="$deleted|ResidualMlp::resnet56_like|ClientCache|AlertRule::parse|AlertM
 deleted="$deleted|\bLars\b|\bAdam::|for Adam\b|\bTensor::|struct Tensor\b|fluentps_ml::tensor"
 deleted="$deleted|WireCheck|stamped_wire|send_pulls|pending_responses"
 deleted="$deleted|last_snapshot"
+# The per-server-model launch the one observed launch absorbed (DESIGN.md §18).
+deleted="$deleted|launch_models"
 # The grouped GEMM kernels the one list kernel replaced (DESIGN.md §19).
 deleted="$deleted|matmul_rows|matmul_at_b_rows|panel_block|all_zero"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then
   echo "ci: a deleted entry point or type is back (see above)" >&2
+  exit 1
+fi
+
+# Structural guard: one cluster over a fabric (DESIGN.md §18). Above the
+# test markers of every crate, a shard's server is built, a served node's
+# thread spawned and an observability session started only in launch.rs,
+# whose `Cluster<F>` runs on any `Network`, and in recovery.rs, the
+# fault-tolerant flavour, which brings its servers up through the same
+# `Plan` and spawns its replacements; and those two files define the only
+# cluster handle types.
+launch_sites="$(above_tests crates/*/src/*.rs crates/*/src/*/*.rs \
+  | grep -E '(shard_server|spawn_served)\(|Session::start\(|pub struct [A-Za-z]*Cluster\b' \
+  | grep -vE 'fn (shard_server|spawn_served)\(' | cut -d: -f1 | sort -u | tr '\n' ' ' || true)"
+if [ "$launch_sites" != "$core_src/launch.rs $core_src/recovery.rs " ]; then
+  echo "ci: servers are built, spawned and observed by launch.rs's Cluster<F> (and recovery.rs) only; found in: $launch_sites" >&2
   exit 1
 fi
 

@@ -83,8 +83,8 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
         http: Some("127.0.0.1:0".parse().unwrap()),
         ..Observability::default()
     };
-    let (cluster, workers) =
-        Cluster::launch_observed(cfg, map, &init, obs).expect("bind introspection endpoint");
+    let (cluster, workers) = Cluster::launch_observed(cfg, &cfg.models(), map, &init, obs)
+        .expect("bind introspection endpoint");
     let addr = cluster.http_addr().expect("endpoint requested");
 
     let handles: Vec<_> = workers
