@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use fluentps_obs::{EventKind, Profiler, RecordArgs, Tracer, NO_ID};
 use fluentps_util::buf::BytesMut;
-use fluentps_util::sync::Mutex;
+use fluentps_util::sync::{take_shortest_slice, Mutex};
 use fluentps_util::sync::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
 
 use crate::error::TransportError;
@@ -661,10 +661,17 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
+/// A reader runs a served node's step and writes its reply, so it takes the
+/// kernel's shortest scheduler slice first: woken by a request, it preempts
+/// a computing worker instead of queueing behind the rest of that worker's
+/// slice, with its share of the CPU unchanged (DESIGN.md §18).
 fn spawn_reader(stream: TcpStream, shared: Arc<Shared>) {
     std::thread::Builder::new()
         .name(format!("tcp-reader-{}", shared.node))
-        .spawn(move || read_frames(stream, &shared))
+        .spawn(move || {
+            take_shortest_slice();
+            read_frames(stream, &shared)
+        })
         .expect("spawn reader thread");
 }
 
@@ -946,6 +953,73 @@ mod tests {
             .expect("message within timeout");
         assert_eq!(from, NodeId::Worker(0));
         assert_eq!(got, msg);
+    }
+
+    /// `se.slice` of `/proc/self/task/<tid>/sched`, in ns; `None` once the
+    /// thread is gone or on a kernel that does not print it.
+    fn slice_of(task: &std::path::Path) -> Option<u64> {
+        let sched = std::fs::read_to_string(task.join("sched")).ok()?;
+        let line = sched.lines().find(|l| l.starts_with("se.slice "))?;
+        line.rsplit(':').next()?.trim().parse().ok()
+    }
+
+    #[test]
+    fn every_reader_thread_takes_the_shortest_slice() {
+        const SHORTEST: u64 = 100_000;
+        let granted = std::thread::spawn(|| {
+            take_shortest_slice();
+            slice_of(std::path::Path::new("/proc/thread-self"))
+        })
+        .join()
+        .unwrap();
+        if granted != Some(SHORTEST) {
+            eprintln!("skipped: this kernel grants no slice of a thread's own (before Linux 6.12)");
+            return;
+        }
+        let book = AddressBook::new();
+        let server = TcpNode::bind(NodeId::Server(0), loopback(), book.clone()).unwrap();
+        book.insert(NodeId::Server(0), server.local_addr());
+        let worker = TcpNode::bind(NodeId::Worker(0), loopback(), book.clone()).unwrap();
+        book.insert(NodeId::Worker(0), worker.local_addr());
+        worker
+            .postman()
+            .send(NodeId::Server(0), Message::Shutdown)
+            .unwrap();
+        server
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .expect("a frame");
+        server
+            .postman()
+            .send(NodeId::Worker(0), Message::Shutdown)
+            .unwrap();
+        worker
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .expect("a frame");
+
+        let mut readers = 0;
+        for task in std::fs::read_dir("/proc/self/task").unwrap() {
+            let task = task.unwrap().path();
+            let comm = std::fs::read_to_string(task.join("comm")).unwrap_or_default();
+            if !comm.starts_with("tcp-reader-") {
+                continue;
+            }
+            // Another test's reader may be too young to have asked yet.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut slice = slice_of(&task);
+            while slice.is_some_and(|ns| ns != SHORTEST) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+                slice = slice_of(&task);
+            }
+            match slice {
+                Some(ns) => assert_eq!(ns, SHORTEST, "{} has a slice of {ns} ns", comm.trim()),
+                None => continue, // exited meanwhile
+            }
+            readers += 1;
+        }
+        // At least this test's own two: one at each end.
+        assert!(readers >= 2, "{readers} reader threads");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`sync`] — poison-ignoring `Mutex`/`RwLock` wrappers with a
 //!   parking_lot-style API, mpsc channels with `recv_timeout`/`try_recv`,
 //!   and `std::thread::scope`-based scoped spawns. Replaces `crossbeam`
-//!   and `parking_lot`.
+//!   and `parking_lot`. Also the one call into the kernel's scheduler:
+//!   [`sync::take_shortest_slice`], which a TCP reader thread makes first.
 //! * [`buf`] — a minimal `Bytes`/`BytesMut`/`Buf`/`BufMut` subset over
 //!   `Vec<u8>` with cheap, `Arc`-backed `Bytes` clones. Replaces `bytes`.
 //! * [`proptest`] — a fixed-seed property-test harness: a [`proptest!`]

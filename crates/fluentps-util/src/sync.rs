@@ -10,9 +10,16 @@
 //!   and shareable, `Sync` receivers).
 //! * [`scope`]: `std::thread::scope`, re-exported as the workspace's scoped
 //!   spawn primitive (replaces `crossbeam::thread::scope`).
+//! * [`take_shortest_slice`]: the calling thread asks Linux for the shortest
+//!   scheduler slice, so it preempts a compute-bound thread when it wakes
+//!   (the TCP reader threads that answer requests; see `sync/sched.rs`).
+
+mod sched;
 
 use std::sync::mpsc;
 use std::time::Duration;
+
+pub use sched::take_shortest_slice;
 
 pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
 pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};

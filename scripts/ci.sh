@@ -134,15 +134,28 @@ if ! grep -qE '^pub struct FrameReader;$' "$wire_src/frame.rs"; then
   exit 1
 fi
 
-# Structural guard: the worker's compute kernels are portable safe Rust whose
+# Structural guard: the workspace is safe Rust but for two files (DESIGN.md
+# §7, §18). Above the test markers of every crate, `unsafe` and foreign
+# functions appear only in fluentps-util's counting allocator, which
+# implements `GlobalAlloc`, and in its `sync/sched.rs`, which asks the
+# kernel for a thread's scheduler slice through `syscall`.
+util_src=crates/fluentps-util/src
+if above_tests src/*.rs crates/*/src/*.rs crates/*/src/*/*.rs \
+  | grep -E '\bunsafe\b|extern "C"' | grep -vE "^$util_src/(alloc|sync/sched)\.rs:"; then
+  echo "ci: unsafe or extern \"C\" outside $util_src/alloc.rs and $util_src/sync/sched.rs (see above)" >&2
+  exit 1
+fi
+
+# Structural guard: the worker's compute kernels are portable Rust whose
 # results are bit-identical to the naive loops they replaced (DESIGN.md
-# §19): above the test markers of fluentps-ml, no `unsafe`, no architecture
-# intrinsics or target features, and no `mul_add` (a fused multiply-add
-# rounds once where the kernels round twice, so it would move bits).
+# §19): above the test markers of fluentps-ml, no architecture intrinsics
+# or target features (and, by the guard above, no `unsafe`), and no
+# `mul_add` (a fused multiply-add rounds once where the kernels round
+# twice, so it would move bits).
 ml_src=crates/fluentps-ml/src
 if above_tests "$ml_src"/*.rs "$ml_src"/*/*.rs \
-  | grep -E '\bunsafe\b|\b(std|core)::arch\b|target_feature|mul_add'; then
-  echo "ci: fluentps-ml uses unsafe, intrinsics, target features or mul_add (see above); its kernels stay portable and bit-identical" >&2
+  | grep -E '\b(std|core)::arch\b|target_feature|mul_add'; then
+  echo "ci: fluentps-ml uses intrinsics, target features or mul_add (see above); its kernels stay portable and bit-identical" >&2
   exit 1
 fi
 
