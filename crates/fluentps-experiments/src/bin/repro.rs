@@ -15,7 +15,9 @@
 //!                 [--metrics-addr ADDR] [--out FILE] [--top N]
 //!
 //! Quick mode (default) finishes each experiment in seconds-to-minutes;
-//! `--full` uses paper-like worker counts and iteration budgets.
+//! `--full` uses paper-like worker counts and iteration budgets. The
+//! figures asked for run side by side, one per available CPU; their tables
+//! print and their CSVs are numbered in the order of the usage line above.
 //! `--trace FILE` runs a traced FluentPS demo and writes the event trace to
 //! FILE — Chrome trace-event JSON (open in Perfetto or `chrome://tracing`),
 //! or JSONL when FILE ends in `.jsonl`. With `--metrics-addr` the run also
@@ -624,53 +626,14 @@ fn run_figures(args: &[String]) {
     }
     let scale = Scale { full };
     let all = which.iter().any(|w| w == "all");
-    let wants = |name: &str| all || which.iter().any(|w| w == name);
-
-    let mut tables: Vec<Table> = Vec::new();
-    let mut run_one = |name: &str, f: &dyn Fn() -> Vec<Table>| {
-        if wants(name) {
-            eprintln!(
-                "[repro] running {name} ({} scale)...",
-                if full { "full" } else { "quick" }
-            );
-            let start = std::time::Instant::now();
-            let out = f();
-            eprintln!(
-                "[repro] {name} done in {:.1}s",
-                start.elapsed().as_secs_f64()
-            );
-            for t in &out {
-                println!("{}", t.render());
-            }
-            tables.extend(out);
-        }
-    };
-
-    run_one("fig1", &|| figures::fig1::run_figure(scale));
-    run_one("fig3", &|| figures::fig3::run_figure());
-    run_one("fig6", &|| figures::fig6::run_figure(scale));
-    run_one("fig7", &|| figures::fig7::run_figure(scale));
-    run_one("fig8", &|| figures::fig8::run_figure(scale));
-    run_one("fig9", &|| figures::fig9::run_figure(scale));
-    run_one("fig10", &|| figures::fig10::run_figure(scale, false));
-    run_one("fig11", &|| figures::fig10::run_figure(scale, true));
-    run_one("table4", &|| figures::table4::run_figure(scale));
-    run_one("ablation-eps", &|| {
-        figures::ablations::eps_chunk_sweep(scale)
-    });
-    run_one("ablation-sched", &|| {
-        figures::ablations::scheduler_cost_sweep(scale)
-    });
-    run_one("ablation-filter", &|| {
-        figures::ablations::significance_filter_sweep(scale)
-    });
-    run_one("ablation-stragglers", &|| {
-        figures::ablations::straggler_sweep(scale)
-    });
-
-    if tables.is_empty() {
+    let wanted: Vec<&Figure> = FIGURES
+        .iter()
+        .filter(|(name, _)| all || which.iter().any(|w| w == name))
+        .collect();
+    if wanted.is_empty() {
         usage();
     }
+    let tables = run_concurrently(&wanted, scale);
 
     if let Some(dir) = csv_dir {
         std::fs::create_dir_all(&dir).expect("create csv dir");
@@ -681,6 +644,96 @@ fn run_figures(args: &[String]) {
             eprintln!("[repro] wrote {path}");
         }
     }
+}
+
+/// A figure or table `repro` can regenerate: its name on the command line
+/// and the function that computes its tables.
+type Figure = (&'static str, fn(Scale) -> Vec<Table>);
+
+/// Every figure, in the order its tables are printed and written.
+const FIGURES: [Figure; 13] = [
+    ("fig1", figures::fig1::run_figure),
+    ("fig3", |_| figures::fig3::run_figure()),
+    ("fig6", figures::fig6::run_figure),
+    ("fig7", figures::fig7::run_figure),
+    ("fig8", figures::fig8::run_figure),
+    ("fig9", figures::fig9::run_figure),
+    ("fig10", |scale| figures::fig10::run_figure(scale, false)),
+    ("fig11", |scale| figures::fig10::run_figure(scale, true)),
+    ("table4", figures::table4::run_figure),
+    ("ablation-eps", figures::ablations::eps_chunk_sweep),
+    ("ablation-sched", figures::ablations::scheduler_cost_sweep),
+    (
+        "ablation-filter",
+        figures::ablations::significance_filter_sweep,
+    ),
+    ("ablation-stragglers", figures::ablations::straggler_sweep),
+];
+
+/// The figure that takes longest (about half of `repro all`), started first
+/// so the others fill the remaining threads around it.
+const LARGEST: &str = "table4";
+
+/// Run `figs` on one thread per available CPU, [`LARGEST`] first and the
+/// rest in order, and print each one's tables as soon as every figure
+/// before it in `figs` has printed: stdout is the same as running them one
+/// after another. Each figure is a pure function of `scale`, so running
+/// them side by side changes no number. Returns the tables in print order.
+fn run_concurrently(figs: &[&Figure], scale: Scale) -> Vec<Table> {
+    let mut order: Vec<usize> = (0..figs.len()).collect();
+    order.sort_by_key(|&i| figs[i].0 != LARGEST);
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<Table>)>();
+    let work = |tx: std::sync::mpsc::Sender<(usize, Vec<Table>)>| {
+        while let Some(&i) = order.get(next.fetch_add(1, std::sync::atomic::Ordering::Relaxed)) {
+            let (name, run) = figs[i];
+            eprintln!(
+                "[repro] running {name} ({} scale)...",
+                if scale.full { "full" } else { "quick" }
+            );
+            let start = std::time::Instant::now();
+            let out = run(scale);
+            eprintln!(
+                "[repro] {name} done in {:.1}s",
+                start.elapsed().as_secs_f64()
+            );
+            if tx.send((i, out)).is_err() {
+                return;
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut started = 0;
+        for _ in 0..threads.min(figs.len()) {
+            let tx = tx.clone();
+            if std::thread::Builder::new()
+                .spawn_scoped(s, move || work(tx))
+                .is_ok()
+            {
+                started += 1;
+            }
+        }
+        // With no thread to run them, the figures run here before printing.
+        if started == 0 {
+            work(tx.clone());
+        }
+        drop(tx);
+        let mut done: Vec<Option<Vec<Table>>> = vec![None; figs.len()];
+        let mut tables = Vec::new();
+        let mut printed = 0;
+        for (i, out) in rx {
+            done[i] = Some(out);
+            while let Some(out) = done.get_mut(printed).and_then(Option::take) {
+                for t in &out {
+                    println!("{}", t.render());
+                }
+                tables.extend(out);
+                printed += 1;
+            }
+        }
+        tables
+    })
 }
 
 /// Run the traced demo, verify the trace against the shard statistics, and

@@ -19,17 +19,13 @@ impl Initializer {
     /// Xavier/Glorot uniform for a `fan_in × fan_out` weight matrix.
     pub fn xavier(&mut self, fan_in: usize, fan_out: usize) -> Vec<f32> {
         let bound = (6.0 / (fan_in + fan_out) as f64).sqrt() as f32;
-        (0..fan_in * fan_out)
-            .map(|_| self.rng.gen_range(-bound..bound))
-            .collect()
+        self.uniform(fan_in * fan_out, bound)
     }
 
     /// He/Kaiming uniform for ReLU layers.
     pub fn he(&mut self, fan_in: usize, fan_out: usize) -> Vec<f32> {
         let bound = (6.0 / fan_in as f64).sqrt() as f32;
-        (0..fan_in * fan_out)
-            .map(|_| self.rng.gen_range(-bound..bound))
-            .collect()
+        self.uniform(fan_in * fan_out, bound)
     }
 
     /// Zeroed bias vector.
@@ -40,7 +36,14 @@ impl Initializer {
     /// Small-scale Gaussian-ish values (uniform surrogate) for residual
     /// branch outputs so identity mappings dominate at the start.
     pub fn small(&mut self, n: usize, scale: f32) -> Vec<f32> {
-        (0..n).map(|_| self.rng.gen_range(-scale..scale)).collect()
+        self.uniform(n, scale)
+    }
+
+    /// `n` uniform draws from `[-bound, bound)`, in stream order.
+    fn uniform(&mut self, n: usize, bound: f32) -> Vec<f32> {
+        let mut w = vec![0.0; n];
+        self.rng.fill_range(&mut w, -bound..bound);
+        w
     }
 }
 

@@ -10,7 +10,9 @@
 //! and full lists, and infinities and NaNs in `b`; the same for the ReLU
 //! pair, NaN payloads included, and for `Sgd::deltas` against its indexed
 //! loop; and training fingerprints of the ledger's three `Mlp` shapes,
-//! computed before the kernels were rewritten and pinned here.
+//! computed before the kernels were rewritten and pinned here, next to the
+//! initial-parameter fingerprints of two of them, pinned before
+//! `Initializer` drew its weights with `StdRng::fill_range`.
 
 use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
 use fluentps_ml::linalg::{matmul, matmul_a_bt, matmul_at_b, relu_backward_inplace, relu_inplace};
@@ -488,4 +490,30 @@ fn tcp_bsp_wire_shape_trains_to_the_pinned_bits() {
 #[test]
 fn ssp_shape_trains_to_the_pinned_bits() {
     assert_eq!(trained_fingerprint(&[128, 64], 32), 0x3ee7_563f_6d29_38b6);
+}
+
+// Initial parameters (`Mlp::init_params(7)`) of the `tcp_bsp_wire` and
+// `inproc_bsp_compute` shapes, computed with one `gen_range` per weight
+// (commit 67e81eb), before `Initializer` drew them with `fill_range`.
+
+#[test]
+fn tcp_bsp_wire_shape_initializes_to_the_pinned_bits() {
+    let model = Mlp {
+        dims: vec![64, 1024, 256, 10],
+    };
+    assert_eq!(
+        fingerprint(&model, &model.init_params(7)),
+        0xab86_d41d_9056_73f5
+    );
+}
+
+#[test]
+fn inproc_bsp_compute_shape_initializes_to_the_pinned_bits() {
+    let model = Mlp {
+        dims: vec![64, 256, 128, 10],
+    };
+    assert_eq!(
+        fingerprint(&model, &model.init_params(7)),
+        0xb524_d1ee_1b71_34aa
+    );
 }

@@ -4,7 +4,8 @@
 //! and stream constants are derived from a `u64` seed via SplitMix64, so any
 //! seed — including 0 — yields a well-mixed stream. The API mirrors the
 //! subset of `rand` the workspace uses (`seed_from_u64`, `gen`, `gen_range`,
-//! `gen_bool`) plus the Box–Muller normal sampler the simulators need.
+//! `gen_bool`) plus the Box–Muller normal sampler the simulators need and
+//! `fill_range`, a batch of `f32` `gen_range` draws in one call.
 //!
 //! Determinism contract: the sequence produced by a given seed is part of
 //! the repo's reproducibility guarantee. Changing the generator or the
@@ -74,6 +75,25 @@ impl StdRng {
         range.sample(self)
     }
 
+    /// Fill `out` with uniform draws from `range`: the same values, and the
+    /// same state after, as `out.len()` calls of `gen_range(range)`. Each
+    /// chunk of the raw `next_u32` stream is taken first, a serial loop, and
+    /// mapped after, a loop with no dependency between elements that the
+    /// compiler vectorizes. Panics on an empty range, like `gen_range`.
+    pub fn fill_range(&mut self, out: &mut [f32], range: std::ops::Range<f32>) {
+        assert!(range.start < range.end, "empty range");
+        let mut raw = [0u32; 256];
+        for chunk in out.chunks_mut(raw.len()) {
+            let raw = &mut raw[..chunk.len()];
+            for r in raw.iter_mut() {
+                *r = self.next_u32();
+            }
+            for (v, &r) in chunk.iter_mut().zip(raw.iter()) {
+                *v = map_f32(r, range.start, range.end);
+            }
+        }
+    }
+
     /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen::<f64>() < p
@@ -119,8 +139,24 @@ impl Random for f64 {
 
 impl Random for f32 {
     fn random(rng: &mut StdRng) -> f32 {
-        // 24 mantissa bits → uniform in [0, 1).
-        (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+        unit_f32(rng.next_u32())
+    }
+}
+
+/// 24 mantissa bits of `bits` → uniform in `[0, 1)`.
+fn unit_f32(bits: u32) -> f32 {
+    (bits >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+}
+
+/// One `next_u32` output mapped into `[start, end)`: the `f32` arm of
+/// `gen_range` and the map of `fill_range`, so the two agree bit for bit.
+fn map_f32(bits: u32, start: f32, end: f32) -> f32 {
+    let v = start + (end - start) * unit_f32(bits);
+    // Guard against rounding up to the excluded endpoint.
+    if v >= end {
+        start
+    } else {
+        v
     }
 }
 
@@ -175,20 +211,25 @@ macro_rules! impl_range_int {
 }
 impl_range_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-macro_rules! impl_range_float {
-    ($($t:ty),*) => {$(
-        impl SampleRange<$t> for std::ops::Range<$t> {
-            fn sample(self, rng: &mut StdRng) -> $t {
-                assert!(self.start < self.end, "empty range");
-                let unit: $t = rng.gen();
-                let v = self.start + (self.end - self.start) * unit;
-                // Guard against rounding up to the excluded endpoint.
-                if v >= self.end { self.start } else { v }
-            }
+impl SampleRange<f64> for std::ops::Range<f64> {
+    fn sample(self, rng: &mut StdRng) -> f64 {
+        assert!(self.start < self.end, "empty range");
+        let v = self.start + (self.end - self.start) * rng.gen::<f64>();
+        // Guard against rounding up to the excluded endpoint.
+        if v >= self.end {
+            self.start
+        } else {
+            v
         }
-    )*};
+    }
 }
-impl_range_float!(f32, f64);
+
+impl SampleRange<f32> for std::ops::Range<f32> {
+    fn sample(self, rng: &mut StdRng) -> f32 {
+        assert!(self.start < self.end, "empty range");
+        map_f32(rng.next_u32(), self.start, self.end)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -244,6 +285,52 @@ mod tests {
             let e = rng.gen_range(-8i64..-3);
             assert!((-8..-3).contains(&e));
         }
+    }
+
+    /// `fill_range` against `n` calls of `gen_range` on a clone: the same
+    /// values, and the same stream after.
+    fn assert_fill_matches_gen_range(seed: u64, n: usize, range: std::ops::Range<f32>) {
+        let mut filled = StdRng::seed_from_u64(seed);
+        let mut drawn = filled.clone();
+        let mut out = vec![f32::NAN; n];
+        filled.fill_range(&mut out, range.clone());
+        for (i, v) in out.iter().enumerate() {
+            let want = drawn.gen_range(range.clone());
+            assert_eq!(v.to_bits(), want.to_bits(), "seed {seed} n {n} element {i}");
+        }
+        for _ in 0..8 {
+            assert_eq!(
+                filled.next_u32(),
+                drawn.next_u32(),
+                "seed {seed} n {n}: stream after"
+            );
+        }
+    }
+
+    #[test]
+    fn fill_range_is_gen_range_in_values_and_stream() {
+        // Lengths on both sides of the 256-value chunk.
+        for (seed, n) in [(1, 0), (2, 1), (3, 255), (4, 256), (5, 257), (6, 1000)] {
+            assert_fill_matches_gen_range(seed, n, -0.5..0.5);
+            assert_fill_matches_gen_range(seed, n, -0.2449..0.2449);
+            assert_fill_matches_gen_range(seed, n, 3.0..1.0e6);
+        }
+    }
+
+    #[test]
+    fn fill_range_keeps_the_endpoint_guard() {
+        // One ulp wide: every unit above one half rounds up to `end`, which
+        // the guard maps back to `start`.
+        let (start, end) = (1.0f32, f32::from_bits(1.0f32.to_bits() + 1));
+        let mut probe = StdRng::seed_from_u64(13);
+        let fired = (0..64)
+            .filter(|_| start + (end - start) * probe.gen::<f32>() >= end)
+            .count();
+        assert!(fired > 0, "the guard never fired");
+        assert_fill_matches_gen_range(13, 64, start..end);
+        let mut out = [0.0f32; 64];
+        StdRng::seed_from_u64(13).fill_range(&mut out, start..end);
+        assert!(out.iter().all(|&v| v == start));
     }
 
     #[test]

@@ -5,8 +5,10 @@
 # a thread that is asleep records nothing — but the kernel counts every
 # time one goes to sleep waiting (voluntary) or is pushed off its core
 # (involuntary), and the time it spent on a CPU and runnable in a run queue
-# (/proc/<tid>/schedstat), per thread, and the scheduler slice each thread
-# runs with (`se.slice` of /proc/<tid>/sched, DESIGN.md §18).
+# (/proc/<tid>/schedstat), per thread, the scheduler slice each thread
+# runs with (`se.slice` of /proc/<tid>/sched, DESIGN.md §18), and the
+# minor page faults it took (field 10 of /proc/<tid>/stat): a fault is a
+# page the allocator handed back to the kernel and touched again.
 #
 # Usage: scripts/census.sh WORKLOAD [SEED] [SECONDS]
 #        LEDGER=/path/to/another/ledger scripts/census.sh ...   # e.g. the parent's
@@ -18,8 +20,9 @@
 # dropped), the threads seen; their voluntary and involuntary switches, µs
 # on a CPU (`run`) and µs runnable but waiting for one (`runq`) per
 # worker-iteration — `attempted / 2` of the run's result object: one push
-# and one pull each; the median slice of its threads in µs (`-` on a kernel
-# that does not print `se.slice`, before 6.6); and every CPU a thread of the
+# and one pull each; minor page faults per worker-iteration; the median
+# slice of its threads in µs (`-` on a kernel that does not print
+# `se.slice`, before 6.6); and every CPU a thread of the
 # family was seen on (field 39 of `stat`). The ledger's worker threads are
 # unnamed and so share the process name with its main thread (tid = pid),
 # which only polls for the workers to finish, waking every 2 ms; the main
@@ -50,16 +53,17 @@ trap 'rm -f "$samples" "$result"' EXIT
 pid=$!
 while kill -0 "$pid" 2>/dev/null; do
   # Lines per thread: `S tid name voluntary involuntary`, `T tid run_ns
-  # runq_ns`, `C tid cpu`, `L tid slice_ns`. Threads come and go between
-  # the glob and the read; awk skips what it cannot open.
+  # runq_ns`, `C tid cpu minflt`, `L tid slice_ns`. Threads come and go
+  # between the glob and the read; awk skips what it cannot open.
   awk '
     FNR == 1 { split(FILENAME, path, "/"); tid = path[5]; file = path[6] }
     file == "status" && /^Name:/ { name = $2 }
     file == "status" && /^voluntary_ctxt_switches:/ { vol = $2 }
     file == "status" && /^nonvoluntary_ctxt_switches:/ { print "S", tid, name, vol, $2 }
     file == "schedstat" { print "T", tid, $1, $2 }
-    # The name, in parentheses, may hold spaces: count fields after it.
-    file == "stat" { sub(/.*\) /, ""); print "C", tid, $37 }
+    # The name, in parentheses, may hold spaces: count fields after it
+    # (field N of the line is then $(N - 2)).
+    file == "stat" { sub(/.*\) /, ""); print "C", tid, $37, $8 }
     file == "sched" && /^se\.slice / { print "L", tid, $3 }
   ' /proc/"$pid"/task/*/status /proc/"$pid"/task/*/schedstat /proc/"$pid"/task/*/stat \
     /proc/"$pid"/task/*/sched 2>/dev/null >>"$samples" || true
@@ -76,7 +80,7 @@ fi
 awk -v iters="$((attempted / 2))" -v main="$pid" -v what="$workload seed=$seed seconds=$seconds" '
   $1 == "S" { name[$2] = $3; vol[$2] = $4; invol[$2] = $5 }
   $1 == "T" { run[$2] = $3; runq[$2] = $4 }
-  $1 == "C" { on[$2, $3] = 1 }
+  $1 == "C" { on[$2, $3] = 1; minflt[$2] = $4 }
   $1 == "L" { slice[$2] = $3 }
   # The median of the `n[key]` values `sl[key, 0..]`, sorted in place.
   function median(key,   a, b, x) {
@@ -97,7 +101,7 @@ awk -v iters="$((attempted / 2))" -v main="$pid" -v what="$workload seed=$seed s
       for (f = 0; f < 2; f++) {
         key = f ? family : "total"
         threads[key]++; v[key] += vol[tid]; i[key] += invol[tid]
-        r[key] += run[tid] / 1000; q[key] += runq[tid] / 1000
+        r[key] += run[tid] / 1000; q[key] += runq[tid] / 1000; mf[key] += minflt[tid]
         if (tid in slice) sl[key, n[key]++] = slice[tid] / 1000
       }
     }
@@ -113,18 +117,20 @@ awk -v iters="$((attempted / 2))" -v main="$pid" -v what="$workload seed=$seed s
       }
     }
     printf "census %s: %d worker-iterations, %d threads seen\n", what, iters, threads["total"]
-    printf "%-18s %8s %16s %18s %12s %13s %9s  %s\n", "family", "threads", "voluntary/iter",
-      "involuntary/iter", "run_us/iter", "runq_us/iter", "slice_us", "cpus"
-    row = "%-18s %8d %16.2f %18.2f %12.1f %13.1f %9s  %s\n"
+    printf "%-18s %8s %16s %18s %12s %13s %13s %9s  %s\n", "family", "threads", "voluntary/iter",
+      "involuntary/iter", "run_us/iter", "runq_us/iter", "minflt/iter", "slice_us", "cpus"
+    row = "%-18s %8d %16.2f %18.2f %12.1f %13.1f %13.1f %9s  %s\n"
     printf row, "total", threads["total"], v["total"] / iters, i["total"] / iters,
-      r["total"] / iters, q["total"] / iters, median("total"), substr(cpus["total"], 2)
+      r["total"] / iters, q["total"] / iters, mf["total"] / iters, median("total"),
+      substr(cpus["total"], 2)
     fflush()
     # Busiest family first.
     by_voluntary = "sort -k3,3nr"
     for (family in threads) {
       if (family != "total") {
         printf row, family, threads[family], v[family] / iters, i[family] / iters,
-          r[family] / iters, q[family] / iters, median(family), substr(cpus[family], 2) | by_voluntary
+          r[family] / iters, q[family] / iters, mf[family] / iters, median(family),
+          substr(cpus[family], 2) | by_voluntary
       }
     }
     close(by_voluntary)

@@ -16,9 +16,12 @@ cargo test --offline --release --manifest-path benchmark/Cargo.toml
 
 # The same-bits promise of fluentps-ml's kernels (DESIGN.md §19) is about
 # the vectorized loops, and those exist only in a release build. So is the
-# shard's in-place little-endian add into the slab its replies share
-# (DESIGN.md §13): its unit tests run in release too.
+# synthetic generator's promise to keep the per-row generator's bits
+# (DESIGN.md §2; `fill_range`'s mapping loop vectorizes only there), and
+# the shard's in-place little-endian add into the slab its replies share
+# (DESIGN.md §13): their unit tests run in release too.
 cargo test -q --offline --release -p fluentps-ml --test same_bits
+cargo test -q --offline --release -p fluentps-ml --lib data::
 cargo test -q --offline --release -p fluentps-core --lib server::
 
 # Lines above a file's test marker, comments skipped, each prefixed with
