@@ -1,21 +1,5 @@
-//! Shared helpers for the benchmark harness.
-//!
-//! The benches regenerate every table and figure of the paper's evaluation
-//! at miniature scale (the timing harness runs each measurement many times),
-//! plus microbenchmarks of the substrate hot paths. The full-size
-//! reproductions live in the `repro` binary (`cargo run --release -p
-//! fluentps-experiments --bin repro -- all`).
-
-use fluentps_core::eps::ParamSpec;
-
-/// A small skewed inventory for timing benches.
-pub fn bench_inventory() -> Vec<ParamSpec> {
-    let mut v = vec![ParamSpec {
-        key: 0,
-        len: 50_000,
-    }];
-    for k in 1..16 {
-        v.push(ParamSpec { key: k, len: 2_000 });
-    }
-    v
-}
+//! The gated benchmark target `obs` (`benches/obs.rs`): observability
+//! overhead and a worker's gradient computation, collected into
+//! `BENCH_obs.json` and checked against it by `scripts/bench.sh`. The
+//! paper's tables and figures are regenerated by the `repro` binary
+//! (`cargo run --release -p fluentps-experiments --bin repro -- all`).

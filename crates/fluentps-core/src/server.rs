@@ -90,7 +90,7 @@ pub struct ReleasedPull {
 /// paths record exactly the events they always did).
 pub(crate) fn stamp_ctx(args: RecordArgs, ctx: Option<CausalCtx>) -> RecordArgs {
     match ctx {
-        Some(c) => args.ctx(c.request_id, c.attempt as u32, c.parent_span),
+        Some(c) => args.ctx(c.request_id, c.attempt as u32),
         None => args,
     }
 }

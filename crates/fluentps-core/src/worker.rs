@@ -290,7 +290,7 @@ pub fn wire_args(server: u32, worker: u32, msg: &Message) -> RecordArgs {
         .worker(worker)
         .progress(progress_of(msg));
     match msg.ctx() {
-        Some(c) => args.ctx(c.request_id, c.attempt as u32, c.parent_span),
+        Some(c) => args.ctx(c.request_id, c.attempt as u32),
         None => args,
     }
 }

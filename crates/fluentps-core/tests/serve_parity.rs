@@ -66,7 +66,7 @@ fn script(map: &SliceMap) -> Vec<Message> {
         progress,
         keys: keys.to_vec(),
     };
-    let ctx = |id: u64| CausalCtx::new(id).span(3);
+    let ctx = |id: u64| CausalCtx::new(id);
     vec![
         push(0, 0),
         // BSP parks this one until worker 1 has pushed round 0.
@@ -273,14 +273,14 @@ fn bsp_engines_answer_the_script_like_the_step() {
     let step = &o.replies[2];
     assert_eq!(step.len(), 2);
     assert_eq!(step[0].0, NodeId::Worker(1));
-    assert_eq!(step[0].1.ctx(), Some(CausalCtx::new(101).span(3)));
+    assert_eq!(step[0].1.ctx(), Some(CausalCtx::new(101)));
     assert!(matches!(
         step[0].1.bare(),
         Message::PushAck { progress: 0, .. }
     ));
     assert_eq!(step[1].0, NodeId::Worker(0));
     let (progress, kv, ctx) = pulled(&step[1]);
-    assert_eq!((progress, ctx), (0, Some(CausalCtx::new(100).span(3))));
+    assert_eq!((progress, ctx), (0, Some(CausalCtx::new(100))));
     // w = w0 + (0.25 + 0.5) / 2 on every value.
     assert_eq!(kv.vals.at(0), 0.5 + 0.375);
     // Shutdown flushes both far-ahead pulls with the final parameters.
@@ -294,20 +294,14 @@ fn ssp_engines_answer_the_script_like_the_step() {
     let o = assert_parity(SyncModel::Ssp { s: 2 });
     // Within the bound: answered on the spot, in the request's envelope.
     assert_eq!(o.replies[1].len(), 1);
-    assert_eq!(
-        pulled(&o.replies[1][0]).2,
-        Some(CausalCtx::new(100).span(3))
-    );
+    assert_eq!(pulled(&o.replies[1][0]).2, Some(CausalCtx::new(100)));
     // Worker 0's pull at progress 3 is beyond V_train + s: parked, then
     // released lazily by the push that brings V_train to 4.
     assert_eq!(o.replies[7], []);
     let step = &o.replies[10];
     assert_eq!(step.len(), 2);
     let (progress, _, ctx) = pulled(&step[1]);
-    assert_eq!(
-        (progress, ctx),
-        (3, Some(CausalCtx::new(102).span(3).retry(1)))
-    );
+    assert_eq!((progress, ctx), (3, Some(CausalCtx::new(102).retry(1))));
     assert_eq!(o.replies.last().unwrap().len(), 2);
 }
 

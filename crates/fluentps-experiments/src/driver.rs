@@ -104,6 +104,9 @@ pub enum ModelKind {
 /// SGD momentum of every worker's optimizer.
 const MOMENTUM: f32 = 0.9;
 
+/// Per-worker minibatch size of every training run.
+const BATCH_SIZE: usize = 16;
+
 /// Server CPU seconds consumed by each *deferred* pull (DPR buffer scan,
 /// callback registration and the later release pass on the single-threaded
 /// server). This is the per-synchronization overhead that makes the soft
@@ -132,8 +135,6 @@ pub struct DriverConfig {
     pub model: ModelKind,
     /// Dataset (required unless `TimingOnly`).
     pub dataset: Option<SyntheticSpec>,
-    /// Per-worker minibatch size.
-    pub batch_size: usize,
     /// Learning-rate schedule.
     pub lr: LrSchedule,
     /// Nominal per-iteration compute seconds (at data-parallel degree 1; the
@@ -212,7 +213,6 @@ impl Default for DriverConfig {
             max_iters: 100,
             model: ModelKind::Softmax,
             dataset: Some(SyntheticSpec::c10_like(1)),
-            batch_size: 16,
             lr: LrSchedule::Constant(0.2),
             compute_base: 0.4,
             compute_jitter: 0.2,
@@ -509,7 +509,7 @@ impl<'a> Simulation<'a> {
                 let sampler = train.as_ref().map(|tr| {
                     BatchSampler::new(
                         tr.partition(n, cfg.num_workers),
-                        cfg.batch_size,
+                        BATCH_SIZE,
                         cfg.seed.wrapping_add(1000 + n as u64),
                     )
                 });
@@ -1170,7 +1170,6 @@ mod tests {
                 label_noise: 0.0,
                 seed: 3,
             }),
-            batch_size: 16,
             lr: LrSchedule::Constant(0.3),
             eval_every: 25,
             ..DriverConfig::default()

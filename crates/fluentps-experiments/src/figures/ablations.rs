@@ -136,7 +136,6 @@ pub fn significance_filter_sweep(scale: Scale) -> Vec<Table> {
             max_iters: scale.pick(300, 2000),
             model: ModelKind::Mlp { hidden: vec![64] },
             dataset: Some(c10(87)),
-            batch_size: 16,
             lr: LrSchedule::Constant(0.15),
             compute_base: 2.0,
             significance_filter: filter,

@@ -19,7 +19,6 @@ fn cfg(scale: Scale, n: u32) -> DriverConfig {
         max_iters: scale.pick(300, 4000),
         model: ModelKind::Mlp { hidden: vec![64] },
         dataset: Some(c10(11)),
-        batch_size: 16,
         lr: LrSchedule::Constant(0.15),
         compute_base: 1.0,
         eval_every: 0,

@@ -41,7 +41,6 @@ pub fn measure(scale: Scale, n: u32, model: SyncModel) -> RunResult {
         max_iters: scale.pick(250, 4000),
         model: ModelKind::Mlp { hidden: vec![64] },
         dataset: Some(c10(19)),
-        batch_size: 16,
         lr: LrSchedule::Constant(0.25),
         compute_base: 4.0,
         compute_jitter: 0.3,

@@ -21,7 +21,6 @@ fn cfg(scale: Scale, n: u32, engine: EngineKind) -> DriverConfig {
         max_iters: scale.pick(300, 4000),
         model: ModelKind::Mlp { hidden: vec![64] },
         dataset: Some(c10(13)),
-        batch_size: 16,
         lr: LrSchedule::Constant(0.15),
         compute_base: 1.0,
         eval_every: 0,

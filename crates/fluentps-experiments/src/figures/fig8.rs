@@ -29,7 +29,6 @@ fn cfg(scale: Scale, policy: DprPolicy) -> DriverConfig {
             blocks: 4,
         },
         dataset: Some(c10(17)),
-        batch_size: 16,
         lr: LrSchedule::StepDecay {
             base: 0.1,
             every: scale.pick(200, 2000),

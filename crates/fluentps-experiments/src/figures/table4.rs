@@ -114,7 +114,6 @@ pub fn measure(scale: Scale, combo: &Combo, model: SyncModel, policy: DprPolicy)
         max_iters: scale.pick(200, 2000),
         model: combo.model.clone(),
         dataset: Some(combo.dataset),
-        batch_size: 16,
         lr: LrSchedule::Constant(0.12),
         compute_base: 4.0,
         compute_jitter: 0.3,

@@ -25,6 +25,7 @@ use fluentps_ml::ParamMap;
 use fluentps_obs::{AlertTransition, HealthEngine, Profiler, StreamConfig, TraceCollector};
 use fluentps_transport::fault::FaultPlan;
 use fluentps_transport::{Mailbox, Postman};
+use fluentps_util::fnv::{fnv1a_wide, FNV_OFFSET};
 
 /// The job every live run here trains: softmax regression on a 16-feature,
 /// 4-class synthetic set, sliced over the servers in chunks small enough
@@ -239,16 +240,6 @@ pub struct ChaosResult {
     pub trace: Option<fluentps_obs::Trace>,
 }
 
-/// FNV-1a, the fingerprint hash (stable, dependency-free).
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = if h == 0 { 0xcbf2_9ce4_8422_2325 } else { h };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// Run live TCP training through the fault-tolerant runtime under a seeded
 /// chaos schedule. Panics (non-zero exit for the CLI) if any worker fails
 /// to complete its iterations — retries, replay and server replacement are
@@ -326,9 +317,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
     let dead_at_end = health.dead_count();
     let stats = cluster.shutdown();
 
-    let mut h = 0u64;
+    let mut h = FNV_OFFSET;
     for (m, s) in stats.iter().enumerate() {
-        h = fnv1a(h, &(m as u64).to_le_bytes());
+        h = fnv1a_wide(h, &(m as u64).to_le_bytes());
         for v in [
             s.pushes,
             s.pulls_total,
@@ -336,15 +327,15 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
             s.dprs,
             s.dprs_released,
         ] {
-            h = fnv1a(h, &v.to_le_bytes());
+            h = fnv1a_wide(h, &v.to_le_bytes());
         }
     }
     let mut keys: Vec<&u64> = results[0].keys().collect();
     keys.sort_unstable();
     for k in keys {
-        h = fnv1a(h, &k.to_le_bytes());
+        h = fnv1a_wide(h, &k.to_le_bytes());
         for v in &results[0][k] {
-            h = fnv1a(h, &v.to_bits().to_le_bytes());
+            h = fnv1a_wide(h, &v.to_bits().to_le_bytes());
         }
     }
 

@@ -21,6 +21,9 @@ use fluentps_obs::{HealthEngine, ProfCollector, ProfileReport, StreamConfig, Tra
 
 use crate::live::{train, SoftmaxJob};
 
+/// Synchronization model of every profiled run.
+const MODEL: SyncModel = SyncModel::Ssp { s: 2 };
+
 /// Configuration of a profiled live TCP run.
 #[derive(Debug, Clone)]
 pub struct ProfileConfig {
@@ -30,8 +33,6 @@ pub struct ProfileConfig {
     pub num_servers: u32,
     /// Iterations per worker.
     pub max_iters: u64,
-    /// Synchronization model.
-    pub model: SyncModel,
     /// Where the introspection endpoint (including `/profile`) listens;
     /// `None` binds an OS-chosen loopback port.
     pub metrics_addr: Option<SocketAddr>,
@@ -45,7 +46,6 @@ impl Default for ProfileConfig {
             num_workers: 2,
             num_servers: 2,
             max_iters: 200,
-            model: SyncModel::Ssp { s: 2 },
             metrics_addr: None,
             seed: 0,
         }
@@ -73,7 +73,7 @@ pub fn run_profile(cfg: &ProfileConfig) -> ProfileResult {
     let ecfg = EngineConfig {
         num_workers: cfg.num_workers,
         num_servers: cfg.num_servers,
-        model: cfg.model,
+        model: MODEL,
         seed: cfg.seed,
         ..EngineConfig::default()
     };

@@ -285,6 +285,7 @@ impl BatchSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fluentps_util::fnv::{fnv1a, FNV_OFFSET};
     use fluentps_util::proptest::prelude::*;
 
     /// The oracle: the per-row generator as it was before the draw and the
@@ -389,18 +390,13 @@ mod tests {
     /// FNV-1a over the train then the test set of each spec, each set's
     /// feature bits then its labels, little-endian.
     fn fingerprint(specs: &[SyntheticSpec]) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut eat = |bytes: [u8; 4]| {
-            for byte in bytes {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0100_0000_01B3);
-            }
-        };
+        let mut h = FNV_OFFSET;
         for &spec in specs {
             let (tr, te) = synthetic(spec);
             for d in [&tr, &te] {
-                d.x.iter().for_each(|v| eat(v.to_bits().to_le_bytes()));
-                d.y.iter().for_each(|v| eat(v.to_le_bytes()));
+                d.x.iter()
+                    .for_each(|v| h = fnv1a(h, &v.to_bits().to_le_bytes()));
+                d.y.iter().for_each(|v| h = fnv1a(h, &v.to_le_bytes()));
             }
         }
         h

@@ -17,6 +17,7 @@
 use fluentps_ml::data::{synthetic, BatchSampler, SyntheticSpec};
 use fluentps_ml::linalg::{matmul, matmul_a_bt, matmul_at_b, relu_backward_inplace, relu_inplace};
 use fluentps_ml::{Mlp, Model, Optimizer, Sgd};
+use fluentps_util::fnv::{fnv1a, FNV_OFFSET};
 use fluentps_util::proptest::prelude::*;
 use fluentps_util::rng::StdRng;
 
@@ -435,13 +436,10 @@ proptest! {
 
 /// FNV-1a over every parameter's bits, in key order.
 fn fingerprint(model: &Mlp, params: &fluentps_ml::ParamMap) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut h = FNV_OFFSET;
     for shape in model.param_shapes() {
         for v in &params[&shape.key] {
-            for byte in v.to_bits().to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0100_0000_01B3);
-            }
+            h = fnv1a(h, &v.to_bits().to_le_bytes());
         }
     }
     h

@@ -22,6 +22,8 @@
 //! [`AlertEngine::fingerprint`], and two same-seed runs produce the same
 //! fingerprint even though their window boundaries differ.
 
+use fluentps_util::fnv::{fnv1a_wide, FNV_OFFSET};
+
 use crate::event::{EventKind, TraceEvent};
 use crate::stream::WindowStats;
 
@@ -138,20 +140,6 @@ struct RuleState {
     firing: bool,
 }
 
-/// FNV-1a offset basis (matches the run-fingerprint convention used by
-/// `fluentps-experiments`).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Evaluates rules over closed windows and recovery events, tracking
 /// firing/resolved state per rule.
 #[derive(Debug, Clone)]
@@ -259,9 +247,9 @@ impl AlertEngine {
                 ),
                 logical: true,
             };
-            self.fingerprint = fnv1a(self.fingerprint, t.rule.as_bytes());
-            self.fingerprint = fnv1a(self.fingerprint, &[t.firing as u8]);
-            self.fingerprint = fnv1a(self.fingerprint, &self.dead_pending.to_le_bytes());
+            self.fingerprint = fnv1a_wide(self.fingerprint, t.rule.as_bytes());
+            self.fingerprint = fnv1a_wide(self.fingerprint, &[t.firing as u8]);
+            self.fingerprint = fnv1a_wide(self.fingerprint, &self.dead_pending.to_le_bytes());
             self.transitions.push(t);
         }
     }
@@ -269,11 +257,7 @@ impl AlertEngine {
     /// FNV-1a hash folded over the *logical* transitions only — identical
     /// across two same-seed chaos runs (see the module docs).
     pub fn fingerprint(&self) -> u64 {
-        if self.fingerprint == 0 {
-            FNV_OFFSET
-        } else {
-            self.fingerprint
-        }
+        self.fingerprint
     }
 
     /// Every transition recorded so far, in order.

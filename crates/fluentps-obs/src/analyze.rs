@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use crate::event::{EventKind, TraceEvent, KINDS, NO_ID};
 use crate::hist::Histogram;
 use crate::json;
-use crate::stream::{DprPair, StreamAnalyzer, StreamConfig};
+use crate::stream::{DprPair, DprPairing, StreamAnalyzer, StreamConfig};
 use crate::tracer::Trace;
 
 /// How many sample points the progress-spread timeline carries.
@@ -337,6 +337,14 @@ fn critical_path(trace: &Trace, longest: Option<DprPair>) -> Vec<PathStep> {
         ts: longest.deferred_at,
         secs: (longest.released_at - longest.deferred_at).max(0.0),
     }];
+    // When each paired release's deferral happened, by the release's index.
+    let mut dprs = DprPairing::default();
+    let deferred_at: HashMap<usize, f64> = trace
+        .events
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| dprs.feed(e).map(|deferral| (i, deferral.ts)))
+        .collect();
     let mut horizon = longest.released_at;
     let mut shard = longest.shard;
     for _ in 0..MAX_PATH_STEPS {
@@ -379,17 +387,11 @@ fn critical_path(trace: &Trace, longest: Option<DprPair>) -> Vec<PathStep> {
             }
             _ => {
                 // A released DPR: attribute its residence — back to the
-                // defer it answered, the nearest earlier event on its pull
-                // key unless that is another release — and keep walking
-                // through the shard that released it.
-                let key = (wait.shard, wait.worker, wait.progress);
-                let residence = trace.events[..at]
-                    .iter()
-                    .rev()
-                    .filter(|e| (e.shard, e.worker, e.progress) == key)
-                    .find(|e| matches!(e.kind, EventKind::PullDeferred | EventKind::DprReleased))
-                    .filter(|e| e.kind == EventKind::PullDeferred)
-                    .map_or(0.0, |defer| (wait.ts - defer.ts).max(0.0));
+                // defer it answered, if any — and keep walking through the
+                // shard that released it.
+                let residence = deferred_at
+                    .get(&at)
+                    .map_or(0.0, |&d| (wait.ts - d).max(0.0));
                 steps.push(PathStep {
                     what: "dpr wait",
                     shard: wait.shard,
@@ -472,7 +474,6 @@ fn parse_event(line: &str) -> Result<TraceEvent, String> {
                     .parse()
                     .map_err(|_| format!("bad attempt {value:?}"))?
             }
-            "parent_span" => ev.parent_span = parse_id(value)?,
             other => return Err(format!("unknown field {other:?}")),
         }
     }
@@ -650,6 +651,10 @@ mod tests {
         assert!(parse_jsonl("not json").is_err());
         assert!(parse_jsonl("{\"ts\":0}").is_err(), "missing kind");
         assert!(parse_jsonl("{\"kind\":\"no_such_kind\"}").is_err());
+        // A JSONL trace is read by the build that wrote it: a field this
+        // build does not export is an error, not skipped.
+        let err = parse_jsonl("{\"kind\":\"wire_send\",\"span\":-1}").unwrap_err();
+        assert_eq!(err, "line 1: unknown field \"span\"");
     }
 
     #[test]

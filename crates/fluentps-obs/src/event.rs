@@ -163,13 +163,11 @@ pub struct TraceEvent {
     /// Retry ordinal of the request this event belongs to (0 = first
     /// attempt; meaningless when `request_id` is 0).
     pub attempt: u32,
-    /// Span id within the request that caused this event, or [`NO_ID`].
-    pub parent_span: u32,
 }
 
 impl Default for TraceEvent {
-    /// A zeroed instant with no ids: both actor ids and `parent_span` are
-    /// [`NO_ID`], `request_id` is the no-context sentinel 0, and the kind is
+    /// A zeroed instant with no ids: both actor ids are [`NO_ID`],
+    /// `request_id` is the no-context sentinel 0, and the kind is
     /// the first in index order. Lets construction sites set only the fields
     /// an event kind actually carries.
     fn default() -> Self {
@@ -185,7 +183,6 @@ impl Default for TraceEvent {
             seq: 0,
             request_id: 0,
             attempt: 0,
-            parent_span: NO_ID,
         }
     }
 }
@@ -203,5 +200,10 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), KINDS, "names must be unique");
+    }
+
+    #[test]
+    fn an_event_is_72_bytes() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 72);
     }
 }

@@ -9,10 +9,9 @@
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use std::collections::HashMap;
-
 use crate::event::{EventKind, TraceEvent, NO_ID};
 use crate::json;
+use crate::stream::DprPairing;
 use crate::tracer::Trace;
 
 /// `-1` for [`NO_ID`], the id otherwise — keeps exported JSON readable.
@@ -84,21 +83,14 @@ pub fn chrome_trace(trace: &Trace) -> String {
         ));
     }
 
-    let mut open_dprs: HashMap<(u32, u32, u64), &TraceEvent> = HashMap::new();
+    let mut dprs = DprPairing::default();
     for ev in &trace.events {
+        if let Some(mut span) = dprs.feed(ev) {
+            let start = span.ts;
+            span.v_train = ev.v_train; // V_train at release, the interesting end
+            parts.push(chrome_event("X", "dpr", &span, Some(ev.ts - start)));
+        }
         match ev.kind {
-            EventKind::PullDeferred => {
-                open_dprs.insert((ev.shard, ev.worker, ev.progress), ev);
-                parts.push(chrome_event("i", ev.kind.name(), ev, None));
-            }
-            EventKind::DprReleased => {
-                if let Some(start) = open_dprs.remove(&(ev.shard, ev.worker, ev.progress)) {
-                    let mut span = *start;
-                    span.v_train = ev.v_train; // V_train at release, the interesting end
-                    parts.push(chrome_event("X", "dpr", &span, Some(ev.ts - start.ts)));
-                }
-                parts.push(chrome_event("i", ev.kind.name(), ev, None));
-            }
             EventKind::BarrierWait => {
                 parts.push(chrome_event("X", ev.kind.name(), ev, Some(ev.dur)));
             }
@@ -119,7 +111,7 @@ pub fn jsonl(trace: &Trace) -> String {
         out.push_str(&format!(
             "{{\"ts\":{},\"dur\":{},\"kind\":\"{}\",\"shard\":{},\"worker\":{},\
              \"progress\":{},\"v_train\":{},\"bytes\":{},\"seq\":{},\
-             \"request_id\":{},\"attempt\":{},\"parent_span\":{}}}\n",
+             \"request_id\":{},\"attempt\":{}}}\n",
             json::number(ev.ts),
             json::number(ev.dur),
             ev.kind.name(),
@@ -130,8 +122,7 @@ pub fn jsonl(trace: &Trace) -> String {
             ev.bytes,
             ev.seq,
             ev.request_id,
-            ev.attempt,
-            id_or_neg1(ev.parent_span)
+            ev.attempt
         ));
     }
     out

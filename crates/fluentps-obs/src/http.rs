@@ -228,10 +228,10 @@ fn handle_connection(
 ) -> std::io::Result<()> {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let Some(head) = read_request_head(&mut stream)? else {
-        return respond(&mut stream, 400, "text/plain", "bad request\n");
+        return bad_request(&mut stream, "bad request\n");
     };
     let Some((method, target)) = parse_request_line(&head) else {
-        return respond(&mut stream, 400, "text/plain", "bad request\n");
+        return bad_request(&mut stream, "bad request\n");
     };
     if method != "GET" {
         return respond(&mut stream, 405, "text/plain", "method not allowed\n");
@@ -285,20 +285,13 @@ fn handle_connection(
                 let report = col.snapshot();
                 match query_param(query, "format").unwrap_or("folded") {
                     "folded" => {
-                        let metric = match query_param(query, "metric") {
-                            Some(raw) => match ProfMetric::parse(raw) {
-                                Some(m) => m,
-                                None => {
-                                    return respond(
-                                        &mut stream,
-                                        400,
-                                        "text/plain",
-                                        "bad metric: expect time, allocs or bytes\n",
-                                    )
-                                }
-                            },
-                            None => ProfMetric::SelfTime,
+                        let Ok(metric) = parse_param(query, "metric", ProfMetric::parse) else {
+                            return bad_request(
+                                &mut stream,
+                                "bad metric: expect time, allocs or bytes\n",
+                            );
                         };
+                        let metric = metric.unwrap_or(ProfMetric::SelfTime);
                         respond(&mut stream, 200, "text/plain", &report.folded(metric))
                     }
                     "speedscope" => respond(
@@ -307,63 +300,34 @@ fn handle_connection(
                         "application/json",
                         &report.speedscope("fluentps profile"),
                     ),
-                    _ => respond(
-                        &mut stream,
-                        400,
-                        "text/plain",
-                        "bad format: expect folded or speedscope\n",
-                    ),
+                    _ => bad_request(&mut stream, "bad format: expect folded or speedscope\n"),
                 }
             }
             None => respond(&mut stream, 404, "text/plain", "no profiler\n"),
         },
         "/trace" => match source {
             Some(src) => {
-                let last = query_param(query, "last")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(DEFAULT_TAIL);
-                let actor = match query_param(query, "actor") {
-                    Some(raw) => match parse_actor(raw) {
-                        Some(f) => Some(f),
-                        None => {
-                            return respond(
-                                &mut stream,
-                                400,
-                                "text/plain",
-                                "bad actor: expect workerN, serverN, shardN or an id\n",
-                            )
-                        }
-                    },
-                    None => None,
+                let Ok(last) = parse_param(query, "last", |v| v.parse().ok()) else {
+                    return bad_request(&mut stream, "bad last: expect a count of events\n");
                 };
-                let kind = match query_param(query, "kind") {
-                    Some(raw) => match EventKind::ALL.iter().copied().find(|k| k.name() == raw) {
-                        Some(k) => Some(k),
-                        None => {
-                            return respond(
-                                &mut stream,
-                                400,
-                                "text/plain",
-                                "bad kind: expect a snake_case event kind name\n",
-                            )
-                        }
-                    },
-                    None => None,
+                let Ok(actor) = parse_param(query, "actor", parse_actor) else {
+                    return bad_request(
+                        &mut stream,
+                        "bad actor: expect workerN, serverN, shardN or an id\n",
+                    );
                 };
-                let request = match query_param(query, "request") {
-                    Some(raw) => match raw.parse::<u64>() {
-                        Ok(id) => Some(id),
-                        Err(_) => {
-                            return respond(
-                                &mut stream,
-                                400,
-                                "text/plain",
-                                "bad request id: expect a decimal u64\n",
-                            )
-                        }
-                    },
-                    None => None,
+                let Ok(kind) = parse_param(query, "kind", |v| {
+                    EventKind::ALL.iter().copied().find(|k| k.name() == v)
+                }) else {
+                    return bad_request(
+                        &mut stream,
+                        "bad kind: expect a snake_case event kind name\n",
+                    );
                 };
+                let Ok(request) = parse_param(query, "request", |v| v.parse::<u64>().ok()) else {
+                    return bad_request(&mut stream, "bad request id: expect a decimal u64\n");
+                };
+                let last = last.unwrap_or(DEFAULT_TAIL);
                 let mut trace = src.snapshot();
                 if let Some(filter) = actor {
                     trace.events.retain(|ev| filter.matches(ev));
@@ -384,37 +348,18 @@ fn handle_connection(
         },
         "/waterfall" => match source {
             Some(src) => {
-                let top = match query_param(query, "top") {
-                    Some(raw) => match raw.parse::<f64>() {
-                        Ok(f) if (0.0..=1.0).contains(&f) => f,
-                        _ => {
-                            return respond(
-                                &mut stream,
-                                400,
-                                "text/plain",
-                                "bad top: expect a fraction in [0, 1]\n",
-                            )
-                        }
-                    },
-                    None => 1.0,
+                let Ok(top) = parse_param(query, "top", |v| {
+                    v.parse::<f64>().ok().filter(|f| (0.0..=1.0).contains(f))
+                }) else {
+                    return bad_request(&mut stream, "bad top: expect a fraction in [0, 1]\n");
                 };
-                let request = match query_param(query, "request") {
-                    Some(raw) => match raw.parse::<u64>() {
-                        Ok(id) => Some(id),
-                        Err(_) => {
-                            return respond(
-                                &mut stream,
-                                400,
-                                "text/plain",
-                                "bad request id: expect a decimal u64\n",
-                            )
-                        }
-                    },
-                    None => None,
+                let Ok(request) = parse_param(query, "request", |v| v.parse::<u64>().ok()) else {
+                    return bad_request(&mut stream, "bad request id: expect a decimal u64\n");
                 };
-                let slowest = query_param(query, "slowest")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(DEFAULT_SLOWEST);
+                let Ok(slowest) = parse_param(query, "slowest", |v| v.parse().ok()) else {
+                    return bad_request(&mut stream, "bad slowest: expect a count of requests\n");
+                };
+                let (top, slowest) = (top.unwrap_or(1.0), slowest.unwrap_or(DEFAULT_SLOWEST));
                 let set = waterfall::assemble(&src.snapshot());
                 let sampled = waterfall::tail_sample(&set, top);
                 // Scrapes pay the exemplar refresh, not the hot path.
@@ -563,6 +508,23 @@ fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
         let (k, v) = pair.split_once('=')?;
         (k == key).then_some(v)
     })
+}
+
+/// `key`'s value in `query` through `parse`: `Ok(None)` when the key is
+/// absent, `Err(())` when its value does not parse.
+fn parse_param<T>(
+    query: &str,
+    key: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, ()> {
+    query_param(query, key)
+        .map(|raw| parse(raw).ok_or(()))
+        .transpose()
+}
+
+/// Answer 400 with a one-line `reason`.
+fn bad_request(stream: &mut TcpStream, reason: &str) -> std::io::Result<()> {
+    respond(stream, 400, "text/plain", reason)
 }
 
 fn respond(
@@ -827,6 +789,11 @@ mod tests {
 
         let (status, _) = get(addr, "/trace?request=notanumber");
         assert_eq!(status, 400);
+        let (status, body) = get(addr, "/trace?last=abc");
+        assert_eq!(
+            (status, body.as_str()),
+            (400, "bad last: expect a count of events\n")
+        );
         server.stop();
     }
 
@@ -860,6 +827,8 @@ mod tests {
         assert_eq!(get(addr, "/waterfall?request=999").0, 404);
         assert_eq!(get(addr, "/waterfall?request=bogus").0, 400);
         assert_eq!(get(addr, "/waterfall?top=1.5").0, 400);
+        assert_eq!(get(addr, "/waterfall?slowest=abc").0, 400);
+        assert_eq!(get(addr, "/waterfall?slowest=-1").0, 400);
 
         // The scrape refreshed exemplar-bearing histograms into /metrics.
         let (_, metrics) = get(addr, "/metrics");

@@ -9,7 +9,10 @@
 //!   breakdowns, per-shard sync health, the staleness-gap distribution with
 //!   its blocked/granted split and the wire receives no send matched. The
 //!   three matchers that *define* "wire time", "DPR residence" and "blocked
-//!   at gap k" live in [`StreamAnalyzer::ingest`] and nowhere else;
+//!   at gap k" live here and nowhere else: the blocked-at-gap matcher in
+//!   [`StreamAnalyzer::ingest`], the wire and defer→release pairings in
+//!   `WirePairing` and `DprPairing`, which the Chrome exporter, the
+//!   critical path and the waterfalls' wire latencies call too;
 //! * tumbling windows of tail latency: per-shard wire and DPR-residence
 //!   histograms, barrier-wait spans, staleness at pull, per-worker progress
 //!   rates and straggler spread — kept in [`WindowedHistogram`] rings with
@@ -248,8 +251,94 @@ struct Sent {
     ts: f64,
     request_id: u64,
     attempt: u32,
-    /// Window the send was ingested in (see `close_current`).
+    /// Window the send was queued in (see [`WirePairing::age_out`]).
     window: u64,
+}
+
+/// The one wire pairing rule, exact pairing only: a receive takes the
+/// queued send of its own `(request_id, attempt)` on its `(shard, worker)`
+/// link, wherever it sits, so one lost or duplicated frame costs its own
+/// sample and nothing else. A receive with no such send — unstamped, its
+/// send lost to ring overwrite, a fault-injected duplicate — is counted by
+/// the caller, never guessed. Sends a receive skips stay queued: requests
+/// and replies share the queue, so a skipped send is as likely still in
+/// flight the other way as lost; lost ones age out in
+/// [`WirePairing::age_out`].
+#[derive(Debug, Default)]
+pub(crate) struct WirePairing {
+    in_flight: HashMap<(u32, u32), VecDeque<Sent>>,
+}
+
+impl WirePairing {
+    /// Queue a send on `link` (`(shard, worker)`) in `window`.
+    pub(crate) fn send(
+        &mut self,
+        link: (u32, u32),
+        request_id: u64,
+        attempt: u32,
+        ts: f64,
+        window: u64,
+    ) {
+        // Only a stamped send can be paired: queue nothing a receive would
+        // have to guess at.
+        if request_id != 0 {
+            self.in_flight.entry(link).or_default().push_back(Sent {
+                ts,
+                request_id,
+                attempt,
+                window,
+            });
+        }
+    }
+
+    /// The timestamp of the send a receive on `link` answers, taken off
+    /// its queue; `None` when no queued send carries its id.
+    pub(crate) fn recv(&mut self, link: (u32, u32), request_id: u64, attempt: u32) -> Option<f64> {
+        let queue = self.in_flight.get_mut(&link)?;
+        let at = queue
+            .iter()
+            .position(|s| (s.request_id, s.attempt) == (request_id, attempt))?;
+        queue.remove(at).map(|sent| sent.ts)
+    }
+
+    /// Drop the oldest sends of every link while `stale` says their window
+    /// is gone.
+    fn age_out(&mut self, stale: impl Fn(u64) -> bool) {
+        for queue in self.in_flight.values_mut() {
+            while queue.front().is_some_and(|s| stale(s.window)) {
+                queue.pop_front();
+            }
+        }
+    }
+}
+
+/// The one defer→release pairing rule: a `DprReleased` answers the latest
+/// unanswered `PullDeferred` of the same pull key.
+#[derive(Debug, Default)]
+pub(crate) struct DprPairing {
+    open: HashMap<PullKey, TraceEvent>,
+}
+
+impl DprPairing {
+    /// Feed one event: a `PullDeferred` opens its pull key (in place of an
+    /// unanswered one), a `DprReleased` closes it and returns the deferral
+    /// it answers; nothing else touches the pairing.
+    pub(crate) fn feed(&mut self, ev: &TraceEvent) -> Option<TraceEvent> {
+        let key = (ev.shard, ev.worker, ev.progress);
+        match ev.kind {
+            EventKind::PullDeferred => {
+                self.open.insert(key, *ev);
+                None
+            }
+            EventKind::DprReleased => self.open.remove(&key),
+            _ => None,
+        }
+    }
+
+    /// Deferrals on `shard` no release has answered yet.
+    fn open_on(&self, shard: u32) -> u64 {
+        self.open.keys().filter(|k| k.0 == shard).count() as u64
+    }
 }
 
 /// All-run state of one shard: its [`ShardHealth`] plus what the
@@ -293,9 +382,9 @@ pub struct StreamAnalyzer {
     longest_dpr: Option<DprPair>,
 
     // ---- open matcher entries ----
-    in_flight: HashMap<(u32, u32), VecDeque<Sent>>,
+    wire: WirePairing,
     defers: HashMap<PullKey, DeferMatch>,
-    pending_dprs: HashMap<PullKey, f64>,
+    dprs: DprPairing,
 
     // ---- windowed state ----
     shard_wire_us: BTreeMap<u32, WindowedHistogram>,
@@ -334,9 +423,9 @@ impl StreamAnalyzer {
             gaps: BTreeMap::new(),
             unmatched_recvs: 0,
             longest_dpr: None,
-            in_flight: HashMap::new(),
+            wire: WirePairing::default(),
             defers: HashMap::new(),
-            pending_dprs: HashMap::new(),
+            dprs: DprPairing::default(),
             shard_wire_us: BTreeMap::new(),
             shard_dpr_us: BTreeMap::new(),
             barrier_us: WindowedHistogram::new(windows),
@@ -414,38 +503,15 @@ impl StreamAnalyzer {
                 }
                 EventKind::WireSend => {
                     w.bytes_sent += ev.bytes;
-                    // Only a stamped send can be paired: queue nothing a
-                    // receive would have to guess at.
-                    if ev.request_id != 0 {
-                        self.in_flight
-                            .entry((ev.shard, ev.worker))
-                            .or_default()
-                            .push_back(Sent {
-                                ts: ev.ts,
-                                request_id: ev.request_id,
-                                attempt: ev.attempt,
-                                window: cur,
-                            });
-                    }
+                    let link = (ev.shard, ev.worker);
+                    self.wire.send(link, ev.request_id, ev.attempt, ev.ts, cur);
                 }
                 EventKind::WireRecv => {
                     w.bytes_recvd += ev.bytes;
-                    // Exact pairing only: a receive takes the queued send of
-                    // its own `(request_id, attempt)`, wherever it sits, so
-                    // one lost or duplicated frame costs its own sample and
-                    // nothing else. A receive with no such send — unstamped,
-                    // its send lost to ring overwrite, a fault-injected
-                    // duplicate — is counted, never guessed. Sends a receive
-                    // skips stay queued: requests and replies share the
-                    // queue, so a skipped send is as likely still in flight
-                    // the other way as lost; lost ones age out in
-                    // `close_current`.
-                    let queue = self.in_flight.entry((ev.shard, ev.worker)).or_default();
-                    let id = (ev.request_id, ev.attempt);
-                    let at = queue.iter().position(|s| (s.request_id, s.attempt) == id);
-                    match at.and_then(|p| queue.remove(p)) {
-                        Some(sent) => {
-                            let lat = (ev.ts - sent.ts).max(0.0);
+                    let link = (ev.shard, ev.worker);
+                    match self.wire.recv(link, ev.request_id, ev.attempt) {
+                        Some(sent_at) => {
+                            let lat = (ev.ts - sent_at).max(0.0);
                             w.wire_secs += lat;
                             if ev.shard != NO_ID {
                                 self.shard_wire_us
@@ -463,11 +529,8 @@ impl StreamAnalyzer {
             }
         }
 
-        // Per-shard sync health, including the one defer→release pairing:
-        // a `DprReleased` answers the latest unanswered `PullDeferred` of
-        // the same pull key.
+        // Per-shard sync health, including the one defer→release pairing.
         if ev.shard != NO_ID {
-            let key = (ev.shard, ev.worker, ev.progress);
             let fold = self.shards.entry(ev.shard).or_insert_with(|| ShardFold {
                 health: ShardHealth {
                     shard: ev.shard,
@@ -479,11 +542,9 @@ impl StreamAnalyzer {
             let sh = &mut fold.health;
             sh.final_v_train = sh.final_v_train.max(ev.v_train);
             match ev.kind {
-                EventKind::PullDeferred => {
-                    self.pending_dprs.insert(key, ev.ts);
-                }
-                EventKind::DprReleased => {
-                    if let Some(deferred_at) = self.pending_dprs.remove(&key) {
+                EventKind::PullDeferred | EventKind::DprReleased => {
+                    if let Some(deferral) = self.dprs.feed(ev) {
+                        let deferred_at = deferral.ts;
                         let residence = (ev.ts - deferred_at).max(0.0);
                         // Running mean: mean += (x - mean) / n.
                         sh.dpr_count += 1;
@@ -620,11 +681,7 @@ impl StreamAnalyzer {
         // windows: pulls that were simply granted, sends never answered.
         let stale = |window: u64| idx - window >= self.cfg.windows as u64;
         self.defers.retain(|_, dm| !stale(dm.window));
-        for queue in self.in_flight.values_mut() {
-            while queue.front().is_some_and(|s| stale(s.window)) {
-                queue.pop_front();
-            }
-        }
+        self.wire.age_out(stale);
         self.closed.push_back(stats);
         while self.closed.len() > CLOSED_KEPT {
             self.closed.pop_front();
@@ -656,8 +713,7 @@ impl StreamAnalyzer {
             if sh.v_train_advances > 1 {
                 sh.advance_interval_mean = fold.advance_secs / (sh.v_train_advances - 1) as f64;
             }
-            let open = self.pending_dprs.keys().filter(|k| k.0 == sh.shard);
-            sh.outstanding_dprs = open.count() as u64;
+            sh.outstanding_dprs = self.dprs.open_on(sh.shard);
             sh
         };
         Analysis {
@@ -1138,7 +1194,7 @@ mod tests {
             s.ingest(&ev(ts, EventKind::WireSend, i));
             s.ingest(&ev(ts, EventKind::PullRequested, i));
         }
-        let in_flight: usize = s.in_flight.values().map(|q| q.len()).sum();
+        let in_flight: usize = s.wire.in_flight.values().map(|q| q.len()).sum();
         assert!(s.defers.len() <= 500, "defers: {}", s.defers.len());
         assert!(in_flight <= 500, "in_flight: {in_flight}");
         // The all-run figures still cover the whole run.

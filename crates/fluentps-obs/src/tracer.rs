@@ -46,8 +46,6 @@ pub struct RecordArgs {
     pub request_id: u64,
     /// Retry ordinal of the request (0 = first attempt).
     pub attempt: u32,
-    /// Span id within the request that caused the event, or [`NO_ID`].
-    pub parent_span: u32,
 }
 
 impl Default for RecordArgs {
@@ -60,7 +58,6 @@ impl Default for RecordArgs {
             bytes: 0,
             request_id: 0,
             attempt: 0,
-            parent_span: NO_ID,
         }
     }
 }
@@ -113,18 +110,11 @@ impl RecordArgs {
         self
     }
 
-    /// Set the causing span id.
-    pub fn parent_span(mut self, parent_span: u32) -> Self {
-        self.parent_span = parent_span;
-        self
-    }
-
-    /// Set the full causal context (`(request_id, attempt, parent_span)`)
-    /// in one call, for call sites that carry it as a tuple.
-    pub fn ctx(mut self, request_id: u64, attempt: u32, parent_span: u32) -> Self {
+    /// Set the full causal context (`(request_id, attempt)`) in one call,
+    /// for call sites that carry it as a pair.
+    pub fn ctx(mut self, request_id: u64, attempt: u32) -> Self {
         self.request_id = request_id;
         self.attempt = attempt;
-        self.parent_span = parent_span;
         self
     }
 }
@@ -375,7 +365,6 @@ impl Tracer {
                 seq: 0,
                 request_id: args.request_id,
                 attempt: args.attempt,
-                parent_span: args.parent_span,
             });
         }
     }
@@ -397,7 +386,6 @@ impl Tracer {
                 seq: 0,
                 request_id: args.request_id,
                 attempt: args.attempt,
-                parent_span: args.parent_span,
             });
         }
     }

@@ -47,6 +47,7 @@ use crate::event::{EventKind, NO_ID};
 use crate::hist::Histogram;
 use crate::json;
 use crate::metrics::MetricsRegistry;
+use crate::stream::WirePairing;
 use crate::tracer::Trace;
 
 /// High bit of a `request_id` marking control-plane (supervisor) traffic:
@@ -280,29 +281,21 @@ impl Waterfall {
         )
     }
 
-    /// Per-hop wire latencies (seconds), matched by exact id: within this
-    /// request, the k-th `WireRecv` on a shard answers the k-th `WireSend`
-    /// on that shard (request leg then reply leg, in canonical order).
+    /// Per-hop wire latencies (seconds), paired by the trace fold's
+    /// exact-id rule: within this request, a `WireRecv` answers the oldest
+    /// `WireSend` of its own attempt on its `(shard, worker)` link (request
+    /// leg then reply leg, in canonical order).
     pub fn wire_latencies(&self) -> Vec<f64> {
-        let mut in_flight: HashMap<(u32, u32), std::collections::VecDeque<f64>> = HashMap::new();
+        let mut wire = WirePairing::default();
         let mut out = Vec::new();
         for s in &self.stages {
-            if s.shard == NO_ID {
-                continue;
-            }
+            let link = (s.shard, s.worker);
             match s.kind {
-                EventKind::WireSend => in_flight
-                    .entry((s.attempt, s.shard))
-                    .or_default()
-                    .push_back(s.ts),
-                EventKind::WireRecv => {
-                    if let Some(sent) = in_flight
-                        .get_mut(&(s.attempt, s.shard))
-                        .and_then(|q| q.pop_front())
-                    {
-                        out.push((s.ts - sent).max(0.0));
-                    }
-                }
+                EventKind::WireSend => wire.send(link, self.request_id, s.attempt, s.ts, 0),
+                EventKind::WireRecv => out.extend(
+                    wire.recv(link, self.request_id, s.attempt)
+                        .map(|sent_at| (s.ts - sent_at).max(0.0)),
+                ),
                 _ => {}
             }
         }

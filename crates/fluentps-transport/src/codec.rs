@@ -62,8 +62,8 @@ mod node_tag {
 
 /// Encoded size of one [`TraceEvent`]: two f64 bit patterns, the kind index
 /// byte, two u32 actor ids, four u64 logical fields, and the causal context
-/// (`request_id` u64, `attempt` u32, `parent_span` u32).
-const EVENT_WIRE_LEN: usize = 8 + 8 + 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 4;
+/// (`request_id` u64, `attempt` u32).
+const EVENT_WIRE_LEN: usize = 8 + 8 + 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 4;
 
 /// Encoded size of one [`WirePlacement`] record: two u64 keys, then server,
 /// offset and length as u32.
@@ -256,7 +256,6 @@ pub fn encode_head_into<'m>(msg: &'m Message, buf: &mut BytesMut) -> &'m [u8] {
             buf.put_u8(tag::TRACED);
             buf.put_u64_le(ctx.request_id);
             buf.put_u16_le(ctx.attempt);
-            buf.put_u32_le(ctx.parent_span);
             // The inner message is a complete encoded message (its own
             // version byte included), so a receiver peels the envelope and
             // re-enters the ordinary decode path.
@@ -332,9 +331,9 @@ pub fn encoded_len(msg: &Message) -> usize {
             }
             Message::AppendAck { .. } => 8 + 4 + 1 + 8,
             Message::LeaderRedirect { .. } => 8 + 4,
-            // ctx (request_id + attempt + parent_span) followed by the
-            // complete inner encoding, inner header included.
-            Message::Traced { inner, .. } => 8 + 2 + 4 + encoded_len(inner),
+            // ctx (request_id + attempt) followed by the complete inner
+            // encoding, inner header included.
+            Message::Traced { inner, .. } => CausalCtx::WIRE_LEN + encoded_len(inner),
         }
 }
 
@@ -567,7 +566,6 @@ pub fn decode_from<B: Buf>(buf: &mut B) -> Result<Message, DecodeError> {
             let ctx = CausalCtx {
                 request_id: get_u64(buf)?,
                 attempt: get_u16(buf)?,
-                parent_span: get_u32(buf)?,
             };
             let inner = decode_from(buf)?;
             // One context per wire message: a nested envelope means a
@@ -648,7 +646,6 @@ fn put_event(buf: &mut BytesMut, e: &TraceEvent) {
     buf.put_u64_le(e.seq);
     buf.put_u64_le(e.request_id);
     buf.put_u32_le(e.attempt);
-    buf.put_u32_le(e.parent_span);
 }
 
 fn get_event<B: Buf>(buf: &mut B) -> Result<TraceEvent, DecodeError> {
@@ -671,7 +668,6 @@ fn get_event<B: Buf>(buf: &mut B) -> Result<TraceEvent, DecodeError> {
         seq: buf.get_u64_le(),
         request_id: buf.get_u64_le(),
         attempt: buf.get_u32_le(),
-        parent_span: buf.get_u32_le(),
     })
 }
 
@@ -854,7 +850,6 @@ mod tests {
                     seq: 38,
                     request_id: (2u64 << 40) | 17,
                     attempt: 1,
-                    parent_span: 3,
                 },
                 TraceEvent {
                     ts: 1.75,
@@ -952,7 +947,7 @@ mod tests {
                 progress: 42,
                 kv: KvPairs::single(1, vec![0.5; 4]),
             }
-            .with_ctx(CausalCtx::new((4u64 << 40) | 7).retry(1).span(2)),
+            .with_ctx(CausalCtx::new((4u64 << 40) | 7).retry(1)),
         );
         roundtrip(Message::Shutdown.with_ctx(CausalCtx::new(u64::MAX)));
     }
@@ -968,7 +963,6 @@ mod tests {
         buf.put_u8(20); // TRACED
         buf.put_u64_le(2); // request_id
         buf.put_u16_le(0); // attempt
-        buf.put_u32_le(u32::MAX); // parent_span
         buf.extend_from_slice(inner.as_ref());
         let err = decode(buf.freeze()).unwrap_err();
         assert_eq!(err, DecodeError::UnknownTag(20));
@@ -1006,7 +1000,7 @@ mod tests {
             events: vec![TraceEvent::default()],
         };
         assert_eq!(encoded_len(&one) - encoded_len(&empty), EVENT_WIRE_LEN);
-        assert_eq!(EVENT_WIRE_LEN, 73);
+        assert_eq!(EVENT_WIRE_LEN, 69);
     }
 
     #[test]
@@ -1093,7 +1087,6 @@ mod tests {
                     seq: 9,
                     request_id: 7,
                     attempt: 2,
-                    parent_span: 1,
                 }],
             },
             Message::ClockPing {

@@ -49,9 +49,7 @@ pub use collect::{CollectorService, StreamerReport, TraceStreamer};
 pub use error::TransportError;
 pub use fault::{FaultInjector, FaultPlan};
 pub use inproc::{Endpoint, Fabric};
-pub use msg::{
-    CausalCtx, KvPairs, Message, NodeId, WireLogEntry, WirePlacement, NO_LEADER, NO_SPAN,
-};
+pub use msg::{CausalCtx, KvPairs, Message, NodeId, WireLogEntry, WirePlacement, NO_LEADER};
 pub use values::{Values, ValuesMut};
 
 use std::any::Any;

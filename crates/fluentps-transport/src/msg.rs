@@ -52,9 +52,8 @@ pub const NO_LEADER: u32 = u32::MAX;
 /// Compact causal context propagated on the wire by [`Message::Traced`].
 ///
 /// `request_id` is seeded-unique per origin (workers pack their id into the
-/// high bits, see `fluentps-core`), `attempt` counts retries of the same
-/// logical request, and `parent_span` names the span within the request that
-/// caused this message. Together they let the collector assemble exact
+/// high bits, see `fluentps-core`) and `attempt` counts retries of the same
+/// logical request. Together they let the collector assemble exact
 /// per-request waterfalls with no clock heuristics: every stamped trace
 /// event joins its request by `(request_id, attempt)`, and FaultInjector
 /// duplicates fold instead of corrupting the timeline.
@@ -64,21 +63,14 @@ pub struct CausalCtx {
     pub request_id: u64,
     /// Retry ordinal of the request (0 = first attempt).
     pub attempt: u16,
-    /// Span id within the request that produced this message, or
-    /// `u32::MAX` when the sender tracks no spans.
-    pub parent_span: u32,
 }
 
-/// Sentinel `parent_span` meaning "no span tracked".
-pub const NO_SPAN: u32 = u32::MAX;
-
 impl CausalCtx {
-    /// A context for `request_id` on its first attempt, no span.
+    /// A context for `request_id` on its first attempt.
     pub fn new(request_id: u64) -> Self {
         CausalCtx {
             request_id,
             attempt: 0,
-            parent_span: NO_SPAN,
         }
     }
 
@@ -88,14 +80,8 @@ impl CausalCtx {
         self
     }
 
-    /// Same request, caused by span `span`.
-    pub fn span(mut self, span: u32) -> Self {
-        self.parent_span = span;
-        self
-    }
-
-    /// Encoded size on the wire: `request_id` + `attempt` + `parent_span`.
-    pub const WIRE_LEN: usize = 8 + 2 + 4;
+    /// Encoded size on the wire: `request_id` + `attempt`.
+    pub const WIRE_LEN: usize = 8 + 2;
 }
 
 /// One replicated-log entry carried on the wire by
@@ -488,7 +474,7 @@ mod tests {
             server: 1,
             progress: 4,
         };
-        let ctx = CausalCtx::new(99).retry(2).span(7);
+        let ctx = CausalCtx::new(99).retry(2);
         let wrapped = bare.clone().with_ctx(ctx);
         assert_eq!(wrapped.ctx(), Some(ctx));
         // Re-wrapping replaces the context rather than nesting.

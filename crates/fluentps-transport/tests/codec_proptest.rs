@@ -55,18 +55,14 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
                 // proptest's arity limit.
                 request_id: s.wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 attempt: shard ^ worker,
-                parent_span: worker.wrapping_add(1),
             },
         )
 }
 
 fn arb_ctx() -> impl Strategy<Value = CausalCtx> {
-    (any::<u64>(), any::<u16>(), any::<u32>()).prop_map(|(request_id, attempt, parent_span)| {
-        CausalCtx {
-            request_id,
-            attempt,
-            parent_span,
-        }
+    (any::<u64>(), any::<u16>()).prop_map(|(request_id, attempt)| CausalCtx {
+        request_id,
+        attempt,
     })
 }
 

@@ -93,7 +93,7 @@ fn fixtures() -> Vec<(&'static str, Message, &'static str)> {
                 progress: 42,
                 kv: kv(),
             }
-            .with_ctx(CausalCtx::new((4u64 << 40) | 7).retry(2).span(5)),
+            .with_ctx(CausalCtx::new((4u64 << 40) | 7).retry(2)),
             TRACED_SPUSH_HEX,
         ),
     ]
@@ -125,11 +125,12 @@ const ROUTE_UPDATE_HEX: &str = concat!(
     "010b020000000000000000000000000000000001000001000000000000001000",
     "0000030000000000000010000000000300000000000004030201ffffffff"
 );
+/// `SPUSH_HEX` behind the envelope's 10-byte context (`request_id`, `attempt`).
 const TRACED_SPUSH_HEX: &str = concat!(
-    "011407000000000400000200050000000101030000002a000000000000000400",
-    "000001000000000000000200000000070000ffffffffffffffff090000000000",
-    "00000400000002000000060000000000000001000000090000000000c03f0000",
-    "20c03412c07f0100807f00000080010000000000807f000080ff00000000"
+    "0114070000000004000002000101030000002a00000000000000040000000100",
+    "0000000000000200000000070000ffffffffffffffff09000000000000000400",
+    "000002000000060000000000000001000000090000000000c03f000020c03412",
+    "c07f0100807f00000080010000000000807f000080ff00000000"
 );
 
 fn to_hex(bytes: &[u8]) -> String {

@@ -1,10 +1,10 @@
 //! A tiny timing harness behind a criterion-shaped API.
 //!
 //! `[[bench]] harness = false` targets keep their structure — groups,
-//! `bench_function`, `bench_with_input`, `Bencher::iter` — but run on a
-//! self-contained harness: calibrated warmup, `sample_size` timed samples,
-//! and a `mean / p50 / p99` report per benchmark (plus throughput when a
-//! group declares one). Run them with `cargo bench`.
+//! `bench_function`, `Bencher::iter` — but run on a self-contained harness:
+//! calibrated warmup, `sample_size` timed samples, and a `mean / p50 / p99`
+//! report per benchmark (plus throughput when a group declares one). Run
+//! them with `cargo bench`.
 //!
 //! When the `FLUENTPS_BENCH_JSON` environment variable names a file, every
 //! benchmark also appends one JSON object per line to it —
@@ -63,33 +63,6 @@ pub enum Throughput {
     Elements(u64),
 }
 
-/// A two-part benchmark name, `function/parameter`.
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// `function/parameter`.
-    pub fn new(function: impl fmt::Display, parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            id: format!("{function}/{parameter}"),
-        }
-    }
-
-    /// Just the parameter (for single-function groups).
-    pub fn from_parameter(parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
-}
-
-impl fmt::Display for BenchmarkId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.id)
-    }
-}
-
 /// A group of benchmarks sharing a name prefix, sample size and throughput.
 pub struct BenchmarkGroup {
     name: String,
@@ -125,19 +98,6 @@ impl BenchmarkGroup {
         self
     }
 
-    /// Run a benchmark parameterised by `input`.
-    pub fn bench_with_input<I: ?Sized, F>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        self.bench_function(id, |b| f(b, input))
-    }
-
     /// End the group (prints nothing; exists for criterion compatibility).
     pub fn finish(self) {}
 
@@ -149,9 +109,6 @@ impl BenchmarkGroup {
         }
     }
 }
-
-// bench_with_input returns &mut Self via bench_function; keep clippy quiet
-// about the pass-through.
 
 /// Times a closure: calibrated batches, `sample_size` samples.
 pub struct Bencher {
@@ -343,9 +300,7 @@ mod tests {
         let mut g = c.benchmark_group("smoke");
         g.sample_size(5);
         g.throughput(Throughput::Bytes(64));
-        g.bench_with_input(BenchmarkId::new("sum", 64), &64usize, |b, &n| {
-            b.iter(|| (0..n).sum::<usize>())
-        });
+        g.bench_function("sum/64", |b| b.iter(|| (0..64usize).sum::<usize>()));
         g.finish();
         c.bench_function("standalone", |b| b.iter(|| 2 + 2));
     }

@@ -20,6 +20,8 @@
 //! * [`proptest`] — a fixed-seed property-test harness: a [`proptest!`]
 //!   macro over composable [`proptest::Strategy`] generators with failure
 //!   reporting and greedy shrinking. Replaces `proptest`.
+//! * [`fnv`] — FNV-1a, the one fingerprint hash: run and alert
+//!   fingerprints, pinned data and weight fingerprints, property seeds.
 //! * [`bench`] — a tiny timing harness (warmup + N samples + mean/p50/p99
 //!   report) behind a criterion-shaped API so `[[bench]] harness = false`
 //!   targets keep their structure. Replaces `criterion`.
@@ -33,6 +35,7 @@
 pub mod alloc;
 pub mod bench;
 pub mod buf;
+pub mod fnv;
 pub mod proptest;
 pub mod rng;
 pub mod sync;

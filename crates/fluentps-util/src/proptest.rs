@@ -17,6 +17,7 @@ use std::fmt::Debug;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
+use crate::fnv::{fnv1a, FNV_OFFSET};
 use crate::rng::StdRng;
 
 /// Why a single test case did not pass.
@@ -494,15 +495,10 @@ fn num_cases() -> usize {
         .unwrap_or(256)
 }
 
-/// FNV-1a, used to derive a per-property seed from its name so every
-/// property gets a distinct but fixed case stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF29CE484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001B3);
-    }
-    h
+/// A property's seed, hashed from its name: every property gets a
+/// distinct but fixed case stream.
+fn seed_of(name: &str) -> u64 {
+    fnv1a(FNV_OFFSET, name.as_bytes())
 }
 
 /// Drive one property: generate cases, stop on the first failure, shrink
@@ -515,7 +511,7 @@ where
 {
     install_quiet_hook();
     let cases = num_cases();
-    let mut rng = StdRng::seed_from_u64(fnv1a(name.as_bytes()));
+    let mut rng = StdRng::seed_from_u64(seed_of(name));
     let mut passed = 0usize;
     let mut attempts = 0usize;
     while passed < cases {
@@ -729,7 +725,7 @@ mod tests {
     fn same_name_same_cases() {
         fn collect(name: &str) -> Vec<u64> {
             let mut seen = Vec::new();
-            let mut rng = crate::rng::StdRng::seed_from_u64(super::fnv1a(name.as_bytes()));
+            let mut rng = crate::rng::StdRng::seed_from_u64(super::seed_of(name));
             for _ in 0..32 {
                 seen.push((0u64..1_000_000).generate(&mut rng));
             }

@@ -72,7 +72,6 @@ fn main() {
                 label_noise: 0.0,
                 seed: 13,
             }),
-            batch_size: 16,
             lr: LrSchedule::Constant(0.2),
             compute_base: 3.0,
             compute_jitter: 0.3,

@@ -36,7 +36,6 @@ fn phase(
             label_noise: 0.0,
             seed: 23,
         }),
-        batch_size: 16,
         lr: LrSchedule::Constant(0.12),
         compute_base: 2.0,
         initial_params: warm,

@@ -55,7 +55,6 @@ fn main() {
                     label_noise: 0.0,
                     seed: 5,
                 }),
-                batch_size: 16,
                 lr: LrSchedule::Constant(0.25),
                 compute_base: 2.0,
                 compute_jitter: 0.2,

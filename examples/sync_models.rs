@@ -62,7 +62,6 @@ fn main() {
                 label_noise: 0.0,
                 seed: 3,
             }),
-            batch_size: 16,
             lr: LrSchedule::Constant(0.2),
             compute_base: 2.0,
             compute_jitter: 0.3,

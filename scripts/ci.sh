@@ -70,10 +70,19 @@ deleted="$deleted|last_snapshot"
 deleted="$deleted|launch_models"
 # The grouped GEMM kernels the one list kernel replaced (DESIGN.md §19).
 deleted="$deleted|matmul_rows|matmul_at_b_rows|panel_block|all_zero"
+# The ungated benches' helpers and the causal context's never-set span.
+deleted="$deleted|BenchmarkId|bench_with_input|bench_inventory|parent_span|NO_SPAN"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then
   echo "ci: a deleted entry point or type is back (see above)" >&2
+  exit 1
+fi
+# Every committed bench number is gated: crates/bench builds the one target
+# scripts/bench.sh checks against BENCH_obs.json.
+benches="$(git ls-files -co --exclude-standard -- crates/bench/benches | tr '\n' ' ')"
+if [ "$benches" != "crates/bench/benches/obs.rs " ]; then
+  echo "ci: crates/bench/benches holds obs.rs only (the gated target); found: $benches" >&2
   exit 1
 fi
 
@@ -93,28 +102,30 @@ if [ "$launch_sites" != "$core_src/launch.rs $core_src/recovery.rs " ]; then
 fi
 
 # Structural guard: the trace fold exists once (DESIGN.md §9). The wire
-# matcher, the defer→release pairing and the blocked-at-gap matcher live in
-# stream.rs; analyze.rs replays a snapshot through them and must not grow
-# its own again, and the five batch passes it replaced stay deleted.
-if awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } { print FILENAME ":" FNR ": " $0 }' \
-    crates/fluentps-obs/src/analyze.rs \
-  | grep -E 'pop_front|EventKind::(WireRecv|PullRequested)|fn (worker_breakdowns|gap_stats|collect_deferred_keys|shard_healths|wire_check)\('; then
-  echo "ci: analyze.rs matches trace events itself again (see above); the matchers belong to stream.rs" >&2
+# pairing, the defer→release pairing and the blocked-at-gap matcher live in
+# stream.rs. analyze.rs replays a snapshot through them; it, the Chrome
+# exporter and the waterfalls call `WirePairing`/`DprPairing` where they
+# pair events and must not grow a matcher of their own again, and the five
+# batch passes analyze.rs replaced stay deleted.
+obs_src=crates/fluentps-obs/src
+if above_tests "$obs_src/analyze.rs" "$obs_src/export.rs" "$obs_src/waterfall.rs" \
+  | grep -E "pop_front|VecDeque|EventKind::(PullDeferred|PullRequested)|^$obs_src/analyze\.rs:.*EventKind::WireRecv|fn (worker_breakdowns|gap_stats|collect_deferred_keys|shard_healths|wire_check)\("; then
+  echo "ci: analyze.rs, export.rs or waterfall.rs matches trace events itself again (see above); the matchers belong to stream.rs" >&2
   exit 1
 fi
 
 # Structural guard: one worker round, and exact wire matching (DESIGN.md §9,
 # §18). The simulator's workers run the live `WorkerRound`, so above its
 # test marker driver.rs builds no pull of its own; and the fold queues only
-# stamped sends, so a receive whose request_id is 0 is never paired (there
-# is no FIFO fallback to guess with).
+# stamped sends (`WirePairing::send`), so a receive whose request_id is 0 is
+# never paired (there is no FIFO fallback to guess with).
 if above_tests crates/fluentps-experiments/src/driver.rs | grep -F 'Message::SPull'; then
   echo "ci: driver.rs builds its own pulls again (see above); the simulator's workers run WorkerRound" >&2
   exit 1
 fi
 stream_src=crates/fluentps-obs/src/stream.rs
 if above_tests "$stream_src" | grep -E 'request_id == 0|then_some\(0\)' \
-  || [ "$(above_tests "$stream_src" | grep -cF 'if ev.request_id != 0 {')" -ne 1 ]; then
+  || [ "$(above_tests "$stream_src" | grep -cF 'if request_id != 0 {')" -ne 1 ]; then
   echo "ci: stream.rs pairs a receive whose request_id is 0 again; wire matching is by causal id only" >&2
   exit 1
 fi

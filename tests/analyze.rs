@@ -268,9 +268,9 @@ fn stamped_trace_analysis_matches_golden_file() {
             // Push: request out, applied, ack back.
             rid += 1;
             tick(0.010);
-            t.record(EventKind::WireSend, at.bytes(203).ctx(rid, 0, 1));
+            t.record(EventKind::WireSend, at.bytes(203).ctx(rid, 0));
             tick(0.002);
-            t.record(EventKind::WireRecv, at.bytes(203).ctx(rid, 0, 1));
+            t.record(EventKind::WireRecv, at.bytes(203).ctx(rid, 0));
             t.record(EventKind::PushApplied, at.v_train(i).bytes(160));
             if w == 1 {
                 t.record(
@@ -278,13 +278,13 @@ fn stamped_trace_analysis_matches_golden_file() {
                     RecordArgs::new().shard(m).v_train(i + 1),
                 );
             }
-            t.record(EventKind::WireSend, at.bytes(39).ctx(rid, 0, 2));
+            t.record(EventKind::WireSend, at.bytes(39).ctx(rid, 0));
             tick(0.001);
-            t.record(EventKind::WireRecv, at.bytes(39).ctx(rid, 0, 2));
+            t.record(EventKind::WireRecv, at.bytes(39).ctx(rid, 0));
             if i == 3 && w == 0 {
                 // The ack is delivered twice.
                 tick(0.001);
-                t.record(EventKind::WireRecv, at.bytes(39).ctx(rid, 0, 2));
+                t.record(EventKind::WireRecv, at.bytes(39).ctx(rid, 0));
             }
             // Pull: request out; worker 0 runs ahead and is deferred on
             // every third iteration until worker 1's push lands.
@@ -292,9 +292,9 @@ fn stamped_trace_analysis_matches_golden_file() {
             let gap = if w == 0 { i % 3 } else { 0 };
             let pull = at.v_train(i - gap.min(i));
             tick(0.003);
-            t.record(EventKind::WireSend, pull.bytes(59).ctx(rid, 0, 1));
+            t.record(EventKind::WireSend, pull.bytes(59).ctx(rid, 0));
             tick(0.002);
-            t.record(EventKind::WireRecv, pull.bytes(59).ctx(rid, 0, 1));
+            t.record(EventKind::WireRecv, pull.bytes(59).ctx(rid, 0));
             t.record(EventKind::PullRequested, pull.bytes(59));
             if w == 0 && i % 3 == 2 {
                 t.record(EventKind::PullDeferred, pull);
@@ -307,9 +307,9 @@ fn stamped_trace_analysis_matches_golden_file() {
                     at.shard(fluentps::obs::NO_ID),
                 );
             }
-            t.record(EventKind::WireSend, at.bytes(211).ctx(rid, 0, 2));
+            t.record(EventKind::WireSend, at.bytes(211).ctx(rid, 0));
             tick(0.002);
-            t.record(EventKind::WireRecv, at.bytes(211).ctx(rid, 0, 2));
+            t.record(EventKind::WireRecv, at.bytes(211).ctx(rid, 0));
         }
     }
     tick(0.005);

@@ -32,7 +32,6 @@ fn cfg(seed: u64) -> DriverConfig {
             label_noise: 0.05,
             seed,
         }),
-        batch_size: 16,
         eval_every: 10,
         seed,
         ..DriverConfig::default()

@@ -36,7 +36,6 @@ fn traced_cfg() -> DriverConfig {
             label_noise: 0.05,
             seed: 11,
         }),
-        batch_size: 16,
         eval_every: 10,
         trace_events: Some(1 << 14),
         seed: 11,

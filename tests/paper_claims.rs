@@ -183,7 +183,6 @@ fn training_cfg(engine: EngineKind, n: u32) -> DriverConfig {
             label_noise: 0.0,
             seed: 71,
         }),
-        batch_size: 16,
         lr: LrSchedule::Constant(0.2),
         compute_base: 1.0,
         eval_every: 0,

@@ -173,7 +173,6 @@ fn warm_start_resumes_exactly_where_training_left_off() {
             label_noise: 0.0,
             seed: 55,
         }),
-        batch_size: 16,
         compute_base: 1.0,
         eval_every: 0,
         seed: 55,
