@@ -20,8 +20,7 @@ use fluentps_core::engine::{Cluster, EngineConfig};
 use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
 use fluentps_core::launch::Observability;
 use fluentps_obs::{
-    analyze, export, EventKind, MetricsRegistry, ProfCollector, Profiler, RecordArgs,
-    TraceCollector, Tracer,
+    analyze, export, EventKind, MetricsRegistry, RecordArgs, TraceCollector, Tracer,
 };
 
 /// Disabled tracer: one branch, no clock read, no allocation.
@@ -65,31 +64,6 @@ fn tracer_enabled(c: &mut Criterion) {
             )
         })
     });
-    g.finish();
-}
-
-/// Disabled profiler: the `enter` hot path is a single branch — the same
-/// free-when-off contract the tracer keeps (compare against
-/// `tracer/disabled_record` in `BENCH_obs.json`).
-fn prof_disabled(c: &mut Criterion) {
-    let mut g = c.benchmark_group("prof");
-    g.throughput(Throughput::Elements(1));
-    let profiler = Profiler::disabled();
-    g.bench_function("disabled", |b| b.iter(|| profiler.enter("bench/span")));
-    g.finish();
-}
-
-/// Enabled profiler: one full span record — enter (clock + allocation
-/// counter sample, thread-local stack push) plus the guard drop (second
-/// sample, aggregation-map update keyed by the stack path).
-fn prof_span_record(c: &mut Criterion) {
-    let mut g = c.benchmark_group("prof");
-    g.throughput(Throughput::Elements(1));
-    let collector = ProfCollector::wall();
-    let profiler = collector.profiler();
-    // One enclosing span so the measured span exercises a non-root path.
-    let _outer = profiler.enter("bench/outer");
-    g.bench_function("span_record", |b| b.iter(|| profiler.enter("bench/span")));
     g.finish();
 }
 
@@ -573,8 +547,6 @@ criterion_group!(
     obs,
     tracer_disabled,
     tracer_enabled,
-    prof_disabled,
-    prof_span_record,
     metrics,
     export_chrome,
     engine_tracing_overhead,

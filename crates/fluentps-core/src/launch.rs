@@ -20,8 +20,8 @@ use std::thread::JoinHandle;
 
 use fluentps_obs::http::{self, Endpoints};
 use fluentps_obs::{
-    HealthEngine, HealthTap, HealthView, IntrospectionServer, MetricsRegistry, ProfCollector,
-    Profiler, TraceCollector, TraceSource, Tracer,
+    HealthEngine, HealthTap, HealthView, IntrospectionServer, MetricsRegistry, TraceCollector,
+    TraceSource, Tracer,
 };
 use fluentps_transport::collect::TraceStreamer;
 use fluentps_transport::{Mailbox, Message, Network, NodeId, Postman, TransportError};
@@ -53,10 +53,6 @@ pub struct Observability {
     pub stream_to: Option<SocketAddr>,
     /// Per-node ring capacity (events) when `stream_to` is set.
     pub ring_capacity: usize,
-    /// Span-profile collector: server steps, worker clients, every TCP
-    /// node's frame encode/decode and the trace streamers profile into it.
-    /// Keep a clone to snapshot it — any time, including mid-run.
-    pub profiler: Option<ProfCollector>,
     /// Streaming health engine to feed with the run's trace events. With an
     /// in-process `collector` the cluster taps that collector into the
     /// engine and finalizes the engine at shutdown. With `stream_to` set,
@@ -67,8 +63,8 @@ pub struct Observability {
     /// fault-tolerant engine, the `consensus_*` gauges with HELP lines).
     pub metrics: Option<MetricsRegistry>,
     /// Serve `metrics` (a fresh registry when unset), the in-process
-    /// `collector`, `health` and `profiler` over HTTP here — `/metrics`,
-    /// `/healthz`, `/trace`, `/waterfall`, `/slo`, `/alerts`, `/profile` —
+    /// `collector` and `health` over HTTP here — `/metrics`, `/healthz`,
+    /// `/trace`, `/waterfall`, `/slo`, `/alerts` —
     /// from launch until the cluster's `shutdown`. Bind loopback
     /// (`127.0.0.1:0`) unless the endpoint is deliberately exposed; the
     /// cluster handle's `http_addr` reports the bound address.
@@ -81,7 +77,6 @@ impl Default for Observability {
             collector: None,
             stream_to: None,
             ring_capacity: 1 << 14,
-            profiler: None,
             health: None,
             metrics: None,
             http: None,
@@ -90,15 +85,6 @@ impl Default for Observability {
 }
 
 impl Observability {
-    /// A handle profiling into [`Observability::profiler`] (disabled when
-    /// there is none).
-    pub(crate) fn span_profiler(&self) -> Profiler {
-        self.profiler
-            .as_ref()
-            .map(|p| p.profiler())
-            .unwrap_or_default()
-    }
-
     /// Tracing for one node: a ring of the shared in-process collector, or
     /// (when streaming) a private collector plus the streamer shipping its
     /// ring to the collection service.
@@ -106,7 +92,7 @@ impl Observability {
         match self.stream_to {
             Some(addr) => {
                 let col = TraceCollector::wall(self.ring_capacity);
-                let streamer = TraceStreamer::start(node, &col, addr, self.span_profiler());
+                let streamer = TraceStreamer::start(node, &col, addr);
                 (col.tracer(), Some(streamer))
             }
             None => {
@@ -132,7 +118,7 @@ pub fn publish_cluster_gauges(
 }
 
 /// The observability of one running cluster: hands every node its tracer
-/// and profiler at launch, owns what must be stopped at shutdown.
+/// at launch, owns what must be stopped at shutdown.
 pub(crate) struct Session {
     /// Normalized: `collector` is `None` when streaming.
     pub(crate) obs: Observability,
@@ -173,7 +159,6 @@ impl Session {
                     trace: obs.collector.clone().map(TraceSource::Local),
                     health: liveness,
                     engine: obs.health.clone(),
-                    prof: obs.profiler.clone(),
                 };
                 Some(http::serve(addr, endpoints)?)
             }
@@ -193,7 +178,7 @@ impl Session {
 
     /// The worker clients every engine hands its caller: worker `n` sends
     /// and receives through the `n`-th of `halves`, routes by `map`, and
-    /// traces and profiles into this session.
+    /// traces into this session.
     pub(crate) fn workers<P: Postman, M: Mailbox>(
         &mut self,
         map: SliceMap,
@@ -205,7 +190,6 @@ impl Session {
             let (tracer, streamer) = self.obs.node(NodeId::Worker(n));
             self.worker_streamers.extend(streamer);
             w.set_tracer(tracer);
-            w.set_profiler(self.obs.span_profiler());
             w
         };
         (0u32..).zip(halves).map(client).collect()
@@ -252,7 +236,6 @@ pub fn shard_server(
     m: u32,
     (map, init): (&SliceMap, &HashMap<u64, Vec<f32>>),
     tracer: Tracer,
-    profiler: Profiler,
 ) -> (ShardServer, Vec<u64>) {
     let mut shard = new_shard(cfg, model, m);
     let mut keys = Vec::new();
@@ -265,7 +248,7 @@ pub fn shard_server(
         keys.push(p.new_key);
     }
     keys.sort_unstable();
-    let server = ShardServer::new(shard, server_rng(cfg.seed, m, 0), tracer, profiler);
+    let server = ShardServer::new(shard, server_rng(cfg.seed, m, 0), tracer);
     (server, keys)
 }
 
@@ -345,9 +328,7 @@ impl Plan<'_> {
             cfg.num_servers as usize,
             "one model per server"
         );
-        // Every node and server profiles into a handle of its own, so their
-        // span exits never contend.
-        let bind = |node| fabric.bind(node, &session.obs.span_profiler());
+        let bind = |node| fabric.bind(node);
         let workers = (0..cfg.num_workers)
             .map(|n| bind(NodeId::Worker(n)))
             .collect::<Result<Vec<_>, _>>()?;
@@ -357,8 +338,7 @@ impl Plan<'_> {
         let mut handles = Vec::with_capacity(servers.len());
         for ((m, (postman, mailbox)), model) in (0u32..).zip(servers).zip(models) {
             let (tracer, streamer) = session.obs.node(NodeId::Server(m));
-            let profiler = session.obs.span_profiler();
-            let (server, keys) = shard_server(&cfg, *model, m, (&map, init), tracer, profiler);
+            let (server, keys) = shard_server(&cfg, *model, m, (&map, init), tracer);
             let name = format!("fluentps-{thread}-server-{m}");
             handles.push(spawn_served(
                 name,
@@ -412,7 +392,7 @@ impl<F: Network + Default> Cluster<F> {
             plan.bring_up(&fabric, &mut session, F::NAME, |server, _, p, m| {
                 move || serve::run(server, &m, p)
             })?;
-        let control = fabric.bind(NodeId::Scheduler, &session.obs.span_profiler())?;
+        let control = fabric.bind(NodeId::Scheduler)?;
         let cluster = Cluster {
             fabric,
             servers,
@@ -655,35 +635,5 @@ mod tests {
     #[test]
     fn shutdown_releases_blocked_workers_over_tcp() {
         shutdown_releases_blocked_workers::<AddressBook>();
-    }
-
-    /// A server's spans fold under the worker call whose send ran the step:
-    /// a worker's pushes leave with its pulls, so `server/apply_push` sits
-    /// under `worker/pull_wait`. Only what reached a server before its
-    /// `serve` call started — round 0 at most, since the replies that end
-    /// round 0 come from that call — is handled by the server's thread, at
-    /// the stack's root.
-    #[test]
-    fn profiled_server_spans_fold_under_the_sending_worker() {
-        let prof = ProfCollector::wall();
-        let obs = Observability {
-            profiler: Some(prof.clone()),
-            ..Observability::default()
-        };
-        let (cluster, workers) = launch::<Fabric>(bsp(2, 2), obs);
-        train(workers, |_, _| {});
-        let pushes: u64 = cluster.shutdown().iter().map(|s| s.pushes).sum();
-        let spans = prof.snapshot().spans;
-        let count = |path: &str| spans.get(path).map_or(0, |stat| stat.count);
-        let inline = count("worker/pull_wait;server/apply_push");
-        assert_eq!(inline + count("server/apply_push"), pushes, "{spans:?}");
-        assert!(inline >= (ITERS - 1) * 2 * 2, "{spans:?}");
-        assert!(count("worker/pull_wait;server/reply") > 0, "{spans:?}");
-        let elsewhere = spans.keys().filter(|path| {
-            path.contains("server/")
-                && !path.starts_with("worker/pull_wait;")
-                && !path.starts_with("server/")
-        });
-        assert_eq!(elsewhere.count(), 0, "{spans:?}");
     }
 }

@@ -343,11 +343,10 @@ impl ResilientTcpCluster {
         // and the handle's control node are bound on the bare book, before
         // any server runs, so a server's first heartbeat finds its leader.
         let book = AddressBook::new();
-        let profiler = obs.span_profiler();
         let supervisor_nodes = (0..rcfg.num_supervisors)
-            .map(|k| book.bind(NodeId::Supervisor(k), &profiler))
+            .map(|k| book.bind(NodeId::Supervisor(k)))
             .collect::<Result<Vec<_>, _>>()?;
-        let control = book.bind(NodeId::Worker(u32::MAX), &profiler)?;
+        let control = book.bind(NodeId::Worker(u32::MAX))?;
         let fabric = injector.network(book.clone());
         let mut session = Session::start(obs, "resilient-tcp", &cfg, Some(health.clone()))?;
 
@@ -923,7 +922,6 @@ impl<P: Postman> Resilient<P> {
         if self.out.is_empty() {
             return;
         }
-        let _span = self.server.server.profiler.enter("server/reply");
         for (to, msgs) in per_destination(self.out.drain(..)) {
             let batch = msgs.into_iter().map(|msg| (to, msg)).collect();
             let sent = match to {
@@ -1339,10 +1337,7 @@ impl<P: Postman + 'static> SupervisorReplica<P> {
         };
         // Publishing the new address is what lets every worker's postman
         // redial the replacement after its old connection errors out.
-        let Ok(halves) = self
-            .fabric
-            .bind(NodeId::Server(m), &self.obs.span_profiler())
-        else {
+        let Ok(halves) = self.fabric.bind(NodeId::Server(m)) else {
             return false;
         };
 
@@ -1379,7 +1374,6 @@ impl<P: Postman + 'static> SupervisorReplica<P> {
             shard,
             launch::server_rng(self.cfg.seed, m, self.generation),
             rep_tracer,
-            self.obs.span_profiler(),
         );
         // The kill switch simulates *one* crash. A replacement inheriting it
         // would re-die the moment a replayed push brings `V_train` back to
@@ -1556,7 +1550,7 @@ pub(crate) mod tests {
             shard.init_param(k, vec![0.0; 2]);
         }
         let rng = launch::server_rng(cfg.seed, 0, 0);
-        let server = ShardServer::new(shard, rng, Tracer::disabled(), Default::default());
+        let server = ShardServer::new(shard, rng, Tracer::disabled());
         let store = CheckpointStore::default();
         let state = ResilientServer::new(
             server,
@@ -1940,9 +1934,8 @@ pub(crate) mod tests {
         let (noted_tx, noted) = mpsc::channel();
         let r = scripted_replica(1, &rcfg, Noting(noted_tx));
         let book = AddressBook::new();
-        let quiet = fluentps_obs::Profiler::disabled();
-        let (_, node) = book.bind(NodeId::Supervisor(1), &quiet).unwrap();
-        let (server, _keep) = book.bind(NodeId::Server(0), &quiet).unwrap();
+        let (_, node) = book.bind(NodeId::Supervisor(1)).unwrap();
+        let (server, _keep) = book.bind(NodeId::Server(0)).unwrap();
         let serving = std::thread::Builder::new()
             .name("the-serve-caller".into())
             .spawn(move || r.run(&node))

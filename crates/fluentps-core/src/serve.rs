@@ -15,6 +15,11 @@
 //! shard's own events (`PushApplied`, `VTrainAdvanced`, `DprReleased`,
 //! `PullRequested`, `PullDeferred`), with one `WireSend` per reply at the
 //! moment it is queued — the `PushAck` first, released pulls after it.
+//! Each shard phase's closing event spans its work under a wall clock —
+//! `PushApplied` the apply, `DprReleased` a release, `PullRequested` a
+//! pull's evaluation and, when it is answered at once, its reply's gather —
+//! so the trace times the server per phase; under the simulator's virtual
+//! clock those durations are 0.
 //!
 //! [`run`] is the whole server of the in-process and TCP engines, as a
 //! [`Step`] handed to [`Mailbox::serve`]: a message is handled and its
@@ -27,7 +32,7 @@
 //! The fault-tolerant engine wraps the same step (`crate::recovery`) instead
 //! of copying it.
 
-use fluentps_obs::{EventKind, Profiler, RecordArgs, Tracer, NO_ID};
+use fluentps_obs::{EventKind, RecordArgs, Tracer, NO_ID};
 use fluentps_transport::{frame, CausalCtx, Input, Mailbox, Message, NodeId, Postman, Step};
 use fluentps_util::rng::StdRng;
 
@@ -49,24 +54,18 @@ pub fn wrap(msg: Message, ctx: Option<CausalCtx>) -> Message {
 }
 
 /// One shard plus everything a step needs besides the message: the seeded
-/// stream of PSSP probability draws, the trace sink and the span profiler.
+/// stream of PSSP probability draws and the trace sink.
 pub struct ShardServer {
     pub(crate) shard: ServerShard,
     rng: StdRng,
     pub(crate) tracer: Tracer,
-    pub(crate) profiler: Profiler,
 }
 
 impl ShardServer {
     /// Serve `shard`; the shard records its own events into `tracer` too.
-    pub fn new(mut shard: ServerShard, rng: StdRng, tracer: Tracer, profiler: Profiler) -> Self {
+    pub fn new(mut shard: ServerShard, rng: StdRng, tracer: Tracer) -> Self {
         shard.set_tracer(tracer.clone());
-        ShardServer {
-            shard,
-            rng,
-            tracer,
-            profiler,
-        }
+        ShardServer { shard, rng, tracer }
     }
 
     /// The served shard.
@@ -92,24 +91,16 @@ impl ShardServer {
                 progress,
                 kv,
             } => {
-                let released = {
-                    let _span = self.profiler.enter("server/apply_push");
-                    let released = self.shard.on_push_ctx(worker, progress, &kv, ctx);
-                    let ack = Message::PushAck { server, progress };
-                    self.send(out, worker, wrap(ack, ctx));
-                    released
-                };
-                if !released.is_empty() {
-                    let _span = self.profiler.enter("server/release_dprs");
-                    self.reply_released(out, released);
-                }
+                let released = self.shard.on_push_ctx(worker, progress, &kv, ctx);
+                let ack = Message::PushAck { server, progress };
+                self.send(out, worker, wrap(ack, ctx));
+                self.reply_released(out, released);
             }
             Message::SPull {
                 worker,
                 progress,
                 keys,
             } => {
-                let _span = self.profiler.enter("server/handle_pull");
                 let draw = self.next_draw();
                 if let PullOutcome::Respond { kv, version } = self
                     .shard
@@ -211,8 +202,6 @@ struct Plain<P> {
 impl<P: Postman> Plain<P> {
     fn flush(&mut self) {
         if !self.out.is_empty() {
-            // Frame encoding shows up as `wire/encode` under this span.
-            let _span = self.server.profiler.enter("server/reply");
             // Everything a plain server sends answers a worker.
             let _ = self.postman.reply_batch(std::mem::take(&mut self.out));
         }
@@ -260,6 +249,7 @@ pub(crate) mod tests {
     use crate::engine::EngineConfig;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
     use crate::launch;
+    use fluentps_obs::{ClockSource, TraceCollector, TraceEvent, VirtualClock};
     use fluentps_transport::{KvPairs, TransportError};
     use fluentps_util::sync::Mutex;
     use std::collections::VecDeque;
@@ -338,21 +328,7 @@ pub(crate) mod tests {
         workers: u32,
         script: Vec<Next>,
     ) -> (Vec<Vec<(u32, bool)>>, Vec<usize>) {
-        let cfg = EngineConfig {
-            num_workers: workers,
-            model,
-            ..EngineConfig::default()
-        };
-        let map = EpsSlicer { max_chunk: 8 }.slice(&[ParamSpec { key: 0, len: 2 }], 1);
-        let init = [(0u64, vec![0.0f32; 2])].into();
-        let (server, _) = launch::shard_server(
-            &cfg,
-            model,
-            0,
-            (&map, &init),
-            Tracer::default(),
-            Profiler::default(),
-        );
+        let server = one_key_server(model, workers, Tracer::default());
         let sent = Recording::default();
         let rx = Scripted {
             script: Mutex::new(script.into()),
@@ -373,26 +349,116 @@ pub(crate) mod tests {
         (batches.collect(), rx.sent_when_blocking.into_inner())
     }
 
-    /// The one wire key of [`play`]'s server.
+    /// Values of [`one_key_server`]'s one parameter.
+    const LEN: usize = 4096;
+
+    /// A server of `model` for `workers` over one parameter of [`LEN`]
+    /// values, recording into `tracer`.
+    fn one_key_server(model: SyncModel, workers: u32, tracer: Tracer) -> ShardServer {
+        let cfg = EngineConfig {
+            num_workers: workers,
+            model,
+            ..EngineConfig::default()
+        };
+        let map = EpsSlicer { max_chunk: LEN }.slice(&[ParamSpec { key: 0, len: LEN }], 1);
+        let init = [(0u64, vec![0.0f32; LEN])].into();
+        launch::shard_server(&cfg, model, 0, (&map, &init), tracer).0
+    }
+
+    /// The one wire key of [`one_key_server`].
     fn key() -> u64 {
-        let map = EpsSlicer { max_chunk: 8 }.slice(&[ParamSpec { key: 0, len: 2 }], 1);
+        let map = EpsSlicer { max_chunk: LEN }.slice(&[ParamSpec { key: 0, len: LEN }], 1);
         map.placements()[0].new_key
     }
 
-    fn push(worker: u32, progress: u64) -> Next {
-        Next::Msg(Message::SPush {
+    fn push_msg(worker: u32, progress: u64) -> Message {
+        Message::SPush {
             worker,
             progress,
-            kv: KvPairs::single(key(), vec![1.0; 2]),
-        })
+            kv: KvPairs::single(key(), vec![1.0; LEN]),
+        }
     }
 
-    fn pull(worker: u32, progress: u64) -> Next {
-        Next::Msg(Message::SPull {
+    fn pull_msg(worker: u32, progress: u64) -> Message {
+        Message::SPull {
             worker,
             progress,
             keys: vec![key()],
-        })
+        }
+    }
+
+    fn push(worker: u32, progress: u64) -> Next {
+        Next::Msg(push_msg(worker, progress))
+    }
+
+    fn pull(worker: u32, progress: u64) -> Next {
+        Next::Msg(pull_msg(worker, progress))
+    }
+
+    /// Step a BSP server of two workers through a pull that is deferred,
+    /// the push that releases it and a pull answered at once; the events it
+    /// traced into `collector`.
+    fn traced_round(collector: &TraceCollector) -> Vec<TraceEvent> {
+        let mut server = one_key_server(SyncModel::Bsp, 2, collector.tracer());
+        let mut out = Vec::new();
+        for msg in [
+            push_msg(0, 0),
+            pull_msg(0, 0), // parked until worker 1 pushes round 0
+            push_msg(1, 0), // releases it
+            pull_msg(1, 0), // answered at once
+        ] {
+            server.handle(msg, &mut out);
+        }
+        assert_eq!(out.len(), 4, "two acks and two responses");
+        collector.snapshot().events
+    }
+
+    /// The `dur` of each event of `kind`.
+    fn durs(events: &[TraceEvent], kind: EventKind) -> Vec<f64> {
+        let durs: Vec<f64> = events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| e.dur)
+            .collect();
+        assert!(!durs.is_empty(), "no {kind:?} traced");
+        durs
+    }
+
+    #[test]
+    fn under_a_wall_clock_each_phase_event_spans_its_work() {
+        let events = traced_round(&TraceCollector::wall(1 << 10));
+        let applied = durs(&events, EventKind::PushApplied);
+        assert_eq!(applied.len(), 2);
+        assert!(applied.iter().all(|&d| d > 0.0), "PushApplied {applied:?}");
+        let released = durs(&events, EventKind::DprReleased);
+        assert!(
+            released.iter().all(|&d| d > 0.0),
+            "DprReleased {released:?}"
+        );
+        // The deferred pull and the one answered at once.
+        let pulls = durs(&events, EventKind::PullRequested);
+        assert_eq!(pulls.len(), 2);
+        assert!(pulls.iter().all(|&d| d > 0.0), "PullRequested {pulls:?}");
+        // A span keeps its place in the record order: each step's `WireRecv`
+        // comes first, and the events are in `seq` order by time.
+        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds[..2], [EventKind::WireRecv, EventKind::PushApplied]);
+        assert!(events.windows(2).all(|p| p[0].seq < p[1].seq));
+    }
+
+    #[test]
+    fn under_a_virtual_clock_every_duration_is_zero() {
+        let clock = VirtualClock::new();
+        let collector = TraceCollector::new(ClockSource::virtual_clock(clock), 1 << 10);
+        let events = traced_round(&collector);
+        for kind in [
+            EventKind::PushApplied,
+            EventKind::DprReleased,
+            EventKind::PullRequested,
+        ] {
+            durs(&events, kind);
+        }
+        assert!(events.iter().all(|e| e.dur == 0.0), "{events:?}");
     }
 
     const ACK: bool = true;

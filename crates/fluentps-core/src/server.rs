@@ -282,22 +282,22 @@ impl ServerShard {
         significance: Option<f64>,
         ctx: Option<CausalCtx>,
     ) -> PullOutcome {
+        let start = self.tracer.now();
         self.progress.observe(worker, progress);
         self.stats.pulls_total += 1;
         // Codec-measured request size: exactly what encode(SPull) produces.
         let req_bytes = codec::spull_wire_len(keys.len()) as u64;
         self.stats.bytes_in += req_bytes;
-        self.tracer.record(
-            EventKind::PullRequested,
-            stamp_ctx(
-                RecordArgs::new()
-                    .shard(self.cfg.server_id)
-                    .worker(worker)
-                    .progress(progress)
-                    .v_train(self.v_train)
-                    .bytes(req_bytes),
-                ctx,
-            ),
+        // `PullRequested` spans the pull's evaluation, plus the gather of
+        // its reply when it is answered at once.
+        let requested = stamp_ctx(
+            RecordArgs::new()
+                .shard(self.cfg.server_id)
+                .worker(worker)
+                .progress(progress)
+                .v_train(self.v_train)
+                .bytes(req_bytes),
+            ctx,
         );
         let significance = significance.or(self.last_significance[worker as usize]);
         let st = self.sync_state();
@@ -313,11 +313,15 @@ impl ServerShard {
             self.stats.pulls_immediate += 1;
             let kv = self.gather(keys);
             self.stats.bytes_out += codec::pull_response_wire_len(&kv) as u64;
+            self.tracer
+                .record_span(EventKind::PullRequested, start, requested);
             PullOutcome::Respond {
                 kv,
                 version: self.v_train,
             }
         } else {
+            self.tracer
+                .record_span(EventKind::PullRequested, start, requested);
             self.stats.dprs += 1;
             self.tracer.record(
                 EventKind::PullDeferred,
@@ -354,7 +358,8 @@ impl ServerShard {
 
     /// [`ServerShard::on_push`] with the push's causal context: the
     /// `PushApplied`/`LatePushDropped` event joins the pushing request's
-    /// waterfall. Released DPRs keep their *own* original pull contexts.
+    /// waterfall, and `PushApplied` spans the apply. Released DPRs keep
+    /// their *own* original pull contexts.
     pub fn on_push_ctx(
         &mut self,
         worker: u32,
@@ -363,6 +368,7 @@ impl ServerShard {
         ctx: Option<CausalCtx>,
     ) -> Vec<ReleasedPull> {
         debug_assert!(kv.is_consistent(), "inconsistent KvPairs in push");
+        let start = self.tracer.now();
         self.progress.observe(worker, progress);
         self.stats.pushes += 1;
         let push_bytes = codec::spush_wire_len(kv) as u64;
@@ -388,8 +394,9 @@ impl ServerShard {
                 self.last_significance[worker as usize] = Some(self.push_significance(kv));
             }
             self.apply_gradients(kv);
-            self.tracer.record(
+            self.tracer.record_span(
                 EventKind::PushApplied,
+                start,
                 stamp_ctx(
                     RecordArgs::new()
                         .shard(self.cfg.server_id)
@@ -447,7 +454,9 @@ impl ServerShard {
         drained.into_iter().map(|d| self.answer_dpr(d)).collect()
     }
 
+    /// Gather a released DPR's reply; its `DprReleased` spans the work.
     fn answer_dpr(&mut self, dpr: DeferredPull) -> ReleasedPull {
+        let start = self.tracer.now();
         let kv = self.gather(&dpr.keys);
         let resp_bytes = codec::pull_response_wire_len(&kv) as u64;
         self.stats.bytes_out += resp_bytes;
@@ -455,8 +464,9 @@ impl ServerShard {
         let waited = self.v_train.saturating_sub(dpr.deferred_at);
         self.stats.dpr_wait_iterations += waited;
         self.stats.dpr_wait_hist.record(waited);
-        self.tracer.record(
+        self.tracer.record_span(
             EventKind::DprReleased,
+            start,
             stamp_ctx(
                 RecordArgs::new()
                     .shard(self.cfg.server_id)

@@ -17,7 +17,7 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::time::Duration;
 
-use fluentps_obs::{EventKind, Profiler, RecordArgs, Tracer, NO_ID};
+use fluentps_obs::{EventKind, RecordArgs, Tracer, NO_ID};
 use fluentps_transport::{
     frame, per_destination, CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman, TransportError,
     ValuesMut, WirePlacement,
@@ -471,7 +471,6 @@ pub struct WorkerClient<P, M> {
     mailbox: M,
     router: Router,
     tracer: Tracer,
-    profiler: Profiler,
     retry: Option<RetryState>,
     /// Per-worker causal request counter; see [`request_id`].
     next_request: u64,
@@ -489,7 +488,6 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
             mailbox,
             router,
             tracer: Tracer::disabled(),
-            profiler: Profiler::disabled(),
             retry: None,
             next_request: 0,
             staged: Vec::new(),
@@ -508,14 +506,6 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
     /// pull responses.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Attach a span profiler: `worker/push` covers each `sPush` scatter +
-    /// staging, `worker/pull_wait` each blocking pull round (which writes
-    /// the staged pushes along with the pulls), and
-    /// `worker/retry` each timeout-triggered backoff + replay + re-issue.
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
     }
 
     /// Enable the resilience layer. Without a policy (the default) the
@@ -556,7 +546,6 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         progress: u64,
         grads: &HashMap<u64, Vec<f32>>,
     ) -> Result<u32, TransportError> {
-        let _span = self.profiler.enter("worker/push");
         // Untraced, the exact pre-context wire bytes.
         let ctx = self.tracer.is_enabled().then_some(self.next_ctx());
         let shards = self.router.scatter(grads);
@@ -665,7 +654,6 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         keys: Option<Vec<u64>>,
         params: &mut HashMap<u64, Vec<f32>>,
     ) -> Result<PullReport, TransportError> {
-        let _span = self.profiler.enter("worker/pull_wait");
         let ctx = self.next_ctx();
         let timeout = self.retry.as_ref().map(|retry| retry.policy.timeout);
         let wait_start = self.tracer.now();
@@ -679,9 +667,6 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
                 let retry = self.retry.as_mut().expect("a timeout implies a policy");
                 let again =
                     round.on_timeout(retry.policy.max_retries, &self.router, &retry.replay)?;
-                // The span covers backoff sleep + replay + re-issue: the
-                // full wall-clock penalty each retry round costs.
-                let _span = self.profiler.enter("worker/retry");
                 let backoff = retry.backoff(round.attempt);
                 for &m in round.awaiting() {
                     self.tracer.record(

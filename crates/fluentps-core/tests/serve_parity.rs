@@ -19,7 +19,7 @@ use fluentps_core::recovery::{RecoveryConfig, ResilientTcpCluster};
 use fluentps_core::serve::Flow;
 use fluentps_core::stats::ShardStats;
 use fluentps_core::tcp_engine::TcpCluster;
-use fluentps_obs::{EventKind, ProfCollector, Profiler, TraceCollector, TraceEvent};
+use fluentps_obs::{EventKind, TraceCollector, TraceEvent};
 use fluentps_transport::tcp::{AddressBook, TcpNode};
 use fluentps_transport::{CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman};
 
@@ -128,8 +128,8 @@ fn step_events(collector: &TraceCollector) -> Vec<TraceEvent> {
 fn run_direct(model: SyncModel) -> Outcome {
     let (cfg, map, init) = setup(model);
     let collector = TraceCollector::wall(1 << 12);
-    let (tracer, profiler) = (collector.tracer(), Profiler::disabled());
-    let (mut server, _) = launch::shard_server(&cfg, model, 0, (&map, &init), tracer, profiler);
+    let tracer = collector.tracer();
+    let (mut server, _) = launch::shard_server(&cfg, model, 0, (&map, &init), tracer);
     let mut replies = Vec::new();
     for msg in script(&map) {
         let last = matches!(msg, Message::Shutdown);
@@ -223,10 +223,8 @@ fn assert_parity(model: SyncModel) -> Outcome {
     for engine in ["in-process", "tcp", "resilient"] {
         let (cfg, map, init) = setup(model);
         let collector = TraceCollector::wall(1 << 12);
-        let prof = ProfCollector::wall();
         let obs = Observability {
             collector: Some(collector.clone()),
-            profiler: Some(prof.clone()),
             ..Observability::default()
         };
         let leg = match engine {
@@ -247,10 +245,19 @@ fn assert_parity(model: SyncModel) -> Outcome {
         };
         let live = run_live(&direct, leg, &map, &collector);
         assert_eq!(live, direct, "{model:?}: {engine} engine vs the step");
-        // The shared step opens the phase spans on every engine.
-        let spans = prof.snapshot().spans;
-        for phase in ["server/apply_push", "server/handle_pull", "server/reply"] {
-            assert!(spans.contains_key(phase), "{engine}: no {phase} span");
+        // The shared step times its phases on every engine: under the wall
+        // clock each push's apply and each pull's evaluation (with the
+        // gather, when answered) is a span.
+        let trace = collector.snapshot();
+        for kind in [EventKind::PushApplied, EventKind::PullRequested] {
+            let durs: Vec<f64> = trace
+                .events
+                .iter()
+                .filter(|e| e.kind == kind)
+                .map(|e| e.dur)
+                .collect();
+            assert!(!durs.is_empty(), "{engine}: no {kind:?}");
+            assert!(durs.iter().all(|&d| d > 0.0), "{engine}: {kind:?} {durs:?}");
         }
     }
     direct

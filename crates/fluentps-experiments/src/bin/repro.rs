@@ -11,8 +11,6 @@
 //!   repro collect FILE [chaos flags] [--ring N]
 //!   repro watch [chaos flags]
 //!   repro waterfall [chaos flags] [--top N]
-//!   repro profile [--workers N] [--servers N] [--iters N] [--seed N]
-//!                 [--metrics-addr ADDR] [--out FILE] [--top N]
 //!
 //! Quick mode (default) finishes each experiment in seconds-to-minutes;
 //! `--full` uses paper-like worker counts and iteration budgets. The
@@ -23,8 +21,9 @@
 //! or JSONL when FILE ends in `.jsonl`. With `--metrics-addr` the run also
 //! serves `/metrics`, `/healthz` and `/trace` on ADDR while it executes.
 //! `analyze` reads a JSONL trace back and prints the full analytics report
-//! (straggler scoreboard, time breakdowns, staleness histogram, block-rate
-//! curve, critical path); `--ssp`/`--pssp-const` add the analytical
+//! (straggler scoreboard, time breakdowns, per-shard sync health and
+//! server phase times, staleness histogram, block-rate curve, critical
+//! path); `--ssp`/`--pssp-const` add the analytical
 //! `Pr[blocked | gap=k]` column to compare against the empirical one.
 //! `validate-json` checks a file parses under the in-tree JSON validator.
 //! `watch` runs a chaos job while tailing its streaming health engine: a
@@ -40,12 +39,6 @@
 //! per-stage transition latency table. Exits non-zero when the collector
 //! balance (`retained + sampled_out == observed`) or any retained
 //! waterfall's gapless check fails.
-//! `profile` runs a live TCP training job under the cooperative span
-//! profiler and prints the top-N spans by self time (calls, self/total
-//! time, attributed allocations); `--out FILE` additionally writes the
-//! full profile — speedscope JSON when FILE ends in `.json`, folded
-//! stacks otherwise — and `--metrics-addr` serves the same snapshots live
-//! on `/profile?format=folded|speedscope`.
 
 use std::io::Write as _;
 
@@ -64,7 +57,6 @@ fn main() {
         Some("collect") => run_collect_cmd(&args[1..]),
         Some("watch") => run_watch_cmd(&args[1..]),
         Some("waterfall") => run_waterfall_cmd(&args[1..]),
-        Some("profile") => run_profile_cmd(&args[1..]),
         _ => run_figures(&args),
     }
 }
@@ -496,95 +488,6 @@ fn run_waterfall_cmd(args: &[String]) {
     }
 }
 
-/// `repro profile`: a live TCP training run under the span profiler.
-/// Prints the top-N self-time table plus stable `profile-span` lines for
-/// CI, and optionally writes the full profile to a file.
-fn run_profile_cmd(args: &[String]) {
-    use fluentps_experiments::profile::{run_profile, ProfileConfig};
-    use fluentps_obs::ProfMetric;
-
-    let mut cfg = ProfileConfig::default();
-    let mut out: Option<String> = None;
-    let mut top = 12usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                cfg.num_workers = parse_arg(args.get(i), "--workers N");
-            }
-            "--servers" => {
-                i += 1;
-                cfg.num_servers = parse_arg(args.get(i), "--servers N");
-            }
-            "--iters" => {
-                i += 1;
-                cfg.max_iters = parse_arg(args.get(i), "--iters N");
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = parse_arg(args.get(i), "--seed N");
-            }
-            "--top" => {
-                i += 1;
-                top = parse_arg(args.get(i), "--top N");
-            }
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--metrics-addr" => {
-                i += 1;
-                let raw = args.get(i).cloned().unwrap_or_else(|| usage());
-                cfg.metrics_addr = Some(raw.parse().unwrap_or_else(|e| {
-                    eprintln!("[repro] bad --metrics-addr {raw:?}: {e}");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("[repro] unknown profile argument {other:?}");
-                usage();
-            }
-        }
-        i += 1;
-    }
-    eprintln!(
-        "[repro] profile: {}w x {}s, {} iters, seed {}",
-        cfg.num_workers, cfg.num_servers, cfg.max_iters, cfg.seed
-    );
-    if let Some(addr) = cfg.metrics_addr {
-        eprintln!("[repro] serving /profile, /metrics and /trace on http://{addr}/");
-    }
-    let r = run_profile(&cfg);
-    println!("{}", report::profile_section(&r.report, top).render());
-    // Stable per-span lines so CI can grep for the instrumented layers.
-    for (path, stat) in r.report.top_self(top) {
-        println!(
-            "profile-span path={path} calls={} self_ns={} total_ns={} self_allocs={} self_bytes={}",
-            stat.count,
-            (stat.self_secs * 1e9).round() as u64,
-            (stat.total_secs * 1e9).round() as u64,
-            stat.self_allocs,
-            stat.self_alloc_bytes,
-        );
-    }
-    if let Some(path) = out {
-        let rendered = if path.ends_with(".json") {
-            r.report.speedscope("fluentps profile")
-        } else {
-            r.report.folded(ProfMetric::SelfTime)
-        };
-        std::fs::write(&path, rendered).expect("write profile file");
-        eprintln!("[repro] wrote {path}");
-    }
-    eprintln!(
-        "[repro] profile done in {:.2}s, accuracy {:.3}, {} distinct span paths",
-        r.wall_seconds,
-        r.accuracy,
-        r.report.spans.len()
-    );
-}
-
 fn run_figures(args: &[String]) {
     let mut which: Vec<String> = Vec::new();
     let mut full = false;
@@ -806,8 +709,8 @@ fn run_analyze(args: &[String]) {
         eprintln!("[repro] {path} holds no events — nothing to analyze");
         std::process::exit(1);
     }
-    let a = analyze::analyze(&trace);
-    for t in report::analysis_sections(&a, analytical.as_deref()) {
+    let (a, phases) = analyze::analyze_phases(&trace);
+    for t in report::analysis_sections(&a, &phases, analytical.as_deref()) {
         if markdown {
             println!("{}", t.to_markdown());
         } else {
@@ -873,7 +776,7 @@ where
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <fig1|fig3|fig6|fig7|fig8|fig9|fig10|fig11|table4|ablation-eps|ablation-sched|ablation-filter|ablation-stragglers|all> [--full] [--csv DIR] [--trace FILE] [--metrics-addr ADDR]\n       repro analyze FILE [--md] [--ssp S | --pssp-const S C]\n       repro validate-json FILE\n       repro chaos [--seed N] [--workers N] [--servers N] [--iters N] [--staleness S] [--faults N] [--kill M@V] [--supervisors N] [--kill-supervisor K@V]... [--metrics-addr ADDR]\n       repro collect FILE [chaos flags] [--ring N]\n       repro watch [chaos flags]\n       repro waterfall [chaos flags] [--top N]\n       repro profile [--workers N] [--servers N] [--iters N] [--seed N] [--metrics-addr ADDR] [--out FILE] [--top N]"
+        "usage: repro <fig1|fig3|fig6|fig7|fig8|fig9|fig10|fig11|table4|ablation-eps|ablation-sched|ablation-filter|ablation-stragglers|all> [--full] [--csv DIR] [--trace FILE] [--metrics-addr ADDR]\n       repro analyze FILE [--md] [--ssp S | --pssp-const S C]\n       repro validate-json FILE\n       repro chaos [--seed N] [--workers N] [--servers N] [--iters N] [--staleness S] [--faults N] [--kill M@V] [--supervisors N] [--kill-supervisor K@V]... [--metrics-addr ADDR]\n       repro collect FILE [chaos flags] [--ring N]\n       repro watch [chaos flags]\n       repro waterfall [chaos flags] [--top N]"
     );
     std::process::exit(2);
 }

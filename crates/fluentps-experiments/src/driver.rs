@@ -33,7 +33,7 @@ use fluentps_ml::models::{Mlp, Model, ResidualMlp, SoftmaxRegression};
 use fluentps_ml::optim::{Optimizer, Sgd};
 use fluentps_ml::schedule::LrSchedule;
 use fluentps_ml::ParamMap;
-use fluentps_obs::{ClockSource, EventKind, Profiler, Trace, TraceCollector, Tracer, VirtualClock};
+use fluentps_obs::{ClockSource, EventKind, Trace, TraceCollector, Tracer, VirtualClock};
 use fluentps_simnet::compute::{ComputeModel, StragglerSpec, WorkerCompute};
 use fluentps_simnet::event::EventQueue;
 use fluentps_simnet::net::LinkModel;
@@ -492,12 +492,7 @@ impl<'a> Simulation<'a> {
                 shard.init_param(p.new_key, vals);
             }
             let rng = launch::server_rng(cfg.seed, m, 0);
-            servers.push(ShardServer::new(
-                shard,
-                rng,
-                new_tracer(),
-                Profiler::default(),
-            ));
+            servers.push(ShardServer::new(shard, rng, new_tracer()));
         }
         let tracer = new_tracer();
 
@@ -1233,14 +1228,8 @@ mod tests {
             let mut per_server = Vec::new();
             for (m, simulated) in (0u32..).zip(&mut sim.servers) {
                 let init = Default::default();
-                let (mut launched, _) = launch::shard_server(
-                    &live,
-                    model,
-                    m,
-                    (map, &init),
-                    Tracer::disabled(),
-                    Profiler::default(),
-                );
+                let (mut launched, _) =
+                    launch::shard_server(&live, model, m, (map, &init), Tracer::disabled());
                 let stream: Vec<f64> = (0..16).map(|_| simulated.next_draw()).collect();
                 let want: Vec<f64> = (0..16).map(|_| launched.next_draw()).collect();
                 assert_eq!(stream, want, "server {m}, seed {seed}");

@@ -21,7 +21,7 @@ use fluentps_core::dpr::DprPolicy;
 use fluentps_core::launch;
 use fluentps_core::serve::ShardServer;
 use fluentps_core::server::{ServerShard, ShardConfig};
-use fluentps_obs::{Profiler, Tracer};
+use fluentps_obs::Tracer;
 use fluentps_transport::{KvPairs, Message, NodeId};
 
 use crate::report::Table;
@@ -54,7 +54,7 @@ fn scenario(policy: DprPolicy) -> (Vec<TimelineRow>, Vec<f32>, u64) {
     });
     shard.init_param(0, vec![0.0]);
     let rng = launch::server_rng(0, 0, 0);
-    let mut server = ShardServer::new(shard, rng, Tracer::disabled(), Profiler::default());
+    let mut server = ShardServer::new(shard, rng, Tracer::disabled());
     let mut timeline = Vec::new();
     let mut release_value = Vec::new();
     let mut release_version = 0;

@@ -17,7 +17,6 @@
 pub mod driver;
 pub mod figures;
 pub mod live;
-pub mod profile;
 pub mod report;
 pub mod tracerun;
 

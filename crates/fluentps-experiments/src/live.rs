@@ -5,8 +5,7 @@
 //! and network characteristics"; this module answers "does the actual
 //! concurrent implementation behave" — same models, same synchronization
 //! code. `SoftmaxJob` and `train` are the launch-independent half of
-//! every live run here: [`run_chaos`] trains on the fault-tolerant TCP
-//! engine, [`crate::profile::run_profile`] on the plain one.
+//! [`run_chaos`], which trains on the fault-tolerant TCP engine.
 
 use std::time::{Duration, Instant};
 
@@ -22,7 +21,7 @@ use fluentps_ml::data::{synthetic, BatchSampler, Dataset, SyntheticSpec};
 use fluentps_ml::models::{Model, SoftmaxRegression};
 use fluentps_ml::optim::{Optimizer, Sgd};
 use fluentps_ml::ParamMap;
-use fluentps_obs::{AlertTransition, HealthEngine, Profiler, StreamConfig, TraceCollector};
+use fluentps_obs::{AlertTransition, HealthEngine, StreamConfig, TraceCollector};
 use fluentps_transport::fault::FaultPlan;
 use fluentps_transport::{Mailbox, Postman};
 use fluentps_util::fnv::{fnv1a_wide, FNV_OFFSET};
@@ -86,18 +85,14 @@ impl SoftmaxJob {
 /// Train `job` for `iters` iterations on one thread per worker client,
 /// whichever engine the clients belong to: each worker draws batches of 16
 /// from its partition of the data, and an iteration is gradient →
-/// SGD(0.25, momentum 0.9) deltas → `spush` → `spull_wait`. Every iteration
-/// is a `worker/step` span of `profiler` with the gradient work under
-/// `worker/compute` (the client's own `worker/push` and `worker/pull_wait`
-/// nest beside it, so a folded profile reads compute vs. sync directly),
-/// and `granted(worker, iteration, report)` sees each completed pull.
+/// SGD(0.25, momentum 0.9) deltas → `spush` → `spull_wait`, and
+/// `granted(worker, iteration, report)` sees each completed pull.
 /// Returns every worker's final parameters and the wall-clock seconds.
 /// Panics if a push or pull fails.
 pub(crate) fn train<P: Postman, M: Mailbox>(
     job: &SoftmaxJob,
     workers: Vec<WorkerClient<P, M>>,
     iters: u64,
-    profiler: &Profiler,
     granted: impl Fn(u32, u64, PullReport) + Sync,
 ) -> (Vec<ParamMap>, f64) {
     let num_workers = workers.len() as u32;
@@ -109,13 +104,9 @@ pub(crate) fn train<P: Postman, M: Mailbox>(
         let partition = job.train.partition(n, num_workers);
         let mut sampler = BatchSampler::new(partition, 16, job.seed.wrapping_add(500 + n as u64));
         for i in 0..iters {
-            let _step = profiler.enter("worker/step");
-            let deltas = {
-                let _span = profiler.enter("worker/compute");
-                let batch = job.train.batch(&sampler.next_indices());
-                let (_, grads) = job.model.loss_and_grad(&params, &batch);
-                opt.deltas(&params, &grads)
-            };
+            let batch = job.train.batch(&sampler.next_indices());
+            let (_, grads) = job.model.loss_and_grad(&params, &batch);
+            let deltas = opt.deltas(&params, &grads);
             client.spush(i, &deltas).expect("push");
             granted(n, i, client.spull_wait(i, &mut params).expect("pull"));
         }
@@ -310,8 +301,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
             cfg.staleness
         );
     };
-    let quiet = Profiler::disabled();
-    let (results, wall_seconds) = train(&job, workers, cfg.max_iters, &quiet, within_bound);
+    let (results, wall_seconds) = train(&job, workers, cfg.max_iters, within_bound);
 
     let health = cluster.health();
     let dead_at_end = health.dead_count();

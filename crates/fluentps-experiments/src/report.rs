@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 
 use fluentps_core::stats::ShardStats;
-use fluentps_obs::analyze::Analysis;
+use fluentps_obs::analyze::{Analysis, ServerPhases};
 use fluentps_obs::{EventKind, Trace};
 
 /// A simple column-aligned table that renders to monospaced text (the
@@ -176,34 +176,6 @@ pub fn alert_section(alerts: &[fluentps_obs::AlertTransition]) -> Table {
     t
 }
 
-/// The `repro profile` table: the top `n` span paths by self time, with
-/// call counts, total (inclusive) time and the allocation deltas the
-/// counting allocator attributed to each span's self window.
-pub fn profile_section(report: &fluentps_obs::ProfileReport, n: usize) -> Table {
-    let mut t = Table::new(
-        format!("profile: top {n} spans by self time"),
-        &[
-            "span path",
-            "calls",
-            "self",
-            "total",
-            "self allocs",
-            "self bytes",
-        ],
-    );
-    for (path, stat) in report.top_self(n) {
-        t.row(vec![
-            path.to_string(),
-            stat.count.to_string(),
-            format!("{:.6}s", stat.self_secs),
-            format!("{:.6}s", stat.total_secs),
-            stat.self_allocs.to_string(),
-            stat.self_alloc_bytes.to_string(),
-        ]);
-    }
-    t
-}
-
 /// Check that `trace` and `stats` tell the same story: every counter the
 /// shards kept matches the trace's per-kind totals, and the DPR ledger
 /// balances (`dprs == dprs_released + still-buffered`). Returns the first
@@ -250,10 +222,15 @@ pub fn trace_reconciles(trace: &Trace, stats: &ShardStats) -> Result<(), String>
 
 /// Render a full [`Analysis`] as report tables, in reading order:
 /// per-worker breakdown, straggler scoreboard, progress spread, per-shard
-/// sync health, staleness histogram, PSSP block rate per gap (with an
-/// analytical column when `analytical` supplies `Pr[blocked | gap=k]`),
-/// and the extracted critical path.
-pub fn analysis_sections(a: &Analysis, analytical: Option<&dyn Fn(u64) -> f64>) -> Vec<Table> {
+/// sync health, the shards' server time per phase (`phases`), staleness
+/// histogram, PSSP block rate per gap (with an analytical column when
+/// `analytical` supplies `Pr[blocked | gap=k]`), and the extracted
+/// critical path.
+pub fn analysis_sections(
+    a: &Analysis,
+    phases: &[ServerPhases],
+    analytical: Option<&dyn Fn(u64) -> f64>,
+) -> Vec<Table> {
     let mut tables = Vec::new();
 
     let mut t = Table::new(
@@ -345,6 +322,20 @@ pub fn analysis_sections(a: &Analysis, analytical: Option<&dyn Fn(u64) -> f64>) 
             format!("{:.1}%", s.late_drop_rate() * 100.0),
             s.final_v_train.to_string(),
             secs(s.advance_interval_mean),
+        ]);
+    }
+    tables.push(t);
+
+    let mut t = Table::new(
+        "server time per phase",
+        &["shard", "apply", "release", "pull"],
+    );
+    for p in phases {
+        t.row(vec![
+            p.shard.to_string(),
+            format!("{:.6}s", p.apply_secs),
+            format!("{:.6}s", p.release_secs),
+            format!("{:.6}s", p.pull_secs),
         ]);
     }
     tables.push(t);
@@ -496,14 +487,15 @@ mod tests {
             EventKind::PushApplied,
             RecordArgs::new().shard(0).worker(1).progress(0),
         );
-        let a = fluentps_obs::analyze::analyze(&collector.snapshot());
+        let (a, phases) = fluentps_obs::analyze::analyze_phases(&collector.snapshot());
         let analytical = |k: u64| if k >= 2 { 1.0 } else { 0.0 };
-        let tables = analysis_sections(&a, Some(&analytical));
+        let tables = analysis_sections(&a, &phases, Some(&analytical));
         let titles: Vec<&str> = [
             "per-worker time breakdown",
             "straggler scoreboard",
             "progress spread over time",
             "per-shard sync health",
+            "server time per phase",
             "staleness at pull time",
             "block rate per gap",
             "critical path",
@@ -525,7 +517,7 @@ mod tests {
             .unwrap();
         assert!(block.contains("1.000"), "analytical Pr missing: {block}");
         // Without an analytical curve the column renders as a dash.
-        let plain = analysis_sections(&a, None);
+        let plain = analysis_sections(&a, &phases, None);
         assert!(plain.iter().any(|t| t.render().contains("—")));
     }
 

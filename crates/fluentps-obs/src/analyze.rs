@@ -117,6 +117,24 @@ impl ShardHealth {
     }
 }
 
+/// Seconds one shard's server spent in each phase of its step, summed
+/// over the `dur` of the event that closes the phase: `PushApplied` spans
+/// a push's apply, `DprReleased` the answer to a released DPR, and
+/// `PullRequested` a pull's evaluation plus, when it is answered at once,
+/// the gather of its reply. All 0 on the simulator's virtual clock, where a
+/// step takes no time.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ServerPhases {
+    /// Shard (server) id.
+    pub shard: u32,
+    /// Seconds applying pushes.
+    pub apply_secs: f64,
+    /// Seconds answering released DPRs.
+    pub release_secs: f64,
+    /// Seconds evaluating pulls and answering the granted ones.
+    pub pull_secs: f64,
+}
+
 /// Pull outcomes at one staleness gap `k = progress - v_train`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GapStat {
@@ -256,17 +274,23 @@ impl Analysis {
 /// [`critical_path`] walks the buffered events *backwards* from the fold's
 /// longest-residence DPR pair.
 pub fn analyze(trace: &Trace) -> Analysis {
+    analyze_phases(trace).0
+}
+
+/// [`analyze()`], plus each shard's [`ServerPhases`] from the same replay.
+pub fn analyze_phases(trace: &Trace) -> (Analysis, Vec<ServerPhases>) {
     let mut fold = StreamAnalyzer::new(StreamConfig::all_run());
     for ev in &trace.events {
         fold.ingest(ev);
     }
-    Analysis {
+    let analysis = Analysis {
         recorded: trace.counts,
         dropped: trace.dropped,
         spread: progress_spread(trace),
         critical_path: critical_path(trace, fold.longest_dpr()),
         ..fold.analysis()
-    }
+    };
+    (analysis, fold.server_phases())
 }
 
 fn progress_spread(trace: &Trace) -> Vec<SpreadPoint> {

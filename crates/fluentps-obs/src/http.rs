@@ -40,12 +40,6 @@
 //!   `key value` text, and the alert transition history plus current rule
 //!   states as JSONL (`application/x-ndjson`, like `/trace`). The engine's
 //!   gauges are also refreshed into `/metrics` on every scrape.
-//! * `GET /profile?format=folded|speedscope&metric=time|allocs|bytes` —
-//!   when a [`ProfCollector`](crate::prof::ProfCollector) is attached
-//!   ([`Endpoints::prof`]): a live snapshot of this node's span profile, as
-//!   flamegraph folded-stack text (the default; `metric` picks self time,
-//!   allocation count or allocated bytes) or as speedscope JSON carrying
-//!   all three metrics as separate profiles.
 //!
 //! Security note: callers should bind loopback (`127.0.0.1:0`) unless the
 //! endpoint is deliberately exposed — everything the server reports is
@@ -66,7 +60,6 @@ use crate::event::{EventKind, KINDS};
 use crate::export;
 use crate::health::HealthView;
 use crate::metrics::MetricsRegistry;
-use crate::prof::{ProfCollector, ProfMetric};
 use crate::stream::HealthEngine;
 use crate::tracer::{Trace, TraceCollector};
 use crate::waterfall;
@@ -140,8 +133,6 @@ pub struct Endpoints {
     pub health: Option<HealthView>,
     /// `/slo` and `/alerts`, and the engine's gauges on `/metrics`.
     pub engine: Option<HealthEngine>,
-    /// `/profile`.
-    pub prof: Option<ProfCollector>,
 }
 
 /// Serve `endpoints` on `addr` until the returned handle is stopped or
@@ -153,7 +144,6 @@ pub fn serve(addr: SocketAddr, endpoints: Endpoints) -> std::io::Result<Introspe
         trace: source,
         health,
         engine,
-        prof,
     } = endpoints;
     // Every served registry carries process metadata (uptime epoch and
     // build version) so scrapes can correlate runs.
@@ -176,7 +166,6 @@ pub fn serve(addr: SocketAddr, endpoints: Endpoints) -> std::io::Result<Introspe
                         source.as_ref(),
                         health.as_ref(),
                         engine.as_ref(),
-                        prof.as_ref(),
                     );
                 }
             }
@@ -224,7 +213,6 @@ fn handle_connection(
     source: Option<&TraceSource>,
     health: Option<&HealthView>,
     engine: Option<&HealthEngine>,
-    prof: Option<&ProfCollector>,
 ) -> std::io::Result<()> {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let Some(head) = read_request_head(&mut stream)? else {
@@ -279,31 +267,6 @@ fn handle_connection(
                 &eng.alerts_jsonl(),
             ),
             None => respond(&mut stream, 404, "text/plain", "no health engine\n"),
-        },
-        "/profile" => match prof {
-            Some(col) => {
-                let report = col.snapshot();
-                match query_param(query, "format").unwrap_or("folded") {
-                    "folded" => {
-                        let Ok(metric) = parse_param(query, "metric", ProfMetric::parse) else {
-                            return bad_request(
-                                &mut stream,
-                                "bad metric: expect time, allocs or bytes\n",
-                            );
-                        };
-                        let metric = metric.unwrap_or(ProfMetric::SelfTime);
-                        respond(&mut stream, 200, "text/plain", &report.folded(metric))
-                    }
-                    "speedscope" => respond(
-                        &mut stream,
-                        200,
-                        "application/json",
-                        &report.speedscope("fluentps profile"),
-                    ),
-                    _ => bad_request(&mut stream, "bad format: expect folded or speedscope\n"),
-                }
-            }
-            None => respond(&mut stream, 404, "text/plain", "no profiler\n"),
         },
         "/trace" => match source {
             Some(src) => {
@@ -930,59 +893,6 @@ mod tests {
         // The trace totals come from the collector's counters, not a merge.
         assert!(body.contains("trace_events_recorded{kind=\"push_applied\"} 2"));
         assert!(body.contains("trace_events_dropped 1"));
-        server.stop();
-    }
-
-    #[test]
-    fn profile_route_serves_folded_and_speedscope() {
-        use crate::prof::ProfCollector;
-        let col = ProfCollector::wall();
-        let prof = col.profiler();
-        {
-            let _outer = prof.enter("server/handle");
-            let _inner = prof.enter("wire/encode");
-        }
-        let server = bind(Endpoints {
-            prof: Some(col),
-            ..Endpoints::default()
-        });
-        let addr = server.local_addr();
-
-        let (status, body) = get(addr, "/profile");
-        assert_eq!(status, 200);
-        assert!(body.contains("server/handle;wire/encode "), "{body}");
-        for line in body.lines() {
-            let (_, v) = line.rsplit_once(' ').expect("`path value` line");
-            v.parse::<u64>().expect("integer value");
-        }
-
-        let (status, folded_allocs) = get(addr, "/profile?format=folded&metric=allocs");
-        assert_eq!(status, 200);
-        assert!(folded_allocs.contains("server/handle "));
-
-        let (status, ss) = get(addr, "/profile?format=speedscope");
-        assert_eq!(status, 200);
-        crate::json::validate(&ss).expect("speedscope body is valid JSON");
-        assert!(ss.contains("\"$schema\""));
-
-        assert_eq!(get(addr, "/profile?format=bogus").0, 400);
-        assert_eq!(get(addr, "/profile?metric=bogus").0, 400);
-
-        // The profiled bind also seeded process metadata.
-        let (_, metrics) = get(addr, "/metrics");
-        assert!(metrics.contains("process_start_seconds"), "{metrics}");
-        assert!(
-            metrics.contains("fluentps_build_info{version="),
-            "{metrics}"
-        );
-        server.stop();
-    }
-
-    #[test]
-    fn profile_route_without_collector_is_404() {
-        let server = bind(Endpoints::default());
-        let (status, _) = get(server.local_addr(), "/profile");
-        assert_eq!(status, 404);
         server.stop();
     }
 

@@ -24,10 +24,6 @@
 //!   causally-consistent [`Trace`] with exact per-node drop accounting.
 //! * [`metrics`] — a registry of labeled counters, gauges and
 //!   [`Histogram`]s with a plain-text renderer.
-//! * [`prof`] — the in-process cooperative profiler: RAII span guards on a
-//!   per-thread stack, aggregation by full stack path into call count +
-//!   self/total time + allocation deltas (via the counting allocator in
-//!   `fluentps-util`), with folded-stack and speedscope exports.
 //! * [`export`] — Chrome trace-event JSON (open in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev)), JSONL, and a human-readable text
 //!   summary. DPR defer→release pairs become duration spans.
@@ -73,14 +69,13 @@ pub mod hist;
 pub mod http;
 pub mod json;
 pub mod metrics;
-pub mod prof;
 pub mod ring;
 pub mod stream;
 pub mod tracer;
 pub mod waterfall;
 
 pub use alert::{AlertEngine, AlertMetric, AlertRule, AlertTransition};
-pub use analyze::{analyze, Analysis};
+pub use analyze::{analyze, Analysis, ServerPhases};
 pub use clock::{ClockSource, VirtualClock};
 pub use collect::{ClusterCollector, Hlc, NodeStats, OffsetEstimator};
 pub use event::{EventKind, TraceEvent, KINDS, NO_ID};
@@ -88,7 +83,6 @@ pub use health::{ConsensusHealth, HealthView, NodeHealth};
 pub use hist::Histogram;
 pub use http::{IntrospectionServer, TraceSource};
 pub use metrics::{MetricsRegistry, MetricsScope};
-pub use prof::{ProfCollector, ProfMetric, ProfileReport, Profiler, SpanGuard, SpanStat};
 pub use stream::{
     HealthEngine, HealthTap, StreamAnalyzer, StreamConfig, WindowStats, WindowedHistogram,
 };

@@ -49,7 +49,7 @@ use std::time::Duration;
 use fluentps_util::sync::Mutex;
 
 use crate::alert::{AlertEngine, AlertRule, AlertTransition};
-use crate::analyze::{Analysis, GapStat, ShardHealth, WorkerBreakdown};
+use crate::analyze::{Analysis, GapStat, ServerPhases, ShardHealth, WorkerBreakdown};
 use crate::event::{EventKind, TraceEvent, KINDS, NO_ID};
 use crate::hist::Histogram;
 use crate::metrics::MetricsRegistry;
@@ -341,11 +341,12 @@ impl DprPairing {
     }
 }
 
-/// All-run state of one shard: its [`ShardHealth`] plus what the
-/// `V_train` cadence needs between events.
+/// All-run state of one shard: its [`ShardHealth`] and [`ServerPhases`]
+/// plus what the `V_train` cadence needs between events.
 #[derive(Debug)]
 struct ShardFold {
     health: ShardHealth,
+    phases: ServerPhases,
     last_advance: Option<f64>,
     /// Sum of the gaps between consecutive `VTrainAdvanced` events.
     advance_secs: f64,
@@ -536,6 +537,10 @@ impl StreamAnalyzer {
                     shard: ev.shard,
                     ..ShardHealth::default()
                 },
+                phases: ServerPhases {
+                    shard: ev.shard,
+                    ..ServerPhases::default()
+                },
                 last_advance: None,
                 advance_secs: 0.0,
             });
@@ -543,6 +548,9 @@ impl StreamAnalyzer {
             sh.final_v_train = sh.final_v_train.max(ev.v_train);
             match ev.kind {
                 EventKind::PullDeferred | EventKind::DprReleased => {
+                    if ev.kind == EventKind::DprReleased {
+                        fold.phases.release_secs += ev.dur;
+                    }
                     if let Some(deferral) = self.dprs.feed(ev) {
                         let deferred_at = deferral.ts;
                         let residence = (ev.ts - deferred_at).max(0.0);
@@ -570,7 +578,11 @@ impl StreamAnalyzer {
                         }
                     }
                 }
-                EventKind::PushApplied => sh.pushes += 1,
+                EventKind::PushApplied => {
+                    sh.pushes += 1;
+                    fold.phases.apply_secs += ev.dur;
+                }
+                EventKind::PullRequested => fold.phases.pull_secs += ev.dur,
                 EventKind::LatePushDropped => sh.late_drops += 1,
                 EventKind::VTrainAdvanced => {
                     sh.v_train_advances += 1;
@@ -725,6 +737,11 @@ impl StreamAnalyzer {
             unmatched_recvs: self.unmatched_recvs,
             ..Analysis::default()
         }
+    }
+
+    /// Each shard's server time per phase so far, sorted by shard id.
+    pub fn server_phases(&self) -> Vec<ServerPhases> {
+        self.shards.values().map(|fold| fold.phases).collect()
     }
 
     /// The longest-residence matched DPR pair so far (ties: the latest).
@@ -1267,6 +1284,45 @@ mod tests {
         // Recording into an evicted window clamps into range.
         wh.record(5, 7);
         assert_eq!(wh.sliding(3).count(), 1);
+    }
+
+    #[test]
+    fn the_fold_sums_each_shards_server_time_per_phase() {
+        use EventKind::*;
+        let mut s = StreamAnalyzer::new(StreamConfig::all_run());
+        let ev = |kind, shard, dur| TraceEvent {
+            ts: 1.0,
+            dur,
+            kind,
+            shard,
+            worker: 0,
+            ..Default::default()
+        };
+        for e in [
+            ev(PushApplied, 0, 0.25),
+            ev(PullRequested, 0, 0.125),
+            ev(PullDeferred, 0, 0.0),
+            ev(PushApplied, 0, 0.5),
+            ev(DprReleased, 0, 0.0625),
+            ev(PullRequested, 1, 1.0),
+            ev(PushApplied, 1, 2.0),
+            // A span of any other kind is no server phase.
+            ev(BarrierWait, NO_ID, 8.0),
+            ev(LatePushDropped, 1, 4.0),
+            ev(WireRecv, 1, 16.0),
+        ] {
+            s.ingest(&e);
+        }
+        let phases = |shard, apply_secs, release_secs, pull_secs| ServerPhases {
+            shard,
+            apply_secs,
+            release_secs,
+            pull_secs,
+        };
+        assert_eq!(
+            s.server_phases(),
+            [phases(0, 0.75, 0.0625, 0.125), phases(1, 2.0, 0.0, 1.0)]
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use fluentps_obs::clock::ClockSource;
 use fluentps_obs::collect::{ClusterCollector, NodeStats};
-use fluentps_obs::{OffsetEstimator, Profiler, Trace, TraceCollector, Tracer};
+use fluentps_obs::{OffsetEstimator, Trace, TraceCollector};
 use fluentps_util::sync::{Mutex, StopFlag};
 
 use crate::error::TransportError;
@@ -221,20 +221,13 @@ pub struct TraceStreamer {
 impl TraceStreamer {
     /// Start streaming `collector`'s events to `addr`, identifying as
     /// `node`. The streamer owns its cursor: use one streamer per
-    /// `TraceCollector`. Each ring drain (poll, chunk, send) runs under a
-    /// `streamer/drain` span of `profiler` on the streamer thread (frames
-    /// under `wire/encode`), so a profile shows what the plumbing cost.
-    pub fn start(
-        node: NodeId,
-        collector: &TraceCollector,
-        addr: SocketAddr,
-        profiler: Profiler,
-    ) -> TraceStreamer {
+    /// `TraceCollector`.
+    pub fn start(node: NodeId, collector: &TraceCollector, addr: SocketAddr) -> TraceStreamer {
         let stop = Arc::new(StopFlag::new());
         let (col, thread_stop) = (collector.clone(), Arc::clone(&stop));
         let handle = std::thread::Builder::new()
             .name(format!("trace-streamer-{node}"))
-            .spawn(move || stream_loop(node, col, addr, thread_stop, profiler))
+            .spawn(move || stream_loop(node, col, addr, thread_stop))
             .expect("spawn trace streamer thread");
         TraceStreamer {
             stop,
@@ -287,15 +280,13 @@ fn stream_loop(
     col: TraceCollector,
     addr: SocketAddr,
     stop: Arc<StopFlag>,
-    profiler: Profiler,
 ) -> StreamerReport {
     let mut report = StreamerReport::default();
     let book = AddressBook::new();
     book.insert(NodeId::Collector, addr);
     // Nobody dials a streamer: its listener stays on loopback.
     let unlisted = SocketAddr::from((Ipv4Addr::LOCALHOST, 0));
-    let quiet = Tracer::disabled();
-    let Ok(tcp) = TcpNode::bind_profiled(node, unlisted, book, quiet, profiler.clone()) else {
+    let Ok(tcp) = TcpNode::bind(node, unlisted, book) else {
         return report;
     };
     let postman = tcp.postman();
@@ -311,7 +302,6 @@ fn stream_loop(
             };
             estimator.add_sample(t_send, t_collector, t_recv);
         }
-        let _span = profiler.enter("streamer/drain");
         let polled = cursor.poll();
         // At least one (possibly empty) frame, so cumulative accounting
         // reaches the collector even when nothing new was recorded.
@@ -381,12 +371,7 @@ mod tests {
         let mut service = CollectorService::bind(loopback(), 1 << 14).unwrap();
         let col = TraceCollector::wall(1 << 12);
         let tracer = col.tracer();
-        let streamer = TraceStreamer::start(
-            NodeId::Worker(3),
-            &col,
-            service.local_addr(),
-            Profiler::disabled(),
-        );
+        let streamer = TraceStreamer::start(NodeId::Worker(3), &col, service.local_addr());
         for i in 0..200u64 {
             tracer.record(
                 EventKind::PushApplied,
@@ -426,12 +411,7 @@ mod tests {
         for i in 0..1000u64 {
             tracer.record(EventKind::WireSend, RecordArgs::new().progress(i));
         }
-        let streamer = TraceStreamer::start(
-            NodeId::Server(1),
-            &col,
-            service.local_addr(),
-            Profiler::disabled(),
-        );
+        let streamer = TraceStreamer::start(NodeId::Server(1), &col, service.local_addr());
         let report = streamer.stop();
         assert!(report.connected);
         let stats = service.node_stats();
@@ -449,18 +429,8 @@ mod tests {
         let col_b = TraceCollector::wall(256);
         let ta = col_a.tracer();
         let tb = col_b.tracer();
-        let sa = TraceStreamer::start(
-            NodeId::Worker(0),
-            &col_a,
-            service.local_addr(),
-            Profiler::disabled(),
-        );
-        let sb = TraceStreamer::start(
-            NodeId::Server(0),
-            &col_b,
-            service.local_addr(),
-            Profiler::disabled(),
-        );
+        let sa = TraceStreamer::start(NodeId::Worker(0), &col_a, service.local_addr());
+        let sb = TraceStreamer::start(NodeId::Server(0), &col_b, service.local_addr());
         for i in 0..50u64 {
             ta.record(EventKind::WireSend, RecordArgs::new().worker(0).progress(i));
             tb.record(EventKind::WireRecv, RecordArgs::new().shard(0).progress(i));
@@ -485,12 +455,7 @@ mod tests {
         service.attach_health(&engine);
         let col = TraceCollector::wall(256);
         let tracer = col.tracer();
-        let streamer = TraceStreamer::start(
-            NodeId::Worker(0),
-            &col,
-            service.local_addr(),
-            Profiler::disabled(),
-        );
+        let streamer = TraceStreamer::start(NodeId::Worker(0), &col, service.local_addr());
         for i in 0..40u64 {
             tracer.record(
                 EventKind::PullRequested,
@@ -510,7 +475,7 @@ mod tests {
         let tracer = col.tracer();
         tracer.record(EventKind::PushApplied, RecordArgs::new());
         let addr = dead_port();
-        let streamer = TraceStreamer::start(NodeId::Worker(9), &col, addr, Profiler::disabled());
+        let streamer = TraceStreamer::start(NodeId::Worker(9), &col, addr);
         std::thread::sleep(Duration::from_millis(30));
         let report = streamer.stop();
         assert!(!report.connected);
@@ -529,7 +494,7 @@ mod tests {
                 tracer.record(EventKind::PushApplied, RecordArgs::new().progress(i));
             }
         };
-        let streamer = TraceStreamer::start(NodeId::Worker(4), &col, addr, Profiler::disabled());
+        let streamer = TraceStreamer::start(NodeId::Worker(4), &col, addr);
         record(HEAD);
         // Long enough for many drains to find nobody there.
         std::thread::sleep(Duration::from_millis(1500));
@@ -589,7 +554,7 @@ mod tests {
         // And collection goes on for everybody else.
         let col = TraceCollector::wall(256);
         let at = service.local_addr();
-        let streamer = TraceStreamer::start(NodeId::Server(0), &col, at, Profiler::disabled());
+        let streamer = TraceStreamer::start(NodeId::Server(0), &col, at);
         col.tracer()
             .record(EventKind::PushApplied, RecordArgs::new());
         assert_eq!(streamer.stop().events_sent, 1);
@@ -649,7 +614,7 @@ mod tests {
 
         let col = TraceCollector::wall(256);
         let at = service.local_addr();
-        let streamer = TraceStreamer::start(NodeId::Worker(0), &col, at, Profiler::disabled());
+        let streamer = TraceStreamer::start(NodeId::Worker(0), &col, at);
         col.tracer()
             .record(EventKind::PushApplied, RecordArgs::new());
         assert_eq!(streamer.stop().events_sent, 1);

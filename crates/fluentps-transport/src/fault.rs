@@ -28,7 +28,6 @@ use std::time::Duration;
 
 use crate::msg::{Message, NodeId};
 use crate::{Flow, Input, Mailbox, Network, Postman, Step, TransportError};
-use fluentps_obs::Profiler;
 
 /// Coarse message classes a [`FaultRule`] can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -370,12 +369,8 @@ impl<N: Network> Network for FaultyNetwork<N> {
     type Postman = FaultyPostman<N::Postman>;
     type Mailbox = FaultyMailbox<N::Mailbox>;
 
-    fn bind(
-        &self,
-        node: NodeId,
-        profiler: &Profiler,
-    ) -> Result<(Self::Postman, Self::Mailbox), TransportError> {
-        let (postman, mailbox) = self.inner.bind(node, profiler)?;
+    fn bind(&self, node: NodeId) -> Result<(Self::Postman, Self::Mailbox), TransportError> {
+        let (postman, mailbox) = self.inner.bind(node)?;
         let injector = &self.injector;
         Ok((
             injector.postman(node, postman),

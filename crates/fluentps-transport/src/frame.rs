@@ -13,7 +13,6 @@
 
 use std::io::{self, BufRead, IoSlice, Read, Write};
 
-use fluentps_obs::Profiler;
 use fluentps_util::buf::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::codec;
@@ -122,8 +121,7 @@ pub fn wire_len(msg: &Message) -> usize {
 /// Write the frames of `msgs`, all from `from`, to `w` as one gathered
 /// write: the bytes `w` receives are exactly the concatenation of
 /// [`encode_frame`] of each message. Heads (and whole payload-free frames)
-/// are encoded back to back into `scratch`, each under a `wire/encode`
-/// span; value payloads are handed to `w` from the messages themselves, so
+/// are encoded back to back into `scratch`; value payloads are handed to `w` from the messages themselves, so
 /// `scratch` stays head-sized however large the tensors are. `scratch` must
 /// come in empty and is left empty.
 pub fn write_frames<'m, W: Write>(
@@ -131,14 +129,12 @@ pub fn write_frames<'m, W: Write>(
     from: NodeId,
     msgs: impl IntoIterator<Item = &'m Message>,
     scratch: &mut BytesMut,
-    prof: &Profiler,
 ) -> io::Result<()> {
     debug_assert!(scratch.is_empty(), "scratch holds an unwritten batch");
     // Where in `scratch` each payload-bearing frame's head ends, with the
     // payload that follows it there.
     let mut cuts: Vec<(usize, &[u8])> = Vec::new();
     for msg in msgs {
-        let _span = prof.enter("wire/encode");
         let payload = encode_frame_head_into(from, msg, scratch);
         if !payload.is_empty() {
             cuts.push((scratch.len(), payload));
@@ -248,22 +244,16 @@ impl FrameReader {
 
     /// [`FrameReader::read_from`] that tells a clean close from a broken
     /// stream: `Ok(None)` when `r` ended at a frame boundary, an error when
-    /// it ended (or corrupted) anywhere else. The *decode* step runs under a
-    /// `wire/decode` profiler span; the blocking socket reads stay outside
-    /// it deliberately: time spent waiting for bytes is wire latency (the
-    /// tracer's territory), not decode cost.
+    /// it ended (or corrupted) anywhere else.
     pub fn read_next<R: BufRead>(
         &mut self,
         r: &mut R,
-        prof: &Profiler,
     ) -> Result<Option<(NodeId, Message)>, TransportError> {
         loop {
             match r.fill_buf() {
                 Ok([]) => return Ok(None),
                 Ok(_) => {
-                    let body = read_body(r)?;
-                    let _span = prof.enter("wire/decode");
-                    return decode_frame_body(body).map(Some);
+                    return decode_frame_body(read_body(r)?).map(Some);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
@@ -405,7 +395,6 @@ mod tests {
 
     #[test]
     fn write_frames_is_concatenated_encode_frame_with_a_head_sized_scratch() {
-        use fluentps_obs::ProfCollector;
         let msgs = [
             Message::PushAck {
                 server: 1,
@@ -434,10 +423,9 @@ mod tests {
             .flat_map(|m| encode_frame(from, m).to_vec())
             .collect();
 
-        let col = ProfCollector::wall();
         let mut scratch = BytesMut::new();
         let mut whole = Vec::new();
-        write_frames(&mut whole, from, &msgs, &mut scratch, &col.profiler()).unwrap();
+        write_frames(&mut whole, from, &msgs, &mut scratch).unwrap();
         assert_eq!(whole, expect);
         assert!(scratch.is_empty());
         assert!(
@@ -445,7 +433,6 @@ mod tests {
             "scratch grew to {} for 17 KB of values",
             scratch.capacity()
         );
-        assert_eq!(col.snapshot().spans["wire/encode"].count, msgs.len() as u64);
 
         // However few bytes the writer takes per call, and with no frames
         // at all.
@@ -454,11 +441,11 @@ mod tests {
                 got: Vec::new(),
                 step,
             };
-            write_frames(&mut w, from, &msgs, &mut scratch, &Profiler::disabled()).unwrap();
+            write_frames(&mut w, from, &msgs, &mut scratch).unwrap();
             assert_eq!(w.got, expect, "step {step}");
         }
         let mut none = Vec::new();
-        write_frames(&mut none, from, &[], &mut scratch, &Profiler::disabled()).unwrap();
+        write_frames(&mut none, from, &[], &mut scratch).unwrap();
         assert!(none.is_empty());
 
         // A writer that takes nothing is an error, not a spin.
@@ -466,34 +453,9 @@ mod tests {
             got: Vec::new(),
             step: 0,
         };
-        let err = write_frames(&mut stuck, from, &msgs, &mut scratch, &Profiler::disabled());
+        let err = write_frames(&mut stuck, from, &msgs, &mut scratch);
         assert_eq!(err.unwrap_err().kind(), io::ErrorKind::WriteZero);
         assert!(scratch.is_empty(), "scratch is cleared on failure too");
-    }
-
-    #[test]
-    fn profiled_read_matches_plain_and_records_the_decode_span() {
-        use fluentps_obs::ProfCollector;
-        let msg = Message::SPush {
-            worker: 2,
-            progress: 5,
-            kv: KvPairs::single(1, vec![0.25; 16]),
-        };
-        let col = ProfCollector::wall();
-        let prof = col.profiler();
-        let frame = encode_frame(NodeId::Worker(2), &msg);
-        let mut reader = FrameReader::new();
-        let got = reader
-            .read_next(&mut Cursor::new(frame.to_vec()), &prof)
-            .unwrap();
-        assert_eq!(got, Some((NodeId::Worker(2), msg)));
-        assert_eq!(col.snapshot().spans["wire/decode"].count, 1);
-        // Disabled profiler: same result, nothing recorded.
-        let plain = reader.read_from(&mut Cursor::new(frame.to_vec())).unwrap();
-        let quiet = reader
-            .read_next(&mut Cursor::new(frame.to_vec()), &Profiler::disabled())
-            .unwrap();
-        assert_eq!(Some(plain), quiet);
     }
 
     #[test]
@@ -578,22 +540,21 @@ mod tests {
 
     #[test]
     fn read_next_tells_a_clean_end_from_a_broken_one() {
-        let prof = Profiler::disabled();
         let frame = encode_frame(NodeId::Worker(0), &Message::Shutdown);
         let mut reader = FrameReader::new();
         // Two frames, then the end: two messages, then `None`, for good.
         let mut stream = Cursor::new([&frame[..], &frame[..]].concat());
         for _ in 0..2 {
-            let got = reader.read_next(&mut stream, &prof).unwrap();
+            let got = reader.read_next(&mut stream).unwrap();
             assert_eq!(got, Some((NodeId::Worker(0), Message::Shutdown)));
         }
-        assert_eq!(reader.read_next(&mut stream, &prof).unwrap(), None);
-        assert_eq!(reader.read_next(&mut stream, &prof).unwrap(), None);
+        assert_eq!(reader.read_next(&mut stream).unwrap(), None);
+        assert_eq!(reader.read_next(&mut stream).unwrap(), None);
         // An end anywhere inside a frame — the length word included — is an
         // error, not an end.
         for cut in 1..frame.len() {
             let mut stream = Cursor::new(&frame[..cut]);
-            let err = reader.read_next(&mut stream, &prof).unwrap_err();
+            let err = reader.read_next(&mut stream).unwrap_err();
             assert!(
                 matches!(&err, TransportError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
                 "cut at {cut}: {err:?}"

@@ -17,7 +17,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fluentps_obs::Profiler;
 use fluentps_util::sync::RwLock;
 use fluentps_util::sync::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
 
@@ -89,18 +88,13 @@ impl Fabric {
     }
 }
 
-/// Binding is [`Fabric::register`]: it never fails, and nothing is encoded
-/// to profile.
+/// Binding is [`Fabric::register`]: it never fails.
 impl Network for Fabric {
     const NAME: &'static str = "threaded";
     type Postman = InprocPostman;
     type Mailbox = Endpoint;
 
-    fn bind(
-        &self,
-        node: NodeId,
-        _: &Profiler,
-    ) -> Result<(InprocPostman, Endpoint), TransportError> {
+    fn bind(&self, node: NodeId) -> Result<(InprocPostman, Endpoint), TransportError> {
         let endpoint = self.register(node);
         Ok((endpoint.postman(), endpoint))
     }

@@ -54,8 +54,6 @@ pub use values::{Values, ValuesMut};
 
 use std::any::Any;
 
-use fluentps_obs::Profiler;
-
 /// What a [`Mailbox::serve`] step is called with.
 #[derive(Debug)]
 pub enum Input {
@@ -193,13 +191,8 @@ pub trait Network {
     /// The receiving half of a node bound here.
     type Mailbox: Mailbox + 'static;
 
-    /// Bind `node`. A network that encodes frames profiles that into
-    /// `profiler` (`wire/encode`, `wire/decode`).
-    fn bind(
-        &self,
-        node: NodeId,
-        profiler: &Profiler,
-    ) -> Result<(Self::Postman, Self::Mailbox), TransportError>;
+    /// Bind `node`.
+    fn bind(&self, node: NodeId) -> Result<(Self::Postman, Self::Mailbox), TransportError>;
 }
 
 /// Split `batch` by destination: one `(destination, items)` group per

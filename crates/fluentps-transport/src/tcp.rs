@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fluentps_obs::{EventKind, Profiler, RecordArgs, Tracer, NO_ID};
+use fluentps_obs::{EventKind, RecordArgs, Tracer, NO_ID};
 use fluentps_util::buf::BytesMut;
 use fluentps_util::sync::{take_shortest_slice, Mutex};
 use fluentps_util::sync::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
@@ -94,19 +94,9 @@ impl Network for AddressBook {
     type Postman = TcpPostman;
     type Mailbox = TcpNode;
 
-    fn bind(
-        &self,
-        node: NodeId,
-        profiler: &Profiler,
-    ) -> Result<(TcpPostman, TcpNode), TransportError> {
+    fn bind(&self, node: NodeId) -> Result<(TcpPostman, TcpNode), TransportError> {
         let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, 0));
-        let bound = TcpNode::bind_profiled(
-            node,
-            loopback,
-            self.clone(),
-            Tracer::disabled(),
-            profiler.clone(),
-        )?;
+        let bound = TcpNode::bind(node, loopback, self.clone())?;
         self.insert(node, bound.local_addr());
         Ok((bound.postman(), bound))
     }
@@ -148,13 +138,7 @@ impl Conn {
     /// each as sent.
     fn write(&mut self, shared: &Shared, to: NodeId, msgs: &[&Message]) -> std::io::Result<()> {
         let (from, frames) = (shared.node, msgs.iter().copied());
-        write_frames(
-            &mut self.stream,
-            from,
-            frames,
-            &mut self.buf,
-            &shared.profiler,
-        )?;
+        write_frames(&mut self.stream, from, frames, &mut self.buf)?;
         for msg in msgs {
             shared.trace_frame(EventKind::WireSend, to, msg);
         }
@@ -227,7 +211,7 @@ impl ReadHalf {
     /// Decode the frame the buffer holds the beginning of, reading the rest
     /// of it, and trace it as received.
     fn frame(&mut self, shared: &Shared) -> Result<Envelope, End> {
-        match FrameReader::new().read_next(&mut self.reader, &shared.profiler) {
+        match FrameReader::new().read_next(&mut self.reader) {
             Ok(Some((from, msg))) => {
                 shared.trace_frame(EventKind::WireRecv, from, &msg);
                 Ok((from, msg))
@@ -402,7 +386,6 @@ struct Shared {
     closed: AtomicBool,
     workers: WorkerInputs,
     tracer: Tracer,
-    profiler: Profiler,
 }
 
 impl Shared {
@@ -560,23 +543,23 @@ impl TcpNode {
     /// Bind `node`'s listener on `addr` (use port 0 to let the OS choose; the
     /// actual address is available via [`TcpNode::local_addr`]).
     pub fn bind(node: NodeId, addr: SocketAddr, book: AddressBook) -> Result<Self, TransportError> {
-        Self::bind_profiled(node, addr, book, Tracer::disabled(), Profiler::disabled())
+        Self::bind_with_tracer(node, addr, book, Tracer::disabled())
     }
 
-    /// [`TcpNode::bind`] with frame-level tracing and span profiling. Every
-    /// frame written by this node's postmen records a `wire_send` event and
-    /// every frame it decodes — off an accepted stream or, waiting in
+    /// [`TcpNode::bind`] with frame-level tracing: every frame written by
+    /// this node's postmen records a `wire_send` event and every frame it
+    /// decodes — off an accepted stream or, waiting in
     /// [`Mailbox::recv_from`], off one it dialed — a `wire_recv`, both
-    /// carrying the exact on-the-wire byte count; every frame the postmen
-    /// encode runs under a `wire/encode` span and every frame decoded under
-    /// `wire/decode` (the blocking socket reads stay outside the spans —
-    /// waiting is wire latency, not decode cost).
-    pub fn bind_profiled(
+    /// carrying the exact on-the-wire byte count, and a connection that
+    /// breaks a `connection_lost`. Only tests enable it: every node a
+    /// cluster binds ([`AddressBook`]'s [`Network::bind`], the trace
+    /// streamer's) goes through [`TcpNode::bind`], so a running cluster's
+    /// wire events are the ones its server step and worker clients record.
+    pub fn bind_with_tracer(
         node: NodeId,
         addr: SocketAddr,
         book: AddressBook,
         tracer: Tracer,
-        profiler: Profiler,
     ) -> Result<Self, TransportError> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -589,7 +572,6 @@ impl TcpNode {
             closed: AtomicBool::new(false),
             workers: WorkerInputs::default(),
             tracer,
-            profiler,
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
@@ -702,7 +684,7 @@ fn read_frames(stream: TcpStream, shared: &Shared) {
         }
     };
     let end = loop {
-        match frames.read_next(&mut reader, &shared.profiler) {
+        match frames.read_next(&mut reader) {
             Ok(Some((from, msg))) => {
                 // Before the frame is handled: its answer takes the route.
                 route.get_or_insert_with(|| {
@@ -1075,8 +1057,7 @@ mod tests {
         let collector = TraceCollector::wall(1024);
         let book = AddressBook::new();
         let traced = |node, book| {
-            let quiet = Profiler::disabled();
-            TcpNode::bind_profiled(node, loopback(), book, collector.tracer(), quiet).unwrap()
+            TcpNode::bind_with_tracer(node, loopback(), book, collector.tracer()).unwrap()
         };
         let server = traced(NodeId::Server(2), book.clone());
         book.insert(NodeId::Server(2), server.local_addr());
@@ -1224,8 +1205,8 @@ mod tests {
         let collector = TraceCollector::wall(64);
         let book = AddressBook::new();
         let (here, peer) = (NodeId::Server(2), NodeId::Worker(7));
-        let (tracer, quiet) = (collector.tracer(), Profiler::disabled());
-        let server = TcpNode::bind_profiled(here, loopback(), book.clone(), tracer, quiet).unwrap();
+        let tracer = collector.tracer();
+        let server = TcpNode::bind_with_tracer(here, loopback(), book.clone(), tracer).unwrap();
         book.insert(here, server.local_addr());
         let received = || {
             let got = server.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -1359,9 +1340,9 @@ mod tests {
         use fluentps_obs::TraceCollector;
         let collector = TraceCollector::wall(64);
         let book = AddressBook::new();
-        let (tracer, quiet) = (collector.tracer(), Profiler::disabled());
+        let tracer = collector.tracer();
         let server =
-            TcpNode::bind_profiled(SERVER, loopback(), AddressBook::new(), tracer, quiet).unwrap();
+            TcpNode::bind_with_tracer(SERVER, loopback(), AddressBook::new(), tracer).unwrap();
         book.insert(SERVER, server.local_addr());
         let worker = TcpNode::bind(WORKER, loopback(), book).unwrap();
 
@@ -1440,8 +1421,8 @@ mod tests {
         let book = AddressBook::new();
         book.insert(SERVER, listener.local_addr().unwrap());
         let collector = TraceCollector::wall(64);
-        let (tracer, quiet) = (collector.tracer(), Profiler::disabled());
-        let worker = TcpNode::bind_profiled(WORKER, loopback(), book, tracer, quiet).unwrap();
+        let worker =
+            TcpNode::bind_with_tracer(WORKER, loopback(), book, collector.tracer()).unwrap();
         let lost = || collector.totals().0[EventKind::ConnectionLost as usize];
         let dialed_id = || {
             let links = worker.shared.links.lock();

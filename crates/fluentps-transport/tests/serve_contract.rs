@@ -25,7 +25,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fluentps_obs::{ProfCollector, Profiler};
+use fluentps_obs::{EventKind, TraceCollector};
 use fluentps_transport::fault::{FaultInjector, FaultyMailbox};
 use fluentps_transport::frame::{encode_frame, READ_BUFFER};
 use fluentps_transport::tcp::{AddressBook, TcpNode};
@@ -33,6 +33,7 @@ use fluentps_transport::{
     Endpoint, Fabric, Flow, Input, KvPairs, Mailbox, Message, Network, NodeId, Postman,
     TransportError,
 };
+use fluentps_util::alloc::thread_counters;
 use fluentps_util::proptest::prelude::*;
 
 const SERVER: NodeId = NodeId::Server(0);
@@ -58,11 +59,10 @@ fn rig<N: Network, S: Network>(net: &N, senders: &S) -> Rig<N::Mailbox>
 where
     S::Postman: Sync,
 {
-    let quiet = Profiler::disabled();
-    let (_, rx) = net.bind(SERVER, &quiet).unwrap();
+    let (_, rx) = net.bind(SERVER).unwrap();
     let (senders, keep) = (0..SENDERS)
         .map(|w| {
-            let (postman, mailbox) = senders.bind(NodeId::Worker(w), &quiet).unwrap();
+            let (postman, mailbox) = senders.bind(NodeId::Worker(w)).unwrap();
             (
                 Box::new(postman) as Box<dyn Postman + Sync>,
                 Box::new(mailbox) as Box<dyn Mailbox>,
@@ -902,9 +902,9 @@ struct ClientRig<M> {
     served: std::thread::JoinHandle<()>,
     /// The injector in front of `client`, when there is one.
     injector: Option<FaultInjector>,
-    /// TCP: the client node's own profile, which counts the frames its
+    /// TCP: the client node's own trace, which counts the frames its
     /// reader threads have decoded.
-    decoded: Option<ProfCollector>,
+    decoded: Option<TraceCollector>,
     _keep: Box<dyn Mailbox>,
 }
 
@@ -916,13 +916,8 @@ impl<M> ClientRig<M> {
     /// and when that has been decoded `msg` has been delivered.
     fn queue(&self, msg: Message, marker: u64) {
         let decoded = || {
-            let profile = self.decoded.as_ref()?.snapshot();
-            Some(
-                profile
-                    .spans
-                    .get("wire/decode")
-                    .map_or(0, |stat| stat.count),
-            )
+            let trace = self.decoded.as_ref()?;
+            Some(trace.totals().0[EventKind::WireRecv as usize])
         };
         let before = decoded();
         let batch = [msg, beat(1, marker)].map(|msg| (CLIENT, msg));
@@ -938,27 +933,23 @@ impl<M> ClientRig<M> {
     }
 }
 
-/// `SERVER`, an [`Answering`] node, bound on `server`; the client on `net`,
-/// profiled into `decoded`; the third party on `third`.
-fn client_rig<S: Network, N: Network, T: Network>(
+/// `SERVER`, an [`Answering`] node, bound on `server`; the client's halves,
+/// tracing into `decoded`; the third party on `third`.
+fn client_rig<S: Network, P: Postman + Sync + 'static, M, T: Network>(
     server: &S,
-    net: &N,
+    (client_postman, client): (P, M),
     third: &T,
-    decoded: Option<ProfCollector>,
-) -> ClientRig<N::Mailbox>
+    decoded: Option<TraceCollector>,
+) -> ClientRig<M>
 where
-    N::Postman: Sync,
     T::Postman: Sync,
 {
-    let quiet = Profiler::disabled();
-    let (postman, served) = server.bind(SERVER, &quiet).unwrap();
+    let (postman, served) = server.bind(SERVER).unwrap();
     let answering = Answering {
         postman,
         held: Vec::new(),
     };
-    let profiler = decoded.as_ref().map(|c| c.profiler()).unwrap_or_default();
-    let (client_postman, client) = net.bind(CLIENT, &profiler).unwrap();
-    let (third, keep) = third.bind(THIRD, &quiet).unwrap();
+    let (third, keep) = third.bind(THIRD).unwrap();
     ClientRig {
         client,
         postman: Box::new(client_postman),
@@ -972,14 +963,26 @@ where
 
 fn inproc_client_rig() -> ClientRig<Endpoint> {
     let fabric = Fabric::new();
-    client_rig(&fabric, &fabric, &fabric, None)
+    client_rig(&fabric, fabric.bind(CLIENT).unwrap(), &fabric, None)
+}
+
+/// The client on `book`, its frames traced into a collector of its own.
+fn traced_client(book: &AddressBook) -> (TcpNode, TraceCollector) {
+    let decoded = TraceCollector::wall(1 << 10);
+    let loopback = "127.0.0.1:0".parse().unwrap();
+    let client = TcpNode::bind_with_tracer(CLIENT, loopback, book.clone(), decoded.tracer());
+    let client = client.unwrap();
+    book.insert(CLIENT, client.local_addr());
+    (client, decoded)
 }
 
 /// The server's book stays empty of the client: it can answer the client
 /// only over the connection the client reached it through.
 fn tcp_client_rig() -> ClientRig<TcpNode> {
     let (server_book, book) = (AddressBook::new(), AddressBook::new());
-    let rig = client_rig(&server_book, &book, &book, Some(ProfCollector::wall()));
+    let (client, decoded) = traced_client(&book);
+    let halves = (client.postman(), client);
+    let rig = client_rig(&server_book, halves, &book, Some(decoded));
     book.insert(SERVER, server_book.get(SERVER).expect("bound"));
     rig
 }
@@ -987,8 +990,12 @@ fn tcp_client_rig() -> ClientRig<TcpNode> {
 fn faulty_tcp_client_rig() -> ClientRig<FaultyMailbox<TcpNode>> {
     let (server_book, book) = (AddressBook::new(), AddressBook::new());
     let injector = FaultInjector::passthrough();
-    let net = injector.network(book.clone());
-    let rig = client_rig(&server_book, &net, &book, Some(ProfCollector::wall()));
+    let (client, decoded) = traced_client(&book);
+    let halves = (
+        injector.postman(CLIENT, client.postman()),
+        injector.mailbox(CLIENT, client),
+    );
+    let rig = client_rig(&server_book, halves, &book, Some(decoded));
     book.insert(SERVER, server_book.get(SERVER).expect("bound"));
     ClientRig {
         injector: Some(injector),
@@ -1063,29 +1070,55 @@ fn faulty_tcp_mailbox_keeps_the_recv_from_contract() {
 
 type Received = Result<Option<(NodeId, Message)>, TransportError>;
 
-/// Wait for `SERVER`'s reply, say so, then wait on the inbox.
-fn reply_then_inbox<M: Mailbox>(client: M, replied: mpsc::Sender<()>) -> (Received, Received) {
-    let reply = client.recv_from(SERVER, Some(LONG));
+/// What `f` returns, and the bytes this thread allocated while it ran.
+fn allocating<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let (_, before) = thread_counters();
+    let got = f();
+    (got, thread_counters().1 - before)
+}
+
+/// Wait for `SERVER`'s reply, say so, then wait on the inbox; each with the
+/// bytes the wait allocated on this thread.
+fn reply_then_inbox<M: Mailbox>(
+    client: M,
+    replied: mpsc::Sender<()>,
+) -> ((Received, u64), (Received, u64)) {
+    let reply = allocating(|| client.recv_from(SERVER, Some(LONG)));
     replied.send(()).unwrap();
-    (reply, client.recv_timeout(LONG))
+    (reply, allocating(|| client.recv_timeout(LONG)))
 }
 
 /// The other hop is gone too, asserted not assumed: the reply of a served
 /// node comes back over the connection the request went out on — its book
 /// is empty, it could not dial — and is decoded by the thread that waits
-/// for it, not by a reader thread of the waiting node.
+/// for it, not by a reader thread of the waiting node. Decoding a frame
+/// allocates its body on the decoding thread, so with a reply and a
+/// third party's frame of [`VALS`] values each, the waiter allocates that
+/// much while it waits for the reply and less while it takes the other
+/// frame from the inbox.
 #[test]
 fn a_reply_is_decoded_on_the_thread_that_waits_for_it() {
     const WAITER: &str = "the-recv-from-caller";
+    const VALS: usize = 1 << 16;
+    let body = VALS as u64 * 4;
+    // [`Answering`] answers with one value per key asked for.
+    let big_pull = Message::SPull {
+        worker: 0,
+        progress: 0,
+        keys: (0..VALS as u64).collect(),
+    };
+    let big_push = Message::SPush {
+        worker: 1,
+        progress: 0,
+        kv: KvPairs::single(0, vec![0.5; VALS]),
+    };
     for faulty in [false, true] {
         let loopback = "127.0.0.1:0".parse().unwrap();
         let server_book = AddressBook::new();
         let server = TcpNode::bind(SERVER, loopback, server_book.clone()).unwrap();
         let book = AddressBook::new();
         book.insert(SERVER, server.local_addr());
-        let spans = ProfCollector::wall();
-        let (quiet, prof) = (fluentps_obs::Tracer::disabled(), spans.profiler());
-        let client = TcpNode::bind_profiled(CLIENT, loopback, book.clone(), quiet, prof).unwrap();
+        let client = TcpNode::bind(CLIENT, loopback, book.clone()).unwrap();
         book.insert(CLIENT, client.local_addr());
         let third = TcpNode::bind(THIRD, loopback, book).unwrap();
         let answering = Answering {
@@ -1094,13 +1127,11 @@ fn a_reply_is_decoded_on_the_thread_that_waits_for_it() {
         };
         let served = std::thread::spawn(move || drop(server.serve(None, answering)));
 
-        client.postman().send(SERVER, pull(0)).unwrap();
+        client.postman().send(SERVER, big_pull.clone()).unwrap();
         let waiter = std::thread::Builder::new().name(WAITER.into());
-        let here = spans.profiler();
         let (replied_tx, replied) = mpsc::channel();
         let waited = move || {
             assert_eq!(std::thread::current().name(), Some(WAITER));
-            let _on_this_thread = here.enter(WAITER);
             if faulty {
                 let client = FaultInjector::passthrough().mailbox(CLIENT, client);
                 reply_then_inbox(client, replied_tx)
@@ -1112,16 +1143,19 @@ fn a_reply_is_decoded_on_the_thread_that_waits_for_it() {
         // Through the listener, for contrast, once the reply has been read
         // (what is queued would come first): a reader thread decodes it.
         replied.recv_timeout(LONG).unwrap();
-        third.postman().send(CLIENT, beat(1, 0)).unwrap();
-        let (reply, other) = waiter.join().unwrap();
-        assert!(response_to(0)(&reply.unwrap()), "faulty mailbox: {faulty}");
-        assert_eq!(other.unwrap(), Some((THIRD, beat(1, 0))));
+        third.postman().send(CLIENT, big_push.clone()).unwrap();
+        let ((reply, on_waiter), (other, off_waiter)) = waiter.join().unwrap();
+        let Some((SERVER, Message::PullResponse { kv, .. })) = reply.unwrap() else {
+            panic!("not the reply (faulty mailbox: {faulty})");
+        };
+        assert_eq!(kv.vals.len(), VALS);
+        assert_eq!(other.unwrap(), Some((THIRD, big_push.clone())));
         assert_eq!(server_book.get(CLIENT), None);
-
-        let spans = spans.snapshot().spans;
-        let decodes = |path: &str| spans.get(path).map_or(0, |stat| stat.count);
-        assert_eq!(decodes(&format!("{WAITER};wire/decode")), 1, "{spans:?}");
-        assert_eq!(decodes("wire/decode"), 1, "{spans:?}");
+        assert!(on_waiter >= body, "reply: {on_waiter} B on the waiter");
+        assert!(
+            off_waiter < body,
+            "third party: {off_waiter} B on the waiter"
+        );
         // The client node went with its waiter.
         third.postman().send(SERVER, Message::Shutdown).unwrap();
         served.join().unwrap();

@@ -9,7 +9,6 @@ use std::io::{self, Read, Write};
 use std::net::TcpListener;
 use std::sync::{Arc, Mutex};
 
-use fluentps_obs::Profiler;
 use fluentps_transport::fault::{FaultAction, FaultInjector, FaultRule, MsgPattern};
 use fluentps_transport::frame::{
     encode_frame, encode_frame_into, write_frame, write_frames, FrameReader,
@@ -152,7 +151,7 @@ proptest! {
         for (m, expect) in expect.iter().enumerate() {
             let msgs = batch.iter().filter(|(to, _)| *to as usize == m).map(|(_, msg)| msg);
             let mut w = Trickle { got: Vec::new(), step };
-            write_frames(&mut w, from, msgs, &mut scratch, &Profiler::disabled()).unwrap();
+            write_frames(&mut w, from, msgs, &mut scratch).unwrap();
             prop_assert_eq!(&w.got, expect);
         }
     }

@@ -1,17 +1,19 @@
 //! A counting global allocator: per-thread allocation accounting on top of
 //! [`std::alloc::System`].
 //!
-//! The profiler (`fluentps-obs::prof`) attributes heap traffic to the
-//! current thread's open span by sampling [`thread_counters`] when a span
-//! opens and again when it closes; the deltas are the span's allocation
-//! count and byte volume. That only works if the program's allocator
-//! actually counts, so this crate installs [`CountingAlloc`] as the
-//! workspace-wide `#[global_allocator]`.
+//! Its readers are the allocation-exactness tests — in `fluentps-core`'s
+//! `server.rs` and `worker.rs`, in `fluentps-transport`'s `frame.rs`,
+//! `tcp.rs` and codec property tests, and the check of which thread decodes
+//! a reply in `serve_contract.rs`: each samples [`thread_counters`] before and after a region of code, and
+//! the deltas are that region's allocation count and byte volume on this
+//! thread. That only works if the program's allocator actually counts, so
+//! this crate installs [`CountingAlloc`] as the workspace-wide
+//! `#[global_allocator]`.
 //!
 //! Cost: two thread-local `Cell` increments per allocation (no locks, no
 //! atomics — the counters are per thread and only ever read from the same
-//! thread). Deallocations are not counted: the profiler's question is
-//! "where do bytes get allocated", not live-heap size. `realloc` counts as
+//! thread). Deallocations are not counted: the tests' question is "what
+//! does this region allocate", not live-heap size. `realloc` counts as
 //! one allocation of the new size (it is a fresh placement as far as the
 //! hot path is concerned). Counters saturate rather than wrap, and the
 //! increments use `try_with` so allocations during thread teardown (after

@@ -6,7 +6,8 @@
 //!
 //! * [`alloc`] — a counting `#[global_allocator]` wrapper over the system
 //!   allocator with per-thread allocation/byte counters, installed
-//!   workspace-wide so the profiler can attribute heap traffic to spans.
+//!   workspace-wide so the allocation-exactness tests can meter the heap
+//!   traffic of a region of code on one thread.
 //! * [`rng`] — a seedable SplitMix64-seeded PCG32 PRNG (`StdRng`) with
 //!   uniform ranges, Bernoulli draws and Box–Muller normal sampling.
 //!   Replaces `rand`.

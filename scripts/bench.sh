@@ -5,8 +5,7 @@
 #        scripts/bench.sh --check [TOLERANCE]
 #
 # Runs the `obs` bench target of crates/bench (tracer record cost when
-# disabled vs enabled, span-profiler cost when disabled vs one full span
-# record, metrics registry ops, Chrome-trace export, the
+# disabled vs enabled, metrics registry ops, Chrome-trace export, the
 # trace-analytics engine in events/second over a mixed-kind trace, the
 # streaming analyzer's per-event windowed ingest in events/second, the
 # zero-copy wire path in frames and pull round trips per second and in
@@ -22,11 +21,12 @@
 # OUTPUT (default BENCH_obs.json): a
 # JSON document with mean/p50/p99 nanoseconds and throughput per benchmark.
 # The `engine/threaded_tracing_off` vs `engine/threaded_tracing_on` pair is
-# the end-to-end tracing overhead; `collect/tcp_streaming_off` vs
-# `collect/tcp_streaming_on` is the cost of shipping every node's trace
-# ring to a collector service during a live TCP run; `wire/ctx_overhead_off`
-# vs `wire/ctx_overhead_on` is the causal-context envelope's cost on the
-# frame codec hot path (request tracing on vs off).
+# the end-to-end tracing overhead, the server's phase spans included;
+# `collect/tcp_streaming_off` vs `collect/tcp_streaming_on` is the cost of
+# shipping every node's trace ring to a collector service during a live TCP
+# run; `wire/ctx_overhead_off` vs `wire/ctx_overhead_on` is the
+# causal-context envelope's cost on the frame codec hot path (request
+# tracing on vs off).
 #
 # --check: run the benchmarks into a scratch file and compare each mean
 # against the committed BENCH_obs.json baseline. This is a hard gate: a

@@ -72,6 +72,9 @@ deleted="$deleted|launch_models"
 deleted="$deleted|matmul_rows|matmul_at_b_rows|panel_block|all_zero"
 # The ungated benches' helpers and the causal context's never-set span.
 deleted="$deleted|BenchmarkId|bench_with_input|bench_inventory|parent_span|NO_SPAN"
+# The span profiler; the trace times the server's phases instead (DESIGN.md §9).
+deleted="$deleted|Prof(Collector|ileReport)|SpanGuard|bind_profiled|span_profiler|set_profiler"
+deleted="$deleted|run_profile|profile_section"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then
@@ -247,10 +250,35 @@ cargo test -q --offline --test analyze golden_file
 # Smoke round-trip through the analytics engine: trace a demo run, analyze
 # the export, and require the report's straggler and staleness sections to
 # carry data. Uses the release binary the build step above produced.
+#
+# Every `repro` smoke below names itself in `smoke` and writes its stderr to
+# `$smokedir/$smoke.err`; if ci.sh then fails, the exit trap prints that
+# file, so a failed smoke names its cause.
 smokedir="$(mktemp -d)"
-trap 'rm -rf "$smokedir"' EXIT
-./target/release/repro --trace "$smokedir/trace.jsonl" >/dev/null
-./target/release/repro analyze "$smokedir/trace.jsonl" --ssp 2 >"$smokedir/report.txt"
+smoke=""
+on_exit() {
+  local status=$?
+  if [ "$status" -ne 0 ] && [ -n "$smoke" ] && [ -s "$smokedir/$smoke.err" ]; then
+    echo "ci: stderr of the '$smoke' smoke:" >&2
+    cat "$smokedir/$smoke.err" >&2
+  fi
+  rm -rf "$smokedir"
+}
+trap on_exit EXIT
+# A port for a smoke's --metrics-addr: one of the 10 000 just below the
+# kernel's ephemeral range, which it hands to every OS-chosen listener and
+# dialed socket of the same run, so the two never collide.
+smoke_port() {
+  local low high
+  read -r low high </proc/sys/net/ipv4/ip_local_port_range
+  local base=$((low > 11024 ? low - 10000 : 1024))
+  echo $((base + RANDOM % (low - base)))
+}
+smoke=trace
+./target/release/repro --trace "$smokedir/trace.jsonl" >/dev/null 2>"$smokedir/$smoke.err"
+smoke=analyze
+./target/release/repro analyze "$smokedir/trace.jsonl" --ssp 2 >"$smokedir/report.txt" \
+  2>"$smokedir/$smoke.err"
 test "$(sed -n '/== straggler scoreboard ==/,/^$/p' "$smokedir/report.txt" | wc -l)" -gt 3
 test "$(sed -n '/== staleness at pull time ==/,/^$/p' "$smokedir/report.txt" | wc -l)" -gt 3
 
@@ -263,35 +291,46 @@ done
 # Chaos smoke: a seeded fault schedule (drops, reorder-delays, duplicates)
 # on the live resilient TCP engine must be bit-deterministic — same seed,
 # same logical outcome. Run twice and diff the stats/fingerprint lines.
+smoke=chaos_a
 ./target/release/repro chaos --seed 42 --workers 1 --servers 2 --iters 20 --faults 8 \
-  >"$smokedir/chaos_a.txt" 2>/dev/null
+  >"$smokedir/chaos_a.txt" 2>"$smokedir/$smoke.err"
+smoke=chaos_b
 ./target/release/repro chaos --seed 42 --workers 1 --servers 2 --iters 20 --faults 8 \
-  >"$smokedir/chaos_b.txt" 2>/dev/null
+  >"$smokedir/chaos_b.txt" 2>"$smokedir/$smoke.err"
 diff "$smokedir/chaos_a.txt" "$smokedir/chaos_b.txt"
 
 # Kill-and-recover smoke: crash a server mid-training; the supervisor must
 # replace it from a checkpoint and the run must converge and exit 0 with no
 # server left dead.
+smoke=chaos_kill
 ./target/release/repro chaos --seed 13 --workers 2 --servers 2 --iters 25 --kill 0@8 \
-  >"$smokedir/chaos_kill.txt" 2>/dev/null
+  >"$smokedir/chaos_kill.txt" 2>"$smokedir/$smoke.err"
 grep -q '^chaos-dead-at-end 0$' "$smokedir/chaos_kill.txt"
 
 # Collected-run smoke: every node of a chaos run (faults + a mid-run server
 # kill) streams its trace ring to a central collector; the merged,
 # clock-aligned timeline must balance exactly (received + dropped ==
 # emitted per node), list every actor exactly once, carry the recovery
-# events, and feed the analyzer end to end.
+# events, and feed the analyzer end to end, whose per-phase server table
+# must time the shards' push applies on the trace's own events.
+smoke=collect
 ./target/release/repro collect "$smokedir/merged.jsonl" \
   --seed 11 --workers 2 --servers 2 --iters 30 --faults 6 --kill 0@6 \
-  >"$smokedir/collect.txt" 2>/dev/null
+  >"$smokedir/collect.txt" 2>"$smokedir/$smoke.err"
 grep -q '^collect-balanced ok$' "$smokedir/collect.txt"
 grep -q '^chaos-dead-at-end 0$' "$smokedir/collect.txt"
 grep -Eq '^collect-recovery .*checkpoint_restored=[1-9][0-9]* ' "$smokedir/collect.txt"
 for node in scheduler server0 server1 worker0 worker1; do
   test "$(grep -c "^collect-node $node " "$smokedir/collect.txt")" -eq 1
 done
-./target/release/repro analyze "$smokedir/merged.jsonl" >"$smokedir/collect_report.txt"
+smoke=collect_analyze
+./target/release/repro analyze "$smokedir/merged.jsonl" >"$smokedir/collect_report.txt" \
+  2>"$smokedir/$smoke.err"
 test "$(sed -n '/== straggler scoreboard ==/,/^$/p' "$smokedir/collect_report.txt" | wc -l)" -gt 3
+sed -n '/== server time per phase ==/,/^$/p' "$smokedir/collect_report.txt" >"$smokedir/phases.txt"
+grep -Eq '^ *shard +apply +release +pull$' "$smokedir/phases.txt"
+awk 'NR > 3 && NF == 4 && $2 != "0.000000s" { timed = 1 } END { exit !timed }' "$smokedir/phases.txt" \
+  || { echo "ci: repro analyze timed no push apply on the collected trace" >&2; exit 1; }
 
 # Live health smoke: run a kill-and-recover chaos job with an introspection
 # endpoint and scrape its streaming health engine over HTTP *mid-run*: /slo
@@ -307,9 +346,10 @@ http_get() {
   cat <&3
   exec 3<&- 3>&-
 }
-health_port=$((21000 + RANDOM % 20000))
+health_port="$(smoke_port)"
+smoke=chaos_health
 ./target/release/repro chaos --seed 13 --workers 2 --servers 2 --iters 1500 --kill 0@8 \
-  --metrics-addr "127.0.0.1:$health_port" >"$smokedir/chaos_health.txt" 2>/dev/null &
+  --metrics-addr "127.0.0.1:$health_port" >"$smokedir/chaos_health.txt" 2>"$smokedir/$smoke.err" &
 health_pid=$!
 alerts_ok=""
 slo_ok=""
@@ -343,10 +383,11 @@ grep -q '^chaos-alert-fingerprint ' "$smokedir/chaos_health.txt"
 # thread timing, so the /healthz check accepts either; the training
 # fingerprint must not. (100 000 iterations ≈ 2 s: the election takes about
 # 0.3 s, and a 20 000-iteration run ended before it most of the time.)
-failover_port=$((21000 + RANDOM % 20000))
+failover_port="$(smoke_port)"
+smoke=failover_a
 ./target/release/repro chaos --seed 23 --workers 1 --servers 2 --iters 100000 \
   --supervisors 3 --kill-supervisor 0@6 --metrics-addr "127.0.0.1:$failover_port" \
-  >"$smokedir/failover_a.txt" 2>/dev/null &
+  >"$smokedir/failover_a.txt" 2>"$smokedir/$smoke.err" &
 failover_pid=$!
 failover_ok=""
 for _ in $(seq 1 300); do
@@ -359,9 +400,10 @@ for _ in $(seq 1 300); do
 done
 wait "$failover_pid"
 [ -n "$failover_ok" ] || { echo "ci: /healthz never showed a follower taking over leadership" >&2; exit 1; }
+smoke=failover_b
 ./target/release/repro chaos --seed 23 --workers 1 --servers 2 --iters 100000 \
   --supervisors 3 --kill-supervisor 0@6 \
-  >"$smokedir/failover_b.txt" 2>/dev/null
+  >"$smokedir/failover_b.txt" 2>"$smokedir/$smoke.err"
 grep -E '^chaos-(stats|dead-at-end|fingerprint)' "$smokedir/failover_a.txt" >"$smokedir/failover_a_core.txt"
 grep -E '^chaos-(stats|dead-at-end|fingerprint)' "$smokedir/failover_b.txt" >"$smokedir/failover_b_core.txt"
 diff "$smokedir/failover_a_core.txt" "$smokedir/failover_b_core.txt"
@@ -371,10 +413,11 @@ grep -q '^chaos-dead-at-end 0$' "$smokedir/failover_a.txt"
 # plane must degrade *explicitly* — /healthz flips to 503 with a leaderless
 # consensus line — rather than hang or split-brain, and the data plane
 # (training) must still run to completion with no server dead.
-quorum_port=$((21000 + RANDOM % 20000))
+quorum_port="$(smoke_port)"
+smoke=quorum
 ./target/release/repro chaos --seed 29 --workers 2 --servers 2 --iters 20000 \
   --supervisors 3 --kill-supervisor 0@4 --kill-supervisor 1@10 \
-  --metrics-addr "127.0.0.1:$quorum_port" >"$smokedir/quorum.txt" 2>/dev/null &
+  --metrics-addr "127.0.0.1:$quorum_port" >"$smokedir/quorum.txt" 2>"$smokedir/$smoke.err" &
 quorum_pid=$!
 quorum_ok=""
 for _ in $(seq 1 300); do
@@ -389,35 +432,6 @@ wait "$quorum_pid"
 [ -n "$quorum_ok" ] || { echo "ci: /healthz never reported explicit leaderless degradation" >&2; exit 1; }
 grep -q '^chaos-dead-at-end 0$' "$smokedir/quorum.txt"
 
-# Profiler smoke: run a profiled live TCP training job with an
-# introspection endpoint, scrape /profile?format=speedscope over HTTP
-# *mid-run*, validate the export with the in-tree JSON validator, and
-# require spans from every instrumented layer (server loop, worker client,
-# wire codec). The run's own stdout top-table and profile-span lines are
-# checked after it exits.
-prof_port=$((21000 + RANDOM % 20000))
-./target/release/repro profile --workers 2 --servers 2 --iters 4000 \
-  --metrics-addr "127.0.0.1:$prof_port" >"$smokedir/profile.txt" 2>/dev/null &
-prof_pid=$!
-prof_ok=""
-for _ in $(seq 1 300); do
-  http_get "$prof_port" '/profile?format=speedscope' 2>/dev/null \
-    | sed -n '/^{/,$p' >"$smokedir/profile_speedscope.json" || true
-  if grep -q '"name":"server/apply_push"' "$smokedir/profile_speedscope.json" \
-     && grep -q '"name":"worker/push"' "$smokedir/profile_speedscope.json" \
-     && grep -q '"name":"wire/decode"' "$smokedir/profile_speedscope.json"; then
-    prof_ok=1
-    break
-  fi
-  kill -0 "$prof_pid" 2>/dev/null || break
-  sleep 0.1
-done
-wait "$prof_pid"
-[ -n "$prof_ok" ] || { echo "ci: /profile never served all instrumented layers mid-run" >&2; exit 1; }
-./target/release/repro validate-json "$smokedir/profile_speedscope.json"
-grep -q '^profile-span path=worker/step ' "$smokedir/profile.txt"
-grep -q 'profile: top ' "$smokedir/profile.txt"
-
 # Waterfall smoke: end-to-end causal request tracing. (a) Determinism: two
 # same-seed no-kill chaos runs must print bit-identical `waterfall-` lines —
 # assembly is a pure function of the logical message set (ids + fold keys),
@@ -429,24 +443,28 @@ grep -q 'profile: top ' "$smokedir/profile.txt"
 # audits. (c) Live: a mid-run /waterfall?slowest=3 scrape must serve NDJSON
 # whose balance header balances and whose every line passes the in-tree
 # JSON validator.
+smoke=wf_a
 ./target/release/repro waterfall --seed 42 --workers 1 --servers 2 --iters 20 --faults 8 \
-  >"$smokedir/wf_a.txt" 2>/dev/null
+  >"$smokedir/wf_a.txt" 2>"$smokedir/$smoke.err"
+smoke=wf_b
 ./target/release/repro waterfall --seed 42 --workers 1 --servers 2 --iters 20 --faults 8 \
-  >"$smokedir/wf_b.txt" 2>/dev/null
+  >"$smokedir/wf_b.txt" 2>"$smokedir/$smoke.err"
 grep '^waterfall-' "$smokedir/wf_a.txt" >"$smokedir/wf_a_core.txt"
 grep '^waterfall-' "$smokedir/wf_b.txt" >"$smokedir/wf_b_core.txt"
 diff "$smokedir/wf_a_core.txt" "$smokedir/wf_b_core.txt"
 grep -Eq '^waterfall-balance observed=[1-9][0-9]* retained=' "$smokedir/wf_a.txt"
 grep -q '^waterfall-gapless ok$' "$smokedir/wf_a.txt"
 
+smoke=wf_kill
 ./target/release/repro waterfall --seed 13 --workers 2 --servers 2 --iters 25 --kill 0@8 \
-  >"$smokedir/wf_kill.txt" 2>/dev/null
+  >"$smokedir/wf_kill.txt" 2>"$smokedir/$smoke.err"
 grep -q '^waterfall-request id=92233' "$smokedir/wf_kill.txt" # control-plane bit set
 grep -q '^waterfall-gapless ok$' "$smokedir/wf_kill.txt"
 
-wf_port=$((21000 + RANDOM % 20000))
+wf_port="$(smoke_port)"
+smoke=chaos_wf
 ./target/release/repro chaos --seed 13 --workers 2 --servers 2 --iters 4000 --kill 0@8 \
-  --metrics-addr "127.0.0.1:$wf_port" >"$smokedir/chaos_wf.txt" 2>/dev/null &
+  --metrics-addr "127.0.0.1:$wf_port" >"$smokedir/chaos_wf.txt" 2>"$smokedir/$smoke.err" &
 wf_pid=$!
 wf_ok=""
 for _ in $(seq 1 300); do
@@ -467,6 +485,7 @@ while IFS= read -r line; do
   ./target/release/repro validate-json "$smokedir/wf_line.json"
 done <"$smokedir/wf_scrape.ndjson"
 
+smoke=""
 # Perf gate: re-run the benchmarks and compare each mean against the
 # committed BENCH_obs.json. Hard-fails past the per-bench tolerance bands
 # (wide enough for CI-machine noise; see scripts/bench.sh for the bands —

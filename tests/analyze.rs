@@ -9,7 +9,7 @@ use fluentps::core::pssp;
 use fluentps::core::server::{ServerShard, ShardConfig};
 use fluentps::experiments::driver::EngineKind;
 use fluentps::experiments::tracerun;
-use fluentps::obs::analyze::analyze;
+use fluentps::obs::analyze::{analyze, analyze_phases};
 use fluentps::obs::{EventKind, RecordArgs, TraceCollector, TraceEvent, NO_ID};
 use fluentps::transport::KvPairs;
 use fluentps_util::proptest::prelude::*;
@@ -232,12 +232,13 @@ fn assert_matches_golden(name: &str, got: &str) {
 #[test]
 fn demo_analysis_report_matches_golden_file() {
     let trace = tracerun::demo_run(false).trace.expect("demo run traces");
-    let a = analyze(&trace);
+    let (a, phases) = analyze_phases(&trace);
     let analytical = |k: u64| if k >= 2 { 1.0 } else { 0.0 };
-    let report: String = fluentps::experiments::report::analysis_sections(&a, Some(&analytical))
-        .iter()
-        .map(|t| t.to_markdown() + "\n")
-        .collect();
+    let report: String =
+        fluentps::experiments::report::analysis_sections(&a, &phases, Some(&analytical))
+            .iter()
+            .map(|t| t.to_markdown() + "\n")
+            .collect();
     assert_matches_golden("analysis_demo.md", &report);
 }
 

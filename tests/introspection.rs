@@ -18,7 +18,7 @@ use fluentps::core::launch::Observability;
 use fluentps::core::recovery::{RecoveryConfig, ResilientTcpCluster};
 use fluentps::core::worker::RetryPolicy;
 use fluentps::obs::http::Endpoints;
-use fluentps::obs::{HealthEngine, MetricsRegistry, ProfCollector, StreamConfig, TraceCollector};
+use fluentps::obs::{HealthEngine, MetricsRegistry, StreamConfig, TraceCollector};
 
 /// Minimal HTTP/1.1 GET over a fresh connection; returns (status line, body).
 fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
@@ -77,7 +77,6 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
     let collector = TraceCollector::wall(1 << 14);
     let obs = Observability {
         collector: Some(collector.clone()),
-        profiler: Some(ProfCollector::wall()),
         health: Some(HealthEngine::with_default_rules(StreamConfig::default())),
         metrics: Some(MetricsRegistry::new()),
         http: Some("127.0.0.1:0".parse().unwrap()),
@@ -291,31 +290,6 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
         "alerts content type in headers:\n{head}"
     );
     assert!(alerts.contains("\"state\""), "alerts body:\n{alerts}");
-
-    // The launch also serves span profiles while training runs.
-    // Poll briefly: the scrape races the first worker push. A server's step
-    // runs on the thread that sent to it, so its spans may fold under a
-    // worker's.
-    let has_server_spans = |folded: &str| {
-        let mut frames = folded.lines().flat_map(|l| l.split([';', ' ']));
-        frames.any(|frame| frame.starts_with("server/"))
-    };
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let folded = loop {
-        let (status, folded) = http_get(addr, "/profile?format=folded");
-        assert!(status.contains("200"), "profile status: {status}");
-        if has_server_spans(&folded) || Instant::now() > deadline {
-            break folded;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    assert!(
-        has_server_spans(&folded),
-        "folded profile has server spans:\n{folded}"
-    );
-    let (status, scope_json) = http_get(addr, "/profile?format=speedscope");
-    assert!(status.contains("200"), "speedscope status: {status}");
-    fluentps::obs::json::validate(scope_json.trim()).expect("speedscope export is valid JSON");
 
     let stats = cluster.shutdown();
     assert_eq!(stats.len(), 1);
