@@ -238,13 +238,14 @@ pub fn shard_server(
     tracer: Tracer,
 ) -> (ShardServer, Vec<u64>) {
     let mut shard = new_shard(cfg, model, m);
-    let mut keys = Vec::new();
-    for p in map.placements().iter().filter(|p| p.server == m) {
-        let vals = init
-            .get(&p.orig_key)
-            .map(|v| v[p.offset..p.offset + p.len].to_vec())
-            .unwrap_or_else(|| vec![0.0; p.len]);
-        shard.init_param(p.new_key, vals);
+    let placed: Vec<_> = map.placements().iter().filter(|p| p.server == m).collect();
+    shard.reserve(placed.iter().map(|p| p.len).sum());
+    let mut keys = Vec::with_capacity(placed.len());
+    for p in placed {
+        match init.get(&p.orig_key) {
+            Some(v) => shard.init_param(p.new_key, &v[p.offset..p.offset + p.len]),
+            None => shard.init_param(p.new_key, vec![0.0; p.len]),
+        }
         keys.push(p.new_key);
     }
     keys.sort_unstable();

@@ -160,11 +160,12 @@ impl ServerShard {
     /// holds it; a held one keeps its place and takes the new values, which
     /// rebuilds the slab. Either way a reply handed out earlier keeps the
     /// values it was given.
-    pub fn init_param(&mut self, key: u64, vals: Vec<f32>) {
+    pub fn init_param(&mut self, key: u64, vals: impl AsRef<[f32]>) {
+        let vals = vals.as_ref();
         if !self.index.contains_key(&key) {
             let start = self.slab.len();
             let mut slab = std::mem::take(&mut self.slab).into_mut();
-            slab.extend_from_slice(&vals);
+            slab.extend_from_slice(vals);
             self.slab = slab.freeze();
             self.keys.push(key);
             self.lens.push(vals.len() as u32);
@@ -177,7 +178,7 @@ impl ServerShard {
         for (k, len) in self.keys.iter().zip(&mut self.lens) {
             let range = self.index.get_mut(k).expect("every key is indexed");
             if *k == key {
-                slab.extend_from_slice(&vals);
+                slab.extend_from_slice(vals);
                 *len = vals.len() as u32;
             } else {
                 slab.extend_from_values(&self.slab.slice(range.clone()));
@@ -185,6 +186,15 @@ impl ServerShard {
             *range = at..at + *len as usize;
             at = range.end;
         }
+        self.slab = slab.freeze();
+    }
+
+    /// Make room in the slab for `values` more values, so that installing
+    /// them key by key ([`init_param`](Self::init_param) of new keys)
+    /// copies each value once and reallocates nothing.
+    pub fn reserve(&mut self, values: usize) {
+        let mut slab = std::mem::take(&mut self.slab).into_mut();
+        slab.reserve(values);
         self.slab = slab.freeze();
     }
 
@@ -795,18 +805,21 @@ mod tests {
 
     #[test]
     fn installing_a_shard_copies_each_value_a_bounded_number_of_times() {
-        // Appending a key reopens the slab rather than rebuilding it, so a
-        // shard's set-up allocates in proportion to its size, not to its
-        // size times its key count.
+        // Installed as `launch::shard_server` does, into a slab reserved at
+        // its final size, from borrowed slices: appending a key reopens the
+        // slab rather than rebuilding it, so the set-up allocates the slab
+        // once, plus a handle per key.
         let mut s = shard(1, SyncModel::Asp, DprPolicy::LazyExecution);
+        let values: Vec<Vec<f32>> = (1..=64).map(|key| vec![key as f32; 1024]).collect();
         let (_, before) = fluentps_util::alloc::thread_counters();
-        for key in 1..=64 {
-            s.init_param(key, vec![key as f32; 1024]);
+        s.reserve(64 * 1024);
+        for (key, vals) in (1..=64).zip(&values) {
+            s.init_param(key, vals);
         }
         let (_, after) = fluentps_util::alloc::thread_counters();
         let size = 4 * 64 * 1024;
         assert!(
-            after - before < 4 * size,
+            after - before < size + size / 16,
             "installing {size} bytes allocated {}",
             after - before
         );

@@ -46,7 +46,7 @@ proptest! {
             raw_marks.iter().map(|&x| x.checked_sub(1)).collect();
         let mut src = shard(workers);
         for (key, bits) in &params {
-            src.init_param(*key, bits.iter().map(|b| f32::from_bits(*b)).collect());
+            src.init_param(*key, bits.iter().map(|b| f32::from_bits(*b)).collect::<Vec<_>>());
         }
         src.fast_forward(v_train);
         let keys: Vec<u64> = params.iter().map(|(k, _)| *k).collect();

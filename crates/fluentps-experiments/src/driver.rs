@@ -485,9 +485,9 @@ impl<'a> Simulation<'a> {
                 policy: shard_policy,
             });
             for p in map.placements().iter().filter(|p| p.server == m) {
-                let vals = match &init_params {
-                    Some(ip) => ip[&p.orig_key][p.offset..p.offset + p.len].to_vec(),
-                    None => Vec::new(), // timing runs carry no values
+                let vals: &[f32] = match &init_params {
+                    Some(ip) => &ip[&p.orig_key][p.offset..p.offset + p.len],
+                    None => &[], // timing runs carry no values
                 };
                 shard.init_param(p.new_key, vals);
             }

@@ -150,6 +150,12 @@ impl SyntheticSpec {
 
 /// Generate `(train, test)` datasets from a spec.
 pub fn synthetic(spec: SyntheticSpec) -> (Dataset, Dataset) {
+    synthetic_on(spec, crate::cores::available())
+}
+
+/// [`synthetic`] with its row pass spread over `threads` threads: the same
+/// bits whatever the count.
+fn synthetic_on(spec: SyntheticSpec, threads: usize) -> (Dataset, Dataset) {
     assert!(spec.classes >= 2 && spec.dim >= 2 && spec.modes >= 1);
     let mut rng = StdRng::seed_from_u64(spec.seed);
 
@@ -174,86 +180,79 @@ pub fn synthetic(spec: SyntheticSpec) -> (Dataset, Dataset) {
         .map(|_| rng.gen_range(-1.0f32..1.0) / (spec.dim as f32).sqrt())
         .collect();
 
-    let make = |n: usize, rng: &mut StdRng| -> Dataset {
-        // Ordered draw: every draw of a row, in the order the per-row
-        // generator took them, with its latent point written into its row.
-        let mut x = vec![0.0f32; n * spec.dim];
-        let mut y = vec![0u32; n];
-        let mut noise = vec![0.0f32; 4 * spec.dim];
-        for (latent, label) in x.chunks_exact_mut(spec.dim).zip(&mut y) {
-            let class = rng.gen_range(0..spec.classes);
-            let mode = rng.gen_range(0..spec.modes);
-            let a0 = (class * spec.modes + mode) * spec.dim;
-            let anchor = &anchors[a0..a0 + spec.dim];
-            rng.fill_range(&mut noise, -0.5..0.5);
-            for ((l, &a), draws) in latent.iter_mut().zip(anchor).zip(noise.chunks_exact(4)) {
-                // Approximate standard normal via sum of uniforms (Irwin-Hall).
-                *l = a + draws.iter().sum::<f32>() * (12.0f32 / 4.0).sqrt();
+    // The walk, in the per-row generator's order over the training rows and
+    // then the test rows: per row the class, the mode, the `4 × dim` noise
+    // values and the label. The class, the mode and the label are drawn
+    // here, as rejection sampling makes their number of draws depend on
+    // their values. The noise block has a fixed length, so it is skipped,
+    // and the row records its anchor and the state the block starts at.
+    let rows = spec.n_train + spec.n_test;
+    let mut y = Vec::with_capacity(rows);
+    let mut noise_at = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        let class = rng.gen_range(0..spec.classes);
+        let mode = rng.gen_range(0..spec.modes);
+        noise_at.push(((class * spec.modes + mode) * spec.dim, rng.clone()));
+        rng.advance(4 * spec.dim as u64);
+        y.push(if rng.gen::<f32>() < spec.label_noise {
+            rng.gen_range(0..spec.classes) as u32
+        } else {
+            class as u32
+        });
+    }
+
+    // The row pass: each row's noise block, its latent point, and
+    // `tanh(latent · mix)`, in chunks of rows on every core.
+    let mut train_x = vec![0.0f32; spec.n_train * spec.dim];
+    let mut test_x = vec![0.0f32; spec.n_test * spec.dim];
+    let chunk = MIX_CHUNK_ROWS * spec.dim;
+    let firsts = |from| (from..).step_by(MIX_CHUNK_ROWS);
+    let train = train_x.chunks_mut(chunk).zip(firsts(0));
+    let test = test_x.chunks_mut(chunk).zip(firsts(spec.n_train));
+    let scratch = || (Vec::with_capacity(chunk), vec![0.0f32; 4 * spec.dim]);
+    crate::cores::for_each(
+        threads,
+        train.chain(test),
+        scratch,
+        |(latent, noise), (out, first)| {
+            let n = out.len() / spec.dim;
+            latent.resize(out.len(), 0.0);
+            let starts = &noise_at[first..first + n];
+            for (l_row, (a0, start)) in latent.chunks_exact_mut(spec.dim).zip(starts) {
+                start.clone().fill_range(noise, -0.5..0.5);
+                let anchor = &anchors[*a0..*a0 + spec.dim];
+                for ((l, &a), draws) in l_row.iter_mut().zip(anchor).zip(noise.chunks_exact(4)) {
+                    // Approximate standard normal via sum of uniforms (Irwin-Hall).
+                    *l = a + draws.iter().sum::<f32>() * (12.0f32 / 4.0).sqrt();
+                }
             }
-            *label = if rng.gen::<f32>() < spec.label_noise {
-                rng.gen_range(0..spec.classes) as u32
-            } else {
-                class as u32
-            };
-        }
-        mix_rows(&mut x, &mix, spec.dim);
-        Dataset {
-            x,
-            y,
-            dim: spec.dim,
-            classes: spec.classes,
-        }
-    };
-
-    let train = make(spec.n_train, &mut rng);
-    let test = make(spec.n_test, &mut rng);
-    (train, test)
-}
-
-/// Rows [`mix_rows`] transforms at a time: the most it copies at once. A
-/// helper thread's scratch (the chunk's copy and `matmul`'s lists, 24 KiB
-/// at `dim` 64) stays behind in the allocator arena its first allocation
-/// made, for a later thread to inherit; at 128 rows that read as about
-/// 0.1 MiB more `peak_rss_mb` on the ledger's SSP workloads.
-const MIX_CHUNK_ROWS: usize = 32;
-
-/// Parallel transform: `x ← tanh(x · mix)`, row by row, in place. An output
-/// row is a function of its own latent row alone, and `matmul` gives each
-/// element the bits of a one-row product, so any split of the rows over
-/// any number of threads gives the same bits. The calling thread and one
-/// scoped thread per further available CPU take chunks of
-/// [`MIX_CHUNK_ROWS`] rows from a shared queue; each copies its chunk's
-/// latent rows once and writes the product and its `tanh` back over them.
-/// A refused spawn loses nothing (the others drain the queue), and one CPU
-/// or one chunk spawns nothing.
-fn mix_rows(x: &mut [f32], mix: &[f32], dim: usize) {
-    let chunks = x.len().div_ceil(MIX_CHUNK_ROWS * dim);
-    let helpers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(chunks)
-        .saturating_sub(1);
-    let queue = fluentps_util::sync::Mutex::new(x.chunks_mut(MIX_CHUNK_ROWS * dim));
-    // The lock is held for the `next()` alone; the chunk outlives it.
-    let take = || queue.lock().next();
-    let drain = || {
-        let mut latent = Vec::with_capacity(MIX_CHUNK_ROWS * dim);
-        while let Some(out) = take() {
-            latent.clear();
-            latent.extend_from_slice(out);
-            crate::linalg::matmul(&latent, mix, out, out.len() / dim, dim, dim);
+            crate::linalg::matmul(latent, &mix, out, n, spec.dim, spec.dim);
             for v in out.iter_mut() {
                 *v = v.tanh();
             }
-        }
+        },
+    );
+
+    let test_y = y.split_off(spec.n_train);
+    let dataset = |x, y| Dataset {
+        x,
+        y,
+        dim: spec.dim,
+        classes: spec.classes,
     };
-    std::thread::scope(|s| {
-        for _ in 0..helpers {
-            // A refused spawn leaves its chunks to the threads that did start.
-            let _ = std::thread::Builder::new().spawn_scoped(s, drain);
-        }
-        drain();
-    });
+    (dataset(train_x, y), dataset(test_x, test_y))
 }
+
+/// Rows the row pass of [`synthetic`] takes at a time. A helper thread's
+/// scratch (the chunk's latent rows, a noise block and `matmul`'s lists,
+/// 25 KiB at `dim` 64) stays behind in the allocator arena its first
+/// allocation made, for a later thread to inherit; at 128 rows that read
+/// as about 0.1 MiB more `peak_rss_mb` on the ledger's SSP workloads.
+///
+/// An output row is a function of its anchor, its noise block and `mix`
+/// alone, and `matmul` gives each element the bits of a one-row product,
+/// so any split of the rows over any number of threads gives the same bits.
+const MIX_CHUNK_ROWS: usize = 32;
 
 /// Deterministic minibatch sampler over a worker's partition.
 pub struct BatchSampler {
@@ -384,6 +383,31 @@ mod tests {
             let (want_tr, want_te) = per_row_synthetic(spec);
             prop_assert!(same_bits(&tr, &want_tr), "train differs for {:?}", spec);
             prop_assert!(same_bits(&te, &want_te), "test differs for {:?}", spec);
+        }
+    }
+
+    /// One thread (no spawn), two, and more threads than chunks or CPUs
+    /// all give the bits of the count `synthetic` picks, on sizes that end
+    /// inside, at and past a chunk, in both sets.
+    #[test]
+    fn every_thread_count_gives_the_same_bits() {
+        for (n_train, n_test) in [(0, 0), (1, 0), (31, 33), (64, 32), (100, 65)] {
+            let spec = SyntheticSpec {
+                dim: 12,
+                classes: 5,
+                n_train,
+                n_test,
+                margin: 2.0,
+                modes: 2,
+                label_noise: 0.3,
+                seed: 5,
+            };
+            let (want_tr, want_te) = synthetic(spec);
+            for threads in 1..=4 {
+                let (tr, te) = synthetic_on(spec, threads);
+                let same = same_bits(&tr, &want_tr) && same_bits(&te, &want_te);
+                assert!(same, "{threads} threads, {spec:?}");
+            }
         }
     }
 

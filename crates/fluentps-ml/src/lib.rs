@@ -32,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+mod cores;
 pub mod data;
 pub mod init;
 pub mod linalg;

@@ -52,6 +52,12 @@ pub struct WorkerBreakdown {
     /// worker (both directions; the matching rule is the fold's, see
     /// [`StreamAnalyzer::ingest`]).
     pub wire_secs: f64,
+    /// Seconds in the union of the worker's `BarrierWait` spans and its
+    /// matched wire intervals: an instant at a barrier, with a request in
+    /// flight, or both, counted once. Requests to several servers overlap,
+    /// and so do a barrier wait and the pull it waits on, so this is at
+    /// most `barrier_secs + wire_secs`.
+    pub sync_secs: f64,
     /// Total bytes on `WireSend` events naming this worker.
     pub bytes_sent: u64,
     /// Total bytes on `WireRecv` events naming this worker.
@@ -68,10 +74,11 @@ impl WorkerBreakdown {
         (self.last_ts - self.first_ts).max(0.0)
     }
 
-    /// Active time minus barrier and wire time: compute plus anything the
-    /// trace cannot attribute (server-side processing, queueing).
+    /// Active time minus the time blocked at a barrier or on the wire
+    /// ([`sync_secs`](Self::sync_secs)): compute plus anything the trace
+    /// cannot attribute (server-side processing, queueing).
     pub fn compute_secs(&self) -> f64 {
-        (self.active_secs() - self.barrier_secs - self.wire_secs).max(0.0)
+        (self.active_secs() - self.sync_secs).max(0.0)
     }
 }
 
@@ -726,6 +733,47 @@ mod tests {
             EventKind::WireRecv,
             at(0, 0, 0, 0).bytes(58).request_id(rid),
         );
+    }
+
+    /// A worker's requests to two servers are in flight at once, and it
+    /// waits at the barrier while they are: compute is what is left of its
+    /// active time outside the union of those intervals, not outside their
+    /// sum. Each iteration: sends to servers 0 and 1 at 0.0 and 0.1, their
+    /// replies at 0.3 and 0.4, a barrier wait over 0.35–0.5 — blocked over
+    /// 0.0–0.5, where the sum is 0.6 of wire plus 0.15 of barrier. 200
+    /// iterations run past the intervals the fold keeps open.
+    #[test]
+    fn overlapping_requests_to_two_servers_count_once() {
+        let clock = VirtualClock::new();
+        let col = TraceCollector::new(ClockSource::virtual_clock(Arc::clone(&clock)), 4096);
+        let t = col.tracer();
+        let iters = 200u64;
+        for i in 0..iters {
+            let t0 = i as f64;
+            let wire = |kind, shard: u32, ts: f64| {
+                clock.set(t0 + ts);
+                let rid = 2 * i + u64::from(shard) + 1;
+                t.record(kind, at(shard, 0, i, i).bytes(58).request_id(rid));
+            };
+            wire(EventKind::WireSend, 0, 0.0);
+            wire(EventKind::WireSend, 1, 0.1);
+            wire(EventKind::WireRecv, 0, 0.3);
+            clock.set(t0 + 0.35);
+            let start = t.now();
+            wire(EventKind::WireRecv, 1, 0.4);
+            clock.set(t0 + 0.5);
+            let args = RecordArgs::new().worker(0).progress(i).v_train(i);
+            t.record_span(EventKind::BarrierWait, start, args);
+        }
+        let a = analyze(&col.snapshot());
+        let w = &a.workers[0];
+        let n = iters as f64;
+        assert_eq!(a.unmatched_recvs, 0);
+        assert!((w.wire_secs - 0.6 * n).abs() < 1e-6, "{}", w.wire_secs);
+        assert!((w.barrier_secs - 0.15 * n).abs() < 1e-6);
+        assert!((w.active_secs() - (n - 0.5)).abs() < 1e-6);
+        assert!((w.sync_secs - 0.5 * n).abs() < 1e-6, "{}", w.sync_secs);
+        assert!((w.compute_secs() - (0.5 * n - 0.5)).abs() < 1e-6);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   sliding views by merging retained windows.
 //!
 //! State is O(workers + shards + gaps) for the all-run figures,
-//! O(`windows`) per histogram ring, plus the matchers' open entries: sends
+//! O(`windows`) per histogram ring, each worker's blocked intervals that a
+//! send still in flight may overlap, and the matchers' open entries: sends
 //! and pulls not yet paired and DPRs not yet released. Unpaired sends and
 //! pulls are dropped once `windows` windows have closed since they were
 //! last touched, so a long run holds what the last `windows` windows
@@ -301,6 +302,14 @@ impl WirePairing {
         queue.remove(at).map(|sent| sent.ts)
     }
 
+    /// When the earliest send still queued on a link of `worker` was made.
+    fn oldest_send(&self, worker: u32) -> Option<f64> {
+        let fronts = self.in_flight.iter().filter(|(link, _)| link.1 == worker);
+        fronts
+            .filter_map(|(_, q)| q.front().map(|s| s.ts))
+            .reduce(f64::min)
+    }
+
     /// Drop the oldest sends of every link while `stale` says their window
     /// is gone.
     fn age_out(&mut self, stale: impl Fn(u64) -> bool) {
@@ -309,6 +318,62 @@ impl WirePairing {
                 queue.pop_front();
             }
         }
+    }
+}
+
+/// Open intervals a worker's [`Busy`] keeps before it first looks for
+/// ones no later interval can reach.
+const BUSY_KEPT: usize = 64;
+
+/// The union of one worker's blocked time — its `BarrierWait` spans and its
+/// matched send→receive wire intervals — grown one interval at a time. A
+/// worker's requests to different servers are in flight at once, and it
+/// waits at a barrier while its pull is on the wire, so the union counts
+/// each such instant once where a sum would count it for every interval.
+#[derive(Debug, Default)]
+struct Busy {
+    /// Disjoint intervals sorted by start: those a later one may still
+    /// overlap.
+    open: Vec<(f64, f64)>,
+    /// `open`'s length at which to look for intervals to forget.
+    forget_at: usize,
+}
+
+impl Busy {
+    /// Add `[start, end]`; returns how much the union grew.
+    fn add(&mut self, start: f64, end: f64) -> f64 {
+        if end <= start {
+            return 0.0;
+        }
+        // `open[i..j]` are the intervals that overlap or touch it.
+        let i = self.open.partition_point(|&(_, e)| e < start);
+        let j = i + self.open[i..].partition_point(|&(s, _)| s <= end);
+        let touched = &self.open[i..j];
+        let covered: f64 = touched
+            .iter()
+            .map(|&(s, e)| e.min(end) - s.max(start))
+            .sum();
+        let merged = (
+            touched.first().map_or(start, |&(s, _)| s.min(start)),
+            touched.last().map_or(end, |&(_, e)| e.max(end)),
+        );
+        self.open.splice(i..j, [merged]);
+        (end - start) - covered
+    }
+
+    /// Whether `open` has grown enough to look for intervals to forget.
+    fn crowded(&self) -> bool {
+        self.open.len() >= self.forget_at.max(BUSY_KEPT)
+    }
+
+    /// Forget the intervals that end before `t`, the earliest start an
+    /// interval still to come can have; look again once `open` has doubled,
+    /// so a `t` held back by a send that is never answered costs constant
+    /// time per interval.
+    fn forget_before(&mut self, t: f64) {
+        let done = self.open.partition_point(|&(_, e)| e < t);
+        self.open.drain(..done);
+        self.forget_at = 2 * self.open.len();
     }
 }
 
@@ -376,6 +441,8 @@ pub struct StreamAnalyzer {
     total: u64,
     span: (f64, f64),
     workers: BTreeMap<u32, WorkerBreakdown>,
+    /// Each worker's blocked intervals, behind its `sync_secs`.
+    busy: BTreeMap<u32, Busy>,
     shards: BTreeMap<u32, ShardFold>,
     gaps: BTreeMap<u64, GapStat>,
     /// `WireRecv`s with no queued send of their own `(request_id, attempt)`.
@@ -420,6 +487,7 @@ impl StreamAnalyzer {
             total: 0,
             span: (0.0, 0.0),
             workers: BTreeMap::new(),
+            busy: BTreeMap::new(),
             shards: BTreeMap::new(),
             gaps: BTreeMap::new(),
             unmatched_recvs: 0,
@@ -497,10 +565,12 @@ impl StreamAnalyzer {
             w.first_ts = w.first_ts.min(ev.ts);
             w.last_ts = w.last_ts.max(ev.ts + ev.dur);
             w.iterations = w.iterations.max(ev.progress + 1);
+            let busy = self.busy.entry(ev.worker).or_default();
             match ev.kind {
                 EventKind::BarrierWait => {
                     w.barrier_secs += ev.dur;
                     w.barrier_count += 1;
+                    w.sync_secs += busy.add(ev.ts, ev.ts + ev.dur);
                 }
                 EventKind::WireSend => {
                     w.bytes_sent += ev.bytes;
@@ -514,6 +584,7 @@ impl StreamAnalyzer {
                         Some(sent_at) => {
                             let lat = (ev.ts - sent_at).max(0.0);
                             w.wire_secs += lat;
+                            w.sync_secs += busy.add(sent_at, ev.ts);
                             if ev.shard != NO_ID {
                                 self.shard_wire_us
                                     .entry(ev.shard)
@@ -527,6 +598,12 @@ impl StreamAnalyzer {
                 EventKind::PullRequested => w.pulls += 1,
                 EventKind::PullDeferred => w.deferred += 1,
                 _ => {}
+            }
+            if busy.crowded() {
+                // Events come in timestamp order, so a span still to come
+                // starts at `ev.ts` or later, a wire interval at its send.
+                let oldest = self.wire.oldest_send(ev.worker);
+                busy.forget_before(oldest.map_or(ev.ts, |sent| sent.min(ev.ts)));
             }
         }
 
@@ -1114,6 +1191,22 @@ mod tests {
     use crate::clock::{ClockSource, VirtualClock};
     use crate::tracer::{RecordArgs, TraceCollector};
     use std::sync::Arc;
+
+    #[test]
+    fn busy_grows_by_what_an_interval_adds_to_the_union() {
+        let mut b = Busy::default();
+        assert_eq!(b.add(1.0, 2.0), 1.0);
+        assert_eq!(b.add(3.0, 4.0), 1.0);
+        assert_eq!(b.add(1.5, 1.75), 0.0, "inside one");
+        assert_eq!(b.add(0.5, 3.5), 1.5, "bridges both: 0.5–1 and 2–3");
+        assert_eq!(b.add(4.0, 4.0), 0.0, "empty");
+        assert_eq!(b.add(4.0, 5.0), 1.0, "touches the end");
+        assert_eq!(b.open, [(0.5, 5.0)]);
+        assert_eq!(b.add(6.0, 7.0), 1.0);
+        b.forget_before(5.5);
+        assert_eq!(b.open, [(6.0, 7.0)]);
+        assert_eq!(b.add(6.5, 8.0), 1.0, "what stays open still merges");
+    }
 
     fn at(shard: u32, worker: u32, progress: u64, v_train: u64) -> RecordArgs {
         RecordArgs::new()

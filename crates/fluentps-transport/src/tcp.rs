@@ -221,13 +221,25 @@ impl ReadHalf {
         }
     }
 
-    /// The next frame, waiting at most `bound` for it to begin; `Ok(None)`
-    /// when none did.
-    fn next(&mut self, bound: Option<Duration>, shared: &Shared) -> Result<Option<Envelope>, End> {
-        self.set_bound(bound).map_err(|_| End::Broken)?;
-        match self.fill()? {
-            true => self.frame(shared).map(Some),
-            false => Ok(None),
+    /// The next frame, waiting until `deadline` (for ever without one) for
+    /// it to begin; `Ok(None)` when none did. The socket counts its read
+    /// timeout in scheduler ticks and can give up to a tick early, so a
+    /// read that times out before the deadline is tried again for what is
+    /// left.
+    fn next(
+        &mut self,
+        deadline: Option<Instant>,
+        shared: &Shared,
+    ) -> Result<Option<Envelope>, End> {
+        loop {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            self.set_bound(left).map_err(|_| End::Broken)?;
+            if self.fill()? {
+                return self.frame(shared).map(Some);
+            }
+            if left.is_some_and(|left| left.is_zero()) {
+                return Ok(None);
+            }
         }
     }
 
@@ -331,12 +343,9 @@ fn close_in_order(dialed: impl IntoIterator<Item = Dialed>, shared: &Arc<Shared>
     let read_out = move || {
         let deadline = Instant::now() + LINGER;
         for mut half in halves {
-            loop {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() || !matches!(half.next(Some(left), &shared), Ok(Some(_))) {
-                    break;
-                }
-            }
+            while Instant::now() < deadline
+                && matches!(half.next(Some(deadline), &shared), Ok(Some(_)))
+            {}
         }
     };
     // Not spawned: dropped with the sockets, closed as abruptly as before.
@@ -779,7 +788,7 @@ impl Mailbox for TcpNode {
             None => self.recv().map(Some),
         };
         let received = match shared.take_reader(peer) {
-            Some((id, mut half)) => match half.next(timeout, shared) {
+            Some((id, mut half)) => match half.next(deadline, shared) {
                 Ok(frame) => {
                     shared.return_reader(peer, id, half);
                     frame

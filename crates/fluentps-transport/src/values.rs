@@ -184,6 +184,12 @@ impl ValuesMut {
         }
     }
 
+    /// Room for `n` more values, so appending up to `n` never reallocates.
+    #[inline]
+    pub fn reserve(&mut self, n: usize) {
+        self.le.reserve(4 * n);
+    }
+
     /// Append `src` as little-endian bit patterns.
     #[inline]
     pub fn extend_from_slice(&mut self, src: &[f32]) {

@@ -5,7 +5,8 @@
 //! seed — including 0 — yields a well-mixed stream. The API mirrors the
 //! subset of `rand` the workspace uses (`seed_from_u64`, `gen`, `gen_range`,
 //! `gen_bool`) plus the Box–Muller normal sampler the simulators need and
-//! `fill_range`, a batch of `f32` `gen_range` draws in one call.
+//! `fill_range`, a batch of `f32` `gen_range` draws in one call, and
+//! `advance`, a jump `n` draws ahead in `O(log n)` steps.
 //!
 //! Determinism contract: the sequence produced by a given seed is part of
 //! the repo's reproducibility guarantee. Changing the generator or the
@@ -23,7 +24,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// The workspace's standard PRNG: PCG32 seeded via SplitMix64.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StdRng {
     state: u64,
     inc: u64,
@@ -53,6 +54,30 @@ impl StdRng {
         let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
         let rot = (old >> 59) as u32;
         xorshifted.rotate_right(rot)
+    }
+
+    /// Skip `n` draws: the state `n` calls of [`next_u32`](Self::next_u32)
+    /// leave, in `O(log n)` steps. The state update is an affine map, `s ↦
+    /// M·s + inc` mod 2⁶⁴, so `n` of them compose to one affine map, built
+    /// here by squaring (Brown, "Random Number Generation with Arbitrary
+    /// Strides", 1994). A fixed-length block of a stream can thus be drawn
+    /// by any thread, from a clone advanced to where the block starts.
+    pub fn advance(&mut self, n: u64) {
+        // (mult, plus): the map of 2^bit steps; (acc_mult, acc_plus): the
+        // map of the bits of `n` taken so far.
+        let (mut mult, mut plus) = (PCG_MULT, self.inc);
+        let (mut acc_mult, mut acc_plus) = (1u64, 0u64);
+        let mut n = n;
+        while n > 0 {
+            if n & 1 == 1 {
+                acc_mult = acc_mult.wrapping_mul(mult);
+                acc_plus = acc_plus.wrapping_mul(mult).wrapping_add(plus);
+            }
+            plus = mult.wrapping_add(1).wrapping_mul(plus);
+            mult = mult.wrapping_mul(mult);
+            n >>= 1;
+        }
+        self.state = acc_mult.wrapping_mul(self.state).wrapping_add(acc_plus);
     }
 
     /// Next 64 uniformly distributed bits.
@@ -234,6 +259,7 @@ impl SampleRange<f32> for std::ops::Range<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proptest::prelude::*;
 
     #[test]
     fn same_seed_same_stream() {
@@ -331,6 +357,52 @@ mod tests {
         let mut out = [0.0f32; 64];
         StdRng::seed_from_u64(13).fill_range(&mut out, start..end);
         assert!(out.iter().all(|&v| v == start));
+    }
+
+    /// `n` calls of `next_u32` on a clone of `rng`.
+    fn stepped(rng: &StdRng, n: u64) -> StdRng {
+        let mut r = rng.clone();
+        for _ in 0..n {
+            r.next_u32();
+        }
+        r
+    }
+
+    fn advanced(rng: &StdRng, n: u64) -> StdRng {
+        let mut r = rng.clone();
+        r.advance(n);
+        r
+    }
+
+    crate::proptest! {
+        /// Small `n`, one step at a time: the same state as `n` draws.
+        #[test]
+        fn advance_is_n_draws(seed in any::<u64>(), n in 0u64..5000) {
+            let rng = StdRng::seed_from_u64(seed);
+            prop_assert_eq!(advanced(&rng, n), stepped(&rng, n));
+        }
+
+        /// Large `n`: jumps compose (`a` then `b` is `a + b`, wrapping at
+        /// the period 2⁶⁴) and a jump to the period's last state is one draw
+        /// short of where the stream started.
+        #[test]
+        fn advance_composes_across_the_period(
+            seed in any::<u64>(),
+            a in any::<u64>(),
+            b in any::<u64>()
+        ) {
+            let rng = StdRng::seed_from_u64(seed);
+            prop_assert_eq!(advanced(&advanced(&rng, a), b), advanced(&rng, a.wrapping_add(b)));
+            prop_assert_eq!(stepped(&advanced(&rng, u64::MAX), 1), rng.clone());
+            prop_assert_eq!(advanced(&rng, 0), rng);
+        }
+    }
+
+    #[test]
+    fn advance_is_n_draws_for_a_long_jump() {
+        let rng = StdRng::seed_from_u64(29);
+        let n = (1 << 20) + 12_345;
+        assert_eq!(advanced(&rng, n), stepped(&rng, n));
     }
 
     #[test]
