@@ -19,6 +19,7 @@ use fluentps_core::condition::SyncModel;
 use fluentps_core::engine::{Cluster, EngineConfig};
 use fluentps_core::eps::{EpsSlicer, ParamSpec, Slicer};
 use fluentps_core::launch::Observability;
+use fluentps_ml::Deltas;
 use fluentps_obs::{
     analyze, export, EventKind, MetricsRegistry, RecordArgs, TraceCollector, Tracer,
 };
@@ -136,7 +137,7 @@ fn run_threaded_cluster(collector: Option<&TraceCollector>) -> u64 {
             std::thread::spawn(move || {
                 let mut params = HashMap::new();
                 for i in 0..5u64 {
-                    w.spush(i, &grads).unwrap();
+                    w.spush(i, &Deltas::from_params(&grads)).unwrap();
                     w.spull_wait(i, &mut params).unwrap();
                 }
             })
@@ -204,7 +205,7 @@ fn run_tcp_cluster(collect: Option<std::net::SocketAddr>) -> u64 {
             std::thread::spawn(move || {
                 let mut params = HashMap::new();
                 for i in 0..5u64 {
-                    w.spush(i, &grads).unwrap();
+                    w.spush(i, &Deltas::from_params(&grads)).unwrap();
                     w.spull_wait(i, &mut params).unwrap();
                 }
             })
@@ -402,7 +403,9 @@ fn tcp_serve_roundtrip(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     g.bench_function("tcp_serve_roundtrip", |b| {
         b.iter(|| {
-            worker.spush(progress, &grads).unwrap();
+            worker
+                .spush(progress, &Deltas::from_params(&grads))
+                .unwrap();
             let report = worker.spull_wait(progress, &mut params).unwrap();
             progress += 1;
             report.max_version

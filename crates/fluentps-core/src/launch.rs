@@ -451,6 +451,7 @@ mod tests {
     use super::*;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
     use crate::worker::PullReport;
+    use fluentps_ml::Deltas;
     use fluentps_obs::EventKind;
     use fluentps_transport::tcp::AddressBook;
     use fluentps_transport::Fabric;
@@ -498,7 +499,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut params = HashMap::new();
                     for i in 0..ITERS {
-                        w.spush(i, &grads).unwrap();
+                        w.spush(i, &Deltas::from_params(&grads)).unwrap();
                         check(&w.spull_wait(i, &mut params).unwrap(), i);
                     }
                     params
@@ -616,7 +617,7 @@ mod tests {
         // parked as a DPR. Shutdown must flush it so the thread unblocks.
         let blocked = std::thread::spawn(move || {
             let grads: HashMap<u64, Vec<f32>> = [(0, vec![1.0; 8]), (1, vec![1.0; 4])].into();
-            w0.spush(0, &grads).unwrap();
+            w0.spush(0, &Deltas::from_params(&grads)).unwrap();
             let mut params = HashMap::new();
             w0.spull_wait(0, &mut params).unwrap();
         });

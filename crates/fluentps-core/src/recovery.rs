@@ -1492,6 +1492,7 @@ pub(crate) mod tests {
     use crate::condition::SyncModel;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
     use crate::serve::tests::Recording;
+    use fluentps_ml::Deltas;
     use fluentps_obs::Tracer;
 
     pub(crate) fn fast_recovery(kill: Option<(u32, u64)>, replace: bool) -> RecoveryConfig {
@@ -1972,7 +1973,7 @@ pub(crate) mod tests {
             [(0u64, vec![1.0f32; 4]), (1u64, vec![1.0f32; 4])].into();
         let mut params = HashMap::new();
         for i in 0..5u64 {
-            w.spush(i, &grads).expect("push");
+            w.spush(i, &Deltas::from_params(&grads)).expect("push");
             let report = w
                 .spull_wait(i, &mut params)
                 .expect("pull survives the kill");
@@ -2003,7 +2004,7 @@ pub(crate) mod tests {
             [(0u64, vec![1.0f32; 4]), (1u64, vec![1.0f32; 4])].into();
         let mut params = HashMap::new();
         for i in 0..6u64 {
-            w.spush(i, &grads).expect("push");
+            w.spush(i, &Deltas::from_params(&grads)).expect("push");
             w.spull_wait(i, &mut params)
                 .expect("pull survives degradation");
         }
@@ -2043,7 +2044,7 @@ pub(crate) mod tests {
             [(0u64, vec![1.0f32; 4]), (1u64, vec![1.0f32; 4])].into();
         let mut params = HashMap::new();
         for i in 0..5u64 {
-            w.spush(i, &grads).expect("push");
+            w.spush(i, &Deltas::from_params(&grads)).expect("push");
             w.spull_wait(i, &mut params).expect("pull");
         }
         drop(w); // worker thread done recording before shutdown() flushes
@@ -2138,7 +2139,7 @@ pub(crate) mod tests {
             [(0u64, vec![1.0f32; 4]), (1u64, vec![1.0f32; 4])].into();
         let mut params = HashMap::new();
         for i in 0..8u64 {
-            w.spush(i, &grads).expect("push");
+            w.spush(i, &Deltas::from_params(&grads)).expect("push");
             w.spull_wait(i, &mut params)
                 .expect("pull survives the supervisor failover");
         }
@@ -2174,7 +2175,7 @@ pub(crate) mod tests {
             [(0u64, vec![1.0f32; 4]), (1u64, vec![1.0f32; 4])].into();
         let mut params = HashMap::new();
         for i in 0..6u64 {
-            w.spush(i, &grads).expect("push");
+            w.spush(i, &Deltas::from_params(&grads)).expect("push");
             w.spull_wait(i, &mut params)
                 .expect("training needs no control plane while servers live");
         }
@@ -2206,7 +2207,7 @@ pub(crate) mod tests {
                 [(0u64, vec![1.0f32; 4]), (1u64, vec![1.0f32; 4])].into();
             let mut params = HashMap::new();
             for i in 0..6u64 {
-                w.spush(i, &grads).expect("push");
+                w.spush(i, &Deltas::from_params(&grads)).expect("push");
                 w.spull_wait(i, &mut params).expect("pull");
             }
             let stats = cluster.shutdown();

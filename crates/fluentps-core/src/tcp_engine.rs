@@ -40,6 +40,7 @@ mod tests {
     use crate::condition::SyncModel;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
     use crate::stats::ShardStats;
+    use fluentps_ml::Deltas;
     use fluentps_obs::EventKind;
     use fluentps_transport::NodeId;
     #[cfg(target_os = "linux")]
@@ -78,7 +79,7 @@ mod tests {
                         let g = n * 0.125 + i as f32 * 0.001;
                         let grads: HashMap<u64, Vec<f32>> =
                             [(0, vec![g; 6]), (1, vec![-g; 3])].into();
-                        w.spush(i, &grads).unwrap();
+                        w.spush(i, &Deltas::from_params(&grads)).unwrap();
                         let report = w.spull_wait(i, &mut params).unwrap();
                         assert_eq!(report.min_version, i + 1, "BSP: exactly this round");
                     }
@@ -208,7 +209,7 @@ mod tests {
                         [(0u64, vec![1.0f32; 6]), (1u64, vec![2.0f32; 3])].into();
                     let mut params = HashMap::new();
                     for i in 0..3u64 {
-                        w.spush(i, &grads).unwrap();
+                        w.spush(i, &Deltas::from_params(&grads)).unwrap();
                         w.spull_wait(i, &mut params).unwrap();
                     }
                 })

@@ -15,12 +15,14 @@
 //! carries the id the analyzer pairs it by.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::ops::Range;
 use std::time::Duration;
 
+use fluentps_ml::Deltas;
 use fluentps_obs::{EventKind, RecordArgs, Tracer, NO_ID};
 use fluentps_transport::{
     frame, per_destination, CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman, TransportError,
-    ValuesMut, WirePlacement,
+    Values, ValuesMut, WirePlacement,
 };
 use fluentps_util::rng::StdRng;
 
@@ -72,49 +74,77 @@ impl Router {
         &self.map
     }
 
-    /// Scatter per-parameter values into one [`KvPairs`] per server. Entries
-    /// for servers owning nothing are empty. This is where a worker's
-    /// `f32`s become wire bytes: each per-server payload is written once,
-    /// into one allocation of its exact size.
-    pub fn scatter(&self, values: &HashMap<u64, Vec<f32>>) -> Vec<KvPairs> {
-        // Count first, then fill, so nothing tensor-sized grows by doubling.
-        let mut sizes = vec![(0usize, 0usize); self.map.num_servers() as usize];
-        for p in self.map.placements() {
-            if values.contains_key(&p.orig_key) {
-                let (keys, vals) = &mut sizes[p.server as usize];
-                *keys += 1;
-                *vals += p.len;
-            }
-        }
-        let mut payloads: Vec<ValuesMut> = sizes
-            .iter()
-            .map(|&(_, vals)| ValuesMut::with_capacity(vals))
-            .collect();
-        let mut out: Vec<KvPairs> = sizes
-            .into_iter()
-            .map(|(keys, _)| KvPairs {
-                keys: Vec::with_capacity(keys),
-                lens: Vec::with_capacity(keys),
-                ..KvPairs::default()
-            })
-            .collect();
-        // Walk placements in deterministic order so wire batches are stable.
-        for p in self.map.placements() {
-            let Some(vals) = values.get(&p.orig_key) else {
-                continue;
-            };
-            debug_assert!(
-                p.offset + p.len <= vals.len(),
-                "placement exceeds value length for key {}",
+    /// Scatter an update into one [`KvPairs`] per server, walking the
+    /// placements in order so wire batches are stable. Entries for servers
+    /// owning nothing are empty. The values are already wire bytes
+    /// ([`Deltas`]), so nothing is converted here: a server whose slices
+    /// form one run of the update's slab — every server of a one-server
+    /// map, since placements sort by `(orig_key, offset)` like the slab —
+    /// gets a view of that run, a reference count and no copy; any other
+    /// gets one byte copy of its runs, allocated at its exact size.
+    pub fn scatter(&self, deltas: &Deltas) -> Vec<KvPairs> {
+        let slab = Values::from_le_bytes(deltas.slab().clone());
+        // Each placement's values in the slab, counted in `f32`s.
+        let ranges = self.map.placements().iter().filter_map(|p| {
+            let range = deltas.range(p.orig_key)?;
+            assert!(
+                p.offset + p.len <= range.len(),
+                "placement exceeds the update of key {}",
                 p.orig_key
             );
+            let start = range.start + p.offset;
+            Some((p, start..start + p.len))
+        });
+        // Count first, then fill, so nothing grows by doubling. A server's
+        // slices make a new run wherever one does not start where the last
+        // one ended; `span` runs from its first slice to its last.
+        #[derive(Clone, Default)]
+        struct Size {
+            keys: usize,
+            vals: usize,
+            runs: usize,
+            span: Range<usize>,
+        }
+        let mut sizes = vec![Size::default(); self.map.num_servers() as usize];
+        for (p, range) in ranges.clone() {
+            let size = &mut sizes[p.server as usize];
+            if size.keys == 0 {
+                (size.runs, size.span) = (1, range.clone());
+            } else if size.span.end != range.start {
+                size.runs += 1;
+            }
+            size.span.end = range.end;
+            size.keys += 1;
+            size.vals += range.len();
+        }
+        let mut payloads: Vec<Option<ValuesMut>> = sizes
+            .iter()
+            .map(|size| (size.runs > 1).then(|| ValuesMut::with_capacity(size.vals)))
+            .collect();
+        let mut out: Vec<KvPairs> = sizes
+            .iter()
+            .map(|size| KvPairs {
+                keys: Vec::with_capacity(size.keys),
+                lens: Vec::with_capacity(size.keys),
+                vals: if size.runs == 1 {
+                    slab.slice(size.span.clone())
+                } else {
+                    Values::default()
+                },
+            })
+            .collect();
+        for (p, range) in ranges {
             let kv = &mut out[p.server as usize];
             kv.keys.push(p.new_key);
             kv.lens.push(p.len as u32);
-            payloads[p.server as usize].extend_from_slice(&vals[p.offset..p.offset + p.len]);
+            if let Some(payload) = &mut payloads[p.server as usize] {
+                payload.extend_from_values(&slab.slice(range));
+            }
         }
         for (kv, payload) in out.iter_mut().zip(payloads) {
-            kv.vals = payload.freeze();
+            if let Some(payload) = payload {
+                kv.vals = payload.freeze();
+            }
         }
         out
     }
@@ -530,7 +560,7 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         &self.router
     }
 
-    /// `sPush`: scatter this iteration's gradients over the owning servers
+    /// `sPush`: scatter this iteration's update over the owning servers
     /// and stage one `SPush` for each. Nothing is written yet: Algorithm 1 is
     /// `sPush; wait(sPull)`, so the staged pushes go out with the pulls of
     /// the next [`WorkerClient::spull_wait`] /
@@ -541,14 +571,10 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
     ///
     /// With a [`RetryPolicy`] attached the scattered shards are also kept in
     /// the replay buffer and re-delivered when a pull wait times out.
-    pub fn spush(
-        &mut self,
-        progress: u64,
-        grads: &HashMap<u64, Vec<f32>>,
-    ) -> Result<u32, TransportError> {
+    pub fn spush(&mut self, progress: u64, deltas: &Deltas) -> Result<u32, TransportError> {
         // Untraced, the exact pre-context wire bytes.
         let ctx = self.tracer.is_enabled().then_some(self.next_ctx());
-        let shards = self.router.scatter(grads);
+        let shards = self.router.scatter(deltas);
         if let Some(retry) = &mut self.retry {
             retry.replay.push_back((progress, shards.clone()));
             while retry.replay.len() > retry.policy.replay_depth {
@@ -756,6 +782,7 @@ mod tests {
     use crate::serve::tests::Recording;
     use fluentps_transport::Fabric;
     use fluentps_util::alloc::thread_counters;
+    use fluentps_util::proptest::prelude::*;
 
     fn router(max_chunk: usize, servers: u32) -> Router {
         let params = vec![
@@ -774,11 +801,15 @@ mod tests {
         v
     }
 
+    fn update() -> Deltas {
+        Deltas::from_params(&values())
+    }
+
     #[test]
     fn scatter_then_gather_is_identity() {
         let r = router(4, 3);
         let vals = values();
-        let shards = r.scatter(&vals);
+        let shards = r.scatter(&Deltas::from_params(&vals));
         assert_eq!(shards.len(), 3);
         let mut rebuilt = HashMap::new();
         for kv in &shards {
@@ -792,7 +823,7 @@ mod tests {
     fn scatter_covers_every_value_exactly_once() {
         let r = router(3, 4);
         let vals = values();
-        let shards = r.scatter(&vals);
+        let shards = r.scatter(&Deltas::from_params(&vals));
         let total: usize = shards.iter().map(|kv| kv.vals.len()).sum();
         assert_eq!(total, 10 + 3 + 7);
     }
@@ -811,7 +842,7 @@ mod tests {
     fn gather_into_resizes_missing_params() {
         let r = router(4, 2);
         let vals = values();
-        let shards = r.scatter(&vals);
+        let shards = r.scatter(&Deltas::from_params(&vals));
         let mut fresh = HashMap::new();
         for kv in &shards {
             r.gather_into(&mut fresh, kv);
@@ -824,8 +855,9 @@ mod tests {
     fn scatter_and_gather_allocate_exactly() {
         let r = router(4, 3);
         let vals = values();
-        // The payloads are the only thing in a scatter that scales with the
-        // values: together they are allocated once, at their exact size.
+        // A payload made of several runs of the update is the only thing
+        // in a scatter that scales with the values: together they are
+        // allocated once, at their exact size.
         let big = Router::new(EpsSlicer { max_chunk: 4096 }.slice(
             &[ParamSpec {
                 key: 0,
@@ -833,7 +865,7 @@ mod tests {
             }],
             3,
         ));
-        let tensor = HashMap::from([(0u64, vec![0.5f32; 50_000])]);
+        let tensor = Deltas::from_params(&HashMap::from([(0u64, vec![0.5f32; 50_000])]));
         let (_, before) = thread_counters();
         let big_shards = big.scatter(&tensor);
         let (_, after) = thread_counters();
@@ -847,7 +879,7 @@ mod tests {
             "scatter of {payload} payload bytes allocated {}",
             after - before
         );
-        let shards = r.scatter(&vals);
+        let shards = r.scatter(&Deltas::from_params(&vals));
         for kv in &shards {
             assert_eq!(kv.keys.capacity(), kv.keys.len());
             assert_eq!(kv.lens.capacity(), kv.lens.len());
@@ -864,12 +896,119 @@ mod tests {
         }
     }
 
+    /// The scatter `Router::scatter` replaced, kept as its oracle: every
+    /// placement's values converted from `f32`s and appended to its
+    /// server's payload.
+    fn per_key_scatter(r: &Router, values: &HashMap<u64, Vec<f32>>) -> Vec<KvPairs> {
+        let mut out = vec![KvPairs::default(); r.num_servers() as usize];
+        let mut payloads: Vec<ValuesMut> = out.iter().map(|_| ValuesMut::default()).collect();
+        for p in r.slice_map().placements() {
+            let Some(vals) = values.get(&p.orig_key) else {
+                continue;
+            };
+            let kv = &mut out[p.server as usize];
+            kv.keys.push(p.new_key);
+            kv.lens.push(p.len as u32);
+            payloads[p.server as usize].extend_from_slice(&vals[p.offset..p.offset + p.len]);
+        }
+        for (kv, payload) in out.iter_mut().zip(payloads) {
+            kv.vals = payload.freeze();
+        }
+        out
+    }
+
+    proptest! {
+        /// Scattering an update in wire form gives every server the keys,
+        /// lens and value bits the per-key scatter gave it: parameters
+        /// declared in any order, any chunk size, 1–4 servers, any subset
+        /// of the parameters updated, values of every bit pattern.
+        #[test]
+        fn scatter_is_the_per_key_scatter(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut specs: Vec<ParamSpec> = (0..rng.gen_range(1..7u64))
+                .map(|k| ParamSpec {
+                    key: 3 * k + rng.gen_range(0..3u64),
+                    len: rng.gen_range(1..40usize),
+                })
+                .collect();
+            for i in (1..specs.len()).rev() {
+                specs.swap(i, rng.gen_range(0..=i));
+            }
+            let (max_chunk, servers) = (rng.gen_range(1..24usize), rng.gen_range(1..5u32));
+            let r = Router::new(EpsSlicer { max_chunk }.slice(&specs, servers));
+            let mut values = HashMap::new();
+            for p in specs.iter().filter(|_| rng.gen_range(0..4u32) != 0).collect::<Vec<_>>() {
+                values.insert(p.key, (0..p.len).map(|_| f32::from_bits(rng.next_u32())).collect());
+            }
+            let update = Deltas::from_params(&values);
+            let got = r.scatter(&update);
+            let want = per_key_scatter(&r, &values);
+            prop_assert_eq!(got.len(), want.len());
+            for (m, (got, want)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(&got.keys, &want.keys, "server {}", m);
+                prop_assert_eq!(&got.lens, &want.lens, "server {}", m);
+                prop_assert_eq!(
+                    got.vals.as_le_bytes(), want.vals.as_le_bytes(), "server {}", m
+                );
+            }
+            if servers == 1 {
+                // One server's slices are one run: a view, not a copy.
+                let shared = got[0].vals.as_le_bytes().as_ptr_range();
+                let slab = update.slab().as_slice().as_ptr_range();
+                prop_assert!(
+                    slab.start <= shared.start && shared.end <= slab.end
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_server_push_shares_the_update_it_was_given() {
+        // The comm-bound ledger workload's model on one server: a 1.3 MB
+        // update, staged with no tensor-sized allocation on this thread.
+        let dims = [64usize, 1024, 256, 10];
+        let mut specs = Vec::new();
+        for (layer, w) in dims.windows(2).enumerate() {
+            let key = 2 * layer as u64;
+            specs.push(ParamSpec {
+                key,
+                len: w[0] * w[1],
+            });
+            specs.push(ParamSpec {
+                key: key + 1,
+                len: w[1],
+            });
+        }
+        let r = Router::new(EpsSlicer { max_chunk: 4096 }.slice(&specs, 1));
+        let update =
+            Deltas::from_params(&specs.iter().map(|p| (p.key, vec![1e-3; p.len])).collect());
+        assert_eq!(update.slab().len(), 4 * 331_530);
+        let (mut client, _) = recorded_client(&r, true);
+        let (_, before) = thread_counters();
+        assert_eq!(client.spush(0, &update).unwrap(), 1);
+        let (_, after) = thread_counters();
+        assert!(
+            after - before < 64 * 1024,
+            "staging a push of {} bytes allocated {}",
+            update.slab().len(),
+            after - before
+        );
+        let Message::SPush { kv, .. } = client.staged[0].1.bare() else {
+            panic!("staged a push")
+        };
+        assert_eq!(
+            kv.vals.as_le_bytes().as_ptr(),
+            update.slab().as_slice().as_ptr()
+        );
+        assert_eq!(kv.vals.as_le_bytes(), update.slab().as_slice());
+    }
+
     #[test]
     fn scatter_skips_absent_params() {
         let r = router(4, 2);
         let mut vals = values();
         vals.remove(&1);
-        let shards = r.scatter(&vals);
+        let shards = r.scatter(&Deltas::from_params(&vals));
         let total: usize = shards.iter().map(|kv| kv.vals.len()).sum();
         assert_eq!(total, 10 + 7);
     }
@@ -1036,7 +1175,7 @@ mod tests {
             let param: &mut Vec<f32> = ones.entry(p.orig_key).or_default();
             param.resize(param.len().max(p.offset + p.len), 1.0);
         }
-        let shards = r.scatter(&ones);
+        let shards = r.scatter(&Deltas::from_params(&ones));
         let answer = |m: u32| Message::PullResponse {
             server: m,
             progress,
@@ -1066,7 +1205,7 @@ mod tests {
             let (mut client, sent) = recorded_client(&r, retry);
             let collector = TraceCollector::wall(64);
             client.set_tracer(collector.tracer());
-            assert_eq!(client.spush(0, &values()).unwrap(), 2);
+            assert_eq!(client.spush(0, &update()).unwrap(), 2);
             // Nothing on the wire, and nothing claimed to be.
             assert_eq!(calls_of(&sent), Vec::<Vec<_>>::new());
             assert_eq!(collector.snapshot().count(EventKind::WireSend), 0);
@@ -1101,7 +1240,7 @@ mod tests {
         let other = 1 - owner;
         for retry in [false, true] {
             let (mut client, sent) = recorded_client(&r, retry);
-            client.spush(0, &values()).unwrap();
+            client.spush(0, &update()).unwrap();
             let report = client.spull_keys_wait(0, &[1], &mut HashMap::new());
             assert_eq!(report.unwrap().responses, 1);
             let mut sent = calls_of(&sent).concat();
@@ -1119,8 +1258,8 @@ mod tests {
             let (mut client, sent) = recorded_client(&r, retry);
             client.flush().unwrap();
             assert_eq!(calls_of(&sent).len(), 0, "nothing staged, nothing sent");
-            client.spush(0, &values()).unwrap();
-            client.spush(1, &values()).unwrap();
+            client.spush(0, &update()).unwrap();
+            client.spush(1, &update()).unwrap();
             client.flush().unwrap();
             let mut pushes = calls_of(&sent).concat();
             pushes.sort_unstable();
@@ -1280,7 +1419,7 @@ mod tests {
         let grads: HashMap<u64, Vec<f32>> = [(0, vec![1.0; 4]), (1, vec![1.0; 4])].into();
         let mut params = HashMap::new();
         for i in 0..5 {
-            w.spush(i, &grads).unwrap();
+            w.spush(i, &Deltas::from_params(&grads)).unwrap();
             w.spull_wait(i, &mut params).unwrap();
         }
         assert_eq!(cluster.addresses.get(NodeId::Server(2)), None);
@@ -1330,7 +1469,7 @@ mod tests {
     fn a_timeout_replays_the_buffered_pushes_to_the_silent_server_then_reissues_its_pull() {
         let r = router(4, 2);
         let mut routing = r.clone();
-        let shards = r.scatter(&values());
+        let shards = r.scatter(&update());
         let replay: Replay = [(0, shards.clone()), (1, shards)].into();
         let (mut round, pulls) = WorkerRound::start(0, 1, None, Some(CausalCtx::new(9)), &r);
         assert_eq!(asked(&pulls, 9, 0), [(0, "pull"), (1, "pull")]);
@@ -1490,10 +1629,10 @@ mod tests {
     fn one_timeout_writes_one_batch_per_awaiting_server() {
         let r = router(4, 2);
         let (mut client, sent) = recorded_client(&r, true);
-        client.spush(0, &values()).unwrap();
+        client.spush(0, &update()).unwrap();
         client.spull_wait(0, &mut HashMap::new()).unwrap();
         // Round 1: server 0 answers, server 1 never does.
-        client.spush(1, &values()).unwrap();
+        client.spush(1, &update()).unwrap();
         client.mailbox.0.lock().push_back(answers(&r, 1).remove(0));
         let err = client.spull_wait(1, &mut HashMap::new()).unwrap_err();
         assert!(matches!(err, TransportError::Timeout), "got {err:?}");

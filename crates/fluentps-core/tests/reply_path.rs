@@ -19,6 +19,7 @@ use fluentps_core::engine::EngineConfig;
 use fluentps_core::eps::{EpsSlicer, ParamSpec, SliceMap, Slicer};
 use fluentps_core::tcp_engine::{TcpCluster, TcpWorker};
 use fluentps_core::worker::{RetryPolicy, Router, WorkerClient};
+use fluentps_ml::Deltas;
 use fluentps_obs::{EventKind, TraceCollector};
 use fluentps_transport::tcp::{AddressBook, TcpNode, TcpPostman};
 use fluentps_transport::{Flow, Input, KvPairs, Mailbox, Message, NodeId, Postman, Step};
@@ -78,7 +79,9 @@ const STAGED: u64 = 8;
 /// Stage the pushes of write number `round`.
 fn stage(worker: &mut TcpWorker, round: u64, grads: &HashMap<u64, Vec<f32>>) {
     for i in 0..STAGED {
-        worker.spush(STAGED * round + i, grads).unwrap();
+        worker
+            .spush(STAGED * round + i, &Deltas::from_params(grads))
+            .unwrap();
     }
 }
 
@@ -164,7 +167,7 @@ fn a_finished_cluster_leaves_no_reader_thread_behind() {
             let grads: HashMap<u64, Vec<f32>> = [(0, vec![1.0; 64]), (1, vec![1.0; 64])].into();
             let mut params = HashMap::new();
             for i in 0..20 {
-                w.spush(i, &grads).unwrap();
+                w.spush(i, &Deltas::from_params(&grads)).unwrap();
                 w.spull_wait(i, &mut params).unwrap();
             }
             w
@@ -289,7 +292,7 @@ fn a_reissue_that_meets_a_late_release_ends_in_a_lost_connection_and_a_retry() {
         let grads: HashMap<u64, Vec<f32>> = [(0, vec![0.5; VALS])].into();
         let mut params = HashMap::new();
         for i in 0..DEPTH {
-            client.spush(i, &grads).unwrap();
+            client.spush(i, &Deltas::from_params(&grads)).unwrap();
             let report = client.spull_wait(i, &mut params).unwrap();
             assert_eq!((report.responses, report.max_version), (1, i + 1));
         }

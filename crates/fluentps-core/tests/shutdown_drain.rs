@@ -18,6 +18,7 @@ use fluentps_core::recovery::{RecoveryConfig, ResilientTcpCluster};
 use fluentps_core::stats::ShardStats;
 use fluentps_core::tcp_engine::TcpCluster;
 use fluentps_core::worker::WorkerClient;
+use fluentps_ml::Deltas;
 use fluentps_transport::{Mailbox, Postman};
 
 /// Writes per worker, each of [`STAGED`] pushes to both servers.
@@ -42,7 +43,9 @@ fn push_only<P: Postman, M: Mailbox>(worker: &mut WorkerClient<P, M>) {
     let grads: HashMap<u64, Vec<f32>> = [(0, vec![1e-3; 64]), (1, vec![1e-3; 64])].into();
     for write in 0..WRITES {
         for i in 0..STAGED {
-            worker.spush(STAGED * write + i, &grads).unwrap();
+            worker
+                .spush(STAGED * write + i, &Deltas::from_params(&grads))
+                .unwrap();
         }
         worker.flush().unwrap();
     }

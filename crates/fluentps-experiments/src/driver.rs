@@ -30,7 +30,7 @@ use fluentps_core::worker::{request_id, wire_args, Heard, Router, WorkerRound};
 use fluentps_ml::data::{synthetic, BatchSampler, Dataset, SyntheticSpec};
 use fluentps_ml::metrics::{Curve, CurvePoint};
 use fluentps_ml::models::{Mlp, Model, ResidualMlp, SoftmaxRegression};
-use fluentps_ml::optim::{Optimizer, Sgd};
+use fluentps_ml::optim::{Deltas, Optimizer, Sgd};
 use fluentps_ml::schedule::LrSchedule;
 use fluentps_ml::ParamMap;
 use fluentps_obs::{ClockSource, EventKind, Trace, TraceCollector, Tracer, VirtualClock};
@@ -686,10 +686,11 @@ impl<'a> Simulation<'a> {
             if let Some(filter) = &mut w.filter {
                 use fluentps_core::filter::FilterDecision;
                 let mut passed = fluentps_ml::ParamMap::new();
-                for (k, d) in &deltas {
-                    let param = w.params.get(k).map(|v| v.as_slice()).unwrap_or(&[]);
-                    if let FilterDecision::Push(u) = filter.offer(*k, d, param) {
-                        passed.insert(*k, u);
+                for (k, d) in deltas.iter() {
+                    let param = w.params.get(&k).map(|v| v.as_slice()).unwrap_or(&[]);
+                    let d: Vec<f32> = d.collect();
+                    if let FilterDecision::Push(u) = filter.offer(k, &d, param) {
+                        passed.insert(k, u);
                     }
                 }
                 // Final iteration: nothing may be withheld forever.
@@ -705,7 +706,7 @@ impl<'a> Simulation<'a> {
                             .or_insert(u);
                     }
                 }
-                deltas = passed;
+                deltas = Deltas::from_params(&passed);
             }
             self.router.scatter(&deltas)
         } else {

@@ -19,16 +19,20 @@
 //! * [`models`] — softmax regression, MLPs and a residual MLP standing in
 //!   for ResNet-56 (deep, skip connections, higher staleness sensitivity).
 //! * [`optim`] — SGD with momentum and weight decay, the one optimizer every
-//!   figure and live run trains with (the paper's LARS is not reproduced).
+//!   figure and live run trains with (the paper's LARS is not reproduced),
+//!   and [`Deltas`], the update it writes in wire form.
 //! * [`schedule`] — learning-rate schedules (constant, step decay).
 //! * [`data`] — seeded synthetic classification datasets standing in for
 //!   CIFAR-10 ("c10-like": 10 classes) and CIFAR-100 ("c100-like": 100
 //!   classes with lower attainable accuracy).
 //! * [`metrics`] — accuracy and loss tracking.
 //!
-//! Parameters and gradients travel as `HashMap<u64, Vec<f32>>` keyed by
-//! layer, matching the parameter-server worker API, so a model plugs into a
-//! `WorkerClient` without translation.
+//! Parameters and gradients are `HashMap<u64, Vec<f32>>` keyed by layer
+//! ([`ParamMap`]), the form a `WorkerClient` gathers pulled parameters
+//! into. What a worker pushes is the optimizer's output, [`Deltas`]: the
+//! update's values as little-endian bytes in one slab, keys ascending, which
+//! the client slices into per-server payloads without converting them
+//! again.
 
 #![warn(missing_docs)]
 
@@ -46,4 +50,4 @@ pub type ParamMap = std::collections::HashMap<u64, Vec<f32>>;
 
 pub use data::{Batch, Dataset};
 pub use models::{Mlp, Model, ResidualMlp, SoftmaxRegression};
-pub use optim::{Optimizer, Sgd};
+pub use optim::{Deltas, Optimizer, Sgd};

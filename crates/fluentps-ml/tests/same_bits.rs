@@ -403,17 +403,19 @@ proptest! {
 
 proptest! {
     /// `Sgd::deltas` keeps the indexed loop's operations and their order,
-    /// so its deltas and velocities have the loop's bits: three steps on
-    /// two keys, with and without momentum and weight decay, the gradients
-    /// and weights holding every class of value (NaNs compared as NaNs, as
-    /// for the GEMMs), and lengths up to 67 for every vector remainder.
+    /// so the wire bytes it writes and its velocities have the loop's bits:
+    /// three steps on three keys, with and without momentum and weight
+    /// decay, the gradients and weights holding every class of value (NaNs
+    /// compared as NaNs, as for the GEMMs), lengths up to 67 for every
+    /// vector remainder and one key longer than the optimizer's 1024-value
+    /// block. The update is one slab, keys ascending.
     #[test]
     fn sgd_deltas_are_bit_identical_to_the_indexed_loop(len in 0usize..=67, seed in any::<u64>()) {
         for (momentum, weight_decay) in [(0.0, 0.0), (0.0, 0.01), (0.9, 0.0), (0.9, 0.01)] {
             let mut rng = StdRng::seed_from_u64(seed);
             let hp = (0.05, momentum, weight_decay);
             let mut opt = Sgd::new(hp.0, hp.1, hp.2);
-            let keys = [(3u64, len), (8, 67 - len)];
+            let keys = [(11u64, 1030 + len), (3, len), (8, 67 - len)];
             let draw = |rng: &mut StdRng| -> fluentps_ml::ParamMap {
                 keys.iter().map(|&(k, n)| (k, activations(rng, n))).collect()
             };
@@ -422,10 +424,17 @@ proptest! {
             for step in 0..3 {
                 let grads = draw(&mut rng);
                 let got = opt.deltas(&params, &grads);
+                prop_assert_eq!(got.iter().map(|(k, _)| k).collect::<Vec<_>>(), vec![3, 8, 11]);
+                prop_assert_eq!(got.slab().len(), 4 * (1030 + len + 67));
                 for (&(k, _), v) in keys.iter().zip(&mut velocity) {
                     let want = naive::sgd_deltas(hp, v, &grads[&k], &params[&k]);
+                    let range = got.range(k).expect("a range per gradient");
+                    let wire: Vec<f32> = got.slab()[4 * range.start..4 * range.end]
+                        .chunks_exact(4)
+                        .map(|le| f32::from_le_bytes(le.try_into().unwrap()))
+                        .collect();
                     prop_assert_eq!(
-                        bits(&got[&k]), bits(&want),
+                        bits(&wire), bits(&want),
                         "key {} step {} μ {} λ {}", k, step, momentum, weight_decay
                     );
                 }

@@ -118,6 +118,12 @@ const LINGER: Duration = Duration::from_secs(1);
 /// send nothing more before it is handed on ([`Shared::drain_workers`]).
 const QUIET: Duration = Duration::from_millis(50);
 
+/// One scheduler tick of a kernel at 250 Hz. The socket counts its
+/// timeouts in ticks, so a bound kept armed up to this much longer than a
+/// wait asked for ends it at most about a tick later than the exact one
+/// would ([`ReadHalf::set_bound`]).
+const TICK: Duration = Duration::from_millis(4);
+
 /// The write half of one connection: the socket plus a reusable scratch
 /// buffer that frame *heads* (and whole payload-free frames) are encoded
 /// into before one gathered write hands them to the kernel together with the
@@ -174,15 +180,23 @@ impl ReadHalf {
         }
     }
 
-    /// Let neither a read nor a write of this connection block longer than
-    /// `bound`. A node that reads for itself does not read while it writes:
-    /// if its peer is blocked writing to it meanwhile, both wait on each
-    /// other, and the write timeout is what ends that. System calls only
-    /// when the bound changes.
+    /// Let neither a read nor a write of this connection block much longer
+    /// than `bound`. A node that reads for itself does not read while it
+    /// writes: if its peer is blocked writing to it meanwhile, both wait on
+    /// each other, and the write timeout is what ends that. The bound armed
+    /// already is kept while it lies between half of `bound` and `bound`
+    /// plus one [`TICK`], so the bounded waits of one worker, each given the
+    /// same patience, make no system call: one that fires early is retried
+    /// for what is left ([`ReadHalf::next`]), and the lower limit keeps a
+    /// near-expired bound from making a later, longer wait spin.
     fn set_bound(&mut self, bound: Option<Duration>) -> std::io::Result<()> {
         // The socket takes no zero timeout.
         let bound = bound.map(|bound| bound.max(Duration::from_micros(1)));
-        if self.bound != bound {
+        let keep = match (self.bound, bound) {
+            (Some(armed), Some(bound)) => bound / 2 <= armed && armed <= bound + TICK,
+            (armed, bound) => armed == bound,
+        };
+        if !keep {
             let stream = self.reader.get_ref();
             stream.set_read_timeout(bound)?;
             stream.set_write_timeout(bound)?;
@@ -1591,6 +1605,52 @@ mod tests {
             "the wait was for the quiet one"
         );
         assert_eq!(worker.recv_from(SERVER, Some(patience)).unwrap(), None);
+    }
+
+    #[test]
+    fn bounded_waits_keep_the_armed_bound_and_a_long_one_after_a_short_one_rearms() {
+        let (server, worker) = server_and_worker(false);
+        reach(&worker, &server, 1);
+        let answers = (0..100).map(|p| (WORKER, ack(p))).collect();
+        server.postman().reply_batch(answers).unwrap();
+        let armed = || {
+            let (id, half) = worker
+                .shared
+                .take_reader(SERVER)
+                .expect("a dialed connection");
+            let bound = half.bound;
+            worker.shared.return_reader(SERVER, id, half);
+            bound
+        };
+        // The same patience each time: the first wait arms the socket, and
+        // the other 99 keep what it armed.
+        let (mut arms, mut last) = (0, armed());
+        for p in 0..100 {
+            let got = worker.recv_from(SERVER, Some(LONG)).unwrap();
+            assert_eq!(got, Some((SERVER, ack(p))));
+            arms += usize::from(armed() != last);
+            last = armed();
+        }
+        assert!(arms <= 1, "100 bounded waits armed the socket {arms} times");
+
+        // A wait that is all but over arms the smallest bound; a long wait
+        // after it must not keep that bound and spin on it.
+        let nothing = worker.recv_from(SERVER, Some(Duration::from_micros(1)));
+        assert_eq!(nothing.unwrap(), None);
+        assert!(armed().is_some_and(|bound| bound < Duration::from_millis(1)));
+        let replies = server.postman();
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            replies.reply_batch(vec![(WORKER, ack(100))]).unwrap();
+        });
+        let got = worker.recv_from(SERVER, Some(LONG)).unwrap();
+        assert_eq!(got, Some((SERVER, ack(100))));
+        assert!(
+            armed().is_some_and(|bound| bound > LONG / 2),
+            "the long wait ran on the near-expired bound: {:?}",
+            armed()
+        );
+        late.join().unwrap();
     }
 
     #[test]

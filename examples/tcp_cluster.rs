@@ -12,6 +12,7 @@ use fluentps::core::condition::SyncModel;
 use fluentps::core::engine::EngineConfig;
 use fluentps::core::eps::{EpsSlicer, ParamSpec, Slicer};
 use fluentps::core::tcp_engine::TcpCluster;
+use fluentps::ml::Deltas;
 use fluentps::transport::NodeId;
 
 const NUM_WORKERS: u32 = 3;
@@ -42,7 +43,7 @@ fn main() {
                 let grads: HashMap<u64, Vec<f32>> = [(KEY, vec![(me + 1) as f32; 8])].into();
                 let mut params: HashMap<u64, Vec<f32>> = HashMap::new();
                 for i in 0..ITERATIONS {
-                    client.spush(i, &grads).expect("push");
+                    client.spush(i, &Deltas::from_params(&grads)).expect("push");
                     // Wait for the (possibly lazily executed) response.
                     let report = client.spull_wait(i, &mut params).expect("pull");
                     assert!(report.min_version > i, "BSP responses carry fresh params");

@@ -133,17 +133,27 @@ if above_tests "$stream_src" | grep -E 'request_id == 0|then_some\(0\)' \
   exit 1
 fi
 
-# Structural guard: a value is `f32` where arithmetic happens (the worker's
-# scatter and gather, the shard's apply) and wire bytes everywhere in
-# between, the shard's store included (DESIGN.md §13). The wire layers move
-# those bytes and never convert them:
+# Structural guard: a value is `f32` where arithmetic happens (the
+# optimizer, the worker's gather, the shard's apply) and wire bytes
+# everywhere in between, the shard's store included (DESIGN.md §13). The
+# wire layers move those bytes and never convert them:
 # no `f32` vector and no `f32` slab operation above the test markers of
 # codec.rs, frame.rs and tcp.rs, and the frame reader keeps no body buffer
 # between frames (each frame's buffer is the decoded message's payload).
+# On the way out the optimizer is the one conversion: it writes the update
+# as wire bytes (`fluentps_ml::Deltas`), and above worker.rs's test marker
+# the push path converts no `f32` (no `put_f32_slice_le`, no
+# `ValuesMut::extend_from_slice` or `Values::from_f32s`); `scatter` shares
+# or byte-copies the optimizer's bytes.
 wire_src=crates/fluentps-transport/src
 if above_tests "$wire_src/codec.rs" "$wire_src/frame.rs" "$wire_src/tcp.rs" \
   | grep -E 'Vec<f32>|get_f32_vec_le|put_f32_slice_le'; then
   echo "ci: the wire layers convert values again (see above); that belongs to values.rs and its callers" >&2
+  exit 1
+fi
+if above_tests crates/fluentps-core/src/worker.rs \
+  | grep -E 'put_f32_slice_le|extend_from_slice\(|from_f32s\('; then
+  echo "ci: worker.rs converts f32 values on the push path again (see above); the optimizer writes them as wire bytes" >&2
   exit 1
 fi
 if ! grep -qE '^pub struct FrameReader;$' "$wire_src/frame.rs"; then

@@ -10,6 +10,7 @@ use fluentps::core::eps::{EpsSlicer, ParamSpec, Slicer};
 use fluentps::ml::data::{synthetic, BatchSampler, SyntheticSpec};
 use fluentps::ml::models::{Mlp, Model, SoftmaxRegression};
 use fluentps::ml::optim::{Optimizer, Sgd};
+use fluentps::ml::Deltas;
 
 fn dataset(seed: u64) -> SyntheticSpec {
     SyntheticSpec {
@@ -332,7 +333,7 @@ fn partial_pulls_fetch_only_requested_keys() {
         (2u64, vec![3.0f32; 8]),
     ]
     .into();
-    w.spush(0, &grads).unwrap();
+    w.spush(0, &Deltas::from_params(&grads)).unwrap();
 
     // Pull only key 1: key 0 and key 2 must stay untouched locally.
     let mut params: HashMap<u64, Vec<f32>> = HashMap::new();

@@ -17,6 +17,7 @@ use fluentps::core::eps::{EpsSlicer, ParamSpec, Slicer};
 use fluentps::core::launch::Observability;
 use fluentps::core::recovery::{RecoveryConfig, ResilientTcpCluster};
 use fluentps::core::worker::RetryPolicy;
+use fluentps::ml::Deltas;
 use fluentps::obs::http::Endpoints;
 use fluentps::obs::{HealthEngine, MetricsRegistry, StreamConfig, TraceCollector};
 
@@ -93,7 +94,7 @@ fn threaded_engine_serves_metrics_and_healthz_while_training() {
                 let grads: HashMap<u64, Vec<f32>> =
                     [(0u64, vec![1.0f32; 512]), (1u64, vec![1.0f32; 128])].into();
                 for i in 0..iters {
-                    w.spush(i, &grads).unwrap();
+                    w.spush(i, &Deltas::from_params(&grads)).unwrap();
                     let mut out = HashMap::new();
                     w.spull_wait(i, &mut out).unwrap();
                 }
@@ -372,7 +373,7 @@ fn resilient_engine_healthz_reflects_the_liveness_monitor() {
     let grads: HashMap<u64, Vec<f32>> = [(0u64, vec![1.0f32; 8]), (1u64, vec![1.0f32; 8])].into();
     let mut out = HashMap::new();
     for i in 0..6u64 {
-        w.spush(i, &grads).expect("push");
+        w.spush(i, &Deltas::from_params(&grads)).expect("push");
         w.spull_wait(i, &mut out)
             .expect("pull survives degradation");
     }
@@ -439,7 +440,7 @@ fn resilient_engine_exports_consensus_gauges_and_healthz_consensus_line() {
     let grads: HashMap<u64, Vec<f32>> = [(0u64, vec![1.0f32; 8])].into();
     let mut out = HashMap::new();
     for i in 0..4u64 {
-        w.spush(i, &grads).expect("push");
+        w.spush(i, &Deltas::from_params(&grads)).expect("push");
         w.spull_wait(i, &mut out).expect("pull");
     }
 
