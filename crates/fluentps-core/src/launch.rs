@@ -5,17 +5,24 @@
 //! [`crate::engine::Cluster`], over loopback TCP (an
 //! [`AddressBook`](fluentps_transport::tcp::AddressBook))
 //! [`crate::tcp_engine::TcpCluster`]; the step a server runs
-//! ([`crate::serve::run`]) is the same on both.
+//! ([`crate::serve::run`]) is the same on both. In the
+//! [`RecoveryConfig`](crate::recovery::RecoveryConfig) [`Role`] it is the
+//! fault-tolerant cluster over a
+//! [`FaultyNetwork`](fluentps_transport::fault::FaultyNetwork)
+//! ([`crate::recovery::ResilientTcpCluster`] over TCP), whose supervisor
+//! replicas are a role of the same handle.
 //!
-//! The module also owns what every launch shares, the fault-tolerant
-//! [`crate::recovery::ResilientTcpCluster`] included: shard construction and
-//! placement ([`shard_server`]), the bring-up of servers and worker clients
-//! on a fabric, and the observability session (per-node tracing, health
-//! tap, metrics gauges, HTTP endpoint) with its one shutdown sequence. Every
-//! launch takes the same [`Observability`].
+//! The module owns what every role shares: shard construction and placement
+//! ([`shard_server`]), the one bring-up of servers, worker clients and the
+//! control node on a fabric (`Cluster::start`), the registry of server
+//! threads a replacement joins (`Servers`), the one shutdown, and the
+//! observability session (per-node tracing, health tap, metrics gauges,
+//! HTTP endpoint). Every launch takes the same [`Observability`].
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use fluentps_obs::http::{self, Endpoints};
@@ -26,6 +33,7 @@ use fluentps_obs::{
 use fluentps_transport::collect::TraceStreamer;
 use fluentps_transport::{Mailbox, Message, Network, NodeId, Postman, TransportError};
 use fluentps_util::rng::StdRng;
+use fluentps_util::sync::Mutex;
 
 use crate::condition::SyncModel;
 use crate::engine::EngineConfig;
@@ -127,6 +135,8 @@ pub(crate) struct Session {
     worker_streamers: Vec<TraceStreamer>,
     tap: Option<(HealthEngine, HealthTap)>,
     endpoint: Option<IntrospectionServer>,
+    /// What `/healthz` serves: the readiness view a liveness monitor feeds.
+    pub(crate) liveness: Option<HealthView>,
 }
 
 impl Session {
@@ -157,7 +167,7 @@ impl Session {
                 let endpoints = Endpoints {
                     registry: obs.metrics.clone().unwrap_or_default(),
                     trace: obs.collector.clone().map(TraceSource::Local),
-                    health: liveness,
+                    health: liveness.clone(),
                     engine: obs.health.clone(),
                 };
                 Some(http::serve(addr, endpoints)?)
@@ -169,6 +179,7 @@ impl Session {
             worker_streamers: Vec::new(),
             tap,
             endpoint,
+            liveness,
         })
     }
 
@@ -264,147 +275,225 @@ pub fn server_rng(seed: u64, m: u32, generation: u64) -> StdRng {
     )
 }
 
-/// Run `serve` — a node being served until it stops — on a thread of its
-/// own, and final-flush the node's trace stream from that same thread, so
-/// everything a server recorded, a killed one included, reaches the
-/// collector before the thread exits.
-pub(crate) fn spawn_served(
-    name: String,
-    streamer: Option<TraceStreamer>,
-    serve: impl FnOnce() -> ShardStats + Send + 'static,
-) -> JoinHandle<ShardStats> {
-    let served = move || {
-        let stats = serve();
-        if let Some(s) = streamer {
-            s.stop();
-        }
-        stats
-    };
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(served)
-        .expect("spawn server thread")
+/// The server threads of one cluster, by server id, and the stop latch of
+/// its one drain. The cluster handle holds the registry and its supervisor
+/// replicas share it: a replacement server joins the set (DESIGN.md §18).
+#[derive(Clone, Default)]
+pub(crate) struct Servers {
+    threads: Arc<Mutex<Incarnations>>,
+    /// The out-of-band counterpart of the `Shutdown` message, set by
+    /// [`Servers::drain`] before it sends one: a server that checks it on a
+    /// quiet interval exits even when that frame is lost.
+    stop: Arc<AtomicBool>,
 }
 
-/// What a launch brings up: a `cfg`-shaped cluster whose server `m` runs
-/// `models[m]` over its slices of `init`, as `map` places them.
-pub(crate) struct Plan<'a> {
+/// Each server thread with its server's id: a replaced server has one per
+/// incarnation.
+type Incarnations = Vec<(u32, JoinHandle<ShardStats>)>;
+
+impl Servers {
+    /// Run `serve` — node `m` being served until it stops — on a thread
+    /// `fluentps-{stem}-server-{m}` of its own, and final-flush the node's
+    /// trace stream from that same thread, so everything a server recorded,
+    /// a killed one included, reaches the collector before the thread exits.
+    pub(crate) fn spawn(
+        &self,
+        stem: &str,
+        m: u32,
+        streamer: Option<TraceStreamer>,
+        serve: impl FnOnce() -> ShardStats + Send + 'static,
+    ) {
+        let served = move || {
+            let stats = serve();
+            if let Some(s) = streamer {
+                s.stop();
+            }
+            stats
+        };
+        let thread = std::thread::Builder::new()
+            .name(format!("fluentps-{stem}-server-{m}"))
+            .spawn(served)
+            .expect("spawn server thread");
+        self.threads.lock().push((m, thread));
+    }
+
+    /// The latch [`Servers::drain`] sets.
+    pub(crate) fn stop_latch(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.stop)
+    }
+
+    /// Set the stop latch, send `Shutdown` from `postman` to every server id,
+    /// join every thread and return the statistics by server id, the
+    /// incarnations of a replaced server merged. A server thread's panic is
+    /// raised again once every thread is joined.
+    pub(crate) fn drain(self, postman: &impl Postman) -> Vec<ShardStats> {
+        self.stop.store(true, Ordering::Relaxed);
+        let threads = std::mem::take(&mut *self.threads.lock());
+        let ids = threads.iter().map(|&(m, _)| m + 1).max().unwrap_or(0);
+        for m in 0..ids {
+            // Ignore failures: the server may already be gone.
+            let _ = postman.send(NodeId::Server(m), Message::Shutdown);
+        }
+        let mut stats = vec![ShardStats::default(); ids as usize];
+        let mut panicked = None;
+        for (m, thread) in threads {
+            match thread.join() {
+                Ok(s) => stats[m as usize].merge(&s),
+                Err(payload) => panicked = panicked.or(Some(payload)),
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+        stats
+    }
+}
+
+/// The arguments of [`Cluster::launch_observed`] besides its [`Role`]: a
+/// `cfg`-shaped cluster holding `init` as `map` places it, observed as
+/// `obs` says. Only `launch_observed` builds one.
+pub struct Plan<'a> {
     pub(crate) cfg: EngineConfig,
-    pub(crate) models: &'a [SyncModel],
     pub(crate) map: SliceMap,
     pub(crate) init: &'a HashMap<u64, Vec<f32>>,
+    pub(crate) obs: Observability,
+}
+
+/// What a cluster runs besides its shards, chosen by the second argument of
+/// [`Cluster::launch_observed`]: a model per server (`&[SyncModel]`, or
+/// anything that is one) for a plain cluster on a fabric of its own making
+/// (`F: Default`); a [`RecoveryConfig`](crate::recovery::RecoveryConfig) for
+/// the fault-tolerant one, on a
+/// [`FaultyNetwork`](fluentps_transport::fault::FaultyNetwork), with
+/// supervisor replicas beside its servers.
+pub trait Role<F: Network> {
+    /// Launch the cluster `plan` describes in this role.
+    fn launch(self, plan: Plan<'_>) -> Result<(Cluster<F>, Vec<Worker<F>>), TransportError>;
+}
+
+/// A plain cluster: server `m` runs `models[m]` with [`serve::run`].
+impl<F, M> Role<F> for &M
+where
+    F: Network + Default,
+    M: AsRef<[SyncModel]> + ?Sized,
+{
+    fn launch(self, plan: Plan<'_>) -> Result<(Cluster<F>, Vec<Worker<F>>), TransportError> {
+        Cluster::start(
+            F::default(),
+            plan,
+            self.as_ref(),
+            (F::NAME, F::NAME),
+            None,
+            |server, _, p, m, _| move || serve::run(server, &m, p),
+        )
+    }
 }
 
 /// The worker client of a cluster over the fabric `F`.
 pub type Worker<F> = WorkerClient<<F as Network>::Postman, <F as Network>::Mailbox>;
 
-/// The thread serving each shard, by server id.
-pub(crate) type ServerThreads = Vec<JoinHandle<ShardStats>>;
+/// A node's two halves on the network `N`.
+type Halves<N> = (<N as Network>::Postman, <N as Network>::Mailbox);
 
-impl Plan<'_> {
-    /// Bind every worker and server of the plan on `fabric`, serve each
-    /// shard on a thread `fluentps-{thread}-server-{m}` of its own — `drive`
-    /// turns the shard's server, the wire keys it owns and its node's halves
-    /// into what that thread runs — and build the worker clients. Every node
-    /// is bound before any server runs, so each can answer anyone.
-    pub(crate) fn bring_up<F: Network, R>(
-        self,
-        fabric: &F,
-        session: &mut Session,
-        thread: &str,
-        mut drive: impl FnMut(ShardServer, Vec<u64>, F::Postman, F::Mailbox) -> R,
-    ) -> Result<(ServerThreads, Vec<Worker<F>>), TransportError>
+/// A running cluster over the fabric `F`: one served node per shard, each on
+/// a thread that only waits while the fabric runs its step (DESIGN.md §18),
+/// the supervisor replicas of a fault-tolerant cluster, and a control node
+/// of the handle's own, which delivers the shutdown.
+pub struct Cluster<F: Network> {
+    pub(crate) fabric: F,
+    pub(crate) servers: Servers,
+    /// Bound as `Scheduler` on the bare network, outside any fault shim;
+    /// owning the mailbox keeps the postman's connections alive.
+    control: Halves<F::Bare>,
+    /// Each supervisor replica's thread and trace streamer, by replica id;
+    /// none on a plain cluster.
+    pub(crate) supervisors: Vec<(JoinHandle<()>, Option<TraceStreamer>)>,
+    pub(crate) session: Session,
+}
+
+impl<F: Network> Cluster<F> {
+    /// Launch a cluster in `role`, observed as `obs` says, and build one
+    /// [`WorkerClient`] per worker. As a list of models, `role` gives server
+    /// `m` `models[m]` — the paper's headline flexibility: "each parameter
+    /// server can choose the adaptive synchronization model to update its
+    /// parameter shard" (Figure 2 runs SSP, PSSP and drop-stragglers side by
+    /// side); [`EngineConfig::models`] runs `cfg.model` everywhere. `init`
+    /// maps original parameter keys to initial values (`w_0`); `map` decides
+    /// the placement. Fails only when a node or [`Observability::http`]
+    /// cannot be bound.
+    pub fn launch_observed(
+        cfg: EngineConfig,
+        role: impl Role<F>,
+        map: SliceMap,
+        init: &HashMap<u64, Vec<f32>>,
+        obs: Observability,
+    ) -> Result<(Self, Vec<Worker<F>>), TransportError> {
+        role.launch(Plan {
+            cfg,
+            map,
+            init,
+            obs,
+        })
+    }
+
+    /// The one bring-up of every role: start observing the cluster as
+    /// `engine` (`liveness` feeding `/healthz`), bind every worker and
+    /// server of `plan` on `fabric`, serve server `m`'s shard, running
+    /// `models[m]`, on a thread named by `stem` — `drive` turns its server,
+    /// the wire keys it owns, its node's halves and the registry into what
+    /// that thread runs — build the worker clients, and bind the handle's
+    /// control node on the bare network. Every node is bound before any
+    /// server runs, so each can answer anyone.
+    pub(crate) fn start<R>(
+        fabric: F,
+        plan: Plan<'_>,
+        models: &[SyncModel],
+        (engine, stem): (&str, &str),
+        liveness: Option<HealthView>,
+        mut drive: impl FnMut(ShardServer, Vec<u64>, F::Postman, F::Mailbox, &Servers) -> R,
+    ) -> Result<(Self, Vec<Worker<F>>), TransportError>
     where
         R: FnOnce() -> ShardStats + Send + 'static,
     {
         let Plan {
             cfg,
-            models,
             map,
             init,
-        } = self;
+            obs,
+        } = plan;
         assert_eq!(map.num_servers(), cfg.num_servers, "map/server mismatch");
         assert_eq!(
             models.len(),
             cfg.num_servers as usize,
             "one model per server"
         );
+        let mut session = Session::start(obs, engine, &cfg, liveness)?;
         let bind = |node| fabric.bind(node);
         let workers = (0..cfg.num_workers)
             .map(|n| bind(NodeId::Worker(n)))
             .collect::<Result<Vec<_>, _>>()?;
-        let servers = (0..cfg.num_servers)
+        let nodes = (0..cfg.num_servers)
             .map(|m| bind(NodeId::Server(m)))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut handles = Vec::with_capacity(servers.len());
-        for ((m, (postman, mailbox)), model) in (0u32..).zip(servers).zip(models) {
+        let servers = Servers::default();
+        for ((m, (postman, mailbox)), model) in (0u32..).zip(nodes).zip(models) {
             let (tracer, streamer) = session.obs.node(NodeId::Server(m));
             let (server, keys) = shard_server(&cfg, *model, m, (&map, init), tracer);
-            let name = format!("fluentps-{thread}-server-{m}");
-            handles.push(spawn_served(
-                name,
-                streamer,
-                drive(server, keys, postman, mailbox),
-            ));
+            let serve = drive(server, keys, postman, mailbox, &servers);
+            servers.spawn(stem, m, streamer, serve);
         }
-        Ok((handles, session.workers(map, workers)))
-    }
-}
-
-/// A running cluster over the fabric `F`: one served node per shard, each on
-/// a thread that only waits while the fabric runs its step
-/// ([`serve::run`], DESIGN.md §18), and a control node of the handle's own
-/// on the same fabric, which delivers the shutdown.
-pub struct Cluster<F: Network> {
-    fabric: F,
-    servers: ServerThreads,
-    /// Bound as `Scheduler`; owning the mailbox keeps the postman's
-    /// connections alive.
-    control: (F::Postman, F::Mailbox),
-    session: Session,
-}
-
-impl<F: Network + Default> Cluster<F> {
-    /// Launch a cluster on a fresh fabric, observed as `obs` says, and
-    /// build one [`WorkerClient`] per worker. Server `m` runs `models[m]` —
-    /// the paper's headline flexibility: "each parameter server can choose
-    /// the adaptive synchronization model to update its parameter shard"
-    /// (Figure 2 runs SSP, PSSP and drop-stragglers side by side);
-    /// [`EngineConfig::models`] runs `cfg.model` everywhere. `init` maps
-    /// original parameter keys to initial values (`w_0`); `map` decides the
-    /// placement. Fails only when a node or [`Observability::http`] cannot
-    /// be bound.
-    pub fn launch_observed(
-        cfg: EngineConfig,
-        models: &[SyncModel],
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        obs: Observability,
-    ) -> Result<(Self, Vec<Worker<F>>), TransportError> {
-        let fabric = F::default();
-        let mut session = Session::start(obs, F::NAME, &cfg, None)?;
-        let plan = Plan {
-            cfg,
-            models,
-            map,
-            init,
-        };
-        let (servers, workers) =
-            plan.bring_up(&fabric, &mut session, F::NAME, |server, _, p, m| {
-                move || serve::run(server, &m, p)
-            })?;
-        let control = fabric.bind(NodeId::Scheduler)?;
+        let workers = session.workers(map, workers);
+        let control = fabric.bare().bind(NodeId::Scheduler)?;
         let cluster = Cluster {
             fabric,
             servers,
             control,
+            supervisors: Vec::new(),
             session,
         };
         Ok((cluster, workers))
     }
-}
 
-impl<F: Network> Cluster<F> {
     /// The fabric every node of this cluster is bound on, for joining the
     /// cluster from outside the launch: a node registered on the in-process
     /// fabric, an address looked up in (or published to) the TCP book.
@@ -417,10 +506,13 @@ impl<F: Network> Cluster<F> {
         self.session.http_addr()
     }
 
-    /// Send `Shutdown` to every server from the control node, join their
-    /// threads and return their per-shard statistics (index = server id).
-    /// Finalizes the health engine and stops the HTTP endpoint of an
-    /// observed launch.
+    /// Stop the cluster and return its per-shard statistics (index = server
+    /// id; a replaced server's incarnations merged). From the control node:
+    /// `Shutdown` to each supervisor replica, whose threads are joined and
+    /// whose streamers are stopped, then `Shutdown` to every server, whose
+    /// threads are joined. A panic of a server or a replica is raised again
+    /// after that. Finalizes the health engine and stops the HTTP endpoint
+    /// of an observed launch.
     ///
     /// Call after the worker threads have finished: the workers' trace
     /// streamers final-flush here. A TCP server waits for the connections
@@ -429,18 +521,28 @@ impl<F: Network> Cluster<F> {
         let Cluster {
             servers,
             control: (postman, _mailbox),
+            supervisors,
             session,
             ..
         } = self;
         session.shutdown(|| {
-            for m in 0..servers.len() as u32 {
-                // Ignore failures: the server may already be gone.
-                let _ = postman.send(NodeId::Server(m), Message::Shutdown);
+            for k in 0..supervisors.len() as u32 {
+                // Ignore failures: the replica may have crashed already.
+                let _ = postman.send(NodeId::Supervisor(k), Message::Shutdown);
             }
-            servers
-                .into_iter()
-                .map(|h| h.join().expect("server thread panicked"))
-                .collect()
+            let mut panicked = None;
+            for (thread, streamer) in supervisors {
+                let joined = thread.join();
+                if let Some(s) = streamer {
+                    s.stop();
+                }
+                panicked = panicked.or(joined.err());
+            }
+            let stats = servers.drain(&postman);
+            if let Some(payload) = panicked {
+                std::panic::resume_unwind(payload);
+            }
+            stats
         })
     }
 }
@@ -450,6 +552,7 @@ impl<F: Network> Cluster<F> {
 mod tests {
     use super::*;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
+    use crate::serve::tests::Recording;
     use crate::worker::PullReport;
     use fluentps_ml::Deltas;
     use fluentps_obs::EventKind;
@@ -637,5 +740,38 @@ mod tests {
     #[test]
     fn shutdown_releases_blocked_workers_over_tcp() {
         shutdown_releases_blocked_workers::<AddressBook>();
+    }
+
+    /// Server threads that return `pushes` statistics at once, by id.
+    fn registry(incarnations: &[(u32, u64)]) -> Servers {
+        let servers = Servers::default();
+        for &(m, pushes) in incarnations {
+            let stats = ShardStats {
+                pushes,
+                ..ShardStats::default()
+            };
+            servers.spawn("test", m, None, move || stats);
+        }
+        servers
+    }
+
+    #[test]
+    fn drain_stops_every_server_once_and_merges_a_replaced_ones_incarnations() {
+        let servers = registry(&[(0, 1), (1, 2), (0, 3)]);
+        let latch = servers.stop_latch();
+        let sent = Recording::default();
+        let stats = servers.drain(&sent);
+        assert_eq!(stats.iter().map(|s| s.pushes).collect::<Vec<_>>(), [4, 2]);
+        assert!(latch.load(Ordering::Relaxed), "latched before the join");
+        let stops = [0, 1].map(|m| vec![(NodeId::Server(m), Message::Shutdown)]);
+        assert_eq!(*sent.0.lock(), stops);
+    }
+
+    #[test]
+    #[should_panic(expected = "server 1 fell over")]
+    fn drain_raises_a_server_panic_again() {
+        let servers = registry(&[(0, 1)]);
+        servers.spawn("test", 1, None, || panic!("server 1 fell over"));
+        servers.drain(&Recording::default());
     }
 }

@@ -1,5 +1,11 @@
-//! Fault-tolerant TCP runtime: the [`crate::tcp_engine`] cluster plus
-//! everything needed to survive a server death mid-training.
+//! Fault-tolerant runtime: [`Cluster`] in the [`RecoveryConfig`] role, on a
+//! [`FaultyNetwork`] over any network — [`ResilientTcpCluster`] over
+//! loopback TCP — plus everything needed to survive a server death
+//! mid-training. The launch, the server registry and the shutdown are the
+//! cluster's own (`crate::launch`): this module supplies the server step
+//! each shard runs, the supervisor replicas, which bind on the bare network
+//! beneath the fault shim and spawn a replacement into the cluster's
+//! registry, and the worker retry policy.
 //!
 //! Three pieces cooperate:
 //!
@@ -15,8 +21,9 @@
 //!   deterministically.
 //! * A **supervisor** owning a [`LivenessMonitor`]: when a server misses
 //!   its heartbeats it is declared dead and either *replaced* — a fresh
-//!   shard restored from the latest checkpoint, rebound on a new port,
-//!   with workers redialing through the shared [`AddressBook`] — or, when
+//!   shard restored from the latest checkpoint, bound again under the dead
+//!   server's id (over TCP on a new port, with workers redialing through
+//!   the shared [`AddressBook`]) — or, when
 //!   replacement is disabled, the cluster enters *degraded mode*: the dead
 //!   server's slices are remapped onto survivors
 //!   ([`EpsSlicer::remap_dead`]), orphaned parameters are installed from
@@ -35,16 +42,14 @@
 //! `num_supervisors == 1` the consensus layer degenerates to an instant
 //! solo leader and the runtime behaves exactly like the pre-quorum design.
 //!
-//! All messaging runs through a [`FaultInjector`], so chaos schedules
-//! (drops, delays, duplicates, severed nodes) apply to a live TCP cluster
-//! and — because fault rules are content-matched, not timing-matched —
-//! replay bit-for-bit across runs.
+//! All worker and server messaging runs through a [`FaultInjector`], so
+//! chaos schedules (drops, delays, duplicates, severed nodes) apply to a
+//! live cluster and — because fault rules are content-matched, not
+//! timing-matched — replay bit-for-bit across runs.
 
 use std::collections::{BTreeSet, HashMap};
-use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fluentps_obs::{
@@ -54,11 +59,8 @@ use fluentps_obs::{
 use fluentps_util::buf::Bytes;
 use fluentps_util::sync::Mutex;
 
-use fluentps_transport::collect::TraceStreamer;
-use fluentps_transport::fault::{
-    FaultInjector, FaultPlan, FaultyMailbox, FaultyNetwork, FaultyPostman,
-};
-use fluentps_transport::tcp::{AddressBook, TcpNode, TcpPostman};
+use fluentps_transport::fault::{FaultInjector, FaultPlan, FaultyNetwork};
+use fluentps_transport::tcp::AddressBook;
 use fluentps_transport::{
     per_destination, CausalCtx, Input, KvPairs, Mailbox, Message, Network, NodeId, Postman, Step,
     TransportError, WirePlacement, NO_LEADER,
@@ -68,41 +70,23 @@ use crate::checkpoint::ShardCheckpoint;
 use crate::consensus::{ConsensusConfig, ControlCommand, LogEntry, Replica};
 use crate::engine::EngineConfig;
 use crate::eps::{EpsSlicer, SliceMap};
-use crate::launch::{self, Observability, Plan, Session};
+use crate::launch::{self, Cluster, Observability, Plan, Role, Servers, Worker};
 use crate::scheduler::LivenessMonitor;
 use crate::serve::{wrap, Flow, ShardServer};
 use crate::stats::ShardStats;
-use crate::worker::{RetryPolicy, WorkerClient};
+use crate::worker::RetryPolicy;
 
-/// Worker client type of the resilient runtime: TCP halves wrapped in the
-/// cluster's fault injector.
-pub type ResilientWorker = WorkerClient<ResilientPostman, ResilientMailbox>;
+/// The fault-tolerant TCP cluster: [`Cluster`] on loopback TCP behind the
+/// fault shim, in the [`RecoveryConfig`] role.
+pub type ResilientTcpCluster = Cluster<FaultyNetwork<AddressBook>>;
 
-type ResilientPostman = FaultyPostman<TcpPostman>;
-type ResilientMailbox = FaultyMailbox<TcpNode>;
+/// The stem of a fault-tolerant cluster's server threads' names:
+/// `fluentps-rts-server-m`, a replacement's included.
+const STEM: &str = "rts";
 
 /// Latest checkpoint per server id, shared between server loops (writers)
 /// and the supervisor (reader at recovery time).
 type CheckpointStore = Arc<Mutex<HashMap<u32, Bytes>>>;
-
-/// Server thread handles plus the shutdown latch, shared across supervisor
-/// replicas: whichever live replica first receives `Shutdown` drains the
-/// servers; a replacement spawned by the current leader lands here too.
-///
-/// `stop` is the out-of-band counterpart of the `Shutdown` *message*: the
-/// drain path sends `Shutdown` with best effort and then joins the server
-/// threads unconditionally, so a lost frame (chaos drop, racing socket
-/// teardown) would hang the join forever. Every server checks this flag on
-/// each heartbeat interval without a message, guaranteeing exit even when
-/// the message never arrives, but never while pushes still come in.
-#[derive(Debug, Default)]
-struct SharedServers {
-    handles: Vec<(u32, JoinHandle<ShardStats>)>,
-    drained: bool,
-    stop: Arc<AtomicBool>,
-}
-
-type SharedState = Arc<Mutex<SharedServers>>;
 
 /// Per-replica consensus standing, shared for introspection: every live
 /// replica writes its own slot; `/healthz` and the consensus gauges render
@@ -252,9 +236,9 @@ impl RecoveryConfig {
     /// a liveness timeout no longer than the heartbeat interval would
     /// declare healthy servers dead between two heartbeats, and an election
     /// timeout not strictly longer than the leader lease would let a
-    /// follower depose a leader that is still inside its lease.
-    /// [`ResilientTcpCluster::launch_observed`] rejects invalid
-    /// configurations up front by panicking with the returned message.
+    /// follower depose a leader that is still inside its lease. A
+    /// fault-tolerant launch rejects invalid configurations up front by
+    /// panicking with the returned message.
     pub fn validate(&self) -> Result<(), String> {
         if self.liveness_timeout <= self.heartbeat_every {
             return Err(format!(
@@ -277,101 +261,95 @@ impl RecoveryConfig {
     }
 }
 
-/// Handle to a running fault-tolerant TCP cluster.
-pub struct ResilientTcpCluster {
-    supervisors: Vec<JoinHandle<Vec<ShardStats>>>,
-    /// Owning the node keeps the control postman's connections alive.
-    control: (TcpPostman, TcpNode),
-    health: HealthView,
-    /// Streamers for the supervisor replicas' own events (deaths,
-    /// restores, remaps, elections); stopped after the replica threads are
-    /// joined but *before* any join result is unwrapped, so a panicking
-    /// replica cannot leak its streamer thread.
-    supervisor_streamers: Vec<TraceStreamer>,
-    /// Server thread handles, shared with the supervisor replicas so any
-    /// live replica (or [`ResilientTcpCluster::shutdown`] itself, when
-    /// every replica crashed) can drain them exactly once.
-    shared: SharedState,
-    num_servers: u32,
-    session: Session,
-    /// Where each node listens; shared live with every postman, so a
-    /// replacement server becomes reachable the moment it rebinds.
-    pub addresses: AddressBook,
-}
-
-impl ResilientTcpCluster {
-    /// Launch servers, a supervisor and fault-wrapped worker clients; with
-    /// a `collector`, every node records trace events into it.
+impl<N: Network + Default> Cluster<FaultyNetwork<N>> {
+    /// Launch servers, supervisor replicas and fault-wrapped worker clients;
+    /// with a `collector`, every node records trace events into it.
     pub fn launch(
         cfg: EngineConfig,
         rcfg: RecoveryConfig,
         map: SliceMap,
         init: &HashMap<u64, Vec<f32>>,
         collector: Option<&TraceCollector>,
-    ) -> Result<(ResilientTcpCluster, Vec<ResilientWorker>), TransportError> {
+    ) -> Result<Launched<N>, TransportError> {
         let obs = Observability {
             collector: collector.cloned(),
             ..Observability::default()
         };
         Self::launch_observed(cfg, rcfg, map, init, obs)
     }
+}
 
-    /// [`ResilientTcpCluster::launch`], observed as `obs` says: the
-    /// supervisor replicas publish the `consensus_term`,
-    /// `consensus_is_leader` and `consensus_commits_total` gauges into
-    /// [`Observability::metrics`], and `/healthz` of
-    /// [`Observability::http`] is fed by the liveness monitor.
-    pub fn launch_observed(
-        cfg: EngineConfig,
-        rcfg: RecoveryConfig,
-        map: SliceMap,
-        init: &HashMap<u64, Vec<f32>>,
-        obs: Observability,
-    ) -> Result<(ResilientTcpCluster, Vec<ResilientWorker>), TransportError> {
+impl<N: Network> Cluster<FaultyNetwork<N>> {
+    /// The `engine` label of this cluster's gauges: `resilient-tcp` over
+    /// loopback TCP.
+    pub fn engine() -> String {
+        format!("resilient-{}", N::NAME)
+    }
+
+    /// The readiness view fed by the supervisors' liveness monitor — what
+    /// `/healthz` of [`Observability::http`] serves.
+    pub fn health(&self) -> HealthView {
+        let liveness = self.session.liveness.clone();
+        liveness.expect("a fault-tolerant cluster monitors liveness")
+    }
+}
+
+/// The fault-tolerant cluster: every server runs `cfg.model` behind the
+/// resilient gate ([`run_resilient`]), every worker retries under
+/// [`RecoveryConfig::retry`], and [`RecoveryConfig::num_supervisors`]
+/// replicas watch the servers from the bare network. The replicas publish
+/// the `consensus_term`, `consensus_is_leader` and `consensus_commits_total`
+/// gauges into [`Observability::metrics`], and their liveness monitor feeds
+/// `/healthz` of [`Observability::http`].
+impl<N: Network + Default> Role<FaultyNetwork<N>> for RecoveryConfig {
+    fn launch(self, plan: Plan<'_>) -> Result<Launched<N>, TransportError> {
+        let rcfg = self;
         if let Err(e) = rcfg.validate() {
             panic!("invalid RecoveryConfig: {e}");
         }
+        let (cfg, map) = (plan.cfg, plan.map.clone());
         let health = HealthView::new();
         let board = ConsensusBoard::new(rcfg.num_supervisors);
         // Published before the endpoint is up and before any election:
         // /healthz honestly reports the control plane as not-yet-established
         // until the first leader wins.
-        publish_consensus(&board, &health, obs.metrics.as_ref(), rcfg.num_supervisors);
-        let injector = FaultInjector::new(rcfg.fault_plan.clone());
-        let store: CheckpointStore = Arc::new(Mutex::new(HashMap::new()));
+        publish_consensus(
+            &board,
+            &health,
+            plan.obs.metrics.as_ref(),
+            rcfg.num_supervisors,
+        );
+        let store = CheckpointStore::default();
+        let fabric = FaultInjector::new(rcfg.fault_plan.clone()).network(N::default());
         // The control plane stays outside the fault shim: the supervisors
-        // and the handle's control node are bound on the bare book, before
-        // any server runs, so a server's first heartbeat finds its leader.
-        let book = AddressBook::new();
+        // are bound on the bare network before any server runs, so a
+        // server's first heartbeat finds its leader.
         let supervisor_nodes = (0..rcfg.num_supervisors)
-            .map(|k| book.bind(NodeId::Supervisor(k)))
+            .map(|k| fabric.bare().bind(NodeId::Supervisor(k)))
             .collect::<Result<Vec<_>, _>>()?;
-        let control = book.bind(NodeId::Worker(u32::MAX))?;
-        let fabric = injector.network(book.clone());
-        let mut session = Session::start(obs, "resilient-tcp", &cfg, Some(health.clone()))?;
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let plan = Plan {
-            cfg,
-            models: &cfg.models(),
-            map: map.clone(),
-            init,
-        };
-        let drive = |server, keys, postman, mailbox| {
+        let engine = Cluster::<FaultyNetwork<N>>::engine();
+        let liveness = Some(health.clone());
+        let drive = |server, keys, postman, mailbox, servers: &Servers| {
             let watermarks = vec![None; cfg.num_workers as usize];
-            let (store, stop) = (Arc::clone(&store), Arc::clone(&stop));
+            let (store, stop) = (Arc::clone(&store), servers.stop_latch());
             let state = ResilientServer::new(server, keys, watermarks, rcfg.clone(), store, stop);
             move || run_resilient(state, &mailbox, postman)
         };
-        let (servers, mut workers) = plan.bring_up(&fabric, &mut session, "rts", drive)?;
-        let handles = (0u32..).zip(servers).collect();
+        let (mut cluster, mut workers) = Cluster::start(
+            fabric,
+            plan,
+            &cfg.models(),
+            (&engine, STEM),
+            liveness,
+            drive,
+        )?;
         for w in &mut workers {
             w.set_retry_policy(rcfg.retry.clone());
         }
 
         // Consensus gauges: HELP text once at launch, values published by
         // every live replica from the shared board.
-        if let Some(reg) = &session.obs.metrics {
+        if let Some(reg) = &cluster.session.obs.metrics {
             reg.set_help(
                 "consensus_term",
                 "Highest consensus term observed across live supervisor replicas.",
@@ -385,13 +363,6 @@ impl ResilientTcpCluster {
                 "Highest committed control-plane log index across live supervisor replicas.",
             );
         }
-        let shared: SharedState = Arc::new(Mutex::new(SharedServers {
-            handles,
-            drained: false,
-            stop,
-        }));
-        let mut supervisors = Vec::with_capacity(rcfg.num_supervisors as usize);
-        let mut supervisor_streamers = Vec::new();
         for (k, (postman, node)) in (0u32..).zip(supervisor_nodes) {
             // Replica 0 keeps the historical `scheduler` trace identity so
             // merged timelines stay comparable across cluster flavors;
@@ -401,18 +372,17 @@ impl ResilientTcpCluster {
             } else {
                 NodeId::Supervisor(k)
             };
-            let (sup_tracer, sup_streamer) = session.obs.node(trace_id);
-            supervisor_streamers.extend(sup_streamer);
+            let (tracer, streamer) = cluster.session.obs.node(trace_id);
             let replica = SupervisorReplica {
                 id: k,
                 cfg,
                 rcfg: rcfg.clone(),
-                obs: session.obs.clone(),
-                fabric: fabric.clone(),
+                obs: cluster.session.obs.clone(),
+                fabric: cluster.fabric.clone(),
                 map: map.clone(),
-                tracer: sup_tracer,
+                tracer,
                 store: Arc::clone(&store),
-                shared: Arc::clone(&shared),
+                servers: cluster.servers.clone(),
                 generation: 0,
                 health: health.clone(),
                 board: board.clone(),
@@ -433,119 +403,20 @@ impl ResilientTcpCluster {
                 liveness: LivenessMonitor::new(rcfg.liveness_timeout.as_millis().max(1) as u64),
                 start: Instant::now(),
                 last_noop: Duration::ZERO,
-                crashed: false,
             };
-            // The thread waits and ticks; the node's reader threads run the
-            // replica.
-            let handle = std::thread::Builder::new()
+            // The thread waits and ticks; the fabric runs the replica.
+            let thread = std::thread::Builder::new()
                 .name(format!("fluentps-supervisor-{k}"))
                 .spawn(move || replica.run(&node))
                 .expect("spawn supervisor replica");
-            supervisors.push(handle);
+            cluster.supervisors.push((thread, streamer));
         }
-
-        Ok((
-            ResilientTcpCluster {
-                supervisors,
-                control,
-                health,
-                supervisor_streamers,
-                shared,
-                num_servers: cfg.num_servers,
-                session,
-                addresses: book,
-            },
-            workers,
-        ))
-    }
-
-    /// The readiness view fed by the supervisor's liveness monitor — what
-    /// `/healthz` of [`Observability::http`] serves.
-    pub fn health(&self) -> HealthView {
-        self.health.clone()
-    }
-
-    /// Where [`Observability::http`] is being served (resolves port 0).
-    pub fn http_addr(&self) -> Option<SocketAddr> {
-        self.session.http_addr()
-    }
-
-    /// Stop the supervisor replicas and every server; returns per-server
-    /// statistics (a replaced server's incarnations are merged under its
-    /// id).
-    ///
-    /// Call after the worker threads have finished: the workers' trace
-    /// streamers final-flush here, so events recorded later would be lost.
-    pub fn shutdown(self) -> Vec<ShardStats> {
-        let ResilientTcpCluster {
-            supervisors,
-            control: (postman, _node),
-            supervisor_streamers,
-            shared,
-            num_servers,
-            session,
-            ..
-        } = self;
-        session.shutdown(move || {
-            for k in 0..supervisors.len() as u32 {
-                let _ = postman.send(NodeId::Supervisor(k), Message::Shutdown);
-            }
-            // Collect every replica's join *result* before unwrapping any
-            // of them: the supervisor streamers must be latch-stopped even
-            // when a replica thread panicked, or the panic would propagate
-            // here first and leak the streamer threads.
-            let joined: Vec<std::thread::Result<Vec<ShardStats>>> =
-                supervisors.into_iter().map(|h| h.join()).collect();
-            for s in supervisor_streamers {
-                s.stop();
-            }
-            let mut merged = vec![ShardStats::default(); num_servers as usize];
-            // Fallback drain: when every replica crashed (quorum-loss chaos
-            // kills all of them) nobody drained the server threads — do it
-            // here so they exit and their statistics are not lost.
-            for (m, stats) in drain_servers(&shared, &postman, num_servers) {
-                merged[m as usize].merge(&stats);
-            }
-            for res in joined {
-                let stats = res.expect("supervisor replica thread");
-                for (m, s) in stats.iter().enumerate() {
-                    merged[m].merge(s);
-                }
-            }
-            merged
-        })
+        Ok((cluster, workers))
     }
 }
 
-/// Orderly server drain, performed exactly once per cluster: whoever gets
-/// here first — a supervisor replica reaching shutdown, or the cluster
-/// handle when every replica crashed — takes the shared handles; everyone
-/// later finds `drained` set and gets nothing.
-fn drain_servers(
-    shared: &SharedState,
-    postman: &impl Postman,
-    num_servers: u32,
-) -> Vec<(u32, ShardStats)> {
-    let handles = {
-        let mut shared = shared.lock();
-        if shared.drained {
-            return Vec::new();
-        }
-        shared.drained = true;
-        // Latch first: `Shutdown` below is best-effort, and the join after
-        // it is unconditional — the flag guarantees the servers exit even
-        // when a frame is lost.
-        shared.stop.store(true, Ordering::Relaxed);
-        std::mem::take(&mut shared.handles)
-    };
-    for m in 0..num_servers {
-        let _ = postman.send(NodeId::Server(m), Message::Shutdown);
-    }
-    handles
-        .into_iter()
-        .filter_map(|(m, handle)| Some((m, handle.join().ok()?)))
-        .collect()
-}
+/// What a fault-tolerant launch over `N` returns.
+type Launched<N> = (Cluster<FaultyNetwork<N>>, Vec<Worker<FaultyNetwork<N>>>);
 
 /// Per-worker applied-push window: a watermark (everything at or below is
 /// applied) plus the out-of-order progresses above it. The window — rather
@@ -629,7 +500,7 @@ pub(crate) struct ResilientServer {
     last_cp_v: Option<u64>,
     rcfg: RecoveryConfig,
     store: CheckpointStore,
-    /// Out-of-band shutdown latch (see [`SharedServers`]): checked on every
+    /// The cluster's stop latch (`launch::Servers`): checked on every
     /// quiet interval so a lost `Shutdown` frame cannot strand the thread.
     stop: Arc<AtomicBool>,
 }
@@ -978,18 +849,6 @@ fn run_resilient<M: Mailbox, P: Postman + 'static>(
     step.server.server.into_stats()
 }
 
-/// Serve a replacement incarnation on a thread like its predecessor's.
-fn spawn_replacement(
-    server: ResilientServer,
-    (postman, mailbox): (ResilientPostman, ResilientMailbox),
-    streamer: Option<TraceStreamer>,
-) -> JoinHandle<ShardStats> {
-    let m = server.id();
-    // The thread waits and ticks; the node's reader threads run the step.
-    let serve = move || run_resilient(server, &mailbox, postman);
-    launch::spawn_served(format!("fluentps-rts-server-{m}"), streamer, serve)
-}
-
 /// One supervisor replica: drives its consensus [`Replica`], observes
 /// server heartbeats while leading, and applies committed control commands
 /// to the recovery state machine.
@@ -1013,7 +872,7 @@ fn spawn_replacement(
 /// out through `send`/`send_batch`, over connections it dials: a server and
 /// a peer replica do not read the connections *they* dial, so nothing here
 /// answers with `reply_batch`.
-struct SupervisorReplica<P> {
+struct SupervisorReplica<N, P> {
     id: u32,
     cfg: EngineConfig,
     rcfg: RecoveryConfig,
@@ -1021,14 +880,15 @@ struct SupervisorReplica<P> {
     /// publishing the consensus gauges.
     obs: Observability,
     /// The data plane's fabric: what a replacement server is bound on.
-    fabric: FaultyNetwork<AddressBook>,
+    fabric: FaultyNetwork<N>,
     /// This replica's mirror of the route table; mutated only when a
     /// committed `Remapped` entry is applied, so all replicas hold
     /// identical maps at equal applied indices.
     map: SliceMap,
     tracer: Tracer,
     store: CheckpointStore,
-    shared: SharedState,
+    /// The cluster's server registry, which a replacement joins.
+    servers: Servers,
     generation: u64,
     health: HealthView,
     board: ConsensusBoard,
@@ -1052,11 +912,9 @@ struct SupervisorReplica<P> {
     start: Instant,
     /// When this replica, leading, last proposed a no-op.
     last_noop: Duration,
-    /// Killed by `kill_supervisors`: gone without the drain.
-    crashed: bool,
 }
 
-impl<P: Postman + 'static> Step for SupervisorReplica<P> {
+impl<N: Network, P: Postman + 'static> Step for SupervisorReplica<N, P> {
     fn step(&mut self, input: Input) -> Flow {
         let now = self.start.elapsed();
         match input {
@@ -1071,24 +929,16 @@ impl<P: Postman + 'static> Step for SupervisorReplica<P> {
     }
 }
 
-impl<P: Postman + 'static> SupervisorReplica<P> {
-    /// Serve this replica from `node` until it is shut down or killed;
-    /// shut down, it drains the servers and returns their statistics.
-    fn run(mut self, node: &impl Mailbox) -> Vec<ShardStats> {
+impl<N: Network, P: Postman + 'static> SupervisorReplica<N, P> {
+    /// Serve this replica from `node` until it is shut down or killed. The
+    /// servers are the cluster's to drain, once every replica is joined.
+    fn run(mut self, node: &impl Mailbox) {
         let wake = self.rcfg.heartbeat_every;
         // The first consensus tick waits for neither a message nor a quiet
         // interval.
         if self.step(Input::Tick) == Flow::Continue {
-            self = node.serve(Some(wake), self);
+            node.serve(Some(wake), self);
         }
-        if self.crashed {
-            return Vec::new();
-        }
-        let mut merged = vec![ShardStats::default(); self.cfg.num_servers as usize];
-        for (m, stats) in drain_servers(&self.shared, &self.postman, self.cfg.num_servers) {
-            merged[m as usize].merge(&stats);
-        }
-        merged
     }
 
     /// What must happen on schedule, after every message and on every quiet
@@ -1136,8 +986,8 @@ impl<P: Postman + 'static> SupervisorReplica<P> {
         // once the configured applied index is reached.
         let (id, applied) = (self.id, self.applied);
         let kills = &self.rcfg.kill_supervisors;
-        self.crashed = kills.iter().any(|&(k, v)| k == id && applied >= v);
-        if self.crashed {
+        let crashed = kills.iter().any(|&(k, v)| k == id && applied >= v);
+        if crashed {
             self.board.mark_exited(id);
         } else {
             self.board.update(
@@ -1153,7 +1003,7 @@ impl<P: Postman + 'static> SupervisorReplica<P> {
             self.obs.metrics.as_ref(),
             self.rcfg.num_supervisors,
         );
-        if self.crashed {
+        if crashed {
             return Flow::Stop;
         }
         if self.consensus.is_leader() {
@@ -1335,9 +1185,10 @@ impl<P: Postman + 'static> SupervisorReplica<P> {
         let Ok(cp) = ShardCheckpoint::from_bytes(bytes.clone()) else {
             return false;
         };
-        // Publishing the new address is what lets every worker's postman
-        // redial the replacement after its old connection errors out.
-        let Ok(halves) = self.fabric.bind(NodeId::Server(m)) else {
+        // Binding the id again is what lets every worker's postman reach the
+        // replacement: over TCP the new address is published in the book,
+        // and a postman redials once its old connection errors out.
+        let Ok((postman, mailbox)) = self.fabric.bind(NodeId::Server(m)) else {
             return false;
         };
 
@@ -1382,17 +1233,17 @@ impl<P: Postman + 'static> SupervisorReplica<P> {
         // ahead of `V_train` (SSP/PSSP).
         let mut rcfg = self.rcfg.clone();
         rcfg.kill_server = None;
-        let stop = Arc::clone(&self.shared.lock().stop);
         let state = ResilientServer::new(
             server,
             cp.params.keys.clone(),
             watermarks,
             rcfg,
             Arc::clone(&self.store),
-            stop,
+            self.servers.stop_latch(),
         );
-        let handle = spawn_replacement(state, halves, rep_streamer);
-        self.shared.lock().handles.push((m, handle));
+        // The thread waits and ticks; the fabric runs the step.
+        let serve = move || run_resilient(state, &mailbox, postman);
+        self.servers.spawn(STEM, m, rep_streamer, serve);
         true
     }
 
@@ -1479,7 +1330,7 @@ impl<P: Postman + 'static> SupervisorReplica<P> {
     /// Allocate a causal request id in the supervisor space: the top bit
     /// distinguishes control-plane requests from worker traffic, then the
     /// replica id above a 40-bit per-replica counter — deterministic and
-    /// collision-free against [`WorkerClient`]'s id scheme.
+    /// collision-free against [`WorkerClient`](crate::worker::WorkerClient)'s id scheme.
     fn next_request_id(&mut self) -> u64 {
         self.next_request += 1;
         (1u64 << 63) | ((self.id as u64 + 1) << 40) | self.next_request
@@ -1494,6 +1345,7 @@ pub(crate) mod tests {
     use crate::serve::tests::Recording;
     use fluentps_ml::Deltas;
     use fluentps_obs::Tracer;
+    use fluentps_transport::Fabric;
 
     pub(crate) fn fast_recovery(kill: Option<(u32, u64)>, replace: bool) -> RecoveryConfig {
         RecoveryConfig {
@@ -1566,18 +1418,22 @@ pub(crate) mod tests {
 
     /// A scripted supervisor replica `id` over `two_server_setup`'s cluster —
     /// no sockets, no threads, wired to nothing but `postman`.
-    fn scripted_replica<P>(id: u32, rcfg: &RecoveryConfig, postman: P) -> SupervisorReplica<P> {
+    fn scripted_replica<P>(
+        id: u32,
+        rcfg: &RecoveryConfig,
+        postman: P,
+    ) -> SupervisorReplica<Fabric, P> {
         let (cfg, map, _) = two_server_setup();
         SupervisorReplica {
             id,
             cfg,
             rcfg: rcfg.clone(),
             obs: Observability::default(),
-            fabric: FaultInjector::passthrough().network(AddressBook::new()),
+            fabric: FaultInjector::passthrough().network(Fabric::new()),
             map,
             tracer: Tracer::disabled(),
             store: CheckpointStore::default(),
-            shared: SharedState::default(),
+            servers: Servers::default(),
             generation: 0,
             health: HealthView::new(),
             board: ConsensusBoard::new(rcfg.num_supervisors),
@@ -1598,7 +1454,6 @@ pub(crate) mod tests {
             liveness: LivenessMonitor::new(rcfg.liveness_timeout.as_millis() as u64),
             start: Instant::now(),
             last_noop: Duration::ZERO,
-            crashed: false,
         }
     }
 
@@ -1827,7 +1682,7 @@ pub(crate) mod tests {
         let ms = Duration::from_millis;
         assert_eq!(r.tick(ms(0)), Flow::Continue);
         assert!(r.consensus.is_leader(), "solo: leader at once");
-        let declared = |r: &SupervisorReplica<Recording>| {
+        let declared = |r: &SupervisorReplica<Fabric, Recording>| {
             let dead = ControlCommand::DeclareDead { server: 1 };
             let log = r.consensus.committed_since(0).iter();
             log.filter(|e| e.cmd == dead).count()
@@ -1881,38 +1736,32 @@ pub(crate) mod tests {
         assert!(r.board.slots.lock()[0].exited);
         let leader = r.health.consensus().and_then(|c| c.leader);
         assert_eq!(leader, None, "the only replica is gone");
-        // Served, it is gone at the first tick — without the drain.
-        let shared = Arc::clone(&r.shared);
-        let node = fluentps_transport::Fabric::new().register(NodeId::Supervisor(0));
-        assert!(r.run(&node).is_empty());
-        assert!(!shared.lock().drained);
+        // Served, it is gone at the first tick, having sent nothing.
+        let node = Fabric::new().register(NodeId::Supervisor(0));
+        r.run(&node);
         assert_eq!(sent_singly(&sent), []);
     }
 
     #[test]
-    fn shutdown_stops_a_replica_and_drains_the_servers_exactly_once() {
+    fn shutdown_stops_a_replica_and_leaves_the_servers_to_the_cluster() {
         let rcfg = fast_recovery(None, true);
-        let control = NodeId::Worker(u32::MAX);
+        let control = NodeId::Scheduler;
         let mut r = scripted_replica(0, &rcfg, Recording::default());
         assert_eq!(r.step(Input::Tick), Flow::Continue);
         let stop = Input::Message(control, Message::Shutdown);
         assert_eq!(r.step(stop), Flow::Stop);
-        // Served, with the stop in its mailbox already.
+        // Served, with the stop in its mailbox already: it returns without
+        // a word to the servers, which the cluster drains once every
+        // replica is joined.
         let sent = Recording::default();
         let r = scripted_replica(0, &rcfg, sent.clone());
-        let fabric = fluentps_transport::Fabric::new();
+        let fabric = Fabric::new();
         let node = fabric.register(NodeId::Supervisor(0));
         fabric
             .send(control, NodeId::Supervisor(0), Message::Shutdown)
             .unwrap();
-        let shared = Arc::clone(&r.shared);
-        assert_eq!(r.run(&node), [ShardStats::default(), ShardStats::default()]);
-        assert!(shared.lock().drained);
-        let stops = [0, 1].map(|m| (NodeId::Server(m), Message::Shutdown));
-        assert_eq!(sent_singly(&sent), stops);
-        // Whoever drains next — the cluster handle does — finds it done.
-        assert_eq!(drain_servers(&shared, &sent, 2), []);
-        assert_eq!(sent_singly(&sent), stops);
+        r.run(&node);
+        assert_eq!(sent_singly(&sent), []);
     }
 
     #[test]
@@ -1959,14 +1808,15 @@ pub(crate) mod tests {
         assert!(answered(2).starts_with("tcp-reader-supervisor"));
         let stop = server.send(NodeId::Supervisor(1), Message::Shutdown);
         stop.unwrap();
-        assert_eq!(serving.join().unwrap().len(), 2);
+        serving.join().unwrap();
     }
 
-    #[test]
-    fn killed_server_is_replaced_and_training_stays_exact() {
+    fn killed_server_is_replaced_and_training_stays_exact<N: Network + Default>() {
         let (cfg, map, init) = two_server_setup();
+        let rcfg = fast_recovery(Some((0, 2)), true);
+        let collector = TraceCollector::wall(1 << 12);
         let (cluster, mut workers) =
-            ResilientTcpCluster::launch(cfg, fast_recovery(Some((0, 2)), true), map, &init, None)
+            Cluster::<FaultyNetwork<N>>::launch(cfg, rcfg, map, &init, Some(&collector))
                 .expect("launch");
         let mut w = workers.remove(0);
         let grads: HashMap<u64, Vec<f32>> =
@@ -1991,13 +1841,26 @@ pub(crate) mod tests {
         assert!(stats[0].pushes >= 5, "merged pushes: {}", stats[0].pushes);
         // After replacement the cluster is whole again.
         assert_eq!(health.dead_count(), 0);
+        let restored = collector.snapshot().count(EventKind::CheckpointRestored);
+        assert_eq!(restored, 1, "one kill, one replacement");
     }
 
     #[test]
-    fn dead_server_without_replacement_degrades_onto_survivors() {
+    fn killed_server_is_replaced_and_training_stays_exact_in_process() {
+        killed_server_is_replaced_and_training_stays_exact::<Fabric>();
+    }
+
+    #[test]
+    fn killed_server_is_replaced_and_training_stays_exact_over_tcp() {
+        killed_server_is_replaced_and_training_stays_exact::<AddressBook>();
+    }
+
+    fn dead_server_without_replacement_degrades_onto_survivors<N: Network + Default>() {
         let (cfg, map, init) = two_server_setup();
+        let rcfg = fast_recovery(Some((0, 2)), false);
+        let collector = TraceCollector::wall(1 << 12);
         let (cluster, mut workers) =
-            ResilientTcpCluster::launch(cfg, fast_recovery(Some((0, 2)), false), map, &init, None)
+            Cluster::<FaultyNetwork<N>>::launch(cfg, rcfg, map, &init, Some(&collector))
                 .expect("launch");
         let mut w = workers.remove(0);
         let grads: HashMap<u64, Vec<f32>> =
@@ -2021,6 +1884,18 @@ pub(crate) mod tests {
         let stats = cluster.shutdown();
         // The survivor carried the tail of training.
         assert!(stats[1].pushes >= 6);
+        let remapped = collector.snapshot().count(EventKind::ShardRemapped);
+        assert_eq!(remapped, 1, "one death, one remap");
+    }
+
+    #[test]
+    fn dead_server_without_replacement_degrades_onto_survivors_in_process() {
+        dead_server_without_replacement_degrades_onto_survivors::<Fabric>();
+    }
+
+    #[test]
+    fn dead_server_without_replacement_degrades_onto_survivors_over_tcp() {
+        dead_server_without_replacement_degrades_onto_survivors::<AddressBook>();
     }
 
     #[test]

@@ -780,7 +780,7 @@ mod tests {
     use super::*;
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
     use crate::serve::tests::Recording;
-    use fluentps_transport::Fabric;
+    use fluentps_transport::{Fabric, Network};
     use fluentps_util::alloc::thread_counters;
     use fluentps_util::proptest::prelude::*;
 
@@ -1422,7 +1422,7 @@ mod tests {
             w.spush(i, &Deltas::from_params(&grads)).unwrap();
             w.spull_wait(i, &mut params).unwrap();
         }
-        assert_eq!(cluster.addresses.get(NodeId::Server(2)), None);
+        assert_eq!(cluster.fabric().bare().get(NodeId::Server(2)), None);
         // A duplicate of the last pull: both servers — server 0 in its
         // second incarnation — answer it again, each from its own id.
         let wait = Duration::from_secs(10);

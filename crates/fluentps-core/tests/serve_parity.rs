@@ -21,7 +21,7 @@ use fluentps_core::stats::ShardStats;
 use fluentps_core::tcp_engine::TcpCluster;
 use fluentps_obs::{EventKind, TraceCollector, TraceEvent};
 use fluentps_transport::tcp::{AddressBook, TcpNode};
-use fluentps_transport::{CausalCtx, KvPairs, Mailbox, Message, NodeId, Postman};
+use fluentps_transport::{CausalCtx, KvPairs, Mailbox, Message, Network, NodeId, Postman};
 
 const WORKERS: u32 = 2;
 /// Sender identity of the script; servers answer `msg.worker`, not the
@@ -240,7 +240,10 @@ fn assert_parity(model: SyncModel) -> Outcome {
                 let (cluster, _) =
                     ResilientTcpCluster::launch_observed(cfg, rcfg, map.clone(), &init, obs)
                         .unwrap();
-                tcp_leg(&cluster.addresses.clone(), Box::new(|| cluster.shutdown()))
+                tcp_leg(
+                    &cluster.fabric().bare().clone(),
+                    Box::new(|| cluster.shutdown()),
+                )
             }
         };
         let live = run_live(&direct, leg, &map, &collector);

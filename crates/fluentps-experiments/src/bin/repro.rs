@@ -261,7 +261,7 @@ fn run_collect_cmd(args: &[String]) {
         let registry = fluentps_obs::MetricsRegistry::new();
         fluentps_core::launch::publish_cluster_gauges(
             &registry,
-            "resilient-tcp",
+            &fluentps_core::recovery::ResilientTcpCluster::engine(),
             cfg.num_workers,
             cfg.num_servers,
         );

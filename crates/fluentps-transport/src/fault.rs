@@ -357,7 +357,8 @@ impl FaultInjector {
 }
 
 /// A [`Network`] whose nodes all sit behind one [`FaultInjector`]
-/// ([`FaultInjector::network`]).
+/// ([`FaultInjector::network`]). Its [`Network::bare`] is the network it
+/// wraps, where a node binds outside the shim.
 #[derive(Clone)]
 pub struct FaultyNetwork<N> {
     inner: N,
@@ -368,6 +369,7 @@ impl<N: Network> Network for FaultyNetwork<N> {
     const NAME: &'static str = N::NAME;
     type Postman = FaultyPostman<N::Postman>;
     type Mailbox = FaultyMailbox<N::Mailbox>;
+    type Bare = N::Bare;
 
     fn bind(&self, node: NodeId) -> Result<(Self::Postman, Self::Mailbox), TransportError> {
         let (postman, mailbox) = self.inner.bind(node)?;
@@ -376,6 +378,10 @@ impl<N: Network> Network for FaultyNetwork<N> {
             injector.postman(node, postman),
             injector.mailbox(node, mailbox),
         ))
+    }
+
+    fn bare(&self) -> &N::Bare {
+        self.inner.bare()
     }
 }
 

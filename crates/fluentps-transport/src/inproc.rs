@@ -93,10 +93,15 @@ impl Network for Fabric {
     const NAME: &'static str = "threaded";
     type Postman = InprocPostman;
     type Mailbox = Endpoint;
+    type Bare = Self;
 
     fn bind(&self, node: NodeId) -> Result<(InprocPostman, Endpoint), TransportError> {
         let endpoint = self.register(node);
         Ok((endpoint.postman(), endpoint))
+    }
+
+    fn bare(&self) -> &Self {
+        self
     }
 }
 

@@ -181,8 +181,9 @@ pub trait Mailbox: Send {
 /// sending and receiving halves, and from then on what any node bound on
 /// the same network sends to it arrives in that mailbox. Binding an id again
 /// replaces the node that had it, which is how a replacement server takes
-/// over from a dead one.
-pub trait Network {
+/// over from a dead one. A clone is another handle on the same nodes, for
+/// whichever thread binds a node next.
+pub trait Network: Clone + Send + 'static {
     /// What clusters over this network are called: the `engine` label of
     /// their gauges and the stem of their server threads' names.
     const NAME: &'static str;
@@ -190,9 +191,16 @@ pub trait Network {
     type Postman: Postman + 'static;
     /// The receiving half of a node bound here.
     type Mailbox: Mailbox + 'static;
+    /// The network beneath every fault shim: this one, unless it wraps
+    /// another. A cluster's control plane binds here, where no fault rule
+    /// reaches it.
+    type Bare: Network;
 
     /// Bind `node`.
     fn bind(&self, node: NodeId) -> Result<(Self::Postman, Self::Mailbox), TransportError>;
+
+    /// The network beneath every fault shim.
+    fn bare(&self) -> &Self::Bare;
 }
 
 /// Split `batch` by destination: one `(destination, items)` group per

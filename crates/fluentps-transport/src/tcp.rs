@@ -93,12 +93,17 @@ impl Network for AddressBook {
     const NAME: &'static str = "tcp";
     type Postman = TcpPostman;
     type Mailbox = TcpNode;
+    type Bare = Self;
 
     fn bind(&self, node: NodeId) -> Result<(TcpPostman, TcpNode), TransportError> {
         let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, 0));
         let bound = TcpNode::bind(node, loopback, self.clone())?;
         self.insert(node, bound.local_addr());
         Ok((bound.postman(), bound))
+    }
+
+    fn bare(&self) -> &Self {
+        self
     }
 }
 

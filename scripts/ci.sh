@@ -75,6 +75,10 @@ deleted="$deleted|BenchmarkId|bench_with_input|bench_inventory|parent_span|NO_SP
 # The span profiler; the trace times the server's phases instead (DESIGN.md §9).
 deleted="$deleted|Prof(Collector|ileReport)|SpanGuard|bind_profiled|span_profiler|set_profiler"
 deleted="$deleted|run_profile|profile_section"
+# The fault-tolerant cluster's own handle, registry and spawn; it is a role of
+# `Cluster<F>` now, and its control node the `Scheduler` (DESIGN.md §18).
+deleted="$deleted|ResilientPostman|ResilientMailbox|SharedServers|drain_servers|spawn_served"
+deleted="$deleted|spawn_replacement\(|ServerThreads|bring_up|Worker\(u32::MAX\)"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then
@@ -90,17 +94,17 @@ if [ "$benches" != "crates/bench/benches/obs.rs " ]; then
 fi
 
 # Structural guard: one cluster over a fabric (DESIGN.md §18). Above the
-# test markers of every crate, a shard's server is built, a served node's
-# thread spawned and an observability session started only in launch.rs,
-# whose `Cluster<F>` runs on any `Network`, and in recovery.rs, the
-# fault-tolerant flavour, which brings its servers up through the same
-# `Plan` and spawns its replacements; and those two files define the only
-# cluster handle types.
+# test markers of every crate, a shard's server is built, a server thread
+# (`fluentps-{stem}-server-{m}`) spawned and an observability session
+# started only in launch.rs, whose `Cluster<F>` runs on any `Network` in
+# any role — the fault-tolerant one included, whose replacements join the
+# same registry (`Servers::spawn`) — and launch.rs defines the only
+# cluster handle type.
 launch_sites="$(above_tests crates/*/src/*.rs crates/*/src/*/*.rs \
-  | grep -E '(shard_server|spawn_served)\(|Session::start\(|pub struct [A-Za-z]*Cluster\b' \
-  | grep -vE 'fn (shard_server|spawn_served)\(' | cut -d: -f1 | sort -u | tr '\n' ' ' || true)"
-if [ "$launch_sites" != "$core_src/launch.rs $core_src/recovery.rs " ]; then
-  echo "ci: servers are built, spawned and observed by launch.rs's Cluster<F> (and recovery.rs) only; found in: $launch_sites" >&2
+  | grep -E 'shard_server\(|-server-\{|Session::start\(|pub struct [A-Za-z]*Cluster\b' \
+  | grep -vE 'fn shard_server\(' | cut -d: -f1 | sort -u | tr '\n' ' ' || true)"
+if [ "$launch_sites" != "$core_src/launch.rs " ]; then
+  echo "ci: servers are built, spawned and observed by launch.rs's Cluster<F> only; found in: $launch_sites" >&2
   exit 1
 fi
 
