@@ -16,9 +16,10 @@
 //!   gradients or perturb [`ShardStats`], (2) answers duplicate pulls from
 //!   a per-worker reply cache without re-running the synchronization
 //!   condition, (3) heartbeats a supervisor, (4) periodically captures a
-//!   [`ShardCheckpoint`] into a shared store, and (5) can self-terminate at
-//!   a configured logical time (`V_train` threshold) to simulate a crash
-//!   deterministically.
+//!   [`ShardCheckpoint`] into a shared store, and acks each push with what
+//!   the latest stored one holds, so workers keep only the pushes no
+//!   checkpoint does, and (5) can self-terminate at a configured logical
+//!   time (`V_train` threshold) to simulate a crash deterministically.
 //! * A **supervisor** owning a [`LivenessMonitor`]: when a server misses
 //!   its heartbeats it is declared dead and either *replaced* — a fresh
 //!   shard restored from the latest checkpoint, bound again under the dead
@@ -29,7 +30,8 @@
 //!   ([`EpsSlicer::remap_dead`]), orphaned parameters are installed from
 //!   the checkpoint, and workers receive a `RouteUpdate`.
 //! * The **worker retry layer** ([`crate::worker::RetryPolicy`]): bounded
-//!   timeouts, seeded backoff, push replay and pull re-issue.
+//!   timeouts, seeded backoff, the replay of pushes no checkpoint holds yet
+//!   and pull re-issue.
 //!
 //! Since the control plane was replicated, "the supervisor" is really a
 //! **quorum of supervisor replicas** driving the consensus log in
@@ -182,7 +184,11 @@ pub struct RecoveryConfig {
     /// several heartbeat intervals.
     pub liveness_timeout: Duration,
     /// Capture a checkpoint every this many `V_train` advances (and once at
-    /// startup, so recovery always has something to restore).
+    /// startup, so recovery always has something to restore). At least 1:
+    /// a push is acknowledged as held for good only once a stored
+    /// checkpoint holds it, and until then its worker keeps it for replay,
+    /// so under SSP a worker keeps at most about the staleness bound plus
+    /// this many iterations of pushes (DESIGN.md §10).
     pub checkpoint_every: u64,
     /// Deterministic crash: server `m` exits (without drain or farewell) as
     /// soon as its shard's `V_train` reaches the threshold. One-shot — the
@@ -232,11 +238,13 @@ impl Default for RecoveryConfig {
 }
 
 impl RecoveryConfig {
-    /// Check the timing invariants a non-flapping configuration must hold:
-    /// a liveness timeout no longer than the heartbeat interval would
-    /// declare healthy servers dead between two heartbeats, and an election
-    /// timeout not strictly longer than the leader lease would let a
-    /// follower depose a leader that is still inside its lease. A
+    /// Check the invariants a working configuration must hold: a liveness
+    /// timeout no longer than the heartbeat interval would declare healthy
+    /// servers dead between two heartbeats, an election timeout not
+    /// strictly longer than the leader lease would let a follower depose a
+    /// leader that is still inside its lease, and `checkpoint_every == 0`
+    /// would never store a checkpoint past startup, so no push would ever
+    /// be acknowledged as held and every worker would keep all of them. A
     /// fault-tolerant launch rejects invalid configurations up front by
     /// panicking with the returned message.
     pub fn validate(&self) -> Result<(), String> {
@@ -256,6 +264,13 @@ impl RecoveryConfig {
         }
         if self.num_supervisors == 0 {
             return Err("num_supervisors must be at least 1".to_string());
+        }
+        if self.checkpoint_every == 0 {
+            return Err(
+                "checkpoint_every must be at least 1: without a checkpoint no push is ever \
+                 acknowledged as held, and every worker keeps all of them for replay"
+                    .to_string(),
+            );
         }
         Ok(())
     }
@@ -454,6 +469,11 @@ impl WorkerWindow {
     }
 }
 
+/// Per worker, one past its applied watermark: the pushes below it are held.
+fn held(watermarks: &[Option<u64>]) -> Vec<u64> {
+    watermarks.iter().map(|w| w.map_or(0, |w| w + 1)).collect()
+}
+
 /// What [`ResilientServer::admit`] decided about an incoming message.
 enum Admit {
     /// New work: run the Algorithm-1 step on it.
@@ -498,6 +518,10 @@ pub(crate) struct ResilientServer {
     last_hb: Option<Duration>,
     checkpoint_due: bool,
     last_cp_v: Option<u64>,
+    /// Per worker, one past its watermark in the latest stored checkpoint
+    /// (0 while that holds none of its pushes): the progress its acks
+    /// carry. Every push below it survives this server's death.
+    durable: Vec<u64>,
     rcfg: RecoveryConfig,
     store: CheckpointStore,
     /// The cluster's stop latch (`launch::Servers`): checked on every
@@ -507,7 +531,8 @@ pub(crate) struct ResilientServer {
 
 impl ResilientServer {
     /// Serve `server`'s shard, which owns `keys` (sorted) and has applied
-    /// every push up to `watermarks[w]` of each worker `w`.
+    /// every push up to `watermarks[w]` of each worker `w` — the state of
+    /// the checkpoint `store` holds for it, if any.
     pub(crate) fn new(
         server: ShardServer,
         keys: Vec<u64>,
@@ -520,6 +545,7 @@ impl ResilientServer {
         ResilientServer {
             server,
             keys,
+            durable: held(&watermarks),
             seen: watermarks
                 .into_iter()
                 .map(|watermark| WorkerWindow {
@@ -605,6 +631,7 @@ impl ResilientServer {
                     .bytes(bytes.len() as u64),
             );
             self.store.lock().insert(self.id(), bytes);
+            self.durable = held(&applied);
             self.last_cp_v = Some(cp.v_train);
             self.checkpoint_due = false;
         }
@@ -641,6 +668,12 @@ impl ResilientServer {
                     }
                 }
                 self.observe(&out[first..]);
+                // Acked as held, not as applied: what the worker may forget.
+                for (to, reply) in &mut out[first..] {
+                    if let (NodeId::Worker(w), Message::PushAck { .. }) = (*to, reply.bare()) {
+                        *reply = wrap(self.ack(w), reply.ctx());
+                    }
+                }
                 flow
             }
             // Seen but not stepped: the shard never learns of these.
@@ -662,11 +695,7 @@ impl ResilientServer {
                 worker, progress, ..
             } if self.seen[*worker as usize].is_applied(*progress) => {
                 // Replay of an already-applied push: re-ack only.
-                let ack = Message::PushAck {
-                    server: self.id(),
-                    progress: *progress,
-                };
-                Admit::Replay(*worker, wrap(ack, msg.ctx()))
+                Admit::Replay(*worker, wrap(self.ack(*worker), msg.ctx()))
             }
             Message::SPull {
                 worker,
@@ -743,6 +772,16 @@ impl ResilientServer {
         }
     }
 
+    /// The ack worker `w` gets for any push: every one of its pushes below
+    /// `progress` is held by the latest stored checkpoint, so no
+    /// incarnation of this server will ask for it again.
+    fn ack(&self, w: u32) -> Message {
+        Message::PushAck {
+            server: self.id(),
+            progress: self.durable[w as usize],
+        }
+    }
+
     /// Read the replies of one step: an ack means its push is applied, a
     /// pull response is the worker's new cached reply and un-parks its
     /// pull, and `V_train` may have moved a checkpoint interval.
@@ -764,7 +803,7 @@ impl ResilientServer {
             }
         }
         let every = self.rcfg.checkpoint_every;
-        if every > 0 && self.server.shard().v_train() >= self.last_cp_v.unwrap_or(0) + every {
+        if self.server.shard().v_train() >= self.last_cp_v.unwrap_or(0) + every {
             self.checkpoint_due = true;
         }
     }
@@ -1344,7 +1383,7 @@ pub(crate) mod tests {
     use crate::eps::{EpsSlicer, ParamSpec, Slicer};
     use crate::serve::tests::Recording;
     use fluentps_ml::Deltas;
-    use fluentps_obs::Tracer;
+    use fluentps_obs::{TraceEvent, Tracer};
     use fluentps_transport::Fabric;
 
     pub(crate) fn fast_recovery(kill: Option<(u32, u64)>, replace: bool) -> RecoveryConfig {
@@ -1360,7 +1399,6 @@ pub(crate) mod tests {
                 backoff_base: Duration::from_millis(2),
                 backoff_cap: Duration::from_millis(40),
                 jitter_seed: 7,
-                replay_depth: 16,
             },
             fault_plan: FaultPlan::passthrough(),
             election_timeout: Duration::from_millis(120),
@@ -1526,6 +1564,38 @@ pub(crate) mod tests {
         assert_eq!(s.server.shard().stats(), &stats);
         assert_eq!(s.server.shard().v_train(), v_train);
         assert_eq!(s.server.shard().read_param(1).unwrap(), [1.0f32; 2]);
+    }
+
+    #[test]
+    fn a_push_is_acked_with_what_the_latest_stored_checkpoint_holds() {
+        let rcfg = fast_recovery(None, true);
+        let (mut s, store) = scripted(SyncModel::Ssp { s: 3 }, 1, &[1], &rcfg);
+        let ack = |progress| {
+            let ack = Message::PushAck {
+                server: 0,
+                progress,
+            };
+            [(NodeId::Worker(0), ack)]
+        };
+        let mut out = Vec::new();
+        s.tick(Duration::ZERO, &mut out);
+        assert_eq!(stored(&store).expect("startup capture").v_train, 0);
+        // Applied, but held by no checkpoint yet.
+        assert_eq!(step(&mut s, push(0, 0, &[1])), ack(0));
+        s.tick(Duration::ZERO, &mut out);
+        assert_eq!(stored(&store).unwrap().applied_watermarks(), [Some(0)]);
+        assert_eq!(step(&mut s, push(0, 1, &[1])), ack(1));
+        // A duplicate is re-acked with the current watermark.
+        assert_eq!(step(&mut s, push(0, 0, &[1])), ack(1));
+        s.tick(Duration::ZERO, &mut out);
+        assert_eq!(step(&mut s, push(0, 0, &[1])), ack(2));
+        // A replacement restored from that checkpoint acks the same.
+        let shard = launch::new_shard(&EngineConfig::default(), SyncModel::Ssp { s: 3 }, 0);
+        let server = ShardServer::new(shard, launch::server_rng(9, 0, 1), Tracer::disabled());
+        let watermarks = vec![Some(1)];
+        let restored =
+            ResilientServer::new(server, vec![1], watermarks, rcfg, store, Arc::default());
+        assert_eq!(restored.ack(0), ack(2)[0].1);
     }
 
     #[test]
@@ -1819,6 +1889,9 @@ pub(crate) mod tests {
             Cluster::<FaultyNetwork<N>>::launch(cfg, rcfg, map, &init, Some(&collector))
                 .expect("launch");
         let mut w = workers.remove(0);
+        // The worker's own wire events, apart from the servers'.
+        let sent = TraceCollector::wall(1 << 10);
+        w.set_tracer(sent.tracer());
         let grads: HashMap<u64, Vec<f32>> =
             [(0u64, vec![1.0f32; 4]), (1u64, vec![1.0f32; 4])].into();
         let mut params = HashMap::new();
@@ -1841,8 +1914,38 @@ pub(crate) mod tests {
         assert!(stats[0].pushes >= 5, "merged pushes: {}", stats[0].pushes);
         // After replacement the cluster is whole again.
         assert_eq!(health.dead_count(), 0);
-        let restored = collector.snapshot().count(EventKind::CheckpointRestored);
+        let trace = collector.snapshot();
+        let restored = trace.count(EventKind::CheckpointRestored);
         assert_eq!(restored, 1, "one kill, one replacement");
+
+        // Push 1 took server 0's `V_train` to the kill threshold, so round
+        // 1 is the first to wait for it in vain. Its first retry replays
+        // exactly the pushes the restored checkpoint lacks: one worker
+        // under BSP, so a checkpoint at `V_train` v holds the pushes below v.
+        let restoring = |e: &&TraceEvent| e.kind == EventKind::CheckpointRestored;
+        let restored = trace
+            .events
+            .iter()
+            .find(restoring)
+            .expect("counted")
+            .v_train;
+        let events = sent.snapshot().events;
+        let retried: Vec<_> = events
+            .iter()
+            .filter(|e| (e.kind, e.shard, e.attempt) == (EventKind::WireSend, 0, 1))
+            .collect();
+        // One batch per round, the pull last; a slow round 0 may retry too.
+        let batch = retried
+            .chunk_by(|a, b| a.request_id == b.request_id)
+            .map(|batch| batch.iter().map(|e| e.progress).collect::<Vec<u64>>())
+            .find(|batch| batch.last() >= Some(&1))
+            .expect("a retry to server 0");
+        let (pull, replayed) = batch.split_last().expect("the pull goes last");
+        assert_eq!(
+            replayed,
+            (restored..=*pull).collect::<Vec<_>>(),
+            "{batch:?}"
+        );
     }
 
     #[test]
@@ -1870,7 +1973,17 @@ pub(crate) mod tests {
             w.spush(i, &Deltas::from_params(&grads)).expect("push");
             w.spull_wait(i, &mut params)
                 .expect("pull survives degradation");
+            // BSP (s = 0) and a checkpoint per `V_train` advance: a push
+            // stays until both servers hold it, or the dead one is
+            // routed around — then only the survivor's parts stay.
+            let replay = w.replay();
+            assert!(replay.len() <= 3, "iteration {i}: {replay:?}");
+            if w.router().keys_for_server(0).is_empty() {
+                let dead = replay.iter().find(|(_, held)| held.contains(&0));
+                assert_eq!(dead, None, "iteration {i}: {replay:?}");
+            }
         }
+        assert!(w.router().keys_for_server(0).is_empty(), "routed around");
         // Degraded mode is available but not exact: in-flight gradients to
         // the dead shard may be lost, so only check liveness properties —
         // all iterations completed and both parameters are still served.
@@ -1886,6 +1999,51 @@ pub(crate) mod tests {
         assert!(stats[1].pushes >= 6);
         let remapped = collector.snapshot().count(EventKind::ShardRemapped);
         assert_eq!(remapped, 1, "one death, one remap");
+    }
+
+    /// Run 300 fault-free iterations of two SSP (s = 3) workers over two
+    /// in-process servers checkpointing every `every` `V_train` advances;
+    /// the most replay entries each worker kept after a round.
+    fn replay_peaks(every: u64) -> Vec<usize> {
+        let (mut cfg, map, init) = two_server_setup();
+        (cfg.num_workers, cfg.model) = (2, SyncModel::Ssp { s: 3 });
+        let rcfg = RecoveryConfig {
+            checkpoint_every: every,
+            ..fast_recovery(None, true)
+        };
+        let (cluster, workers) =
+            Cluster::<FaultyNetwork<Fabric>>::launch(cfg, rcfg, map, &init, None).expect("launch");
+        let threads: Vec<_> = workers
+            .into_iter()
+            .map(|mut w| {
+                std::thread::spawn(move || {
+                    let grads: HashMap<u64, Vec<f32>> =
+                        [(0u64, vec![1.0f32; 4]), (1u64, vec![1.0f32; 4])].into();
+                    let (mut params, mut peak) = (HashMap::new(), 0);
+                    for i in 0..300 {
+                        w.spush(i, &Deltas::from_params(&grads)).expect("push");
+                        w.spull_wait(i, &mut params).expect("pull");
+                        peak = peak.max(w.replay().len());
+                    }
+                    peak
+                })
+            })
+            .collect();
+        let peaks = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        cluster.shutdown();
+        peaks
+    }
+
+    #[test]
+    fn a_fault_free_worker_keeps_only_the_pushes_no_checkpoint_holds() {
+        // A worker runs at most s = 3 rounds past `V_train`, and a stored
+        // checkpoint lags `V_train` by less than `every` advances.
+        for every in [1, 2] {
+            let bound = 3 + every as usize + 2;
+            for (w, peak) in replay_peaks(every).into_iter().enumerate() {
+                assert!(peak <= bound, "every {every}, worker {w}: {peak} > {bound}");
+            }
+        }
     }
 
     #[test]
@@ -1975,6 +2133,15 @@ pub(crate) mod tests {
         let mut r = RecoveryConfig::default();
         r.num_supervisors = 0;
         assert!(r.validate().unwrap_err().contains("num_supervisors"));
+    }
+
+    #[test]
+    fn validate_rejects_a_config_that_never_checkpoints_past_startup() {
+        let never = RecoveryConfig {
+            checkpoint_every: 0,
+            ..RecoveryConfig::default()
+        };
+        assert!(never.validate().unwrap_err().contains("checkpoint_every"));
     }
 
     /// Poll the shared health view until `pred` holds or the deadline

@@ -217,12 +217,15 @@ impl Router {
 ///
 /// When attached to a [`WorkerClient`] via
 /// [`WorkerClient::set_retry_policy`], each blocking pull wait uses
-/// `timeout` instead of blocking forever; on expiry the client replays its
-/// buffered recent pushes to every unresponsive server and re-issues the
-/// pull (servers deduplicate replays by `(worker, progress)` watermark, so
-/// retries never double-apply gradients). The jitter is drawn from a
-/// [`StdRng`] seeded with `jitter_seed ^ worker_id`, keeping backoff
-/// schedules reproducible run to run.
+/// `timeout` instead of blocking forever; on expiry the client replays, to
+/// every unresponsive server, the pushes that server has not acknowledged
+/// as held for good, and re-issues the pull (servers deduplicate replays by
+/// `(worker, progress)` watermark, so retries never double-apply
+/// gradients). What the client keeps is set by the servers' acks, not by
+/// the policy: a fault-tolerant server acks what its latest stored
+/// checkpoint holds (DESIGN.md §10). The jitter is drawn from a [`StdRng`]
+/// seeded with `jitter_seed ^ worker_id`, keeping backoff schedules
+/// reproducible run to run.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// How long a pull wait may go without any message before a retry fires.
@@ -236,10 +239,6 @@ pub struct RetryPolicy {
     pub backoff_cap: Duration,
     /// Seed for the backoff jitter (xor-ed with the worker id).
     pub jitter_seed: u64,
-    /// How many recent iterations of pushes to keep for replay. Must cover
-    /// the staleness bound plus the checkpoint interval, or a recovering
-    /// cluster may stall waiting for pushes nobody can replay.
-    pub replay_depth: usize,
 }
 
 impl Default for RetryPolicy {
@@ -250,17 +249,16 @@ impl Default for RetryPolicy {
             backoff_base: Duration::from_millis(20),
             backoff_cap: Duration::from_secs(1),
             jitter_seed: 0xF1F0,
-            replay_depth: 16,
         }
     }
 }
 
-/// The push replay buffer: the most recent iterations' pushes, oldest
-/// first, each as one `KvPairs` per server.
+/// The push replay buffer: the pushes some server may still need, oldest
+/// first, each as one `KvPairs` per server — empty where that server owns
+/// nothing or has acknowledged holding it for good.
 type Replay = VecDeque<(u64, Vec<KvPairs>)>;
 
-/// Live retry state: the policy, the jitter rng and the push replay buffer
-/// (most recent `replay_depth` iterations).
+/// Live retry state: the policy, the jitter rng and the push replay buffer.
 struct RetryState {
     policy: RetryPolicy,
     rng: StdRng,
@@ -268,6 +266,20 @@ struct RetryState {
 }
 
 impl RetryState {
+    /// Drop every part of the replay that `gone(progress, server)` says no
+    /// server will ask for again, and every entry left without a part.
+    fn forget(&mut self, gone: impl Fn(u64, u32) -> bool) {
+        for (p, parts) in &mut self.replay {
+            for (m, part) in (0u32..).zip(parts.iter_mut()) {
+                if !part.is_empty() && gone(*p, m) {
+                    *part = KvPairs::default();
+                }
+            }
+        }
+        let kept = |parts: &Vec<KvPairs>| parts.iter().any(|part| !part.is_empty());
+        self.replay.retain(|(_, parts)| kept(parts));
+    }
+
     /// Backoff for retry number `attempt` (1-based): exponential from the
     /// base, capped, plus up to one base-interval of seeded jitter.
     fn backoff(&mut self, attempt: u32) -> Duration {
@@ -454,12 +466,13 @@ impl WorkerRound {
 
     /// Ask the servers for this round under the current attempt: with
     /// `restart` every owner under `router` (the round then awaits them
-    /// afresh), otherwise those still awaited. Each gets one batch, the
-    /// pushes in `replay` ahead of the pull — a replacement rebuilt from a
-    /// checkpoint needs them to advance `V_train`, and servers that already
-    /// applied them dedup by watermark. Replayed pushes travel under the
-    /// pull's context at the current attempt, so the waterfall shows the
-    /// replay traffic each retry cost.
+    /// afresh), otherwise those still awaited. Each gets one batch, its
+    /// parts of the pushes in `replay` ahead of the pull — the pushes it has
+    /// not acknowledged holding for good, which a replacement rebuilt from
+    /// its checkpoint needs to advance `V_train`, and which a server that
+    /// already applied them dedups by watermark. Replayed pushes travel
+    /// under the pull's context at the current attempt, so the waterfall
+    /// shows the replay traffic each retry cost.
     fn ask(&mut self, router: &Router, replay: &Replay, restart: bool) -> Vec<(u32, Message)> {
         let groups = router.pull_groups(self.keys.as_deref());
         if restart {
@@ -560,6 +573,20 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
         &self.router
     }
 
+    /// The replay buffer, oldest first: each push's progress and the
+    /// servers it keeps a part of that push for.
+    #[cfg(test)]
+    pub(crate) fn replay(&self) -> Vec<(u64, Vec<u32>)> {
+        let Some(retry) = &self.retry else {
+            return Vec::new();
+        };
+        let parts = |parts: &Vec<KvPairs>| {
+            let held = (0u32..).zip(parts).filter(|(_, part)| !part.is_empty());
+            held.map(|(m, _)| m).collect()
+        };
+        retry.replay.iter().map(|(p, kv)| (*p, parts(kv))).collect()
+    }
+
     /// `sPush`: scatter this iteration's update over the owning servers
     /// and stage one `SPush` for each. Nothing is written yet: Algorithm 1 is
     /// `sPush; wait(sPull)`, so the staged pushes go out with the pulls of
@@ -570,16 +597,14 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
     /// pushed to.
     ///
     /// With a [`RetryPolicy`] attached the scattered shards are also kept in
-    /// the replay buffer and re-delivered when a pull wait times out.
+    /// the replay buffer, each until its server acknowledges holding it for
+    /// good, and re-delivered when a pull wait times out.
     pub fn spush(&mut self, progress: u64, deltas: &Deltas) -> Result<u32, TransportError> {
         // Untraced, the exact pre-context wire bytes.
         let ctx = self.tracer.is_enabled().then_some(self.next_ctx());
         let shards = self.router.scatter(deltas);
         if let Some(retry) = &mut self.retry {
             retry.replay.push_back((progress, shards.clone()));
-            while retry.replay.len() > retry.policy.replay_depth {
-                retry.replay.pop_front();
-            }
         }
         let staged_before = self.staged.len();
         for (m, kv) in (0u32..).zip(shards) {
@@ -636,7 +661,9 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
 
     /// `sPull` + `wait`: request all parameters and block until every owning
     /// server has responded (immediately or lazily). Fresh parameters are
-    /// merged into `params`. `PushAck`s arriving in between are absorbed.
+    /// merged into `params`. `PushAck`s arriving in between are absorbed
+    /// (with a [`RetryPolicy`], into the replay buffer: see
+    /// [`WorkerClient::pull_wait`]).
     pub fn spull_wait(
         &mut self,
         progress: u64,
@@ -670,10 +697,13 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
     /// anyone else — a `RouteUpdate`, `Shutdown` — is seen when that wait
     /// returns.
     ///
-    /// A [`RetryPolicy`] changes one thing: the wait is bounded, and each
+    /// A [`RetryPolicy`] changes two things. The wait is bounded, and each
     /// expiry backs off, then writes what the round asks again, until the
-    /// budget is spent. Without one the wait blocks, and the timeout arm is
-    /// never reached.
+    /// budget is spent; without one the wait blocks, and the timeout arm is
+    /// never reached. And the replay buffer follows the servers: a
+    /// `PushAck { server: m, progress: n }` drops `m`'s part of every push
+    /// below `n` — `m` holds those for good — and a `RouteUpdate` drops the
+    /// parts of the servers it no longer routes to.
     fn pull_wait(
         &mut self,
         progress: u64,
@@ -710,13 +740,20 @@ impl<P: Postman, M: Mailbox> WorkerClient<P, M> {
                 self.send_out(again)?;
                 continue;
             };
-            match round.on_message(self.trace_recv(msg), &mut self.router)? {
+            let msg = self.trace_recv(msg);
+            if let (Some(retry), Message::PushAck { server, progress }) = (&mut self.retry, &msg) {
+                let (held_by, below) = (*server, *progress);
+                retry.forget(|p, m| m == held_by && p < below);
+            }
+            match round.on_message(msg, &mut self.router)? {
                 Heard::Answer(kv) => self.router.gather_into(params, &kv),
                 Heard::Restart(pulls) => {
-                    // The replay buffer's per-server layout described the
-                    // old routing, and survivors already hold those pushes.
+                    // A server the new routing leaves out is dead for good:
+                    // its parts can reach nobody. The survivors keep theirs
+                    // until they hold them.
                     if let Some(retry) = &mut self.retry {
-                        retry.replay.clear();
+                        let routed: BTreeSet<u32> = self.router.active_servers().collect();
+                        retry.forget(|_, m| !routed.contains(&m));
                     }
                     self.send_out(pulls)?;
                 }
@@ -1611,7 +1648,6 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(4),
             jitter_seed: 7,
-            replay_depth: 4,
         }
     }
 

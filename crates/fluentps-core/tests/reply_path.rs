@@ -196,8 +196,8 @@ fn a_finished_cluster_leaves_no_reader_thread_behind() {
 const SERVER: NodeId = NodeId::Server(0);
 /// Values per push: 4 MiB on the wire.
 const VALS: usize = 1 << 20;
-/// Pushes a retry replays: 16 MiB, four times what a socket's send buffer
-/// grows to.
+/// Pushes a retry replays — the server acks none, so the client keeps them
+/// all: 16 MiB, four times what a socket's send buffer grows to.
 const DEPTH: u64 = 4;
 
 /// A server in miniature that gives up a pull late, the way a lazily
@@ -284,7 +284,6 @@ fn a_reissue_that_meets_a_late_release_ends_in_a_lost_connection_and_a_retry() {
         backoff_base: Duration::from_millis(1),
         backoff_cap: Duration::from_millis(4),
         jitter_seed: 7,
-        replay_depth: DEPTH as usize,
     });
     let count = |kind: EventKind| collector.totals().0[kind as usize];
 

@@ -256,7 +256,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosResult {
             backoff_base: Duration::from_millis(2),
             backoff_cap: Duration::from_millis(50),
             jitter_seed: cfg.seed ^ 0xC4A0,
-            replay_depth: 32,
         },
         fault_plan: if cfg.faults > 0 {
             FaultPlan::chaos(

@@ -95,10 +95,12 @@ impl CollectorService {
     fn step(&self) -> impl Step {
         let (cluster, clock) = (Arc::clone(&self.cluster), self.clock.clone());
         let (stopping, postman) = (Arc::clone(&self.stopping), self.postman.clone());
-        // Pongs not sent yet, each to the sender of its ping.
-        let mut pongs = Vec::new();
         move |input| {
             match input {
+                // Answered while the ping is handled: over the connection
+                // it arrived on, even when a newer one from the same id —
+                // a replaced server's streamer — has come up meanwhile. A
+                // streamer whose connection is gone times its wait out.
                 Input::Message(from, Message::ClockPing { seq, t_send, .. }) => {
                     let t_collector = clock.now();
                     let pong = Message::ClockPong {
@@ -106,7 +108,7 @@ impl CollectorService {
                         t_send,
                         t_collector,
                     };
-                    pongs.push((from, pong));
+                    drop(postman.reply_batch(vec![(from, pong)]));
                 }
                 Input::Message(
                     _,
@@ -131,11 +133,7 @@ impl CollectorService {
                 }
                 // The port is unauthenticated: anybody else's `Shutdown`, and
                 // training traffic, stops collection for nobody.
-                Input::Message(..) => {}
-                Input::Dry | Input::Tick if pongs.is_empty() => {}
-                // Over the connection each ping arrived on; a streamer
-                // whose connection is gone times its wait out.
-                Input::Dry | Input::Tick => drop(postman.reply_batch(std::mem::take(&mut pongs))),
+                Input::Message(..) | Input::Dry | Input::Tick => {}
             }
             Flow::Continue
         }
@@ -559,6 +557,25 @@ mod tests {
             .record(EventKind::PushApplied, RecordArgs::new());
         assert_eq!(streamer.stop().events_sent, 1);
         assert_eq!(service.node_stats()[0].received, 1);
+        service.stop();
+    }
+
+    #[test]
+    fn a_ping_is_answered_on_its_connection_when_a_newer_one_has_its_id() {
+        let mut service = CollectorService::bind(loopback(), 1 << 14).unwrap();
+        // A killed server's streamer and its replacement's: one id.
+        let old = stranger(NodeId::Server(0), &service);
+        let new = stranger(NodeId::Server(0), &service);
+        ping(&old, 1);
+        assert_eq!(pong(&old), 1);
+        ping(&new, 2);
+        assert_eq!(pong(&new), 2);
+        // The newer connection is the id's route now; the old streamer's
+        // barrier still hears back on its own.
+        ping(&old, 3);
+        assert_eq!(pong(&old), 3);
+        ping(&new, 4);
+        assert_eq!(pong(&new), 4);
         service.stop();
     }
 

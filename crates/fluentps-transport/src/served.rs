@@ -16,6 +16,12 @@
 //! runs. Every other thread waits for the step to be free and then runs it
 //! over what is queued first, so nothing overtakes a message from the same
 //! sender.
+//!
+//! A message keeps the connection it arrived on through the queue: a TCP
+//! reader thread says which one it reads ([`reading`]), and while the step
+//! handles the message, [`handling`] names its sender and that connection —
+//! where a reply to the sender goes back (`TcpPostman::reply_batch`), even
+//! when a newer connection from the same id has come up meanwhile.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -33,6 +39,24 @@ pub(crate) type Envelope = (NodeId, Message);
 thread_local! {
     /// Whether this thread is inside a step right now.
     static STEPPING: Cell<bool> = const { Cell::new(false) };
+    /// The connection this thread reads, as its transport numbers them; 0
+    /// for none.
+    static READING: Cell<u64> = const { Cell::new(0) };
+    /// The sender of the message this thread's step is handling, and the
+    /// connection it arrived on.
+    static HANDLING: Cell<Option<(NodeId, u64)>> = const { Cell::new(None) };
+}
+
+/// This thread reads connection `id` (not 0): what it delivers from now on
+/// arrived on that one.
+pub(crate) fn reading(id: u64) {
+    READING.with(|r| r.set(id));
+}
+
+/// While a step handles a message: who sent it, and the connection it
+/// arrived on (0 when it came from no connection, or through the inbox).
+pub(crate) fn handling() -> Option<(NodeId, u64)> {
+    HANDLING.with(Cell::get)
 }
 
 #[derive(Default)]
@@ -46,8 +70,9 @@ struct State {
     /// Where messages go while nobody serves the node; `None` once it is
     /// closed.
     inbox: Option<Sender<Envelope>>,
-    /// Messages for the step, in arrival order.
-    queue: VecDeque<Envelope>,
+    /// Messages for the step, in arrival order, each with the connection
+    /// it arrived on.
+    queue: VecDeque<(Envelope, u64)>,
     /// Messages the step was called with; `serve` reads idleness off it.
     handled: u64,
     /// Threads waiting for the step to be free.
@@ -145,7 +170,8 @@ impl Served {
         if !state.live {
             return msgs.into_iter().all(|env| state.park(env));
         }
-        state.queue.extend(msgs);
+        let via = READING.with(Cell::get);
+        state.queue.extend(msgs.into_iter().map(|env| (env, via)));
         if state.running {
             // Whoever runs the step drains the queue before letting go.
         } else if stepping {
@@ -171,25 +197,27 @@ impl Served {
         let running = Running(self);
         let mut dry_owed = dry && first.is_none();
         loop {
-            let input = if let Some(input) = first.take() {
-                input
-            } else if let Some((from, msg)) = state.queue.pop_front() {
+            let (input, via) = if let Some(input) = first.take() {
+                (input, None)
+            } else if let Some(((from, msg), via)) = state.queue.pop_front() {
                 state.handled += 1;
                 dry_owed = dry;
-                Input::Message(from, msg)
+                (Input::Message(from, msg), Some((from, via)))
             } else if std::mem::take(&mut dry_owed) {
-                Input::Dry
+                (Input::Dry, None)
             } else {
                 break;
             };
             drop(state);
             let outer = STEPPING.with(|s| s.replace(true));
+            let outer_via = HANDLING.with(|h| h.replace(via));
             let flow = step.step(input);
+            HANDLING.with(|h| h.set(outer_via));
             STEPPING.with(|s| s.set(outer));
             state = self.lock();
             if flow == Flow::Stop {
                 state.live = false;
-                for env in std::mem::take(&mut state.queue) {
+                for (env, _) in std::mem::take(&mut state.queue) {
                     state.park(env);
                 }
                 break;
@@ -220,9 +248,8 @@ impl Served {
         let mut state = self.lock();
         let idle = state.step.is_none() && !state.running && !state.live;
         assert!(idle, "{} is being served already", self.node);
-        state
-            .queue
-            .extend(std::iter::from_fn(|| backlog.try_recv().ok()));
+        let backlog = std::iter::from_fn(|| backlog.try_recv().ok());
+        state.queue.extend(backlog.map(|env| (env, 0)));
         state.step = Some(Box::new(step));
         state.live = !state.closed;
         state = self.run(state, None, true);

@@ -50,7 +50,7 @@ use fluentps_util::sync::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
 use crate::error::TransportError;
 use crate::frame::{holds_frame, wire_len, write_frames, FrameReader, READ_BUFFER, UNREAD_BATCHES};
 use crate::msg::{Message, NodeId};
-use crate::served::{Envelope, Served};
+use crate::served::{self, Envelope, Served};
 use crate::{per_destination, Mailbox, Network, Postman, Step};
 
 /// Mapping from node identity to listening address, distributed out-of-band
@@ -379,6 +379,10 @@ struct Links {
     /// Write halves of accepted connections, by the peer that last reached
     /// this node through one: where [`Postman::reply_batch`] answers it.
     routes: HashMap<NodeId, Conn>,
+    /// Write halves of accepted connections a newer one from the same peer
+    /// replaced as its route, by id, while they are open: a reply to a
+    /// message that came in on one still goes back on it.
+    superseded: HashMap<u64, Conn>,
     last_id: u64,
 }
 
@@ -386,6 +390,26 @@ impl Links {
     fn next_id(&mut self) -> u64 {
         self.last_id += 1;
         self.last_id
+    }
+
+    /// The accepted connection a reply to `to` goes over: the one the
+    /// message the step is handling came in on, when `to` sent it
+    /// ([`served::handling`]), else the one `to` last reached this node
+    /// through.
+    fn route(&mut self, to: NodeId) -> Option<&mut Conn> {
+        let via = served::handling().and_then(|(from, id)| (from == to).then_some(id));
+        match via.filter(|id| self.superseded.contains_key(id)) {
+            Some(id) => self.superseded.get_mut(&id),
+            None => self.routes.get_mut(&to),
+        }
+    }
+
+    /// The accepted connection `id` from `peer` is over.
+    fn drop_route(&mut self, peer: NodeId, id: u64) {
+        if self.routes.get(&peer).is_some_and(|route| route.id == id) {
+            self.routes.remove(&peer);
+        }
+        self.superseded.remove(&id);
     }
 }
 
@@ -479,7 +503,8 @@ impl Shared {
 
     /// Register `stream`, the accepted connection `peer`'s first frame just
     /// arrived on, as the way replies to `peer` go from now on — in place of
-    /// an older connection from the same peer. Returns the route's id.
+    /// an older connection from the same peer, which still answers what
+    /// came in on it. Returns the route's id.
     fn add_route(&self, peer: NodeId, stream: &TcpStream) -> u64 {
         let mut links = self.links.lock();
         let id = links.next_id();
@@ -487,7 +512,9 @@ impl Shared {
         if !self.closed.load(Ordering::SeqCst) {
             if let Ok(stream) = stream.try_clone() {
                 let buf = BytesMut::new();
-                links.routes.insert(peer, Conn { stream, buf, id });
+                if let Some(old) = links.routes.insert(peer, Conn { stream, buf, id }) {
+                    links.superseded.insert(old.id, old);
+                }
             }
         }
         id
@@ -496,10 +523,7 @@ impl Shared {
     /// The connection behind route `id` to `peer` is over. A newer
     /// connection's route stays.
     fn remove_route(&self, peer: NodeId, id: u64) {
-        let mut links = self.links.lock();
-        if links.routes.get(&peer).is_some_and(|route| route.id == id) {
-            links.routes.remove(&peer);
-        }
+        self.links.lock().drop_route(peer, id);
     }
 
     /// Take the read half of the connection dialed to `peer` out for one
@@ -720,7 +744,9 @@ fn read_frames(stream: TcpStream, shared: &Shared) {
                     if !worker {
                         workers.open.fetch_sub(1, Ordering::SeqCst);
                     }
-                    (from, shared.add_route(from, reader.get_ref()))
+                    let id = shared.add_route(from, reader.get_ref());
+                    served::reading(id);
+                    (from, id)
                 });
                 shared.trace_frame(EventKind::WireRecv, from, &msg);
                 // Nothing further is ready when the buffer does not hold
@@ -877,8 +903,9 @@ impl TcpPostman {
     /// order of first appearance, and a failure on one does not stop the
     /// others (the first error is returned after every destination is
     /// attempted). With `replies` set a destination that reached this node
-    /// over a connection of its own is written over that one; a route whose
-    /// socket died fails its batch and is dropped, so the next reply dials.
+    /// over a connection of its own is written over that one
+    /// ([`Links::route`]); a route whose socket died fails its batch and is
+    /// dropped, so the next reply dials.
     fn write_batch(
         &self,
         batch: &[(NodeId, Message)],
@@ -891,11 +918,12 @@ impl TcpPostman {
         let links = &mut *shared.links.lock();
         let mut first_err = None;
         for (to, msgs) in per_destination(batch.iter().map(|(to, msg)| (*to, msg))) {
-            let written = match links.routes.get_mut(&to).filter(|_| replies) {
+            let route = if replies { links.route(to) } else { None };
+            let written = match route {
                 Some(route) => {
-                    let written = route.write(shared, to, &msgs);
+                    let (written, id) = (route.write(shared, to, &msgs), route.id);
                     if written.is_err() {
-                        links.routes.remove(&to);
+                        links.drop_route(to, id);
                     }
                     written.map_err(TransportError::from)
                 }
@@ -924,7 +952,8 @@ impl Postman for TcpPostman {
     }
 
     /// Coalesced send, each destination over the connection it last reached
-    /// this node through; one that never did is dialed.
+    /// this node through — or, a reply to the message the step is handling,
+    /// over the one that came in on; one that never did is dialed.
     fn reply_batch(&self, batch: Vec<(NodeId, Message)>) -> Result<(), TransportError> {
         self.write_batch(&batch, true)
     }

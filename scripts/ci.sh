@@ -79,6 +79,9 @@ deleted="$deleted|run_profile|profile_section"
 # `Cluster<F>` now, and its control node the `Scheduler` (DESIGN.md §18).
 deleted="$deleted|ResilientPostman|ResilientMailbox|SharedServers|drain_servers|spawn_served"
 deleted="$deleted|spawn_replacement\(|ServerThreads|bring_up|Worker\(u32::MAX\)"
+# The replay window the servers' durable acks replaced: a worker keeps a push
+# until its servers' checkpoints hold it (DESIGN.md §10).
+deleted="$deleted|replay_depth"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Sampling profile of one ledger workload: in which functions its threads
 # spend their time, overall and per thread family. A stand-in for
-# `perf record` that needs nothing but python3's standard library and
-# llvm-symbolizer: it follows every thread (gprofng sees only the main one)
-# and stops each for a few microseconds per sample.
+# `perf record` that needs nothing but python3's standard library,
+# llvm-symbolizer and objdump: it follows every thread (gprofng sees only
+# the main one) and stops each for a few microseconds per sample.
 #
 # Usage: scripts/hotspots.sh WORKLOAD [SEED] [SECONDS]
 #        LEDGER=/path/to/another/ledger scripts/hotspots.sh ...   # e.g. the parent's
@@ -17,6 +17,11 @@
 # file offset 0 starts in /proc/<pid>/maps — the address the ELF file itself
 # gives the instruction. A function's row is its self time: code inlined
 # into it counts as its own (`relu_inplace` inside `Mlp::loss_and_grad`).
+# A sample the symbolizer cannot name — stripped libc's ifunc targets, which
+# have no dynamic symbol — is named by the instruction at its address, as
+# `objdump -d` disassembles it: `?? in libc.so.6: rep stos (memset)` and
+# `?? in libc.so.6: rep movs (memmove)` get rows of their own instead of one
+# `?? in libc.so.6` row (7.6 % of all samples on `tcp_bsp_wire`, seed 7).
 # Each row gives the function's share of the samples, their count, and
 # `us/iter`: samples × the mean interval between sampling rounds ÷ the
 # run's worker-iterations (`attempted / 2`, as in `scripts/census.sh`) — an
@@ -202,6 +207,41 @@ def locate(rip):
     return None, rip
 
 
+# What a string instruction does where libc's ifunc targets use one.
+STRING_OPS = {"rep stos": "memset", "rep movs": "memmove"}
+PREFIXES = {"rep", "repz", "repe", "repnz", "repne", "lock", "notrack", "bnd"}
+
+
+def instruction_at(path, offset):
+    """The mnemonic at `offset` in `path` (`rep stos`, `vmovdqu`), as
+    objdump disassembles it; `None` if it does not."""
+    out = subprocess.run(
+        ["objdump", "-d", "--no-show-raw-insn", f"--start-address=0x{offset:x}",
+         f"--stop-address=0x{offset + 16:x}", path],
+        capture_output=True,
+        text=True,
+    ).stdout
+    for line in out.splitlines():
+        m = re.match(r"\s*[0-9a-f]+:\s+(\S+)(?:\s+(\S+))?", line)
+        if m:
+            words = [w for w in m.groups() if w]
+            if words[0] in PREFIXES and len(words) > 1:
+                # `rep movsb`, `rep movsq`: the operation without its width.
+                return f"{words[0]} {re.sub(r'[bwlq]$', '', words[1])}"
+            return words[0]
+    return None
+
+
+def unnamed(path, offset):
+    """A row name for a sample the symbolizer could not name."""
+    short = os.path.basename(path)
+    op = instruction_at(path, offset)
+    if op is None:
+        return f"?? in {short}"
+    what = f" ({STRING_OPS[op]})" if op in STRING_OPS else ""
+    return f"?? in {short}: {op}{what}"
+
+
 # What the Itanium demangler leaves of a legacy Rust symbol's escapes.
 ESCAPES = {"$LT$": "<", "$GT$": ">", "$RF$": "&", "$BP$": "*", "$C$": ",", "$SP$": "@"}
 
@@ -228,9 +268,8 @@ for path, offsets in wanted.items():
         text=True,
     ).stdout
     blocks = [b.splitlines() for b in out.strip("\n").split("\n\n")]
-    short = os.path.basename(path)
     for offset, block in zip(offsets, blocks):
-        name = block[0] if block and block[0] != "??" else f"?? in {short}"
+        name = block[0] if block and block[0] != "??" else unnamed(path, offset)
         name = re.sub(r"::h[0-9a-f]{16}( \(\.llvm\.[0-9]+\))?$", "", name)
         names_at[(path, offset)] = rust_escapes(name)
 

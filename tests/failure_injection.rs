@@ -174,7 +174,6 @@ fn live_degraded_mode_still_learns() {
             backoff_base: Duration::from_millis(2),
             backoff_cap: Duration::from_millis(50),
             jitter_seed: seed ^ 0xC4A0,
-            replay_depth: 32,
         },
         election_timeout: Duration::from_millis(200),
         leader_lease: Duration::from_millis(100),

@@ -342,7 +342,6 @@ fn resilient_engine_healthz_reflects_the_liveness_monitor() {
             backoff_base: Duration::from_millis(2),
             backoff_cap: Duration::from_millis(40),
             jitter_seed: 7,
-            replay_depth: 16,
         },
         ..RecoveryConfig::default()
     };
