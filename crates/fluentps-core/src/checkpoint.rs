@@ -78,15 +78,21 @@ impl ShardCheckpoint {
 
     /// Serialize to bytes (reuses the wire codec for the payload).
     pub fn to_bytes(&self) -> Bytes {
+        // The params travel as a PullResponse so the existing codec carries
+        // them; its server and progress are 0 and its version is `v_train`.
+        let params = Message::PullResponse {
+            server: 0,
+            progress: 0,
+            version: self.v_train,
+            kv: self.params.clone(),
+        };
         let header = 1 + 8 + 4 + 8 * self.applied.len();
-        let mut buf = BytesMut::with_capacity(header + codec::pull_response_wire_len(&self.params));
+        let mut buf = BytesMut::with_capacity(header + codec::encoded_len(&params));
         buf.put_u8(CHECKPOINT_VERSION);
         buf.put_u64_le(self.v_train);
         buf.put_u32_le(self.applied.len() as u32);
         buf.put_u64_slice_le(&self.applied);
-        // The params travel as a PullResponse so the existing codec carries
-        // them; progress/server fields are unused here.
-        codec::encode_pull_response_into(0, 0, self.v_train, &self.params, &mut buf);
+        codec::encode_into(&params, &mut buf);
         buf.freeze()
     }
 
@@ -114,12 +120,19 @@ impl ShardCheckpoint {
             });
         }
         let applied = bytes.get_u64_vec_le(n);
+        // Only what `to_bytes` writes decodes, so a blob re-encodes to itself.
         match codec::decode(bytes)? {
-            Message::PullResponse { kv, .. } => Ok(ShardCheckpoint {
+            Message::PullResponse {
+                server: 0,
+                progress: 0,
+                version,
+                kv,
+            } if version == v_train => Ok(ShardCheckpoint {
                 v_train,
                 applied,
                 params: kv,
             }),
+            Message::PullResponse { .. } => Err(DecodeError::NonCanonical),
             _ => Err(DecodeError::UnknownTag(0xFF)),
         }
     }
@@ -238,6 +251,33 @@ mod tests {
             ShardCheckpoint::from_bytes(Bytes::from(v)),
             Err(DecodeError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn a_blob_decodes_only_to_the_checkpoint_that_encodes_it() {
+        // Every prefix is `Truncated`, and a blob with any one byte changed
+        // either fails or is the encoding of what it decodes to: the
+        // embedded PullResponse's server, progress and version (which
+        // repeats `v_train`) are pinned like every other byte.
+        let (shard, keys) = trained_shard();
+        let cp = ShardCheckpoint::capture_with_applied(&shard, &keys, &[Some(2), None]);
+        let bytes = cp.to_bytes();
+        for cut in 0..bytes.len() {
+            let err = ShardCheckpoint::from_bytes(bytes.slice(0..cut));
+            assert!(
+                matches!(err, Err(DecodeError::Truncated { .. })),
+                "cut at {cut}: {err:?}"
+            );
+        }
+        for idx in 0..bytes.len() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut v = bytes.to_vec();
+                v[idx] ^= flip;
+                if let Ok(back) = ShardCheckpoint::from_bytes(Bytes::from(v.clone())) {
+                    assert_eq!(back.to_bytes().as_ref(), &v[..], "byte {idx} ^ {flip:#04x}");
+                }
+            }
+        }
     }
 
     #[test]

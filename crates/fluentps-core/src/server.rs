@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use fluentps_obs::{EventKind, RecordArgs, Tracer};
-use fluentps_transport::{codec, CausalCtx, KvPairs, Values, ValuesMut};
+use fluentps_transport::{codec, CausalCtx, KvPairs, Message, Values, ValuesMut};
 
 use crate::condition::{SyncModel, SyncPolicy, SyncState};
 use crate::dpr::{DeferredPull, DprBuffer, DprPolicy};
@@ -84,6 +84,12 @@ pub struct ReleasedPull {
     /// Causal context of the originating pull, so the engine can wrap the
     /// lazily-sent `PullResponse` in the same request's envelope.
     pub ctx: Option<CausalCtx>,
+}
+
+/// Encoded size of `msg`: what the byte accounting and the trace charge
+/// for it.
+fn wire_bytes(msg: &Message) -> u64 {
+    codec::encoded_len(msg) as u64
 }
 
 /// Stamp `args` with a causal context when one is present (the context-free
@@ -296,7 +302,11 @@ impl ServerShard {
         self.progress.observe(worker, progress);
         self.stats.pulls_total += 1;
         // Codec-measured request size: exactly what encode(SPull) produces.
-        let req_bytes = codec::spull_wire_len(keys.len()) as u64;
+        let req_bytes = wire_bytes(&Message::SPull {
+            worker,
+            progress,
+            keys: keys.to_vec(),
+        });
         self.stats.bytes_in += req_bytes;
         // `PullRequested` spans the pull's evaluation, plus the gather of
         // its reply when it is answered at once.
@@ -322,7 +332,7 @@ impl ServerShard {
             }
             self.stats.pulls_immediate += 1;
             let kv = self.gather(keys);
-            self.stats.bytes_out += codec::pull_response_wire_len(&kv) as u64;
+            self.stats.bytes_out += self.reply_bytes(progress, &kv);
             self.tracer
                 .record_span(EventKind::PullRequested, start, requested);
             PullOutcome::Respond {
@@ -381,7 +391,11 @@ impl ServerShard {
         let start = self.tracer.now();
         self.progress.observe(worker, progress);
         self.stats.pushes += 1;
-        let push_bytes = codec::spush_wire_len(kv) as u64;
+        let push_bytes = wire_bytes(&Message::SPush {
+            worker,
+            progress,
+            kv: kv.clone(),
+        });
         self.stats.bytes_in += push_bytes;
 
         let late = progress < self.v_train;
@@ -464,11 +478,21 @@ impl ServerShard {
         drained.into_iter().map(|d| self.answer_dpr(d)).collect()
     }
 
+    /// Encoded size of the `PullResponse` that answers `progress` with `kv`.
+    fn reply_bytes(&self, progress: u64, kv: &KvPairs) -> u64 {
+        wire_bytes(&Message::PullResponse {
+            server: self.cfg.server_id,
+            progress,
+            version: self.v_train,
+            kv: kv.clone(),
+        })
+    }
+
     /// Gather a released DPR's reply; its `DprReleased` spans the work.
     fn answer_dpr(&mut self, dpr: DeferredPull) -> ReleasedPull {
         let start = self.tracer.now();
         let kv = self.gather(&dpr.keys);
-        let resp_bytes = codec::pull_response_wire_len(&kv) as u64;
+        let resp_bytes = self.reply_bytes(dpr.progress, &kv);
         self.stats.bytes_out += resp_bytes;
         self.stats.dprs_released += 1;
         let waited = self.v_train.saturating_sub(dpr.deferred_at);

@@ -304,11 +304,11 @@ struct WorkerState {
     done: bool,
 }
 
-/// Byte sizes of the three message kinds per server, derived from the
-/// placement (virtual sizes — payloads need not be materialized).
+/// Byte sizes of the two value-carrying message kinds per server, derived
+/// from the placement (virtual sizes — payloads need not be materialized).
+/// A pull carries no values and is measured as its round builds it.
 struct WireSizes {
     push: Vec<usize>,
-    pull_req: Vec<usize>,
     response: Vec<usize>,
 }
 
@@ -322,17 +322,37 @@ fn wire_sizes(map: &SliceMap, scale: f64) -> WireSizes {
     }
     // Codec-measured sizes (the exact `encode()` lengths of the messages the
     // live engines would put on the wire), so simulated transfer times match
-    // real payloads byte-for-byte before scaling.
+    // real payloads byte-for-byte before scaling. The values are not built:
+    // each message is measured with its keys alone, and each value adds its
+    // 4 bytes of payload.
     let sc = |b: usize| ((b as f64) * scale) as usize;
-    WireSizes {
-        push: (0..m)
-            .map(|i| sc(codec::spush_wire_len_counts(keys[i], vals[i])))
-            .collect(),
-        pull_req: (0..m).map(|i| codec::spull_wire_len(keys[i])).collect(),
-        response: (0..m)
-            .map(|i| sc(codec::pull_response_wire_len_counts(keys[i], vals[i])))
-            .collect(),
+    let mut sizes = WireSizes {
+        push: Vec::with_capacity(m),
+        response: Vec::with_capacity(m),
+    };
+    for (&n, &values) in keys.iter().zip(&vals) {
+        let kv = KvPairs {
+            keys: vec![0; n],
+            lens: vec![0; n],
+            ..KvPairs::default()
+        };
+        let push = Message::SPush {
+            worker: 0,
+            progress: 0,
+            kv: kv.clone(),
+        };
+        let response = Message::PullResponse {
+            server: 0,
+            progress: 0,
+            version: 0,
+            kv,
+        };
+        sizes.push.push(sc(codec::encoded_len(&push) + 4 * values));
+        sizes
+            .response
+            .push(sc(codec::encoded_len(&response) + 4 * values));
     }
+    sizes
 }
 
 /// Run one experiment to completion.
@@ -735,15 +755,15 @@ impl<'a> Simulation<'a> {
             if kv.is_empty() && !(filtering && active.contains(&server)) {
                 continue;
             }
-            let bytes = if filtering {
-                (codec::spush_wire_len(&kv) as f64 * self.cfg.wire_bytes_scale) as usize
-            } else {
-                self.wires.push[server as usize]
-            };
             let push = Message::SPush {
                 worker,
                 progress: iter,
                 kv,
+            };
+            let bytes = if filtering {
+                (codec::encoded_len(&push) as f64 * self.cfg.wire_bytes_scale) as usize
+            } else {
+                self.wires.push[server as usize]
             };
             let msg = wrap(push, ctx);
             self.trace_wire(EventKind::WireSend, server, worker, &msg, bytes);
@@ -795,7 +815,7 @@ impl<'a> Simulation<'a> {
         let (round, pulls) = WorkerRound::start(worker, iter, None, ctx, &self.router);
         self.workers[worker as usize].round = Some(round);
         for (server, msg) in pulls {
-            let bytes = self.wires.pull_req[server as usize];
+            let bytes = codec::encoded_len(msg.bare());
             self.trace_wire(EventKind::WireSend, server, worker, &msg, bytes);
             let arrive = self.topo.worker_to_server(now, server, bytes);
             self.queue.schedule(arrive, Ev::ToServer { server, msg });

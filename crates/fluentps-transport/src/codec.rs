@@ -2,9 +2,9 @@
 //!
 //! Layout: one version byte, one tag byte, then little-endian fields. Vectors
 //! are a `u32` count followed by elements. `f32` travels as its IEEE-754 bit
-//! pattern. Every integer vector is written and read as one *slab* through
-//! the `fluentps-util::buf` slab operations — one bounds check and one pass
-//! per vector, not per element. Values are never converted here at all: a
+//! pattern. Integer vectors are written and read as one *slab* through the
+//! `fluentps-util::buf` slab operations — one bounds check and one pass per
+//! vector, not per element. Values are never converted here at all: a
 //! [`KvPairs`] already holds them in wire form ([`Values`]), so every message
 //! is a small *head* followed by at most one value *payload* that is always
 //! its last field. [`encode_head_into`] writes the head and hands the payload
@@ -14,6 +14,16 @@
 //! dependency set has no serialization *format* crate; this also keeps frames
 //! compact and decode costs predictable, which matters because gradients for
 //! large layers dominate traffic.
+//!
+//! Each message's wire form is stated once: its row in the table that
+//! declares [`Message`] (`msg.rs`), a tag byte and the fields in wire order.
+//! `wire_messages!` generates the enum and its `Field` codec from that
+//! row, so [`encode_head_into`], [`encoded_len`] and [`decode_from`] walk the
+//! same list and the encoded length is the encoding's by construction. The
+//! types a row is built from are the field codecs below: integers, `f64`,
+//! canonical `bool`s and node ids, vectors, the records of
+//! `wire_records!` (the [`KvPairs`] head, placements, trace events, log
+//! entries, the causal context) and, for `Traced`, one bare inner message.
 
 use fluentps_obs::{EventKind, TraceEvent};
 use fluentps_util::buf::{Buf, BufMut, Bytes, BytesMut};
@@ -30,60 +40,11 @@ pub const WIRE_VERSION: u8 = 1;
 /// shard this system ships.
 const MAX_ELEMS: u64 = 1 << 28;
 
-mod tag {
-    pub const SPUSH: u8 = 1;
-    pub const SPULL: u8 = 2;
-    pub const PUSH_ACK: u8 = 3;
-    pub const PULL_RESPONSE: u8 = 4;
-    // 5, 6 and 8 stay reserved: they were `Register`, `RegisterAck` and
-    // `Barrier`, and a peer that still sends one must be told "unknown tag".
-    pub const HEARTBEAT: u8 = 7;
-    pub const SHUTDOWN: u8 = 9;
-    pub const INSTALL: u8 = 10;
-    pub const ROUTE_UPDATE: u8 = 11;
-    pub const TRACE_BATCH: u8 = 12;
-    pub const CLOCK_PING: u8 = 13;
-    pub const CLOCK_PONG: u8 = 14;
-    pub const VOTE_REQUEST: u8 = 15;
-    pub const VOTE_RESPONSE: u8 = 16;
-    pub const APPEND_ENTRIES: u8 = 17;
-    pub const APPEND_ACK: u8 = 18;
-    pub const LEADER_REDIRECT: u8 = 19;
-    pub const TRACED: u8 = 20;
-}
-
-mod node_tag {
-    pub const SCHEDULER: u8 = 0;
-    pub const SERVER: u8 = 1;
-    pub const WORKER: u8 = 2;
-    pub const COLLECTOR: u8 = 3;
-    pub const SUPERVISOR: u8 = 4;
-}
-
-/// Encoded size of one [`TraceEvent`]: two f64 bit patterns, the kind index
-/// byte, two u32 actor ids, four u64 logical fields, and the causal context
-/// (`request_id` u64, `attempt` u32).
-const EVENT_WIRE_LEN: usize = 8 + 8 + 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 4;
-
-/// Encoded size of one [`WirePlacement`] record: two u64 keys, then server,
-/// offset and length as u32.
-const PLACEMENT_WIRE_LEN: usize = 8 + 8 + 4 + 4 + 4;
-
 /// Encode a message into a fresh byte buffer, sized exactly via
-/// [`encoded_len`] so encoding never reallocates mid-write (the old
-/// `payload_bytes() + 16` estimate under-counted KV-heavy messages and
-/// forced a mid-encode reallocation on the hot path).
+/// [`encoded_len`] so encoding never reallocates mid-write.
 pub fn encode(msg: &Message) -> Bytes {
-    let exact = encoded_len(msg);
-    let mut buf = BytesMut::with_capacity(exact);
-    let cap_before = buf.capacity();
+    let mut buf = BytesMut::with_capacity(encoded_len(msg));
     encode_into(msg, &mut buf);
-    debug_assert_eq!(buf.len(), exact, "encoded_len out of sync with encode");
-    debug_assert_eq!(
-        buf.capacity(),
-        cap_before,
-        "encode reallocated: reserve was under-sized"
-    );
     buf.freeze()
 }
 
@@ -98,201 +59,7 @@ pub fn encode_into(msg: &Message, buf: &mut BytesMut) {
 /// encoding (empty for a message that carries no values). A sender that can
 /// gather — a vectored socket write — never copies the payload.
 pub fn encode_head_into<'m>(msg: &'m Message, buf: &mut BytesMut) -> &'m [u8] {
-    buf.put_u8(WIRE_VERSION);
-    match msg {
-        Message::SPush {
-            worker,
-            progress,
-            kv,
-        } => {
-            buf.put_u8(tag::SPUSH);
-            buf.put_u32_le(*worker);
-            buf.put_u64_le(*progress);
-            return put_kv_head(buf, kv);
-        }
-        Message::SPull {
-            worker,
-            progress,
-            keys,
-        } => {
-            buf.put_u8(tag::SPULL);
-            buf.put_u32_le(*worker);
-            buf.put_u64_le(*progress);
-            put_u64_vec(buf, keys);
-        }
-        Message::PushAck { server, progress } => {
-            buf.put_u8(tag::PUSH_ACK);
-            buf.put_u32_le(*server);
-            buf.put_u64_le(*progress);
-        }
-        Message::PullResponse {
-            server,
-            progress,
-            kv,
-            version,
-        } => return put_pull_response_head(buf, *server, *progress, *version, kv),
-        Message::Heartbeat { node, seq } => {
-            buf.put_u8(tag::HEARTBEAT);
-            put_node(buf, *node);
-            buf.put_u64_le(*seq);
-        }
-        Message::Shutdown => {
-            buf.put_u8(tag::SHUTDOWN);
-        }
-        Message::Install { kv } => {
-            buf.put_u8(tag::INSTALL);
-            return put_kv_head(buf, kv);
-        }
-        Message::RouteUpdate { placements } => {
-            buf.put_u8(tag::ROUTE_UPDATE);
-            buf.put_u32_le(placements.len() as u32);
-            for p in placements {
-                let mut rec = [0u8; PLACEMENT_WIRE_LEN];
-                rec[0..8].copy_from_slice(&p.orig_key.to_le_bytes());
-                rec[8..16].copy_from_slice(&p.new_key.to_le_bytes());
-                rec[16..20].copy_from_slice(&p.server.to_le_bytes());
-                rec[20..24].copy_from_slice(&p.offset.to_le_bytes());
-                rec[24..28].copy_from_slice(&p.len.to_le_bytes());
-                buf.put_slice(&rec);
-            }
-        }
-        Message::TraceBatch {
-            node,
-            offset_secs,
-            batch_seq,
-            emitted,
-            dropped,
-            events,
-        } => {
-            buf.put_u8(tag::TRACE_BATCH);
-            put_node(buf, *node);
-            buf.put_u64_le(offset_secs.to_bits());
-            buf.put_u64_le(*batch_seq);
-            buf.put_u64_le(*emitted);
-            buf.put_u64_le(*dropped);
-            buf.put_u32_le(events.len() as u32);
-            for e in events {
-                put_event(buf, e);
-            }
-        }
-        Message::ClockPing { node, seq, t_send } => {
-            buf.put_u8(tag::CLOCK_PING);
-            put_node(buf, *node);
-            buf.put_u64_le(*seq);
-            buf.put_u64_le(t_send.to_bits());
-        }
-        Message::ClockPong {
-            seq,
-            t_send,
-            t_collector,
-        } => {
-            buf.put_u8(tag::CLOCK_PONG);
-            buf.put_u64_le(*seq);
-            buf.put_u64_le(t_send.to_bits());
-            buf.put_u64_le(t_collector.to_bits());
-        }
-        Message::VoteRequest {
-            term,
-            candidate,
-            last_log_index,
-            last_log_term,
-        } => {
-            buf.put_u8(tag::VOTE_REQUEST);
-            buf.put_u64_le(*term);
-            buf.put_u32_le(*candidate);
-            buf.put_u64_le(*last_log_index);
-            buf.put_u64_le(*last_log_term);
-        }
-        Message::VoteResponse {
-            term,
-            voter,
-            granted,
-        } => {
-            buf.put_u8(tag::VOTE_RESPONSE);
-            buf.put_u64_le(*term);
-            buf.put_u32_le(*voter);
-            buf.put_u8(u8::from(*granted));
-        }
-        Message::AppendEntries {
-            term,
-            leader,
-            prev_index,
-            prev_term,
-            commit,
-            entries,
-        } => {
-            buf.put_u8(tag::APPEND_ENTRIES);
-            buf.put_u64_le(*term);
-            buf.put_u32_le(*leader);
-            buf.put_u64_le(*prev_index);
-            buf.put_u64_le(*prev_term);
-            buf.put_u64_le(*commit);
-            buf.put_u32_le(entries.len() as u32);
-            for e in entries {
-                buf.put_u64_le(e.term);
-                buf.put_u64_le(e.index);
-                buf.put_u32_le(e.cmd.len() as u32);
-                buf.extend_from_slice(&e.cmd);
-            }
-        }
-        Message::AppendAck {
-            term,
-            follower,
-            ok,
-            match_index,
-        } => {
-            buf.put_u8(tag::APPEND_ACK);
-            buf.put_u64_le(*term);
-            buf.put_u32_le(*follower);
-            buf.put_u8(u8::from(*ok));
-            buf.put_u64_le(*match_index);
-        }
-        Message::LeaderRedirect { term, leader } => {
-            buf.put_u8(tag::LEADER_REDIRECT);
-            buf.put_u64_le(*term);
-            buf.put_u32_le(*leader);
-        }
-        Message::Traced { ctx, inner } => {
-            buf.put_u8(tag::TRACED);
-            buf.put_u64_le(ctx.request_id);
-            buf.put_u16_le(ctx.attempt);
-            // The inner message is a complete encoded message (its own
-            // version byte included), so a receiver peels the envelope and
-            // re-enters the ordinary decode path.
-            return encode_head_into(inner, buf);
-        }
-    }
-    &[]
-}
-
-/// Encode a `PullResponse` from borrowed parts, appending to `buf` — the
-/// bytes of [`encode_into`] on the owned message. For a caller that holds the
-/// batch by reference (checkpoint serialization) and would otherwise clone a
-/// whole shard just to build the message.
-pub fn encode_pull_response_into(
-    server: u32,
-    progress: u64,
-    version: u64,
-    kv: &KvPairs,
-    buf: &mut BytesMut,
-) {
-    buf.put_u8(WIRE_VERSION);
-    let payload = put_pull_response_head(buf, server, progress, version, kv);
-    buf.put_slice(payload);
-}
-
-fn put_pull_response_head<'m>(
-    buf: &mut BytesMut,
-    server: u32,
-    progress: u64,
-    version: u64,
-    kv: &'m KvPairs,
-) -> &'m [u8] {
-    buf.put_u8(tag::PULL_RESPONSE);
-    buf.put_u32_le(server);
-    buf.put_u64_le(progress);
-    buf.put_u64_le(version);
-    put_kv_head(buf, kv)
+    msg.put(buf)
 }
 
 /// Exact size in bytes of `encode(msg)` — what this message costs on the
@@ -300,83 +67,7 @@ fn put_pull_response_head<'m>(
 /// tracer's `WireSend`/`WireRecv` events) uses this instead of
 /// hand-estimates so ablation tables match real traffic.
 pub fn encoded_len(msg: &Message) -> usize {
-    let header = 2; // version + tag
-    header
-        + match msg {
-            Message::SPush { kv, .. } => 4 + 8 + kv_encoded_len(kv),
-            Message::SPull { keys, .. } => 4 + 8 + 4 + 8 * keys.len(),
-            Message::PushAck { .. } => 4 + 8,
-            Message::PullResponse { kv, .. } => 4 + 8 + 8 + kv_encoded_len(kv),
-            Message::Heartbeat { .. } => 5 + 8,
-            Message::Shutdown => 0,
-            Message::Install { kv } => kv_encoded_len(kv),
-            Message::RouteUpdate { placements } => 4 + PLACEMENT_WIRE_LEN * placements.len(),
-            Message::TraceBatch { events, .. } => {
-                5 + 8 + 8 + 8 + 8 + 4 + EVENT_WIRE_LEN * events.len()
-            }
-            Message::ClockPing { .. } => 5 + 8 + 8,
-            Message::ClockPong { .. } => 8 + 8 + 8,
-            Message::VoteRequest { .. } => 8 + 4 + 8 + 8,
-            Message::VoteResponse { .. } => 8 + 4 + 1,
-            Message::AppendEntries { entries, .. } => {
-                8 + 4
-                    + 8
-                    + 8
-                    + 8
-                    + 4
-                    + entries
-                        .iter()
-                        .map(|e| LOG_ENTRY_HEADER_LEN + e.cmd.len())
-                        .sum::<usize>()
-            }
-            Message::AppendAck { .. } => 8 + 4 + 1 + 8,
-            Message::LeaderRedirect { .. } => 8 + 4,
-            // ctx (request_id + attempt) followed by the complete inner
-            // encoding, inner header included.
-            Message::Traced { inner, .. } => CausalCtx::WIRE_LEN + encoded_len(inner),
-        }
-}
-
-/// Fixed-size prefix of one encoded [`WireLogEntry`]: term, index and the
-/// command byte count. Doubles as the per-element lower bound fed to
-/// [`check_len`] when decoding an `AppendEntries` entry vector.
-const LOG_ENTRY_HEADER_LEN: usize = 8 + 8 + 4;
-
-fn kv_encoded_len(kv: &KvPairs) -> usize {
-    (4 + 8 * kv.keys.len()) + (4 + 4 * kv.lens.len()) + (4 + 4 * kv.vals.len())
-}
-
-/// Encoded size of an `SPull` carrying `num_keys` keys, without building
-/// the message.
-pub fn spull_wire_len(num_keys: usize) -> usize {
-    2 + 4 + 8 + 4 + 8 * num_keys
-}
-
-/// Encoded size of an `SPush` carrying `kv`, without building the message.
-pub fn spush_wire_len(kv: &KvPairs) -> usize {
-    2 + 4 + 8 + kv_encoded_len(kv)
-}
-
-/// [`spush_wire_len`] from entry counts alone — for simulations that model
-/// payload sizes without materializing values (`num_keys` keys, each with a
-/// length entry, and `num_vals` total f32 values).
-pub fn spush_wire_len_counts(num_keys: usize, num_vals: usize) -> usize {
-    2 + 4 + 8 + kv_encoded_len_counts(num_keys, num_vals)
-}
-
-/// [`pull_response_wire_len`] from entry counts alone.
-pub fn pull_response_wire_len_counts(num_keys: usize, num_vals: usize) -> usize {
-    2 + 4 + 8 + 8 + kv_encoded_len_counts(num_keys, num_vals)
-}
-
-fn kv_encoded_len_counts(num_keys: usize, num_vals: usize) -> usize {
-    (4 + 8 * num_keys) + (4 + 4 * num_keys) + (4 + 4 * num_vals)
-}
-
-/// Encoded size of a `PullResponse` carrying `kv`, without building the
-/// message.
-pub fn pull_response_wire_len(kv: &KvPairs) -> usize {
-    2 + 4 + 8 + 8 + kv_encoded_len(kv)
+    msg.wire_len()
 }
 
 /// Copy `frame` with the byte at `idx` overwritten by `val` — the shared
@@ -404,378 +95,382 @@ pub fn corrupt_at(frame: &Bytes, idx: usize, val: u8) -> Bytes {
 /// Decode one message from `bytes`; the buffer must contain exactly one
 /// encoded message (framing is the transport's job), so leftover bytes are
 /// a [`DecodeError::TrailingBytes`] error — without this check a corrupted
-/// tag byte could silently misparse a long message as a short one. A value
-/// payload is not copied: the decoded [`KvPairs`] shares `bytes`' allocation.
-pub fn decode(mut bytes: Bytes) -> Result<Message, DecodeError> {
+/// tag byte could silently misparse a long message as a short one. From a
+/// [`Bytes`] a value payload is not copied: the decoded [`KvPairs`] shares
+/// its allocation.
+pub fn decode<B: Buf>(mut bytes: B) -> Result<Message, DecodeError> {
     let msg = decode_from(&mut bytes)?;
-    if bytes.remaining() != 0 {
-        return Err(DecodeError::TrailingBytes(bytes.remaining()));
+    match bytes.remaining() {
+        0 => Ok(msg),
+        left => Err(DecodeError::TrailingBytes(left)),
     }
-    Ok(msg)
 }
 
 /// [`decode`] from a borrowed slice, for a caller that does not own the
-/// bytes: a value payload is copied out once, at its exact size. Enforces
-/// the same exactly-one-message contract as [`decode`].
+/// bytes: a value payload is copied out once, at its exact size.
 pub fn decode_slice(bytes: &[u8]) -> Result<Message, DecodeError> {
-    let mut cursor = bytes;
-    let msg = decode_from(&mut cursor)?;
-    if cursor.remaining() != 0 {
-        return Err(DecodeError::TrailingBytes(cursor.remaining()));
-    }
-    Ok(msg)
+    decode(bytes)
 }
 
-/// Decode one message from any [`Buf`] cursor.
+/// Decode one message from any [`Buf`] cursor. Every value a field decodes
+/// to re-encodes to the bytes it was read from: a byte no encoder writes is
+/// a [`DecodeError`], never a guess.
 pub fn decode_from<B: Buf>(buf: &mut B) -> Result<Message, DecodeError> {
-    let version = get_u8(buf)?;
-    if version != WIRE_VERSION {
-        return Err(DecodeError::VersionMismatch {
-            expected: WIRE_VERSION,
-            found: version,
-        });
+    Message::get(buf)
+}
+
+/// The codec of one field type: how a value is written, how long that is,
+/// and how it is read back.
+pub(crate) trait Field: Sized {
+    /// Bytes of the shortest encoding, by which an element count is checked
+    /// against what is left before anything is allocated for it.
+    const MIN: usize;
+
+    /// Append `self` and return the value payload that completes it (empty
+    /// for everything but [`Values`] and what ends in them).
+    fn put<'m>(&'m self, buf: &mut BytesMut) -> &'m [u8];
+
+    /// Exact size of `put`'s bytes plus its payload.
+    fn wire_len(&self) -> usize {
+        Self::MIN
     }
-    let t = get_u8(buf)?;
-    let msg = match t {
-        tag::SPUSH => Message::SPush {
-            worker: get_u32(buf)?,
-            progress: get_u64(buf)?,
-            kv: get_kv(buf)?,
-        },
-        tag::SPULL => Message::SPull {
-            worker: get_u32(buf)?,
-            progress: get_u64(buf)?,
-            keys: get_u64_vec(buf)?,
-        },
-        tag::PUSH_ACK => Message::PushAck {
-            server: get_u32(buf)?,
-            progress: get_u64(buf)?,
-        },
-        tag::PULL_RESPONSE => Message::PullResponse {
-            server: get_u32(buf)?,
-            progress: get_u64(buf)?,
-            version: get_u64(buf)?,
-            kv: get_kv(buf)?,
-        },
-        tag::HEARTBEAT => Message::Heartbeat {
-            node: get_node(buf)?,
-            seq: get_u64(buf)?,
-        },
-        tag::SHUTDOWN => Message::Shutdown,
-        tag::TRACE_BATCH => {
-            let node = get_node(buf)?;
-            let offset_secs = f64::from_bits(get_u64(buf)?);
-            let batch_seq = get_u64(buf)?;
-            let emitted = get_u64(buf)?;
-            let dropped = get_u64(buf)?;
-            let count = get_u32(buf)? as u64;
-            let n = check_len(buf, count, EVENT_WIRE_LEN)?;
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                events.push(get_event(buf)?);
-            }
-            Message::TraceBatch {
-                node,
-                offset_secs,
-                batch_seq,
-                emitted,
-                dropped,
-                events,
-            }
+
+    /// Read one value.
+    fn get<B: Buf>(buf: &mut B) -> Result<Self, DecodeError>;
+
+    /// Append the elements of a vector (its count is written already).
+    fn put_all(all: &[Self], buf: &mut BytesMut) {
+        for x in all {
+            x.put(buf);
         }
-        tag::CLOCK_PING => Message::ClockPing {
-            node: get_node(buf)?,
-            seq: get_u64(buf)?,
-            t_send: f64::from_bits(get_u64(buf)?),
-        },
-        tag::CLOCK_PONG => Message::ClockPong {
-            seq: get_u64(buf)?,
-            t_send: f64::from_bits(get_u64(buf)?),
-            t_collector: f64::from_bits(get_u64(buf)?),
-        },
-        tag::INSTALL => Message::Install { kv: get_kv(buf)? },
-        tag::ROUTE_UPDATE => {
-            let count = get_u32(buf)? as u64;
-            let n = check_len(buf, count, PLACEMENT_WIRE_LEN)?;
-            let placements = buf.chunk()[..n * PLACEMENT_WIRE_LEN]
-                .chunks_exact(PLACEMENT_WIRE_LEN)
-                .map(|rec| WirePlacement {
-                    orig_key: u64::from_le_bytes(rec[0..8].try_into().unwrap()),
-                    new_key: u64::from_le_bytes(rec[8..16].try_into().unwrap()),
-                    server: u32::from_le_bytes(rec[16..20].try_into().unwrap()),
-                    offset: u32::from_le_bytes(rec[20..24].try_into().unwrap()),
-                    len: u32::from_le_bytes(rec[24..28].try_into().unwrap()),
-                })
-                .collect();
-            buf.advance(n * PLACEMENT_WIRE_LEN);
-            Message::RouteUpdate { placements }
+    }
+
+    /// Read `n` elements of a vector whose count was checked by [`count`].
+    fn get_all<B: Buf>(buf: &mut B, n: usize) -> Result<Vec<Self>, DecodeError> {
+        let mut all = Vec::with_capacity(n);
+        for _ in 0..n {
+            all.push(Self::get(buf)?);
         }
-        tag::VOTE_REQUEST => Message::VoteRequest {
-            term: get_u64(buf)?,
-            candidate: get_u32(buf)?,
-            last_log_index: get_u64(buf)?,
-            last_log_term: get_u64(buf)?,
-        },
-        tag::VOTE_RESPONSE => Message::VoteResponse {
-            term: get_u64(buf)?,
-            voter: get_u32(buf)?,
-            granted: get_u8(buf)? != 0,
-        },
-        tag::APPEND_ENTRIES => {
-            let term = get_u64(buf)?;
-            let leader = get_u32(buf)?;
-            let prev_index = get_u64(buf)?;
-            let prev_term = get_u64(buf)?;
-            let commit = get_u64(buf)?;
-            let count = get_u32(buf)? as u64;
-            // Entries are variable-sized; check_len against the fixed
-            // per-entry header bounds the count before allocating.
-            let n = check_len(buf, count, LOG_ENTRY_HEADER_LEN)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let e_term = get_u64(buf)?;
-                let e_index = get_u64(buf)?;
-                let cmd_len = get_u32(buf)? as u64;
-                let cmd_n = check_len(buf, cmd_len, 1)?;
-                entries.push(WireLogEntry {
-                    term: e_term,
-                    index: e_index,
-                    cmd: get_bytes(buf, cmd_n),
-                });
+        Ok(all)
+    }
+}
+
+/// Put each field in order and return the last one's payload; a payload
+/// anywhere else would be dropped, so that is a bug the assert names.
+macro_rules! put_fields {
+    ($buf:ident $(, $f:expr)*) => {{
+        let payload: &[u8] = &[];
+        $(
+            debug_assert!(payload.is_empty(), "a value payload must be the last field");
+            let payload = Field::put($f, $buf);
+        )*
+        payload
+    }};
+}
+pub(crate) use put_fields;
+
+/// Declare `pub enum Message` from its wire table and generate its codec.
+/// Each row is `Variant = tag` plus, for a variant with fields, the fields
+/// in wire order; the encoding is [`WIRE_VERSION`], the tag, then each
+/// field's [`Field`] codec in turn.
+macro_rules! wire_messages {
+    (
+        $(#[$meta:meta])*
+        pub enum Message {$(
+            $(#[$vmeta:meta])*
+            $V:ident = $tag:literal $({$( $(#[$fmeta:meta])* $f:ident: $t:ty, )*})?
+        ),* $(,)?}
+    ) => {
+        $(#[$meta])*
+        pub enum Message {$(
+            $(#[$vmeta])* $V $({$( $(#[$fmeta])* $f: $t, )*})?
+        ),*}
+
+        const _: () = {
+            use fluentps_util::buf::{Buf, BufMut, BytesMut};
+            use $crate::codec::{put_fields, Field, WIRE_VERSION};
+            use $crate::error::DecodeError;
+
+            impl Message {
+                /// The tag this message is encoded under.
+                pub(crate) fn tag(&self) -> u8 {
+                    match self {$( Message::$V { .. } => $tag, )*}
+                }
             }
-            Message::AppendEntries {
-                term,
-                leader,
-                prev_index,
-                prev_term,
-                commit,
-                entries,
+
+            impl Field for Message {
+                const MIN: usize = 2;
+
+                fn put<'m>(&'m self, buf: &mut BytesMut) -> &'m [u8] {
+                    buf.put_u8(WIRE_VERSION);
+                    buf.put_u8(self.tag());
+                    match self {$(
+                        Message::$V { $($($f,)*)? } => put_fields!(buf $($(, $f)*)?),
+                    )*}
+                }
+
+                fn wire_len(&self) -> usize {
+                    match self {$(
+                        Message::$V { $($($f,)*)? } => 2 $($(+ Field::wire_len($f))*)?,
+                    )*}
+                }
+
+                fn get<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
+                    let (expected, found) = (WIRE_VERSION, u8::get(buf)?);
+                    if found != expected {
+                        return Err(DecodeError::VersionMismatch { expected, found });
+                    }
+                    // Each variant's fields are read by a function of its own,
+                    // which keeps the dispatch small and each read path lean.
+                    match u8::get(buf)? {
+                        $( $tag => {
+                            #[inline(never)]
+                            #[allow(unused_variables)] // `Shutdown` reads no field
+                            fn get<B: Buf>(buf: &mut B) -> Result<Message, DecodeError> {
+                                Ok(Message::$V { $($($f: Field::get(buf)?,)*)? })
+                            }
+                            get(buf)
+                        } )*
+                        other => Err(DecodeError::UnknownTag(other)),
+                    }
+                }
             }
-        }
-        tag::APPEND_ACK => Message::AppendAck {
-            term: get_u64(buf)?,
-            follower: get_u32(buf)?,
-            ok: get_u8(buf)? != 0,
-            match_index: get_u64(buf)?,
-        },
-        tag::LEADER_REDIRECT => Message::LeaderRedirect {
-            term: get_u64(buf)?,
-            leader: get_u32(buf)?,
-        },
-        tag::TRACED => {
-            let ctx = CausalCtx {
-                request_id: get_u64(buf)?,
-                attempt: get_u16(buf)?,
-            };
-            let inner = decode_from(buf)?;
-            // One context per wire message: a nested envelope means a
-            // corrupt or malicious frame, not a legitimate sender.
-            if matches!(inner, Message::Traced { .. }) {
-                return Err(DecodeError::UnknownTag(tag::TRACED));
-            }
-            Message::Traced {
-                ctx,
-                inner: Box::new(inner),
-            }
-        }
-        other => return Err(DecodeError::UnknownTag(other)),
+        };
     };
-    Ok(msg)
 }
+pub(crate) use wire_messages;
 
-fn put_node(buf: &mut BytesMut, node: NodeId) {
-    match node {
-        NodeId::Scheduler => {
-            buf.put_u8(node_tag::SCHEDULER);
-            buf.put_u32_le(0);
+/// Records whose wire form is their fields in the order listed, with an
+/// optional check of the decoded whole (`if method else error`).
+macro_rules! wire_records {
+    ($( $T:ident { $($f:ident: $t:ty),* } $(if $ok:ident else $err:ident)?; )*) => {$(
+        impl Field for $T {
+            const MIN: usize = 0 $(+ <$t as Field>::MIN)*;
+
+            fn put<'m>(&'m self, buf: &mut BytesMut) -> &'m [u8] {
+                put_fields!(buf $(, &self.$f)*)
+            }
+
+            fn wire_len(&self) -> usize {
+                0 $(+ self.$f.wire_len())*
+            }
+
+            fn get<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
+                let record = $T { $($f: <$t as Field>::get(buf)?),* };
+                $(if !record.$ok() {
+                    return Err(DecodeError::$err);
+                })?
+                Ok(record)
+            }
         }
-        NodeId::Server(m) => {
-            buf.put_u8(node_tag::SERVER);
-            buf.put_u32_le(m);
-        }
-        NodeId::Worker(n) => {
-            buf.put_u8(node_tag::WORKER);
-            buf.put_u32_le(n);
-        }
-        NodeId::Collector => {
-            buf.put_u8(node_tag::COLLECTOR);
-            buf.put_u32_le(0);
-        }
-        NodeId::Supervisor(k) => {
-            buf.put_u8(node_tag::SUPERVISOR);
-            buf.put_u32_le(k);
-        }
-    }
+    )*};
 }
 
-fn get_node<B: Buf>(buf: &mut B) -> Result<NodeId, DecodeError> {
-    let kind = get_u8(buf)?;
-    let idx = get_u32(buf)?;
-    match kind {
-        node_tag::SCHEDULER => Ok(NodeId::Scheduler),
-        node_tag::SERVER => Ok(NodeId::Server(idx)),
-        node_tag::WORKER => Ok(NodeId::Worker(idx)),
-        node_tag::COLLECTOR => Ok(NodeId::Collector),
-        node_tag::SUPERVISOR => Ok(NodeId::Supervisor(idx)),
-        other => Err(DecodeError::UnknownTag(other)),
-    }
-}
-
-/// Read `n` raw bytes from the cursor; the caller has already bounds-checked
-/// `n` against `remaining()` via [`check_len`].
-fn get_bytes<B: Buf>(buf: &mut B, n: usize) -> Vec<u8> {
-    let mut v = Vec::with_capacity(n);
-    while v.len() < n {
-        let chunk = buf.chunk();
-        let take = (n - v.len()).min(chunk.len());
-        v.extend_from_slice(&chunk[..take]);
-        buf.advance(take);
-    }
-    v
-}
-
-fn put_event(buf: &mut BytesMut, e: &TraceEvent) {
-    buf.put_u64_le(e.ts.to_bits());
-    buf.put_u64_le(e.dur.to_bits());
-    buf.put_u8(e.kind.index() as u8);
-    buf.put_u32_le(e.shard);
-    buf.put_u32_le(e.worker);
-    buf.put_u64_le(e.progress);
-    buf.put_u64_le(e.v_train);
-    buf.put_u64_le(e.bytes);
-    buf.put_u64_le(e.seq);
-    buf.put_u64_le(e.request_id);
-    buf.put_u32_le(e.attempt);
-}
-
-fn get_event<B: Buf>(buf: &mut B) -> Result<TraceEvent, DecodeError> {
-    // `check_len` in the caller guarantees `EVENT_WIRE_LEN` bytes remain.
-    let ts = f64::from_bits(buf.get_u64_le());
-    let dur = f64::from_bits(buf.get_u64_le());
-    let kind_idx = buf.get_u8();
-    let kind = *EventKind::ALL
-        .get(kind_idx as usize)
-        .ok_or(DecodeError::UnknownTag(kind_idx))?;
-    Ok(TraceEvent {
-        ts,
-        dur,
-        kind,
-        shard: buf.get_u32_le(),
-        worker: buf.get_u32_le(),
-        progress: buf.get_u64_le(),
-        v_train: buf.get_u64_le(),
-        bytes: buf.get_u64_le(),
-        seq: buf.get_u64_le(),
-        request_id: buf.get_u64_le(),
-        attempt: buf.get_u32_le(),
-    })
-}
-
-/// Keys, lens and the value count; the values themselves are the returned
-/// payload.
-fn put_kv_head<'m>(buf: &mut BytesMut, kv: &'m KvPairs) -> &'m [u8] {
-    put_u64_vec(buf, &kv.keys);
-    put_u32_vec(buf, &kv.lens);
-    buf.put_u32_le(kv.vals.len() as u32);
-    kv.vals.as_le_bytes()
-}
-
-fn get_kv<B: Buf>(buf: &mut B) -> Result<KvPairs, DecodeError> {
-    let keys = get_u64_vec(buf)?;
-    let lens = get_u32_vec(buf)?;
-    let count = get_u32(buf)? as u64;
-    let n = check_len(buf, count, 4)?;
-    let kv = KvPairs {
-        keys,
-        lens,
-        vals: Values::from_le_bytes(buf.take_bytes(4 * n)),
+wire_records! {
+    CausalCtx { request_id: u64, attempt: u16 };
+    WirePlacement { orig_key: u64, new_key: u64, server: u32, offset: u32, len: u32 };
+    WireLogEntry { term: u64, index: u64, cmd: Vec<u8> };
+    KvPairs { keys: Vec<u64>, lens: Vec<u32>, vals: Values } if is_consistent else InconsistentKv;
+    TraceEvent {
+        ts: f64, dur: f64, kind: EventKind, shard: u32, worker: u32, progress: u64,
+        v_train: u64, bytes: u64, seq: u64, request_id: u64, attempt: u32
     };
-    if !kv.is_consistent() {
-        return Err(DecodeError::InconsistentKv);
+}
+
+/// Fixed-width little-endian integers; `u32` and `u64` vectors go as slabs.
+macro_rules! int_fields {
+    ($( $t:ty: $put:ident, $get:ident $(, $put_all:ident, $get_all:ident)?; )*) => {$(
+        impl Field for $t {
+            const MIN: usize = std::mem::size_of::<$t>();
+
+            fn put<'m>(&'m self, buf: &mut BytesMut) -> &'m [u8] {
+                buf.$put(*self);
+                &[]
+            }
+
+            fn get<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
+                need(buf, <Self as Field>::MIN)?;
+                Ok(buf.$get())
+            }
+
+            $(
+                fn put_all(all: &[Self], buf: &mut BytesMut) {
+                    buf.$put_all(all);
+                }
+
+                fn get_all<B: Buf>(buf: &mut B, n: usize) -> Result<Vec<Self>, DecodeError> {
+                    Ok(buf.$get_all(n))
+                }
+            )?
+        }
+    )*};
+}
+
+int_fields! {
+    u8: put_u8, get_u8;
+    u16: put_u16_le, get_u16_le;
+    u32: put_u32_le, get_u32_le, put_u32_slice_le, get_u32_vec_le;
+    u64: put_u64_le, get_u64_le, put_u64_slice_le, get_u64_vec_le;
+}
+
+/// Fields written as another field type: `T as W: to_wire, from_wire`. The
+/// way back refuses every `W` the way out never writes, so what decodes
+/// re-encodes to the same bytes.
+macro_rules! mapped_fields {
+    ($( $t:ty as $w:ty: $to:expr, $from:expr; )*) => {$(
+        impl Field for $t {
+            const MIN: usize = <$w as Field>::MIN;
+
+            fn put<'m>(&'m self, buf: &mut BytesMut) -> &'m [u8] {
+                Field::put(&($to)(*self), buf);
+                &[]
+            }
+
+            fn get<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
+                ($from)(<$w as Field>::get(buf)?)
+            }
+        }
+    )*};
+}
+
+mapped_fields! {
+    f64 as u64: f64::to_bits, |bits| Ok(f64::from_bits(bits));
+    // One byte, 0 or 1.
+    bool as u8: u8::from, |byte| match byte {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(DecodeError::NonCanonical),
+    };
+    // The kind's index byte.
+    EventKind as u8: |kind: EventKind| kind.index() as u8, |idx: u8| {
+        let kind = EventKind::ALL.get(usize::from(idx));
+        kind.copied().ok_or(DecodeError::UnknownTag(idx))
+    };
+}
+
+/// A kind byte and a `u32` index, which is 0 for the scheduler and the
+/// collector: neither has an index to carry.
+impl Field for NodeId {
+    const MIN: usize = 5;
+
+    fn put<'m>(&'m self, buf: &mut BytesMut) -> &'m [u8] {
+        let (kind, idx): (u8, u32) = match *self {
+            NodeId::Scheduler => (0, 0),
+            NodeId::Server(m) => (1, m),
+            NodeId::Worker(n) => (2, n),
+            NodeId::Collector => (3, 0),
+            NodeId::Supervisor(k) => (4, k),
+        };
+        buf.put_u8(kind);
+        buf.put_u32_le(idx);
+        &[]
     }
-    Ok(kv)
-}
 
-fn put_u64_vec(buf: &mut BytesMut, v: &[u64]) {
-    buf.put_u32_le(v.len() as u32);
-    buf.put_u64_slice_le(v);
-}
-
-fn put_u32_vec(buf: &mut BytesMut, v: &[u32]) {
-    buf.put_u32_le(v.len() as u32);
-    buf.put_u32_slice_le(v);
-}
-
-fn check_len<B: Buf>(buf: &B, count: u64, elem_size: usize) -> Result<usize, DecodeError> {
-    if count > MAX_ELEMS {
-        return Err(DecodeError::LengthOverflow(count));
+    fn get<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
+        match (u8::get(buf)?, u32::get(buf)?) {
+            (0, 0) => Ok(NodeId::Scheduler),
+            (1, m) => Ok(NodeId::Server(m)),
+            (2, n) => Ok(NodeId::Worker(n)),
+            (3, 0) => Ok(NodeId::Collector),
+            (4, k) => Ok(NodeId::Supervisor(k)),
+            (0 | 3, _) => Err(DecodeError::NonCanonical),
+            (other, _) => Err(DecodeError::UnknownTag(other)),
+        }
     }
-    let n = count as usize;
-    let needed = n * elem_size;
+}
+
+/// A `u32` count, then the elements.
+impl<T: Field> Field for Vec<T> {
+    const MIN: usize = 4;
+
+    fn put<'m>(&'m self, buf: &mut BytesMut) -> &'m [u8] {
+        buf.put_u32_le(self.len() as u32);
+        T::put_all(self, buf);
+        &[]
+    }
+
+    fn wire_len(&self) -> usize {
+        4 + self.iter().map(T::wire_len).sum::<usize>()
+    }
+
+    fn get<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
+        let n = count(buf, T::MIN)?;
+        T::get_all(buf, n)
+    }
+}
+
+/// The value count; the values themselves are the payload, and decoding
+/// from a `Bytes` cursor shares them with the frame.
+impl Field for Values {
+    const MIN: usize = 4;
+
+    fn put<'m>(&'m self, buf: &mut BytesMut) -> &'m [u8] {
+        buf.put_u32_le(self.len() as u32);
+        self.as_le_bytes()
+    }
+
+    fn wire_len(&self) -> usize {
+        4 + 4 * self.len()
+    }
+
+    fn get<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
+        let n = count(buf, 4)?;
+        Ok(Values::from_le_bytes(buf.take_bytes(4 * n)))
+    }
+}
+
+/// The inner message of a `Traced` envelope: a complete encoding, its own
+/// version byte included, so a receiver peels the envelope and re-enters the
+/// ordinary decode path.
+impl Field for Box<Message> {
+    const MIN: usize = 2;
+
+    fn put<'m>(&'m self, buf: &mut BytesMut) -> &'m [u8] {
+        Message::put(self, buf)
+    }
+
+    fn wire_len(&self) -> usize {
+        Message::wire_len(self)
+    }
+
+    fn get<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
+        // One context per wire message: a nested envelope means a corrupt
+        // or malicious frame, not a legitimate sender.
+        match Message::get(buf)? {
+            nested @ Message::Traced { .. } => Err(DecodeError::UnknownTag(nested.tag())),
+            inner => Ok(Box::new(inner)),
+        }
+    }
+}
+
+/// Read a `u32` element count and check that that many elements of at least
+/// `min` bytes each can follow, before anything is allocated for them.
+fn count<B: Buf>(buf: &mut B, min: usize) -> Result<usize, DecodeError> {
+    let n = u64::from(u32::get(buf)?);
+    if n > MAX_ELEMS {
+        return Err(DecodeError::LengthOverflow(n));
+    }
+    need(buf, n as usize * min)?;
+    Ok(n as usize)
+}
+
+fn need<B: Buf>(buf: &B, needed: usize) -> Result<(), DecodeError> {
     if buf.remaining() < needed {
         return Err(DecodeError::Truncated {
             needed,
             available: buf.remaining(),
         });
     }
-    Ok(n)
-}
-
-fn get_u64_vec<B: Buf>(buf: &mut B) -> Result<Vec<u64>, DecodeError> {
-    let count = get_u32(buf)? as u64;
-    let n = check_len(buf, count, 8)?;
-    Ok(buf.get_u64_vec_le(n))
-}
-
-fn get_u32_vec<B: Buf>(buf: &mut B) -> Result<Vec<u32>, DecodeError> {
-    let count = get_u32(buf)? as u64;
-    let n = check_len(buf, count, 4)?;
-    Ok(buf.get_u32_vec_le(n))
-}
-
-fn get_u8<B: Buf>(buf: &mut B) -> Result<u8, DecodeError> {
-    if buf.remaining() < 1 {
-        return Err(DecodeError::Truncated {
-            needed: 1,
-            available: buf.remaining(),
-        });
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u16<B: Buf>(buf: &mut B) -> Result<u16, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::Truncated {
-            needed: 2,
-            available: buf.remaining(),
-        });
-    }
-    Ok(buf.get_u16_le())
-}
-
-fn get_u32<B: Buf>(buf: &mut B) -> Result<u32, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated {
-            needed: 4,
-            available: buf.remaining(),
-        });
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64<B: Buf>(buf: &mut B) -> Result<u64, DecodeError> {
-    if buf.remaining() < 8 {
-        return Err(DecodeError::Truncated {
-            needed: 8,
-            available: buf.remaining(),
-        });
-    }
-    Ok(buf.get_u64_le())
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use fluentps_util::alloc::thread_counters;
+    use fluentps_util::proptest::prelude::*;
+    use fluentps_util::rng::StdRng;
 
     fn roundtrip(msg: Message) {
         let bytes = encode(&msg);
@@ -980,9 +675,9 @@ mod tests {
         assert_eq!(encoded_len(&wrapped), encode(&wrapped).len());
         assert_eq!(
             encoded_len(&wrapped),
-            2 + CausalCtx::WIRE_LEN + encoded_len(&msg)
+            2 + <CausalCtx as Field>::MIN + encoded_len(&msg)
         );
-        // One encoded TraceEvent occupies exactly EVENT_WIRE_LEN bytes.
+        // One encoded TraceEvent occupies exactly its 69 bytes.
         let empty = Message::TraceBatch {
             node: NodeId::Collector,
             offset_secs: 0.0,
@@ -999,8 +694,9 @@ mod tests {
             dropped: 0,
             events: vec![TraceEvent::default()],
         };
-        assert_eq!(encoded_len(&one) - encoded_len(&empty), EVENT_WIRE_LEN);
-        assert_eq!(EVENT_WIRE_LEN, 69);
+        let event_len = <TraceEvent as Field>::MIN;
+        assert_eq!(encoded_len(&one) - encoded_len(&empty), event_len);
+        assert_eq!(event_len, 69);
     }
 
     #[test]
@@ -1022,169 +718,6 @@ mod tests {
         let kind_at = 2 + 5 + 32 + 4 + 16;
         let err = decode(corrupt_at(&encode(&msg), kind_at, 0xEE)).unwrap_err();
         assert_eq!(err, DecodeError::UnknownTag(0xEE));
-    }
-
-    #[test]
-    fn encoded_len_matches_encode_exactly() {
-        let msgs = vec![
-            Message::SPush {
-                worker: 3,
-                progress: 42,
-                kv: KvPairs::from_slices(&[(1, &[1.5, -2.5][..]), (9, &[0.0][..])]),
-            },
-            Message::SPull {
-                worker: 7,
-                progress: 11,
-                keys: vec![0, 5, u64::MAX],
-            },
-            Message::SPull {
-                worker: 0,
-                progress: 0,
-                keys: vec![],
-            },
-            Message::PushAck {
-                server: 2,
-                progress: 100,
-            },
-            Message::PullResponse {
-                server: 1,
-                progress: 9,
-                version: 13,
-                kv: KvPairs::single(4, vec![3.25; 7]),
-            },
-            Message::Heartbeat {
-                node: NodeId::Server(5),
-                seq: 999,
-            },
-            Message::Shutdown,
-            Message::Install {
-                kv: KvPairs::single(8, vec![2.5; 3]),
-            },
-            Message::RouteUpdate {
-                placements: vec![WirePlacement {
-                    orig_key: 1,
-                    new_key: 2,
-                    server: 0,
-                    offset: 0,
-                    len: 4,
-                }],
-            },
-            Message::TraceBatch {
-                node: NodeId::Server(1),
-                offset_secs: 0.5,
-                batch_seq: 2,
-                emitted: 10,
-                dropped: 1,
-                events: vec![TraceEvent {
-                    ts: 0.25,
-                    dur: 0.0,
-                    kind: EventKind::WireRecv,
-                    shard: 1,
-                    worker: 0,
-                    progress: 4,
-                    v_train: 3,
-                    bytes: 64,
-                    seq: 9,
-                    request_id: 7,
-                    attempt: 2,
-                }],
-            },
-            Message::ClockPing {
-                node: NodeId::Worker(3),
-                seq: 1,
-                t_send: 0.5,
-            },
-            Message::ClockPong {
-                seq: 1,
-                t_send: 0.5,
-                t_collector: 0.75,
-            },
-            Message::VoteRequest {
-                term: 2,
-                candidate: 0,
-                last_log_index: 4,
-                last_log_term: 1,
-            },
-            Message::VoteResponse {
-                term: 2,
-                voter: 1,
-                granted: true,
-            },
-            Message::AppendEntries {
-                term: 2,
-                leader: 0,
-                prev_index: 4,
-                prev_term: 1,
-                commit: 3,
-                entries: vec![
-                    WireLogEntry {
-                        term: 2,
-                        index: 5,
-                        cmd: vec![0],
-                    },
-                    WireLogEntry {
-                        term: 2,
-                        index: 6,
-                        cmd: vec![1, 7, 0, 0, 0],
-                    },
-                ],
-            },
-            Message::AppendAck {
-                term: 2,
-                follower: 1,
-                ok: true,
-                match_index: 6,
-            },
-            Message::LeaderRedirect { term: 2, leader: 0 },
-        ];
-        for msg in msgs {
-            assert_eq!(
-                encoded_len(&msg),
-                encode(&msg).len(),
-                "encoded_len mismatch for {msg:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn wire_len_helpers_match_built_messages() {
-        let keys = vec![1u64, 2, 3];
-        let kv = KvPairs::from_slices(&[(1, &[1.0, 2.0][..]), (2, &[3.0][..])]);
-        assert_eq!(
-            spull_wire_len(keys.len()),
-            encode(&Message::SPull {
-                worker: 0,
-                progress: 0,
-                keys
-            })
-            .len()
-        );
-        assert_eq!(
-            spush_wire_len(&kv),
-            encode(&Message::SPush {
-                worker: 0,
-                progress: 0,
-                kv: kv.clone()
-            })
-            .len()
-        );
-        // Count-based variants agree with the kv-based ones (3 values
-        // across 2 keys in the fixture).
-        assert_eq!(spush_wire_len_counts(2, 3), spush_wire_len(&kv));
-        assert_eq!(
-            pull_response_wire_len_counts(2, 3),
-            pull_response_wire_len(&kv)
-        );
-        assert_eq!(
-            pull_response_wire_len(&kv),
-            encode(&Message::PullResponse {
-                server: 0,
-                progress: 0,
-                version: 0,
-                kv
-            })
-            .len()
-        );
     }
 
     #[test]
@@ -1280,6 +813,381 @@ mod tests {
             }
         } else {
             panic!("wrong variant");
+        }
+    }
+
+    #[test]
+    fn non_canonical_bools_and_node_indices_are_rejected() {
+        // A scheduler or collector id with an index, then a bool byte that
+        // is neither 0 nor 1: each would decode to a message whose encoding
+        // differs from the bytes it came from.
+        let seq = [9, 0, 0, 0, 0, 0, 0, 0];
+        for kind in [0u8, 3] {
+            let frame = [&[WIRE_VERSION, 7, kind, 7, 0, 0, 0][..], &seq].concat();
+            assert_eq!(decode_slice(&frame), Err(DecodeError::NonCanonical));
+            let canonical = [&[WIRE_VERSION, 7, kind, 0, 0, 0, 0][..], &seq].concat();
+            assert_eq!(
+                encode(&decode_slice(&canonical).unwrap()).as_ref(),
+                canonical
+            );
+        }
+        let vote = Message::VoteResponse {
+            term: 3,
+            voter: 1,
+            granted: true,
+        };
+        let ack = Message::AppendAck {
+            term: 3,
+            follower: 1,
+            ok: true,
+            match_index: 4,
+        };
+        // The bool sits after version, tag, term (8) and replica id (4).
+        for msg in [vote, ack] {
+            for byte in [2, 9, 0xFF] {
+                let frame = corrupt_at(&encode(&msg), 2 + 8 + 4, byte);
+                assert_eq!(decode(frame), Err(DecodeError::NonCanonical));
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_node_kinds_are_unknown_tags() {
+        // The three messages that lead with a node id, every unassigned kind.
+        let node = NodeId::Worker(1);
+        let msgs = [
+            Message::Heartbeat { node, seq: 1 },
+            Message::ClockPing {
+                node,
+                seq: 1,
+                t_send: 0.5,
+            },
+            Message::TraceBatch {
+                node,
+                offset_secs: 0.0,
+                batch_seq: 0,
+                emitted: 0,
+                dropped: 0,
+                events: vec![],
+            },
+        ];
+        for msg in msgs {
+            for kind in 5..=u8::MAX {
+                let frame = corrupt_at(&encode(&msg), 2, kind);
+                assert_eq!(decode(frame), Err(DecodeError::UnknownTag(kind)));
+            }
+        }
+    }
+
+    fn arb_kv() -> impl Strategy<Value = KvPairs> {
+        prop::collection::vec(
+            (any::<u64>(), prop::collection::vec(any::<f32>(), 0..6)),
+            0..4,
+        )
+        .prop_map(|entries| {
+            let refs: Vec<(u64, &[f32])> =
+                entries.iter().map(|(k, v)| (*k, v.as_slice())).collect();
+            KvPairs::from_slices(&refs)
+        })
+    }
+
+    fn arb_node() -> impl Strategy<Value = NodeId> {
+        prop_oneof![
+            Just(NodeId::Scheduler),
+            any::<u32>().prop_map(NodeId::Server),
+            any::<u32>().prop_map(NodeId::Worker),
+            Just(NodeId::Collector),
+            any::<u32>().prop_map(NodeId::Supervisor),
+        ]
+    }
+
+    fn arb_event() -> impl Strategy<Value = TraceEvent> {
+        (
+            (any::<f64>(), any::<f64>()),
+            0..EventKind::ALL.len(),
+            (any::<u32>(), any::<u32>()),
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            (any::<u64>(), any::<u64>(), any::<u32>()),
+        )
+            .prop_map(
+                |((ts, dur), kind, (shard, worker), (progress, v_train, bytes), ids)| TraceEvent {
+                    ts,
+                    dur,
+                    kind: EventKind::ALL[kind],
+                    shard,
+                    worker,
+                    progress,
+                    v_train,
+                    bytes,
+                    seq: ids.0,
+                    request_id: ids.1,
+                    attempt: ids.2,
+                },
+            )
+    }
+
+    /// A bare message of every variant in the table; each field drawn over
+    /// its whole range.
+    fn arb_bare() -> impl Strategy<Value = Message> {
+        use prop::collection::vec;
+        prop_oneof![
+            (any::<u32>(), any::<u64>(), arb_kv()).prop_map(|(worker, progress, kv)| {
+                Message::SPush {
+                    worker,
+                    progress,
+                    kv,
+                }
+            }),
+            (any::<u32>(), any::<u64>(), vec(any::<u64>(), 0..6)).prop_map(
+                |(worker, progress, keys)| Message::SPull {
+                    worker,
+                    progress,
+                    keys
+                }
+            ),
+            (any::<u32>(), any::<u64>())
+                .prop_map(|(server, progress)| Message::PushAck { server, progress }),
+            (any::<u32>(), any::<u64>(), any::<u64>(), arb_kv()).prop_map(
+                |(server, progress, version, kv)| Message::PullResponse {
+                    server,
+                    progress,
+                    version,
+                    kv
+                }
+            ),
+            (arb_node(), any::<u64>()).prop_map(|(node, seq)| Message::Heartbeat { node, seq }),
+            Just(Message::Shutdown),
+            arb_kv().prop_map(|kv| Message::Install { kv }),
+            vec(
+                (
+                    any::<u64>(),
+                    any::<u64>(),
+                    any::<u32>(),
+                    any::<u32>(),
+                    any::<u32>()
+                ),
+                0..4
+            )
+            .prop_map(|rows| Message::RouteUpdate {
+                placements: rows
+                    .into_iter()
+                    .map(|(orig_key, new_key, server, offset, len)| WirePlacement {
+                        orig_key,
+                        new_key,
+                        server,
+                        offset,
+                        len,
+                    })
+                    .collect(),
+            }),
+            (
+                arb_node(),
+                any::<f64>(),
+                (any::<u64>(), any::<u64>(), any::<u64>()),
+                vec(arb_event(), 0..3),
+            )
+                .prop_map(
+                    |(node, offset_secs, (batch_seq, emitted, dropped), events)| {
+                        Message::TraceBatch {
+                            node,
+                            offset_secs,
+                            batch_seq,
+                            emitted,
+                            dropped,
+                            events,
+                        }
+                    }
+                ),
+            (arb_node(), any::<u64>(), any::<f64>())
+                .prop_map(|(node, seq, t_send)| Message::ClockPing { node, seq, t_send }),
+            (any::<u64>(), any::<f64>(), any::<f64>()).prop_map(|(seq, t_send, t_collector)| {
+                Message::ClockPong {
+                    seq,
+                    t_send,
+                    t_collector,
+                }
+            }),
+            (any::<u64>(), any::<u32>(), any::<u64>(), any::<u64>()).prop_map(
+                |(term, candidate, last_log_index, last_log_term)| Message::VoteRequest {
+                    term,
+                    candidate,
+                    last_log_index,
+                    last_log_term,
+                }
+            ),
+            (any::<u64>(), any::<u32>(), any::<bool>()).prop_map(|(term, voter, granted)| {
+                Message::VoteResponse {
+                    term,
+                    voter,
+                    granted,
+                }
+            }),
+            (
+                (any::<u64>(), any::<u32>()),
+                (any::<u64>(), any::<u64>(), any::<u64>()),
+                vec((any::<u64>(), any::<u64>(), vec(any::<u8>(), 0..5)), 0..3),
+            )
+                .prop_map(
+                    |((term, leader), (prev_index, prev_term, commit), entries)| {
+                        Message::AppendEntries {
+                            term,
+                            leader,
+                            prev_index,
+                            prev_term,
+                            commit,
+                            entries: entries
+                                .into_iter()
+                                .map(|(term, index, cmd)| WireLogEntry { term, index, cmd })
+                                .collect(),
+                        }
+                    }
+                ),
+            (any::<u64>(), any::<u32>(), any::<bool>(), any::<u64>()).prop_map(
+                |(term, follower, ok, match_index)| Message::AppendAck {
+                    term,
+                    follower,
+                    ok,
+                    match_index,
+                }
+            ),
+            (any::<u64>(), any::<u32>())
+                .prop_map(|(term, leader)| Message::LeaderRedirect { term, leader }),
+        ]
+    }
+
+    /// Every variant of the table, bare or in a `Traced` envelope.
+    fn arb_message() -> impl Strategy<Value = Message> {
+        (arb_bare(), any::<bool>(), any::<u64>(), any::<u16>()).prop_map(
+            |(msg, traced, request_id, attempt)| match traced {
+                true => msg.with_ctx(CausalCtx::new(request_id).retry(attempt)),
+                false => msg,
+            },
+        )
+    }
+
+    /// A cursor over `bytes` that notes where each `u32` was read: every
+    /// count word and every `u32` field.
+    struct Noting<'a> {
+        bytes: &'a [u8],
+        at: usize,
+        u32s: Vec<usize>,
+    }
+
+    impl Buf for Noting<'_> {
+        fn remaining(&self) -> usize {
+            self.bytes.len() - self.at
+        }
+        fn advance(&mut self, n: usize) {
+            self.at += n;
+        }
+        fn chunk(&self) -> &[u8] {
+            &self.bytes[self.at..]
+        }
+        fn get_u32_le(&mut self) -> u32 {
+            self.u32s.push(self.at);
+            let word = &self.bytes[self.at..self.at + 4];
+            self.at += 4;
+            u32::from_le_bytes(word.try_into().unwrap())
+        }
+        fn take_bytes(&mut self, n: usize) -> Bytes {
+            self.at += n;
+            Bytes::from(&self.bytes[self.at - n..self.at])
+        }
+    }
+
+    #[test]
+    fn the_generated_messages_cover_exactly_the_tags_that_decode() {
+        // A tag the decoder does not know is `UnknownTag`; every other tag
+        // must be one the strategy below generates, and every tag it
+        // generates must decode. So the fuzz walks the whole table.
+        let known: Vec<u8> = (0..=u8::MAX)
+            .filter(|&t| decode_slice(&[WIRE_VERSION, t]) != Err(DecodeError::UnknownTag(t)))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(46);
+        let strategy = arb_message();
+        let mut drawn: Vec<u8> = (0..2_000)
+            .map(|_| strategy.generate(&mut rng).tag())
+            .collect();
+        drawn.sort_unstable();
+        drawn.dedup();
+        assert_eq!(drawn, known);
+        assert_eq!(known.len(), 17);
+    }
+
+    proptest! {
+        #[test]
+        fn every_message_reencodes_to_its_own_bytes_and_measures_them(msg in arb_message()) {
+            let bytes = encode(&msg);
+            prop_assert_eq!(encoded_len(&msg), bytes.len());
+            let back = decode(bytes.clone()).expect("well-formed message must decode");
+            prop_assert_eq!(encode(&back), bytes);
+            prop_assert_eq!(encoded_len(&back), bytes.len());
+        }
+
+        #[test]
+        fn every_prefix_of_a_message_is_truncated(msg in arb_message()) {
+            let bytes = encode(&msg);
+            for cut in 0..bytes.len() {
+                for err in [decode_slice(&bytes[..cut]), decode(bytes.slice(0..cut))] {
+                    prop_assert!(
+                        matches!(err, Err(DecodeError::Truncated { .. })),
+                        "cut at {} of {}: {:?}", cut, bytes.len(), err
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn every_count_word_is_checked_before_anything_is_allocated(msg in arb_message()) {
+            // Every `u32` the decoder reads, set past the cap: a count word
+            // is `LengthOverflow` with nothing allocated for it, any other
+            // `u32` field takes the value (or, as a scheduler's or a
+            // collector's index, is refused). At the cap itself a count is
+            // `Truncated`, as no frame holds 2^28 elements.
+            let bytes = encode(&msg);
+            let mut noting = Noting { bytes: &bytes, at: 0, u32s: Vec::new() };
+            decode_from(&mut noting).expect("well-formed message must decode");
+            for at in noting.u32s {
+                for claimed in [MAX_ELEMS + 1, u64::from(u32::MAX), MAX_ELEMS] {
+                    let mut frame = bytes.to_vec();
+                    frame[at..at + 4].copy_from_slice(&(claimed as u32).to_le_bytes());
+                    let (_, before) = thread_counters();
+                    let decoded = decode_slice(&frame);
+                    let (_, after) = thread_counters();
+                    match decoded {
+                        Ok(back) => prop_assert_eq!(encode(&back), Bytes::from(frame)),
+                        Err(DecodeError::NonCanonical) => {} // a scheduler's index
+                        Err(DecodeError::LengthOverflow(n)) => prop_assert_eq!(n, claimed),
+                        Err(DecodeError::Truncated { .. }) => prop_assert_eq!(claimed, MAX_ELEMS),
+                        Err(err) => prop_assert!(false, "u32 at {} set to {}: {:?}", at, claimed, err),
+                    }
+                    prop_assert!(after - before < 4096, "u32 at {} allocated {}", at, after - before);
+                }
+            }
+        }
+
+        #[test]
+        fn every_frame_that_decodes_reencodes_to_exactly_its_bytes(
+            msg in arb_message(),
+            flip in 1u8..=255,
+        ) {
+            let bytes = encode(&msg);
+            for idx in 0..bytes.len() {
+                let corrupted = corrupt_at(&bytes, idx, bytes[idx] ^ flip);
+                if let Ok(back) = decode(corrupted.clone()) {
+                    prop_assert_eq!(encode(&back), corrupted, "flipped byte {}", idx);
+                }
+            }
+        }
+
+        #[test]
+        fn a_nested_envelope_is_rejected(msg in arb_message(), request_id in any::<u64>()) {
+            let traced = msg.with_ctx(CausalCtx::new(7));
+            let mut frame = BytesMut::new();
+            frame.put_slice(&[WIRE_VERSION, traced.tag()]);
+            CausalCtx::new(request_id).put(&mut frame);
+            encode_into(&traced, &mut frame);
+            prop_assert_eq!(decode(frame.freeze()), Err(DecodeError::UnknownTag(traced.tag())));
         }
     }
 }

@@ -48,6 +48,10 @@ pub enum DecodeError {
     /// (a corrupted tag can turn a long message into a short one; the
     /// leftovers are how that misparse is caught).
     TrailingBytes(usize),
+    /// A field held bytes no encoder writes — a `bool` byte other than 0 or
+    /// 1, an index on a node kind that has none — so the message would
+    /// re-encode to different bytes.
+    NonCanonical,
 }
 
 impl fmt::Display for TransportError {
@@ -80,6 +84,7 @@ impl fmt::Display for DecodeError {
             DecodeError::TrailingBytes(n) => {
                 write!(f, "{n} bytes left after a complete message")
             }
+            DecodeError::NonCanonical => write!(f, "a field's bytes are not its encoding"),
         }
     }
 }

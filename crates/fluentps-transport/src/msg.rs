@@ -79,9 +79,6 @@ impl CausalCtx {
         self.attempt = attempt;
         self
     }
-
-    /// Encoded size on the wire: `request_id` + `attempt`.
-    pub const WIRE_LEN: usize = 8 + 2;
 }
 
 /// One replicated-log entry carried on the wire by
@@ -199,13 +196,19 @@ pub struct WirePlacement {
     pub len: u32,
 }
 
+// The wire table: each message's tag and its fields in wire order, the one
+// statement of its wire form (the codec is generated from it, see
+// `codec::wire_messages!`). A value payload can only be a last field. Tags 5,
+// 6 and 8 stay unassigned: they were `Register`, `RegisterAck` and
+// `Barrier`, and a peer that still sends one must be told "unknown tag".
+crate::codec::wire_messages! {
 /// One message of the FluentPS protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// `sPush(keys, grads, progress)` — worker pushes the gradients of its
     /// current iteration together with that iteration index (Algorithm 1,
     /// worker line 4).
-    SPush {
+    SPush = 1 {
         /// Index of the pushing worker.
         worker: u32,
         /// The iteration these gradients were computed in.
@@ -215,7 +218,7 @@ pub enum Message {
     },
     /// `sPull(keys, progress)` — worker asks for the parameters it needs for
     /// iteration `progress + 1` (Algorithm 1, worker line 5).
-    SPull {
+    SPull = 2 {
         /// Index of the pulling worker.
         worker: u32,
         /// The worker's current progress; the server indexes its lazy pull
@@ -225,7 +228,7 @@ pub enum Message {
         keys: Vec<u64>,
     },
     /// Server acknowledges a push (Algorithm 1, server line 24).
-    PushAck {
+    PushAck = 3 {
         /// Responding server.
         server: u32,
         /// Echo of the pushed progress.
@@ -233,37 +236,37 @@ pub enum Message {
     },
     /// Server answers a pull, either immediately or lazily after the push
     /// condition fires.
-    PullResponse {
+    PullResponse = 4 {
         /// Responding server.
         server: u32,
         /// Echo of the pull's progress.
         progress: u64,
-        /// Parameter payload.
-        kv: KvPairs,
         /// Server-side shard version (`V_train`) at response time; workers may
         /// use it for staleness diagnostics.
         version: u64,
+        /// Parameter payload.
+        kv: KvPairs,
     },
     /// Liveness heartbeat (scheduler duty, Section III-A).
-    Heartbeat {
+    Heartbeat = 7 {
         /// Sender.
         node: NodeId,
         /// Monotone sequence number.
         seq: u64,
     },
     /// Orderly shutdown request.
-    Shutdown,
+    Shutdown = 9,
     /// Recovery: install parameters into a shard verbatim (no gradient
     /// semantics). Sent by a supervisor when a dead server's keys are
     /// adopted by a survivor, or when seeding a replacement from a
     /// checkpoint.
-    Install {
+    Install = 10 {
         /// Parameters to install, keyed by wire key.
         kv: KvPairs,
     },
     /// Recovery: a new key placement after a server died and its slices
     /// were remapped. Workers rebuild their router from this.
-    RouteUpdate {
+    RouteUpdate = 11 {
         /// The complete new placement table.
         placements: Vec<WirePlacement>,
     },
@@ -272,7 +275,7 @@ pub enum Message {
     /// sender's current clock-offset estimate and its cumulative emit/drop
     /// accounting, so the collector can align timestamps and verify
     /// `received + dropped == emitted` without per-connection state.
-    TraceBatch {
+    TraceBatch = 12 {
         /// The node whose ring buffer produced these events.
         node: NodeId,
         /// The sender's estimated offset to the collector clock, in seconds
@@ -292,7 +295,7 @@ pub enum Message {
     /// time; the collector echoes it back in a [`Message::ClockPong`]
     /// together with its own receive time (NTP-style RTT-midpoint
     /// estimation).
-    ClockPing {
+    ClockPing = 13 {
         /// The probing node.
         node: NodeId,
         /// Probe sequence number, echoed in the pong.
@@ -301,7 +304,7 @@ pub enum Message {
         t_send: f64,
     },
     /// Observability: collector's answer to a [`Message::ClockPing`].
-    ClockPong {
+    ClockPong = 14 {
         /// Echo of the ping's sequence number.
         seq: u64,
         /// Echo of the ping's sender-local send timestamp.
@@ -311,7 +314,7 @@ pub enum Message {
     },
     /// Consensus: a candidate supervisor replica solicits a vote for a term
     /// (Raft-style leader election among control-plane replicas).
-    VoteRequest {
+    VoteRequest = 15 {
         /// Term the candidate is campaigning for.
         term: u64,
         /// Replica id of the candidate.
@@ -322,7 +325,7 @@ pub enum Message {
         last_log_term: u64,
     },
     /// Consensus: a replica's answer to a [`Message::VoteRequest`].
-    VoteResponse {
+    VoteResponse = 16 {
         /// The voter's current term (lets a stale candidate catch up).
         term: u64,
         /// Replica id of the voter.
@@ -332,7 +335,7 @@ pub enum Message {
     },
     /// Consensus: leader replicates log entries (or an empty heartbeat) to a
     /// follower and advertises its commit index.
-    AppendEntries {
+    AppendEntries = 17 {
         /// The leader's current term.
         term: u64,
         /// Replica id of the leader.
@@ -347,7 +350,7 @@ pub enum Message {
         entries: Vec<WireLogEntry>,
     },
     /// Consensus: follower's answer to an [`Message::AppendEntries`].
-    AppendAck {
+    AppendAck = 18 {
         /// The follower's current term.
         term: u64,
         /// Replica id of the follower.
@@ -362,7 +365,7 @@ pub enum Message {
     /// Control plane: a non-leader supervisor replica tells a node that
     /// heartbeated it where the current leader is believed to live
     /// ([`NO_LEADER`] when the replica knows of none).
-    LeaderRedirect {
+    LeaderRedirect = 19 {
         /// The redirecting replica's current term.
         term: u64,
         /// Believed leader replica id, or [`NO_LEADER`].
@@ -373,12 +376,13 @@ pub enum Message {
     /// [`Message::split_ctx`], stamp their trace events with the context,
     /// and handle the inner message as if it had arrived bare. Nesting is
     /// rejected at decode time — one context per wire message.
-    Traced {
+    Traced = 20 {
         /// The causal context of the request this message belongs to.
         ctx: CausalCtx,
         /// The annotated message (never itself `Traced`).
         inner: Box<Message>,
     },
+}
 }
 
 impl Message {

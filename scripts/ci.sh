@@ -82,6 +82,10 @@ deleted="$deleted|spawn_replacement\(|ServerThreads|bring_up|Worker\(u32::MAX\)"
 # The replay window the servers' durable acks replaced: a worker keeps a push
 # until its servers' checkpoints hold it (DESIGN.md §10).
 deleted="$deleted|replay_depth"
+# The per-message length helpers and tag constants the wire table replaced:
+# a message's length is `codec::encoded_len` of the message (DESIGN.md §13).
+deleted="$deleted|(spull|spush|pull_response)_wire_len|encode_pull_response_into"
+deleted="$deleted|EVENT_WIRE_LEN|PLACEMENT_WIRE_LEN|LOG_ENTRY_HEADER_LEN|CausalCtx::WIRE_LEN"
 if git ls-files -co --exclude-standard -- '*.rs' '*.sh' '*.md' \
   | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md|scripts/ci\.sh' \
   | xargs grep -nE "$deleted"; then
@@ -177,6 +181,26 @@ util_src=crates/fluentps-util/src
 if above_tests src/*.rs crates/*/src/*.rs crates/*/src/*/*.rs \
   | grep -E '\bunsafe\b|extern "C"' | grep -vE "^$util_src/(alloc|sync/sched)\.rs:"; then
   echo "ci: unsafe or extern \"C\" outside $util_src/alloc.rs and $util_src/sync/sched.rs (see above)" >&2
+  exit 1
+fi
+
+# Structural guard: each message's wire form is stated once, in the table
+# that declares `Message` in msg.rs (DESIGN.md §13). Encode, length and
+# decode are generated from it, so above codec.rs's test marker no message
+# is named but `Traced` (the rule that an envelope holds a bare message): a
+# match arm for one message there is a second, hand-written statement of its
+# layout. Outside the generator in codec.rs, `Message` is declared once in
+# the workspace, inside that table.
+if above_tests "$wire_src/codec.rs" | grep -E 'Message::[A-Z]' \
+  | grep -vF 'Message::Traced { .. }'; then
+  echo "ci: codec.rs writes a message's layout by hand again (see above); give its row in msg.rs's table the field instead" >&2
+  exit 1
+fi
+declared="$(above_tests crates/*/src/*.rs crates/*/src/*/*.rs | grep -E '\benum Message\b' \
+  | grep -v "^$wire_src/codec.rs:" | cut -d: -f1 | tr '\n' ' ' || true)"
+if [ "$declared" != "$wire_src/msg.rs " ] \
+  || ! above_tests "$wire_src/msg.rs" | grep -qE ': crate::codec::wire_messages! \{$'; then
+  echo "ci: Message is declared outside the wire table in $wire_src/msg.rs" >&2
   exit 1
 fi
 
