@@ -72,10 +72,22 @@
 //! the walk branches once per list entry, ahead of a whole line of
 //! products.
 //!
-//! Safe, portable code only: no `unsafe`, no `std::arch` intrinsics, no
-//! target features (`scripts/ci.sh` guards this crate).
+//! **Two instances, one source.** The code is safe and portable: no
+//! `unsafe`, no `std::arch` intrinsics, no target features (`scripts/ci.sh`
+//! guards this crate). Each product's entry point hands its body to
+//! [`widest`], and the body and everything it calls are
+//! `#[inline(always)]`, so the same source is compiled twice: once for the
+//! x86-64 baseline (SSE2, four lanes) and once inside `widest`'s AVX2
+//! instance (eight lanes, so a 32-wide walk takes about half the vector
+//! instructions per list entry). `widest` runs the wide instance where the
+//! CPU has AVX2 and the baseline anywhere else. Wider lanes hold more
+//! outputs, not more of one output's products: each lane still adds its
+//! products one at a time, in list order, from `+0`, and there is no FMA,
+//! so both instances produce the same bits (the tests below compare them).
 
 use std::ops::Range;
+
+use fluentps_util::cpu::widest;
 
 /// Outputs that one walk keeps in registers.
 const BLOCK: usize = 32;
@@ -90,6 +102,7 @@ struct Lists {
 impl Lists {
     /// A list per row of the `rows × len` matrix `a`, without its `±0`
     /// values when `skip_zeros`.
+    #[inline(always)]
     fn by_row(a: &[f32], rows: usize, len: usize, skip_zeros: bool) -> Lists {
         let mut entries = vec![(0, 0.0); a.len()];
         let mut spans = Vec::with_capacity(rows);
@@ -113,6 +126,7 @@ impl Lists {
     /// all fall into a few cache sets and evict each other (`rows` is a
     /// power of two at every batch size the ledger runs): it halves the
     /// pass at 128 × 256.
+    #[inline(always)]
     fn by_column(a: &[f32], rows: usize, len: usize) -> Lists {
         let cap = rows + 1;
         let mut entries = vec![(0, 0.0); cap * len];
@@ -142,6 +156,7 @@ fn blocks(width: usize) -> impl Iterator<Item = Range<usize>> {
 
 /// Outputs `block` of every row of `c` (`width` outputs each): row `r`
 /// gets list `r`'s walk over `lines`, line `t` starting at `t * stride`.
+#[inline(always)]
 fn walk_block(
     lists: &Lists,
     lines: &[f32],
@@ -180,6 +195,14 @@ fn walk<const W: usize>(list: &[(u32, f32)], lines: &[f32], stride: usize, out: 
 
 /// `c[m×n] = a[m×k] · b[k×n]` (overwrites `c`).
 pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    widest(
+        #[inline(always)]
+        || matmul_body(a, b, c, m, k, n),
+    )
+}
+
+#[inline(always)]
+fn matmul_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "a shape");
     assert_eq!(b.len(), k * n, "b shape");
     assert_eq!(c.len(), m * n, "c shape");
@@ -194,6 +217,14 @@ pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize)
 /// `c[k×n] = aᵀ[k×m] · b[m×n]` where `a` is stored as `m×k` — the weight-
 /// gradient product `Xᵀ·dY` in backprop.
 pub fn matmul_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    widest(
+        #[inline(always)]
+        || matmul_at_b_body(a, b, c, m, k, n),
+    )
+}
+
+#[inline(always)]
+fn matmul_at_b_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "a shape");
     assert_eq!(b.len(), m * n, "b shape");
     assert_eq!(c.len(), k * n, "c shape");
@@ -215,6 +246,14 @@ pub fn matmul_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
 /// `c[m×k] = a[m×n] · bᵀ[n×k]` where `b` is stored as `k×n` — the input-
 /// gradient product `dY·Wᵀ` in backprop.
 pub fn matmul_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
+    widest(
+        #[inline(always)]
+        || matmul_a_bt_body(a, b, c, m, n, k),
+    )
+}
+
+#[inline(always)]
+fn matmul_a_bt_body(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, k: usize) {
     assert_eq!(a.len(), m * n, "a shape");
     assert_eq!(b.len(), k * n, "b shape");
     assert_eq!(c.len(), m * k, "c shape");
@@ -280,6 +319,7 @@ pub fn softmax_rows_inplace(x: &mut [f32], m: usize, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fluentps_util::rng::StdRng;
 
     fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut c = vec![0.0; m * n];
@@ -360,6 +400,95 @@ mod tests {
         let mut c = vec![f32::NAN; 6];
         matmul_a_bt(&[], &[], &mut c, 3, 0, 2);
         assert_eq!(c, [0.0; 6]);
+    }
+
+    /// `len` values of every class: about half exact zeros, `-0.0`,
+    /// subnormals and normal values over a spread of exponents wide enough
+    /// for rounding to depend on the order of a sum; with `non_finite`,
+    /// about one in 16 is `±∞` or a NaN with a random payload.
+    fn operand(rng: &mut StdRng, len: usize, non_finite: bool) -> Vec<f32> {
+        let classes = if non_finite { 64 } else { 60 };
+        (0..len)
+            .map(|_| {
+                let v = match rng.gen_range(0u32..classes) {
+                    0..=29 => return 0.0,
+                    30..=32 => return -0.0,
+                    33..=35 => f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+                    36..=59 => rng.gen_range(0.5f32..1.0) * 2f32.powi(rng.gen_range(-12i32..12)),
+                    60 => f32::INFINITY,
+                    _ => f32::from_bits(0x7f80_0000 | rng.gen_range(1u32..0x0080_0000)),
+                };
+                if rng.gen_bool(0.5) {
+                    -v
+                } else {
+                    v
+                }
+            })
+            .collect()
+    }
+
+    /// The values' bits, with every NaN as one value: which NaN `x + y`
+    /// returns when both are NaN is left open (module doc, **Ordering
+    /// rule**), and the two instances allocate their registers differently.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        let one_nan = |x: f32| if x.is_nan() { f32::NAN } else { x };
+        v.iter().map(|&x| one_nan(x).to_bits()).collect()
+    }
+
+    type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+    /// Each product's entry point (the CPU's widest instance) against its
+    /// body called here (the baseline instance), with `rows × width`
+    /// outputs summed over `inner`, into `c` buffers that hold garbage.
+    fn instances_agree(rng: &mut StdRng, (rows, inner, width): (usize, usize, usize)) {
+        type Case = (&'static str, Kernel, Kernel, (usize, usize, usize));
+        let cases: [Case; 3] = [
+            ("matmul", matmul, matmul_body, (rows, inner, width)),
+            (
+                "matmul_at_b",
+                matmul_at_b,
+                matmul_at_b_body,
+                (inner, rows, width),
+            ),
+            (
+                "matmul_a_bt",
+                matmul_a_bt,
+                matmul_a_bt_body,
+                (rows, inner, width),
+            ),
+        ];
+        for non_finite in [false, true] {
+            let a = operand(rng, rows * inner, non_finite);
+            let b = operand(rng, inner * width, non_finite);
+            for (name, wide, baseline, (d0, d1, d2)) in cases {
+                let mut got = vec![f32::NAN; rows * width];
+                let mut want = vec![-7.0f32; rows * width];
+                wide(&a, &b, &mut got, d0, d1, d2);
+                baseline(&a, &b, &mut want, d0, d1, d2);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{name} {rows}x{inner}x{width}, non-finite {non_finite}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_wide_and_baseline_instances_agree_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(47);
+        for _ in 0..40 {
+            let dims = (1..=3)
+                .map(|_| rng.gen_range(1usize..=40))
+                .collect::<Vec<_>>();
+            instances_agree(&mut rng, (dims[0], dims[1], dims[2]));
+        }
+        // The classifier's 10 outputs, one block, one past it, two blocks
+        // with the narrower ones after them, and an empty inner dimension.
+        for width in [10, 32, 33, 69, 70] {
+            instances_agree(&mut rng, (5, 11, width));
+        }
+        instances_agree(&mut rng, (3, 0, 33));
     }
 
     #[test]

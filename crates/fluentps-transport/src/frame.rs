@@ -2,7 +2,9 @@
 //!
 //! Each frame is `[u32 len LE][u8 from_kind][u32 from_idx][payload]` where
 //! `payload` is one codec-encoded message. `len` covers everything after the
-//! length word itself.
+//! length word itself. The sender id is the codec's `NodeId` field, so a
+//! header decodes only from the bytes that encode it: a scheduler or
+//! collector id with an index is `DecodeError::NonCanonical`.
 //!
 //! A frame whose message carries values is written as two pieces — the head
 //! (length word, sender, the message's own head) from a small scratch buffer
@@ -13,9 +15,9 @@
 
 use std::io::{self, BufRead, IoSlice, Read, Write};
 
-use fluentps_util::buf::{Buf, BufMut, Bytes, BytesMut};
+use fluentps_util::buf::{BufMut, Bytes, BytesMut};
 
-use crate::codec;
+use crate::codec::{self, Field};
 use crate::error::{DecodeError, TransportError};
 use crate::msg::{Message, NodeId};
 
@@ -46,27 +48,6 @@ pub const READ_BUFFER: usize = 64 << 10;
 /// gets here.
 pub const UNREAD_BATCHES: u32 = 32;
 
-fn node_to_pair(node: NodeId) -> (u8, u32) {
-    match node {
-        NodeId::Scheduler => (0, 0),
-        NodeId::Server(m) => (1, m),
-        NodeId::Worker(n) => (2, n),
-        NodeId::Collector => (3, 0),
-        NodeId::Supervisor(k) => (4, k),
-    }
-}
-
-fn node_from_pair(kind: u8, idx: u32) -> Result<NodeId, DecodeError> {
-    match kind {
-        0 => Ok(NodeId::Scheduler),
-        1 => Ok(NodeId::Server(idx)),
-        2 => Ok(NodeId::Worker(idx)),
-        3 => Ok(NodeId::Collector),
-        4 => Ok(NodeId::Supervisor(idx)),
-        other => Err(DecodeError::UnknownTag(other)),
-    }
-}
-
 /// Append the head of one frame for `(from, msg)` to `buf` — the length
 /// word, the sender id and the message's own head — and return the value
 /// payload that completes the frame (empty for a message without values;
@@ -75,9 +56,7 @@ fn node_from_pair(kind: u8, idx: u32) -> Result<NodeId, DecodeError> {
 pub fn encode_frame_head_into<'m>(from: NodeId, msg: &'m Message, buf: &mut BytesMut) -> &'m [u8] {
     let start = buf.len();
     buf.put_u32_le(0); // length placeholder, patched below
-    let (kind, idx) = node_to_pair(from);
-    buf.put_u8(kind);
-    buf.put_u32_le(idx);
+    from.put(buf);
     let payload = codec::encode_head_into(msg, buf);
     let body_len = buf.len() - start - 4 + payload.len();
     buf.set_u32_le_at(start, body_len as u32);
@@ -172,16 +151,7 @@ fn write_all_vectored<W: Write>(w: &mut W, mut bufs: &mut [IoSlice<'_>]) -> io::
 /// Decode one frame body (everything after the length word). The message's
 /// value payload, if any, shares `body`'s allocation.
 pub fn decode_frame_body(mut body: Bytes) -> Result<(NodeId, Message), TransportError> {
-    if body.remaining() < 5 {
-        return Err(DecodeError::Truncated {
-            needed: 5,
-            available: body.remaining(),
-        }
-        .into());
-    }
-    let kind = body.get_u8();
-    let idx = body.get_u32_le();
-    let from = node_from_pair(kind, idx)?;
+    let from = NodeId::get(&mut body)?;
     let msg = codec::decode(body)?;
     Ok((from, msg))
 }
@@ -559,6 +529,40 @@ mod tests {
                 matches!(&err, TransportError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
                 "cut at {cut}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_frame_header_decodes_only_to_the_sender_that_encodes_it() {
+        // A scheduler's sender id with an index: no encoder writes it.
+        let mut stream = 6u32.to_le_bytes().to_vec();
+        stream.extend_from_slice(&[0, 7, 0, 0, 0, 0]);
+        let err = read_frame(&mut Cursor::new(&stream)).unwrap_err();
+        assert!(
+            matches!(err, TransportError::Decode(DecodeError::NonCanonical)),
+            "{err:?}"
+        );
+        // Every other value of each byte of the length word and sender id:
+        // an error, or a frame whose encoding is exactly the bytes read.
+        let msg = Message::PushAck {
+            server: 1,
+            progress: 4,
+        };
+        let frame = encode_frame(NodeId::Server(1), &msg).to_vec();
+        for at in 0..9 {
+            for byte in (0..=u8::MAX).filter(|&b| b != frame[at]) {
+                let mut flipped = frame.clone();
+                flipped[at] = byte;
+                let mut cursor = Cursor::new(&flipped);
+                if let Ok((from, got)) = read_frame(&mut cursor) {
+                    let read = &flipped[..cursor.position() as usize];
+                    assert_eq!(
+                        encode_frame(from, &got).as_ref(),
+                        read,
+                        "byte {at} set to {byte} decoded to {from:?}, {got:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -16,6 +16,10 @@
 //!   and `std::thread::scope`-based scoped spawns. Replaces `crossbeam`
 //!   and `parking_lot`. Also the one call into the kernel's scheduler:
 //!   [`sync::take_shortest_slice`], which a TCP reader thread makes first.
+//! * [`cpu`] — [`cpu::widest`], the one choice between the x86-64 baseline
+//!   and the CPU's widest vector unit, made at run time: the GEMM kernels
+//!   of `fluentps-ml` run their portable source in whichever instance the
+//!   CPU supports, with the same bits.
 //! * [`buf`] — a minimal `Bytes`/`BytesMut`/`Buf`/`BufMut` subset over
 //!   `Vec<u8>` with cheap, `Arc`-backed `Bytes` clones. Replaces `bytes`.
 //! * [`proptest`] — a fixed-seed property-test harness: a [`proptest!`]
@@ -36,6 +40,7 @@
 pub mod alloc;
 pub mod bench;
 pub mod buf;
+pub mod cpu;
 pub mod fnv;
 pub mod proptest;
 pub mod rng;

@@ -22,6 +22,9 @@ cargo test --offline --release --manifest-path benchmark/Cargo.toml
 # (DESIGN.md §13): their unit tests run in release too.
 cargo test -q --offline --release -p fluentps-ml --test same_bits
 cargo test -q --offline --release -p fluentps-ml --lib data::
+# The GEMMs' two instances (DESIGN.md §19) differ only where the loops
+# vectorize, so the test that compares them bit for bit runs in release.
+cargo test -q --offline --release -p fluentps-ml --lib linalg::
 cargo test -q --offline --release -p fluentps-core --lib server::
 
 # Lines above a file's test marker, comments skipped, each prefixed with
@@ -172,15 +175,32 @@ if ! grep -qE '^pub struct FrameReader;$' "$wire_src/frame.rs"; then
   exit 1
 fi
 
-# Structural guard: the workspace is safe Rust but for two files (DESIGN.md
-# §7, §18). Above the test markers of every crate, `unsafe` and foreign
-# functions appear only in fluentps-util's counting allocator, which
-# implements `GlobalAlloc`, and in its `sync/sched.rs`, which asks the
-# kernel for a thread's scheduler slice through `syscall`.
+# Structural guard: the workspace is safe Rust but for three files
+# (DESIGN.md §7, §18, §19). Above the test markers of every crate, `unsafe`
+# and foreign functions appear only in fluentps-util's counting allocator,
+# which implements `GlobalAlloc`, in its `sync/sched.rs`, which asks the
+# kernel for a thread's scheduler slice through `syscall`, and in its
+# `cpu.rs`, which calls the wide instance of a closure once the CPU is
+# found to have the unit it is compiled for.
 util_src=crates/fluentps-util/src
 if above_tests src/*.rs crates/*/src/*.rs crates/*/src/*/*.rs \
-  | grep -E '\bunsafe\b|extern "C"' | grep -vE "^$util_src/(alloc|sync/sched)\.rs:"; then
-  echo "ci: unsafe or extern \"C\" outside $util_src/alloc.rs and $util_src/sync/sched.rs (see above)" >&2
+  | grep -E '\bunsafe\b|extern "C"' | grep -vE "^$util_src/(alloc|sync/sched|cpu)\.rs:"; then
+  echo "ci: unsafe or extern \"C\" outside $util_src/alloc.rs, $util_src/sync/sched.rs and $util_src/cpu.rs (see above)" >&2
+  exit 1
+fi
+
+# Structural guard: one dispatch point between the baseline and the CPU's
+# widest vector unit (DESIGN.md §19). Above the test markers of every
+# crate, a target feature is named and the CPU asked for one only in
+# fluentps-util's cpu.rs, and that file holds one `unsafe` block: the call
+# into the wide instance after the check.
+if above_tests src/*.rs crates/*/src/*.rs crates/*/src/*/*.rs \
+  | grep -E 'target_feature|is_x86_feature_detected' | grep -v "^$util_src/cpu\.rs:"; then
+  echo "ci: a target feature outside $util_src/cpu.rs (see above); hand the code to cpu::widest" >&2
+  exit 1
+fi
+if [ "$(above_tests "$util_src/cpu.rs" | grep -cE '\bunsafe\b')" -gt 1 ]; then
+  echo "ci: $util_src/cpu.rs holds more than one unsafe block" >&2
   exit 1
 fi
 
@@ -190,7 +210,9 @@ fi
 # is named but `Traced` (the rule that an envelope holds a bare message): a
 # match arm for one message there is a second, hand-written statement of its
 # layout. Outside the generator in codec.rs, `Message` is declared once in
-# the workspace, inside that table.
+# the workspace, inside that table. (The table's grep reads all its input:
+# `grep -q` stops at the first match, and under `pipefail` the SIGPIPE that
+# stopped `awk` then failed this check in 77 of 200 tries.)
 if above_tests "$wire_src/codec.rs" | grep -E 'Message::[A-Z]' \
   | grep -vF 'Message::Traced { .. }'; then
   echo "ci: codec.rs writes a message's layout by hand again (see above); give its row in msg.rs's table the field instead" >&2
@@ -199,7 +221,7 @@ fi
 declared="$(above_tests crates/*/src/*.rs crates/*/src/*/*.rs | grep -E '\benum Message\b' \
   | grep -v "^$wire_src/codec.rs:" | cut -d: -f1 | tr '\n' ' ' || true)"
 if [ "$declared" != "$wire_src/msg.rs " ] \
-  || ! above_tests "$wire_src/msg.rs" | grep -qE ': crate::codec::wire_messages! \{$'; then
+  || ! above_tests "$wire_src/msg.rs" | grep -E ': crate::codec::wire_messages! \{$' >/dev/null; then
   echo "ci: Message is declared outside the wire table in $wire_src/msg.rs" >&2
   exit 1
 fi

@@ -17,6 +17,11 @@
 # file offset 0 starts in /proc/<pid>/maps — the address the ELF file itself
 # gives the instruction. A function's row is its self time: code inlined
 # into it counts as its own (`relu_inplace` inside `Mlp::loss_and_grad`).
+# The one exception is `fluentps_util::cpu::widest`'s wide instance, into
+# which the GEMM kernels are all inlined: a sample there is named after the
+# fluentps-ml kernel it is in, as the baseline build names it, with a
+# `(wide)` suffix (`fluentps_ml::linalg::walk_block (wide)`; list builders
+# and each product's own packing get rows of their own too).
 # A sample the symbolizer cannot name — stripped libc's ifunc targets, which
 # have no dynamic symbol — is named by the instruction at its address, as
 # `objdump -d` disassembles it: `?? in libc.so.6: rep stos (memset)` and
@@ -259,19 +264,51 @@ for _, path, offset in located:
     if path:
         wanted[path].add(offset)
 names_at = {}
-for path, offsets in wanted.items():
-    offsets = sorted(offsets)
+def symbolize(path, offsets, inlines):
+    """`llvm-symbolizer`'s lines for each of `offsets` in `path`: the
+    function, or with `inlines` every inlined frame, innermost first, each
+    a name and a `file:line:column`."""
     out = subprocess.run(
-        ["llvm-symbolizer", "--obj=" + path, "--functions=linkage", "--no-inlines", "--demangle"],
+        ["llvm-symbolizer", "--obj=" + path, "--functions=linkage",
+         "--inlines" if inlines else "--no-inlines", "--demangle"],
         input="".join(f"0x{o:x}\n" for o in offsets),
         capture_output=True,
         text=True,
     ).stdout
-    blocks = [b.splitlines() for b in out.strip("\n").split("\n\n")]
-    for offset, block in zip(offsets, blocks):
+    return [b.splitlines() for b in out.strip("\n").split("\n\n")]
+
+
+for path, offsets in wanted.items():
+    offsets = sorted(offsets)
+    for offset, block in zip(offsets, symbolize(path, offsets, False)):
         name = block[0] if block and block[0] != "??" else unnamed(path, offset)
         name = re.sub(r"::h[0-9a-f]{16}( \(\.llvm\.[0-9]+\))?$", "", name)
         names_at[(path, offset)] = rust_escapes(name)
+
+# The wide instances of `fluentps_util::cpu::widest` hold their callers'
+# code inlined, so the pass above names every sample in them after the
+# helper. Symbolize those again with inlined frames and keep the frames
+# of fluentps-ml's source, outermost first, closures dropped: the first is
+# the dispatched product's body, the next the kernel code it inlined
+# (`walk_block`, a list builder). Name the sample after that next frame,
+# or after the body for the body's own code (packing), as the baseline
+# build's rows name them, with `(wide)`.
+WIDE = "fluentps_util::cpu::"
+wide = collections.defaultdict(set)
+for (path, offset), name in names_at.items():
+    if name.startswith(WIDE):
+        wide[path].add(offset)
+for path, offsets in wide.items():
+    offsets = sorted(offsets)
+    for offset, block in zip(offsets, symbolize(path, offsets, True)):
+        frames = []  # outermost first
+        for name, where in reversed(list(zip(block[::2], block[1::2]))):
+            source = re.search(r"/fluentps-ml/src/(.+)\.rs:", where)
+            if source and not name.startswith("{closure"):
+                module = source.group(1).replace("/", "::").removesuffix("::mod")
+                frames.append(f"fluentps_ml::{module}::{name}")
+        if frames:
+            names_at[(path, offset)] = frames[min(1, len(frames) - 1)] + " (wide)"
 
 by_function = collections.Counter()
 by_family = collections.defaultdict(collections.Counter)
